@@ -127,11 +127,21 @@ fn main() {
     }
     e1();
     let e1b_rows = e1b();
-    let (e1c_rows, e1c_best, cores) = e1c();
+    let (e1c_rows, e1c_best, e1c_largest, cores) = e1c();
     let (e1d_rows, e1d_best) = e1d(cores);
     // Baselines are written before the acceptance asserts, so a perf
     // regression still leaves the measured rows on disk for diagnosis.
     write_bench_e1(&e1b_rows, &e1c_rows, &e1d_rows);
+    // The E1c bound scales with what the hardware can express: two
+    // workers cannot reach 2×, but the largest scan must still clearly
+    // win or sharding one-shot joins has stopped paying for itself.
+    if (2..4).contains(&cores) {
+        assert!(
+            e1c_largest >= 1.3,
+            "acceptance: ≥1.3× scan-sharding speedup with {cores} threads on the \
+             largest two-hop workload, measured {e1c_largest:.2}x"
+        );
+    }
     if cores >= 4 {
         assert!(
             e1c_best >= 2.0,
@@ -147,7 +157,7 @@ fn main() {
     } else {
         println!(
             "  (E1c/E1d ≥2× bounds not asserted: only {cores} core(s) available — \
-             a 4-worker pool cannot beat sequential without hardware parallelism)\n"
+             a 4-worker pool cannot reach them without the hardware parallelism)\n"
         );
     }
     if bench_only() == Some("e1") {
@@ -277,22 +287,31 @@ fn e1b() -> Vec<String> {
     rows
 }
 
-/// E1c: partition-parallel two-hop joins — the same index-nested-loop
-/// plan executed with a 4-worker `dc-exec` pool vs pinned to one
-/// worker. Both sides run the index path with warm database-level
-/// index/statistics caches (one untimed warm-up evaluation), so the
-/// measured interval is exactly the scan-shard × probe × filter work
-/// the worker pool divides; results are asserted identical. The ≥2×
-/// acceptance bound is asserted in `main` after the baselines are
-/// written — and only where the hardware can express parallelism at
-/// all (≥4 available cores; the measured `cores` rides along in each
-/// row so a baseline from a small machine is interpretable).
-fn e1c() -> (Vec<String>, f64, usize) {
+/// E1c: scan-sharded two-hop joins — the same index-nested-loop plan
+/// with its scan side sharded across `min(cores, 4)` pool workers vs
+/// pinned to one worker. Both sides run the index path with warm
+/// database-level index/statistics caches (one untimed warm-up
+/// evaluation), so the measured interval is exactly the scan-shard ×
+/// probe × filter work the worker pool divides (the sides alternate
+/// and each reports the fastest of its seven evaluations); results are
+/// asserted identical. The acceptance bound is asserted in `main`
+/// after the baselines are written, scaled to the parallelism the
+/// hardware can express (the measured `cores` and the `threads`
+/// actually used ride along in each row so a baseline from a small
+/// machine is interpretable). Returns the rows, the best speedup, the
+/// largest workload's speedup, and the core count.
+fn e1c() -> (Vec<String>, f64, f64, usize) {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    println!("E1c partition-parallel two-hop joins: 4 workers vs sequential ({cores} core(s))");
-    println!("  workload            edges  matches  seq(ms)  par4(ms)  speedup");
+    let threads = cores.min(4);
+    const RUNS: usize = 7;
+    println!(
+        "E1c scan-sharded two-hop joins: {threads} workers vs sequential \
+         ({cores} core(s), fastest of {RUNS})"
+    );
+    println!("  workload            edges  matches  seq(ms)   par(ms)  speedup");
     let mut rows_out = Vec::new();
     let mut best = 0.0_f64;
+    let mut largest = 0.0_f64;
     for (label, nodes, degree) in [
         ("two-hop n=2k d=8", 2000usize, 8.0),
         ("two-hop n=4k d=8", 4000, 8.0),
@@ -302,20 +321,30 @@ fn e1c() -> (Vec<String>, f64, usize) {
         let q = two_hop_query(19);
         let mut db_seq = weighted_db(&edges);
         db_seq.set_threads(1);
-        let warm = db_seq.eval(&q).unwrap();
-        let (seq_rel, seq_ms) = time(|| db_seq.eval(&q).unwrap());
+        let seq_rel = db_seq.eval(&q).unwrap();
         let mut db_par = weighted_db(&edges);
-        db_par.set_threads(4);
-        let par_warm = db_par.eval(&q).unwrap();
-        let (par_rel, par_ms) = time(|| db_par.eval(&q).unwrap());
+        db_par.set_threads(threads);
         assert_eq!(
-            seq_rel, par_rel,
+            db_par.eval(&q).unwrap(),
+            seq_rel,
             "parallel execution must agree with sequential on {label}"
         );
-        assert_eq!(warm, seq_rel);
-        assert_eq!(par_warm, par_rel);
+        // Both sides are warm now. A two-thread measurement on a small
+        // shared machine is at the mercy of whatever else the cores
+        // are doing: alternate the sides so a disturbance hits both,
+        // and keep each side's fastest (least disturbed) run.
+        let (mut seq_ms, mut par_ms) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..RUNS {
+            let (rel, ms) = time(|| db_seq.eval(&q).unwrap());
+            assert_eq!(rel, seq_rel);
+            seq_ms = seq_ms.min(ms);
+            let (rel, ms) = time(|| db_par.eval(&q).unwrap());
+            assert_eq!(rel, seq_rel);
+            par_ms = par_ms.min(ms);
+        }
         let speedup = seq_ms / par_ms;
         best = best.max(speedup);
+        largest = speedup; // workloads run in increasing size
         println!(
             "  {label:<18} {:>6} {:>8} {seq_ms:>8.2} {par_ms:>9.2} {speedup:>7.2}x",
             edges.len(),
@@ -325,13 +354,15 @@ fn e1c() -> (Vec<String>, f64, usize) {
             format!(
                 concat!(
                     "  {{\"workload\": \"{}\", \"edges\": {}, \"matches\": {}, ",
-                    "\"threads\": 4, \"cores\": {}, ",
+                    "\"threads\": {}, \"cores\": {}, \"runs\": {}, ",
                     "\"seq_ms\": {:.3}, \"par_ms\": {:.3}, \"speedup\": {:.2}}}"
                 ),
                 label,
                 edges.len(),
                 seq_rel.len(),
+                threads,
                 cores,
+                RUNS,
                 seq_ms,
                 par_ms,
                 speedup
@@ -340,13 +371,14 @@ fn e1c() -> (Vec<String>, f64, usize) {
         ));
     }
     println!();
-    (rows_out, best, cores)
+    (rows_out, best, largest, cores)
 }
 
 /// E1d: cross-equation parallel fixpoint rounds — multi-equation
 /// systems solved with the round scheduler batch-dispatching branch
 /// tasks of *different equations* to a 4-worker pool vs pinned to one
-/// worker. The 4-constructor ring instantiates four simultaneously
+/// worker — task dispatch is the whole difference: a task never shards
+/// its own scan. The 4-constructor ring instantiates four simultaneously
 /// solved equations whose Linear branches carry equal-sized deltas
 /// every round (a balanced 4-task round); the mutual `ahead`/`above`
 /// system is the paper's §3.1 workload. Cold solves on both sides
@@ -382,16 +414,10 @@ fn e1d(cores: usize) -> (Vec<String>, f64) {
     let mut best = 0.0_f64;
     for (label, sys) in workloads {
         let build = |threads: usize| {
-            let mut db = Database::new();
-            match &sys {
-                Sys::Ring(base) => {
-                    db.create_relation("Edges", base.schema().clone()).unwrap();
-                    for t in base.iter() {
-                        db.insert("Edges", t.clone()).unwrap();
-                    }
-                    db.define_constructors(constructor_ring(4)).unwrap();
-                }
+            let mut db = match &sys {
+                Sys::Ring(base) => ring_db(base),
                 Sys::Mutual(scene) => {
+                    let mut db = Database::new();
                     db.create_relation("Infront", paper::infrontrel()).unwrap();
                     db.create_relation("Ontop", paper::ontoprel()).unwrap();
                     for t in scene.infront.iter() {
@@ -402,14 +428,15 @@ fn e1d(cores: usize) -> (Vec<String>, f64) {
                     }
                     db.define_constructors(vec![paper::ahead_mutual(), paper::above()])
                         .unwrap();
+                    db
                 }
-            }
+            };
             db.set_budget(harness_budget());
             db.set_threads(threads);
             db
         };
         let q = match &sys {
-            Sys::Ring(_) => rel("Edges").construct("c0", vec![]),
+            Sys::Ring(_) => ring_query(),
             Sys::Mutual(_) => rel("Ontop").construct("above", vec![rel("Infront")]),
         };
         let db_seq = build(1);
@@ -479,8 +506,8 @@ fn e1d(cores: usize) -> (Vec<String>, f64) {
 /// Emit `BENCH_e1.json`: the E1b scan→probe rows, the E1c
 /// parallel-vs-sequential rows, then the E1d cross-equation fixpoint
 /// rows, one flat array (the layout `dc_bench::baseline::parse_rows`
-/// reads) — so the perf-baseline CI gate covers the parallel executor
-/// and the round scheduler with the same tolerance band as every
+/// reads) — so the perf-baseline CI gate covers scan sharding and the
+/// round scheduler with the same tolerance band as every
 /// other access path.
 fn write_bench_e1(e1b_rows: &[String], e1c_rows: &[String], e1d_rows: &[String]) {
     let mut all: Vec<String> = e1b_rows.to_vec();

@@ -117,6 +117,32 @@ pub fn constructor_ring(m: usize) -> Vec<Constructor> {
         .collect()
 }
 
+/// `db` with `threads` workers and the parallel threshold lowered to 1,
+/// so that even small generated inputs dispatch their round tasks and
+/// shard their query scans — how the differential suites force the
+/// parallel paths.
+pub fn parallelised(mut db: Database, threads: usize) -> Database {
+    db.set_threads(threads);
+    db.config_mut().parallel_threshold = 1;
+    db
+}
+
+/// A database holding `base` under `Edges` with the 4-constructor ring
+/// defined: four simultaneously solved equations whose Linear branches
+/// all carry a delta every round — a balanced four-task round for the
+/// scheduler. [`ring_query`] solves it.
+pub fn ring_db(base: &Relation) -> Database {
+    let mut db = weighted_db(base);
+    db.define_constructors(constructor_ring(4))
+        .expect("the ring is positive and well-typed");
+    db
+}
+
+/// `Edges{c0}`: the closure of `Edges`, through all four ring equations.
+pub fn ring_query() -> dc_calculus::RangeExpr {
+    dc_calculus::builder::rel("Edges").construct("c0", vec![])
+}
+
 /// Same-generation Horn program over parent facts from a complete
 /// binary tree — the second E7 workload.
 pub fn same_generation_program(depth: usize) -> Program {
@@ -370,8 +396,8 @@ pub fn node(prefix: &str, i: usize) -> Value {
     Value::str(format!("{prefix}{i}"))
 }
 
-/// A database holding a weighted random graph under `Edges` — the
-/// partition-parallel large-scan workload (E1c).
+/// A database holding `edges` (a weighted random graph: the
+/// scan-sharding large-scan workload E1c) under `Edges`.
 pub fn weighted_db(edges: &Relation) -> Database {
     let mut db = Database::new();
     db.create_relation("Edges", edges.schema().clone())
@@ -391,10 +417,10 @@ pub fn weighted_db(edges: &Relation) -> Database {
 ///
 /// The equality atom compiles to a scan of `Edges` probing the
 /// `src`-index per continuation; the arithmetic residual is *pure*, so
-/// the whole branch lowers into a `dc-exec` job: the scan side shards
-/// across workers, which probe one shared index and evaluate the
-/// filter — the embarrassingly partitionable shape the parallel
-/// executor targets. The modulus keeps the output a small fraction of
+/// outside a solve the scan side shards across the worker pool: every
+/// worker probes one shared index and evaluates the filter through the
+/// ordinary operator loop — the embarrassingly partitionable shape scan
+/// sharding targets. The modulus keeps the output a small fraction of
 /// the probed combinations, so measured time is probe/filter work, not
 /// single-threaded merge.
 pub fn two_hop_query(m: i64) -> dc_calculus::RangeExpr {

@@ -54,23 +54,24 @@
 //!   body re-check preserves semantics; every unsafe case falls back to
 //!   the reference scan. Demotions and abandoned rewrites are recorded
 //!   in the planner trace ([`Evaluator::plan_notes`]).
-//! * **Partition-parallel execution** — a compiled branch plan whose
-//!   residual predicate and target are *pure* (no quantifiers,
-//!   membership tests, or constructor applications — evaluable from the
-//!   bound tuples alone) is lowered into a self-contained
-//!   [`dc_exec::Job`] and dispatched to the partition-parallel executor
-//!   when the evaluator was configured with more than one worker
-//!   ([`Evaluator::with_threads`]) and the scan side clears
-//!   [`PARALLEL_SCAN_THRESHOLD`]: the scan is hash-split into shards,
-//!   each worker runs the probe plan against the *same* shared
-//!   read-only indexes, and the shard outputs merge in shard order —
-//!   so the result relation is identical to the sequential path's for
-//!   every thread count. Parameters and outer variables are resolved to
-//!   constants at lowering time; any impurity (or an unresolvable name
-//!   the sequential path would turn into an error) falls back to the
-//!   sequential executor, which keeps catalogs — and their interior
-//!   mutability — off the worker threads. Decorrelated-entry builds
-//!   route through the same branch path and parallelise with it.
+//! * **Scan sharding** — there is one operator loop
+//!   (`exec_plan` → `emit_if_selected` → [`Evaluator::eval_formula`] /
+//!   [`Evaluator::eval_scalar`]) and parallel execution runs *it*, not
+//!   a second implementation. When the evaluator has more than one
+//!   worker ([`Evaluator::with_threads`]), a compiled plan's first step
+//!   scans at least [`PARALLEL_SCAN_THRESHOLD`] tuples, and the branch
+//!   is *pure* (no quantifier or membership test, hence no range,
+//!   constructor application, or catalog read below the bindings; every
+//!   parameter resolves), the scan side is hash-split
+//!   ([`Relation::hash_shards`]) into one task per worker on the shared
+//!   pool ([`dc_exec::run_tasks`]). Each task runs the plan from depth
+//!   1 on a worker-local, catalog-less evaluator against the *same*
+//!   read-only indexes; outputs merge in shard order, so the relation
+//!   is identical for every thread count and errors are the operator
+//!   loop's own. Impure branches stay on the calling thread, which
+//!   keeps catalogs — and their interior mutability — off the workers.
+//!   Solver-spawned evaluators are never given workers: inside a solve
+//!   the round's task dispatch is the only parallelism.
 
 use std::sync::Arc;
 
@@ -83,8 +84,8 @@ use dc_value::{Attribute, Domain, FxHashMap, FxHashSet, Schema, Tuple, Value};
 use dc_trace::metrics::{Counter, MetricsRegistry};
 use dc_trace::SpanKind;
 
-use crate::ast::{Branch, CmpOp, Formula, RangeExpr, ScalarExpr, SetFormer, Target, Var};
-use crate::env::{Catalog, DecorrCached};
+use crate::ast::{Branch, Formula, RangeExpr, ScalarExpr, SetFormer, Target, Var};
+use crate::env::{Catalog, DecorrCached, MapCatalog};
 use crate::error::EvalError;
 use crate::joinplan::{self, Access, BranchPlan, KeySource, StepRationale};
 use crate::plan_event::{DecorrRefusalReason, PlanEvent, QuantDemotionReason};
@@ -101,14 +102,14 @@ const KEY_MARKER: &str = "\u{394}key";
 /// blow-up the per-combination scan only ever streams.
 const DECORR_JOIN_BLOWUP: usize = 8;
 
-/// Minimum scan-side cardinality before a branch is dispatched to the
-/// partition-parallel executor ([`dc_exec`]). Below it the whole branch
-/// evaluates in tens of microseconds and the fixed parallel overhead —
-/// one partitioning pass, `threads` thread spawns, and a shard-order
-/// merge — costs more than it saves; above it per-shard probe work
-/// dominates and scales with the worker count. Overridable per
-/// evaluator ([`Evaluator::with_parallel_threshold`]) so differential
-/// tests can force the parallel path on small inputs.
+/// Minimum scan-side cardinality before a branch's scan is sharded
+/// across the worker pool. Below it the whole branch evaluates in tens
+/// of microseconds and the fixed parallel overhead — one partitioning
+/// pass, `threads` thread spawns, and a shard-order merge — costs more
+/// than it saves; above it per-shard probe work dominates and scales
+/// with the worker count. Overridable per evaluator
+/// ([`Evaluator::with_parallel_threshold`]) so differential tests can
+/// force the sharded path on small inputs.
 pub const PARALLEL_SCAN_THRESHOLD: usize = 2048;
 
 /// A bound tuple variable: name, current tuple, and the schema used to
@@ -164,15 +165,15 @@ pub struct Evaluator<'a> {
     probe_scratch: Vec<Vec<Value>>,
     /// Disable the index-nested-loop path (reference semantics).
     nested_loop_only: bool,
-    /// Worker count for partition-parallel branch execution; `1` is the
-    /// exact sequential path (no jobs are ever built).
+    /// Worker count for scan sharding; `1` is the exact sequential path
+    /// (the purity check never runs).
     threads: usize,
-    /// Scan-side cardinality floor for parallel dispatch — see
+    /// Scan-side cardinality floor for scan sharding — see
     /// [`PARALLEL_SCAN_THRESHOLD`].
     parallel_threshold: usize,
     /// The armed budget governing this evaluation, if any: ticked at
-    /// the executor leaves (and handed to worker shards through the
-    /// job), with emitted tuples counted against its ceiling.
+    /// the executor leaves (shard workers share it), with emitted
+    /// tuples counted against its ceiling.
     budget: Option<Meter>,
     /// The catalog data version the syntax-keyed caches were filled
     /// under; on mismatch every cache is dropped (mid-solve delta
@@ -232,20 +233,19 @@ impl<'a> Evaluator<'a> {
         self
     }
 
-    /// Execute eligible set-former branches through the
-    /// partition-parallel executor with `threads` workers (resolve a
-    /// configuration knob through [`dc_exec::thread_count`] first).
+    /// Shard the scan side of eligible set-former branches across
+    /// `threads` workers (resolve a configuration knob through
+    /// [`dc_exec::thread_count`] first, which also bounds it).
     /// `threads <= 1` keeps the exact sequential path. Results are
-    /// identical for every worker count — see the module docs for the
-    /// determinism argument.
+    /// identical for every worker count — see the module docs.
     pub fn with_threads(mut self, threads: usize) -> Evaluator<'a> {
         self.threads = threads.max(1);
         self
     }
 
-    /// Override the scan-side cardinality floor for parallel dispatch
+    /// Override the scan-side cardinality floor for scan sharding
     /// (default [`PARALLEL_SCAN_THRESHOLD`]). Differential tests lower
-    /// it to force the parallel path on small inputs.
+    /// it to force the sharded path on small inputs.
     pub fn with_parallel_threshold(mut self, threshold: usize) -> Evaluator<'a> {
         self.parallel_threshold = threshold;
         self
@@ -253,10 +253,9 @@ impl<'a> Evaluator<'a> {
 
     /// Govern this evaluation with an armed budget [`Meter`]: the
     /// executor leaves tick it (observing deadlines, cancellation, and
-    /// the tuple ceiling), worker shards share it through the job, and
-    /// trips surface as [`EvalError::Solve`]. Clones share one gauge,
-    /// so a solver hands the *same* meter to every branch evaluator of
-    /// one solve.
+    /// the tuple ceiling), shard workers share it, and trips surface as
+    /// [`EvalError::Solve`]. Clones share one gauge, so a solver hands
+    /// the *same* meter to every branch evaluator of one solve.
     pub fn with_meter(mut self, meter: Meter) -> Evaluator<'a> {
         self.budget = Some(meter);
         self
@@ -596,43 +595,7 @@ impl<'a> Evaluator<'a> {
                 self.note_access_path(branch, &plan, &rationale, &schemas, &stats);
                 if plan.has_probe() {
                     if let Some(steps) = self.compile_plan(branch, &plan, ranges, bindings)? {
-                        if let Some(job) =
-                            self.parallel_job(branch, &steps, ranges, bindings, out.schema())
-                        {
-                            match dc_exec::execute(&job, self.threads) {
-                                Ok(part) => {
-                                    dc_relation::algebra::union_into(out, &part)
-                                        .map_err(EvalError::from)?;
-                                    return Ok(());
-                                }
-                                // Graceful degradation: a panicking
-                                // worker must never change the answer
-                                // or kill the process. Retry the branch
-                                // once on the sequential reference path
-                                // — nothing was merged into `out`, so
-                                // the retry starts clean. A second
-                                // failure there is a real error and
-                                // propagates.
-                                Err(dc_exec::ExecError::WorkerPanic { message }) => {
-                                    if let Some(m) = &self.budget {
-                                        m.note_retried();
-                                    }
-                                    self.plan_event(PlanEvent::ParallelDegraded {
-                                        message: message.clone(),
-                                    });
-                                    let r =
-                                        self.exec_plan(branch, &steps, ranges, 0, bindings, out);
-                                    if r.is_ok() {
-                                        if let Some(m) = &self.budget {
-                                            m.note_degraded();
-                                        }
-                                    }
-                                    return r;
-                                }
-                                Err(e) => return Err(exec_to_eval_error(e)),
-                            }
-                        }
-                        return self.exec_plan(branch, &steps, ranges, 0, bindings, out);
+                        return self.run_plan(branch, &steps, ranges, bindings, out);
                     }
                 }
             }
@@ -721,196 +684,154 @@ impl<'a> Evaluator<'a> {
         Ok(any_probe.then_some(steps))
     }
 
-    /// Lower a compiled branch plan into a self-contained
-    /// [`dc_exec::Job`], or `None` when the branch must stay on the
-    /// sequential executor. Eligibility:
-    ///
-    /// * more than one worker is configured and the first step is a
-    ///   scan whose cardinality clears the dispatch threshold (probes
-    ///   amortise per scan tuple, so the scan side is what parallelism
-    ///   divides);
-    /// * the full residual predicate and the target are *pure* —
-    ///   comparisons, boolean connectives, and arithmetic over the
-    ///   bound tuples. Parameters and outer-variable attributes are
-    ///   resolved to constants here, once, which is exactly their
-    ///   per-branch-constant meaning on the sequential path;
-    /// * every name resolves. An unresolvable attribute, parameter, or
-    ///   variable falls back to the sequential path so the reference
-    ///   error surfaces from the reference machinery, not from a
-    ///   half-lowered job.
-    ///
-    /// Workers only ever see the job — relations, shared indexes, and
-    /// the pure IR — never the catalog, so interior mutability
-    /// ([`std::cell::RefCell`] solver state, database caches) stays on
-    /// this thread.
-    // `slot_of` expects: `compile_plan` emits exactly one step per
-    // binding position (it iterates `plan.steps`, which `plan_branch`
-    // builds as a permutation of the positions), so every lookup hits.
-    #[allow(clippy::expect_used)]
-    fn parallel_job(
+    /// Execute a compiled plan into `out`: scan-sharded across the
+    /// worker pool when [`Evaluator::shard_frame`] allows it, on this
+    /// thread otherwise. Shard outputs merge **in shard order**, and
+    /// only once every shard has succeeded.
+    fn run_plan(
         &mut self,
         branch: &Branch,
         steps: &[CompiledStep],
         ranges: &[Relation],
-        bindings: &Vec<Binding>,
-        out_schema: &Schema,
-    ) -> Option<dc_exec::Job> {
-        if self.threads <= 1 {
-            return None;
-        }
-        let first = steps.first()?;
-        if !matches!(first.access, CompiledAccess::Scan) {
-            return None;
-        }
-        if ranges[first.position].len() < self.parallel_threshold {
-            return None;
-        }
-        let base_slot = bindings.len();
-        // Plan slot of each binding position (slot i = step i).
-        let slots: Vec<(usize, usize)> = steps
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.position, i))
-            .collect();
-        let slot_of = |position: usize| -> usize {
-            slots
-                .iter()
-                .find(|(p, _)| *p == position)
-                .expect("every binding position has a plan step")
-                .1
+        bindings: &mut Vec<Binding>,
+        out: &mut Relation,
+    ) -> Result<(), EvalError> {
+        let Some(frame) = self.shard_frame(branch, steps, ranges) else {
+            return self.exec_plan(branch, steps, ranges, 0, bindings, out);
         };
-        let filter = self.pure_formula(&branch.predicate, branch, ranges, bindings, &slot_of)?;
-        let target = match &branch.target {
-            Target::Var(v) => {
-                let pos = branch.bindings.iter().position(|(bv, _)| bv == v)?;
-                dc_exec::Target::Slot(slot_of(pos))
-            }
-            Target::Tuple(exprs) => {
-                let mut lowered = Vec::with_capacity(exprs.len());
-                for e in exprs {
-                    lowered.push(self.pure_scalar(e, branch, ranges, bindings, &slot_of)?);
-                }
-                dc_exec::Target::Tuple(lowered)
-            }
-        };
-        let mut job_steps = Vec::with_capacity(steps.len() - 1);
-        for step in &steps[1..] {
-            job_steps.push(match &step.access {
-                // A probe the compiler demoted: the worker enumerates
-                // the whole (shared-handle) range at this depth.
-                CompiledAccess::Scan => {
-                    dc_exec::Step::Scan(ranges[step.position].iter().cloned().collect())
-                }
-                CompiledAccess::Probe { index, keys } => dc_exec::Step::Probe {
-                    index: index.clone(),
-                    keys: keys
-                        .iter()
-                        .map(|k| match k {
-                            CompiledKey::Fixed(v) => dc_exec::Key::Fixed(v.clone()),
-                            CompiledKey::FromBinding { slot, attr_pos } => dc_exec::Key::FromSlot {
-                                slot: slot - base_slot,
-                                pos: *attr_pos,
-                            },
-                        })
-                        .collect(),
-                },
-            });
-        }
-        Some(dc_exec::Job {
-            schema: out_schema.clone(),
-            scan: ranges[first.position].clone(),
-            steps: job_steps,
-            filter,
-            target,
-            budget: self.budget.clone(),
-        })
-    }
-
-    /// Lower a formula into the pure predicate IR, or `None` if it
-    /// needs evaluator machinery (quantifiers, membership, ranges).
-    fn pure_formula(
-        &mut self,
-        f: &Formula,
-        branch: &Branch,
-        ranges: &[Relation],
-        bindings: &Vec<Binding>,
-        slot_of: &dyn Fn(usize) -> usize,
-    ) -> Option<dc_exec::BoolExpr> {
-        Some(match f {
-            Formula::True => dc_exec::BoolExpr::Const(true),
-            Formula::False => dc_exec::BoolExpr::Const(false),
-            Formula::Cmp(l, op, r) => dc_exec::BoolExpr::Cmp(
-                self.pure_scalar(l, branch, ranges, bindings, slot_of)?,
-                match op {
-                    CmpOp::Eq => dc_exec::CmpOp::Eq,
-                    CmpOp::Ne => dc_exec::CmpOp::Ne,
-                    CmpOp::Lt => dc_exec::CmpOp::Lt,
-                    CmpOp::Le => dc_exec::CmpOp::Le,
-                    CmpOp::Gt => dc_exec::CmpOp::Gt,
-                    CmpOp::Ge => dc_exec::CmpOp::Ge,
-                },
-                self.pure_scalar(r, branch, ranges, bindings, slot_of)?,
-            ),
-            Formula::And(a, b) => dc_exec::BoolExpr::And(
-                Box::new(self.pure_formula(a, branch, ranges, bindings, slot_of)?),
-                Box::new(self.pure_formula(b, branch, ranges, bindings, slot_of)?),
-            ),
-            Formula::Or(a, b) => dc_exec::BoolExpr::Or(
-                Box::new(self.pure_formula(a, branch, ranges, bindings, slot_of)?),
-                Box::new(self.pure_formula(b, branch, ranges, bindings, slot_of)?),
-            ),
-            Formula::Not(inner) => dc_exec::BoolExpr::Not(Box::new(
-                self.pure_formula(inner, branch, ranges, bindings, slot_of)?,
-            )),
-            // Quantifiers, membership, and tuple-in need range
-            // evaluation and catalog access — sequential path.
-            Formula::Some(..) | Formula::All(..) | Formula::Member(..) | Formula::TupleIn(..) => {
-                return None
-            }
-        })
-    }
-
-    /// Lower a scalar expression into the pure value IR. Branch-binding
-    /// attributes become slot field reads; outer-variable attributes
-    /// and parameters — constant for the whole branch evaluation —
-    /// resolve to constants now. Unresolvable names return `None` (the
-    /// sequential path owns the reference error).
-    fn pure_scalar(
-        &mut self,
-        e: &ScalarExpr,
-        branch: &Branch,
-        ranges: &[Relation],
-        bindings: &Vec<Binding>,
-        slot_of: &dyn Fn(usize) -> usize,
-    ) -> Option<dc_exec::ValExpr> {
-        Some(match e {
-            ScalarExpr::Const(v) => dc_exec::ValExpr::Const(v.clone()),
-            ScalarExpr::Attr(v, attr) => {
-                if let Some(pos) = branch.bindings.iter().position(|(bv, _)| bv == v) {
-                    let field = ranges[pos].schema().position(attr).ok()?;
-                    dc_exec::ValExpr::Field {
-                        slot: slot_of(pos),
-                        pos: field,
+        match self.exec_sharded(branch, steps, ranges, bindings, frame, out.schema()) {
+            Ok(parts) => {
+                let mut parts = parts?.into_iter();
+                // The merge is serial work: into an empty `out` (the
+                // usual case) the first shard's output moves in whole.
+                if out.is_empty() {
+                    if let Some(first) = parts.next() {
+                        *out = first;
                     }
-                } else {
-                    let b = lookup(bindings, v).ok()?;
-                    let field = b.schema.position(attr).ok()?;
-                    dc_exec::ValExpr::Const(b.tuple.get(field).clone())
                 }
+                for part in parts {
+                    dc_relation::algebra::union_into(out, &part)?;
+                }
+                Ok(())
             }
-            ScalarExpr::Param(p) => dc_exec::ValExpr::Const(self.resolve_param(p).ok()?),
-            ScalarExpr::Arith(l, op, r) => dc_exec::ValExpr::Arith(
-                Box::new(self.pure_scalar(l, branch, ranges, bindings, slot_of)?),
-                match op {
-                    crate::ast::ArithOp::Add => dc_exec::ArithOp::Add,
-                    crate::ast::ArithOp::Sub => dc_exec::ArithOp::Sub,
-                    crate::ast::ArithOp::Mul => dc_exec::ArithOp::Mul,
-                    crate::ast::ArithOp::Div => dc_exec::ArithOp::Div,
-                    crate::ast::ArithOp::Mod => dc_exec::ArithOp::Mod,
-                },
-                Box::new(self.pure_scalar(r, branch, ranges, bindings, slot_of)?),
-            ),
+            // Graceful degradation: a panicking worker must never
+            // change the answer or kill the process. Retry the branch
+            // once on this thread — nothing was merged into `out`, so
+            // the retry starts clean. A second failure there is a real
+            // error and propagates.
+            Err(dc_exec::ExecError::WorkerPanic { message }) => {
+                if let Some(m) = &self.budget {
+                    m.note_retried();
+                }
+                self.plan_event(PlanEvent::ParallelDegraded { message });
+                self.exec_plan(branch, steps, ranges, 0, bindings, out)?;
+                if let Some(m) = &self.budget {
+                    m.note_degraded();
+                }
+                Ok(())
+            }
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Decide whether a compiled branch runs sharded, and if so resolve
+    /// its parameters: `Some(frame)` holds every parameter the branch
+    /// mentions, resolved once — exactly their per-branch-constant
+    /// meaning on the sequential path. Sharding needs
+    ///
+    /// * more than one worker, and a first step that scans at least
+    ///   `parallel_threshold` tuples (probes amortise per scan tuple,
+    ///   so the scan side is what parallelism divides) — checked
+    ///   first, so a single-worker evaluator never walks the predicate;
+    /// * a *pure* predicate ([`is_pure`]) whose parameters, and the
+    ///   target's, all resolve. Workers then need no catalog at all,
+    ///   which keeps catalogs and their interior mutability on this
+    ///   thread. An unresolvable parameter keeps the branch here, where
+    ///   short-circuiting decides whether it is ever an error.
+    fn shard_frame(
+        &self,
+        branch: &Branch,
+        steps: &[CompiledStep],
+        ranges: &[Relation],
+    ) -> Option<FxHashMap<String, Value>> {
+        let first = steps.first()?;
+        if self.threads <= 1
+            || !matches!(first.access, CompiledAccess::Scan)
+            // Fewer than two tuples cannot make two shards.
+            || ranges[first.position].len() < self.parallel_threshold.max(2)
+            || !is_pure(&branch.predicate)
+        {
+            return None;
+        }
+        let mut names = rewrite::param_names_formula(&branch.predicate);
+        if let Target::Tuple(exprs) = &branch.target {
+            for e in exprs {
+                rewrite::collect_params_scalar(e, &mut names);
+            }
+        }
+        names
+            .into_iter()
+            .map(|n| {
+                let v = self.resolve_param(&n).ok()?;
+                Some((n, v))
+            })
+            .collect()
+    }
+
+    /// Run a compiled branch with its scan side hash-split into one
+    /// task per worker on the shared pool ([`dc_exec::run_tasks`]),
+    /// returning the shard outputs in shard order. Each task evaluates
+    /// its shard through the ordinary operator loop
+    /// ([`Evaluator::exec_plan`] from depth 1) on a worker-local
+    /// evaluator: over an empty catalog, which answers every lookup
+    /// with an error ([`Evaluator::shard_frame`] established that
+    /// nothing will ask); with the enclosing bindings cloned, so
+    /// compiled slot numbers line up; with `frame` as its one parameter
+    /// frame; and with this evaluation's meter shared in. The shard
+    /// assignment depends only on tuple content, so the merged relation
+    /// is the same for every worker count, and the first failure *in
+    /// shard order* is the one reported: the outer `Err` is the pool's
+    /// verdict on a task (panic, injected `worker_start` fault), the
+    /// inner one an evaluation error.
+    fn exec_sharded(
+        &self,
+        branch: &Branch,
+        steps: &[CompiledStep],
+        ranges: &[Relation],
+        bindings: &[Binding],
+        frame: FxHashMap<String, Value>,
+        schema: &Schema,
+    ) -> Result<Result<Vec<Relation>, EvalError>, dc_exec::ExecError> {
+        let scan = &ranges[steps[0].position];
+        let (var, _) = &branch.bindings[steps[0].position];
+        let shards = scan.hash_shards(self.threads.min(scan.len()));
+        let meter = self.budget.clone();
+        dc_exec::run_tasks(&shards, self.threads, |_, shard| {
+            let nothing = MapCatalog::new();
+            let mut ev = Evaluator::new(&nothing);
+            ev.param_frames.push(frame.clone());
+            ev.budget = meter.clone();
+            let mut local = bindings.to_vec();
+            let slot = local.len();
+            let mut out = Relation::new(schema.clone());
+            for t in shard {
+                // One binding slot for the whole shard, as in
+                // `exec_plan`'s own scan arm (deeper steps truncate
+                // back to just past it).
+                match local.get_mut(slot) {
+                    Some(b) => b.tuple = t.clone(),
+                    None => local.push(Binding {
+                        var: var.clone(),
+                        tuple: t.clone(),
+                        schema: scan.schema().clone(),
+                    }),
+                }
+                ev.exec_plan(branch, steps, ranges, 1, &mut local, &mut out)?;
+            }
+            Ok(out)
         })
+        .into_iter()
+        .collect()
     }
 
     /// Find or build a hash index over `rel` on `positions`. Catalogs
@@ -2006,22 +1927,16 @@ enum CompiledKey {
     FromBinding { slot: usize, attr_pos: usize },
 }
 
-/// Map a worker-side error into the evaluator's error type. The
-/// variants correspond one to one: the pure IR can only raise the
-/// errors a pure predicate/target raises on the sequential path, plus
-/// the governance outcomes (budget trips, injected faults, and — if
-/// the degradation retry declined to handle it — a worker panic).
-fn exec_to_eval_error(e: dc_exec::ExecError) -> EvalError {
-    match e {
-        dc_exec::ExecError::CrossType { lhs, rhs } => EvalError::CrossTypeComparison { lhs, rhs },
-        dc_exec::ExecError::Value(v) => EvalError::Value(v),
-        dc_exec::ExecError::Relation(r) => EvalError::Relation(r),
-        dc_exec::ExecError::WorkerPanic { message } => EvalError::Solve(SolveError::WorkerPanic {
-            message,
-            diag: dc_governor::SolveDiag::default(),
-        }),
-        dc_exec::ExecError::Budget(trip) => EvalError::Solve(SolveError::from_trip(trip)),
-        dc_exec::ExecError::FaultInjected(f) => EvalError::from(f),
+/// Is the formula evaluable from bound tuples and parameters alone —
+/// comparisons, boolean connectives, and (inside scalars) arithmetic?
+/// Quantifiers and membership tests evaluate ranges, which is where
+/// catalog reads, constructor applications, and planner caches live.
+fn is_pure(f: &Formula) -> bool {
+    match f {
+        Formula::True | Formula::False | Formula::Cmp(..) => true,
+        Formula::And(a, b) | Formula::Or(a, b) => is_pure(a) && is_pure(b),
+        Formula::Not(inner) => is_pure(inner),
+        Formula::Some(..) | Formula::All(..) | Formula::Member(..) | Formula::TupleIn(..) => false,
     }
 }
 
@@ -3160,89 +3075,236 @@ mod tests {
         );
     }
 
+    /// Evaluate `e` with `threads` workers and the given sharding
+    /// threshold. Also reports whether the evaluation took the worker
+    /// pool: re-run under an armed `worker_start=error`, a sharded
+    /// branch (and nothing else) fails with that injected fault. Every
+    /// test of this module that configures workers goes through here,
+    /// so the guard also keeps the armed run from leaking into a
+    /// concurrently running one.
+    fn sharded(
+        cat: &MapCatalog,
+        e: &RangeExpr,
+        threads: usize,
+        threshold: usize,
+    ) -> (Result<Relation, EvalError>, bool) {
+        let run = || {
+            Evaluator::new(cat)
+                .with_threads(threads)
+                .with_parallel_threshold(threshold)
+                .eval(e)
+        };
+        let took_pool = {
+            let _armed = dc_governor::FailpointsGuard::arm("worker_start=error");
+            matches!(run(), Err(EvalError::FaultInjected { .. }))
+        };
+        let _disarmed = dc_governor::FailpointsGuard::arm("");
+        (run(), took_pool)
+    }
+
+    fn join_on(extra: Formula) -> RangeExpr {
+        set_former(vec![Branch::projecting(
+            vec![attr("f", "front"), attr("b", "back")],
+            vec![("f".into(), rel("Infront")), ("b".into(), rel("Infront"))],
+            eq(attr("f", "back"), attr("b", "front")).and(extra),
+        )])
+    }
+
     #[test]
     fn parallel_branch_agrees_with_sequential() {
-        // The §2.3 join branch, forced through the parallel executor
-        // (threshold 1, 4 workers) — identical to both the sequential
-        // index path and the reference nested loops.
+        // A third binding with no equality atom: the plan keeps a full
+        // scan step *below* the sharded one.
+        let inner_scan = set_former(vec![Branch::projecting(
+            vec![attr("f", "front"), attr("b", "back"), attr("z", "back")],
+            vec![
+                ("f".into(), rel("Infront")),
+                ("b".into(), rel("Infront")),
+                ("z".into(), rel("Infront")),
+            ],
+            eq(attr("f", "back"), attr("b", "front"))
+                .and(ne(attr("z", "front"), attr("f", "front"))),
+        )]);
         let cat = catalog();
-        let parallel = Evaluator::new(&cat)
-            .with_threads(4)
-            .with_parallel_threshold(1)
-            .eval(&ahead2_expr())
-            .unwrap();
-        let sequential = Evaluator::new(&cat).eval(&ahead2_expr()).unwrap();
-        let reference = Evaluator::new(&cat)
-            .force_nested_loop()
-            .eval(&ahead2_expr())
-            .unwrap();
-        assert_eq!(parallel, sequential);
-        assert_eq!(parallel, reference);
-        assert_eq!(parallel.len(), 5);
+        let mut planner = Evaluator::new(&cat);
+        planner.eval(&inner_scan).unwrap();
+        assert!(planner.plan_events().iter().any(|ev| matches!(
+            ev,
+            PlanEvent::AccessPath { steps, .. }
+                if !steps[0].is_probe() && steps[1..].iter().any(|s| !s.is_probe())
+        )));
+        let empty = MapCatalog::new().with_relation("Infront", infront(&[]));
+        // (catalog, expression, result size, takes the pool)
+        let cases = [
+            (catalog(), ahead2_expr(), 5, true),
+            (catalog(), inner_scan, 4, true),
+            (empty, ahead2_expr(), 0, false),
+        ];
+        for (cat, e, len, pool) in &cases {
+            let sequential = Evaluator::new(cat).eval(e).unwrap();
+            let reference = Evaluator::new(cat).force_nested_loop().eval(e).unwrap();
+            assert_eq!(sequential, reference, "{e}");
+            assert_eq!(sequential.len(), *len, "{e}");
+            for threads in [2usize, 4, 7] {
+                let (parallel, took_pool) = sharded(cat, e, threads, 1);
+                assert_eq!(parallel.unwrap(), sequential, "{e} threads={threads}");
+                assert_eq!(took_pool, *pool, "{e} threads={threads}");
+            }
+        }
     }
 
     #[test]
     fn parallel_path_preserves_reference_errors() {
-        // The residual carries a cross-type comparison the probe keys
-        // do not reject: both executors must raise it.
+        // Workers run the reference operator loop, so whatever it
+        // raises they raise. (expression, takes the pool, the error
+        // names a tuple — so its class, not its witness, is what every
+        // worker count must agree on)
         let cat = catalog();
-        let e = set_former(vec![Branch::projecting(
-            vec![attr("f", "front")],
-            vec![("f".into(), rel("Infront")), ("b".into(), rel("Infront"))],
-            eq(attr("f", "back"), attr("b", "front")).and(eq(attr("f", "front"), cnst(1i64))),
-        )]);
-        let parallel = Evaluator::new(&cat)
-            .with_threads(4)
-            .with_parallel_threshold(1)
-            .eval(&e);
-        assert!(
-            matches!(parallel, Err(EvalError::CrossTypeComparison { .. })),
-            "got {parallel:?}"
-        );
+        let cases = [
+            // A cross-type comparison the probe keys do not reject.
+            (join_on(eq(attr("f", "front"), cnst(1i64))), true, true),
+            // An unknown attribute: no part of the purity check.
+            (join_on(eq(attr("f", "nope"), cnst("x"))), true, false),
+            // An unresolvable parameter keeps the branch sequential.
+            (join_on(ne(attr("f", "front"), param("Nope"))), false, false),
+        ];
+        for (e, pool, witnessed) in &cases {
+            let reference = sharded(&cat, e, 1, 1).0.unwrap_err();
+            for threads in [2usize, 4, 7] {
+                let (got, took_pool) = sharded(&cat, e, threads, 1);
+                let got = got.unwrap_err();
+                if *witnessed {
+                    assert_eq!(
+                        std::mem::discriminant(&got),
+                        std::mem::discriminant(&reference),
+                        "{e} threads={threads}: {got}"
+                    );
+                } else {
+                    assert_eq!(got, reference, "{e} threads={threads}");
+                }
+                assert_eq!(took_pool, *pool, "{e} threads={threads}");
+            }
+        }
+        assert!(matches!(
+            sharded(&cat, &cases[0].0, 1, 1).0,
+            Err(EvalError::CrossTypeComparison { .. })
+        ));
+        assert!(matches!(
+            sharded(&cat, &cases[2].0, 1, 1).0,
+            Err(EvalError::UnknownParam(_))
+        ));
+
+        // Key violation: the first branch fixes a result schema keyed
+        // on `a`; the second derives two `b`s for `k2`. Which witness
+        // is reported may differ across worker counts (in-shard insert
+        // or shard-order merge), but never between two runs at one
+        // count — the lowest failing shard decides.
+        let keyed = Schema::with_key(
+            vec![
+                Attribute::new("a", Domain::Str),
+                Attribute::new("b", Domain::Int),
+            ],
+            &["a"],
+        )
+        .unwrap();
+        let pairs = |ts: &[(&str, i64)]| {
+            Relation::from_tuples(
+                Schema::of(&[("a", Domain::Str), ("b", Domain::Int)]),
+                ts.iter().map(|(a, b)| tuple![*a, *b]),
+            )
+            .unwrap()
+        };
+        let cat = MapCatalog::new()
+            .with_relation(
+                "A",
+                Relation::from_tuples(keyed, vec![tuple!["k1", 1i64]]).unwrap(),
+            )
+            .with_relation(
+                "B",
+                pairs(&[("k2", 1), ("k2", 2), ("k3", 1), ("k4", 1), ("k5", 1)]),
+            )
+            .with_relation("C", pairs(&[("k2", 0), ("k3", 0), ("k4", 0), ("k5", 0)]));
+        let e = set_former(vec![
+            Branch::each("x", rel("A"), tru()),
+            Branch {
+                target: Target::Var("y".into()),
+                bindings: vec![("y".into(), rel("B")), ("z".into(), rel("C"))],
+                predicate: eq(attr("y", "a"), attr("z", "a")),
+            },
+        ]);
+        for threads in [1usize, 2, 4, 7] {
+            let (first, took_pool) = sharded(&cat, &e, threads, 1);
+            assert!(
+                matches!(first, Err(EvalError::Relation(_))),
+                "threads={threads}: {first:?}"
+            );
+            assert_eq!(sharded(&cat, &e, threads, 1).0, first, "threads={threads}");
+            assert_eq!(took_pool, threads > 1);
+        }
     }
 
     #[test]
     fn parallel_dispatch_respects_threshold_and_thread_count() {
-        // Below the threshold (or with one worker) the job is never
-        // built; results agree regardless — this is the documented
+        // Below the threshold (or with one worker) nothing is sharded;
+        // results agree regardless — this is the documented
         // "threads = 1 is the exact sequential path" contract.
         let cat = catalog();
-        let a = Evaluator::new(&cat)
-            .with_threads(1)
-            .with_parallel_threshold(1)
-            .eval(&ahead2_expr())
-            .unwrap();
-        let b = Evaluator::new(&cat)
-            .with_threads(4)
-            .with_parallel_threshold(usize::MAX)
-            .eval(&ahead2_expr())
-            .unwrap();
-        assert_eq!(a, b);
+        let (a, a_pool) = sharded(&cat, &ahead2_expr(), 1, 1);
+        let (b, b_pool) = sharded(&cat, &ahead2_expr(), 4, usize::MAX);
+        assert_eq!(a.unwrap(), b.unwrap());
+        assert!(!a_pool && !b_pool);
     }
 
     #[test]
     fn parallel_path_resolves_outer_variables_and_quantified_branches_fall_back() {
-        // The inner branch's key references the outer `r` — lowered to
-        // a constant per outer binding; the outer branch has a
-        // quantifier (impure) and stays sequential. Same results.
-        let cat = catalog();
-        let inner = set_former(vec![Branch::each(
-            "y",
-            rel("Infront"),
-            eq(attr("y", "front"), attr("r", "back")),
-        )]);
-        let e = set_former(vec![Branch::each(
-            "r",
-            rel("Infront"),
-            some("x", inner, tru()),
-        )]);
-        let parallel = Evaluator::new(&cat)
-            .with_threads(4)
-            .with_parallel_threshold(1)
-            .eval(&e)
-            .unwrap();
-        let reference = Evaluator::new(&cat).force_nested_loop().eval(&e).unwrap();
-        assert_eq!(parallel, reference);
+        let cat = catalog().with_param("Skip", Value::str("table"));
+        let under_quantifier = |inner: RangeExpr| {
+            set_former(vec![Branch::each(
+                "r",
+                rel("Infront"),
+                some("x", inner, tru()),
+            )])
+        };
+        // (expression, takes the pool)
+        let cases = [
+            // The outer branch has a quantifier (impure) and the inner
+            // one starts with a fixed-key probe: nothing to shard.
+            (
+                under_quantifier(set_former(vec![Branch::each(
+                    "y",
+                    rel("Infront"),
+                    eq(attr("y", "front"), attr("r", "back")),
+                )])),
+                false,
+            ),
+            // The inner join is pure and scans first; its residual
+            // reads the *outer* `r`, so each worker needs the enclosing
+            // bindings under its own — at the slots the plan compiled.
+            (
+                under_quantifier(join_on(ne(attr("f", "front"), attr("r", "back")))),
+                true,
+            ),
+            // A catalog parameter, resolved once into the workers'
+            // frame.
+            (join_on(ne(attr("f", "front"), param("Skip"))), true),
+            // Impure conjuncts — membership, a nested quantifier — keep a
+            // probe plan on this thread even above the threshold.
+            (join_on(member("f", rel("Infront"))), false),
+            (
+                join_on(some(
+                    "z",
+                    rel("Infront"),
+                    eq(attr("z", "front"), attr("f", "front")),
+                )),
+                false,
+            ),
+        ];
+        for (e, pool) in &cases {
+            let reference = Evaluator::new(&cat).force_nested_loop().eval(e).unwrap();
+            assert!(!reference.is_empty(), "{e}");
+            let (parallel, took_pool) = sharded(&cat, e, 4, 1);
+            assert_eq!(parallel.unwrap(), reference, "{e}");
+            assert_eq!(took_pool, *pool, "{e}");
+        }
     }
 
     #[test]

@@ -467,7 +467,7 @@ pub fn param_names_formula(f: &Formula) -> FxHashSet<Name> {
     out
 }
 
-fn collect_params_scalar(e: &ScalarExpr, out: &mut FxHashSet<Name>) {
+pub(crate) fn collect_params_scalar(e: &ScalarExpr, out: &mut FxHashSet<Name>) {
     match e {
         ScalarExpr::Const(_) | ScalarExpr::Attr(..) => {}
         ScalarExpr::Param(n) => {

@@ -106,8 +106,9 @@ impl Database {
         self.invalidate();
     }
 
-    /// Set the worker-thread count for partition-parallel branch
-    /// execution: `0` (the default) resolves through `DC_THREADS` /
+    /// Set the worker-thread count (round task dispatch inside a
+    /// solve, scan sharding of one-shot query branches outside one):
+    /// `0` (the default) resolves through `DC_THREADS` /
     /// available parallelism, `1` pins the exact sequential path, any
     /// other value is used as given (see
     /// [`FixpointConfig::threads`]). Results are identical for every

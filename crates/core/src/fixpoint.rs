@@ -44,9 +44,10 @@
 //! self-contained tasks, freezing an immutable catalog snapshot (the
 //! private `snapshot` submodule), and
 //! handing the tasks to [`dc_exec::run_tasks`] — cross-branch *and*
-//! cross-equation parallelism, including for branches the partition
-//! executor cannot shard (quantifier probes, decorrelated builds: they
-//! only need the frozen snapshot). Each task returns its value plus an
+//! cross-equation parallelism, impure branches included (quantifier
+//! probes, decorrelated builds: they only need the frozen snapshot).
+//! This is the solve's only parallelism: a task never shards its own
+//! scan. Each task returns its value plus an
 //! ordered effect log; the solver replays the logs single-threaded at
 //! the commit site, so registration, index/statistics maintenance, and
 //! delta commits stay serialized and `threads = N` commits relations
@@ -95,20 +96,23 @@ pub struct FixpointConfig {
     /// the pre-optimization baseline, kept selectable for differential
     /// tests and benchmark comparisons.
     pub use_indexes: bool,
-    /// Worker threads for partition-parallel branch execution, resolved
-    /// once per solve through [`dc_exec::thread_count`]: `0` (the
-    /// default) means "auto" — the `DC_THREADS` environment variable if
-    /// set, otherwise the machine's available parallelism; `1` is the
-    /// exact sequential path; any other value is used as given.
-    /// Results are identical for every setting — branch evaluations
-    /// shard their scan side across workers and merge deterministically,
-    /// while registration, index/statistics maintenance, and delta
-    /// commits stay on the solver thread (the PR 2 invariant).
+    /// Worker threads, resolved once per solve through
+    /// [`dc_exec::thread_count`]: `0` (the default) means "auto" — the
+    /// `DC_THREADS` environment variable if set, otherwise the
+    /// machine's available parallelism; `1` is the exact sequential
+    /// path; any other value is used as given (up to the pool's cap).
+    /// Results are identical for every setting: a round's branch tasks
+    /// run on workers against a frozen snapshot, while registration,
+    /// index/statistics maintenance, and delta commits stay on the
+    /// solver thread (the PR 2 invariant). Outside a solve, the same
+    /// knob sizes the scan shards of a one-shot query branch.
     pub threads: usize,
-    /// Scan-side cardinality floor before a branch evaluation is
-    /// dispatched to the parallel executor (default
-    /// [`dc_calculus::PARALLEL_SCAN_THRESHOLD`]). Differential tests
-    /// lower it to force the parallel path on small inputs.
+    /// Scan-side cardinality floor for parallel work (default
+    /// [`dc_calculus::PARALLEL_SCAN_THRESHOLD`]): a round is dispatched
+    /// to workers when at least two of its tasks clear it, and a
+    /// one-shot query branch is sharded when its scan side does.
+    /// Differential tests lower it to force the parallel paths on small
+    /// inputs.
     pub parallel_threshold: usize,
     /// Resource envelope for each solve, if any. The budget is *armed*
     /// (clock captured) at the start of every solve, so a 10 ms
@@ -516,9 +520,10 @@ struct ExecKnobs {
     /// See [`FixpointConfig::parallel_threshold`].
     parallel_threshold: usize,
     /// The armed budget gauge: one per solve, shared (clones share
-    /// counters) by the solver loop, every branch evaluator, and every
-    /// worker shard. Always armed — an unlimited meter never trips but
-    /// keeps the governance counters [`FixpointStats`] reports.
+    /// counters) by the solver loop and every branch evaluator, on
+    /// whichever thread it runs. Always armed — an unlimited meter
+    /// never trips but keeps the governance counters [`FixpointStats`]
+    /// reports.
     budget: Meter,
     /// See [`FixpointConfig::metrics`] — handed to every evaluator so
     /// planner decisions are counted no matter which thread plans.
@@ -547,19 +552,19 @@ struct SolverCatalog<'a> {
     knobs: ExecKnobs,
 }
 
-impl SolverCatalog<'_> {
+impl ExecKnobs {
     /// An evaluator honouring the solver's execution configuration.
-    /// Parallel dispatch is only armed on the index path: the reference
-    /// nested-loop evaluator never builds plans, so handing it workers
-    /// would be dead configuration.
-    fn evaluator<'e>(&self, overlay: &'e Overlay<'_>) -> Evaluator<'e> {
-        let mut ev = Evaluator::new(overlay).with_meter(self.knobs.budget.clone());
-        if let Some(m) = &self.knobs.metrics {
+    /// Always single-worker: inside a solve the only parallelism is the
+    /// round's task dispatch — sharding a task's scan as well measured
+    /// slower at every worker count (see ARCHITECTURE, "Parallel
+    /// execution").
+    fn evaluator<'e>(&self, catalog: &'e dyn Catalog) -> Evaluator<'e> {
+        let mut ev = Evaluator::new(catalog).with_meter(self.budget.clone());
+        if let Some(m) = &self.metrics {
             ev = ev.with_metrics(m.clone());
         }
-        if self.knobs.use_indexes {
-            ev.with_threads(self.knobs.threads)
-                .with_parallel_threshold(self.knobs.parallel_threshold)
+        if self.use_indexes {
+            ev
         } else {
             ev.force_nested_loop()
         }
@@ -762,7 +767,7 @@ fn seed_equation(
             continue;
         }
         let overlay = Overlay::new(&catalog, (*overrides).clone());
-        let mut ev = catalog.evaluator(&overlay);
+        let mut ev = catalog.knobs.evaluator(&overlay);
         let mut bindings = Vec::new();
         let base_val = ev.eval_range(base, &mut bindings)?;
         let mut arg_vals = Vec::with_capacity(args.len());
@@ -1135,8 +1140,7 @@ fn solve_inner(
         // clears the parallel threshold — otherwise run them inline in
         // the same task order (Jacobi staging makes the task order
         // semantically irrelevant; keeping it fixes the error-witness
-        // choice). Inline tasks keep the full thread budget for their
-        // *inner* partition-parallel scans; dispatched tasks split it.
+        // choice).
         let eligible = tasks
             .iter()
             .filter(|t| t.weight >= catalog.knobs.parallel_threshold)
@@ -1152,15 +1156,12 @@ fn solve_inner(
             if eqs.len() >= 2 {
                 meter.add_parallel_equations(eqs.len() as u64);
             }
-            let inner = (catalog.knobs.threads / tasks.len()).max(1);
             dc_exec::run_tasks(&tasks, catalog.knobs.threads, |_, t| {
-                run_task(&snap, &catalog.knobs, inner, t, Some(eval_parent))
+                run_task(&snap, &catalog.knobs, t, Some(eval_parent))
             })
         } else {
             meter.add_sequential_branches(tasks.len() as u64);
-            dc_exec::run_tasks(&tasks, 1, |_, t| {
-                run_task(&snap, &catalog.knobs, catalog.knobs.threads, t, None)
-            })
+            dc_exec::run_tasks(&tasks, 1, |_, t| run_task(&snap, &catalog.knobs, t, None))
         };
         drop(eval_span);
         let commit_span = phase_span("replay+commit");
@@ -1189,7 +1190,7 @@ fn solve_inner(
                 }
                 Err(dc_exec::ExecError::WorkerPanic { .. }) => {
                     meter.note_retried();
-                    match run_task(&snap, &catalog.knobs, 1, task, None) {
+                    match run_task(&snap, &catalog.knobs, task, None) {
                         Ok(o) => {
                             meter.note_degraded();
                             o
@@ -1207,7 +1208,7 @@ fn solve_inner(
                 }
                 Err(other) => {
                     return Err(enrich_solve_error(
-                        scheduler_error(other),
+                        EvalError::from(other),
                         &state,
                         &meter,
                         task.eq,
@@ -2126,7 +2127,6 @@ fn warm_task(
 fn run_task(
     snap: &Arc<EvalSnapshot>,
     knobs: &ExecKnobs,
-    inner_threads: usize,
     task: &BranchTask,
     parent: Option<dc_trace::SpanId>,
 ) -> Result<TaskOutcome, EvalError> {
@@ -2153,18 +2153,7 @@ fn run_task(
     for (name, stats) in &task.preload_stats {
         overlay.preload_stats(name.clone(), stats.clone());
     }
-    // Mirror `SolverCatalog::evaluator`, with the thread budget the
-    // dispatch decision assigned to this task's inner scans.
-    let mut ev = Evaluator::new(&overlay).with_meter(knobs.budget.clone());
-    if let Some(m) = &knobs.metrics {
-        ev = ev.with_metrics(m.clone());
-    }
-    let mut ev = if knobs.use_indexes {
-        ev.with_threads(inner_threads)
-            .with_parallel_threshold(knobs.parallel_threshold)
-    } else {
-        ev.force_nested_loop()
-    };
+    let mut ev = knobs.evaluator(&overlay);
     let out = ev.eval(&RangeExpr::SetFormer(task.body.clone()));
     // A governed abort names the branch and carries the evaluator's
     // planner trace (access-path decisions, degradations) out with it —
@@ -2283,23 +2272,6 @@ fn replay_harvest(
     }
 }
 
-/// Map a scheduler-level failure (everything except the worker panics
-/// the degradation path retries) onto the evaluation error the
-/// sequential path would have raised.
-fn scheduler_error(e: dc_exec::ExecError) -> EvalError {
-    match e {
-        dc_exec::ExecError::CrossType { lhs, rhs } => EvalError::CrossTypeComparison { lhs, rhs },
-        dc_exec::ExecError::Value(v) => EvalError::Value(v),
-        dc_exec::ExecError::Relation(r) => EvalError::Relation(r),
-        dc_exec::ExecError::WorkerPanic { message } => EvalError::Solve(SolveError::WorkerPanic {
-            message,
-            diag: SolveDiag::default(),
-        }),
-        dc_exec::ExecError::Budget(trip) => EvalError::Solve(SolveError::from_trip(trip)),
-        dc_exec::ExecError::FaultInjected(f) => EvalError::from(f),
-    }
-}
-
 /// Resolve the constructor application bound at `pos` to its equation
 /// index, registering it on first sighting.
 fn resolve_recursive_app(
@@ -2329,7 +2301,7 @@ fn resolve_recursive_app(
     // Evaluate base/args (application-free by classification) under the
     // equation overlay.
     let overlay = Overlay::new(catalog, overrides.to_vec());
-    let mut ev = catalog.evaluator(&overlay);
+    let mut ev = catalog.knobs.evaluator(&overlay);
     let mut bindings = Vec::new();
     let base_val = ev.eval_range(base, &mut bindings)?;
     let mut arg_vals = Vec::with_capacity(args.len());

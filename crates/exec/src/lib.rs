@@ -1,56 +1,17 @@
-//! Partition-parallel execution of compiled set-former join plans.
+//! The engine's one worker pool: [`run_tasks`] and the knob that sizes
+//! it, [`thread_count`].
 //!
-//! The evaluation paths built so far — index-nested-loop joins,
-//! quantifier probes, decorrelated builds, semi-naive rounds — are all
-//! single-threaded. The set-oriented evaluation style of the paper
-//! (quantified set-formers over relations) is embarrassingly
-//! partitionable: a branch plan scans one range and *probes* the rest
-//! through read-only hash indexes, so splitting the scan side into `P`
-//! shards yields `P` independent jobs over shared immutable state. This
-//! crate provides exactly that executor:
-//!
-//! * [`Partitioner`] hash-splits the scan side of a plan into shards of
-//!   `Tuple` handles (`Arc` bumps into the relation's copy-on-write
-//!   storage — no tuple is copied);
-//! * a worker pool built on [`std::thread::scope`] (the build
-//!   environment is offline, so no external thread-pool crates) runs
-//!   the compiled probe plan per shard against shared read-only
-//!   [`dc_index::HashIndex`]es;
-//! * a deterministic merge unions the shard outputs **in shard order**,
-//!   so the result relation is identical to the sequential executor's
-//!   for every thread count.
-//!
-//! The executor deliberately knows nothing about the calculus: the
-//! evaluator (`dc-calculus`) lowers a branch whose residual predicate
-//! and target are *pure* — scalar comparisons, boolean connectives, and
-//! arithmetic over the bound tuples, with parameters and outer
-//! variables already resolved to constants — into a self-contained
-//! [`Job`]. Branches that need catalog callbacks mid-combination
-//! (nested quantifiers, membership tests, constructor applications)
-//! stay on the sequential path, which keeps every catalog (and its
-//! interior mutability) off the worker threads.
-//!
-//! # Determinism
-//!
-//! Results are sets, the shard assignment depends only on tuple content
-//! ([`dc_relation::Relation::hash_shards`]), and the merge inserts
-//! shard outputs in shard order — so `threads = N` produces a relation
-//! equal to `threads = 1` for every `N`. When a combination errors, the
-//! error of the **lowest-numbered shard** that failed is reported.
-//! Which of several erroneous combinations is reported first can differ
-//! from the sequential path's (iteration-order-dependent) choice — the
-//! same already-documented divergence the index-nested-loop path has
-//! for error *masking* — but error presence/absence never differs:
-//! both paths visit exactly the combinations the probe keys admit.
-//!
-//! # Fault tolerance
-//!
-//! Each shard runs under `catch_unwind`: a panicking worker yields a
-//! deterministic [`ExecError::WorkerPanic`] instead of aborting the
-//! process (the evaluator then degrades the branch to its sequential
-//! reference path). Jobs may carry an armed [`dc_governor::Meter`];
-//! workers tick it per scan tuple and per leaf combination, so
-//! deadlines, tuple ceilings, and cancellation are observed mid-shard.
+//! Every parallel path in the engine is "a slice of independent tasks
+//! over shared immutable state, results back in task order": the
+//! fixpoint solver's round tasks (branch evaluations reading a frozen
+//! catalog snapshot) and the evaluator's scan shards (one set-former
+//! branch whose scan side is split with
+//! `dc_relation::Relation::hash_shards`, each shard run through the
+//! ordinary operator loop). This crate knows nothing about what a task
+//! does — it owns the scoped threads, the per-task panic isolation, and
+//! the `worker_start` failpoint, so those exist in exactly one place.
+//! See the [`run_tasks`] docs for the dispatch modes and the
+//! determinism contract.
 
 // A worker panic must become an error, never a process abort — so the
 // library itself must not panic on user-shaped input. `unwrap`/`expect`
@@ -58,21 +19,21 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-mod partition;
-mod plan;
 mod schedule;
-mod worker;
 
-pub use partition::Partitioner;
-pub use plan::{ArithOp, BoolExpr, CmpOp, ExecError, Job, Key, Step, Target, ValExpr};
-pub use schedule::run_tasks;
-pub use worker::execute;
+pub use schedule::{run_tasks, ExecError};
+
+/// Upper bound on the resolved worker count. `std::thread::scope`'s
+/// `spawn` panics when the OS refuses a thread, and the knob is
+/// reachable from an environment variable — so it is bounded here,
+/// well above any core count the engine's per-branch work can feed.
+const MAX_WORKERS: usize = 64;
 
 /// Resolve an effective worker-thread count from a configuration knob.
 ///
-/// * `requested >= 1` — that exact count (`1` selects the sequential
-///   path); an explicit knob wins over the environment so measurements
-///   (the bench harness pins both sides) are reproducible.
+/// * `requested >= 1` — that count (`1` selects the sequential path);
+///   an explicit knob wins over the environment so measurements (the
+///   bench harness pins both sides) are reproducible.
 /// * `requested == 0` — "auto": the `DC_THREADS` environment variable
 ///   if set to a positive integer, otherwise
 ///   [`std::thread::available_parallelism`] (falling back to `1` where
@@ -81,36 +42,64 @@ pub use worker::execute;
 ///   falls back to available parallelism — it is never silently
 ///   ignored.
 ///
+/// Either way the result is capped at 64 workers; a larger request
+/// warns once (naming the requested and the used value) and runs with
+/// the cap.
+///
 /// ```
 /// assert_eq!(dc_exec::thread_count(4), 4);
 /// assert_eq!(dc_exec::thread_count(1), 1);
 /// assert!(dc_exec::thread_count(0) >= 1); // auto: env or hardware
+/// assert_eq!(dc_exec::thread_count(1_000_000), 64); // capped
 /// ```
 pub fn thread_count(requested: usize) -> usize {
-    if requested >= 1 {
-        return requested;
+    let wanted = if requested >= 1 {
+        requested
+    } else {
+        env_threads().unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
+    };
+    if wanted > MAX_WORKERS {
+        dc_governor::envcfg::warn_once(
+            "DC_THREADS",
+            &format!("{wanted} worker threads requested; using the maximum of {MAX_WORKERS}"),
+        );
     }
-    if let Ok(v) = std::env::var("DC_THREADS") {
-        match dc_governor::envcfg::parse_positive(&v) {
-            Ok(n) => return n,
-            Err(reason) => dc_governor::envcfg::warn_once(
+    wanted.min(MAX_WORKERS)
+}
+
+/// `DC_THREADS`, strictly parsed; `None` when unset or invalid (the
+/// latter warns once).
+fn env_threads() -> Option<usize> {
+    let v = std::env::var("DC_THREADS").ok()?;
+    match dc_governor::envcfg::parse_positive(&v) {
+        Ok(n) => Some(n),
+        Err(reason) => {
+            dc_governor::envcfg::warn_once(
                 "DC_THREADS",
                 &format!(
                     "ignoring DC_THREADS={v:?}: {reason}; \
                      falling back to available parallelism"
                 ),
-            ),
+            );
+            None
         }
     }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
-// The whole point of a `Job` is to cross thread boundaries; assert the
-// contract at compile time so a field change cannot silently break it.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Job>();
-    assert_send_sync::<ExecError>();
-};
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn oversized_requests_are_capped_and_warned() {
+        assert_eq!(thread_count(MAX_WORKERS), MAX_WORKERS);
+        assert_eq!(thread_count(MAX_WORKERS + 1), MAX_WORKERS);
+        assert_eq!(thread_count(1_000_000), MAX_WORKERS);
+        assert_eq!(thread_count(usize::MAX), MAX_WORKERS);
+        assert!(dc_governor::envcfg::has_warned("DC_THREADS"));
+    }
+}

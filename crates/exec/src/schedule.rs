@@ -1,19 +1,17 @@
-//! The round scheduler: heterogeneous branch/equation tasks on a
-//! scoped worker pool.
+//! The task scheduler: opaque tasks on a scoped worker pool.
 //!
-//! [`execute`](crate::execute) parallelises *inside* one pure branch by
-//! sharding its scan. This module parallelises *across* work units: the
-//! solver hands over a slice of opaque tasks (branch evaluations of one
-//! equation, or branches of several independent equations of one
-//! semi-naive round) plus a closure that runs one task, and gets back
-//! one result per task **in task order** — so the caller's merge and
-//! error choice stay deterministic for every worker count.
+//! A caller hands over a slice of tasks (the solver: branch evaluations
+//! of one semi-naive round; the evaluator: hash shards of one branch's
+//! scan side) plus a closure that runs one task, and gets back one
+//! result per task **in task order** — so the caller's merge and error
+//! choice stay deterministic for every worker count.
 //!
 //! The scheduler knows nothing about what a task does. The contract
 //! that makes this safe is the caller's: a task must only read shared
-//! immutable state (the solver's frozen catalog snapshot) and fold its
-//! side effects into its own return value (the effect log the solver
-//! replays single-threaded at the commit site).
+//! immutable state (the solver's frozen catalog snapshot, a branch's
+//! compiled plan and read-only indexes) and fold its side effects into
+//! its own return value (the effect log the solver replays
+//! single-threaded at the commit site, a shard-local output relation).
 //!
 //! # Dispatch modes
 //!
@@ -26,8 +24,7 @@
 //! * **Inline mode** (`threads <= 1` or a single task): tasks run
 //!   in order on the caller's thread with **no** failpoint check and
 //!   **no** unwind catch — the exact sequential path, where panics
-//!   propagate to the solver's own isolation boundary. This keeps
-//!   `threads=1` behaviour byte-identical to the pre-scheduler solver.
+//!   propagate to the solver's own isolation boundary.
 //!
 //! # Determinism
 //!
@@ -36,13 +33,57 @@
 //! merge order as a sequential loop. Which *worker* ran a task is
 //! intentionally unobservable.
 
+use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::thread;
 
 use dc_governor::fail::{self, Site};
+use dc_governor::InjectedFault;
 
-use crate::plan::ExecError;
-use crate::worker::panic_message;
+/// What the scheduler itself can do to a task: everything a task
+/// *returns* (including its own errors) passes through untouched.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ExecError {
+    /// The task panicked; the panic was caught at the task boundary
+    /// and converted into this deterministic error (callers degrade
+    /// the task to an inline sequential retry on seeing it).
+    WorkerPanic {
+        /// The panic payload, rendered.
+        message: String,
+    },
+    /// The armed `worker_start` failpoint injected an error
+    /// (fault-injection testing).
+    FaultInjected(InjectedFault),
+}
+
+impl fmt::Display for ExecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ExecError::WorkerPanic { message } => write!(f, "worker panicked: {message}"),
+            ExecError::FaultInjected(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for ExecError {}
+
+impl From<InjectedFault> for ExecError {
+    fn from(e: InjectedFault) -> ExecError {
+        ExecError::FaultInjected(e)
+    }
+}
+
+/// Render a caught panic payload (the conventional `&str`/`String`
+/// forms; anything else gets a placeholder).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
 
 /// Run `tasks` with up to `threads` workers, returning one result per
 /// task in task order.
@@ -154,8 +195,13 @@ mod tests {
     use dc_governor::FailpointsGuard;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    // Worker mode consults the process-global failpoint table, so every
+    // test that reaches it holds a guard — disarmed ones included, or a
+    // neighbour's armed `worker_start` leaks into them.
+
     #[test]
     fn results_come_back_in_task_order_for_every_thread_count() {
+        let _guard = FailpointsGuard::arm("");
         let tasks: Vec<usize> = (0..37).collect();
         let reference: Vec<usize> = tasks.iter().map(|n| n * 3 + 1).collect();
         for threads in [1usize, 2, 4, 7, 64] {
@@ -169,6 +215,7 @@ mod tests {
 
     #[test]
     fn every_task_runs_exactly_once() {
+        let _guard = FailpointsGuard::arm("");
         let tasks: Vec<usize> = (0..100).collect();
         let counter = AtomicUsize::new(0);
         let results = run_tasks(&tasks, 4, |_, _| {
@@ -180,6 +227,7 @@ mod tests {
 
     #[test]
     fn a_panicking_task_fails_alone() {
+        let _guard = FailpointsGuard::arm("");
         let tasks: Vec<usize> = (0..16).collect();
         let results = run_tasks(&tasks, 4, |_, n| {
             if *n == 5 {

@@ -3,12 +3,12 @@
 //! A [`Budget`] is *declarative*: it says what a solve may spend, not
 //! when the clock started. Arming it with [`Budget::meter`] captures
 //! `Instant::now()` and yields a [`Meter`] — a cheap, `Arc`-shared
-//! gauge that every layer of one solve (evaluator branch loops,
-//! decorrelated-entry builds, semi-naive round commits, per-shard
-//! worker loops) polls at its natural tick points. The split matters:
-//! a budget stored in a long-lived configuration is re-armed per solve,
-//! so a 10 ms deadline means 10 ms *per solve*, not 10 ms since the
-//! configuration was built.
+//! gauge that every layer of one solve (evaluator branch loops on
+//! whichever pool worker they run, decorrelated-entry builds,
+//! semi-naive round commits) polls at its natural tick points. The
+//! split matters: a budget stored in a long-lived configuration is
+//! re-armed per solve, so a 10 ms deadline means 10 ms *per solve*, not
+//! 10 ms since the configuration was built.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -177,8 +177,9 @@ struct MeterInner {
 /// An armed [`Budget`]: the shared gauge one solve polls.
 ///
 /// Clones share state (an `Arc` bump), so the solver, its per-branch
-/// evaluators, and every `dc-exec` worker shard observe one set of
-/// limits and feed one set of counters. `Meter` is `Send + Sync`.
+/// evaluators, and every task on the worker pool (`dc_exec::run_tasks`)
+/// observe one set of limits and feed one set of counters. `Meter` is
+/// `Send + Sync`.
 #[derive(Debug, Clone)]
 pub struct Meter {
     inner: Arc<MeterInner>,

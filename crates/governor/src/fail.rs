@@ -9,7 +9,7 @@
 //! * `error` — `check` returns an [`InjectedFault`], exercising the
 //!   site's ordinary error channel (clean abort, atomic rollback).
 //! * `panic` — `check` panics, exercising the panic-isolation
-//!   boundaries (`catch_unwind` per worker shard, the solve boundary).
+//!   boundaries (`catch_unwind` per pool task, the solve boundary).
 //!
 //! Arming happens two ways: the `DC_FAILPOINTS` environment variable
 //! (`site=action` pairs, comma-separated — e.g.
@@ -30,7 +30,10 @@ use std::sync::{Mutex, MutexGuard, Once, PoisonError};
 /// The instrumented sites, in the order a solve meets them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Site {
-    /// Entry of a `dc-exec` worker shard (`worker_start`).
+    /// A task starting on a pool worker (`worker_start`) — checked in
+    /// exactly one place, `dc_exec::run_tasks`' worker mode, whether
+    /// the task is a solver round task or a scan shard of a query
+    /// branch. Inline (single-worker) runs never consult it.
     WorkerStart = 0,
     /// A semi-naive/naive round about to commit its deltas
     /// (`delta_commit`).

@@ -14,8 +14,8 @@ use dc_relation::Relation;
 ///
 /// `HashIndex` is `Send + Sync` (asserted at compile time below): all
 /// of its storage bottoms out in immutable `Arc`-backed tuples. The
-/// partition-parallel executor (`dc-exec`) relies on this to hand one
-/// `Arc<HashIndex>` to every worker thread and probe it concurrently —
+/// evaluator's scan sharding relies on this to hand one
+/// `Arc<HashIndex>` to every pool worker and probe it concurrently —
 /// probes are `&self` and never mutate, so no synchronisation beyond
 /// the `Arc` is needed. Mutation (`add`) requires `&mut self` and is
 /// therefore confined to the single-threaded maintenance sites (the
@@ -107,8 +107,8 @@ impl HashIndex {
     }
 }
 
-// Compile-time audit of the cross-thread sharing contract: the
-// parallel executor shares read-only indexes (and the relations and
+// Compile-time audit of the cross-thread sharing contract: scan
+// sharding shares read-only indexes (and the relations and
 // statistics next to them) across worker threads. A field change that
 // introduced interior mutability or a non-`Send` payload would fail
 // this assertion instead of surfacing as a data race.

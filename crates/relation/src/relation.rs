@@ -230,16 +230,16 @@ impl Relation {
         Arc::ptr_eq(&a.tuples, &b.tuples)
     }
 
-    /// Hash-partition the tuple set into `n` shard views for
-    /// partition-parallel execution (`dc-exec`): each tuple lands in
-    /// exactly one shard, chosen by a seeded hash of the whole tuple so
-    /// skewed join keys cannot starve shards. The views hold `Tuple`
-    /// handles — `Arc` bumps into this relation's storage, never tuple
-    /// copies — so splitting is O(n) pointer work.
+    /// Hash-partition the tuple set into `n` shard views for scan
+    /// sharding (the evaluator runs one pool task per shard): each
+    /// tuple lands in exactly one shard, chosen by a seeded hash of the
+    /// whole tuple so skewed join keys cannot starve shards. The views
+    /// hold `Tuple` handles — `Arc` bumps into this relation's storage,
+    /// never tuple copies — so splitting is O(n) pointer work.
     ///
     /// The assignment of tuples to shards is deterministic (it depends
-    /// only on tuple content and `n`), which is half of the parallel
-    /// executor's determinism argument: equal relations always produce
+    /// only on tuple content and `n`), which is half of scan sharding's
+    /// determinism argument: equal relations always produce
     /// equal shard *sets*, and a merge that unions shard outputs in
     /// shard order therefore reproduces the sequential result exactly.
     pub fn hash_shards(&self, n: usize) -> Vec<Vec<Tuple>> {

@@ -121,7 +121,7 @@ pub fn weighted_edge_schema() -> Schema {
 
 /// A seeded random digraph over [`weighted_edge_schema`]: `n` nodes,
 /// ~`n * avg_degree` distinct edges with weights in `0..max_w`. The
-/// large-scan workload of the partition-parallel experiments (E1c):
+/// large-scan workload of the scan-sharding experiments (E1c):
 /// the two-hop join `x.dst = y.src` over it probes `avg_degree`
 /// continuations per scanned edge, and the integer weights give the
 /// residual predicate real per-combination arithmetic.

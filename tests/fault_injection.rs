@@ -10,9 +10,10 @@
 //! runs when CI launches this binary with `DC_FAILPOINTS` set and
 //! `--test-threads=1`.
 
+use dc_bench::parallelised;
 use dc_calculus::builder::*;
-use dc_calculus::{Branch, EvalError};
-use dc_core::{CoreError, Database, Strategy};
+use dc_calculus::{Branch, EvalError, PlanEvent};
+use dc_core::{CoreError, Database};
 use dc_governor::{FailpointsGuard, SolveError};
 
 /// Byte-level snapshot of every base relation: (name, len, digest).
@@ -26,65 +27,101 @@ fn snapshot(db: &Database) -> Vec<(String, usize, u128)> {
         .collect()
 }
 
-/// The E1 chain workload with `threads` workers and the dispatch
-/// threshold lowered so every planned branch takes the parallel path.
-fn chain_db(n: usize, threads: usize) -> Database {
-    let mut db = dc_bench::ahead_db(&dc_workload::chain(n), Strategy::SemiNaive);
-    db.set_threads(threads);
-    db.config_mut().parallel_threshold = 1;
-    db
-}
-
 fn closure_len(n: usize) -> usize {
     n * (n + 1) / 2
 }
 
+/// The four-constructor ring over a chain of `n` edges: every round
+/// carries four Linear tasks with a delta each, so (parallelised) every
+/// round batch-dispatches to the pool — the solver's use of
+/// `worker_start`.
+fn ring_db(n: usize, threads: usize) -> Database {
+    parallelised(dc_bench::ring_db(&dc_workload::chain(n)), threads)
+}
+
+/// The E1c weighted graph for one-shot (solve-free) queries: a pure
+/// probe-plan branch (parallelised) shards its scan across the pool —
+/// the evaluator's use of `worker_start`.
+fn graph_db(threads: usize) -> Database {
+    let edges = dc_workload::weighted_random_graph(120, 3.0, 40, 1);
+    parallelised(dc_bench::weighted_db(&edges), threads)
+}
+
 /// `worker_start=error`: the injected fault propagates out of the
 /// worker pool as a structured error (no degradation — only panics
-/// degrade), and the abort is atomic.
+/// degrade), and the abort is atomic — for a solver round task and for
+/// a sharded one-shot query alike.
 #[test]
 fn worker_start_error_aborts_cleanly() {
     let _g = FailpointsGuard::arm("worker_start=error");
-    let db = chain_db(48, 4);
-    let before = snapshot(&db);
-    let err = db.eval(&dc_bench::ahead_query()).unwrap_err();
-    assert!(
+    let is_worker_start = |err: &CoreError| {
         matches!(
             err,
-            CoreError::Eval(EvalError::FaultInjected { ref site }) if site == "worker_start"
-        ),
-        "{err}"
-    );
+            CoreError::Eval(EvalError::FaultInjected { site }) if site == "worker_start"
+        )
+    };
+
+    let db = ring_db(24, 4);
+    let before = snapshot(&db);
+    let err = db.eval(&dc_bench::ring_query()).unwrap_err();
+    assert!(is_worker_start(&err), "{err}");
+    assert_eq!(snapshot(&db), before);
+
+    let db = graph_db(4);
+    let before = snapshot(&db);
+    let err = db.eval(&dc_bench::two_hop_query(7)).unwrap_err();
+    assert!(is_worker_start(&err), "{err}");
     assert_eq!(snapshot(&db), before);
 
     // Sequential execution never dispatches workers, so the armed site
-    // is simply never reached: the solve succeeds.
-    let seq = chain_db(48, 1);
+    // is simply never reached.
     assert_eq!(
-        seq.eval(&dc_bench::ahead_query()).unwrap().len(),
-        closure_len(48)
+        ring_db(24, 1).eval(&dc_bench::ring_query()).unwrap().len(),
+        closure_len(24)
     );
+    assert!(!graph_db(1)
+        .eval(&dc_bench::two_hop_query(7))
+        .unwrap()
+        .is_empty());
 }
 
 /// `worker_start=panic`: the acceptance scenario for graceful
-/// degradation. The panicking worker is caught at the shard isolation
-/// boundary, the branch retries on the sequential path, and the final
-/// relation equals the `threads = 1` reference — with the degradation
-/// visible in the run statistics.
+/// degradation. A panicking solver task is caught at the task boundary
+/// and retried inline; a panicking shard of a one-shot query sends the
+/// whole branch back to the calling thread. Either way the final
+/// relation equals the `threads = 1` reference, with the degradation
+/// visible in the run statistics (and, for the query, the plan trace).
 #[test]
 fn worker_panic_degrades_to_sequential_reference() {
     let _g = FailpointsGuard::arm("worker_start=panic");
-    let reference = chain_db(48, 1).eval(&dc_bench::ahead_query()).unwrap();
+    assert_worker_panics_degrade();
+}
 
-    let db = chain_db(48, 4);
-    let out = db.eval(&dc_bench::ahead_query()).unwrap();
+fn assert_worker_panics_degrade() {
+    let reference = ring_db(24, 1).eval(&dc_bench::ring_query()).unwrap();
+    let db = ring_db(24, 4);
+    let out = db.eval(&dc_bench::ring_query()).unwrap();
     assert_eq!(out.sorted_tuples(), reference.sorted_tuples());
-    assert_eq!(out.len(), closure_len(48));
-
+    assert_eq!(out.len(), closure_len(24));
     let stats = db.last_fixpoint_stats().unwrap();
     assert!(stats.retried_branches >= 1, "{stats:?}");
-    assert!(stats.degraded_branches >= 1, "{stats:?}");
     assert_eq!(stats.degraded_branches, stats.retried_branches);
+
+    let q = dc_bench::two_hop_query(7);
+    let reference = graph_db(1).eval(&q).unwrap();
+    let mut db = graph_db(4);
+    db.set_budget(Some(dc_governor::Budget::unlimited()));
+    let mut ev = db.evaluator();
+    assert_eq!(ev.eval(&q).unwrap(), reference);
+    let meter = ev.meter().unwrap();
+    assert_eq!((meter.retried(), meter.degraded()), (1, 1));
+    assert!(
+        ev.plan_events()
+            .iter()
+            .any(|e| matches!(e, PlanEvent::ParallelDegraded { .. })),
+        "{:?}",
+        ev.plan_events()
+    );
 }
 
 /// `delta_commit=error`: a round's commit aborts before any equation
@@ -94,9 +131,9 @@ fn worker_panic_degrades_to_sequential_reference() {
 fn delta_commit_error_aborts_atomically() {
     for threads in [1usize, 4] {
         let _g = FailpointsGuard::arm("delta_commit=error");
-        let db = chain_db(32, threads);
+        let db = ring_db(32, threads);
         let before = snapshot(&db);
-        let err = db.eval(&dc_bench::ahead_query()).unwrap_err();
+        let err = db.eval(&dc_bench::ring_query()).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -111,7 +148,7 @@ fn delta_commit_error_aborts_atomically() {
         // aborted attempt left no residue behind.
         let _clean = FailpointsGuard::arm("");
         assert_eq!(
-            db.eval(&dc_bench::ahead_query()).unwrap().len(),
+            db.eval(&dc_bench::ring_query()).unwrap().len(),
             closure_len(32),
             "threads={threads}"
         );
@@ -125,9 +162,9 @@ fn delta_commit_error_aborts_atomically() {
 fn delta_commit_panic_is_caught_at_the_solve_boundary() {
     for threads in [1usize, 4] {
         let _g = FailpointsGuard::arm("delta_commit=panic");
-        let db = chain_db(32, threads);
+        let db = ring_db(32, threads);
         let before = snapshot(&db);
-        let err = db.eval(&dc_bench::ahead_query()).unwrap_err();
+        let err = db.eval(&dc_bench::ring_query()).unwrap_err();
         match err {
             CoreError::Eval(EvalError::Solve(SolveError::WorkerPanic { message, .. })) => {
                 assert!(message.contains("delta_commit"), "{message}");
@@ -144,9 +181,9 @@ fn delta_commit_panic_is_caught_at_the_solve_boundary() {
 fn index_build_error_aborts_cleanly() {
     for threads in [1usize, 4] {
         let _g = FailpointsGuard::arm("index_build=error");
-        let db = chain_db(32, threads);
+        let db = ring_db(32, threads);
         let before = snapshot(&db);
-        let err = db.eval(&dc_bench::ahead_query()).unwrap_err();
+        let err = db.eval(&dc_bench::ring_query()).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -162,9 +199,9 @@ fn index_build_error_aborts_cleanly() {
 #[test]
 fn index_build_panic_is_caught_at_the_solve_boundary() {
     let _g = FailpointsGuard::arm("index_build=panic");
-    let db = chain_db(32, 1);
+    let db = ring_db(32, 1);
     let before = snapshot(&db);
-    let err = db.eval(&dc_bench::ahead_query()).unwrap_err();
+    let err = db.eval(&dc_bench::ring_query()).unwrap_err();
     assert!(
         matches!(
             err,
@@ -235,9 +272,5 @@ fn env_armed_worker_panic_degrades_end_to_end() {
     if std::env::var("DC_FAILPOINTS").as_deref() != Ok("worker_start=panic") {
         return; // not the CI fault-injection leg
     }
-    let reference = chain_db(48, 1).eval(&dc_bench::ahead_query()).unwrap();
-    let db = chain_db(48, 4);
-    let out = db.eval(&dc_bench::ahead_query()).unwrap();
-    assert_eq!(out.sorted_tuples(), reference.sorted_tuples());
-    assert!(db.last_fixpoint_stats().unwrap().degraded_branches >= 1);
+    assert_worker_panics_degrade();
 }

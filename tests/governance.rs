@@ -276,39 +276,73 @@ fn fixpoint_stats_carry_governance_counters() {
     assert_eq!(stats.retried_branches, 0);
 }
 
-/// Budgets govern parallel execution too: worker shards tick the same
-/// meter, so a tuple ceiling trips under any thread count and the abort
-/// stays atomic.
+/// The E1c weighted graph, parallelised: its two-hop join is a pure
+/// probe plan, so outside a solve the scan side shards across the pool.
+fn sharding_graph_db(threads: usize) -> Database {
+    let edges = dc_workload::weighted_random_graph(120, 3.0, 40, 1);
+    dc_bench::parallelised(dc_bench::weighted_db(&edges), threads)
+}
+
+/// Budgets govern parallel execution too: a solve's round tasks and the
+/// scan shards of a one-shot query tick the same meter as the
+/// sequential path, so a tuple ceiling trips under any thread count —
+/// for the shards, from inside the workers — and the abort stays
+/// atomic.
 #[test]
 fn budgets_govern_parallel_workers() {
     for threads in [1usize, 4] {
-        let mut db = chain_db(64);
-        db.set_threads(threads);
-        db.config_mut().parallel_threshold = 1;
+        // Four equations: every round dispatches four tasks.
+        let mut db = dc_bench::parallelised(dc_bench::ring_db(&dc_workload::chain(24)), threads);
         db.set_budget(Some(Budget::unlimited().with_max_tuples(50)));
         let before = snapshot(&db);
-        let se = unwrap_solve_error(db.eval(&dc_bench::ahead_query()).unwrap_err());
+        let se = unwrap_solve_error(db.eval(&dc_bench::ring_query()).unwrap_err());
         assert!(
             matches!(se, SolveError::TupleBudgetExceeded { .. }),
             "threads={threads}: {se}"
         );
         assert_eq!(snapshot(&db), before, "threads={threads}");
     }
+    let q = dc_bench::two_hop_query(7);
+    assert!(sharding_graph_db(1).eval(&q).unwrap().len() > 10);
+    for threads in [1usize, 2, 4, 7] {
+        let mut db = sharding_graph_db(threads);
+        db.set_budget(Some(Budget::unlimited().with_max_tuples(10)));
+        let se = unwrap_solve_error(db.eval(&q).unwrap_err());
+        assert!(
+            matches!(se, SolveError::TupleBudgetExceeded { limit: 10, .. }),
+            "threads={threads}: {se}"
+        );
+    }
 }
 
 /// A budget on the database governs top-level query evaluation as well
 /// as solves: a pre-cancelled token trips a plain (constructor-free)
-/// set-former scan.
+/// set-former scan, and — observed from inside the shard workers — a
+/// sharded join, as does an already-expired deadline.
 #[test]
 fn budget_governs_plain_queries() {
     let token = CancelToken::new();
     token.cancel();
     let mut db = chain_db(64);
-    db.set_budget(Some(Budget::unlimited().with_cancel(token)));
+    db.set_budget(Some(Budget::unlimited().with_cancel(token.clone())));
     let q = set_former(vec![Branch::each("r", rel("Infront"), tru())]);
     let err = db.eval(&q).unwrap_err();
     assert!(matches!(
         unwrap_solve_error(err),
         SolveError::Cancelled { .. }
+    ));
+
+    let mut db = sharding_graph_db(4);
+    db.set_budget(Some(Budget::unlimited().with_cancel(token)));
+    let err = db.eval(&dc_bench::two_hop_query(7)).unwrap_err();
+    assert!(matches!(
+        unwrap_solve_error(err),
+        SolveError::Cancelled { .. }
+    ));
+    db.set_budget(Some(Budget::unlimited().with_deadline_ms(0)));
+    let err = db.eval(&dc_bench::two_hop_query(7)).unwrap_err();
+    assert!(matches!(
+        unwrap_solve_error(err),
+        SolveError::DeadlineExceeded { limit_ms: 0, .. }
     ));
 }

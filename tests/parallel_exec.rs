@@ -1,25 +1,19 @@
-//! Differential suite for the partition-parallel executor (`dc-exec`):
-//! `threads = N` must produce exactly the relations `threads = 1`
-//! produces — across the graph, scene, and staffing workloads, across
-//! random seeds, and through the semi-naive fixpoint with mid-solve
-//! delta growth. The parallel dispatch threshold is lowered to 1
-//! everywhere so even small generated inputs take the parallel path;
-//! the reference nested-loop evaluator is the third oracle where it is
-//! affordable.
+//! Differential suite for parallel execution on the one worker pool
+//! (`dc-exec`): `threads = N` must produce exactly the relations
+//! `threads = 1` produces — across the graph, scene, and staffing
+//! workloads (one-shot queries, whose pure probe-plan branches shard
+//! their scan side), across random seeds, and through the semi-naive
+//! fixpoint with mid-solve delta growth (round tasks). The parallel
+//! threshold is lowered to 1 everywhere so even small generated inputs
+//! take the parallel paths; the reference nested-loop evaluator is the
+//! third oracle where it is affordable.
 
 use dc_bench::{
-    avoids_w0_request_query, front_row_query, scene_db, servable_request_query, stacked_back_query,
-    staffing_db, two_hop_query, unburdened_front_query, visibility_query, weighted_db,
+    avoids_w0_request_query, front_row_query, parallelised, scene_db, servable_request_query,
+    stacked_back_query, staffing_db, two_hop_query, unburdened_front_query, visibility_query,
+    weighted_db,
 };
-use dc_core::{Database, Strategy};
-
-/// A database configured for forced parallel execution with `threads`
-/// workers (dispatch threshold 1, so every planned branch qualifies).
-fn parallelised(mut db: Database, threads: usize) -> Database {
-    db.set_threads(threads);
-    db.config_mut().parallel_threshold = 1;
-    db
-}
+use dc_core::Strategy;
 
 #[test]
 fn two_hop_join_threads_match_sequential_across_seeds() {
@@ -74,11 +68,10 @@ fn staffing_workloads_threads_match_sequential() {
 }
 
 /// The semi-naive fixpoint: every round's Linear branch binds the
-/// previous round's delta as its scan/probe side, so with the dispatch
-/// threshold at 1 the *rounds themselves* run through the parallel
-/// executor while the delta grows mid-solve. The closure of a random
-/// graph (and of a deep tree) must be identical for every worker
-/// count, and must equal the reference evaluator's.
+/// previous round's delta as its scan/probe side while the delta grows
+/// mid-solve; whatever the rounds dispatch to workers, the closure of a
+/// random graph (and of a deep tree) must be identical for every
+/// worker count, and must equal the reference evaluator's.
 #[test]
 fn fixpoint_rounds_with_growing_deltas_match_across_thread_counts() {
     let workloads = [
@@ -154,7 +147,7 @@ fn parallel_errors_match_sequential_class() {
         vec![("x".into(), rel("Edges")), ("y".into(), rel("Edges"))],
         eq(attr("x", "dst"), attr("y", "src")).and(eq(attr("x", "src"), attr("x", "w"))),
     )]);
-    for threads in [1usize, 4] {
+    for threads in [1usize, 2, 4, 7] {
         let db = parallelised(weighted_db(&edges), threads);
         // Typecheck rejects it statically; the evaluator must raise it
         // dynamically too (eval_unchecked skips the static pass).
@@ -167,10 +160,24 @@ fn parallel_errors_match_sequential_class() {
 }
 
 /// `thread_count` resolution: explicit knobs win, `0` means auto and
-/// always lands on at least one worker.
+/// always lands on at least one worker, and an absurd request is capped
+/// instead of asking the OS for one thread per scan tuple — a
+/// 10 000-edge join under `set_threads(1_000_000)` just runs, and
+/// returns the `threads = 1` relation.
 #[test]
 fn thread_count_resolution() {
     assert_eq!(dc_exec::thread_count(1), 1);
     assert_eq!(dc_exec::thread_count(6), 6);
     assert!(dc_exec::thread_count(0) >= 1);
+    assert_eq!(dc_exec::thread_count(1_000_000), 64);
+
+    let edges = dc_workload::weighted_random_graph(1250, 8.0, 40, 11);
+    assert_eq!(edges.len(), 10_000);
+    let q = two_hop_query(19);
+    let sequential = parallelised(weighted_db(&edges), 1).eval(&q).unwrap();
+    let capped = parallelised(weighted_db(&edges), 1_000_000)
+        .eval(&q)
+        .unwrap();
+    assert!(!sequential.is_empty());
+    assert_eq!(capped, sequential);
 }

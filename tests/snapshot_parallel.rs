@@ -13,19 +13,12 @@
 //! [`FixpointStats`] scheduler counters are asserted to prove the
 //! parallel path actually ran (not just that results agree).
 
+use dc_bench::parallelised;
 use dc_calculus::ast::{Branch, RangeExpr, SetFormer};
 use dc_calculus::builder::*;
 use dc_calculus::EvalError;
 use dc_core::{paper, Constructor, CoreError, Database};
 use dc_governor::{Budget, CancelToken, FailpointsGuard, SolveError};
-
-/// A database configured for forced batch dispatch with `threads`
-/// workers (dispatch threshold 1, so every planned branch qualifies).
-fn parallelised(mut db: Database, threads: usize) -> Database {
-    db.set_threads(threads);
-    db.config_mut().parallel_threshold = 1;
-    db
-}
 
 /// The E4 mutual-recursion database: `Infront`/`Ontop` base facts from
 /// a generated scene, with the §3.1 mutually recursive `ahead`/`above`
@@ -146,17 +139,8 @@ fn mutual_fixpoint_threads_match_sequential() {
 fn random_ring_system_threads_match_sequential() {
     for seed in [1u64, 13, 31] {
         let edges = dc_workload::random_graph(40, 2.0, seed);
-        let build = |threads: usize| {
-            let mut db = Database::new();
-            db.create_relation("Edges", paper::infrontrel()).unwrap();
-            for t in edges.iter() {
-                db.insert("Edges", t.clone()).unwrap();
-            }
-            db.define_constructors(dc_bench::constructor_ring(4))
-                .unwrap();
-            parallelised(db, threads)
-        };
-        let q = rel("Edges").construct("c0", vec![]);
+        let build = |threads: usize| parallelised(dc_bench::ring_db(&edges), threads);
+        let q = dc_bench::ring_query();
         let seq_db = build(1);
         let sequential = seq_db.eval(&q).unwrap();
         assert_eq!(seq_db.last_fixpoint_stats().unwrap().equations, 4);
@@ -236,7 +220,9 @@ fn impure_quantifier_branches_run_on_workers() {
 /// `worker_start=panic` under batch dispatch: every panicked branch
 /// task is retried inline on the solver thread, the retry is counted
 /// as a degradation, and the final relations equal the sequential
-/// reference exactly.
+/// reference exactly. The site fires once per dispatched task and
+/// nowhere else in a solve (tasks do not shard their own scans), so
+/// the retry count is exactly the dispatched-task count.
 #[test]
 fn worker_panic_degrades_to_sequential_reference() {
     let _g = FailpointsGuard::arm("worker_start=panic");
@@ -258,6 +244,7 @@ fn worker_panic_degrades_to_sequential_reference() {
         stats.degraded_branches, stats.retried_branches,
         "every retry must have completed sequentially: {stats:?}"
     );
+    assert_eq!(stats.retried_branches, stats.parallel_branches, "{stats:?}");
 }
 
 /// A pre-cancelled token aborts the multi-worker solve before any
