@@ -391,6 +391,42 @@ pub fn avoids_w0_request_query() -> dc_calculus::RangeExpr {
     )])
 }
 
+/// Small graph, scene, and staffing databases, each with the
+/// non-recursive harness queries over it — the domains of the
+/// write-interleaving properties in `tests/prop_engine.rs` and
+/// `tests/prop_server.rs` (indexed answer against the nested-loop
+/// reference after every write).
+pub fn small_domains() -> Vec<(Database, Vec<dc_calculus::RangeExpr>)> {
+    vec![
+        (
+            weighted_db(&dc_workload::weighted_random_graph(10, 2.0, 6, 3)),
+            vec![two_hop_query(3)],
+        ),
+        (
+            scene_db(&dc_workload::scene(3, 4, 2, 7)),
+            vec![
+                visibility_query(),
+                front_row_query(),
+                stacked_back_query(),
+                unburdened_front_query(),
+            ],
+        ),
+        (
+            staffing_db(&dc_workload::staffing(4, 5, 4, 2, 2, 6, 11)),
+            vec![servable_request_query(), avoids_w0_request_query()],
+        ),
+    ]
+}
+
+/// Every relation of `db` with its tuples at this moment, sorted: the
+/// pools the write-interleaving properties draw their writes from.
+pub fn tuple_pools(db: &Database) -> Vec<(String, Vec<dc_value::Tuple>)> {
+    db.relation_names()
+        .into_iter()
+        .filter_map(|n| Some((n.to_string(), db.relation_ref(n).ok()?.sorted_tuples())))
+        .collect()
+}
+
 /// The `Value` of a chain node name.
 pub fn node(prefix: &str, i: usize) -> Value {
     Value::str(format!("{prefix}{i}"))

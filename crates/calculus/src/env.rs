@@ -10,34 +10,12 @@
 //! implements it by looking up the current iterate, which is exactly the
 //! paper's reading of `applyᵢᵏ⁺¹ = gᵢ(apply₀ᵏ, …, applyₗᵏ)`.
 
-use std::cell::RefCell;
-use std::sync::Arc;
-
-use dc_index::{HashIndex, RelationStats};
 use dc_relation::Relation;
-use dc_value::{FxHashMap, FxHashSet, Value};
+use dc_value::Value;
 
-use crate::ast::{Name, RangeExpr, SelectorDef};
+use crate::access::AccessCache;
+use crate::ast::SelectorDef;
 use crate::error::EvalError;
-use crate::eval::DecorrEntry;
-use crate::rewrite;
-
-/// A cached decorrelation decision for one correlated quantified range,
-/// served through [`Catalog::decorr_entry`]. Catalogs that hold state
-/// across evaluator lifetimes (the fixpoint solver, the database) store
-/// both outcomes, so a refused rewrite is not re-analysed per evaluator
-/// any more than a built one is re-materialised.
-#[derive(Clone)]
-pub enum DecorrCached {
-    /// The range decorrelated; the entry holds the materialised join
-    /// bucketed on the joint key.
-    Built(Arc<DecorrEntry>),
-    /// Decorrelation was refused (unsupported shape, unsplittable
-    /// predicate, profitability gate, build error) — the evaluator
-    /// falls back to the reference scan without re-running the
-    /// analysis.
-    Refused,
-}
 
 /// Name-resolution interface for evaluation.
 pub trait Catalog {
@@ -73,62 +51,16 @@ pub trait Catalog {
         Err(EvalError::UnknownParam(name.to_string()))
     }
 
-    /// A hash index over the relation `name` resolves to, keyed on
-    /// `positions` — if the catalog maintains (or is willing to build)
-    /// one. The evaluator's join executor consults this before building
-    /// a throwaway index, so catalogs that keep relations across many
-    /// evaluations (the fixpoint solver, most prominently) can amortise
-    /// index construction. Implementations must return an index that is
-    /// exactly consistent with [`Catalog::relation`] for `name`.
-    fn index(&self, _name: &str, _positions: &[usize]) -> Option<Arc<HashIndex>> {
+    /// The [`AccessCache`] this catalog's owner keeps for the relations
+    /// it resolves — indexes, statistics, and decorrelated ranges that
+    /// outlive one evaluator (the database across queries, a snapshot
+    /// across sessions, a solve across rounds). Entries are keyed by
+    /// storage identity, so the catalog promises nothing about them;
+    /// the evaluator asks the cache with the relation value it read.
+    /// `None` (the default): the evaluator uses a private cache for its
+    /// own lifetime.
+    fn access(&self) -> Option<&AccessCache> {
         None
-    }
-
-    /// Statistics of the relation `name` resolves to — if the catalog
-    /// maintains (or is willing to compute and cache) them. The join
-    /// planner consults this before paying an O(|relation|) collection
-    /// pass per branch evaluation, so catalogs that keep relations
-    /// across many evaluations (the fixpoint solver, the database) can
-    /// maintain statistics incrementally next to their indexes.
-    /// Implementations must return statistics exactly consistent with
-    /// [`Catalog::relation`] for `name`.
-    fn stats(&self, _name: &str) -> Option<Arc<RelationStats>> {
-        None
-    }
-
-    /// A cached decorrelation decision for the correlated quantified
-    /// range `range` — if the catalog maintains a decorrelation cache.
-    /// Mirrors [`Catalog::index`]/[`Catalog::stats`]: the evaluator
-    /// consults this before building a decorrelated entry of its own,
-    /// so catalogs that live across many evaluator lifetimes (the
-    /// fixpoint solver across branch evaluations and semi-naive rounds,
-    /// the database across queries) amortise the materialised join.
-    /// Implementations must serve entries that are exactly consistent
-    /// with the current [`Catalog::version`]: a served entry must have
-    /// been built against the catalog's *current* data snapshot
-    /// (solver: drop the cache when the epoch moves; database:
-    /// invalidate on mutation).
-    fn decorr_entry(&self, _range: &RangeExpr) -> Option<DecorrCached> {
-        None
-    }
-
-    /// Store a decorrelation decision the evaluator just computed for
-    /// `range` — the write half of [`Catalog::decorr_entry`]. Default:
-    /// discard (catalogs without solver state keep nothing).
-    fn cache_decorr_entry(&self, _range: &RangeExpr, _entry: DecorrCached) {}
-
-    /// Monotone data version of the catalog. Implementations that can
-    /// change a relation's value *while an evaluator is alive* (the
-    /// fixpoint solver commits peer deltas between rounds, mid-solve)
-    /// must bump this on every such commit. Evaluators compare it
-    /// against the version their syntax-keyed caches (range values,
-    /// indexes, statistics, decorrelated ranges) were filled under and
-    /// drop every stale entry on mismatch — scoping transient-index
-    /// lifetime to one consistent snapshot of the catalog. Catalogs
-    /// whose mutation requires `&mut self` (so no evaluator can be
-    /// alive across a change) may keep the default constant `0`.
-    fn version(&self) -> u64 {
-        0
     }
 }
 
@@ -229,96 +161,21 @@ impl Catalog for MapCatalog {
     }
 }
 
-/// Cache key for an index: (relation name, indexed positions).
-type IndexKey = (String, Vec<usize>);
-
 /// A catalog layered over another, overriding some relation names.
 /// Used to bind formal relation parameters (`FOR Rel: …(Ontop: …)`)
-/// without copying the base catalog.
+/// without copying the base catalog. Everything but relation lookup —
+/// the base's [`AccessCache`] included — is forwarded: cache entries
+/// are keyed by the storage of the relation actually read, so an
+/// override can never be served an entry of the name it shadows.
 pub struct Overlay<'a> {
     base: &'a dyn Catalog,
     overrides: Vec<(String, Relation)>,
-    /// Indexes over override relations, built lazily on executor demand
-    /// (or preloaded by a caller that maintains them incrementally, see
-    /// `dc-core`'s fixpoint solver) and harvestable afterwards.
-    indexes: RefCell<FxHashMap<IndexKey, Arc<HashIndex>>>,
-    /// Statistics over override relations, same lifecycle as `indexes`:
-    /// preloaded by callers that maintain them incrementally, computed
-    /// lazily on planner demand otherwise, harvestable afterwards.
-    stats: RefCell<FxHashMap<String, Arc<RelationStats>>>,
 }
 
 impl<'a> Overlay<'a> {
     /// Layer `overrides` over `base`.
     pub fn new(base: &'a dyn Catalog, overrides: Vec<(String, Relation)>) -> Overlay<'a> {
-        Overlay {
-            base,
-            overrides,
-            indexes: RefCell::new(FxHashMap::default()),
-            stats: RefCell::new(FxHashMap::default()),
-        }
-    }
-
-    /// Install a prebuilt index for an override relation. The index must
-    /// describe exactly the relation registered under `name`.
-    pub fn preload_index(&mut self, name: impl Into<String>, idx: Arc<HashIndex>) {
-        let key = (name.into(), idx.positions().to_vec());
-        self.indexes.borrow_mut().insert(key, idx);
-    }
-
-    /// Install precomputed statistics for an override relation. The
-    /// snapshot must describe exactly the relation registered under
-    /// `name`.
-    pub fn preload_stats(&mut self, name: impl Into<String>, stats: Arc<RelationStats>) {
-        self.stats.borrow_mut().insert(name.into(), stats);
-    }
-
-    /// All indexes currently cached (preloaded or demand-built), so a
-    /// long-lived caller can carry them into the next evaluation round.
-    pub fn harvest_indexes(&self) -> Vec<(String, Arc<HashIndex>)> {
-        self.indexes
-            .borrow()
-            .iter()
-            .map(|((n, _), idx)| (n.clone(), idx.clone()))
-            .collect()
-    }
-
-    /// All statistics currently cached (preloaded or demand-computed),
-    /// the statistics counterpart of [`Overlay::harvest_indexes`].
-    pub fn harvest_stats(&self) -> Vec<(String, Arc<RelationStats>)> {
-        self.stats
-            .borrow()
-            .iter()
-            .map(|(n, s)| (n.clone(), s.clone()))
-            .collect()
-    }
-
-    /// May a decorrelation entry for `range` be shared through the base
-    /// catalog's solver-scoped cache? Only if the range resolves no
-    /// name this overlay overrides: two overlays over the same base can
-    /// bind different relations to one formal name (fixpoint equations
-    /// do exactly that), so an entry built under one overlay must not
-    /// be served under another. The check expands selector predicates
-    /// transitively — a selector body may reference relations by name
-    /// too — and refuses on any unresolvable selector.
-    fn decorr_shareable(&self, range: &RangeExpr) -> bool {
-        if self.overrides.is_empty() {
-            return true;
-        }
-        let mut rels = rewrite::relation_names(range);
-        let mut pending: Vec<Name> = rewrite::selector_names(range).into_iter().collect();
-        let mut seen: FxHashSet<Name> = FxHashSet::default();
-        while let Some(s) = pending.pop() {
-            if !seen.insert(s.clone()) {
-                continue;
-            }
-            let Ok(def) = self.selector(&s) else {
-                return false;
-            };
-            rels.extend(rewrite::relation_names_formula(&def.predicate));
-            pending.extend(rewrite::selector_names_formula(&def.predicate));
-        }
-        !self.overrides.iter().any(|(n, _)| rels.contains(n))
+        Overlay { base, overrides }
     }
 }
 
@@ -330,52 +187,8 @@ impl Catalog for Overlay<'_> {
         self.base.relation(name)
     }
 
-    fn index(&self, name: &str, positions: &[usize]) -> Option<Arc<HashIndex>> {
-        match self.overrides.iter().find(|(n, _)| n == name) {
-            Some((_, rel)) => {
-                let key = (name.to_string(), positions.to_vec());
-                let mut cache = self.indexes.borrow_mut();
-                Some(
-                    cache
-                        .entry(key)
-                        .or_insert_with(|| Arc::new(HashIndex::build(rel, positions.to_vec())))
-                        .clone(),
-                )
-            }
-            None => self.base.index(name, positions),
-        }
-    }
-
-    fn stats(&self, name: &str) -> Option<Arc<RelationStats>> {
-        match self.overrides.iter().find(|(n, _)| n == name) {
-            Some((_, rel)) => {
-                let mut cache = self.stats.borrow_mut();
-                Some(
-                    cache
-                        .entry(name.to_string())
-                        .or_insert_with(|| Arc::new(RelationStats::collect(rel)))
-                        .clone(),
-                )
-            }
-            None => self.base.stats(name),
-        }
-    }
-
     fn selector(&self, name: &str) -> Result<&SelectorDef, EvalError> {
         self.base.selector(name)
-    }
-
-    fn decorr_entry(&self, range: &RangeExpr) -> Option<DecorrCached> {
-        if !self.decorr_shareable(range) {
-            return None;
-        }
-        self.base.decorr_entry(range)
-    }
-
-    fn cache_decorr_entry(&self, range: &RangeExpr, entry: DecorrCached) {
-        if self.decorr_shareable(range) {
-            self.base.cache_decorr_entry(range, entry);
-        }
     }
 
     fn apply_constructor(
@@ -392,10 +205,8 @@ impl Catalog for Overlay<'_> {
         self.base.scalar_param(name)
     }
 
-    fn version(&self) -> u64 {
-        // Overrides are immutable for the overlay's lifetime; only the
-        // base can change underneath an evaluator.
-        self.base.version()
+    fn access(&self) -> Option<&AccessCache> {
+        self.base.access()
     }
 }
 

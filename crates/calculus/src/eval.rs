@@ -46,8 +46,9 @@
 //!   and correlation atoms ([`joinplan::decorrelate_branch`]): the
 //!   decorrelated part (for multiple bindings, an inner join planned
 //!   through [`joinplan::plan_branch`]) is materialised once per
-//!   evaluator (and catalog version — long-lived catalogs share it
-//!   through [`Catalog::decorr_entry`]), bucketed on the joint key,
+//!   evaluator (catalogs that offer an [`AccessCache`] share it across
+//!   evaluators, keyed by the storage of the relations it read),
+//!   bucketed on the joint key,
 //!   and each outer combination is decided by probe —
 //!   O(|R ⋈ S| + outer × matches) instead of O(outer × |R×S|). The
 //!   split is exact, so the bucket *is* the range value and the full
@@ -84,8 +85,9 @@ use dc_value::{Attribute, Domain, FxHashMap, FxHashSet, Schema, Tuple, Value};
 use dc_trace::metrics::{Counter, MetricsRegistry};
 use dc_trace::SpanKind;
 
+use crate::access::{AccessCache, DecorrCached};
 use crate::ast::{Branch, Formula, RangeExpr, ScalarExpr, SetFormer, Target, Var};
-use crate::env::{Catalog, DecorrCached, MapCatalog};
+use crate::env::{Catalog, MapCatalog};
 use crate::error::EvalError;
 use crate::joinplan::{self, Access, BranchPlan, KeySource, StepRationale};
 use crate::plan_event::{DecorrRefusalReason, PlanEvent, QuantDemotionReason};
@@ -146,20 +148,20 @@ pub struct Evaluator<'a> {
     param_frames: Vec<FxHashMap<String, Value>>,
     /// Cache of binding-free range values.
     range_cache: FxHashMap<RangeExpr, Relation>,
-    /// Cache of indexes built over binding-free ranges.
-    index_cache: FxHashMap<(RangeExpr, Vec<usize>), Arc<HashIndex>>,
-    /// Cache of statistics collected over binding-free ranges.
-    stats_cache: FxHashMap<RangeExpr, RelationStats>,
-    /// Cache of decorrelated correlated quantified ranges, keyed by the
-    /// range's syntax (the split depends only on it). `None` records a
-    /// range whose decorrelation was refused or abandoned, so the
-    /// analysis runs once per range, not once per outer combination.
-    decorr_cache: FxHashMap<RangeExpr, Option<Arc<DecorrEntry>>>,
+    /// Indexes and statistics over the range values this evaluator
+    /// computed itself (they live in `range_cache`, so their storage
+    /// ids are stable) — and over named relations when the catalog
+    /// offers no cache of its own.
+    private: AccessCache,
+    /// The decorrelation decision this evaluator resolved per
+    /// correlated range — one hash of the range syntax per outer
+    /// combination on the hit path. `None` records a refusal.
+    decorr_seen: FxHashMap<RangeExpr, Option<Arc<DecorrEntry>>>,
     /// Cache of quantifier probe plans, keyed by (var, existential,
     /// body syntax): the NNF derivation clones and rewrites the body,
     /// which must not be paid per outer combination. A linear scan —
     /// entries are bounded by the query's quantifier sites — so lookups
-    /// allocate nothing. Purely syntactic; survives version bumps.
+    /// allocate nothing.
     quant_plan_cache: Vec<(Var, bool, Formula, Option<Arc<joinplan::QuantPlan>>)>,
     /// Per-plan-depth probe-key buffers, reused across probes.
     probe_scratch: Vec<Vec<Value>>,
@@ -175,10 +177,6 @@ pub struct Evaluator<'a> {
     /// the executor leaves (shard workers share it), with emitted
     /// tuples counted against its ceiling.
     budget: Option<Meter>,
-    /// The catalog data version the syntax-keyed caches were filled
-    /// under; on mismatch every cache is dropped (mid-solve delta
-    /// commits, see [`Catalog::version`]).
-    cache_version: u64,
     /// Planner trace notes (demotions, abandoned rewrites), deduplicated.
     plan_notes: Vec<String>,
     /// Dedup set for `plan_notes`.
@@ -206,16 +204,14 @@ impl<'a> Evaluator<'a> {
             catalog,
             param_frames: Vec::new(),
             range_cache: FxHashMap::default(),
-            index_cache: FxHashMap::default(),
-            stats_cache: FxHashMap::default(),
-            decorr_cache: FxHashMap::default(),
+            private: AccessCache::new(None),
+            decorr_seen: FxHashMap::default(),
             quant_plan_cache: Vec::new(),
             probe_scratch: Vec::new(),
             nested_loop_only: false,
             threads: 1,
             parallel_threshold: PARALLEL_SCAN_THRESHOLD,
             budget: None,
-            cache_version: catalog.version(),
             plan_notes: Vec::new(),
             noted: FxHashSet::default(),
             noted_keys: Vec::new(),
@@ -382,22 +378,6 @@ impl<'a> Evaluator<'a> {
         self.plan_events.push(ev);
     }
 
-    /// Drop every syntax-keyed cache if the catalog's data version moved
-    /// since the caches were filled (a peer delta committed mid-solve).
-    /// Cached range values, indexes, statistics, and decorrelated
-    /// ranges all describe one consistent catalog snapshot; after a
-    /// commit they describe a stale one and must be rebuilt on demand.
-    fn validate_caches(&mut self) {
-        let v = self.catalog.version();
-        if v != self.cache_version {
-            self.range_cache.clear();
-            self.index_cache.clear();
-            self.stats_cache.clear();
-            self.decorr_cache.clear();
-            self.cache_version = v;
-        }
-    }
-
     /// Evaluate a closed range expression (a query).
     pub fn eval(&mut self, range: &RangeExpr) -> Result<Relation, EvalError> {
         let mut bindings = Vec::new();
@@ -412,7 +392,6 @@ impl<'a> Evaluator<'a> {
     ) -> Result<Relation, EvalError> {
         let cacheable = self.param_frames.is_empty() && is_binding_free(range);
         if cacheable {
-            self.validate_caches();
             if let Some(hit) = self.range_cache.get(range) {
                 return Ok(hit.clone());
             }
@@ -834,62 +813,50 @@ impl<'a> Evaluator<'a> {
         .collect()
     }
 
-    /// Find or build a hash index over `rel` on `positions`. Catalogs
-    /// that maintain indexes (the fixpoint solver) are consulted first
-    /// for named ranges; binding-free ranges get an evaluator-lifetime
-    /// cache; anything else builds a throwaway index (still one O(|rel|)
-    /// pass — the same cost as the single scan it replaces).
+    /// Do access structures over the value of `range` amortise? A named
+    /// relation's do (the catalog hands out the same storage every
+    /// time), and so do those of a binding-free range outside any
+    /// parameter frame (its value sits in `range_cache`). Anything else
+    /// is a fresh value per outer combination.
+    fn amortises(&self, range: &RangeExpr) -> bool {
+        matches!(range, RangeExpr::Rel(_))
+            || (self.param_frames.is_empty() && is_binding_free(range))
+    }
+
+    /// The cache that holds access structures for the value of `range`:
+    /// the catalog owner's for a named relation (it outlives this
+    /// evaluator), the private one for a value computed here.
+    fn access_for(&self, range: &RangeExpr) -> &AccessCache {
+        match (range, self.catalog.access()) {
+            (RangeExpr::Rel(_), Some(shared)) => shared,
+            _ => &self.private,
+        }
+    }
+
+    /// Find or build a hash index over `rel` (the value of `range`) on
+    /// `positions`: through the [`AccessCache`] where it amortises, a
+    /// throwaway otherwise (still one O(|rel|) pass — the same cost as
+    /// the single scan it replaces). Fallible only through the
+    /// `index_build` failpoint; the build itself cannot fail.
     fn obtain_index(
-        &mut self,
+        &self,
         range: &RangeExpr,
         rel: &Relation,
         positions: &[usize],
     ) -> Result<Arc<HashIndex>, EvalError> {
-        // Fallible only through the `index_build` failpoint
-        // (fault-injection testing); the build itself cannot fail.
+        if self.amortises(range) {
+            return Ok(self.access_for(range).index(rel, positions)?);
+        }
         fail::check(Site::IndexBuild)?;
-        if let RangeExpr::Rel(name) = range {
-            if let Some(idx) = self.catalog.index(name, positions) {
-                debug_assert_eq!(idx.len(), rel.len(), "catalog index out of sync for {name}");
-                return Ok(idx);
-            }
-        }
-        if self.param_frames.is_empty() && is_binding_free(range) {
-            self.validate_caches();
-            let key = (range.clone(), positions.to_vec());
-            if let Some(hit) = self.index_cache.get(&key) {
-                return Ok(hit.clone());
-            }
-            let idx = Arc::new(HashIndex::build(rel, positions.to_vec()));
-            self.index_cache.insert(key, idx.clone());
-            return Ok(idx);
-        }
         Ok(Arc::new(HashIndex::build(rel, positions.to_vec())))
     }
 
-    /// Statistics for a probed range. Catalogs that maintain statistics
-    /// incrementally (next to their indexes) answer in O(arity);
-    /// binding-free ranges get an evaluator-lifetime cache; anything
-    /// else pays the one-pass collection.
-    fn range_stats(&mut self, range: &RangeExpr, rel: &Relation) -> RelationStats {
-        if let RangeExpr::Rel(name) = range {
-            if let Some(s) = self.catalog.stats(name) {
-                debug_assert_eq!(
-                    s.cardinality,
-                    rel.len(),
-                    "catalog stats out of sync for {name}"
-                );
-                return (*s).clone();
-            }
-        }
-        if self.param_frames.is_empty() && is_binding_free(range) {
-            self.validate_caches();
-            if let Some(hit) = self.stats_cache.get(range) {
-                return hit.clone();
-            }
-            let s = RelationStats::collect(rel);
-            self.stats_cache.insert(range.clone(), s.clone());
-            return s;
+    /// Statistics for a probed range, cached exactly where
+    /// [`Evaluator::obtain_index`] caches; a binding-dependent value
+    /// pays the one-pass collection.
+    fn range_stats(&self, range: &RangeExpr, rel: &Relation) -> RelationStats {
+        if self.amortises(range) {
+            return (*self.access_for(range).stats(rel)).clone();
         }
         RelationStats::collect(rel)
     }
@@ -918,8 +885,7 @@ impl<'a> Evaluator<'a> {
     /// drop out (leaving a planner trace note), and if none survive the
     /// scan fallback reproduces reference semantics (including error
     /// semantics) exactly. Probes are only attempted where the index
-    /// amortises — named relations (catalog-maintained indexes) and
-    /// binding-free ranges (evaluator cache); a throwaway index per
+    /// amortises ([`Evaluator::amortises`]); a throwaway index per
     /// evaluation would cost the same pass as the scan it replaces.
     /// Correlated ranges are handled before this probe by
     /// [`Evaluator::quant_decorrelate`].
@@ -936,8 +902,7 @@ impl<'a> Evaluator<'a> {
         if self.nested_loop_only || rel.is_empty() {
             return Ok(None);
         }
-        let cacheable = self.param_frames.is_empty() && is_binding_free(range);
-        if !cacheable && !matches!(range, RangeExpr::Rel(_)) {
+        if !self.amortises(range) {
             return Ok(None);
         }
         let Some(plan) = self.quant_plan(var, body, existential) else {
@@ -997,25 +962,7 @@ impl<'a> Evaluator<'a> {
         if positions.is_empty() {
             return Ok(None);
         }
-        let index = if cacheable {
-            // Catalog-maintained or evaluator-cached — `obtain_index`
-            // never builds a throwaway on this path.
-            self.obtain_index(range, rel, &positions)?
-        } else {
-            // Named range under a parameter frame: only a
-            // catalog-maintained index amortises; building one per
-            // evaluation would cost the scan it replaces, so fall back.
-            let RangeExpr::Rel(name) = range else {
-                unreachable!("checked above");
-            };
-            match self.catalog.index(name, &positions) {
-                Some(idx) => {
-                    debug_assert_eq!(idx.len(), rel.len(), "catalog index out of sync for {name}");
-                    idx
-                }
-                None => return Ok(None),
-            }
-        };
+        let index = self.obtain_index(range, rel, &positions)?;
         let hits = index.probe_slice(&key);
         if plan.mode == QuantMode::Covering && hits.len() != rel.len() {
             return Ok(Some(false));
@@ -1113,12 +1060,11 @@ impl<'a> Evaluator<'a> {
     /// [`joinplan::decorrelate_branch`], materialises the decorrelated
     /// part (the inner join of the binding ranges filtered by the local
     /// residual, executed through the ordinary [`joinplan::plan_branch`]
-    /// index-nested-loop machinery) **once** per evaluator and catalog
-    /// version, buckets it on the **joint key** of correlation columns,
-    /// and decides each outer combination by probing:
-    /// O(|R ⋈ S| + outer × matches), magic-set style. Catalogs that
-    /// keep solver state ([`Catalog::decorr_entry`]) share the built
-    /// entry across evaluators within one data epoch.
+    /// index-nested-loop machinery) **once**, buckets it on the **joint
+    /// key** of correlation columns, and decides each outer combination
+    /// by probing: O(|R ⋈ S| + outer × matches), magic-set style.
+    /// Catalogs that offer an [`AccessCache`] share the built entry
+    /// across evaluators ([`Evaluator::resolve_decorr`]).
     ///
     /// Because the split is exact (`pred ≡ residual ∧ atoms`), the
     /// probed bucket *is* the correlated range's value for that outer
@@ -1146,43 +1092,12 @@ impl<'a> Evaluator<'a> {
         if matches!(range, RangeExpr::Rel(_)) || is_binding_free(range) {
             return Ok(None);
         }
-        self.validate_caches();
         // One hash of the range syntax per combination on the hit path.
-        let cached = match self.decorr_cache.get(range) {
+        let cached = match self.decorr_seen.get(range) {
             Some(entry) => entry.clone(),
             None => {
-                // Solver-scoped cache next: a catalog holding fixpoint
-                // state serves entries built by earlier evaluators of
-                // the same epoch, so branch re-evaluations and
-                // semi-naive rounds reuse the join + index instead of
-                // rebuilding per evaluator.
-                let entry = match self.catalog.decorr_entry(range) {
-                    Some(DecorrCached::Built(e)) => Some(e),
-                    Some(DecorrCached::Refused) => {
-                        // The building evaluator recorded *why* it
-                        // refused; an evaluator served the cached
-                        // refusal would otherwise scan silently. Noted
-                        // once per evaluator (this arm only runs on the
-                        // local-cache miss).
-                        self.plan_event(PlanEvent::DecorrRefusal {
-                            reason: DecorrRefusalReason::CachedRefusal,
-                            range: range.to_string(),
-                        });
-                        None
-                    }
-                    None => {
-                        let built = self.build_decorr_entry(range)?;
-                        self.catalog.cache_decorr_entry(
-                            range,
-                            match &built {
-                                Some(e) => DecorrCached::Built(e.clone()),
-                                None => DecorrCached::Refused,
-                            },
-                        );
-                        built
-                    }
-                };
-                self.decorr_cache.insert(range.clone(), entry.clone());
+                let entry = self.resolve_decorr(range)?;
+                self.decorr_seen.insert(range.clone(), entry.clone());
                 entry
             }
         };
@@ -1246,11 +1161,64 @@ impl<'a> Evaluator<'a> {
         }
     }
 
+    /// The decorrelation decision for `range`, through the catalog's
+    /// [`AccessCache`] when it offers one: the entry is keyed by the
+    /// range syntax plus the storage ids of every relation the range
+    /// reads, so it serves later evaluators — other queries, sibling
+    /// sessions, later rounds of a solve — for exactly as long as those
+    /// relations are the ones being read. A range whose reads cannot be
+    /// resolved (it applies a constructor, or names something the
+    /// catalog does not know) is decided for this evaluator only.
+    fn resolve_decorr(&mut self, range: &RangeExpr) -> Result<Option<Arc<DecorrEntry>>, EvalError> {
+        let shared = self.catalog.access().zip(self.decorr_reads(range));
+        if let Some((cache, reads)) = &shared {
+            match cache.decorr(range, reads) {
+                Some(DecorrCached::Built(e)) => return Ok(Some(e)),
+                Some(DecorrCached::Refused) => {
+                    // The building evaluator recorded *why* it refused;
+                    // this one would otherwise scan silently.
+                    self.plan_event(PlanEvent::DecorrRefusal {
+                        reason: DecorrRefusalReason::CachedRefusal,
+                        range: range.to_string(),
+                    });
+                    return Ok(None);
+                }
+                None => {}
+            }
+        }
+        let built = self.build_decorr_entry(range)?;
+        if let Some((cache, reads)) = shared {
+            let decision = match &built {
+                Some(e) => DecorrCached::Built(e.clone()),
+                None => DecorrCached::Refused,
+            };
+            cache.put_decorr(range, reads, decision);
+        }
+        Ok(built)
+    }
+
+    /// Storage ids of every relation `range` reads — its relation
+    /// names and those of the selector predicates it applies,
+    /// transitively ([`joinplan::base_relations`]) — resolved through
+    /// the catalog, in name order. `None` when the profile is
+    /// unresolved.
+    fn decorr_reads(&self, range: &RangeExpr) -> Option<Vec<u64>> {
+        let profile = joinplan::base_relations(range, &SelectorsOf(self.catalog));
+        if profile.unresolved {
+            return None;
+        }
+        profile
+            .reads
+            .iter()
+            .map(|n| Some(self.catalog.relation(n).ok()?.storage_id()))
+            .collect()
+    }
+
     /// Analyse and materialise the decorrelated form of a correlated
     /// quantified range — the once-per-range half of
     /// [`Evaluator::quant_decorrelate`]. Returns `Ok(None)` (with a
     /// planner trace note) when the range cannot be decorrelated
-    /// safely or profitably; the decision is cached either way.
+    /// safely or profitably; the caller caches the decision either way.
     fn build_decorr_entry(
         &mut self,
         range: &RangeExpr,
@@ -1312,8 +1280,6 @@ impl<'a> Evaluator<'a> {
         // sweep over the inner join (amortised over all outer
         // combinations), but the probe only beats the per-combination
         // scan when the correlation columns actually narrow the bucket.
-        // Catalogs that maintain a `StatsBuilder` next to their indexes
-        // answer in O(arity).
         let stats: Vec<RelationStats> = branch
             .bindings
             .iter()
@@ -1840,12 +1806,10 @@ impl<'a> Evaluator<'a> {
 /// The decorrelated form of a correlated quantified range: the
 /// outer-independent part (for multi-binding ranges, the materialised
 /// inner *join* of the binding ranges filtered by the local residual),
-/// bucketed on the **joint key** of correlation columns. Built once per
-/// (range syntax, catalog version) by the evaluator's
-/// `build_decorr_entry`; each outer combination evaluates
-/// the correlation keys and probes. Opaque outside the evaluator —
-/// catalogs holding solver state pass it around through
-/// [`crate::env::DecorrCached`] without inspecting it.
+/// bucketed on the **joint key** of correlation columns. Built by the
+/// evaluator's `build_decorr_entry`; each outer combination evaluates
+/// the correlation keys and probes. Opaque outside the evaluator — the
+/// [`AccessCache`] holds it as a [`DecorrCached`] without inspecting it.
 pub struct DecorrEntry {
     /// Schema of the range's element tuples (the value the quantified
     /// variable is bound to).
@@ -1925,6 +1889,22 @@ enum CompiledKey {
     Fixed(Value),
     /// Read from the binding at stack slot `slot`, field `attr_pos`.
     FromBinding { slot: usize, attr_pos: usize },
+}
+
+/// Selector bodies as the catalog resolves them, for the read profile
+/// behind [`Evaluator::decorr_reads`]. Constructor bodies are not
+/// visible through a [`Catalog`]: a range that applies one profiles as
+/// unresolved.
+struct SelectorsOf<'a>(&'a dyn Catalog);
+
+impl joinplan::DefLookup for SelectorsOf<'_> {
+    fn selector_body(&self, name: &str) -> Option<&Formula> {
+        self.0.selector(name).ok().map(|d| &d.predicate)
+    }
+
+    fn constructor_parts(&self, _name: &str) -> Option<(&SetFormer, Vec<String>)> {
+        None
+    }
 }
 
 /// Is the formula evaluable from bound tuples and parameters alone —
@@ -2728,45 +2708,6 @@ mod tests {
         );
     }
 
-    /// A catalog whose relation can change under a live evaluator, with
-    /// a data version to announce it — the mid-solve commit shape.
-    struct VersionedCatalog {
-        rel: std::cell::RefCell<Relation>,
-        version: std::cell::Cell<u64>,
-    }
-
-    impl Catalog for VersionedCatalog {
-        fn relation(&self, name: &str) -> Result<Relation, EvalError> {
-            if name == "R" {
-                Ok(self.rel.borrow().clone())
-            } else {
-                Err(EvalError::UnknownRelation(name.to_string()))
-            }
-        }
-        fn version(&self) -> u64 {
-            self.version.get()
-        }
-    }
-
-    #[test]
-    fn version_bump_invalidates_syntax_keyed_caches() {
-        let cat = VersionedCatalog {
-            rel: std::cell::RefCell::new(infront(&[("a", "b")])),
-            version: std::cell::Cell::new(0),
-        };
-        let q = rel("R");
-        let mut ev = Evaluator::new(&cat);
-        assert_eq!(ev.eval(&q).unwrap().len(), 1);
-        // Mutate *without* a bump: the evaluator-lifetime cache serves
-        // the old snapshot (documented contract: create a new evaluator
-        // or bump the version).
-        cat.rel.borrow_mut().insert(tuple!["b", "c"]).unwrap();
-        assert_eq!(ev.eval(&q).unwrap().len(), 1);
-        // Bump: the stale entry is dropped and re-read.
-        cat.version.set(1);
-        assert_eq!(ev.eval(&q).unwrap().len(), 2);
-    }
-
     /// A four-relation catalog for the multi-binding (joint-key)
     /// decorrelation shape: `Assign(task, worker)`, `Skill(worker,
     /// tool)` and an outer `Requests(task, tool)`.
@@ -2965,61 +2906,75 @@ mod tests {
         ));
     }
 
-    /// A catalog wrapping [`MapCatalog`] with a decorrelation cache —
-    /// the solver-scoped cache shape, observable for tests.
+    /// A catalog wrapping [`MapCatalog`] with an [`AccessCache`] — the
+    /// long-lived owner shape (database, snapshot, solve), with the
+    /// cache traffic observable through its registry.
     struct CachingCatalog {
         inner: MapCatalog,
-        decorr: std::cell::RefCell<FxHashMap<RangeExpr, DecorrCached>>,
-        stores: std::cell::Cell<usize>,
-        hits: std::cell::Cell<usize>,
+        cache: AccessCache,
+        metrics: Arc<MetricsRegistry>,
+    }
+
+    impl CachingCatalog {
+        fn over(inner: MapCatalog) -> CachingCatalog {
+            let metrics = Arc::new(MetricsRegistry::new());
+            CachingCatalog {
+                inner,
+                cache: AccessCache::new(Some(metrics.clone())),
+                metrics,
+            }
+        }
+
+        /// The one decorrelation entry `range` has in the cache, under
+        /// whatever ids it was built from.
+        fn decorr_of(&self, range: &RangeExpr, reads: &[&str]) -> Option<DecorrCached> {
+            let ids: Vec<u64> = reads
+                .iter()
+                .map(|n| self.inner.relation(n).unwrap().storage_id())
+                .collect();
+            self.cache.decorr(range, &ids)
+        }
     }
 
     impl Catalog for CachingCatalog {
         fn relation(&self, name: &str) -> Result<Relation, EvalError> {
             self.inner.relation(name)
         }
-        fn decorr_entry(&self, range: &RangeExpr) -> Option<DecorrCached> {
-            let hit = self.decorr.borrow().get(range).cloned();
-            if hit.is_some() {
-                self.hits.set(self.hits.get() + 1);
-            }
-            hit
+        fn selector(&self, name: &str) -> Result<&crate::ast::SelectorDef, EvalError> {
+            self.inner.selector(name)
         }
-        fn cache_decorr_entry(&self, range: &RangeExpr, entry: DecorrCached) {
-            self.stores.set(self.stores.get() + 1);
-            self.decorr.borrow_mut().insert(range.clone(), entry);
+        fn access(&self) -> Option<&AccessCache> {
+            Some(&self.cache)
         }
     }
 
     #[test]
-    fn solver_scoped_cache_hit_returns_same_entry_without_rebuild() {
-        let cat = CachingCatalog {
-            inner: staffing_catalog(),
-            decorr: std::cell::RefCell::new(FxHashMap::default()),
-            stores: std::cell::Cell::new(0),
-            hits: std::cell::Cell::new(0),
-        };
+    fn shared_cache_hit_returns_same_entry_without_rebuild() {
+        let cat = CachingCatalog::over(staffing_catalog());
         let e = set_former(vec![Branch::each(
             "r",
             rel("Requests"),
             some("x", qualified_view(), tru()),
         )]);
+        let builds = |cat: &CachingCatalog| cat.metrics.snapshot().warm_decorr_misses;
         let first = Evaluator::new(&cat).eval(&e).unwrap();
-        assert_eq!(cat.stores.get(), 1, "one build, one store");
-        let DecorrCached::Built(entry_after_first) =
-            cat.decorr.borrow().values().next().unwrap().clone()
+        assert_eq!(builds(&cat), 1, "one miss, one build");
+        // The view reads `Assign` and `Skill` (name order).
+        let DecorrCached::Built(entry_after_first) = cat
+            .decorr_of(&qualified_view(), &["Assign", "Skill"])
+            .unwrap()
         else {
             panic!("expected a built entry");
         };
         assert!(entry_after_first.distinct_keys() > 0);
         // A second evaluator (fresh lifetime, same catalog) must serve
-        // the cached entry — same Arc, no rebuild, no second store.
+        // the cached entry — same Arc, no rebuild.
         let second = Evaluator::new(&cat).eval(&e).unwrap();
         assert_eq!(first, second);
-        assert_eq!(cat.stores.get(), 1, "no rebuild on the cache hit");
-        assert!(cat.hits.get() >= 1, "the second evaluator hit the cache");
-        let DecorrCached::Built(entry_after_second) =
-            cat.decorr.borrow().values().next().unwrap().clone()
+        assert_eq!(builds(&cat), 1, "no rebuild on the cache hit");
+        let DecorrCached::Built(entry_after_second) = cat
+            .decorr_of(&qualified_view(), &["Assign", "Skill"])
+            .unwrap()
         else {
             panic!("expected a built entry");
         };
@@ -3027,20 +2982,17 @@ mod tests {
             Arc::ptr_eq(&entry_after_first, &entry_after_second),
             "cache hit must return the same Arc"
         );
+        // Two evaluator hits plus this test's two peeks.
+        assert!(cat.metrics.snapshot().warm_decorr_hits >= 3);
     }
 
     #[test]
     fn cached_refusal_hit_leaves_trace_note() {
         // First evaluator analyses and refuses (inequality correlation
-        // is not splittable) and stores the refusal in the catalog;
+        // is not splittable) and stores the refusal in the cache;
         // a second evaluator served that cached refusal must note the
         // silent-scan decision too — the hit path used to lose it.
-        let cat = CachingCatalog {
-            inner: scene_catalog(),
-            decorr: std::cell::RefCell::new(FxHashMap::default()),
-            stores: std::cell::Cell::new(0),
-            hits: std::cell::Cell::new(0),
-        };
+        let cat = CachingCatalog::over(scene_catalog());
         let inner = set_former(vec![Branch::each(
             "o",
             rel("Ontop"),
@@ -3049,7 +3001,7 @@ mod tests {
         let e = set_former(vec![Branch::each(
             "r",
             rel("Infront"),
-            some("t", inner, tru()),
+            some("t", inner.clone(), tru()),
         )]);
         let mut first = Evaluator::new(&cat);
         first.eval(&e).unwrap();
@@ -3061,10 +3013,12 @@ mod tests {
             "{:?}",
             first.plan_notes()
         );
-        assert_eq!(cat.stores.get(), 1);
+        assert!(matches!(
+            cat.decorr_of(&inner, &["Ontop"]),
+            Some(DecorrCached::Refused)
+        ));
         let mut second = Evaluator::new(&cat);
         second.eval(&e).unwrap();
-        assert!(cat.hits.get() >= 1, "second evaluator hit the cache");
         assert!(
             second
                 .plan_notes()
@@ -3073,6 +3027,25 @@ mod tests {
             "hit path must leave a trace note, got {:?}",
             second.plan_notes()
         );
+    }
+
+    #[test]
+    fn relation_replaced_under_the_same_name_is_never_served_the_old_entries() {
+        // The owner swaps `Ontop` for a different value under the same
+        // name (and keeps the cache): a later evaluator must decide the
+        // correlated quantifier from the new value — the old value's
+        // decorrelated join and indexes are keyed by the old storage.
+        let mut cat = CachingCatalog::over(scene_catalog());
+        let q = correlated_some();
+        let before = Evaluator::new(&cat).eval(&q).unwrap();
+        assert!(!before.is_empty());
+        let ontop = cat.inner.relation("Ontop").unwrap();
+        cat.inner
+            .insert_relation("Ontop", Relation::new(ontop.schema().clone()));
+        let after = Evaluator::new(&cat).eval(&q).unwrap();
+        let reference = Evaluator::new(&cat).force_nested_loop().eval(&q).unwrap();
+        assert_eq!(after, reference);
+        assert!(after.is_empty(), "nothing is on top of anything any more");
     }
 
     /// Evaluate `e` with `threads` workers and the given sharding

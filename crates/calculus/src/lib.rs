@@ -10,6 +10,9 @@
 //!
 //! Crate layout:
 //!
+//! * [`access`] — [`access::AccessCache`], the one cache of indexes,
+//!   statistics, and decorrelated ranges, keyed by the storage identity
+//!   of the relations they describe.
 //! * [`ast`] — the expression types: [`ast::RangeExpr`] (relation-valued),
 //!   [`ast::Formula`] (truth-valued), [`ast::ScalarExpr`] (value-valued),
 //!   plus [`ast::SelectorDef`], the named-predicate abstraction of §2.3.
@@ -49,6 +52,7 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod access;
 pub mod ast;
 pub mod builder;
 pub mod env;
@@ -60,8 +64,9 @@ pub mod positivity;
 pub mod rewrite;
 pub mod typeck;
 
+pub use access::{AccessCache, DecorrCached};
 pub use ast::{Branch, CmpOp, Formula, RangeExpr, ScalarExpr, SelectorDef, SetFormer, Target};
-pub use env::{Catalog, DecorrCached};
+pub use env::Catalog;
 pub use error::EvalError;
 pub use eval::{DecorrEntry, Evaluator, PARALLEL_SCAN_THRESHOLD};
 pub use plan_event::{

@@ -12,9 +12,8 @@ use std::sync::Arc;
 
 use dc_calculus::ast::{Name, SelectorDef};
 use dc_calculus::typeck::{self, ConstructorSig, SchemaCatalog};
-use dc_calculus::{Catalog, DecorrCached, EvalError, Evaluator, Explanation, RangeExpr};
+use dc_calculus::{AccessCache, Catalog, EvalError, Evaluator, Explanation, RangeExpr};
 use dc_governor::{Budget, SolveDiag, SolveError};
-use dc_index::{HashIndex, RelationStats};
 use dc_relation::Relation;
 use dc_trace::metrics::MetricsRegistry;
 use dc_value::{FxHashMap, FxHashSet, Schema, Tuple, Value};
@@ -23,10 +22,6 @@ use crate::constructor::Constructor;
 use crate::error::CoreError;
 use crate::fixpoint::{self, AppKey, ConstructorSource, FixpointConfig, FixpointStats, Strategy};
 use crate::selector::Selector;
-
-/// Base-relation index cache: (relation name, indexed positions) →
-/// index.
-type IndexCache = FxHashMap<(Name, Vec<usize>), Arc<HashIndex>>;
 
 /// An in-memory deductive database: base relations + rules
 /// (constructors) + constraints (selectors).
@@ -40,19 +35,16 @@ pub struct Database {
     /// differential evaluation assumes monotonicity.
     unchecked: FxHashSet<Name>,
     config: FixpointConfig,
-    /// Memo of solved applications; invalidated on any data mutation.
+    /// Memo of solved applications. A body may read relations by name
+    /// that its [`AppKey`] does not cover, so the memo is dropped
+    /// whenever any relation changes (and when the strategy does).
     solved: RefCell<FxHashMap<AppKey, Relation>>,
-    /// Demand-built hash indexes over base relations, served through
-    /// [`Catalog::index`]; invalidated on any data mutation.
-    indexes: RefCell<IndexCache>,
-    /// Cached statistics over base relations, served through
-    /// [`Catalog::stats`]; invalidated together with the indexes.
-    stats: RefCell<FxHashMap<Name, Arc<RelationStats>>>,
-    /// Cached decorrelation entries (materialised joins of correlated
-    /// quantified ranges, bucketed on their joint keys), served through
-    /// [`Catalog::decorr_entry`] so repeated query evaluations reuse
-    /// the build; invalidated together with the indexes.
-    decorr: RefCell<FxHashMap<RangeExpr, DecorrCached>>,
+    /// Indexes, statistics, and decorrelated ranges over the base
+    /// relations, served to every evaluator through
+    /// [`Catalog::access`]. Keyed by storage identity, so a changed
+    /// relation simply misses; [`Database::mutate`] forgets the id it
+    /// had before.
+    access: AccessCache,
     /// Statistics of the most recent fixpoint run.
     last_stats: RefCell<Option<FixpointStats>>,
     /// The metrics registry every solve and query evaluation records
@@ -83,18 +75,18 @@ impl Database {
             unchecked: FxHashSet::default(),
             config,
             solved: RefCell::new(FxHashMap::default()),
-            indexes: RefCell::new(FxHashMap::default()),
-            stats: RefCell::new(FxHashMap::default()),
-            decorr: RefCell::new(FxHashMap::default()),
+            access: AccessCache::new(Some(metrics.clone())),
             last_stats: RefCell::new(None),
             metrics,
         }
     }
 
-    /// Set the fixpoint strategy (naive vs. semi-naive).
+    /// Set the fixpoint strategy (naive vs. semi-naive). The one
+    /// setting that can change a result (of a non-monotone system), so
+    /// the one that drops the solved memo.
     pub fn set_strategy(&mut self, strategy: Strategy) {
         self.config.strategy = strategy;
-        self.invalidate();
+        self.solved.borrow_mut().clear();
     }
 
     /// Enable or disable index-nested-loop join execution (on by
@@ -103,7 +95,6 @@ impl Database {
     /// differential tests and benchmark comparisons.
     pub fn set_use_indexes(&mut self, on: bool) {
         self.config.use_indexes = on;
-        self.invalidate();
     }
 
     /// Set the worker-thread count (round task dispatch inside a
@@ -115,7 +106,6 @@ impl Database {
     /// setting; only wall-clock time changes.
     pub fn set_threads(&mut self, threads: usize) {
         self.config.threads = threads;
-        self.invalidate();
     }
 
     /// Attach (or, with `None`, remove) a resource budget governing
@@ -128,7 +118,6 @@ impl Database {
     /// aborted work.
     pub fn set_budget(&mut self, budget: Option<Budget>) {
         self.config.budget = budget;
-        self.invalidate();
     }
 
     /// Current fixpoint configuration.
@@ -136,24 +125,45 @@ impl Database {
         &self.config
     }
 
-    /// Mutable fixpoint configuration (invalidates the memo).
+    /// Mutable fixpoint configuration (drops the solved memo: the
+    /// caller may change the strategy through it).
     pub fn config_mut(&mut self) -> &mut FixpointConfig {
-        self.invalidate();
+        self.solved.borrow_mut().clear();
         &mut self.config
     }
 
-    fn invalidate(&self) {
+    /// Drop the memo of solved constructor applications *and* every
+    /// cached access structure. Mutations drop what they must by
+    /// themselves; benchmarks call this to measure cold evaluations.
+    pub fn clear_solved_cache(&self) {
         self.solved.borrow_mut().clear();
-        self.indexes.borrow_mut().clear();
-        self.stats.borrow_mut().clear();
-        self.decorr.borrow_mut().clear();
+        self.access.retain(&[]);
     }
 
-    /// Drop the memo of solved constructor applications. Mutations do
-    /// this automatically; benchmarks call it explicitly to measure
-    /// cold evaluations.
-    pub fn clear_solved_cache(&self) {
-        self.invalidate();
+    /// Run a mutation on relation `rel`. Iff it changed the relation —
+    /// the storage id moved; a duplicate insert or a rejected tuple
+    /// leaves it alone — the structures cached about the old value are
+    /// forgotten and the solved memo is dropped. Nothing else is ever
+    /// invalidated by hand.
+    fn mutate<T>(
+        &mut self,
+        rel: &str,
+        f: impl FnOnce(&mut Relation) -> Result<T, CoreError>,
+    ) -> Result<T, CoreError> {
+        let r = self
+            .relations
+            .get_mut(rel)
+            .ok_or_else(|| CoreError::Unknown {
+                kind: "relation",
+                name: rel.to_string(),
+            })?;
+        let old = r.storage_id();
+        let out = f(r);
+        if r.storage_id() != old {
+            self.access.forget(old);
+            self.solved.borrow_mut().clear();
+        }
+        out
     }
 
     // ------------------------------------------------------------------
@@ -174,36 +184,30 @@ impl Database {
             });
         }
         self.relations.insert(name, Relation::new(schema));
-        self.invalidate();
         Ok(())
     }
 
     /// Insert one tuple (schema- and key-checked).
     pub fn insert(&mut self, rel: &str, tuple: Tuple) -> Result<bool, CoreError> {
-        self.invalidate();
-        let r = self
-            .relations
-            .get_mut(rel)
-            .ok_or_else(|| CoreError::Unknown {
-                kind: "relation",
-                name: rel.to_string(),
-            })?;
-        Ok(r.insert(tuple)?)
+        self.mutate(rel, |r| Ok(r.insert(tuple)?))
     }
 
-    /// Insert many tuples.
+    /// Insert many tuples; returns how many were new. Tuples before a
+    /// rejected one stay inserted.
     pub fn insert_all<I: IntoIterator<Item = Tuple>>(
         &mut self,
         rel: &str,
         tuples: I,
     ) -> Result<usize, CoreError> {
-        let mut n = 0;
-        for t in tuples {
-            if self.insert(rel, t)? {
-                n += 1;
+        self.mutate(rel, |r| {
+            let mut n = 0;
+            for t in tuples {
+                if r.insert(t)? {
+                    n += 1;
+                }
             }
-        }
-        Ok(n)
+            Ok(n)
+        })
     }
 
     /// Borrow a relation's current value.
@@ -216,16 +220,7 @@ impl Database {
 
     /// Whole-relation assignment (`rel := rex`, §2.2): key-checked.
     pub fn assign(&mut self, rel: &str, source: &Relation) -> Result<(), CoreError> {
-        self.invalidate();
-        let r = self
-            .relations
-            .get_mut(rel)
-            .ok_or_else(|| CoreError::Unknown {
-                kind: "relation",
-                name: rel.to_string(),
-            })?;
-        r.assign(source)?;
-        Ok(())
+        self.mutate(rel, |r| Ok(r.assign(source)?))
     }
 
     /// Assignment through a selected relation variable
@@ -256,9 +251,10 @@ impl Database {
         }
         let mut staged = Relation::new(self.relations[rel].schema().clone());
         sel.guard_assign(&mut staged, source, args, self)?;
-        self.invalidate();
-        self.relations.insert(rel.to_string(), staged);
-        Ok(())
+        self.mutate(rel, |r| {
+            *r = staged;
+            Ok(())
+        })
     }
 
     /// Names of all relations, sorted (deterministic listing).
@@ -356,7 +352,6 @@ impl Database {
         for c in cs {
             self.constructors.insert(c.name.clone(), c);
         }
-        self.invalidate();
         Ok(())
     }
 
@@ -444,12 +439,11 @@ impl Database {
     }
 
     /// Decompose the database into its definition and data parts,
-    /// dropping the (thread-local, `RefCell`-backed) caches. This is
-    /// the snapshot-publication hook the serving layer (`dc-server`)
-    /// uses to take over a fully defined database: the parts are plain
+    /// dropping the solved memo and the access cache. This is the
+    /// snapshot-publication hook the serving layer (`dc-server`) uses
+    /// to take over a fully defined database: the parts are plain
     /// `Send + Sync` values from which the server builds its first
-    /// immutable snapshot, while cache state is rebuilt snapshot-side
-    /// where it can be shared across sessions.
+    /// immutable snapshot, which starts a cache of its own.
     pub fn into_parts(self) -> DatabaseParts {
         DatabaseParts {
             relations: self.relations,
@@ -502,34 +496,6 @@ impl Catalog for Database {
             .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))
     }
 
-    /// Serve (and cache) indexes over base relations: a database lives
-    /// across many query evaluations, so one build amortises over every
-    /// evaluator, selector frame, and fixpoint solve that probes the
-    /// relation. Caches are dropped on any data mutation.
-    fn index(&self, name: &str, positions: &[usize]) -> Option<Arc<HashIndex>> {
-        let key = (name.to_string(), positions.to_vec());
-        if let Some(idx) = self.indexes.borrow().get(&key) {
-            return Some(idx.clone());
-        }
-        let rel = self.relations.get(name)?;
-        let idx = Arc::new(HashIndex::build(rel, positions.to_vec()));
-        self.indexes.borrow_mut().insert(key, idx.clone());
-        Some(idx)
-    }
-
-    /// Serve (and cache) statistics over base relations, so the join
-    /// planner's per-branch collection pass hits a cache instead of
-    /// rescanning. Invalidated together with the index cache.
-    fn stats(&self, name: &str) -> Option<Arc<RelationStats>> {
-        if let Some(s) = self.stats.borrow().get(name) {
-            return Some(s.clone());
-        }
-        let rel = self.relations.get(name)?;
-        let s = Arc::new(RelationStats::collect(rel));
-        self.stats.borrow_mut().insert(name.to_string(), s.clone());
-        Some(s)
-    }
-
     fn selector(&self, name: &str) -> Result<&SelectorDef, EvalError> {
         self.selectors
             .get(name)
@@ -537,20 +503,8 @@ impl Catalog for Database {
             .ok_or_else(|| EvalError::UnknownSelector(name.to_string()))
     }
 
-    /// Serve (and store) decorrelation entries for correlated
-    /// quantified ranges: a database lives across many query
-    /// evaluations, so the materialised join of a correlated view is
-    /// built once and probed by every later evaluator. Mutation
-    /// invalidates, like the index and statistics caches; selector and
-    /// constructor definitions are immutable once registered, so the
-    /// substituted predicates inside an entry cannot go stale any other
-    /// way.
-    fn decorr_entry(&self, range: &RangeExpr) -> Option<DecorrCached> {
-        self.decorr.borrow().get(range).cloned()
-    }
-
-    fn cache_decorr_entry(&self, range: &RangeExpr, entry: DecorrCached) {
-        self.decorr.borrow_mut().insert(range.clone(), entry);
+    fn access(&self) -> Option<&AccessCache> {
+        Some(&self.access)
     }
 
     fn apply_constructor(
@@ -574,13 +528,10 @@ impl Catalog for Database {
         // anywhere inside (evaluator, planner, a bug in a body) becomes
         // a structured `WorkerPanic` instead of tearing the process
         // down. `AssertUnwindSafe` is sound here because the solve
-        // never mutates `self.relations` — the only state it touches
-        // through `&self` are the demand-built caches (indexes, stats,
-        // decorrelation entries), which are rebuilt on demand and whose
-        // `RefCell` borrows are released during unwinding. Together
-        // with the success-only inserts below, this makes every abort
-        // atomic: the database is observationally at its pre-solve
-        // snapshot.
+        // never mutates `self.relations`, and the access structures it
+        // builds go into a cache of its own. Together with the
+        // success-only inserts below, this makes every abort atomic:
+        // the database is observationally at its pre-solve snapshot.
         let solved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             fixpoint::solve(self, name, base, args, scalar_args, &cfg)
         }));
@@ -793,6 +744,51 @@ mod tests {
         let c = db.eval(&q).unwrap();
         assert!(c.len() > b.len());
         assert!(c.contains(&tuple!["vase", "window"]));
+    }
+
+    #[test]
+    fn only_effective_mutations_invalidate_and_only_what_changed() {
+        let mut db = scene_db();
+        db.create_relation("Other", infrontrel()).unwrap();
+        db.insert("Other", tuple!["a", "b"]).unwrap();
+        let index_of = |db: &Database, name: &str| {
+            let r = db.relation_ref(name).unwrap();
+            db.access.index(r, &[0]).unwrap()
+        };
+        let closure_q = rel("Infront").construct("ahead", vec![]);
+        let two_hop = set_former(vec![Branch::projecting(
+            vec![attr("f", "front"), attr("b", "back")],
+            vec![("f".into(), rel("Infront")), ("b".into(), rel("Infront"))],
+            eq(attr("f", "back"), attr("b", "front")),
+        )]);
+        let closure = db.eval(&closure_q).unwrap();
+        assert_eq!(db.eval(&two_hop).unwrap().len(), 2);
+        let (infront, other) = (index_of(&db, "Infront"), index_of(&db, "Other"));
+        let runs = db.metrics().snapshot().solve_runs;
+        // A duplicate tuple, a rejected tuple, an unknown relation, and
+        // settings that cannot change a result invalidate nothing.
+        assert!(!db.insert("Infront", tuple!["vase", "table"]).unwrap());
+        assert!(db.insert("Infront", tuple!["vase"]).is_err());
+        assert!(db.insert("Nowhere", tuple!["a", "b"]).is_err());
+        db.set_threads(1);
+        db.set_budget(None);
+        db.set_use_indexes(true);
+        assert_eq!(db.eval(&closure_q).unwrap(), closure);
+        assert_eq!(db.metrics().snapshot().solve_runs, runs);
+        assert!(Arc::ptr_eq(&infront, &index_of(&db, "Infront")));
+        // An effective mutation of `Infront` leaves `Other`'s index
+        // alone and gets `Infront` a new, correct one.
+        assert!(db.insert("Infront", tuple!["wall", "window"]).unwrap());
+        assert!(Arc::ptr_eq(&other, &index_of(&db, "Other")));
+        let rebuilt = index_of(&db, "Infront");
+        assert!(!Arc::ptr_eq(&infront, &rebuilt));
+        assert_eq!(rebuilt.len(), 4);
+        let (hops, grown) = (db.eval(&two_hop).unwrap(), db.eval(&closure_q).unwrap());
+        assert_eq!(db.metrics().snapshot().solve_runs, runs + 1);
+        db.set_use_indexes(false);
+        db.clear_solved_cache();
+        assert_eq!(db.eval(&two_hop).unwrap(), hops);
+        assert_eq!(db.eval(&closure_q).unwrap(), grown);
     }
 
     #[test]

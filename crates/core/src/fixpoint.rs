@@ -47,11 +47,14 @@
 //! cross-equation parallelism, impure branches included (quantifier
 //! probes, decorrelated builds: they only need the frozen snapshot).
 //! This is the solve's only parallelism: a task never shards its own
-//! scan. Each task returns its value plus an
-//! ordered effect log; the solver replays the logs single-threaded at
-//! the commit site, so registration, index/statistics maintenance, and
-//! delta commits stay serialized and `threads = N` commits relations
-//! identical to `threads = 1`.
+//! scan. Each task returns its value plus the
+//! constructor applications it met for the first time; the solver
+//! replays those single-threaded at the commit site, so registration
+//! and delta commits stay serialized and `threads = N` commits
+//! relations identical to `threads = 1`. Indexes, statistics, and
+//! decorrelated ranges live in the solve's one [`AccessCache`], keyed
+//! by storage identity: tasks fill it directly from any thread, and
+//! the commit site [`AccessCache::advance`]s each grown equation value.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -59,10 +62,9 @@ use std::sync::Arc;
 use dc_calculus::ast::{Branch, Formula, Name, RangeExpr, SetFormer};
 use dc_calculus::env::Overlay;
 use dc_calculus::rewrite;
-use dc_calculus::{Catalog, DecorrCached, EvalError, Evaluator};
+use dc_calculus::{AccessCache, Catalog, EvalError, Evaluator};
 use dc_governor::fail::{self, Site};
 use dc_governor::{Budget, Meter, SolveDiag, SolveError};
-use dc_index::{HashIndex, RelationStats, StatsBuilder};
 use dc_relation::{algebra, Relation};
 use dc_trace::metrics::{Counter, Histogram, MetricsRegistry};
 use dc_trace::SpanKind;
@@ -102,9 +104,9 @@ pub struct FixpointConfig {
     /// machine's available parallelism; `1` is the exact sequential
     /// path; any other value is used as given (up to the pool's cap).
     /// Results are identical for every setting: a round's branch tasks
-    /// run on workers against a frozen snapshot, while registration,
-    /// index/statistics maintenance, and delta commits stay on the
-    /// solver thread (the PR 2 invariant). Outside a solve, the same
+    /// run on workers against a frozen snapshot, while registration
+    /// and delta commits (with the index/statistics maintenance they
+    /// carry) stay on the solver thread. Outside a solve, the same
     /// knob sizes the scan shards of a one-shot query branch.
     pub threads: usize,
     /// Scan-side cardinality floor for parallel work (default
@@ -155,9 +157,10 @@ pub struct FixpointStats {
     pub equations: usize,
     /// Total tuples across all equation values at the fixpoint.
     pub total_tuples: usize,
-    /// Number of hash indexes the solver kept incrementally maintained
-    /// across rounds (equation values, equation overrides, and base
-    /// relations) — observability for the scan→probe architecture.
+    /// Number of hash indexes in the solve's [`AccessCache`] at
+    /// convergence (over equation values — maintained incrementally —
+    /// and over the base relations and actuals the bodies probed) —
+    /// observability for the scan→probe architecture.
     pub maintained_indexes: usize,
     /// Budget checks performed (evaluator/worker ticks + round checks).
     /// Non-zero even on unbounded solves — the meter always counts.
@@ -344,54 +347,18 @@ struct Equation {
     provenance: Option<FxHashMap<Name, Name>>,
 }
 
-/// Indexes over one relation, keyed by (name, indexed positions).
-type NamedIndexMap = FxHashMap<(Name, Vec<usize>), Arc<HashIndex>>;
-
 /// Mutable solver state shared with the evaluation catalog.
 struct State {
     equations: Vec<Equation>,
     index: FxHashMap<AppKey, usize>,
     current: Vec<Relation>,
     delta: Vec<Relation>,
-    /// Per-equation hash indexes over the *accumulated* value, keyed by
-    /// indexed positions. Registered the first time the join executor
-    /// probes the value, then maintained incrementally: each committed
-    /// delta tuple is `add`ed instead of rebuilding the index.
-    current_indexes: Vec<FxHashMap<Vec<usize>, Arc<HashIndex>>>,
-    /// Per-equation indexes over the (immutable) override relations —
-    /// the formal base relation and relation parameters. Built on first
-    /// executor demand, reused for every later round.
-    override_indexes: Vec<NamedIndexMap>,
-    /// Indexes over base-catalog relations, shared by all equations
-    /// (base relations do not change during a solve).
-    base_indexes: NamedIndexMap,
-    /// Per-equation statistics over the *accumulated* value, maintained
-    /// at the same commit site as `current_indexes` (the invariant
-    /// documented in `dc_index::stats`): each committed delta tuple is
-    /// `add`ed, so planner snapshots cost O(arity) instead of a pass.
-    current_stats: Vec<StatsBuilder>,
-    /// Per-equation statistics over the (immutable) override relations,
-    /// harvested from overlay demand and preloaded every later round.
-    override_stats: Vec<FxHashMap<Name, Arc<RelationStats>>>,
-    /// Statistics over base-catalog relations, computed once per solve.
-    base_stats: FxHashMap<Name, Arc<RelationStats>>,
-    /// Data epoch: bumped whenever a delta commits (equation values
-    /// change mid-solve). Served through [`Catalog::version`] so any
-    /// evaluator alive across a commit drops its syntax-keyed caches
-    /// (range values, transient decorrelation indexes, statistics)
-    /// instead of serving a stale snapshot.
-    epoch: u64,
-    /// Solver-scoped decorrelation cache, keyed by (range syntax,
-    /// `decorr_epoch`): entries built by one evaluator are served to
-    /// every later branch evaluation and semi-naive round of the same
-    /// epoch through [`Catalog::decorr_entry`], so the materialised
-    /// join + joint-key index is built once per epoch instead of once
-    /// per evaluator. A delta commit bumps `epoch`; the mismatch lazily
-    /// drops the whole cache — exactly the invalidation the evaluator's
-    /// own syntax-keyed caches undergo.
-    decorr: FxHashMap<RangeExpr, DecorrCached>,
-    /// The epoch `decorr`'s entries were built under.
-    decorr_epoch: u64,
+    /// The solve's access cache: every index, statistics entry, and
+    /// decorrelated range any branch evaluation of this solve builds,
+    /// keyed by the storage of the relation it describes — base
+    /// relations and actuals (stable for the whole solve), equation
+    /// values (advanced at commit), deltas (forgotten at commit).
+    access: Arc<AccessCache>,
     /// The pre-resolved base-catalog slice frozen into every round
     /// snapshot — grown on the solver thread each time an equation
     /// registers, `Arc`-shared so a freeze is a pointer bump.
@@ -465,11 +432,6 @@ impl State {
         let i = self.equations.len();
         self.current.push(Relation::new(ctor.result.clone()));
         self.delta.push(Relation::new(ctor.result.clone()));
-        self.current_indexes.push(FxHashMap::default());
-        self.override_indexes.push(FxHashMap::default());
-        self.current_stats
-            .push(StatsBuilder::new(ctor.result.arity()));
-        self.override_stats.push(FxHashMap::default());
         self.equations.push(Equation {
             key: key.clone(),
             body: Arc::new(body),
@@ -485,25 +447,22 @@ impl State {
     }
 
     /// Freeze the immutable view one round's branch tasks evaluate
-    /// against. Cheap by construction: relations are COW handles, the
-    /// caches hold `Arc`s, and the universe is one `Arc` bump. A stale
-    /// decorrelation cache (entries from before the last commit) is
-    /// frozen as empty — the same entries `decorr_entry` would refuse
-    /// to serve.
+    /// against. Cheap by construction: relations are COW handles, and
+    /// the universe and the access cache are one `Arc` bump each.
     fn freeze(&self) -> Arc<EvalSnapshot> {
         Arc::new(EvalSnapshot {
-            epoch: self.epoch,
             universe: self.universe.clone(),
             index: self.index.clone(),
             current: self.current.clone(),
-            base_indexes: self.base_indexes.clone(),
-            base_stats: self.base_stats.clone(),
-            decorr: if self.decorr_epoch == self.epoch {
-                self.decorr.clone()
-            } else {
-                FxHashMap::default()
-            },
+            access: self.access.clone(),
         })
+    }
+
+    /// Replace equation `i`'s per-round delta; the outgoing one is
+    /// never read again, so whatever was cached about it goes too.
+    fn set_delta(&mut self, i: usize, delta: Relation) {
+        self.access.forget(self.delta[i].storage_id());
+        self.delta[i] = delta;
     }
 }
 
@@ -550,6 +509,25 @@ struct SolverCatalog<'a> {
     source: &'a dyn ConstructorSource,
     state: &'a RefCell<State>,
     knobs: ExecKnobs,
+    /// `State::access`, held outside the `RefCell` so it can be lent
+    /// to evaluators.
+    access: Arc<AccessCache>,
+}
+
+impl<'a> SolverCatalog<'a> {
+    fn new(
+        source: &'a dyn ConstructorSource,
+        state: &'a RefCell<State>,
+        knobs: ExecKnobs,
+    ) -> SolverCatalog<'a> {
+        let access = state.borrow().access.clone();
+        SolverCatalog {
+            source,
+            state,
+            knobs,
+            access,
+        }
+    }
 }
 
 impl ExecKnobs {
@@ -610,66 +588,8 @@ impl Catalog for SolverCatalog<'_> {
         self.source.base_catalog().scalar_param(name)
     }
 
-    /// Serve (and cache) indexes over base-catalog relations: those are
-    /// immutable for the duration of a solve, so one build amortises
-    /// over every equation, branch, and round that probes them.
-    fn index(&self, name: &str, positions: &[usize]) -> Option<Arc<HashIndex>> {
-        let key = (name.to_string(), positions.to_vec());
-        if let Some(idx) = self.state.borrow().base_indexes.get(&key) {
-            return Some(idx.clone());
-        }
-        let rel = self.source.base_catalog().relation(name).ok()?;
-        let idx = Arc::new(HashIndex::build(&rel, positions.to_vec()));
-        self.state
-            .borrow_mut()
-            .base_indexes
-            .insert(key, idx.clone());
-        Some(idx)
-    }
-
-    /// The solver's data epoch — see `State::epoch`.
-    fn version(&self) -> u64 {
-        self.state.borrow().epoch
-    }
-
-    /// Serve a decorrelation entry built earlier in the *current*
-    /// epoch. Entries from before the last delta commit describe a
-    /// stale snapshot and are never served (the cache is dropped lazily
-    /// on the epoch mismatch instead of eagerly at commit).
-    fn decorr_entry(&self, range: &RangeExpr) -> Option<DecorrCached> {
-        let st = self.state.borrow();
-        if st.decorr_epoch != st.epoch {
-            return None;
-        }
-        st.decorr.get(range).cloned()
-    }
-
-    /// Keep a decorrelation entry for the rest of the current epoch —
-    /// later branch evaluations and semi-naive rounds probe the same
-    /// materialised join instead of rebuilding it per evaluator.
-    fn cache_decorr_entry(&self, range: &RangeExpr, entry: DecorrCached) {
-        let mut st = self.state.borrow_mut();
-        if st.decorr_epoch != st.epoch {
-            st.decorr.clear();
-            st.decorr_epoch = st.epoch;
-        }
-        st.decorr.insert(range.clone(), entry);
-    }
-
-    /// Serve (and cache) statistics over base-catalog relations — one
-    /// collection pass per solve, every later planner consultation is
-    /// O(arity).
-    fn stats(&self, name: &str) -> Option<Arc<RelationStats>> {
-        if let Some(s) = self.state.borrow().base_stats.get(name) {
-            return Some(s.clone());
-        }
-        let rel = self.source.base_catalog().relation(name).ok()?;
-        let s = Arc::new(RelationStats::collect(&rel));
-        self.state
-            .borrow_mut()
-            .base_stats
-            .insert(name.to_string(), s.clone());
-        Some(s)
+    fn access(&self) -> Option<&AccessCache> {
+        Some(&self.access)
     }
 }
 
@@ -699,8 +619,9 @@ fn conform(rel: Relation, schema: &dc_value::Schema) -> Result<Relation, EvalErr
 const DELTA_MARKER: &str = "\u{394}delta";
 
 /// Internal marker name binding a peer equation's *accumulated* value
-/// in differential rounds, so the executor can probe the solver's
-/// incrementally maintained indexes instead of rescanning.
+/// in differential rounds, so the executor sees it as a named relation
+/// and probes the incrementally maintained indexes the solve's cache
+/// holds under its storage id instead of rescanning.
 const CURRENT_MARKER: &str = "\u{394}cur";
 
 /// The base-catalog provenance of an actual bound to a formal: a plain
@@ -745,11 +666,7 @@ fn seed_equation(
             st.equations[i].overrides.clone(),
         )
     };
-    let catalog = SolverCatalog {
-        source,
-        state,
-        knobs: knobs.clone(),
-    };
+    let catalog = SolverCatalog::new(source, state, knobs.clone());
     let apps = rewrite::collect_constructed(&RangeExpr::SetFormer((*body).clone()));
     for app in apps {
         let RangeExpr::Constructed {
@@ -811,12 +728,6 @@ struct SolvedEquation {
     result: dc_value::Schema,
     /// The converged value.
     value: Relation,
-    /// The incrementally maintained indexes over `value` — carried so
-    /// a warm refresh probes them immediately instead of rebuilding
-    /// O(|value|) structures per commit.
-    indexes: FxHashMap<Vec<usize>, Arc<HashIndex>>,
-    /// The maintained statistics over `value`, same reason.
-    stats: StatsBuilder,
 }
 
 /// The materialised state of a converged equation system, returned by
@@ -825,6 +736,11 @@ struct SolvedEquation {
 /// readable.
 pub struct SolvedSystem {
     equations: Vec<SolvedEquation>,
+    /// The solve's cache, cut down to the entries over the equation
+    /// values: a warm refresh starts from a copy and probes the
+    /// maintained indexes immediately instead of rebuilding O(|value|)
+    /// structures per commit.
+    access: Arc<AccessCache>,
 }
 
 impl SolvedSystem {
@@ -900,9 +816,9 @@ pub fn solve(
 }
 
 /// [`solve`], additionally capturing the converged system's
-/// materialised state (per-equation values, maintained indexes and
-/// statistics) so a later [`solve_warm`] can re-enter the semi-naive
-/// rounds instead of starting over. `base_name`/`arg_names` name the
+/// materialised state (per-equation values and the access structures
+/// maintained over them) so a later [`solve_warm`] can re-enter the
+/// semi-naive rounds instead of starting over. `base_name`/`arg_names` name the
 /// catalog relations the actuals came from — the provenance warm
 /// starts use to route base deltas to formals.
 #[allow(clippy::too_many_arguments)]
@@ -1028,15 +944,12 @@ fn solve_inner(
         index: FxHashMap::default(),
         current: Vec::new(),
         delta: Vec::new(),
-        current_indexes: Vec::new(),
-        override_indexes: Vec::new(),
-        base_indexes: FxHashMap::default(),
-        current_stats: Vec::new(),
-        override_stats: Vec::new(),
-        base_stats: FxHashMap::default(),
-        epoch: 0,
-        decorr: FxHashMap::default(),
-        decorr_epoch: 0,
+        // A warm start seeds the equation values from `prev`, storage
+        // and all, so its entries are this solve's from the first round.
+        access: Arc::new(match warm {
+            Some((prev, _)) => AccessCache::clone(&prev.access),
+            None => AccessCache::new(cfg.metrics.clone()),
+        }),
         universe: Arc::new(Universe::default()),
     });
     let root_key = AppKey::new(constructor, &base, &args, &scalar_args);
@@ -1051,11 +964,7 @@ fn solve_inner(
     let knobs = ExecKnobs::of(cfg);
     let meter = knobs.budget.clone();
     seed_equation(source, &state, 0, &knobs)?;
-    let catalog = SolverCatalog {
-        source,
-        state: &state,
-        knobs,
-    };
+    let catalog = SolverCatalog::new(source, &state, knobs);
 
     // Warm start: validate the registered system against the previous
     // capture, seed every equation's accumulated state from it, and
@@ -1105,7 +1014,7 @@ fn solve_inner(
         // accumulated value and result schema, resolve recursive
         // applications, and rewrite Linear branches onto marker
         // relations — everything that may *register* or reads the
-        // mutable caches happens here, before the freeze.
+        // solver state happens here, before the freeze.
         let mut tasks: Vec<BranchTask> = Vec::new();
         let mut round_current: Vec<Relation> = Vec::with_capacity(n);
         let mut round_schemas: Vec<dc_value::Schema> = Vec::with_capacity(n);
@@ -1128,7 +1037,7 @@ fn solve_inner(
             }
         }
         drop(prep_span);
-        // ---- Freeze. Everything a branch task reads, at one epoch;
+        // ---- Freeze. Everything a branch task reads, at one round;
         // equations registered during prep are visible (at ∅), exactly
         // as a mid-round registration is on the sequential path.
         let snap = {
@@ -1166,7 +1075,7 @@ fn solve_inner(
         drop(eval_span);
         let commit_span = phase_span("replay+commit");
         // ---- Process (solver thread, task order — the sequential
-        // evaluation order). Replay each task's effect log, then absorb
+        // evaluation order). Replay each task's registrations, then absorb
         // its value; a worker panic degrades that one task to an inline
         // sequential retry. Staged results keep the Jacobi simultaneous
         // update, matching the paper's Oldahead/Oldabove loop.
@@ -1216,21 +1125,9 @@ fn solve_inner(
                     ));
                 }
             };
-            let TaskOutcome {
-                value,
-                effects,
-                harvest_indexes,
-                harvest_stats,
-            } = outcome;
+            let TaskOutcome { value, effects } = outcome;
             replay_effects(source, &state, &catalog.knobs, effects)
                 .map_err(|e| enrich_solve_error(e, &state, &meter, task.eq, iterations - 1))?;
-            replay_harvest(
-                &state,
-                task.eq,
-                &task.cur_markers,
-                harvest_indexes,
-                harvest_stats,
-            );
             match cfg.strategy {
                 Strategy::SemiNaive => {
                     absorb(&round_current[task.eq], &mut fresh[task.eq], &value).map_err(|e| {
@@ -1282,46 +1179,37 @@ fn solve_inner(
             for (i, result) in staged.into_iter().enumerate() {
                 match result {
                     RoundResult::Unchanged => {
-                        // Nothing moved: the accumulated value, its
-                        // indexes, and its statistics all stand; only
-                        // the per-round delta resets.
+                        // Nothing moved: the accumulated value and
+                        // everything cached about it stand; only the
+                        // per-round delta resets.
                         if !st.delta[i].is_empty() {
-                            st.delta[i] = Relation::new(st.current[i].schema().clone());
+                            let empty = Relation::new(st.current[i].schema().clone());
+                            st.set_delta(i, empty);
                         }
                     }
                     RoundResult::Full(new_val) => {
                         // Wholesale replacement (naive strategy):
                         // non-monotone (unchecked) systems can shrink as
-                        // well as grow, so any accumulated-value indexes
-                        // are invalidated (rebuilt on demand) and the
-                        // maintained statistics are reset at the same
-                        // invalidation site (stats updated iff indexes
-                        // updated). Nothing consumes current-value stats
-                        // under the naive strategy — only differential
-                        // rounds bind peers through markers — so an
-                        // empty builder is the honest state, not a
-                        // per-round O(|relation|) rebuild.
+                        // well as grow. Nothing is cached about the
+                        // outgoing value — only differential rounds bind
+                        // peers as named (marker) relations.
                         let added = algebra::difference(&new_val, &st.current[i])
                             .map_err(EvalError::from)?;
                         delta_tuples += added.len() as u64;
                         if st.current[i] != new_val {
                             changed = true;
-                            st.current_indexes[i].clear();
-                            st.current_stats[i] = StatsBuilder::new(new_val.schema().arity());
                         }
-                        st.delta[i] = added;
+                        st.set_delta(i, added);
                         st.current[i] = new_val;
                     }
                     RoundResult::Delta(added) => {
                         // Monotone growth (semi-naive): `added` is
-                        // exactly the new tuples. The accumulated value,
-                        // its maintained indexes, and its maintained
-                        // statistics all absorb the same delta here —
-                        // O(|delta|), no rebuild, no re-diff.
+                        // exactly the new tuples. The accumulated value
+                        // absorbs them in place, and the indexes and
+                        // statistics cached over it follow through
+                        // `advance` — O(|delta|), no rebuild, no
+                        // re-diff.
                         delta_tuples += added.len() as u64;
-                        if !added.is_empty() {
-                            changed = true;
-                        }
                         if i == 0 {
                             // Root additions accumulate across rounds:
                             // warm callers receive the exact output
@@ -1330,22 +1218,16 @@ fn solve_inner(
                                 algebra::union_into(acc, &added).map_err(EvalError::from)?;
                             }
                         }
-                        st.delta[i] = added.clone();
-                        // Split-borrow so the three per-equation
-                        // structures update in one pass.
-                        let st = &mut *st;
-                        algebra::union_into(&mut st.current[i], &added).map_err(EvalError::from)?;
-                        maintain_indexes(&mut st.current_indexes[i], &added);
-                        for t in added.iter() {
-                            st.current_stats[i].add(t);
+                        if !added.is_empty() {
+                            changed = true;
+                            let old = st.current[i].storage_id();
+                            algebra::union_into(&mut st.current[i], &added)
+                                .map_err(EvalError::from)?;
+                            st.access.advance(old, &st.current[i], &added);
                         }
+                        st.set_delta(i, added);
                     }
                 }
-            }
-            if changed {
-                // Equation values moved: evaluators created before this
-                // commit must not serve caches from the old snapshot.
-                st.epoch += 1;
             }
         }
         drop(commit_span);
@@ -1387,12 +1269,7 @@ fn solve_inner(
         iterations,
         equations: st.equations.len(),
         total_tuples: st.current.iter().map(Relation::len).sum(),
-        maintained_indexes: st.current_indexes.iter().map(FxHashMap::len).sum::<usize>()
-            + st.override_indexes
-                .iter()
-                .map(NamedIndexMap::len)
-                .sum::<usize>()
-            + st.base_indexes.len(),
+        maintained_indexes: st.access.index_count(),
         budget_checks: meter.checks(),
         degraded_branches: meter.degraded(),
         retried_branches: meter.retried(),
@@ -1417,19 +1294,22 @@ fn solve_inner(
         solve_span.field("equations", stats.equations);
         solve_span.field("tuples", stats.total_tuples);
     }
-    let system = track.then(|| SolvedSystem {
-        equations: st
-            .equations
-            .iter()
-            .enumerate()
-            .map(|(i, eq)| SolvedEquation {
-                constructor: eq.key.constructor().to_string(),
-                result: eq.result.clone(),
-                value: st.current[i].clone(),
-                indexes: st.current_indexes[i].clone(),
-                stats: st.current_stats[i].clone(),
-            })
-            .collect(),
+    let system = track.then(|| {
+        let value_ids: Vec<u64> = st.current.iter().map(Relation::storage_id).collect();
+        st.access.retain(&value_ids);
+        SolvedSystem {
+            equations: st
+                .equations
+                .iter()
+                .enumerate()
+                .map(|(i, eq)| SolvedEquation {
+                    constructor: eq.key.constructor().to_string(),
+                    result: eq.result.clone(),
+                    value: st.current[i].clone(),
+                })
+                .collect(),
+            access: st.access.clone(),
+        }
     });
     Ok(Ok(SolveRun {
         value: st.current[root_idx].clone(),
@@ -1491,23 +1371,6 @@ fn enrich_solve_error(
     EvalError::Solve(se)
 }
 
-/// Incremental index maintenance: `add` each newly committed tuple to
-/// every index registered over the equation's accumulated value —
-/// O(|delta| × indexes) instead of an O(|current|) rebuild per round.
-fn maintain_indexes(indexes: &mut FxHashMap<Vec<usize>, Arc<HashIndex>>, added: &Relation) {
-    if added.is_empty() || indexes.is_empty() {
-        return;
-    }
-    for idx in indexes.values_mut() {
-        // The executor only holds these `Arc`s transiently during a
-        // round, so `make_mut` almost never copies.
-        let idx = Arc::make_mut(idx);
-        for t in added.iter() {
-            idx.add(t.clone());
-        }
-    }
-}
-
 /// One equation's contribution to a round.
 enum RoundResult {
     /// The full new value (naive strategy — wholesale replacement).
@@ -1536,27 +1399,16 @@ struct BranchTask {
     body: SetFormer,
     /// Formal- and marker-name overrides for the evaluation overlay.
     overrides: Vec<(Name, Relation)>,
-    /// Indexes preloaded into the overlay: the equation's harvested
-    /// override-relation indexes plus peer current-value markers.
-    preload_indexes: Vec<(Name, Arc<HashIndex>)>,
-    /// Statistics preloaded into the overlay.
-    preload_stats: Vec<(Name, Arc<RelationStats>)>,
-    /// Marker name → peer equation, for routing harvested indexes back
-    /// to the peer's incrementally maintained set at replay.
-    cur_markers: Vec<(String, usize)>,
     /// Scan-side cardinality estimate (delta size for Linear tasks,
     /// override sizes otherwise), for the dispatch decision.
     weight: usize,
 }
 
-/// What a branch task returns: the computed value plus everything the
-/// solver must replay — the snapshot catalog's logged effects and the
-/// overlay's demand-built index/statistics harvests.
+/// What a branch task returns: the computed value plus what the solver
+/// must replay — the snapshot catalog's logged registrations.
 struct TaskOutcome {
     value: Relation,
     effects: Vec<Effect>,
-    harvest_indexes: Vec<(String, Arc<HashIndex>)>,
-    harvest_stats: Vec<(String, Arc<RelationStats>)>,
 }
 
 /// Prepare equation `i`'s tasks for the coming round (appending to
@@ -1582,21 +1434,6 @@ fn prepare_equation_tasks(
         )
     };
     let base_weight: usize = overrides.iter().map(|(_, r)| r.len()).sum();
-    // Indexes/statistics already harvested over this equation's
-    // override relations, preloaded into every one of its tasks.
-    let (eq_idx_preload, eq_stats_preload) = {
-        let st = catalog.state.borrow();
-        (
-            st.override_indexes[i]
-                .iter()
-                .map(|((name, _), idx)| (name.clone(), idx.clone()))
-                .collect::<Vec<_>>(),
-            st.override_stats[i]
-                .iter()
-                .map(|(name, s)| (name.clone(), s.clone()))
-                .collect::<Vec<_>>(),
-        )
-    };
     match strategy {
         Strategy::Naive => {
             let weight = base_weight + catalog.state.borrow().current[i].len();
@@ -1605,9 +1442,6 @@ fn prepare_equation_tasks(
                 branch_idx: None,
                 body: (*body).clone(),
                 overrides: (*overrides).clone(),
-                preload_indexes: eq_idx_preload,
-                preload_stats: eq_stats_preload,
-                cur_markers: Vec::new(),
                 weight,
             });
         }
@@ -1624,9 +1458,6 @@ fn prepare_equation_tasks(
                                 branches: vec![branch.clone()],
                             },
                             overrides: (*overrides).clone(),
-                            preload_indexes: eq_idx_preload.clone(),
-                            preload_stats: eq_stats_preload.clone(),
-                            cur_markers: Vec::new(),
                             weight: base_weight,
                         });
                     }
@@ -1635,19 +1466,25 @@ fn prepare_equation_tasks(
                         // the peers' *full* current values — equations
                         // registered after their peers would otherwise
                         // miss deltas emitted before they existed.
-                        let positions = positions.clone();
-                        for &pos in &positions {
-                            tasks.push(linear_task(
+                        for &pos in positions {
+                            let app =
+                                resolve_recursive_app(catalog, i, b_idx, &overrides, branch, pos)?;
+                            let st = catalog.state.borrow();
+                            let scan = if initialized {
+                                st.delta[app].clone()
+                            } else {
+                                st.current[app].clone()
+                            };
+                            drop(st);
+                            tasks.push(delta_task(
                                 catalog,
                                 i,
                                 b_idx,
                                 &overrides,
                                 branch,
-                                &positions,
+                                positions,
                                 pos,
-                                !initialized,
-                                &eq_idx_preload,
-                                &eq_stats_preload,
+                                (format!("{DELTA_MARKER}{pos}"), scan),
                             )?);
                         }
                     }
@@ -1678,67 +1515,36 @@ fn absorb(current: &Relation, fresh: &mut Relation, part: &Relation) -> Result<(
     Ok(())
 }
 
-/// Prepare one Linear-branch task: substitute **every** recursive
-/// binding position with an internal marker relation — `delta_pos`
-/// receives the referred application's per-round delta (its full
-/// current value when `full`, the equation's first differential round),
-/// every other recursive position receives the peer's accumulated
-/// current value, with the solver's incrementally maintained indexes
-/// and statistics preloaded under the marker so the executor probes
-/// instead of rescanning.
+/// Prepare one differential task over `branch`: `delta` — an internal
+/// marker name and the relation to scan under it — is bound at
+/// `delta_pos`, and every other recursive position at its peer's
+/// accumulated current value, also as a named (marker) relation, so the
+/// executor finds the maintained indexes and statistics in the solve's
+/// cache under the value's storage id. Other binding positions stay as
+/// written (the overlay resolves them to their full values).
 #[allow(clippy::too_many_arguments)]
-fn linear_task(
+fn delta_task(
     catalog: &SolverCatalog<'_>,
     eq_idx: usize,
     branch_idx: usize,
     overrides: &[(Name, Relation)],
     branch: &Branch,
-    positions: &[usize],
+    rec_positions: &[usize],
     delta_pos: usize,
-    full: bool,
-    eq_idx_preload: &[(Name, Arc<HashIndex>)],
-    eq_stats_preload: &[(Name, Arc<RelationStats>)],
+    delta: (Name, Relation),
 ) -> Result<BranchTask, EvalError> {
     let mut branch = branch.clone();
-    let mut extra_overrides: Vec<(Name, Relation)> = Vec::new();
-    let mut cur_markers: Vec<(String, usize)> = Vec::new();
-    let mut preload_indexes: Vec<(Name, Arc<HashIndex>)> = eq_idx_preload.to_vec();
-    let mut preload_stats: Vec<(Name, Arc<RelationStats>)> = eq_stats_preload.to_vec();
-    let mut weight = 0usize;
-
-    for &pos in positions {
-        let app = resolve_recursive_app(catalog, eq_idx, branch_idx, overrides, &branch, pos)?;
-        let st = catalog.state.borrow();
-        if pos == delta_pos {
-            let rel = if full {
-                st.current[app].clone()
-            } else {
-                st.delta[app].clone()
-            };
-            drop(st);
-            // The delta side is the branch's scan side.
-            weight = rel.len();
-            let marker = format!("{DELTA_MARKER}{pos}");
-            branch.bindings[pos].1 = RangeExpr::Rel(marker.clone());
-            extra_overrides.push((marker, rel));
-        } else {
-            let marker = format!("{CURRENT_MARKER}{pos}");
-            let rel = st.current[app].clone();
-            for idx in st.current_indexes[app].values() {
-                preload_indexes.push((marker.clone(), idx.clone()));
-            }
-            // The peer's maintained statistics, snapshotted in
-            // O(arity) — the planner never rescans the peer.
-            preload_stats.push((marker.clone(), Arc::new(st.current_stats[app].snapshot())));
-            drop(st);
-            branch.bindings[pos].1 = RangeExpr::Rel(marker.clone());
-            extra_overrides.push((marker.clone(), rel));
-            cur_markers.push((marker, app));
-        }
-    }
-
     let mut all_overrides = overrides.to_vec();
-    all_overrides.extend(extra_overrides);
+    // The delta side is the branch's scan side.
+    let weight = delta.1.len();
+    for &pos in rec_positions.iter().filter(|&&p| p != delta_pos) {
+        let app = resolve_recursive_app(catalog, eq_idx, branch_idx, overrides, &branch, pos)?;
+        let marker = format!("{CURRENT_MARKER}{pos}");
+        branch.bindings[pos].1 = RangeExpr::Rel(marker.clone());
+        all_overrides.push((marker, catalog.state.borrow().current[app].clone()));
+    }
+    branch.bindings[delta_pos].1 = RangeExpr::Rel(delta.0.clone());
+    all_overrides.push(delta);
     Ok(BranchTask {
         eq: eq_idx,
         branch_idx: Some(branch_idx),
@@ -1746,9 +1552,6 @@ fn linear_task(
             branches: vec![branch],
         },
         overrides: all_overrides,
-        preload_indexes,
-        preload_stats,
-        cur_markers,
         weight,
     })
 }
@@ -2014,26 +1817,27 @@ fn warm_prepare(
             }
         }
     }
-    // ---- Seed: every equation re-enters at its previous fixpoint,
-    // with the maintained indexes and statistics carried over (the
-    // whole point — no O(|value|) rebuild per refresh).
+    // ---- Seed: every equation re-enters at its previous fixpoint —
+    // the same storage, so the indexes and statistics this solve's
+    // cache copied from `prev` describe it (the whole point — no
+    // O(|value|) rebuild per refresh).
     {
         let mut st = catalog.state.borrow_mut();
-        let st = &mut *st;
         for i in 0..n {
             st.current[i] = prev.equations[i].value.clone();
             st.delta[i] = Relation::new(prev.equations[i].value.schema().clone());
-            st.current_indexes[i] = prev.equations[i].indexes.clone();
-            st.current_stats[i] = prev.equations[i].stats.clone();
             st.equations[i].initialized = true;
         }
     }
     // ---- First-round tasks: one per (branch, delta position), with
     // the touched relation's insert delta bound at the delta position
-    // and peer equations bound at their seeded accumulated values.
-    // Branches with no touched binding are skipped entirely: their
-    // static contributions are already in the seed, and recursive
-    // deltas are empty until round one commits.
+    // (a plain binding position; the full *new* values at the others
+    // plus one delta position per task cover every new combination,
+    // and overlap between tasks deduplicates at absorb) and peer
+    // equations bound at their seeded accumulated values. Branches with
+    // no touched binding are skipped entirely: their static
+    // contributions are already in the seed, and recursive deltas are
+    // empty until round one commits.
     let mut tasks: Vec<BranchTask> = Vec::new();
     for (i, b_idx, rec_positions, delta_positions) in planned {
         let (branch, overrides) = {
@@ -2042,7 +1846,10 @@ fn warm_prepare(
             (eq.body.branches[b_idx].clone(), eq.overrides.clone())
         };
         for (p, d) in delta_positions {
-            tasks.push(warm_task(
+            // Distinct marker namespace (`Δdelta` + `b` + position) so
+            // a warm task can never collide with the round-loop's
+            // recursive-delta markers.
+            tasks.push(delta_task(
                 catalog,
                 i,
                 b_idx,
@@ -2050,74 +1857,11 @@ fn warm_prepare(
                 &branch,
                 &rec_positions,
                 p,
-                d,
+                (format!("{DELTA_MARKER}b{p}"), d),
             )?);
         }
     }
     Ok(Ok(tasks))
-}
-
-/// Prepare one warm first-round task: bind the touched relation's
-/// insert delta at `delta_pos` (a plain binding position), and every
-/// recursive position at its peer's seeded accumulated value with the
-/// carried indexes/statistics preloaded. Other binding positions stay
-/// as written — the overlay resolves them to their full *new* values,
-/// which together with one-delta-position-per-task covers every new
-/// combination (overlap between tasks deduplicates at absorb).
-#[allow(clippy::too_many_arguments)]
-fn warm_task(
-    catalog: &SolverCatalog<'_>,
-    eq_idx: usize,
-    branch_idx: usize,
-    overrides: &[(Name, Relation)],
-    branch: &Branch,
-    rec_positions: &[usize],
-    delta_pos: usize,
-    delta_rel: Relation,
-) -> Result<BranchTask, EvalError> {
-    let mut branch = branch.clone();
-    let mut extra_overrides: Vec<(Name, Relation)> = Vec::new();
-    let mut cur_markers: Vec<(String, usize)> = Vec::new();
-    let mut preload_indexes: Vec<(Name, Arc<HashIndex>)> = Vec::new();
-    let mut preload_stats: Vec<(Name, Arc<RelationStats>)> = Vec::new();
-    let weight = delta_rel.len();
-
-    // Distinct marker namespace (`Δdelta` + `b` + position) so a warm
-    // task can never collide with the round-loop's recursive-delta
-    // markers.
-    let marker = format!("{DELTA_MARKER}b{delta_pos}");
-    branch.bindings[delta_pos].1 = RangeExpr::Rel(marker.clone());
-    extra_overrides.push((marker, delta_rel));
-
-    for &pos in rec_positions {
-        let app = resolve_recursive_app(catalog, eq_idx, branch_idx, overrides, &branch, pos)?;
-        let st = catalog.state.borrow();
-        let marker = format!("{CURRENT_MARKER}{pos}");
-        let rel = st.current[app].clone();
-        for idx in st.current_indexes[app].values() {
-            preload_indexes.push((marker.clone(), idx.clone()));
-        }
-        preload_stats.push((marker.clone(), Arc::new(st.current_stats[app].snapshot())));
-        drop(st);
-        branch.bindings[pos].1 = RangeExpr::Rel(marker.clone());
-        extra_overrides.push((marker.clone(), rel));
-        cur_markers.push((marker, app));
-    }
-
-    let mut all_overrides = overrides.to_vec();
-    all_overrides.extend(extra_overrides);
-    Ok(BranchTask {
-        eq: eq_idx,
-        branch_idx: Some(branch_idx),
-        body: SetFormer {
-            branches: vec![branch],
-        },
-        overrides: all_overrides,
-        preload_indexes,
-        preload_stats,
-        cur_markers,
-        weight,
-    })
 }
 
 /// Evaluate one prepared task against the frozen snapshot. Runs on a
@@ -2146,13 +1890,7 @@ fn run_task(
         task_span.field("weight", task.weight);
     }
     let cat = SnapshotCatalog::new(snap.clone());
-    let mut overlay = Overlay::new(&cat, task.overrides.clone());
-    for (name, idx) in &task.preload_indexes {
-        overlay.preload_index(name.clone(), idx.clone());
-    }
-    for (name, stats) in &task.preload_stats {
-        overlay.preload_stats(name.clone(), stats.clone());
-    }
+    let overlay = Overlay::new(&cat, task.overrides.clone());
     let mut ev = knobs.evaluator(&overlay);
     let out = ev.eval(&RangeExpr::SetFormer(task.body.clone()));
     // A governed abort names the branch and carries the evaluator's
@@ -2168,23 +1906,19 @@ fn run_task(
         }
         e
     })?;
-    let harvest_indexes = overlay.harvest_indexes();
-    let harvest_stats = overlay.harvest_stats();
     drop(ev);
     drop(overlay);
     Ok(TaskOutcome {
         value,
         effects: cat.into_effects(),
-        harvest_indexes,
-        harvest_stats,
     })
 }
 
 /// Replay one task's effect log into solver state — single-threaded, at
 /// the commit site, in log order. Registration replays through the same
 /// `register` + `seed_equation` pair the sequential path uses
-/// (idempotent by [`AppKey`]); cache fills land `entry().or_insert`, so
-/// two tasks discovering the same build converge deterministically.
+/// (idempotent by [`AppKey`]), so two tasks discovering the same
+/// application converge deterministically.
 fn replay_effects(
     source: &dyn ConstructorSource,
     state: &RefCell<State>,
@@ -2212,64 +1946,9 @@ fn replay_effects(
                     seed_equation(source, state, j, knobs)?;
                 }
             }
-            Effect::BaseIndex { name, index } => {
-                let positions = index.positions().to_vec();
-                state
-                    .borrow_mut()
-                    .base_indexes
-                    .entry((name, positions))
-                    .or_insert(index);
-            }
-            Effect::BaseStats { name, stats } => {
-                state.borrow_mut().base_stats.entry(name).or_insert(stats);
-            }
-            Effect::Decorr { range, entry } => {
-                let mut st = state.borrow_mut();
-                if st.decorr_epoch != st.epoch {
-                    st.decorr.clear();
-                    st.decorr_epoch = st.epoch;
-                }
-                st.decorr.entry(range).or_insert(entry);
-            }
         }
     }
     Ok(())
-}
-
-/// Carry a task's overlay harvests into solver state: equation-value
-/// indexes (listed in `cur_markers`) become incrementally maintained;
-/// override-relation indexes and statistics are kept for every later
-/// round. Everything keyed by a marker name is otherwise discarded —
-/// deltas are replaced wholesale each round, and current-value
-/// statistics are served from the maintained `StatsBuilder`s, never
-/// harvested back.
-fn replay_harvest(
-    state: &RefCell<State>,
-    eq_idx: usize,
-    cur_markers: &[(String, usize)],
-    indexes: Vec<(String, Arc<HashIndex>)>,
-    stats: Vec<(String, Arc<RelationStats>)>,
-) {
-    let mut st = state.borrow_mut();
-    for (name, idx) in indexes {
-        if name.starts_with(DELTA_MARKER) {
-            continue;
-        }
-        let positions = idx.positions().to_vec();
-        if let Some((_, eq)) = cur_markers.iter().find(|(m, _)| *m == name) {
-            st.current_indexes[*eq].entry(positions).or_insert(idx);
-        } else {
-            st.override_indexes[eq_idx]
-                .entry((name, positions))
-                .or_insert(idx);
-        }
-    }
-    for (name, s) in stats {
-        if name.starts_with(DELTA_MARKER) || name.starts_with(CURRENT_MARKER) {
-            continue;
-        }
-        st.override_stats[eq_idx].entry(name).or_insert(s);
-    }
 }
 
 /// Resolve the constructor application bound at `pos` to its equation

@@ -1,49 +1,44 @@
 //! Snapshot evaluation: the frozen catalog view branch tasks read, and
-//! the effect log they return for single-threaded replay.
+//! the registration log they return for single-threaded replay.
 //!
 //! The solver's round scheduler hands every branch evaluation of a
 //! round to [`dc_exec::run_tasks`], which may run them on worker
 //! threads. A worker cannot touch the solver's `RefCell` state or the
-//! caller's base catalog (`&dyn Catalog` is not `Sync`, and its
-//! interior mutability — demand-built index/stats/decorrelation caches
-//! — must stay serialized). So evaluation is split in two:
+//! caller's base catalog (`&dyn Catalog` is not `Sync`). So evaluation
+//! is split in two:
 //!
 //! * **Frozen reads.** [`EvalSnapshot`] is an immutable, `Arc`-shared
-//!   view of everything a branch evaluation can resolve, captured at
-//!   one [`Catalog::version`] epoch: the equation values (`current`),
-//!   the registered-application index, the base-relation
-//!   index/statistics caches, the decorrelation entries of the current
-//!   epoch, and the [`Universe`] — the transitively reachable slice of
-//!   the base catalog (relations, selector definitions, scalar
-//!   parameters, constructor signatures), pre-resolved on the solver
-//!   thread when each equation registers. Snapshot construction is
-//!   cheap: relations are copy-on-write handles and the caches hold
-//!   `Arc`s, so a freeze is O(equations + cached entries) pointer
-//!   bumps.
-//! * **Logged writes.** [`SnapshotCatalog`] implements [`Catalog`] over
-//!   a snapshot. Reads resolve from the frozen view; anything the
-//!   mutable solver catalog would have recorded — a first-sighting
-//!   constructor registration, a demand-built base index or statistics
-//!   entry, a decorrelation-cache fill — is instead appended to a
-//!   per-task [`Effect`] log (and served from a task-local cache for
-//!   the rest of that task). The solver replays the logs
-//!   single-threaded at the commit site, in task order, so
-//!   registration, maintenance, and commits stay serialized exactly as
-//!   on the sequential path.
+//!   view of everything a branch evaluation can resolve, captured
+//!   between two commits: the equation values (`current`), the
+//!   registered-application index, and the [`Universe`] — the
+//!   transitively reachable slice of the base catalog (relations,
+//!   selector definitions, scalar parameters, constructor signatures),
+//!   pre-resolved on the solver thread when each equation registers.
+//!   Snapshot construction is cheap: relations are copy-on-write
+//!   handles, so a freeze is O(equations) pointer bumps.
+//! * **Logged registrations.** [`SnapshotCatalog`] implements
+//!   [`Catalog`] over a snapshot. Reads resolve from the frozen view; a
+//!   first-sighting constructor application — the one thing the mutable
+//!   solver catalog would have *recorded in solver state* — is instead
+//!   appended to a per-task [`Effect`] log. The solver replays the logs
+//!   single-threaded at the commit site, in task order, so registration
+//!   and commits stay serialized exactly as on the sequential path.
 //!
-//! Meter ticks are the one side effect *not* logged: the
-//! [`dc_governor::Meter`] is `Arc`-shared and its counters commute, so
-//! workers tick it directly — which is what lets a deadline or tuple
-//! ceiling trip *during* a parallel round rather than at replay.
+//! Two side effects are *not* logged, because both commute. Meter
+//! ticks: the [`dc_governor::Meter`] is `Arc`-shared and workers tick
+//! it directly — which is what lets a deadline or tuple ceiling trip
+//! *during* a parallel round rather than at replay. And cache fills:
+//! the snapshot carries the solve's [`AccessCache`], whose entries are
+//! a function of their storage-identity key, so workers insert straight
+//! into it and whichever thread builds an entry first serves the rest.
 //!
 //! # Replay ordering guarantees
 //!
 //! Effects are replayed in task order (equation-ascending, then branch
 //! order within an equation — the sequential evaluation order), and a
 //! task's effects are replayed before its value is absorbed. Replay is
-//! idempotent where the sequential path was (`register` by `AppKey`,
-//! cache fills by `entry().or_insert`), so two tasks discovering the
-//! same application or building the same index converge to one
+//! idempotent where the sequential path was (`register` by `AppKey`),
+//! so two tasks discovering the same application converge to one
 //! registration, deterministically. Everything replayed lives in
 //! solver-private state: an abort mid-replay leaves the caller-visible
 //! database untouched (the atomic-abort invariant).
@@ -54,15 +49,11 @@ use std::sync::Arc;
 
 use dc_calculus::ast::{Branch, Name, RangeExpr, SelectorDef, SetFormer, Target};
 use dc_calculus::rewrite;
-use dc_calculus::{Catalog, DecorrCached, EvalError};
-use dc_index::{HashIndex, RelationStats};
+use dc_calculus::{AccessCache, Catalog, EvalError};
 use dc_relation::Relation;
 use dc_value::{Domain, FxHashMap, FxHashSet, Schema, Value};
 
 use super::{AppKey, ConstructorSource};
-
-/// Positions-keyed cache of demand-built base-relation indexes.
-type IndexCache = FxHashMap<(Name, Vec<usize>), Arc<HashIndex>>;
 
 /// The transitively reachable slice of the base catalog, pre-resolved
 /// on the solver thread so frozen evaluation never needs the caller's
@@ -104,22 +95,14 @@ pub(super) struct CtorSig {
 /// the [module docs](self) for what is frozen and why the freeze is
 /// cheap.
 pub(super) struct EvalSnapshot {
-    /// The solver's data epoch at freeze time, served through
-    /// [`Catalog::version`] so evaluator caches scope correctly.
-    pub epoch: u64,
     /// Pre-resolved base-catalog slice.
     pub universe: Arc<Universe>,
     /// Registered applications → equation index.
     pub index: FxHashMap<AppKey, usize>,
     /// Per-equation accumulated values (COW handles).
     pub current: Vec<Relation>,
-    /// Demand-built indexes over base relations.
-    pub base_indexes: IndexCache,
-    /// Cached statistics over base relations.
-    pub base_stats: FxHashMap<Name, Arc<RelationStats>>,
-    /// Decorrelation entries of the *current* epoch (frozen empty when
-    /// the solver cache is stale).
-    pub decorr: FxHashMap<RangeExpr, DecorrCached>,
+    /// The solve's access cache (shared, not frozen: tasks fill it).
+    pub access: Arc<AccessCache>,
 }
 
 /// One logged side effect of a frozen branch evaluation, replayed
@@ -137,27 +120,6 @@ pub(super) enum Effect {
         args: Vec<Relation>,
         /// Actual scalar arguments.
         scalar_args: Vec<Value>,
-    },
-    /// A base-relation index built on demand during the task.
-    BaseIndex {
-        /// Relation name.
-        name: Name,
-        /// The built index (its positions key the solver cache).
-        index: Arc<HashIndex>,
-    },
-    /// Base-relation statistics collected on demand during the task.
-    BaseStats {
-        /// Relation name.
-        name: Name,
-        /// The collected statistics.
-        stats: Arc<RelationStats>,
-    },
-    /// A decorrelation entry built (or refused) during the task.
-    Decorr {
-        /// The correlated range the entry is keyed by.
-        range: RangeExpr,
-        /// The built entry or the memoised refusal.
-        entry: DecorrCached,
     },
 }
 
@@ -259,18 +221,12 @@ fn constructed_names(range: &RangeExpr) -> FxHashSet<Name> {
         .collect()
 }
 
-/// The per-task [`Catalog`]: frozen reads, logged writes. Constructed
-/// on the worker from the `Arc`-shared snapshot; consumed with
-/// [`SnapshotCatalog::into_effects`] after evaluation.
+/// The per-task [`Catalog`]: frozen reads, logged registrations.
+/// Constructed on the worker from the `Arc`-shared snapshot; consumed
+/// with [`SnapshotCatalog::into_effects`] after evaluation.
 pub(super) struct SnapshotCatalog {
     snap: Arc<EvalSnapshot>,
     effects: RefCell<Vec<Effect>>,
-    /// Task-local caches: a build logged once is also served for the
-    /// rest of this task, mirroring the within-evaluation reuse the
-    /// mutable solver catalog provided.
-    local_indexes: RefCell<IndexCache>,
-    local_stats: RefCell<FxHashMap<Name, Arc<RelationStats>>>,
-    local_decorr: RefCell<FxHashMap<RangeExpr, DecorrCached>>,
 }
 
 impl SnapshotCatalog {
@@ -278,9 +234,6 @@ impl SnapshotCatalog {
         SnapshotCatalog {
             snap,
             effects: RefCell::new(Vec::new()),
-            local_indexes: RefCell::new(FxHashMap::default()),
-            local_stats: RefCell::new(FxHashMap::default()),
-            local_decorr: RefCell::new(FxHashMap::default()),
         }
     }
 
@@ -369,61 +322,7 @@ impl Catalog for SnapshotCatalog {
         Ok(value)
     }
 
-    fn index(&self, name: &str, positions: &[usize]) -> Option<Arc<HashIndex>> {
-        let key = (name.to_string(), positions.to_vec());
-        if let Some(idx) = self.snap.base_indexes.get(&key) {
-            return Some(idx.clone());
-        }
-        if let Some(idx) = self.local_indexes.borrow().get(&key) {
-            return Some(idx.clone());
-        }
-        let rel = self.snap.universe.relations.get(name)?;
-        let idx = Arc::new(HashIndex::build(rel, positions.to_vec()));
-        self.local_indexes.borrow_mut().insert(key, idx.clone());
-        self.effects.borrow_mut().push(Effect::BaseIndex {
-            name: name.to_string(),
-            index: idx.clone(),
-        });
-        Some(idx)
-    }
-
-    fn stats(&self, name: &str) -> Option<Arc<RelationStats>> {
-        if let Some(s) = self.snap.base_stats.get(name) {
-            return Some(s.clone());
-        }
-        if let Some(s) = self.local_stats.borrow().get(name) {
-            return Some(s.clone());
-        }
-        let rel = self.snap.universe.relations.get(name)?;
-        let s = Arc::new(RelationStats::collect(rel));
-        self.local_stats
-            .borrow_mut()
-            .insert(name.to_string(), s.clone());
-        self.effects.borrow_mut().push(Effect::BaseStats {
-            name: name.to_string(),
-            stats: s.clone(),
-        });
-        Some(s)
-    }
-
-    fn version(&self) -> u64 {
-        self.snap.epoch
-    }
-
-    fn decorr_entry(&self, range: &RangeExpr) -> Option<DecorrCached> {
-        if let Some(e) = self.snap.decorr.get(range) {
-            return Some(e.clone());
-        }
-        self.local_decorr.borrow().get(range).cloned()
-    }
-
-    fn cache_decorr_entry(&self, range: &RangeExpr, entry: DecorrCached) {
-        self.local_decorr
-            .borrow_mut()
-            .insert(range.clone(), entry.clone());
-        self.effects.borrow_mut().push(Effect::Decorr {
-            range: range.clone(),
-            entry,
-        });
+    fn access(&self) -> Option<&AccessCache> {
+        Some(&self.snap.access)
     }
 }

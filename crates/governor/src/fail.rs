@@ -38,8 +38,10 @@ pub enum Site {
     /// A semi-naive/naive round about to commit its deltas
     /// (`delta_commit`).
     DeltaCommit = 1,
-    /// The evaluator acquiring a hash index for a probe
-    /// (`index_build`).
+    /// A hash index about to be built for a probe (`index_build`):
+    /// the access cache's build on a miss, or the evaluator's
+    /// throwaway build over a binding-dependent range. Cache hits
+    /// never consult it.
     IndexBuild = 2,
     /// The evaluator building a decorrelated entry for a correlated
     /// range (`decorr_build`).

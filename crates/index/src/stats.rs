@@ -10,29 +10,23 @@
 //! * [`RelationStats`] — an immutable snapshot consumed by the join
 //!   planner (`dc-calculus`'s `joinplan`), obtainable in one pass via
 //!   [`RelationStats::collect`].
-//! * [`StatsBuilder`] — the *incrementally maintained* form kept in
-//!   long-lived solver state (the semi-naive fixpoint of `dc-core`)
-//!   next to the maintained `HashIndex`es. [`StatsBuilder::add`] absorbs
-//!   one tuple in O(arity); [`StatsBuilder::snapshot`] produces a
-//!   planner-ready [`RelationStats`] in O(arity), with no pass over the
-//!   relation.
+//! * [`StatsBuilder`] — the *incrementally maintained* form kept next
+//!   to maintained `HashIndex`es over a relation that grows by deltas.
+//!   [`StatsBuilder::add`] absorbs one tuple in O(arity);
+//!   [`StatsBuilder::snapshot`] produces a planner-ready
+//!   [`RelationStats`] in O(arity), with no pass over the relation.
 //!
 //! # Maintenance invariant
 //!
-//! A `StatsBuilder` tracking a relation is updated **at the same commit
-//! site, with the same delta tuples, as every maintained `HashIndex`
-//! over that relation**: stats are updated iff the indexes are updated.
-//! In the semi-naive fixpoint this is the round-commit loop — each
-//! genuinely new tuple is unioned into the accumulated value, `add`ed
-//! to every registered index, and `add`ed to the builder, in one place.
-//! Consequently a snapshot served to the planner always describes
-//! exactly the relation the probed indexes describe; serving stats from
-//! anywhere that is not also the index-maintenance site would break
-//! this agreement and must not be done. (Distinct counts only ever
-//! grow, which matches the monotone accumulation the differential
-//! strategy is restricted to; wholesale replacement — the naive
-//! strategy — rebuilds the builder from scratch exactly where it
-//! invalidates the indexes.)
+//! A `StatsBuilder` tracking a relation is updated **at the same site,
+//! with the same delta tuples, as every maintained `HashIndex` over
+//! that relation**: stats are updated iff the indexes are. That site is
+//! `dc_calculus::AccessCache::advance`, which holds both under the
+//! relation's storage id; serving stats from anywhere else would break
+//! the agreement between a planner snapshot and the probed indexes.
+//! (Distinct counts only ever grow, which matches the monotone
+//! accumulation `advance` is restricted to; a relation replaced
+//! wholesale has a new storage id and starts from a fresh collection.)
 
 use dc_value::{FxHashSet, Value};
 
@@ -111,8 +105,9 @@ impl StatsBuilder {
         }
     }
 
-    /// Seed a builder from an existing relation (one pass). Used when a
-    /// relation is replaced wholesale rather than grown by deltas.
+    /// Seed a builder from an existing relation (one pass) — how a
+    /// collected statistics entry becomes maintainable the first time
+    /// its relation grows by a delta.
     pub fn from_relation(rel: &Relation) -> StatsBuilder {
         let mut b = StatsBuilder::new(rel.schema().arity());
         for t in rel.iter() {

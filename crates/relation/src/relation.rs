@@ -2,22 +2,28 @@
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use dc_value::{FxHashMap, FxHashSet, FxHasher, Schema, Tuple};
 
 use crate::error::RelationError;
 
+/// Source of [`Relation::storage_id`] values; `0` is never handed out.
+static NEXT_STORAGE_ID: AtomicU64 = AtomicU64::new(1);
+
 /// The shared tuple storage behind a [`Relation`]: the set itself plus
-/// a lazily computed content digest that rides with the storage. The
-/// digest is invalidated wherever the set is mutated — on a COW detach
-/// the clone starts with an empty cell, and in-place mutation (unique
-/// storage) clears it explicitly — so a populated cell always describes
-/// the current set.
+/// two lazily filled cells that ride with the storage — the content
+/// digest and the storage id. Both are invalidated wherever the set is
+/// mutated — on a COW detach the clone starts with empty cells, and
+/// in-place mutation (unique storage) clears them explicitly
+/// ([`TupleStore::set_mut`]) — so a populated cell always describes the
+/// current set.
 #[derive(Debug)]
 struct TupleStore {
     set: FxHashSet<Tuple>,
     digest: OnceLock<u128>,
+    id: OnceLock<u64>,
 }
 
 impl TupleStore {
@@ -25,14 +31,22 @@ impl TupleStore {
         TupleStore {
             set,
             digest: OnceLock::new(),
+            id: OnceLock::new(),
         }
+    }
+
+    /// The set, for mutation: clears the digest and the storage id.
+    fn set_mut(&mut self) -> &mut FxHashSet<Tuple> {
+        self.digest.take();
+        self.id.take();
+        &mut self.set
     }
 }
 
 impl Clone for TupleStore {
     fn clone(&self) -> TupleStore {
         // A clone happens exactly when a shared storage is about to be
-        // mutated (`Arc::make_mut`): start with an empty digest cell.
+        // mutated (`Arc::make_mut`): start with empty memo cells.
         TupleStore::new(self.set.clone())
     }
 }
@@ -152,9 +166,7 @@ impl Relation {
             }
             Arc::make_mut(map).insert(key, tuple.clone());
         }
-        let store = Arc::make_mut(&mut self.tuples);
-        store.digest.take();
-        store.set.insert(tuple);
+        Arc::make_mut(&mut self.tuples).set_mut().insert(tuple);
         Ok(true)
     }
 
@@ -163,9 +175,7 @@ impl Relation {
         if !self.tuples.set.contains(tuple) {
             return false;
         }
-        let store = Arc::make_mut(&mut self.tuples);
-        store.digest.take();
-        store.set.remove(tuple);
+        Arc::make_mut(&mut self.tuples).set_mut().remove(tuple);
         if let Some(map) = &mut self.key_map {
             Arc::make_mut(map).remove(&self.schema.key_of(tuple));
         }
@@ -305,6 +315,27 @@ impl Relation {
     /// happily perform.
     pub fn cached_digest(&self) -> Option<u128> {
         self.tuples.digest.get().copied()
+    }
+
+    /// The identity of this relation's tuple storage *at its current
+    /// content*: a process-unique number drawn on first request and
+    /// memoised next to the digest. Clones (and
+    /// [`Relation::snapshot_handle`]s) share it; every effective
+    /// mutation — in place on unique storage or through a COW detach —
+    /// leaves the mutated handle with a fresh one; no-op mutators keep
+    /// it. Two relations with equal content but separate storage have
+    /// different ids.
+    ///
+    /// Derived access structures (indexes, statistics) key on it: an
+    /// entry built from id `n` describes exactly the relation whose id
+    /// is still `n`. The `Arc` pointer alone could not serve — unshared
+    /// storage is mutated in place (the fixpoint commit relies on it),
+    /// so one pointer holds many contents over time.
+    pub fn storage_id(&self) -> u64 {
+        *self
+            .tuples
+            .id
+            .get_or_init(|| NEXT_STORAGE_ID.fetch_add(1, Ordering::Relaxed))
     }
 
     /// A handle destined for a published snapshot: forces the digest

@@ -91,4 +91,36 @@ proptest! {
         prop_assert!(!cloned.remove(&tuple![99i64, 99i64]));
         prop_assert!(Relation::shares_storage(&base, &cloned));
     }
+
+    /// The storage id tracks storage *and* content: clones and snapshot
+    /// handles share it, every effective mutation — in place on unique
+    /// storage and through a COW detach alike — changes it, no-op
+    /// mutators keep it, and equal content in separate storage differs.
+    #[test]
+    fn storage_id_changes_exactly_on_effective_mutation(
+        base in rel_strategy(),
+        ops in ops_strategy(),
+    ) {
+        let id = base.storage_id();
+        prop_assert_eq!(base.clone().storage_id(), id);
+        prop_assert_eq!(base.snapshot_handle().storage_id(), id);
+        let twin = Relation::from_tuples(schema(), base.sorted_tuples()).expect("valid tuples");
+        prop_assert_eq!(&twin, &base);
+        prop_assert_ne!(twin.storage_id(), id);
+        // `shared` detaches from `base` on its first effective
+        // mutation; `unique` (the twin) is mutated in place throughout.
+        let (mut shared, mut unique) = (base.clone(), twin);
+        for op in &ops {
+            for rel in [&mut shared, &mut unique] {
+                let (before, id_before) = (rel.sorted_tuples(), rel.storage_id());
+                apply(rel, std::slice::from_ref(op));
+                prop_assert_eq!(
+                    rel.storage_id() != id_before,
+                    rel.sorted_tuples() != before,
+                    "op {:?}", op
+                );
+            }
+        }
+        prop_assert_eq!(base.storage_id(), id);
+    }
 }

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use dc_calculus::ast::{Formula, Name, ScalarExpr, SetFormer};
 use dc_calculus::joinplan::{self, ReadProfile};
-use dc_calculus::{rewrite, typeck, Catalog, Explanation, PlanEvent, RangeExpr};
+use dc_calculus::{rewrite, typeck, Explanation, PlanEvent, RangeExpr};
 use dc_index::RelationStats;
 use dc_value::{FxHashMap, Schema, Value};
 
@@ -174,18 +174,15 @@ fn explain_solve(
         for (_, range) in &branch.bindings {
             let sub = rewrite::substitute_rel(range, &map);
             match &sub {
-                // A named catalog relation: real schema, real (warm-map
-                // served) statistics.
+                // A named catalog relation: real schema, real (cached)
+                // statistics.
                 RangeExpr::Rel(name) if snap.relation(name).is_some() => {
                     // Guarded by the match arm; the snapshot is pinned.
                     let Some(rel) = snap.relation(name) else {
                         continue;
                     };
                     schemas.push(rel.schema().clone());
-                    stats.push(match Catalog::stats(session, name) {
-                        Some(s) => (*s).clone(),
-                        None => RelationStats::collect(rel),
-                    });
+                    stats.push((*snap.access().stats(rel)).clone());
                 }
                 // Anything else (recursive application, nested
                 // set-former): the checked result schema with no

@@ -56,8 +56,9 @@ struct SubEntry {
 /// * **Writer**: commits are serialized by an internal mutex. A commit
 ///   applies its [`WriteBatch`] to a private overlay of COW relation
 ///   handles (copying only the relations it actually writes), builds
-///   the successor snapshot — carrying over every warm cache entry
-///   that cannot have gone stale — and publishes it with one pointer
+///   the successor snapshot — whose access cache keeps every entry
+///   over a relation the batch did not change — and publishes it with
+///   one pointer
 ///   swap. Publication is the *last* step: any failure before it
 ///   (constraint violation, injected fault, panic) leaves the snapshot
 ///   chain exactly as it was — there is no torn epoch.

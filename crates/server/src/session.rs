@@ -6,14 +6,13 @@ use std::time::Instant;
 
 use dc_calculus::ast::{Name, SelectorDef};
 use dc_calculus::typeck::{self, ConstructorSig, SchemaCatalog};
-use dc_calculus::{Catalog, DecorrCached, EvalError, Evaluator, Explanation, RangeExpr};
+use dc_calculus::{AccessCache, Catalog, EvalError, Evaluator, Explanation, RangeExpr};
 use dc_core::fixpoint::{
     self, AppKey, ConstructorSource, FixpointConfig, FixpointStats, SolvedSystem, Strategy,
     WarmOutcome,
 };
 use dc_core::Constructor;
 use dc_governor::{Budget, CancelToken};
-use dc_index::{HashIndex, RelationStats};
 use dc_relation::Relation;
 use dc_trace::metrics::{Counter, Histogram, MetricsRegistry};
 use dc_trace::SpanKind;
@@ -23,18 +22,14 @@ use crate::error::{panic_to_eval, ServerError};
 use crate::prepare::{Prepared, PreparedKind, PreparedQuery};
 use crate::snapshot::Snapshot;
 
-/// Base-relation index cache: (relation name, indexed positions) →
-/// index.
-type IndexCache = FxHashMap<(Name, Vec<usize>), Arc<HashIndex>>;
-
 /// A read session pinned to one snapshot.
 ///
 /// Begun with [`Server::begin`](crate::Server::begin), a session serves
 /// queries and solves against the epoch it pinned — with **zero
-/// coordination between readers**: the hot path touches no lock shared
-/// with other sessions (the epoch-scoped warm caches are probed behind
-/// the session's private caches, with lock scopes bounded by a map
-/// lookup). Concurrent commits are invisible; every read inside one
+/// coordination between readers**: the only state shared with other
+/// sessions is the snapshot's access cache and solved memo, read under
+/// locks whose scopes are bounded by a map lookup. Concurrent commits
+/// are invisible; every read inside one
 /// session is mutually consistent, however many epochs the writer
 /// publishes meanwhile.
 ///
@@ -52,9 +47,6 @@ pub struct Session {
     cancel: CancelToken,
     read_set: RefCell<FxHashSet<Name>>,
     solved: RefCell<FxHashMap<AppKey, Relation>>,
-    indexes: RefCell<IndexCache>,
-    stats: RefCell<FxHashMap<Name, Arc<RelationStats>>>,
-    decorr: RefCell<FxHashMap<RangeExpr, DecorrCached>>,
     last_stats: RefCell<Option<FixpointStats>>,
 }
 
@@ -73,9 +65,6 @@ impl Session {
             cancel,
             read_set: RefCell::new(FxHashSet::default()),
             solved: RefCell::new(FxHashMap::default()),
-            indexes: RefCell::new(IndexCache::default()),
-            stats: RefCell::new(FxHashMap::default()),
-            decorr: RefCell::new(FxHashMap::default()),
             last_stats: RefCell::new(None),
         }
     }
@@ -374,51 +363,11 @@ impl Catalog for Session {
         Ok(r)
     }
 
-    /// Indexes are served session-private first, then from the epoch's
-    /// warm cache; a session that pays a build donates it so sibling
-    /// sessions on the same epoch hit the warm path.
-    fn index(&self, name: &str, positions: &[usize]) -> Option<Arc<HashIndex>> {
-        let key = (name.to_string(), positions.to_vec());
-        if let Some(idx) = self.indexes.borrow().get(&key) {
-            return Some(idx.clone());
-        }
-        let idx = match self.snap.warm().index(&key) {
-            Some(idx) => {
-                self.count(Counter::WarmIndexHits);
-                idx
-            }
-            None => {
-                self.count(Counter::WarmIndexMisses);
-                let rel = self.snap.relation(name)?;
-                let idx = Arc::new(HashIndex::build(rel, positions.to_vec()));
-                self.snap.warm().donate_index(key.clone(), idx.clone());
-                idx
-            }
-        };
-        self.indexes.borrow_mut().insert(key, idx.clone());
-        Some(idx)
-    }
-
-    /// Statistics, same two-level serving as indexes.
-    fn stats(&self, name: &str) -> Option<Arc<RelationStats>> {
-        if let Some(s) = self.stats.borrow().get(name) {
-            return Some(s.clone());
-        }
-        let s = match self.snap.warm().stats(name) {
-            Some(s) => {
-                self.count(Counter::WarmStatsHits);
-                s
-            }
-            None => {
-                self.count(Counter::WarmStatsMisses);
-                let rel = self.snap.relation(name)?;
-                let s = Arc::new(RelationStats::collect(rel));
-                self.snap.warm().donate_stats(name.to_string(), s.clone());
-                s
-            }
-        };
-        self.stats.borrow_mut().insert(name.to_string(), s.clone());
-        Some(s)
+    /// The pinned snapshot's cache: what this session builds, sibling
+    /// sessions on the same epoch — and, for relations later commits
+    /// leave alone, on later epochs — hit.
+    fn access(&self) -> Option<&AccessCache> {
+        Some(self.snap.access())
     }
 
     fn selector(&self, name: &str) -> Result<&SelectorDef, EvalError> {
@@ -428,33 +377,6 @@ impl Catalog for Session {
             .get(name)
             .map(|s| s.def())
             .ok_or_else(|| EvalError::UnknownSelector(name.to_string()))
-    }
-
-    /// Decorrelation entries, same two-level serving: snapshot data is
-    /// immutable, so an entry built by any session on this epoch stays
-    /// exactly consistent for every other.
-    fn decorr_entry(&self, range: &RangeExpr) -> Option<DecorrCached> {
-        if let Some(e) = self.decorr.borrow().get(range) {
-            return Some(e.clone());
-        }
-        match self.snap.warm().decorr(range) {
-            Some(e) => {
-                self.count(Counter::WarmDecorrHits);
-                self.decorr.borrow_mut().insert(range.clone(), e.clone());
-                Some(e)
-            }
-            None => {
-                // The evaluator builds the entry and donates it back
-                // through `cache_decorr_entry`.
-                self.count(Counter::WarmDecorrMisses);
-                None
-            }
-        }
-    }
-
-    fn cache_decorr_entry(&self, range: &RangeExpr, entry: DecorrCached) {
-        self.snap.warm().donate_decorr(range.clone(), entry.clone());
-        self.decorr.borrow_mut().insert(range.clone(), entry);
     }
 
     fn apply_constructor(
@@ -494,12 +416,6 @@ impl Catalog for Session {
         self.snap.warm().donate_solved(key.clone(), value.clone());
         self.solved.borrow_mut().insert(key, value.clone());
         Ok(value)
-    }
-
-    fn version(&self) -> u64 {
-        // The pinned snapshot never changes, so evaluator-side caches
-        // keyed on this version stay valid for the session's lifetime.
-        self.snap.epoch()
     }
 }
 

@@ -13,19 +13,12 @@ use std::sync::{Arc, PoisonError, RwLock};
 
 use dc_calculus::ast::Name;
 use dc_calculus::typeck::ConstructorSig;
-use dc_calculus::{joinplan, DecorrCached, RangeExpr};
+use dc_calculus::AccessCache;
 use dc_core::database::DatabaseParts;
 use dc_core::fixpoint::{AppKey, FixpointConfig};
 use dc_core::{Constructor, Selector};
-use dc_index::{HashIndex, RelationStats};
 use dc_relation::Relation;
 use dc_value::{FxHashMap, FxHashSet};
-
-use crate::prepare::DefsLookup;
-
-/// Base-relation index cache: (relation name, indexed positions) →
-/// index.
-type IndexCache = FxHashMap<(Name, Vec<usize>), Arc<HashIndex>>;
 
 /// The immutable definition part of the catalog: selectors,
 /// constructors, signatures, and the fixpoint configuration. DDL is
@@ -39,71 +32,18 @@ pub(crate) struct Defs {
     pub(crate) config: FixpointConfig,
 }
 
-/// Cross-session warm caches, scoped to one snapshot (= one epoch).
-///
-/// Sessions check these behind their private caches and donate what
-/// they build, so an index or a statistics pass is paid once per epoch,
-/// not once per session. Locks are held only for the map probe/insert,
-/// never across a build, and every acquisition tolerates poisoning: a
-/// panicking session (fault injection is part of the test battery) must
-/// not wedge its siblings.
+/// The cross-session memo of solved constructor applications. Its
+/// keys are content-addressed ([`AppKey`]: relation digests plus scalar
+/// arguments), so it is handed from each snapshot to its successor
+/// whole. The lock is held only for the map probe/insert and tolerates
+/// poisoning: a panicking session (fault injection is part of the test
+/// battery) must not wedge its siblings.
 #[derive(Default)]
 pub(crate) struct Warm {
-    indexes: RwLock<IndexCache>,
-    stats: RwLock<FxHashMap<Name, Arc<RelationStats>>>,
-    decorr: RwLock<FxHashMap<RangeExpr, DecorrCached>>,
     solved: RwLock<FxHashMap<AppKey, Relation>>,
 }
 
 impl Warm {
-    pub(crate) fn index(&self, key: &(Name, Vec<usize>)) -> Option<Arc<HashIndex>> {
-        self.indexes
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
-            .cloned()
-    }
-
-    pub(crate) fn donate_index(&self, key: (Name, Vec<usize>), idx: Arc<HashIndex>) {
-        self.indexes
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(key)
-            .or_insert(idx);
-    }
-
-    pub(crate) fn stats(&self, name: &str) -> Option<Arc<RelationStats>> {
-        self.stats
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(name)
-            .cloned()
-    }
-
-    pub(crate) fn donate_stats(&self, name: Name, stats: Arc<RelationStats>) {
-        self.stats
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(name)
-            .or_insert(stats);
-    }
-
-    pub(crate) fn decorr(&self, range: &RangeExpr) -> Option<DecorrCached> {
-        self.decorr
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(range)
-            .cloned()
-    }
-
-    pub(crate) fn donate_decorr(&self, range: RangeExpr, entry: DecorrCached) {
-        self.decorr
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(range)
-            .or_insert(entry);
-    }
-
     pub(crate) fn solved(&self, key: &AppKey) -> Option<Relation> {
         self.solved
             .read()
@@ -125,14 +65,18 @@ impl Warm {
 ///
 /// Everything a session evaluates against hangs off its pinned
 /// snapshot: the relation handles (COW — shared with every other
-/// snapshot that didn't touch them), the frozen definitions, and the
-/// epoch's warm caches. Snapshots are `Send + Sync` and live as long as
-/// the last session pinning them.
+/// snapshot that didn't touch them), the frozen definitions, the access
+/// cache over the relations, and the solved memo. Snapshots are
+/// `Send + Sync` and live as long as the last session pinning them.
 pub struct Snapshot {
     epoch: u64,
     relations: FxHashMap<Name, Relation>,
     catalog_digest: u128,
     defs: Arc<Defs>,
+    /// Indexes, statistics, and decorrelated ranges over this
+    /// snapshot's relations, shared by every session pinning it: what
+    /// one session builds, its siblings hit.
+    access: AccessCache,
     warm: Warm,
 }
 
@@ -146,60 +90,31 @@ impl Snapshot {
             unchecked: parts.unchecked,
             config: parts.config,
         });
-        Snapshot::build(0, parts.relations, defs, Warm::default())
+        let access = AccessCache::new(defs.config.metrics.clone());
+        Snapshot::build(0, parts.relations, defs, access, Warm::default())
     }
 
     /// The successor snapshot after a commit: `relations` is the
     /// writer's private overlay, `touched` the relations the batch
-    /// wrote. Warm caches for untouched relations — and the whole
-    /// content-addressed solve memo, whose `AppKey`s are relation
-    /// digests and therefore can never go stale — are handed off to the
-    /// new epoch; entries over touched relations are dropped.
+    /// wrote. The successor's access cache is this one's minus what was
+    /// cached about the old values of relations the batch changed —
+    /// every entry over an unchanged relation is still keyed by the
+    /// storage the successor reads, so it carries; nothing else needs
+    /// proving. The solved memo is handed off whole.
     pub(crate) fn next(
         &self,
         relations: FxHashMap<Name, Relation>,
         touched: &FxHashSet<Name>,
     ) -> Snapshot {
+        let access = self.access.clone();
+        for name in touched {
+            if let (Some(old), Some(new)) = (self.relations.get(name), relations.get(name)) {
+                if old.storage_id() != new.storage_id() {
+                    access.forget(old.storage_id());
+                }
+            }
+        }
         let warm = Warm {
-            indexes: RwLock::new(
-                self.warm
-                    .indexes
-                    .read()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .iter()
-                    .filter(|((name, _), _)| !touched.contains(name))
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect(),
-            ),
-            stats: RwLock::new(
-                self.warm
-                    .stats
-                    .read()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .iter()
-                    .filter(|(name, _)| !touched.contains(*name))
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect(),
-            ),
-            // Decorrelation entries embed materialised joins; an entry
-            // survives the commit iff read-profile analysis of its
-            // range fully resolves and proves it disjoint from every
-            // touched relation (selector predicates chased through the
-            // frozen definitions). Unresolvable or overlapping entries
-            // are dropped — staleness is never risked.
-            decorr: RwLock::new(
-                self.warm
-                    .decorr
-                    .read()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .iter()
-                    .filter(|(range, _)| {
-                        joinplan::base_relations(range, &DefsLookup(&self.defs))
-                            .disjoint_from(touched.iter())
-                    })
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect(),
-            ),
             solved: RwLock::new(
                 self.warm
                     .solved
@@ -208,13 +123,14 @@ impl Snapshot {
                     .clone(),
             ),
         };
-        Snapshot::build(self.epoch + 1, relations, self.defs.clone(), warm)
+        Snapshot::build(self.epoch + 1, relations, self.defs.clone(), access, warm)
     }
 
     fn build(
         epoch: u64,
         relations: FxHashMap<Name, Relation>,
         defs: Arc<Defs>,
+        access: AccessCache,
         warm: Warm,
     ) -> Snapshot {
         // Publication forces each relation's digest memo exactly once
@@ -238,6 +154,7 @@ impl Snapshot {
             relations,
             catalog_digest,
             defs,
+            access,
             warm,
         }
     }
@@ -273,6 +190,10 @@ impl Snapshot {
 
     pub(crate) fn defs(&self) -> &Arc<Defs> {
         &self.defs
+    }
+
+    pub(crate) fn access(&self) -> &AccessCache {
+        &self.access
     }
 
     pub(crate) fn warm(&self) -> &Warm {

@@ -99,17 +99,19 @@ counters! {
     WarmSolvedHits => warm_solved_hits,
     /// Warm-map misses: solved constructor results.
     WarmSolvedMisses => warm_solved_misses,
-    /// Warm-map hits: maintained indexes.
+    /// Access-cache lookups that found a hash index (counted per
+    /// lookup, by the cache itself, into its owner's registry).
     WarmIndexHits => warm_index_hits,
-    /// Warm-map misses: maintained indexes.
+    /// Access-cache lookups that had to build a hash index.
     WarmIndexMisses => warm_index_misses,
-    /// Warm-map hits: relation statistics.
+    /// Access-cache lookups that found relation statistics.
     WarmStatsHits => warm_stats_hits,
-    /// Warm-map misses: relation statistics.
+    /// Access-cache lookups that had to collect relation statistics.
     WarmStatsMisses => warm_stats_misses,
-    /// Warm-map hits: decorrelated quantifier plans.
+    /// Access-cache lookups that found a decorrelation decision.
     WarmDecorrHits => warm_decorr_hits,
-    /// Warm-map misses: decorrelated quantifier plans.
+    /// Access-cache lookups that left the decorrelation analysis (and
+    /// build) to the evaluator.
     WarmDecorrMisses => warm_decorr_misses,
     /// Server commits published.
     Commits => commits,
@@ -340,7 +342,8 @@ impl MetricsSnapshot {
         self.counter_fields().to_vec()
     }
 
-    /// Warm-map hit rate in `[0, 1]` across all four warm maps, or
+    /// Hit rate in `[0, 1]` across the solved memo and the three
+    /// access-cache kinds, or
     /// `None` when nothing was looked up.
     pub fn warm_hit_rate(&self) -> Option<f64> {
         let hits = self.warm_solved_hits
