@@ -55,6 +55,21 @@ pub fn ahead_query() -> dc_calculus::RangeExpr {
     dc_calculus::builder::rel("Infront").construct("ahead", vec![])
 }
 
+/// `{EACH a IN range: a.<attr_name> = k}` — the selection shape §4
+/// propagates into a constructor (E2, the rewrite differentials).
+pub fn bound_query(
+    range: dc_calculus::RangeExpr,
+    attr_name: &str,
+    k: dc_calculus::ScalarExpr,
+) -> dc_calculus::RangeExpr {
+    use dc_calculus::builder::{attr, eq, set_former};
+    set_former(vec![dc_calculus::ast::Branch::each(
+        "a",
+        range,
+        eq(attr("a", attr_name), k),
+    )])
+}
+
 /// The Horn-clause program for `ahead` over `base` (facts `infront/2`,
 /// the two textbook rules), via the §3.4 translation.
 pub fn ahead_program(base: &Relation) -> Program {

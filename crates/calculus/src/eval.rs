@@ -5,7 +5,7 @@
 //! * **Reference nested loops** ([`Evaluator::force_nested_loop`]) — the
 //!   executable *definition* of expression meaning: every set-former
 //!   branch enumerates the cross product of its ranges and filters by
-//!   the predicate. The optimizer's plans (`dc-optimizer`) and the
+//!   the predicate. The optimizer's rewrites (`dc-optimizer`) and the
 //!   index path below are differentially tested against it.
 //! * **Index-nested-loop joins** (the default) — branches whose
 //!   predicates carry conjunctive equality atoms are executed through

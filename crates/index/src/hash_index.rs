@@ -7,8 +7,9 @@ use dc_relation::Relation;
 /// A hash index mapping the projection of a tuple onto `positions` to
 /// the list of matching tuples.
 ///
-/// Built once per join operand by the plan executor (`dc-optimizer`) and
-/// maintained incrementally inside semi-naive fixpoint loops.
+/// Built once per join operand by the evaluator (through
+/// `dc_calculus::AccessCache`) and maintained incrementally inside
+/// semi-naive fixpoint loops.
 ///
 /// # Thread sharing
 ///
@@ -86,21 +87,6 @@ impl HashIndex {
         self.buckets.get(key).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Probe with the projection of `tuple` onto `other_positions`
-    /// (equi-join convenience: probe this index with the join key of a
-    /// tuple from the other side). Gathers the key into a plain value
-    /// buffer — unlike `Tuple::project` there is no shared-`Arc`
-    /// allocation per probe. Callers that can reuse a buffer across
-    /// probes should gather themselves and call
-    /// [`HashIndex::probe_slice`].
-    pub fn probe_with(&self, tuple: &Tuple, other_positions: &[usize]) -> &[Tuple] {
-        let key: Vec<Value> = other_positions
-            .iter()
-            .map(|&p| tuple.get(p).clone())
-            .collect();
-        self.probe_slice(&key)
-    }
-
     /// Iterate over `(key, bucket)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&Tuple, &[Tuple])> {
         self.buckets.iter().map(|(k, v)| (k, v.as_slice()))
@@ -140,17 +126,6 @@ mod tests {
         let hits = idx.probe(&tuple!["a"]);
         assert_eq!(hits.len(), 2);
         assert!(idx.probe(&tuple!["z"]).is_empty());
-    }
-
-    #[test]
-    fn probe_with_projects_other_side() {
-        // Join Infront.back = Ahead.head: index Ahead on head (pos 0),
-        // probe with Infront tuples projected on back (pos 1).
-        let ahead = edges(&[("b", "c"), ("c", "d")]);
-        let idx = HashIndex::build(&ahead, vec![0]);
-        let infront_tuple = tuple!["a", "b"];
-        let hits = idx.probe_with(&infront_tuple, &[1]);
-        assert_eq!(hits, &[tuple!["b", "c"]]);
     }
 
     #[test]

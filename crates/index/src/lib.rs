@@ -1,24 +1,14 @@
-//! Storage substrate: hash indexes, physical access paths, statistics.
+//! Storage substrate: hash indexes and statistics.
 //!
-//! §4 of the paper distinguishes **logical access paths** ("a compiled
-//! procedure with dummy constants" — realised in `dc-optimizer` as plans
-//! with parameter holes) from **physical access paths**, which
-//! "materialize a relation corresponding to the query with the constants
-//! used as variables, and partition it according to the different
-//! constant values". [`access_path::PhysicalAccessPath`] implements the
-//! latter literally: a materialised relation hash-partitioned on the
-//! parameter positions, with incremental maintenance
-//! (cf. the paper's pointer to [ShTZ 84] for maintenance).
-//!
-//! [`hash_index::HashIndex`] is the equi-join workhorse used by the plan
-//! executor, and [`stats::RelationStats`] feeds the optimizer's join
-//! ordering.
+//! [`hash_index::HashIndex`] is the equi-join workhorse of the
+//! evaluator's probe plans, and [`stats::RelationStats`] feeds its join
+//! ordering. Both are built and kept by `dc_calculus::AccessCache`,
+//! which is also what §4's *physical access path* amounts to in this
+//! engine (see `docs/ARCHITECTURE.md`, "§4 compilation is rewriting").
 
-pub mod access_path;
 pub mod hash_index;
 pub mod stats;
 
-pub use access_path::PhysicalAccessPath;
 pub use hash_index::HashIndex;
 pub use stats::{RelationStats, StatsBuilder};
 

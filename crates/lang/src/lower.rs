@@ -87,20 +87,19 @@ pub fn run_script(db: &mut Database, src: &str) -> Result<Vec<QueryResult>, Lang
                 name,
                 base_var,
                 base_type,
-                rel_params,
-                scalar_params,
+                params,
                 result_type,
                 branches,
             } => {
                 let base_schema = rel_schema(&base_type, &types)?;
                 let result = rel_schema(&result_type, &types)?;
-                let mut rps = Vec::with_capacity(rel_params.len());
-                for (pname, tname) in rel_params {
-                    rps.push((pname, rel_schema(&tname, &types)?));
-                }
-                let mut sps = Vec::with_capacity(scalar_params.len());
-                for (pname, pty) in scalar_params {
-                    sps.push((pname, scalar_domain(&pty, &types)?));
+                let mut rps = Vec::new();
+                let mut sps = Vec::new();
+                for (pname, pty) in params {
+                    match resolve_type(&pty, &types)? {
+                        Denot::Rel(schema) => rps.push((pname, schema)),
+                        Denot::Scalar(domain) => sps.push((pname, domain)),
+                    }
                 }
                 pending.push(Constructor {
                     name,

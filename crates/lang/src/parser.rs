@@ -285,18 +285,13 @@ impl Parser<'_> {
         let base_var = self.ident()?;
         self.expect(Tok::Colon)?;
         let base_type = self.ident()?;
-        let mut rel_params = Vec::new();
-        let mut scalar_params = Vec::new();
+        let mut params = Vec::new();
         if self.at(Tok::LParen) {
             self.bump();
             while !self.at(Tok::RParen) {
                 let pname = self.ident()?;
                 self.expect(Tok::Colon)?;
-                let ty = self.type_expr()?;
-                match ty {
-                    TypeExpr::Named(t) => rel_params.push((pname, t)),
-                    scalar => scalar_params.push((pname, scalar)),
-                }
+                params.push((pname, self.type_expr()?));
                 if self.at(Tok::Semi) || self.at(Tok::Comma) {
                     self.bump();
                 }
@@ -324,8 +319,7 @@ impl Parser<'_> {
             name,
             base_var,
             base_type,
-            rel_params,
-            scalar_params,
+            params,
             result_type,
             branches,
         })
@@ -895,10 +889,13 @@ mod tests {
         )
         .unwrap();
         match &s[0] {
-            Stmt::ConstructorDef { rel_params, .. } => {
+            Stmt::ConstructorDef { params, .. } => {
                 assert_eq!(
-                    rel_params,
-                    &vec![("Infront".to_string(), "infrontrel".to_string())]
+                    params,
+                    &vec![(
+                        "Infront".to_string(),
+                        TypeExpr::Named("infrontrel".to_string())
+                    )]
                 );
             }
             other => panic!("{other:?}"),

@@ -74,10 +74,10 @@ pub enum Stmt {
         base_var: String,
         /// Base relation type name.
         base_type: String,
-        /// Relation parameters: name and relation type name.
-        rel_params: Vec<(String, String)>,
-        /// Scalar parameters: name and type.
-        scalar_params: Vec<(String, TypeExpr)>,
+        /// Formal parameters in source order: name and type. Whether a
+        /// named type makes a relation or a scalar parameter is decided
+        /// at lowering, where the name's denotation is known.
+        params: Vec<(String, TypeExpr)>,
         /// Result relation type name.
         result_type: String,
         /// Body branches.

@@ -1,5 +1,5 @@
 //! Capture rules (§4, after [Ullm 84]): recognise special-case
-//! constructor shapes for which better algorithms exist than the
+//! constructor shapes for which a better evaluation exists than the
 //! general fixpoint — "we can attempt to employ capture rules to detect
 //! special cases such as [Schn 78]" (linear-expected-time transitive
 //! closure).
@@ -15,21 +15,29 @@
 //! END
 //! ```
 //!
-//! For such constructors:
+//! [`detect_tc`] is the analysis. The rewrite is §4's constraint
+//! propagation, as calculus: a query that binds the first result
+//! attribute to a constant, `{EACH a IN Base{ahead()}: a.B0 = k}`,
+//! becomes `Base{ahead$seeded(; k)}` where [`seeded`] is the
+//! left-linear constructor that only ever derives tuples whose first
+//! attribute is the seed:
 //!
-//! * [`full_plan`] emits the semi-naive [`Plan::FixpointLinear`], and
-//! * [`bound_plan`] emits the [`Plan::Reachability`] operator for
-//!   queries that bind the first result attribute to a constant — the
-//!   §4 constraint-propagation pay-off measured by experiment E2: work
-//!   proportional to the *cone* of the constant, not the whole closure.
+//! ```text
+//! CONSTRUCTOR ahead$seeded FOR Rel: … (Seed: …): …;
+//! BEGIN EACH f IN Rel: f.A0 = Seed,
+//!       <r.B0, f.A1> OF EACH r IN Rel{ahead$seeded(; Seed)},
+//!                       EACH f IN Rel: r.B1 = f.A0
+//! END
+//! ```
+//!
+//! The engine's ordinary semi-naive solve of that constructor does
+//! work proportional to the *cone* of the constant, not to the whole
+//! closure (experiment E2) — the magic-set idea, with nothing here
+//! executing anything.
 
-use dc_calculus::ast::{Formula, RangeExpr, ScalarExpr, Target};
+use dc_calculus::ast::{Branch, Formula, RangeExpr, ScalarExpr, SetFormer, Target};
 use dc_calculus::CmpOp;
-use dc_core::Constructor;
-use dc_relation::Relation;
-use dc_value::Value;
-
-use crate::plan::{Plan, ProjExpr, SeedValue};
+use dc_core::{Constructor, CoreError, Database};
 
 /// A recognised transitive-closure shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,50 +142,113 @@ pub fn detect_tc(ctor: &Constructor) -> Option<TcShape> {
     })
 }
 
-/// The semi-naive full-closure plan for a recognised TC constructor.
-pub fn full_plan(ctor: &Constructor, shape: &TcShape, base: Relation) -> Plan {
-    Plan::FixpointLinear {
-        init: Box::new(Plan::Input(base.clone())),
-        base: Box::new(Plan::Input(base)),
-        base_keys: vec![shape.join_pos],
-        rec_keys: vec![shape.rec_key_pos],
-        conds: vec![],
-        // base ++ rec rows: base has arity 2, rec columns start at 2.
-        exprs: vec![
-            ProjExpr::Col(shape.out_pos),
-            ProjExpr::Col(2 + shape.rec_out_pos),
-        ],
-        schema: ctor.result.clone(),
-    }
+/// Name of scalar parameter of a [`seeded`] constructor.
+const SEED: &str = "Seed";
+
+/// The seeded left-linear variant of a TC-shaped constructor (module
+/// docs), or `None` when [`detect_tc`] does not recognise `ctor`. Its
+/// name, `<ctor>$seeded`, is one no DBPL identifier can collide with.
+pub fn seeded(ctor: &Constructor) -> Option<Constructor> {
+    let shape = detect_tc(ctor)?;
+    let name = format!("{}$seeded", ctor.name);
+    let base_name = &ctor.base_param.0;
+    let base = &ctor.base_param.1;
+    let base_attr = |pos: usize| ScalarExpr::Attr("f".into(), base.attributes()[pos].name.clone());
+    let rec_attr =
+        |pos: usize| ScalarExpr::Attr("r".into(), ctor.result.attributes()[pos].name.clone());
+    let seed = || ScalarExpr::Param(SEED.into());
+    let recursive =
+        RangeExpr::rel(base_name.clone()).construct_with(name.clone(), vec![], vec![seed()]);
+    Some(Constructor {
+        name,
+        base_param: ctor.base_param.clone(),
+        rel_params: vec![],
+        scalar_params: vec![(SEED.into(), base.domain(shape.out_pos).clone())],
+        result: ctor.result.clone(),
+        body: SetFormer {
+            branches: vec![
+                Branch::each(
+                    "f",
+                    RangeExpr::rel(base_name.clone()),
+                    Formula::Cmp(base_attr(shape.out_pos), CmpOp::Eq, seed()),
+                ),
+                Branch::projecting(
+                    vec![rec_attr(shape.rec_key_pos), base_attr(shape.join_pos)],
+                    vec![
+                        ("r".into(), recursive),
+                        ("f".into(), RangeExpr::rel(base_name.clone())),
+                    ],
+                    Formula::Cmp(
+                        rec_attr(shape.rec_out_pos),
+                        CmpOp::Eq,
+                        base_attr(shape.out_pos),
+                    ),
+                ),
+            ],
+        },
+    })
 }
 
-/// The bound-argument plan: `σ_{col0 = seed}(Rel{c})` evaluated as a
-/// reachability from `seed` — the §4 constraint propagation.
-pub fn bound_plan(ctor: &Constructor, shape: &TcShape, base: Relation, seed: Value) -> Plan {
-    Plan::Reachability {
-        base: Box::new(Plan::Input(base)),
-        from: shape.out_pos,
-        to: shape.join_pos,
-        seed: SeedValue::Const(seed),
-        schema: ctor.result.clone(),
+/// §4 propagation of a bound argument. For a query of the form
+/// `{EACH a IN Base{c()}: a.<first result attribute> = k}` with `c`
+/// TC-shaped and `k` a constant, returns the [`seeded`] constructor and
+/// the equivalent range `Base{c$seeded(; k)}`; `None` for any other
+/// query (the constant on another attribute, a non-constant
+/// comparand, an unrecognised constructor).
+pub fn bind_first_attribute(db: &Database, query: &RangeExpr) -> Option<(Constructor, RangeExpr)> {
+    let RangeExpr::SetFormer(SetFormer { branches }) = query else {
+        return None;
+    };
+    let [Branch {
+        target: Target::Var(target),
+        bindings,
+        predicate: Formula::Cmp(l, CmpOp::Eq, r),
+    }] = branches.as_slice()
+    else {
+        return None;
+    };
+    let [(
+        var,
+        RangeExpr::Constructed {
+            base,
+            constructor,
+            args,
+            scalar_args,
+        },
+    )] = bindings.as_slice()
+    else {
+        return None;
+    };
+    if target != var || !args.is_empty() || !scalar_args.is_empty() {
+        return None;
     }
+    let ((ScalarExpr::Attr(v, a), k @ ScalarExpr::Const(_))
+    | (k @ ScalarExpr::Const(_), ScalarExpr::Attr(v, a))) = (l, r)
+    else {
+        return None;
+    };
+    let ctor = db.constructor_ref(constructor).ok()?;
+    if v != var || ctor.result.position(a).ok()? != 0 {
+        return None;
+    }
+    let seeded = seeded(ctor)?;
+    let range = (**base)
+        .clone()
+        .construct_with(seeded.name.clone(), vec![], vec![k.clone()]);
+    Some((seeded, range))
 }
 
-/// The parameterised bound plan — a logical access path body (§4):
-/// the seed is a parameter hole bound at run time.
-pub fn bound_plan_param(
-    ctor: &Constructor,
-    shape: &TcShape,
-    base: Relation,
-    param_index: usize,
-) -> Plan {
-    Plan::Reachability {
-        base: Box::new(Plan::Input(base)),
-        from: shape.out_pos,
-        to: shape.join_pos,
-        seed: SeedValue::Param(param_index),
-        schema: ctor.result.clone(),
+/// Apply [`bind_first_attribute`] to `query`, defining the seeded
+/// constructor in `db` unless an earlier call already did. A query the
+/// rule does not apply to comes back unchanged.
+pub fn rewrite_query(db: &mut Database, query: &RangeExpr) -> Result<RangeExpr, CoreError> {
+    let Some((seeded, range)) = bind_first_attribute(db, query) else {
+        return Ok(query.clone());
+    };
+    if db.constructor_ref(&seeded.name).is_err() {
+        db.define_constructor(seeded)?;
     }
+    Ok(range)
 }
 
 #[cfg(test)]
@@ -216,14 +287,6 @@ mod tests {
                 ],
             },
         }
-    }
-
-    fn chain(n: usize) -> Relation {
-        Relation::from_tuples(
-            infrontrel(),
-            (0..n).map(|i| tuple![format!("o{i}"), format!("o{}", i + 1)]),
-        )
-        .unwrap()
     }
 
     #[test]
@@ -278,44 +341,64 @@ mod tests {
         assert!(detect_tc(&c).is_none());
     }
 
-    #[test]
-    fn full_plan_computes_closure() {
-        let c = ahead();
-        let shape = detect_tc(&c).unwrap();
-        let plan = full_plan(&c, &shape, chain(6));
-        let (out, _) = plan.execute().unwrap();
-        assert_eq!(out.len(), 21);
-        assert!(out.contains(&tuple!["o0", "o6"]));
+    fn chain_db(n: usize) -> Database {
+        let mut db = Database::new();
+        db.create_relation("Infront", infrontrel()).unwrap();
+        db.insert_all(
+            "Infront",
+            (0..n).map(|i| tuple![format!("o{i}"), format!("o{}", i + 1)]),
+        )
+        .unwrap();
+        db.define_constructor(ahead()).unwrap();
+        db
+    }
+
+    fn bound_query(attr_name: &str, k: ScalarExpr) -> RangeExpr {
+        set_former(vec![Branch::each(
+            "a",
+            rel("Infront").construct("ahead", vec![]),
+            eq(attr("a", attr_name), k),
+        )])
     }
 
     #[test]
-    fn bound_plan_matches_filtered_full_plan() {
-        let c = ahead();
-        let shape = detect_tc(&c).unwrap();
-        let base = chain(10);
-        let (full, full_stats) = full_plan(&c, &shape, base.clone()).execute().unwrap();
-        let seed = Value::str("o7");
-        let filtered: Vec<_> = full
-            .sorted_tuples()
-            .into_iter()
-            .filter(|t| t.get(0) == &seed)
-            .collect();
-        let (bound, bound_stats) = bound_plan(&c, &shape, base, seed.clone())
-            .execute()
-            .unwrap();
-        assert_eq!(bound.sorted_tuples(), filtered);
-        // The pay-off: bound evaluation does far less work.
-        assert!(bound_stats.tuples_produced < full_stats.tuples_produced);
+    fn bound_query_becomes_a_seeded_application() {
+        let mut db = chain_db(10);
+        let q = bound_query("head", cnst("o7"));
+        let rewritten = rewrite_query(&mut db, &q).unwrap();
+        assert_eq!(
+            rewritten,
+            rel("Infront").construct_with("ahead$seeded", vec![], vec![cnst("o7")])
+        );
+        // The seeded constructor passed positivity and type checking,
+        // and the engine's answer is the filtered closure.
+        assert_eq!(db.eval(&rewritten).unwrap(), db.eval(&q).unwrap());
+        assert_eq!(db.eval(&rewritten).unwrap().len(), 3);
+        // Defining is idempotent: a second seed reuses the definition.
+        let flipped = set_former(vec![Branch::each(
+            "a",
+            rel("Infront").construct("ahead", vec![]),
+            eq(cnst("o2"), attr("a", "head")),
+        )]);
+        let again = rewrite_query(&mut db, &flipped).unwrap();
+        assert_eq!(db.eval(&again).unwrap().len(), 8);
+        assert_eq!(db.constructor_names(), vec!["ahead", "ahead$seeded"]);
     }
 
     #[test]
-    fn param_plan_binds_at_runtime() {
-        let c = ahead();
-        let shape = detect_tc(&c).unwrap();
-        let plan = bound_plan_param(&c, &shape, chain(5), 0);
-        let (out, _) = plan.execute_with(&[Value::str("o2")]).unwrap();
-        assert_eq!(out.len(), 3); // o3, o4, o5
-        let (out2, _) = plan.execute_with(&[Value::str("o4")]).unwrap();
-        assert_eq!(out2.len(), 1);
+    fn other_queries_come_back_unchanged() {
+        let mut db = chain_db(4);
+        for q in [
+            // Bound on the tail: the seeded closure runs the other way.
+            bound_query("tail", cnst("o3")),
+            // Not a constant.
+            bound_query("head", attr("a", "tail")),
+            bound_query("head", param("K")),
+            // No constructor application at all.
+            rel("Infront"),
+        ] {
+            assert_eq!(rewrite_query(&mut db, &q).unwrap(), q);
+        }
+        assert_eq!(db.constructor_names(), vec!["ahead"]);
     }
 }

@@ -1,20 +1,21 @@
 //! Bill-of-materials (parts explosion): the classic recursive database
-//! workload, expressed with a constructor and queried three ways:
+//! workload, expressed with a constructor and queried two ways, both
+//! through the one engine:
 //!
-//! 1. the general fixpoint engine (§3.2),
-//! 2. a compiled semi-naive plan via the capture rules (§4),
-//! 3. a *bound* query ("which parts go into assembly X?") answered by
-//!    the constraint-propagated reachability plan — the §4 pay-off —
-//!    and served through a logical access path that turns physical
-//!    after repeated use.
+//! 1. the full transitive containment by the general fixpoint (§3.2),
+//! 2. a *bound* query ("which parts go into assembly X?") after the §4
+//!    rewrite that propagates the constant into the constructor — the
+//!    engine then solves only the cone under X.
+//!
+//! Repeated lookups then show what §4 calls access paths: the rewritten
+//! query with its constant is the logical one, the engine's solved memo
+//! the physical one — a new seed costs one solve, a seed seen before
+//! costs none.
 //!
 //! Run with: `cargo run --example bill_of_materials`
 
 use data_constructors::prelude::*;
-use dc_calculus::builder::rel;
-use dc_core::paper;
-use dc_optimizer::access::{AccessPathManager, LogicalAccessPath};
-use dc_optimizer::capture;
+use dc_calculus::builder::{attr, cnst, eq, rel, set_former, tru};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A seeded DAG of assemblies and components.
@@ -23,106 +24,86 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut db = Database::new();
     db.create_relation("Contains", bom.schema().clone())?;
-    for t in bom.sorted_tuples() {
-        db.insert("Contains", t)?;
-    }
+    db.insert_all("Contains", bom.sorted_tuples())?;
 
-    // CONSTRUCTOR contains_star FOR Rel: … — same shape as `ahead`,
-    // over (assembly, component).
-    let mut ctor = paper::ahead();
-    ctor.name = "contains_star".into();
-    ctor.base_param.1 = bom.schema().clone();
-    ctor.result = bom.schema().clone();
-    // Rename the body's attribute references to the BOM schema.
-    ctor.body = dc_calculus::ast::SetFormer {
-        branches: vec![
-            dc_calculus::ast::Branch::each("r", rel("Rel"), dc_calculus::builder::tru()),
-            dc_calculus::ast::Branch::projecting(
-                vec![
-                    dc_calculus::builder::attr("f", "assembly"),
-                    dc_calculus::builder::attr("b", "component"),
-                ],
-                vec![
-                    ("f".into(), rel("Rel")),
-                    ("b".into(), rel("Rel").construct("contains_star", vec![])),
-                ],
-                dc_calculus::builder::eq(
-                    dc_calculus::builder::attr("f", "component"),
-                    dc_calculus::builder::attr("b", "assembly"),
+    // CONSTRUCTOR contains_star FOR Rel: … — same shape as the paper's
+    // `ahead`, over (assembly, component).
+    let contains_star = || rel("Contains").construct("contains_star", vec![]);
+    db.define_constructor(Constructor {
+        name: "contains_star".into(),
+        base_param: ("Rel".into(), bom.schema().clone()),
+        rel_params: vec![],
+        scalar_params: vec![],
+        result: bom.schema().clone(),
+        body: SetFormer {
+            branches: vec![
+                Branch::each("r", rel("Rel"), tru()),
+                Branch::projecting(
+                    vec![attr("f", "assembly"), attr("b", "component")],
+                    vec![
+                        ("f".into(), rel("Rel")),
+                        ("b".into(), rel("Rel").construct("contains_star", vec![])),
+                    ],
+                    eq(attr("f", "component"), attr("b", "assembly")),
                 ),
-            ),
-        ],
+            ],
+        },
+    })?;
+
+    // 1. Engine fixpoint: every (assembly, transitive component) pair.
+    let full = db.eval(&contains_star())?;
+    let full_work = db.metrics().snapshot();
+    println!(
+        "transitive containment: {} pairs ({} rounds, {} delta tuples)",
+        full.len(),
+        full_work.solve_rounds,
+        full_work.delta_tuples
+    );
+
+    // 2. Bound query: the parts explosion of `root`. The rewrite turns
+    //    the selection over the closure into an application of the
+    //    seeded constructor, which the same engine evaluates.
+    let explosion_of = |assembly: &str| {
+        set_former(vec![Branch::each(
+            "p",
+            contains_star(),
+            eq(attr("p", "assembly"), cnst(assembly)),
+        )])
     };
-    db.define_constructor(ctor.clone())?;
-
-    // 1. Engine fixpoint.
-    let q = rel("Contains").construct("contains_star", vec![]);
-    let full = db.eval(&q)?;
-    println!("transitive containment: {} pairs", full.len());
-    let stats = db.last_fixpoint_stats().unwrap();
+    let rewritten = dc_optimizer::rewrite_query(&mut db, &explosion_of("root"))?;
+    println!("{} rewrites to {rewritten}", explosion_of("root"));
+    let explanation = db.explain(&rewritten)?;
+    let bound_work = db.metrics().snapshot();
+    let root_parts = db.eval(&rewritten)?;
     println!(
-        "  fixpoint: {} iterations ({:?})",
-        stats.iterations, stats.strategy
-    );
-
-    // 2. Compiled plan via capture rules — must agree exactly.
-    let plan = dc_optimizer::compile::compile_query(&db, &q)?;
-    println!("  compiled plan:\n{}", indent(&plan.explain()));
-    let (compiled, plan_stats) = plan.execute()?;
-    assert_eq!(compiled.sorted_tuples(), full.sorted_tuples());
-    println!("  plan rounds: {}", plan_stats.fixpoint_rounds);
-
-    // 3. Bound query: the parts explosion of `root`, by reachability.
-    let shape = capture::detect_tc(&ctor).expect("contains_star is TC-shaped");
-    let bound = capture::bound_plan(&ctor, &shape, bom.clone(), Value::str("root"));
-    let (root_parts, bound_stats) = bound.execute()?;
-    println!(
-        "parts under `root`: {} (probes: {} vs full-plan probes: {})",
+        "parts under `root`: {} ({} delta tuples vs {} for the full closure)",
         root_parts.len(),
-        bound_stats.probes,
-        plan_stats.probes
+        bound_work.delta_tuples - full_work.delta_tuples,
+        full_work.delta_tuples
     );
+    println!("{explanation}");
     // Cross-check against filtering the full closure.
-    let filtered = full
-        .sorted_tuples()
-        .into_iter()
-        .filter(|t| t.get(0).as_str() == Some("root"))
-        .count();
-    assert_eq!(root_parts.len(), filtered);
+    assert_eq!(root_parts, db.eval(&explosion_of("root"))?);
+    assert!(bound_work.delta_tuples - full_work.delta_tuples < full_work.delta_tuples);
 
-    // A logical access path with a parameter hole, upgraded to a
-    // physical access path (materialised + partitioned) after heavy
-    // use (§4's policy).
-    let logical =
-        LogicalAccessPath::new(capture::bound_plan_param(&ctor, &shape, bom.clone(), 0), 1);
-    let manager = AccessPathManager::new(
-        logical,
-        capture::full_plan(&ctor, &shape, bom.clone()),
-        vec![0],
-        4,
-    );
-    for (i, seed) in ["root", "part1", "part2", "root", "part1", "part3"]
-        .iter()
+    // Repeated lookups: a new seed is one more solve, the same seed
+    // again is answered from the solved memo.
+    let mut seen: Vec<&str> = vec!["root"];
+    for (i, seed) in ["part1", "part2", "root", "part1", "part3"]
+        .into_iter()
         .enumerate()
     {
-        let answer = manager.lookup(&[Value::str(*seed)])?;
+        let q = dc_optimizer::rewrite_query(&mut db, &explosion_of(seed))?;
+        let before = db.metrics().snapshot().solve_runs;
+        let answer = db.eval(&q)?;
+        let solves = db.metrics().snapshot().solve_runs - before;
         println!(
             "  lookup {i} ({seed}): {} components [{}]",
             answer.len(),
-            if manager.is_materialized() {
-                "physical"
-            } else {
-                "logical"
-            }
+            if solves == 0 { "memo" } else { "solved" }
         );
+        assert_eq!(solves, u64::from(!seen.contains(&seed)));
+        seen.push(seed);
     }
-    assert!(manager.is_materialized());
     Ok(())
-}
-
-fn indent(s: &str) -> String {
-    s.lines()
-        .map(|l| format!("    {l}"))
-        .collect::<Vec<_>>()
-        .join("\n")
 }

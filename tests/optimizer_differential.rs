@@ -1,11 +1,14 @@
-//! Differential tests: every §4 rewrite and compiled plan agrees with
-//! the reference evaluator, across a battery of query shapes.
+//! Differential tests: every §4 rewrite — range nesting and the
+//! seeded capture — yields a query the engine answers exactly as the
+//! nested-loop reference answers the original, across a battery of
+//! query shapes.
 
+use dc_bench::bound_query as bound;
 use dc_calculus::ast::Branch;
 use dc_calculus::builder::*;
 use dc_calculus::RangeExpr;
 use dc_core::{paper, Database};
-use dc_optimizer::{compile, nesting};
+use dc_optimizer::{capture, nesting};
 use dc_value::{tuple, Domain, Schema};
 
 fn scene_db() -> Database {
@@ -26,45 +29,48 @@ fn scene_db() -> Database {
     db
 }
 
-fn assert_plan_agrees(db: &Database, q: &RangeExpr) {
-    let reference = db.eval(q).unwrap();
-    let plan = compile::compile_query(db, q).unwrap();
-    let (compiled, _) = plan.execute().unwrap();
-    assert_eq!(
-        reference.sorted_tuples(),
-        compiled.sorted_tuples(),
-        "query {q} — plan:\n{}",
-        plan.explain()
-    );
+/// The §3.1 scene with the mutually recursive `ahead(Ontop)` /
+/// `above(Infront)` pair — constructors with relation arguments.
+fn mutual_db() -> Database {
+    let mut db = Database::new();
+    db.create_relation("Infront", paper::infrontrel()).unwrap();
+    db.create_relation("Ontop", paper::ontoprel()).unwrap();
+    db.insert_all(
+        "Infront",
+        vec![tuple!["table", "chair"], tuple!["lamp", "vase"]],
+    )
+    .unwrap();
+    db.insert("Ontop", tuple!["vase", "table"]).unwrap();
+    db.define_constructors(vec![paper::ahead_mutual(), paper::above()])
+        .unwrap();
+    db
 }
 
-fn assert_rewrite_agrees(db: &Database, q: &RangeExpr) {
-    let reference = db.eval(q).unwrap();
-    let rewritten = nesting::rewrite_query(db, q).unwrap();
-    let out = db.eval_unchecked(&rewritten).unwrap();
+/// The rewritten query under `Database::eval` ≡ the original under the
+/// nested-loop reference. Returns the rewritten query.
+fn assert_rewrite_agrees(db: &mut Database, q: &RangeExpr) -> RangeExpr {
+    let reference = db.evaluator().force_nested_loop().eval(q).unwrap();
+    let rewritten = dc_optimizer::rewrite_query(db, q).unwrap();
     assert_eq!(
-        reference.sorted_tuples(),
-        out.sorted_tuples(),
+        db.eval(&rewritten).unwrap(),
+        reference,
         "query {q} rewrote to {rewritten}"
     );
+    rewritten
 }
 
 #[test]
-fn query_battery_plans() {
-    let db = scene_db();
+fn query_battery_rewrites() {
+    let mut db = scene_db();
+    let ahead = || rel("Infront").construct("ahead", vec![]);
     let queries: Vec<RangeExpr> = vec![
         rel("Infront"),
-        rel("Infront").construct("ahead", vec![]),
+        ahead(),
         rel("Infront").construct("ahead2", vec![]),
         rel("Infront").select("hidden_by", vec![cnst("n3")]),
         rel("Infront")
             .select("hidden_by", vec![cnst("n3")])
             .construct("ahead", vec![]),
-        set_former(vec![Branch::each(
-            "r",
-            rel("Infront").construct("ahead", vec![]),
-            eq(attr("r", "head"), cnst("n0")),
-        )]),
         set_former(vec![Branch::projecting(
             vec![attr("a", "front"), attr("b", "back")],
             vec![
@@ -72,6 +78,16 @@ fn query_battery_plans() {
                 ("b".into(), rel("Infront").construct("ahead2", vec![])),
             ],
             eq(attr("a", "back"), attr("b", "front")),
+        )]),
+        set_former(vec![Branch::projecting(
+            vec![attr("a", "front"), attr("c", "back"), cnst("marker")],
+            vec![
+                ("a".into(), rel("Infront")),
+                ("b".into(), rel("Infront")),
+                ("c".into(), rel("Infront")),
+            ],
+            eq(attr("a", "back"), attr("b", "front"))
+                .and(eq(attr("b", "back"), attr("c", "front"))),
         )]),
         set_former(vec![
             Branch::each("r", rel("Infront"), eq(attr("r", "front"), cnst("n1"))),
@@ -92,14 +108,53 @@ fn query_battery_plans() {
         )]),
     ];
     for q in &queries {
-        assert_plan_agrees(&db, q);
-        assert_rewrite_agrees(&db, q);
+        assert_rewrite_agrees(&mut db, q);
     }
+
+    // The bound argument is propagated into the closure: over any base
+    // range, for a seed with and without outgoing edges.
+    for q in [
+        bound(ahead(), "head", cnst("n0")),
+        bound(ahead(), "head", cnst("nowhere")),
+        bound(
+            rel("Infront")
+                .select("hidden_by", vec![cnst("n3")])
+                .construct("ahead", vec![]),
+            "head",
+            cnst("n3"),
+        ),
+    ] {
+        let rewritten = assert_rewrite_agrees(&mut db, &q);
+        assert!(
+            matches!(&rewritten, RangeExpr::Constructed { constructor, .. }
+                if constructor == "ahead$seeded"),
+            "{q} rewrote to {rewritten}"
+        );
+    }
+
+    // Refusals: the capture rule hands the query back untouched (and
+    // whatever range nesting then does with it still agrees).
+    let refused = |db: &mut Database, q: RangeExpr| {
+        assert_eq!(capture::rewrite_query(db, &q).unwrap(), q);
+        assert_rewrite_agrees(db, &q);
+    };
+    // Bound on the tail: the seeded closure runs the other way.
+    refused(&mut db, bound(ahead(), "tail", cnst("n0")));
+    // Compared with a non-constant.
+    refused(&mut db, bound(ahead(), "head", attr("a", "tail")));
+    // Not recursive: range nesting's business (Cases 2 and 3).
+    let ahead2 = rel("Infront").construct("ahead2", vec![]);
+    refused(&mut db, bound(ahead2, "front", cnst("n0")));
+    // Mutually recursive, and applied to a relation argument.
+    let mut mutual = mutual_db();
+    let ahead_ontop = rel("Infront").construct("ahead", vec![rel("Ontop")]);
+    refused(&mut mutual, bound(ahead_ontop, "head", cnst("lamp")));
+    assert!(mutual.constructor_ref("ahead$seeded").is_err());
 }
 
 #[test]
 fn rewrites_on_numeric_relations() {
-    let db = scene_db();
+    let mut db = scene_db();
     let queries = vec![
         set_former(vec![Branch::projecting(
             vec![add(attr("a", "n"), attr("b", "n"))],
@@ -113,13 +168,13 @@ fn rewrites_on_numeric_relations() {
         )]),
     ];
     for q in &queries {
-        assert_plan_agrees(&db, q);
+        assert_rewrite_agrees(&mut db, q);
     }
 }
 
 /// The three-level strategy end to end: partition at type-check level,
-/// quant-graph recursion diagnosis at compile level, plan execution at
-/// runtime — on the registered paper constructors.
+/// quant-graph recursion diagnosis and rewriting at compile level — on
+/// the registered paper constructors.
 #[test]
 fn three_level_pipeline() {
     use dc_optimizer::partition::partition_by_names;
@@ -140,11 +195,18 @@ fn three_level_pipeline() {
     let g_nonrec = QuantGraph::augmented(&paper::ahead2());
     assert!(!g_nonrec.is_recursive(0));
 
-    // Level 3: the recursive one compiles to a fixpoint plan, the
+    // Level 3: the recursive one is left to the engine's fixpoint (a
+    // query binding its first attribute gets the seeded variant), the
     // non-recursive one fully decompiles (inlines) to base relations.
     let db = scene_db();
-    let rec_plan = compile::compile_query(&db, &rel("Infront").construct("ahead", vec![])).unwrap();
-    assert!(rec_plan.explain().contains("FixpointLinear"));
+    let closure = rel("Infront").construct("ahead", vec![]);
+    assert_eq!(
+        nesting::inline_applications(&db, &closure).unwrap(),
+        closure
+    );
+    let (seeded, _) =
+        capture::bind_first_attribute(&db, &bound(closure, "head", cnst("n0"))).unwrap();
+    assert!(QuantGraph::augmented(&seeded).is_recursive(0));
     let inlined =
         nesting::inline_applications(&db, &rel("Infront").construct("ahead2", vec![])).unwrap();
     assert!(matches!(inlined, RangeExpr::SetFormer(_)));
@@ -198,6 +260,6 @@ fn pushdown_prunes_work() {
     );
     assert_eq!(
         db.eval(&q).unwrap().sorted_tuples(),
-        db.eval_unchecked(&rewritten).unwrap().sorted_tuples()
+        db.eval(&rewritten).unwrap().sorted_tuples()
     );
 }

@@ -2,16 +2,16 @@
 //! closure, on arbitrary graphs.
 //!
 //! This is the load-bearing correctness property of the reproduction:
-//! the §3.2 fixpoint (both strategies), the §3.4 options, the compiled
-//! §4 plans, and the translated Horn-clause engines must agree
+//! the §3.2 fixpoint (both strategies), the §3.4 options, the §4
+//! rewrites, and the translated Horn-clause engines must agree
 //! tuple-for-tuple.
 
 use proptest::prelude::*;
 
-use dc_calculus::builder::rel;
+use dc_calculus::builder::{cnst, rel};
+use dc_calculus::RangeExpr;
 use dc_core::options::{ahead_step, program_iteration, transitive_closure};
 use dc_core::{paper, Database, Strategy as FixpointStrategy};
-use dc_optimizer::capture;
 use dc_prolog::{tabled, Atom, Term};
 use dc_relation::Relation;
 use dc_value::{tuple, Value};
@@ -28,7 +28,7 @@ fn edges_strategy() -> impl Strategy<Value = Relation> {
     })
 }
 
-fn engine_closure(base: &Relation, strategy: FixpointStrategy) -> Relation {
+fn ahead_db(base: &Relation, strategy: FixpointStrategy) -> Database {
     let mut db = Database::new();
     db.set_strategy(strategy);
     db.create_relation("Infront", base.schema().clone())
@@ -37,7 +37,32 @@ fn engine_closure(base: &Relation, strategy: FixpointStrategy) -> Relation {
         db.insert("Infront", t.clone()).unwrap();
     }
     db.define_constructor(paper::ahead()).unwrap();
-    db.eval(&rel("Infront").construct("ahead", vec![])).unwrap()
+    db
+}
+
+fn engine_closure(base: &Relation, strategy: FixpointStrategy) -> Relation {
+    ahead_db(base, strategy)
+        .eval(&rel("Infront").construct("ahead", vec![]))
+        .unwrap()
+}
+
+/// `{EACH a IN range: a.<attr_name> = "n<seed>"}`.
+fn bound(range: RangeExpr, attr_name: &str, seed: u8) -> RangeExpr {
+    dc_bench::bound_query(range, attr_name, cnst(format!("n{seed}")))
+}
+
+/// The §4-rewritten query under `Database::eval` ≡ the original under
+/// the nested-loop reference.
+fn rewrite_agrees(db: &mut Database, q: &RangeExpr) {
+    let reference = db.evaluator().force_nested_loop().eval(q).unwrap();
+    let rewritten = dc_optimizer::rewrite_query(db, q).unwrap();
+    prop_assert_eq!(
+        db.eval(&rewritten).unwrap(),
+        reference,
+        "{} → {}",
+        q,
+        rewritten
+    );
 }
 
 proptest! {
@@ -63,16 +88,15 @@ proptest! {
         prop_assert_eq!(&iter, &reference);
     }
 
-    /// The compiled FixpointLinear plan agrees with the engine.
+    /// §4 range nesting is sound on arbitrary graphs: the closure is
+    /// left alone, a selection on `ahead2` is pushed into its branches.
     #[test]
-    fn compiled_plan_agrees(base in edges_strategy()) {
-        let reference = engine_closure(&base, FixpointStrategy::SemiNaive);
-        let ctor = paper::ahead();
-        let shape = capture::detect_tc(&ctor).unwrap();
-        let (plan_out, _) = capture::full_plan(&ctor, &shape, base.clone())
-            .execute()
-            .unwrap();
-        prop_assert_eq!(plan_out.sorted_tuples(), reference.sorted_tuples());
+    fn rewritten_query_agrees(base in edges_strategy(), seed in 0u8..10) {
+        let mut db = ahead_db(&base, FixpointStrategy::SemiNaive);
+        db.define_constructor(paper::ahead2()).unwrap();
+        rewrite_agrees(&mut db, &rel("Infront").construct("ahead", vec![]));
+        let ahead2 = rel("Infront").construct("ahead2", vec![]);
+        rewrite_agrees(&mut db, &bound(ahead2, "front", seed));
     }
 
     /// The translated Horn program (tabled, which terminates on
@@ -99,25 +123,18 @@ proptest! {
         prop_assert_eq!(t.answers, engine_set);
     }
 
-    /// §4 constraint propagation is sound: the bound reachability plan
-    /// equals the filtered full closure, for every seed.
+    /// §4 constraint propagation is sound: the seeded constructor
+    /// equals the filtered full closure, on cyclic graphs too, for
+    /// every seed — including seeds with no outgoing edge (empty
+    /// answer) — and a bound tail is left to the full closure.
     #[test]
-    fn pushdown_sound(base in edges_strategy(), seed in 0u8..10) {
-        let ctor = paper::ahead();
-        let shape = capture::detect_tc(&ctor).unwrap();
-        let (full, _) = capture::full_plan(&ctor, &shape, base.clone())
-            .execute()
-            .unwrap();
-        let seed_val = Value::str(format!("n{seed}"));
-        let filtered: Vec<_> = full
-            .sorted_tuples()
-            .into_iter()
-            .filter(|t| t.get(0) == &seed_val)
-            .collect();
-        let (bound, _) = capture::bound_plan(&ctor, &shape, base, seed_val)
-            .execute()
-            .unwrap();
-        prop_assert_eq!(bound.sorted_tuples(), filtered);
+    fn pushdown_sound(base in edges_strategy()) {
+        let mut db = ahead_db(&base, FixpointStrategy::SemiNaive);
+        let ahead = || rel("Infront").construct("ahead", vec![]);
+        for seed in 0u8..10 {
+            rewrite_agrees(&mut db, &bound(ahead(), "head", seed));
+            rewrite_agrees(&mut db, &bound(ahead(), "tail", seed));
+        }
     }
 
     /// The closure is idempotent: closing the closure adds nothing.
