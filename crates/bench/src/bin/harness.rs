@@ -1,28 +1,29 @@
-//! Text-report harness: one section per experiment (E1–E7), printing
-//! the measured rows recorded in `EXPERIMENTS.md`.
+//! Text-report harness: the paper reproduction, one section per
+//! experiment (E1–E7).
 //!
-//! Criterion gives statistically careful timings (`cargo bench`); this
-//! binary gives the *shape* report — who wins, by what factor, where
-//! the crossovers are — in a form directly comparable to the paper's
-//! qualitative claims.
+//! It gives the *shape* report — who wins, by what factor, where the
+//! crossovers are — in a form directly comparable to the paper's
+//! qualitative claims, and asserts what is algorithmic: cross-engine
+//! agreement, round and equation counts, and order-of-magnitude
+//! access-path bounds. Timings are single shots; the gated, repeated
+//! performance measurement is `dcbench` (`benchmark/`).
 //!
 //! Run with: `cargo run --release --bin harness`
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use dc_bench::*;
 use dc_calculus::builder::{cnst, rel};
 use dc_core::options::{ahead_step, program_iteration, recursive_function, transitive_closure};
 use dc_core::{paper, Database, Strategy};
-use dc_governor::{envcfg, Budget};
 use dc_optimizer::partition::partition_by_names;
 use dc_optimizer::QuantGraph;
 use dc_prolog::sld::{self, SldConfig};
 use dc_prolog::tabled;
 use dc_relation::Relation;
 use dc_server::{Server, WriteBatch};
+use dc_trace::metrics::MetricsSnapshot;
 use dc_value::{tuple, Value};
 
 fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -34,186 +35,42 @@ fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
 /// Splice the owning registry's snapshot into a finished JSON row as a
 /// `"metrics"` object, so every `BENCH_*.json` row carries the engine
 /// counters behind its timings (rounds, delta tuples, probe/scan
-/// decisions, warm-map hits, latencies). The snapshot JSON is
-/// single-line and bracket-free, so `baseline::parse_rows` still reads
-/// the row's `workload`/`speedup` probes unchanged.
-fn row_with_metrics(row: String, snap: &dc_trace::metrics::MetricsSnapshot) -> String {
+/// decisions, warm-map hits, latencies).
+fn row_with_metrics(row: String, snap: &MetricsSnapshot) -> String {
     let body = row
         .strip_suffix('}')
         .expect("bench rows are one-line JSON objects");
     format!("{body}, \"metrics\": {}}}", snap.to_json())
 }
 
-fn eval_ms(db: &mut Database, q: &dc_calculus::RangeExpr) -> (usize, f64) {
-    // Optional resource governance for unattended runs: a budget from
-    // `DC_DEADLINE_MS` / `DC_MAX_TUPLES` is installed into the fixpoint
-    // configuration so every measured solve is governed. A trip aborts
-    // the harness with the structured `SolveError` — that is the point:
-    // a hung or runaway experiment becomes a diagnosable failure.
-    db.set_budget(harness_budget());
+/// A cold evaluation of `q` (solved memo cleared first): the answer's
+/// size, its wall time, and what it recorded into `db`'s registry.
+fn eval_ms(db: &Database, q: &dc_calculus::RangeExpr) -> (usize, f64, MetricsSnapshot) {
     db.clear_solved_cache();
     // `Database::evaluator` honours `set_use_indexes`, so scan-side
     // measurements run the reference path at the query level too.
-    let (out, ms) = time(|| db.evaluator().eval(q).unwrap());
-    (out.len(), ms)
-}
-
-/// Budget assembled from the harness governance flags, parsed once.
-///
-/// * `DC_DEADLINE_MS` — wall-clock ceiling per measured evaluation.
-/// * `DC_MAX_TUPLES` — materialised-tuple ceiling per evaluation.
-///
-/// Invalid values warn once (via [`dc_governor::envcfg`]) and leave the
-/// corresponding limit off, consistent with `DC_THREADS` parsing.
-fn harness_budget() -> Option<Budget> {
-    static BUDGET: OnceLock<Option<Budget>> = OnceLock::new();
-    BUDGET
-        .get_or_init(|| {
-            let mut budget = Budget::unlimited();
-            if let Ok(v) = std::env::var("DC_DEADLINE_MS") {
-                match envcfg::parse_positive(&v) {
-                    Ok(ms) => budget = budget.with_deadline_ms(ms as u64),
-                    Err(why) => envcfg::warn_once(
-                        "DC_DEADLINE_MS",
-                        &format!("ignoring DC_DEADLINE_MS={v:?}: {why}; no deadline applied"),
-                    ),
-                }
-            }
-            if let Ok(v) = std::env::var("DC_MAX_TUPLES") {
-                match envcfg::parse_positive(&v) {
-                    Ok(n) => budget = budget.with_max_tuples(n as u64),
-                    Err(why) => envcfg::warn_once(
-                        "DC_MAX_TUPLES",
-                        &format!("ignoring DC_MAX_TUPLES={v:?}: {why}; no tuple ceiling applied"),
-                    ),
-                }
-            }
-            (!budget.is_unlimited()).then_some(budget)
-        })
-        .clone()
-}
-
-/// `DC_BENCH_ONLY=e1` restricts the run to the E1 family. The CI
-/// perf-smoke job uses it for the trace-armed comparison run (E1
-/// disabled-vs-enabled within the baseline band) without paying for
-/// the full battery twice. Unset runs everything; any other value
-/// warns once (via [`dc_governor::envcfg`]) and runs everything,
-/// consistent with the other harness flags.
-fn bench_only() -> Option<&'static str> {
-    static ONLY: OnceLock<Option<String>> = OnceLock::new();
-    ONLY.get_or_init(|| match std::env::var("DC_BENCH_ONLY") {
-        Ok(v) if v == "e1" => Some(v),
-        Ok(v) => {
-            envcfg::warn_once(
-                "DC_BENCH_ONLY",
-                &format!(
-                    "ignoring DC_BENCH_ONLY={v:?}: the only supported filter is \
-                     \"e1\"; running the full battery"
-                ),
-            );
-            None
-        }
-        Err(_) => None,
-    })
-    .as_deref()
+    let ((out, ms), counts) = counted(&db.metrics(), || time(|| db.evaluator().eval(q).unwrap()));
+    (out.len(), ms, counts)
 }
 
 fn main() {
     println!("Data Constructors (VLDB 1985) — experiment harness");
     println!("===================================================\n");
-    if let Some(budget) = harness_budget() {
-        println!("  governance: {budget:?} (from DC_DEADLINE_MS / DC_MAX_TUPLES)\n");
-    }
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
     e1();
     let e1b_rows = e1b();
-    let (e1c_rows, e1c_best, e1c_largest, cores) = e1c();
-    let (e1d_rows, e1d_best) = e1d(cores);
-    // Baselines are written before the acceptance asserts, so a perf
-    // regression still leaves the measured rows on disk for diagnosis.
+    let e1c_rows = e1c(cores);
+    let e1d_rows = e1d(cores);
     write_bench_e1(&e1b_rows, &e1c_rows, &e1d_rows);
-    // The E1c bound scales with what the hardware can express: two
-    // workers cannot reach 2×, but the largest scan must still clearly
-    // win or sharding one-shot joins has stopped paying for itself.
-    if (2..4).contains(&cores) {
-        assert!(
-            e1c_largest >= 1.3,
-            "acceptance: ≥1.3× scan-sharding speedup with {cores} threads on the \
-             largest two-hop workload, measured {e1c_largest:.2}x"
-        );
-    }
-    if cores >= 4 {
-        assert!(
-            e1c_best >= 2.0,
-            "acceptance: ≥2× parallel speedup with 4 threads on at least one \
-             large-scan workload ({cores} cores available), best measured {e1c_best:.2}x"
-        );
-        assert!(
-            e1d_best >= 2.0,
-            "acceptance: ≥2× cross-equation parallel fixpoint speedup with 4 \
-             workers on at least one multi-equation workload ({cores} cores \
-             available), best measured {e1d_best:.2}x"
-        );
-    } else {
-        println!(
-            "  (E1c/E1d ≥2× bounds not asserted: only {cores} core(s) available — \
-             a 4-worker pool cannot reach them without the hardware parallelism)\n"
-        );
-    }
-    if bench_only() == Some("e1") {
-        println!("  (DC_BENCH_ONLY=e1: skipping E2–E7)\n");
-        return;
-    }
     e2();
-    let (e2b_rows, e2b_speedup) = e2b();
-    let (e2c_rows, e2c_speedup) = e2c();
-    let (e2d_rows, e2d_speedup) = e2d();
-    // Baselines are written before the acceptance asserts, so a perf
-    // regression still leaves the measured rows on disk for diagnosis.
+    let e2b_rows = e2b();
+    let e2c_rows = e2c();
+    let e2d_rows = e2d();
     write_bench_e2(&e2b_rows, &e2c_rows, &e2d_rows);
-    assert!(
-        e2b_speedup >= 3.0,
-        "acceptance: ≥3× on the quantifier workload, measured {e2b_speedup:.1}x"
-    );
-    assert!(
-        e2c_speedup >= 3.0,
-        "acceptance: ≥3× on the correlated-selector workload, measured {e2c_speedup:.1}x"
-    );
-    assert!(
-        e2d_speedup >= 3.0,
-        "acceptance: ≥3× on the multi-binding correlated-join workload, measured {e2d_speedup:.1}x"
-    );
     e3();
-    let (e3b_rows, e3b_speedup) = e3b(cores);
-    // Baseline written before the acceptance assert, same as E1/E2.
-    write_bench_e3(&e3b_rows);
-    if cores >= 4 {
-        assert!(
-            e3b_speedup >= 2.0,
-            "acceptance: ≥2× read QPS with a 4-reader pool vs one reader under \
-             concurrent writes ({cores} cores available), measured {e3b_speedup:.2}x"
-        );
-    } else {
-        println!(
-            "  (E3b ≥2× QPS bound not asserted: only {cores} core(s) available — \
-             reader sessions cannot overlap without hardware parallelism)\n"
-        );
-    }
+    write_bench_e3(&e3b(cores));
     e4();
-    let (e4b_rows, e4b_speedup) = e4b(cores);
-    write_bench_e4(&e4b_rows);
-    if cores >= 4 {
-        assert!(
-            e4b_speedup >= 5.0,
-            "expected standing-query incremental maintenance to beat from-scratch \
-             re-query by ≥5× on at least one workload ({cores} cores available), \
-             best measured {e4b_speedup:.2}x"
-        );
-    } else {
-        println!(
-            "  (E4b ≥5× bound not asserted: only {cores} core(s) available — \
-             timings are too noisy without hardware parallelism)\n"
-        );
-    }
+    write_bench_e4(&e4b(cores));
     e5();
     e6();
     e7();
@@ -223,9 +80,9 @@ fn main() {
 /// E1b: the index-nested-loop join path against the reference
 /// nested-loop evaluator, semi-naive strategy on both sides — the
 /// scan→probe speedup this engine's join planner is responsible for.
-/// The measured rows join the E1c rows in `BENCH_e1.json` (see
-/// [`write_bench_e1`]) so future changes have a perf trajectory to
-/// compare against.
+/// Asserts the ≥5× bound on the 1k-node tree (an access-path class,
+/// not a constant: measured 60–110×). The measured rows join the E1c
+/// rows in `BENCH_e1.json` (see [`write_bench_e1`]).
 fn e1b() -> Vec<String> {
     println!("E1b index-nested-loop joins vs reference nested loops (semi-naive)");
     println!("  workload              nodes  edges  closure  indexed(ms)  nested(ms)  speedup");
@@ -241,17 +98,17 @@ fn e1b() -> Vec<String> {
     let mut rows = Vec::new();
     for (label, nodes, base) in workloads {
         let q = ahead_query();
-        let mut db_idx = ahead_db(&base, Strategy::SemiNaive);
-        let (idx_len, idx_ms) = eval_ms(&mut db_idx, &q);
+        let db_idx = ahead_db(&base, Strategy::SemiNaive);
+        let (idx_len, idx_ms, idx) = eval_ms(&db_idx, &q);
         let mut db_scan = ahead_db(&base, Strategy::SemiNaive);
         db_scan.set_use_indexes(false);
-        let (scan_len, scan_ms) = eval_ms(&mut db_scan, &q);
+        let (scan_len, scan_ms, scan) = eval_ms(&db_scan, &q);
         assert_eq!(
             idx_len, scan_len,
             "index path must agree with reference on {label}"
         );
+        assert_eq!(idx.solve_rounds, scan.solve_rounds, "{label}");
         let speedup = scan_ms / idx_ms;
-        let stats = db_idx.last_fixpoint_stats().expect("fixpoint ran");
         println!(
             "  {label:<20} {nodes:>6} {:>6} {idx_len:>8} {idx_ms:>12.2} {scan_ms:>11.2} {speedup:>7.1}x",
             base.len()
@@ -260,15 +117,15 @@ fn e1b() -> Vec<String> {
             format!(
                 concat!(
                     "  {{\"workload\": \"{}\", \"nodes\": {}, \"edges\": {}, \"closure\": {}, ",
-                    "\"rounds\": {}, \"maintained_indexes\": {}, ",
+                    "\"rounds\": {}, \"index_builds\": {}, ",
                     "\"semi_indexed_ms\": {:.3}, \"semi_nested_loop_ms\": {:.3}, \"speedup\": {:.2}}}"
                 ),
                 label,
                 nodes,
                 base.len(),
                 idx_len,
-                stats.iterations,
-                stats.maintained_indexes,
+                idx.solve_rounds,
+                idx.warm_index_misses,
                 idx_ms,
                 scan_ms,
                 speedup
@@ -293,14 +150,11 @@ fn e1b() -> Vec<String> {
 /// evaluation), so the measured interval is exactly the scan-shard ×
 /// probe × filter work the worker pool divides (the sides alternate
 /// and each reports the fastest of its seven evaluations); results are
-/// asserted identical. The acceptance bound is asserted in `main`
-/// after the baselines are written, scaled to the parallelism the
-/// hardware can express (the measured `cores` and the `threads`
-/// actually used ride along in each row so a baseline from a small
-/// machine is interpretable). Returns the rows, the best speedup, the
-/// largest workload's speedup, and the core count.
-fn e1c() -> (Vec<String>, f64, f64, usize) {
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+/// asserted identical. The ratio is recorded, not asserted: it measures
+/// the host as much as the engine (the measured `cores` and the
+/// `threads` actually used ride along in each row so a table from a
+/// small machine is interpretable).
+fn e1c(cores: usize) -> Vec<String> {
     let threads = cores.min(4);
     const RUNS: usize = 7;
     println!(
@@ -309,8 +163,6 @@ fn e1c() -> (Vec<String>, f64, f64, usize) {
     );
     println!("  workload            edges  matches  seq(ms)   par(ms)  speedup");
     let mut rows_out = Vec::new();
-    let mut best = 0.0_f64;
-    let mut largest = 0.0_f64;
     for (label, nodes, degree) in [
         ("two-hop n=2k d=8", 2000usize, 8.0),
         ("two-hop n=4k d=8", 4000, 8.0),
@@ -342,8 +194,6 @@ fn e1c() -> (Vec<String>, f64, f64, usize) {
             par_ms = par_ms.min(ms);
         }
         let speedup = seq_ms / par_ms;
-        best = best.max(speedup);
-        largest = speedup; // workloads run in increasing size
         println!(
             "  {label:<18} {:>6} {:>8} {seq_ms:>8.2} {par_ms:>9.2} {speedup:>7.2}x",
             edges.len(),
@@ -370,7 +220,7 @@ fn e1c() -> (Vec<String>, f64, f64, usize) {
         ));
     }
     println!();
-    (rows_out, best, largest, cores)
+    rows_out
 }
 
 /// E1d: cross-equation parallel fixpoint rounds — multi-equation
@@ -383,10 +233,9 @@ fn e1c() -> (Vec<String>, f64, f64, usize) {
 /// system is the paper's §3.1 workload. Cold solves on both sides
 /// (the solved-constructor cache is cleared between warm-up and
 /// measurement); results are asserted identical, and the scheduler
-/// counters are asserted to prove the dispatched path ran. The ≥2×
-/// acceptance bound is asserted in `main` (≥4 cores only), after the
-/// baselines are written.
-fn e1d(cores: usize) -> (Vec<String>, f64) {
+/// counters are asserted to prove the dispatched path ran. The ratio is
+/// recorded, not asserted.
+fn e1d(cores: usize) -> Vec<String> {
     println!(
         "E1d cross-equation parallel fixpoint rounds: 4 workers vs sequential ({cores} core(s))"
     );
@@ -410,7 +259,6 @@ fn e1d(cores: usize) -> (Vec<String>, f64) {
         ),
     ];
     let mut rows_out = Vec::new();
-    let mut best = 0.0_f64;
     for (label, sys) in workloads {
         let build = |threads: usize| {
             let mut db = match &sys {
@@ -430,7 +278,6 @@ fn e1d(cores: usize) -> (Vec<String>, f64) {
                     db
                 }
             };
-            db.set_budget(harness_budget());
             db.set_threads(threads);
             db
         };
@@ -445,36 +292,30 @@ fn e1d(cores: usize) -> (Vec<String>, f64) {
         let db_par = build(4);
         let par_warm = db_par.eval(&q).unwrap();
         db_par.clear_solved_cache();
-        let (par_rel, par_ms) = time(|| db_par.eval(&q).unwrap());
+        let ((par_rel, par_ms), par) =
+            counted(&db_par.metrics(), || time(|| db_par.eval(&q).unwrap()));
         assert_eq!(
             seq_rel, par_rel,
             "parallel fixpoint rounds must agree with sequential on {label}"
         );
         assert_eq!(warm, seq_rel);
         assert_eq!(par_warm, par_rel);
-        let stats = db_par.last_fixpoint_stats().expect("fixpoint ran");
         // The dispatched path must actually have run: branch tasks
         // batched to workers, spanning more than one equation.
         assert!(
-            stats.parallel_branches > 0,
-            "E1d {label}: no branch tasks were dispatched ({stats:?})"
+            par.parallel_branches > 0,
+            "E1d {label}: no branch tasks were dispatched ({par:?})"
         );
         assert!(
-            stats.parallel_equations >= 2,
-            "E1d {label}: rounds never dispatched across equations ({stats:?})"
+            par.parallel_equations >= 2,
+            "E1d {label}: rounds never dispatched across equations ({par:?})"
         );
         let speedup = seq_ms / par_ms;
-        best = best.max(speedup);
-        let snap = db_par.metrics().snapshot();
         println!(
             "  {label:<22} {:>4} {:>7} {seq_ms:>8.2} {par_ms:>9.2} {speedup:>7.2}x",
-            stats.equations,
+            par.solve_equations,
             seq_rel.len(),
         );
-        // The scheduler's branch counters now live in the unified
-        // metrics registry; print the whole snapshot once instead of
-        // cherry-picking FixpointStats fields into ad-hoc columns.
-        println!("    metrics: {}", snap.to_json());
         rows_out.push(row_with_metrics(
             format!(
                 concat!(
@@ -485,29 +326,26 @@ fn e1d(cores: usize) -> (Vec<String>, f64) {
                     "\"seq_ms\": {:.3}, \"par_ms\": {:.3}, \"speedup\": {:.2}}}"
                 ),
                 label,
-                stats.equations,
+                par.solve_equations,
                 seq_rel.len(),
                 cores,
-                stats.parallel_branches,
-                stats.sequential_branches,
-                stats.parallel_equations,
+                par.parallel_branches,
+                par.sequential_branches,
+                par.parallel_equations,
                 seq_ms,
                 par_ms,
                 speedup
             ),
-            &snap,
+            &db_par.metrics().snapshot(),
         ));
     }
     println!();
-    (rows_out, best)
+    rows_out
 }
 
 /// Emit `BENCH_e1.json`: the E1b scan→probe rows, the E1c
 /// parallel-vs-sequential rows, then the E1d cross-equation fixpoint
-/// rows, one flat array (the layout `dc_bench::baseline::parse_rows`
-/// reads) — so the perf-baseline CI gate covers scan sharding and the
-/// round scheduler with the same tolerance band as every
-/// other access path.
+/// rows, one flat array — a reproduction table, not a gate.
 fn write_bench_e1(e1b_rows: &[String], e1c_rows: &[String], e1d_rows: &[String]) {
     let mut all: Vec<String> = e1b_rows.to_vec();
     all.extend(e1c_rows.iter().cloned());
@@ -516,7 +354,7 @@ fn write_bench_e1(e1b_rows: &[String], e1c_rows: &[String], e1d_rows: &[String])
     if let Err(e) = std::fs::write("BENCH_e1.json", &json) {
         eprintln!("  (could not write BENCH_e1.json: {e})");
     } else {
-        println!("  join + parallel baselines written to BENCH_e1.json\n");
+        println!("  join + parallel rows written to BENCH_e1.json\n");
     }
 }
 
@@ -532,10 +370,8 @@ fn e1() {
         ("ladder k=10", dc_workload::diamond_ladder(10)),
     ] {
         let q = ahead_query();
-        let mut db_n = ahead_db(&base, Strategy::Naive);
-        let mut db_s = ahead_db(&base, Strategy::SemiNaive);
-        let (n_len, n_ms) = eval_ms(&mut db_n, &q);
-        let (s_len, s_ms) = eval_ms(&mut db_s, &q);
+        let (n_len, n_ms, _) = eval_ms(&ahead_db(&base, Strategy::Naive), &q);
+        let (s_len, s_ms, _) = eval_ms(&ahead_db(&base, Strategy::SemiNaive), &q);
         assert_eq!(n_len, s_len, "strategies agree");
         let program = ahead_program(&base);
         let (sld_res, sld_ms) =
@@ -564,19 +400,11 @@ fn e2() {
     );
     for k in [4usize, 16, 64] {
         let mut db = ahead_db(&many_chains(k, DEPTH), Strategy::SemiNaive);
-        db.set_budget(harness_budget());
         let q = bound_query(ahead_query(), "head", cnst("c0_0"));
         let seeded = dc_optimizer::rewrite_query(&mut db, &q).expect("ahead is TC-shaped");
         let measure = |q: &dc_calculus::RangeExpr| {
-            let before = db.metrics().snapshot();
-            let (out, ms) = time(|| db.eval(q).unwrap());
-            let after = db.metrics().snapshot();
-            (
-                out,
-                ms,
-                after.delta_tuples - before.delta_tuples,
-                after.solve_rounds - before.solve_rounds,
-            )
+            let ((out, ms), d) = counted(&db.metrics(), || time(|| db.eval(q).unwrap()));
+            (out, ms, d.delta_tuples, d.solve_rounds)
         };
         let (full_rel, full_ms, full_delta, full_rounds) = measure(&q);
         let (seeded_rel, seeded_ms, seeded_delta, seeded_rounds) = measure(&seeded);
@@ -605,30 +433,28 @@ fn e2() {
 /// E2b: index-aware quantifier probes vs reference quantifier scans —
 /// the selector-style predicates of §2.3 (`SOME t IN Ontop: t.base =
 /// r.front`) decided through hash-bucket existence probes instead of
-/// per-combination range scans. Asserts the ≥3× acceptance bound on
-/// the largest scene (asserted in `main` after the baselines are
-/// written); the measured rows become the `"e2b"` section of
+/// per-combination range scans. Asserts the ≥3× bound on the largest
+/// scene; the measured rows become the `"e2b"` section of
 /// `BENCH_e2.json` (see [`write_bench_e2`]).
-fn e2b() -> (Vec<String>, f64) {
+fn e2b() -> Vec<String> {
     println!("E2b index-aware quantifier probes vs reference scans (visibility selector)");
     println!(
         "  scene        objects  infront  ontop  visible  front-row  probe(ms)  scan(ms)  speedup"
     );
     let mut rows_out = Vec::new();
-    let mut largest_speedup = 0.0_f64;
     let scenes = [(20usize, 20usize), (40, 40), (60, 60)];
     let largest = scenes.len() - 1;
     for (i, (rows, depth)) in scenes.into_iter().enumerate() {
         let scene = dc_workload::scene(rows, depth, 2, 11);
         let vis_q = visibility_query();
         let front_q = front_row_query();
-        let mut db = scene_db(&scene);
-        let (vis_len, vis_ms) = eval_ms(&mut db, &vis_q);
-        let (front_len, front_ms) = eval_ms(&mut db, &front_q);
+        let db = scene_db(&scene);
+        let (vis_len, vis_ms, _) = eval_ms(&db, &vis_q);
+        let (front_len, front_ms, _) = eval_ms(&db, &front_q);
         let mut db_scan = scene_db(&scene);
         db_scan.set_use_indexes(false);
-        let (vis_scan_len, vis_scan_ms) = eval_ms(&mut db_scan, &vis_q);
-        let (front_scan_len, front_scan_ms) = eval_ms(&mut db_scan, &front_q);
+        let (vis_scan_len, vis_scan_ms, _) = eval_ms(&db_scan, &vis_q);
+        let (front_scan_len, front_scan_ms, _) = eval_ms(&db_scan, &front_q);
         assert_eq!(
             vis_len, vis_scan_len,
             "quantifier probes must agree with reference scans ({rows}x{depth})"
@@ -667,41 +493,42 @@ fn e2b() -> (Vec<String>, f64) {
             &db.metrics().snapshot(),
         ));
         if i == largest {
-            largest_speedup = speedup;
+            assert!(
+                speedup >= 3.0,
+                "≥3× on the quantifier workload, measured {speedup:.1}x"
+            );
         }
     }
     println!();
-    (rows_out, largest_speedup)
+    rows_out
 }
 
 /// E2c: decorrelated correlated-quantifier probes vs reference
 /// per-combination range evaluation — the correlated selector
 /// application `Ontop[on_base(r.back)]` (decorrelated into one indexed
 /// `Ontop` pass + a probe per edge) and the implication-shaped `ALL`
-/// body (`NOT p OR q`, probed through its falsifier after NNF). The
-/// ≥3× acceptance bound on the largest scene is asserted in `main`
-/// after the baselines are written; the measured rows become the
-/// `"e2c"` section of `BENCH_e2.json`.
-fn e2c() -> (Vec<String>, f64) {
+/// body (`NOT p OR q`, probed through its falsifier after NNF).
+/// Asserts the ≥3× bound on the largest scene; the measured rows become
+/// the `"e2c"` section of `BENCH_e2.json`.
+fn e2c() -> Vec<String> {
     println!("E2c decorrelated correlated-quantifier probes vs reference scans");
     println!(
         "  scene        infront  ontop  stacked-back  bare-front  probe(ms)  scan(ms)  speedup"
     );
     let mut rows_out = Vec::new();
-    let mut largest_speedup = 0.0_f64;
     let scenes = [(20usize, 20usize), (40, 40), (60, 60)];
     let largest = scenes.len() - 1;
     for (i, (rows, depth)) in scenes.into_iter().enumerate() {
         let scene = dc_workload::scene(rows, depth, 2, 11);
         let sel_q = stacked_back_query();
         let imp_q = unburdened_front_query();
-        let mut db = scene_db(&scene);
-        let (sel_len, sel_ms) = eval_ms(&mut db, &sel_q);
-        let (imp_len, imp_ms) = eval_ms(&mut db, &imp_q);
+        let db = scene_db(&scene);
+        let (sel_len, sel_ms, _) = eval_ms(&db, &sel_q);
+        let (imp_len, imp_ms, _) = eval_ms(&db, &imp_q);
         let mut db_scan = scene_db(&scene);
         db_scan.set_use_indexes(false);
-        let (sel_scan_len, sel_scan_ms) = eval_ms(&mut db_scan, &sel_q);
-        let (imp_scan_len, imp_scan_ms) = eval_ms(&mut db_scan, &imp_q);
+        let (sel_scan_len, sel_scan_ms, _) = eval_ms(&db_scan, &sel_q);
+        let (imp_scan_len, imp_scan_ms, _) = eval_ms(&db_scan, &imp_q);
         assert_eq!(
             sel_len, sel_scan_len,
             "decorrelated probes must agree with reference scans ({rows}x{depth})"
@@ -738,11 +565,14 @@ fn e2c() -> (Vec<String>, f64) {
             &db.metrics().snapshot(),
         ));
         if i == largest {
-            largest_speedup = speedup;
+            assert!(
+                speedup >= 3.0,
+                "≥3× on the correlated-selector workload, measured {speedup:.1}x"
+            );
         }
     }
     println!();
-    (rows_out, largest_speedup)
+    rows_out
 }
 
 /// E2d: multi-binding correlated-join decorrelation vs reference
@@ -751,17 +581,15 @@ fn e2c() -> (Vec<String>, f64) {
 /// (`a.task = r.task AND s.tool = r.tool`), so the reference path pays
 /// the full `Assign × Skill` product per request while the decorrelated
 /// path materialises `Assign ⋈ Skill` once, buckets it on the joint
-/// key, and probes per request. The ≥3× acceptance bound on the
-/// largest instance is asserted in `main` after the baselines are
-/// written; the measured rows become the `"e2d"` section of
+/// key, and probes per request. Asserts the ≥3× bound on the largest
+/// instance; the measured rows become the `"e2d"` section of
 /// `BENCH_e2.json`.
-fn e2d() -> (Vec<String>, f64) {
+fn e2d() -> Vec<String> {
     println!("E2d multi-binding correlated-join decorrelation vs reference scans");
     println!(
         "  instance     assign  skill  requests  servable  avoids-w0  probe(ms)  scan(ms)  speedup"
     );
     let mut rows_out = Vec::new();
-    let mut largest_speedup = 0.0_f64;
     // (tasks, workers, tools, per_task, per_worker, requests)
     let instances = [
         (
@@ -783,13 +611,13 @@ fn e2d() -> (Vec<String>, f64) {
         let s = dc_workload::staffing(tasks, workers, tools, per_task, per_worker, requests, 11);
         let some_q = servable_request_query();
         let all_q = avoids_w0_request_query();
-        let mut db = staffing_db(&s);
-        let (some_len, some_ms) = eval_ms(&mut db, &some_q);
-        let (all_len, all_ms) = eval_ms(&mut db, &all_q);
+        let db = staffing_db(&s);
+        let (some_len, some_ms, _) = eval_ms(&db, &some_q);
+        let (all_len, all_ms, _) = eval_ms(&db, &all_q);
         let mut db_scan = staffing_db(&s);
         db_scan.set_use_indexes(false);
-        let (some_scan_len, some_scan_ms) = eval_ms(&mut db_scan, &some_q);
-        let (all_scan_len, all_scan_ms) = eval_ms(&mut db_scan, &all_q);
+        let (some_scan_len, some_scan_ms, _) = eval_ms(&db_scan, &some_q);
+        let (all_scan_len, all_scan_ms, _) = eval_ms(&db_scan, &all_q);
         assert_eq!(
             some_len, some_scan_len,
             "joint-key probes must agree with reference scans ({label})"
@@ -827,18 +655,20 @@ fn e2d() -> (Vec<String>, f64) {
             &db.metrics().snapshot(),
         ));
         if i == largest {
-            largest_speedup = speedup;
+            assert!(
+                speedup >= 3.0,
+                "≥3× on the multi-binding correlated-join workload, measured {speedup:.1}x"
+            );
         }
     }
     println!();
-    (rows_out, largest_speedup)
+    rows_out
 }
 
 /// Emit `BENCH_e2.json`: one section per quantifier experiment
 /// (`"e2b"` — named-range probes, `"e2c"` — decorrelated correlated
 /// ranges + implication bodies, `"e2d"` — multi-binding correlated
-/// joins on joint keys), next to `BENCH_e1.json` so the perf
-/// trajectory covers join, quantifier, and decorrelation access paths.
+/// joins on joint keys), next to `BENCH_e1.json`.
 fn write_bench_e2(e2b_rows: &[String], e2c_rows: &[String], e2d_rows: &[String]) {
     let json = format!(
         "{{\n\"e2b\": [\n{}\n],\n\"e2c\": [\n{}\n],\n\"e2d\": [\n{}\n]\n}}\n",
@@ -849,26 +679,25 @@ fn write_bench_e2(e2b_rows: &[String], e2c_rows: &[String], e2d_rows: &[String])
     if let Err(e) = std::fs::write("BENCH_e2.json", &json) {
         eprintln!("  (could not write BENCH_e2.json: {e})");
     } else {
-        println!("  quantifier baselines written to BENCH_e2.json\n");
+        println!("  quantifier rows written to BENCH_e2.json\n");
     }
 }
 
 fn e3() {
-    println!("E3  convergence: iterations vs depth; ahead_n limit (claim C3)");
-    println!("  chain depth   naive-iters  semi-iters  closure");
+    println!("E3  convergence: rounds vs depth; ahead_n limit (claim C3)");
+    println!("  chain depth  naive-rounds  semi-rounds  closure");
     for depth in [8usize, 32, 128] {
         let base = dc_workload::chain(depth);
         let q = ahead_query();
-        let mut db_n = ahead_db(&base, Strategy::Naive);
-        let (len, _) = eval_ms(&mut db_n, &q);
-        let naive_iters = db_n.last_fixpoint_stats().unwrap().iterations;
-        let mut db_s = ahead_db(&base, Strategy::SemiNaive);
-        let (_, _) = eval_ms(&mut db_s, &q);
-        let semi_iters = db_s.last_fixpoint_stats().unwrap().iterations;
+        let (len, _, naive) = eval_ms(&ahead_db(&base, Strategy::Naive), &q);
+        let (_, _, semi) = eval_ms(&ahead_db(&base, Strategy::SemiNaive), &q);
+        let (naive_rounds, semi_rounds) = (naive.solve_rounds, semi.solve_rounds);
         // The paper's bound: the limit is reached after finitely many
         // steps, ≈ longest path for the right-linear rule.
-        assert!(naive_iters >= depth && naive_iters <= depth + 2);
-        println!("  {depth:>11} {naive_iters:>12} {semi_iters:>11} {len:>8}");
+        let depth_u = depth as u64;
+        assert!(naive_rounds >= depth_u && naive_rounds <= depth_u + 2);
+        assert!(semi_rounds <= depth_u + 2);
+        println!("  {depth:>11} {naive_rounds:>13} {semi_rounds:>12} {len:>8}");
     }
     // ahead_n limit check.
     let base = dc_workload::chain(40);
@@ -898,19 +727,16 @@ fn e3() {
 /// rebuilds for the touched relation. The database itself is pinned to
 /// one solver thread so the scaling measured is *reader-session*
 /// concurrency, not intra-query parallelism. QPS is total queries over
-/// wall time; p99 is the per-query latency tail. The ≥2× 4-reader
-/// bound is asserted in `main` (≥4 cores only), after the baseline is
-/// written to `BENCH_e3.json`.
-fn e3b(cores: usize) -> (Vec<String>, f64) {
+/// wall time; p99 is the per-query latency tail. The rows go to
+/// `BENCH_e3.json`; the reader-scaling ratio is recorded, not asserted.
+fn e3b(cores: usize) -> Vec<String> {
     println!("E3b mixed read/write serving: reader-pool QPS vs a live writer ({cores} core(s))");
     println!("  readers  queries  commits  epochs      qps  p99(ms)  speedup");
     const QUERIES_PER_READER: usize = 60;
     let mut rows_out = Vec::new();
     let mut base_qps = 0.0_f64;
-    let mut speedup_at_4 = 1.0_f64;
     for readers in [1usize, 2, 4, 8] {
         let mut db = scene_db(&dc_workload::scene(24, 24, 2, 11));
-        db.set_budget(harness_budget());
         db.set_threads(1);
         let server = Server::new(db);
         let q = visibility_query();
@@ -972,9 +798,6 @@ fn e3b(cores: usize) -> (Vec<String>, f64) {
             base_qps = qps;
         }
         let speedup = qps / base_qps;
-        if readers == 4 {
-            speedup_at_4 = speedup;
-        }
         println!(
             "  {readers:>7} {total:>8} {commits:>8} {epochs:>7} {qps:>8.0} {p99:>8.2} {speedup:>7.2}x"
         );
@@ -991,19 +814,17 @@ fn e3b(cores: usize) -> (Vec<String>, f64) {
         ));
     }
     println!();
-    (rows_out, speedup_at_4)
+    rows_out
 }
 
 /// Emit `BENCH_e3.json`: the E3b mixed read/write serving rows, one
-/// flat array in the `parse_rows` layout, next to `BENCH_e1.json` and
-/// `BENCH_e2.json` — so the perf-baseline CI gate also tracks the
-/// serving layer's reader-scaling trajectory.
+/// flat array.
 fn write_bench_e3(e3b_rows: &[String]) {
     let json = format!("[\n{}\n]\n", e3b_rows.join(",\n"));
     if let Err(e) = std::fs::write("BENCH_e3.json", &json) {
         eprintln!("  (could not write BENCH_e3.json: {e})");
     } else {
-        println!("  serving baselines written to BENCH_e3.json\n");
+        println!("  serving rows written to BENCH_e3.json\n");
     }
 }
 
@@ -1014,22 +835,17 @@ fn write_bench_e3(e3b_rows: &[String]) {
 /// system; the from-scratch side replays the identical commits on a
 /// second server and re-solves cold after each (content-addressed
 /// solve keys make every re-solve genuine). Both sides must converge
-/// to digest-identical closures; the measured rows are written to
-/// `BENCH_e4.json`.
-fn e4b(cores: usize) -> (Vec<String>, f64) {
+/// to digest-identical closures, and every refresh must take the warm
+/// path; the measured rows are written to `BENCH_e4.json`.
+fn e4b(cores: usize) -> Vec<String> {
     println!(
         "E4b standing queries: incremental maintenance vs from-scratch re-query ({cores} core(s))"
     );
     println!("  chains×depth  commits  closure  warm  inc(ms)  scratch(ms)  speedup");
     const COMMITS: usize = 12;
     let mut rows_out = Vec::new();
-    let mut best = 0.0_f64;
     for (k, depth) in [(4usize, 32usize), (8, 56)] {
-        let mk = || {
-            let mut db = ahead_db(&many_chains(k, depth), Strategy::SemiNaive);
-            db.set_budget(harness_budget());
-            db
-        };
+        let mk = || ahead_db(&many_chains(k, depth), Strategy::SemiNaive);
         // Each commit extends chain 0 by one edge: a small base delta
         // whose closure contribution the warm path derives in
         // delta-sized rounds, while the from-scratch side recomputes
@@ -1096,7 +912,6 @@ fn e4b(cores: usize) -> (Vec<String>, f64) {
             "insert-only commits must all refresh warm"
         );
         let speedup = scratch_ms / inc_ms;
-        best = best.max(speedup);
         let closure = materialised.len();
         println!(
             "  {k:>5}x{depth:<7} {COMMITS:>7} {closure:>8} {warm_updates:>5} {inc_ms:>8.2} \
@@ -1115,25 +930,23 @@ fn e4b(cores: usize) -> (Vec<String>, f64) {
         ));
     }
     println!();
-    (rows_out, best)
+    rows_out
 }
 
 /// Emit `BENCH_e4.json`: the E4b standing-query maintenance rows, one
-/// flat array in the `parse_rows` layout, next to the E1–E3 baselines
-/// — so the perf-baseline CI gate also tracks the incremental-vs-
-/// from-scratch trajectory.
+/// flat array.
 fn write_bench_e4(e4b_rows: &[String]) {
     let json = format!("[\n{}\n]\n", e4b_rows.join(",\n"));
     if let Err(e) = std::fs::write("BENCH_e4.json", &json) {
         eprintln!("  (could not write BENCH_e4.json: {e})");
     } else {
-        println!("  standing-query baselines written to BENCH_e4.json\n");
+        println!("  standing-query rows written to BENCH_e4.json\n");
     }
 }
 
 fn e4() {
     println!("E4  mutual recursion ahead/above (claim C4)");
-    println!("  scene (rows×depth)  eqs  iters  above-tuples  ms");
+    println!("  scene (rows×depth)  eqs  rounds  above-tuples  ms");
     for (rows, depth) in [(2usize, 8usize), (4, 16), (8, 24)] {
         let scene = dc_workload::scene(rows, depth, 3, 7);
         let mut db = Database::new();
@@ -1148,12 +961,11 @@ fn e4() {
         db.define_constructors(vec![paper::ahead_mutual(), paper::above()])
             .unwrap();
         let q = rel("Ontop").construct("above", vec![rel("Infront")]);
-        let (len, ms) = eval_ms(&mut db, &q);
-        let stats = db.last_fixpoint_stats().unwrap();
-        assert_eq!(stats.equations, 2);
+        let (len, ms, d) = eval_ms(&db, &q);
+        assert_eq!(d.solve_equations, 2);
         println!(
-            "  {rows:>2}×{depth:<15} {:>4} {:>6} {len:>13} {ms:>7.2}",
-            stats.equations, stats.iterations
+            "  {rows:>2}×{depth:<15} {:>4} {:>7} {len:>13} {ms:>7.2}",
+            d.solve_equations, d.solve_rounds
         );
     }
     println!();
@@ -1178,10 +990,8 @@ fn e5() {
     assert_eq!(rf.len(), expected);
     let (tc, tc_ms) = time(|| transitive_closure(&base, 0, 1).unwrap());
     assert_eq!(tc.len(), expected);
-    let mut db_n = ahead_db(&base, Strategy::Naive);
-    let (_, cn_ms) = eval_ms(&mut db_n, &ahead_query());
-    let mut db_s = ahead_db(&base, Strategy::SemiNaive);
-    let (_, cs_ms) = eval_ms(&mut db_s, &ahead_query());
+    let (_, cn_ms, _) = eval_ms(&ahead_db(&base, Strategy::Naive), &ahead_query());
+    let (_, cs_ms, _) = eval_ms(&ahead_db(&base, Strategy::SemiNaive), &ahead_query());
     println!("  program iteration (§3.1 loop)     {it_ms:>9.2} ms");
     println!("  recursive function (§3.4)         {rf_ms:>9.2} ms");
     println!("  specialised TC operator (§3.4)    {tc_ms:>9.2} ms");

@@ -1,15 +1,17 @@
-//! Shared setup for the experiment benches and the harness binary.
-//!
-//! Each experiment (E1–E7, see `EXPERIMENTS.md`) gets one Criterion
-//! bench target plus one section in the `harness` binary's text
-//! report. This crate holds the common fixtures so that benches and
-//! harness measure exactly the same configurations.
+//! Shared fixtures for the `harness` binary (one section per
+//! experiment, E1–E7) and the root test suites, so both run exactly
+//! the same configurations: workload databases and queries, the
+//! registry-delta helper [`counted`], and the atomic-abort fixtures
+//! [`snapshot`] and [`unwrap_solve_error`].
 
 use dc_calculus::ast::SelectorDef;
-use dc_core::{paper, Constructor, Database, Strategy};
+use dc_calculus::EvalError;
+use dc_core::{paper, Constructor, CoreError, Database, Strategy};
+use dc_governor::SolveError;
 use dc_prolog::program::Clause;
 use dc_prolog::{Program, Term};
 use dc_relation::Relation;
+use dc_trace::metrics::{MetricsRegistry, MetricsSnapshot};
 use dc_value::{tuple, Domain, Value};
 
 /// `k` disjoint chains of `depth` edges each: the E2 workload (the
@@ -487,128 +489,34 @@ pub fn two_hop_query(m: i64) -> dc_calculus::RangeExpr {
     )])
 }
 
-pub mod baseline {
-    //! Parsing and tolerance comparison of the committed `BENCH_*.json`
-    //! baselines — the `perf-baseline` CI gate (`bin/perf_baseline`).
-    //!
-    //! The harness emits one JSON row per workload with a `"workload"`
-    //! label and a `"speedup"` ratio; `BENCH_e2.json` wraps its rows in
-    //! named sections (`"e2b"`, …). This module reads both layouts with
-    //! a deliberately small line-oriented scanner (the files are
-    //! machine-written, one row per line; the build environment has no
-    //! JSON dependency) and diffs a fresh run against the committed
-    //! baseline within a documented tolerance band.
+/// Run `f` and return its result with what it recorded into
+/// `metrics`: the counter growth between two snapshots taken around it
+/// (see [`MetricsSnapshot::since`]). How tests, examples and the harness
+/// read a solve's rounds, equations and dispatch decisions.
+pub fn counted<T>(metrics: &MetricsRegistry, f: impl FnOnce() -> T) -> (T, MetricsSnapshot) {
+    let before = metrics.snapshot();
+    let out = f();
+    (out, metrics.snapshot().since(&before))
+}
 
-    /// One measured row: section (empty for `BENCH_e1.json`), workload
-    /// label, speedup ratio.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct Row {
-        /// Section name (`"e2b"` etc.), empty for sectionless files.
-        pub section: String,
-        /// Workload label.
-        pub workload: String,
-        /// Probe-vs-scan (or indexed-vs-nested) speedup ratio.
-        pub speedup: f64,
+/// Every relation of `db` as `(name, cardinality, content digest)`: two
+/// equal snapshots around an aborted evaluation show it changed nothing.
+pub fn snapshot(db: &Database) -> Vec<(String, usize, u128)> {
+    db.relation_names()
+        .into_iter()
+        .map(|n| {
+            let r = db.relation_ref(n).expect("a listed relation");
+            (n.to_string(), r.len(), r.digest())
+        })
+        .collect()
+}
+
+/// The structured [`SolveError`] inside `err`; panics on any other error.
+pub fn unwrap_solve_error(err: CoreError) -> SolveError {
+    match err {
+        CoreError::Eval(EvalError::Solve(se)) => se,
+        other => panic!("expected a structured solve error, got: {other}"),
     }
-
-    /// Extract the string value of `"key": "…"` from a JSON row line.
-    fn str_field(line: &str, key: &str) -> Option<String> {
-        let pat = format!("\"{key}\": \"");
-        let start = line.find(&pat)? + pat.len();
-        let end = line[start..].find('"')? + start;
-        Some(line[start..end].to_string())
-    }
-
-    /// Extract the numeric value of `"key": n` from a JSON row line.
-    fn num_field(line: &str, key: &str) -> Option<f64> {
-        let pat = format!("\"{key}\": ");
-        let start = line.find(&pat)? + pat.len();
-        let end = line[start..]
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .map(|i| i + start)
-            .unwrap_or(line.len());
-        line[start..end].parse().ok()
-    }
-
-    /// Parse the measured rows of a BENCH JSON file. Section headers
-    /// (`"e2b": [`) set the section of subsequent rows; each row is one
-    /// line carrying both a `"workload"` string and a `"speedup"`
-    /// number, the format the harness writes.
-    pub fn parse_rows(text: &str) -> Vec<Row> {
-        let mut section = String::new();
-        let mut rows = Vec::new();
-        for line in text.lines() {
-            let trimmed = line.trim();
-            // A section header names an array: `"e2d": [`.
-            if trimmed.ends_with('[') {
-                if let Some(name) = str_section(trimmed) {
-                    section = name;
-                }
-                continue;
-            }
-            if let (Some(workload), Some(speedup)) = (
-                str_field(trimmed, "workload"),
-                num_field(trimmed, "speedup"),
-            ) {
-                rows.push(Row {
-                    section: section.clone(),
-                    workload,
-                    speedup,
-                });
-            }
-        }
-        rows
-    }
-
-    /// The `"name":` of a section-header line, if it is one.
-    fn str_section(line: &str) -> Option<String> {
-        let start = line.find('"')? + 1;
-        let end = line[start..].find('"')? + start;
-        Some(line[start..end].to_string())
-    }
-
-    /// Diff a fresh run against the committed baseline.
-    ///
-    /// Every committed row must reappear (same section + workload —
-    /// a missing row means a harness section was lost, which would
-    /// otherwise silently drop perf coverage) with a fresh speedup of
-    /// at least `tolerance × committed` speedup. Returns
-    /// human-readable failure lines; empty means the gate passes.
-    ///
-    /// The default `tolerance` (see [`DEFAULT_TOLERANCE`]) is 0.35: the
-    /// asserted speedups are order-of-magnitude signals (observed
-    /// 30–300×), so a fresh run at under ~a third of the committed
-    /// ratio indicates a lost access path rather than shared-runner
-    /// jitter, which measures within a few percent on the ratio even
-    /// when absolute times move.
-    pub fn diff(committed: &[Row], fresh: &[Row], tolerance: f64) -> Vec<String> {
-        let mut failures = Vec::new();
-        for c in committed {
-            let Some(f) = fresh
-                .iter()
-                .find(|f| f.section == c.section && f.workload == c.workload)
-            else {
-                failures.push(format!(
-                    "missing workload in fresh run: [{}] {}",
-                    c.section, c.workload
-                ));
-                continue;
-            };
-            let floor = c.speedup * tolerance;
-            if f.speedup < floor {
-                failures.push(format!(
-                    "[{}] {}: fresh speedup {:.1}x below tolerance floor {:.1}x \
-                     (committed {:.1}x × {tolerance})",
-                    c.section, c.workload, f.speedup, floor, c.speedup
-                ));
-            }
-        }
-        failures
-    }
-
-    /// Default tolerance ratio of the perf-baseline gate — see
-    /// [`diff`] for the rationale.
-    pub const DEFAULT_TOLERANCE: f64 = 0.35;
 }
 
 #[cfg(test)]
@@ -712,49 +620,6 @@ mod tests {
         db.create_relation("Infront", paper::infrontrel()).unwrap();
         db.define_constructors(constructor_ring(5)).unwrap();
         assert_eq!(db.constructor_names().len(), 5);
-    }
-
-    #[test]
-    fn baseline_parse_and_diff() {
-        use crate::baseline::{diff, parse_rows, Row};
-        // Sectionless layout (BENCH_e1.json).
-        let e1 = "[\n  {\"workload\": \"tree d=10\", \"nodes\": 1023, \"speedup\": 80.5},\n  {\"workload\": \"chain n=128\", \"speedup\": 12.0}\n]\n";
-        let rows = parse_rows(e1);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].section, "");
-        assert_eq!(rows[0].workload, "tree d=10");
-        assert_eq!(rows[0].speedup, 80.5);
-        // Sectioned layout (BENCH_e2.json).
-        let e2 = "{\n\"e2b\": [\n  {\"workload\": \"scene 60x60\", \"speedup\": 253.9}\n],\n\"e2d\": [\n  {\"workload\": \"staffing L\", \"speedup\": 100.0}\n]\n}\n";
-        let rows = parse_rows(e2);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].section, "e2b");
-        assert_eq!(rows[1].section, "e2d");
-        // Diff: pass within tolerance, fail below, fail on missing.
-        let committed = vec![Row {
-            section: "e2b".into(),
-            workload: "scene 60x60".into(),
-            speedup: 200.0,
-        }];
-        let good = vec![Row {
-            section: "e2b".into(),
-            workload: "scene 60x60".into(),
-            speedup: 90.0,
-        }];
-        assert!(diff(&committed, &good, 0.35).is_empty());
-        let slow = vec![Row {
-            section: "e2b".into(),
-            workload: "scene 60x60".into(),
-            speedup: 20.0,
-        }];
-        let failures = diff(&committed, &slow, 0.35);
-        assert_eq!(failures.len(), 1);
-        assert!(
-            failures[0].contains("below tolerance floor"),
-            "{failures:?}"
-        );
-        let failures = diff(&committed, &[], 0.35);
-        assert!(failures[0].contains("missing workload"), "{failures:?}");
     }
 
     #[test]

@@ -699,9 +699,6 @@ impl<'a> Evaluator<'a> {
             // the retry starts clean. A second failure there is a real
             // error and propagates.
             Err(dc_exec::ExecError::WorkerPanic { message }) => {
-                if let Some(m) = &self.budget {
-                    m.note_retried();
-                }
                 self.plan_event(PlanEvent::ParallelDegraded { message });
                 self.exec_plan(branch, steps, ranges, 0, bindings, out)?;
                 if let Some(m) = &self.budget {

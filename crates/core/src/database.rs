@@ -20,7 +20,7 @@ use dc_value::{FxHashMap, FxHashSet, Schema, Tuple, Value};
 
 use crate::constructor::Constructor;
 use crate::error::CoreError;
-use crate::fixpoint::{self, AppKey, ConstructorSource, FixpointConfig, FixpointStats, Strategy};
+use crate::fixpoint::{self, AppKey, ConstructorSource, FixpointConfig, Strategy};
 use crate::selector::Selector;
 
 /// An in-memory deductive database: base relations + rules
@@ -45,8 +45,6 @@ pub struct Database {
     /// relation simply misses; [`Database::mutate`] forgets the id it
     /// had before.
     access: AccessCache,
-    /// Statistics of the most recent fixpoint run.
-    last_stats: RefCell<Option<FixpointStats>>,
     /// The metrics registry every solve and query evaluation records
     /// into; also threaded through `config.metrics` so solver-spawned
     /// evaluators (on any thread) count planner decisions here.
@@ -76,7 +74,6 @@ impl Database {
             config,
             solved: RefCell::new(FxHashMap::default()),
             access: AccessCache::new(Some(metrics.clone())),
-            last_stats: RefCell::new(None),
             metrics,
         }
     }
@@ -433,11 +430,6 @@ impl Database {
         self.metrics.clone()
     }
 
-    /// Statistics of the most recent fixpoint run, if any.
-    pub fn last_fixpoint_stats(&self) -> Option<FixpointStats> {
-        self.last_stats.borrow().clone()
-    }
-
     /// Decompose the database into its definition and data parts,
     /// dropping the solved memo and the access cache. This is the
     /// snapshot-publication hook the serving layer (`dc-server`) uses
@@ -535,7 +527,7 @@ impl Catalog for Database {
         let solved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             fixpoint::solve(self, name, base, args, scalar_args, &cfg)
         }));
-        let (value, stats) = match solved {
+        let value = match solved {
             Ok(result) => result?,
             Err(payload) => {
                 let message = if let Some(s) = payload.downcast_ref::<&str>() {
@@ -551,7 +543,6 @@ impl Catalog for Database {
                 }));
             }
         };
-        *self.last_stats.borrow_mut() = Some(stats);
         self.solved.borrow_mut().insert(key, value.clone());
         Ok(value)
     }
@@ -641,9 +632,9 @@ mod tests {
         // closure of a 3-chain: 3+2+1 = 6
         assert_eq!(out.len(), 6);
         assert!(out.contains(&tuple!["vase", "wall"]));
-        let stats = db.last_fixpoint_stats().unwrap();
-        assert_eq!(stats.equations, 1);
-        assert!(stats.iterations >= 2);
+        let m = db.metrics().snapshot();
+        assert_eq!(m.solve_equations, 1);
+        assert!(m.solve_rounds >= 2);
     }
 
     #[test]
@@ -939,6 +930,6 @@ mod tests {
             .eval(&rel("Ontop").construct("above", vec![rel("Infront")]))
             .unwrap();
         assert!(out.contains(&tuple!["vase", "chair"]));
-        assert_eq!(db.last_fixpoint_stats().unwrap().equations, 2);
+        assert_eq!(db.metrics().snapshot().solve_equations, 2);
     }
 }

@@ -120,15 +120,13 @@ pub struct FixpointConfig {
     /// (clock captured) at the start of every solve, so a 10 ms
     /// deadline means 10 ms per solve, not 10 ms since configuration.
     /// A tripped budget aborts atomically with a structured
-    /// [`dc_governor::SolveError`]; `None` means unlimited (counters
-    /// are still kept and reported through [`FixpointStats`]).
+    /// [`dc_governor::SolveError`]; `None` means unlimited.
     pub budget: Option<Budget>,
-    /// Metrics registry solve-level counters (rounds, delta tuples,
-    /// branch dispatch decisions, planner decisions) are recorded
-    /// into, if the owner threads one through. `Database` and the
-    /// serving layer each install their own; `None` keeps the solver
-    /// metric-free (per-solve stats are still returned through
-    /// [`FixpointStats`]).
+    /// Metrics registry solve-level counters (rounds, equations, delta
+    /// tuples, branch dispatch decisions, planner decisions) are
+    /// recorded into, if the owner threads one through — the one place
+    /// a solve's numbers are read. `Database` and the serving layer
+    /// each install their own; `None` keeps the solver metric-free.
     pub metrics: Option<Arc<MetricsRegistry>>,
 }
 
@@ -144,44 +142,6 @@ impl Default for FixpointConfig {
             metrics: None,
         }
     }
-}
-
-/// Statistics of a completed fixpoint run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FixpointStats {
-    /// Strategy used.
-    pub strategy: Strategy,
-    /// Number of iteration rounds until convergence.
-    pub iterations: usize,
-    /// Number of equations in the instantiated system.
-    pub equations: usize,
-    /// Total tuples across all equation values at the fixpoint.
-    pub total_tuples: usize,
-    /// Number of hash indexes in the solve's [`AccessCache`] at
-    /// convergence (over equation values — maintained incrementally —
-    /// and over the base relations and actuals the bodies probed) —
-    /// observability for the scan→probe architecture.
-    pub maintained_indexes: usize,
-    /// Budget checks performed (evaluator/worker ticks + round checks).
-    /// Non-zero even on unbounded solves — the meter always counts.
-    pub budget_checks: u64,
-    /// Branches that completed on the sequential reference path after a
-    /// parallel-execution failure (graceful degradation).
-    pub degraded_branches: u64,
-    /// Sequential retry attempts after parallel-execution failures
-    /// (each attempt, whether or not it succeeded).
-    pub retried_branches: u64,
-    /// Branch tasks dispatched to the round scheduler's worker pool
-    /// (summed over rounds that batch-dispatched).
-    pub parallel_branches: u64,
-    /// Branch tasks evaluated inline on the solver thread (rounds where
-    /// batching could not pay: one task, or not enough work above the
-    /// parallel threshold).
-    pub sequential_branches: u64,
-    /// Equations whose branch tasks ran concurrently with another
-    /// equation's in the same round (summed per dispatched round) —
-    /// non-zero means cross-equation parallel fixpoint rounds happened.
-    pub parallel_equations: u64,
 }
 
 /// Where the solver finds constructor definitions and base data.
@@ -481,8 +441,7 @@ struct ExecKnobs {
     /// The armed budget gauge: one per solve, shared (clones share
     /// counters) by the solver loop and every branch evaluator, on
     /// whichever thread it runs. Always armed — an unlimited meter
-    /// never trips but keeps the governance counters [`FixpointStats`]
-    /// reports.
+    /// never trips but keeps the scheduler counters the solve records.
     budget: Meter,
     /// See [`FixpointConfig::metrics`] — handed to every evaluator so
     /// planner decisions are counted no matter which thread plans.
@@ -759,8 +718,8 @@ impl SolvedSystem {
 pub enum WarmOutcome {
     /// The warm start was sound and converged: the new root value, the
     /// exact tuples added relative to the previous system (warm starts
-    /// are monotone, so nothing is ever removed), the re-captured
-    /// system for the next refresh, and run statistics.
+    /// are monotone, so nothing is ever removed), and the re-captured
+    /// system for the next refresh.
     Solved {
         /// New root value.
         value: Relation,
@@ -768,8 +727,6 @@ pub enum WarmOutcome {
         added: Relation,
         /// Captured state for the next warm refresh.
         system: SolvedSystem,
-        /// Run statistics.
-        stats: FixpointStats,
     },
     /// The warm start could not be proven sound (non-monotone read of a
     /// touched relation, untracked provenance, changed system shape,
@@ -787,11 +744,11 @@ struct SolveRun {
     added: Option<Relation>,
     /// Captured per-equation state (tracked runs only).
     system: Option<SolvedSystem>,
-    stats: FixpointStats,
 }
 
 /// Solve the system rooted at `constructor(base, args, scalar_args)`;
-/// returns the application value and run statistics.
+/// returns the application value. Run statistics go to
+/// [`FixpointConfig::metrics`].
 pub fn solve(
     source: &dyn ConstructorSource,
     constructor: &str,
@@ -799,7 +756,7 @@ pub fn solve(
     args: Vec<Relation>,
     scalar_args: Vec<Value>,
     cfg: &FixpointConfig,
-) -> Result<(Relation, FixpointStats), EvalError> {
+) -> Result<Relation, EvalError> {
     match solve_inner(
         source,
         constructor,
@@ -810,7 +767,7 @@ pub fn solve(
         None,
         cfg,
     )? {
-        Ok(run) => Ok((run.value, run.stats)),
+        Ok(run) => Ok(run.value),
         Err(reason) => unreachable!("cold solve cannot be refused: {reason}"),
     }
 }
@@ -831,7 +788,7 @@ pub fn solve_tracked(
     base_name: &str,
     arg_names: &[&str],
     cfg: &FixpointConfig,
-) -> Result<(Relation, SolvedSystem, FixpointStats), EvalError> {
+) -> Result<(Relation, SolvedSystem), EvalError> {
     let names = root_slots(base_name, arg_names);
     match solve_inner(
         source,
@@ -844,7 +801,7 @@ pub fn solve_tracked(
         cfg,
     )? {
         Ok(run) => match run.system {
-            Some(system) => Ok((run.value, system, run.stats)),
+            Some(system) => Ok((run.value, system)),
             None => unreachable!("tracked solve always captures its system"),
         },
         Err(reason) => unreachable!("cold solve cannot be refused: {reason}"),
@@ -897,7 +854,6 @@ pub fn solve_warm(
                 value: run.value,
                 added,
                 system,
-                stats: run.stats,
             }),
             _ => unreachable!("warm solve always tracks additions and its system"),
         },
@@ -1098,7 +1054,6 @@ fn solve_inner(
                     ));
                 }
                 Err(dc_exec::ExecError::WorkerPanic { .. }) => {
-                    meter.note_retried();
                     match run_task(&snap, &catalog.knobs, task, None) {
                         Ok(o) => {
                             meter.note_degraded();
@@ -1264,26 +1219,16 @@ fn solve_inner(
 
     let st = state.into_inner();
     let root_idx = st.index[&root_key];
-    let stats = FixpointStats {
-        strategy: cfg.strategy,
-        iterations,
-        equations: st.equations.len(),
-        total_tuples: st.current.iter().map(Relation::len).sum(),
-        maintained_indexes: st.access.index_count(),
-        budget_checks: meter.checks(),
-        degraded_branches: meter.degraded(),
-        retried_branches: meter.retried(),
-        parallel_branches: meter.parallel_branches(),
-        sequential_branches: meter.sequential_branches(),
-        parallel_equations: meter.parallel_equations(),
-    };
+    let equations = st.equations.len();
     if let Some(m) = &cfg.metrics {
         m.inc(Counter::SolveRuns);
         m.add(Counter::SolveRounds, iterations as u64);
+        m.add(Counter::SolveEquations, equations as u64);
         m.add(Counter::DeltaTuples, delta_tuples);
-        m.add(Counter::ParallelBranches, stats.parallel_branches);
-        m.add(Counter::SequentialBranches, stats.sequential_branches);
-        m.add(Counter::DegradedBranches, stats.degraded_branches);
+        m.add(Counter::ParallelBranches, meter.parallel_branches());
+        m.add(Counter::SequentialBranches, meter.sequential_branches());
+        m.add(Counter::ParallelEquations, meter.parallel_equations());
+        m.add(Counter::DegradedBranches, meter.degraded());
         m.observe_us(
             Histogram::SolveLatencyUs,
             solve_t0.elapsed().as_micros() as u64,
@@ -1291,8 +1236,11 @@ fn solve_inner(
     }
     if solve_span.recording() {
         solve_span.field("rounds", iterations);
-        solve_span.field("equations", stats.equations);
-        solve_span.field("tuples", stats.total_tuples);
+        solve_span.field("equations", equations);
+        solve_span.field(
+            "tuples",
+            st.current.iter().map(Relation::len).sum::<usize>(),
+        );
     }
     let system = track.then(|| {
         let value_ids: Vec<u64> = st.current.iter().map(Relation::storage_id).collect();
@@ -1315,7 +1263,6 @@ fn solve_inner(
         value: st.current[root_idx].clone(),
         added: added_acc,
         system,
-        stats,
     }))
 }
 
@@ -2022,6 +1969,7 @@ mod tests {
     use super::*;
     use dc_calculus::builder::*;
     use dc_calculus::env::MapCatalog;
+    use dc_trace::metrics::MetricsSnapshot;
     use dc_value::{tuple, Domain, Schema};
 
     fn infrontrel() -> Schema {
@@ -2090,6 +2038,24 @@ mod tests {
         }
     }
 
+    /// Solve under `cfg(strategy)` into a fresh registry: the value and
+    /// what the solve recorded.
+    fn solve_counted(
+        src: &TestSource,
+        name: &str,
+        base: Relation,
+        args: Vec<Relation>,
+        strategy: Strategy,
+    ) -> (Relation, MetricsSnapshot) {
+        let metrics = Arc::new(MetricsRegistry::new());
+        let cfg = FixpointConfig {
+            metrics: Some(metrics.clone()),
+            ..cfg(strategy)
+        };
+        let out = solve(src, name, base, args, vec![], &cfg).unwrap();
+        (out, metrics.snapshot())
+    }
+
     #[test]
     fn transitive_closure_naive_and_seminaive_agree() {
         let src = TestSource {
@@ -2097,12 +2063,11 @@ mod tests {
             ctors: vec![ahead()],
         };
         for strategy in [Strategy::Naive, Strategy::SemiNaive] {
-            let (out, stats) =
-                solve(&src, "ahead", chain(5), vec![], vec![], &cfg(strategy)).unwrap();
+            let (out, m) = solve_counted(&src, "ahead", chain(5), vec![], strategy);
             // closure of a 5-edge chain: 5+4+3+2+1 = 15 pairs
             assert_eq!(out.len(), 15, "{strategy:?}");
             assert!(out.contains(&tuple!["o0", "o5"]));
-            assert_eq!(stats.equations, 1);
+            assert_eq!(m.solve_equations, 1);
         }
     }
 
@@ -2112,7 +2077,7 @@ mod tests {
             catalog: MapCatalog::new(),
             ctors: vec![ahead()],
         };
-        let (out, _) = solve(
+        let out = solve(
             &src,
             "ahead",
             chain(2),
@@ -2136,17 +2101,15 @@ mod tests {
             catalog: MapCatalog::new(),
             ctors: vec![ahead()],
         };
-        let (out, stats) = solve(
+        let (out, m) = solve_counted(
             &src,
             "ahead",
             Relation::new(infrontrel()),
             vec![],
-            vec![],
-            &cfg(Strategy::SemiNaive),
-        )
-        .unwrap();
+            Strategy::SemiNaive,
+        );
         assert!(out.is_empty());
-        assert!(stats.iterations <= 2);
+        assert!(m.solve_rounds <= 2);
     }
 
     #[test]
@@ -2155,31 +2118,15 @@ mod tests {
             catalog: MapCatalog::new(),
             ctors: vec![ahead()],
         };
-        let (_, s8) = solve(
-            &src,
-            "ahead",
-            chain(8),
-            vec![],
-            vec![],
-            &cfg(Strategy::Naive),
-        )
-        .unwrap();
-        let (_, s16) = solve(
-            &src,
-            "ahead",
-            chain(16),
-            vec![],
-            vec![],
-            &cfg(Strategy::Naive),
-        )
-        .unwrap();
-        assert!(s16.iterations > s8.iterations);
+        let (_, s8) = solve_counted(&src, "ahead", chain(8), vec![], Strategy::Naive);
+        let (_, s16) = solve_counted(&src, "ahead", chain(16), vec![], Strategy::Naive);
+        assert!(s16.solve_rounds > s8.solve_rounds);
         // Naive TC with the right-linear rule closes a chain of n edges
         // in ~n rounds.
         assert!(
-            s8.iterations >= 8 && s8.iterations <= 10,
+            s8.solve_rounds >= 8 && s8.solve_rounds <= 10,
             "{}",
-            s8.iterations
+            s8.solve_rounds
         );
     }
 
@@ -2192,8 +2139,7 @@ mod tests {
             ctors: vec![ahead()],
         };
         for strategy in [Strategy::Naive, Strategy::SemiNaive] {
-            let (out, _) =
-                solve(&src, "ahead", edges.clone(), vec![], vec![], &cfg(strategy)).unwrap();
+            let out = solve(&src, "ahead", edges.clone(), vec![], vec![], &cfg(strategy)).unwrap();
             // Complete closure of a 5-cycle: 25 pairs.
             assert_eq!(out.len(), 25, "{strategy:?}");
         }
@@ -2228,7 +2174,7 @@ mod tests {
             catalog: MapCatalog::new(),
             ctors: vec![strange],
         };
-        let (out, _) = solve(&src, "strange", base, vec![], vec![], &cfg(Strategy::Naive)).unwrap();
+        let out = solve(&src, "strange", base, vec![], vec![], &cfg(Strategy::Naive)).unwrap();
         let nums: Vec<u64> = out
             .sorted_tuples()
             .iter()
@@ -2369,31 +2315,27 @@ mod tests {
             // Ontop{above(Infront)}: the vase (on the table, which is in
             // front of the chair) is above/ahead of the chair — the
             // paper's motivating example.
-            let (above_out, stats) = solve(
+            let (above_out, m) = solve_counted(
                 &src,
                 "above",
                 ontop.clone(),
                 vec![infront.clone()],
-                vec![],
-                &cfg(strategy),
-            )
-            .unwrap();
+                strategy,
+            );
             assert!(above_out.contains(&tuple!["vase", "table"]), "{strategy:?}");
             assert!(above_out.contains(&tuple!["vase", "chair"]), "{strategy:?}");
-            assert_eq!(stats.equations, 2, "{strategy:?}");
+            assert_eq!(m.solve_equations, 2, "{strategy:?}");
 
             // Infront{ahead(Ontop)}: the lamp (in front of the vase,
             // which is above the chair) is ahead of the chair — needs
             // the `above` equation, i.e. genuine mutual recursion.
-            let (ahead_out, stats) = solve(
+            let (ahead_out, m) = solve_counted(
                 &src,
                 "ahead",
                 infront.clone(),
                 vec![ontop.clone()],
-                vec![],
-                &cfg(strategy),
-            )
-            .unwrap();
+                strategy,
+            );
             assert!(
                 ahead_out.contains(&tuple!["table", "chair"]),
                 "{strategy:?}"
@@ -2404,7 +2346,7 @@ mod tests {
                 !ahead_out.contains(&tuple!["vase", "chair"]),
                 "{strategy:?}"
             );
-            assert_eq!(stats.equations, 2, "{strategy:?}");
+            assert_eq!(m.solve_equations, 2, "{strategy:?}");
         }
     }
 
@@ -2434,7 +2376,7 @@ mod tests {
             catalog: MapCatalog::new(),
             ctors: vec![below],
         };
-        let (out, _) = solve(
+        let out = solve(
             &src,
             "below",
             base.clone(),
@@ -2445,7 +2387,7 @@ mod tests {
         .unwrap();
         assert_eq!(out.len(), 4);
         // Different scalar args are different applications.
-        let (out7, _) = solve(
+        let out7 = solve(
             &src,
             "below",
             base,
@@ -2534,26 +2476,10 @@ mod tests {
             catalog: MapCatalog::new(),
             ctors: vec![ahead()],
         };
-        let (out_n, s_n) = solve(
-            &src,
-            "ahead",
-            chain(12),
-            vec![],
-            vec![],
-            &cfg(Strategy::Naive),
-        )
-        .unwrap();
-        let (out_s, s_s) = solve(
-            &src,
-            "ahead",
-            chain(12),
-            vec![],
-            vec![],
-            &cfg(Strategy::SemiNaive),
-        )
-        .unwrap();
+        let (out_n, s_n) = solve_counted(&src, "ahead", chain(12), vec![], Strategy::Naive);
+        let (out_s, s_s) = solve_counted(&src, "ahead", chain(12), vec![], Strategy::SemiNaive);
         assert_eq!(out_n, out_s);
-        assert!(s_s.iterations <= s_n.iterations + 1);
+        assert!(s_s.solve_rounds <= s_n.solve_rounds + 1);
     }
 
     #[test]
@@ -2598,7 +2524,7 @@ mod tests {
             ctors: vec![ahead()],
         };
         let cfg = cfg(Strategy::SemiNaive);
-        let (v0, sys, _) = solve_tracked(
+        let (v0, sys) = solve_tracked(
             &src,
             "ahead",
             chain(12),
@@ -2637,7 +2563,7 @@ mod tests {
         else {
             panic!("warm start unexpectedly refused");
         };
-        let (cold, _) = solve(&src, "ahead", base, vec![], vec![], &cfg).unwrap();
+        let cold = solve(&src, "ahead", base, vec![], vec![], &cfg).unwrap();
         assert_eq!(value, cold);
         // The exact output delta: every (oi, o13).
         assert_eq!(added.len(), 13);
@@ -2657,7 +2583,7 @@ mod tests {
         };
         let cfg = cfg(Strategy::SemiNaive);
         let mut base = chain(4);
-        let (mut val, mut sys, _) = solve_tracked(
+        let (mut val, mut sys) = solve_tracked(
             &src,
             "ahead",
             base.clone(),
@@ -2699,7 +2625,7 @@ mod tests {
             val = value;
             sys = system;
         }
-        let (cold, _) = solve(&src, "ahead", base, vec![], vec![], &cfg).unwrap();
+        let cold = solve(&src, "ahead", base, vec![], vec![], &cfg).unwrap();
         assert_eq!(val, cold);
         assert_eq!(val.len(), 11 * 12 / 2);
     }
@@ -2711,7 +2637,7 @@ mod tests {
             ctors: vec![ahead()],
         };
         let semi = cfg(Strategy::SemiNaive);
-        let (_, sys, _) = solve_tracked(
+        let (_, sys) = solve_tracked(
             &src,
             "ahead",
             chain(3),
@@ -2762,7 +2688,7 @@ mod tests {
             ctors: vec![filtered],
         };
         let cfg = cfg(Strategy::SemiNaive);
-        let (_, sys, _) = solve_tracked(
+        let (_, sys) = solve_tracked(
             &src,
             "ahead_ok",
             chain(3),

@@ -72,8 +72,9 @@ impl CancelToken {
 
 /// A declarative resource envelope for one solve (or one top-level
 /// query evaluation). All limits are optional; [`Budget::unlimited`]
-/// (the `Default`) never trips but still counts, which is how
-/// governance counters reach `FixpointStats` even on unbounded solves.
+/// (the `Default`) never trips but still counts, which is how a
+/// solve's scheduler counters reach the metrics registry even on
+/// unbounded solves.
 #[derive(Debug, Clone, Default)]
 pub struct Budget {
     deadline: Option<Duration>,
@@ -148,7 +149,6 @@ impl Budget {
                 checks: AtomicU64::new(0),
                 tuples: AtomicU64::new(0),
                 degraded: AtomicU64::new(0),
-                retried: AtomicU64::new(0),
                 parallel_branches: AtomicU64::new(0),
                 sequential_branches: AtomicU64::new(0),
                 parallel_equations: AtomicU64::new(0),
@@ -168,7 +168,6 @@ struct MeterInner {
     checks: AtomicU64,
     tuples: AtomicU64,
     degraded: AtomicU64,
-    retried: AtomicU64,
     parallel_branches: AtomicU64,
     sequential_branches: AtomicU64,
     parallel_equations: AtomicU64,
@@ -253,11 +252,6 @@ impl Meter {
         self.inner.degraded.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Note a branch retry (the attempt, whether or not it succeeds).
-    pub fn note_retried(&self) {
-        self.inner.retried.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Record `n` branch tasks dispatched to scheduler worker threads.
     pub fn add_parallel_branches(&self, n: u64) {
         self.inner.parallel_branches.fetch_add(n, Ordering::Relaxed);
@@ -278,11 +272,6 @@ impl Meter {
             .fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Budget checks performed so far (ticks + round checks).
-    pub fn checks(&self) -> u64 {
-        self.inner.checks.load(Ordering::Relaxed)
-    }
-
     /// Tuples recorded via [`Meter::add_tuples`] so far.
     pub fn tuples(&self) -> u64 {
         self.inner.tuples.load(Ordering::Relaxed)
@@ -292,11 +281,6 @@ impl Meter {
     /// failure.
     pub fn degraded(&self) -> u64 {
         self.inner.degraded.load(Ordering::Relaxed)
-    }
-
-    /// Branch retry attempts.
-    pub fn retried(&self) -> u64 {
-        self.inner.retried.load(Ordering::Relaxed)
     }
 
     /// Branch tasks dispatched to scheduler worker threads.
@@ -385,7 +369,7 @@ mod tests {
         }
         m.add_tuples(1_000_000).unwrap();
         m.check_round(1_000_000).unwrap();
-        assert_eq!(m.checks(), 1001);
+        assert_eq!(m.inner.checks.load(Ordering::Relaxed), 1001);
         assert_eq!(m.tuples(), 1_000_000);
     }
 
@@ -484,9 +468,7 @@ mod tests {
         m2.add_tuples(7).unwrap();
         assert_eq!(m.tuples(), 12);
         m2.note_degraded();
-        m.note_retried();
         assert_eq!(m.degraded(), 1);
-        assert_eq!(m2.retried(), 1);
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! which is also what §4's *physical access path* amounts to in this
 //! engine (see `docs/ARCHITECTURE.md`, "§4 compilation is rewriting").
 
+// Indexes are built over user data inside every probe plan: no
+// `unwrap`/`expect` outside tests.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod hash_index;
 pub mod stats;
 

@@ -26,6 +26,11 @@
 //!    a parameter; its *physical access path* is the solved memo plus
 //!    the access cache's indexes. See `docs/ARCHITECTURE.md`.
 
+// The rewrites run on user-written queries and definitions: no
+// `unwrap`/`expect` outside tests.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod capture;
 pub mod nesting;
 pub mod partition;

@@ -222,24 +222,28 @@ impl QuantGraph {
         }
         impl T<'_> {
             fn strongconnect(&mut self, v: usize) {
-                self.index[v] = Some(self.next);
-                self.low[v] = self.next;
+                let index = self.next;
+                self.index[v] = Some(index);
+                self.low[v] = index;
                 self.next += 1;
                 self.stack.push(v);
                 self.on_stack[v] = true;
                 for i in 0..self.adj[v].len() {
                     let w = self.adj[v][i];
-                    if self.index[w].is_none() {
-                        self.strongconnect(w);
-                        self.low[v] = self.low[v].min(self.low[w]);
-                    } else if self.on_stack[w] {
-                        self.low[v] = self.low[v].min(self.index[w].unwrap());
+                    match self.index[w] {
+                        None => {
+                            self.strongconnect(w);
+                            self.low[v] = self.low[v].min(self.low[w]);
+                        }
+                        Some(iw) if self.on_stack[w] => self.low[v] = self.low[v].min(iw),
+                        Some(_) => {}
                     }
                 }
-                if self.low[v] == self.index[v].unwrap() {
+                if self.low[v] == index {
+                    // `v` is on the stack below everything pushed since,
+                    // so popping down to it ends the component.
                     let mut comp = Vec::new();
-                    loop {
-                        let w = self.stack.pop().unwrap();
+                    while let Some(w) = self.stack.pop() {
                         self.on_stack[w] = false;
                         comp.push(w);
                         if w == v {

@@ -147,7 +147,8 @@ mod tests {
         // The convenience solve takes the same path.
         let out2 = s.solve("Infront", "ahead", &[], vec![]).unwrap();
         assert_eq!(out, out2);
-        assert!(s.last_fixpoint_stats().is_some());
+        // One solve: the convenience call hit the session's memo.
+        assert_eq!(server.metrics().snapshot().solve_runs, 1);
         assert_eq!(s.read_set(), vec!["Infront".to_string()]);
     }
 
@@ -311,16 +312,18 @@ mod tests {
         let a = server.begin().query(&q).unwrap();
         // A commit on Other leaves Infront's content — and therefore
         // the content-addressed solve key — unchanged: the carried-over
-        // memo serves the hit, which the solver-stats probe makes
-        // visible (a memo hit records no fixpoint run).
+        // memo serves the hit, which the registry makes visible (a
+        // memo hit records no fixpoint run).
         server
             .commit(&WriteBatch::new().insert("Other", tuple!["u", "v"]))
             .unwrap();
-        let s = server.begin();
-        let b = s.query(&q).unwrap();
+        let before = server.metrics().snapshot();
+        let b = server.begin().query(&q).unwrap();
         assert_eq!(a, b);
-        assert!(
-            s.last_fixpoint_stats().is_none(),
+        let d = server.metrics().snapshot().since(&before);
+        assert_eq!(
+            (d.solve_runs, d.warm_solved_hits),
+            (0, 1),
             "expected a warm-memo hit, not a fresh solve"
         );
     }

@@ -8,8 +8,7 @@ use dc_calculus::ast::{Name, SelectorDef};
 use dc_calculus::typeck::{self, ConstructorSig, SchemaCatalog};
 use dc_calculus::{AccessCache, Catalog, EvalError, Evaluator, Explanation, RangeExpr};
 use dc_core::fixpoint::{
-    self, AppKey, ConstructorSource, FixpointConfig, FixpointStats, SolvedSystem, Strategy,
-    WarmOutcome,
+    self, AppKey, ConstructorSource, FixpointConfig, SolvedSystem, Strategy, WarmOutcome,
 };
 use dc_core::Constructor;
 use dc_governor::{Budget, CancelToken};
@@ -47,7 +46,6 @@ pub struct Session {
     cancel: CancelToken,
     read_set: RefCell<FxHashSet<Name>>,
     solved: RefCell<FxHashMap<AppKey, Relation>>,
-    last_stats: RefCell<Option<FixpointStats>>,
 }
 
 impl Session {
@@ -65,7 +63,6 @@ impl Session {
             cancel,
             read_set: RefCell::new(FxHashSet::default()),
             solved: RefCell::new(FxHashMap::default()),
-            last_stats: RefCell::new(None),
         }
     }
 
@@ -234,11 +231,10 @@ impl Session {
         let solved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             fixpoint::solve_tracked(self, constructor, b, a, scalar_args, base, &arg_refs, &cfg)
         }));
-        let (value, system, stats) = match solved {
+        let (value, system) = match solved {
             Ok(result) => result?,
             Err(payload) => return Err(panic_to_eval(payload).into()),
         };
-        *self.last_stats.borrow_mut() = Some(stats);
         self.snap.warm().donate_solved(key.clone(), value.clone());
         self.solved.borrow_mut().insert(key, value.clone());
         Ok((value, system))
@@ -277,16 +273,10 @@ impl Session {
             deltas,
             &cfg,
         )?;
-        if let WarmOutcome::Solved { value, stats, .. } = &outcome {
-            *self.last_stats.borrow_mut() = Some(stats.clone());
+        if let WarmOutcome::Solved { value, .. } = &outcome {
             self.snap.warm().donate_solved(key, value.clone());
         }
         Ok(outcome)
-    }
-
-    /// Statistics of the session's most recent fixpoint run, if any.
-    pub fn last_fixpoint_stats(&self) -> Option<FixpointStats> {
-        self.last_stats.borrow().clone()
     }
 
     /// An evaluator over the pinned snapshot honouring the frozen index
@@ -408,11 +398,10 @@ impl Catalog for Session {
         let solved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             fixpoint::solve(self, name, base, args, scalar_args, &cfg)
         }));
-        let (value, stats) = match solved {
+        let value = match solved {
             Ok(result) => result?,
             Err(payload) => return Err(panic_to_eval(payload)),
         };
-        *self.last_stats.borrow_mut() = Some(stats);
         self.snap.warm().donate_solved(key.clone(), value.clone());
         self.solved.borrow_mut().insert(key, value.clone());
         Ok(value)

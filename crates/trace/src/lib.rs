@@ -20,9 +20,9 @@
 //!   entry point reduces to one relaxed atomic load and an immediate
 //!   return. No span names are formatted, no fields are built, nothing
 //!   allocates; callers guard any expensive rendering on
-//!   [`enabled`]/[`Span::recording`]. The hot paths therefore carry
-//!   tracing at zero measurable cost (the perf-baseline CI gate holds
-//!   with the instrumented build).
+//!   [`enabled`]/[`Span::recording`]. What arming costs is measured by
+//!   `dcbench`'s `trace.armed_overhead_pct` probe; its gated metrics
+//!   run with tracing disabled, on this instrumented build.
 //! * **Arming**: the `DC_TRACE` environment variable, parsed on first
 //!   use with the same strict-warn-once policy as the engine's other
 //!   knobs (`dc-governor`'s `envcfg` routes its warnings *through* this

@@ -66,15 +66,27 @@ macro_rules! counters {
                     solve_latency_us: reg.hists[Histogram::SolveLatencyUs as usize].snapshot(),
                 }
             }
+
+            /// This snapshot with every counter replaced by its growth
+            /// since `earlier` (gauges and histograms stay as read here):
+            /// what the work between two snapshots recorded.
+            pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($field: self.$field.saturating_sub(earlier.$field),)*
+                    ..self.clone()
+                }
+            }
         }
     };
 }
 
 counters! {
-    /// Fixpoint solves started.
+    /// Fixpoint solves completed (an aborted solve records nothing).
     SolveRuns => solve_runs,
-    /// Fixpoint rounds executed across all solves.
+    /// Fixpoint rounds executed, summed over completed solves.
     SolveRounds => solve_rounds,
+    /// Equations instantiated, summed over completed solves.
+    SolveEquations => solve_equations,
     /// Tuples carried in semi-naive deltas across all rounds.
     DeltaTuples => delta_tuples,
     /// Branch plans that chose at least one index probe.
@@ -93,6 +105,9 @@ counters! {
     ParallelBranches => parallel_branches,
     /// Branches evaluated inline on the solver thread.
     SequentialBranches => sequential_branches,
+    /// Equations whose branches ran on workers beside another
+    /// equation's in the same round, summed per dispatched round.
+    ParallelEquations => parallel_equations,
     /// Branches degraded to the sequential path after a worker panic.
     DegradedBranches => degraded_branches,
     /// Warm-map hits: solved constructor results.
@@ -365,9 +380,9 @@ impl MetricsSnapshot {
     /// Compact single-line JSON object. Zero counters are elided to
     /// keep bench rows readable; histograms render as
     /// `{"count":..,"mean_us":..,"p95_us":..}`. Key names never
-    /// collide with the bench baseline parser's `workload`/`speedup`
-    /// probes and the output contains no `[`, so a snapshot can be
-    /// embedded inline in a `BENCH_*.json` row.
+    /// collide with a bench row's own `workload`/`speedup` keys and the
+    /// output contains no `[`, so a snapshot embeds inline in a
+    /// one-line `BENCH_*.json` row.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         let mut first = true;
@@ -477,6 +492,9 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.solve_runs, 1);
         assert_eq!(snap.delta_tuples, 42);
+        reg.add(Counter::DeltaTuples, 8);
+        let grown = reg.snapshot().since(&snap);
+        assert_eq!((grown.solve_runs, grown.delta_tuples), (0, 8));
         assert_eq!(snap.published_epoch, 7);
         assert_eq!(snap.commit_latency_us.count, 2);
         assert_eq!(snap.commit_latency_us.mean_us(), 200);

@@ -34,12 +34,10 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            let word = u64::from_le_bytes(chunk.try_into().unwrap());
-            self.add_to_hash(word);
+        let (words, rest) = bytes.as_chunks::<8>();
+        for word in words {
+            self.add_to_hash(u64::from_le_bytes(*word));
         }
-        let rest = chunks.remainder();
         if !rest.is_empty() {
             let mut word = [0u8; 8];
             word[..rest.len()].copy_from_slice(rest);

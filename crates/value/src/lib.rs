@@ -14,6 +14,11 @@
 //! The paper's examples (`parttype`, `infrontrel`, …) are expressible
 //! directly with these types; see `dc-relation` for the relation layer.
 
+// Every tuple and value in the engine passes through here: no
+// `unwrap`/`expect` outside tests.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod domain;
 pub mod error;
 pub mod fxhash;

@@ -81,17 +81,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Infront{ahead(Ontop)}: the lamp, in front of the vase, is ahead
     // of everything the vase is above.
+    let before = db.metrics().snapshot();
     let ahead = db.eval(&rel("Infront").construct("ahead", vec![rel("Ontop")]))?;
     println!("Infront{{ahead(Ontop)}}  = {ahead}");
     assert!(ahead.contains(&tuple!["lamp", "table"]));
     assert!(ahead.contains(&tuple!["lamp", "chair"]));
 
-    let stats = db.last_fixpoint_stats().expect("fixpoint ran");
+    let solve = db.metrics().snapshot().since(&before);
     println!(
-        "joint system: {} equations, {} iterations",
-        stats.equations, stats.iterations
+        "joint system: {} equations, {} rounds",
+        solve.solve_equations, solve.solve_rounds
     );
-    assert_eq!(stats.equations, 2);
+    assert_eq!(solve.solve_equations, 2);
 
     // The augmented quant graph of `ahead` — the paper's Figure 3 —
     // and the recursion diagnosis from its cycle structure (§4).

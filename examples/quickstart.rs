@@ -37,12 +37,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. The constructed relation Infront{ahead}: the transitive
     //    closure, computed as a least fixpoint (§3.2).
+    //    The solve's numbers are read from the metrics registry.
+    let before = db.metrics().snapshot();
     let ahead = db.eval(&rel("Infront").construct("ahead", vec![]))?;
     println!("Infront{{ahead}}             = {ahead}");
-    let stats = db.last_fixpoint_stats().expect("a fixpoint just ran");
+    let solve = db.metrics().snapshot().since(&before);
     println!(
-        "  ({} equations, {} iterations, {:?} strategy)",
-        stats.equations, stats.iterations, stats.strategy
+        "  ({} equations, {} rounds, {:?} strategy)",
+        solve.solve_equations,
+        solve.solve_rounds,
+        db.config().strategy
     );
 
     // 6. Composition: everything hidden by the table (§3.1's

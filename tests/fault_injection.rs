@@ -10,22 +10,11 @@
 //! runs when CI launches this binary with `DC_FAILPOINTS` set and
 //! `--test-threads=1`.
 
-use dc_bench::parallelised;
+use dc_bench::{counted, parallelised, snapshot};
 use dc_calculus::builder::*;
 use dc_calculus::{Branch, EvalError, PlanEvent};
 use dc_core::{CoreError, Database};
 use dc_governor::{FailpointsGuard, SolveError};
-
-/// Byte-level snapshot of every base relation: (name, len, digest).
-fn snapshot(db: &Database) -> Vec<(String, usize, u128)> {
-    db.relation_names()
-        .into_iter()
-        .map(|n| {
-            let r = db.relation_ref(n).unwrap();
-            (n.to_string(), r.len(), r.digest())
-        })
-        .collect()
-}
 
 fn closure_len(n: usize) -> usize {
     n * (n + 1) / 2
@@ -90,7 +79,8 @@ fn worker_start_error_aborts_cleanly() {
 /// and retried inline; a panicking shard of a one-shot query sends the
 /// whole branch back to the calling thread. Either way the final
 /// relation equals the `threads = 1` reference, with the degradation
-/// visible in the run statistics (and, for the query, the plan trace).
+/// visible in the registry (and, for the query, in the meter and the
+/// plan trace).
 #[test]
 fn worker_panic_degrades_to_sequential_reference() {
     let _g = FailpointsGuard::arm("worker_start=panic");
@@ -100,12 +90,11 @@ fn worker_panic_degrades_to_sequential_reference() {
 fn assert_worker_panics_degrade() {
     let reference = ring_db(24, 1).eval(&dc_bench::ring_query()).unwrap();
     let db = ring_db(24, 4);
-    let out = db.eval(&dc_bench::ring_query()).unwrap();
+    let (out, d) = counted(&db.metrics(), || db.eval(&dc_bench::ring_query()));
+    let out = out.unwrap();
     assert_eq!(out.sorted_tuples(), reference.sorted_tuples());
     assert_eq!(out.len(), closure_len(24));
-    let stats = db.last_fixpoint_stats().unwrap();
-    assert!(stats.retried_branches >= 1, "{stats:?}");
-    assert_eq!(stats.degraded_branches, stats.retried_branches);
+    assert!(d.degraded_branches >= 1, "{d:?}");
 
     let q = dc_bench::two_hop_query(7);
     let reference = graph_db(1).eval(&q).unwrap();
@@ -114,7 +103,7 @@ fn assert_worker_panics_degrade() {
     let mut ev = db.evaluator();
     assert_eq!(ev.eval(&q).unwrap(), reference);
     let meter = ev.meter().unwrap();
-    assert_eq!((meter.retried(), meter.degraded()), (1, 1));
+    assert_eq!(meter.degraded(), 1);
     assert!(
         ev.plan_events()
             .iter()

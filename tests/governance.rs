@@ -4,23 +4,13 @@
 //! the database byte-identical to its pre-solve snapshot, and the only
 //! trace it leaves behind is the structured [`SolveError`] diagnostics.
 
+use dc_bench::{counted, snapshot, unwrap_solve_error};
 use dc_calculus::builder::*;
 use dc_calculus::{Branch, EvalError, SetFormer};
 use dc_core::{Constructor, CoreError, Database, Strategy};
 use dc_governor::{Budget, CancelToken, SolveError};
+use dc_trace::metrics::MetricsSnapshot;
 use dc_value::{Domain, Schema};
-
-/// Byte-level snapshot of every base relation: (name, len, digest).
-/// Two equal snapshots mean the caller-visible data is identical.
-fn snapshot(db: &Database) -> Vec<(String, usize, u128)> {
-    db.relation_names()
-        .into_iter()
-        .map(|n| {
-            let r = db.relation_ref(n).unwrap();
-            (n.to_string(), r.len(), r.digest())
-        })
-        .collect()
-}
 
 /// The E1 chain workload: `ahead` transitive closure over a chain of
 /// `n` edges (closure size n·(n+1)/2).
@@ -28,11 +18,19 @@ fn chain_db(n: usize) -> Database {
     dc_bench::ahead_db(&dc_workload::chain(n), Strategy::SemiNaive)
 }
 
-fn unwrap_solve_error(err: CoreError) -> SolveError {
-    match err {
-        CoreError::Eval(EvalError::Solve(se)) => se,
-        other => panic!("expected a structured solve error, got: {other}"),
-    }
+/// An aborted solve records nothing into the registry: the solve
+/// counters `d` grew by across it are all zero.
+fn records_no_solve(d: &MetricsSnapshot) {
+    assert_eq!(
+        (
+            d.solve_runs,
+            d.solve_rounds,
+            d.solve_equations,
+            d.delta_tuples
+        ),
+        (0, 0, 0, 0),
+        "{d:?}"
+    );
 }
 
 /// The acceptance scenario: a 10 ms deadline over the E1 chain workload
@@ -44,8 +42,8 @@ fn deadline_trips_with_diagnostics_and_atomic_abort() {
     db.set_budget(Some(Budget::unlimited().with_deadline_ms(10)));
     let before = snapshot(&db);
 
-    let err = db.eval(&dc_bench::ahead_query()).unwrap_err();
-    let se = unwrap_solve_error(err);
+    let (result, d) = counted(&db.metrics(), || db.eval(&dc_bench::ahead_query()));
+    let se = unwrap_solve_error(result.unwrap_err());
     match &se {
         SolveError::DeadlineExceeded {
             elapsed_ms,
@@ -66,9 +64,9 @@ fn deadline_trips_with_diagnostics_and_atomic_abort() {
         other => panic!("expected DeadlineExceeded, got: {other}"),
     }
 
-    // Atomic abort: base relations byte-identical, no stats recorded.
+    // Atomic abort: base relations byte-identical, no solve recorded.
     assert_eq!(snapshot(&db), before);
-    assert!(db.last_fixpoint_stats().is_none());
+    records_no_solve(&d);
 
     // The database is fully usable afterwards: lifting the budget
     // yields the complete closure.
@@ -109,10 +107,11 @@ fn pre_cancelled_token_aborts_before_any_work() {
     db.set_budget(Some(Budget::unlimited().with_cancel(token)));
     let before = snapshot(&db);
 
-    let se = unwrap_solve_error(db.eval(&dc_bench::ahead_query()).unwrap_err());
+    let (result, d) = counted(&db.metrics(), || db.eval(&dc_bench::ahead_query()));
+    let se = unwrap_solve_error(result.unwrap_err());
     assert!(matches!(se, SolveError::Cancelled { .. }), "{se}");
     assert_eq!(snapshot(&db), before);
-    assert!(db.last_fixpoint_stats().is_none());
+    records_no_solve(&d);
 }
 
 #[test]
@@ -263,17 +262,15 @@ fn oscillation_remains_nonconvergent_not_diverged() {
     ));
 }
 
-/// Governance counters reach `FixpointStats` even on unbounded solves:
+/// Governance counters reach the registry even on unbounded solves:
 /// the meter always counts, it just never trips.
 #[test]
 fn fixpoint_stats_carry_governance_counters() {
     let db = chain_db(32);
-    let out = db.eval(&dc_bench::ahead_query()).unwrap();
-    assert_eq!(out.len(), 32 * 33 / 2);
-    let stats = db.last_fixpoint_stats().unwrap();
-    assert!(stats.budget_checks > 0, "{stats:?}");
-    assert_eq!(stats.degraded_branches, 0);
-    assert_eq!(stats.retried_branches, 0);
+    let (out, d) = counted(&db.metrics(), || db.eval(&dc_bench::ahead_query()));
+    assert_eq!(out.unwrap().len(), 32 * 33 / 2);
+    assert_eq!(d.solve_runs, 1, "{d:?}");
+    assert_eq!(d.degraded_branches, 0, "{d:?}");
 }
 
 /// The E1c weighted graph, parallelised: its two-hop join is a pure

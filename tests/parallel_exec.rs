@@ -9,9 +9,9 @@
 //! third oracle where it is affordable.
 
 use dc_bench::{
-    avoids_w0_request_query, front_row_query, parallelised, scene_db, servable_request_query,
-    stacked_back_query, staffing_db, two_hop_query, unburdened_front_query, visibility_query,
-    weighted_db,
+    avoids_w0_request_query, counted, front_row_query, parallelised, scene_db,
+    servable_request_query, stacked_back_query, staffing_db, two_hop_query, unburdened_front_query,
+    visibility_query, weighted_db,
 };
 use dc_core::Strategy;
 
@@ -82,23 +82,22 @@ fn fixpoint_rounds_with_growing_deltas_match_across_thread_counts() {
     for (label, base) in workloads {
         let q = dc_bench::ahead_query();
         let seq_db = parallelised(dc_bench::ahead_db(&base, Strategy::SemiNaive), 1);
-        let sequential = seq_db.eval(&q).unwrap();
-        let rounds = seq_db.last_fixpoint_stats().unwrap().iterations;
+        let (sequential, seq) = counted(&seq_db.metrics(), || seq_db.eval(&q).unwrap());
+        let rounds = seq.solve_rounds;
         assert!(
             rounds > 3,
             "{label}: want mid-solve delta growth, got {rounds} rounds"
         );
         for threads in [2usize, 4] {
             let par_db = parallelised(dc_bench::ahead_db(&base, Strategy::SemiNaive), threads);
-            let parallel = par_db.eval(&q).unwrap();
+            let (parallel, par) = counted(&par_db.metrics(), || par_db.eval(&q).unwrap());
             assert_eq!(
                 parallel.sorted_tuples(),
                 sequential.sorted_tuples(),
                 "{label} threads={threads}"
             );
             assert_eq!(
-                par_db.last_fixpoint_stats().unwrap().iterations,
-                rounds,
+                par.solve_rounds, rounds,
                 "{label}: same round count on every thread count"
             );
         }
@@ -121,10 +120,10 @@ fn naive_strategy_parallel_and_no_change_rounds_agree() {
     }
     let q = dc_bench::ahead_query();
     let naive_par = parallelised(dc_bench::ahead_db(&base, Strategy::Naive), 4);
-    let naive_out = naive_par.eval(&q).unwrap();
+    let (naive_out, d) = counted(&naive_par.metrics(), || naive_par.eval(&q).unwrap());
     // The naive convergence test needs one full no-change round (plus
     // the paper's trailing comparison), all short-circuited now.
-    assert!(naive_par.last_fixpoint_stats().unwrap().iterations > 2);
+    assert!(d.solve_rounds > 2, "{d:?}");
     let semi = parallelised(dc_bench::ahead_db(&base, Strategy::SemiNaive), 1)
         .eval(&q)
         .unwrap();

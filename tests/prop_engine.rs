@@ -8,6 +8,7 @@
 
 use proptest::prelude::*;
 
+use dc_bench::counted;
 use dc_calculus::builder::{cnst, rel};
 use dc_calculus::RangeExpr;
 use dc_core::options::{ahead_step, program_iteration, transitive_closure};
@@ -167,10 +168,11 @@ proptest! {
             db.insert("Infront", t.clone()).unwrap();
         }
         db.define_constructor(paper::ahead()).unwrap();
-        let out = db.eval(&rel("Infront").construct("ahead", vec![])).unwrap();
-        let stats = db.last_fixpoint_stats().unwrap();
-        prop_assert!(stats.iterations <= out.len() + 2,
-            "{} rounds for {} tuples", stats.iterations, out.len());
+        let (out, d) = counted(&db.metrics(), || {
+            db.eval(&rel("Infront").construct("ahead", vec![])).unwrap()
+        });
+        prop_assert!(d.solve_rounds <= out.len() as u64 + 2,
+            "{} rounds for {} tuples", d.solve_rounds, out.len());
     }
 
     /// The index-accelerated executor is a pure optimization: naive,
@@ -188,8 +190,9 @@ proptest! {
             db.define_constructor(paper::ahead()).unwrap();
             db
         };
-        let semi_indexed = semi_db.eval(&rel("Infront").construct("ahead", vec![])).unwrap();
-        let indexed_stats = semi_db.last_fixpoint_stats().unwrap();
+        let (semi_indexed, indexed_counts) = counted(&semi_db.metrics(), || {
+            semi_db.eval(&rel("Infront").construct("ahead", vec![])).unwrap()
+        });
         let mut scan_db = {
             let mut db = Database::new();
             db.create_relation("Infront", base.schema().clone()).unwrap();
@@ -200,11 +203,12 @@ proptest! {
             db
         };
         scan_db.set_use_indexes(false);
-        let semi_scan = scan_db.eval(&rel("Infront").construct("ahead", vec![])).unwrap();
-        let scan_stats = scan_db.last_fixpoint_stats().unwrap();
+        let (semi_scan, scan_counts) = counted(&scan_db.metrics(), || {
+            scan_db.eval(&rel("Infront").construct("ahead", vec![])).unwrap()
+        });
         prop_assert_eq!(&naive, &semi_indexed);
         prop_assert_eq!(&semi_indexed, &semi_scan);
-        prop_assert_eq!(indexed_stats.iterations, scan_stats.iterations);
+        prop_assert_eq!(indexed_counts.solve_rounds, scan_counts.solve_rounds);
     }
 
     /// No stale access structure is ever served: under random
@@ -266,8 +270,8 @@ fn e3_round_counts_do_not_regress() {
             indexed.insert("Infront", t.clone()).unwrap();
         }
         indexed.define_constructor(paper::ahead()).unwrap();
-        let out_indexed = indexed.eval(&q).unwrap();
-        let stats_indexed = indexed.last_fixpoint_stats().unwrap();
+        let (out_indexed, counts_indexed) =
+            counted(&indexed.metrics(), || indexed.eval(&q).unwrap());
 
         let mut scan = Database::new();
         scan.create_relation("Infront", base.schema().clone())
@@ -277,24 +281,23 @@ fn e3_round_counts_do_not_regress() {
         }
         scan.define_constructor(paper::ahead()).unwrap();
         scan.set_use_indexes(false);
-        let out_scan = scan.eval(&q).unwrap();
-        let stats_scan = scan.last_fixpoint_stats().unwrap();
+        let (out_scan, counts_scan) = counted(&scan.metrics(), || scan.eval(&q).unwrap());
 
         assert_eq!(out_indexed, out_scan, "depth {depth}");
         assert_eq!(
-            stats_indexed.iterations, stats_scan.iterations,
+            counts_indexed.solve_rounds, counts_scan.solve_rounds,
             "indexing must not change convergence, depth {depth}"
         );
         // The right-linear rule closes a depth-n chain in ~n rounds.
+        let rounds = counts_indexed.solve_rounds as usize;
         assert!(
-            stats_indexed.iterations >= depth && stats_indexed.iterations <= depth + 2,
-            "depth {depth}: {} rounds",
-            stats_indexed.iterations
+            rounds >= depth && rounds <= depth + 2,
+            "depth {depth}: {rounds} rounds"
         );
         // The solver's incremental indexes actually engaged.
         assert!(
-            stats_indexed.maintained_indexes > 0,
-            "expected maintained indexes on the TC workload"
+            counts_indexed.warm_index_misses > 0,
+            "expected index builds on the TC workload: {counts_indexed:?}"
         );
     }
 }

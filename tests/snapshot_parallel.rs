@@ -9,15 +9,14 @@
 //! when the solve is cancelled mid-flight.
 //!
 //! The dispatch threshold is lowered to 1 everywhere so even small
-//! generated inputs take the batched parallel path, and the
-//! [`FixpointStats`] scheduler counters are asserted to prove the
-//! parallel path actually ran (not just that results agree).
+//! generated inputs take the batched parallel path, and the registry's
+//! scheduler counters are asserted to prove the parallel path actually
+//! ran (not just that results agree).
 
-use dc_bench::parallelised;
+use dc_bench::{counted, parallelised, snapshot, unwrap_solve_error};
 use dc_calculus::ast::{Branch, RangeExpr, SetFormer};
 use dc_calculus::builder::*;
-use dc_calculus::EvalError;
-use dc_core::{paper, Constructor, CoreError, Database};
+use dc_core::{paper, Constructor, Database};
 use dc_governor::{Budget, CancelToken, FailpointsGuard, SolveError};
 
 /// The E4 mutual-recursion database: `Infront`/`Ontop` base facts from
@@ -44,24 +43,6 @@ fn above_query() -> RangeExpr {
 
 fn ahead_query() -> RangeExpr {
     rel("Infront").construct("ahead", vec![rel("Ontop")])
-}
-
-/// Byte-level snapshot of every base relation: (name, len, digest).
-fn snapshot(db: &Database) -> Vec<(String, usize, u128)> {
-    db.relation_names()
-        .into_iter()
-        .map(|n| {
-            let r = db.relation_ref(n).unwrap();
-            (n.to_string(), r.len(), r.digest())
-        })
-        .collect()
-}
-
-fn unwrap_solve_error(err: CoreError) -> SolveError {
-    match err {
-        CoreError::Eval(EvalError::Solve(se)) => se,
-        other => panic!("expected a structured solve error, got: {other}"),
-    }
 }
 
 /// Transitive closure with a third, *impure* branch: a quantifier
@@ -111,20 +92,18 @@ fn mutual_fixpoint_threads_match_sequential() {
         let scene = dc_workload::scene(6, 12, 3, seed);
         for q in [above_query(), ahead_query()] {
             let seq_db = parallelised(mutual_db(&scene), 1);
-            let sequential = seq_db.eval(&q).unwrap();
-            let seq_stats = seq_db.last_fixpoint_stats().unwrap();
-            assert_eq!(seq_stats.equations, 2, "seed={seed}");
+            let (sequential, seq) = counted(&seq_db.metrics(), || seq_db.eval(&q).unwrap());
+            assert_eq!(seq.solve_equations, 2, "seed={seed}");
             for threads in [2usize, 4, 7] {
                 let par_db = parallelised(mutual_db(&scene), threads);
-                let parallel = par_db.eval(&q).unwrap();
+                let (parallel, par) = counted(&par_db.metrics(), || par_db.eval(&q).unwrap());
                 assert_eq!(
                     parallel.sorted_tuples(),
                     sequential.sorted_tuples(),
                     "seed={seed} threads={threads}"
                 );
-                let par_stats = par_db.last_fixpoint_stats().unwrap();
                 assert_eq!(
-                    par_stats.iterations, seq_stats.iterations,
+                    par.solve_rounds, seq.solve_rounds,
                     "seed={seed} threads={threads}: same Jacobi rounds"
                 );
             }
@@ -142,8 +121,8 @@ fn random_ring_system_threads_match_sequential() {
         let build = |threads: usize| parallelised(dc_bench::ring_db(&edges), threads);
         let q = dc_bench::ring_query();
         let seq_db = build(1);
-        let sequential = seq_db.eval(&q).unwrap();
-        assert_eq!(seq_db.last_fixpoint_stats().unwrap().equations, 4);
+        let (sequential, seq) = counted(&seq_db.metrics(), || seq_db.eval(&q).unwrap());
+        assert_eq!(seq.solve_equations, 4);
         for threads in [2usize, 4, 7] {
             let par_db = build(threads);
             let parallel = par_db.eval(&q).unwrap();
@@ -165,23 +144,21 @@ fn scheduler_counters_report_dispatch() {
     let scene = dc_workload::scene(6, 12, 3, 5);
 
     let par_db = parallelised(mutual_db(&scene), 4);
-    let parallel = par_db.eval(&above_query()).unwrap();
-    let par_stats = par_db.last_fixpoint_stats().unwrap();
+    let (parallel, par) = counted(&par_db.metrics(), || par_db.eval(&above_query()).unwrap());
     assert!(
-        par_stats.parallel_branches > 0,
-        "threads=4 with threshold 1 must batch-dispatch branch tasks: {par_stats:?}"
+        par.parallel_branches > 0,
+        "threads=4 with threshold 1 must batch-dispatch branch tasks: {par:?}"
     );
     assert!(
-        par_stats.parallel_equations > 0,
-        "the mutual system's equations must be dispatched together: {par_stats:?}"
+        par.parallel_equations > 0,
+        "the mutual system's equations must be dispatched together: {par:?}"
     );
 
     let seq_db = parallelised(mutual_db(&scene), 1);
-    let sequential = seq_db.eval(&above_query()).unwrap();
-    let seq_stats = seq_db.last_fixpoint_stats().unwrap();
-    assert_eq!(seq_stats.parallel_branches, 0, "{seq_stats:?}");
-    assert_eq!(seq_stats.parallel_equations, 0, "{seq_stats:?}");
-    assert!(seq_stats.sequential_branches > 0, "{seq_stats:?}");
+    let (sequential, seq) = counted(&seq_db.metrics(), || seq_db.eval(&above_query()).unwrap());
+    assert_eq!(seq.parallel_branches, 0, "{seq:?}");
+    assert_eq!(seq.parallel_equations, 0, "{seq:?}");
+    assert!(seq.sequential_branches > 0, "{seq:?}");
 
     assert_eq!(parallel.sorted_tuples(), sequential.sorted_tuples());
 }
@@ -208,21 +185,21 @@ fn impure_quantifier_branches_run_on_workers() {
     assert_eq!(sequential.len(), n * (n + 1) / 2, "plain chain closure");
 
     let par_db = build(4);
-    let parallel = par_db.eval(&q).unwrap();
+    let (parallel, d) = counted(&par_db.metrics(), || par_db.eval(&q).unwrap());
     assert_eq!(parallel.sorted_tuples(), sequential.sorted_tuples());
-    let stats = par_db.last_fixpoint_stats().unwrap();
     assert!(
-        stats.parallel_branches > 0,
-        "the Fallback quantifier branch must have been dispatched: {stats:?}"
+        d.parallel_branches > 0,
+        "the Fallback quantifier branch must have been dispatched: {d:?}"
     );
 }
 
 /// `worker_start=panic` under batch dispatch: every panicked branch
 /// task is retried inline on the solver thread, the retry is counted
-/// as a degradation, and the final relations equal the sequential
-/// reference exactly. The site fires once per dispatched task and
-/// nowhere else in a solve (tasks do not shard their own scans), so
-/// the retry count is exactly the dispatched-task count.
+/// as a degradation (a failed retry would abort the solve), and the
+/// final relations equal the sequential reference exactly. The site
+/// fires once per dispatched task and nowhere else in a solve (tasks do
+/// not shard their own scans), so the degraded count is exactly the
+/// dispatched-task count.
 #[test]
 fn worker_panic_degrades_to_sequential_reference() {
     let _g = FailpointsGuard::arm("worker_start=panic");
@@ -234,17 +211,11 @@ fn worker_panic_degrades_to_sequential_reference() {
         .unwrap();
 
     let par_db = parallelised(mutual_db(&scene), 4);
-    let parallel = par_db.eval(&above_query()).unwrap();
+    let (parallel, d) = counted(&par_db.metrics(), || par_db.eval(&above_query()).unwrap());
     assert_eq!(parallel.sorted_tuples(), sequential.sorted_tuples());
 
-    let stats = par_db.last_fixpoint_stats().unwrap();
-    assert!(stats.retried_branches >= 1, "{stats:?}");
-    assert!(stats.degraded_branches >= 1, "{stats:?}");
-    assert_eq!(
-        stats.degraded_branches, stats.retried_branches,
-        "every retry must have completed sequentially: {stats:?}"
-    );
-    assert_eq!(stats.retried_branches, stats.parallel_branches, "{stats:?}");
+    assert!(d.degraded_branches >= 1, "{d:?}");
+    assert_eq!(d.degraded_branches, d.parallel_branches, "{d:?}");
 }
 
 /// A pre-cancelled token aborts the multi-worker solve before any
