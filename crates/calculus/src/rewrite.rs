@@ -232,29 +232,38 @@ pub fn substitute_param_exprs_range(r: &RangeExpr, map: &FxHashMap<Name, ScalarE
                 .map(|s| substitute_param_exprs_scalar(s, map))
                 .collect(),
         },
-        RangeExpr::SetFormer(sf) => RangeExpr::SetFormer(SetFormer {
-            branches: sf
-                .branches
-                .iter()
-                .map(|b| Branch {
-                    target: match &b.target {
-                        Target::Var(v) => Target::Var(v.clone()),
-                        Target::Tuple(exprs) => Target::Tuple(
-                            exprs
-                                .iter()
-                                .map(|e| substitute_param_exprs_scalar(e, map))
-                                .collect(),
-                        ),
-                    },
-                    bindings: b
-                        .bindings
-                        .iter()
-                        .map(|(v, range)| (v.clone(), substitute_param_exprs_range(range, map)))
-                        .collect(),
-                    predicate: substitute_param_exprs_formula(&b.predicate, map),
-                })
-                .collect(),
-        }),
+        RangeExpr::SetFormer(sf) => {
+            RangeExpr::SetFormer(substitute_param_exprs_set_former(sf, map))
+        }
+    }
+}
+
+fn substitute_param_exprs_set_former(
+    sf: &SetFormer,
+    map: &FxHashMap<Name, ScalarExpr>,
+) -> SetFormer {
+    SetFormer {
+        branches: sf
+            .branches
+            .iter()
+            .map(|b| Branch {
+                target: match &b.target {
+                    Target::Var(v) => Target::Var(v.clone()),
+                    Target::Tuple(exprs) => Target::Tuple(
+                        exprs
+                            .iter()
+                            .map(|e| substitute_param_exprs_scalar(e, map))
+                            .collect(),
+                    ),
+                },
+                bindings: b
+                    .bindings
+                    .iter()
+                    .map(|(v, range)| (v.clone(), substitute_param_exprs_range(range, map)))
+                    .collect(),
+                predicate: substitute_param_exprs_formula(&b.predicate, map),
+            })
+            .collect(),
     }
 }
 
@@ -331,6 +340,12 @@ pub fn substitute_params_formula(f: &Formula, map: &FxHashMap<Name, Value>) -> F
 /// constant-valued special case of [`substitute_param_exprs_range`].
 pub fn substitute_params_range(r: &RangeExpr, map: &FxHashMap<Name, Value>) -> RangeExpr {
     substitute_param_exprs_range(r, &const_exprs(map))
+}
+
+/// Substitute scalar parameters throughout a set-former — §3.2's
+/// partial evaluation of a constructor body for one application.
+pub fn substitute_params_set_former(sf: &SetFormer, map: &FxHashMap<Name, Value>) -> SetFormer {
+    substitute_param_exprs_set_former(sf, &const_exprs(map))
 }
 
 /// Collect every relation name referenced anywhere in a range
@@ -553,6 +568,14 @@ pub fn collect_constructed(range: &RangeExpr) -> Vec<RangeExpr> {
     out
 }
 
+/// Collect every constructor application in a formula (quantifier and
+/// membership ranges), in pre-order — see [`collect_constructed`].
+pub fn collect_constructed_formula(f: &Formula) -> Vec<RangeExpr> {
+    let mut out = Vec::new();
+    collect_constructed_in_formula(f, &mut out);
+    out
+}
+
 fn collect_constructed_range(r: &RangeExpr, out: &mut Vec<RangeExpr>) {
     match r {
         RangeExpr::Rel(_) => {}
@@ -569,23 +592,23 @@ fn collect_constructed_range(r: &RangeExpr, out: &mut Vec<RangeExpr>) {
                 for (_, range) in &b.bindings {
                     collect_constructed_range(range, out);
                 }
-                collect_constructed_formula(&b.predicate, out);
+                collect_constructed_in_formula(&b.predicate, out);
             }
         }
     }
 }
 
-fn collect_constructed_formula(f: &Formula, out: &mut Vec<RangeExpr>) {
+fn collect_constructed_in_formula(f: &Formula, out: &mut Vec<RangeExpr>) {
     match f {
         Formula::True | Formula::False | Formula::Cmp(..) => {}
         Formula::And(a, b) | Formula::Or(a, b) => {
-            collect_constructed_formula(a, out);
-            collect_constructed_formula(b, out);
+            collect_constructed_in_formula(a, out);
+            collect_constructed_in_formula(b, out);
         }
-        Formula::Not(inner) => collect_constructed_formula(inner, out),
+        Formula::Not(inner) => collect_constructed_in_formula(inner, out),
         Formula::Some(_, r, body) | Formula::All(_, r, body) => {
             collect_constructed_range(r, out);
-            collect_constructed_formula(body, out);
+            collect_constructed_in_formula(body, out);
         }
         Formula::Member(_, r) | Formula::TupleIn(_, r) => collect_constructed_range(r, out),
     }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use dc_calculus::ast::{Name, SelectorDef};
 use dc_calculus::typeck::{self, ConstructorSig, SchemaCatalog};
 use dc_calculus::{AccessCache, Catalog, EvalError, Evaluator, Explanation, RangeExpr};
-use dc_governor::{Budget, SolveDiag, SolveError};
+use dc_governor::Budget;
 use dc_relation::Relation;
 use dc_trace::metrics::MetricsRegistry;
 use dc_value::{FxHashMap, FxHashSet, Schema, Tuple, Value};
@@ -31,8 +31,9 @@ pub struct Database {
     constructors: FxHashMap<Name, Constructor>,
     signatures: FxHashMap<Name, ConstructorSig>,
     /// Constructors registered through the unchecked API (§3.3's
-    /// non-positive definitions); these force the naive strategy, since
-    /// differential evaluation assumes monotonicity.
+    /// non-positive definitions); the solver runs every system that can
+    /// reach one naive, since differential evaluation assumes
+    /// monotonicity.
     unchecked: FxHashSet<Name>,
     config: FixpointConfig,
     /// Memo of solved applications. A body may read relations by name
@@ -78,9 +79,12 @@ impl Database {
         }
     }
 
-    /// Set the fixpoint strategy (naive vs. semi-naive). The one
-    /// setting that can change a result (of a non-monotone system), so
-    /// the one that drops the solved memo.
+    /// Set the reference strategy override. `Naive` runs every solve
+    /// naive; `SemiNaive` (the default) leaves the choice to the
+    /// solver, which runs a system naive exactly when it can reach a
+    /// constructor registered through
+    /// [`Database::define_constructor_unchecked`], and semi-naive
+    /// otherwise. Drops the solved memo (benchmarks compare the two).
     pub fn set_strategy(&mut self, strategy: Strategy) {
         self.config.strategy = strategy;
         self.solved.borrow_mut().clear();
@@ -307,8 +311,10 @@ impl Database {
     }
 
     /// Define a constructor *without* the positivity check — the
-    /// paper's discussion path for `strange` (§3.3). Such constructors
-    /// force the naive strategy and may fail at evaluation time with
+    /// paper's discussion path for `strange` (§3.3). Every solve that
+    /// can reach such a constructor — applied directly, or through any
+    /// checked constructor or selector that ranges over it — runs
+    /// naive, and may fail at evaluation time with
     /// [`EvalError::NonConvergent`] (detected period-2 oscillation) or
     /// [`dc_governor::SolveError::Diverged`] (round allowance exhausted
     /// without convergence).
@@ -460,8 +466,8 @@ pub struct DatabaseParts {
     pub constructors: FxHashMap<Name, Constructor>,
     /// Constructor signatures (for static checking).
     pub signatures: FxHashMap<Name, ConstructorSig>,
-    /// Constructors registered through the unchecked API; they force
-    /// the naive strategy.
+    /// Constructors registered through the unchecked API; systems that
+    /// reach one are solved naive.
     pub unchecked: FxHashSet<Name>,
     /// The fixpoint configuration the database was running with.
     pub config: FixpointConfig,
@@ -477,6 +483,10 @@ impl ConstructorSource for Database {
             .get(name)
             .cloned()
             .ok_or_else(|| EvalError::UnknownConstructor(name.to_string()))
+    }
+
+    fn is_unchecked(&self, name: &str) -> bool {
+        self.unchecked.contains(name)
     }
 }
 
@@ -510,39 +520,11 @@ impl Catalog for Database {
         if let Some(hit) = self.solved.borrow().get(&key) {
             return Ok(hit.clone());
         }
-        // Non-positive definitions require the (always sound) naive
-        // strategy; differential evaluation assumes monotone growth.
-        let mut cfg = self.config.clone();
-        if self.unchecked.contains(name) {
-            cfg.strategy = Strategy::Naive;
-        }
-        // The solve runs behind a panic-isolation boundary: a panic
-        // anywhere inside (evaluator, planner, a bug in a body) becomes
-        // a structured `WorkerPanic` instead of tearing the process
-        // down. `AssertUnwindSafe` is sound here because the solve
-        // never mutates `self.relations`, and the access structures it
-        // builds go into a cache of its own. Together with the
-        // success-only inserts below, this makes every abort atomic:
-        // the database is observationally at its pre-solve snapshot.
-        let solved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            fixpoint::solve(self, name, base, args, scalar_args, &cfg)
-        }));
-        let value = match solved {
-            Ok(result) => result?,
-            Err(payload) => {
-                let message = if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "opaque panic payload".to_string()
-                };
-                return Err(EvalError::Solve(SolveError::WorkerPanic {
-                    message,
-                    diag: SolveDiag::default(),
-                }));
-            }
-        };
+        // The solve never mutates `self.relations` and builds its access
+        // structures in a cache of its own; with the success-only memo
+        // insert below, every abort (panics included — the solver
+        // catches them) leaves the database at its pre-solve state.
+        let value = fixpoint::solve(self, name, base, args, scalar_args, &self.config)?;
         self.solved.borrow_mut().insert(key, value.clone());
         Ok(value)
     }

@@ -16,25 +16,36 @@
 //! `REPEAT Oldahead := Ahead; … UNTIL Ahead = Oldahead` generalised to
 //! `m` equations, exactly as in the mutual-recursion loop of §3.1.
 //!
-//! Two strategies are provided:
+//! # How the solver picks a strategy
 //!
-//! * [`Strategy::Naive`] — each round fully re-evaluates each body; the
-//!   literal reading of the paper's loop.
-//! * [`Strategy::SemiNaive`] — differential evaluation: branches whose
-//!   recursive references occur only as whole binding ranges are
-//!   re-evaluated with one recursive range restricted to the previous
-//!   round's *delta* (per recursive position), which turns the O(n)
-//!   redundant rediscovery of the naive loop into work proportional to
-//!   new tuples. Branches with recursive references in other positions
-//!   (e.g. under quantifiers) fall back to naive re-evaluation — the
-//!   differential rewrite is applied only where it is sound.
+//! Once per solve, before the first round, the solver walks every
+//! constructor reachable from the root's definition (through bodies and
+//! selector predicates) and decides:
+//!
+//! * **Semi-naive** for positive systems — differential evaluation:
+//!   branches whose recursive references occur only as whole binding
+//!   ranges are re-evaluated with one recursive range restricted to the
+//!   previous round's *delta* (per recursive position), and each
+//!   equation's value grows in place by the round's new tuples. That
+//!   turns the O(n) redundant rediscovery of the naive loop into work
+//!   proportional to new tuples. Branches with recursive references in
+//!   other positions (e.g. under quantifiers) are re-evaluated whole —
+//!   the differential rewrite is applied only where it is sound.
+//! * **Naive** when any reachable constructor was admitted without the
+//!   §3.3 positivity check ([`ConstructorSource::is_unchecked`]) — delta
+//!   evaluation needs monotone rules — or when
+//!   [`FixpointConfig::strategy`] asks for it as the reference: every
+//!   branch is re-evaluated whole each round and the union *replaces*
+//!   the equation's value, the literal reading of the paper's loop.
+//!
+//! Both run the same per-branch round tasks; they differ in which tasks
+//! a round prepares and in how the commit applies their results.
 //!
 //! Convergence: positive (monotone) systems reach the LFP in finitely
-//! many steps (§3.3 lemma + Tarski). For non-positive systems admitted
-//! through the unchecked API the engine detects period-2 oscillation
-//! (the paper's `nonsense`) and reports [`EvalError::NonConvergent`];
-//! genuinely convergent non-monotone systems (the paper's `strange`)
-//! simply converge.
+//! many steps (§3.3 lemma + Tarski). For non-positive systems the naive
+//! loop detects period-2 oscillation (the paper's `nonsense`) and
+//! reports [`EvalError::NonConvergent`]; genuinely convergent
+//! non-monotone systems (the paper's `strange`) simply converge.
 //!
 //! # Snapshot rounds
 //!
@@ -55,11 +66,16 @@
 //! decorrelated ranges live in the solve's one [`AccessCache`], keyed
 //! by storage identity: tasks fill it directly from any thread, and
 //! the commit site [`AccessCache::advance`]s each grown equation value.
+//!
+//! A panic anywhere inside a solve is caught at the solver's entry and
+//! returned as a structured [`SolveError::WorkerPanic`].
 
 use std::cell::RefCell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::time::Instant;
 
-use dc_calculus::ast::{Branch, Formula, Name, RangeExpr, SetFormer};
+use dc_calculus::ast::{Name, RangeExpr, SetFormer};
 use dc_calculus::env::Overlay;
 use dc_calculus::rewrite;
 use dc_calculus::{AccessCache, Catalog, EvalError, Evaluator};
@@ -68,15 +84,16 @@ use dc_governor::{Budget, Meter, SolveDiag, SolveError};
 use dc_relation::{algebra, Relation};
 use dc_trace::metrics::{Counter, Histogram, MetricsRegistry};
 use dc_trace::SpanKind;
-use dc_value::{FxHashMap, FxHashSet, Value};
+use dc_value::{FxHashMap, Value};
 
 use crate::constructor::Constructor;
 
 mod snapshot;
 
-use snapshot::{capture_universe, Effect, EvalSnapshot, SnapshotCatalog, Universe};
+use snapshot::{EvalSnapshot, Reach, SnapshotCatalog, Universe};
 
-/// Fixpoint evaluation strategy.
+/// Fixpoint evaluation strategy — see the [module docs](self) for how
+/// the solver picks one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Strategy {
     /// Full re-evaluation per round (the paper's REPEAT loop).
@@ -89,7 +106,10 @@ pub enum Strategy {
 /// Configuration of a fixpoint run.
 #[derive(Debug, Clone)]
 pub struct FixpointConfig {
-    /// Evaluation strategy.
+    /// The reference override: `Naive` runs every system naive.
+    /// `SemiNaive` (the default) leaves the choice to the solver, which
+    /// runs naive exactly when an unchecked constructor is reachable
+    /// from the root.
     pub strategy: Strategy,
     /// Hard bound on rounds, for non-convergent (unchecked) systems.
     pub max_iterations: usize,
@@ -150,6 +170,9 @@ pub trait ConstructorSource {
     fn base_catalog(&self) -> &dyn Catalog;
     /// Look up a constructor definition.
     fn constructor_def(&self, name: &str) -> Result<Constructor, EvalError>;
+    /// Was `name` admitted without the §3.3 positivity check? A solve
+    /// that can reach any such constructor runs naive.
+    fn is_unchecked(&self, name: &str) -> bool;
 }
 
 /// Content identity of one relation argument of an application:
@@ -212,63 +235,46 @@ impl AppKey {
     }
 }
 
-/// How a branch participates in semi-naive evaluation.
+/// One constructor application by actual values: its identity and what
+/// an equation is instantiated over. The root, every application a body
+/// names, and every first sighting a round task logs all enter the
+/// system as one of these.
+struct Application {
+    key: AppKey,
+    base: Relation,
+    args: Vec<Relation>,
+    scalar_args: Vec<Value>,
+}
+
+impl Application {
+    fn new(
+        constructor: &str,
+        base: Relation,
+        args: Vec<Relation>,
+        scalar_args: Vec<Value>,
+    ) -> Application {
+        Application {
+            key: AppKey::new(constructor, &base, &args, &scalar_args),
+            base,
+            args,
+            scalar_args,
+        }
+    }
+}
+
+/// How a branch participates in semi-naive evaluation, decided when its
+/// equation is seeded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum BranchClass {
     /// No constructor application anywhere: evaluate once.
     Static,
     /// Constructor applications occur *only* as whole binding ranges
-    /// (the listed positions), with application base/args themselves
-    /// application-free: differential evaluation is sound.
-    Linear(Vec<usize>),
-    /// Anything else: re-evaluate naively each round.
+    /// whose actuals are application-free: differential evaluation is
+    /// sound. One `(binding position, peer equation)` per recursive
+    /// range.
+    Linear(Vec<(usize, usize)>),
+    /// Anything else: re-evaluate whole each round.
     Fallback,
-}
-
-fn range_has_app(r: &RangeExpr) -> bool {
-    !rewrite::collect_constructed(r).is_empty()
-}
-
-fn classify_branch(b: &Branch) -> BranchClass {
-    // Applications in the predicate (or in selector args of binding
-    // ranges) force fallback.
-    let mut pred_apps = Vec::new();
-    {
-        // Wrap the predicate in a throwaway branch to reuse the
-        // collector.
-        let probe = RangeExpr::SetFormer(SetFormer {
-            branches: vec![Branch {
-                target: b.target.clone(),
-                bindings: vec![],
-                predicate: b.predicate.clone(),
-            }],
-        });
-        pred_apps.extend(rewrite::collect_constructed(&probe));
-    }
-    if !pred_apps.is_empty() {
-        return BranchClass::Fallback;
-    }
-    let mut recursive = Vec::new();
-    for (i, (_, range)) in b.bindings.iter().enumerate() {
-        match range {
-            RangeExpr::Constructed { base, args, .. } => {
-                if range_has_app(base) || args.iter().any(range_has_app) {
-                    return BranchClass::Fallback;
-                }
-                recursive.push(i);
-            }
-            other => {
-                if range_has_app(other) {
-                    return BranchClass::Fallback;
-                }
-            }
-        }
-    }
-    if recursive.is_empty() {
-        BranchClass::Static
-    } else {
-        BranchClass::Linear(recursive)
-    }
 }
 
 /// One instantiated equation of the system.
@@ -286,16 +292,10 @@ struct Equation {
     overrides: Arc<Vec<(Name, Relation)>>,
     /// Declared result schema (values are conformed to it).
     result: dc_value::Schema,
-    /// Per-branch semi-naive classification.
+    /// Per-branch semi-naive classification, filled when seeded.
     classes: Vec<BranchClass>,
     /// Has the Static-branch contribution been computed yet?
     initialized: bool,
-    /// Cache: (branch index, recursive binding position) → equation
-    /// index. The application keys of Linear positions are value-stable
-    /// across rounds (their base/args derive from the static
-    /// overrides), so they are resolved (and their `AppKey` sorted)
-    /// exactly once.
-    resolved_apps: FxHashMap<(usize, usize), usize>,
     /// Formal name → base-catalog relation name, when *every* formal of
     /// this equation was bound to a plain catalog relation (possibly
     /// forwarded through an enclosing equation's own provenance).
@@ -319,90 +319,60 @@ struct State {
     /// relations and actuals (stable for the whole solve), equation
     /// values (advanced at commit), deltas (forgotten at commit).
     access: Arc<AccessCache>,
-    /// The pre-resolved base-catalog slice frozen into every round
-    /// snapshot — grown on the solver thread each time an equation
-    /// registers, `Arc`-shared so a freeze is a pointer bump.
+    /// The base-catalog slice and constructor definitions the solve can
+    /// reach, resolved once before the first registration and frozen
+    /// into every round snapshot (`Arc`-shared: a freeze is a pointer
+    /// bump).
     universe: Arc<Universe>,
 }
 
 impl State {
-    /// Register an application, returning its equation index (existing
-    /// or new).
+    /// Add the equation for `app`, which is not registered yet, and
+    /// return its index. Its body is seeded separately.
     fn register(
         &mut self,
-        source: &dyn ConstructorSource,
-        key: AppKey,
-        base: Relation,
-        args: Vec<Relation>,
-        scalar_args: Vec<Value>,
+        app: Application,
         slots: Option<Vec<Option<Name>>>,
     ) -> Result<usize, EvalError> {
-        if let Some(&i) = self.index.get(&key) {
-            return Ok(i);
-        }
-        let ctor = source.constructor_def(&key.constructor)?;
-        if args.len() != ctor.rel_params.len() {
-            return Err(EvalError::ArityMismatch {
-                name: ctor.name.clone(),
-                expected: ctor.rel_params.len(),
-                actual: args.len(),
-            });
-        }
-        if scalar_args.len() != ctor.scalar_params.len() {
-            return Err(EvalError::ArityMismatch {
-                name: ctor.name.clone(),
-                expected: ctor.scalar_params.len(),
-                actual: scalar_args.len(),
-            });
-        }
+        let universe = self.universe.clone();
+        let ctor = universe.definition(&app)?;
         // Substitute scalar parameters into the body (§3.2: "replacing
         // all formal parameters by their actual values").
-        let mut param_map = FxHashMap::default();
-        for ((pname, pdom), v) in ctor.scalar_params.iter().zip(&scalar_args) {
-            pdom.check(v)?;
-            param_map.insert(pname.clone(), v.clone());
-        }
-        let body_range =
-            rewrite::substitute_params_range(&RangeExpr::SetFormer(ctor.body.clone()), &param_map);
-        let body = match body_range {
-            RangeExpr::SetFormer(sf) => sf,
-            _ => unreachable!("substitution preserves the set-former shape"),
-        };
-        let mut overrides = vec![(ctor.base_param.0.clone(), base)];
-        for ((pname, _), actual) in ctor.rel_params.iter().zip(args) {
-            overrides.push((pname.clone(), actual));
-        }
-        let classes = body.branches.iter().map(classify_branch).collect();
+        let params: FxHashMap<Name, Value> = ctor
+            .scalar_params
+            .iter()
+            .map(|(p, _)| p.clone())
+            .zip(app.scalar_args)
+            .collect();
+        let formals =
+            std::iter::once(&ctor.base_param.0).chain(ctor.rel_params.iter().map(|(p, _)| p));
         // Provenance is all-or-nothing: one computed actual poisons the
         // equation (a base delta could flow in through a path the
         // per-formal map cannot name).
         let provenance = slots.and_then(|sl| {
-            let formals = std::iter::once(&ctor.base_param.0)
-                .chain(ctor.rel_params.iter().map(|(pname, _)| pname));
-            let mut map = FxHashMap::default();
-            for (formal, slot) in formals.zip(sl) {
-                map.insert(formal.clone(), slot?);
-            }
-            Some(map)
+            formals
+                .clone()
+                .zip(sl)
+                .map(|(formal, slot)| Some((formal.clone(), slot?)))
+                .collect()
         });
-        // Pre-resolve every base-catalog name the body (and its
-        // selector closure) can reach, so frozen branch evaluation
-        // never needs the caller's catalog.
-        capture_universe(&mut self.universe, source, &body);
+        let overrides = formals
+            .cloned()
+            .zip(std::iter::once(app.base).chain(app.args))
+            .collect();
         let i = self.equations.len();
         self.current.push(Relation::new(ctor.result.clone()));
         self.delta.push(Relation::new(ctor.result.clone()));
+        self.index.insert(app.key.clone(), i);
         self.equations.push(Equation {
-            key: key.clone(),
-            body: Arc::new(body),
+            key: app.key,
+            body: Arc::new(rewrite::substitute_params_set_former(&ctor.body, &params)),
             overrides: Arc::new(overrides),
-            result: ctor.result,
-            classes,
+            result: ctor.result.clone(),
+            classes: Vec::new(),
             initialized: false,
-            resolved_apps: FxHashMap::default(),
             provenance,
         });
-        self.index.insert(key, i);
         Ok(i)
     }
 
@@ -458,38 +428,7 @@ impl ExecKnobs {
             metrics: cfg.metrics.clone(),
         }
     }
-}
 
-/// The catalog visible while evaluating equation bodies: formal names
-/// resolve through per-equation overrides, and constructor applications
-/// resolve to the *current iterate* (registering new equations on first
-/// sight — dynamic instantiation of the §3.2 system).
-struct SolverCatalog<'a> {
-    source: &'a dyn ConstructorSource,
-    state: &'a RefCell<State>,
-    knobs: ExecKnobs,
-    /// `State::access`, held outside the `RefCell` so it can be lent
-    /// to evaluators.
-    access: Arc<AccessCache>,
-}
-
-impl<'a> SolverCatalog<'a> {
-    fn new(
-        source: &'a dyn ConstructorSource,
-        state: &'a RefCell<State>,
-        knobs: ExecKnobs,
-    ) -> SolverCatalog<'a> {
-        let access = state.borrow().access.clone();
-        SolverCatalog {
-            source,
-            state,
-            knobs,
-            access,
-        }
-    }
-}
-
-impl ExecKnobs {
     /// An evaluator honouring the solver's execution configuration.
     /// Always single-worker: inside a solve the only parallelism is the
     /// round's task dispatch — sharding a task's scan as well measured
@@ -508,174 +447,116 @@ impl ExecKnobs {
     }
 }
 
-impl Catalog for SolverCatalog<'_> {
-    fn relation(&self, name: &str) -> Result<Relation, EvalError> {
-        self.source.base_catalog().relation(name)
-    }
-
-    fn selector(&self, name: &str) -> Result<&dc_calculus::ast::SelectorDef, EvalError> {
-        self.source.base_catalog().selector(name)
-    }
-
-    fn apply_constructor(
-        &self,
-        base: Relation,
-        name: &str,
-        args: Vec<Relation>,
-        scalar_args: Vec<Value>,
-    ) -> Result<Relation, EvalError> {
-        let key = AppKey::new(name, &base, &args, &scalar_args);
-        let existing = {
-            let st = self.state.borrow();
-            st.index.get(&key).copied()
-        };
-        if let Some(i) = existing {
-            return Ok(self.state.borrow().current[i].clone());
-        }
-        let i = {
-            let mut st = self.state.borrow_mut();
-            st.register(self.source, key, base, args, scalar_args, None)?
-        };
-        // Eagerly instantiate the applications in the new body so that
-        // mutually recursive peers exist from the first round (§3.2
-        // instantiates the whole system up front).
-        seed_equation(self.source, self.state, i, &self.knobs)?;
-        Ok(self.state.borrow().current[i].clone())
-    }
-
-    fn scalar_param(&self, name: &str) -> Result<Value, EvalError> {
-        self.source.base_catalog().scalar_param(name)
-    }
-
-    fn access(&self) -> Option<&AccessCache> {
-        Some(&self.access)
-    }
-}
-
-/// Conform a computed relation to the declared result schema (attribute
-/// names of equation values must match the declared result type, since
-/// other bodies reference them by name).
-fn conform(rel: Relation, schema: &dc_value::Schema) -> Result<Relation, EvalError> {
-    if rel.schema() == schema {
-        // Already exactly conformed (the semi-naive accumulator path):
-        // tuples were key-checked on insertion under this very schema.
-        return Ok(rel);
-    }
-    if !rel.schema().union_compatible(schema) {
-        return Err(EvalError::Type(dc_value::TypeError::SchemaMismatch {
-            context: "constructor body value does not match declared result type".into(),
-        }));
-    }
-    let mut out = Relation::new(schema.clone());
-    for t in rel.iter() {
-        out.insert_unchecked(t.clone())?;
-    }
-    Ok(out)
-}
-
-/// Internal marker name for delta injection; not expressible in DBPL
-/// source, so it cannot clash with user names.
-const DELTA_MARKER: &str = "\u{394}delta";
-
-/// Internal marker name binding a peer equation's *accumulated* value
-/// in differential rounds, so the executor sees it as a named relation
-/// and probes the incrementally maintained indexes the solve's cache
-/// holds under its storage id instead of rescanning.
-const CURRENT_MARKER: &str = "\u{394}cur";
-
-/// The base-catalog provenance of an actual bound to a formal: a plain
-/// relation name resolves through the parent equation's own provenance
-/// (formals forward), past the parent's formal names (a formal without
-/// provenance stays untracked), to the catalog name itself. Computed
-/// ranges have no provenance.
-fn provenance_slot(
-    range: &RangeExpr,
-    parent_prov: Option<&FxHashMap<Name, Name>>,
-    parent_overrides: &[(Name, Relation)],
-) -> Option<Name> {
-    let RangeExpr::Rel(n) = range else {
-        return None;
-    };
-    if let Some(map) = parent_prov {
-        if let Some(t) = map.get(n) {
-            return Some(t.clone());
-        }
-    }
-    if parent_overrides.iter().any(|(f, _)| f == n) {
-        // Formal of the parent without provenance of its own.
-        return None;
-    }
-    Some(n.clone())
-}
-
-/// Register every constructor application appearing in equation `i`'s
-/// body whose base/args are themselves application-free — the up-front
-/// instantiation of the §3.2 equation system. Recursive through
-/// registration (idempotent by key, so mutual recursion terminates).
-fn seed_equation(
+/// Solve the system rooted at `constructor(base, args, scalar_args)`;
+/// returns the application value. Run statistics go to
+/// [`FixpointConfig::metrics`].
+pub fn solve(
     source: &dyn ConstructorSource,
-    state: &RefCell<State>,
-    i: usize,
-    knobs: &ExecKnobs,
-) -> Result<(), EvalError> {
-    let (body, overrides) = {
-        let st = state.borrow();
-        (
-            st.equations[i].body.clone(),
-            st.equations[i].overrides.clone(),
-        )
-    };
-    let catalog = SolverCatalog::new(source, state, knobs.clone());
-    let apps = rewrite::collect_constructed(&RangeExpr::SetFormer((*body).clone()));
-    for app in apps {
-        let RangeExpr::Constructed {
-            base,
-            constructor,
-            args,
-            scalar_args,
-        } = &app
-        else {
-            unreachable!("collect_constructed returns Constructed nodes");
-        };
-        if range_has_app(base) || args.iter().any(range_has_app) {
-            // Value-dependent key; registers dynamically during
-            // evaluation instead.
-            continue;
-        }
-        let overlay = Overlay::new(&catalog, (*overrides).clone());
-        let mut ev = catalog.knobs.evaluator(&overlay);
-        let mut bindings = Vec::new();
-        let base_val = ev.eval_range(base, &mut bindings)?;
-        let mut arg_vals = Vec::with_capacity(args.len());
-        for a in args {
-            arg_vals.push(ev.eval_range(a, &mut bindings)?);
-        }
-        let mut scalar_vals = Vec::with_capacity(scalar_args.len());
-        for s in scalar_args {
-            scalar_vals.push(ev.eval_scalar(s, &bindings)?);
-        }
-        let key = AppKey::new(constructor, &base_val, &arg_vals, &scalar_vals);
-        let slots = {
-            let st = state.borrow();
-            let parent_prov = st.equations[i].provenance.clone();
-            std::iter::once(&**base)
-                .chain(args.iter())
-                .map(|r| provenance_slot(r, parent_prov.as_ref(), &overrides))
-                .collect::<Vec<_>>()
-        };
-        let fresh = {
-            let mut st = state.borrow_mut();
-            if st.index.contains_key(&key) {
-                None
-            } else {
-                Some(st.register(source, key, base_val, arg_vals, scalar_vals, Some(slots))?)
+    constructor: &str,
+    base: Relation,
+    args: Vec<Relation>,
+    scalar_args: Vec<Value>,
+    cfg: &FixpointConfig,
+) -> Result<Relation, EvalError> {
+    isolate(|| {
+        let root = Application::new(constructor, base, args, scalar_args);
+        Ok(Solver::new(source, root, None, None, cfg)?.run(None)?.value)
+    })
+}
+
+/// [`solve`], additionally capturing the converged system's
+/// materialised state (per-equation values and the access structures
+/// maintained over them) so a later [`solve_warm`] can re-enter the
+/// semi-naive rounds instead of starting over. `base_name`/`arg_names` name the
+/// catalog relations the actuals came from — the provenance warm
+/// starts use to route base deltas to formals.
+#[allow(clippy::too_many_arguments)]
+pub fn solve_tracked(
+    source: &dyn ConstructorSource,
+    constructor: &str,
+    base: Relation,
+    args: Vec<Relation>,
+    scalar_args: Vec<Value>,
+    base_name: &str,
+    arg_names: &[&str],
+    cfg: &FixpointConfig,
+) -> Result<(Relation, SolvedSystem), EvalError> {
+    isolate(|| {
+        let root = Application::new(constructor, base, args, scalar_args);
+        let names = root_slots(base_name, arg_names);
+        let run = Solver::new(source, root, Some(names), None, cfg)?.run(None)?;
+        Ok((run.value, run.system))
+    })
+}
+
+/// Re-solve `constructor(base, args, scalar_args)` warm: seed every
+/// equation from `prev` (the system captured by a previous
+/// [`solve_tracked`]/[`solve_warm`] over the *same* system shape) and
+/// run delta-restricted semi-naive rounds driven by `deltas` — the
+/// tuples **inserted** into the named base relations since `prev` was
+/// captured. The actuals (`base`/`args`) must be the *new* relation
+/// values.
+///
+/// Soundness rests on monotonicity: the previous fixpoint is a subset
+/// of the new one exactly when every touched relation is read only
+/// through plain binding ranges (insertions can then only add result
+/// tuples) and the system runs semi-naive. The function re-derives that
+/// property from the registered system itself — any touched relation
+/// reachable through a predicate, selector body, computed constructor
+/// actual, or untracked formal refuses the warm start
+/// ([`WarmOutcome::Refused`]), as does a system the solver runs naive
+/// and (the caller's contract: `deltas` are insert-only) deletions. A
+/// refusal is not an error; the caller re-solves cold via
+/// [`solve_tracked`].
+#[allow(clippy::too_many_arguments)]
+pub fn solve_warm(
+    source: &dyn ConstructorSource,
+    constructor: &str,
+    base: Relation,
+    args: Vec<Relation>,
+    scalar_args: Vec<Value>,
+    base_name: &str,
+    arg_names: &[&str],
+    prev: &SolvedSystem,
+    deltas: &[(Name, Relation)],
+    cfg: &FixpointConfig,
+) -> Result<WarmOutcome, EvalError> {
+    isolate(|| {
+        let root = Application::new(constructor, base, args, scalar_args);
+        let names = root_slots(base_name, arg_names);
+        let solver = Solver::new(source, root, Some(names), Some(prev), cfg)?;
+        Ok(match solver.warm_start(prev, deltas) {
+            Ok(first) => {
+                let run = solver.run(Some(first))?;
+                WarmOutcome::Solved {
+                    value: run.value,
+                    added: run.added,
+                    system: run.system,
+                }
             }
-        };
-        if let Some(j) = fresh {
-            seed_equation(source, state, j, knobs)?;
-        }
-    }
-    Ok(())
+            Err(reason) => WarmOutcome::Refused { reason },
+        })
+    })
+}
+
+/// The solver's one panic boundary, at its entry: a panic anywhere
+/// inside a solve — evaluator, planner, an injected `delta_commit`
+/// panic, a bug in a body — becomes a structured
+/// [`SolveError::WorkerPanic`] instead of unwinding into the caller.
+/// `AssertUnwindSafe` is sound because a solve never changes what its
+/// source resolves: everything it builds is solver-private and unwinds
+/// with it, so every abort leaves the caller at its pre-solve state.
+fn isolate<T>(solve: impl FnOnce() -> Result<T, EvalError>) -> Result<T, EvalError> {
+    catch_unwind(AssertUnwindSafe(solve))
+        .unwrap_or_else(|payload| Err(EvalError::Solve(SolveError::from_panic(&*payload))))
+}
+
+/// Root provenance slots from caller-supplied names.
+fn root_slots(base_name: &str, arg_names: &[&str]) -> Vec<Option<Name>> {
+    std::iter::once(base_name)
+        .chain(arg_names.iter().copied())
+        .map(|n| Some(n.to_string()))
+        .collect()
 }
 
 /// One equation's captured end-of-solve state, for warm re-entry.
@@ -707,11 +588,6 @@ impl SolvedSystem {
     pub fn value(&self) -> &Relation {
         &self.equations[0].value
     }
-
-    /// Total tuples materialised across the system (diagnostics).
-    pub fn total_tuples(&self) -> usize {
-        self.equations.iter().map(|e| e.value.len()).sum()
-    }
 }
 
 /// What a warm re-solve produced.
@@ -729,144 +605,674 @@ pub enum WarmOutcome {
         system: SolvedSystem,
     },
     /// The warm start could not be proven sound (non-monotone read of a
-    /// touched relation, untracked provenance, changed system shape,
-    /// …): the caller must fall back to a cold [`solve_tracked`].
+    /// touched relation, untracked provenance, changed system shape, a
+    /// system the solver runs naive, …): the caller must fall back to a
+    /// cold [`solve_tracked`].
     Refused {
         /// Human-readable refusal reason (diagnostics/logging).
         reason: String,
     },
 }
 
-/// What one full solve run produced (internal).
-struct SolveRun {
+/// What a converged run produced.
+struct Converged {
     value: Relation,
-    /// Root tuples added relative to the warm seed (warm runs only).
-    added: Option<Relation>,
-    /// Captured per-equation state (tracked runs only).
-    system: Option<SolvedSystem>,
+    /// Root tuples added relative to the warm seed (empty for a cold
+    /// run).
+    added: Relation,
+    system: SolvedSystem,
 }
 
-/// Solve the system rooted at `constructor(base, args, scalar_args)`;
-/// returns the application value. Run statistics go to
-/// [`FixpointConfig::metrics`].
-pub fn solve(
-    source: &dyn ConstructorSource,
-    constructor: &str,
-    base: Relation,
-    args: Vec<Relation>,
-    scalar_args: Vec<Value>,
-    cfg: &FixpointConfig,
-) -> Result<Relation, EvalError> {
-    match solve_inner(
-        source,
-        constructor,
-        base,
-        args,
-        scalar_args,
-        None,
-        None,
-        cfg,
-    )? {
-        Ok(run) => Ok(run.value),
-        Err(reason) => unreachable!("cold solve cannot be refused: {reason}"),
-    }
+/// One solve: the equation system plus the catalog its bodies evaluate
+/// against while the solver thread instantiates it — formal names
+/// resolve through per-equation overrides, constructor applications to
+/// the *current iterate* (registering new equations on first sight:
+/// dynamic instantiation of the §3.2 system).
+struct Solver<'s> {
+    source: &'s dyn ConstructorSource,
+    state: RefCell<State>,
+    knobs: ExecKnobs,
+    /// `State::access`, held outside the `RefCell` so it can be lent
+    /// to evaluators.
+    access: Arc<AccessCache>,
+    /// The strategy decision, made once per solve in [`Solver::new`].
+    naive: bool,
+    max_iterations: usize,
+    /// Open for the whole solve; rounds, phases, and branch tasks nest
+    /// under it (branch tasks via an explicit parent when dispatched).
+    span: dc_trace::Span,
+    t0: Instant,
 }
 
-/// [`solve`], additionally capturing the converged system's
-/// materialised state (per-equation values and the access structures
-/// maintained over them) so a later [`solve_warm`] can re-enter the
-/// semi-naive rounds instead of starting over. `base_name`/`arg_names` name the
-/// catalog relations the actuals came from — the provenance warm
-/// starts use to route base deltas to formals.
-#[allow(clippy::too_many_arguments)]
-pub fn solve_tracked(
-    source: &dyn ConstructorSource,
-    constructor: &str,
-    base: Relation,
-    args: Vec<Relation>,
-    scalar_args: Vec<Value>,
-    base_name: &str,
-    arg_names: &[&str],
-    cfg: &FixpointConfig,
-) -> Result<(Relation, SolvedSystem), EvalError> {
-    let names = root_slots(base_name, arg_names);
-    match solve_inner(
-        source,
-        constructor,
-        base,
-        args,
-        scalar_args,
-        Some(names),
-        None,
-        cfg,
-    )? {
-        Ok(run) => match run.system {
-            Some(system) => Ok((run.value, system)),
-            None => unreachable!("tracked solve always captures its system"),
-        },
-        Err(reason) => unreachable!("cold solve cannot be refused: {reason}"),
-    }
-}
-
-/// Re-solve `constructor(base, args, scalar_args)` warm: seed every
-/// equation from `prev` (the system captured by a previous
-/// [`solve_tracked`]/[`solve_warm`] over the *same* system shape) and
-/// run delta-restricted semi-naive rounds driven by `deltas` — the
-/// tuples **inserted** into the named base relations since `prev` was
-/// captured. The actuals (`base`/`args`) must be the *new* relation
-/// values.
-///
-/// Soundness rests on monotonicity: the previous fixpoint is a subset
-/// of the new one exactly when every touched relation is read only
-/// through plain binding ranges (insertions can then only add result
-/// tuples). The function re-derives that property from the registered
-/// system itself — any touched relation reachable through a predicate,
-/// selector body, computed constructor actual, or untracked formal
-/// refuses the warm start ([`WarmOutcome::Refused`]), as do deletions
-/// (the caller's contract: `deltas` are insert-only). A refusal is not
-/// an error; the caller re-solves cold via [`solve_tracked`].
-#[allow(clippy::too_many_arguments)]
-pub fn solve_warm(
-    source: &dyn ConstructorSource,
-    constructor: &str,
-    base: Relation,
-    args: Vec<Relation>,
-    scalar_args: Vec<Value>,
-    base_name: &str,
-    arg_names: &[&str],
-    prev: &SolvedSystem,
-    deltas: &[(Name, Relation)],
-    cfg: &FixpointConfig,
-) -> Result<WarmOutcome, EvalError> {
-    let names = root_slots(base_name, arg_names);
-    match solve_inner(
-        source,
-        constructor,
-        base,
-        args,
-        scalar_args,
-        Some(names),
-        Some((prev, deltas)),
-        cfg,
-    )? {
-        Ok(run) => match (run.added, run.system) {
-            (Some(added), Some(system)) => Ok(WarmOutcome::Solved {
-                value: run.value,
-                added,
-                system,
+impl<'s> Solver<'s> {
+    /// Walk everything the root can reach, once: decide the strategy,
+    /// resolve the universe every round snapshot shares, then
+    /// instantiate the system from the root (equation 0). `warm` starts
+    /// the solve's cache from the previous system's.
+    fn new(
+        source: &'s dyn ConstructorSource,
+        root: Application,
+        root_names: Option<Vec<Option<Name>>>,
+        warm: Option<&SolvedSystem>,
+        cfg: &FixpointConfig,
+    ) -> Result<Solver<'s>, EvalError> {
+        let t0 = Instant::now();
+        let span = dc_trace::span(SpanKind::Solve).name_with(|| root.key.constructor().to_string());
+        let mut reach = Reach::new(source);
+        reach.constructor(root.key.constructor());
+        let naive = cfg.strategy == Strategy::Naive || reach.any_unchecked();
+        // A warm start seeds the equation values from `prev`, storage
+        // and all, so its entries are this solve's from the first round.
+        let access = Arc::new(match warm {
+            Some(prev) => AccessCache::clone(&prev.access),
+            None => AccessCache::new(cfg.metrics.clone()),
+        });
+        let solver = Solver {
+            source,
+            state: RefCell::new(State {
+                equations: Vec::new(),
+                index: FxHashMap::default(),
+                current: Vec::new(),
+                delta: Vec::new(),
+                access: access.clone(),
+                universe: Arc::new(reach.into_universe()),
             }),
-            _ => unreachable!("warm solve always tracks additions and its system"),
-        },
-        Err(reason) => Ok(WarmOutcome::Refused { reason }),
+            knobs: ExecKnobs::of(cfg),
+            access,
+            naive,
+            max_iterations: cfg.max_iterations,
+            span,
+            t0,
+        };
+        solver.enter(root, root_names)?;
+        Ok(solver)
+    }
+
+    /// The one instantiation path: the equation of `app`, registered
+    /// (with provenance `slots`) and seeded on first sight.
+    fn enter(
+        &self,
+        app: Application,
+        slots: Option<Vec<Option<Name>>>,
+    ) -> Result<usize, EvalError> {
+        if let Some(&i) = self.state.borrow().index.get(&app.key) {
+            return Ok(i);
+        }
+        let i = self.state.borrow_mut().register(app, slots)?;
+        self.seed(i)?;
+        Ok(i)
+    }
+
+    /// Evaluate the actuals of `app`, an application in equation
+    /// `parent`'s body, under `parent`'s overlay, and enter it with
+    /// their provenance. `None` when the actuals themselves apply
+    /// constructors: the key is value-dependent, so the application
+    /// registers dynamically during evaluation instead.
+    fn instantiate(&self, parent: usize, app: &RangeExpr) -> Result<Option<usize>, EvalError> {
+        let RangeExpr::Constructed {
+            base,
+            constructor,
+            args,
+            scalar_args,
+        } = app
+        else {
+            return Ok(None);
+        };
+        let actuals = || std::iter::once(&**base).chain(args);
+        if actuals().any(|r| !rewrite::collect_constructed(r).is_empty()) {
+            return Ok(None);
+        }
+        let (overrides, provenance) = {
+            let st = self.state.borrow();
+            let eq = &st.equations[parent];
+            (eq.overrides.clone(), eq.provenance.clone())
+        };
+        let overlay = Overlay::new(self, (*overrides).clone());
+        let mut ev = self.knobs.evaluator(&overlay);
+        let mut bindings = Vec::new();
+        let base_val = ev.eval_range(base, &mut bindings)?;
+        let arg_vals = args
+            .iter()
+            .map(|a| ev.eval_range(a, &mut bindings))
+            .collect::<Result<Vec<_>, _>>()?;
+        let scalar_vals = scalar_args
+            .iter()
+            .map(|s| ev.eval_scalar(s, &bindings))
+            .collect::<Result<Vec<_>, _>>()?;
+        let slots = actuals()
+            .map(|r| provenance_slot(r, provenance.as_ref(), &overrides))
+            .collect();
+        let app = Application::new(constructor, base_val, arg_vals, scalar_vals);
+        self.enter(app, Some(slots)).map(Some)
+    }
+
+    /// Instantiate every application in equation `i`'s body whose
+    /// actuals are application-free — the up-front instantiation of the
+    /// §3.2 system, recursive through [`Solver::enter`] (idempotent by
+    /// key, so mutual recursion terminates) — and classify each branch
+    /// on the way.
+    fn seed(&self, i: usize) -> Result<(), EvalError> {
+        let body = self.state.borrow().equations[i].body.clone();
+        let mut classes = Vec::with_capacity(body.branches.len());
+        for branch in &body.branches {
+            // Applications in the predicate force fallback.
+            let predicate_apps = rewrite::collect_constructed_formula(&branch.predicate);
+            let mut linear = predicate_apps.is_empty();
+            let mut links = Vec::new();
+            for (pos, (_, range)) in branch.bindings.iter().enumerate() {
+                let apps = rewrite::collect_constructed(range);
+                // A binding range that is itself the only application
+                // in it is a recursive (delta) position.
+                let peer = match apps.as_slice() {
+                    [app] if matches!(range, RangeExpr::Constructed { .. }) => {
+                        self.instantiate(i, app)?
+                    }
+                    _ => {
+                        for app in &apps {
+                            self.instantiate(i, app)?;
+                        }
+                        None
+                    }
+                };
+                match peer {
+                    Some(peer) => links.push((pos, peer)),
+                    None => linear &= apps.is_empty(),
+                }
+            }
+            for app in &predicate_apps {
+                self.instantiate(i, app)?;
+            }
+            classes.push(match (linear, links.is_empty()) {
+                (false, _) => BranchClass::Fallback,
+                (true, true) => BranchClass::Static,
+                (true, false) => BranchClass::Linear(links),
+            });
+        }
+        self.state.borrow_mut().equations[i].classes = classes;
+        Ok(())
+    }
+
+    /// Append equation `i`'s tasks for the coming round, in branch
+    /// order (the sequential evaluation order). Semi-naive evaluates a
+    /// Static branch once and a Linear branch once per recursive
+    /// position over that peer's delta; every other branch — and, under
+    /// naive, every branch — is evaluated whole.
+    fn prepare(&self, i: usize, tasks: &mut Vec<BranchTask>) {
+        let st = self.state.borrow();
+        let eq = &st.equations[i];
+        let weight: usize = eq.overrides.iter().map(|(_, r)| r.len()).sum();
+        for (b, branch) in eq.body.branches.iter().enumerate() {
+            match &eq.classes[b] {
+                BranchClass::Static if eq.initialized && !self.naive => {}
+                // An equation's first differential round reads the
+                // peers' *full* current values — equations registered
+                // after their peers would otherwise miss deltas emitted
+                // before they existed.
+                BranchClass::Linear(links) if !self.naive => {
+                    for &(pos, peer) in links {
+                        let scan = if eq.initialized {
+                            &st.delta[peer]
+                        } else {
+                            &st.current[peer]
+                        };
+                        let marker = format!("{DELTA_MARKER}{pos}");
+                        tasks.push(delta_task(&st, i, b, pos, (marker, scan.clone())));
+                    }
+                }
+                _ => tasks.push(BranchTask {
+                    eq: i,
+                    branch: b,
+                    body: SetFormer {
+                        branches: vec![branch.clone()],
+                    },
+                    overrides: (*eq.overrides).clone(),
+                    weight,
+                }),
+            }
+        }
+        drop(st);
+        self.state.borrow_mut().equations[i].initialized = true;
+    }
+
+    /// Validate a warm start from `prev` against this freshly
+    /// instantiated system and, if it is sound, seed every equation
+    /// from `prev` and return the delta-restricted first round. `Err`
+    /// is the refusal reason: the caller re-solves cold.
+    fn warm_start(
+        &self,
+        prev: &SolvedSystem,
+        deltas: &[(Name, Relation)],
+    ) -> Result<Vec<BranchTask>, String> {
+        if self.naive {
+            return Err("warm start requires the semi-naive strategy".into());
+        }
+        // (equation, branch, binding position, the touched relation's
+        // insert delta bound there).
+        let mut plan: Vec<(usize, usize, usize, Relation)> = Vec::new();
+        {
+            let st = self.state.borrow();
+            // Shape: the freshly registered system must be the previous
+            // system, equation for equation (registration order is
+            // deterministic, so index-wise comparison is exact).
+            if st.equations.len() != prev.equations.len() {
+                return Err(format!(
+                    "system shape changed: {} equations, previously {}",
+                    st.equations.len(),
+                    prev.equations.len()
+                ));
+            }
+            for (i, (eq, prev_eq)) in st.equations.iter().zip(&prev.equations).enumerate() {
+                let name = eq.key.constructor();
+                if name != prev_eq.constructor || eq.result != prev_eq.result {
+                    return Err(format!("equation {i} (`{name}`) changed shape"));
+                }
+                let Some(prov) = &eq.provenance else {
+                    return Err(format!(
+                        "equation {i} (`{name}`) has untracked relation provenance"
+                    ));
+                };
+                if eq.classes.contains(&BranchClass::Fallback) {
+                    return Err(format!("equation {i} (`{name}`) has a fallback branch"));
+                }
+                // Safety: map touched base relations onto the local
+                // names the body reads them through (formals shadow
+                // catalog names), then require every touched occurrence
+                // to be a plain binding range — those become delta
+                // positions; anything else (predicates, selector
+                // bodies, computed constructor actuals) refuses.
+                let mut local: FxHashMap<Name, Relation> = deltas.iter().cloned().collect();
+                for (formal, _) in eq.overrides.iter() {
+                    local.remove(formal);
+                    if let Some((_, d)) = prov
+                        .get(formal)
+                        .and_then(|t| deltas.iter().find(|(n, _)| n == t))
+                    {
+                        local.insert(formal.clone(), d.clone());
+                    }
+                }
+                for (b, branch) in eq.body.branches.iter().enumerate() {
+                    let mut reach = Reach::new(self.source);
+                    reach.formula(&branch.predicate);
+                    for (p, (_, range)) in branch.bindings.iter().enumerate() {
+                        match range {
+                            RangeExpr::Rel(m) => {
+                                if let Some(d) = local.get(m) {
+                                    plan.push((i, b, p, d.clone()));
+                                }
+                            }
+                            // Recursive position: plain-`Rel` actuals
+                            // forward provenance into the child equation
+                            // (validated there); computed ones are read
+                            // here.
+                            RangeExpr::Constructed { base, args, .. } => {
+                                std::iter::once(&**base)
+                                    .chain(args)
+                                    .filter(|a| !matches!(a, RangeExpr::Rel(_)))
+                                    .for_each(|a| reach.range(a));
+                            }
+                            other => reach.range(other),
+                        }
+                    }
+                    if reach.hits(&local, deltas) {
+                        return Err(format!(
+                            "equation {i} (`{name}`) branch {b} reads a touched relation \
+                             outside a plain binding range"
+                        ));
+                    }
+                }
+            }
+        }
+        // Seed: every equation re-enters at its previous fixpoint — the
+        // same storage, so the indexes and statistics this solve's cache
+        // copied from `prev` describe it (no O(|value|) rebuild per
+        // refresh).
+        let mut st = self.state.borrow_mut();
+        for (i, prev_eq) in prev.equations.iter().enumerate() {
+            st.current[i] = prev_eq.value.clone();
+            st.delta[i] = Relation::new(prev_eq.value.schema().clone());
+            st.equations[i].initialized = true;
+        }
+        // First round: one task per (branch, touched position), with the
+        // insert delta bound there and peer equations at their seeded
+        // values (the full *new* values at the other positions plus one
+        // delta position per task cover every new combination; overlap
+        // deduplicates at absorb). Branches with no touched binding are
+        // skipped: their static contributions are in the seed, and
+        // recursive deltas are empty until round one commits. A distinct
+        // marker namespace (`Δdelta` + `b` + position) keeps warm tasks
+        // clear of the round loop's recursive-delta markers.
+        Ok(plan
+            .into_iter()
+            .map(|(i, b, p, d)| delta_task(&st, i, b, p, (format!("{DELTA_MARKER}b{p}"), d)))
+            .collect())
+    }
+
+    /// Iterate to the fixpoint — the one round loop behind every entry
+    /// point. `first`, a warm start's delta-restricted round, stands in
+    /// for the first round's preparation and makes the run accumulate
+    /// the root's additions.
+    fn run(self, mut first: Option<Vec<BranchTask>>) -> Result<Converged, EvalError> {
+        let meter = self.knobs.budget.clone();
+        let mut added = first
+            .as_ref()
+            .map(|_| Relation::new(self.state.borrow().equations[0].result.clone()));
+        let mut rounds = 0usize;
+        let mut delta_tuples: u64 = 0;
+        let mut prev: Option<Vec<Relation>> = None;
+        let mut prev2: Option<Vec<Relation>> = None;
+        loop {
+            rounds += 1;
+            if rounds > self.max_iterations {
+                // Round-allowance exhaustion is a divergence verdict, with
+                // enough diagnostics to distinguish a genuinely divergent
+                // system (growing delta) from a slow convergent one.
+                let note = format!(
+                    "max_iterations ({}) exhausted without convergence",
+                    self.max_iterations
+                );
+                return Err(EvalError::Solve(SolveError::Diverged {
+                    diag: self.diag(rounds - 1, vec![note]),
+                }));
+            }
+            let mut round_span = dc_trace::span(SpanKind::Round);
+            round_span.field("round", rounds);
+            // ---- Prep (solver thread): everything that reads solver
+            // state happens here, before the freeze. Each equation
+            // stages its round result under its declared schema: the new
+            // tuples (semi-naive) or the whole new value (naive).
+            let prep_span = phase_span("prep");
+            let n = self.state.borrow().equations.len();
+            let tasks = first.take().unwrap_or_else(|| {
+                let mut tasks = Vec::new();
+                for i in 0..n {
+                    self.prepare(i, &mut tasks);
+                }
+                tasks
+            });
+            let (round_current, mut fresh) = {
+                let st = self.state.borrow();
+                let fresh: Vec<Relation> = st
+                    .equations
+                    .iter()
+                    .map(|e| Relation::new(e.result.clone()))
+                    .collect();
+                (st.current.clone(), fresh)
+            };
+            drop(prep_span);
+            // ---- Freeze. Everything a branch task reads, at one round.
+            let snap = {
+                let _freeze_span = phase_span("freeze");
+                self.state.borrow().freeze()
+            };
+            // ---- Dispatch. Batch the round's tasks onto workers when the
+            // parallelism can pay — at least two tasks whose scan side
+            // clears the parallel threshold — otherwise run them inline in
+            // the same task order (Jacobi staging makes the task order
+            // semantically irrelevant; keeping it fixes the error-witness
+            // choice).
+            let eligible = tasks
+                .iter()
+                .filter(|t| t.weight >= self.knobs.parallel_threshold)
+                .count();
+            let dispatch = self.knobs.threads > 1 && tasks.len() >= 2 && eligible >= 2;
+            let eval_span = phase_span("evaluate");
+            let eval_parent = eval_span.id();
+            let results = if dispatch {
+                meter.add_parallel_branches(tasks.len() as u64);
+                let mut eqs: Vec<usize> = tasks.iter().map(|t| t.eq).collect();
+                eqs.sort_unstable();
+                eqs.dedup();
+                if eqs.len() >= 2 {
+                    meter.add_parallel_equations(eqs.len() as u64);
+                }
+                dc_exec::run_tasks(&tasks, self.knobs.threads, |_, t| {
+                    run_task(&snap, &self.knobs, t, Some(eval_parent))
+                })
+            } else {
+                meter.add_sequential_branches(tasks.len() as u64);
+                dc_exec::run_tasks(&tasks, 1, |_, t| run_task(&snap, &self.knobs, t, None))
+            };
+            drop(eval_span);
+            // ---- Replay + stage (solver thread, task order — the
+            // sequential evaluation order). Replay each task's
+            // registrations, then absorb its value; a worker panic
+            // degrades that one task to an inline sequential retry.
+            let commit_span = phase_span("replay+commit");
+            for (task, result) in tasks.iter().zip(results) {
+                let outcome = match result {
+                    Ok(outcome) => outcome,
+                    Err(dc_exec::ExecError::WorkerPanic { .. }) => {
+                        let retry = run_task(&snap, &self.knobs, task, None);
+                        if retry.is_ok() {
+                            meter.note_degraded();
+                        }
+                        retry
+                    }
+                    Err(other) => Err(other.into()),
+                };
+                outcome
+                    .and_then(|TaskOutcome { value, effects }| {
+                        for app in effects {
+                            self.enter(app, None)?;
+                        }
+                        let seen = (!self.naive).then(|| &round_current[task.eq]);
+                        absorb(&mut fresh[task.eq], &value, seen)
+                    })
+                    .map_err(|e| self.enrich(e, task.eq, rounds - 1))?;
+            }
+            // Release every handle into the frozen round state before the
+            // commit: relations are copy-on-write, so the in-place
+            // `union_into` below mutates each tuple store directly only
+            // while its `Arc` is unshared — a surviving snapshot, task
+            // override, or round clone would force a full store copy every
+            // round.
+            drop(tasks);
+            drop(round_current);
+            drop(snap);
+            // Commit (with the `delta_commit` fault-injection site guarding
+            // the atomic-abort property: an abort here must leave every
+            // caller-visible relation untouched).
+            fail::check(Site::DeltaCommit)?;
+            let changed = self.commit(fresh, &mut delta_tuples, added.as_mut())?;
+            drop(commit_span);
+            let grew = self.state.borrow().equations.len() > n;
+            if !changed && !grew {
+                break;
+            }
+            // Round boundary: unconditional deadline/cancellation reads plus
+            // the budget's round ceiling. Checked only when another round is
+            // coming — a solve that just converged is a result, not a trip.
+            meter.check_round(rounds as u64).map_err(|trip| {
+                let mut se = SolveError::from_trip(trip);
+                let notes = std::mem::take(&mut se.diag_mut().notes);
+                *se.diag_mut() = self.diag(rounds, notes);
+                se.diag_mut().site = format!("round boundary after round {rounds}");
+                EvalError::Solve(se)
+            })?;
+            // Oscillation detection for non-monotone systems (the paper's
+            // `nonsense`): state equals the state two rounds ago but not the
+            // previous one ⇒ period-2 cycle, no limit exists. Semi-naive
+            // runs are monotone by construction, so the per-round snapshots
+            // are only taken under the naive strategy.
+            if self.naive {
+                let now = self.state.borrow().current.clone();
+                if prev2.as_ref() == Some(&now) && prev.as_ref() != Some(&now) {
+                    return Err(EvalError::NonConvergent { steps: rounds });
+                }
+                prev2 = prev.replace(now);
+            }
+        }
+
+        let Solver {
+            state,
+            knobs,
+            mut span,
+            t0,
+            ..
+        } = self;
+        let st = state.into_inner();
+        let equations = st.equations.len();
+        if let Some(m) = &knobs.metrics {
+            m.inc(Counter::SolveRuns);
+            m.add(Counter::SolveRounds, rounds as u64);
+            m.add(Counter::SolveEquations, equations as u64);
+            m.add(Counter::DeltaTuples, delta_tuples);
+            m.add(Counter::ParallelBranches, meter.parallel_branches());
+            m.add(Counter::SequentialBranches, meter.sequential_branches());
+            m.add(Counter::ParallelEquations, meter.parallel_equations());
+            m.add(Counter::DegradedBranches, meter.degraded());
+            m.observe_us(Histogram::SolveLatencyUs, t0.elapsed().as_micros() as u64);
+        }
+        if span.recording() {
+            span.field("rounds", rounds);
+            span.field("equations", equations);
+            span.field(
+                "tuples",
+                st.current.iter().map(Relation::len).sum::<usize>(),
+            );
+        }
+        let value_ids: Vec<u64> = st.current.iter().map(Relation::storage_id).collect();
+        st.access.retain(&value_ids);
+        let added = added.unwrap_or_else(|| Relation::new(st.equations[0].result.clone()));
+        let equations = st
+            .equations
+            .into_iter()
+            .zip(st.current)
+            .map(|(eq, value)| SolvedEquation {
+                constructor: eq.key.constructor,
+                result: eq.result,
+                value,
+            })
+            .collect::<Vec<_>>();
+        Ok(Converged {
+            value: equations[0].value.clone(),
+            added,
+            system: SolvedSystem {
+                equations,
+                access: st.access,
+            },
+        })
+    }
+
+    /// Commit one round's staged results, every equation at once (the
+    /// Jacobi update). Semi-naive: `fresh[i]` is exactly the new tuples,
+    /// absorbed into the accumulated value in place — the indexes and
+    /// statistics cached over it follow through `advance`, O(|delta|),
+    /// no rebuild, no re-diff. Naive: `fresh[i]` is the whole new value
+    /// and replaces the old one — non-monotone (unchecked) systems can
+    /// shrink as well as grow. Returns whether any value moved.
+    fn commit(
+        &self,
+        fresh: Vec<Relation>,
+        delta_tuples: &mut u64,
+        mut added: Option<&mut Relation>,
+    ) -> Result<bool, EvalError> {
+        let mut st = self.state.borrow_mut();
+        let mut changed = false;
+        for (i, new) in fresh.into_iter().enumerate() {
+            let delta = if !self.naive {
+                if !new.is_empty() {
+                    changed = true;
+                    let old = st.current[i].storage_id();
+                    algebra::union_into(&mut st.current[i], &new)?;
+                    st.access.advance(old, &st.current[i], &new);
+                }
+                // Root additions accumulate across rounds: warm callers
+                // receive the exact output delta relative to their seed.
+                if let (0, Some(acc)) = (i, added.as_deref_mut()) {
+                    algebra::union_into(acc, &new)?;
+                }
+                new
+            } else if new.len() == st.current[i].len() && new.digest() == st.current[i].digest() {
+                // Reproduced exactly (length + content digest, the
+                // identity [`AppKey`] rests on): the value and everything
+                // cached about it stand; only the per-round delta resets.
+                Relation::new(new.schema().clone())
+            } else {
+                // Nothing is cached about the outgoing value: only
+                // differential rounds bind peers as named relations.
+                changed = true;
+                let delta = algebra::difference(&new, &st.current[i])?;
+                st.current[i] = new;
+                delta
+            };
+            *delta_tuples += delta.len() as u64;
+            st.set_delta(i, delta);
+        }
+        Ok(changed)
+    }
+
+    /// Snapshot the solve's progress for a [`SolveDiag`]: rounds
+    /// completed, tuples materialised so far, and the total size of the
+    /// last committed deltas.
+    fn diag(&self, rounds: usize, notes: Vec<String>) -> SolveDiag {
+        SolveDiag {
+            rounds: rounds as u64,
+            tuples: self.knobs.budget.tuples(),
+            last_delta: self.last_delta(),
+            site: String::new(),
+            notes,
+        }
+    }
+
+    fn last_delta(&self) -> u64 {
+        let st = self.state.borrow();
+        st.delta.iter().map(Relation::len).sum::<usize>() as u64
+    }
+
+    /// Enrich a [`SolveError`] escaping equation `eq`'s evaluation with
+    /// what the solver knows: the offending equation (index and
+    /// constructor name), rounds completed, tuples materialised, and
+    /// the last committed delta size. Other errors pass through
+    /// untouched.
+    fn enrich(&self, e: EvalError, eq: usize, completed_rounds: usize) -> EvalError {
+        let EvalError::Solve(mut se) = e else {
+            return e;
+        };
+        let d = se.diag_mut();
+        d.rounds = completed_rounds as u64;
+        d.tuples = self.knobs.budget.tuples();
+        d.last_delta = self.last_delta();
+        let here = format!(
+            "equation {eq} (`{}`)",
+            self.state.borrow().equations[eq].key.constructor()
+        );
+        d.site = if d.site.is_empty() {
+            here
+        } else {
+            format!("{here}, {}", d.site)
+        };
+        EvalError::Solve(se)
     }
 }
 
-/// Root provenance slots from caller-supplied names.
-fn root_slots(base_name: &str, arg_names: &[&str]) -> Vec<Option<Name>> {
-    std::iter::once(base_name)
-        .chain(arg_names.iter().copied())
-        .map(|n| Some(n.to_string()))
-        .collect()
+impl Catalog for Solver<'_> {
+    fn relation(&self, name: &str) -> Result<Relation, EvalError> {
+        self.source.base_catalog().relation(name)
+    }
+
+    fn selector(&self, name: &str) -> Result<&dc_calculus::ast::SelectorDef, EvalError> {
+        self.source.base_catalog().selector(name)
+    }
+
+    fn apply_constructor(
+        &self,
+        base: Relation,
+        name: &str,
+        args: Vec<Relation>,
+        scalar_args: Vec<Value>,
+    ) -> Result<Relation, EvalError> {
+        let i = self.enter(Application::new(name, base, args, scalar_args), None)?;
+        Ok(self.state.borrow().current[i].clone())
+    }
+
+    fn scalar_param(&self, name: &str) -> Result<Value, EvalError> {
+        self.source.base_catalog().scalar_param(name)
+    }
+
+    fn access(&self) -> Option<&AccessCache> {
+        Some(&self.access)
+    }
 }
 
 /// A `Phase` span for one of the round's four stages ("prep",
@@ -875,940 +1281,119 @@ fn phase_span(name: &'static str) -> dc_trace::Span {
     dc_trace::span(SpanKind::Phase).name_with(|| name.to_string())
 }
 
-/// The shared solve loop. `root_names` carries base-catalog provenance
-/// for the root actuals; `warm` requests a warm start (`Err(reason)` in
-/// the outer `Ok` = refused, caller falls back to cold). The system is
-/// captured whenever `root_names` is supplied.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-fn solve_inner(
-    source: &dyn ConstructorSource,
-    constructor: &str,
-    base: Relation,
-    args: Vec<Relation>,
-    scalar_args: Vec<Value>,
-    root_names: Option<Vec<Option<Name>>>,
-    warm: Option<(&SolvedSystem, &[(Name, Relation)])>,
-    cfg: &FixpointConfig,
-) -> Result<Result<SolveRun, String>, EvalError> {
-    let track = root_names.is_some();
-    let solve_t0 = std::time::Instant::now();
-    // Open for the whole solve; rounds, phases, and branch tasks nest
-    // under it (branch tasks via an explicit parent when dispatched).
-    let mut solve_span = dc_trace::span(SpanKind::Solve).name_with(|| constructor.to_string());
-    let state = RefCell::new(State {
-        equations: Vec::new(),
-        index: FxHashMap::default(),
-        current: Vec::new(),
-        delta: Vec::new(),
-        // A warm start seeds the equation values from `prev`, storage
-        // and all, so its entries are this solve's from the first round.
-        access: Arc::new(match warm {
-            Some((prev, _)) => AccessCache::clone(&prev.access),
-            None => AccessCache::new(cfg.metrics.clone()),
-        }),
-        universe: Arc::new(Universe::default()),
-    });
-    let root_key = AppKey::new(constructor, &base, &args, &scalar_args);
-    state.borrow_mut().register(
-        source,
-        root_key.clone(),
-        base,
-        args,
-        scalar_args,
-        root_names,
-    )?;
-    let knobs = ExecKnobs::of(cfg);
-    let meter = knobs.budget.clone();
-    seed_equation(source, &state, 0, &knobs)?;
-    let catalog = SolverCatalog::new(source, &state, knobs);
+/// Internal marker name for delta injection; not expressible in DBPL
+/// source, so it cannot clash with user names.
+const DELTA_MARKER: &str = "\u{394}delta";
 
-    // Warm start: validate the registered system against the previous
-    // capture, seed every equation's accumulated state from it, and
-    // prepare the delta-restricted first round. A refusal abandons the
-    // (still pristine) state — the caller re-solves cold.
-    let mut warm_tasks: Option<Vec<BranchTask>> = None;
-    let mut added_acc: Option<Relation> = None;
-    if let Some((prev_sys, deltas)) = warm {
-        match warm_prepare(&catalog, cfg, prev_sys, deltas)? {
-            Ok(tasks) => {
-                let root_schema = state.borrow().equations[0].result.clone();
-                warm_tasks = Some(tasks);
-                added_acc = Some(Relation::new(root_schema));
-            }
-            Err(reason) => return Ok(Err(reason)),
-        }
-    }
+/// Internal marker name binding a peer equation's *accumulated* value
+/// in differential rounds, so the executor sees it as a named relation
+/// and probes the incrementally maintained indexes the solve's cache
+/// holds under its storage id instead of rescanning.
+const CURRENT_MARKER: &str = "\u{394}cur";
 
-    let mut iterations = 0usize;
-    let mut delta_tuples: u64 = 0;
-    let mut prev: Option<Vec<Relation>> = None;
-    let mut prev2: Option<Vec<Relation>> = None;
-
-    loop {
-        iterations += 1;
-        if iterations > cfg.max_iterations {
-            // Round-allowance exhaustion is a divergence verdict, with
-            // enough diagnostics to distinguish a genuinely divergent
-            // system (growing delta) from a slow convergent one.
-            return Err(EvalError::Solve(SolveError::Diverged {
-                diag: round_diag(
-                    &state,
-                    &meter,
-                    iterations - 1,
-                    vec![format!(
-                        "max_iterations ({}) exhausted without convergence",
-                        cfg.max_iterations
-                    )],
-                ),
-            }));
-        }
-        let mut round_span = dc_trace::span(SpanKind::Round);
-        round_span.field("round", iterations);
-        let prep_span = phase_span("prep");
-        let n = state.borrow().equations.len();
-        // ---- Prep (solver thread). Snapshot each equation's
-        // accumulated value and result schema, resolve recursive
-        // applications, and rewrite Linear branches onto marker
-        // relations — everything that may *register* or reads the
-        // solver state happens here, before the freeze.
-        let mut tasks: Vec<BranchTask> = Vec::new();
-        let mut round_current: Vec<Relation> = Vec::with_capacity(n);
-        let mut round_schemas: Vec<dc_value::Schema> = Vec::with_capacity(n);
-        {
-            let st = state.borrow();
-            for i in 0..n {
-                round_current.push(st.current[i].clone());
-                round_schemas.push(st.equations[i].result.clone());
-            }
-        }
-        if let Some(wt) = warm_tasks.take() {
-            // Warm first round: the prepared delta-restricted tasks
-            // stand in for the usual per-equation preparation (every
-            // equation is already seeded and `initialized`).
-            tasks = wt;
-        } else {
-            for i in 0..n {
-                prepare_equation_tasks(&catalog, i, cfg.strategy, &mut tasks)
-                    .map_err(|e| enrich_solve_error(e, &state, &meter, i, iterations - 1))?;
-            }
-        }
-        drop(prep_span);
-        // ---- Freeze. Everything a branch task reads, at one round;
-        // equations registered during prep are visible (at ∅), exactly
-        // as a mid-round registration is on the sequential path.
-        let snap = {
-            let _freeze_span = phase_span("freeze");
-            state.borrow().freeze()
-        };
-        // ---- Dispatch. Batch the round's tasks onto workers when the
-        // parallelism can pay — at least two tasks whose scan side
-        // clears the parallel threshold — otherwise run them inline in
-        // the same task order (Jacobi staging makes the task order
-        // semantically irrelevant; keeping it fixes the error-witness
-        // choice).
-        let eligible = tasks
-            .iter()
-            .filter(|t| t.weight >= catalog.knobs.parallel_threshold)
-            .count();
-        let dispatch = catalog.knobs.threads > 1 && tasks.len() >= 2 && eligible >= 2;
-        let eval_span = phase_span("evaluate");
-        let eval_parent = eval_span.id();
-        let results = if dispatch {
-            meter.add_parallel_branches(tasks.len() as u64);
-            let mut eqs: Vec<usize> = tasks.iter().map(|t| t.eq).collect();
-            eqs.sort_unstable();
-            eqs.dedup();
-            if eqs.len() >= 2 {
-                meter.add_parallel_equations(eqs.len() as u64);
-            }
-            dc_exec::run_tasks(&tasks, catalog.knobs.threads, |_, t| {
-                run_task(&snap, &catalog.knobs, t, Some(eval_parent))
-            })
-        } else {
-            meter.add_sequential_branches(tasks.len() as u64);
-            dc_exec::run_tasks(&tasks, 1, |_, t| run_task(&snap, &catalog.knobs, t, None))
-        };
-        drop(eval_span);
-        let commit_span = phase_span("replay+commit");
-        // ---- Process (solver thread, task order — the sequential
-        // evaluation order). Replay each task's registrations, then absorb
-        // its value; a worker panic degrades that one task to an inline
-        // sequential retry. Staged results keep the Jacobi simultaneous
-        // update, matching the paper's Oldahead/Oldabove loop.
-        let mut fresh: Vec<Relation> = round_schemas
-            .iter()
-            .map(|s| Relation::new(s.clone()))
-            .collect();
-        let mut staged_naive: Vec<RoundResult> = Vec::with_capacity(n);
-        for (t_idx, res) in results.into_iter().enumerate() {
-            let task = &tasks[t_idx];
-            let outcome = match res {
-                Ok(Ok(o)) => o,
-                Ok(Err(e)) => {
-                    return Err(enrich_solve_error(
-                        e,
-                        &state,
-                        &meter,
-                        task.eq,
-                        iterations - 1,
-                    ));
-                }
-                Err(dc_exec::ExecError::WorkerPanic { .. }) => {
-                    match run_task(&snap, &catalog.knobs, task, None) {
-                        Ok(o) => {
-                            meter.note_degraded();
-                            o
-                        }
-                        Err(e) => {
-                            return Err(enrich_solve_error(
-                                e,
-                                &state,
-                                &meter,
-                                task.eq,
-                                iterations - 1,
-                            ));
-                        }
-                    }
-                }
-                Err(other) => {
-                    return Err(enrich_solve_error(
-                        EvalError::from(other),
-                        &state,
-                        &meter,
-                        task.eq,
-                        iterations - 1,
-                    ));
-                }
-            };
-            let TaskOutcome { value, effects } = outcome;
-            replay_effects(source, &state, &catalog.knobs, effects)
-                .map_err(|e| enrich_solve_error(e, &state, &meter, task.eq, iterations - 1))?;
-            match cfg.strategy {
-                Strategy::SemiNaive => {
-                    absorb(&round_current[task.eq], &mut fresh[task.eq], &value).map_err(|e| {
-                        enrich_solve_error(e, &state, &meter, task.eq, iterations - 1)
-                    })?;
-                }
-                Strategy::Naive => {
-                    // Exactly one task per equation, in equation order.
-                    // No-change short-circuit: once an equation
-                    // stabilises, the wholesale replacement is a
-                    // byte-identical copy — one length check plus a
-                    // content digest detects that and skips the conform
-                    // copy and the commit-side diff entirely.
-                    let i = task.eq;
-                    if value.len() == round_current[i].len()
-                        && value.schema().union_compatible(&round_schemas[i])
-                        && value.digest() == round_current[i].digest()
-                    {
-                        staged_naive.push(RoundResult::Unchanged);
-                    } else {
-                        let conformed = conform(value, &round_schemas[i]).map_err(|e| {
-                            enrich_solve_error(e, &state, &meter, i, iterations - 1)
-                        })?;
-                        staged_naive.push(RoundResult::Full(conformed));
-                    }
-                }
-            }
-        }
-        let staged: Vec<RoundResult> = match cfg.strategy {
-            Strategy::SemiNaive => fresh.into_iter().map(RoundResult::Delta).collect(),
-            Strategy::Naive => staged_naive,
-        };
-        // Release every handle into the frozen round state before the
-        // commit: relations are copy-on-write, so the in-place
-        // `union_into` below mutates each tuple store directly only
-        // while its `Arc` is unshared — a surviving snapshot, task
-        // override, or round clone would force a full store copy every
-        // round.
-        drop(tasks);
-        drop(round_current);
-        drop(snap);
-        // Commit (with the `delta_commit` fault-injection site guarding
-        // the atomic-abort property: an abort here must leave every
-        // caller-visible relation untouched).
-        fail::check(Site::DeltaCommit)?;
-        let mut changed = false;
-        {
-            let mut st = state.borrow_mut();
-            for (i, result) in staged.into_iter().enumerate() {
-                match result {
-                    RoundResult::Unchanged => {
-                        // Nothing moved: the accumulated value and
-                        // everything cached about it stand; only the
-                        // per-round delta resets.
-                        if !st.delta[i].is_empty() {
-                            let empty = Relation::new(st.current[i].schema().clone());
-                            st.set_delta(i, empty);
-                        }
-                    }
-                    RoundResult::Full(new_val) => {
-                        // Wholesale replacement (naive strategy):
-                        // non-monotone (unchecked) systems can shrink as
-                        // well as grow. Nothing is cached about the
-                        // outgoing value — only differential rounds bind
-                        // peers as named (marker) relations.
-                        let added = algebra::difference(&new_val, &st.current[i])
-                            .map_err(EvalError::from)?;
-                        delta_tuples += added.len() as u64;
-                        if st.current[i] != new_val {
-                            changed = true;
-                        }
-                        st.set_delta(i, added);
-                        st.current[i] = new_val;
-                    }
-                    RoundResult::Delta(added) => {
-                        // Monotone growth (semi-naive): `added` is
-                        // exactly the new tuples. The accumulated value
-                        // absorbs them in place, and the indexes and
-                        // statistics cached over it follow through
-                        // `advance` — O(|delta|), no rebuild, no
-                        // re-diff.
-                        delta_tuples += added.len() as u64;
-                        if i == 0 {
-                            // Root additions accumulate across rounds:
-                            // warm callers receive the exact output
-                            // delta relative to their seed.
-                            if let Some(acc) = added_acc.as_mut() {
-                                algebra::union_into(acc, &added).map_err(EvalError::from)?;
-                            }
-                        }
-                        if !added.is_empty() {
-                            changed = true;
-                            let old = st.current[i].storage_id();
-                            algebra::union_into(&mut st.current[i], &added)
-                                .map_err(EvalError::from)?;
-                            st.access.advance(old, &st.current[i], &added);
-                        }
-                        st.set_delta(i, added);
-                    }
-                }
-            }
-        }
-        drop(commit_span);
-        let grew = state.borrow().equations.len() > n;
-        if !changed && !grew {
-            break;
-        }
-        // Round boundary: unconditional deadline/cancellation reads plus
-        // the budget's round ceiling. Checked only when another round is
-        // coming — a solve that just converged is a result, not a trip.
-        meter.check_round(iterations as u64).map_err(|trip| {
-            let mut se = SolveError::from_trip(trip);
-            let extra_notes = std::mem::take(&mut se.diag_mut().notes);
-            *se.diag_mut() = round_diag(&state, &meter, iterations, extra_notes);
-            se.diag_mut().site = format!("round boundary after round {iterations}");
-            EvalError::Solve(se)
-        })?;
-        // Oscillation detection for non-monotone systems (the paper's
-        // `nonsense`): state equals the state two rounds ago but not the
-        // previous one ⇒ period-2 cycle, no limit exists. Semi-naive
-        // runs are monotone by construction, so the per-round snapshots
-        // are only taken under the naive strategy.
-        if cfg.strategy == Strategy::Naive {
-            let snapshot = state.borrow().current.clone();
-            if let (Some(p), Some(p2)) = (&prev, &prev2) {
-                if &snapshot == p2 && &snapshot != p {
-                    return Err(EvalError::NonConvergent { steps: iterations });
-                }
-            }
-            prev2 = prev.take();
-            prev = Some(snapshot);
-        }
-    }
-
-    let st = state.into_inner();
-    let root_idx = st.index[&root_key];
-    let equations = st.equations.len();
-    if let Some(m) = &cfg.metrics {
-        m.inc(Counter::SolveRuns);
-        m.add(Counter::SolveRounds, iterations as u64);
-        m.add(Counter::SolveEquations, equations as u64);
-        m.add(Counter::DeltaTuples, delta_tuples);
-        m.add(Counter::ParallelBranches, meter.parallel_branches());
-        m.add(Counter::SequentialBranches, meter.sequential_branches());
-        m.add(Counter::ParallelEquations, meter.parallel_equations());
-        m.add(Counter::DegradedBranches, meter.degraded());
-        m.observe_us(
-            Histogram::SolveLatencyUs,
-            solve_t0.elapsed().as_micros() as u64,
-        );
-    }
-    if solve_span.recording() {
-        solve_span.field("rounds", iterations);
-        solve_span.field("equations", equations);
-        solve_span.field(
-            "tuples",
-            st.current.iter().map(Relation::len).sum::<usize>(),
-        );
-    }
-    let system = track.then(|| {
-        let value_ids: Vec<u64> = st.current.iter().map(Relation::storage_id).collect();
-        st.access.retain(&value_ids);
-        SolvedSystem {
-            equations: st
-                .equations
-                .iter()
-                .enumerate()
-                .map(|(i, eq)| SolvedEquation {
-                    constructor: eq.key.constructor().to_string(),
-                    result: eq.result.clone(),
-                    value: st.current[i].clone(),
-                })
-                .collect(),
-            access: st.access.clone(),
-        }
-    });
-    Ok(Ok(SolveRun {
-        value: st.current[root_idx].clone(),
-        added: added_acc,
-        system,
-    }))
-}
-
-/// Snapshot the solve's progress for a [`SolveDiag`]: rounds completed,
-/// tuples materialised so far, and the total size of the last committed
-/// deltas.
-fn round_diag(
-    state: &RefCell<State>,
-    meter: &Meter,
-    rounds: usize,
-    notes: Vec<String>,
-) -> SolveDiag {
-    let st = state.borrow();
-    SolveDiag {
-        rounds: rounds as u64,
-        tuples: meter.tuples(),
-        last_delta: st.delta.iter().map(Relation::len).sum::<usize>() as u64,
-        site: String::new(),
-        notes,
-    }
-}
-
-/// Enrich a [`SolveError`] escaping equation evaluation with what the
-/// solver knows: the offending equation (index and constructor name),
-/// rounds completed, tuples materialised, and the last committed delta
-/// size. Non-governance errors pass through untouched.
-fn enrich_solve_error(
-    e: EvalError,
-    state: &RefCell<State>,
-    meter: &Meter,
-    eq_idx: usize,
-    completed_rounds: usize,
-) -> EvalError {
-    let EvalError::Solve(mut se) = e else {
-        return e;
+/// The base-catalog provenance of an actual bound to a formal: a plain
+/// relation name resolves through the parent equation's own provenance
+/// (formals forward), past the parent's formal names (a formal without
+/// provenance stays untracked), to the catalog name itself. Computed
+/// ranges have no provenance.
+fn provenance_slot(
+    range: &RangeExpr,
+    parent_prov: Option<&FxHashMap<Name, Name>>,
+    parent_overrides: &[(Name, Relation)],
+) -> Option<Name> {
+    let RangeExpr::Rel(n) = range else {
+        return None;
     };
-    {
-        let st = state.borrow();
-        let d = se.diag_mut();
-        d.rounds = completed_rounds as u64;
-        d.tuples = meter.tuples();
-        d.last_delta = st.delta.iter().map(Relation::len).sum::<usize>() as u64;
-        let here = format!(
-            "equation {eq_idx} (`{}`)",
-            st.equations[eq_idx].key.constructor()
-        );
-        d.site = if d.site.is_empty() {
-            here
-        } else {
-            format!("{here}, {}", d.site)
-        };
+    if let Some(t) = parent_prov.and_then(|map| map.get(n)) {
+        return Some(t.clone());
     }
-    EvalError::Solve(se)
+    if parent_overrides.iter().any(|(f, _)| f == n) {
+        // Formal of the parent without provenance of its own.
+        return None;
+    }
+    Some(n.clone())
 }
 
-/// One equation's contribution to a round.
-enum RoundResult {
-    /// The full new value (naive strategy — wholesale replacement).
-    Full(Relation),
-    /// Only the genuinely new tuples (semi-naive strategy — the
-    /// accumulated value is grown in place at commit, never copied).
-    Delta(Relation),
-    /// The naive round reproduced the accumulated value exactly
-    /// (decided by a length + content-digest check, the same
-    /// probabilistic identity [`AppKey`] rests on): the commit skips
-    /// the conform copy, the O(n) diff, and the set-equality test —
-    /// the converged tail of a naive run touches nothing.
-    Unchanged,
-}
-
-/// One unit of round work: a single branch evaluation (or, under the
-/// naive strategy, one whole equation body), fully prepared on the
-/// solver thread so a worker only reads the frozen snapshot.
+/// One unit of round work: a single branch evaluation, fully prepared
+/// on the solver thread so a worker only reads the frozen snapshot.
 struct BranchTask {
     /// Owning equation index.
     eq: usize,
-    /// Branch index within the body (`None` = whole body, naive
-    /// strategy).
-    branch_idx: Option<usize>,
-    /// The (possibly marker-rewritten) body to evaluate.
+    /// Branch index within the body.
+    branch: usize,
+    /// The (possibly marker-rewritten) branch to evaluate.
     body: SetFormer,
     /// Formal- and marker-name overrides for the evaluation overlay.
     overrides: Vec<(Name, Relation)>,
-    /// Scan-side cardinality estimate (delta size for Linear tasks,
-    /// override sizes otherwise), for the dispatch decision.
+    /// Scan-side cardinality estimate (delta size for differential
+    /// tasks, override sizes otherwise), for the dispatch decision.
     weight: usize,
 }
 
 /// What a branch task returns: the computed value plus what the solver
-/// must replay — the snapshot catalog's logged registrations.
+/// must replay — the applications the snapshot catalog saw first.
 struct TaskOutcome {
     value: Relation,
-    effects: Vec<Effect>,
+    effects: Vec<Application>,
 }
 
-/// Prepare equation `i`'s tasks for the coming round (appending to
-/// `tasks` in branch order — the sequential evaluation order). Linear
-/// rewrites resolve their recursive applications here, on the solver
-/// thread, so registration stays serialized.
-fn prepare_equation_tasks(
-    catalog: &SolverCatalog<'_>,
-    i: usize,
-    strategy: Strategy,
-    tasks: &mut Vec<BranchTask>,
-) -> Result<(), EvalError> {
-    // Clone out what preparation needs (all pointer bumps: the body and
-    // overrides are `Arc`-shared).
-    let (body, overrides, classes, initialized) = {
-        let st = catalog.state.borrow();
-        let eq = &st.equations[i];
-        (
-            eq.body.clone(),
-            eq.overrides.clone(),
-            eq.classes.clone(),
-            eq.initialized,
-        )
-    };
-    let base_weight: usize = overrides.iter().map(|(_, r)| r.len()).sum();
-    match strategy {
-        Strategy::Naive => {
-            let weight = base_weight + catalog.state.borrow().current[i].len();
-            tasks.push(BranchTask {
-                eq: i,
-                branch_idx: None,
-                body: (*body).clone(),
-                overrides: (*overrides).clone(),
-                weight,
-            });
-        }
-        Strategy::SemiNaive => {
-            for (b_idx, branch) in body.branches.iter().enumerate() {
-                match &classes[b_idx] {
-                    // A Static branch contributes exactly once.
-                    BranchClass::Static if initialized => {}
-                    BranchClass::Static | BranchClass::Fallback => {
-                        tasks.push(BranchTask {
-                            eq: i,
-                            branch_idx: Some(b_idx),
-                            body: SetFormer {
-                                branches: vec![branch.clone()],
-                            },
-                            overrides: (*overrides).clone(),
-                            weight: base_weight,
-                        });
-                    }
-                    BranchClass::Linear(positions) => {
-                        // An equation's first differential round reads
-                        // the peers' *full* current values — equations
-                        // registered after their peers would otherwise
-                        // miss deltas emitted before they existed.
-                        for &pos in positions {
-                            let app =
-                                resolve_recursive_app(catalog, i, b_idx, &overrides, branch, pos)?;
-                            let st = catalog.state.borrow();
-                            let scan = if initialized {
-                                st.delta[app].clone()
-                            } else {
-                                st.current[app].clone()
-                            };
-                            drop(st);
-                            tasks.push(delta_task(
-                                catalog,
-                                i,
-                                b_idx,
-                                &overrides,
-                                branch,
-                                positions,
-                                pos,
-                                (format!("{DELTA_MARKER}{pos}"), scan),
-                            )?);
-                        }
-                    }
-                }
-            }
-            catalog.state.borrow_mut().equations[i].initialized = true;
-        }
-    }
-    Ok(())
-}
-
-/// Record every tuple of `part` not in the accumulated value into
-/// `fresh` (the round's delta), without touching the accumulator. Union
-/// compatibility and the key constraint within the delta are enforced
-/// here; key conflicts between the delta and the accumulated value
-/// surface when the commit phase unions the delta in.
-fn absorb(current: &Relation, fresh: &mut Relation, part: &Relation) -> Result<(), EvalError> {
-    if !current.schema().union_compatible(part.schema()) {
+/// Stage every tuple of `part` into `fresh` (under its declared
+/// schema), skipping those already in `seen` — the accumulated value,
+/// for a semi-naive delta; `None` for a naive round's whole value.
+/// Union compatibility and the key constraint within the staged
+/// relation are enforced here; key conflicts between a delta and the
+/// accumulated value surface when the commit unions the delta in.
+fn absorb(fresh: &mut Relation, part: &Relation, seen: Option<&Relation>) -> Result<(), EvalError> {
+    if !fresh.schema().union_compatible(part.schema()) {
         return Err(EvalError::Type(dc_value::TypeError::SchemaMismatch {
             context: "constructor body value does not match declared result type".into(),
         }));
     }
     for t in part.iter() {
-        if !current.contains(t) {
-            fresh.insert_unchecked(t.clone()).map_err(EvalError::from)?;
+        if !seen.is_some_and(|s| s.contains(t)) {
+            fresh.insert_unchecked(t.clone())?;
         }
     }
     Ok(())
 }
 
-/// Prepare one differential task over `branch`: `delta` — an internal
-/// marker name and the relation to scan under it — is bound at
-/// `delta_pos`, and every other recursive position at its peer's
-/// accumulated current value, also as a named (marker) relation, so the
-/// executor finds the maintained indexes and statistics in the solve's
-/// cache under the value's storage id. Other binding positions stay as
-/// written (the overlay resolves them to their full values).
-#[allow(clippy::too_many_arguments)]
+/// Prepare one differential task over branch `b` of equation `eq`:
+/// `delta` — an internal marker name and the relation to scan under it
+/// — is bound at `delta_pos`, and every other recursive position at its
+/// peer's accumulated current value, also as a named (marker) relation,
+/// so the executor finds the maintained indexes and statistics in the
+/// solve's cache under the value's storage id. Other binding positions
+/// stay as written (the overlay resolves them to their full values).
 fn delta_task(
-    catalog: &SolverCatalog<'_>,
-    eq_idx: usize,
-    branch_idx: usize,
-    overrides: &[(Name, Relation)],
-    branch: &Branch,
-    rec_positions: &[usize],
+    st: &State,
+    eq: usize,
+    b: usize,
     delta_pos: usize,
     delta: (Name, Relation),
-) -> Result<BranchTask, EvalError> {
-    let mut branch = branch.clone();
-    let mut all_overrides = overrides.to_vec();
+) -> BranchTask {
+    let equation = &st.equations[eq];
+    let mut branch = equation.body.branches[b].clone();
+    let mut overrides = (*equation.overrides).clone();
     // The delta side is the branch's scan side.
     let weight = delta.1.len();
-    for &pos in rec_positions.iter().filter(|&&p| p != delta_pos) {
-        let app = resolve_recursive_app(catalog, eq_idx, branch_idx, overrides, &branch, pos)?;
-        let marker = format!("{CURRENT_MARKER}{pos}");
-        branch.bindings[pos].1 = RangeExpr::Rel(marker.clone());
-        all_overrides.push((marker, catalog.state.borrow().current[app].clone()));
+    if let BranchClass::Linear(links) = &equation.classes[b] {
+        for &(pos, peer) in links.iter().filter(|(p, _)| *p != delta_pos) {
+            let marker = format!("{CURRENT_MARKER}{pos}");
+            branch.bindings[pos].1 = RangeExpr::Rel(marker.clone());
+            overrides.push((marker, st.current[peer].clone()));
+        }
     }
     branch.bindings[delta_pos].1 = RangeExpr::Rel(delta.0.clone());
-    all_overrides.push(delta);
-    Ok(BranchTask {
-        eq: eq_idx,
-        branch_idx: Some(branch_idx),
+    overrides.push(delta);
+    BranchTask {
+        eq,
+        branch: b,
         body: SetFormer {
             branches: vec![branch],
         },
-        overrides: all_overrides,
+        overrides,
         weight,
-    })
-}
-
-/// Transitive relation-name reachability for the warm-start safety
-/// check: every relation name a formula or range can read, chasing
-/// selector predicates and constructor bodies through the source.
-/// Constructor-body formals are collected as if they were catalog
-/// names — a false positive there only costs a (sound) refusal.
-struct Reach<'a> {
-    source: &'a dyn ConstructorSource,
-    names: FxHashSet<Name>,
-    /// False when a selector/constructor definition was unresolvable —
-    /// the reach set is then a lower bound and the caller must refuse.
-    complete: bool,
-    selectors_seen: FxHashSet<Name>,
-    constructors_seen: FxHashSet<Name>,
-}
-
-impl<'a> Reach<'a> {
-    fn new(source: &'a dyn ConstructorSource) -> Reach<'a> {
-        Reach {
-            source,
-            names: FxHashSet::default(),
-            complete: true,
-            selectors_seen: FxHashSet::default(),
-            constructors_seen: FxHashSet::default(),
-        }
     }
-
-    /// Does the reach set intersect `local` (delta-mapped local names)
-    /// or `touched` (raw base-catalog names)? Incomplete reach counts
-    /// as intersecting (conservative).
-    fn hits(&self, local: &FxHashMap<Name, Relation>, touched: &[(Name, Relation)]) -> bool {
-        !self.complete
-            || self
-                .names
-                .iter()
-                .any(|n| local.contains_key(n) || touched.iter().any(|(t, _)| t == n))
-    }
-
-    fn range(&mut self, r: &RangeExpr) {
-        match r {
-            RangeExpr::Rel(n) => {
-                self.names.insert(n.clone());
-            }
-            RangeExpr::Selected { base, selector, .. } => {
-                self.range(base);
-                self.selector(selector);
-            }
-            RangeExpr::Constructed {
-                base,
-                constructor,
-                args,
-                ..
-            } => {
-                self.range(base);
-                for a in args {
-                    self.range(a);
-                }
-                self.constructor(constructor);
-            }
-            RangeExpr::SetFormer(sf) => self.set_former(sf),
-        }
-    }
-
-    fn set_former(&mut self, sf: &SetFormer) {
-        for b in &sf.branches {
-            for (_, range) in &b.bindings {
-                self.range(range);
-            }
-            self.formula(&b.predicate);
-        }
-    }
-
-    fn formula(&mut self, f: &Formula) {
-        match f {
-            Formula::True | Formula::False | Formula::Cmp(..) => {}
-            Formula::And(a, b) | Formula::Or(a, b) => {
-                self.formula(a);
-                self.formula(b);
-            }
-            Formula::Not(inner) => self.formula(inner),
-            Formula::Some(_, r, body) | Formula::All(_, r, body) => {
-                self.range(r);
-                self.formula(body);
-            }
-            Formula::Member(_, r) | Formula::TupleIn(_, r) => self.range(r),
-        }
-    }
-
-    fn selector(&mut self, name: &Name) {
-        if !self.selectors_seen.insert(name.clone()) {
-            return;
-        }
-        match self.source.base_catalog().selector(name) {
-            Ok(def) => {
-                let pred = def.predicate.clone();
-                self.formula(&pred);
-            }
-            Err(_) => self.complete = false,
-        }
-    }
-
-    fn constructor(&mut self, name: &Name) {
-        if !self.constructors_seen.insert(name.clone()) {
-            return;
-        }
-        match self.source.constructor_def(name) {
-            Ok(def) => self.set_former(&def.body),
-            Err(_) => self.complete = false,
-        }
-    }
-}
-
-/// Validate a warm start against the previous capture and, if sound,
-/// seed the solver state from it and build the delta-restricted first
-/// round. The outer `Err` is a real evaluation error; the inner `Err`
-/// is a refusal reason (caller falls back to a cold solve).
-fn warm_prepare(
-    catalog: &SolverCatalog<'_>,
-    cfg: &FixpointConfig,
-    prev: &SolvedSystem,
-    deltas: &[(Name, Relation)],
-) -> Result<Result<Vec<BranchTask>, String>, EvalError> {
-    if cfg.strategy != Strategy::SemiNaive {
-        return Ok(Err("warm start requires the semi-naive strategy".into()));
-    }
-    // ---- Shape validation: the freshly registered system must be the
-    // previous system, equation for equation (registration order is
-    // deterministic, so index-wise comparison is exact).
-    let n = catalog.state.borrow().equations.len();
-    if n != prev.equations.len() {
-        return Ok(Err(format!(
-            "system shape changed: {} equations, previously {}",
-            n,
-            prev.equations.len()
-        )));
-    }
-    {
-        let st = catalog.state.borrow();
-        for (i, (eq, prev_eq)) in st.equations.iter().zip(&prev.equations).enumerate() {
-            if eq.key.constructor() != prev_eq.constructor {
-                return Ok(Err(format!(
-                    "equation {i} constructor changed (`{}` → `{}`)",
-                    prev_eq.constructor,
-                    eq.key.constructor()
-                )));
-            }
-            if eq.result != prev_eq.result {
-                return Ok(Err(format!("equation {i} result schema changed")));
-            }
-            if eq.provenance.is_none() {
-                return Ok(Err(format!(
-                    "equation {i} (`{}`) has untracked relation provenance",
-                    eq.key.constructor()
-                )));
-            }
-            if eq
-                .classes
-                .iter()
-                .any(|c| matches!(c, BranchClass::Fallback))
-            {
-                return Ok(Err(format!(
-                    "equation {i} (`{}`) has a fallback branch",
-                    eq.key.constructor()
-                )));
-            }
-        }
-    }
-    // ---- Safety analysis + first-round task synthesis. For each
-    // equation, map touched base relations onto the local names its
-    // body reads them through (formals shadow catalog names), then
-    // require every touched occurrence to be a plain binding range —
-    // those become delta positions; anything else (predicates,
-    // selector bodies, computed constructor actuals) refuses.
-    // (equation, branch count, delta positions, seeded (slot, delta)).
-    type PlannedEq = (usize, usize, Vec<usize>, Vec<(usize, Relation)>);
-    let mut planned: Vec<PlannedEq> = Vec::new();
-    {
-        let st = catalog.state.borrow();
-        for i in 0..n {
-            let eq = &st.equations[i];
-            let Some(prov) = eq.provenance.as_ref() else {
-                unreachable!("validated above");
-            };
-            // Local name → the touched relation's insert delta.
-            let mut local: FxHashMap<Name, Relation> = FxHashMap::default();
-            for (t, d) in deltas {
-                local.insert(t.clone(), d.clone());
-            }
-            for (formal, _) in eq.overrides.iter() {
-                // Formals shadow catalog names in the overlay.
-                local.remove(formal);
-                if let Some(t) = prov.get(formal) {
-                    if let Some((_, d)) = deltas.iter().find(|(n, _)| n == t) {
-                        local.insert(formal.clone(), d.clone());
-                    }
-                }
-            }
-            for (b_idx, branch) in eq.body.branches.iter().enumerate() {
-                let rec_positions: Vec<usize> = match &eq.classes[b_idx] {
-                    BranchClass::Linear(p) => p.clone(),
-                    BranchClass::Static => Vec::new(),
-                    BranchClass::Fallback => unreachable!("validated above"),
-                };
-                // Predicate: any touched relation reachable through it
-                // (including selector bodies and constructor bodies)
-                // makes the branch non-monotone in that relation.
-                let mut reach = Reach::new(catalog.source);
-                reach.formula(&branch.predicate);
-                if reach.hits(&local, deltas) {
-                    return Ok(Err(format!(
-                        "equation {i} branch {b_idx}: predicate reads a touched relation"
-                    )));
-                }
-                let mut delta_positions: Vec<(usize, Relation)> = Vec::new();
-                for (p, (_, range)) in branch.bindings.iter().enumerate() {
-                    match range {
-                        RangeExpr::Rel(m) => {
-                            if let Some(d) = local.get(m) {
-                                delta_positions.push((p, d.clone()));
-                            }
-                        }
-                        RangeExpr::Constructed { base, args, .. } => {
-                            // Recursive position: plain-`Rel` actuals
-                            // forward provenance into the child
-                            // equation (validated there); computed
-                            // actuals must not read touched state.
-                            for actual in std::iter::once(&**base).chain(args.iter()) {
-                                if matches!(actual, RangeExpr::Rel(_)) {
-                                    continue;
-                                }
-                                let mut reach = Reach::new(catalog.source);
-                                reach.range(actual);
-                                if reach.hits(&local, deltas) {
-                                    return Ok(Err(format!(
-                                        "equation {i} branch {b_idx}: computed constructor \
-                                         actual reads a touched relation"
-                                    )));
-                                }
-                            }
-                        }
-                        other => {
-                            // Selected / nested set-former binding
-                            // range: untouched reads keep their value;
-                            // touched reads are outside the delta
-                            // rules.
-                            let mut reach = Reach::new(catalog.source);
-                            reach.range(other);
-                            if reach.hits(&local, deltas) {
-                                return Ok(Err(format!(
-                                    "equation {i} branch {b_idx}: non-plain binding range \
-                                     reads a touched relation"
-                                )));
-                            }
-                        }
-                    }
-                }
-                for (p, d) in delta_positions {
-                    planned.push((i, b_idx, rec_positions.clone(), vec![(p, d)]));
-                }
-            }
-        }
-    }
-    // ---- Seed: every equation re-enters at its previous fixpoint —
-    // the same storage, so the indexes and statistics this solve's
-    // cache copied from `prev` describe it (the whole point — no
-    // O(|value|) rebuild per refresh).
-    {
-        let mut st = catalog.state.borrow_mut();
-        for i in 0..n {
-            st.current[i] = prev.equations[i].value.clone();
-            st.delta[i] = Relation::new(prev.equations[i].value.schema().clone());
-            st.equations[i].initialized = true;
-        }
-    }
-    // ---- First-round tasks: one per (branch, delta position), with
-    // the touched relation's insert delta bound at the delta position
-    // (a plain binding position; the full *new* values at the others
-    // plus one delta position per task cover every new combination,
-    // and overlap between tasks deduplicates at absorb) and peer
-    // equations bound at their seeded accumulated values. Branches with
-    // no touched binding are skipped entirely: their static
-    // contributions are already in the seed, and recursive deltas are
-    // empty until round one commits.
-    let mut tasks: Vec<BranchTask> = Vec::new();
-    for (i, b_idx, rec_positions, delta_positions) in planned {
-        let (branch, overrides) = {
-            let st = catalog.state.borrow();
-            let eq = &st.equations[i];
-            (eq.body.branches[b_idx].clone(), eq.overrides.clone())
-        };
-        for (p, d) in delta_positions {
-            // Distinct marker namespace (`Δdelta` + `b` + position) so
-            // a warm task can never collide with the round-loop's
-            // recursive-delta markers.
-            tasks.push(delta_task(
-                catalog,
-                i,
-                b_idx,
-                &overrides,
-                &branch,
-                &rec_positions,
-                p,
-                (format!("{DELTA_MARKER}b{p}"), d),
-            )?);
-        }
-    }
-    Ok(Ok(tasks))
 }
 
 /// Evaluate one prepared task against the frozen snapshot. Runs on a
@@ -1831,28 +1416,27 @@ fn run_task(
     };
     if task_span.recording() {
         task_span.field("eq", task.eq);
-        if let Some(b) = task.branch_idx {
-            task_span.field("branch", b);
-        }
+        task_span.field("branch", task.branch);
         task_span.field("weight", task.weight);
     }
     let cat = SnapshotCatalog::new(snap.clone());
     let overlay = Overlay::new(&cat, task.overrides.clone());
     let mut ev = knobs.evaluator(&overlay);
-    let out = ev.eval(&RangeExpr::SetFormer(task.body.clone()));
     // A governed abort names the branch and carries the evaluator's
     // planner trace (access-path decisions, degradations) out with it —
     // aborts are atomic, so this is the only trace the solve leaves.
-    let value = out.map_err(|mut e| {
-        if let (Some(b), EvalError::Solve(se)) = (task.branch_idx, &mut e) {
-            let d = se.diag_mut();
-            if d.site.is_empty() {
-                d.site = format!("branch {b}");
+    let value = ev
+        .eval(&RangeExpr::SetFormer(task.body.clone()))
+        .map_err(|mut e| {
+            if let EvalError::Solve(se) = &mut e {
+                let d = se.diag_mut();
+                if d.site.is_empty() {
+                    d.site = format!("branch {}", task.branch);
+                }
+                d.notes.extend(ev.plan_notes().iter().cloned());
             }
-            d.notes.extend(ev.plan_notes().iter().cloned());
-        }
-        e
-    })?;
+            e
+        })?;
     drop(ev);
     drop(overlay);
     Ok(TaskOutcome {
@@ -1861,114 +1445,13 @@ fn run_task(
     })
 }
 
-/// Replay one task's effect log into solver state — single-threaded, at
-/// the commit site, in log order. Registration replays through the same
-/// `register` + `seed_equation` pair the sequential path uses
-/// (idempotent by [`AppKey`]), so two tasks discovering the same
-/// application converge deterministically.
-fn replay_effects(
-    source: &dyn ConstructorSource,
-    state: &RefCell<State>,
-    knobs: &ExecKnobs,
-    effects: Vec<Effect>,
-) -> Result<(), EvalError> {
-    for effect in effects {
-        match effect {
-            Effect::Register {
-                constructor,
-                base,
-                args,
-                scalar_args,
-            } => {
-                let key = AppKey::new(&constructor, &base, &args, &scalar_args);
-                let fresh = {
-                    let mut st = state.borrow_mut();
-                    if st.index.contains_key(&key) {
-                        None
-                    } else {
-                        Some(st.register(source, key, base, args, scalar_args, None)?)
-                    }
-                };
-                if let Some(j) = fresh {
-                    seed_equation(source, state, j, knobs)?;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Resolve the constructor application bound at `pos` to its equation
-/// index, registering it on first sighting.
-fn resolve_recursive_app(
-    catalog: &SolverCatalog<'_>,
-    eq_idx: usize,
-    branch_idx: usize,
-    overrides: &[(Name, Relation)],
-    branch: &Branch,
-    pos: usize,
-) -> Result<usize, EvalError> {
-    if let Some(&hit) = catalog.state.borrow().equations[eq_idx]
-        .resolved_apps
-        .get(&(branch_idx, pos))
-    {
-        return Ok(hit);
-    }
-    let (_, range) = &branch.bindings[pos];
-    let RangeExpr::Constructed {
-        base,
-        constructor,
-        args,
-        scalar_args,
-    } = range
-    else {
-        unreachable!("Linear classification guarantees a Constructed range");
-    };
-    // Evaluate base/args (application-free by classification) under the
-    // equation overlay.
-    let overlay = Overlay::new(catalog, overrides.to_vec());
-    let mut ev = catalog.knobs.evaluator(&overlay);
-    let mut bindings = Vec::new();
-    let base_val = ev.eval_range(base, &mut bindings)?;
-    let mut arg_vals = Vec::with_capacity(args.len());
-    for a in args {
-        arg_vals.push(ev.eval_range(a, &mut bindings)?);
-    }
-    let mut scalar_vals = Vec::with_capacity(scalar_args.len());
-    for s in scalar_args {
-        scalar_vals.push(ev.eval_scalar(s, &bindings)?);
-    }
-    let key = AppKey::new(constructor, &base_val, &arg_vals, &scalar_vals);
-    let mut st = catalog.state.borrow_mut();
-    let resolved = match st.index.get(&key) {
-        Some(&idx) => idx,
-        None => {
-            let parent_prov = st.equations[eq_idx].provenance.clone();
-            let slots = std::iter::once(&**base)
-                .chain(args.iter())
-                .map(|r| provenance_slot(r, parent_prov.as_ref(), overrides))
-                .collect::<Vec<_>>();
-            st.register(
-                catalog.source,
-                key,
-                base_val,
-                arg_vals,
-                scalar_vals,
-                Some(slots),
-            )?
-        }
-    };
-    st.equations[eq_idx]
-        .resolved_apps
-        .insert((branch_idx, pos), resolved);
-    Ok(resolved)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dc_calculus::ast::Branch;
     use dc_calculus::builder::*;
     use dc_calculus::env::MapCatalog;
+    use dc_calculus::positivity::{self, Tracked};
     use dc_trace::metrics::MetricsSnapshot;
     use dc_value::{tuple, Domain, Schema};
 
@@ -2027,6 +1510,14 @@ mod tests {
                 .find(|c| c.name == name)
                 .cloned()
                 .ok_or_else(|| EvalError::UnknownConstructor(name.to_string()))
+        }
+        /// Unchecked exactly when the body fails the §3.3 check.
+        fn is_unchecked(&self, name: &str) -> bool {
+            self.ctors.iter().any(|c| {
+                let body = RangeExpr::SetFormer(c.body.clone());
+                c.name == name
+                    && !positivity::check_range(&body, &Tracked::AllConstructed).is_empty()
+            })
         }
     }
 
@@ -2218,6 +1709,81 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, EvalError::NonConvergent { .. }));
+    }
+
+    /// A source that counts its definition lookups.
+    struct Counting {
+        inner: TestSource,
+        lookups: std::cell::Cell<usize>,
+    }
+
+    impl ConstructorSource for Counting {
+        fn base_catalog(&self) -> &dyn Catalog {
+            &self.inner.catalog
+        }
+        fn constructor_def(&self, name: &str) -> Result<Constructor, EvalError> {
+            self.lookups.set(self.lookups.get() + 1);
+            self.inner.constructor_def(name)
+        }
+        fn is_unchecked(&self, name: &str) -> bool {
+            self.inner.is_unchecked(name)
+        }
+    }
+
+    /// `EACH r IN Rel{inner()}: TRUE` — positive, whatever `inner` is.
+    fn wrapper(name: &str, inner: &Constructor) -> Constructor {
+        Constructor {
+            name: name.into(),
+            body: SetFormer {
+                branches: vec![Branch::each(
+                    "r",
+                    rel(&inner.base_param.0).construct(&inner.name, vec![]),
+                    tru(),
+                )],
+            },
+            ..inner.clone()
+        }
+    }
+
+    /// The solver picks the strategy from everything the root reaches,
+    /// once per solve: positive wrappers over §3.3's unchecked
+    /// constructors run naive under the default configuration, and the
+    /// definitions are walked once however many rounds the solve takes.
+    #[test]
+    fn reachable_unchecked_constructor_makes_the_solve_naive() {
+        let strange = crate::paper::strange();
+        let src = Counting {
+            inner: TestSource {
+                catalog: MapCatalog::new(),
+                ctors: vec![wrapper("wrap_strange", &strange), strange],
+            },
+            lookups: Default::default(),
+        };
+        let cards = (0u64..=6).map(|i| tuple![i]);
+        let base = Relation::from_tuples(crate::paper::cardrel(), cards).unwrap();
+        let metrics = Arc::new(MetricsRegistry::new());
+        let cfg = FixpointConfig {
+            metrics: Some(metrics.clone()),
+            ..FixpointConfig::default()
+        };
+        let out = solve(&src, "wrap_strange", base, vec![], vec![], &cfg).unwrap();
+        let nums: Vec<u64> = out
+            .sorted_tuples()
+            .iter()
+            .map(|t| t.get(0).as_card().unwrap())
+            .collect();
+        assert_eq!(nums, vec![0, 2, 4, 6]);
+        assert!(metrics.snapshot().solve_rounds > 2);
+        assert_eq!(src.lookups.get(), 2, "one lookup per reachable definition");
+
+        let nonsense = crate::paper::nonsense();
+        let src = TestSource {
+            catalog: MapCatalog::new(),
+            ctors: vec![wrapper("wrap_nonsense", &nonsense), nonsense],
+        };
+        let base = Relation::from_tuples(infrontrel(), vec![tuple!["a", "b"]]).unwrap();
+        let err = solve(&src, "wrap_nonsense", base, vec![], vec![], &cfg).unwrap_err();
+        assert!(matches!(err, EvalError::NonConvergent { .. }), "{err}");
     }
 
     /// Mutual recursion exactly as §3.1: `ahead` and `above` defined
@@ -2482,21 +2048,35 @@ mod tests {
         assert!(s_s.solve_rounds <= s_n.solve_rounds + 1);
     }
 
+    /// Branch classes as seeding leaves them on `ctor` applied to a
+    /// two-edge chain.
+    fn seeded_classes(ctor: Constructor) -> Vec<BranchClass> {
+        let src = TestSource {
+            catalog: MapCatalog::new(),
+            ctors: vec![ctor.clone()],
+        };
+        let root = Application::new(&ctor.name, chain(2), vec![], vec![]);
+        let solver = Solver::new(&src, root, None, None, &cfg(Strategy::SemiNaive)).unwrap();
+        let classes = solver.state.borrow().equations[0].classes.clone();
+        classes
+    }
+
     #[test]
     fn branch_classification() {
-        let a = ahead();
-        assert_eq!(classify_branch(&a.body.branches[0]), BranchClass::Static);
+        // `ahead`: the base branch is static, the join branch linear in
+        // binding 1, whose peer is the equation itself.
         assert_eq!(
-            classify_branch(&a.body.branches[1]),
-            BranchClass::Linear(vec![1])
+            seeded_classes(ahead()),
+            vec![BranchClass::Static, BranchClass::Linear(vec![(1, 0)])]
         );
         // Application under a quantifier ⇒ fallback.
-        let fb = Branch::each(
+        let mut quantified = ahead();
+        quantified.body.branches = vec![Branch::each(
             "r",
             rel("Rel"),
-            some("x", rel("Rel").construct("c", vec![]), tru()),
-        );
-        assert_eq!(classify_branch(&fb), BranchClass::Fallback);
+            some("x", rel("Rel").construct("ahead", vec![]), tru()),
+        )];
+        assert_eq!(seeded_classes(quantified), vec![BranchClass::Fallback]);
     }
 
     #[test]

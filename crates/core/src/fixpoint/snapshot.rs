@@ -1,5 +1,6 @@
-//! Snapshot evaluation: the frozen catalog view branch tasks read, and
-//! the registration log they return for single-threaded replay.
+//! Snapshot evaluation: the frozen catalog view branch tasks read, the
+//! registration log they return for single-threaded replay, and the one
+//! reachability walk that decides what the frozen view contains.
 //!
 //! The solver's round scheduler hands every branch evaluation of a
 //! round to [`dc_exec::run_tasks`], which may run them on worker
@@ -10,19 +11,21 @@
 //! * **Frozen reads.** [`EvalSnapshot`] is an immutable, `Arc`-shared
 //!   view of everything a branch evaluation can resolve, captured
 //!   between two commits: the equation values (`current`), the
-//!   registered-application index, and the [`Universe`] — the
-//!   transitively reachable slice of the base catalog (relations,
-//!   selector definitions, scalar parameters, constructor signatures),
-//!   pre-resolved on the solver thread when each equation registers.
-//!   Snapshot construction is cheap: relations are copy-on-write
-//!   handles, so a freeze is O(equations) pointer bumps.
+//!   registered-application index, and the [`Universe`] — the slice of
+//!   the base catalog (relations, selector definitions, scalar
+//!   parameters) and the constructor definitions the solve can reach,
+//!   resolved once per solve by [`Reach`] before the first
+//!   registration. Snapshot construction is cheap: relations are
+//!   copy-on-write handles, so a freeze is O(equations) pointer bumps.
 //! * **Logged registrations.** [`SnapshotCatalog`] implements
 //!   [`Catalog`] over a snapshot. Reads resolve from the frozen view; a
 //!   first-sighting constructor application — the one thing the mutable
 //!   solver catalog would have *recorded in solver state* — is instead
-//!   appended to a per-task [`Effect`] log. The solver replays the logs
-//!   single-threaded at the commit site, in task order, so registration
-//!   and commits stay serialized exactly as on the sequential path.
+//!   appended to a per-task log of [`Application`]s. The solver replays
+//!   the logs single-threaded at the commit site, in task order, through
+//!   the same instantiation path as every other registration, so
+//!   registration and commits stay serialized exactly as on the
+//!   sequential path.
 //!
 //! Two side effects are *not* logged, because both commute. Meter
 //! ticks: the [`dc_governor::Meter`] is `Arc`-shared and workers tick
@@ -34,34 +37,155 @@
 //!
 //! # Replay ordering guarantees
 //!
-//! Effects are replayed in task order (equation-ascending, then branch
+//! Logs are replayed in task order (equation-ascending, then branch
 //! order within an equation — the sequential evaluation order), and a
-//! task's effects are replayed before its value is absorbed. Replay is
-//! idempotent where the sequential path was (`register` by `AppKey`),
-//! so two tasks discovering the same application converge to one
-//! registration, deterministically. Everything replayed lives in
-//! solver-private state: an abort mid-replay leaves the caller-visible
-//! database untouched (the atomic-abort invariant).
+//! task's log is replayed before its value is absorbed. Replay is
+//! idempotent by [`AppKey`], so two tasks discovering the same
+//! application converge to one registration, deterministically.
+//! Everything replayed lives in solver-private state: an abort
+//! mid-replay leaves the caller-visible database untouched (the
+//! atomic-abort invariant).
 
 use std::cell::RefCell;
-use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
-use dc_calculus::ast::{Branch, Name, RangeExpr, SelectorDef, SetFormer, Target};
+use dc_calculus::ast::{Formula, Name, RangeExpr, SelectorDef};
 use dc_calculus::rewrite;
 use dc_calculus::{AccessCache, Catalog, EvalError};
 use dc_relation::Relation;
-use dc_value::{Domain, FxHashMap, FxHashSet, Schema, Value};
+use dc_value::{FxHashMap, FxHashSet, Value};
 
-use super::{AppKey, ConstructorSource};
+use super::{AppKey, Application, ConstructorSource};
+use crate::constructor::Constructor;
 
-/// The transitively reachable slice of the base catalog, pre-resolved
-/// on the solver thread so frozen evaluation never needs the caller's
-/// `&dyn Catalog`. Grown (behind `Arc::make_mut`) each time an equation
-/// registers; name lookups that fail at capture time are simply absent,
-/// so evaluation raises the same `Unknown*` error the sequential path
-/// would.
-#[derive(Clone, Default)]
+/// The one reachability walker: every name a range or formula can
+/// reach, chasing selector predicates and constructor bodies through
+/// the source. The solver walks the root constructor once per solve —
+/// its reach decides the strategy and becomes the [`Universe`] — and a
+/// warm start walks each branch for the touched relations it reads.
+/// Constructor-body formals are collected as if they were catalog
+/// names: over-capture is harmless (the evaluation overlay shadows
+/// them), and a false positive on a warm check only costs a sound
+/// refusal.
+pub(super) struct Reach<'s> {
+    source: &'s dyn ConstructorSource,
+    relations: FxHashSet<Name>,
+    params: FxHashSet<Name>,
+    selectors: FxHashMap<Name, SelectorDef>,
+    ctors: FxHashMap<Name, Constructor>,
+    /// False when a selector or constructor definition was
+    /// unresolvable: the reach is then a lower bound.
+    complete: bool,
+}
+
+impl<'s> Reach<'s> {
+    pub(super) fn new(source: &'s dyn ConstructorSource) -> Reach<'s> {
+        Reach {
+            source,
+            relations: FxHashSet::default(),
+            params: FxHashSet::default(),
+            selectors: FxHashMap::default(),
+            ctors: FxHashMap::default(),
+            complete: true,
+        }
+    }
+
+    pub(super) fn range(&mut self, r: &RangeExpr) {
+        self.relations.extend(rewrite::relation_names(r));
+        self.params.extend(rewrite::param_names(r));
+        self.chase(rewrite::selector_names(r), rewrite::collect_constructed(r));
+    }
+
+    pub(super) fn formula(&mut self, f: &Formula) {
+        self.relations.extend(rewrite::relation_names_formula(f));
+        self.params.extend(rewrite::param_names_formula(f));
+        self.chase(
+            rewrite::selector_names_formula(f),
+            rewrite::collect_constructed_formula(f),
+        );
+    }
+
+    fn chase(&mut self, selectors: FxHashSet<Name>, apps: Vec<RangeExpr>) {
+        for name in selectors {
+            if self.selectors.contains_key(&name) {
+                continue;
+            }
+            match self.source.base_catalog().selector(&name) {
+                Ok(def) => {
+                    let predicate = def.predicate.clone();
+                    self.selectors.insert(name, def.clone());
+                    self.formula(&predicate);
+                }
+                Err(_) => self.complete = false,
+            }
+        }
+        for app in apps {
+            if let RangeExpr::Constructed { constructor, .. } = app {
+                self.constructor(&constructor);
+            }
+        }
+    }
+
+    pub(super) fn constructor(&mut self, name: &str) {
+        if self.ctors.contains_key(name) {
+            return;
+        }
+        match self.source.constructor_def(name) {
+            Ok(def) => {
+                let body = RangeExpr::SetFormer(def.body.clone());
+                self.ctors.insert(name.to_string(), def);
+                self.range(&body);
+            }
+            Err(_) => self.complete = false,
+        }
+    }
+
+    /// Can the reach read a touched relation — a delta-mapped `local`
+    /// name or a raw base-catalog name in `touched`? An incomplete
+    /// reach counts as touching (conservative).
+    pub(super) fn hits(
+        &self,
+        local: &FxHashMap<Name, Relation>,
+        touched: &[(Name, Relation)],
+    ) -> bool {
+        !self.complete
+            || self
+                .relations
+                .iter()
+                .any(|n| local.contains_key(n) || touched.iter().any(|(t, _)| t == n))
+    }
+
+    /// Does the reach include a constructor admitted without the §3.3
+    /// positivity check?
+    pub(super) fn any_unchecked(&self) -> bool {
+        self.ctors.keys().any(|c| self.source.is_unchecked(c))
+    }
+
+    /// Resolve everything reached against the base catalog. Names that
+    /// fail to resolve are simply absent, so frozen evaluation raises
+    /// the same `Unknown*` error the solver catalog would.
+    pub(super) fn into_universe(self) -> Universe {
+        let cat = self.source.base_catalog();
+        Universe {
+            relations: self
+                .relations
+                .into_iter()
+                .filter_map(|n| Some((n.clone(), cat.relation(&n).ok()?)))
+                .collect(),
+            params: self
+                .params
+                .into_iter()
+                .filter_map(|n| Some((n.clone(), cat.scalar_param(&n).ok()?)))
+                .collect(),
+            selectors: self.selectors,
+            ctors: self.ctors,
+        }
+    }
+}
+
+/// Everything a solve can resolve by name, fixed before its first
+/// registration: the reachable slice of the base catalog, and the
+/// constructor definitions every equation is instantiated from.
 pub(super) struct Universe {
     /// Base-relation values (immutable for the duration of a solve).
     pub relations: FxHashMap<Name, Relation>,
@@ -69,33 +193,46 @@ pub(super) struct Universe {
     pub selectors: FxHashMap<Name, SelectorDef>,
     /// Scalar parameters resolvable from the base catalog.
     pub params: FxHashMap<Name, Value>,
-    /// Constructor signatures, for validating (and logging) worker-side
-    /// first sightings of an application.
-    pub ctors: FxHashMap<Name, CtorSig>,
+    /// Constructor definitions, closed transitively over their bodies.
+    pub ctors: FxHashMap<Name, Constructor>,
 }
 
-/// What a worker needs to *validate* an unseen constructor application
-/// without registering it: the registration itself is deferred to the
-/// effect replay.
-#[derive(Clone)]
-pub(super) struct CtorSig {
-    /// Constructor name (diagnostics).
-    pub name: Name,
-    /// Number of relation parameters.
-    pub rel_params: usize,
-    /// Scalar parameter names and domains (checked per application).
-    pub scalar_params: Vec<(Name, Domain)>,
-    /// Declared result schema — the value of a fresh application is
-    /// `∅ : result`, matching the sequential path where every equation
-    /// starts at the empty relation.
-    pub result: Schema,
+impl Universe {
+    /// The definition `app` instantiates, after the checks every
+    /// registration path makes, in one order — so a malformed
+    /// application raises the identical error class under every thread
+    /// count: unknown constructor, relation arity, scalar arity, scalar
+    /// domains.
+    pub(super) fn definition(&self, app: &Application) -> Result<&Constructor, EvalError> {
+        let name = app.key.constructor();
+        let ctor = self
+            .ctors
+            .get(name)
+            .ok_or_else(|| EvalError::UnknownConstructor(name.to_string()))?;
+        for (expected, actual) in [
+            (ctor.rel_params.len(), app.args.len()),
+            (ctor.scalar_params.len(), app.scalar_args.len()),
+        ] {
+            if expected != actual {
+                return Err(EvalError::ArityMismatch {
+                    name: ctor.name.clone(),
+                    expected,
+                    actual,
+                });
+            }
+        }
+        for ((_, domain), v) in ctor.scalar_params.iter().zip(&app.scalar_args) {
+            domain.check(v)?;
+        }
+        Ok(ctor)
+    }
 }
 
 /// The immutable view one round's branch tasks evaluate against. See
 /// the [module docs](self) for what is frozen and why the freeze is
 /// cheap.
 pub(super) struct EvalSnapshot {
-    /// Pre-resolved base-catalog slice.
+    /// The solve's resolved names.
     pub universe: Arc<Universe>,
     /// Registered applications → equation index.
     pub index: FxHashMap<AppKey, usize>,
@@ -105,128 +242,20 @@ pub(super) struct EvalSnapshot {
     pub access: Arc<AccessCache>,
 }
 
-/// One logged side effect of a frozen branch evaluation, replayed
-/// single-threaded by the solver at the commit site.
-pub(super) enum Effect {
-    /// A first-sighting constructor application (validated against the
-    /// frozen [`CtorSig`]; the replay performs the real registration
-    /// and seeds the new equation's peers).
-    Register {
-        /// Constructor name.
-        constructor: Name,
-        /// Actual base relation.
-        base: Relation,
-        /// Actual relation arguments.
-        args: Vec<Relation>,
-        /// Actual scalar arguments.
-        scalar_args: Vec<Value>,
-    },
-}
-
 // Snapshots cross thread boundaries by design; assert the contract at
 // compile time so a field change cannot silently break it.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<EvalSnapshot>();
-    assert_send_sync::<Effect>();
+    assert_send_sync::<Application>();
 };
-
-/// Grow the universe with everything reachable from one equation body:
-/// relation names, selector definitions (closed transitively over
-/// their predicates), scalar parameters, and constructor signatures.
-/// Over-capture is harmless — overridden formal names are shadowed by
-/// the evaluation overlay before the snapshot catalog is consulted, and
-/// never-probed entries just ride along as pointer bumps.
-pub(super) fn capture_universe(
-    universe: &mut Arc<Universe>,
-    source: &dyn ConstructorSource,
-    body: &SetFormer,
-) {
-    let range = RangeExpr::SetFormer(body.clone());
-    let mut rels: FxHashSet<Name> = rewrite::relation_names(&range);
-    let mut params: FxHashSet<Name> = rewrite::param_names(&range);
-    let mut ctor_names: FxHashSet<Name> = constructed_names(&range);
-    let mut pending: Vec<Name> = rewrite::selector_names(&range).into_iter().collect();
-
-    let u = Arc::make_mut(universe);
-    let mut seen: FxHashSet<Name> = FxHashSet::default();
-    while let Some(s) = pending.pop() {
-        if !seen.insert(s.clone()) {
-            continue;
-        }
-        let def = if let Some(d) = u.selectors.get(&s) {
-            d.clone()
-        } else if let Ok(d) = source.base_catalog().selector(&s) {
-            let d = d.clone();
-            u.selectors.insert(s, d.clone());
-            d
-        } else {
-            // Unresolvable: frozen evaluation raises the same
-            // `UnknownSelector` the sequential path would.
-            continue;
-        };
-        rels.extend(rewrite::relation_names_formula(&def.predicate));
-        params.extend(rewrite::param_names_formula(&def.predicate));
-        ctor_names.extend(constructed_names(&predicate_probe(&def)));
-        pending.extend(rewrite::selector_names_formula(&def.predicate));
-    }
-    for n in rels {
-        if let Entry::Vacant(e) = u.relations.entry(n) {
-            if let Ok(v) = source.base_catalog().relation(e.key()) {
-                e.insert(v);
-            }
-        }
-    }
-    for n in params {
-        if let Entry::Vacant(e) = u.params.entry(n) {
-            if let Ok(v) = source.base_catalog().scalar_param(e.key()) {
-                e.insert(v);
-            }
-        }
-    }
-    for n in ctor_names {
-        if let Entry::Vacant(e) = u.ctors.entry(n) {
-            if let Ok(c) = source.constructor_def(e.key()) {
-                e.insert(CtorSig {
-                    name: c.name.clone(),
-                    rel_params: c.rel_params.len(),
-                    scalar_params: c.scalar_params.clone(),
-                    result: c.result.clone(),
-                });
-            }
-        }
-    }
-}
-
-/// Wrap a selector predicate in a throwaway set-former so the
-/// range-level constructor collector can walk it.
-fn predicate_probe(def: &SelectorDef) -> RangeExpr {
-    RangeExpr::SetFormer(SetFormer {
-        branches: vec![Branch {
-            target: Target::Var(def.element_var.clone()),
-            bindings: vec![],
-            predicate: def.predicate.clone(),
-        }],
-    })
-}
-
-/// Constructor names applied anywhere in a range expression.
-fn constructed_names(range: &RangeExpr) -> FxHashSet<Name> {
-    rewrite::collect_constructed(range)
-        .into_iter()
-        .filter_map(|c| match c {
-            RangeExpr::Constructed { constructor, .. } => Some(constructor),
-            _ => None,
-        })
-        .collect()
-}
 
 /// The per-task [`Catalog`]: frozen reads, logged registrations.
 /// Constructed on the worker from the `Arc`-shared snapshot; consumed
 /// with [`SnapshotCatalog::into_effects`] after evaluation.
 pub(super) struct SnapshotCatalog {
     snap: Arc<EvalSnapshot>,
-    effects: RefCell<Vec<Effect>>,
+    effects: RefCell<Vec<Application>>,
 }
 
 impl SnapshotCatalog {
@@ -237,8 +266,8 @@ impl SnapshotCatalog {
         }
     }
 
-    /// The ordered effect log, for single-threaded replay.
-    pub(super) fn into_effects(self) -> Vec<Effect> {
+    /// The ordered registration log, for single-threaded replay.
+    pub(super) fn into_effects(self) -> Vec<Application> {
         self.effects.into_inner()
     }
 }
@@ -271,10 +300,10 @@ impl Catalog for SnapshotCatalog {
     }
 
     /// Known applications resolve to the frozen current iterate; first
-    /// sightings are validated against the frozen signature, logged for
-    /// replay-time registration, and valued at `∅ : result` — exactly
-    /// the value the sequential path would return for an equation
-    /// registered mid-round.
+    /// sightings are validated against the frozen definition, logged
+    /// for replay-time registration, and valued at `∅ : result` —
+    /// exactly the value the sequential path would return for an
+    /// equation registered mid-round.
     fn apply_constructor(
         &self,
         base: Relation,
@@ -282,43 +311,12 @@ impl Catalog for SnapshotCatalog {
         args: Vec<Relation>,
         scalar_args: Vec<Value>,
     ) -> Result<Relation, EvalError> {
-        let key = AppKey::new(name, &base, &args, &scalar_args);
-        if let Some(&i) = self.snap.index.get(&key) {
+        let app = Application::new(name, base, args, scalar_args);
+        if let Some(&i) = self.snap.index.get(&app.key) {
             return Ok(self.snap.current[i].clone());
         }
-        let sig = self
-            .snap
-            .universe
-            .ctors
-            .get(name)
-            .ok_or_else(|| EvalError::UnknownConstructor(name.to_string()))?;
-        // Mirror `State::register`'s check order, so a malformed
-        // application raises the identical error class under every
-        // thread count.
-        if args.len() != sig.rel_params {
-            return Err(EvalError::ArityMismatch {
-                name: sig.name.clone(),
-                expected: sig.rel_params,
-                actual: args.len(),
-            });
-        }
-        if scalar_args.len() != sig.scalar_params.len() {
-            return Err(EvalError::ArityMismatch {
-                name: sig.name.clone(),
-                expected: sig.scalar_params.len(),
-                actual: scalar_args.len(),
-            });
-        }
-        for ((_, pdom), v) in sig.scalar_params.iter().zip(&scalar_args) {
-            pdom.check(v)?;
-        }
-        let value = Relation::new(sig.result.clone());
-        self.effects.borrow_mut().push(Effect::Register {
-            constructor: name.to_string(),
-            base,
-            args,
-            scalar_args,
-        });
+        let value = Relation::new(self.snap.universe.definition(&app)?.result.clone());
+        self.effects.borrow_mut().push(app);
         Ok(value)
     }
 

@@ -38,7 +38,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::thread;
 
 use dc_governor::fail::{self, Site};
-use dc_governor::InjectedFault;
+use dc_governor::{panic_message, InjectedFault};
 
 /// What the scheduler itself can do to a task: everything a task
 /// *returns* (including its own errors) passes through untouched.
@@ -70,18 +70,6 @@ impl std::error::Error for ExecError {}
 impl From<InjectedFault> for ExecError {
     fn from(e: InjectedFault) -> ExecError {
         ExecError::FaultInjected(e)
-    }
-}
-
-/// Render a caught panic payload (the conventional `&str`/`String`
-/// forms; anything else gets a placeholder).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

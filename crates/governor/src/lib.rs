@@ -47,4 +47,4 @@ pub use budget::{Budget, CancelToken, Meter, Trip, DEADLINE_STRIDE};
 pub use fail::{FailAction, FailpointsGuard, InjectedFault, Site};
 
 mod solve_error;
-pub use solve_error::{SolveDiag, SolveError};
+pub use solve_error::{panic_message, SolveDiag, SolveError};

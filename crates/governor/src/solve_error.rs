@@ -124,6 +124,17 @@ impl SolveError {
         }
     }
 
+    /// A panic caught at an isolation boundary, as a `WorkerPanic`
+    /// with empty diagnostics — the one decoding of a panic payload
+    /// every boundary (solver entry, pool tasks, the serving layer's
+    /// commit and refresh) shares.
+    pub fn from_panic(payload: &(dyn std::any::Any + Send)) -> SolveError {
+        SolveError::WorkerPanic {
+            message: panic_message(payload),
+            diag: SolveDiag::default(),
+        }
+    }
+
     /// The attached diagnostics.
     pub fn diag(&self) -> &SolveDiag {
         match self {
@@ -178,6 +189,18 @@ impl fmt::Display for SolveError {
 }
 
 impl std::error::Error for SolveError {}
+
+/// Render a caught panic payload: the conventional `&str`/`String`
+/// forms verbatim, anything else as a placeholder.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "opaque panic payload".to_string()
+    }
+}
 
 impl From<Trip> for SolveError {
     fn from(trip: Trip) -> SolveError {

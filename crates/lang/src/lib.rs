@@ -24,6 +24,12 @@
 //! `QUERY`. Consecutive `CONSTRUCTOR` statements are registered as one
 //! mutually recursive group (§3.1's `ahead`/`above`).
 
+// Parse and lowering failures are `LangError`s, never panics (the
+// parser's own `expect(Tok)` is a method, not `Option::expect`).
+// Escalate, allowing tests.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod error;
 pub mod lexer;
 pub mod lower;

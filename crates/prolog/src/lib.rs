@@ -13,6 +13,11 @@
 //! (the constructive direction of the §3.4 lemma), which experiment E7
 //! uses to check answer-set equality between the two engines.
 
+// Engine code reports failures as `PrologError`s, never panics.
+// Escalate, allowing tests.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod error;
 pub mod program;
 pub mod sld;

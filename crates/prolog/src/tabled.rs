@@ -145,7 +145,7 @@ pub fn solve(program: &Program, query: &Atom) -> Result<TabledResult, PrologErro
             for rule in program.rules_for(p) {
                 eval_clause(program, &tables, rule, &mut stats, &mut new_answers);
             }
-            let table = tables.answers.get_mut(p).expect("table pre-created");
+            let table = tables.answers.entry(p.clone()).or_default();
             for a in new_answers {
                 if table.insert(a) {
                     changed = true;

@@ -4,7 +4,6 @@ use std::fmt;
 
 use dc_calculus::EvalError;
 use dc_governor::fail::InjectedFault;
-use dc_governor::{SolveDiag, SolveError};
 use dc_relation::RelationError;
 
 /// Errors surfaced by the serving layer: commit-path failures (which
@@ -93,21 +92,4 @@ impl From<InjectedFault> for ServerError {
     fn from(e: InjectedFault) -> Self {
         ServerError::Eval(e.into())
     }
-}
-
-/// Render a caught panic payload as a structured `WorkerPanic`: the
-/// shared tail of every panic-isolation boundary in the serving layer
-/// (commit body, session solves, standing-query refreshes).
-pub(crate) fn panic_to_eval(payload: Box<dyn std::any::Any + Send>) -> EvalError {
-    let message = if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    };
-    EvalError::Solve(SolveError::WorkerPanic {
-        message,
-        diag: SolveDiag::default(),
-    })
 }

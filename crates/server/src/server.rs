@@ -6,18 +6,18 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 use dc_calculus::ast::{Name, ScalarExpr};
-use dc_calculus::{joinplan, typeck, RangeExpr};
+use dc_calculus::{joinplan, typeck, EvalError, RangeExpr};
 use dc_core::fixpoint::{SolvedSystem, WarmOutcome};
 use dc_core::Database;
 use dc_governor::fail::{self, Site};
-use dc_governor::{Budget, CancelToken};
+use dc_governor::{Budget, CancelToken, SolveError};
 use dc_relation::{algebra, Relation};
 use dc_trace::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use dc_trace::SpanKind;
 use dc_value::{FxHashMap, FxHashSet, Value};
 
 use crate::batch::{WriteBatch, WriteOp};
-use crate::error::{panic_to_eval, ServerError};
+use crate::error::ServerError;
 use crate::prepare::{DefsLookup, Prepared, PreparedKind, PreparedQuery};
 use crate::session::Session;
 use crate::snapshot::Snapshot;
@@ -318,7 +318,7 @@ impl Server {
         }));
         match result {
             Ok(r) => r,
-            Err(payload) => Err(ServerError::Eval(panic_to_eval(payload))),
+            Err(payload) => Err(EvalError::Solve(SolveError::from_panic(&*payload)).into()),
         }
     }
 
@@ -488,14 +488,14 @@ impl Server {
             return Ok(update);
         }
         // Cold fallback: from-scratch evaluation on the published
-        // snapshot. Panic-isolated like every solve — a panicking
-        // refresh must not unwind into the commit path.
+        // snapshot. Panic-isolated — a panicking refresh (a solve, or a
+        // query-kind subscription's evaluation) must not unwind into the
+        // commit path.
         let shared: &SubEntry = entry;
         let cold = catch_unwind(AssertUnwindSafe(|| self.cold_refresh(shared, snap)));
-        let (value, system) = match cold {
-            Ok(result) => result?,
-            Err(payload) => return Err(panic_to_eval(payload).into()),
-        };
+        let (value, system) = cold.unwrap_or_else(|payload| {
+            Err(EvalError::Solve(SolveError::from_panic(&*payload)).into())
+        })?;
         let (added, removed) = algebra::delta(&value, &entry.result)?;
         entry.result = value;
         entry.system = system;
@@ -531,13 +531,10 @@ impl Server {
         let profile = &entry.prepared.profile;
         // Soundness gate: every touched relation the query reads must
         // occur only in delta-monotone (plain binding-range) positions,
-        // every op on a read relation must be an insertion, and the
-        // solve must run semi-naive (positivity-unchecked constructors
-        // are pinned to the naive strategy).
+        // and every op on a read relation must be an insertion. The
+        // solver refuses the rest itself — including every system it
+        // runs naive.
         if !profile.monotone_in(touched.iter()) {
-            return None;
-        }
-        if snap.defs().unchecked.contains(constructor.as_str()) {
             return None;
         }
         if batch

@@ -8,7 +8,7 @@ use dc_calculus::ast::{Name, SelectorDef};
 use dc_calculus::typeck::{self, ConstructorSig, SchemaCatalog};
 use dc_calculus::{AccessCache, Catalog, EvalError, Evaluator, Explanation, RangeExpr};
 use dc_core::fixpoint::{
-    self, AppKey, ConstructorSource, FixpointConfig, SolvedSystem, Strategy, WarmOutcome,
+    self, AppKey, ConstructorSource, FixpointConfig, SolvedSystem, WarmOutcome,
 };
 use dc_core::Constructor;
 use dc_governor::{Budget, CancelToken};
@@ -17,7 +17,7 @@ use dc_trace::metrics::{Counter, Histogram, MetricsRegistry};
 use dc_trace::SpanKind;
 use dc_value::{FxHashMap, FxHashSet, Schema, Tuple, Value};
 
-use crate::error::{panic_to_eval, ServerError};
+use crate::error::ServerError;
 use crate::prepare::{Prepared, PreparedKind, PreparedQuery};
 use crate::snapshot::Snapshot;
 
@@ -197,15 +197,12 @@ impl Session {
     }
 
     /// The fixpoint configuration a solve in this session runs under:
-    /// the frozen catalog config, metered by the session budget, with
-    /// positivity-unchecked constructors pinned to the naive strategy.
-    fn fixpoint_cfg(&self, constructor: &str) -> FixpointConfig {
-        let mut cfg = self.snap.defs().config.clone();
-        cfg.budget = Some(self.budget.clone());
-        if self.snap.defs().unchecked.contains(constructor) {
-            cfg.strategy = Strategy::Naive;
+    /// the frozen catalog config, metered by the session budget.
+    fn fixpoint_cfg(&self) -> FixpointConfig {
+        FixpointConfig {
+            budget: Some(self.budget.clone()),
+            ..self.snap.defs().config.clone()
         }
-        cfg
     }
 
     /// Cold solve that additionally captures the converged system's
@@ -225,25 +222,24 @@ impl Session {
             .map(|n| self.read(n))
             .collect::<Result<_, _>>()?;
         let key = AppKey::new(constructor, &b, &a, &scalar_args);
-        let cfg = self.fixpoint_cfg(constructor);
         let arg_refs: Vec<&str> = args.iter().map(Name::as_str).collect();
-        // Same panic-isolation boundary as `apply_constructor`.
-        let solved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            fixpoint::solve_tracked(self, constructor, b, a, scalar_args, base, &arg_refs, &cfg)
-        }));
-        let (value, system) = match solved {
-            Ok(result) => result?,
-            Err(payload) => return Err(panic_to_eval(payload).into()),
-        };
+        let (value, system) = fixpoint::solve_tracked(
+            self,
+            constructor,
+            b,
+            a,
+            scalar_args,
+            base,
+            &arg_refs,
+            &self.fixpoint_cfg(),
+        )?;
         self.snap.warm().donate_solved(key.clone(), value.clone());
         self.solved.borrow_mut().insert(key, value.clone());
         Ok((value, system))
     }
 
     /// Warm re-solve from a previously captured system plus base-delta
-    /// insertions. Panics are *not* caught here — the standing-query
-    /// refresh wraps the whole warm attempt (including the
-    /// `view_refresh` failpoint) in its own isolation boundary.
+    /// insertions.
     pub(crate) fn solve_warm(
         &self,
         base: &str,
@@ -259,7 +255,6 @@ impl Session {
             .map(|n| self.read(n))
             .collect::<Result<_, _>>()?;
         let key = AppKey::new(constructor, &b, &a, &scalar_args);
-        let cfg = self.fixpoint_cfg(constructor);
         let arg_refs: Vec<&str> = args.iter().map(Name::as_str).collect();
         let outcome = fixpoint::solve_warm(
             self,
@@ -271,7 +266,7 @@ impl Session {
             &arg_refs,
             prev,
             deltas,
-            &cfg,
+            &self.fixpoint_cfg(),
         )?;
         if let WarmOutcome::Solved { value, .. } = &outcome {
             self.snap.warm().donate_solved(key, value.clone());
@@ -340,6 +335,10 @@ impl ConstructorSource for Session {
             .cloned()
             .ok_or_else(|| EvalError::UnknownConstructor(name.to_string()))
     }
+
+    fn is_unchecked(&self, name: &str) -> bool {
+        self.snap.defs().unchecked.contains(name)
+    }
 }
 
 impl Catalog for Session {
@@ -389,19 +388,10 @@ impl Catalog for Session {
             return Ok(hit);
         }
         self.count(Counter::WarmSolvedMisses);
-        let cfg = self.fixpoint_cfg(name);
-        // Same panic-isolation boundary as `Database::apply_constructor`:
-        // a panic inside the solve becomes a structured `WorkerPanic`.
-        // `AssertUnwindSafe` is sound because the snapshot is immutable
-        // and the session caches are only written on the success path
-        // below.
-        let solved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            fixpoint::solve(self, name, base, args, scalar_args, &cfg)
-        }));
-        let value = match solved {
-            Ok(result) => result?,
-            Err(payload) => return Err(panic_to_eval(payload)),
-        };
+        // The snapshot is immutable and the session caches are written
+        // on success only: a failed solve (panics included — the solver
+        // catches them) leaves the session as it was.
+        let value = fixpoint::solve(self, name, base, args, scalar_args, &self.fixpoint_cfg())?;
         self.snap.warm().donate_solved(key.clone(), value.clone());
         self.solved.borrow_mut().insert(key, value.clone());
         Ok(value)

@@ -138,22 +138,25 @@ fn section_3_2_strategies_agree_on_random_graphs() {
     }
 }
 
-/// §3.3: `nonsense` rejected; forced evaluation detects oscillation.
-#[test]
-fn section_3_3_nonsense() {
-    let mut db = scene_db();
-    let err = db.define_constructor(paper::nonsense()).unwrap_err();
-    assert!(err.to_string().contains("positivity"));
-    db.define_constructor_unchecked(paper::nonsense()).unwrap();
-    let err = db
-        .eval(&rel("Infront").construct("nonsense", vec![]))
-        .unwrap_err();
-    assert!(err.to_string().contains("converge"));
+/// The checked constructor `name` = `EACH r IN Rel{inner()}: TRUE`: a
+/// positive wrapper whose system still reaches the unchecked `inner`.
+fn wrapper(name: &str, inner: &Constructor) -> Constructor {
+    Constructor {
+        name: name.into(),
+        body: SetFormer {
+            branches: vec![Branch::each(
+                "r",
+                rel(&inner.base_param.0).construct(&inner.name, vec![]),
+                tru(),
+            )],
+        },
+        ..inner.clone()
+    }
 }
 
-/// §3.3: `strange` on `{0,…,6}` has the limit `{0,2,4,6}`.
-#[test]
-fn section_3_3_strange() {
+/// `Card = {0,…,6}` with `strange` (unchecked) and its checked
+/// wrapper `wrap_strange`.
+fn strange_db() -> Database {
     let mut db = Database::new();
     db.create_relation("Card", paper::cardrel()).unwrap();
     for i in 0u64..=6 {
@@ -161,13 +164,63 @@ fn section_3_3_strange() {
     }
     assert!(db.define_constructor(paper::strange()).is_err());
     db.define_constructor_unchecked(paper::strange()).unwrap();
-    let out = db.eval(&rel("Card").construct("strange", vec![])).unwrap();
-    let nums: Vec<u64> = out
-        .sorted_tuples()
-        .iter()
-        .map(|t| t.get(0).as_card().unwrap())
-        .collect();
-    assert_eq!(nums, vec![0, 2, 4, 6]);
+    db.define_constructor(wrapper("wrap_strange", &paper::strange()))
+        .unwrap();
+    db
+}
+
+/// `base{constructor()}` through `Database::eval` and through a prepared
+/// solve on a `Server` session over the same definitions.
+fn eval_and_serve(db: Database, base: &str, constructor: &str) -> [Result<Relation, String>; 2] {
+    let direct = db
+        .eval(&rel(base).construct(constructor, vec![]))
+        .map_err(|e| e.to_string());
+    let server = dc_server::Server::new(db);
+    let prepared = server
+        .prepare_solve(base, constructor, &[], vec![])
+        .unwrap();
+    let served = server.begin().query(&prepared).map_err(|e| e.to_string());
+    [direct, served]
+}
+
+/// §3.3: `nonsense` rejected; forced evaluation detects oscillation —
+/// applied directly, and through a checked wrapper on both the database
+/// and the serving path.
+#[test]
+fn section_3_3_nonsense() {
+    let db = || {
+        let mut db = scene_db();
+        let err = db.define_constructor(paper::nonsense()).unwrap_err();
+        assert!(err.to_string().contains("positivity"));
+        db.define_constructor_unchecked(paper::nonsense()).unwrap();
+        db.define_constructor(wrapper("wrap_nonsense", &paper::nonsense()))
+            .unwrap();
+        db
+    };
+    for constructor in ["nonsense", "wrap_nonsense"] {
+        for out in eval_and_serve(db(), "Infront", constructor) {
+            let err = out.unwrap_err();
+            assert!(err.contains("converge"), "{constructor}: {err}");
+        }
+    }
+}
+
+/// §3.3: `strange` on `{0,…,6}` has the limit `{0,2,4,6}` — applied
+/// directly, and through a checked wrapper on both the database and the
+/// serving path.
+#[test]
+fn section_3_3_strange() {
+    for constructor in ["strange", "wrap_strange"] {
+        for out in eval_and_serve(strange_db(), "Card", constructor) {
+            let nums: Vec<u64> = out
+                .unwrap()
+                .sorted_tuples()
+                .iter()
+                .map(|t| t.get(0).as_card().unwrap())
+                .collect();
+            assert_eq!(nums, vec![0, 2, 4, 6], "{constructor}");
+        }
+    }
 }
 
 /// §3.4 lemma: constructor answers ≡ Horn-clause answers, via the

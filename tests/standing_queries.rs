@@ -401,3 +401,71 @@ fn writebatch_push_ops_and_extend_match_the_builder_form() {
     let rel = by_push.begin().read("Unrelated").unwrap();
     assert_eq!(rel.len(), 2);
 }
+
+// ---------------------------------------------------------------------
+// (g) Systems the solver runs naive refresh cold
+// ---------------------------------------------------------------------
+
+/// `Card = {0,…,6}` with §3.3's unchecked `strange` and the checked
+/// `wrap_strange` = `EACH r IN Baserel{strange()}: TRUE` over it.
+fn strange_db() -> Database {
+    use dc_calculus::ast::{Branch, SetFormer};
+    use dc_calculus::builder::{rel, tru};
+    use dc_core::{paper, Constructor};
+
+    let mut db = Database::new();
+    db.create_relation("Card", paper::cardrel()).unwrap();
+    db.insert_all("Card", (0u64..=6).map(|i| tuple![i]))
+        .unwrap();
+    db.define_constructor_unchecked(paper::strange()).unwrap();
+    let wrap = Constructor {
+        name: "wrap_strange".into(),
+        body: SetFormer {
+            branches: vec![Branch::each(
+                "r",
+                rel("Baserel").construct("strange", vec![]),
+                tru(),
+            )],
+        },
+        ..paper::strange()
+    };
+    db.define_constructor(wrap).unwrap();
+    db
+}
+
+/// The root is checked, but the system reaches an unchecked
+/// constructor: the solver runs it naive, so an insert refreshes the
+/// subscription cold, onto the paper's limit — what a fresh solve on an
+/// independent server gives.
+#[test]
+fn subscription_reaching_an_unchecked_constructor_refreshes_cold() {
+    let _guard = FailpointsGuard::arm("");
+    let server = Server::new(strange_db());
+    let oracle = Server::new(strange_db());
+    let cards = |r: &Relation| -> Vec<u64> {
+        r.sorted_tuples()
+            .iter()
+            .map(|t| t.get(0).as_card().unwrap())
+            .collect()
+    };
+
+    let prepared = server
+        .prepare_solve("Card", "wrap_strange", &[], vec![])
+        .unwrap();
+    let sub = server.subscribe(&prepared).unwrap();
+    let initial = next_update(&sub, 0);
+    assert_eq!(cards(&initial.added), vec![0, 2, 4, 6]);
+
+    let batch = WriteBatch::new().insert("Card", tuple![8u64]);
+    let epoch = server.commit(&batch).unwrap();
+    assert_eq!(oracle.commit(&batch).unwrap(), epoch);
+    let update = next_update(&sub, epoch);
+    assert!(!update.warm, "a naive system never refreshes warm");
+    let refreshed = apply_update(&initial.added, &update);
+    let fresh = oracle
+        .begin()
+        .solve("Card", "wrap_strange", &[], vec![])
+        .unwrap();
+    assert_eq!(refreshed, fresh);
+    assert_eq!(cards(&refreshed), vec![0, 2, 4, 6, 8]);
+}
