@@ -12,9 +12,13 @@
 //!   [`crate::joinplan`] plans: one range is scanned, the others are
 //!   probed through [`dc_index::HashIndex`]es keyed on the equality
 //!   columns, so work is proportional to *matching* combinations rather
-//!   than all combinations. The full predicate is re-checked on every
-//!   surviving combination, so both paths produce identical relations
-//!   and identical errors on every combination they both evaluate.
+//!   than all combinations. Every surviving combination re-checks the
+//!   **residual**: the predicate's top-level conjuncts, in source
+//!   order, minus those a realised probe key already decided (a key is
+//!   realised only when it resolved and matches the probed column's
+//!   base type, so its conjunct holds on every probe hit and can never
+//!   raise). Both paths therefore produce identical relations and
+//!   identical errors on every combination they both evaluate.
 //!   The one deliberate divergence, shared with every
 //!   predicate-pushdown engine: a runtime error (division by zero,
 //!   cross-type comparison) hiding in a conjunct of a combination that
@@ -55,10 +59,20 @@
 //!   body re-check preserves semantics; every unsafe case falls back to
 //!   the reference scan. Demotions and abandoned rewrites are recorded
 //!   in the planner trace ([`Evaluator::plan_notes`]).
-//! * **Scan sharding** — there is one operator loop
-//!   (`exec_plan` → `emit_if_selected` → [`Evaluator::eval_formula`] /
-//!   [`Evaluator::eval_scalar`]) and parallel execution runs *it*, not
-//!   a second implementation. When the evaluator has more than one
+//! * **One operator loop** — every branch outside
+//!   [`Evaluator::force_nested_loop`] runs `exec_plan`: its probe plan
+//!   when some key is realised, the declaration-order all-scan plan
+//!   otherwise. Its leaf is compiled once per branch evaluation: the
+//!   residual conjuncts and the target read branch-variable attributes
+//!   as `(binding slot, column)` pairs, while outer-variable
+//!   attributes, parameters, unknown attributes, quantifiers, and
+//!   membership tests go through [`Evaluator::eval_scalar`] /
+//!   [`Evaluator::eval_formula`] as on the reference path (so their
+//!   values and errors are unchanged). The reference nested loops
+//!   (`loop_branch` → `emit_if_selected`) serve only
+//!   `force_nested_loop`.
+//! * **Scan sharding** — parallel execution runs the one operator loop,
+//!   not a second implementation. When the evaluator has more than one
 //!   worker ([`Evaluator::with_threads`]), a compiled plan's first step
 //!   scans at least [`PARALLEL_SCAN_THRESHOLD`] tuples, and the branch
 //!   is *pure* (no quantifier or membership test, hence no range,
@@ -74,6 +88,7 @@
 //!   Solver-spawned evaluators are never given workers: inside a solve
 //!   the round's task dispatch is the only parallelism.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use dc_governor::fail::{self, Site};
@@ -86,10 +101,10 @@ use dc_trace::metrics::{Counter, MetricsRegistry};
 use dc_trace::SpanKind;
 
 use crate::access::{AccessCache, DecorrCached};
-use crate::ast::{Branch, Formula, RangeExpr, ScalarExpr, SetFormer, Target, Var};
+use crate::ast::{ArithOp, Branch, CmpOp, Formula, RangeExpr, ScalarExpr, SetFormer, Target, Var};
 use crate::env::{Catalog, MapCatalog};
 use crate::error::EvalError;
-use crate::joinplan::{self, Access, BranchPlan, KeySource, StepRationale};
+use crate::joinplan::{self, Access, BranchPlan, EqAtom, KeySource, StepRationale};
 use crate::plan_event::{DecorrRefusalReason, PlanEvent, QuantDemotionReason};
 use crate::rewrite;
 
@@ -352,11 +367,13 @@ impl<'a> Evaluator<'a> {
     /// Record the access path chosen for one planned branch — once per
     /// distinct branch site, so per-combination re-plans (set-formers
     /// nested under quantifiers) pay a fingerprint lookup, not an
-    /// event build.
+    /// event build. `realised` are the probe atoms compilation kept, so
+    /// demoted keys show in the event's residual.
     fn note_access_path(
         &mut self,
         branch: &Branch,
         plan: &BranchPlan,
+        realised: &[&EqAtom],
         rationale: &[StepRationale],
         schemas: &[&Schema],
         stats: &[RelationStats],
@@ -373,7 +390,8 @@ impl<'a> Evaluator<'a> {
                 Counter::ScanPlans
             });
         }
-        let ev = PlanEvent::access_path_for(branch, plan, rationale, schemas, stats);
+        let ev =
+            PlanEvent::access_path_for(branch, plan, Some(realised), rationale, schemas, stats);
         dc_trace::event(SpanKind::Plan, || (ev.to_string(), Vec::new()));
         self.plan_events.push(ev);
     }
@@ -450,7 +468,7 @@ impl<'a> Evaluator<'a> {
         base: Relation,
         selector: &str,
         args: &[ScalarExpr],
-        bindings: &mut Vec<Binding>,
+        bindings: &[Binding],
     ) -> Result<Relation, EvalError> {
         let def = self.catalog.selector(selector)?.clone();
         if args.len() != def.params.len() {
@@ -508,30 +526,38 @@ impl<'a> Evaluator<'a> {
                 ranges.push(self.eval_range(r, bindings)?);
             }
             let schema = self.branch_schema(branch, &ranges, bindings)?;
-            let out = match &mut result {
-                none @ None => none.insert(Relation::new(schema)),
+            match &mut result {
+                // The first branch's output *is* the result so far.
+                None => {
+                    let mut out = Relation::new(schema);
+                    self.eval_branch(branch, &ranges, bindings, &mut out)?;
+                    result = Some(out);
+                }
+                // Later branches emit under the result's schema into a
+                // relation of their own, so key conflicts with earlier
+                // branches surface at the union, as on every path.
                 Some(rel) => {
                     if !rel.schema().union_compatible(&schema) {
                         return Err(EvalError::Type(dc_value::TypeError::SchemaMismatch {
                             context: "set-former branches are not union-compatible".into(),
                         }));
                     }
-                    rel
+                    let mut scratch = Relation::new(rel.schema().clone());
+                    self.eval_branch(branch, &ranges, bindings, &mut scratch)?;
+                    dc_relation::algebra::union_into(rel, &scratch)?;
                 }
-            };
-            // `out` cannot be borrowed across the recursive loop that
-            // needs `&mut self`; collect into a scratch relation.
-            let mut scratch = Relation::new(out.schema().clone());
-            self.eval_branch(branch, &ranges, bindings, &mut scratch)?;
-            dc_relation::algebra::union_into(out, &scratch)?;
+            }
         }
         // The empty-branches guard above filled `result` on the first
         // iteration; report rather than panic if that ever changes.
         result.ok_or_else(|| EvalError::Other("set former produced no result relation".into()))
     }
 
-    /// Evaluate one branch: index-nested-loop when the predicate offers
-    /// equality atoms, reference nested loops otherwise.
+    /// Evaluate one branch: an index-nested-loop plan when the predicate
+    /// offers equality atoms some probe realises, the declaration-order
+    /// scan plan otherwise — both through the one operator loop
+    /// ([`Evaluator::exec_plan`]) and its compiled leaf. The reference
+    /// nested loops run only under [`Evaluator::force_nested_loop`].
     fn eval_branch(
         &mut self,
         branch: &Branch,
@@ -543,9 +569,12 @@ impl<'a> Evaluator<'a> {
         if ranges.iter().any(Relation::is_empty) && !branch.bindings.is_empty() {
             return Ok(());
         }
-        if !self.nested_loop_only && !branch.bindings.is_empty() {
+        if self.nested_loop_only {
+            return self.loop_branch(branch, ranges, 0, bindings, out);
+        }
+        if !branch.bindings.is_empty() {
             // Cheap AST walk first: atom-free branches go straight to
-            // the reference loop without paying any stats scan.
+            // the scan plan without paying any stats scan.
             let atoms = joinplan::extract_eq_atoms(branch);
             if !atoms.is_empty() {
                 let schemas: Vec<&Schema> = ranges.iter().map(Relation::schema).collect();
@@ -571,37 +600,47 @@ impl<'a> Evaluator<'a> {
                     })
                     .collect();
                 let (plan, rationale) = joinplan::plan_branch_traced(branch, &schemas, &stats);
-                self.note_access_path(branch, &plan, &rationale, &schemas, &stats);
-                if plan.has_probe() {
-                    if let Some(steps) = self.compile_plan(branch, &plan, ranges, bindings)? {
-                        return self.run_plan(branch, &steps, ranges, bindings, out);
-                    }
+                let compiled = self.compile_plan(branch, &plan, ranges, bindings)?;
+                self.note_access_path(
+                    branch,
+                    &plan,
+                    &compiled.realised,
+                    &rationale,
+                    &schemas,
+                    &stats,
+                );
+                if !compiled.realised.is_empty() {
+                    return self.run_plan(branch, &compiled, ranges, bindings, out);
                 }
             }
         }
-        self.loop_branch(branch, ranges, 0, bindings, out)
+        let scans = BranchPlan::all_scans(branch.bindings.len());
+        let compiled = self.compile_plan(branch, &scans, ranges, bindings)?;
+        self.exec_plan(branch, &compiled, ranges, 0, bindings, out)
     }
 
-    /// Lower a logical plan to executable steps: resolve attribute
-    /// positions, evaluate free key sources to values, bind probe
-    /// indexes. Atoms that cannot be realised safely — unknown
+    /// Lower a logical plan to executable steps and leaf: resolve
+    /// attribute positions, evaluate free key sources to values, bind
+    /// probe indexes. Atoms that cannot be realised safely — unknown
     /// attributes, unresolvable parameters/outer variables, or keys
     /// whose base type differs from the probed column (where hash
     /// equality and `=` semantics diverge) — are demoted back to the
-    /// residual predicate. Returns `Ok(None)` when no probe survives;
-    /// the only error channel is index acquisition (a governed abort or
-    /// an injected fault).
-    fn compile_plan(
+    /// residual predicate. The leaf re-checks exactly the conjuncts no
+    /// realised key decides ([`joinplan::residual_conjuncts`]) and
+    /// reads branch-variable attributes, there and in the target, at
+    /// their `(binding slot, column)`. The only error channel is index
+    /// acquisition (a governed abort or an injected fault).
+    fn compile_plan<'b>(
         &mut self,
-        branch: &Branch,
-        plan: &BranchPlan,
+        branch: &'b Branch,
+        plan: &'b BranchPlan,
         ranges: &[Relation],
-        bindings: &Vec<Binding>,
-    ) -> Result<Option<Vec<CompiledStep>>, EvalError> {
+        bindings: &[Binding],
+    ) -> Result<CompiledPlan<'b>, EvalError> {
         let base_slot = bindings.len();
         let mut slot_of = vec![usize::MAX; branch.bindings.len()];
         let mut steps = Vec::with_capacity(plan.steps.len());
-        let mut any_probe = false;
+        let mut realised = Vec::new();
         for (i, step) in plan.steps.iter().enumerate() {
             slot_of[step.position] = base_slot + i;
             let access = match &step.access {
@@ -625,6 +664,7 @@ impl<'a> Evaluator<'a> {
                                 }
                                 positions.push(probed_pos);
                                 keys.push(CompiledKey::Fixed(v));
+                                realised.push(atom);
                             }
                             KeySource::Binding { position, attr } => {
                                 let source_schema = ranges[*position].schema();
@@ -639,13 +679,13 @@ impl<'a> Evaluator<'a> {
                                     slot: slot_of[*position],
                                     attr_pos: source_pos,
                                 });
+                                realised.push(atom);
                             }
                         }
                     }
                     if keys.is_empty() {
                         CompiledAccess::Scan
                     } else {
-                        any_probe = true;
                         let index = self.obtain_index(
                             &branch.bindings[step.position].1,
                             &ranges[step.position],
@@ -660,7 +700,33 @@ impl<'a> Evaluator<'a> {
                 access,
             });
         }
-        Ok(any_probe.then_some(steps))
+        let slots = LeafSlots {
+            branch,
+            slot_of: &slot_of,
+            ranges,
+        };
+        let target = match &branch.target {
+            Target::Var(v) => LeafTarget::Whole(
+                slots
+                    .slot(v)
+                    .ok_or_else(|| EvalError::UnboundVariable(v.clone()))?,
+            ),
+            Target::Tuple(exprs) => {
+                LeafTarget::Tuple(exprs.iter().map(|e| slots.scalar(e)).collect())
+            }
+        };
+        let leaf = CompiledLeaf {
+            residual: joinplan::residual_conjuncts(branch, &realised)
+                .into_iter()
+                .map(|c| slots.formula(c))
+                .collect(),
+            target,
+        };
+        Ok(CompiledPlan {
+            steps,
+            realised,
+            leaf,
+        })
     }
 
     /// Execute a compiled plan into `out`: scan-sharded across the
@@ -670,15 +736,15 @@ impl<'a> Evaluator<'a> {
     fn run_plan(
         &mut self,
         branch: &Branch,
-        steps: &[CompiledStep],
+        plan: &CompiledPlan<'_>,
         ranges: &[Relation],
         bindings: &mut Vec<Binding>,
         out: &mut Relation,
     ) -> Result<(), EvalError> {
-        let Some(frame) = self.shard_frame(branch, steps, ranges) else {
-            return self.exec_plan(branch, steps, ranges, 0, bindings, out);
+        let Some(frame) = self.shard_frame(branch, plan, ranges) else {
+            return self.exec_plan(branch, plan, ranges, 0, bindings, out);
         };
-        match self.exec_sharded(branch, steps, ranges, bindings, frame, out.schema()) {
+        match self.exec_sharded(branch, plan, ranges, bindings, frame, out.schema()) {
             Ok(parts) => {
                 let mut parts = parts?.into_iter();
                 // The merge is serial work: into an empty `out` (the
@@ -700,7 +766,7 @@ impl<'a> Evaluator<'a> {
             // error and propagates.
             Err(dc_exec::ExecError::WorkerPanic { message }) => {
                 self.plan_event(PlanEvent::ParallelDegraded { message });
-                self.exec_plan(branch, steps, ranges, 0, bindings, out)?;
+                self.exec_plan(branch, plan, ranges, 0, bindings, out)?;
                 if let Some(m) = &self.budget {
                     m.note_degraded();
                 }
@@ -727,10 +793,10 @@ impl<'a> Evaluator<'a> {
     fn shard_frame(
         &self,
         branch: &Branch,
-        steps: &[CompiledStep],
+        plan: &CompiledPlan<'_>,
         ranges: &[Relation],
     ) -> Option<FxHashMap<String, Value>> {
-        let first = steps.first()?;
+        let first = plan.steps.first()?;
         if self.threads <= 1
             || !matches!(first.access, CompiledAccess::Scan)
             // Fewer than two tuples cannot make two shards.
@@ -772,14 +838,14 @@ impl<'a> Evaluator<'a> {
     fn exec_sharded(
         &self,
         branch: &Branch,
-        steps: &[CompiledStep],
+        plan: &CompiledPlan<'_>,
         ranges: &[Relation],
         bindings: &[Binding],
         frame: FxHashMap<String, Value>,
         schema: &Schema,
     ) -> Result<Result<Vec<Relation>, EvalError>, dc_exec::ExecError> {
-        let scan = &ranges[steps[0].position];
-        let (var, _) = &branch.bindings[steps[0].position];
+        let scan = &ranges[plan.steps[0].position];
+        let (var, _) = &branch.bindings[plan.steps[0].position];
         let shards = scan.hash_shards(self.threads.min(scan.len()));
         let meter = self.budget.clone();
         dc_exec::run_tasks(&shards, self.threads, |_, shard| {
@@ -802,7 +868,7 @@ impl<'a> Evaluator<'a> {
                         schema: scan.schema().clone(),
                     }),
                 }
-                ev.exec_plan(branch, steps, ranges, 1, &mut local, &mut out)?;
+                ev.exec_plan(branch, plan, ranges, 1, &mut local, &mut out)?;
             }
             Ok(out)
         })
@@ -1458,23 +1524,24 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Run the compiled steps depth-first. Each step reuses one binding
-    /// slot across its whole iteration (one `Var`/`Schema` clone per
-    /// step instead of per combination); probes touch only bucket
-    /// matches.
+    /// Run the compiled steps depth-first, then the compiled leaf
+    /// ([`Evaluator::emit_compiled`]) on every combination they yield.
+    /// Each step reuses one binding slot across its whole iteration (one
+    /// `Var`/`Schema` clone per step instead of per combination); probes
+    /// touch only bucket matches.
     fn exec_plan(
         &mut self,
         branch: &Branch,
-        steps: &[CompiledStep],
+        plan: &CompiledPlan<'_>,
         ranges: &[Relation],
         depth: usize,
         bindings: &mut Vec<Binding>,
         out: &mut Relation,
     ) -> Result<(), EvalError> {
-        if depth == steps.len() {
-            return self.emit_if_selected(branch, bindings, out);
+        if depth == plan.steps.len() {
+            return self.emit_compiled(&plan.leaf, bindings, out);
         }
-        let step = &steps[depth];
+        let step = &plan.steps[depth];
         let (var, _) = &branch.bindings[step.position];
         let rel = &ranges[step.position];
         let slot = bindings.len();
@@ -1492,7 +1559,7 @@ impl<'a> Evaluator<'a> {
                         });
                         pushed = true;
                     }
-                    let r = self.exec_plan(branch, steps, ranges, depth + 1, bindings, out);
+                    let r = self.exec_plan(branch, plan, ranges, depth + 1, bindings, out);
                     if r.is_err() {
                         bindings.truncate(slot);
                         return r;
@@ -1531,7 +1598,7 @@ impl<'a> Evaluator<'a> {
                         });
                         pushed = true;
                     }
-                    let r = self.exec_plan(branch, steps, ranges, depth + 1, bindings, out);
+                    let r = self.exec_plan(branch, plan, ranges, depth + 1, bindings, out);
                     if r.is_err() {
                         bindings.truncate(slot);
                         return r;
@@ -1543,8 +1610,88 @@ impl<'a> Evaluator<'a> {
         Ok(())
     }
 
-    /// Leaf of both executors: check the (full) predicate, then emit the
-    /// target tuple.
+    /// The operator loop's leaf: tick the budget, re-check the residual
+    /// conjuncts in source order (short-circuiting on the first false),
+    /// then emit the target tuple — schema-checked, as on the reference
+    /// path.
+    fn emit_compiled(
+        &mut self,
+        leaf: &CompiledLeaf<'_>,
+        bindings: &mut Vec<Binding>,
+        out: &mut Relation,
+    ) -> Result<(), EvalError> {
+        if let Some(m) = &self.budget {
+            m.tick().map_err(SolveError::from_trip)?;
+        }
+        for conjunct in &leaf.residual {
+            if !self.leaf_formula(conjunct, bindings)? {
+                return Ok(());
+            }
+        }
+        let tuple = match &leaf.target {
+            LeafTarget::Whole(slot) => bindings[*slot].tuple.clone(),
+            LeafTarget::Tuple(exprs) => {
+                let mut fields = Vec::with_capacity(exprs.len());
+                for e in exprs {
+                    fields.push(self.leaf_scalar(e, bindings)?.into_owned());
+                }
+                Tuple::new(fields)
+            }
+        };
+        out.insert(tuple)?;
+        if let Some(m) = &self.budget {
+            m.add_tuples(1).map_err(SolveError::from_trip)?;
+        }
+        Ok(())
+    }
+
+    /// Evaluate a compiled residual conjunct: slot-resolved comparisons
+    /// and connectives here, everything else through
+    /// [`Evaluator::eval_formula`].
+    fn leaf_formula(
+        &mut self,
+        f: &LeafFormula<'_>,
+        bindings: &mut Vec<Binding>,
+    ) -> Result<bool, EvalError> {
+        match f {
+            LeafFormula::Cmp(l, op, r) => {
+                let lv = self.leaf_scalar(l, bindings)?;
+                let rv = self.leaf_scalar(r, bindings)?;
+                compare(&lv, *op, &rv)
+            }
+            LeafFormula::And(a, b) => {
+                Ok(self.leaf_formula(a, bindings)? && self.leaf_formula(b, bindings)?)
+            }
+            LeafFormula::Or(a, b) => {
+                Ok(self.leaf_formula(a, bindings)? || self.leaf_formula(b, bindings)?)
+            }
+            LeafFormula::Not(inner) => Ok(!self.leaf_formula(inner, bindings)?),
+            LeafFormula::Interpreted(f) => self.eval_formula(f, bindings),
+        }
+    }
+
+    /// Evaluate a compiled scalar: a slot-resolved field is borrowed
+    /// straight from its bound tuple, everything else computed as
+    /// [`Evaluator::eval_scalar`] would.
+    fn leaf_scalar<'v>(
+        &mut self,
+        e: &'v LeafScalar<'v>,
+        bindings: &'v [Binding],
+    ) -> Result<Cow<'v, Value>, EvalError> {
+        Ok(match e {
+            LeafScalar::Field { slot, col } => Cow::Borrowed(bindings[*slot].tuple.get(*col)),
+            LeafScalar::Const(v) => Cow::Borrowed(*v),
+            LeafScalar::Arith(l, op, r) => {
+                let lv = self.leaf_scalar(l, bindings)?;
+                let rv = self.leaf_scalar(r, bindings)?;
+                Cow::Owned(arith(&lv, *op, &rv)?)
+            }
+            LeafScalar::Interpreted(e) => Cow::Owned(self.eval_scalar(e, bindings)?),
+        })
+    }
+
+    /// Leaf of the reference nested loops: check the full predicate,
+    /// then emit the target tuple.
     fn emit_if_selected(
         &mut self,
         branch: &Branch,
@@ -1608,7 +1755,7 @@ impl<'a> Evaluator<'a> {
         &mut self,
         branch: &Branch,
         ranges: &[Relation],
-        bindings: &Vec<Binding>,
+        bindings: &[Binding],
     ) -> Result<Schema, EvalError> {
         match &branch.target {
             Target::Var(v) => {
@@ -1640,7 +1787,7 @@ impl<'a> Evaluator<'a> {
         e: &ScalarExpr,
         branch: &Branch,
         ranges: &[Relation],
-        bindings: &Vec<Binding>,
+        bindings: &[Binding],
         i: usize,
     ) -> Result<(String, Domain), EvalError> {
         match e {
@@ -1681,13 +1828,7 @@ impl<'a> Evaluator<'a> {
             Formula::Cmp(l, op, r) => {
                 let lv = self.eval_scalar(l, bindings)?;
                 let rv = self.eval_scalar(r, bindings)?;
-                let ord = lv
-                    .try_cmp(&rv)
-                    .ok_or_else(|| EvalError::CrossTypeComparison {
-                        lhs: lv.to_string(),
-                        rhs: rv.to_string(),
-                    })?;
-                Ok(op.eval(ord))
+                compare(&lv, *op, &rv)
             }
             Formula::And(a, b) => {
                 Ok(self.eval_formula(a, bindings)? && self.eval_formula(b, bindings)?)
@@ -1765,7 +1906,7 @@ impl<'a> Evaluator<'a> {
     pub fn eval_scalar(
         &mut self,
         e: &ScalarExpr,
-        bindings: &Vec<Binding>,
+        bindings: &[Binding],
     ) -> Result<Value, EvalError> {
         match e {
             ScalarExpr::Const(v) => Ok(v.clone()),
@@ -1778,14 +1919,7 @@ impl<'a> Evaluator<'a> {
             ScalarExpr::Arith(l, op, r) => {
                 let lv = self.eval_scalar(l, bindings)?;
                 let rv = self.eval_scalar(r, bindings)?;
-                use crate::ast::ArithOp::*;
-                Ok(match op {
-                    Add => lv.add(&rv)?,
-                    Sub => lv.sub(&rv)?,
-                    Mul => lv.mul(&rv)?,
-                    Div => lv.div(&rv)?,
-                    Mod => lv.rem(&rv)?,
-                })
+                arith(&lv, *op, &rv)
             }
         }
     }
@@ -1861,6 +1995,134 @@ fn element_exprs(branch: &Branch, schemas: &[&Schema]) -> Vec<ScalarExpr> {
         }
         Target::Tuple(exprs) => exprs.clone(),
     }
+}
+
+/// A branch lowered for the operator loop: the steps, the probe atoms
+/// they realised (which decide their conjuncts, so the leaf skips them),
+/// and the leaf itself. Built once per branch evaluation and shared,
+/// read-only, by every scan shard.
+struct CompiledPlan<'b> {
+    steps: Vec<CompiledStep>,
+    realised: Vec<&'b EqAtom>,
+    leaf: CompiledLeaf<'b>,
+}
+
+/// What the operator loop does per surviving combination: re-check the
+/// residual conjuncts, then build the target.
+struct CompiledLeaf<'b> {
+    residual: Vec<LeafFormula<'b>>,
+    target: LeafTarget<'b>,
+}
+
+enum LeafTarget<'b> {
+    /// `Target::Var`: the tuple bound at this slot, whole.
+    Whole(usize),
+    Tuple(Vec<LeafScalar<'b>>),
+}
+
+/// A residual formula with its comparison operands resolved. Connectives
+/// over comparisons compile; everything else — `TRUE`/`FALSE`,
+/// quantifiers, membership tests — is evaluated by the interpreter.
+enum LeafFormula<'b> {
+    Cmp(LeafScalar<'b>, CmpOp, LeafScalar<'b>),
+    And(Box<LeafFormula<'b>>, Box<LeafFormula<'b>>),
+    Or(Box<LeafFormula<'b>>, Box<LeafFormula<'b>>),
+    Not(Box<LeafFormula<'b>>),
+    Interpreted(&'b Formula),
+}
+
+/// A residual or target scalar with branch-variable attributes resolved.
+enum LeafScalar<'b> {
+    /// Column `col` of the tuple bound at stack slot `slot`.
+    Field {
+        slot: usize,
+        col: usize,
+    },
+    Const(&'b Value),
+    Arith(Box<LeafScalar<'b>>, ArithOp, Box<LeafScalar<'b>>),
+    /// Outer-variable attributes, parameters, and attributes missing
+    /// from the range's schema: the interpreter resolves them per row,
+    /// and raises exactly the reference path's errors.
+    Interpreted(&'b ScalarExpr),
+}
+
+/// Where a compiled plan binds each branch variable — the table leaf
+/// compilation resolves `var.attr` against.
+struct LeafSlots<'c> {
+    branch: &'c Branch,
+    /// Binding position → stack slot.
+    slot_of: &'c [usize],
+    ranges: &'c [Relation],
+}
+
+impl LeafSlots<'_> {
+    /// The slot `lookup` would find `var` at during the leaf: among the
+    /// branch bindings so named, the one bound innermost. `None` for an
+    /// outer variable.
+    fn slot(&self, var: &str) -> Option<usize> {
+        self.position(var).map(|p| self.slot_of[p])
+    }
+
+    fn position(&self, var: &str) -> Option<usize> {
+        (0..self.branch.bindings.len())
+            .filter(|&p| self.branch.bindings[p].0 == var)
+            .max_by_key(|&p| self.slot_of[p])
+    }
+
+    fn scalar<'b>(&self, e: &'b ScalarExpr) -> LeafScalar<'b> {
+        match e {
+            ScalarExpr::Const(v) => LeafScalar::Const(v),
+            ScalarExpr::Attr(var, attr) => {
+                let field = self.position(var).and_then(|p| {
+                    let col = self.ranges[p].schema().position(attr).ok()?;
+                    Some(LeafScalar::Field {
+                        slot: self.slot_of[p],
+                        col,
+                    })
+                });
+                field.unwrap_or(LeafScalar::Interpreted(e))
+            }
+            ScalarExpr::Arith(l, op, r) => {
+                LeafScalar::Arith(Box::new(self.scalar(l)), *op, Box::new(self.scalar(r)))
+            }
+            ScalarExpr::Param(_) => LeafScalar::Interpreted(e),
+        }
+    }
+
+    fn formula<'b>(&self, f: &'b Formula) -> LeafFormula<'b> {
+        match f {
+            Formula::Cmp(l, op, r) => LeafFormula::Cmp(self.scalar(l), *op, self.scalar(r)),
+            Formula::And(a, b) => {
+                LeafFormula::And(Box::new(self.formula(a)), Box::new(self.formula(b)))
+            }
+            Formula::Or(a, b) => {
+                LeafFormula::Or(Box::new(self.formula(a)), Box::new(self.formula(b)))
+            }
+            Formula::Not(inner) => LeafFormula::Not(Box::new(self.formula(inner))),
+            _ => LeafFormula::Interpreted(f),
+        }
+    }
+}
+
+/// `lv op rv`, or the reference path's error for a cross-type pair.
+fn compare(lv: &Value, op: CmpOp, rv: &Value) -> Result<bool, EvalError> {
+    let ord = lv
+        .try_cmp(rv)
+        .ok_or_else(|| EvalError::CrossTypeComparison {
+            lhs: lv.to_string(),
+            rhs: rv.to_string(),
+        })?;
+    Ok(op.eval(ord))
+}
+
+fn arith(lv: &Value, op: ArithOp, rv: &Value) -> Result<Value, EvalError> {
+    Ok(match op {
+        ArithOp::Add => lv.add(rv)?,
+        ArithOp::Sub => lv.sub(rv)?,
+        ArithOp::Mul => lv.mul(rv)?,
+        ArithOp::Div => lv.div(rv)?,
+        ArithOp::Mod => lv.rem(rv)?,
+    })
 }
 
 /// An executable plan step: which binding position to enumerate, how.
@@ -3275,6 +3537,66 @@ mod tests {
             assert_eq!(parallel.unwrap(), reference, "{e}");
             assert_eq!(took_pool, *pool, "{e}");
         }
+    }
+
+    /// The residual of the one access path an evaluation of `e` records.
+    fn residual_of(e: &RangeExpr) -> (Result<Relation, EvalError>, String) {
+        let cat = catalog();
+        let mut ev = Evaluator::new(&cat);
+        let out = ev.eval(e);
+        let residuals: Vec<&str> = ev
+            .plan_events()
+            .iter()
+            .filter_map(|ev| match ev {
+                PlanEvent::AccessPath { residual, .. } => Some(residual.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(residuals.len(), 1, "{e}");
+        (out, residuals[0].to_string())
+    }
+
+    #[test]
+    fn closure_branch_residual_is_true() {
+        // The probe decides `f.back = b.front`: nothing is left per row.
+        let (out, residual) = residual_of(&ahead2_expr());
+        assert_eq!(out.unwrap().len(), 5);
+        assert_eq!(residual, "TRUE");
+        let cat = catalog();
+        let mut ev = Evaluator::new(&cat);
+        ev.eval(&ahead2_expr()).unwrap();
+        assert!(ev.plan_events()[0].to_string().contains(" residual TRUE;"));
+    }
+
+    #[test]
+    fn residual_shows_only_the_undecided_conjunct() {
+        let e = set_former(vec![Branch::projecting(
+            vec![attr("x", "front"), attr("y", "back")],
+            vec![("x".into(), rel("Infront")), ("y".into(), rel("Infront"))],
+            eq(attr("x", "back"), attr("y", "front"))
+                .and(ne(attr("x", "front"), attr("y", "back"))),
+        )]);
+        let (out, residual) = residual_of(&e);
+        let reference = Evaluator::new(&catalog())
+            .force_nested_loop()
+            .eval(&e)
+            .unwrap();
+        assert_eq!(out.unwrap(), reference);
+        assert_eq!(residual, "x.front # y.back");
+    }
+
+    #[test]
+    fn cross_type_demoted_key_reappears_in_the_residual() {
+        // `f.front = 1` cannot key a STRING column: the compiled plan
+        // demotes it, and the recorded residual says so.
+        let e = set_former(vec![Branch::projecting(
+            vec![attr("f", "front")],
+            vec![("f".into(), rel("Infront")), ("b".into(), rel("Infront"))],
+            eq(attr("f", "back"), attr("b", "front")).and(eq(attr("f", "front"), cnst(1i64))),
+        )]);
+        let (out, residual) = residual_of(&e);
+        assert!(matches!(out, Err(EvalError::CrossTypeComparison { .. })));
+        assert_eq!(residual, "f.front = 1");
     }
 
     #[test]

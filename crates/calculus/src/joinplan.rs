@@ -30,14 +30,14 @@
 //!   atoms are fully bound by earlier steps (an index probe) over full
 //!   scans.
 //!
-//! The plan is *advisory*: the executor re-evaluates the full predicate
-//! for every surviving combination, so a plan can only skip
-//! combinations that equality atoms already reject — semantics
-//! (including error semantics for the residual) are unchanged. The
-//! executor also *demotes* atoms it cannot realise safely (unknown
-//! parameters, unresolvable outer variables, cross-type keys) back to
-//! the residual, so planning never has to be conservative about
-//! evaluation-time concerns.
+//! A plan only skips combinations that equality atoms already reject:
+//! the executor re-evaluates every conjunct a realised probe key does
+//! not decide (`residual_conjuncts`) on every surviving combination,
+//! so semantics (including error semantics for the residual) are
+//! unchanged. The executor also *demotes* atoms it cannot realise
+//! safely (unknown parameters, unresolvable outer variables, cross-type
+//! keys) back to the residual, so planning never has to be
+//! conservative about evaluation-time concerns.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -186,48 +186,75 @@ pub fn extract_eq_atoms(branch: &Branch) -> Vec<EqAtom> {
     }
     let mut atoms = Vec::new();
     for c in conjuncts(&branch.predicate) {
-        let Formula::Cmp(l, CmpOp::Eq, r) = c else {
-            continue;
-        };
-        let lb = as_branch_attr(l, branch);
-        let rb = as_branch_attr(r, branch);
-        match (lb, rb) {
-            (Some((lp, la)), Some((rp, ra))) if lp != rp => {
-                atoms.push(EqAtom {
-                    position: lp,
-                    attr: la.clone(),
-                    source: KeySource::Binding {
-                        position: rp,
-                        attr: ra.clone(),
-                    },
-                });
-                atoms.push(EqAtom {
-                    position: rp,
-                    attr: ra,
-                    source: KeySource::Binding {
-                        position: lp,
-                        attr: la,
-                    },
-                });
-            }
-            (Some((lp, la)), None) if free_of_branch_vars(r, &branch_vars) => {
-                atoms.push(EqAtom {
-                    position: lp,
-                    attr: la,
-                    source: KeySource::Free(r.clone()),
-                });
-            }
-            (None, Some((rp, ra))) if free_of_branch_vars(l, &branch_vars) => {
-                atoms.push(EqAtom {
-                    position: rp,
-                    attr: ra,
-                    source: KeySource::Free(l.clone()),
-                });
-            }
-            _ => {}
-        }
+        conjunct_atoms(c, branch, &branch_vars, &mut atoms);
     }
     atoms
+}
+
+/// The equality atoms one top-level conjunct contributes (none, one, or
+/// a symmetric binding–binding pair), appended to `atoms`.
+fn conjunct_atoms(c: &Formula, branch: &Branch, branch_vars: &[&Var], atoms: &mut Vec<EqAtom>) {
+    let Formula::Cmp(l, CmpOp::Eq, r) = c else {
+        return;
+    };
+    match (as_branch_attr(l, branch), as_branch_attr(r, branch)) {
+        (Some((lp, la)), Some((rp, ra))) if lp != rp => {
+            atoms.push(EqAtom {
+                position: lp,
+                attr: la.clone(),
+                source: KeySource::Binding {
+                    position: rp,
+                    attr: ra.clone(),
+                },
+            });
+            atoms.push(EqAtom {
+                position: rp,
+                attr: ra,
+                source: KeySource::Binding {
+                    position: lp,
+                    attr: la,
+                },
+            });
+        }
+        (Some((lp, la)), None) if free_of_branch_vars(r, branch_vars) => {
+            atoms.push(EqAtom {
+                position: lp,
+                attr: la,
+                source: KeySource::Free(r.clone()),
+            });
+        }
+        (None, Some((rp, ra))) if free_of_branch_vars(l, branch_vars) => {
+            atoms.push(EqAtom {
+                position: rp,
+                attr: ra,
+                source: KeySource::Free(l.clone()),
+            });
+        }
+        _ => {}
+    }
+}
+
+/// The **residual** of a branch: its predicate's top-level conjuncts,
+/// in source order, minus every conjunct one of the `realised` probe
+/// atoms decides. A probe realises an atom only when the key is safe —
+/// resolved, and of the probed column's base type — so the covered
+/// conjunct holds on every combination the probe yields and can never
+/// raise; dropping it changes neither results nor errors. A demoted
+/// atom is simply not in `realised`, and its conjunct stays.
+///
+/// The one definition of what the executor's leaf re-checks per row
+/// and of what `EXPLAIN` reports as the residual.
+pub(crate) fn residual_conjuncts<'b>(branch: &'b Branch, realised: &[&EqAtom]) -> Vec<&'b Formula> {
+    let branch_vars: Vec<&Var> = branch.bindings.iter().map(|(v, _)| v).collect();
+    let mut atoms = Vec::new();
+    conjuncts(&branch.predicate)
+        .into_iter()
+        .filter(|c| {
+            atoms.clear();
+            conjunct_atoms(c, branch, &branch_vars, &mut atoms);
+            !atoms.iter().any(|a| realised.contains(&a))
+        })
+        .collect()
 }
 
 /// One usable equality atom of a quantified subformula

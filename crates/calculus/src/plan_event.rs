@@ -15,7 +15,7 @@ use dc_index::RelationStats;
 use dc_value::Schema;
 
 use crate::ast::Branch;
-use crate::joinplan::{self, Access, BranchPlan, StepRationale};
+use crate::joinplan::{self, Access, BranchPlan, EqAtom, StepRationale};
 
 /// One step of a chosen branch access path, with the System-R numbers
 /// that ranked it: `estimate = cardinality × selectivity` at the
@@ -99,6 +99,10 @@ pub enum PlanEvent {
     AccessPath {
         /// Steps in execution order with their ordering rationale.
         steps: Vec<AccessStep>,
+        /// The conjuncts the executor's leaf re-checks per combination —
+        /// every top-level conjunct no realised probe key decides,
+        /// rendered in source order and joined by `AND` — or `TRUE`.
+        residual: String,
         /// System-R estimate of rows the whole branch emits.
         estimated_rows: f64,
     },
@@ -139,13 +143,43 @@ impl PlanEvent {
     /// Build the access-path event for one planned branch from the
     /// planner's output — shared by the evaluator's live trace and the
     /// serving layer's static `EXPLAIN` preview of a prepared solve.
+    /// `realised` lists the probe atoms the executor actually keyed on
+    /// (the evaluator passes its compiled plan's, so a demoted key shows
+    /// up in the residual); `None` takes every planned probe atom as
+    /// realised — the static preview's view, which compiles nothing.
     pub fn access_path_for(
         branch: &Branch,
         plan: &BranchPlan,
+        realised: Option<&[&EqAtom]>,
         rationale: &[StepRationale],
         schemas: &[&Schema],
         stats: &[RelationStats],
     ) -> PlanEvent {
+        let planned: Vec<&EqAtom>;
+        let realised = match realised {
+            Some(atoms) => atoms,
+            None => {
+                planned = plan
+                    .steps
+                    .iter()
+                    .flat_map(|s| match &s.access {
+                        Access::Scan => &[][..],
+                        Access::Probe(atoms) => atoms,
+                    })
+                    .collect();
+                &planned
+            }
+        };
+        let residual = joinplan::residual_conjuncts(branch, realised);
+        let residual = if residual.is_empty() {
+            "TRUE".to_string()
+        } else {
+            residual
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+                .join(" AND ")
+        };
         let steps = plan
             .steps
             .iter()
@@ -164,6 +198,7 @@ impl PlanEvent {
             .collect();
         PlanEvent::AccessPath {
             steps,
+            residual,
             estimated_rows: joinplan::estimate_branch_rows(branch, schemas, stats),
         }
     }
@@ -174,6 +209,7 @@ impl fmt::Display for PlanEvent {
         match self {
             PlanEvent::AccessPath {
                 steps,
+                residual,
                 estimated_rows,
             } => {
                 write!(f, "access path:")?;
@@ -196,7 +232,10 @@ impl fmt::Display for PlanEvent {
                         )?;
                     }
                 }
-                write!(f, " branch est={estimated_rows:.0} rows")
+                write!(
+                    f,
+                    " residual {residual}; branch est={estimated_rows:.0} rows"
+                )
             }
             PlanEvent::QuantDemotion {
                 attr,
@@ -388,6 +427,7 @@ mod tests {
             Some(42),
             vec![PlanEvent::AccessPath {
                 steps,
+                residual: "TRUE".to_string(),
                 estimated_rows: 200.0,
             }],
         );

@@ -89,8 +89,7 @@ impl Selector {
             .iter()
             .map(|v| dc_calculus::ast::ScalarExpr::Const(v.clone()))
             .collect();
-        let mut bindings = Vec::new();
-        let kept = ev.apply_selector(source.clone(), &self.def.name, &arg_exprs, &mut bindings)?;
+        let kept = ev.apply_selector(source.clone(), &self.def.name, &arg_exprs, &[])?;
         if kept.len() != source.len() {
             // Find one offending tuple for the error message.
             // `kept` was filtered out of `source` and just compared

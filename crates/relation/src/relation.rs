@@ -37,9 +37,14 @@ impl TupleStore {
 
     /// The set, for mutation: clears the digest and the storage id.
     fn set_mut(&mut self) -> &mut FxHashSet<Tuple> {
+        self.forget();
+        &mut self.set
+    }
+
+    /// Clear the digest and the storage id after the set changed.
+    fn forget(&mut self) {
         self.digest.take();
         self.id.take();
-        &mut self.set
     }
 }
 
@@ -148,10 +153,23 @@ impl Relation {
     /// tuples it constructed itself from already-checked inputs. Still
     /// maintains the key invariant.
     ///
-    /// All checks (duplicate, key conflict) run against the shared
-    /// storage *before* [`Arc::make_mut`], so rejected or no-op inserts
-    /// on a shared relation never trigger a copy.
+    /// Unique storage without a key map — every evaluator output — takes
+    /// one hash: the set's own `insert` decides duplicates, and the
+    /// digest and storage-id memos are cleared only when a tuple was
+    /// actually added, so a duplicate keeps both. Otherwise every check
+    /// (duplicate, key conflict) runs against the shared storage
+    /// *before* [`Arc::make_mut`], so rejected or no-op inserts on a
+    /// shared relation never trigger a copy.
     pub fn insert_unchecked(&mut self, tuple: Tuple) -> Result<bool, RelationError> {
+        if self.key_map.is_none() {
+            if let Some(store) = Arc::get_mut(&mut self.tuples) {
+                let added = store.set.insert(tuple);
+                if added {
+                    store.forget();
+                }
+                return Ok(added);
+            }
+        }
         if self.tuples.set.contains(&tuple) {
             return Ok(false);
         }
@@ -691,6 +709,47 @@ mod tests {
         }
         // n = 0 is clamped to one shard.
         assert_eq!(r.hash_shards(0).len(), 1);
+    }
+
+    #[test]
+    fn duplicate_insert_into_unique_storage_keeps_memos() {
+        let mut r = Relation::from_tuples(infrontrel(), vec![tuple!["a", "b"]]).unwrap();
+        let (id, digest) = (r.storage_id(), r.digest());
+        assert!(!r.insert_unchecked(tuple!["a", "b"]).unwrap());
+        assert_eq!(r.storage_id(), id);
+        assert_eq!(r.cached_digest(), Some(digest));
+    }
+
+    #[test]
+    fn duplicate_insert_into_shared_storage_does_not_detach() {
+        let mut r = Relation::from_tuples(infrontrel(), vec![tuple!["a", "b"]]).unwrap();
+        let snap = r.snapshot_handle();
+        assert!(!r.insert_unchecked(tuple!["a", "b"]).unwrap());
+        assert!(Relation::shares_storage(&r, &snap));
+        assert_eq!(r.storage_id(), snap.storage_id());
+        assert!(r.cached_digest().is_some());
+    }
+
+    #[test]
+    fn new_tuple_clears_the_digest_memo() {
+        let mut r = Relation::from_tuples(infrontrel(), vec![tuple!["a", "b"]]).unwrap();
+        let (id, digest) = (r.storage_id(), r.digest());
+        assert!(r.insert_unchecked(tuple!["b", "c"]).unwrap());
+        assert_eq!(r.cached_digest(), None);
+        assert_ne!(r.storage_id(), id);
+        assert_ne!(r.digest(), digest);
+    }
+
+    #[test]
+    fn key_constrained_insert_unchecked_still_reports_key_violation() {
+        let mut r = Relation::new(keyed());
+        assert!(r.insert_unchecked(tuple!["bolt", 5i64]).unwrap());
+        assert!(matches!(
+            r.insert_unchecked(tuple!["bolt", 9i64]),
+            Err(RelationError::KeyViolation { .. })
+        ));
+        assert!(!r.insert_unchecked(tuple!["bolt", 5i64]).unwrap());
+        assert_eq!(r.len(), 1);
     }
 
     #[test]

@@ -202,6 +202,7 @@ fn explain_solve(
         events.push(PlanEvent::access_path_for(
             branch,
             &plan,
+            None,
             &rationale,
             &schema_refs,
             &stats,

@@ -4,13 +4,13 @@
 
 use proptest::prelude::*;
 
-use dc_calculus::ast::{Branch, CmpOp, Formula, RangeExpr, ScalarExpr};
+use dc_calculus::ast::{Branch, CmpOp, Formula, RangeExpr, ScalarExpr, Target};
 use dc_calculus::builder::*;
 use dc_calculus::env::MapCatalog;
 use dc_calculus::rewrite::to_nnf;
 use dc_calculus::Evaluator;
 use dc_relation::Relation;
-use dc_value::tuple;
+use dc_value::{tuple, Domain, Schema};
 
 /// Formulas over one free variable `r` (edge schema) plus quantified
 /// variables over `Infront`, generated with correct scoping.
@@ -191,6 +191,30 @@ proptest! {
         prop_assert_eq!(planned, reference);
     }
 
+    /// Two-binding join branches: the probe decides `x.back = y.front`,
+    /// the compiled leaf re-checks the generated conjunct `f` through
+    /// (slot, column) reads and the interpreter — sequentially and on
+    /// sharded scans — and must agree with the reference nested loops.
+    #[test]
+    fn join_leaf_agrees_with_nested_loop(
+        base in edges_strategy(),
+        f in formula_strategy(vec!["x".to_string(), "y".to_string()], 3),
+    ) {
+        let cat = MapCatalog::new().with_relation("Infront", base.clone());
+        let query = set_former(vec![Branch::projecting(
+            vec![attr("x", "front"), attr("y", "back")],
+            vec![("x".into(), rel("Infront")), ("y".into(), rel("Infront"))],
+            eq(attr("x", "back"), attr("y", "front")).and(f),
+        )]);
+        let reference = Evaluator::new(&cat).force_nested_loop().eval(&query);
+        prop_assert_eq!(&Evaluator::new(&cat).eval(&query), &reference);
+        let sharded = Evaluator::new(&cat)
+            .with_threads(2)
+            .with_parallel_threshold(1)
+            .eval(&query);
+        prop_assert_eq!(&sharded, &reference);
+    }
+
     /// Parser round-trip: the display form of a generated query parses
     /// back to the identical AST.
     #[test]
@@ -279,4 +303,113 @@ fn application_roundtrip() {
         let again = dc_lang::parser::parse_expr(&e.to_string()).unwrap();
         assert_eq!(again, e);
     }
+}
+
+/// Evaluate `query` over `cat` on the planned path and on the reference
+/// nested loops, and require the same outcome — relation or error.
+fn planned_matches_reference(cat: &MapCatalog, query: &RangeExpr) -> Relation {
+    let planned = Evaluator::new(cat).eval(query);
+    let reference = Evaluator::new(cat).force_nested_loop().eval(query);
+    assert_eq!(planned, reference, "{query}");
+    planned.unwrap_or_else(|e| panic!("{query}: {e}"))
+}
+
+fn chain_catalog() -> MapCatalog {
+    MapCatalog::new().with_relation(
+        "Infront",
+        Relation::from_tuples(
+            dc_workload::graphs::edge_schema(),
+            [("a", "b"), ("b", "c"), ("c", "d"), ("d", "b")].map(|(f, b)| tuple![f, b]),
+        )
+        .unwrap(),
+    )
+}
+
+/// An arithmetic target over INTEGER columns of a probed join.
+#[test]
+fn join_leaf_arithmetic_target() {
+    let nums = Relation::from_tuples(
+        Schema::of(&[("a", Domain::Int), ("b", Domain::Int)]),
+        (0..6i64).map(|i| tuple![i, (i * 3) % 5]),
+    )
+    .unwrap();
+    let cat = MapCatalog::new().with_relation("N", nums);
+    let query = set_former(vec![Branch::projecting(
+        vec![add(attr("x", "a"), mul(attr("y", "b"), cnst(2i64)))],
+        vec![("x".into(), rel("N")), ("y".into(), rel("N"))],
+        eq(attr("x", "b"), attr("y", "a")),
+    )]);
+    assert!(!planned_matches_reference(&cat, &query).is_empty());
+}
+
+/// A `Target::Var` target: the leaf emits the bound tuple whole.
+#[test]
+fn join_leaf_var_target() {
+    let query = set_former(vec![Branch {
+        target: Target::Var("y".into()),
+        bindings: vec![("x".into(), rel("Infront")), ("y".into(), rel("Infront"))],
+        predicate: eq(attr("x", "back"), attr("y", "front"))
+            .and(ne(attr("x", "front"), attr("y", "back"))),
+    }]);
+    assert!(!planned_matches_reference(&chain_catalog(), &query).is_empty());
+}
+
+/// An outer variable's attribute in a correlated nested set-former's
+/// target stays interpreted and resolves against the enclosing binding.
+#[test]
+fn join_leaf_outer_attribute_in_target() {
+    let inner = set_former(vec![Branch::projecting(
+        vec![attr("r", "front"), attr("y", "back")],
+        vec![("x".into(), rel("Infront")), ("y".into(), rel("Infront"))],
+        eq(attr("x", "back"), attr("y", "front")).and(eq(attr("x", "front"), attr("r", "back"))),
+    )]);
+    let query = set_former(vec![Branch::each(
+        "r",
+        rel("Infront"),
+        some("z", inner, ne(attr("z", "back"), attr("r", "front"))),
+    )]);
+    assert!(!planned_matches_reference(&chain_catalog(), &query).is_empty());
+}
+
+/// Duplicate binding names plan no probe: the all-scan plan's leaf must
+/// resolve `x` to the innermost declaration, as name lookup does.
+#[test]
+fn join_leaf_duplicate_binding_names() {
+    let query = set_former(vec![Branch::projecting(
+        vec![attr("x", "front"), attr("x", "back")],
+        vec![("x".into(), rel("Infront")), ("x".into(), rel("Infront"))],
+        ne(attr("x", "front"), cnst("a")),
+    )]);
+    assert_eq!(planned_matches_reference(&chain_catalog(), &query).len(), 3);
+}
+
+/// A cross-type residual conjunct raises the same error on both paths
+/// (exactly one combination survives the join, so the witness agrees).
+#[test]
+fn join_leaf_cross_type_residual_error() {
+    let cat = MapCatalog::new().with_relation(
+        "Infront",
+        Relation::from_tuples(
+            dc_workload::graphs::edge_schema(),
+            vec![tuple!["a", "b"], tuple!["b", "c"]],
+        )
+        .unwrap(),
+    );
+    let query = set_former(vec![Branch::projecting(
+        vec![attr("x", "front")],
+        vec![("x".into(), rel("Infront")), ("y".into(), rel("Infront"))],
+        eq(attr("x", "back"), attr("y", "front")).and(ne(attr("x", "front"), cnst(1i64))),
+    )]);
+    let planned = Evaluator::new(&cat).eval(&query);
+    assert!(
+        matches!(
+            planned,
+            Err(dc_calculus::EvalError::CrossTypeComparison { .. })
+        ),
+        "{planned:?}"
+    );
+    assert_eq!(
+        planned,
+        Evaluator::new(&cat).force_nested_loop().eval(&query)
+    );
 }

@@ -202,6 +202,7 @@ fn database_explain_renders_access_path() {
     let PlanEvent::AccessPath {
         steps,
         estimated_rows,
+        ..
     } = paths[0]
     else {
         unreachable!("access_paths filters on the variant");
@@ -330,6 +331,47 @@ fn prepared_query_explain_covers_both_kinds() {
     );
     // The session's explain agrees with the prepared handle's.
     assert_eq!(session.explain(&q).unwrap().text(), executed.text());
+}
+
+/// The static preview of the `ahead` solve and the live `EXPLAIN` of its
+/// recursive branch report the same residual: the probe decides
+/// `f.back = b.head`, so the leaf re-checks nothing.
+#[test]
+fn solve_preview_and_live_explain_agree_on_the_residual() {
+    let residuals = |expl: &dc_calculus::Explanation| -> Vec<String> {
+        expl.access_paths()
+            .filter_map(|ev| match ev {
+                PlanEvent::AccessPath { residual, .. } => Some(residual.clone()),
+                _ => None,
+            })
+            .collect()
+    };
+    let db = graph_db(1);
+    let live = db
+        .explain(&set_former(vec![Branch::projecting(
+            vec![attr("f", "front"), attr("b", "back")],
+            vec![("f".into(), rel("Infront")), ("b".into(), rel("Infront"))],
+            eq(attr("f", "back"), attr("b", "front")),
+        )]))
+        .unwrap();
+    assert_eq!(residuals(&live), vec!["TRUE"], "{}", live.text());
+    assert!(live.text().contains("residual TRUE;"), "{}", live.text());
+
+    let server = Server::new(db);
+    let preview = server
+        .prepare_solve("Infront", "ahead", &[], vec![])
+        .unwrap()
+        .explain(&server.begin())
+        .unwrap();
+    // One path per constructor branch: `EACH r IN Rel: TRUE`, then the
+    // recursive join.
+    assert_eq!(
+        residuals(&preview),
+        vec!["TRUE", "TRUE"],
+        "{}",
+        preview.text()
+    );
+    assert!(preview.text().contains("probe"), "{}", preview.text());
 }
 
 /// `envcfg::warn_once` routes through the trace sink when a collector
