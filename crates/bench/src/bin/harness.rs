@@ -503,15 +503,15 @@ fn e2b() -> Vec<String> {
     rows_out
 }
 
-/// E2c: decorrelated correlated-quantifier probes vs reference
+/// E2c: unnested correlated-quantifier probes vs reference
 /// per-combination range evaluation — the correlated selector
-/// application `Ontop[on_base(r.back)]` (decorrelated into one indexed
-/// `Ontop` pass + a probe per edge) and the implication-shaped `ALL`
-/// body (`NOT p OR q`, probed through its falsifier after NNF).
+/// application `Ontop[on_base(r.back)]` (unnested into a quantifier
+/// over `Ontop` probed on `base` per edge) and the implication-shaped
+/// `ALL` body (`NOT p OR q`, probed through its falsifier after NNF).
 /// Asserts the ≥3× bound on the largest scene; the measured rows become
 /// the `"e2c"` section of `BENCH_e2.json`.
 fn e2c() -> Vec<String> {
-    println!("E2c decorrelated correlated-quantifier probes vs reference scans");
+    println!("E2c unnested correlated-quantifier probes vs reference scans");
     println!(
         "  scene        infront  ontop  stacked-back  bare-front  probe(ms)  scan(ms)  speedup"
     );
@@ -531,7 +531,7 @@ fn e2c() -> Vec<String> {
         let (imp_scan_len, imp_scan_ms, _) = eval_ms(&db_scan, &imp_q);
         assert_eq!(
             sel_len, sel_scan_len,
-            "decorrelated probes must agree with reference scans ({rows}x{depth})"
+            "unnested probes must agree with reference scans ({rows}x{depth})"
         );
         assert_eq!(
             imp_len, imp_scan_len,
@@ -575,17 +575,17 @@ fn e2c() -> Vec<String> {
     rows_out
 }
 
-/// E2d: multi-binding correlated-join decorrelation vs reference
+/// E2d: multi-binding correlated-join unnesting vs reference
 /// per-combination join evaluation — the quantified range is a **join
-/// view** over two bindings whose joint correlation key spans both
-/// (`a.task = r.task AND s.tool = r.tool`), so the reference path pays
-/// the full `Assign × Skill` product per request while the decorrelated
-/// path materialises `Assign ⋈ Skill` once, buckets it on the joint
-/// key, and probes per request. Asserts the ≥3× bound on the largest
+/// view** over two bindings correlated on both (`a.task = r.task AND
+/// s.tool = r.tool`), so the reference path pays the full
+/// `Assign × Skill` product per request while the unnested path probes
+/// `Assign` on `task` per request and `Skill` on `(worker, tool)` per
+/// assigned worker. Asserts the ≥3× bound on the largest
 /// instance; the measured rows become the `"e2d"` section of
 /// `BENCH_e2.json`.
 fn e2d() -> Vec<String> {
-    println!("E2d multi-binding correlated-join decorrelation vs reference scans");
+    println!("E2d multi-binding correlated-join unnesting vs reference scans");
     println!(
         "  instance     assign  skill  requests  servable  avoids-w0  probe(ms)  scan(ms)  speedup"
     );
@@ -620,11 +620,11 @@ fn e2d() -> Vec<String> {
         let (all_scan_len, all_scan_ms, _) = eval_ms(&db_scan, &all_q);
         assert_eq!(
             some_len, some_scan_len,
-            "joint-key probes must agree with reference scans ({label})"
+            "chained probes must agree with reference scans ({label})"
         );
         assert_eq!(
             all_len, all_scan_len,
-            "universal joint-key probes must agree with reference scans ({label})"
+            "universal chained probes must agree with reference scans ({label})"
         );
         let probe_ms = some_ms + all_ms;
         let scan_ms = some_scan_ms + all_scan_ms;
@@ -666,9 +666,9 @@ fn e2d() -> Vec<String> {
 }
 
 /// Emit `BENCH_e2.json`: one section per quantifier experiment
-/// (`"e2b"` — named-range probes, `"e2c"` — decorrelated correlated
-/// ranges + implication bodies, `"e2d"` — multi-binding correlated
-/// joins on joint keys), next to `BENCH_e1.json`.
+/// (`"e2b"` — named-range probes, `"e2c"` — unnested correlated ranges
+/// and implication bodies, `"e2d"` — unnested multi-binding correlated
+/// joins), next to `BENCH_e1.json`.
 fn write_bench_e2(e2b_rows: &[String], e2c_rows: &[String], e2d_rows: &[String]) {
     let json = format!(
         "{{\n\"e2b\": [\n{}\n],\n\"e2c\": [\n{}\n],\n\"e2d\": [\n{}\n]\n}}\n",

@@ -273,7 +273,7 @@ pub fn front_row_query() -> dc_calculus::RangeExpr {
     )])
 }
 
-/// The correlated-selector workload (E2c, decorrelation tentpole):
+/// The correlated-selector workload (E2c):
 ///
 /// ```text
 /// EACH r IN Infront: SOME t IN Ontop[on_base(r.back)] (TRUE)
@@ -283,8 +283,9 @@ pub fn front_row_query() -> dc_calculus::RangeExpr {
 /// range is a selector application whose actual argument references the
 /// outer variable `r`, so the reference path re-applies the selector
 /// (one full `Ontop` pass) per `Infront` tuple: O(|Infront| × |Ontop|).
-/// The decorrelated path evaluates `Ontop` once, indexes it on `base`,
-/// and decides each edge by probe: O(|Ontop| + |Infront| × matches).
+/// The unnested path decides each edge by `SOME o IN Ontop (o.base =
+/// r.back)`, a probe of one `base` index built once:
+/// O(|Ontop| + |Infront| × matches).
 pub fn stacked_back_query() -> dc_calculus::RangeExpr {
     use dc_calculus::ast::Branch;
     use dc_calculus::builder::*;
@@ -354,8 +355,7 @@ pub fn staffing_db(s: &dc_workload::Staffing) -> Database {
 /// ```
 ///
 /// Two bindings, one local join atom (`a.worker = s.worker`), and
-/// correlation atoms on **both** bindings — the joint key
-/// `(a.task, s.tool)` spans the join.
+/// correlation on **both** bindings (`a.task`, `s.tool`).
 fn qualified_worker_view() -> dc_calculus::RangeExpr {
     use dc_calculus::ast::Branch;
     use dc_calculus::builder::*;
@@ -375,9 +375,9 @@ fn qualified_worker_view() -> dc_calculus::RangeExpr {
 /// ```
 ///
 /// The reference path evaluates the inner join per request —
-/// O(|Requests| × |Assign| × |Skill|); the decorrelated path
-/// materialises `Assign ⋈ Skill` once, buckets it on the joint key,
-/// and probes per request.
+/// O(|Requests| × |Assign| × |Skill|); the unnested path probes
+/// `Assign` on `task` per request and `Skill` on `(worker, tool)` per
+/// assigned worker — O(|Requests| × matches).
 pub fn servable_request_query() -> dc_calculus::RangeExpr {
     use dc_calculus::ast::Branch;
     use dc_calculus::builder::*;

@@ -1,5 +1,5 @@
-//! The one access cache: indexes, statistics, and decorrelated ranges
-//! keyed by the **storage identity** of the relations they describe.
+//! The one access cache: indexes and statistics keyed by the **storage
+//! identity** of the relations they describe.
 //!
 //! §4 of the paper attaches physical access paths to the relation they
 //! index. [`AccessCache`] does the same for every derived structure the
@@ -34,8 +34,8 @@
 //!
 //! The cache is `Send + Sync`; workers of a parallel round insert
 //! straight into the solve's cache. Content is a function of the key
-//! (a relation's storage at one content, plus positions or range
-//! syntax), so when two threads build the same entry the first insert
+//! (a relation's storage at one content, plus positions), so when two
+//! threads build the same entry the first insert
 //! wins and every reader sees the same `Arc` from then on. Locks are
 //! held for map probes and inserts only, never across a build, and
 //! every acquisition tolerates poisoning: a panicking evaluation (fault
@@ -48,25 +48,6 @@ use dc_index::{HashIndex, RelationStats, StatsBuilder};
 use dc_relation::Relation;
 use dc_trace::metrics::{Counter, MetricsRegistry};
 use dc_value::FxHashMap;
-
-use crate::ast::RangeExpr;
-use crate::eval::DecorrEntry;
-
-/// A cached decorrelation decision for one correlated quantified
-/// range. Both outcomes are kept, so a refused rewrite is not
-/// re-analysed per evaluator any more than a built one is
-/// re-materialised.
-#[derive(Clone)]
-pub enum DecorrCached {
-    /// The range decorrelated; the entry holds the materialised join
-    /// bucketed on the joint key.
-    Built(Arc<DecorrEntry>),
-    /// Decorrelation was refused (unsupported shape, unsplittable
-    /// predicate, profitability gate, build error) — the evaluator
-    /// falls back to the reference scan without re-running the
-    /// analysis.
-    Refused,
-}
 
 /// Everything cached about one relation storage.
 #[derive(Clone, Default)]
@@ -89,27 +70,12 @@ impl Slot {
     }
 }
 
-#[derive(Clone, Default)]
-struct Entries {
-    slots: FxHashMap<u64, Slot>,
-    /// Per range syntax: the decision under each list of storage ids
-    /// the range's reads resolved to when it was made.
-    decorr: FxHashMap<RangeExpr, Vec<(Vec<u64>, DecorrCached)>>,
-}
-
-impl Entries {
-    fn retain_decorr(&mut self, keep: impl Fn(&[u64]) -> bool) {
-        self.decorr.retain(|_, decisions| {
-            decisions.retain(|(ids, _)| keep(ids));
-            !decisions.is_empty()
-        });
-    }
-}
+type Slots = FxHashMap<u64, Slot>;
 
 /// Get-or-build cache of access structures keyed by storage identity —
 /// see the [module docs](self).
 pub struct AccessCache {
-    entries: RwLock<Entries>,
+    slots: RwLock<Slots>,
     /// Where hits and misses are counted (the owner's registry).
     metrics: Option<Arc<MetricsRegistry>>,
 }
@@ -118,17 +84,17 @@ impl AccessCache {
     /// An empty cache counting its traffic into `metrics`, if given.
     pub fn new(metrics: Option<Arc<MetricsRegistry>>) -> AccessCache {
         AccessCache {
-            entries: RwLock::default(),
+            slots: RwLock::default(),
             metrics,
         }
     }
 
-    fn read(&self) -> RwLockReadGuard<'_, Entries> {
-        self.entries.read().unwrap_or_else(PoisonError::into_inner)
+    fn read(&self) -> RwLockReadGuard<'_, Slots> {
+        self.slots.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn write(&self) -> RwLockWriteGuard<'_, Entries> {
-        self.entries.write().unwrap_or_else(PoisonError::into_inner)
+    fn write(&self) -> RwLockWriteGuard<'_, Slots> {
+        self.slots.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Count one lookup of a kind: a hit, or the miss that precedes
@@ -149,14 +115,14 @@ impl AccessCache {
         positions: &[usize],
     ) -> Result<Arc<HashIndex>, InjectedFault> {
         let id = rel.storage_id();
-        let hit = self.read().slots.get(&id).and_then(|s| s.index(positions));
+        let hit = self.read().get(&id).and_then(|s| s.index(positions));
         if let Some(idx) = self.count(hit, Counter::WarmIndexHits, Counter::WarmIndexMisses) {
             return Ok(idx);
         }
         fail::check(Site::IndexBuild)?;
         let built = Arc::new(HashIndex::build(rel, positions.to_vec()));
-        let mut entries = self.write();
-        let slot = entries.slots.entry(id).or_default();
+        let mut slots = self.write();
+        let slot = slots.entry(id).or_default();
         Ok(slot.index(positions).unwrap_or_else(|| {
             slot.indexes.push(built.clone());
             built
@@ -166,49 +132,26 @@ impl AccessCache {
     /// Statistics of `rel`, collected on first request.
     pub fn stats(&self, rel: &Relation) -> Arc<RelationStats> {
         let id = rel.storage_id();
-        let hit = self.read().slots.get(&id).and_then(|s| s.stats.clone());
+        let hit = self.read().get(&id).and_then(|s| s.stats.clone());
         if let Some(s) = self.count(hit, Counter::WarmStatsHits, Counter::WarmStatsMisses) {
             return s;
         }
         let collected = Arc::new(RelationStats::collect(rel));
-        let mut entries = self.write();
-        let slot = entries.slots.entry(id).or_default();
+        let mut slots = self.write();
+        let slot = slots.entry(id).or_default();
         slot.stats.get_or_insert(collected).clone()
-    }
-
-    /// The decorrelation decision cached for `range` over relations
-    /// with exactly the storage ids `reads`.
-    pub fn decorr(&self, range: &RangeExpr, reads: &[u64]) -> Option<DecorrCached> {
-        let hit = self.read().decorr.get(range).and_then(|decisions| {
-            let (_, hit) = decisions.iter().find(|(ids, _)| ids == reads)?;
-            Some(hit.clone())
-        });
-        self.count(hit, Counter::WarmDecorrHits, Counter::WarmDecorrMisses)
-    }
-
-    /// Keep a decorrelation decision (the earlier one stays if another
-    /// thread got there first — they are equal).
-    pub fn put_decorr(&self, range: &RangeExpr, reads: Vec<u64>, decision: DecorrCached) {
-        let mut entries = self.write();
-        let decisions = entries.decorr.entry(range.clone()).or_default();
-        if !decisions.iter().any(|(ids, _)| *ids == reads) {
-            decisions.push((reads, decision));
-        }
     }
 
     /// `grown` is the relation that had id `old`, plus exactly the
     /// tuples of `delta` (none of which it held before): move the
     /// entries cached under `old` to `grown`'s id and absorb the delta.
-    /// Decorrelation decisions that read `old` cannot absorb a delta
-    /// and are dropped.
     pub fn advance(&self, old: u64, grown: &Relation, delta: &Relation) {
         let new = grown.storage_id();
         if new == old {
             return;
         }
-        let mut entries = self.write();
-        entries.retain_decorr(|ids| !ids.contains(&old));
-        let Some(mut slot) = entries.slots.remove(&old) else {
+        let mut slots = self.write();
+        let Some(mut slot) = slots.remove(&old) else {
             return;
         };
         for idx in &mut slot.indexes {
@@ -226,29 +169,25 @@ impl AccessCache {
             }
             slot.stats = slot.builder.as_ref().map(|b| Arc::new(b.snapshot()));
         }
-        entries.slots.insert(new, slot);
+        slots.insert(new, slot);
     }
 
     /// Drop everything cached about the storage `id` — the owner's
     /// call when the relation that had this id changed or went away.
     pub fn forget(&self, id: u64) {
-        let mut entries = self.write();
-        entries.slots.remove(&id);
-        entries.retain_decorr(|ids| !ids.contains(&id));
+        self.write().remove(&id);
     }
 
     /// Drop everything *except* what is cached about the storages
     /// `keep` — how a converged solve hands on the structures over its
     /// equation values and nothing else.
     pub fn retain(&self, keep: &[u64]) {
-        let mut entries = self.write();
-        entries.slots.retain(|id, _| keep.contains(id));
-        entries.retain_decorr(|ids| ids.iter().all(|id| keep.contains(id)));
+        self.write().retain(|id, _| keep.contains(id));
     }
 
     /// Number of hash indexes currently cached.
     pub fn index_count(&self) -> usize {
-        self.read().slots.values().map(|s| s.indexes.len()).sum()
+        self.read().values().map(|s| s.indexes.len()).sum()
     }
 }
 
@@ -258,7 +197,7 @@ impl AccessCache {
 impl Clone for AccessCache {
     fn clone(&self) -> AccessCache {
         AccessCache {
-            entries: RwLock::new(self.read().clone()),
+            slots: RwLock::new(self.read().clone()),
             metrics: self.metrics.clone(),
         }
     }
@@ -274,7 +213,6 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::rel;
     use dc_value::{tuple, Domain, Schema};
 
     fn pairs(ts: &[(i64, i64)]) -> Relation {
@@ -348,24 +286,17 @@ mod tests {
     }
 
     #[test]
-    fn forget_and_retain_drop_decorr_entries_that_read_the_id() {
+    fn forget_and_retain_drop_the_entries_of_an_id() {
         let cache = AccessCache::new(None);
         let (a, b) = (pairs(&[(1, 1)]), pairs(&[(2, 2)]));
-        let (ia, ib) = (a.storage_id(), b.storage_id());
-        let range = rel("V");
-        cache.put_decorr(&range, vec![ia], DecorrCached::Refused);
-        cache.put_decorr(&range, vec![ia, ib], DecorrCached::Refused);
         cache.index(&a, &[0]).unwrap();
         cache.index(&b, &[0]).unwrap();
-        // Keys are exact: a subset of the ids is a different entry.
-        assert!(cache.decorr(&range, &[ib]).is_none());
-        assert!(cache.decorr(&range, &[ia, ib]).is_some());
-        cache.forget(ib);
-        assert!(cache.decorr(&range, &[ia, ib]).is_none());
-        assert!(cache.decorr(&range, &[ia]).is_some());
+        cache.stats(&b);
+        cache.forget(b.storage_id());
+        assert_eq!(cache.index_count(), 1);
+        cache.retain(&[a.storage_id()]);
         assert_eq!(cache.index_count(), 1);
         cache.retain(&[]);
-        assert!(cache.decorr(&range, &[ia]).is_none());
         assert_eq!(cache.index_count(), 0);
     }
 
@@ -379,12 +310,10 @@ mod tests {
         cache.stats(&r);
         cache.stats(&r);
         cache.stats(&r);
-        assert!(cache.decorr(&rel("V"), &[]).is_none());
         // A copy counts into the same registry.
         cache.clone().index(&r, &[0]).unwrap();
         let m = metrics.snapshot();
         assert_eq!((m.warm_index_misses, m.warm_index_hits), (1, 2));
         assert_eq!((m.warm_stats_misses, m.warm_stats_hits), (1, 2));
-        assert_eq!((m.warm_decorr_misses, m.warm_decorr_hits), (1, 0));
     }
 }

@@ -36,29 +36,26 @@
 //!   combination rather than O(|R|). `ALL` bodies are probed through
 //!   their **falsifier** where possible (the NNF of the negated body,
 //!   which makes implication-shaped bodies `NOT p OR q` probe-able) and
-//!   through the bucket-covers-range check otherwise. The divergence
-//!   policy above extends unchanged: an error hiding in the body of a
-//!   tuple the equality key already rejects is never raised, because
-//!   that tuple is skipped outright. [`Evaluator::force_nested_loop`]
-//!   disables quantifier probes too.
-//! * **Decorrelated quantifier ranges** — a quantifier over a
-//!   *correlated* range (`SOME x IN {EACH y IN R: y.a = r.b AND …}`,
-//!   a selector application with outer-variable arguments, or a
-//!   multi-binding *join view* whose joint correlation key spans the
-//!   bindings) would re-evaluate the range per outer combination.
-//!   Instead the branch predicate is split into a decorrelated part
-//!   and correlation atoms ([`joinplan::decorrelate_branch`]): the
-//!   decorrelated part (for multiple bindings, an inner join planned
-//!   through [`joinplan::plan_branch`]) is materialised once per
-//!   evaluator (catalogs that offer an [`AccessCache`] share it across
-//!   evaluators, keyed by the storage of the relations it read),
-//!   bucketed on the joint key,
-//!   and each outer combination is decided by probe —
-//!   O(|R ⋈ S| + outer × matches) instead of O(outer × |R×S|). The
-//!   split is exact, so the bucket *is* the range value and the full
-//!   body re-check preserves semantics; every unsafe case falls back to
-//!   the reference scan. Demotions and abandoned rewrites are recorded
-//!   in the planner trace ([`Evaluator::plan_notes`]).
+//!   through the bucket-covers-range check otherwise. A quantifier over
+//!   a *correlated* range — a single-branch set-former or a selector
+//!   application that mentions the enclosing scope, which the
+//!   reference path re-evaluates per outer combination — is first
+//!   unnested by §4's N2/N3 ([`rewrite::unnest_quantifier`]) into
+//!   quantifiers over the range's own binding ranges, which those same
+//!   probes decide; a multi-binding *join view* becomes a chain of
+//!   probes, each level keyed by the conjuncts its variable completes.
+//!   Each quantifier site is planned once per evaluator; demoted probe
+//!   keys and correlated ranges left on the reference scan are
+//!   recorded in the planner trace ([`Evaluator::plan_events`]). The
+//!   divergence policy above extends unchanged: an error hiding in the
+//!   body of a tuple the equality key already rejects is never raised,
+//!   because that tuple is skipped outright — and likewise a
+//!   value-dependent runtime error in a range predicate, or in a later
+//!   binding range, on a tuple the quantifier never needs. Any other
+//!   error of an unnested evaluation sends the site to the reference
+//!   scan, which decides it; governed aborts and injected faults
+//!   propagate. [`Evaluator::force_nested_loop`] disables quantifier
+//!   probes and unnesting too.
 //! * **One operator loop** — every branch outside
 //!   [`Evaluator::force_nested_loop`] runs `exec_plan`: its probe plan
 //!   when some key is realised, the declaration-order all-scan plan
@@ -89,6 +86,7 @@
 //!   the round's task dispatch is the only parallelism.
 
 use std::borrow::Cow;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dc_governor::fail::{self, Site};
@@ -100,24 +98,13 @@ use dc_value::{Attribute, Domain, FxHashMap, FxHashSet, Schema, Tuple, Value};
 use dc_trace::metrics::{Counter, MetricsRegistry};
 use dc_trace::SpanKind;
 
-use crate::access::{AccessCache, DecorrCached};
+use crate::access::AccessCache;
 use crate::ast::{ArithOp, Branch, CmpOp, Formula, RangeExpr, ScalarExpr, SetFormer, Target, Var};
 use crate::env::{Catalog, MapCatalog};
 use crate::error::EvalError;
-use crate::joinplan::{self, Access, BranchPlan, EqAtom, KeySource, StepRationale};
-use crate::plan_event::{DecorrRefusalReason, PlanEvent, QuantDemotionReason};
+use crate::joinplan::{self, Access, BranchPlan, EqAtom, KeySource, QuantMode, StepRationale};
+use crate::plan_event::{PlanEvent, QuantDemotionReason};
 use crate::rewrite;
-
-/// Reserved attribute-name prefix for the joint-key columns of a
-/// materialised decorrelated join. Not expressible in DBPL source, so
-/// it cannot clash with user attribute names.
-const KEY_MARKER: &str = "\u{394}key";
-
-/// Profitability bound for multi-binding decorrelation: the estimated
-/// inner-join cardinality may exceed the summed input cardinalities by
-/// at most this factor, otherwise the rewrite would *materialise* a
-/// blow-up the per-combination scan only ever streams.
-const DECORR_JOIN_BLOWUP: usize = 8;
 
 /// Minimum scan-side cardinality before a branch's scan is sharded
 /// across the worker pool. Below it the whole branch evaluates in tens
@@ -168,16 +155,14 @@ pub struct Evaluator<'a> {
     /// ids are stable) — and over named relations when the catalog
     /// offers no cache of its own.
     private: AccessCache,
-    /// The decorrelation decision this evaluator resolved per
-    /// correlated range — one hash of the range syntax per outer
-    /// combination on the hit path. `None` records a refusal.
-    decorr_seen: FxHashMap<RangeExpr, Option<Arc<DecorrEntry>>>,
-    /// Cache of quantifier probe plans, keyed by (var, existential,
-    /// body syntax): the NNF derivation clones and rewrites the body,
-    /// which must not be paid per outer combination. A linear scan —
-    /// entries are bounded by the query's quantifier sites — so lookups
-    /// allocate nothing.
-    quant_plan_cache: Vec<(Var, bool, Formula, Option<Arc<joinplan::QuantPlan>>)>,
+    /// What each quantifier site decided, planned on its first
+    /// evaluation: unnesting and probe planning clone and rewrite the
+    /// body, which must not be paid per outer combination. A linear
+    /// scan — entries are bounded by the quantifier sites evaluated —
+    /// so lookups allocate nothing.
+    sites: Vec<QuantSite>,
+    /// Fresh-variable counter for unnested ranges.
+    unnested_vars: usize,
     /// Per-plan-depth probe-key buffers, reused across probes.
     probe_scratch: Vec<Vec<Value>>,
     /// Disable the index-nested-loop path (reference semantics).
@@ -192,17 +177,9 @@ pub struct Evaluator<'a> {
     /// the executor leaves (shard workers share it), with emitted
     /// tuples counted against its ceiling.
     budget: Option<Meter>,
-    /// Planner trace notes (demotions, abandoned rewrites), deduplicated.
-    plan_notes: Vec<String>,
-    /// Dedup set for `plan_notes`.
-    noted: FxHashSet<String>,
-    /// Cheap dedup keys (attr, reason kind, site fingerprint) for notes
-    /// emitted on per-combination paths — checked before any string is
-    /// built, so each distinct demotion site is reported exactly once.
-    noted_keys: Vec<(String, u8, u64)>,
-    /// Typed planner trace: every demotion note's [`PlanEvent`] plus
-    /// one access-path event per planned branch site (the latter never
-    /// enter `plan_notes`, which stays a fallback-only trace).
+    /// Typed planner trace: each distinct demotion, refusal, or
+    /// degradation once, plus one access-path event per planned branch
+    /// site.
     plan_events: Vec<PlanEvent>,
     /// Branch fingerprints whose access path was already recorded, so
     /// per-combination re-plans (nested set-formers) report once.
@@ -220,16 +197,13 @@ impl<'a> Evaluator<'a> {
             param_frames: Vec::new(),
             range_cache: FxHashMap::default(),
             private: AccessCache::new(None),
-            decorr_seen: FxHashMap::default(),
-            quant_plan_cache: Vec::new(),
+            sites: Vec::new(),
+            unnested_vars: 0,
             probe_scratch: Vec::new(),
             nested_loop_only: false,
             threads: 1,
             parallel_threshold: PARALLEL_SCAN_THRESHOLD,
             budget: None,
-            plan_notes: Vec::new(),
-            noted: FxHashSet::default(),
-            noted_keys: Vec::new(),
             plan_events: Vec::new(),
             access_sites: Vec::new(),
             metrics: None,
@@ -237,7 +211,7 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Force the reference nested-loop path for every branch (no join
-    /// planning, no index probes, no quantifier decorrelation). Used by
+    /// planning, no index probes, no quantifier unnesting). Used by
     /// differential tests and as the measured pre-optimization baseline.
     pub fn force_nested_loop(mut self) -> Evaluator<'a> {
         self.nested_loop_only = true;
@@ -277,8 +251,8 @@ impl<'a> Evaluator<'a> {
         self.budget.as_ref()
     }
 
-    /// Count planner decisions (probe/scan plans, quantifier probes,
-    /// decorrelation builds and refusals) into `metrics`. The owner —
+    /// Count planner decisions (probe/scan plans, quantifier probes and
+    /// scans) into `metrics`. The owner —
     /// database, solver task, session — threads its registry through
     /// so the counts land in one place regardless of which evaluator
     /// did the planning.
@@ -287,25 +261,10 @@ impl<'a> Evaluator<'a> {
         self
     }
 
-    /// The planner trace: one line per demotion or abandoned rewrite
-    /// (deduplicated), in first-occurrence order. Empty when every
-    /// planned access path was realised as planned.
-    pub fn plan_notes(&self) -> &[String] {
-        &self.plan_notes
-    }
-
-    /// Drain the planner trace — see [`Evaluator::plan_notes`].
-    pub fn take_plan_notes(&mut self) -> Vec<String> {
-        self.noted.clear();
-        self.noted_keys.clear();
-        std::mem::take(&mut self.plan_notes)
-    }
-
-    /// The typed planner trace: every demotion/refusal in
-    /// [`Evaluator::plan_notes`] as a structured [`PlanEvent`], plus
-    /// one [`PlanEvent::AccessPath`] per planned branch site (access
-    /// paths are decisions, not fallbacks, so they do not appear in
-    /// the string notes).
+    /// The typed planner trace, in first-occurrence order: each
+    /// distinct demotion, refusal, or degradation once
+    /// ([`PlanEvent::is_demotion`]), plus one [`PlanEvent::AccessPath`]
+    /// per planned branch site.
     pub fn plan_events(&self) -> &[PlanEvent] {
         &self.plan_events
     }
@@ -316,52 +275,13 @@ impl<'a> Evaluator<'a> {
         std::mem::take(&mut self.plan_events)
     }
 
-    /// Record a demotion/refusal event: deduplicated by rendered
-    /// content (which keys the legacy string notes), mirrored into the
-    /// string trace, and emitted as a `plan` trace event when a trace
-    /// sink is armed.
+    /// Record a demotion/refusal event — once per distinct value — and
+    /// emit it as a `plan` trace event when a trace sink is armed.
     fn plan_event(&mut self, ev: PlanEvent) {
-        let note = ev.to_string();
-        if self.noted.insert(note.clone()) {
-            dc_trace::event(SpanKind::Plan, || (note.clone(), Vec::new()));
-            self.plan_notes.push(note);
+        if !self.plan_events.contains(&ev) {
+            dc_trace::event(SpanKind::Plan, || (ev.to_string(), Vec::new()));
             self.plan_events.push(ev);
         }
-    }
-
-    /// Record a demotion event from a per-combination path: dedup on
-    /// (attr, reason kind, site) *before* building any string, so a
-    /// demotion repeated across thousands of outer combinations costs a
-    /// scan of a tiny vec instead of a format per probe, while distinct
-    /// sites (see [`site_fingerprint`]) still report individually.
-    fn plan_event_keyed(
-        &mut self,
-        attr: &str,
-        reason: QuantDemotionReason,
-        site: u64,
-        make: impl FnOnce() -> PlanEvent,
-    ) {
-        let reason = reason as u8;
-        if self
-            .noted_keys
-            .iter()
-            .any(|(a, r, s)| *r == reason && *s == site && a == attr)
-        {
-            return;
-        }
-        self.noted_keys.push((attr.to_string(), reason, site));
-        self.plan_event(make());
-    }
-
-    /// Record a decorrelation refusal (typed event + metrics counter).
-    fn decorr_refused(&mut self, reason: DecorrRefusalReason, range: &RangeExpr) {
-        if let Some(m) = &self.metrics {
-            m.inc(Counter::DecorrRefusals);
-        }
-        self.plan_event(PlanEvent::DecorrRefusal {
-            reason,
-            range: range.to_string(),
-        });
     }
 
     /// Record the access path chosen for one planned branch — once per
@@ -924,12 +844,162 @@ impl<'a> Evaluator<'a> {
         RelationStats::collect(rel)
     }
 
-    /// Try to decide a quantified subformula through an index existence
-    /// probe instead of a scan. `Ok(None)` means "not probe-able —
-    /// fall back to the reference scan"; `Ok(Some(b))` is the decided
-    /// truth value.
+    /// Decide `SOME`/`ALL var IN range: body`. Outside
+    /// [`Evaluator::force_nested_loop`] the site's plan
+    /// ([`Evaluator::plan_site`]) goes first — the unnested form of a
+    /// correlated range, or an index probe over the range's value — and
+    /// whatever it leaves undecided goes to the reference scan.
+    fn eval_quantifier(
+        &mut self,
+        q: Quantifier<'_>,
+        bindings: &mut Vec<Binding>,
+    ) -> Result<bool, EvalError> {
+        if !self.nested_loop_only {
+            let site = self.quant_site(q);
+            match &*self.sites[site].plan.clone() {
+                SitePlan::Unnested {
+                    formula,
+                    args,
+                    ranges,
+                } => {
+                    if let Some(decided) = self.eval_unnested(formula, args, ranges, bindings)? {
+                        return Ok(decided);
+                    }
+                }
+                SitePlan::Range { probe: Some(probe) } => {
+                    let rel = self.eval_range(q.range, bindings)?;
+                    if let Some(decided) = self.quant_probe(site, probe, q, &rel, bindings)? {
+                        return Ok(decided);
+                    }
+                    return self.decide_over(q, rel.schema(), rel.iter(), bindings);
+                }
+                SitePlan::Range { probe: None } => {}
+            }
+        }
+        let rel = self.eval_range(q.range, bindings)?;
+        self.decide_over(q, rel.schema(), rel.iter(), bindings)
+    }
+
+    /// The memo entry of a quantifier site, planned on first sight.
+    fn quant_site(&mut self, q: Quantifier<'_>) -> usize {
+        let known = self.sites.iter().position(|s| {
+            s.existential == q.existential
+                && s.var == *q.var
+                && s.range == *q.range
+                && s.body == *q.body
+        });
+        known.unwrap_or_else(|| {
+            let plan = Rc::new(self.plan_site(q));
+            self.sites.push(QuantSite {
+                var: q.var.clone(),
+                existential: q.existential,
+                range: q.range.clone(),
+                body: q.body.clone(),
+                plan,
+                index: None,
+                demoted: Vec::new(),
+            });
+            self.sites.len() - 1
+        })
+    }
+
+    /// Plan one quantifier site. A *correlated* range — one that
+    /// mentions the enclosing scope, so the reference path re-evaluates
+    /// it per outer combination — is unnested when it is a single-branch
+    /// set-former or a selector application
+    /// ([`Evaluator::as_correlated_branch`], then
+    /// [`rewrite::unnest_quantifier`] over fresh `Δ`-prefixed variables,
+    /// which the lexer cannot produce); any other correlated range stays
+    /// on the reference scan and says so. Every other range gets its
+    /// index-probe plan ([`joinplan::plan_quant_probe`]).
+    fn plan_site(&mut self, q: Quantifier<'_>) -> SitePlan {
+        if is_binding_free(q.range) {
+            let probe = joinplan::plan_quant_probe(q.var, q.body, q.existential);
+            if let Some(m) = &self.metrics {
+                m.inc(if probe.is_some() {
+                    Counter::QuantProbes
+                } else {
+                    Counter::QuantScans
+                });
+            }
+            return SitePlan::Range { probe };
+        }
+        if let Some((branch, args)) = self.as_correlated_branch(q.range) {
+            let count = &mut self.unnested_vars;
+            let mut fresh = |v: &str| {
+                *count += 1;
+                format!("Δ{count}_{v}")
+            };
+            if let Some(formula) =
+                rewrite::unnest_quantifier(q.var, &branch, q.body, q.existential, &mut fresh)
+            {
+                // The first binding range opens the unnested formula;
+                // the later ones it may never reach.
+                let ranges = branch.bindings[1..]
+                    .iter()
+                    .map(|(_, r)| r)
+                    .filter(|r| is_binding_free(r))
+                    .cloned()
+                    .collect();
+                return SitePlan::Unnested {
+                    formula,
+                    args,
+                    ranges,
+                };
+            }
+        }
+        self.plan_event(PlanEvent::QuantDemotion {
+            attr: String::new(),
+            reason: QuantDemotionReason::NotUnnested,
+            range: q.range.to_string(),
+            key: String::new(),
+        });
+        SitePlan::Range { probe: None }
+    }
+
+    /// Decide an unnested site. First replay what the reference path
+    /// checks and the unnested formula may skip: each selector argument
+    /// against its parameter domain, and the evaluation of each later
+    /// binding-free binding range. `None` leaves the site to the
+    /// reference scan — after a failed check, or an error of the
+    /// unnested evaluation, which the scan then raises (or not) exactly
+    /// as the reference does. Governed aborts and injected faults are
+    /// not evaluation outcomes the scan could reproduce: they propagate.
+    fn eval_unnested(
+        &mut self,
+        formula: &Formula,
+        args: &[(ScalarExpr, Domain)],
+        ranges: &[RangeExpr],
+        bindings: &mut Vec<Binding>,
+    ) -> Result<Option<bool>, EvalError> {
+        for (arg, domain) in args {
+            match self.eval_scalar(arg, bindings) {
+                Ok(v) if domain.check(&v).is_ok() => {}
+                _ => return Ok(None),
+            }
+        }
+        let depth = bindings.len();
+        let decided = (|| {
+            for range in ranges {
+                self.eval_range(range, bindings)?;
+            }
+            self.eval_formula(formula, bindings)
+        })();
+        match decided {
+            Ok(decided) => Ok(Some(decided)),
+            Err(e @ (EvalError::Solve(_) | EvalError::FaultInjected { .. })) => Err(e),
+            Err(_) => {
+                bindings.truncate(depth);
+                Ok(None)
+            }
+        }
+    }
+
+    /// Try to decide a quantifier through an index existence probe
+    /// instead of a scan. `Ok(None)` means "not probe-able — fall back
+    /// to the reference scan"; `Ok(Some(b))` is the decided truth value.
     ///
-    /// The probe follows a [`joinplan::plan_quant_probe`] plan:
+    /// The probe follows the site's [`joinplan::plan_quant_probe`] plan:
     ///
     /// * [`QuantMode::Witness`] (`SOME`) — every body witness satisfies
     ///   the atoms, so the residual pass touches bucket matches instead
@@ -945,537 +1015,142 @@ impl<'a> Evaluator<'a> {
     ///
     /// Demotion rules mirror [`Evaluator::compile_plan`]: keys that are
     /// unresolvable or whose base type differs from the probed column
-    /// drop out (leaving a planner trace note), and if none survive the
+    /// drop out (leaving a planner trace event), and if none survive the
     /// scan fallback reproduces reference semantics (including error
     /// semantics) exactly. Probes are only attempted where the index
     /// amortises ([`Evaluator::amortises`]); a throwaway index per
-    /// evaluation would cost the same pass as the scan it replaces.
-    /// Correlated ranges are handled before this probe by
-    /// [`Evaluator::quant_decorrelate`].
+    /// evaluation would cost the same pass as the scan it replaces. The
+    /// site keeps the index it probed, with the storage id of the
+    /// relation it describes, so later outer combinations reuse it
+    /// without touching the access cache.
     fn quant_probe(
         &mut self,
-        var: &Var,
-        range: &RangeExpr,
+        site: usize,
+        plan: &joinplan::QuantPlan,
+        q: Quantifier<'_>,
         rel: &Relation,
-        body: &Formula,
         bindings: &mut Vec<Binding>,
-        existential: bool,
     ) -> Result<Option<bool>, EvalError> {
-        use joinplan::QuantMode;
-        if self.nested_loop_only || rel.is_empty() {
+        if rel.is_empty() || !self.amortises(q.range) {
             return Ok(None);
         }
-        if !self.amortises(range) {
-            return Ok(None);
-        }
-        let Some(plan) = self.quant_plan(var, body, existential) else {
-            return Ok(None);
-        };
         let schema = rel.schema();
         let mut positions = Vec::with_capacity(plan.atoms.len());
         let mut key = Vec::with_capacity(plan.atoms.len());
-        for atom in &plan.atoms {
-            let Ok(pos) = schema.position(&atom.attr) else {
+        for (i, atom) in plan.atoms.iter().enumerate() {
+            let reason = match schema.position(&atom.attr) {
                 // E.g. the range is a selector/set-former view that no
                 // longer carries the referenced field.
-                self.plan_event_keyed(
-                    &atom.attr,
-                    QuantDemotionReason::AttrNotInSchema,
-                    site_fingerprint(range),
-                    || PlanEvent::QuantDemotion {
-                        attr: atom.attr.clone(),
-                        reason: QuantDemotionReason::AttrNotInSchema,
-                        range: range.to_string(),
-                        key: String::new(),
-                    },
-                );
-                continue;
+                Err(_) => QuantDemotionReason::AttrNotInSchema,
+                Ok(pos) => match self.eval_scalar(&atom.key, bindings) {
+                    Err(_) => QuantDemotionReason::KeyUnresolvable,
+                    Ok(v) if value_domain(&v) != schema.domain(pos).base() => {
+                        QuantDemotionReason::KeyTypeMismatch
+                    }
+                    Ok(v) => {
+                        positions.push(pos);
+                        key.push(v);
+                        continue;
+                    }
+                },
             };
-            let Ok(v) = self.eval_scalar(&atom.key, bindings) else {
-                self.plan_event_keyed(
-                    &atom.attr,
-                    QuantDemotionReason::KeyUnresolvable,
-                    site_fingerprint(range),
-                    || PlanEvent::QuantDemotion {
-                        attr: atom.attr.clone(),
-                        reason: QuantDemotionReason::KeyUnresolvable,
-                        range: range.to_string(),
-                        key: atom.key.to_string(),
-                    },
-                );
-                continue;
-            };
-            if value_domain(&v) != schema.domain(pos).base() {
-                self.plan_event_keyed(
-                    &atom.attr,
-                    QuantDemotionReason::KeyTypeMismatch,
-                    site_fingerprint(range),
-                    || PlanEvent::QuantDemotion {
-                        attr: atom.attr.clone(),
-                        reason: QuantDemotionReason::KeyTypeMismatch,
-                        range: range.to_string(),
-                        key: String::new(),
-                    },
-                );
-                continue;
-            }
-            positions.push(pos);
-            key.push(v);
+            self.note_demotion(site, i, atom, q.range, reason);
         }
         if positions.is_empty() {
             return Ok(None);
         }
-        let index = self.obtain_index(range, rel, &positions)?;
+        let id = rel.storage_id();
+        let index = match self.sites[site].index.take() {
+            Some((built_over, index)) if built_over == id && index.positions() == positions => {
+                index
+            }
+            _ => self.obtain_index(q.range, rel, &positions)?,
+        };
         let hits = index.probe_slice(&key);
-        if plan.mode == QuantMode::Covering && hits.len() != rel.len() {
-            return Ok(Some(false));
-        }
-        self.decide_over_bucket(var, rel.schema(), body, hits, bindings, existential)
-            .map(Some)
+        let decided = if plan.mode == QuantMode::Covering && hits.len() != rel.len() {
+            Ok(false)
+        } else {
+            self.decide_over(q, schema, hits, bindings)
+        };
+        self.sites[site].index = Some((id, index));
+        decided.map(Some)
     }
 
-    /// Plan (or fetch the cached plan for) a quantifier probe — see
-    /// [`joinplan::plan_quant_probe`]. The NNF pre-pass clones and
-    /// rewrites the body, so plans are derived once per quantifier site
-    /// and shared across all outer combinations.
-    fn quant_plan(
+    /// Record a demoted probe key once per site, atom and reason —
+    /// checked before anything is rendered, since the demotion may
+    /// repeat for every outer combination.
+    fn note_demotion(
         &mut self,
-        var: &Var,
-        body: &Formula,
-        existential: bool,
-    ) -> Option<Arc<joinplan::QuantPlan>> {
-        if let Some((_, _, _, plan)) = self
-            .quant_plan_cache
-            .iter()
-            .find(|(v, e, b, _)| *e == existential && v == var && b == body)
-        {
-            return plan.clone();
+        site: usize,
+        atom_at: usize,
+        atom: &joinplan::QuantAtom,
+        range: &RangeExpr,
+        reason: QuantDemotionReason,
+    ) {
+        let demoted = &mut self.sites[site].demoted;
+        if demoted.contains(&(atom_at, reason)) {
+            return;
         }
-        let plan = joinplan::plan_quant_probe(var, body, existential).map(Arc::new);
-        // Counted here, once per quantifier site (the plan-cache fill),
-        // not per outer combination.
-        if let Some(m) = &self.metrics {
-            m.inc(if plan.is_some() {
-                Counter::QuantProbes
-            } else {
-                Counter::QuantScans
-            });
-        }
-        self.quant_plan_cache
-            .push((var.clone(), existential, body.clone(), plan.clone()));
-        plan
+        demoted.push((atom_at, reason));
+        let (range, key) = match reason {
+            QuantDemotionReason::AttrNotInSchema => (range.to_string(), String::new()),
+            QuantDemotionReason::KeyUnresolvable => (String::new(), atom.key.to_string()),
+            _ => (String::new(), String::new()),
+        };
+        self.plan_event(PlanEvent::QuantDemotion {
+            attr: atom.attr.clone(),
+            reason,
+            range,
+            key,
+        });
     }
 
-    /// Shared residual pass of both quantifier probe paths: evaluate the
-    /// **full** body over the bucket's tuples (reusing one binding slot)
-    /// and decide the quantifier — a body witness decides `SOME`, a body
-    /// falsifier decides `ALL`, an exhausted bucket decides the dual.
-    fn decide_over_bucket<'t>(
+    /// The body over `tuples`, with the quantified variable bound to
+    /// each in turn (reusing one binding slot): a body witness decides
+    /// `SOME`, a body falsifier decides `ALL`, exhaustion decides the
+    /// dual. The reference scan, and the residual pass of every probe.
+    fn decide_over<'t>(
         &mut self,
-        var: &Var,
+        q: Quantifier<'_>,
         schema: &Schema,
-        body: &Formula,
-        hits: impl IntoIterator<Item = &'t Tuple>,
+        tuples: impl IntoIterator<Item = &'t Tuple>,
         bindings: &mut Vec<Binding>,
-        existential: bool,
     ) -> Result<bool, EvalError> {
         let slot = bindings.len();
         let mut pushed = false;
-        for t in hits {
+        for t in tuples {
             if pushed {
                 bindings[slot].tuple = t.clone();
             } else {
                 bindings.push(Binding {
-                    var: var.clone(),
+                    var: q.var.clone(),
                     tuple: t.clone(),
                     schema: schema.clone(),
                 });
                 pushed = true;
             }
-            let r = self.eval_formula(body, bindings);
-            match r {
+            match self.eval_formula(q.body, bindings) {
                 Err(e) => {
                     bindings.truncate(slot);
                     return Err(e);
                 }
-                Ok(b) if b == existential => {
+                Ok(b) if b == q.existential => {
                     bindings.truncate(slot);
-                    return Ok(existential);
+                    return Ok(q.existential);
                 }
                 Ok(_) => {}
             }
         }
         bindings.truncate(slot);
-        Ok(!existential)
+        Ok(!q.existential)
     }
 
-    /// Try to decide a quantifier over a **correlated** range through a
-    /// decorrelated index probe. `Ok(None)` means "not decorrelatable —
-    /// fall back to range evaluation + scan".
-    ///
-    /// A correlated quantified range — `SOME x IN {EACH y IN R:
-    /// y.a = r.b AND local(y)} (body)`, the equivalent selector
-    /// application `R[s(r.b)]`, or a correlated *join view*
-    /// `{<a.w> OF EACH a IN R, s IN S: a.w = s.w AND a.t = r.t AND
-    /// s.l = r.l}` — is re-evaluated from scratch for every outer
-    /// combination by the reference path: O(outer × |R×S|). This path
-    /// splits the branch predicate with
-    /// [`joinplan::decorrelate_branch`], materialises the decorrelated
-    /// part (the inner join of the binding ranges filtered by the local
-    /// residual, executed through the ordinary [`joinplan::plan_branch`]
-    /// index-nested-loop machinery) **once**, buckets it on the **joint
-    /// key** of correlation columns, and decides each outer combination
-    /// by probing: O(|R ⋈ S| + outer × matches), magic-set style.
-    /// Catalogs that offer an [`AccessCache`] share the built entry
-    /// across evaluators ([`Evaluator::resolve_decorr`]).
-    ///
-    /// Because the split is exact (`pred ≡ residual ∧ atoms`), the
-    /// probed bucket *is* the correlated range's value for that outer
-    /// combination, so the quantifier is decided by evaluating the full
-    /// body over the bucket — no covering check, no predicate re-check.
-    /// Every safety hole falls back to the reference scan, which
-    /// reproduces reference error semantics: unresolvable or
-    /// type-mismatched keys, selector arity/domain violations, and any
-    /// error raised while building the decorrelated part (the reference
-    /// path's short-circuits might never reach that error, so the
-    /// rewrite is abandoned rather than risk raising it spuriously).
-    fn quant_decorrelate(
-        &mut self,
-        var: &Var,
-        range: &RangeExpr,
-        body: &Formula,
-        bindings: &mut Vec<Binding>,
-        existential: bool,
-    ) -> Result<Option<bool>, EvalError> {
-        if self.nested_loop_only {
-            return Ok(None);
-        }
-        // Binding-free ranges are served by the evaluator-lifetime range
-        // cache plus `quant_probe`; only correlated ranges benefit here.
-        if matches!(range, RangeExpr::Rel(_)) || is_binding_free(range) {
-            return Ok(None);
-        }
-        // One hash of the range syntax per combination on the hit path.
-        let cached = match self.decorr_seen.get(range) {
-            Some(entry) => entry.clone(),
-            None => {
-                let entry = self.resolve_decorr(range)?;
-                self.decorr_seen.insert(range.clone(), entry.clone());
-                entry
-            }
-        };
-        let Some(entry) = cached else {
-            return Ok(None);
-        };
-        // Selector-application ranges: reproduce the reference path's
-        // per-application arity/domain checks — on violation the scan
-        // fallback raises the reference error.
-        let mut arg_vals = Vec::with_capacity(entry.arg_checks.len());
-        for (arg, dom) in &entry.arg_checks {
-            let Ok(v) = self.eval_scalar(arg, bindings) else {
-                return Ok(None);
-            };
-            if dom.check(&v).is_err() {
-                return Ok(None);
-            }
-            arg_vals.push(v);
-        }
-        // Assemble the joint probe key from the enclosing scope (reusing
-        // the values already computed for the domain checks).
-        // Unresolvable or cross-type keys fall back to the scan for this
-        // combination, which reproduces reference semantics exactly.
-        let mut key = Vec::with_capacity(entry.keys.len());
-        for ((expr, dom), arg_idx) in entry
-            .keys
-            .iter()
-            .zip(&entry.key_domains)
-            .zip(&entry.key_arg)
-        {
-            let v = match arg_idx {
-                Some(i) => arg_vals[*i].clone(),
-                None => {
-                    let Ok(v) = self.eval_scalar(expr, bindings) else {
-                        return Ok(None);
-                    };
-                    v
-                }
-            };
-            if value_domain(&v) != *dom {
-                return Ok(None);
-            }
-            key.push(v);
-        }
-        // The bucket *is* the correlated range's value for this outer
-        // combination (the split is exact) — decide over it directly.
-        match entry.buckets.get(key.as_slice()) {
-            Some(bucket) => self
-                .decide_over_bucket(
-                    var,
-                    &entry.element_schema,
-                    body,
-                    bucket.iter(),
-                    bindings,
-                    existential,
-                )
-                .map(Some),
-            // Empty bucket: the correlated range is empty for this
-            // combination — SOME is false, ALL vacuously true.
-            None => Ok(Some(!existential)),
-        }
-    }
-
-    /// The decorrelation decision for `range`, through the catalog's
-    /// [`AccessCache`] when it offers one: the entry is keyed by the
-    /// range syntax plus the storage ids of every relation the range
-    /// reads, so it serves later evaluators — other queries, sibling
-    /// sessions, later rounds of a solve — for exactly as long as those
-    /// relations are the ones being read. A range whose reads cannot be
-    /// resolved (it applies a constructor, or names something the
-    /// catalog does not know) is decided for this evaluator only.
-    fn resolve_decorr(&mut self, range: &RangeExpr) -> Result<Option<Arc<DecorrEntry>>, EvalError> {
-        let shared = self.catalog.access().zip(self.decorr_reads(range));
-        if let Some((cache, reads)) = &shared {
-            match cache.decorr(range, reads) {
-                Some(DecorrCached::Built(e)) => return Ok(Some(e)),
-                Some(DecorrCached::Refused) => {
-                    // The building evaluator recorded *why* it refused;
-                    // this one would otherwise scan silently.
-                    self.plan_event(PlanEvent::DecorrRefusal {
-                        reason: DecorrRefusalReason::CachedRefusal,
-                        range: range.to_string(),
-                    });
-                    return Ok(None);
-                }
-                None => {}
-            }
-        }
-        let built = self.build_decorr_entry(range)?;
-        if let Some((cache, reads)) = shared {
-            let decision = match &built {
-                Some(e) => DecorrCached::Built(e.clone()),
-                None => DecorrCached::Refused,
-            };
-            cache.put_decorr(range, reads, decision);
-        }
-        Ok(built)
-    }
-
-    /// Storage ids of every relation `range` reads — its relation
-    /// names and those of the selector predicates it applies,
-    /// transitively ([`joinplan::base_relations`]) — resolved through
-    /// the catalog, in name order. `None` when the profile is
-    /// unresolved.
-    fn decorr_reads(&self, range: &RangeExpr) -> Option<Vec<u64>> {
-        let profile = joinplan::base_relations(range, &SelectorsOf(self.catalog));
-        if profile.unresolved {
-            return None;
-        }
-        profile
-            .reads
-            .iter()
-            .map(|n| Some(self.catalog.relation(n).ok()?.storage_id()))
-            .collect()
-    }
-
-    /// Analyse and materialise the decorrelated form of a correlated
-    /// quantified range — the once-per-range half of
-    /// [`Evaluator::quant_decorrelate`]. Returns `Ok(None)` (with a
-    /// planner trace note) when the range cannot be decorrelated
-    /// safely or profitably; the caller caches the decision either way.
-    fn build_decorr_entry(
-        &mut self,
-        range: &RangeExpr,
-    ) -> Result<Option<Arc<DecorrEntry>>, EvalError> {
-        fail::check(Site::DecorrBuild)?;
-        let mut span = dc_trace::span(SpanKind::DecorrBuild);
-        if span.recording() {
-            span.field_with("range", || range.to_string());
-        }
-        let Some((branch, arg_checks)) = self.as_correlated_branch(range) else {
-            self.decorr_refused(DecorrRefusalReason::UnsupportedShape, range);
-            return Ok(None);
-        };
-        if branch.bindings.iter().any(|(_, r)| !is_binding_free(r)) {
-            self.decorr_refused(DecorrRefusalReason::InnerCorrelated, range);
-            return Ok(None);
-        }
-        let Some(split) = joinplan::decorrelate_branch(&branch) else {
-            self.decorr_refused(DecorrRefusalReason::NotSplittable, range);
-            return Ok(None);
-        };
-        // Evaluate the binding ranges (binding-free, so the reference
-        // path evaluates the same expressions — its errors propagate).
-        let mut scope: Vec<Binding> = Vec::new();
-        let mut ranges = Vec::with_capacity(branch.bindings.len());
-        for (_, r) in &branch.bindings {
-            ranges.push(self.eval_range(r, &mut scope)?);
-        }
-        let element_schema = self.branch_schema(&branch, &ranges, &scope)?;
-        // Resolve the joint-key columns. An unresolvable attribute —
-        // e.g. a field referenced through a nested selector view that
-        // does not carry it — demotes the atom (and with it the whole
-        // rewrite, since correlation atoms cannot join the local
-        // residual) back to the reference scan, with a trace note
-        // instead of the former silent skip.
-        let mut key_cols = Vec::with_capacity(split.atoms.len());
-        let mut key_domains = Vec::with_capacity(split.atoms.len());
-        let mut keys = Vec::with_capacity(split.atoms.len());
-        for atom in &split.atoms {
-            let schema = ranges[atom.position].schema();
-            match schema.position(&atom.attr) {
-                Ok(p) => {
-                    key_cols.push((atom.position, p));
-                    key_domains.push(schema.domain(p).base());
-                    keys.push(atom.key.clone());
-                }
-                Err(_) => {
-                    self.decorr_refused(
-                        DecorrRefusalReason::AttrNotInSchema {
-                            attr: atom.attr.clone(),
-                        },
-                        range,
-                    );
-                    return Ok(None);
-                }
-            }
-        }
-        // Statistics-based go/no-go: the decorrelated pass costs one
-        // sweep over the inner join (amortised over all outer
-        // combinations), but the probe only beats the per-combination
-        // scan when the correlation columns actually narrow the bucket.
-        let stats: Vec<RelationStats> = branch
-            .bindings
-            .iter()
-            .zip(&ranges)
-            .map(|((_, r), rel)| self.range_stats(r, rel))
-            .collect();
-        let selectivity: f64 = key_cols
-            .iter()
-            .map(|&(b, p)| stats[b].eq_selectivity(p))
-            .product();
-        if ranges.iter().any(|r| !r.is_empty()) && selectivity >= 1.0 {
-            self.decorr_refused(DecorrRefusalReason::NotSelective, range);
-            return Ok(None);
-        }
-        // Synthetic inner-join branch: the original bindings, the local
-        // residual as predicate, and a target prefixed with the joint-
-        // key columns — compiled through the ordinary `plan_branch`
-        // machinery, so cross-binding residual atoms execute as an
-        // index-nested-loop join rather than a filtered cross product.
-        let schemas: Vec<&Schema> = ranges.iter().map(Relation::schema).collect();
-        let synth = Branch {
-            target: Target::Tuple(
-                split
-                    .atoms
-                    .iter()
-                    .map(|a| {
-                        ScalarExpr::Attr(branch.bindings[a.position].0.clone(), a.attr.clone())
-                    })
-                    .chain(element_exprs(&branch, &schemas))
-                    .collect(),
-            ),
-            bindings: branch.bindings.clone(),
-            predicate: split.residual.clone(),
-        };
-        // Multi-binding profitability: materialising the join is only
-        // worth one pass when the residual's equality atoms keep it
-        // near-linear in its inputs. A blown-up estimate (e.g. a joint
-        // key over an unconstrained cross product) stays on the
-        // per-combination scan, which at least never *builds* the
-        // product.
-        if branch.bindings.len() > 1 {
-            let est = joinplan::estimate_branch_rows(&synth, &schemas, &stats);
-            let total: usize = ranges.iter().map(Relation::len).sum();
-            if est > (DECORR_JOIN_BLOWUP * (total + 1)) as f64 {
-                self.decorr_refused(
-                    DecorrRefusalReason::JoinTooLarge {
-                        estimated_rows: est,
-                    },
-                    range,
-                );
-                return Ok(None);
-            }
-        }
-        // Combined schema: reserved joint-key columns (not expressible
-        // in source syntax, so they cannot clash) followed by the
-        // element tuple's own attributes.
-        let mut combined_attrs: Vec<Attribute> = key_cols
-            .iter()
-            .enumerate()
-            .map(|(i, &(b, p))| {
-                Attribute::new(
-                    format!("{KEY_MARKER}{i}"),
-                    ranges[b].schema().domain(p).clone(),
-                )
-            })
-            .collect();
-        combined_attrs.extend(element_schema.attributes().iter().cloned());
-        let mut combined = Relation::new(Schema::new(combined_attrs));
-        // Materialise the decorrelated join, one pass. The reference
-        // path's short-circuits might never evaluate the residual (or
-        // target) on some combinations, so an error here must not
-        // surface — abandon the rewrite and let the scan decide.
-        let mut inner: Vec<Binding> = Vec::new();
-        if let Err(e) = self.eval_branch(&synth, &ranges, &mut inner, &mut combined) {
-            // Governed aborts and injected faults are not evaluation
-            // outcomes the scan could reproduce — they must propagate,
-            // not demote the rewrite.
-            if matches!(e, EvalError::Solve(_) | EvalError::FaultInjected { .. }) {
-                return Err(e);
-            }
-            self.decorr_refused(DecorrRefusalReason::ResidualError, range);
-            return Ok(None);
-        }
-        // Bucket the join on the joint key: key values → element set.
-        let k = keys.len();
-        let mut buckets: FxHashMap<Vec<Value>, Relation> = FxHashMap::default();
-        for t in combined.iter() {
-            // The bucket pass re-materialises every joined tuple, and —
-            // unlike the probe-side output — used to run unmetered:
-            // a decorrelated build dispatched on a worker thread could
-            // blow straight through a tuple ceiling. Tick and count the
-            // build tuples against the same shared meter.
-            if let Some(m) = &self.budget {
-                m.tick().map_err(SolveError::from_trip)?;
-                m.add_tuples(1).map_err(SolveError::from_trip)?;
-            }
-            let fields = t.fields();
-            let elem = Tuple::new(fields[k..].to_vec());
-            if buckets
-                .entry(fields[..k].to_vec())
-                .or_insert_with(|| Relation::new(element_schema.clone()))
-                .insert_unchecked(elem)
-                .is_err()
-            {
-                self.decorr_refused(DecorrRefusalReason::BucketConstraint, range);
-                return Ok(None);
-            }
-        }
-        let key_arg = keys
-            .iter()
-            .map(|key| arg_checks.iter().position(|(a, _)| a == key))
-            .collect();
-        if let Some(m) = &self.metrics {
-            m.inc(Counter::DecorrBuilds);
-        }
-        span.field("buckets", buckets.len());
-        Ok(Some(Arc::new(DecorrEntry {
-            element_schema,
-            buckets,
-            key_domains,
-            keys,
-            arg_checks,
-            key_arg,
-        })))
-    }
-
-    /// View a range expression as a correlated set-former branch, the
-    /// shape decorrelation understands: a single-branch set-former with
-    /// one or more bindings, or a selector application `base[s(args)]`
-    /// rewritten to the single-binding filter shape by substituting the
-    /// actual arguments for the formal parameters in the selector
-    /// predicate (the arity check and capture guard keep the rewrite
-    /// faithful; per-combination domain checks are returned for the
+    /// View a correlated range as one set-former branch, the shape
+    /// [`rewrite::unnest_quantifier`] takes: a single-branch set-former
+    /// with one or more bindings, or a selector application
+    /// `base[s(args)]` rewritten to `{EACH e IN base: pred_s[params :=
+    /// args]}` (the arity check and capture guard keep the rewrite
+    /// faithful; the per-combination domain checks are returned for the
     /// evaluator to replay).
     fn as_correlated_branch(
         &self,
@@ -1505,7 +1180,7 @@ impl<'a> Evaluator<'a> {
                 let mut bound = FxHashSet::default();
                 bound.insert(def.element_var.clone());
                 rewrite::bound_vars_formula(&def.predicate, &mut bound);
-                if args.iter().any(|a| scalar_mentions_any(a, &bound)) {
+                if args.iter().any(|a| rewrite::scalar_mentions_any(a, &bound)) {
                     return None;
                 }
                 let mut map = FxHashMap::default();
@@ -1768,13 +1443,8 @@ impl<'a> Evaluator<'a> {
             }
             Target::Tuple(exprs) => {
                 let mut attrs: Vec<Attribute> = Vec::with_capacity(exprs.len());
-                let mut used: FxHashSet<String> = FxHashSet::default();
-                for (i, e) in exprs.iter().enumerate() {
-                    let (name, domain) = self.target_field(e, branch, ranges, bindings, i)?;
-                    let mut name = name;
-                    while !used.insert(name.clone()) {
-                        name.push('_');
-                    }
+                for (e, name) in exprs.iter().zip(rewrite::target_names(exprs)) {
+                    let domain = self.target_domain(e, branch, ranges, bindings)?;
                     attrs.push(Attribute::new(name, domain));
                 }
                 Ok(Schema::new(attrs))
@@ -1782,37 +1452,26 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn target_field(
+    fn target_domain(
         &mut self,
         e: &ScalarExpr,
         branch: &Branch,
         ranges: &[Relation],
         bindings: &[Binding],
-        i: usize,
-    ) -> Result<(String, Domain), EvalError> {
+    ) -> Result<Domain, EvalError> {
         match e {
             ScalarExpr::Attr(v, attr) => {
                 // Prefer the branch's own bindings; fall back to outer
                 // bindings (correlated targets).
-                if let Some(idx) = branch.bindings.iter().position(|(bv, _)| bv == v) {
-                    let schema = ranges[idx].schema();
-                    let pos = schema.position(attr)?;
-                    Ok((attr.clone(), schema.domain(pos).base()))
-                } else {
-                    let b = lookup(bindings, v)?;
-                    let pos = b.schema.position(attr)?;
-                    Ok((attr.clone(), b.schema.domain(pos).base()))
-                }
+                let schema = match branch.bindings.iter().position(|(bv, _)| bv == v) {
+                    Some(idx) => ranges[idx].schema(),
+                    None => &lookup(bindings, v)?.schema,
+                };
+                Ok(schema.domain(schema.position(attr)?).base())
             }
-            ScalarExpr::Const(v) => Ok((format!("f{i}"), value_domain(v))),
-            ScalarExpr::Param(p) => {
-                let v = self.resolve_param(p)?;
-                Ok((p.clone(), value_domain(&v)))
-            }
-            ScalarExpr::Arith(l, _, _) => {
-                let (_, d) = self.target_field(l, branch, ranges, bindings, i)?;
-                Ok((format!("f{i}"), d))
-            }
+            ScalarExpr::Const(v) => Ok(value_domain(v)),
+            ScalarExpr::Param(p) => Ok(value_domain(&self.resolve_param(p)?)),
+            ScalarExpr::Arith(l, _, _) => self.target_domain(l, branch, ranges, bindings),
         }
     }
 
@@ -1837,53 +1496,14 @@ impl<'a> Evaluator<'a> {
                 Ok(self.eval_formula(a, bindings)? || self.eval_formula(b, bindings)?)
             }
             Formula::Not(inner) => Ok(!self.eval_formula(inner, bindings)?),
-            Formula::Some(v, range, body) => {
-                // Correlated ranges: probe the decorrelated form instead
-                // of re-evaluating the range per outer combination.
-                if let Some(decided) = self.quant_decorrelate(v, range, body, bindings, true)? {
-                    return Ok(decided);
-                }
-                let rel = self.eval_range(range, bindings)?;
-                if let Some(decided) = self.quant_probe(v, range, &rel, body, bindings, true)? {
-                    return Ok(decided);
-                }
-                let schema = rel.schema().clone();
-                for t in rel.iter() {
-                    bindings.push(Binding {
-                        var: v.clone(),
-                        tuple: t.clone(),
-                        schema: schema.clone(),
-                    });
-                    let r = self.eval_formula(body, bindings);
-                    bindings.pop();
-                    if r? {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
-            }
-            Formula::All(v, range, body) => {
-                if let Some(decided) = self.quant_decorrelate(v, range, body, bindings, false)? {
-                    return Ok(decided);
-                }
-                let rel = self.eval_range(range, bindings)?;
-                if let Some(decided) = self.quant_probe(v, range, &rel, body, bindings, false)? {
-                    return Ok(decided);
-                }
-                let schema = rel.schema().clone();
-                for t in rel.iter() {
-                    bindings.push(Binding {
-                        var: v.clone(),
-                        tuple: t.clone(),
-                        schema: schema.clone(),
-                    });
-                    let r = self.eval_formula(body, bindings);
-                    bindings.pop();
-                    if !r? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
+            Formula::Some(var, range, body) | Formula::All(var, range, body) => {
+                let q = Quantifier {
+                    var,
+                    range,
+                    body,
+                    existential: matches!(f, Formula::Some(..)),
+                };
+                self.eval_quantifier(q, bindings)
             }
             Formula::Member(v, range) => {
                 let tuple = lookup(bindings, v)?.tuple.clone();
@@ -1934,67 +1554,48 @@ impl<'a> Evaluator<'a> {
     }
 }
 
-/// The decorrelated form of a correlated quantified range: the
-/// outer-independent part (for multi-binding ranges, the materialised
-/// inner *join* of the binding ranges filtered by the local residual),
-/// bucketed on the **joint key** of correlation columns. Built by the
-/// evaluator's `build_decorr_entry`; each outer combination evaluates
-/// the correlation keys and probes. Opaque outside the evaluator — the
-/// [`AccessCache`] holds it as a [`DecorrCached`] without inspecting it.
-pub struct DecorrEntry {
-    /// Schema of the range's element tuples (the value the quantified
-    /// variable is bound to).
-    element_schema: Schema,
-    /// Joint-key values → the correlated range's element set for outer
-    /// combinations producing that key. An absent key means the range
-    /// is empty for that combination.
-    buckets: FxHashMap<Vec<Value>, Relation>,
-    /// Base domain of each joint-key column, parallel to `keys` —
-    /// cross-type probe keys fall back to the scan per combination.
-    key_domains: Vec<Domain>,
-    /// Enclosing-scope key expressions, parallel to `key_domains`.
-    keys: Vec<ScalarExpr>,
-    /// For selector-application ranges: the actual arguments and their
-    /// declared parameter domains, re-checked per combination so the
-    /// reference path's arity/domain errors are preserved.
-    arg_checks: Vec<(ScalarExpr, Domain)>,
-    /// Per key: the index into `arg_checks` whose expression is
-    /// identical to the key, so the probe loop reuses the value already
-    /// computed for the domain check instead of evaluating it twice.
-    key_arg: Vec<Option<usize>>,
+/// One quantifier occurrence: `SOME` (`existential`) or
+/// `ALL var IN range: body`.
+#[derive(Clone, Copy)]
+struct Quantifier<'q> {
+    var: &'q Var,
+    range: &'q RangeExpr,
+    body: &'q Formula,
+    existential: bool,
 }
 
-impl DecorrEntry {
-    /// Number of distinct joint-key values in the materialised form
-    /// (observability for tests and tracing).
-    pub fn distinct_keys(&self) -> usize {
-        self.buckets.len()
-    }
+/// What the evaluator decided about one quantifier site (keyed by its
+/// syntax) on first sight, and what its probes keep between outer
+/// combinations.
+struct QuantSite {
+    var: Var,
+    existential: bool,
+    range: RangeExpr,
+    body: Formula,
+    plan: Rc<SitePlan>,
+    /// The index the last probe used, with the storage id of the
+    /// relation it describes: while the range's value keeps that id, a
+    /// probe needs neither the access cache's lock nor its counters.
+    index: Option<(u64, Arc<HashIndex>)>,
+    /// Demotions already reported: (position in the probe plan's atoms,
+    /// reason).
+    demoted: Vec<(usize, QuantDemotionReason)>,
 }
 
-/// The target of a branch as scalar expressions, parallel to the
-/// element schema synthesised by `Evaluator::branch_schema`: a `Var`
-/// target expands to one attribute expression per column of its range.
-// The expect holds by construction: callers only reach this through
-// `decorrelate_branch`, which rejects branches whose target variable
-// is not one of the bindings.
-#[allow(clippy::expect_used)]
-fn element_exprs(branch: &Branch, schemas: &[&Schema]) -> Vec<ScalarExpr> {
-    match &branch.target {
-        Target::Var(v) => {
-            let idx = branch
-                .bindings
-                .iter()
-                .position(|(bv, _)| bv == v)
-                .expect("decorrelate_branch verified the target binding");
-            schemas[idx]
-                .attributes()
-                .iter()
-                .map(|a| ScalarExpr::Attr(v.clone(), a.name.clone()))
-                .collect()
-        }
-        Target::Tuple(exprs) => exprs.clone(),
-    }
+enum SitePlan {
+    /// A correlated range unnested by [`rewrite::unnest_quantifier`]:
+    /// the nested quantifiers that decide the site, the selector
+    /// arguments with their parameter domains, and the later
+    /// binding-free binding ranges — the reference path's checks the
+    /// formula may skip, replayed per outer combination.
+    Unnested {
+        formula: Formula,
+        args: Vec<(ScalarExpr, Domain)>,
+        ranges: Vec<RangeExpr>,
+    },
+    /// The range is evaluated and, where its value amortises an index,
+    /// probed through `probe`; otherwise scanned.
+    Range { probe: Option<joinplan::QuantPlan> },
 }
 
 /// A branch lowered for the operator loop: the steps, the probe atoms
@@ -2150,22 +1751,6 @@ enum CompiledKey {
     FromBinding { slot: usize, attr_pos: usize },
 }
 
-/// Selector bodies as the catalog resolves them, for the read profile
-/// behind [`Evaluator::decorr_reads`]. Constructor bodies are not
-/// visible through a [`Catalog`]: a range that applies one profiles as
-/// unresolved.
-struct SelectorsOf<'a>(&'a dyn Catalog);
-
-impl joinplan::DefLookup for SelectorsOf<'_> {
-    fn selector_body(&self, name: &str) -> Option<&Formula> {
-        self.0.selector(name).ok().map(|d| &d.predicate)
-    }
-
-    fn constructor_parts(&self, _name: &str) -> Option<(&SetFormer, Vec<String>)> {
-        None
-    }
-}
-
 /// Is the formula evaluable from bound tuples and parameters alone —
 /// comparisons, boolean connectives, and (inside scalars) arithmetic?
 /// Quantifiers and membership tests evaluate ranges, which is where
@@ -2177,16 +1762,6 @@ fn is_pure(f: &Formula) -> bool {
         Formula::Not(inner) => is_pure(inner),
         Formula::Some(..) | Formula::All(..) | Formula::Member(..) | Formula::TupleIn(..) => false,
     }
-}
-
-/// Fingerprint of a demotion site (the quantified range's syntax),
-/// used to dedup planner trace notes per site without formatting the
-/// range. Only computed on demotion (fallback) paths.
-fn site_fingerprint(range: &RangeExpr) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = dc_value::FxHasher::default();
-    range.hash(&mut h);
-    h.finish()
 }
 
 /// Fingerprint of a planned branch site, used to record its access
@@ -2211,18 +1786,6 @@ fn lookup<'b>(bindings: &'b [Binding], var: &str) -> Result<&'b Binding, EvalErr
 /// and parameters (and therefore safe to cache by syntax)?
 pub fn is_binding_free(range: &RangeExpr) -> bool {
     joinplan::range_uses_only(range, &mut Vec::new())
-}
-
-/// Does the expression mention any of the given variable names?
-/// (Capture check for the selector-application rewrite.)
-fn scalar_mentions_any(e: &ScalarExpr, names: &FxHashSet<String>) -> bool {
-    match e {
-        ScalarExpr::Const(_) | ScalarExpr::Param(_) => false,
-        ScalarExpr::Attr(v, _) => names.contains(v),
-        ScalarExpr::Arith(l, _, r) => {
-            scalar_mentions_any(l, names) || scalar_mentions_any(r, names)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2487,7 +2050,7 @@ mod tests {
     #[test]
     fn correlated_subquery_not_cached() {
         // The inner set former references the outer variable `r`; its
-        // value must be recomputed per outer tuple.
+        // value must never be served from the range cache.
         let cat = catalog();
         let mut ev = Evaluator::new(&cat);
         // EACH r IN Infront:
@@ -2569,18 +2132,16 @@ mod tests {
     #[test]
     fn outer_variable_key_probes_correlated_branch() {
         // The inner set former's equality key references the outer
-        // variable `r` — compiled as a Fixed key per outer binding.
+        // variable `r` — compiled as a Fixed key per outer binding. (A
+        // membership test evaluates its range; a quantifier would
+        // unnest it.)
         let cat = catalog();
-        let inner = set_former(vec![Branch::each(
-            "y",
-            rel("Infront"),
+        let inner = set_former(vec![Branch::projecting(
+            vec![attr("r", "front"), attr("y", "front")],
+            vec![("y".into(), rel("Infront"))],
             eq(attr("y", "front"), attr("r", "back")),
         )]);
-        let e = set_former(vec![Branch::each(
-            "r",
-            rel("Infront"),
-            some("x", inner, tru()),
-        )]);
+        let e = set_former(vec![Branch::each("r", rel("Infront"), member("r", inner))]);
         let planned = Evaluator::new(&cat).eval(&e).unwrap();
         let reference = Evaluator::new(&cat).force_nested_loop().eval(&e).unwrap();
         assert_eq!(planned, reference);
@@ -2814,8 +2375,13 @@ mod tests {
         )])
     }
 
+    /// No demotion, refusal, or degradation in the planner trace.
+    fn no_demotions(ev: &Evaluator<'_>) -> bool {
+        !ev.plan_events().iter().any(PlanEvent::is_demotion)
+    }
+
     #[test]
-    fn decorrelated_some_agrees_with_reference() {
+    fn unnested_some_agrees_with_reference() {
         let cat = scene_catalog();
         let e = correlated_some();
         let mut ev = Evaluator::new(&cat);
@@ -2825,12 +2391,11 @@ mod tests {
         // Only "table" carries a non-dust item ⇒ the ("table","chair")
         // edge survives... "vase" carries nothing, "chair" only dust.
         assert_eq!(planned.sorted_tuples(), vec![tuple!["table", "chair"]]);
-        // The rewrite went through: no demotion/abandonment notes.
-        assert!(ev.plan_notes().is_empty(), "{:?}", ev.plan_notes());
+        assert!(no_demotions(&ev), "{:?}", ev.plan_events());
     }
 
     #[test]
-    fn decorrelated_all_agrees_with_reference() {
+    fn unnested_all_agrees_with_reference() {
         // ALL over a correlated range: every item on r.front is a cup.
         let cat = scene_catalog();
         let inner = set_former(vec![Branch::each(
@@ -2852,7 +2417,7 @@ mod tests {
     }
 
     #[test]
-    fn correlated_selector_application_decorrelated() {
+    fn correlated_selector_application_unnested() {
         // Ontop[on_base(r.front)] — a selector application whose actual
         // argument references the outer variable.
         let def = SelectorDef {
@@ -2876,7 +2441,7 @@ mod tests {
         let reference = Evaluator::new(&cat).force_nested_loop().eval(&e).unwrap();
         assert_eq!(planned, reference);
         assert_eq!(planned.len(), 2); // table and chair carry items
-        assert!(ev.plan_notes().is_empty(), "{:?}", ev.plan_notes());
+        assert!(no_demotions(&ev), "{:?}", ev.plan_events());
     }
 
     #[test]
@@ -2904,11 +2469,11 @@ mod tests {
     }
 
     #[test]
-    fn quant_probe_demotion_leaves_trace_note() {
+    fn quant_probe_demotion_is_a_plan_event() {
         // The quantified range is a set-former view projecting `top`
         // away (the nested-selector shape); the body atom references
         // the missing field, so the probe must demote to the residual
-        // scan — with a trace note, not silently.
+        // scan — with a planner event, not silently.
         let cat = scene_catalog();
         let view = set_former(vec![Branch::projecting(
             vec![attr("o", "base")],
@@ -2931,45 +2496,60 @@ mod tests {
         );
         let reference = Evaluator::new(&cat).force_nested_loop().eval(&e);
         assert!(matches!(reference, Err(EvalError::Type(_))));
-        let notes = ev.take_plan_notes();
+        let events = ev.take_plan_events();
         assert!(
-            notes
-                .iter()
-                .any(|n| n.contains("`top`") && n.contains("not in range schema")),
-            "expected a demotion note, got {notes:?}"
+            events.iter().any(|ev| matches!(
+                ev,
+                PlanEvent::QuantDemotion {
+                    attr,
+                    reason: QuantDemotionReason::AttrNotInSchema,
+                    ..
+                } if attr == "top"
+            )),
+            "expected a demotion event, got {events:?}"
         );
-        assert!(ev.plan_notes().is_empty(), "take drains the trace");
+        assert!(ev.plan_events().is_empty(), "take drains the trace");
     }
 
     #[test]
-    fn decorrelation_refusal_leaves_trace_note() {
-        // Correlated through an inequality: not splittable — scans with
-        // a note.
-        let cat = scene_catalog();
-        let inner = set_former(vec![Branch::each(
-            "o",
-            rel("Ontop"),
-            lt(attr("o", "base"), attr("r", "front")),
+    fn unnested_error_returns_the_reference_error() {
+        // Unnested, `y`'s conjuncts move out in front of `z`'s: the
+        // probe on `N.k` finds the tuple with `d = 0` and the division
+        // raises. The reference builds the range first and meets the
+        // cross-type `z.tag = 1` on its first combination — and that is
+        // the error the evaluation must return.
+        let nums = Relation::from_tuples(
+            Schema::of(&[("k", Domain::Int), ("d", Domain::Int)]),
+            vec![tuple![1i64, 0i64]],
+        )
+        .unwrap();
+        let tags =
+            Relation::from_tuples(Schema::of(&[("tag", Domain::Str)]), vec![tuple!["x"]]).unwrap();
+        let keys =
+            Relation::from_tuples(Schema::of(&[("k", Domain::Int)]), vec![tuple![1i64]]).unwrap();
+        let cat = MapCatalog::new()
+            .with_relation("N", nums)
+            .with_relation("Z", tags)
+            .with_relation("R", keys);
+        let view = set_former(vec![Branch::projecting(
+            vec![attr("y", "d")],
+            vec![("y".into(), rel("N")), ("z".into(), rel("Z"))],
+            eq(attr("z", "tag"), cnst(1i64))
+                .and(eq(attr("y", "k"), attr("r", "k")))
+                .and(gt(div(cnst(10i64), attr("y", "d")), cnst(0i64))),
         )]);
-        let e = set_former(vec![Branch::each(
-            "r",
-            rel("Infront"),
-            some("t", inner, tru()),
-        )]);
-        let mut ev = Evaluator::new(&cat);
-        let planned = ev.eval(&e).unwrap();
-        let reference = Evaluator::new(&cat).force_nested_loop().eval(&e).unwrap();
-        assert_eq!(planned, reference);
+        let e = set_former(vec![Branch::each("r", rel("R"), some("x", view, tru()))]);
+        let reference = Evaluator::new(&cat).force_nested_loop().eval(&e);
         assert!(
-            ev.plan_notes().iter().any(|n| n.contains("not splittable")),
-            "{:?}",
-            ev.plan_notes()
+            matches!(reference, Err(EvalError::CrossTypeComparison { .. })),
+            "{reference:?}"
         );
+        assert_eq!(Evaluator::new(&cat).eval(&e), reference);
     }
 
-    /// A four-relation catalog for the multi-binding (joint-key)
-    /// decorrelation shape: `Assign(task, worker)`, `Skill(worker,
-    /// tool)` and an outer `Requests(task, tool)`.
+    /// A four-relation catalog for multi-binding correlated views:
+    /// `Assign(task, worker)`, `Skill(worker, tool)` and an outer
+    /// `Requests(task, tool)`.
     fn staffing_catalog() -> MapCatalog {
         let assign = Relation::from_tuples(
             Schema::of(&[("task", Domain::Str), ("worker", Domain::Str)]),
@@ -3006,8 +2586,8 @@ mod tests {
             .with_relation("Requests", requests)
     }
 
-    /// The joint-key join view: workers assigned to `r.task` and
-    /// skilled on `r.tool`.
+    /// The join view: workers assigned to `r.task` and skilled on
+    /// `r.tool`.
     fn qualified_view() -> RangeExpr {
         set_former(vec![Branch::projecting(
             vec![attr("a", "worker")],
@@ -3019,14 +2599,15 @@ mod tests {
     }
 
     #[test]
-    fn multi_binding_joint_key_decorrelation_agrees_with_reference() {
+    fn multi_binding_view_unnests_into_chained_probes() {
         let cat = staffing_catalog();
         let e = set_former(vec![Branch::each(
             "r",
             rel("Requests"),
             some("x", qualified_view(), tru()),
         )]);
-        let mut ev = Evaluator::new(&cat);
+        let metrics = Arc::new(MetricsRegistry::new());
+        let mut ev = Evaluator::new(&cat).with_metrics(metrics.clone());
         let planned = ev.eval(&e).unwrap();
         let reference = Evaluator::new(&cat).force_nested_loop().eval(&e).unwrap();
         assert_eq!(planned, reference);
@@ -3034,12 +2615,13 @@ mod tests {
         // t2+hammer has no qualified worker, t3+hammer (w3).
         assert_eq!(planned.len(), 3);
         assert!(!planned.contains(&tuple!["t2", "hammer"]));
-        // The rewrite went through: no demotion/abandonment notes.
-        assert!(ev.plan_notes().is_empty(), "{:?}", ev.plan_notes());
+        assert!(no_demotions(&ev), "{:?}", ev.plan_events());
+        // `Assign` probed on `task`, then `Skill` on (`worker`, `tool`).
+        assert_eq!(metrics.snapshot().quant_probes, 2);
     }
 
     #[test]
-    fn multi_binding_all_quantifier_decorrelated() {
+    fn multi_binding_all_quantifier_unnested() {
         // ALL x IN <join view> (x.worker # "w2"): requests every
         // qualified assigned worker of which avoids w2 — vacuously true
         // where the view is empty.
@@ -3058,89 +2640,47 @@ mod tests {
     }
 
     #[test]
-    fn multi_binding_unconstrained_cross_product_refused() {
-        // Joint key spans both bindings but the residual carries no
-        // join atom: the decorrelated form would *materialise* the full
-        // Assign × Skill product — the blow-up gate refuses and the
-        // scan path answers. (Inputs are sized so the product clearly
-        // exceeds the documented 8× bound over the summed inputs.)
-        let assign = Relation::from_tuples(
-            Schema::of(&[("task", Domain::Str), ("worker", Domain::Str)]),
-            (0..40).map(|i| tuple![format!("t{i}"), format!("w{i}")]),
-        )
-        .unwrap();
-        let skill = Relation::from_tuples(
-            Schema::of(&[("worker", Domain::Str), ("tool", Domain::Str)]),
-            (0..40).map(|i| tuple![format!("w{i}"), format!("l{i}")]),
-        )
-        .unwrap();
-        let requests = Relation::from_tuples(
-            Schema::of(&[("task", Domain::Str), ("tool", Domain::Str)]),
-            vec![tuple!["t1", "l1"], tuple!["t2", "l3"]],
-        )
-        .unwrap();
-        let cat = MapCatalog::new()
-            .with_relation("Assign", assign)
-            .with_relation("Skill", skill)
-            .with_relation("Requests", requests);
-        let view = set_former(vec![Branch::projecting(
+    fn multi_binding_views_without_a_join_key_or_with_a_correlated_target_unnest() {
+        // No local join atom (each binding probed on its own outer key)
+        // and an outer column in the target (Case 2 substitutes it into
+        // the body): neither materialises anything any more.
+        let cat = staffing_catalog();
+        let unjoined = set_former(vec![Branch::projecting(
             vec![attr("a", "worker")],
             vec![("a".into(), rel("Assign")), ("s".into(), rel("Skill"))],
             eq(attr("a", "task"), attr("r", "task")).and(eq(attr("s", "tool"), attr("r", "tool"))),
         )]);
-        let e = set_former(vec![Branch::each(
-            "r",
-            rel("Requests"),
-            some("x", view, tru()),
-        )]);
-        let mut ev = Evaluator::new(&cat);
-        let planned = ev.eval(&e).unwrap();
-        let reference = Evaluator::new(&cat).force_nested_loop().eval(&e).unwrap();
-        assert_eq!(planned, reference);
-        assert!(
-            ev.plan_notes()
-                .iter()
-                .any(|n| n.contains("inner join too large")),
-            "{:?}",
-            ev.plan_notes()
-        );
-    }
-
-    #[test]
-    fn multi_binding_correlated_target_refused() {
-        // The view's target references the outer variable — the element
-        // tuples vary per outer combination, so decorrelation must
-        // refuse (and the scan must agree).
-        let cat = staffing_catalog();
-        let view = set_former(vec![Branch::projecting(
+        let correlated_target = set_former(vec![Branch::projecting(
             vec![attr("a", "worker"), attr("r", "tool")],
             vec![("a".into(), rel("Assign"))],
             eq(attr("a", "task"), attr("r", "task")),
         )]);
-        let e = set_former(vec![Branch::each(
-            "r",
-            rel("Requests"),
-            some("x", view, eq(attr("x", "tool"), cnst("saw"))),
-        )]);
-        let mut ev = Evaluator::new(&cat);
-        let planned = ev.eval(&e).unwrap();
-        let reference = Evaluator::new(&cat).force_nested_loop().eval(&e).unwrap();
-        assert_eq!(planned, reference);
-        // Only t1+saw: its task has assigned workers and its own tool
-        // is "saw" (the correlated target column).
-        assert_eq!(planned.sorted_tuples(), vec![tuple!["t1", "saw"]]);
-        assert!(
-            ev.plan_notes().iter().any(|n| n.contains("not splittable")),
-            "{:?}",
-            ev.plan_notes()
-        );
+        for (view, body, expected) in [
+            (unjoined, ne(attr("x", "worker"), cnst("w1")), 4),
+            // Only t1+saw: its task has assigned workers and its own
+            // tool is "saw" (the correlated target column).
+            (correlated_target, eq(attr("x", "tool"), cnst("saw")), 1),
+        ] {
+            let e = set_former(vec![Branch::each(
+                "r",
+                rel("Requests"),
+                some("x", view, body),
+            )]);
+            let mut ev = Evaluator::new(&cat);
+            let planned = ev.eval(&e).unwrap();
+            let reference = Evaluator::new(&cat).force_nested_loop().eval(&e).unwrap();
+            assert_eq!(planned, reference, "{e}");
+            assert_eq!(planned.len(), expected, "{e}");
+            assert!(no_demotions(&ev), "{:?}", ev.plan_events());
+        }
     }
 
     #[test]
     fn multi_binding_cross_type_joint_key_falls_back_per_combination() {
         // One joint-key component is INTEGER-valued on the outer side
         // while the correlation column is STRING: the probe demotes to
-        // the scan per combination, which raises the reference error.
+        // the scan, whose comparison raises, and the reference scan of
+        // the original quantifier raises the same error.
         let nums = Relation::from_tuples(
             Schema::of(&[("task", Domain::Str), ("n", Domain::Int)]),
             vec![tuple!["t1", 1i64]],
@@ -3183,16 +2723,6 @@ mod tests {
                 metrics,
             }
         }
-
-        /// The one decorrelation entry `range` has in the cache, under
-        /// whatever ids it was built from.
-        fn decorr_of(&self, range: &RangeExpr, reads: &[&str]) -> Option<DecorrCached> {
-            let ids: Vec<u64> = reads
-                .iter()
-                .map(|n| self.inner.relation(n).unwrap().storage_id())
-                .collect();
-            self.cache.decorr(range, &ids)
-        }
     }
 
     impl Catalog for CachingCatalog {
@@ -3208,84 +2738,23 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_hit_returns_same_entry_without_rebuild() {
-        let cat = CachingCatalog::over(staffing_catalog());
-        let e = set_former(vec![Branch::each(
-            "r",
-            rel("Requests"),
-            some("x", qualified_view(), tru()),
-        )]);
-        let builds = |cat: &CachingCatalog| cat.metrics.snapshot().warm_decorr_misses;
-        let first = Evaluator::new(&cat).eval(&e).unwrap();
-        assert_eq!(builds(&cat), 1, "one miss, one build");
-        // The view reads `Assign` and `Skill` (name order).
-        let DecorrCached::Built(entry_after_first) = cat
-            .decorr_of(&qualified_view(), &["Assign", "Skill"])
-            .unwrap()
-        else {
-            panic!("expected a built entry");
-        };
-        assert!(entry_after_first.distinct_keys() > 0);
-        // A second evaluator (fresh lifetime, same catalog) must serve
-        // the cached entry — same Arc, no rebuild.
-        let second = Evaluator::new(&cat).eval(&e).unwrap();
-        assert_eq!(first, second);
-        assert_eq!(builds(&cat), 1, "no rebuild on the cache hit");
-        let DecorrCached::Built(entry_after_second) = cat
-            .decorr_of(&qualified_view(), &["Assign", "Skill"])
-            .unwrap()
-        else {
-            panic!("expected a built entry");
-        };
-        assert!(
-            Arc::ptr_eq(&entry_after_first, &entry_after_second),
-            "cache hit must return the same Arc"
-        );
-        // Two evaluator hits plus this test's two peeks.
-        assert!(cat.metrics.snapshot().warm_decorr_hits >= 3);
-    }
-
-    #[test]
-    fn cached_refusal_hit_leaves_trace_note() {
-        // First evaluator analyses and refuses (inequality correlation
-        // is not splittable) and stores the refusal in the cache;
-        // a second evaluator served that cached refusal must note the
-        // silent-scan decision too — the hit path used to lose it.
+    fn a_site_probes_its_index_without_the_access_cache() {
+        // Three outer tuples, one probe each, one index: the first probe
+        // builds it through the catalog's cache, the later ones find it
+        // in the site's memo and never touch the cache.
         let cat = CachingCatalog::over(scene_catalog());
-        let inner = set_former(vec![Branch::each(
-            "o",
-            rel("Ontop"),
-            lt(attr("o", "base"), attr("r", "front")),
-        )]);
-        let e = set_former(vec![Branch::each(
-            "r",
-            rel("Infront"),
-            some("t", inner.clone(), tru()),
-        )]);
-        let mut first = Evaluator::new(&cat);
-        first.eval(&e).unwrap();
-        assert!(
-            first
-                .plan_notes()
-                .iter()
-                .any(|n| n.contains("not splittable")),
-            "{:?}",
-            first.plan_notes()
+        let e = correlated_some();
+        let planned = Evaluator::new(&cat).eval(&e).unwrap();
+        assert_eq!(
+            planned,
+            Evaluator::new(&cat).force_nested_loop().eval(&e).unwrap()
         );
-        assert!(matches!(
-            cat.decorr_of(&inner, &["Ontop"]),
-            Some(DecorrCached::Refused)
-        ));
-        let mut second = Evaluator::new(&cat);
-        second.eval(&e).unwrap();
-        assert!(
-            second
-                .plan_notes()
-                .iter()
-                .any(|n| n.contains("cached refusal served from catalog")),
-            "hit path must leave a trace note, got {:?}",
-            second.plan_notes()
-        );
+        let m = cat.metrics.snapshot();
+        assert_eq!((m.warm_index_misses, m.warm_index_hits), (1, 0));
+        // A second evaluator has its own memo: one cache hit.
+        Evaluator::new(&cat).eval(&e).unwrap();
+        let m = cat.metrics.snapshot();
+        assert_eq!((m.warm_index_misses, m.warm_index_hits), (1, 1));
     }
 
     #[test]
@@ -3293,7 +2762,7 @@ mod tests {
         // The owner swaps `Ontop` for a different value under the same
         // name (and keeps the cache): a later evaluator must decide the
         // correlated quantifier from the new value — the old value's
-        // decorrelated join and indexes are keyed by the old storage.
+        // indexes are keyed by the old storage.
         let mut cat = CachingCatalog::over(scene_catalog());
         let q = correlated_some();
         let before = Evaluator::new(&cat).eval(&q).unwrap();
@@ -3508,11 +2977,19 @@ mod tests {
                 )])),
                 false,
             ),
-            // The inner join is pure and scans first; its residual
-            // reads the *outer* `r`, so each worker needs the enclosing
-            // bindings under its own — at the slots the plan compiled.
+            // The inner join — a membership range, evaluated per outer
+            // tuple — is pure and scans first; its residual reads the
+            // *outer* `r`, so each worker needs the enclosing bindings
+            // under its own — at the slots the plan compiled.
             (
-                under_quantifier(join_on(ne(attr("f", "front"), attr("r", "back")))),
+                set_former(vec![Branch::each(
+                    "r",
+                    rel("Infront"),
+                    not(member(
+                        "r",
+                        join_on(ne(attr("f", "front"), attr("r", "back"))),
+                    )),
+                )]),
                 true,
             ),
             // A catalog parameter, resolved once into the workers'

@@ -410,208 +410,9 @@ pub fn plan_quant_probe(var: &Var, body: &Formula, existential: bool) -> Option<
     })
 }
 
-// ---------------------------------------------------------------------
-// Decorrelation of correlated quantified ranges (magic-set style)
-// ---------------------------------------------------------------------
-
-/// One correlation atom of a correlated filter: the filtered element's
-/// `attr` must equal `key`, an expression over the *enclosing* scope
-/// (outer variables, parameters, constants mixed with them).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CorrAtom {
-    /// The correlated attribute on the filtered range.
-    pub attr: String,
-    /// The enclosing-scope key expression.
-    pub key: ScalarExpr,
-}
-
-/// A correlated filter predicate split into its decorrelated and
-/// correlated halves — see [`decorrelate_filter`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecorrSplit {
-    /// The correlation atoms (outer-dependent equality conjuncts).
-    pub atoms: Vec<CorrAtom>,
-    /// The decorrelated residual: the conjunction of the remaining
-    /// conjuncts, which reference only the filtered element variable
-    /// (and catalog relations). `Formula::True` when every conjunct is
-    /// a correlation atom.
-    pub residual: Formula,
-}
-
-/// Split the filter predicate of a correlated quantified range into a
-/// decorrelated part and correlation atoms.
-///
-/// The single-variable special case of [`decorrelate_branch`] (the
-/// shape produced by rewriting a selector application): given a range
-/// `{EACH var IN R: pred}` whose `pred` references outer variables (the
-/// common §2.3 selector shape — e.g. `{EACH t IN Ontop: t.base =
-/// r.front AND t.top # "dust"}` inside a branch binding `r`), split
-/// `pred` into correlation atoms `var.attr = key` and a local residual.
-/// Returns `None` under the same conditions as [`decorrelate_branch`].
-pub fn decorrelate_filter(var: &Var, pred: &Formula) -> Option<DecorrSplit> {
-    let branch = Branch::each(
-        var.clone(),
-        crate::ast::RangeExpr::Rel(String::new()),
-        pred.clone(),
-    );
-    let split = decorrelate_branch(&branch)?;
-    Some(DecorrSplit {
-        atoms: split
-            .atoms
-            .into_iter()
-            .map(|a| CorrAtom {
-                attr: a.attr,
-                key: a.key,
-            })
-            .collect(),
-        residual: split.residual,
-    })
-}
-
-/// One correlation atom of a correlated multi-binding branch: attribute
-/// `attr` of the range bound at `position` must equal `key`, an
-/// expression over the *enclosing* scope. The tuple of all atoms forms
-/// the **joint key** the decorrelated join is indexed on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JointCorrAtom {
-    /// Binding position (index into `branch.bindings`) carrying the
-    /// correlated attribute.
-    pub position: usize,
-    /// The correlated attribute on that binding's range.
-    pub attr: String,
-    /// The enclosing-scope key expression.
-    pub key: ScalarExpr,
-}
-
-/// A correlated branch predicate split into correlation atoms (spanning
-/// any of the branch's bindings) and a local residual — see
-/// [`decorrelate_branch`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BranchDecorrSplit {
-    /// The correlation atoms; together they form the joint key.
-    pub atoms: Vec<JointCorrAtom>,
-    /// The decorrelated residual: the conjunction of the remaining
-    /// conjuncts, which reference only branch-bound variables (and
-    /// catalog relations). This is what the decorrelated *inner join*
-    /// is planned from — cross-binding equality atoms (`p.a = q.b`)
-    /// land here and become [`plan_branch`] probe steps.
-    pub residual: Formula,
-}
-
-/// Split the predicate of a correlated **multi-binding** set-former
-/// branch into correlation atoms and a decorrelated residual.
-///
-/// Given a range of the shape `{<target> OF EACH p IN R, q IN S: pred}`
-/// whose `pred` references outer variables — e.g. the correlated join
-/// view `{<a.worker> OF EACH a IN Assign, s IN Skill: a.worker =
-/// s.worker AND a.task = r.task AND s.tool = r.tool}` inside a branch
-/// binding `r` — the evaluator wants to materialise the
-/// outer-independent *join* once and decide each outer combination by a
-/// probe on the **joint key** `(a.task, s.tool)`. This function
-/// performs the static half: it normalises `pred` to NNF and partitions
-/// its top-level conjuncts into
-///
-/// * **correlation atoms** `bv.attr = key` where `bv` is any branch
-///   binding and `key` avoids *every* branch variable but mentions the
-///   enclosing scope (outer variables or parameters) — atoms may span
-///   different bindings, producing a joint key over the tuple of
-///   correlation columns; and
-/// * **decorrelated residual** conjuncts that reference only branch
-///   variables (plus catalog relations) — no outer variables, no
-///   parameters. Cross-binding equality atoms stay here, so the
-///   residual compiles through [`plan_branch`] into an
-///   index-nested-loop inner join.
-///
-/// Returns `None` when there is no correlation atom (nothing to probe),
-/// when some conjunct is neither (e.g. a disjunction mixing outer and
-/// local references), when binding names shadow each other (reordering
-/// would change name resolution), or when the branch target references
-/// the enclosing scope (the element tuples would vary per outer
-/// combination). Because NNF preserves meaning and the partition is
-/// exact (`pred ≡ residual ∧ atoms`), the joint-key bucket over the
-/// residual join is *exactly* the correlated range's value for every
-/// outer combination — no re-check against the original predicate is
-/// needed.
-pub fn decorrelate_branch(branch: &Branch) -> Option<BranchDecorrSplit> {
-    let branch_vars: Vec<String> = branch.bindings.iter().map(|(v, _)| v.clone()).collect();
-    {
-        let mut seen = branch_vars.clone();
-        seen.sort();
-        if seen.windows(2).any(|w| w[0] == w[1]) {
-            return None;
-        }
-    }
-    // The target must be evaluable from the branch bindings alone —
-    // a correlated target would make the element set outer-dependent.
-    match &branch.target {
-        crate::ast::Target::Var(v) => {
-            if !branch_vars.iter().any(|bv| bv == v) {
-                return None;
-            }
-        }
-        crate::ast::Target::Tuple(exprs) => {
-            if !exprs
-                .iter()
-                .all(|e| scalar_uses_only(e, &mut branch_vars.clone()))
-            {
-                return None;
-            }
-        }
-    }
-    let nnf = rewrite::to_nnf(branch.predicate.clone());
-    let mut atoms = Vec::new();
-    let mut residual = Formula::True;
-    for c in conjuncts(&nnf) {
-        if let Formula::Cmp(l, CmpOp::Eq, r) = c {
-            let as_binding_attr = |e: &ScalarExpr| match e {
-                // Innermost declaration wins, matching evaluator lookup.
-                ScalarExpr::Attr(v, a) => branch_vars
-                    .iter()
-                    .rposition(|bv| bv == v)
-                    .map(|pos| (pos, a.clone())),
-                _ => None,
-            };
-            let key_side = |e: &ScalarExpr| {
-                // Free of every branch variable, but not purely local
-                // (constants only): a genuine enclosing-scope key.
-                !branch_vars.iter().any(|bv| mentions_var(e, bv))
-                    && !scalar_uses_only(e, &mut branch_vars.clone())
-            };
-            let corr = match (as_binding_attr(l), as_binding_attr(r)) {
-                (Some((position, attr)), None) if key_side(r) => Some(JointCorrAtom {
-                    position,
-                    attr,
-                    key: r.clone(),
-                }),
-                (None, Some((position, attr))) if key_side(l) => Some(JointCorrAtom {
-                    position,
-                    attr,
-                    key: l.clone(),
-                }),
-                _ => None,
-            };
-            if let Some(atom) = corr {
-                atoms.push(atom);
-                continue;
-            }
-        }
-        if formula_uses_only(c, &mut branch_vars.clone()) {
-            residual = residual.and(c.clone());
-            continue;
-        }
-        // Neither a correlation atom nor local — e.g. a disjunction
-        // mixing outer and local references. Not decorrelatable.
-        return None;
-    }
-    if atoms.is_empty() {
-        return None;
-    }
-    Some(BranchDecorrSplit { atoms, residual })
-}
-
 /// Does the expression reference only the variables in `local` (no
-/// parameters)? Shared scope-analysis for [`decorrelate_branch`] and
-/// the evaluator's binding-free range cache.
+/// parameters)? The scope analysis behind the evaluator's binding-free
+/// range test.
 pub(crate) fn scalar_uses_only(e: &ScalarExpr, local: &mut Vec<String>) -> bool {
     match e {
         ScalarExpr::Const(_) => true,
@@ -690,13 +491,8 @@ pub(crate) fn range_uses_only(r: &crate::ast::RangeExpr, local: &mut Vec<String>
 /// equality conjunct the branch carries (constant keys use the probed
 /// column's distinct count; cross-binding join keys use the larger
 /// side's, the classic equi-join estimate). Symmetric binding–binding
-/// atom pairs emitted by [`extract_eq_atoms`] are counted once.
-///
-/// Used by the decorrelation profitability gate: materialising a
-/// decorrelated inner join only pays off when the local equality atoms
-/// keep the join near-linear in its inputs, so a branch whose estimate
-/// blows past its input cardinalities stays on the per-combination
-/// scan.
+/// atom pairs emitted by [`extract_eq_atoms`] are counted once. What
+/// `EXPLAIN` reports as a branch's estimated rows.
 pub fn estimate_branch_rows(branch: &Branch, schemas: &[&Schema], stats: &[RelationStats]) -> f64 {
     debug_assert_eq!(schemas.len(), branch.bindings.len());
     debug_assert_eq!(stats.len(), branch.bindings.len());
@@ -1421,111 +1217,6 @@ mod tests {
     }
 
     #[test]
-    fn decorrelate_splits_correlation_atoms_from_local_residual() {
-        // {EACH t IN Ontop: t.base = r.front AND t.top # "dust"}
-        let pred =
-            eq(attr("t", "base"), attr("r", "front")).and(ne(attr("t", "top"), cnst("dust")));
-        let split = decorrelate_filter(&"t".to_string(), &pred).unwrap();
-        assert_eq!(split.atoms.len(), 1);
-        assert_eq!(split.atoms[0].attr, "base");
-        assert!(matches!(&split.atoms[0].key, ScalarExpr::Attr(v, a) if v == "r" && a == "front"));
-        assert_eq!(split.residual, ne(attr("t", "top"), cnst("dust")));
-    }
-
-    #[test]
-    fn decorrelate_param_keys_and_local_quantifiers() {
-        // Parameter keys correlate (resolved per combination); local
-        // quantifiers over catalog relations stay in the residual.
-        let pred = eq(attr("t", "base"), param("Obj")).and(some(
-            "q",
-            rel("Objects"),
-            eq(attr("q", "part"), attr("t", "top")),
-        ));
-        let split = decorrelate_filter(&"t".to_string(), &pred).unwrap();
-        assert_eq!(split.atoms.len(), 1);
-        assert!(matches!(&split.atoms[0].key, ScalarExpr::Param(p) if p == "Obj"));
-        assert!(matches!(split.residual, Formula::Some(..)));
-    }
-
-    #[test]
-    fn decorrelate_refusals() {
-        let t = "t".to_string();
-        // No correlation atom at all: nothing to probe.
-        assert!(decorrelate_filter(&t, &ne(attr("t", "top"), cnst("x"))).is_none());
-        // Constant-key equalities are local, not correlation atoms.
-        assert!(decorrelate_filter(&t, &eq(attr("t", "base"), cnst("x"))).is_none());
-        // A conjunct mixing outer and local references under OR cannot
-        // be split.
-        let mixed = eq(attr("t", "base"), attr("r", "front"))
-            .and(ne(attr("t", "top"), cnst("x")).or(eq(attr("t", "top"), attr("r", "back"))));
-        assert!(decorrelate_filter(&t, &mixed).is_none());
-        // Keys mentioning the element variable are not correlation atoms.
-        let self_key = eq(attr("t", "base"), add(attr("r", "n"), attr("t", "n")));
-        assert!(decorrelate_filter(&t, &self_key).is_none());
-        // Non-equality outer references cannot be split either.
-        let ineq =
-            eq(attr("t", "base"), attr("r", "front")).and(lt(attr("t", "top"), attr("r", "back")));
-        assert!(decorrelate_filter(&t, &ineq).is_none());
-    }
-
-    #[test]
-    fn decorrelate_branch_joint_key_spans_bindings() {
-        // {<a.worker> OF EACH a IN Assign, s IN Skill:
-        //    a.worker = s.worker AND a.task = r.task AND s.tool = r.tool}
-        // — correlation atoms on *both* bindings form the joint key
-        // (a.task, s.tool); the cross-binding equality stays in the
-        // residual as the inner-join atom.
-        let b = Branch::projecting(
-            vec![attr("a", "worker")],
-            vec![("a".into(), rel("Assign")), ("s".into(), rel("Skill"))],
-            eq(attr("a", "worker"), attr("s", "worker"))
-                .and(eq(attr("a", "task"), attr("r", "task")))
-                .and(eq(attr("s", "tool"), attr("r", "tool"))),
-        );
-        let split = decorrelate_branch(&b).unwrap();
-        assert_eq!(split.atoms.len(), 2, "{:?}", split.atoms);
-        assert_eq!(split.atoms[0].position, 0);
-        assert_eq!(split.atoms[0].attr, "task");
-        assert_eq!(split.atoms[1].position, 1);
-        assert_eq!(split.atoms[1].attr, "tool");
-        assert_eq!(split.residual, eq(attr("a", "worker"), attr("s", "worker")));
-    }
-
-    #[test]
-    fn decorrelate_branch_refusals() {
-        // Correlated target: the element tuple would vary per outer
-        // combination.
-        let corr_target = Branch::projecting(
-            vec![attr("a", "worker"), attr("r", "task")],
-            vec![("a".into(), rel("Assign"))],
-            eq(attr("a", "task"), attr("r", "task")),
-        );
-        assert!(decorrelate_branch(&corr_target).is_none());
-        // Target variable not bound by the branch.
-        let outer_target = Branch {
-            target: crate::ast::Target::Var("r".into()),
-            bindings: vec![("a".into(), rel("Assign"))],
-            predicate: eq(attr("a", "task"), attr("r", "task")),
-        };
-        assert!(decorrelate_branch(&outer_target).is_none());
-        // Shadowed binding names.
-        let shadowed = Branch {
-            target: crate::ast::Target::Var("a".into()),
-            bindings: vec![("a".into(), rel("Assign")), ("a".into(), rel("Skill"))],
-            predicate: eq(attr("a", "task"), attr("r", "task")),
-        };
-        assert!(decorrelate_branch(&shadowed).is_none());
-        // A key mixing outer and branch variables is not a correlation
-        // atom, and not local either.
-        let mixed_key = Branch::projecting(
-            vec![attr("a", "worker")],
-            vec![("a".into(), rel("Assign")), ("s".into(), rel("Skill"))],
-            eq(attr("a", "task"), add(attr("r", "task"), attr("s", "tool"))),
-        );
-        assert!(decorrelate_branch(&mixed_key).is_none());
-    }
-
-    #[test]
     fn estimate_branch_rows_reflects_join_atoms() {
         let schema = edge_schema();
         let stats = [
@@ -1563,17 +1254,6 @@ mod tests {
         );
         let est = estimate_branch_rows(&join_const, &[&schema, &schema], &stats);
         assert_eq!(est, 6000.0 / 50.0 / 10.0);
-    }
-
-    #[test]
-    fn decorrelate_applies_nnf_first() {
-        // NOT (t.base # r.front OR t.top = "dust") ⇒
-        //   t.base = r.front AND t.top # "dust".
-        let pred =
-            not(ne(attr("t", "base"), attr("r", "front")).or(eq(attr("t", "top"), cnst("dust"))));
-        let split = decorrelate_filter(&"t".to_string(), &pred).unwrap();
-        assert_eq!(split.atoms.len(), 1);
-        assert_eq!(split.residual, ne(attr("t", "top"), cnst("dust")));
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Typed planner-trace events.
 //!
-//! The evaluator's planner trace was historically a list of free-form
-//! strings. Each entry is now a [`PlanEvent`] value carrying the
-//! decision and the numbers behind it — the chosen access path per
-//! planned branch, quantifier-probe demotions, decorrelation refusals,
-//! and parallel-dispatch degradations — with the legacy strings kept
-//! as the `Display` rendering (byte-for-byte, so note-matching
-//! consumers are unaffected). Typed events are what `EXPLAIN` renders,
-//! what tests assert on, and what flows into `dc-trace` spans.
+//! Each entry of the evaluator's planner trace is a [`PlanEvent`]
+//! value carrying the decision and the numbers behind it — the chosen
+//! access path per planned branch, quantifier-probe demotions (a
+//! correlated range left on the reference scan among them), and
+//! parallel-dispatch degradations — rendered for people by `Display`.
+//! Typed events are what `EXPLAIN` renders, what tests assert on, what
+//! a governed abort's diagnostics carry, and what flows into `dc-trace`
+//! spans.
 
 use std::fmt;
 
@@ -44,7 +44,7 @@ impl AccessStep {
     }
 }
 
-/// Why a quantifier-probe atom was demoted back to the residual scan.
+/// Why a quantifier was left (in part) to the reference scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuantDemotionReason {
     /// The probed attribute is not in the range's schema.
@@ -53,45 +53,13 @@ pub enum QuantDemotionReason {
     KeyUnresolvable,
     /// The key's base type differs from the probed column's.
     KeyTypeMismatch,
+    /// The range is correlated but neither a single-branch set-former
+    /// nor a selector application that unnests: it is re-evaluated per
+    /// outer combination.
+    NotUnnested,
 }
 
-/// Why a correlated-range decorrelation was refused or abandoned.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DecorrRefusalReason {
-    /// The range is not a shape decorrelation understands.
-    UnsupportedShape,
-    /// An inner binding range is itself correlated.
-    InnerCorrelated,
-    /// The predicate does not split into correlation atoms + local
-    /// residual.
-    NotSplittable,
-    /// A correlation atom references an attribute missing from the
-    /// range schema.
-    AttrNotInSchema {
-        /// The missing attribute.
-        attr: String,
-    },
-    /// The correlation columns are single-valued — the probe would not
-    /// narrow the bucket.
-    NotSelective,
-    /// The estimated inner join blows past the profitability bound.
-    JoinTooLarge {
-        /// The System-R row estimate that tripped the bound.
-        estimated_rows: f64,
-    },
-    /// Evaluating the decorrelated join errored; the rewrite was
-    /// abandoned so the reference scan decides error semantics.
-    ResidualError,
-    /// Bucketing violated a relation constraint; abandoned likewise.
-    BucketConstraint,
-    /// A refusal recorded by an earlier evaluator was served from the
-    /// catalog cache.
-    CachedRefusal,
-}
-
-/// A structured planner decision, in first-occurrence order. The
-/// `Display` rendering reproduces the historical free-form note for
-/// every demotion/refusal variant.
+/// A structured planner decision, in first-occurrence order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanEvent {
     /// The access path chosen for one planned branch (only recorded
@@ -106,23 +74,18 @@ pub enum PlanEvent {
         /// System-R estimate of rows the whole branch emits.
         estimated_rows: f64,
     },
-    /// A quantifier-probe atom fell back to the residual scan.
+    /// A quantifier-probe atom, or a whole correlated quantifier, fell
+    /// back to the residual scan.
     QuantDemotion {
-        /// The probed attribute.
+        /// The probed attribute (empty for `NotUnnested`).
         attr: String,
         /// Why it was demoted.
         reason: QuantDemotionReason,
-        /// Rendered range syntax (for `AttrNotInSchema`).
+        /// Rendered range syntax (for `AttrNotInSchema` and
+        /// `NotUnnested`).
         range: String,
         /// Rendered key expression (for `KeyUnresolvable`).
         key: String,
-    },
-    /// Decorrelation of a correlated quantified range was refused.
-    DecorrRefusal {
-        /// Why it was refused.
-        reason: DecorrRefusalReason,
-        /// Rendered range syntax.
-        range: String,
     },
     /// A parallel branch dispatch degraded to the sequential path
     /// after a worker panic.
@@ -134,8 +97,7 @@ pub enum PlanEvent {
 
 impl PlanEvent {
     /// True for events that record a fallback from a planned access
-    /// path (everything except [`PlanEvent::AccessPath`]) — the subset
-    /// that also appears in the string `plan_notes` trace.
+    /// path: everything except [`PlanEvent::AccessPath`].
     pub fn is_demotion(&self) -> bool {
         !matches!(self, PlanEvent::AccessPath { .. })
     }
@@ -258,50 +220,10 @@ impl fmt::Display for PlanEvent {
                     "quantifier probe: atom on `{attr}` demoted to residual — \
                      key type does not match probed column"
                 ),
-            },
-            PlanEvent::DecorrRefusal { reason, range } => match reason {
-                DecorrRefusalReason::UnsupportedShape => write!(
+                QuantDemotionReason::NotUnnested => write!(
                     f,
-                    "decorrelation: unsupported range shape — residual scan ({range})"
-                ),
-                DecorrRefusalReason::InnerCorrelated => write!(
-                    f,
-                    "decorrelation: inner range itself correlated — residual scan ({range})"
-                ),
-                DecorrRefusalReason::NotSplittable => write!(
-                    f,
-                    "decorrelation: predicate not splittable into correlation \
-                     atoms + local residual — residual scan ({range})"
-                ),
-                DecorrRefusalReason::AttrNotInSchema { attr } => write!(
-                    f,
-                    "decorrelation: correlation atom on `{attr}` demoted to \
-                     residual — attribute not in range schema ({range})"
-                ),
-                DecorrRefusalReason::NotSelective => write!(
-                    f,
-                    "decorrelation: correlation columns not selective \
-                     (single-valued) — residual scan ({range})"
-                ),
-                DecorrRefusalReason::JoinTooLarge { estimated_rows } => write!(
-                    f,
-                    "decorrelation: estimated inner join too large \
-                     ({estimated_rows:.0} rows) — residual scan ({range})"
-                ),
-                DecorrRefusalReason::ResidualError => write!(
-                    f,
-                    "decorrelation: residual evaluation errored — \
-                     abandoned, residual scan ({range})"
-                ),
-                DecorrRefusalReason::BucketConstraint => write!(
-                    f,
-                    "decorrelation: bucket constraint violation — \
-                     abandoned, residual scan ({range})"
-                ),
-                DecorrRefusalReason::CachedRefusal => write!(
-                    f,
-                    "decorrelation: cached refusal served from catalog \
-                     — residual scan ({range})"
+                    "quantifier probe: correlated range not unnested — \
+                     reference scan ({range})"
                 ),
             },
             PlanEvent::ParallelDegraded { message } => write!(
@@ -379,15 +301,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn demotion_renderings_match_legacy_notes() {
-        let ev = PlanEvent::DecorrRefusal {
-            reason: DecorrRefusalReason::NotSplittable,
-            range: "{EACH x IN R: TRUE}".to_string(),
+    fn demotion_renderings_name_the_reason() {
+        let ev = PlanEvent::QuantDemotion {
+            attr: String::new(),
+            reason: QuantDemotionReason::NotUnnested,
+            range: "{EACH x IN R: TRUE, EACH y IN S: TRUE}".to_string(),
+            key: String::new(),
         };
         assert_eq!(
             ev.to_string(),
-            "decorrelation: predicate not splittable into correlation atoms + \
-             local residual — residual scan ({EACH x IN R: TRUE})"
+            "quantifier probe: correlated range not unnested — reference scan \
+             ({EACH x IN R: TRUE, EACH y IN S: TRUE})"
         );
         let ev = PlanEvent::QuantDemotion {
             attr: "dept".to_string(),

@@ -9,15 +9,23 @@
 //!   formal → actual substitutions of §3.2 ("replacing all formal
 //!   parameters by their actual values" when building the gⱼ
 //!   functions); [`substitute_param_exprs_formula`] is the
-//!   expression-level variant used to rewrite selector applications
-//!   for decorrelation.
+//!   expression-level variant that turns a selector application into
+//!   the equivalent set-former.
+//! * [`unnest_quantifier`] is §4's range nesting run backwards — N2/N3
+//!   with Case 2's target substitution — over the tuple-variable
+//!   substitutions [`rename_var`] and [`substitute_attr_refs`] (with
+//!   [`target_map`]), which `dc-optimizer`'s predicate push-down uses
+//!   too.
 //! * [`relation_names`] / [`collect_constructed`] are the name analyses
 //!   that drive constructor-application instantiation and the
 //!   quant-graph partitioning of §4.
 
+use std::convert::Infallible;
+
 use dc_value::{FxHashMap, FxHashSet, Value};
 
-use crate::ast::{Branch, Formula, Name, RangeExpr, ScalarExpr, SetFormer, Target};
+use crate::ast::{Branch, Formula, Name, RangeExpr, ScalarExpr, SetFormer, Target, Var};
+use crate::error::EvalError;
 
 /// Push negations inward (negation normal form).
 ///
@@ -133,9 +141,8 @@ pub fn substitute_rel_formula(f: &Formula, map: &FxHashMap<Name, RangeExpr>) -> 
 /// holes with constants (§3.2's partial evaluation), this one fills
 /// them with actual-argument expressions — used to rewrite a selector
 /// application `base[s(args)]` into the equivalent filter
-/// `{EACH el IN base: pred[params := args]}` so that correlated
-/// selector arguments become analysable correlation atoms
-/// (see `joinplan::decorrelate_filter`).
+/// `{EACH el IN base: pred[params := args]}`, which
+/// [`unnest_quantifier`] then turns into a quantifier over `base`.
 ///
 /// The caller owns capture avoidance: substituted expressions must not
 /// mention variables bound inside the formula they are substituted
@@ -312,6 +319,363 @@ pub fn bound_vars_range(r: &RangeExpr, out: &mut FxHashSet<Name>) {
     }
 }
 
+/// Does the expression mention any of the given variable names?
+pub(crate) fn scalar_mentions_any(e: &ScalarExpr, names: &FxHashSet<Name>) -> bool {
+    match e {
+        ScalarExpr::Const(_) | ScalarExpr::Param(_) => false,
+        ScalarExpr::Attr(v, _) => names.contains(v),
+        ScalarExpr::Arith(l, _, r) => {
+            scalar_mentions_any(l, names) || scalar_mentions_any(r, names)
+        }
+    }
+}
+
+/// Rewrites the free occurrences of one tuple variable: each `var.attr`
+/// through `attr`, each whole-tuple membership `var IN S` through
+/// `whole` (handed the rewritten `S`). A quantifier or set-former
+/// branch that binds `var` again shadows it. Ranges are rewritten too:
+/// they are evaluated where `var` is visible — a branch's binding
+/// ranges before the branch's own variables are bound.
+struct VarSubst<'a, E> {
+    var: &'a str,
+    attr: &'a dyn Fn(&str) -> Result<ScalarExpr, E>,
+    whole: &'a dyn Fn(RangeExpr) -> Result<Formula, E>,
+}
+
+impl<E> VarSubst<'_, E> {
+    fn scalar(&self, e: &ScalarExpr) -> Result<ScalarExpr, E> {
+        Ok(match e {
+            ScalarExpr::Attr(v, a) if v == self.var => (self.attr)(a)?,
+            ScalarExpr::Arith(l, op, r) => {
+                ScalarExpr::Arith(Box::new(self.scalar(l)?), *op, Box::new(self.scalar(r)?))
+            }
+            other => other.clone(),
+        })
+    }
+
+    fn scalars(&self, es: &[ScalarExpr]) -> Result<Vec<ScalarExpr>, E> {
+        es.iter().map(|e| self.scalar(e)).collect()
+    }
+
+    fn formula(&self, f: &Formula) -> Result<Formula, E> {
+        Ok(match f {
+            Formula::True | Formula::False => f.clone(),
+            Formula::Cmp(l, op, r) => Formula::Cmp(self.scalar(l)?, *op, self.scalar(r)?),
+            Formula::And(a, b) => {
+                Formula::And(Box::new(self.formula(a)?), Box::new(self.formula(b)?))
+            }
+            Formula::Or(a, b) => {
+                Formula::Or(Box::new(self.formula(a)?), Box::new(self.formula(b)?))
+            }
+            Formula::Not(inner) => Formula::Not(Box::new(self.formula(inner)?)),
+            Formula::Some(v, r, body) => {
+                Formula::Some(v.clone(), self.range(r)?, Box::new(self.scoped(v, body)?))
+            }
+            Formula::All(v, r, body) => {
+                Formula::All(v.clone(), self.range(r)?, Box::new(self.scoped(v, body)?))
+            }
+            Formula::Member(v, r) if v == self.var => (self.whole)(self.range(r)?)?,
+            Formula::Member(v, r) => Formula::Member(v.clone(), self.range(r)?),
+            Formula::TupleIn(es, r) => Formula::TupleIn(self.scalars(es)?, self.range(r)?),
+        })
+    }
+
+    /// A quantifier body under a binding of `v`.
+    fn scoped(&self, v: &str, body: &Formula) -> Result<Formula, E> {
+        if v == self.var {
+            Ok(body.clone())
+        } else {
+            self.formula(body)
+        }
+    }
+
+    fn range(&self, r: &RangeExpr) -> Result<RangeExpr, E> {
+        Ok(match r {
+            RangeExpr::Rel(_) => r.clone(),
+            RangeExpr::Selected {
+                base,
+                selector,
+                args,
+            } => RangeExpr::Selected {
+                base: Box::new(self.range(base)?),
+                selector: selector.clone(),
+                args: self.scalars(args)?,
+            },
+            RangeExpr::Constructed {
+                base,
+                constructor,
+                args,
+                scalar_args,
+            } => RangeExpr::Constructed {
+                base: Box::new(self.range(base)?),
+                constructor: constructor.clone(),
+                args: args
+                    .iter()
+                    .map(|a| self.range(a))
+                    .collect::<Result<_, _>>()?,
+                scalar_args: self.scalars(scalar_args)?,
+            },
+            RangeExpr::SetFormer(sf) => RangeExpr::SetFormer(SetFormer {
+                branches: sf
+                    .branches
+                    .iter()
+                    .map(|b| self.branch(b))
+                    .collect::<Result<_, _>>()?,
+            }),
+        })
+    }
+
+    fn branch(&self, b: &Branch) -> Result<Branch, E> {
+        let bindings = b
+            .bindings
+            .iter()
+            .map(|(v, r)| Ok((v.clone(), self.range(r)?)))
+            .collect::<Result<_, _>>()?;
+        if b.bindings.iter().any(|(v, _)| v == self.var) {
+            return Ok(Branch {
+                target: b.target.clone(),
+                bindings,
+                predicate: b.predicate.clone(),
+            });
+        }
+        Ok(Branch {
+            target: match &b.target {
+                Target::Var(v) => Target::Var(v.clone()),
+                Target::Tuple(es) => Target::Tuple(self.scalars(es)?),
+            },
+            bindings,
+            predicate: self.formula(&b.predicate)?,
+        })
+    }
+}
+
+/// Run `walk` with the substitution renaming tuple variable `from` to
+/// `to`.
+fn renamed<T>(
+    from: &str,
+    to: &str,
+    walk: impl FnOnce(&VarSubst<'_, Infallible>) -> Result<T, Infallible>,
+) -> T {
+    let attr = |a: &str| Ok(ScalarExpr::Attr(to.to_string(), a.to_string()));
+    let whole = |s| Ok(Formula::Member(to.to_string(), s));
+    let Ok(t) = walk(&VarSubst {
+        var: from,
+        attr: &attr,
+        whole: &whole,
+    });
+    t
+}
+
+/// Rename every free reference to tuple variable `from` into `to`
+/// (used when merging branch scopes), respecting shadowing and reaching
+/// nested ranges.
+pub fn rename_var(f: &Formula, from: &str, to: &str) -> Formula {
+    renamed(from, to, |s| s.formula(f))
+}
+
+/// Does `f` mention tuple variable `var` free?
+fn mentions_var(f: &Formula, var: &str) -> bool {
+    VarSubst {
+        var,
+        attr: &|_| Err(()),
+        whole: &|_| Err(()),
+    }
+    .formula(f)
+    .is_err()
+}
+
+/// Case 2's attribute map of a branch target whose result attributes
+/// are named `result_names`, in order — for constructor bodies, the
+/// declared result schema: result attribute → the target's expression
+/// at it. `None` when a tuple target's arity differs.
+pub fn target_map(target: &Target, result_names: &[String]) -> Option<FxHashMap<Name, ScalarExpr>> {
+    Some(match target {
+        // Result attribute `f` is the bound tuple's own `f`: the range's
+        // attribute names equal the result names for a copy branch.
+        Target::Var(v) => result_names
+            .iter()
+            .map(|name| (name.clone(), ScalarExpr::Attr(v.clone(), name.clone())))
+            .collect(),
+        Target::Tuple(exprs) => {
+            if exprs.len() != result_names.len() {
+                return None;
+            }
+            result_names
+                .iter()
+                .cloned()
+                .zip(exprs.iter().cloned())
+                .collect()
+        }
+    })
+}
+
+/// Substitute the free references `var.attr` in `f` by the expressions
+/// of `target`'s [`target_map`] `map` (Case 2: "substitute r.f by x.g
+/// if x.g appears in the position f of the constructor's target
+/// list"), and whole-tuple membership `var IN R` by the target's:
+/// `<t> IN R`, or `v IN R` for a target yielding the tuple of its
+/// variable `v`. An attribute the target does not produce is the
+/// reference path's `UnknownAttribute`.
+pub fn substitute_attr_refs(
+    f: &Formula,
+    var: &str,
+    target: &Target,
+    map: &FxHashMap<Name, ScalarExpr>,
+) -> Result<Formula, EvalError> {
+    let attr = |a: &str| {
+        map.get(a).cloned().ok_or_else(|| {
+            EvalError::Type(dc_value::TypeError::UnknownAttribute {
+                name: a.to_string(),
+            })
+        })
+    };
+    let whole = |s| {
+        Ok(match target {
+            Target::Var(v) => Formula::Member(v.clone(), s),
+            Target::Tuple(exprs) => Formula::TupleIn(exprs.clone(), s),
+        })
+    };
+    VarSubst {
+        var,
+        attr: &attr,
+        whole: &whole,
+    }
+    .formula(f)
+}
+
+/// The attribute names a `<e1, …, ek>` target gives its result: a field
+/// reference keeps its attribute's name, a parameter its own, anything
+/// else is `f<position>`; a repeated name gets `_` appended until it is
+/// unique.
+pub fn target_names(exprs: &[ScalarExpr]) -> Vec<String> {
+    let mut used = FxHashSet::default();
+    exprs
+        .iter()
+        .enumerate()
+        .map(|(i, e)| {
+            let mut name = match e {
+                ScalarExpr::Attr(_, a) => a.clone(),
+                ScalarExpr::Param(p) => p.clone(),
+                ScalarExpr::Const(_) | ScalarExpr::Arith(..) => format!("f{i}"),
+            };
+            while !used.insert(name.clone()) {
+                name.push('_');
+            }
+            name
+        })
+        .collect()
+}
+
+/// Split the top-level conjunction of a formula, left to right.
+fn conjuncts(f: Formula, out: &mut Vec<Formula>) {
+    match f {
+        Formula::And(a, b) => {
+            conjuncts(*a, out);
+            conjuncts(*b, out);
+        }
+        other => out.push(other),
+    }
+}
+
+/// `a AND b`, dropping a `TRUE` side (and nothing else: a conjunct that
+/// could raise must still be evaluated).
+fn conjoin(a: Formula, b: Formula) -> Formula {
+    match (a, b) {
+        (Formula::True, f) | (f, Formula::True) => f,
+        (a, b) => Formula::And(Box::new(a), Box::new(b)),
+    }
+}
+
+/// §4's range nesting run backwards: the quantifier
+/// `SOME/ALL var IN {<t> OF EACH b1 IN R1, …, bn IN Rn: p} (body)` as
+/// nested quantifiers over the binding ranges,
+///
+/// ```text
+/// N2: SOME Δb1 IN R1 (p1 AND … SOME Δbn IN Rn (pn AND body'))
+/// N3: ALL  Δb1 IN R1 (NOT p1 OR … ALL Δbn IN Rn (NOT pn OR body'))
+/// ```
+///
+/// where each `bi` is renamed to `fresh(bi)` — a name the caller
+/// guarantees occurs nowhere else, so nothing is captured — and the
+/// conjuncts of `p` are miniscoped: `pi` holds those whose innermost
+/// mentioned variable is `Δbi` (those mentioning none go to `p1`, so
+/// `R1` is still evaluated first), which gives the outer levels their
+/// probe atoms. `body'` is `body` under Case 2's substitution of the
+/// target for `var`: `var.f` becomes the target expression at `f` and
+/// `var IN S` becomes `<t> IN S` (`Δb IN S` for a variable target).
+///
+/// `None` when the branch binds nothing, binds a name twice, targets a
+/// variable it does not bind, targets an attribute `body` does not
+/// produce, or its target mentions an outer variable `body` rebinds.
+pub fn unnest_quantifier(
+    var: &str,
+    branch: &Branch,
+    body: &Formula,
+    existential: bool,
+    fresh: &mut dyn FnMut(&str) -> Var,
+) -> Option<Formula> {
+    let names: Vec<&Var> = branch.bindings.iter().map(|(v, _)| v).collect();
+    if names.is_empty() || (1..names.len()).any(|i| names[..i].contains(&names[i])) {
+        return None;
+    }
+    let renames: Vec<(&Var, Var)> = names.iter().map(|&v| (v, fresh(v))).collect();
+    let body = match &branch.target {
+        Target::Var(v) => {
+            let (_, to) = renames.iter().find(|(from, _)| *from == v)?;
+            rename_var(body, var, to)
+        }
+        Target::Tuple(exprs) => {
+            let exprs: Vec<ScalarExpr> = exprs
+                .iter()
+                .map(|e| {
+                    renames.iter().fold(e.clone(), |e, (from, to)| {
+                        renamed(from, to, |s| s.scalar(&e))
+                    })
+                })
+                .collect();
+            let mut rebound = FxHashSet::default();
+            bound_vars_formula(body, &mut rebound);
+            if exprs.iter().any(|e| scalar_mentions_any(e, &rebound)) {
+                return None;
+            }
+            let names = target_names(&exprs);
+            let target = Target::Tuple(exprs);
+            let map = target_map(&target, &names)?;
+            substitute_attr_refs(body, var, &target, &map).ok()?
+        }
+    };
+    let predicate = renames
+        .iter()
+        .fold(branch.predicate.clone(), |p, (from, to)| {
+            rename_var(&p, from, to)
+        });
+    let mut levels = vec![Vec::new(); renames.len()];
+    let mut all = Vec::new();
+    conjuncts(predicate, &mut all);
+    for c in all {
+        let level = (0..renames.len())
+            .rev()
+            .find(|&i| mentions_var(&c, &renames[i].1))
+            .unwrap_or(0);
+        levels[level].push(c);
+    }
+    let mut nested = body;
+    for (i, guard) in levels.into_iter().enumerate().rev() {
+        let guard = guard.into_iter().fold(Formula::True, conjoin);
+        let (v, range) = (renames[i].1.clone(), branch.bindings[i].1.clone());
+        nested = if existential {
+            Formula::Some(v, range, Box::new(conjoin(guard, nested)))
+        } else {
+            let scoped = match guard {
+                Formula::True => nested,
+                guard => Formula::Or(Box::new(guard.negate()), Box::new(nested)),
+            };
+            Formula::All(v, range, Box::new(scoped))
+        };
+    }
+    Some(nested)
+}
+
 /// Lift a value map into an expression map (`Param` holes filled with
 /// `Const` leaves), so the value-substitution entry points below can
 /// delegate to the expression-level walkers instead of duplicating the
@@ -403,10 +767,10 @@ fn collect_names_formula(f: &Formula, out: &mut FxHashSet<Name>) {
 }
 
 /// Collect every selector name applied anywhere in a range expression.
-/// Together with [`relation_names`] this drives the overlay's
-/// decorrelation-cache shareability check: a selector *body* may
-/// resolve relation names of its own, so callers expand the collected
-/// selectors' predicates transitively.
+/// Together with [`relation_names`] this drives the solver's walk of
+/// what a solve reads: a selector *body* may resolve relation names of
+/// its own, so callers expand the collected selectors' predicates
+/// transitively.
 pub fn selector_names(range: &RangeExpr) -> FxHashSet<Name> {
     let mut out = FxHashSet::default();
     collect_selectors_range(range, &mut out);
@@ -783,6 +1147,171 @@ mod tests {
             assert!(out.contains(v), "{v}");
         }
         assert_eq!(out.len(), 3);
+    }
+
+    #[test]
+    fn rename_var_respects_shadowing_and_reaches_ranges() {
+        let f = eq(attr("r", "a"), cnst(1i64))
+            .and(some("r", rel("S"), eq(attr("r", "b"), cnst(2i64))))
+            .and(some(
+                "z",
+                rel("T").select("s", vec![attr("r", "c")]),
+                member("r", rel("U")),
+            ))
+            .and(some(
+                "w",
+                set_former(vec![Branch::each(
+                    "r",
+                    rel("V").select("s", vec![attr("r", "d")]),
+                    eq(attr("r", "e"), cnst(3i64)),
+                )]),
+                tru(),
+            ));
+        let renamed = rename_var(&f, "r", "x").to_string();
+        // Free references move, including selector arguments and a
+        // branch's binding range (evaluated outside the branch's scope).
+        for moved in ["x.a", "[s(x.c)]", "x IN U", "[s(x.d)]"] {
+            assert!(renamed.contains(moved), "{moved} in {renamed}");
+        }
+        // The quantifier and the branch rebinding `r` shadow it.
+        for kept in ["r.b", "r.e"] {
+            assert!(renamed.contains(kept), "{kept} in {renamed}");
+        }
+    }
+
+    #[test]
+    fn substitute_attr_refs_maps_names_and_membership() {
+        let target = Target::Tuple(vec![attr("f", "front"), attr("b", "back")]);
+        let map = target_map(&target, &["front".into(), "back".into()]).unwrap();
+        let pred = eq(attr("r", "front"), cnst("x")).and(member("r", rel("S")));
+        assert_eq!(
+            substitute_attr_refs(&pred, "r", &target, &map).unwrap(),
+            eq(attr("f", "front"), cnst("x")).and(tuple_in(
+                vec![attr("f", "front"), attr("b", "back")],
+                rel("S")
+            ))
+        );
+        // A whole-tuple target keeps whole-tuple membership.
+        let copy = Target::Var("v".into());
+        let copy_map = target_map(&copy, &["front".into()]).unwrap();
+        assert_eq!(
+            substitute_attr_refs(&member("r", rel("S")), "r", &copy, &copy_map).unwrap(),
+            member("v", rel("S"))
+        );
+        // Unknown attribute is an error.
+        let bad = eq(attr("r", "missing"), cnst("x"));
+        assert!(substitute_attr_refs(&bad, "r", &target, &map).is_err());
+        assert!(target_map(&target, &["front".into()]).is_none());
+    }
+
+    #[test]
+    fn target_names_follow_the_schema_rules() {
+        let exprs = [
+            attr("f", "front"),
+            attr("b", "front"),
+            cnst(1i64),
+            param("K"),
+            add(attr("f", "n"), cnst(1i64)),
+        ];
+        assert_eq!(
+            target_names(&exprs),
+            vec!["front", "front_", "f2", "K", "f4"]
+        );
+    }
+
+    fn delta(v: &str) -> Var {
+        format!("Δ{v}")
+    }
+
+    #[test]
+    fn unnest_miniscopes_conjuncts_and_substitutes_the_target() {
+        // SOME x IN {<a.worker, s.tool> OF EACH a IN A, s IN S:
+        //   a.worker = s.worker AND a.task = r.task AND r.ok = 1}
+        //   (x.tool = r.tool)
+        let branch = Branch::projecting(
+            vec![attr("a", "worker"), attr("s", "tool")],
+            vec![("a".into(), rel("A")), ("s".into(), rel("S"))],
+            eq(attr("a", "worker"), attr("s", "worker"))
+                .and(eq(attr("a", "task"), attr("r", "task")))
+                .and(eq(attr("r", "ok"), cnst(1i64))),
+        );
+        let body = eq(attr("x", "tool"), attr("r", "tool"));
+        let some_form = unnest_quantifier("x", &branch, &body, true, &mut delta).unwrap();
+        assert_eq!(
+            some_form,
+            some(
+                "Δa",
+                rel("A"),
+                eq(attr("Δa", "task"), attr("r", "task"))
+                    .and(eq(attr("r", "ok"), cnst(1i64)))
+                    .and(some(
+                        "Δs",
+                        rel("S"),
+                        eq(attr("Δa", "worker"), attr("Δs", "worker"))
+                            .and(eq(attr("Δs", "tool"), attr("r", "tool")))
+                    ))
+            )
+        );
+        let all_form = unnest_quantifier("x", &branch, &body, false, &mut delta).unwrap();
+        assert_eq!(
+            all_form,
+            all(
+                "Δa",
+                rel("A"),
+                not(eq(attr("Δa", "task"), attr("r", "task")).and(eq(attr("r", "ok"), cnst(1i64))))
+                    .or(all(
+                        "Δs",
+                        rel("S"),
+                        not(eq(attr("Δa", "worker"), attr("Δs", "worker")))
+                            .or(eq(attr("Δs", "tool"), attr("r", "tool")))
+                    ))
+            )
+        );
+    }
+
+    #[test]
+    fn unnest_renames_a_variable_target_and_its_membership() {
+        let branch = Branch::each("o", rel("Ontop"), eq(attr("o", "base"), attr("r", "front")));
+        let body = member("t", rel("Objects")).and(ne(attr("t", "top"), cnst("dust")));
+        assert_eq!(
+            unnest_quantifier("t", &branch, &body, true, &mut delta).unwrap(),
+            some(
+                "Δo",
+                rel("Ontop"),
+                eq(attr("Δo", "base"), attr("r", "front"))
+                    .and(member("Δo", rel("Objects")).and(ne(attr("Δo", "top"), cnst("dust"))))
+            )
+        );
+    }
+
+    #[test]
+    fn unnest_refusals() {
+        let body = tru();
+        // Shadowed binding names.
+        let shadowed = Branch {
+            target: Target::Var("a".into()),
+            bindings: vec![("a".into(), rel("A")), ("a".into(), rel("B"))],
+            predicate: tru(),
+        };
+        assert!(unnest_quantifier("x", &shadowed, &body, true, &mut delta).is_none());
+        // A target variable the branch does not bind.
+        let outer = Branch {
+            target: Target::Var("r".into()),
+            bindings: vec![("a".into(), rel("A"))],
+            predicate: tru(),
+        };
+        assert!(unnest_quantifier("x", &outer, &body, true, &mut delta).is_none());
+        // An attribute the target does not produce.
+        let projecting = Branch::projecting(
+            vec![attr("a", "w"), attr("r", "t")],
+            vec![("a".into(), rel("A"))],
+            tru(),
+        );
+        let missing = eq(attr("x", "nope"), cnst(1i64));
+        assert!(unnest_quantifier("x", &projecting, &missing, true, &mut delta).is_none());
+        // The target's outer `r` would be captured by the body's own `r`.
+        let captured = some("r", rel("R"), eq(attr("x", "t"), attr("r", "t")));
+        assert!(unnest_quantifier("x", &projecting, &captured, true, &mut delta).is_none());
     }
 
     #[test]

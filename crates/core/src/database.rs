@@ -40,8 +40,7 @@ pub struct Database {
     /// that its [`AppKey`] does not cover, so the memo is dropped
     /// whenever any relation changes (and when the strategy does).
     solved: RefCell<FxHashMap<AppKey, Relation>>,
-    /// Indexes, statistics, and decorrelated ranges over the base
-    /// relations, served to every evaluator through
+    /// Indexes and statistics over the base relations, served to every evaluator through
     /// [`Catalog::access`]. Keyed by storage identity, so a changed
     /// relation simply misses; [`Database::mutate`] forgets the id it
     /// had before.
@@ -415,7 +414,8 @@ impl Database {
     /// decision trace rendered as an `EXPLAIN` tree instead of the
     /// result relation: the chosen access path per branch (probe vs.
     /// scan, with the statistics behind the ordering), quantifier-plan
-    /// demotions, and decorrelation refusals, each with its reason.
+    /// demotions, and correlated ranges left on the reference scan,
+    /// each with its reason.
     pub fn explain(&self, query: &RangeExpr) -> Result<Explanation, CoreError> {
         typeck::check_range(query, self)?;
         let mut ev = self.evaluator();

@@ -56,14 +56,14 @@
 //! private `snapshot` submodule), and
 //! handing the tasks to [`dc_exec::run_tasks`] — cross-branch *and*
 //! cross-equation parallelism, impure branches included (quantifier
-//! probes, decorrelated builds: they only need the frozen snapshot).
+//! probes included: they only need the frozen snapshot).
 //! This is the solve's only parallelism: a task never shards its own
 //! scan. Each task returns its value plus the
 //! constructor applications it met for the first time; the solver
 //! replays those single-threaded at the commit site, so registration
 //! and delta commits stay serialized and `threads = N` commits
-//! relations identical to `threads = 1`. Indexes, statistics, and
-//! decorrelated ranges live in the solve's one [`AccessCache`], keyed
+//! relations identical to `threads = 1`. Indexes and statistics live
+//! in the solve's one [`AccessCache`], keyed
 //! by storage identity: tasks fill it directly from any thread, and
 //! the commit site [`AccessCache::advance`]s each grown equation value.
 //!
@@ -313,8 +313,8 @@ struct State {
     index: FxHashMap<AppKey, usize>,
     current: Vec<Relation>,
     delta: Vec<Relation>,
-    /// The solve's access cache: every index, statistics entry, and
-    /// decorrelated range any branch evaluation of this solve builds,
+    /// The solve's access cache: every index and statistics entry any
+    /// branch evaluation of this solve builds,
     /// keyed by the storage of the relation it describes — base
     /// relations and actuals (stable for the whole solve), equation
     /// values (advanced at commit), deltas (forgotten at commit).
@@ -1423,7 +1423,7 @@ fn run_task(
     let overlay = Overlay::new(&cat, task.overrides.clone());
     let mut ev = knobs.evaluator(&overlay);
     // A governed abort names the branch and carries the evaluator's
-    // planner trace (access-path decisions, degradations) out with it —
+    // demotions and degradations out with it, rendered —
     // aborts are atomic, so this is the only trace the solve leaves.
     let value = ev
         .eval(&RangeExpr::SetFormer(task.body.clone()))
@@ -1433,7 +1433,12 @@ fn run_task(
                 if d.site.is_empty() {
                     d.site = format!("branch {}", task.branch);
                 }
-                d.notes.extend(ev.plan_notes().iter().cloned());
+                d.notes.extend(
+                    ev.plan_events()
+                        .iter()
+                        .filter(|e| e.is_demotion())
+                        .map(ToString::to_string),
+                );
             }
             e
         })?;

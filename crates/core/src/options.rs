@@ -106,8 +106,7 @@ pub fn transitive_closure(
     let mut frontier: Vec<dc_value::Tuple> = rel.iter().cloned().collect();
     while let Some(pair) = frontier.pop() {
         // pair = (a, …, b); extend with edges (b, …, c).
-        let b = pair.project(&[to_pos]);
-        for edge in index.probe(&b) {
+        for edge in index.probe_slice(std::slice::from_ref(pair.get(to_pos))) {
             let mut fields: Vec<dc_value::Value> = pair.fields().to_vec();
             fields[to_pos] = edge.get(to_pos).clone();
             fields[from_pos] = pair.get(from_pos).clone();
@@ -134,8 +133,7 @@ pub fn ahead_step(
     if !current.is_empty() {
         let index = HashIndex::build(current, vec![from_pos]);
         for edge in base.iter() {
-            let key = edge.project(&[to_pos]);
-            for cont in index.probe(&key) {
+            for cont in index.probe_slice(std::slice::from_ref(edge.get(to_pos))) {
                 let mut fields: Vec<dc_value::Value> = edge.fields().to_vec();
                 fields[to_pos] = cont.get(to_pos).clone();
                 out.insert_unchecked(dc_value::Tuple::new(fields))?;

@@ -4,8 +4,8 @@
 //! when the clock started. Arming it with [`Budget::meter`] captures
 //! `Instant::now()` and yields a [`Meter`] — a cheap, `Arc`-shared
 //! gauge that every layer of one solve (evaluator branch loops on
-//! whichever pool worker they run, decorrelated-entry builds,
-//! semi-naive round commits) polls at its natural tick points. The
+//! whichever pool worker they run, semi-naive round commits) polls at
+//! its natural tick points. The
 //! split matters: a budget stored in a long-lived configuration is
 //! re-armed per solve, so a 10 ms deadline means 10 ms *per solve*, not
 //! 10 ms since the configuration was built.

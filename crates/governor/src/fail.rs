@@ -43,34 +43,30 @@ pub enum Site {
     /// throwaway build over a binding-dependent range. Cache hits
     /// never consult it.
     IndexBuild = 2,
-    /// The evaluator building a decorrelated entry for a correlated
-    /// range (`decorr_build`).
-    DecorrBuild = 3,
     /// The serving layer about to swap in a freshly built snapshot
     /// (`snapshot_publish`). Fires after the overlay is applied but
     /// before the epoch becomes visible, so an injected fault must
     /// leave readers on the old epoch with the chain unbroken.
-    SnapshotPublish = 4,
+    SnapshotPublish = 3,
     /// Entry of the serving layer's commit path (`session_commit`).
     /// Fires before any batch op is applied.
-    SessionCommit = 5,
+    SessionCommit = 4,
     /// A standing-query refresh about to run its warm (incremental)
     /// maintenance (`view_refresh`). Fires after the commit's snapshot
     /// is published, so an injected fault must leave the commit
     /// successful and force the subscription onto its cold re-solve
     /// path without corrupting subscriber state.
-    ViewRefresh = 6,
+    ViewRefresh = 5,
 }
 
 /// Number of sites (the registry is a fixed-size table).
-const SITE_COUNT: usize = 7;
+const SITE_COUNT: usize = 6;
 
 /// All sites, for iteration in tests and parsers.
 pub const SITES: [Site; SITE_COUNT] = [
     Site::WorkerStart,
     Site::DeltaCommit,
     Site::IndexBuild,
-    Site::DecorrBuild,
     Site::SnapshotPublish,
     Site::SessionCommit,
     Site::ViewRefresh,
@@ -83,7 +79,6 @@ impl Site {
             Site::WorkerStart => "worker_start",
             Site::DeltaCommit => "delta_commit",
             Site::IndexBuild => "index_build",
-            Site::DecorrBuild => "decorr_build",
             Site::SnapshotPublish => "snapshot_publish",
             Site::SessionCommit => "session_commit",
             Site::ViewRefresh => "view_refresh",
@@ -308,10 +303,10 @@ mod tests {
     fn parser_is_strict() {
         assert!(parse_failpoints("").unwrap().is_empty());
         assert_eq!(
-            parse_failpoints(" worker_start=panic , decorr_build=error ").unwrap(),
+            parse_failpoints(" worker_start=panic , index_build=error ").unwrap(),
             vec![
                 (Site::WorkerStart, FailAction::Panic),
-                (Site::DecorrBuild, FailAction::Error)
+                (Site::IndexBuild, FailAction::Error)
             ]
         );
         assert_eq!(

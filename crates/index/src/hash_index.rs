@@ -74,15 +74,10 @@ impl HashIndex {
         self.len += 1;
     }
 
-    /// All tuples whose projection equals `key`.
-    pub fn probe(&self, key: &Tuple) -> &[Tuple] {
-        self.buckets.get(key).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// All tuples whose projection equals the given value slice. The
-    /// zero-allocation probe used by the join executor's hot path: the
-    /// caller assembles the key in a scratch buffer instead of
-    /// materialising a `Tuple` per probe.
+    /// All tuples whose projection equals the given value slice — the
+    /// key fields in `positions` order, assembled by the caller (the
+    /// join executor reuses one scratch buffer) rather than
+    /// materialised as a `Tuple` per probe.
     pub fn probe_slice(&self, key: &[Value]) -> &[Tuple] {
         self.buckets.get(key).map(Vec::as_slice).unwrap_or(&[])
     }
@@ -123,17 +118,17 @@ mod tests {
         let idx = HashIndex::build(&r, vec![0]);
         assert_eq!(idx.len(), 3);
         assert_eq!(idx.distinct_keys(), 2);
-        let hits = idx.probe(&tuple!["a"]);
+        let hits = idx.probe_slice(&["a".into()]);
         assert_eq!(hits.len(), 2);
-        assert!(idx.probe(&tuple!["z"]).is_empty());
+        assert!(idx.probe_slice(&["z".into()]).is_empty());
     }
 
     #[test]
     fn multi_position_keys() {
         let r = edges(&[("a", "b"), ("a", "c")]);
         let idx = HashIndex::build(&r, vec![0, 1]);
-        assert_eq!(idx.probe(&tuple!["a", "b"]).len(), 1);
-        assert_eq!(idx.probe(&tuple!["a", "z"]).len(), 0);
+        assert_eq!(idx.probe_slice(&["a".into(), "b".into()]).len(), 1);
+        assert_eq!(idx.probe_slice(&["a".into(), "z".into()]).len(), 0);
         assert_eq!(idx.distinct_keys(), 2);
     }
 
@@ -143,7 +138,7 @@ mod tests {
         assert!(idx.is_empty());
         idx.add(tuple!["a", "b"]);
         idx.add(tuple!["x", "b"]);
-        assert_eq!(idx.probe(&tuple!["b"]).len(), 2);
+        assert_eq!(idx.probe_slice(&["b".into()]).len(), 2);
         assert_eq!(idx.len(), 2);
     }
 

@@ -65,24 +65,6 @@ impl RelationStats {
             _ => 1.0,
         }
     }
-
-    /// Estimated output cardinality of an equi-join between `self` on
-    /// `left_pos` and `other` on `right_pos`.
-    pub fn join_cardinality(
-        &self,
-        left_pos: usize,
-        other: &RelationStats,
-        right_pos: usize,
-    ) -> f64 {
-        let d = self
-            .distinct
-            .get(left_pos)
-            .copied()
-            .max(other.distinct.get(right_pos).copied())
-            .unwrap_or(1)
-            .max(1);
-        (self.cardinality as f64) * (other.cardinality as f64) / d as f64
-    }
 }
 
 /// Incrementally maintained relation statistics: the long-lived form
@@ -202,13 +184,5 @@ mod tests {
         assert_eq!(s.cardinality, 2);
         assert_eq!(s.distinct, vec![1, 2]);
         assert_eq!(b.cardinality(), 2);
-    }
-
-    #[test]
-    fn join_estimate() {
-        let s = RelationStats::collect(&rel());
-        let est = s.join_cardinality(1, &s, 0);
-        // 3 * 3 / max(2,2) = 4.5
-        assert!((est - 4.5).abs() < 1e-9);
     }
 }

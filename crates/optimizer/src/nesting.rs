@@ -23,169 +23,18 @@
 //! [`inline_applications`] performs the paper's "full decompilation"
 //! for non-recursive queries: selector and (non-recursive) constructor
 //! applications are replaced by their instantiated bodies, and
-//! [`push_predicate`] then drives the predicate inward.
+//! [`push_predicate`] then drives the predicate inward. Case 2's
+//! substitution is [`rewrite::substitute_attr_refs`] over a
+//! [`rewrite::target_map`] — the same one the evaluator's
+//! [`rewrite::unnest_quantifier`] runs N2/N3 backwards with, so the
+//! paper's rules have one implementation.
 
 use dc_calculus::ast::{Branch, Formula, RangeExpr, ScalarExpr, SetFormer, Target};
 use dc_calculus::positivity::{self, Tracked};
-use dc_calculus::rewrite;
+use dc_calculus::rewrite::{self, substitute_attr_refs, target_map};
 use dc_calculus::EvalError;
 use dc_core::Database;
 use dc_value::FxHashMap;
-
-/// Rename every reference to tuple variable `from` into `to` inside a
-/// formula (used when merging branch scopes).
-pub fn rename_var(f: &Formula, from: &str, to: &str) -> Formula {
-    fn scalar(e: &ScalarExpr, from: &str, to: &str) -> ScalarExpr {
-        match e {
-            ScalarExpr::Attr(v, a) if v == from => ScalarExpr::Attr(to.to_string(), a.clone()),
-            ScalarExpr::Arith(l, op, r) => ScalarExpr::Arith(
-                Box::new(scalar(l, from, to)),
-                *op,
-                Box::new(scalar(r, from, to)),
-            ),
-            other => other.clone(),
-        }
-    }
-    match f {
-        Formula::True | Formula::False => f.clone(),
-        Formula::Cmp(l, op, r) => Formula::Cmp(scalar(l, from, to), *op, scalar(r, from, to)),
-        Formula::And(a, b) => Formula::And(
-            Box::new(rename_var(a, from, to)),
-            Box::new(rename_var(b, from, to)),
-        ),
-        Formula::Or(a, b) => Formula::Or(
-            Box::new(rename_var(a, from, to)),
-            Box::new(rename_var(b, from, to)),
-        ),
-        Formula::Not(inner) => Formula::Not(Box::new(rename_var(inner, from, to))),
-        // Inner quantifiers shadow; only rename if not re-bound.
-        Formula::Some(v, r, body) => {
-            let body = if v == from {
-                (**body).clone()
-            } else {
-                rename_var(body, from, to)
-            };
-            Formula::Some(v.clone(), r.clone(), Box::new(body))
-        }
-        Formula::All(v, r, body) => {
-            let body = if v == from {
-                (**body).clone()
-            } else {
-                rename_var(body, from, to)
-            };
-            Formula::All(v.clone(), r.clone(), Box::new(body))
-        }
-        Formula::Member(v, r) => {
-            let v = if v == from { to.to_string() } else { v.clone() };
-            Formula::Member(v, r.clone())
-        }
-        Formula::TupleIn(exprs, r) => Formula::TupleIn(
-            exprs.iter().map(|e| scalar(e, from, to)).collect(),
-            r.clone(),
-        ),
-    }
-}
-
-/// Substitute references `var.attr` by expressions, per an
-/// attribute-name → expression map (the Case 2 "substitute r.f by x.g
-/// if x.g appears in the position f of the constructor's target
-/// list").
-pub fn substitute_attr_refs(
-    f: &Formula,
-    var: &str,
-    map: &FxHashMap<String, ScalarExpr>,
-) -> Result<Formula, EvalError> {
-    fn scalar(
-        e: &ScalarExpr,
-        var: &str,
-        map: &FxHashMap<String, ScalarExpr>,
-    ) -> Result<ScalarExpr, EvalError> {
-        match e {
-            ScalarExpr::Attr(v, a) if v == var => map.get(a).cloned().ok_or_else(|| {
-                EvalError::Type(dc_value::TypeError::UnknownAttribute { name: a.clone() })
-            }),
-            ScalarExpr::Arith(l, op, r) => Ok(ScalarExpr::Arith(
-                Box::new(scalar(l, var, map)?),
-                *op,
-                Box::new(scalar(r, var, map)?),
-            )),
-            other => Ok(other.clone()),
-        }
-    }
-    Ok(match f {
-        Formula::True | Formula::False => f.clone(),
-        Formula::Cmp(l, op, r) => Formula::Cmp(scalar(l, var, map)?, *op, scalar(r, var, map)?),
-        Formula::And(a, b) => Formula::And(
-            Box::new(substitute_attr_refs(a, var, map)?),
-            Box::new(substitute_attr_refs(b, var, map)?),
-        ),
-        Formula::Or(a, b) => Formula::Or(
-            Box::new(substitute_attr_refs(a, var, map)?),
-            Box::new(substitute_attr_refs(b, var, map)?),
-        ),
-        Formula::Not(inner) => Formula::Not(Box::new(substitute_attr_refs(inner, var, map)?)),
-        Formula::Some(v, r, body) => {
-            let body = if v == var {
-                (**body).clone()
-            } else {
-                substitute_attr_refs(body, var, map)?
-            };
-            Formula::Some(v.clone(), r.clone(), Box::new(body))
-        }
-        Formula::All(v, r, body) => {
-            let body = if v == var {
-                (**body).clone()
-            } else {
-                substitute_attr_refs(body, var, map)?
-            };
-            Formula::All(v.clone(), r.clone(), Box::new(body))
-        }
-        Formula::Member(v, r) if v == var => {
-            return Err(EvalError::Other(
-                "cannot substitute a whole-tuple membership reference".into(),
-            ))
-        }
-        Formula::Member(v, r) => Formula::Member(v.clone(), r.clone()),
-        Formula::TupleIn(exprs, r) => Formula::TupleIn(
-            exprs
-                .iter()
-                .map(|e| scalar(e, var, map))
-                .collect::<Result<_, _>>()?,
-            r.clone(),
-        ),
-    })
-}
-
-/// Attribute-name → target-expression map of a branch (Case 2).
-/// `result_names` supplies the output attribute names in order, which
-/// for constructor bodies come from the declared result schema.
-pub fn target_map(
-    branch: &Branch,
-    result_names: &[String],
-) -> Option<FxHashMap<String, ScalarExpr>> {
-    match &branch.target {
-        Target::Var(v) => {
-            // Result attr f at position i maps to v.<range attr i> —
-            // but the range's attribute names equal the result names
-            // for a copy branch; map name→Attr(v, name) positionally.
-            let mut m = FxHashMap::default();
-            for name in result_names {
-                m.insert(name.clone(), ScalarExpr::Attr(v.clone(), name.clone()));
-            }
-            Some(m)
-        }
-        Target::Tuple(exprs) => {
-            if exprs.len() != result_names.len() {
-                return None;
-            }
-            let mut m = FxHashMap::default();
-            for (name, e) in result_names.iter().zip(exprs) {
-                m.insert(name.clone(), e.clone());
-            }
-            Some(m)
-        }
-    }
-}
 
 /// Inline every selector application and every *non-recursive*
 /// constructor application in a range expression, substituting formals
@@ -297,8 +146,8 @@ pub fn push_predicate(
     }
     let mut branches = Vec::with_capacity(inner.branches.len());
     for b in &inner.branches {
-        let map = target_map(b, result_names)?;
-        let pushed = substitute_attr_refs(pred, var, &map).ok()?;
+        let map = target_map(&b.target, result_names)?;
+        let pushed = substitute_attr_refs(pred, var, &b.target, &map).ok()?;
         branches.push(Branch {
             target: b.target.clone(),
             bindings: b.bindings.clone(),
@@ -395,17 +244,6 @@ mod tests {
         })
         .unwrap();
         db
-    }
-
-    #[test]
-    fn rename_var_respects_shadowing() {
-        let f =
-            eq(attr("r", "a"), cnst(1i64)).and(some("r", rel("S"), eq(attr("r", "b"), cnst(2i64))));
-        let renamed = rename_var(&f, "r", "x");
-        let s = renamed.to_string();
-        assert!(s.contains("x.a"));
-        // The quantified inner r is untouched.
-        assert!(s.contains("r.b"));
     }
 
     #[test]
@@ -508,18 +346,5 @@ mod tests {
             rel("Infront").construct("ahead2", vec![]),
         ));
         assert!(push_predicate("q", &inner, &pred, &names).is_none());
-    }
-
-    #[test]
-    fn substitute_attr_refs_maps_names() {
-        let mut map = FxHashMap::default();
-        map.insert("front".to_string(), attr("f", "front"));
-        map.insert("back".to_string(), attr("b", "back"));
-        let pred = eq(attr("r", "front"), cnst("x"));
-        let out = substitute_attr_refs(&pred, "r", &map).unwrap();
-        assert_eq!(out, eq(attr("f", "front"), cnst("x")));
-        // Unknown attribute is an error.
-        let bad = eq(attr("r", "missing"), cnst("x"));
-        assert!(substitute_attr_refs(&bad, "r", &map).is_err());
     }
 }

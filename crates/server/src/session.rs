@@ -126,8 +126,9 @@ impl Session {
 
     /// Evaluate `query` against the pinned snapshot and return the
     /// planner's typed decision trace rendered as an `EXPLAIN` tree:
-    /// the chosen access path per branch, quantifier-plan demotions,
-    /// and decorrelation refusals, each with the statistics behind it.
+    /// the chosen access path per branch with the statistics behind
+    /// it, quantifier-plan demotions, and correlated ranges left on the
+    /// reference scan.
     pub fn explain(&self, query: &RangeExpr) -> Result<Explanation, ServerError> {
         typeck::check_range(query, self)?;
         let mut ev = self.evaluator();

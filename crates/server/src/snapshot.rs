@@ -73,8 +73,7 @@ pub struct Snapshot {
     relations: FxHashMap<Name, Relation>,
     catalog_digest: u128,
     defs: Arc<Defs>,
-    /// Indexes, statistics, and decorrelated ranges over this
-    /// snapshot's relations, shared by every session pinning it: what
+    /// Indexes and statistics over this snapshot's relations, shared by every session pinning it: what
     /// one session builds, its siblings hit.
     access: AccessCache,
     warm: Warm,

@@ -97,10 +97,6 @@ counters! {
     QuantProbes => quant_probes,
     /// Quantifier ranges demoted to scans (see plan events for why).
     QuantScans => quant_scans,
-    /// Decorrelated quantifier plans built.
-    DecorrBuilds => decorr_builds,
-    /// Decorrelation attempts refused (see plan events for why).
-    DecorrRefusals => decorr_refusals,
     /// Branches evaluated by parallel workers.
     ParallelBranches => parallel_branches,
     /// Branches evaluated inline on the solver thread.
@@ -123,11 +119,6 @@ counters! {
     WarmStatsHits => warm_stats_hits,
     /// Access-cache lookups that had to collect relation statistics.
     WarmStatsMisses => warm_stats_misses,
-    /// Access-cache lookups that found a decorrelation decision.
-    WarmDecorrHits => warm_decorr_hits,
-    /// Access-cache lookups that left the decorrelation analysis (and
-    /// build) to the evaluator.
-    WarmDecorrMisses => warm_decorr_misses,
     /// Server commits published.
     Commits => commits,
     /// Server commits rejected by conflict validation.
@@ -357,19 +348,13 @@ impl MetricsSnapshot {
         self.counter_fields().to_vec()
     }
 
-    /// Hit rate in `[0, 1]` across the solved memo and the three
+    /// Hit rate in `[0, 1]` across the solved memo and the two
     /// access-cache kinds, or
     /// `None` when nothing was looked up.
     pub fn warm_hit_rate(&self) -> Option<f64> {
-        let hits = self.warm_solved_hits
-            + self.warm_index_hits
-            + self.warm_stats_hits
-            + self.warm_decorr_hits;
-        let total = hits
-            + self.warm_solved_misses
-            + self.warm_index_misses
-            + self.warm_stats_misses
-            + self.warm_decorr_misses;
+        let hits = self.warm_solved_hits + self.warm_index_hits + self.warm_stats_hits;
+        let total =
+            hits + self.warm_solved_misses + self.warm_index_misses + self.warm_stats_misses;
         if total == 0 {
             None
         } else {

@@ -65,8 +65,6 @@ pub enum SpanKind {
     /// One branch task evaluated against the frozen snapshot, possibly
     /// on a worker thread.
     BranchTask,
-    /// Construction of a decorrelated quantifier plan (dc-calculus).
-    DecorrBuild,
     /// One server commit: validate, apply, publish, refresh (dc-server).
     ServerCommit,
     /// One session query (ad-hoc or prepared) against a snapshot.
@@ -92,7 +90,6 @@ impl SpanKind {
             SpanKind::Round => "round",
             SpanKind::Phase => "phase",
             SpanKind::BranchTask => "branch_task",
-            SpanKind::DecorrBuild => "decorr_build",
             SpanKind::ServerCommit => "server_commit",
             SpanKind::SessionQuery => "session_query",
             SpanKind::SubscriptionRefresh => "subscription_refresh",

@@ -17,10 +17,10 @@
 //! ```
 //!
 //! The reference path re-evaluates the inner join per request:
-//! O(|Requests| × |Assign| × |Skill|). The decorrelated path
-//! materialises `Assign ⋈ Skill` once, buckets it on the joint key
-//! `(a.task, s.tool)`, and probes per request:
-//! O(|Assign ⋈ Skill| + |Requests|).
+//! O(|Requests| × |Assign| × |Skill|). Unnested into
+//! `SOME a IN Assign (a.task = r.task AND SOME s IN Skill (a.worker =
+//! s.worker AND s.tool = r.tool))`, it probes `Assign` per request and
+//! `Skill` per assigned worker: O(|Requests| × matches).
 
 use crate::rng::SplitMix64;
 

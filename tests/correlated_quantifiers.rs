@@ -1,9 +1,10 @@
 //! Randomized differential suite for **correlated** quantified ranges:
-//! the decorrelated-probe path (PR 3 tentpole) against the reference
-//! per-combination scan (`force_nested_loop` / `set_use_indexes(false)`)
-//! over generated CAD scenes, plus the fixpoint interaction — a
+//! the unnested path (§4's N2/N3 run backwards, then decided by the
+//! quantifier probes) against the reference per-combination scan
+//! (`force_nested_loop` / `set_use_indexes(false)`) over generated CAD
+//! scenes and staffing instances, plus the fixpoint interaction — a
 //! constructor whose body quantifies over a correlated view of the
-//! recursive application, so the decorrelated range's underlying value
+//! recursive application, so the unnested range's underlying value
 //! changes as deltas commit mid-solve.
 
 use dc_calculus::ast::{Branch, SelectorDef};
@@ -11,14 +12,22 @@ use dc_calculus::builder::*;
 use dc_calculus::joinplan::{self, QuantMode};
 use dc_calculus::{Formula, RangeExpr};
 use dc_core::{paper, Constructor, Database, Strategy};
-use dc_value::Domain;
+use dc_value::{tuple, Domain, Schema};
 use dc_workload::rng::SplitMix64;
 
 /// A random correlated filter over `Ontop`, correlated on an attribute
-/// of the outer edge variable `r`, with an optional local residual.
+/// of the outer edge variable `r`, with an optional local residual. The
+/// correlation sits in the predicate or — a correlated binding range —
+/// in the range it binds, `Ontop[on_base(r.X)]`; the target is the
+/// bound tuple or the projection `<o.base, o.top>`.
 fn random_correlated_range(rng: &mut SplitMix64) -> RangeExpr {
     let outer_attr = if rng.below(2) == 0 { "front" } else { "back" };
-    let corr = eq(attr("o", "base"), attr("r", outer_attr));
+    let (over, corr) = if rng.below(3) == 0 {
+        let items = rel("Ontop").select("on_base", vec![attr("r", outer_attr)]);
+        (items, tru())
+    } else {
+        (rel("Ontop"), eq(attr("o", "base"), attr("r", outer_attr)))
+    };
     let residual = match rng.below(4) {
         0 => tru(),
         1 => ne(attr("o", "top"), cnst("item_0_0")),
@@ -30,19 +39,38 @@ fn random_correlated_range(rng: &mut SplitMix64) -> RangeExpr {
             eq(attr("q", "part"), attr("o", "base")),
         ),
     };
-    set_former(vec![Branch::each("o", rel("Ontop"), corr.and(residual))])
+    let bindings = vec![("o".to_string(), over)];
+    let target = if rng.below(2) == 0 {
+        dc_calculus::Target::Var("o".into())
+    } else {
+        dc_calculus::Target::Tuple(vec![attr("o", "base"), attr("o", "top")])
+    };
+    set_former(vec![Branch {
+        target,
+        bindings,
+        predicate: corr.and(residual),
+    }])
 }
 
 /// A random quantified predicate over the correlated range: SOME/ALL,
-/// with bodies ranging from trivial to implication-shaped.
+/// with bodies ranging from trivial to implication-shaped, through
+/// whole-tuple membership (`t IN Ontop`, for both target kinds) and a
+/// nested range that mentions `t`.
 fn random_correlated_query(rng: &mut SplitMix64) -> RangeExpr {
     let range = random_correlated_range(rng);
-    let body = match rng.below(3) {
+    let body = match rng.below(5) {
         0 => tru(),
         1 => ne(attr("t", "top"), attr("r", "back")),
         // Implication over the bound tuple.
-        _ => not(eq(attr("t", "base"), attr("r", "front")))
+        2 => not(eq(attr("t", "base"), attr("r", "front")))
             .or(gt(attr("t", "top"), attr("t", "base"))),
+        3 => member("t", rel("Ontop")).and(ne(attr("t", "top"), attr("r", "front"))),
+        // Something stands on the item itself.
+        _ => some(
+            "s",
+            rel("Ontop").select("on_base", vec![attr("t", "top")]),
+            ne(attr("s", "top"), attr("r", "back")),
+        ),
     };
     let pred = if rng.below(2) == 0 {
         some("t", range, body)
@@ -64,13 +92,13 @@ fn randomized_correlated_quantifiers_agree_with_reference() {
         let db = dc_bench::scene_db(&scene);
         let mut db_scan = dc_bench::scene_db(&scene);
         db_scan.set_use_indexes(false);
-        for _ in 0..12 {
+        for _ in 0..24 {
             let q = random_correlated_query(&mut rng);
             let probed = db.eval(&q).unwrap();
             let scanned = db_scan.eval(&q).unwrap();
             assert_eq!(
                 probed, scanned,
-                "decorrelated/scan divergence on scene seed={seed} for {q}"
+                "unnested/scan divergence on scene seed={seed} for {q}"
             );
         }
     }
@@ -98,6 +126,51 @@ fn correlated_selector_applications_agree_with_reference() {
                 let scanned = db_scan.eval(&q).unwrap();
                 assert_eq!(probed, scanned, "seed={seed} {q}");
             }
+        }
+    }
+    // A CARDINAL RANGE parameter: the argument 5 is out of range, which
+    // the reference raises when it applies the selector — and so must
+    // the unnested path, whose formula never applies it.
+    let levels = |use_indexes: bool| {
+        let mut db = Database::new();
+        db.set_use_indexes(use_indexes);
+        let schema = Schema::of(&[("item", Domain::Str), ("level", Domain::Card)]);
+        db.create_relation("Levels", schema.clone()).unwrap();
+        db.insert_all("Levels", vec![tuple!["a", 1u64], tuple!["b", 2u64]])
+            .unwrap();
+        db.create_relation("Probes", Schema::of(&[("n", Domain::Card)]))
+            .unwrap();
+        db.define_selector(
+            SelectorDef {
+                name: "at_level".into(),
+                element_var: "l".into(),
+                params: vec![("L".into(), Domain::CardRange(0, 3))],
+                predicate: eq(attr("l", "level"), param("L")),
+            },
+            schema,
+        )
+        .unwrap();
+        db
+    };
+    for probes in [vec![1u64, 3], vec![2, 5]] {
+        let mut db = levels(true);
+        let mut db_scan = levels(false);
+        for n in &probes {
+            db.insert("Probes", tuple![*n]).unwrap();
+            db_scan.insert("Probes", tuple![*n]).unwrap();
+        }
+        for existential in [true, false] {
+            let range = rel("Levels").select("at_level", vec![attr("p", "n")]);
+            let body = ne(attr("t", "item"), cnst("b"));
+            let pred = if existential {
+                some("t", range, body)
+            } else {
+                all("t", range, body)
+            };
+            let q = set_former(vec![Branch::each("p", rel("Probes"), pred)]);
+            let scanned = db_scan.eval(&q);
+            assert_eq!(db.eval(&q), scanned, "{probes:?} {q}");
+            assert_eq!(scanned.is_err(), probes.contains(&5), "{scanned:?}");
         }
     }
 }
@@ -131,8 +204,8 @@ fn all_implication_probe_path_differential() {
 /// A constructor whose body quantifies over a *correlated view of the
 /// recursive application*: the branch is class-Fallback (application
 /// under a quantifier), so it re-evaluates every round while committed
-/// deltas keep growing the application's value — any stale decorrelated
-/// index would lose `marked` tuples or diverge from the scan path.
+/// deltas keep growing the application's value — any stale index would
+/// lose `marked` tuples or diverge from the scan path.
 ///
 /// ```text
 /// reach = Rel ∪ { <r.front, "marked"> : r IN Rel,
@@ -142,7 +215,7 @@ fn all_implication_probe_path_differential() {
 ///
 /// The quantified view is correlated on `r.back` and filters the
 /// *current iterate*, which is empty in round one and grows as deltas
-/// commit — the decorrelated index must be rebuilt per round.
+/// commit — the probed index must follow it per round.
 fn correlated_fallback_constructor() -> Constructor {
     use dc_calculus::ast::SetFormer;
     let corr_view = set_former(vec![Branch::each(
@@ -261,8 +334,11 @@ fn selector_rewrite_capture_guard() {
     assert_eq!(probed, scanned);
 }
 
-/// `Formula` shapes that refuse decorrelation must still agree with the
-/// reference — the fallback is a scan, never a wrong answer.
+/// Shapes the unnesting takes in its stride (correlation through an
+/// inequality, a disjunction mixing outer and local references, an
+/// outer column in a two-binding view's target) and the one it refuses
+/// (a union of branches, left on the reference scan) must all agree
+/// with the reference — the fallback is a scan, never a wrong answer.
 #[test]
 fn refused_decorrelations_fall_back_soundly() {
     let scene = dc_workload::scene(4, 5, 2, 21);
@@ -270,7 +346,7 @@ fn refused_decorrelations_fall_back_soundly() {
     let mut db_scan = dc_bench::scene_db(&scene);
     db_scan.set_use_indexes(false);
     let refusals: Vec<Formula> = vec![
-        // Correlated through an inequality: not splittable.
+        // Correlated through an inequality.
         some(
             "t",
             set_former(vec![Branch::each(
@@ -291,8 +367,8 @@ fn refused_decorrelations_fall_back_soundly() {
             )]),
             ne(attr("t", "top"), attr("r", "back")),
         ),
-        // Correlated target on a two-binding view: element tuples
-        // would vary per outer combination.
+        // Correlated target on a two-binding view: Case 2 substitutes
+        // the outer column into the body.
         some(
             "t",
             set_former(vec![Branch::projecting(
@@ -303,6 +379,15 @@ fn refused_decorrelations_fall_back_soundly() {
             )]),
             tru(),
         ),
+        // A union of two correlated branches: not unnested.
+        all(
+            "t",
+            set_former(vec![
+                Branch::each("o", rel("Ontop"), eq(attr("o", "base"), attr("r", "front"))),
+                Branch::each("o", rel("Ontop"), eq(attr("o", "top"), attr("r", "back"))),
+            ]),
+            ne(attr("t", "top"), cnst("item_0_0")),
+        ),
     ];
     for pred in refusals {
         let q = set_former(vec![Branch::each("r", rel("Infront"), pred)]);
@@ -312,20 +397,18 @@ fn refused_decorrelations_fall_back_soundly() {
     }
 }
 
-/// The PR 4 tentpole shape: a **multi-binding** correlated set-former
-/// (a join view) inside a quantifier, decorrelated into one
-/// materialised inner join bucketed on the joint key. Fixed shapes
-/// here; randomized coverage in
-/// [`randomized_multi_binding_join_views_agree`].
+/// A **multi-binding** correlated set-former (a join view) inside a
+/// quantifier, unnested into one quantifier per binding, each probed on
+/// the conjuncts its variable completes. Fixed shapes here; randomized
+/// coverage in [`randomized_multi_binding_join_views_agree`].
 #[test]
 fn multi_binding_join_views_decorrelate_soundly() {
     let scene = dc_workload::scene(5, 6, 2, 13);
     let db = dc_bench::scene_db(&scene);
     let mut db_scan = dc_bench::scene_db(&scene);
     db_scan.set_use_indexes(false);
-    // The formerly-refused two-binding shape of PR 3's refusal suite,
-    // now decorrelated: items on r.front whose name is a registered
-    // part, joined across Ontop ⋈ Objects.
+    // Items on r.front whose name is a registered part, joined across
+    // Ontop ⋈ Objects.
     let joined_view = set_former(vec![Branch::projecting(
         vec![attr("o", "top"), attr("p", "part")],
         vec![("o".into(), rel("Ontop")), ("p".into(), rel("Objects"))],
@@ -364,8 +447,8 @@ fn multi_binding_join_views_decorrelate_soundly() {
 }
 
 /// Randomized multi-binding correlated-quantifier differentials over
-/// staffing instances: joint keys over one or both bindings, varying
-/// local residuals, SOME/ALL, negation wrapping — probe vs
+/// staffing instances: correlation on one or both bindings, varying
+/// local residuals, SOME/ALL, negation wrapping — unnested vs
 /// `set_use_indexes(false)`.
 #[test]
 fn randomized_multi_binding_join_views_agree() {
@@ -376,9 +459,8 @@ fn randomized_multi_binding_join_views_agree() {
         let mut db_scan = dc_bench::staffing_db(&s);
         db_scan.set_use_indexes(false);
         for _ in 0..10 {
-            // Local join atom always present (keeps the materialised
-            // join within the profitability gate); correlation on one
-            // or both bindings.
+            // Local join atom always present; correlation on one or both
+            // bindings.
             let corr = match rng.below(3) {
                 0 => eq(attr("a", "task"), attr("r", "task")),
                 1 => eq(attr("a", "task"), attr("r", "task"))
@@ -417,7 +499,7 @@ fn randomized_multi_binding_join_views_agree() {
             let scanned = db_scan.eval(&q).unwrap();
             assert_eq!(
                 probed, scanned,
-                "joint-key decorrelation diverged on staffing seed={seed} for {q}"
+                "multi-binding unnesting diverged on staffing seed={seed} for {q}"
             );
         }
     }
@@ -427,8 +509,8 @@ fn randomized_multi_binding_join_views_agree() {
 /// **join view of the recursive application**: two bindings over the
 /// current iterate, locally joined on `head`, correlated on `r.back` —
 /// class-Fallback, re-evaluated every round while committed deltas grow
-/// the application's value mid-solve. Any decorrelated join built from
-/// a stale epoch would miss `marked` tuples or diverge from the scan.
+/// the application's value mid-solve. Any probe of a stale iterate would
+/// miss `marked` tuples or diverge from the scan.
 fn correlated_join_fallback_constructor() -> Constructor {
     use dc_calculus::ast::SetFormer;
     let corr_join_view = set_former(vec![Branch::projecting(

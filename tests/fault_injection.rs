@@ -201,9 +201,9 @@ fn index_build_panic_is_caught_at_the_solve_boundary() {
     assert_eq!(snapshot(&db), before);
 }
 
-/// A query whose quantifier ranges over a *correlated* set former, so
-/// evaluation must build a decorrelated entry — the `decorr_build`
-/// site.
+/// A query whose quantifier ranges over a *correlated* set former: it
+/// unnests into a quantifier over `Ontop` probed on `base`, whose index
+/// build is the `index_build` site.
 fn correlated_query() -> dc_calculus::RangeExpr {
     let corr = set_former(vec![Branch::each(
         "o",
@@ -221,33 +221,34 @@ fn scene_database() -> Database {
     dc_bench::scene_db(&dc_workload::scene(12, 12, 2, 7))
 }
 
-/// `decorr_build=error`: building the decorrelated entry for a
-/// correlated quantified range aborts cleanly through the ordinary
-/// error channel (it is *not* demoted to the per-combination scan —
-/// a governed abort must not be silently papered over).
+/// `index_build=error` inside an unnested quantifier aborts cleanly
+/// through the ordinary error channel: an injected fault is not an
+/// evaluation error the reference scan could reproduce, so the unnested
+/// site does not fall back to it — a governed abort must not be
+/// silently papered over.
 #[test]
-fn decorr_build_error_aborts_cleanly() {
-    let _g = FailpointsGuard::arm("decorr_build=error");
+fn unnested_quantifier_fault_aborts_cleanly() {
+    let _g = FailpointsGuard::arm("index_build=error");
     let db = scene_database();
     let before = snapshot(&db);
     let err = db.eval(&correlated_query()).unwrap_err();
     assert!(
         matches!(
             err,
-            CoreError::Eval(EvalError::FaultInjected { ref site }) if site == "decorr_build"
+            CoreError::Eval(EvalError::FaultInjected { ref site }) if site == "index_build"
         ),
         "{err}"
     );
     assert_eq!(snapshot(&db), before);
     drop(_g);
 
-    // Disarmed, the decorrelated path produces the reference answer.
+    // Disarmed, the unnested path produces the reference answer.
     let _clean = FailpointsGuard::arm("");
-    let decorrelated = db.eval(&correlated_query()).unwrap();
+    let unnested = db.eval(&correlated_query()).unwrap();
     let mut reference_db = scene_database();
     reference_db.set_use_indexes(false);
     let reference = reference_db.eval(&correlated_query()).unwrap();
-    assert_eq!(decorrelated.sorted_tuples(), reference.sorted_tuples());
+    assert_eq!(unnested.sorted_tuples(), reference.sorted_tuples());
 }
 
 /// Env-gated end-to-end check of the `DC_FAILPOINTS` parsing + arming

@@ -9,9 +9,9 @@
 //!   the in-memory [`Collector`], well-formed (no dangling parents, no
 //!   time-interval escapes), under both one solver thread and four.
 //! * **Typed planner traces**: a known probe demotion and a known
-//!   decorrelation refusal surface as structured [`PlanEvent`]s with
-//!   their reasons, not just rendered strings; chosen access paths
-//!   carry the System-R numbers that ranked them.
+//!   correlated range left on the reference scan surface as structured
+//!   [`PlanEvent`]s with their reasons, not just rendered strings;
+//!   chosen access paths carry the System-R numbers that ranked them.
 //! * **`EXPLAIN`**: `Database::explain` and `PreparedQuery::explain`
 //!   render the plan tree (header, cardinality, events) for both
 //!   executed queries and the static solve preview.
@@ -27,7 +27,7 @@
 
 use dc_calculus::ast::Branch;
 use dc_calculus::builder::*;
-use dc_calculus::{DecorrRefusalReason, PlanEvent, QuantDemotionReason};
+use dc_calculus::{PlanEvent, QuantDemotionReason};
 use dc_core::{Database, Strategy};
 use dc_server::{Server, WriteBatch};
 use dc_trace::metrics::Counter;
@@ -258,35 +258,41 @@ fn probe_demotion_is_a_typed_event() {
     );
 }
 
-/// A known decorrelation refusal surfaces as a typed event with its
-/// reason — correlation through an inequality is not splittable into
-/// correlation atoms plus a local residual.
+/// A correlated range that does not unnest surfaces as a typed event
+/// with its reason — a two-branch set-former is a union, which §4's
+/// N2/N3 do not take apart — once for the site, however many outer
+/// tuples re-evaluate it.
 #[test]
-fn decorrelation_refusal_is_a_typed_event() {
+fn correlated_range_left_on_the_scan_is_a_typed_event() {
     let db = scene_db();
-    let inner = set_former(vec![Branch::each(
-        "o",
-        rel("Ontop"),
-        lt(attr("o", "base"), attr("r", "front")),
-    )]);
+    let union = set_former(vec![
+        Branch::each("o", rel("Ontop"), eq(attr("o", "base"), attr("r", "front"))),
+        Branch::each("o", rel("Ontop"), eq(attr("o", "top"), attr("r", "back"))),
+    ]);
     let q = set_former(vec![Branch::each(
         "r",
         rel("Infront"),
-        some("t", inner, tru()),
+        some("t", union, tru()),
     )]);
     let expl = db.explain(&q).unwrap();
+    let refusals = expl
+        .demotions()
+        .filter(|e| {
+            matches!(
+                e,
+                PlanEvent::QuantDemotion {
+                    reason: QuantDemotionReason::NotUnnested,
+                    ..
+                }
+            )
+        })
+        .count();
+    assert_eq!(refusals, 1, "{}", expl.text());
     assert!(
-        expl.events().iter().any(|e| matches!(
-            e,
-            PlanEvent::DecorrRefusal {
-                reason: DecorrRefusalReason::NotSplittable,
-                ..
-            }
-        )),
-        "expected a typed NotSplittable refusal, got: {}",
+        expl.text().contains("correlated range not unnested"),
+        "{}",
         expl.text()
     );
-    assert!(db.metrics().get(Counter::DecorrRefusals) >= 1);
 }
 
 /// `PreparedQuery::explain` renders the executed trace for query-kind
