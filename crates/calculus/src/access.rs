@@ -272,7 +272,7 @@ mod tests {
             let fresh = HashIndex::build(&value, vec![0]);
             assert_eq!(served.len(), fresh.len());
             for t in value.iter() {
-                let key = [t.fields()[0].clone()];
+                let key = [t.fields()[0]];
                 assert_eq!(
                     served.probe_slice(&key).len(),
                     fresh.probe_slice(&key).len()

@@ -155,7 +155,7 @@ impl Catalog for MapCatalog {
         self.params
             .iter()
             .find(|(n, _)| n == name)
-            .map(|(_, v)| v.clone())
+            .map(|(_, v)| *v)
             .ok_or_else(|| EvalError::UnknownParam(name.to_string()))
     }
 }

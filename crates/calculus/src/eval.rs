@@ -85,7 +85,6 @@
 //!   Solver-spawned evaluators are never given workers: inside a solve
 //!   the round's task dispatch is the only parallelism.
 
-use std::borrow::Cow;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -1253,9 +1252,9 @@ impl<'a> Evaluator<'a> {
                 key_vals.clear();
                 for k in keys {
                     key_vals.push(match k {
-                        CompiledKey::Fixed(v) => v.clone(),
+                        CompiledKey::Fixed(v) => *v,
                         CompiledKey::FromBinding { slot, attr_pos } => {
-                            bindings[*slot].tuple.get(*attr_pos).clone()
+                            *bindings[*slot].tuple.get(*attr_pos)
                         }
                     });
                 }
@@ -1308,7 +1307,7 @@ impl<'a> Evaluator<'a> {
             LeafTarget::Tuple(exprs) => {
                 let mut fields = Vec::with_capacity(exprs.len());
                 for e in exprs {
-                    fields.push(self.leaf_scalar(e, bindings)?.into_owned());
+                    fields.push(self.leaf_scalar(e, bindings)?);
                 }
                 Tuple::new(fields)
             }
@@ -1345,23 +1344,23 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Evaluate a compiled scalar: a slot-resolved field is borrowed
+    /// Evaluate a compiled scalar: a slot-resolved field is read
     /// straight from its bound tuple, everything else computed as
     /// [`Evaluator::eval_scalar`] would.
-    fn leaf_scalar<'v>(
+    fn leaf_scalar(
         &mut self,
-        e: &'v LeafScalar<'v>,
-        bindings: &'v [Binding],
-    ) -> Result<Cow<'v, Value>, EvalError> {
+        e: &LeafScalar<'_>,
+        bindings: &[Binding],
+    ) -> Result<Value, EvalError> {
         Ok(match e {
-            LeafScalar::Field { slot, col } => Cow::Borrowed(bindings[*slot].tuple.get(*col)),
-            LeafScalar::Const(v) => Cow::Borrowed(*v),
+            LeafScalar::Field { slot, col } => *bindings[*slot].tuple.get(*col),
+            LeafScalar::Const(v) => *v,
             LeafScalar::Arith(l, op, r) => {
                 let lv = self.leaf_scalar(l, bindings)?;
                 let rv = self.leaf_scalar(r, bindings)?;
-                Cow::Owned(arith(&lv, *op, &rv)?)
+                arith(&lv, *op, &rv)?
             }
-            LeafScalar::Interpreted(e) => Cow::Owned(self.eval_scalar(e, bindings)?),
+            LeafScalar::Interpreted(e) => self.eval_scalar(e, bindings)?,
         })
     }
 
@@ -1529,11 +1528,11 @@ impl<'a> Evaluator<'a> {
         bindings: &[Binding],
     ) -> Result<Value, EvalError> {
         match e {
-            ScalarExpr::Const(v) => Ok(v.clone()),
+            ScalarExpr::Const(v) => Ok(*v),
             ScalarExpr::Attr(var, attr) => {
                 let b = lookup(bindings, var)?;
                 let pos = b.schema.position(attr)?;
-                Ok(b.tuple.get(pos).clone())
+                Ok(*b.tuple.get(pos))
             }
             ScalarExpr::Param(p) => self.resolve_param(p),
             ScalarExpr::Arith(l, op, r) => {
@@ -1547,7 +1546,7 @@ impl<'a> Evaluator<'a> {
     fn resolve_param(&self, name: &str) -> Result<Value, EvalError> {
         for frame in self.param_frames.iter().rev() {
             if let Some(v) = frame.get(name) {
-                return Ok(v.clone());
+                return Ok(*v);
             }
         }
         self.catalog.scalar_param(name)
@@ -1639,7 +1638,7 @@ enum LeafScalar<'b> {
         slot: usize,
         col: usize,
     },
-    Const(&'b Value),
+    Const(Value),
     Arith(Box<LeafScalar<'b>>, ArithOp, Box<LeafScalar<'b>>),
     /// Outer-variable attributes, parameters, and attributes missing
     /// from the range's schema: the interpreter resolves them per row,
@@ -1672,7 +1671,7 @@ impl LeafSlots<'_> {
 
     fn scalar<'b>(&self, e: &'b ScalarExpr) -> LeafScalar<'b> {
         match e {
-            ScalarExpr::Const(v) => LeafScalar::Const(v),
+            ScalarExpr::Const(v) => LeafScalar::Const(*v),
             ScalarExpr::Attr(var, attr) => {
                 let field = self.position(var).and_then(|p| {
                     let col = self.ranges[p].schema().position(attr).ok()?;

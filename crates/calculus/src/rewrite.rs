@@ -682,7 +682,7 @@ pub fn unnest_quantifier(
 /// traversal.
 fn const_exprs(map: &FxHashMap<Name, Value>) -> FxHashMap<Name, ScalarExpr> {
     map.iter()
-        .map(|(k, v)| (k.clone(), ScalarExpr::Const(v.clone())))
+        .map(|(k, v)| (k.clone(), ScalarExpr::Const(*v)))
         .collect()
 }
 

@@ -15,8 +15,8 @@ use dc_calculus::typeck::{self, ConstructorSig, SchemaCatalog};
 use dc_calculus::{AccessCache, Catalog, EvalError, Evaluator, Explanation, RangeExpr};
 use dc_governor::Budget;
 use dc_relation::Relation;
-use dc_trace::metrics::MetricsRegistry;
-use dc_value::{FxHashMap, FxHashSet, Schema, Tuple, Value};
+use dc_trace::metrics::{Gauge, MetricsRegistry};
+use dc_value::{FxHashMap, FxHashSet, Schema, Sym, Tuple, Value};
 
 use crate::constructor::Constructor;
 use crate::error::CoreError;
@@ -163,6 +163,7 @@ impl Database {
             self.access.forget(old);
             self.solved.borrow_mut().clear();
         }
+        record_interned(&self.metrics);
         out
     }
 
@@ -452,6 +453,15 @@ impl Database {
             config: self.config,
         }
     }
+}
+
+/// Publish the process-global string interner's size ([`Sym::interned`])
+/// as the `interned_strings` / `interned_bytes` gauges of `metrics`.
+/// Owners call it after each mutation, solve and commit publish.
+pub fn record_interned(metrics: &MetricsRegistry) {
+    let (strings, bytes) = Sym::interned();
+    metrics.set_gauge(Gauge::InternedStrings, strings as u64);
+    metrics.set_gauge(Gauge::InternedBytes, bytes as u64);
 }
 
 /// The definition + data parts of a [`Database`], with the per-database

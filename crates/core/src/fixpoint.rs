@@ -1122,6 +1122,7 @@ impl<'s> Solver<'s> {
             m.add(Counter::ParallelEquations, meter.parallel_equations());
             m.add(Counter::DegradedBranches, meter.degraded());
             m.observe_us(Histogram::SolveLatencyUs, t0.elapsed().as_micros() as u64);
+            crate::record_interned(m);
         }
         if span.recording() {
             span.field("rounds", rounds);

@@ -36,7 +36,7 @@ pub mod paper;
 pub mod selector;
 
 pub use constructor::Constructor;
-pub use database::{Database, DatabaseParts};
+pub use database::{record_interned, Database, DatabaseParts};
 pub use error::CoreError;
 pub use fixpoint::{SolvedSystem, Strategy, WarmOutcome};
 pub use selector::Selector;

@@ -108,8 +108,8 @@ pub fn transitive_closure(
         // pair = (a, …, b); extend with edges (b, …, c).
         for edge in index.probe_slice(std::slice::from_ref(pair.get(to_pos))) {
             let mut fields: Vec<dc_value::Value> = pair.fields().to_vec();
-            fields[to_pos] = edge.get(to_pos).clone();
-            fields[from_pos] = pair.get(from_pos).clone();
+            fields[to_pos] = *edge.get(to_pos);
+            fields[from_pos] = *pair.get(from_pos);
             let new_pair = dc_value::Tuple::new(fields);
             if closure.insert_unchecked(new_pair.clone())? {
                 frontier.push(new_pair);
@@ -135,7 +135,7 @@ pub fn ahead_step(
         for edge in base.iter() {
             for cont in index.probe_slice(std::slice::from_ref(edge.get(to_pos))) {
                 let mut fields: Vec<dc_value::Value> = edge.fields().to_vec();
-                fields[to_pos] = cont.get(to_pos).clone();
+                fields[to_pos] = *cont.get(to_pos);
                 out.insert_unchecked(dc_value::Tuple::new(fields))?;
             }
         }

@@ -87,7 +87,7 @@ impl Selector {
         let mut ev = Evaluator::new(catalog);
         let arg_exprs: Vec<_> = args
             .iter()
-            .map(|v| dc_calculus::ast::ScalarExpr::Const(v.clone()))
+            .map(|v| dc_calculus::ast::ScalarExpr::Const(*v))
             .collect();
         let kept = ev.apply_selector(source.clone(), &self.def.name, &arg_exprs, &[])?;
         if kept.len() != source.len() {

@@ -14,9 +14,9 @@ use dc_relation::Relation;
 /// # Thread sharing
 ///
 /// `HashIndex` is `Send + Sync` (asserted at compile time below): all
-/// of its storage bottoms out in immutable `Arc`-backed tuples. The
-/// evaluator's scan sharding relies on this to hand one
-/// `Arc<HashIndex>` to every pool worker and probe it concurrently —
+/// of its storage bottoms out in immutable `Arc`-backed tuples of
+/// `Copy` values. The evaluator's scan sharding relies on this to hand
+/// one `Arc<HashIndex>` to every pool worker and probe it concurrently —
 /// probes are `&self` and never mutate, so no synchronisation beyond
 /// the `Arc` is needed. Mutation (`add`) requires `&mut self` and is
 /// therefore confined to the single-threaded maintenance sites (the
@@ -92,11 +92,14 @@ impl HashIndex {
 // sharding shares read-only indexes (and the relations and
 // statistics next to them) across worker threads. A field change that
 // introduced interior mutability or a non-`Send` payload would fail
-// this assertion instead of surfacing as a data race.
+// this assertion instead of surfacing as a data race. Keys and buckets
+// hash and compare `Value`s as words: a `Value` that grew past 16 bytes
+// (a boxed payload, a wider id) fails here too.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<HashIndex>();
     assert_send_sync::<crate::RelationStats>();
+    assert!(std::mem::size_of::<Value>() == 16);
 };
 
 #[cfg(test)]

@@ -16,13 +16,3 @@ pub mod stats;
 
 pub use hash_index::HashIndex;
 pub use stats::{RelationStats, StatsBuilder};
-
-// Indexes and statistics ride inside `Arc`-shared evaluation snapshots
-// read by worker threads (dc-core's snapshot rounds, dc-exec's probe
-// plans); assert the thread-safety contract at compile time so a field
-// change cannot silently break it.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<HashIndex>();
-    assert_send_sync::<RelationStats>();
-};

@@ -45,10 +45,10 @@ impl RelationStats {
     /// Collect statistics in one pass over the relation.
     pub fn collect(rel: &Relation) -> RelationStats {
         let arity = rel.schema().arity();
-        let mut seen: Vec<FxHashSet<&Value>> = (0..arity).map(|_| FxHashSet::default()).collect();
+        let mut seen: Vec<FxHashSet<Value>> = (0..arity).map(|_| FxHashSet::default()).collect();
         for t in rel.iter() {
-            for (i, v) in t.iter().enumerate() {
-                seen[i].insert(v);
+            for (slot, &v) in seen.iter_mut().zip(t.iter()) {
+                slot.insert(v);
             }
         }
         RelationStats {
@@ -102,10 +102,8 @@ impl StatsBuilder {
     /// semantics: feeding a duplicate inflates the cardinality.
     pub fn add(&mut self, tuple: &dc_value::Tuple) {
         self.cardinality += 1;
-        for (slot, v) in self.seen.iter_mut().zip(tuple.iter()) {
-            if !slot.contains(v) {
-                slot.insert(v.clone());
-            }
+        for (slot, &v) in self.seen.iter_mut().zip(tuple.iter()) {
+            slot.insert(v);
         }
     }
 

@@ -63,7 +63,7 @@ pub fn inline_applications(db: &Database, range: &RangeExpr) -> Result<RangeExpr
             for ((pname, _), arg) in def.params.iter().zip(args) {
                 match arg {
                     ScalarExpr::Const(v) => {
-                        pmap.insert(pname.clone(), v.clone());
+                        pmap.insert(pname.clone(), *v);
                     }
                     _ => return Ok(range.clone()), // leave dynamic applications alone
                 }
@@ -102,7 +102,7 @@ pub fn inline_applications(db: &Database, range: &RangeExpr) -> Result<RangeExpr
             for ((pname, _), arg) in ctor.scalar_params.iter().zip(scalar_args) {
                 match arg {
                     ScalarExpr::Const(v) => {
-                        pmap.insert(pname.clone(), v.clone());
+                        pmap.insert(pname.clone(), *v);
                     }
                     _ => return Ok(range.clone()),
                 }

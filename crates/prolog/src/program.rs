@@ -97,7 +97,7 @@ impl Program {
             self.first_arg_index
                 .entry(pred)
                 .or_default()
-                .entry(first.clone())
+                .entry(*first)
                 .or_default()
                 .push(idx);
         }
@@ -124,7 +124,7 @@ impl Program {
                 .args
                 .iter()
                 .map(|t| match t {
-                    Term::Const(v) => v.clone(),
+                    Term::Const(v) => *v,
                     Term::Var(_) => unreachable!("ground checked above"),
                 })
                 .collect();

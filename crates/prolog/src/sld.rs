@@ -103,7 +103,7 @@ impl Machine<'_> {
         // Facts first (first-argument indexed), then rules — standard
         // PROLOG clause order with EDB before IDB.
         let first_bound = match goal.args.first() {
-            Some(Term::Const(v)) => Some(v.clone()),
+            Some(Term::Const(v)) => Some(*v),
             _ => None,
         };
         let facts: Vec<Vec<Value>> = self
@@ -122,7 +122,7 @@ impl Machine<'_> {
                 .args
                 .iter()
                 .zip(&fact)
-                .all(|(t, v)| unify_terms(t, &Term::Const(v.clone()), &mut s));
+                .all(|(t, v)| unify_terms(t, &Term::Const(*v), &mut s));
             if ok {
                 self.stats.steps += 1;
                 self.solve(rest, &s, depth + 1)?;

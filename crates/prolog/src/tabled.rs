@@ -115,7 +115,7 @@ fn eval_clause(
                 .args
                 .iter()
                 .zip(&row)
-                .all(|(t, v)| unify_terms(t, &Term::Const(v.clone()), &mut s));
+                .all(|(t, v)| unify_terms(t, &Term::Const(*v), &mut s));
             if ok {
                 rec(program, tables, clause, goal_idx + 1, &s, stats, out);
             }
@@ -171,7 +171,7 @@ pub fn solve(program: &Program, query: &Atom) -> Result<TabledResult, PrologErro
             .args
             .iter()
             .zip(&row)
-            .all(|(t, v)| unify_terms(t, &Term::Const(v.clone()), &mut s));
+            .all(|(t, v)| unify_terms(t, &Term::Const(*v), &mut s));
         if ok {
             let a: Option<Vec<Value>> = qvars
                 .iter()

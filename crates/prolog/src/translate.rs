@@ -90,7 +90,7 @@ impl TokenUnion {
     fn term_of(&mut self, token: &str) -> Term {
         let r = self.find(token);
         match self.constant.get(&r) {
-            Some(v) => Term::Const(v.clone()),
+            Some(v) => Term::Const(*v),
             None => Term::Var(r),
         }
     }
@@ -256,7 +256,7 @@ fn scalar_term(
     var_schemas: &FxHashMap<String, Schema>,
 ) -> Result<Term, PrologError> {
     match e {
-        ScalarExpr::Const(v) => Ok(Term::Const(v.clone())),
+        ScalarExpr::Const(v) => Ok(Term::Const(*v)),
         ScalarExpr::Attr(var, attr) => {
             let schema = var_schemas.get(var).ok_or_else(|| {
                 PrologError::NotHornExpressible(format!("unknown variable `{var}`"))
@@ -341,7 +341,7 @@ enum EqSide {
 
 fn eq_side(e: &ScalarExpr, var_schemas: &FxHashMap<String, Schema>) -> Result<EqSide, PrologError> {
     match e {
-        ScalarExpr::Const(v) => Ok(EqSide::Const(v.clone())),
+        ScalarExpr::Const(v) => Ok(EqSide::Const(*v)),
         ScalarExpr::Attr(var, attr) => {
             let schema = var_schemas.get(var).ok_or_else(|| {
                 PrologError::NotHornExpressible(format!("unknown variable `{var}`"))

@@ -53,7 +53,7 @@ impl Subst {
     /// Resolve a term to a concrete value if fully bound.
     pub fn resolve(&self, term: &Term) -> Option<Value> {
         match self.walk(term) {
-            Term::Const(v) => Some(v.clone()),
+            Term::Const(v) => Some(*v),
             Term::Var(_) => None,
         }
     }

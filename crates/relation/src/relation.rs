@@ -265,11 +265,13 @@ impl Relation {
     /// hold `Tuple` handles — `Arc` bumps into this relation's storage,
     /// never tuple copies — so splitting is O(n) pointer work.
     ///
-    /// The assignment of tuples to shards is deterministic (it depends
-    /// only on tuple content and `n`), which is half of scan sharding's
-    /// determinism argument: equal relations always produce
-    /// equal shard *sets*, and a merge that unions shard outputs in
-    /// shard order therefore reproduces the sequential result exactly.
+    /// The assignment of tuples to shards is deterministic within one
+    /// process (it depends only on tuple content and `n`; a string
+    /// hashes as its interner id, which depends on interning order),
+    /// which is half of scan sharding's determinism argument: equal
+    /// relations always produce equal shard *sets*, and a merge that
+    /// unions shard outputs in shard order therefore reproduces the
+    /// sequential result exactly.
     pub fn hash_shards(&self, n: usize) -> Vec<Vec<Tuple>> {
         let n = n.max(1);
         let mut shards: Vec<Vec<Tuple>> = Vec::with_capacity(n);
@@ -295,7 +297,10 @@ impl Relation {
     /// invalidates the memo.
     ///
     /// Equal tuple sets always produce equal digests regardless of
-    /// insertion order or storage identity. Distinct sets collide with
+    /// insertion order or storage identity — within one process: a
+    /// string hashes as its interner id (`dc_value::Sym`), and ids
+    /// depend on interning order, so a digest is never comparable
+    /// across processes. Distinct sets collide with
     /// negligible probability under a random-oracle model of the mixed
     /// per-tuple hash — callers using the digest as an identity key
     /// (the fixpoint `AppKey`) accept that probabilistic equality, the

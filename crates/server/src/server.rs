@@ -391,6 +391,7 @@ impl Server {
         self.commits.fetch_add(1, Ordering::Relaxed);
         self.metrics.inc(Counter::Commits);
         self.metrics.set_gauge(Gauge::PublishedEpoch, epoch);
+        dc_core::record_interned(&self.metrics);
         commit_span.field("epoch", epoch);
         // The commit is complete — the snapshot is published. Standing
         // queries refresh now, still on the writer thread (updates are

@@ -39,6 +39,10 @@ macro_rules! counters {
             pub live_subscriptions: u64,
             /// Gauge: epoch of the most recently published snapshot.
             pub published_epoch: u64,
+            /// Gauge: distinct strings the process has interned.
+            pub interned_strings: u64,
+            /// Gauge: total length in bytes of the interned strings.
+            pub interned_bytes: u64,
             /// Latency of `Server` commits (apply + publish + refresh).
             pub commit_latency_us: HistogramSnapshot,
             /// Lag from snapshot publish to each subscription update.
@@ -60,6 +64,8 @@ macro_rules! counters {
                         .load(Ordering::Relaxed),)*
                     live_subscriptions: reg.gauge(Gauge::LiveSubscriptions),
                     published_epoch: reg.gauge(Gauge::PublishedEpoch),
+                    interned_strings: reg.gauge(Gauge::InternedStrings),
+                    interned_bytes: reg.gauge(Gauge::InternedBytes),
                     commit_latency_us: reg.hists[Histogram::CommitLatencyUs as usize].snapshot(),
                     refresh_lag_us: reg.hists[Histogram::RefreshLagUs as usize].snapshot(),
                     query_latency_us: reg.hists[Histogram::QueryLatencyUs as usize].snapshot(),
@@ -149,16 +155,24 @@ pub enum Gauge {
     LiveSubscriptions,
     /// Epoch of the most recently published snapshot.
     PublishedEpoch,
+    /// Distinct strings the process has interned (`dc_value::Sym`):
+    /// the interner only grows, so this is its memory bound. Set by the
+    /// owner after each mutation, solve and commit publish.
+    InternedStrings,
+    /// Total length in bytes of the interned strings.
+    InternedBytes,
 }
 
 impl Gauge {
-    const COUNT: usize = 2;
+    const COUNT: usize = 4;
 
     /// Stable snake_case name used in snapshots and JSON.
     pub fn name(self) -> &'static str {
         match self {
             Gauge::LiveSubscriptions => "live_subscriptions",
             Gauge::PublishedEpoch => "published_epoch",
+            Gauge::InternedStrings => "interned_strings",
+            Gauge::InternedBytes => "interned_bytes",
         }
     }
 }
@@ -374,6 +388,8 @@ impl MetricsSnapshot {
         let gauges = [
             ("live_subscriptions", self.live_subscriptions),
             ("published_epoch", self.published_epoch),
+            ("interned_strings", self.interned_strings),
+            ("interned_bytes", self.interned_bytes),
         ];
         for (name, value) in self.counter_fields().into_iter().chain(gauges) {
             if value == 0 {
@@ -472,6 +488,7 @@ mod tests {
         reg.inc(Counter::SolveRuns);
         reg.add(Counter::DeltaTuples, 42);
         reg.set_gauge(Gauge::PublishedEpoch, 7);
+        reg.set_gauge(Gauge::InternedStrings, 3);
         reg.observe_us(Histogram::CommitLatencyUs, 100);
         reg.observe_us(Histogram::CommitLatencyUs, 300);
         let snap = reg.snapshot();
@@ -481,6 +498,7 @@ mod tests {
         let grown = reg.snapshot().since(&snap);
         assert_eq!((grown.solve_runs, grown.delta_tuples), (0, 8));
         assert_eq!(snap.published_epoch, 7);
+        assert_eq!(grown.interned_strings, 3);
         assert_eq!(snap.commit_latency_us.count, 2);
         assert_eq!(snap.commit_latency_us.mean_us(), 200);
         assert!(snap.commit_latency_us.quantile_us(0.95) >= 300);

@@ -66,7 +66,7 @@ impl Domain {
         if !self.admits_base(value) {
             return Err(TypeError::DomainMismatch {
                 expected: self.clone(),
-                value: value.clone(),
+                value: *value,
             });
         }
         let in_range = match (self, value) {
@@ -79,7 +79,7 @@ impl Domain {
         } else {
             Err(TypeError::RangeViolation {
                 expected: self.clone(),
-                value: value.clone(),
+                value: *value,
             })
         }
     }
@@ -123,7 +123,7 @@ mod tests {
     fn admits_base_types() {
         assert!(Domain::Int.admits_base(&Value::Int(-3)));
         assert!(!Domain::Int.admits_base(&Value::Card(3)));
-        assert!(Domain::Str.admits_base(&Value::Str("t".into())));
+        assert!(Domain::Str.admits_base(&Value::str("t")));
         assert!(Domain::Bool.admits_base(&Value::Bool(true)));
     }
 
@@ -138,7 +138,7 @@ mod tests {
             Err(TypeError::RangeViolation { .. })
         ));
         assert!(matches!(
-            partid.check(&Value::Str("x".into())),
+            partid.check(&Value::str("x")),
             Err(TypeError::DomainMismatch { .. })
         ));
     }

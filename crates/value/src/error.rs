@@ -115,7 +115,7 @@ mod tests {
         let e = ValueError::IncompatibleOperands {
             op: "+",
             lhs: Value::Int(1),
-            rhs: Value::Str("a".into()),
+            rhs: Value::str("a"),
         };
         assert!(e.to_string().contains('+'));
         let t = TypeError::ArityMismatch {

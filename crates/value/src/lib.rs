@@ -5,6 +5,8 @@
 //! * [`Domain`] — the DBPL-style scalar type system, including subrange
 //!   domains (`RANGE 1..100` in the paper's §2.1 example),
 //! * [`Value`] — dynamically typed scalar values with total ordering,
+//!   a `Copy` 16-byte scalar whose strings are interned [`Sym`]s (one
+//!   process-global, append-only table; see [`sym`]),
 //! * [`Tuple`] — immutable fixed-arity rows,
 //! * [`Schema`] / [`Attribute`] — named, typed attribute lists with an
 //!   optional key (the paper's `RELATION key OF elementtype`, §2.2),
@@ -23,6 +25,7 @@ pub mod domain;
 pub mod error;
 pub mod fxhash;
 pub mod schema;
+pub mod sym;
 pub mod tuple;
 pub mod value;
 
@@ -30,5 +33,6 @@ pub use domain::Domain;
 pub use error::{TypeError, ValueError};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use schema::{Attribute, Schema};
+pub use sym::Sym;
 pub use tuple::Tuple;
 pub use value::Value;

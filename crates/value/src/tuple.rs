@@ -9,7 +9,9 @@ use crate::value::Value;
 ///
 /// Tuples are immutable and cheap to clone (`Arc`-backed): fixpoint
 /// iteration copies tuples between the delta, accumulator, and result
-/// sets constantly, so cloning must be a refcount bump, not a deep copy.
+/// sets constantly, so cloning is one refcount bump on the field slice.
+/// The fields themselves are `Copy` words (strings are interned), so
+/// building, projecting and hashing a tuple touches no other refcount.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tuple {
     fields: Arc<[Value]>,
@@ -50,7 +52,7 @@ impl Tuple {
         Tuple::new(
             positions
                 .iter()
-                .map(|&i| self.fields[i].clone())
+                .map(|&i| self.fields[i])
                 .collect::<Vec<_>>(),
         )
     }

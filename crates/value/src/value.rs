@@ -2,22 +2,24 @@
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::sync::Arc;
 
 use crate::error::ValueError;
+use crate::sym::Sym;
 
 /// A scalar value flowing through the engine.
 ///
-/// Strings are reference-counted so that tuples can be cloned freely
-/// during fixpoint iteration without re-allocating string payloads.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Strings are interned ([`Sym`]), so a `Value` is a `Copy` 16-byte
+/// scalar: hashing and equality are word operations, and copying a
+/// tuple's fields touches no refcount. Ordering still compares the
+/// strings themselves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Value {
     /// Signed integer (`INTEGER`).
     Int(i64),
     /// Unsigned integer (`CARDINAL`).
     Card(u64),
-    /// String.
-    Str(Arc<str>),
+    /// String, interned.
+    Str(Sym),
     /// Boolean.
     Bool(bool),
 }
@@ -25,7 +27,7 @@ pub enum Value {
 impl Value {
     /// Construct a string value.
     pub fn str(s: impl AsRef<str>) -> Value {
-        Value::Str(Arc::from(s.as_ref()))
+        Value::Str(Sym::intern(s.as_ref()))
     }
 
     /// Short tag used in error messages and plan explanations.
@@ -46,7 +48,7 @@ impl Value {
         match (self, other) {
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
             (Value::Card(a), Value::Card(b)) => Some(a.cmp(b)),
-            (Value::Str(a), Value::Str(b)) => Some(a.as_ref().cmp(b.as_ref())),
+            (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
             _ => None,
         }
@@ -64,8 +66,8 @@ impl Value {
             (Value::Card(a), Value::Card(b)) => card_op(*a, *b).map(Value::Card),
             _ => Err(ValueError::IncompatibleOperands {
                 op,
-                lhs: self.clone(),
-                rhs: other.clone(),
+                lhs: *self,
+                rhs: *other,
             }),
         }
     }
@@ -151,7 +153,7 @@ impl Value {
     /// Extract a string slice, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s),
+            Value::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -199,7 +201,7 @@ impl From<&str> for Value {
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(Arc::from(v.as_str()))
+        Value::str(v)
     }
 }
 

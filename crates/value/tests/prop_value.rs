@@ -1,7 +1,10 @@
 //! Property-based tests for the value layer.
 
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+
 use proptest::prelude::*;
 
+use dc_index::HashIndex;
 use dc_value::fxhash::hash_one;
 use dc_value::{Domain, Tuple, Value};
 
@@ -14,11 +17,76 @@ fn value_strategy() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// Fresh strings, interned in *reverse* lexical order — so the later a
+/// string sorts, the smaller its interner id. A per-case prefix keeps
+/// every string unseen by the interner until this call.
+fn interned_in_reverse(words: &[String]) -> Vec<String> {
+    static CASE: AtomicUsize = AtomicUsize::new(0);
+    let case = CASE.fetch_add(1, AtomicOrdering::Relaxed);
+    let mut fresh: Vec<String> = words.iter().map(|w| format!("rev{case}:{w}")).collect();
+    fresh.sort_unstable_by(|a, b| b.cmp(a));
+    for w in &fresh {
+        Value::str(w);
+    }
+    fresh
+}
+
 proptest! {
+    /// Interning order is not value order: over strings interned in
+    /// reverse lexical order, `Ord` is still the strings' order, `==`
+    /// is string equality, equal strings hash equal, and `as_str`
+    /// round-trips.
+    #[test]
+    fn interned_strings_keep_string_semantics(
+        words in prop::collection::vec("[a-c]{0,3}", 1..10),
+    ) {
+        let words = interned_in_reverse(&words);
+        for a in &words {
+            let va = Value::str(a);
+            prop_assert_eq!(va.as_str(), Some(a.as_str()));
+            for b in &words {
+                let vb = Value::str(b);
+                prop_assert_eq!(va.cmp(&vb), a.cmp(b));
+                prop_assert_eq!(va.try_cmp(&vb), Some(a.cmp(b)));
+                prop_assert_eq!(va == vb, a == b);
+                if a == b {
+                    prop_assert_eq!(hash_one(&va), hash_one(&vb));
+                }
+            }
+        }
+        let mut by_value: Vec<Value> = words.iter().map(Value::str).collect();
+        by_value.sort();
+        let mut by_string = words.clone();
+        by_string.sort();
+        let printed: Vec<&str> = by_value.iter().filter_map(Value::as_str).collect();
+        prop_assert_eq!(printed, by_string);
+    }
+
+    /// A hash index over tuples of reverse-interned strings answers
+    /// probes whose keys are interned afresh from new `String`s.
+    #[test]
+    fn index_probes_with_freshly_interned_keys(
+        words in prop::collection::vec("[a-c]{0,3}", 1..10),
+    ) {
+        let words = interned_in_reverse(&words);
+        let mut index = HashIndex::new(vec![0]);
+        for (i, w) in words.iter().enumerate() {
+            index.add(Tuple::new(vec![Value::str(w), Value::Int(i as i64)]));
+        }
+        for w in &words {
+            let key = [Value::str(w.clone())];
+            let hits = index.probe_slice(&key);
+            let expected = words.iter().filter(|v| *v == w).count();
+            prop_assert_eq!(hits.len(), expected);
+            prop_assert!(hits.iter().all(|t| t.get(0).as_str() == Some(w.as_str())));
+        }
+        prop_assert!(index.probe_slice(&[Value::str(format!("{}!", words[0]))]).is_empty());
+    }
+
     /// Hash/Eq consistency: equal values hash equally.
     #[test]
     fn hash_eq_consistent(v in value_strategy()) {
-        let w = v.clone();
+        let w = v;
         prop_assert_eq!(&v, &w);
         prop_assert_eq!(hash_one(&v), hash_one(&w));
     }

@@ -138,12 +138,12 @@ mod tests {
         let s = scene(3, 4, 3, 5);
         for t in s.infront.iter() {
             for v in t.iter() {
-                assert!(s.objects.contains(&dc_value::Tuple::new(vec![v.clone()])));
+                assert!(s.objects.contains(&dc_value::Tuple::new(vec![*v])));
             }
         }
         for t in s.ontop.iter() {
             for v in t.iter() {
-                assert!(s.objects.contains(&dc_value::Tuple::new(vec![v.clone()])));
+                assert!(s.objects.contains(&dc_value::Tuple::new(vec![*v])));
             }
         }
     }

@@ -413,3 +413,53 @@ fn join_leaf_cross_type_residual_error() {
         Evaluator::new(&cat).force_nested_loop().eval(&query)
     );
 }
+
+/// String `<` and `sorted_tuples` follow the strings' order, never the
+/// interner's: over labels interned in *reverse* lexical order, a join
+/// with a STRING `<` residual agrees with the reference nested loops
+/// and with the same join computed on plain `str`s.
+#[test]
+fn string_order_ignores_interning_order() {
+    let mut labels: Vec<String> = (0..12).map(|i| format!("rev-label-{i:02}")).collect();
+    labels.sort_unstable_by(|a, b| b.cmp(a));
+    for l in &labels {
+        dc_value::Value::str(l);
+    }
+    let pairs: Vec<(&str, &str)> = (0..labels.len())
+        .flat_map(|i| [(i, (i * 5 + 3) % 12), (i, (i + 1) % 12)])
+        .map(|(a, b)| (labels[a].as_str(), labels[b].as_str()))
+        .collect();
+    let cat = MapCatalog::new().with_relation(
+        "Infront",
+        Relation::from_tuples(
+            dc_workload::graphs::edge_schema(),
+            pairs.iter().map(|&(f, b)| tuple![f, b]),
+        )
+        .unwrap(),
+    );
+    let query = set_former(vec![Branch::projecting(
+        vec![attr("x", "front"), attr("y", "back")],
+        vec![("x".into(), rel("Infront")), ("y".into(), rel("Infront"))],
+        eq(attr("x", "back"), attr("y", "front")).and(lt(attr("x", "front"), attr("y", "back"))),
+    )]);
+    let got = planned_matches_reference(&cat, &query);
+
+    let mut expected: Vec<(&str, &str)> = pairs
+        .iter()
+        .flat_map(|&(xf, xb)| {
+            pairs
+                .iter()
+                .filter(move |&&(yf, yb)| xb == yf && xf < yb)
+                .map(move |&(_, yb)| (xf, yb))
+        })
+        .collect();
+    expected.sort_unstable();
+    expected.dedup();
+    assert!(!expected.is_empty());
+    let sorted_tuples = got.sorted_tuples();
+    let sorted: Vec<(&str, &str)> = sorted_tuples
+        .iter()
+        .map(|t| (t.get(0).as_str().unwrap(), t.get(1).as_str().unwrap()))
+        .collect();
+    assert_eq!(sorted, expected);
+}
