@@ -22,13 +22,17 @@
 //!
 //! # The maintained-index invariant
 //!
-//! A relation that *grows* (the semi-naive accumulator) keeps its
-//! structures through [`AccessCache::advance`]: the entries move from
-//! the old id to the grown relation's id and absorb exactly the delta —
-//! every index `add`s each delta tuple and the statistics absorb the
-//! same tuples, in this one place. Statistics are therefore updated iff
-//! the indexes are, and a snapshot served to the planner always
-//! describes the relation the probed indexes describe.
+//! A relation that *changes by a known delta* — the semi-naive
+//! accumulator growing by a round's new tuples, or shrinking by the
+//! tuples a warm deletion removes — keeps its structures through
+//! [`AccessCache::advance`]: the entries move from the old id to the
+//! changed relation's id and absorb exactly the delta — every index
+//! `remove`s each removed tuple and `add`s each added one, and the
+//! statistics absorb the same tuples, in this one place. Statistics are
+//! therefore updated iff the indexes are, and a snapshot served to the
+//! planner always describes the relation the probed indexes describe
+//! (its distinct counts an upper bound once the relation has shrunk —
+//! see `dc_index::stats`).
 //!
 //! # Sharing
 //!
@@ -142,12 +146,14 @@ impl AccessCache {
         slot.stats.get_or_insert(collected).clone()
     }
 
-    /// `grown` is the relation that had id `old`, plus exactly the
-    /// tuples of `delta` (none of which it held before): move the
-    /// entries cached under `old` to `grown`'s id and absorb the delta.
-    pub fn advance(&self, old: u64, grown: &Relation, delta: &Relation) {
-        let new = grown.storage_id();
-        if new == old {
+    /// `new` is the relation that had id `old`, minus exactly the
+    /// tuples of `removed` (all of which it held) plus exactly those of
+    /// `added` (none of which it held): move the entries cached under
+    /// `old` to `new`'s id and absorb both sides. Work is proportional
+    /// to the two deltas; an empty side costs nothing per tuple.
+    pub fn advance(&self, old: u64, new: &Relation, added: &Relation, removed: &Relation) {
+        let id = new.storage_id();
+        if id == old {
             return;
         }
         let mut slots = self.write();
@@ -158,18 +164,24 @@ impl AccessCache {
             // Evaluators hold these `Arc`s only while a plan runs, so
             // `make_mut` almost never copies.
             let idx = Arc::make_mut(idx);
-            for t in delta.iter() {
+            for t in removed.iter() {
+                idx.remove(t);
+            }
+            for t in added.iter() {
                 idx.add(t.clone());
             }
         }
         if slot.stats.is_some() {
             match &mut slot.builder {
-                Some(b) => delta.iter().for_each(|t| b.add(t)),
-                none => *none = Some(StatsBuilder::from_relation(grown)),
+                Some(b) => {
+                    removed.iter().for_each(|t| b.remove(t));
+                    added.iter().for_each(|t| b.add(t));
+                }
+                none => *none = Some(StatsBuilder::from_relation(new)),
             }
             slot.stats = slot.builder.as_ref().map(|b| Arc::new(b.snapshot()));
         }
-        slots.insert(new, slot);
+        slots.insert(id, slot);
     }
 
     /// Drop everything cached about the storage `id` — the owner's
@@ -264,7 +276,7 @@ mod tests {
             let delta = pairs(&[(round + 3, round + 4), (1, round + 10)]);
             let old = value.storage_id();
             dc_relation::algebra::union_into(&mut value, &delta).unwrap();
-            cache.advance(old, &value, &delta);
+            cache.advance(old, &value, &delta, &pairs(&[]));
             // Served without a rebuild, and exactly what a rebuild
             // would produce.
             assert_eq!(cache.index_count(), 1, "moved, not duplicated");
@@ -283,6 +295,49 @@ mod tests {
         // Nothing is left under any earlier id.
         cache.retain(&[value.storage_id()]);
         assert_eq!(cache.index_count(), 1);
+    }
+
+    #[test]
+    fn advance_with_removals_matches_a_rebuild() {
+        let cache = AccessCache::new(None);
+        let mut value = pairs(&[(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6)]);
+        cache.index(&value, &[0]).unwrap();
+        cache.index(&value, &[1]).unwrap();
+        cache.stats(&value);
+        // Shrink (emptying the bucket of key 3 on [0]), then shrink and
+        // grow in one step.
+        for (added, removed) in [
+            (pairs(&[]), pairs(&[(1, 3), (3, 4)])),
+            (pairs(&[(5, 6), (1, 9)]), pairs(&[(4, 5), (1, 2)])),
+        ] {
+            let old = value.storage_id();
+            for t in removed.iter() {
+                value.remove(t);
+            }
+            dc_relation::algebra::union_into(&mut value, &added).unwrap();
+            cache.advance(old, &value, &added, &removed);
+            assert_eq!(cache.index_count(), 2, "moved, not duplicated");
+            for positions in [[0], [1]] {
+                let served = cache.index(&value, &positions).unwrap();
+                let fresh = HashIndex::build(&value, positions.to_vec());
+                assert_eq!(served.len(), fresh.len());
+                assert_eq!(served.distinct_keys(), fresh.distinct_keys());
+                for k in 0..10i64 {
+                    let mut got = served.probe_slice(&[k.into()]).to_vec();
+                    let mut want = fresh.probe_slice(&[k.into()]).to_vec();
+                    got.sort();
+                    want.sort();
+                    assert_eq!(got, want, "positions {positions:?}, key {k}");
+                }
+            }
+            let (kept, exact) = (cache.stats(&value), RelationStats::collect(&value));
+            assert_eq!(kept.cardinality, exact.cardinality);
+            assert!(kept
+                .distinct
+                .iter()
+                .zip(&exact.distinct)
+                .all(|(k, e)| k >= e));
+        }
     }
 
     #[test]

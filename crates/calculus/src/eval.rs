@@ -604,6 +604,15 @@ impl<'a> Evaluator<'a> {
                     }
                     if keys.is_empty() {
                         CompiledAccess::Scan
+                    } else if is_whole_tuple(&positions, schema.arity()) {
+                        // Every attribute is bound: the range's own tuple
+                        // set answers the probe — no index to build or
+                        // maintain. Keys go in attribute order.
+                        let mut keyed: Vec<_> = positions.into_iter().zip(keys).collect();
+                        keyed.sort_by_key(|(p, _)| *p);
+                        CompiledAccess::Member {
+                            keys: keyed.into_iter().map(|(_, k)| k).collect(),
+                        }
                     } else {
                         let index = self.obtain_index(
                             &branch.bindings[step.position].1,
@@ -1241,7 +1250,7 @@ impl<'a> Evaluator<'a> {
                 }
                 bindings.truncate(slot);
             }
-            CompiledAccess::Probe { index, keys } => {
+            CompiledAccess::Probe { keys, .. } | CompiledAccess::Member { keys } => {
                 // Reuse one key buffer per plan depth across all of
                 // this step's invocations — no allocation per probe
                 // (value clones are `Arc` bumps / plain copies).
@@ -1258,7 +1267,13 @@ impl<'a> Evaluator<'a> {
                         }
                     });
                 }
-                let hits = index.probe_slice(&key_vals);
+                let hits = match &step.access {
+                    CompiledAccess::Probe { index, .. } => index.probe_slice(&key_vals),
+                    _ => rel
+                        .as_set()
+                        .get(key_vals.as_slice())
+                        .map_or(&[][..], std::slice::from_ref),
+                };
                 self.probe_scratch[depth] = key_vals;
                 let mut pushed = false;
                 for t in hits {
@@ -1739,6 +1754,17 @@ enum CompiledAccess {
         index: Arc<HashIndex>,
         keys: Vec<CompiledKey>,
     },
+    /// Look up the whole tuple assembled from `keys` (one per
+    /// attribute, in attribute order) in the range's own tuple set.
+    Member { keys: Vec<CompiledKey> },
+}
+
+/// Do probe `positions` name every attribute of an `arity`-ary range,
+/// each once?
+fn is_whole_tuple(positions: &[usize], arity: usize) -> bool {
+    let mut sorted = positions.to_vec();
+    sorted.sort_unstable();
+    sorted.iter().copied().eq(0..arity)
 }
 
 /// One component of a probe key.

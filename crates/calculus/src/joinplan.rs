@@ -44,7 +44,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use dc_index::RelationStats;
 use dc_value::Schema;
 
-use crate::ast::{Branch, CmpOp, Formula, Name, RangeExpr, ScalarExpr, SetFormer, Target, Var};
+use crate::ast::{Branch, CmpOp, Formula, Name, RangeExpr, ScalarExpr, SetFormer, Var};
 use crate::rewrite;
 
 /// The non-probed side of an equality atom.
@@ -701,36 +701,22 @@ pub trait DefLookup {
 }
 
 /// Read-set / dependency profile of a query: which base (catalog)
-/// relations its result depends on, and which of those occurrences are
-/// *unsafe* for delta-monotone maintenance.
+/// relations its result depends on. Constructor formals are followed to
+/// the actuals they are bound to; selector bodies and predicates count
+/// as reads like binding ranges do.
 ///
-/// A relation occurrence is **safe** when it appears only as a plain
-/// `EACH v IN R` binding range (possibly reached through a constructor
-/// application whose base/args are themselves plain relation names):
-/// inserting tuples into `R` can only *add* bindings, so the query
-/// result grows monotonically and a semi-naive warm start from the
-/// previous result is sound. Every other occurrence — inside a
-/// predicate (`MEMBER`, `SOME`/`ALL` ranges, negation), a selector
-/// body, a nested set former used as a range, or a constructor
-/// application with a computed base — lands in
-/// [`ReadProfile::unsafe_reads`], because an insert there can remove
-/// result tuples (non-monotone) or change intermediate values in ways
-/// delta rules do not cover.
-///
-/// Serving layers use the profile two ways: commits touching relations
-/// disjoint from [`ReadProfile::reads`] cannot change the result at
-/// all (O(1) filter), and commits touching only safe reads with
-/// insert-only ops qualify for warm-start maintenance.
+/// Serving layers use the profile as an O(1) filter: a commit touching
+/// relations disjoint from [`ReadProfile::reads`] cannot change the
+/// result at all. Whether a commit that does touch them can be
+/// maintained incrementally is the fixpoint's warm re-entry's call, not
+/// the profile's.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReadProfile {
-    /// Every base relation the query may read, safe or not.
+    /// Every base relation the query may read.
     pub reads: BTreeSet<Name>,
-    /// Base relations with at least one non-delta-monotone occurrence.
-    pub unsafe_reads: BTreeSet<Name>,
     /// True when a selector or constructor definition could not be
     /// resolved: the profile is then a lower bound and the caller must
-    /// treat the query as reading (and unsafely depending on)
-    /// everything.
+    /// treat the query as reading everything.
     pub unresolved: bool,
 }
 
@@ -739,13 +725,6 @@ impl ReadProfile {
     /// query result. Unresolved profiles never qualify.
     pub fn disjoint_from<'a, I: IntoIterator<Item = &'a Name>>(&self, touched: I) -> bool {
         !self.unresolved && touched.into_iter().all(|t| !self.reads.contains(t))
-    }
-
-    /// True when every touched relation occurs only in safe (plain
-    /// binding-range) positions, so insert-only deltas are
-    /// delta-monotone. Unresolved profiles never qualify.
-    pub fn monotone_in<'a, I: IntoIterator<Item = &'a Name>>(&self, touched: I) -> bool {
-        !self.unresolved && touched.into_iter().all(|t| !self.unsafe_reads.contains(t))
     }
 }
 
@@ -764,10 +743,10 @@ struct ProfileWalk<'a> {
 /// selector and constructor definitions through `defs`.
 ///
 /// Constructor formals are tracked by *provenance*: an application
-/// `R{tc(S)}` maps the constructor's formals to `R` and `S`, so a
-/// plain `EACH v IN formal` binding inside the body counts as a safe
-/// read of the actual relation. A formal bound to anything other than
-/// a plain relation name propagates its whole read set as unsafe.
+/// `R{tc(S)}` maps the constructor's formals to `R` and `S`, so a read
+/// of a formal inside the body is a read of the actual relation. A
+/// formal bound to a computed range reads what that range reads, which
+/// is recorded at the application site.
 pub fn base_relations(range: &RangeExpr, defs: &dyn DefLookup) -> ReadProfile {
     let mut walk = ProfileWalk {
         defs,
@@ -775,53 +754,28 @@ pub fn base_relations(range: &RangeExpr, defs: &dyn DefLookup) -> ReadProfile {
         ctor_stack: Vec::new(),
         selectors_done: BTreeSet::new(),
     };
-    walk.range(range, true, &BTreeMap::new());
+    walk.range(range, &BTreeMap::new());
     walk.profile
 }
 
 impl ProfileWalk<'_> {
-    /// Record a read of base relation `name`; `safe` marks a plain
-    /// binding-range occurrence.
-    fn read(&mut self, name: &Name, safe: bool) {
-        self.profile.reads.insert(name.clone());
-        if !safe {
-            self.profile.unsafe_reads.insert(name.clone());
-        }
-    }
-
-    /// Walk a range expression. `binding` is true when the range is
-    /// consumed as an `EACH v IN …` binding range (the only
-    /// delta-monotone position); `prov` maps enclosing constructor
+    /// Walk a range expression. `prov` maps enclosing constructor
     /// formals to base-catalog names (`None` provenance = the formal
     /// was bound to a computed range, already accounted for at the
     /// application site).
-    fn range(&mut self, r: &RangeExpr, binding: bool, prov: &BTreeMap<Name, Option<Name>>) {
+    fn range(&mut self, r: &RangeExpr, prov: &BTreeMap<Name, Option<Name>>) {
         match r {
             RangeExpr::Rel(n) => match prov.get(n) {
                 Some(Some(actual)) => {
-                    let actual = actual.clone();
-                    self.read(&actual, binding);
+                    self.profile.reads.insert(actual.clone());
                 }
-                // Formal bound to a computed range: its reads were
-                // recorded (as unsafe) at the application site.
                 Some(None) => {}
                 None => {
-                    let n = n.clone();
-                    self.read(&n, binding);
+                    self.profile.reads.insert(n.clone());
                 }
             },
-            RangeExpr::Selected {
-                base,
-                selector,
-                args,
-            } => {
-                // Selection filters the base: still monotone in the
-                // base itself, but everything the selector body reads
-                // is a filter input and therefore unsafe.
-                self.range(base, binding, prov);
-                for a in args {
-                    self.scalar(a, prov);
-                }
+            RangeExpr::Selected { base, selector, .. } => {
+                self.range(base, prov);
                 self.selector(selector);
             }
             RangeExpr::Constructed {
@@ -830,36 +784,22 @@ impl ProfileWalk<'_> {
                 args,
                 ..
             } => self.application(base, constructor, args, prov),
-            RangeExpr::SetFormer(sf) => {
-                // A nested set former used as a range re-derives its
-                // tuples per evaluation; treat its binding ranges as
-                // binding positions only at the *top level* of the
-                // query — nested-in-predicate set formers arrive here
-                // with `binding == false` and poison everything.
-                self.set_former(sf, binding, prov);
-            }
+            RangeExpr::SetFormer(sf) => self.set_former(sf, prov),
         }
     }
 
-    fn set_former(&mut self, sf: &SetFormer, binding: bool, prov: &BTreeMap<Name, Option<Name>>) {
+    fn set_former(&mut self, sf: &SetFormer, prov: &BTreeMap<Name, Option<Name>>) {
         for b in &sf.branches {
             for (_, range) in &b.bindings {
-                self.range(range, binding, prov);
+                self.range(range, prov);
             }
             self.formula(&b.predicate, prov);
-            if let Target::Tuple(exprs) = &b.target {
-                for e in exprs {
-                    self.scalar(e, prov);
-                }
-            }
         }
     }
 
     /// A constructor application `base{c(args…)}`: plain-`Rel`
     /// base/args forward provenance into the body; computed base/args
-    /// are walked here with every read marked unsafe (the fixpoint
-    /// re-evaluates them whenever their inputs change, outside the
-    /// delta rules).
+    /// are walked here and pass `None` provenance.
     fn application(
         &mut self,
         base: &RangeExpr,
@@ -873,18 +813,12 @@ impl ProfileWalk<'_> {
                 RangeExpr::Rel(n) => match prov.get(n) {
                     Some(slot) => actuals.push(slot.clone()),
                     None => {
-                        let n = n.clone();
-                        // The application *scans* the actual relation
-                        // as the seed of the fixpoint — a binding-range
-                        // read, delta-monotone.
-                        self.read(&n, true);
-                        actuals.push(Some(n));
+                        self.profile.reads.insert(n.clone());
+                        actuals.push(Some(n.clone()));
                     }
                 },
                 computed => {
-                    // Computed actual: record its reads as unsafe and
-                    // pass `None` provenance into the body.
-                    self.range(computed, false, prov);
+                    self.range(computed, prov);
                     actuals.push(None);
                 }
             }
@@ -905,7 +839,7 @@ impl ProfileWalk<'_> {
         }
         let child: BTreeMap<Name, Option<Name>> = formals.into_iter().zip(actuals).collect();
         self.ctor_stack.push(constructor.clone());
-        self.set_former(&body, true, &child);
+        self.set_former(&body, &child);
         self.ctor_stack.pop();
     }
 
@@ -919,35 +853,24 @@ impl ProfileWalk<'_> {
         };
         let body = body.clone();
         // Selector bodies see only the base catalog — no formal
-        // provenance — and every read is a filter input.
+        // provenance.
         self.formula(&body, &BTreeMap::new());
     }
 
     fn formula(&mut self, f: &Formula, prov: &BTreeMap<Name, Option<Name>>) {
         match f {
-            Formula::True | Formula::False => {}
-            Formula::Cmp(a, _, b) => {
-                self.scalar(a, prov);
-                self.scalar(b, prov);
-            }
+            Formula::True | Formula::False | Formula::Cmp(..) => {}
             Formula::And(a, b) | Formula::Or(a, b) => {
                 self.formula(a, prov);
                 self.formula(b, prov);
             }
             Formula::Not(inner) => self.formula(inner, prov),
             Formula::Some(_, r, body) | Formula::All(_, r, body) => {
-                self.range(r, false, prov);
+                self.range(r, prov);
                 self.formula(body, prov);
             }
-            Formula::Member(_, r) | Formula::TupleIn(_, r) => self.range(r, false, prov),
+            Formula::Member(_, r) | Formula::TupleIn(_, r) => self.range(r, prov),
         }
-    }
-
-    fn scalar(&mut self, e: &ScalarExpr, _prov: &BTreeMap<Name, Option<Name>>) {
-        // Scalar expressions reference attributes, constants, and
-        // parameters — never relations — so nothing to record. Kept as
-        // a method so future scalar subqueries have one place to land.
-        let _ = e;
     }
 }
 
@@ -1329,39 +1252,19 @@ mod tests {
     }
 
     #[test]
-    fn profile_plain_binding_reads_are_safe() {
+    fn profile_collects_binding_and_predicate_reads() {
         let q = RangeExpr::SetFormer(SetFormer {
             branches: vec![Branch::projecting(
                 vec![attr("f", "front"), attr("b", "back")],
                 vec![("f".into(), rel("Infront")), ("b".into(), rel("Ontop"))],
-                eq(attr("f", "back"), attr("b", "front")),
+                eq(attr("f", "back"), attr("b", "front")).and(not(member("f", rel("Blocked")))),
             )],
         });
         let p = base_relations(&q, &TestDefs);
-        assert_eq!(names(&p.reads), ["Infront", "Ontop"]);
-        assert!(p.unsafe_reads.is_empty());
+        assert_eq!(names(&p.reads), ["Blocked", "Infront", "Ontop"]);
         assert!(!p.unresolved);
         assert!(p.disjoint_from(&["Other".into()]));
-        assert!(!p.disjoint_from(&["Ontop".into()]));
-        assert!(p.monotone_in(&["Infront".into(), "Ontop".into()]));
-    }
-
-    #[test]
-    fn profile_predicate_reads_are_unsafe() {
-        // Negated membership: inserts into `Blocked` can *remove*
-        // result tuples.
-        let q = RangeExpr::SetFormer(SetFormer {
-            branches: vec![Branch::each(
-                "r",
-                rel("Infront"),
-                not(member("r", rel("Blocked"))),
-            )],
-        });
-        let p = base_relations(&q, &TestDefs);
-        assert_eq!(names(&p.reads), ["Blocked", "Infront"]);
-        assert_eq!(names(&p.unsafe_reads), ["Blocked"]);
-        assert!(!p.monotone_in(&["Blocked".into()]));
-        assert!(p.monotone_in(&["Infront".into()]));
+        assert!(!p.disjoint_from(&["Blocked".into()]));
     }
 
     #[test]
@@ -1372,16 +1275,14 @@ mod tests {
         let q = rel("Infront").construct("ahead", vec![]);
         let p = base_relations(&q, &TestDefs);
         assert_eq!(names(&p.reads), ["Infront"]);
-        assert!(p.unsafe_reads.is_empty());
         assert!(!p.unresolved);
     }
 
     #[test]
-    fn profile_selector_bodies_are_chased_and_unsafe() {
+    fn profile_selector_bodies_are_chased() {
         let q = rel("Infront").select("shadowed", vec![]);
         let p = base_relations(&q, &TestDefs);
         assert_eq!(names(&p.reads), ["Hidden", "Infront"]);
-        assert_eq!(names(&p.unsafe_reads), ["Hidden"]);
     }
 
     #[test]
@@ -1389,21 +1290,18 @@ mod tests {
         let q = rel("Infront").select("mystery", vec![]);
         let p = base_relations(&q, &TestDefs);
         assert!(p.unresolved);
-        // Unresolved profiles never qualify for filtering or warmth.
+        // Unresolved profiles never qualify for filtering.
         assert!(!p.disjoint_from(&["Unrelated".into()]));
-        assert!(!p.monotone_in(&["Unrelated".into()]));
     }
 
     #[test]
-    fn profile_computed_constructor_base_is_unsafe() {
-        // The application's base is itself a set former over `Seed`:
-        // its value feeds the fixpoint seed outside the delta rules.
+    fn profile_computed_constructor_base_is_read() {
+        // The application's base is itself a set former over `Seed`.
         let computed = RangeExpr::SetFormer(SetFormer {
             branches: vec![Branch::each("s", rel("Seed"), tru())],
         });
         let q = computed.construct("ahead", vec![]);
         let p = base_relations(&q, &TestDefs);
-        assert!(p.reads.contains("Seed"));
-        assert!(p.unsafe_reads.contains("Seed"));
+        assert_eq!(names(&p.reads), ["Seed"]);
     }
 }

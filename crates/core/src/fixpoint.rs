@@ -75,7 +75,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
-use dc_calculus::ast::{Name, RangeExpr, SetFormer};
+use dc_calculus::ast::{Branch, CmpOp, Formula, Name, RangeExpr, ScalarExpr, SetFormer, Target};
 use dc_calculus::env::Overlay;
 use dc_calculus::rewrite;
 use dc_calculus::{AccessCache, Catalog, EvalError, Evaluator};
@@ -84,7 +84,7 @@ use dc_governor::{Budget, Meter, SolveDiag, SolveError};
 use dc_relation::{algebra, Relation};
 use dc_trace::metrics::{Counter, Histogram, MetricsRegistry};
 use dc_trace::SpanKind;
-use dc_value::{FxHashMap, Value};
+use dc_value::{FxHashMap, Tuple, Value};
 
 use crate::constructor::Constructor;
 
@@ -313,6 +313,9 @@ struct State {
     index: FxHashMap<AppKey, usize>,
     current: Vec<Relation>,
     delta: Vec<Relation>,
+    /// Per equation, the tuples a warm deletion's over-delete phase
+    /// collected (`D`); empty outside that phase's solves.
+    doomed: Vec<Relation>,
     /// The solve's access cache: every index and statistics entry any
     /// branch evaluation of this solve builds,
     /// keyed by the storage of the relation it describes — base
@@ -363,6 +366,7 @@ impl State {
         let i = self.equations.len();
         self.current.push(Relation::new(ctor.result.clone()));
         self.delta.push(Relation::new(ctor.result.clone()));
+        self.doomed.push(Relation::new(ctor.result.clone()));
         self.index.insert(app.key.clone(), i);
         self.equations.push(Equation {
             key: app.key,
@@ -460,7 +464,7 @@ pub fn solve(
 ) -> Result<Relation, EvalError> {
     isolate(|| {
         let root = Application::new(constructor, base, args, scalar_args);
-        Ok(Solver::new(source, root, None, None, cfg)?.run(None)?.value)
+        Ok(Solver::new(source, root, None, None, cfg)?.run()?.value)
     })
 }
 
@@ -484,7 +488,7 @@ pub fn solve_tracked(
     isolate(|| {
         let root = Application::new(constructor, base, args, scalar_args);
         let names = root_slots(base_name, arg_names);
-        let run = Solver::new(source, root, Some(names), None, cfg)?.run(None)?;
+        let run = Solver::new(source, root, Some(names), None, cfg)?.run()?;
         Ok((run.value, run.system))
     })
 }
@@ -492,22 +496,40 @@ pub fn solve_tracked(
 /// Re-solve `constructor(base, args, scalar_args)` warm: seed every
 /// equation from `prev` (the system captured by a previous
 /// [`solve_tracked`]/[`solve_warm`] over the *same* system shape) and
-/// run delta-restricted semi-naive rounds driven by `deltas` — the
-/// tuples **inserted** into the named base relations since `prev` was
-/// captured. The actuals (`base`/`args`) must be the *new* relation
-/// values.
+/// maintain it by `deltas` — per named base relation, the tuples
+/// inserted and deleted since `prev` was captured. The actuals
+/// (`base`/`args`) must be the *new* relation values.
 ///
-/// Soundness rests on monotonicity: the previous fixpoint is a subset
-/// of the new one exactly when every touched relation is read only
-/// through plain binding ranges (insertions can then only add result
-/// tuples) and the system runs semi-naive. The function re-derives that
-/// property from the registered system itself — any touched relation
-/// reachable through a predicate, selector body, computed constructor
-/// actual, or untracked formal refuses the warm start
-/// ([`WarmOutcome::Refused`]), as does a system the solver runs naive
-/// and (the caller's contract: `deltas` are insert-only) deletions. A
-/// refusal is not an error; the caller re-solves cold via
-/// [`solve_tracked`].
+/// Insertions re-enter the semi-naive rounds from the inserted tuples.
+/// Deletions run delete-and-rederive (DRed) over the same rounds:
+///
+/// 1. **Over-delete.** Rounds seeded from the deleted tuples, against
+///    the previous equation values, collect every value tuple with a
+///    derivation through a deleted tuple (or through a tuple collected
+///    before) into a per-equation over-deleted set `D`.
+/// 2. **Remove.** `D` leaves each value; the cached indexes and
+///    statistics shrink with it through [`AccessCache::advance`].
+/// 3. **Re-derive.** One round evaluates every branch restricted to
+///    heads in `D` (`D` is bound as a relation the planner scans, the
+///    rest is probed) over the new state. The survivors, together with
+///    the inserted tuples' round, seed ordinary semi-naive rounds.
+///
+/// The delivered delta is net: `added = final − old`, `removed = old −
+/// final`.
+///
+/// `prev` is consumed: its values and the indexes cached over them are
+/// maintained in place — a value is copied only where the caller still
+/// holds a handle on it, an index never.
+///
+/// Soundness rests on monotonicity: every touched relation must be
+/// read only through plain binding ranges, and the system must run
+/// semi-naive. The function re-derives that property from the
+/// registered system itself and refuses ([`WarmOutcome::Refused`],
+/// with a typed [`Refusal`]) a system the solver runs naive, a changed
+/// system shape, an equation with untracked provenance or a fallback
+/// branch, and any touched relation reachable through a predicate,
+/// selector body or computed constructor actual. A refusal is not an
+/// error; the caller re-solves cold via [`solve_tracked`].
 #[allow(clippy::too_many_arguments)]
 pub fn solve_warm(
     source: &dyn ConstructorSource,
@@ -517,20 +539,22 @@ pub fn solve_warm(
     scalar_args: Vec<Value>,
     base_name: &str,
     arg_names: &[&str],
-    prev: &SolvedSystem,
-    deltas: &[(Name, Relation)],
+    prev: SolvedSystem,
+    deltas: &[(Name, BaseDelta)],
     cfg: &FixpointConfig,
 ) -> Result<WarmOutcome, EvalError> {
     isolate(|| {
         let root = Application::new(constructor, base, args, scalar_args);
         let names = root_slots(base_name, arg_names);
-        let solver = Solver::new(source, root, Some(names), Some(prev), cfg)?;
-        Ok(match solver.warm_start(prev, deltas) {
-            Ok(first) => {
-                let run = solver.run(Some(first))?;
+        let SolvedSystem { equations, access } = prev;
+        let solver = Solver::new(source, root, Some(names), Some(access), cfg)?;
+        Ok(match solver.warm_start(equations, deltas) {
+            Ok(plan) => {
+                let run = solver.maintain(plan)?;
                 WarmOutcome::Solved {
                     value: run.value,
                     added: run.added,
+                    removed: run.removed,
                     system: run.system,
                 }
             }
@@ -588,29 +612,137 @@ impl SolvedSystem {
     pub fn value(&self) -> &Relation {
         &self.equations[0].value
     }
+
+    /// Hash indexes cached over the equation values.
+    pub fn index_count(&self) -> usize {
+        self.access.index_count()
+    }
+}
+
+/// What one commit did to one base relation: the tuples it inserted
+/// and the tuples it deleted, both net of the other (a tuple inserted
+/// and deleted again by the same batch is in neither).
+#[derive(Debug, Clone)]
+pub struct BaseDelta {
+    /// Tuples the new value holds and the old one did not.
+    pub inserted: Relation,
+    /// Tuples the old value held and the new one does not.
+    pub deleted: Relation,
+}
+
+/// Why a warm re-solve was refused — one variant per check
+/// [`solve_warm`] makes, plus the caller's own.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Refusal {
+    /// The solver runs the system naive (an unchecked constructor is
+    /// reachable, or the configuration asks for it): delta rules need
+    /// monotone bodies.
+    NaiveStrategy,
+    /// The freshly instantiated system is not the captured one,
+    /// equation for equation.
+    ShapeChanged,
+    /// An equation's formal is bound to a computed range, so a base
+    /// delta cannot be routed to it.
+    UntrackedProvenance {
+        /// Equation index.
+        equation: usize,
+        /// Its constructor.
+        constructor: Name,
+    },
+    /// An equation has a branch the solver re-evaluates whole.
+    FallbackBranch {
+        /// Equation index.
+        equation: usize,
+        /// Its constructor.
+        constructor: Name,
+    },
+    /// A touched relation is read outside a plain binding range
+    /// (predicate, selector body, computed constructor actual).
+    NonMonotoneRead {
+        /// Equation index.
+        equation: usize,
+        /// Its constructor.
+        constructor: Name,
+        /// The offending branch.
+        branch: usize,
+    },
+    /// A relation the caller would take a delta of is missing.
+    MissingRelation {
+        /// The relation's name.
+        relation: Name,
+    },
+}
+
+impl Refusal {
+    /// A stable label per variant, for spans and logs.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Refusal::NaiveStrategy => "naive_strategy",
+            Refusal::ShapeChanged => "shape_changed",
+            Refusal::UntrackedProvenance { .. } => "untracked_provenance",
+            Refusal::FallbackBranch { .. } => "fallback_branch",
+            Refusal::NonMonotoneRead { .. } => "non_monotone_read",
+            Refusal::MissingRelation { .. } => "missing_relation",
+        }
+    }
+}
+
+impl std::fmt::Display for Refusal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Refusal::NaiveStrategy => write!(f, "warm start requires the semi-naive strategy"),
+            Refusal::ShapeChanged => write!(f, "system shape changed"),
+            Refusal::UntrackedProvenance {
+                equation,
+                constructor,
+            } => write!(
+                f,
+                "equation {equation} (`{constructor}`) has untracked relation provenance"
+            ),
+            Refusal::FallbackBranch {
+                equation,
+                constructor,
+            } => write!(
+                f,
+                "equation {equation} (`{constructor}`) has a fallback branch"
+            ),
+            Refusal::NonMonotoneRead {
+                equation,
+                constructor,
+                branch,
+            } => write!(
+                f,
+                "equation {equation} (`{constructor}`) branch {branch} reads a touched \
+                 relation outside a plain binding range"
+            ),
+            Refusal::MissingRelation { relation } => {
+                write!(f, "relation `{relation}` is missing")
+            }
+        }
+    }
 }
 
 /// What a warm re-solve produced.
 pub enum WarmOutcome {
     /// The warm start was sound and converged: the new root value, the
-    /// exact tuples added relative to the previous system (warm starts
-    /// are monotone, so nothing is ever removed), and the re-captured
-    /// system for the next refresh.
+    /// exact two-way delta relative to the previous system, and the
+    /// re-captured system for the next refresh.
     Solved {
         /// New root value.
         value: Relation,
-        /// Root tuples added relative to the previous system.
+        /// Root tuples the new value has and the previous one lacked.
         added: Relation,
+        /// Root tuples the previous value had and the new one lacks —
+        /// those that lost their last derivation.
+        removed: Relation,
         /// Captured state for the next warm refresh.
         system: SolvedSystem,
     },
-    /// The warm start could not be proven sound (non-monotone read of a
-    /// touched relation, untracked provenance, changed system shape, a
-    /// system the solver runs naive, …): the caller must fall back to a
-    /// cold [`solve_tracked`].
+    /// The warm start could not be proven sound: the caller must fall
+    /// back to a cold [`solve_tracked`].
     Refused {
-        /// Human-readable refusal reason (diagnostics/logging).
-        reason: String,
+        /// Which check refused.
+        reason: Refusal,
     },
 }
 
@@ -620,7 +752,46 @@ struct Converged {
     /// Root tuples added relative to the warm seed (empty for a cold
     /// run).
     added: Relation,
+    /// Root tuples removed relative to the warm seed (empty for a cold
+    /// run and for a warm run without deletions).
+    removed: Relation,
     system: SolvedSystem,
+}
+
+/// How a round's commit applies the staged results.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rule {
+    /// Semi-naive: the staged tuples not yet in the value are the
+    /// round's delta and grow the value in place.
+    Grow,
+    /// Naive: the staged value replaces the old one.
+    Replace,
+    /// Over-delete: the staged tuples that are in the (unchanged) value
+    /// and not yet collected are the round's delta and join the
+    /// equation's over-deleted set.
+    Collect,
+}
+
+/// Per-solve totals that outlive one call of [`Solver::rounds`].
+#[derive(Default)]
+struct Tally {
+    rounds: usize,
+    delta_tuples: u64,
+    /// The root's accumulated additions — `Some` for warm runs only.
+    added: Option<Relation>,
+}
+
+/// Binding positions of one branch, each with the tuples bound there.
+type BoundAt = Vec<(usize, Relation)>;
+
+/// What [`Solver::warm_start`] found to do: the first-round tasks of
+/// inserted tuples, and per branch the positions that bind deleted ones.
+#[derive(Default)]
+struct WarmPlan {
+    /// (equation, branch, binding position, the inserted tuples).
+    inserts: Vec<(usize, usize, usize, Relation)>,
+    /// (equation, branch, the positions binding deleted tuples).
+    deletes: Vec<(usize, usize, BoundAt)>,
 }
 
 /// One solve: the equation system plus the catalog its bodies evaluate
@@ -647,13 +818,13 @@ struct Solver<'s> {
 impl<'s> Solver<'s> {
     /// Walk everything the root can reach, once: decide the strategy,
     /// resolve the universe every round snapshot shares, then
-    /// instantiate the system from the root (equation 0). `warm` starts
-    /// the solve's cache from the previous system's.
+    /// instantiate the system from the root (equation 0). `warm` is the
+    /// previous system's cache, which the solve takes over.
     fn new(
         source: &'s dyn ConstructorSource,
         root: Application,
         root_names: Option<Vec<Option<Name>>>,
-        warm: Option<&SolvedSystem>,
+        warm: Option<Arc<AccessCache>>,
         cfg: &FixpointConfig,
     ) -> Result<Solver<'s>, EvalError> {
         let t0 = Instant::now();
@@ -663,10 +834,7 @@ impl<'s> Solver<'s> {
         let naive = cfg.strategy == Strategy::Naive || reach.any_unchecked();
         // A warm start seeds the equation values from `prev`, storage
         // and all, so its entries are this solve's from the first round.
-        let access = Arc::new(match warm {
-            Some(prev) => AccessCache::clone(&prev.access),
-            None => AccessCache::new(cfg.metrics.clone()),
-        });
+        let access = warm.unwrap_or_else(|| Arc::new(AccessCache::new(cfg.metrics.clone())));
         let solver = Solver {
             source,
             state: RefCell::new(State {
@@ -674,6 +842,7 @@ impl<'s> Solver<'s> {
                 index: FxHashMap::default(),
                 current: Vec::new(),
                 delta: Vec::new(),
+                doomed: Vec::new(),
                 access: access.clone(),
                 universe: Arc::new(reach.into_universe()),
             }),
@@ -816,7 +985,7 @@ impl<'s> Solver<'s> {
                             &st.current[peer]
                         };
                         let marker = format!("{DELTA_MARKER}{pos}");
-                        tasks.push(delta_task(&st, i, b, pos, (marker, scan.clone())));
+                        tasks.push(delta_task(&st, i, b, vec![(pos, marker, scan.clone())]));
                     }
                 }
                 _ => tasks.push(BranchTask {
@@ -836,43 +1005,41 @@ impl<'s> Solver<'s> {
 
     /// Validate a warm start from `prev` against this freshly
     /// instantiated system and, if it is sound, seed every equation
-    /// from `prev` and return the delta-restricted first round. `Err`
-    /// is the refusal reason: the caller re-solves cold.
+    /// from `prev` and return what the base deltas bind where. `Err` is
+    /// the refusal: the caller re-solves cold.
     fn warm_start(
         &self,
-        prev: &SolvedSystem,
-        deltas: &[(Name, Relation)],
-    ) -> Result<Vec<BranchTask>, String> {
+        prev: Vec<SolvedEquation>,
+        deltas: &[(Name, BaseDelta)],
+    ) -> Result<WarmPlan, Refusal> {
         if self.naive {
-            return Err("warm start requires the semi-naive strategy".into());
+            return Err(Refusal::NaiveStrategy);
         }
-        // (equation, branch, binding position, the touched relation's
-        // insert delta bound there).
-        let mut plan: Vec<(usize, usize, usize, Relation)> = Vec::new();
+        let mut plan = WarmPlan::default();
         {
             let st = self.state.borrow();
             // Shape: the freshly registered system must be the previous
             // system, equation for equation (registration order is
             // deterministic, so index-wise comparison is exact).
-            if st.equations.len() != prev.equations.len() {
-                return Err(format!(
-                    "system shape changed: {} equations, previously {}",
-                    st.equations.len(),
-                    prev.equations.len()
-                ));
+            if st.equations.len() != prev.len() {
+                return Err(Refusal::ShapeChanged);
             }
-            for (i, (eq, prev_eq)) in st.equations.iter().zip(&prev.equations).enumerate() {
+            for (i, (eq, prev_eq)) in st.equations.iter().zip(&prev).enumerate() {
                 let name = eq.key.constructor();
                 if name != prev_eq.constructor || eq.result != prev_eq.result {
-                    return Err(format!("equation {i} (`{name}`) changed shape"));
+                    return Err(Refusal::ShapeChanged);
                 }
                 let Some(prov) = &eq.provenance else {
-                    return Err(format!(
-                        "equation {i} (`{name}`) has untracked relation provenance"
-                    ));
+                    return Err(Refusal::UntrackedProvenance {
+                        equation: i,
+                        constructor: name.to_string(),
+                    });
                 };
                 if eq.classes.contains(&BranchClass::Fallback) {
-                    return Err(format!("equation {i} (`{name}`) has a fallback branch"));
+                    return Err(Refusal::FallbackBranch {
+                        equation: i,
+                        constructor: name.to_string(),
+                    });
                 }
                 // Safety: map touched base relations onto the local
                 // names the body reads them through (formals shadow
@@ -880,24 +1047,31 @@ impl<'s> Solver<'s> {
                 // to be a plain binding range — those become delta
                 // positions; anything else (predicates, selector
                 // bodies, computed constructor actuals) refuses.
-                let mut local: FxHashMap<Name, Relation> = deltas.iter().cloned().collect();
+                let mut local: FxHashMap<&str, &BaseDelta> =
+                    deltas.iter().map(|(n, d)| (n.as_str(), d)).collect();
                 for (formal, _) in eq.overrides.iter() {
-                    local.remove(formal);
+                    local.remove(formal.as_str());
                     if let Some((_, d)) = prov
                         .get(formal)
                         .and_then(|t| deltas.iter().find(|(n, _)| n == t))
                     {
-                        local.insert(formal.clone(), d.clone());
+                        local.insert(formal, d);
                     }
                 }
                 for (b, branch) in eq.body.branches.iter().enumerate() {
                     let mut reach = Reach::new(self.source);
                     reach.formula(&branch.predicate);
+                    let mut deleted = Vec::new();
                     for (p, (_, range)) in branch.bindings.iter().enumerate() {
                         match range {
                             RangeExpr::Rel(m) => {
-                                if let Some(d) = local.get(m) {
-                                    plan.push((i, b, p, d.clone()));
+                                if let Some(d) = local.get(m.as_str()) {
+                                    if !d.inserted.is_empty() {
+                                        plan.inserts.push((i, b, p, d.inserted.clone()));
+                                    }
+                                    if !d.deleted.is_empty() {
+                                        deleted.push((p, d.deleted.clone()));
+                                    }
                                 }
                             }
                             // Recursive position: plain-`Rel` actuals
@@ -913,11 +1087,15 @@ impl<'s> Solver<'s> {
                             other => reach.range(other),
                         }
                     }
-                    if reach.hits(&local, deltas) {
-                        return Err(format!(
-                            "equation {i} (`{name}`) branch {b} reads a touched relation \
-                             outside a plain binding range"
-                        ));
+                    if reach.hits(|n| local.contains_key(n) || deltas.iter().any(|(t, _)| t == n)) {
+                        return Err(Refusal::NonMonotoneRead {
+                            equation: i,
+                            constructor: name.to_string(),
+                            branch: b,
+                        });
+                    }
+                    if !deleted.is_empty() {
+                        plan.deletes.push((i, b, deleted));
                     }
                 }
             }
@@ -927,41 +1105,136 @@ impl<'s> Solver<'s> {
         // copied from `prev` describe it (no O(|value|) rebuild per
         // refresh).
         let mut st = self.state.borrow_mut();
-        for (i, prev_eq) in prev.equations.iter().enumerate() {
-            st.current[i] = prev_eq.value.clone();
+        for (i, prev_eq) in prev.into_iter().enumerate() {
             st.delta[i] = Relation::new(prev_eq.value.schema().clone());
+            st.current[i] = prev_eq.value;
             st.equations[i].initialized = true;
         }
-        // First round: one task per (branch, touched position), with the
-        // insert delta bound there and peer equations at their seeded
-        // values (the full *new* values at the other positions plus one
-        // delta position per task cover every new combination; overlap
-        // deduplicates at absorb). Branches with no touched binding are
-        // skipped: their static contributions are in the seed, and
-        // recursive deltas are empty until round one commits. A distinct
-        // marker namespace (`Δdelta` + `b` + position) keeps warm tasks
-        // clear of the round loop's recursive-delta markers.
-        Ok(plan
-            .into_iter()
-            .map(|(i, b, p, d)| delta_task(&st, i, b, p, (format!("{DELTA_MARKER}b{p}"), d)))
-            .collect())
+        Ok(plan)
     }
 
-    /// Iterate to the fixpoint — the one round loop behind every entry
-    /// point. `first`, a warm start's delta-restricted round, stands in
-    /// for the first round's preparation and makes the run accumulate
-    /// the root's additions.
-    fn run(self, mut first: Option<Vec<BranchTask>>) -> Result<Converged, EvalError> {
-        let meter = self.knobs.budget.clone();
-        let mut added = first
-            .as_ref()
-            .map(|_| Relation::new(self.state.borrow().equations[0].result.clone()));
-        let mut rounds = 0usize;
-        let mut delta_tuples: u64 = 0;
+    /// Maintain the seeded system by `plan` and converge — the warm
+    /// half of [`solve_warm`], in its three DRed phases (over-delete,
+    /// remove, re-derive) when the plan deletes anything, and as the
+    /// plain insert round otherwise.
+    fn maintain(self, plan: WarmPlan) -> Result<Converged, EvalError> {
+        let mut tally = Tally {
+            added: Some(Relation::new(
+                self.state.borrow().equations[0].result.clone(),
+            )),
+            ..Tally::default()
+        };
+        if !plan.deletes.is_empty() {
+            // Over-delete, against the previous values: one seed task
+            // per non-empty subset of a branch's deleted positions, that
+            // subset bound to the deleted tuples and the rest of the
+            // branch as written. The new base relations plus the
+            // deleted tuples cover every old one (and the inserted ones
+            // too: collecting more than necessary is sound, the
+            // re-derive round restores what still holds), so every
+            // derivation through a deleted tuple is met in the first
+            // round; later rounds chase the collected tuples through
+            // the recursive positions.
+            let seeds = {
+                let st = self.state.borrow();
+                let mut seeds = Vec::new();
+                for (i, b, positions) in &plan.deletes {
+                    for subset in 1..(1usize << positions.len()) {
+                        let bound = positions
+                            .iter()
+                            .enumerate()
+                            .filter(|(k, _)| subset >> k & 1 == 1)
+                            .map(|(_, (p, d))| (*p, format!("{DELTA_MARKER}x{p}"), d.clone()))
+                            .collect();
+                        seeds.push(delta_task(&st, *i, *b, bound));
+                    }
+                }
+                seeds
+            };
+            self.rounds(Some(seeds), Rule::Collect, &mut tally)?;
+            self.remove_doomed();
+        }
+        // Re-derive: the head-restricted round over every branch of an
+        // equation that lost tuples, in one round with the inserted
+        // tuples' tasks (the full *new* values at the other positions
+        // plus one delta position per task cover every new combination;
+        // overlap deduplicates at absorb). Branches with no touched
+        // binding are skipped: their static contributions are in the
+        // seed, and recursive deltas are empty until round one commits.
+        // Distinct marker namespaces (`Δdelta` + `b`/`x` + position)
+        // keep warm tasks clear of the round loop's recursive-delta
+        // markers.
+        let first = {
+            let st = self.state.borrow();
+            let mut tasks = Vec::new();
+            for (i, eq) in st.equations.iter().enumerate() {
+                if !st.doomed[i].is_empty() {
+                    tasks.extend((0..eq.body.branches.len()).map(|b| rederive_task(&st, i, b)));
+                }
+            }
+            tasks.extend(plan.inserts.into_iter().map(|(i, b, p, d)| {
+                delta_task(&st, i, b, vec![(p, format!("{DELTA_MARKER}b{p}"), d)])
+            }));
+            tasks
+        };
+        self.rounds(Some(first), Rule::Grow, &mut tally)?;
+        self.finish(tally)
+    }
+
+    /// Take every over-deleted tuple out of its equation's value. The
+    /// indexes and statistics cached over the value shrink with it, in
+    /// [`AccessCache::advance`] — O(|D|), nothing is rebuilt.
+    fn remove_doomed(&self) {
+        let _remove_span = phase_span("remove");
+        let mut st = self.state.borrow_mut();
+        for i in 0..st.equations.len() {
+            if st.doomed[i].is_empty() {
+                continue;
+            }
+            let empty = Relation::new(st.doomed[i].schema().clone());
+            let old = st.current[i].storage_id();
+            let State {
+                current,
+                doomed,
+                access,
+                ..
+            } = &mut *st;
+            for t in doomed[i].iter() {
+                current[i].remove(t);
+            }
+            access.advance(old, &current[i], &empty, &doomed[i]);
+        }
+    }
+
+    /// Iterate to the fixpoint from ∅ — a cold solve.
+    fn run(self) -> Result<Converged, EvalError> {
+        let rule = if self.naive {
+            Rule::Replace
+        } else {
+            Rule::Grow
+        };
+        let mut tally = Tally::default();
+        self.rounds(None, rule, &mut tally)?;
+        self.finish(tally)
+    }
+
+    /// Run rounds under `rule` until a round changes nothing — the one
+    /// round loop behind every entry point and every warm phase.
+    /// `first`, a warm phase's prepared round, stands in for the first
+    /// round's preparation.
+    fn rounds(
+        &self,
+        mut first: Option<Vec<BranchTask>>,
+        rule: Rule,
+        tally: &mut Tally,
+    ) -> Result<(), EvalError> {
+        let knobs = &self.knobs;
+        let meter = knobs.budget.clone();
         let mut prev: Option<Vec<Relation>> = None;
         let mut prev2: Option<Vec<Relation>> = None;
         loop {
-            rounds += 1;
+            tally.rounds += 1;
+            let rounds = tally.rounds;
             if rounds > self.max_iterations {
                 // Round-allowance exhaustion is a divergence verdict, with
                 // enough diagnostics to distinguish a genuinely divergent
@@ -979,7 +1252,8 @@ impl<'s> Solver<'s> {
             // ---- Prep (solver thread): everything that reads solver
             // state happens here, before the freeze. Each equation
             // stages its round result under its declared schema: the new
-            // tuples (semi-naive) or the whole new value (naive).
+            // tuples (semi-naive), the whole new value (naive), or the
+            // newly over-deleted tuples.
             let prep_span = phase_span("prep");
             let n = self.state.borrow().equations.len();
             let tasks = first.take().unwrap_or_else(|| {
@@ -989,14 +1263,18 @@ impl<'s> Solver<'s> {
                 }
                 tasks
             });
-            let (round_current, mut fresh) = {
+            let (round_current, round_doomed, mut fresh) = {
                 let st = self.state.borrow();
                 let fresh: Vec<Relation> = st
                     .equations
                     .iter()
                     .map(|e| Relation::new(e.result.clone()))
                     .collect();
-                (st.current.clone(), fresh)
+                let doomed = match rule {
+                    Rule::Collect => st.doomed.clone(),
+                    Rule::Grow | Rule::Replace => Vec::new(),
+                };
+                (st.current.clone(), doomed, fresh)
             };
             drop(prep_span);
             // ---- Freeze. Everything a branch task reads, at one round.
@@ -1025,12 +1303,12 @@ impl<'s> Solver<'s> {
                 if eqs.len() >= 2 {
                     meter.add_parallel_equations(eqs.len() as u64);
                 }
-                dc_exec::run_tasks(&tasks, self.knobs.threads, |_, t| {
-                    run_task(&snap, &self.knobs, t, Some(eval_parent))
+                dc_exec::run_tasks(&tasks, knobs.threads, |_, t| {
+                    run_task(&snap, knobs, t, Some(eval_parent))
                 })
             } else {
                 meter.add_sequential_branches(tasks.len() as u64);
-                dc_exec::run_tasks(&tasks, 1, |_, t| run_task(&snap, &self.knobs, t, None))
+                dc_exec::run_tasks(&tasks, 1, |_, t| run_task(&snap, knobs, t, None))
             };
             drop(eval_span);
             // ---- Replay + stage (solver thread, task order — the
@@ -1050,14 +1328,25 @@ impl<'s> Solver<'s> {
                     }
                     Err(other) => Err(other.into()),
                 };
+                let value = &round_current[task.eq];
                 outcome
-                    .and_then(|TaskOutcome { value, effects }| {
-                        for app in effects {
-                            self.enter(app, None)?;
-                        }
-                        let seen = (!self.naive).then(|| &round_current[task.eq]);
-                        absorb(&mut fresh[task.eq], &value, seen)
-                    })
+                    .and_then(
+                        |TaskOutcome {
+                             value: part,
+                             effects,
+                         }| {
+                            for app in effects {
+                                self.enter(app, None)?;
+                            }
+                            absorb(&mut fresh[task.eq], &part, |t| match rule {
+                                Rule::Grow => !value.contains(t),
+                                Rule::Replace => true,
+                                Rule::Collect => {
+                                    value.contains(t) && !round_doomed[task.eq].contains(t)
+                                }
+                            })
+                        },
+                    )
                     .map_err(|e| self.enrich(e, task.eq, rounds - 1))?;
             }
             // Release every handle into the frozen round state before the
@@ -1068,16 +1357,17 @@ impl<'s> Solver<'s> {
             // round.
             drop(tasks);
             drop(round_current);
+            drop(round_doomed);
             drop(snap);
             // Commit (with the `delta_commit` fault-injection site guarding
             // the atomic-abort property: an abort here must leave every
             // caller-visible relation untouched).
             fail::check(Site::DeltaCommit)?;
-            let changed = self.commit(fresh, &mut delta_tuples, added.as_mut())?;
+            let changed = self.commit(fresh, rule, tally)?;
             drop(commit_span);
             let grew = self.state.borrow().equations.len() > n;
             if !changed && !grew {
-                break;
+                return Ok(());
             }
             // Round boundary: unconditional deadline/cancellation reads plus
             // the budget's round ceiling. Checked only when another round is
@@ -1094,7 +1384,7 @@ impl<'s> Solver<'s> {
             // previous one ⇒ period-2 cycle, no limit exists. Semi-naive
             // runs are monotone by construction, so the per-round snapshots
             // are only taken under the naive strategy.
-            if self.naive {
+            if rule == Rule::Replace {
                 let now = self.state.borrow().current.clone();
                 if prev2.as_ref() == Some(&now) && prev.as_ref() != Some(&now) {
                     return Err(EvalError::NonConvergent { steps: rounds });
@@ -1102,7 +1392,11 @@ impl<'s> Solver<'s> {
                 prev2 = prev.replace(now);
             }
         }
+    }
 
+    /// Record the solve's metrics and capture the converged system.
+    fn finish(self, tally: Tally) -> Result<Converged, EvalError> {
+        let meter = self.knobs.budget.clone();
         let Solver {
             state,
             knobs,
@@ -1114,9 +1408,9 @@ impl<'s> Solver<'s> {
         let equations = st.equations.len();
         if let Some(m) = &knobs.metrics {
             m.inc(Counter::SolveRuns);
-            m.add(Counter::SolveRounds, rounds as u64);
+            m.add(Counter::SolveRounds, tally.rounds as u64);
             m.add(Counter::SolveEquations, equations as u64);
-            m.add(Counter::DeltaTuples, delta_tuples);
+            m.add(Counter::DeltaTuples, tally.delta_tuples);
             m.add(Counter::ParallelBranches, meter.parallel_branches());
             m.add(Counter::SequentialBranches, meter.sequential_branches());
             m.add(Counter::ParallelEquations, meter.parallel_equations());
@@ -1125,7 +1419,7 @@ impl<'s> Solver<'s> {
             crate::record_interned(m);
         }
         if span.recording() {
-            span.field("rounds", rounds);
+            span.field("rounds", tally.rounds);
             span.field("equations", equations);
             span.field(
                 "tuples",
@@ -1134,7 +1428,21 @@ impl<'s> Solver<'s> {
         }
         let value_ids: Vec<u64> = st.current.iter().map(Relation::storage_id).collect();
         st.access.retain(&value_ids);
-        let added = added.unwrap_or_else(|| Relation::new(st.equations[0].result.clone()));
+        // The root's net delta against the warm seed `old`: the run
+        // restored part of the over-deleted `D` and added the rest, and
+        // `old = final − added ∪ D` with `D` disjoint from what stayed.
+        let doomed = &st.doomed[0];
+        let (added, removed) = match tally.added {
+            None => (
+                Relation::new(st.equations[0].result.clone()),
+                Relation::new(st.equations[0].result.clone()),
+            ),
+            Some(run) if doomed.is_empty() => (run, Relation::new(doomed.schema().clone())),
+            Some(run) => (
+                algebra::difference(&run, doomed)?,
+                algebra::difference(doomed, &run)?,
+            ),
+        };
         let equations = st
             .equations
             .into_iter()
@@ -1148,6 +1456,7 @@ impl<'s> Solver<'s> {
         Ok(Converged {
             value: equations[0].value.clone(),
             added,
+            removed,
             system: SolvedSystem {
                 equations,
                 access: st.access,
@@ -1156,48 +1465,68 @@ impl<'s> Solver<'s> {
     }
 
     /// Commit one round's staged results, every equation at once (the
-    /// Jacobi update). Semi-naive: `fresh[i]` is exactly the new tuples,
-    /// absorbed into the accumulated value in place — the indexes and
-    /// statistics cached over it follow through `advance`, O(|delta|),
-    /// no rebuild, no re-diff. Naive: `fresh[i]` is the whole new value
-    /// and replaces the old one — non-monotone (unchecked) systems can
-    /// shrink as well as grow. Returns whether any value moved.
+    /// Jacobi update), by `rule`. Grow: `fresh[i]` is exactly the new
+    /// tuples, absorbed into the accumulated value in place — the
+    /// indexes and statistics cached over it follow through `advance`,
+    /// O(|delta|), no rebuild, no re-diff. Replace: `fresh[i]` is the
+    /// whole new value and replaces the old one — non-monotone
+    /// (unchecked) systems can shrink as well as grow. Collect:
+    /// `fresh[i]` is exactly the newly over-deleted tuples; they join
+    /// the equation's `D` and the value stays. Returns whether anything
+    /// moved.
     fn commit(
         &self,
         fresh: Vec<Relation>,
-        delta_tuples: &mut u64,
-        mut added: Option<&mut Relation>,
+        rule: Rule,
+        tally: &mut Tally,
     ) -> Result<bool, EvalError> {
         let mut st = self.state.borrow_mut();
         let mut changed = false;
         for (i, new) in fresh.into_iter().enumerate() {
-            let delta = if !self.naive {
-                if !new.is_empty() {
+            let delta = match rule {
+                Rule::Grow => {
+                    if !new.is_empty() {
+                        changed = true;
+                        let old = st.current[i].storage_id();
+                        algebra::union_into(&mut st.current[i], &new)?;
+                        let none = Relation::new(new.schema().clone());
+                        st.access.advance(old, &st.current[i], &new, &none);
+                    }
+                    // Root additions accumulate across rounds: warm
+                    // callers receive the exact output delta relative to
+                    // their seed.
+                    if let (0, Some(acc)) = (i, tally.added.as_mut()) {
+                        algebra::union_into(acc, &new)?;
+                    }
+                    new
+                }
+                Rule::Collect => {
+                    if !new.is_empty() {
+                        changed = true;
+                        algebra::union_into(&mut st.doomed[i], &new)?;
+                    }
+                    new
+                }
+                Rule::Replace
+                    if new.len() == st.current[i].len()
+                        && new.digest() == st.current[i].digest() =>
+                {
+                    // Reproduced exactly (length + content digest, the
+                    // identity [`AppKey`] rests on): the value and
+                    // everything cached about it stand; only the
+                    // per-round delta resets.
+                    Relation::new(new.schema().clone())
+                }
+                Rule::Replace => {
+                    // Nothing is cached about the outgoing value: only
+                    // differential rounds bind peers as named relations.
                     changed = true;
-                    let old = st.current[i].storage_id();
-                    algebra::union_into(&mut st.current[i], &new)?;
-                    st.access.advance(old, &st.current[i], &new);
+                    let delta = algebra::difference(&new, &st.current[i])?;
+                    st.current[i] = new;
+                    delta
                 }
-                // Root additions accumulate across rounds: warm callers
-                // receive the exact output delta relative to their seed.
-                if let (0, Some(acc)) = (i, added.as_deref_mut()) {
-                    algebra::union_into(acc, &new)?;
-                }
-                new
-            } else if new.len() == st.current[i].len() && new.digest() == st.current[i].digest() {
-                // Reproduced exactly (length + content digest, the
-                // identity [`AppKey`] rests on): the value and everything
-                // cached about it stand; only the per-round delta resets.
-                Relation::new(new.schema().clone())
-            } else {
-                // Nothing is cached about the outgoing value: only
-                // differential rounds bind peers as named relations.
-                changed = true;
-                let delta = algebra::difference(&new, &st.current[i])?;
-                st.current[i] = new;
-                delta
             };
-            *delta_tuples += delta.len() as u64;
+            tally.delta_tuples += delta.len() as u64;
             st.set_delta(i, delta);
         }
         Ok(changed)
@@ -1286,6 +1615,13 @@ fn phase_span(name: &'static str) -> dc_trace::Span {
 /// source, so it cannot clash with user names.
 const DELTA_MARKER: &str = "\u{394}delta";
 
+/// Internal marker name binding an equation's over-deleted set `D` in
+/// the re-derive round, and the tuple variable ranging over it (`∇` is
+/// no identifier character, and the unnesting rewrite prefixes its
+/// variables with `Δ`, so neither can clash).
+const DOOMED_MARKER: &str = "\u{394}doomed";
+const DOOMED_VAR: &str = "\u{2207}doomed";
+
 /// Internal marker name binding a peer equation's *accumulated* value
 /// in differential rounds, so the executor sees it as a named relation
 /// and probes the incrementally maintained indexes the solve's cache
@@ -1338,20 +1674,24 @@ struct TaskOutcome {
     effects: Vec<Application>,
 }
 
-/// Stage every tuple of `part` into `fresh` (under its declared
-/// schema), skipping those already in `seen` — the accumulated value,
-/// for a semi-naive delta; `None` for a naive round's whole value.
-/// Union compatibility and the key constraint within the staged
-/// relation are enforced here; key conflicts between a delta and the
-/// accumulated value surface when the commit unions the delta in.
-fn absorb(fresh: &mut Relation, part: &Relation, seen: Option<&Relation>) -> Result<(), EvalError> {
+/// Stage the tuples of `part` that `keep` accepts into `fresh` (under
+/// its declared schema) — by the round's commit rule: those not yet in
+/// the accumulated value, every one, or those in the value and not yet
+/// over-deleted. Union compatibility and the key constraint within the
+/// staged relation are enforced here; key conflicts between a delta and
+/// the accumulated value surface when the commit unions the delta in.
+fn absorb(
+    fresh: &mut Relation,
+    part: &Relation,
+    keep: impl Fn(&Tuple) -> bool,
+) -> Result<(), EvalError> {
     if !fresh.schema().union_compatible(part.schema()) {
         return Err(EvalError::Type(dc_value::TypeError::SchemaMismatch {
             context: "constructor body value does not match declared result type".into(),
         }));
     }
     for t in part.iter() {
-        if !seen.is_some_and(|s| s.contains(t)) {
+        if keep(t) {
             fresh.insert_unchecked(t.clone())?;
         }
     }
@@ -1359,33 +1699,21 @@ fn absorb(fresh: &mut Relation, part: &Relation, seen: Option<&Relation>) -> Res
 }
 
 /// Prepare one differential task over branch `b` of equation `eq`:
-/// `delta` — an internal marker name and the relation to scan under it
-/// — is bound at `delta_pos`, and every other recursive position at its
-/// peer's accumulated current value, also as a named (marker) relation,
-/// so the executor finds the maintained indexes and statistics in the
-/// solve's cache under the value's storage id. Other binding positions
-/// stay as written (the overlay resolves them to their full values).
-fn delta_task(
-    st: &State,
-    eq: usize,
-    b: usize,
-    delta_pos: usize,
-    delta: (Name, Relation),
-) -> BranchTask {
-    let equation = &st.equations[eq];
-    let mut branch = equation.body.branches[b].clone();
-    let mut overrides = (*equation.overrides).clone();
+/// each of `bound` — a binding position, an internal marker name and
+/// the relation to scan under it — replaces its position's range, and
+/// every other recursive position is bound to its peer's accumulated
+/// current value, also as a named (marker) relation, so the executor
+/// finds the maintained indexes and statistics in the solve's cache
+/// under the value's storage id. Other binding positions stay as
+/// written (the overlay resolves them to their full values).
+fn delta_task(st: &State, eq: usize, b: usize, bound: Vec<(usize, Name, Relation)>) -> BranchTask {
+    let (mut branch, mut overrides) = current_bound(st, eq, b, &bound);
     // The delta side is the branch's scan side.
-    let weight = delta.1.len();
-    if let BranchClass::Linear(links) = &equation.classes[b] {
-        for &(pos, peer) in links.iter().filter(|(p, _)| *p != delta_pos) {
-            let marker = format!("{CURRENT_MARKER}{pos}");
-            branch.bindings[pos].1 = RangeExpr::Rel(marker.clone());
-            overrides.push((marker, st.current[peer].clone()));
-        }
+    let weight = bound.iter().map(|(_, _, r)| r.len()).sum();
+    for (pos, marker, rel) in bound {
+        branch.bindings[pos].1 = RangeExpr::Rel(marker.clone());
+        overrides.push((marker, rel));
     }
-    branch.bindings[delta_pos].1 = RangeExpr::Rel(delta.0.clone());
-    overrides.push(delta);
     BranchTask {
         eq,
         branch: b,
@@ -1394,6 +1722,112 @@ fn delta_task(
         },
         overrides,
         weight,
+    }
+}
+
+/// Branch `b` of equation `eq` with every recursive position not in
+/// `skip` bound to its peer's current value under a marker name, and
+/// the overrides that binding needs.
+fn current_bound(
+    st: &State,
+    eq: usize,
+    b: usize,
+    skip: &[(usize, Name, Relation)],
+) -> (Branch, Vec<(Name, Relation)>) {
+    let equation = &st.equations[eq];
+    let mut branch = equation.body.branches[b].clone();
+    let mut overrides = (*equation.overrides).clone();
+    if let BranchClass::Linear(links) = &equation.classes[b] {
+        for &(pos, peer) in links.iter().filter(|(p, _)| skip.iter().all(|s| s.0 != *p)) {
+            let marker = format!("{CURRENT_MARKER}{pos}");
+            branch.bindings[pos].1 = RangeExpr::Rel(marker.clone());
+            overrides.push((marker, st.current[peer].clone()));
+        }
+    }
+    (branch, overrides)
+}
+
+/// The re-derive task over branch `b` of equation `eq`: the branch over
+/// the current values, restricted to heads in the equation's
+/// over-deleted set `D`. `D` is bound under a marker as one more binding
+/// and each target field is equated with its attribute, so the planner
+/// scans `D` and probes the branch's ranges by the head — work
+/// proportional to `|D|`, not a full evaluation filtered afterwards. A
+/// whole-tuple target over a range whose schema is not known here is
+/// restricted by membership instead.
+fn rederive_task(st: &State, eq: usize, b: usize) -> BranchTask {
+    let (mut branch, mut overrides) = current_bound(st, eq, b, &[]);
+    let equation = &st.equations[eq];
+    let doomed = st.doomed[eq].clone();
+    let heads: Option<Vec<ScalarExpr>> = match &branch.target {
+        Target::Tuple(exprs) => Some(exprs.clone()),
+        Target::Var(v) => branch
+            .bindings
+            .iter()
+            .find(|(w, _)| w == v)
+            .and_then(|(_, range)| range_schema(st, &overrides, range))
+            .map(|schema| {
+                schema
+                    .attributes()
+                    .iter()
+                    .map(|a| ScalarExpr::Attr(v.clone(), a.name.clone()))
+                    .collect()
+            }),
+    };
+    let restriction = match heads {
+        Some(heads) => {
+            branch
+                .bindings
+                .push((DOOMED_VAR.to_string(), RangeExpr::rel(DOOMED_MARKER)));
+            heads
+                .into_iter()
+                .zip(equation.result.attributes())
+                .map(|(head, a)| {
+                    Formula::Cmp(
+                        head,
+                        CmpOp::Eq,
+                        ScalarExpr::Attr(DOOMED_VAR.to_string(), a.name.clone()),
+                    )
+                })
+                .fold(Formula::True, Formula::and)
+        }
+        None => match &branch.target {
+            Target::Var(v) => Formula::Member(v.clone(), RangeExpr::rel(DOOMED_MARKER)),
+            Target::Tuple(exprs) => Formula::TupleIn(exprs.clone(), RangeExpr::rel(DOOMED_MARKER)),
+        },
+    };
+    branch.predicate = restriction.and(branch.predicate);
+    let weight = doomed.len();
+    overrides.push((DOOMED_MARKER.to_string(), doomed));
+    BranchTask {
+        eq,
+        branch: b,
+        body: SetFormer {
+            branches: vec![branch],
+        },
+        overrides,
+        weight,
+    }
+}
+
+/// The schema of a plain or selected named range, resolved the way the
+/// task's overlay will resolve it: overrides (formals and markers)
+/// first, then the solve's universe.
+fn range_schema(
+    st: &State,
+    overrides: &[(Name, Relation)],
+    range: &RangeExpr,
+) -> Option<dc_value::Schema> {
+    match range {
+        RangeExpr::Rel(n) => overrides
+            .iter()
+            .rev()
+            .find(|(m, _)| m == n)
+            .map(|(_, r)| r)
+            .or_else(|| st.universe.relations.get(n))
+            .map(|r| r.schema().clone()),
+        RangeExpr::Selected { base, .. } => range_schema(st, overrides, base),
+        RangeExpr::Constructed { .. } | RangeExpr::SetFormer(_) => None,
     }
 }
 
@@ -2098,9 +2532,19 @@ mod tests {
         );
     }
 
-    /// One edge as an insert delta.
+    /// One edge as a relation.
     fn edge(a: &str, b: &str) -> Relation {
         Relation::from_tuples(infrontrel(), vec![tuple![a, b]]).unwrap()
+    }
+
+    /// `name` gained `inserted` and lost `deleted`.
+    fn change(name: &str, inserted: Relation, deleted: Relation) -> Vec<(Name, BaseDelta)> {
+        vec![(name.to_string(), BaseDelta { inserted, deleted })]
+    }
+
+    /// `name` gained `inserted`.
+    fn grew(name: &str, inserted: Relation) -> Vec<(Name, BaseDelta)> {
+        change(name, inserted, Relation::new(infrontrel()))
     }
 
     #[test]
@@ -2126,7 +2570,7 @@ mod tests {
         // Extend the chain by one edge at the tail.
         let mut base = chain(12);
         base.insert(tuple!["o12", "o13"]).unwrap();
-        let deltas = vec![("Infront".to_string(), edge("o12", "o13"))];
+        let deltas = grew("Infront", edge("o12", "o13"));
         let outcome = solve_warm(
             &src,
             "ahead",
@@ -2135,7 +2579,7 @@ mod tests {
             vec![],
             "Infront",
             &[],
-            &sys,
+            sys,
             &deltas,
             &cfg,
         )
@@ -2193,8 +2637,8 @@ mod tests {
                 vec![],
                 "Infront",
                 &[],
-                &sys,
-                &[("Infront".to_string(), e)],
+                sys,
+                &grew("Infront", e),
                 &cfg,
             )
             .unwrap();
@@ -2242,12 +2686,17 @@ mod tests {
             vec![],
             "Infront",
             &[],
-            &sys,
-            &[("Infront".to_string(), edge("o3", "o4"))],
+            sys,
+            &grew("Infront", edge("o3", "o4")),
             &cfg(Strategy::Naive),
         )
         .unwrap();
-        assert!(matches!(outcome, WarmOutcome::Refused { .. }));
+        assert!(matches!(
+            outcome,
+            WarmOutcome::Refused {
+                reason: Refusal::NaiveStrategy
+            }
+        ));
     }
 
     #[test]
@@ -2274,17 +2723,20 @@ mod tests {
             ctors: vec![filtered],
         };
         let cfg = cfg(Strategy::SemiNaive);
-        let (_, sys) = solve_tracked(
-            &src,
-            "ahead_ok",
-            chain(3),
-            vec![],
-            vec![],
-            "Infront",
-            &[],
-            &cfg,
-        )
-        .unwrap();
+        let sys = || {
+            solve_tracked(
+                &src,
+                "ahead_ok",
+                chain(3),
+                vec![],
+                vec![],
+                "Infront",
+                &[],
+                &cfg,
+            )
+            .unwrap()
+            .1
+        };
         // Touching only the base is warm-safe (the predicate reads
         // `Blocked`, which is untouched).
         let mut base = chain(3);
@@ -2297,8 +2749,8 @@ mod tests {
             vec![],
             "Infront",
             &[],
-            &sys,
-            &[("Infront".to_string(), edge("o3", "o4"))],
+            sys(),
+            &grew("Infront", edge("o3", "o4")),
             &cfg,
         )
         .unwrap();
@@ -2312,11 +2764,175 @@ mod tests {
             vec![],
             "Infront",
             &[],
-            &sys,
-            &[("Blocked".to_string(), edge("o0", "o1"))],
+            sys(),
+            &grew("Blocked", edge("o0", "o1")),
             &cfg,
         )
         .unwrap();
-        assert!(matches!(refused, WarmOutcome::Refused { .. }));
+        let WarmOutcome::Refused { reason } = refused else {
+            panic!("a touched predicate relation must refuse");
+        };
+        assert_eq!(reason.label(), "non_monotone_read");
+        // A deletion from it refuses the same way.
+        let mut blocked = Relation::new(infrontrel());
+        blocked.insert(tuple!["o0", "o1"]).unwrap();
+        let refused = solve_warm(
+            &src,
+            "ahead_ok",
+            chain(3),
+            vec![],
+            vec![],
+            "Infront",
+            &[],
+            sys(),
+            &change("Blocked", Relation::new(infrontrel()), blocked),
+            &cfg,
+        )
+        .unwrap();
+        assert!(matches!(
+            refused,
+            WarmOutcome::Refused {
+                reason: Refusal::NonMonotoneRead { branch: 0, .. }
+            }
+        ));
+    }
+
+    /// Warm-solve `ahead` over `new` from `sys` by `deltas`, check it
+    /// against a cold solve of `new`, and return (added, removed,
+    /// system).
+    fn warm_ahead(
+        src: &TestSource,
+        new: &Relation,
+        sys: SolvedSystem,
+        deltas: &[(Name, BaseDelta)],
+    ) -> (Relation, Relation, SolvedSystem) {
+        let cfg = cfg(Strategy::SemiNaive);
+        let old = sys.value().clone();
+        let outcome = solve_warm(
+            src,
+            "ahead",
+            new.clone(),
+            vec![],
+            vec![],
+            "Infront",
+            &[],
+            sys,
+            deltas,
+            &cfg,
+        )
+        .unwrap();
+        let WarmOutcome::Solved {
+            value,
+            added,
+            removed,
+            system,
+        } = outcome
+        else {
+            panic!("warm start unexpectedly refused");
+        };
+        let cold = solve(src, "ahead", new.clone(), vec![], vec![], &cfg).unwrap();
+        assert_eq!(value.sorted_tuples(), cold.sorted_tuples());
+        assert_eq!(system.value(), &value);
+        let (want_added, want_removed) = algebra::delta(&value, &old).unwrap();
+        assert_eq!(added.sorted_tuples(), want_added.sorted_tuples());
+        assert_eq!(removed.sorted_tuples(), want_removed.sorted_tuples());
+        (added, removed, system)
+    }
+
+    fn ahead_source() -> TestSource {
+        TestSource {
+            catalog: MapCatalog::new(),
+            ctors: vec![ahead()],
+        }
+    }
+
+    fn tracked(src: &TestSource, base: &Relation) -> SolvedSystem {
+        let cfg = cfg(Strategy::SemiNaive);
+        solve_tracked(
+            src,
+            "ahead",
+            base.clone(),
+            vec![],
+            vec![],
+            "Infront",
+            &[],
+            &cfg,
+        )
+        .unwrap()
+        .1
+    }
+
+    #[test]
+    fn warm_deletion_retracts_what_lost_its_last_derivation() {
+        let src = ahead_source();
+        let base = chain(6);
+        let sys = tracked(&src, &base);
+        // Cut the chain o0 → … → o6 between o2 and o3: every pair
+        // spanning the cut goes, 3 × 4 of them.
+        let mut new = base.clone();
+        new.remove(&tuple!["o2", "o3"]);
+        let none = Relation::new(infrontrel());
+        let (added, removed, _) =
+            warm_ahead(&src, &new, sys, &change("Infront", none, edge("o2", "o3")));
+        assert!(added.is_empty());
+        assert_eq!(removed.len(), 12);
+    }
+
+    #[test]
+    fn warm_deletion_rederives_a_tuple_with_a_second_derivation() {
+        let src = ahead_source();
+        // o0 → o1 → o2 plus the shortcut o0 → o2: (o0, o2) has two
+        // derivations, and deleting the shortcut leaves the other.
+        let mut base = chain(2);
+        base.insert(tuple!["o0", "o2"]).unwrap();
+        let sys = tracked(&src, &base);
+        let mut new = base.clone();
+        new.remove(&tuple!["o0", "o2"]);
+        let none = Relation::new(infrontrel());
+        let (added, removed, _) =
+            warm_ahead(&src, &new, sys, &change("Infront", none, edge("o0", "o2")));
+        assert!(
+            added.is_empty() && removed.is_empty(),
+            "re-derived, not retracted"
+        );
+    }
+
+    #[test]
+    fn warm_deletion_cuts_a_cycle_and_chains_with_inserts() {
+        let src = ahead_source();
+        // A 4-cycle: every node reaches every node, each pair through
+        // the cycle itself — the case counting-based maintenance gets
+        // wrong, because the support of each tuple loops back on it.
+        let cycle = ["o0", "o1", "o2", "o3"];
+        let mut base = Relation::new(infrontrel());
+        for k in 0..4 {
+            base.insert(tuple![cycle[k], cycle[(k + 1) % 4]]).unwrap();
+        }
+        let mut sys = tracked(&src, &base);
+        assert_eq!(sys.value().len(), 16);
+        let none = || Relation::new(infrontrel());
+        // Cut it: only the chain o1 → o2 → o3 → o0 remains.
+        let mut new = base.clone();
+        new.remove(&tuple!["o0", "o1"]);
+        let (_, removed, next) = warm_ahead(
+            &src,
+            &new,
+            sys,
+            &change("Infront", none(), edge("o0", "o1")),
+        );
+        assert_eq!(removed.len(), 10);
+        sys = next;
+        // Replace the cut edge by another one in the same commit.
+        let mut newer = new.clone();
+        newer.remove(&tuple!["o1", "o2"]);
+        newer.insert(tuple!["o0", "o1"]).unwrap();
+        let (added, removed, _) = warm_ahead(
+            &src,
+            &newer,
+            sys,
+            &change("Infront", edge("o0", "o1"), edge("o1", "o2")),
+        );
+        assert!(!added.is_empty() && !removed.is_empty());
+        assert!(added.iter().all(|t| !removed.contains(t)));
     }
 }

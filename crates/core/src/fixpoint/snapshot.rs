@@ -140,19 +140,11 @@ impl<'s> Reach<'s> {
         }
     }
 
-    /// Can the reach read a touched relation — a delta-mapped `local`
-    /// name or a raw base-catalog name in `touched`? An incomplete
-    /// reach counts as touching (conservative).
-    pub(super) fn hits(
-        &self,
-        local: &FxHashMap<Name, Relation>,
-        touched: &[(Name, Relation)],
-    ) -> bool {
-        !self.complete
-            || self
-                .relations
-                .iter()
-                .any(|n| local.contains_key(n) || touched.iter().any(|(t, _)| t == n))
+    /// Can the reach read a relation `touched` accepts — a delta-mapped
+    /// local name or a raw base-catalog name? An incomplete reach counts
+    /// as touching (conservative).
+    pub(super) fn hits(&self, touched: impl Fn(&str) -> bool) -> bool {
+        !self.complete || self.relations.iter().any(|n| touched(n))
     }
 
     /// Does the reach include a constructor admitted without the §3.3

@@ -38,5 +38,5 @@ pub mod selector;
 pub use constructor::Constructor;
 pub use database::{record_interned, Database, DatabaseParts};
 pub use error::CoreError;
-pub use fixpoint::{SolvedSystem, Strategy, WarmOutcome};
+pub use fixpoint::{BaseDelta, Refusal, SolvedSystem, Strategy, WarmOutcome};
 pub use selector::Selector;

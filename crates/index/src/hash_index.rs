@@ -18,7 +18,7 @@ use dc_relation::Relation;
 /// `Copy` values. The evaluator's scan sharding relies on this to hand
 /// one `Arc<HashIndex>` to every pool worker and probe it concurrently —
 /// probes are `&self` and never mutate, so no synchronisation beyond
-/// the `Arc` is needed. Mutation (`add`) requires `&mut self` and is
+/// the `Arc` is needed. Mutation (`add`, `remove`) requires `&mut self` and is
 /// therefore confined to the single-threaded maintenance sites (the
 /// fixpoint commit), never to a shared probe-side handle.
 #[derive(Debug, Clone)]
@@ -72,6 +72,26 @@ impl HashIndex {
         let key = tuple.project(&self.positions);
         self.buckets.entry(key).or_default().push(tuple);
         self.len += 1;
+    }
+
+    /// Remove one tuple; returns whether it was indexed. O(bucket): the
+    /// bucket is found by the tuple's key and scanned for the tuple,
+    /// and a bucket left empty is dropped, so
+    /// [`HashIndex::distinct_keys`] stays exact.
+    pub fn remove(&mut self, tuple: &Tuple) -> bool {
+        let key = tuple.project(&self.positions);
+        let Some(bucket) = self.buckets.get_mut(&key) else {
+            return false;
+        };
+        let Some(at) = bucket.iter().position(|t| t == tuple) else {
+            return false;
+        };
+        bucket.swap_remove(at);
+        if bucket.is_empty() {
+            self.buckets.remove(&key);
+        }
+        self.len -= 1;
+        true
     }
 
     /// All tuples whose projection equals the given value slice — the
@@ -143,6 +163,18 @@ mod tests {
         idx.add(tuple!["x", "b"]);
         assert_eq!(idx.probe_slice(&["b".into()]).len(), 2);
         assert_eq!(idx.len(), 2);
+    }
+
+    #[test]
+    fn remove_matches_a_rebuild() {
+        let mut idx = HashIndex::build(&edges(&[("a", "b"), ("a", "c"), ("b", "c")]), vec![0]);
+        assert!(idx.remove(&tuple!["a", "b"]));
+        assert!(!idx.remove(&tuple!["a", "b"]), "already gone");
+        assert!(!idx.remove(&tuple!["z", "z"]), "never indexed");
+        assert_eq!((idx.len(), idx.distinct_keys()), (2, 2));
+        assert!(idx.remove(&tuple!["b", "c"]));
+        assert_eq!(idx.distinct_keys(), 1, "an emptied bucket is dropped");
+        assert_eq!(idx.probe_slice(&["a".into()]), [tuple!["a", "c"]]);
     }
 
     #[test]

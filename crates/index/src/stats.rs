@@ -24,9 +24,15 @@
 //! `dc_calculus::AccessCache::advance`, which holds both under the
 //! relation's storage id; serving stats from anywhere else would break
 //! the agreement between a planner snapshot and the probed indexes.
-//! (Distinct counts only ever grow, which matches the monotone
-//! accumulation `advance` is restricted to; a relation replaced
-//! wholesale has a new storage id and starts from a fresh collection.)
+//!
+//! The cardinality is exact in both directions. The distinct counts
+//! are exact while the relation only grows and an **upper bound** once
+//! it has shrunk: [`StatsBuilder::remove`] cannot tell whether a removed
+//! tuple held the last occurrence of a value without a per-value count,
+//! so it leaves the distinct sets alone. An overestimated distinct
+//! count only makes the planner's `1 / distinct` selectivity
+//! optimistic; a relation replaced wholesale has a new storage id and
+//! starts from a fresh, exact collection.
 
 use dc_value::{FxHashSet, Value};
 
@@ -107,7 +113,14 @@ impl StatsBuilder {
         }
     }
 
-    /// Number of tuples absorbed so far.
+    /// Retract one tuple the relation held — O(1). The cardinality
+    /// stays exact; the distinct counts become an upper bound (see the
+    /// module docs).
+    pub fn remove(&mut self, _tuple: &dc_value::Tuple) {
+        self.cardinality = self.cardinality.saturating_sub(1);
+    }
+
+    /// Number of tuples held.
     pub fn cardinality(&self) -> usize {
         self.cardinality
     }
@@ -182,5 +195,22 @@ mod tests {
         assert_eq!(s.cardinality, 2);
         assert_eq!(s.distinct, vec![1, 2]);
         assert_eq!(b.cardinality(), 2);
+    }
+
+    #[test]
+    fn builder_removal_keeps_cardinality_exact_and_distinct_an_upper_bound() {
+        let mut r = rel();
+        let mut b = StatsBuilder::from_relation(&r);
+        r.remove(&tuple!["b", "c"]);
+        b.remove(&tuple!["b", "c"]);
+        let (kept, exact) = (b.snapshot(), RelationStats::collect(&r));
+        assert_eq!(kept.cardinality, exact.cardinality);
+        assert_eq!(exact.distinct, vec![1, 2]);
+        assert_eq!(kept.distinct, vec![2, 2]);
+        assert!(kept
+            .distinct
+            .iter()
+            .zip(&exact.distinct)
+            .all(|(k, e)| k >= e));
     }
 }

@@ -7,14 +7,14 @@ use std::time::Instant;
 
 use dc_calculus::ast::{Name, ScalarExpr};
 use dc_calculus::{joinplan, typeck, EvalError, RangeExpr};
-use dc_core::fixpoint::{SolvedSystem, WarmOutcome};
+use dc_core::fixpoint::{BaseDelta, Refusal, SolvedSystem, WarmOutcome};
 use dc_core::Database;
 use dc_governor::fail::{self, Site};
 use dc_governor::{Budget, CancelToken, SolveError};
 use dc_relation::{algebra, Relation};
 use dc_trace::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use dc_trace::SpanKind;
-use dc_value::{FxHashMap, FxHashSet, Value};
+use dc_value::{FxHashMap, FxHashSet, Tuple, Value};
 
 use crate::batch::{WriteBatch, WriteOp};
 use crate::error::ServerError;
@@ -204,10 +204,12 @@ impl Server {
     /// current epoch), then exactly one update per subsequent
     /// successful commit, in commit order with no epoch gaps — commits
     /// disjoint from the query's read set deliver an empty update in
-    /// O(1). Updates for solve-kind queries over insert-only commits
-    /// are maintained incrementally (semi-naive warm start from the
-    /// previous materialised system); everything else is refreshed by
-    /// a cold re-solve and a two-way diff. A refresh failure never
+    /// O(1). Updates for solve-kind queries are maintained
+    /// incrementally from the previous materialised system — inserted
+    /// tuples by a semi-naive warm start, deleted ones by
+    /// delete-and-rederive — whenever the solver can prove that sound;
+    /// everything else is refreshed by a cold re-solve and a two-way
+    /// diff. A refresh failure never
     /// affects the commit that triggered it: the subscription receives
     /// one terminal `Err` and is unregistered.
     ///
@@ -267,6 +269,19 @@ impl Server {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .len()
+    }
+
+    /// Hash indexes currently cached: the published snapshot's plus
+    /// those of every standing query's maintained system (diagnostics —
+    /// a long write stream must leave it flat).
+    pub fn cached_index_count(&self) -> usize {
+        let subs = self.subs.lock().unwrap_or_else(PoisonError::into_inner);
+        self.current_snapshot().access().index_count()
+            + subs
+                .iter()
+                .filter_map(|e| e.system.as_ref())
+                .map(SolvedSystem::index_count)
+                .sum::<usize>()
     }
 
     /// The currently published snapshot (what the *next* `begin` pins).
@@ -400,7 +415,7 @@ impl Server {
         // failure terminates only the subscription it belongs to.
         // Refreshes run inside the commit span — one commit yields one
         // correlated tree: commit → refresh → solve → rounds → tasks.
-        self.refresh_subscriptions(&next, batch, &touched, published_at);
+        self.refresh_subscriptions(&cur, &next, batch, &touched, published_at);
         self.metrics.observe_us(
             Histogram::CommitLatencyUs,
             commit_t0.elapsed().as_micros() as u64,
@@ -409,9 +424,11 @@ impl Server {
     }
 
     /// Deliver one [`SubscriptionUpdate`] per live standing query for
-    /// the just-published snapshot. Runs under the writer mutex.
+    /// the just-published snapshot `snap`, the successor of `prev`.
+    /// Runs under the writer mutex.
     fn refresh_subscriptions(
         &self,
+        prev: &Snapshot,
         snap: &Arc<Snapshot>,
         batch: &WriteBatch,
         touched: &FxHashSet<Name>,
@@ -446,8 +463,8 @@ impl Server {
                 span.field("outcome", "skipped");
                 return entry.tx.send(Ok(update)).is_ok();
             }
-            match self.refresh_entry(entry, snap, batch, touched, epoch) {
-                Ok(update) => {
+            match self.refresh_entry(entry, prev, snap, batch, epoch) {
+                Ok((update, refusal)) => {
                     self.metrics.inc(if update.warm {
                         Counter::RefreshWarm
                     } else {
@@ -458,6 +475,9 @@ impl Server {
                         span.field("outcome", if update.warm { "warm" } else { "cold" });
                         span.field("added", update.added.len());
                         span.field("removed", update.removed.len());
+                        if let Some(refusal) = &refusal {
+                            span.field("refusal", refusal.label());
+                        }
                     }
                     entry.tx.send(Ok(update)).is_ok()
                 }
@@ -476,18 +496,20 @@ impl Server {
 
     /// Refresh one standing query against the new snapshot: warm
     /// (incremental) when provably sound, else a cold re-solve plus a
-    /// two-way diff against the previous result.
+    /// two-way diff against the previous result. A cold refresh comes
+    /// with the solver's refusal, when that is why it went cold.
     fn refresh_entry(
         &self,
         entry: &mut SubEntry,
+        prev: &Snapshot,
         snap: &Arc<Snapshot>,
         batch: &WriteBatch,
-        touched: &FxHashSet<Name>,
         epoch: u64,
-    ) -> Result<SubscriptionUpdate, ServerError> {
-        if let Some(update) = self.try_warm(entry, snap, batch, touched, epoch) {
-            return Ok(update);
-        }
+    ) -> Result<(SubscriptionUpdate, Option<Refusal>), ServerError> {
+        let refusal = match self.try_warm(entry, prev, snap, batch, epoch) {
+            Ok(update) => return Ok((update, None)),
+            Err(refusal) => refusal,
+        };
         // Cold fallback: from-scratch evaluation on the published
         // snapshot. Panic-isolated — a panicking refresh (a solve, or a
         // query-kind subscription's evaluation) must not unwind into the
@@ -500,25 +522,29 @@ impl Server {
         let (added, removed) = algebra::delta(&value, &entry.result)?;
         entry.result = value;
         entry.system = system;
-        Ok(SubscriptionUpdate {
+        let update = SubscriptionUpdate {
             epoch,
             added,
             removed,
             warm: false,
-        })
+        };
+        Ok((update, refusal))
     }
 
-    /// Attempt warm (incremental) maintenance. `None` means "fall back
-    /// to the cold path" — the gate refused, the warm solve refused or
-    /// failed, or an injected `view_refresh` fault fired.
+    /// Attempt warm (incremental) maintenance: the batch's net change
+    /// to every relation it touched, from `prev` to `snap`, handed to
+    /// the solver's warm re-entry — the only soundness gate. `Err`
+    /// means "fall back to the cold path", with the solver's refusal
+    /// when it refused; `None` when the query is not solve-kind, or
+    /// the warm solve failed or an injected `view_refresh` fault fired.
     fn try_warm(
         &self,
         entry: &mut SubEntry,
+        prev: &Snapshot,
         snap: &Arc<Snapshot>,
         batch: &WriteBatch,
-        touched: &FxHashSet<Name>,
         epoch: u64,
-    ) -> Option<SubscriptionUpdate> {
+    ) -> Result<SubscriptionUpdate, Option<Refusal>> {
         let PreparedKind::Solve {
             base,
             constructor,
@@ -526,76 +552,94 @@ impl Server {
             scalar_args,
         } = &entry.prepared.kind
         else {
-            return None;
+            return Err(None);
         };
-        let prev = entry.system.as_ref()?;
-        let profile = &entry.prepared.profile;
-        // Soundness gate: every touched relation the query reads must
-        // occur only in delta-monotone (plain binding-range) positions,
-        // and every op on a read relation must be an insertion. The
-        // solver refuses the rest itself — including every system it
-        // runs naive.
-        if !profile.monotone_in(touched.iter()) {
-            return None;
-        }
-        if batch
-            .ops()
-            .iter()
-            .any(|(n, op)| profile.reads.contains(n) && !matches!(op, WriteOp::Insert(_)))
-        {
-            return None;
-        }
+        // The warm solve takes the system over (its values and indexes
+        // are maintained in place); whatever becomes of the attempt, the
+        // entry gets a system back — the warm one, or the cold path's.
+        let prev_system = entry.system.take().ok_or(None)?;
         let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<WarmOutcome, ServerError> {
             // The warm-only failpoint: an injected fault or panic here
             // must leave the already-published commit untouched and
             // push this refresh onto the cold path.
             fail::check(Site::ViewRefresh)?;
-            // Base deltas: the batch's insertions into relations the
-            // query reads, grouped per relation (already validated by
-            // the commit that just applied them).
-            let mut per_rel: FxHashMap<Name, Relation> = FxHashMap::default();
+            // Per touched relation, the tuples its ops name — or `None`
+            // once a replace made the whole relation the candidate set.
+            let mut named: Vec<(&Name, Option<Vec<&Tuple>>)> = Vec::new();
             for (n, op) in batch.ops() {
-                if !profile.reads.contains(n) {
-                    continue;
-                }
-                if let WriteOp::Insert(t) = op {
-                    if !per_rel.contains_key(n) {
-                        let Some(r) = snap.relation(n) else {
-                            return Ok(WarmOutcome::Refused {
-                                reason: format!("relation `{n}` missing from snapshot"),
-                            });
-                        };
-                        per_rel.insert(n.clone(), Relation::new(r.schema().clone()));
+                let at = match named.iter().position(|(m, _)| *m == n) {
+                    Some(at) => at,
+                    None => {
+                        named.push((n, Some(Vec::new())));
+                        named.len() - 1
                     }
-                    if let Some(rel) = per_rel.get_mut(n) {
-                        rel.insert(t.clone())?;
-                    }
+                };
+                match (op, &mut named[at].1) {
+                    (WriteOp::Replace(_), slot) => *slot = None,
+                    (WriteOp::Insert(t) | WriteOp::Delete(t), Some(ts)) => ts.push(t),
+                    (_, None) => {}
                 }
             }
-            let deltas: Vec<(Name, Relation)> = per_rel.into_iter().collect();
+            // Net base deltas: a candidate counts where the two epochs
+            // disagree on it, so an insert undone by a later delete of
+            // the same batch (or the reverse) is no change at all.
+            let mut deltas = Vec::with_capacity(named.len());
+            for (n, candidates) in named {
+                let (Some(old), Some(new)) = (prev.relation(n), snap.relation(n)) else {
+                    return Ok(WarmOutcome::Refused {
+                        reason: Refusal::MissingRelation {
+                            relation: n.clone(),
+                        },
+                    });
+                };
+                let (inserted, deleted) = match candidates {
+                    None => algebra::delta(new, old)?,
+                    Some(ts) => {
+                        let mut inserted = Relation::new(new.schema().clone());
+                        let mut deleted = Relation::new(old.schema().clone());
+                        for t in ts {
+                            match (old.contains(t), new.contains(t)) {
+                                (false, true) => inserted.insert_unchecked(t.clone())?,
+                                (true, false) => deleted.insert_unchecked(t.clone())?,
+                                _ => false,
+                            };
+                        }
+                        (inserted, deleted)
+                    }
+                };
+                if !inserted.is_empty() || !deleted.is_empty() {
+                    deltas.push((n.clone(), BaseDelta { inserted, deleted }));
+                }
+            }
             let session = Session::new(snap.clone(), &self.session_budget, &self.shutdown);
-            session.solve_warm(base, constructor, args, scalar_args.clone(), prev, &deltas)
+            session.solve_warm(
+                base,
+                constructor,
+                args,
+                scalar_args.clone(),
+                prev_system,
+                &deltas,
+            )
         }));
         match attempt {
             Ok(Ok(WarmOutcome::Solved {
                 value,
                 added,
+                removed,
                 system,
-                ..
             })) => {
-                // Warm starts are monotone: nothing is ever removed.
-                let removed = Relation::new(value.schema().clone());
                 entry.result = value;
                 entry.system = Some(system);
-                Some(SubscriptionUpdate {
+                Ok(SubscriptionUpdate {
                     epoch,
                     added,
                     removed,
                     warm: true,
                 })
             }
-            // Refused, an error, or a panic: cold fallback.
-            _ => None,
+            Ok(Ok(WarmOutcome::Refused { reason })) => Err(Some(reason)),
+            // An error or a panic: cold fallback.
+            _ => Err(None),
         }
     }
 

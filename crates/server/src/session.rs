@@ -8,7 +8,7 @@ use dc_calculus::ast::{Name, SelectorDef};
 use dc_calculus::typeck::{self, ConstructorSig, SchemaCatalog};
 use dc_calculus::{AccessCache, Catalog, EvalError, Evaluator, Explanation, RangeExpr};
 use dc_core::fixpoint::{
-    self, AppKey, ConstructorSource, FixpointConfig, SolvedSystem, WarmOutcome,
+    self, AppKey, BaseDelta, ConstructorSource, FixpointConfig, SolvedSystem, WarmOutcome,
 };
 use dc_core::Constructor;
 use dc_governor::{Budget, CancelToken};
@@ -239,16 +239,16 @@ impl Session {
         Ok((value, system))
     }
 
-    /// Warm re-solve from a previously captured system plus base-delta
-    /// insertions.
+    /// Warm re-solve from a previously captured system plus the net
+    /// base deltas since.
     pub(crate) fn solve_warm(
         &self,
         base: &str,
         constructor: &str,
         args: &[Name],
         scalar_args: Vec<Value>,
-        prev: &SolvedSystem,
-        deltas: &[(Name, Relation)],
+        prev: SolvedSystem,
+        deltas: &[(Name, BaseDelta)],
     ) -> Result<WarmOutcome, ServerError> {
         let b = self.read(base)?;
         let a: Vec<Relation> = args

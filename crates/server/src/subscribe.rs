@@ -14,11 +14,14 @@
 //!
 //! Maintenance runs on the writer thread, after publication: a commit
 //! touching nothing the query reads costs O(1) (an empty update keeps
-//! the epoch sequence gap-free); an insert-only commit into safely-read
-//! relations re-enters the semi-naive fixpoint warm from the previous
-//! materialised system; anything else — deletions, replacements,
-//! touched relations in non-monotone positions, or a failed/faulted
-//! warm attempt — falls back to a cold re-solve plus a two-way diff. A
+//! the epoch sequence gap-free); a solve-kind query re-enters the
+//! semi-naive fixpoint warm from the previous materialised system —
+//! inserted tuples seed semi-naive rounds, deleted ones run
+//! delete-and-rederive, and `removed` is then exactly the tuples that
+//! lost their last derivation. Whatever the solver refuses (a system it
+//! runs naive, a touched relation in a non-monotone position, …) or a
+//! failed/faulted warm attempt falls back to a cold re-solve plus a
+//! two-way diff. A
 //! maintenance failure never affects the commit itself (the snapshot is
 //! already published); it terminates only the subscription, with a
 //! final `Err` update.
@@ -41,8 +44,8 @@ pub struct SubscriptionUpdate {
     pub removed: Relation,
     /// True when the update was produced without a from-scratch
     /// re-evaluation: either the commit was disjoint from the query's
-    /// read set (empty delta, O(1)) or the warm semi-naive path
-    /// maintained the previous materialised system incrementally.
+    /// read set (empty delta, O(1)) or the warm path maintained the
+    /// previous materialised system incrementally, deletions included.
     pub warm: bool,
 }
 

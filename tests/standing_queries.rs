@@ -11,9 +11,10 @@
 //!   disjoint skips alike.
 //! * **Gap-free epoch stream**: update `n` carries epoch
 //!   `initial + n`; disjoint commits still deliver (empty) updates.
-//! * **Warm/cold routing**: insert-only commits into safely-read
-//!   relations refresh warm (and never retract); deletions force the
-//!   cold re-solve; the next insert-only commit is warm again.
+//! * **Warm/cold routing**: commits into safely-read relations refresh
+//!   warm — insertions and deletions alike; a warm update retracts
+//!   exactly the tuples that lost their last derivation. Systems the
+//!   solver runs naive refresh cold.
 //! * **Fault injection**: an armed `view_refresh` failpoint (panic or
 //!   error action) fires on the warm path only — the commit still
 //!   succeeds, the refresh lands cold with the correct delta, and
@@ -49,9 +50,9 @@ fn graph_db() -> Database {
     db
 }
 
-/// A commit script mixing warm-eligible insertions, a disjoint commit,
-/// a deletion (cold fallback), and post-deletion insertions (warm
-/// again).
+/// A commit script mixing insertions, a disjoint commit, a deletion
+/// that breaks a chain, post-deletion insertions, and a deleted
+/// shortcut whose pair is still derived — all warm.
 fn mixed_script() -> Vec<WriteBatch> {
     vec![
         // Warm: splice new edges onto chain 0.
@@ -62,10 +63,14 @@ fn mixed_script() -> Vec<WriteBatch> {
         WriteBatch::new().insert("Unrelated", tuple!["a", "b"]),
         // Warm: connect two chains.
         WriteBatch::new().insert("Infront", tuple!["c1_4", "c2_0"]),
-        // Cold: a deletion breaks chain 0 in the middle.
+        // A deletion breaks chain 0 in the middle: retracts.
         WriteBatch::new().delete("Infront", tuple!["c0_2", "c0_3"]),
         // Warm again, from the re-captured system.
         WriteBatch::new().insert("Infront", tuple!["w1", "w2"]),
+        // A shortcut over c3_1, then its deletion: the pair it adds is
+        // derived through the chain too, so nothing is retracted.
+        WriteBatch::new().insert("Infront", tuple!["c3_0", "c3_2"]),
+        WriteBatch::new().delete("Infront", tuple!["c3_0", "c3_2"]),
         // Empty barrier commit: touches nothing, O(1) update.
         WriteBatch::new(),
     ]
@@ -114,8 +119,10 @@ fn subscription_deltas_replay_to_the_from_scratch_oracle_at_every_epoch() {
     assert_eq!(materialised.digest(), oracle_solve(&oracle).digest());
 
     // warm-expectation per scripted commit, mirroring `mixed_script`.
-    let warm_expected = [true, true, true, false, true, true];
+    let warm_expected = [true, true, true, true, true, true, true, true];
+    let retracts = [false, false, false, true, false, false, false, false];
     for (i, batch) in mixed_script().into_iter().enumerate() {
+        let before = oracle_solve(&oracle);
         let epoch = server.commit(&batch).unwrap();
         assert_eq!(oracle.commit(&batch).unwrap(), epoch);
         let up = next_update(&sub, epoch);
@@ -123,11 +130,13 @@ fn subscription_deltas_replay_to_the_from_scratch_oracle_at_every_epoch() {
             up.warm, warm_expected[i],
             "commit {i}: unexpected maintenance path"
         );
-        if up.warm {
-            assert!(up.removed.is_empty(), "warm refreshes never retract");
-        }
-        materialised = apply_update(&materialised, &up);
         let expect = oracle_solve(&oracle);
+        // `removed` is non-empty exactly when a derived tuple lost its
+        // last derivation — and then it is exactly those tuples.
+        let lost = algebra::difference(&before, &expect).unwrap();
+        assert_eq!(up.removed.sorted_tuples(), lost.sorted_tuples());
+        assert_eq!(!up.removed.is_empty(), retracts[i], "commit {i}");
+        materialised = apply_update(&materialised, &up);
         assert_eq!(
             materialised.digest(),
             expect.digest(),

@@ -131,27 +131,69 @@ fn commit_with_subscription_yields_one_correlated_tree() {
 #[test]
 fn refresh_outcomes_are_observable() {
     let guard = Collector::install();
-    let server = Server::new(graph_db(1));
-    let prepared = server
-        .prepare_solve("Infront", "ahead", &[], vec![])
+    // The closure over `Infront`, plus §3.3's unchecked `strange` under
+    // the checked `wrap_strange` over `Card`: a system the solver runs
+    // naive, so its refreshes stay cold.
+    let mut db = graph_db(1);
+    db.create_relation("Card", dc_core::paper::cardrel())
         .unwrap();
-    let sub = server.subscribe(&prepared).unwrap();
-    sub.recv().expect("alive").expect("initial eval");
+    db.insert_all("Card", (0u64..=6).map(|i| tuple![i]))
+        .unwrap();
+    db.define_constructor_unchecked(dc_core::paper::strange())
+        .unwrap();
+    db.define_constructor(dc_core::Constructor {
+        name: "wrap_strange".into(),
+        body: dc_calculus::ast::SetFormer {
+            branches: vec![Branch::each(
+                "r",
+                rel("Baserel").construct("strange", vec![]),
+                tru(),
+            )],
+        },
+        ..dc_core::paper::strange()
+    })
+    .unwrap();
+    let server = Server::new(db);
+    let subs: Vec<_> = [("Infront", "ahead"), ("Card", "wrap_strange")]
+        .into_iter()
+        .map(|(base, ctor)| {
+            let prepared = server.prepare_solve(base, ctor, &[], vec![]).unwrap();
+            let sub = server.subscribe(&prepared).unwrap();
+            sub.recv().expect("alive").expect("initial eval");
+            sub
+        })
+        .collect();
 
-    // Insert-only into a read relation: warm. Disjoint commit:
-    // skipped. Deletion from a read relation: cold.
+    // Insert into the closure's relation: warm. Disjoint commit:
+    // skipped. Deletion from the closure's relation: warm, and it
+    // retracts. Insert into `Card`: cold, by the solver's refusal.
     let script = [
         WriteBatch::new().insert("Infront", tuple!["c0_4", "w0"]),
         WriteBatch::new().insert("Unrelated", tuple!["a", "b"]),
         WriteBatch::new().delete("Infront", tuple!["c0_1", "c0_2"]),
+        WriteBatch::new().insert("Card", tuple![8u64]),
     ];
     let mut outcomes = Vec::new();
     for batch in &script {
         server.commit(batch).unwrap();
-        let up = sub.recv().expect("alive").expect("refresh");
-        outcomes.push(up.warm);
+        for sub in &subs {
+            let up = sub.recv().expect("alive").expect("refresh");
+            outcomes.push((up.warm, up.removed.len()));
+        }
     }
-    assert_eq!(outcomes, vec![true, true, false]);
+    assert_eq!(
+        outcomes,
+        vec![
+            (true, 0),
+            (true, 0),
+            (true, 0),
+            (true, 0),
+            (true, 8),
+            (true, 0),
+            (true, 0),
+            (false, 0)
+        ]
+    );
     dc_trace::flush();
 
     let spans = guard.of_kind(SpanKind::SubscriptionRefresh);
@@ -161,23 +203,32 @@ fn refresh_outcomes_are_observable() {
         .collect();
     assert_eq!(
         span_outcomes,
-        vec!["warm", "skipped", "cold"],
+        vec!["warm", "skipped", "skipped", "skipped", "warm", "skipped", "skipped", "cold"],
         "refresh spans label the maintenance route taken"
+    );
+    let refusals: Vec<_> = spans
+        .iter()
+        .filter_map(|r| str_field(r, "refusal"))
+        .collect();
+    assert_eq!(
+        refusals,
+        vec!["naive_strategy"],
+        "a cold refresh names the refusal that sent it there"
     );
 
     let m = server.metrics();
-    assert_eq!(m.get(Counter::RefreshWarm), 1);
-    assert_eq!(m.get(Counter::RefreshSkipped), 1);
+    assert_eq!(m.get(Counter::RefreshWarm), 2);
+    assert_eq!(m.get(Counter::RefreshSkipped), 5);
     assert_eq!(m.get(Counter::RefreshCold), 1);
     assert_eq!(
         m.get(Counter::SubscriptionUpdates),
-        3 + 1,
-        "3 commits + subscribe seed"
+        8 + 2,
+        "2 subscriptions × 4 commits + 2 subscribe seeds"
     );
-    assert_eq!(m.get(Counter::Commits), 3);
+    assert_eq!(m.get(Counter::Commits), 4);
     let snap = m.snapshot();
-    assert_eq!(snap.refresh_lag_us.count, 3);
-    assert!(snap.commit_latency_us.count >= 3);
+    assert_eq!(snap.refresh_lag_us.count, 8);
+    assert!(snap.commit_latency_us.count >= 4);
 }
 
 /// `Database::explain` renders the plan tree for an executed query:
