@@ -146,7 +146,7 @@ fn e1b() -> Vec<String> {
 /// E1c: scan-sharded two-hop joins — the same index-nested-loop plan
 /// with its scan side sharded across `min(cores, 4)` pool workers vs
 /// pinned to one worker. Both sides run the index path with warm
-/// database-level index/statistics caches (one untimed warm-up
+/// database-level index cache (one untimed warm-up
 /// evaluation), so the measured interval is exactly the scan-shard ×
 /// probe × filter work the worker pool divides (the sides alternate
 /// and each reports the fastest of its seven evaluations); results are

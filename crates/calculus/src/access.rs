@@ -1,9 +1,9 @@
-//! The one access cache: indexes and statistics keyed by the **storage
-//! identity** of the relations they describe.
+//! The one access cache: hash indexes keyed by the **storage identity**
+//! of the relations they index.
 //!
 //! §4 of the paper attaches physical access paths to the relation they
-//! index. [`AccessCache`] does the same for every derived structure the
-//! evaluator amortises: an entry is keyed by
+//! index. [`AccessCache`] does the same for every index the evaluator
+//! amortises: an entry is keyed by
 //! [`Relation::storage_id`], which names one tuple storage *at one
 //! content*, so
 //!
@@ -20,19 +20,22 @@
 //! [`Catalog::access`](crate::Catalog::access). An evaluator over a
 //! catalog that offers none uses a private cache of this same type.
 //!
+//! The cache holds no statistics. The planner's distinct counts are
+//! bucket counts: a column's count is
+//! [`HashIndex::distinct_keys`] of its single-column index, obtained
+//! through [`AccessCache::index`] like any probe's index — so counting
+//! a column the plan then probes builds the index once, for both.
+//!
 //! # The maintained-index invariant
 //!
 //! A relation that *changes by a known delta* — the semi-naive
 //! accumulator growing by a round's new tuples, or shrinking by the
-//! tuples a warm deletion removes — keeps its structures through
+//! tuples a warm deletion removes — keeps its indexes through
 //! [`AccessCache::advance`]: the entries move from the old id to the
 //! changed relation's id and absorb exactly the delta — every index
-//! `remove`s each removed tuple and `add`s each added one, and the
-//! statistics absorb the same tuples, in this one place. Statistics are
-//! therefore updated iff the indexes are, and a snapshot served to the
-//! planner always describes the relation the probed indexes describe
-//! (its distinct counts an upper bound once the relation has shrunk —
-//! see `dc_index::stats`).
+//! `remove`s each removed tuple and `add`s each added one. A bucket a
+//! removal empties is dropped, so the counts the planner reads stay
+//! exact in both directions.
 //!
 //! # Sharing
 //!
@@ -48,7 +51,7 @@
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use dc_governor::fail::{self, InjectedFault, Site};
-use dc_index::{HashIndex, RelationStats, StatsBuilder};
+use dc_index::HashIndex;
 use dc_relation::Relation;
 use dc_trace::metrics::{Counter, MetricsRegistry};
 use dc_value::FxHashMap;
@@ -59,10 +62,6 @@ struct Slot {
     /// One index per distinct position list (a handful at most, so a
     /// scan beats hashing the positions).
     indexes: Vec<Arc<HashIndex>>,
-    stats: Option<Arc<RelationStats>>,
-    /// The incrementally maintained form behind `stats`, present once
-    /// the relation has grown under [`AccessCache::advance`].
-    builder: Option<StatsBuilder>,
 }
 
 impl Slot {
@@ -101,13 +100,13 @@ impl AccessCache {
         self.slots.write().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Count one lookup of a kind: a hit, or the miss that precedes
-    /// the build.
-    fn count<T>(&self, hit: Option<T>, hits: Counter, misses: Counter) -> Option<T> {
-        if let Some(m) = &self.metrics {
-            m.inc(if hit.is_some() { hits } else { misses });
-        }
-        hit
+    /// The hash index over `rel` on `positions` if one is cached —
+    /// never a build, and not counted as a lookup: how a plan preview
+    /// reads the counts indexes already hold.
+    pub fn cached(&self, rel: &Relation, positions: &[usize]) -> Option<Arc<HashIndex>> {
+        self.read()
+            .get(&rel.storage_id())
+            .and_then(|s| s.index(positions))
     }
 
     /// The hash index over `rel` on `positions`, built on first
@@ -118,37 +117,30 @@ impl AccessCache {
         rel: &Relation,
         positions: &[usize],
     ) -> Result<Arc<HashIndex>, InjectedFault> {
-        let id = rel.storage_id();
-        let hit = self.read().get(&id).and_then(|s| s.index(positions));
-        if let Some(idx) = self.count(hit, Counter::WarmIndexHits, Counter::WarmIndexMisses) {
+        let hit = self.cached(rel, positions);
+        if let Some(m) = &self.metrics {
+            m.inc(if hit.is_some() {
+                Counter::WarmIndexHits
+            } else {
+                Counter::WarmIndexMisses
+            });
+        }
+        if let Some(idx) = hit {
             return Ok(idx);
         }
         fail::check(Site::IndexBuild)?;
         let built = Arc::new(HashIndex::build(rel, positions.to_vec()));
         let mut slots = self.write();
-        let slot = slots.entry(id).or_default();
+        let slot = slots.entry(rel.storage_id()).or_default();
         Ok(slot.index(positions).unwrap_or_else(|| {
             slot.indexes.push(built.clone());
             built
         }))
     }
 
-    /// Statistics of `rel`, collected on first request.
-    pub fn stats(&self, rel: &Relation) -> Arc<RelationStats> {
-        let id = rel.storage_id();
-        let hit = self.read().get(&id).and_then(|s| s.stats.clone());
-        if let Some(s) = self.count(hit, Counter::WarmStatsHits, Counter::WarmStatsMisses) {
-            return s;
-        }
-        let collected = Arc::new(RelationStats::collect(rel));
-        let mut slots = self.write();
-        let slot = slots.entry(id).or_default();
-        slot.stats.get_or_insert(collected).clone()
-    }
-
     /// `new` is the relation that had id `old`, minus exactly the
     /// tuples of `removed` (all of which it held) plus exactly those of
-    /// `added` (none of which it held): move the entries cached under
+    /// `added` (none of which it held): move the indexes cached under
     /// `old` to `new`'s id and absorb both sides. Work is proportional
     /// to the two deltas; an empty side costs nothing per tuple.
     pub fn advance(&self, old: u64, new: &Relation, added: &Relation, removed: &Relation) {
@@ -171,16 +163,6 @@ impl AccessCache {
                 idx.add(t.clone());
             }
         }
-        if slot.stats.is_some() {
-            match &mut slot.builder {
-                Some(b) => {
-                    removed.iter().for_each(|t| b.remove(t));
-                    added.iter().for_each(|t| b.add(t));
-                }
-                none => *none = Some(StatsBuilder::from_relation(new)),
-            }
-            slot.stats = slot.builder.as_ref().map(|b| Arc::new(b.snapshot()));
-        }
         slots.insert(id, slot);
     }
 
@@ -191,7 +173,7 @@ impl AccessCache {
     }
 
     /// Drop everything *except* what is cached about the storages
-    /// `keep` — how a converged solve hands on the structures over its
+    /// `keep` — how a converged solve hands on the indexes over its
     /// equation values and nothing else.
     pub fn retain(&self, keep: &[u64]) {
         self.write().retain(|id, _| keep.contains(id));
@@ -203,7 +185,7 @@ impl AccessCache {
     }
 }
 
-/// A copy holding the same entries (the structures themselves are
+/// A copy holding the same entries (the indexes themselves are
 /// `Arc`-shared) and counting into the same registry: how a successor
 /// snapshot or a warm re-entry starts from its predecessor's cache.
 impl Clone for AccessCache {
@@ -244,10 +226,11 @@ mod tests {
         // Any handle on the same storage hits the same entry.
         assert!(Arc::ptr_eq(&idx, &cache.index(&r.clone(), &[0]).unwrap()));
         assert!(Arc::ptr_eq(
-            &cache.stats(&r),
-            &cache.stats(&r.snapshot_handle())
+            &idx,
+            &cache.index(&r.snapshot_handle(), &[0]).unwrap()
         ));
         assert_eq!(cache.index_count(), 1);
+        assert_eq!(idx.distinct_keys(), 1);
         // A different position list is a different index.
         cache.index(&r, &[1]).unwrap();
         assert_eq!(cache.index_count(), 2);
@@ -258,7 +241,7 @@ mod tests {
         let idx2 = cache.index(&grown, &[0]).unwrap();
         assert!(!Arc::ptr_eq(&idx, &idx2));
         assert_eq!(idx2.probe_slice(&[1i64.into()]).len(), 3);
-        assert_eq!(cache.stats(&grown).cardinality, 3);
+        assert_eq!(cache.index(&grown, &[1]).unwrap().distinct_keys(), 3);
         // Equal content in separate storage is a separate entry.
         let twin = pairs(&[(1, 2), (1, 3), (1, 4)]);
         assert!(!Arc::ptr_eq(&idx2, &cache.index(&twin, &[0]).unwrap()));
@@ -269,8 +252,7 @@ mod tests {
         let cache = AccessCache::new(None);
         let mut value = pairs(&[(1, 2), (2, 3)]);
         let idx = cache.index(&value, &[0]).unwrap();
-        let stats = cache.stats(&value);
-        assert_eq!(stats.distinct, vec![2, 2]);
+        assert_eq!(idx.distinct_keys(), 2);
         drop(idx);
         for round in 0..3i64 {
             let delta = pairs(&[(round + 3, round + 4), (1, round + 10)]);
@@ -278,11 +260,12 @@ mod tests {
             dc_relation::algebra::union_into(&mut value, &delta).unwrap();
             cache.advance(old, &value, &delta, &pairs(&[]));
             // Served without a rebuild, and exactly what a rebuild
-            // would produce.
+            // would produce — bucket count included.
             assert_eq!(cache.index_count(), 1, "moved, not duplicated");
             let served = cache.index(&value, &[0]).unwrap();
             let fresh = HashIndex::build(&value, vec![0]);
             assert_eq!(served.len(), fresh.len());
+            assert_eq!(served.distinct_keys(), fresh.distinct_keys());
             for t in value.iter() {
                 let key = [t.fields()[0]];
                 assert_eq!(
@@ -290,7 +273,6 @@ mod tests {
                     fresh.probe_slice(&key).len()
                 );
             }
-            assert_eq!(*cache.stats(&value), RelationStats::collect(&value));
         }
         // Nothing is left under any earlier id.
         cache.retain(&[value.storage_id()]);
@@ -303,7 +285,6 @@ mod tests {
         let mut value = pairs(&[(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6)]);
         cache.index(&value, &[0]).unwrap();
         cache.index(&value, &[1]).unwrap();
-        cache.stats(&value);
         // Shrink (emptying the bucket of key 3 on [0]), then shrink and
         // grow in one step.
         for (added, removed) in [
@@ -321,6 +302,7 @@ mod tests {
                 let served = cache.index(&value, &positions).unwrap();
                 let fresh = HashIndex::build(&value, positions.to_vec());
                 assert_eq!(served.len(), fresh.len());
+                // Exact, not an upper bound: emptied buckets are gone.
                 assert_eq!(served.distinct_keys(), fresh.distinct_keys());
                 for k in 0..10i64 {
                     let mut got = served.probe_slice(&[k.into()]).to_vec();
@@ -330,13 +312,6 @@ mod tests {
                     assert_eq!(got, want, "positions {positions:?}, key {k}");
                 }
             }
-            let (kept, exact) = (cache.stats(&value), RelationStats::collect(&value));
-            assert_eq!(kept.cardinality, exact.cardinality);
-            assert!(kept
-                .distinct
-                .iter()
-                .zip(&exact.distinct)
-                .all(|(k, e)| k >= e));
         }
     }
 
@@ -346,7 +321,7 @@ mod tests {
         let (a, b) = (pairs(&[(1, 1)]), pairs(&[(2, 2)]));
         cache.index(&a, &[0]).unwrap();
         cache.index(&b, &[0]).unwrap();
-        cache.stats(&b);
+        cache.index(&b, &[1]).unwrap();
         cache.forget(b.storage_id());
         assert_eq!(cache.index_count(), 1);
         cache.retain(&[a.storage_id()]);
@@ -360,15 +335,16 @@ mod tests {
         let metrics = Arc::new(MetricsRegistry::new());
         let cache = AccessCache::new(Some(metrics.clone()));
         let r = pairs(&[(1, 2)]);
+        assert!(cache.cached(&r, &[0]).is_none());
         cache.index(&r, &[0]).unwrap();
         cache.index(&r, &[0]).unwrap();
-        cache.stats(&r);
-        cache.stats(&r);
-        cache.stats(&r);
+        // A peek is not a lookup: it neither builds nor counts.
+        assert_eq!(cache.cached(&r, &[0]).unwrap().distinct_keys(), 1);
+        assert!(cache.cached(&r, &[1]).is_none());
         // A copy counts into the same registry.
         cache.clone().index(&r, &[0]).unwrap();
         let m = metrics.snapshot();
         assert_eq!((m.warm_index_misses, m.warm_index_hits), (1, 2));
-        assert_eq!((m.warm_stats_misses, m.warm_stats_hits), (1, 2));
+        assert_eq!(cache.index_count(), 1);
     }
 }

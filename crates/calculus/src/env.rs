@@ -52,7 +52,7 @@ pub trait Catalog {
     }
 
     /// The [`AccessCache`] this catalog's owner keeps for the relations
-    /// it resolves — indexes and statistics that outlive one evaluator (the database across queries, a snapshot
+    /// it resolves — indexes that outlive one evaluator (the database across queries, a snapshot
     /// across sessions, a solve across rounds). Entries are keyed by
     /// storage identity, so the catalog promises nothing about them;
     /// the evaluator asks the cache with the relation value it read.

@@ -90,7 +90,7 @@ use std::sync::Arc;
 
 use dc_governor::fail::{self, Site};
 use dc_governor::{Meter, SolveError};
-use dc_index::{HashIndex, RelationStats};
+use dc_index::HashIndex;
 use dc_relation::Relation;
 use dc_value::{Attribute, Domain, FxHashMap, FxHashSet, Schema, Tuple, Value};
 
@@ -101,7 +101,7 @@ use crate::access::AccessCache;
 use crate::ast::{ArithOp, Branch, CmpOp, Formula, RangeExpr, ScalarExpr, SetFormer, Target, Var};
 use crate::env::{Catalog, MapCatalog};
 use crate::error::EvalError;
-use crate::joinplan::{self, Access, BranchPlan, EqAtom, KeySource, QuantMode, StepRationale};
+use crate::joinplan::{self, Access, BranchPlan, DistinctCount, EqAtom, KeySource, QuantMode};
 use crate::plan_event::{PlanEvent, QuantDemotionReason};
 use crate::rewrite;
 
@@ -149,10 +149,10 @@ pub struct Evaluator<'a> {
     param_frames: Vec<FxHashMap<String, Value>>,
     /// Cache of binding-free range values.
     range_cache: FxHashMap<RangeExpr, Relation>,
-    /// Indexes and statistics over the range values this evaluator
-    /// computed itself (they live in `range_cache`, so their storage
-    /// ids are stable) — and over named relations when the catalog
-    /// offers no cache of its own.
+    /// Indexes over the range values this evaluator computed itself
+    /// (they live in `range_cache`, so their storage ids are stable) —
+    /// and over named relations when the catalog offers no cache of
+    /// its own.
     private: AccessCache,
     /// What each quantifier site decided, planned on its first
     /// evaluation: unnesting and probe planning clone and rewrite the
@@ -286,16 +286,18 @@ impl<'a> Evaluator<'a> {
     /// Record the access path chosen for one planned branch — once per
     /// distinct branch site, so per-combination re-plans (set-formers
     /// nested under quantifiers) pay a fingerprint lookup, not an
-    /// event build. `realised` are the probe atoms compilation kept, so
-    /// demoted keys show in the event's residual.
+    /// event build. The compiled plan's realised atoms put demoted keys
+    /// in the event's residual; its numbers come from the counts the
+    /// planner `asked` for and the distinct keys of the compiled
+    /// single-column probe indexes — nothing is built to render them.
     fn note_access_path(
         &mut self,
         branch: &Branch,
         plan: &BranchPlan,
-        realised: &[&EqAtom],
-        rationale: &[StepRationale],
+        compiled: &CompiledPlan<'_>,
+        asked: &[DistinctCount],
         schemas: &[&Schema],
-        stats: &[RelationStats],
+        cards: &[usize],
     ) {
         let site = branch_fingerprint(branch);
         if self.access_sites.contains(&site) {
@@ -309,8 +311,29 @@ impl<'a> Evaluator<'a> {
                 Counter::ScanPlans
             });
         }
-        let ev =
-            PlanEvent::access_path_for(branch, plan, Some(realised), rationale, schemas, stats);
+        let known = |position: usize, column: usize| {
+            let held = |step: &CompiledStep| match &step.access {
+                CompiledAccess::Probe { index, .. }
+                    if step.position == position && index.positions() == [column] =>
+                {
+                    Some(index.distinct_keys())
+                }
+                _ => None,
+            };
+            asked
+                .iter()
+                .find(|c| (c.position, c.column) == (position, column))
+                .and_then(|c| c.distinct)
+                .or_else(|| compiled.steps.iter().find_map(held))
+        };
+        let ev = PlanEvent::access_path_for(
+            branch,
+            plan,
+            Some(&compiled.realised),
+            schemas,
+            cards,
+            known,
+        );
         dc_trace::event(SpanKind::Plan, || (ev.to_string(), Vec::new()));
         self.plan_events.push(ev);
     }
@@ -493,41 +516,23 @@ impl<'a> Evaluator<'a> {
         }
         if !branch.bindings.is_empty() {
             // Cheap AST walk first: atom-free branches go straight to
-            // the scan plan without paying any stats scan.
-            let atoms = joinplan::extract_eq_atoms(branch);
-            if !atoms.is_empty() {
+            // the scan plan.
+            if !joinplan::extract_eq_atoms(branch).is_empty() {
                 let schemas: Vec<&Schema> = ranges.iter().map(Relation::schema).collect();
-                // Distinct-value statistics are only worth obtaining
-                // for ranges the planner may probe — and even for
-                // those, catalogs that maintain statistics next to
-                // their indexes (the fixpoint solver, the database)
-                // serve them in O(arity), so the O(|R|) collection
-                // pass only runs for anonymous, non-cacheable ranges.
-                let probed: FxHashSet<usize> = atoms.iter().map(|a| a.position).collect();
-                let stats: Vec<RelationStats> = ranges
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| {
-                        if probed.contains(&i) {
-                            self.range_stats(&branch.bindings[i].1, r)
-                        } else {
-                            RelationStats {
-                                cardinality: r.len(),
-                                distinct: Vec::new(),
-                            }
-                        }
-                    })
-                    .collect();
-                let (plan, rationale) = joinplan::plan_branch_traced(branch, &schemas, &stats);
+                let cards: Vec<usize> = ranges.iter().map(Relation::len).collect();
+                // The planner asks for a distinct count only where a
+                // decision reads it; the answer is a bucket count.
+                let mut failed = None;
+                let (plan, asked) = joinplan::plan_branch(branch, &schemas, &cards, |p, column| {
+                    self.distinct_count(&branch.bindings[p].1, &ranges[p], column)
+                        .map_err(|e| failed.get_or_insert(e))
+                        .ok()
+                });
+                if let Some(e) = failed {
+                    return Err(e);
+                }
                 let compiled = self.compile_plan(branch, &plan, ranges, bindings)?;
-                self.note_access_path(
-                    branch,
-                    &plan,
-                    &compiled.realised,
-                    &rationale,
-                    &schemas,
-                    &stats,
-                );
+                self.note_access_path(branch, &plan, &compiled, &asked, &schemas, &cards);
                 if !compiled.realised.is_empty() {
                     return self.run_plan(branch, &compiled, ranges, bindings, out);
                 }
@@ -842,14 +847,18 @@ impl<'a> Evaluator<'a> {
         Ok(Arc::new(HashIndex::build(rel, positions.to_vec())))
     }
 
-    /// Statistics for a probed range, cached exactly where
-    /// [`Evaluator::obtain_index`] caches; a binding-dependent value
-    /// pays the one-pass collection.
-    fn range_stats(&self, range: &RangeExpr, rel: &Relation) -> RelationStats {
-        if self.amortises(range) {
-            return (*self.access_for(range).stats(rel)).clone();
-        }
-        RelationStats::collect(rel)
+    /// The distinct-value count of `column` in `rel` (the value of
+    /// `range`): the bucket count of its single-column index, obtained
+    /// as [`Evaluator::obtain_index`] obtains any. Where the index
+    /// amortises, a plan that then probes the column reuses it, and a
+    /// maintained value's count is read, not recounted.
+    fn distinct_count(
+        &self,
+        range: &RangeExpr,
+        rel: &Relation,
+        column: usize,
+    ) -> Result<usize, EvalError> {
+        Ok(self.obtain_index(range, rel, &[column])?.distinct_keys())
     }
 
     /// Decide `SOME`/`ALL var IN range: body`. Outside

@@ -24,11 +24,13 @@
 //!   attribute. Atoms under `OR` / `NOT` / quantifiers are *not*
 //!   extracted — they stay in the residual predicate.
 //! * [`plan_branch`] orders the branch's binding positions greedily by
-//!   estimated cost, using [`dc_index::RelationStats`] cardinalities and
-//!   the System-R `1/distinct` equality selectivity: at each step it
-//!   picks the cheapest position, preferring positions whose equality
-//!   atoms are fully bound by earlier steps (an index probe) over full
-//!   scans.
+//!   estimated cost, using range cardinalities and the System-R
+//!   `1/distinct` equality selectivity: at each step it picks the
+//!   cheapest position, preferring positions whose equality atoms are
+//!   fully bound by earlier steps (an index probe) over full scans.
+//!   Distinct counts are asked for only where a step compares
+//!   candidates whose estimates read them; the evaluator answers with
+//!   the bucket count of the column's hash index.
 //!
 //! A plan only skips combinations that equality atoms already reject:
 //! the executor re-evaluates every conjunct a realised probe key does
@@ -41,7 +43,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dc_index::RelationStats;
 use dc_value::Schema;
 
 use crate::ast::{Branch, CmpOp, Formula, Name, RangeExpr, ScalarExpr, SetFormer, Var};
@@ -486,41 +487,62 @@ pub(crate) fn range_uses_only(r: &crate::ast::RangeExpr, local: &mut Vec<String>
     }
 }
 
+/// The System-R `1/distinct` selectivity of an equality on a column
+/// with `distinct` values; 1.0 — no information — for a count nobody
+/// knows or an empty column.
+pub fn eq_selectivity(distinct: Option<usize>) -> f64 {
+    match distinct {
+        Some(d) if d > 0 => 1.0 / d as f64,
+        _ => 1.0,
+    }
+}
+
+/// One distinct count [`plan_branch`] asked its source for: column
+/// `column` of the range bound at `position` holds `distinct` values
+/// (`None` when the source could not tell).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DistinctCount {
+    /// Binding position of the counted range.
+    pub position: usize,
+    /// Column of that range.
+    pub column: usize,
+    /// The answer.
+    pub distinct: Option<usize>,
+}
+
 /// System-R estimate of the number of combinations a branch emits:
 /// the cross-product cardinality reduced by `1/distinct` for every
 /// equality conjunct the branch carries (constant keys use the probed
 /// column's distinct count; cross-binding join keys use the larger
 /// side's, the classic equi-join estimate). Symmetric binding–binding
 /// atom pairs emitted by [`extract_eq_atoms`] are counted once. What
-/// `EXPLAIN` reports as a branch's estimated rows.
-pub fn estimate_branch_rows(branch: &Branch, schemas: &[&Schema], stats: &[RelationStats]) -> f64 {
+/// `EXPLAIN` reports as a branch's estimated rows. `known` answers the
+/// distinct count of a (position, column) from counts already at hand
+/// — it never builds anything — and a count it does not know reads as
+/// no information.
+pub fn estimate_branch_rows(
+    branch: &Branch,
+    schemas: &[&Schema],
+    cards: &[usize],
+    known: impl Fn(usize, usize) -> Option<usize>,
+) -> f64 {
     debug_assert_eq!(schemas.len(), branch.bindings.len());
-    debug_assert_eq!(stats.len(), branch.bindings.len());
-    let mut est: f64 = stats.iter().map(|s| s.cardinality as f64).product();
+    debug_assert_eq!(cards.len(), branch.bindings.len());
+    let sel = |position: usize, attr: &str| {
+        schemas[position]
+            .position(attr)
+            .map_or(1.0, |column| eq_selectivity(known(position, column)))
+    };
+    let mut est: f64 = cards.iter().map(|&c| c as f64).product();
     for atom in extract_eq_atoms(branch) {
         match &atom.source {
-            KeySource::Free(_) => {
-                if let Ok(pos) = schemas[atom.position].position(&atom.attr) {
-                    est *= stats[atom.position].eq_selectivity(pos);
-                }
+            KeySource::Free(_) => est *= sel(atom.position, &atom.attr),
+            // Each conjunct appears in both directions; count the
+            // canonical one.
+            KeySource::Binding { position, attr } if atom.position < *position => {
+                est *= sel(atom.position, &atom.attr).min(sel(*position, attr));
             }
-            KeySource::Binding { position, attr } => {
-                // Each conjunct appears in both directions; count the
-                // canonical one.
-                if atom.position > *position {
-                    continue;
-                }
-                let (Ok(lp), Ok(rp)) = (
-                    schemas[atom.position].position(&atom.attr),
-                    schemas[*position].position(attr),
-                ) else {
-                    continue;
-                };
-                let sel = stats[atom.position]
-                    .eq_selectivity(lp)
-                    .min(stats[*position].eq_selectivity(rp));
-                est *= sel;
-            }
+            KeySource::Binding { .. } => {}
         }
     }
     est
@@ -536,11 +558,19 @@ pub fn estimate_branch_rows(branch: &Branch, schemas: &[&Schema], stats: &[Relat
 /// declaration order, so plans are deterministic and the no-atom case
 /// degenerates to the reference scan order.
 ///
+/// `cards` are the ranges' cardinalities. Distinct counts are *asked
+/// for*, through `count(position, column)`, only where a decision reads
+/// them: for the usable atoms of each candidate of a step that compares
+/// two or more candidates — once per (position, column). The last step
+/// has no alternative, and a step whose candidates have no usable atom
+/// compares cardinalities alone, so a two-binding branch keyed only by
+/// the other binding asks for nothing. The counts asked for are
+/// returned with the plan, for rendering.
+///
 /// ```
 /// use dc_calculus::ast::Branch;
 /// use dc_calculus::builder::*;
 /// use dc_calculus::joinplan::{plan_branch, Access};
-/// use dc_index::RelationStats;
 /// use dc_value::{Domain, Schema};
 ///
 /// // The paper's §2.3 join: <f.front, b.back> OF EACH f, b IN Infront:
@@ -551,64 +581,49 @@ pub fn estimate_branch_rows(branch: &Branch, schemas: &[&Schema], stats: &[Relat
 ///     eq(attr("f", "back"), attr("b", "front")),
 /// );
 /// let schema = Schema::of(&[("front", Domain::Str), ("back", Domain::Str)]);
-/// let stats = RelationStats { cardinality: 100, distinct: vec![50, 50] };
-/// let plan = plan_branch(&branch, &[&schema, &schema], &[stats.clone(), stats]);
+/// let (plan, asked) = plan_branch(&branch, &[&schema, &schema], &[100, 100], |_, _| Some(50));
 /// // One range is scanned, the other probed through a hash index on
 /// // the equality column — an index-nested-loop join, not a cross
-/// // product.
+/// // product — and no decision needed a distinct count.
 /// assert!(matches!(plan.steps[0].access, Access::Scan));
 /// assert!(matches!(plan.steps[1].access, Access::Probe(_)));
+/// assert!(asked.is_empty());
 /// ```
-pub fn plan_branch(branch: &Branch, schemas: &[&Schema], stats: &[RelationStats]) -> BranchPlan {
-    plan_branch_traced(branch, schemas, stats).0
-}
-
-/// The System-R numbers behind one [`plan_branch_traced`] ordering
-/// decision, captured at the moment the position was picked.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StepRationale {
-    /// The picked binding position.
-    pub position: usize,
-    /// Range cardinality from statistics.
-    pub cardinality: usize,
-    /// Product of usable equality-atom selectivities (1.0 for scans).
-    pub selectivity: f64,
-    /// `cardinality × selectivity` — the ordering key that won.
-    pub estimate: f64,
-}
-
-/// [`plan_branch`] plus the per-step ordering rationale, in step
-/// order. The rationale is what `EXPLAIN` and the planner trace
-/// report; `plan_branch` discards it.
-pub fn plan_branch_traced(
+pub fn plan_branch(
     branch: &Branch,
     schemas: &[&Schema],
-    stats: &[RelationStats],
-) -> (BranchPlan, Vec<StepRationale>) {
+    cards: &[usize],
+    mut count: impl FnMut(usize, usize) -> Option<usize>,
+) -> (BranchPlan, Vec<DistinctCount>) {
     let n = branch.bindings.len();
     debug_assert_eq!(schemas.len(), n);
-    debug_assert_eq!(stats.len(), n);
+    debug_assert_eq!(cards.len(), n);
+    let mut asked: Vec<DistinctCount> = Vec::new();
     let atoms = extract_eq_atoms(branch);
     if atoms.is_empty() {
-        let rationale = (0..n)
-            .map(|p| StepRationale {
-                position: p,
-                cardinality: stats[p].cardinality,
-                selectivity: 1.0,
-                estimate: stats[p].cardinality as f64,
-            })
-            .collect();
-        return (BranchPlan::all_scans(n), rationale);
+        return (BranchPlan::all_scans(n), asked);
     }
+    let mut distinct = |position: usize, column: usize| {
+        if let Some(c) = asked
+            .iter()
+            .find(|c| (c.position, c.column) == (position, column))
+        {
+            return c.distinct;
+        }
+        let d = count(position, column);
+        asked.push(DistinctCount {
+            position,
+            column,
+            distinct: d,
+        });
+        d
+    };
     let mut bound = vec![false; n];
     let mut steps = Vec::with_capacity(n);
-    let mut rationale = Vec::with_capacity(n);
-    while steps.len() < n {
+    for remaining in (1..=n).rev() {
+        let compared = remaining > 1;
         let mut best: Option<(f64, usize, Vec<EqAtom>)> = None;
-        for p in 0..n {
-            if bound[p] {
-                continue;
-            }
+        for p in (0..n).filter(|&p| !bound[p]) {
             let usable: Vec<EqAtom> = atoms
                 .iter()
                 .filter(|a| {
@@ -620,10 +635,12 @@ pub fn plan_branch_traced(
                 })
                 .cloned()
                 .collect();
-            let mut est = stats[p].cardinality as f64;
-            for a in &usable {
-                if let Ok(pos) = schemas[p].position(&a.attr) {
-                    est *= stats[p].eq_selectivity(pos);
+            let mut est = cards[p] as f64;
+            if compared {
+                for a in &usable {
+                    if let Ok(column) = schemas[p].position(&a.attr) {
+                        est *= eq_selectivity(distinct(p, column));
+                    }
                 }
             }
             // Prefer probes over scans at equal estimates.
@@ -638,51 +655,23 @@ pub fn plan_branch_traced(
                 best = Some((est, p, usable));
             }
         }
-        // `steps.len() < n` guarantees at least one unbound position,
-        // so the inner loop always proposes a candidate. If the
-        // invariant were ever violated, fall back to scanning the
-        // remaining positions rather than panicking in the planner.
-        let Some((est, p, usable)) = best else {
+        // `remaining` counts the unbound positions, so the inner loop
+        // always proposes a candidate.
+        let Some((_, p, usable)) = best else {
             debug_assert!(false, "an unbound position always exists");
-            for (p, b) in bound.iter().enumerate() {
-                if !b {
-                    steps.push(PlanStep {
-                        position: p,
-                        access: Access::Scan,
-                    });
-                    rationale.push(StepRationale {
-                        position: p,
-                        cardinality: stats[p].cardinality,
-                        selectivity: 1.0,
-                        estimate: stats[p].cardinality as f64,
-                    });
-                }
-            }
             break;
         };
         bound[p] = true;
-        let cardinality = stats[p].cardinality;
-        rationale.push(StepRationale {
-            position: p,
-            cardinality,
-            selectivity: if cardinality == 0 {
-                1.0
-            } else {
-                est / cardinality as f64
-            },
-            estimate: est,
-        });
-        let access = if usable.is_empty() {
-            Access::Scan
-        } else {
-            Access::Probe(usable)
-        };
         steps.push(PlanStep {
             position: p,
-            access,
+            access: if usable.is_empty() {
+                Access::Scan
+            } else {
+                Access::Probe(usable)
+            },
         });
     }
-    (BranchPlan { steps }, rationale)
+    (BranchPlan { steps }, asked)
 }
 
 /// Definition lookup for [`base_relations`]: resolves the *bodies*
@@ -878,11 +867,109 @@ impl ProfileWalk<'_> {
 mod tests {
     use super::*;
     use crate::builder::*;
-    use dc_relation::Relation;
-    use dc_value::{tuple, Domain, Schema};
+    use dc_index::RelationStats;
+    use dc_value::{Domain, Schema};
 
     fn edge_schema() -> Schema {
         Schema::of(&[("front", Domain::Str), ("back", Domain::Str)])
+    }
+
+    fn stats(cardinality: usize, distinct: &[usize]) -> RelationStats {
+        RelationStats {
+            cardinality,
+            distinct: distinct.to_vec(),
+        }
+    }
+
+    /// The eager planner: full statistics for every range, every
+    /// candidate's estimate read in full. Returns the plan and the
+    /// (position, column) counts it read at steps comparing two or more
+    /// candidates.
+    fn eager_plan(
+        branch: &Branch,
+        schemas: &[&Schema],
+        stats: &[RelationStats],
+    ) -> (BranchPlan, Vec<(usize, usize)>) {
+        let n = branch.bindings.len();
+        let atoms = extract_eq_atoms(branch);
+        let mut compared_reads = Vec::new();
+        if atoms.is_empty() {
+            return (BranchPlan::all_scans(n), compared_reads);
+        }
+        let mut bound = vec![false; n];
+        let mut steps = Vec::new();
+        while steps.len() < n {
+            let candidates = bound.iter().filter(|b| !**b).count();
+            let mut best: Option<(f64, usize, Vec<EqAtom>)> = None;
+            for p in (0..n).filter(|&p| !bound[p]) {
+                let usable: Vec<EqAtom> = atoms
+                    .iter()
+                    .filter(|a| {
+                        a.position == p
+                            && match &a.source {
+                                KeySource::Free(_) => true,
+                                KeySource::Binding { position, .. } => bound[*position],
+                            }
+                    })
+                    .cloned()
+                    .collect();
+                let mut est = stats[p].cardinality as f64;
+                for a in &usable {
+                    if let Ok(c) = schemas[p].position(&a.attr) {
+                        est *= eq_selectivity(stats[p].distinct.get(c).copied());
+                        if candidates > 1 {
+                            compared_reads.push((p, c));
+                        }
+                    }
+                }
+                let better = match &best {
+                    None => true,
+                    Some((e, _, best_atoms)) => {
+                        est < *e || (est == *e && best_atoms.is_empty() && !usable.is_empty())
+                    }
+                };
+                if better {
+                    best = Some((est, p, usable));
+                }
+            }
+            let (_, p, usable) = best.unwrap();
+            bound[p] = true;
+            steps.push(PlanStep {
+                position: p,
+                access: if usable.is_empty() {
+                    Access::Scan
+                } else {
+                    Access::Probe(usable)
+                },
+            });
+        }
+        compared_reads.sort();
+        compared_reads.dedup();
+        (BranchPlan { steps }, compared_reads)
+    }
+
+    /// Plan by asking `stats` for counts, and check it against the
+    /// eager planner over the same full statistics: the same plan, with
+    /// counts asked for exactly where the eager planner compared
+    /// candidates that read them — and each asked for once.
+    fn planned(
+        branch: &Branch,
+        schemas: &[&Schema],
+        stats: &[RelationStats],
+    ) -> (BranchPlan, Vec<DistinctCount>) {
+        let cards: Vec<usize> = stats.iter().map(|s| s.cardinality).collect();
+        let mut calls = 0;
+        let (plan, asked) = plan_branch(branch, schemas, &cards, |p, c| {
+            calls += 1;
+            stats[p].distinct.get(c).copied()
+        });
+        let (eager, compared_reads) = eager_plan(branch, schemas, stats);
+        assert_eq!(plan, eager, "{branch:?}");
+        assert_eq!(calls, asked.len(), "each count is asked for once");
+        let mut got: Vec<(usize, usize)> = asked.iter().map(|c| (c.position, c.column)).collect();
+        got.sort();
+        assert_eq!(got, compared_reads, "{branch:?}");
+        (plan, asked)
     }
 
     /// The paper's two-variable join branch:
@@ -990,30 +1077,23 @@ mod tests {
             predicate: eq(attr("x", "front"), cnst("a")),
         };
         assert!(extract_eq_atoms(&b).is_empty());
-        let plan = plan_branch(
+        let schema = edge_schema();
+        let (plan, _) = planned(
             &b,
-            &[&edge_schema(), &edge_schema()],
-            &[
-                RelationStats {
-                    cardinality: 1,
-                    distinct: vec![1, 1],
-                },
-                RelationStats {
-                    cardinality: 1,
-                    distinct: vec![1, 1],
-                },
-            ],
+            &[&schema, &schema],
+            &[stats(1, &[1, 1]), stats(1, &[1, 1])],
         );
         assert_eq!(plan, BranchPlan::all_scans(2));
     }
 
     #[test]
     fn join_plan_scans_once_probes_rest() {
-        let rel_small =
-            Relation::from_tuples(edge_schema(), vec![tuple!["a", "b"], tuple!["b", "c"]]).unwrap();
-        let stats = RelationStats::collect(&rel_small);
         let schema = edge_schema();
-        let plan = plan_branch(&join_branch(), &[&schema, &schema], &[stats.clone(), stats]);
+        let small = stats(2, &[2, 2]);
+        let (plan, asked) = planned(&join_branch(), &[&schema, &schema], &[small.clone(), small]);
+        // Binding-keyed on both sides: the first step compares
+        // cardinalities, the second has no alternative.
+        assert!(asked.is_empty());
         assert_eq!(plan.steps.len(), 2);
         assert!(matches!(plan.steps[0].access, Access::Scan));
         let Access::Probe(atoms) = &plan.steps[1].access else {
@@ -1032,21 +1112,20 @@ mod tests {
             vec![("big".into(), rel("Big")), ("sel".into(), rel("Sel"))],
             eq(attr("sel", "front"), cnst("x")).and(eq(attr("big", "back"), attr("sel", "back"))),
         );
-        let big = Relation::from_tuples(
-            edge_schema(),
-            (0..50).map(|i| tuple![format!("f{i}"), format!("b{i}")]),
-        )
-        .unwrap();
-        let sel = Relation::from_tuples(
-            edge_schema(),
-            (0..10).map(|i| tuple![format!("s{i}"), format!("b{i}")]),
-        )
-        .unwrap();
         let schema = edge_schema();
-        let plan = plan_branch(
+        let (plan, asked) = planned(
             &b,
             &[&schema, &schema],
-            &[RelationStats::collect(&big), RelationStats::collect(&sel)],
+            &[stats(50, &[50, 50]), stats(10, &[10, 10])],
+        );
+        // Only the constant-keyed candidate's column decided anything.
+        assert_eq!(
+            asked,
+            [DistinctCount {
+                position: 1,
+                column: 0,
+                distinct: Some(10)
+            }]
         );
         assert_eq!(plan.steps[0].position, 1, "{plan:?}");
         assert!(matches!(plan.steps[0].access, Access::Probe(_)));
@@ -1142,23 +1221,16 @@ mod tests {
     #[test]
     fn estimate_branch_rows_reflects_join_atoms() {
         let schema = edge_schema();
-        let stats = [
-            RelationStats {
-                cardinality: 100,
-                distinct: vec![50, 20],
-            },
-            RelationStats {
-                cardinality: 60,
-                distinct: vec![30, 10],
-            },
-        ];
+        let cards = [100, 60];
+        let distinct = [[50, 20], [30, 10]];
+        let known = |p: usize, c: usize| Some(distinct[p][c]);
         // Cross product, no atoms.
         let cross = Branch::projecting(
             vec![attr("a", "front")],
             vec![("a".into(), rel("R")), ("b".into(), rel("S"))],
             tru(),
         );
-        let est = estimate_branch_rows(&cross, &[&schema, &schema], &stats);
+        let est = estimate_branch_rows(&cross, &[&schema, &schema], &cards, known);
         assert_eq!(est, 6000.0);
         // One join atom: reduced by 1/max(distinct) = 1/50, counted
         // once despite the symmetric atom pair.
@@ -1167,15 +1239,20 @@ mod tests {
             vec![("a".into(), rel("R")), ("b".into(), rel("S"))],
             eq(attr("a", "front"), attr("b", "front")),
         );
-        let est = estimate_branch_rows(&join, &[&schema, &schema], &stats);
+        let est = estimate_branch_rows(&join, &[&schema, &schema], &cards, known);
         assert_eq!(est, 6000.0 / 50.0);
+        // A count nothing holds reads as no information.
+        let est = estimate_branch_rows(&join, &[&schema, &schema], &cards, |p, c| {
+            (p == 1).then(|| known(p, c)).flatten()
+        });
+        assert_eq!(est, 6000.0 / 30.0);
         // An extra constant atom narrows further.
         let join_const = Branch::projecting(
             vec![attr("a", "front")],
             vec![("a".into(), rel("R")), ("b".into(), rel("S"))],
             eq(attr("a", "front"), attr("b", "front")).and(eq(attr("b", "back"), cnst("x"))),
         );
-        let est = estimate_branch_rows(&join_const, &[&schema, &schema], &stats);
+        let est = estimate_branch_rows(&join_const, &[&schema, &schema], &cards, known);
         assert_eq!(est, 6000.0 / 50.0 / 10.0);
     }
 
@@ -1187,22 +1264,67 @@ mod tests {
             tru(),
         );
         let schema = edge_schema();
-        let plan = plan_branch(
+        let (plan, _) = planned(
             &b,
             &[&schema, &schema],
-            &[
-                RelationStats {
-                    cardinality: 9,
-                    distinct: vec![3, 3],
-                },
-                RelationStats {
-                    cardinality: 1,
-                    distinct: vec![1, 1],
-                },
-            ],
+            &[stats(9, &[3, 3]), stats(1, &[1, 1])],
         );
         assert_eq!(plan, BranchPlan::all_scans(2));
         assert!(!plan.has_probe());
+    }
+
+    #[test]
+    fn asking_for_counts_plans_as_full_statistics_do() {
+        // Generated 2–4-binding branches over three integer columns:
+        // random cross-binding and constant equalities, random
+        // cardinalities (small ones, so ties occur) and distinct
+        // counts. `planned` checks each against the eager planner.
+        let schema = Schema::of(&[("a", Domain::Int), ("b", Domain::Int), ("c", Domain::Int)]);
+        let cols = ["a", "b", "c"];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |below: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % below as u64) as usize
+        };
+        let mut binding_keyed_pairs = 0;
+        for case in 0..2000 {
+            let n = 2 + next(3);
+            let vars: Vec<String> = (0..n).map(|i| format!("x{i}")).collect();
+            let mut predicate = tru();
+            for _ in 0..next(5) {
+                let (i, j) = (next(n), next(n));
+                let probed = attr(&vars[i], cols[next(3)]);
+                predicate = predicate.and(if i == j {
+                    eq(probed, cnst(next(9) as i64))
+                } else {
+                    eq(probed, attr(&vars[j], cols[next(3)]))
+                });
+            }
+            let branch = Branch::projecting(
+                vec![attr(&vars[0], "a")],
+                vars.iter().map(|v| (v.clone(), rel("R"))).collect(),
+                predicate,
+            );
+            let ranges: Vec<RelationStats> = (0..n)
+                .map(|_| {
+                    let card = 1 + next(if case % 2 == 0 { 8 } else { 1000 });
+                    stats(card, &[1 + next(card), 1 + next(card), 1 + next(card)])
+                })
+                .collect();
+            let (_, asked) = planned(&branch, &vec![&schema; n], &ranges);
+            let atoms = extract_eq_atoms(&branch);
+            if n == 2
+                && atoms
+                    .iter()
+                    .all(|a| matches!(a.source, KeySource::Binding { .. }))
+            {
+                assert!(asked.is_empty(), "{branch:?}");
+                binding_keyed_pairs += 1;
+            }
+        }
+        assert!(binding_keyed_pairs > 100, "{binding_keyed_pairs}");
     }
 
     /// Definition store for read-profile tests: the `ahead` transitive

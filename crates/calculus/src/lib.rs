@@ -10,9 +10,9 @@
 //!
 //! Crate layout:
 //!
-//! * [`access`] — [`access::AccessCache`], the one cache of indexes
-//!   and statistics, keyed by the storage identity of the relations
-//!   they describe.
+//! * [`access`] — [`access::AccessCache`], the one cache of hash
+//!   indexes, keyed by the storage identity of the relations they
+//!   index.
 //! * [`ast`] — the expression types: [`ast::RangeExpr`] (relation-valued),
 //!   [`ast::Formula`] (truth-valued), [`ast::ScalarExpr`] (value-valued),
 //!   plus [`ast::SelectorDef`], the named-predicate abstraction of §2.3.

@@ -11,15 +11,13 @@
 
 use std::fmt;
 
-use dc_index::RelationStats;
 use dc_value::Schema;
 
 use crate::ast::Branch;
-use crate::joinplan::{self, Access, BranchPlan, EqAtom, StepRationale};
+use crate::joinplan::{self, Access, BranchPlan, EqAtom};
 
 /// One step of a chosen branch access path, with the System-R numbers
-/// that ranked it: `estimate = cardinality × selectivity` at the
-/// moment the position was picked.
+/// that rank it: `estimate = cardinality × selectivity`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AccessStep {
     /// Binding position (declaration order) this step enumerates.
@@ -28,10 +26,10 @@ pub struct AccessStep {
     pub var: String,
     /// Attributes probed through a hash index; empty means a scan.
     pub probe_attrs: Vec<String>,
-    /// Range cardinality from statistics.
+    /// Range cardinality.
     pub cardinality: usize,
-    /// Product of equality-atom selectivities usable at pick time
-    /// (1.0 for a scan).
+    /// Product of the probed columns' `1/distinct` selectivities (1.0
+    /// for a scan, and for a column whose count is not at hand).
     pub selectivity: f64,
     /// `cardinality × selectivity` — the ordering key.
     pub estimate: f64,
@@ -109,13 +107,17 @@ impl PlanEvent {
     /// (the evaluator passes its compiled plan's, so a demoted key shows
     /// up in the residual); `None` takes every planned probe atom as
     /// realised — the static preview's view, which compiles nothing.
+    /// `cards` are the ranges' cardinalities; `known` answers a
+    /// (position, column) distinct count only from counts the plan
+    /// already holds — the ones the planner asked for, the indexes of
+    /// its probe steps — so rendering never builds an index.
     pub fn access_path_for(
         branch: &Branch,
         plan: &BranchPlan,
         realised: Option<&[&EqAtom]>,
-        rationale: &[StepRationale],
         schemas: &[&Schema],
-        stats: &[RelationStats],
+        cards: &[usize],
+        known: impl Fn(usize, usize) -> Option<usize>,
     ) -> PlanEvent {
         let planned: Vec<&EqAtom>;
         let realised = match realised {
@@ -145,23 +147,31 @@ impl PlanEvent {
         let steps = plan
             .steps
             .iter()
-            .zip(rationale)
-            .map(|(step, r)| AccessStep {
-                position: step.position,
-                var: branch.bindings[step.position].0.clone(),
-                probe_attrs: match &step.access {
-                    Access::Scan => Vec::new(),
-                    Access::Probe(atoms) => atoms.iter().map(|a| a.attr.clone()).collect(),
-                },
-                cardinality: r.cardinality,
-                selectivity: r.selectivity,
-                estimate: r.estimate,
+            .map(|step| {
+                let p = step.position;
+                let probed: &[EqAtom] = match &step.access {
+                    Access::Scan => &[],
+                    Access::Probe(atoms) => atoms,
+                };
+                let selectivity: f64 = probed
+                    .iter()
+                    .filter_map(|a| schemas[p].position(&a.attr).ok())
+                    .map(|column| joinplan::eq_selectivity(known(p, column)))
+                    .product();
+                AccessStep {
+                    position: p,
+                    var: branch.bindings[p].0.clone(),
+                    probe_attrs: probed.iter().map(|a| a.attr.clone()).collect(),
+                    cardinality: cards[p],
+                    selectivity,
+                    estimate: cards[p] as f64 * selectivity,
+                }
             })
             .collect();
         PlanEvent::AccessPath {
             steps,
             residual,
-            estimated_rows: joinplan::estimate_branch_rows(branch, schemas, stats),
+            estimated_rows: joinplan::estimate_branch_rows(branch, schemas, cards, known),
         }
     }
 }

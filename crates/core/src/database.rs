@@ -40,7 +40,7 @@ pub struct Database {
     /// that its [`AppKey`] does not cover, so the memo is dropped
     /// whenever any relation changes (and when the strategy does).
     solved: RefCell<FxHashMap<AppKey, Relation>>,
-    /// Indexes and statistics over the base relations, served to every evaluator through
+    /// Indexes over the base relations, served to every evaluator through
     /// [`Catalog::access`]. Keyed by storage identity, so a changed
     /// relation simply misses; [`Database::mutate`] forgets the id it
     /// had before.
@@ -414,7 +414,7 @@ impl Database {
     /// Type-check and evaluate a query, returning the planner's typed
     /// decision trace rendered as an `EXPLAIN` tree instead of the
     /// result relation: the chosen access path per branch (probe vs.
-    /// scan, with the statistics behind the ordering), quantifier-plan
+    /// scan, with the estimates behind the ordering), quantifier-plan
     /// demotions, and correlated ranges left on the reference scan,
     /// each with its reason.
     pub fn explain(&self, query: &RangeExpr) -> Result<Explanation, CoreError> {

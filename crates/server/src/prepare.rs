@@ -25,7 +25,6 @@ use std::sync::Arc;
 use dc_calculus::ast::{Formula, Name, ScalarExpr, SetFormer};
 use dc_calculus::joinplan::{self, ReadProfile};
 use dc_calculus::{rewrite, typeck, Explanation, PlanEvent, RangeExpr};
-use dc_index::RelationStats;
 use dc_value::{FxHashMap, Schema, Value};
 
 use crate::error::ServerError;
@@ -122,9 +121,11 @@ impl PreparedQuery {
     /// demotions, refusals — plus the result cardinality. Solve-kind
     /// handles get a **static preview** instead: each branch of the
     /// constructor body is planned against the snapshot's current
-    /// statistics (formals substituted by their actual catalog
-    /// relations; recursive applications plan with their declared
-    /// schema and no statistics), without running the fixpoint.
+    /// cardinalities and the distinct counts of the indexes it already
+    /// caches (formals substituted by their actual catalog relations;
+    /// recursive applications plan with their declared schema and
+    /// nothing known), without running the fixpoint or building an
+    /// index.
     pub fn explain(&self, session: &Session) -> Result<Explanation, ServerError> {
         match &self.inner.kind {
             PreparedKind::Query { ast } => session.explain(ast),
@@ -139,7 +140,7 @@ impl PreparedQuery {
 }
 
 /// Static plan preview of a prepared solve: plan every branch of the
-/// constructor body against the pinned snapshot's statistics.
+/// constructor body against what the pinned snapshot already holds.
 fn explain_solve(
     session: &Session,
     base: &Name,
@@ -170,42 +171,45 @@ fn explain_solve(
             continue;
         }
         let mut schemas: Vec<Schema> = Vec::with_capacity(branch.bindings.len());
-        let mut stats: Vec<RelationStats> = Vec::with_capacity(branch.bindings.len());
+        let mut cards: Vec<usize> = Vec::with_capacity(branch.bindings.len());
+        let mut rels = Vec::with_capacity(branch.bindings.len());
         for (_, range) in &branch.bindings {
             let sub = rewrite::substitute_rel(range, &map);
-            match &sub {
-                // A named catalog relation: real schema, real (cached)
-                // statistics.
-                RangeExpr::Rel(name) if snap.relation(name).is_some() => {
-                    // Guarded by the match arm; the snapshot is pinned.
-                    let Some(rel) = snap.relation(name) else {
-                        continue;
-                    };
+            let rel = match &sub {
+                RangeExpr::Rel(name) => snap.relation(name),
+                _ => None,
+            };
+            match rel {
+                // A named catalog relation: real schema and cardinality.
+                Some(rel) => {
                     schemas.push(rel.schema().clone());
-                    stats.push((*snap.access().stats(rel)).clone());
+                    cards.push(rel.len());
                 }
                 // Anything else (recursive application, nested
-                // set-former): the checked result schema with no
-                // statistics — the preview's honest "unknown".
-                _ => {
-                    let schema = typeck::check_range(&sub, session)?;
-                    schemas.push(schema);
-                    stats.push(RelationStats {
-                        cardinality: 0,
-                        distinct: Vec::new(),
-                    });
+                // set-former): the checked result schema and nothing
+                // known — the preview's honest "unknown".
+                None => {
+                    schemas.push(typeck::check_range(&sub, session)?);
+                    cards.push(0);
                 }
             }
+            rels.push(rel);
         }
         let schema_refs: Vec<&Schema> = schemas.iter().collect();
-        let (plan, rationale) = joinplan::plan_branch_traced(branch, &schema_refs, &stats);
+        // Only the counts of indexes the snapshot already caches: a
+        // column without one is unknown.
+        let cached = |p: usize, column: usize| {
+            let rel = rels[p]?;
+            Some(snap.access().cached(rel, &[column])?.distinct_keys())
+        };
+        let (plan, _) = joinplan::plan_branch(branch, &schema_refs, &cards, cached);
         events.push(PlanEvent::access_path_for(
             branch,
             &plan,
             None,
-            &rationale,
             &schema_refs,
-            &stats,
+            &cards,
+            cached,
         ));
     }
     // Header: the equivalent applied-constructor expression.

@@ -38,7 +38,7 @@ struct SubEntry {
     /// The query's result at the last delivered epoch.
     result: Relation,
     /// The converged fixpoint system behind `result` (solve-kind
-    /// queries only): per-equation values, indexes, and statistics the
+    /// queries only): per-equation values and the indexes over them the
     /// warm path re-enters semi-naive rounds from.
     system: Option<SolvedSystem>,
 }

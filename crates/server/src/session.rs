@@ -126,7 +126,7 @@ impl Session {
 
     /// Evaluate `query` against the pinned snapshot and return the
     /// planner's typed decision trace rendered as an `EXPLAIN` tree:
-    /// the chosen access path per branch with the statistics behind
+    /// the chosen access path per branch with the estimates behind
     /// it, quantifier-plan demotions, and correlated ranges left on the
     /// reference scan.
     pub fn explain(&self, query: &RangeExpr) -> Result<Explanation, ServerError> {

@@ -73,7 +73,7 @@ pub struct Snapshot {
     relations: FxHashMap<Name, Relation>,
     catalog_digest: u128,
     defs: Arc<Defs>,
-    /// Indexes and statistics over this snapshot's relations, shared by every session pinning it: what
+    /// Indexes over this snapshot's relations, shared by every session pinning it: what
     /// one session builds, its siblings hit.
     access: AccessCache,
     warm: Warm,

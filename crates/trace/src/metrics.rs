@@ -121,10 +121,6 @@ counters! {
     WarmIndexHits => warm_index_hits,
     /// Access-cache lookups that had to build a hash index.
     WarmIndexMisses => warm_index_misses,
-    /// Access-cache lookups that found relation statistics.
-    WarmStatsHits => warm_stats_hits,
-    /// Access-cache lookups that had to collect relation statistics.
-    WarmStatsMisses => warm_stats_misses,
     /// Server commits published.
     Commits => commits,
     /// Server commits rejected by conflict validation.
@@ -362,13 +358,11 @@ impl MetricsSnapshot {
         self.counter_fields().to_vec()
     }
 
-    /// Hit rate in `[0, 1]` across the solved memo and the two
-    /// access-cache kinds, or
-    /// `None` when nothing was looked up.
+    /// Hit rate in `[0, 1]` across the solved memo and the access
+    /// cache's indexes, or `None` when nothing was looked up.
     pub fn warm_hit_rate(&self) -> Option<f64> {
-        let hits = self.warm_solved_hits + self.warm_index_hits + self.warm_stats_hits;
-        let total =
-            hits + self.warm_solved_misses + self.warm_index_misses + self.warm_stats_misses;
+        let hits = self.warm_solved_hits + self.warm_index_hits;
+        let total = hits + self.warm_solved_misses + self.warm_index_misses;
         if total == 0 {
             None
         } else {
@@ -511,7 +505,7 @@ mod tests {
         reg.inc(Counter::WarmSolvedHits);
         reg.inc(Counter::WarmSolvedHits);
         reg.inc(Counter::WarmIndexMisses);
-        reg.inc(Counter::WarmStatsMisses);
+        reg.inc(Counter::WarmIndexMisses);
         let snap = reg.snapshot();
         assert_eq!(snap.warm_hit_rate(), Some(0.5));
         let json = snap.to_json();

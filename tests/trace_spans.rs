@@ -260,7 +260,7 @@ fn database_explain_renders_access_path() {
     };
     assert_eq!(steps.len(), 2);
     // One side scans, the other probes the equality key; the planner
-    // picks the cheaper orientation from statistics.
+    // picks the cheaper orientation from cardinalities.
     assert!(
         steps.iter().any(|s| s.is_probe()),
         "expected one probe step: {steps:?}"
