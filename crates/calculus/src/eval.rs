@@ -85,6 +85,7 @@
 //!   Solver-spawned evaluators are never given workers: inside a solve
 //!   the round's task dispatch is the only parallelism.
 
+use std::ops::ControlFlow;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -92,7 +93,7 @@ use dc_governor::fail::{self, Site};
 use dc_governor::{Meter, SolveError};
 use dc_index::HashIndex;
 use dc_relation::Relation;
-use dc_value::{Attribute, Domain, FxHashMap, FxHashSet, Schema, Tuple, Value};
+use dc_value::{Attribute, Domain, FxHashMap, Schema, Tuple, Value};
 
 use dc_trace::metrics::{Counter, MetricsRegistry};
 use dc_trace::SpanKind;
@@ -103,7 +104,7 @@ use crate::env::{Catalog, MapCatalog};
 use crate::error::EvalError;
 use crate::joinplan::{self, Access, BranchPlan, DistinctCount, EqAtom, KeySource, QuantMode};
 use crate::plan_event::{PlanEvent, QuantDemotionReason};
-use crate::rewrite;
+use crate::rewrite::{self, Node};
 
 /// Minimum scan-side cardinality before a branch's scan is sharded
 /// across the worker pool. Below it the whole branch evaluates in tens
@@ -738,10 +739,10 @@ impl<'a> Evaluator<'a> {
         {
             return None;
         }
-        let mut names = rewrite::param_names_formula(&branch.predicate);
+        let mut names = rewrite::param_names(&branch.predicate);
         if let Target::Tuple(exprs) = &branch.target {
             for e in exprs {
-                rewrite::collect_params_scalar(e, &mut names);
+                names.extend(rewrite::param_names(e));
             }
         }
         names
@@ -1194,10 +1195,12 @@ impl<'a> Evaluator<'a> {
                 // Capture guard: an argument mentioning the element
                 // variable or any variable bound inside the predicate
                 // would be captured by the substitution.
-                let mut bound = FxHashSet::default();
+                let mut bound = rewrite::bound_vars(&def.predicate);
                 bound.insert(def.element_var.clone());
-                rewrite::bound_vars_formula(&def.predicate, &mut bound);
-                if args.iter().any(|a| rewrite::scalar_mentions_any(a, &bound)) {
+                if args
+                    .iter()
+                    .any(|a| rewrite::mentions_free(a, |v| bound.contains(v)))
+                {
                     return None;
                 }
                 let mut map = FxHashMap::default();
@@ -1206,7 +1209,7 @@ impl<'a> Evaluator<'a> {
                     map.insert(pname.clone(), arg.clone());
                     arg_checks.push((arg.clone(), pdom.clone()));
                 }
-                let pred = rewrite::substitute_param_exprs_formula(&def.predicate, &map);
+                let pred = rewrite::substitute_param_exprs(&def.predicate, &map);
                 Some((
                     Branch::each(def.element_var.clone(), (**base).clone(), pred),
                     arg_checks,
@@ -1790,12 +1793,13 @@ enum CompiledKey {
 /// Quantifiers and membership tests evaluate ranges, which is where
 /// catalog reads, constructor applications, and planner caches live.
 fn is_pure(f: &Formula) -> bool {
-    match f {
-        Formula::True | Formula::False | Formula::Cmp(..) => true,
-        Formula::And(a, b) | Formula::Or(a, b) => is_pure(a) && is_pure(b),
-        Formula::Not(inner) => is_pure(inner),
-        Formula::Some(..) | Formula::All(..) | Formula::Member(..) | Formula::TupleIn(..) => false,
-    }
+    rewrite::walk(f, |n, _| match n {
+        Node::Formula(
+            Formula::Some(..) | Formula::All(..) | Formula::Member(..) | Formula::TupleIn(..),
+        ) => ControlFlow::Break(()),
+        _ => ControlFlow::Continue(()),
+    })
+    .is_continue()
 }
 
 /// Fingerprint of a planned branch site, used to record its access
@@ -1817,9 +1821,16 @@ fn lookup<'b>(bindings: &'b [Binding], var: &str) -> Result<&'b Binding, EvalErr
 }
 
 /// Is the range expression free of references to outer tuple variables
-/// and parameters (and therefore safe to cache by syntax)?
+/// and parameters (and therefore safe to cache by syntax)? Scoped as
+/// the evaluator evaluates: a branch's binding ranges see none of the
+/// branch's own variables.
 pub fn is_binding_free(range: &RangeExpr) -> bool {
-    joinplan::range_uses_only(range, &mut Vec::new())
+    rewrite::walk(range, |n, bound| match n {
+        Node::Scalar(ScalarExpr::Param(_)) => ControlFlow::Break(()),
+        Node::Var(v) if !bound.contains(&v.as_str()) => ControlFlow::Break(()),
+        _ => ControlFlow::Continue(()),
+    })
+    .is_continue()
 }
 
 #[cfg(test)]
@@ -2103,6 +2114,45 @@ mod tests {
         let out = ev.eval(&e).unwrap();
         // Same result as the SOME formulation above.
         assert_eq!(out.len(), 2);
+    }
+
+    #[test]
+    fn binding_ranges_see_only_the_enclosing_scope() {
+        // {EACH a IN T: SOME z IN {EACH a IN R, EACH b IN S[sel(a.k)]: TRUE} (TRUE)}
+        // `S[sel(a.k)]` is evaluated before the inner branch binds its
+        // `a`, so it reads the outer one: the inner set-former depends
+        // on each outer tuple and must not be served from the cache.
+        let ks = |ks: &[i64]| {
+            Relation::from_tuples(
+                Schema::of(&[("k", Domain::Int)]),
+                ks.iter().map(|k| tuple![*k]),
+            )
+            .unwrap()
+        };
+        let cat = MapCatalog::new()
+            .with_relation("T", ks(&[1, 2]))
+            .with_relation("R", ks(&[10]))
+            .with_relation("S", ks(&[2]))
+            .with_selector(SelectorDef {
+                name: "sel".into(),
+                element_var: "s".into(),
+                params: vec![("K".into(), Domain::Int)],
+                predicate: eq(attr("s", "k"), param("K")),
+            });
+        let inner = set_former(vec![Branch {
+            target: Target::Var("a".into()),
+            bindings: vec![
+                ("a".into(), rel("R")),
+                ("b".into(), rel("S").select("sel", vec![attr("a", "k")])),
+            ],
+            predicate: tru(),
+        }]);
+        assert!(!is_binding_free(&inner));
+        let e = set_former(vec![Branch::each("a", rel("T"), some("z", inner, tru()))]);
+        let planned = Evaluator::new(&cat).eval(&e).unwrap();
+        let reference = Evaluator::new(&cat).force_nested_loop().eval(&e).unwrap();
+        assert_eq!(planned.sorted_tuples(), vec![tuple![2i64]]);
+        assert_eq!(reference.sorted_tuples(), vec![tuple![2i64]]);
     }
 
     #[test]

@@ -46,7 +46,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use dc_value::Schema;
 
 use crate::ast::{Branch, CmpOp, Formula, Name, RangeExpr, ScalarExpr, SetFormer, Var};
-use crate::rewrite;
+use crate::rewrite::{self, conjuncts};
 
 /// The non-probed side of an equality atom.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -128,13 +128,7 @@ impl BranchPlan {
 /// evaluable before the branch loops start: constants, parameters,
 /// outer variables.)
 fn free_of_branch_vars(e: &ScalarExpr, branch_vars: &[&Var]) -> bool {
-    match e {
-        ScalarExpr::Const(_) | ScalarExpr::Param(_) => true,
-        ScalarExpr::Attr(v, _) => !branch_vars.contains(&v),
-        ScalarExpr::Arith(l, _, r) => {
-            free_of_branch_vars(l, branch_vars) && free_of_branch_vars(r, branch_vars)
-        }
-    }
+    !rewrite::mentions_free(e, |v| branch_vars.iter().any(|b| *b == v))
 }
 
 /// `e` as `position.attr` of a branch variable, if it is exactly that.
@@ -149,23 +143,6 @@ fn as_branch_attr(e: &ScalarExpr, branch: &Branch) -> Option<(usize, String)> {
     } else {
         None
     }
-}
-
-/// Flatten the top-level conjunction of a formula.
-fn conjuncts(f: &Formula) -> Vec<&Formula> {
-    let mut out = Vec::new();
-    let mut stack = vec![f];
-    while let Some(g) = stack.pop() {
-        match g {
-            Formula::And(a, b) => {
-                // Right child first, so popping yields left-to-right.
-                stack.push(b);
-                stack.push(a);
-            }
-            other => out.push(other),
-        }
-    }
-    out
 }
 
 /// Extract the equality atoms of a branch usable as probe keys.
@@ -273,15 +250,6 @@ pub struct QuantAtom {
     pub key: ScalarExpr,
 }
 
-/// Does the expression mention the quantified variable anywhere?
-pub(crate) fn mentions_var(e: &ScalarExpr, var: &Var) -> bool {
-    match e {
-        ScalarExpr::Const(_) | ScalarExpr::Param(_) => false,
-        ScalarExpr::Attr(v, _) => v == var,
-        ScalarExpr::Arith(l, _, r) => mentions_var(l, var) || mentions_var(r, var),
-    }
-}
-
 /// Extract the equality atoms of a quantifier body usable as existence
 /// probe keys — the quantifier counterpart of [`extract_eq_atoms`].
 ///
@@ -330,12 +298,13 @@ fn extract_quant_atoms_nnf(var: &Var, nnf_body: &Formula) -> Vec<QuantAtom> {
             ScalarExpr::Attr(v, a) if v == var => Some(a.clone()),
             _ => None,
         };
+        let mentions_var = |e: &ScalarExpr| rewrite::mentions_free(e, |v| v == var);
         match (as_var_attr(l), as_var_attr(r)) {
-            (Some(attr), None) if !mentions_var(r, var) => atoms.push(QuantAtom {
+            (Some(attr), None) if !mentions_var(r) => atoms.push(QuantAtom {
                 attr,
                 key: r.clone(),
             }),
-            (None, Some(attr)) if !mentions_var(l, var) => atoms.push(QuantAtom {
+            (None, Some(attr)) if !mentions_var(l) => atoms.push(QuantAtom {
                 attr,
                 key: l.clone(),
             }),
@@ -409,82 +378,6 @@ pub fn plan_quant_probe(var: &Var, body: &Formula, existential: bool) -> Option<
         mode: QuantMode::Covering,
         atoms,
     })
-}
-
-/// Does the expression reference only the variables in `local` (no
-/// parameters)? The scope analysis behind the evaluator's binding-free
-/// range test.
-pub(crate) fn scalar_uses_only(e: &ScalarExpr, local: &mut Vec<String>) -> bool {
-    match e {
-        ScalarExpr::Const(_) => true,
-        ScalarExpr::Param(_) => false,
-        ScalarExpr::Attr(v, _) => local.iter().any(|l| l == v),
-        ScalarExpr::Arith(l, _, r) => scalar_uses_only(l, local) && scalar_uses_only(r, local),
-    }
-}
-
-/// Formula counterpart of [`scalar_uses_only`]: quantifier and
-/// set-former bindings extend the local scope for their sub-terms.
-pub(crate) fn formula_uses_only(f: &Formula, local: &mut Vec<String>) -> bool {
-    match f {
-        Formula::True | Formula::False => true,
-        Formula::Cmp(l, _, r) => scalar_uses_only(l, local) && scalar_uses_only(r, local),
-        Formula::And(a, b) | Formula::Or(a, b) => {
-            formula_uses_only(a, local) && formula_uses_only(b, local)
-        }
-        Formula::Not(inner) => formula_uses_only(inner, local),
-        Formula::Some(v, range, body) | Formula::All(v, range, body) => {
-            if !range_uses_only(range, local) {
-                return false;
-            }
-            local.push(v.clone());
-            let ok = formula_uses_only(body, local);
-            local.pop();
-            ok
-        }
-        Formula::Member(v, range) => local.iter().any(|l| l == v) && range_uses_only(range, local),
-        Formula::TupleIn(exprs, range) => {
-            exprs.iter().all(|e| scalar_uses_only(e, local)) && range_uses_only(range, local)
-        }
-    }
-}
-
-/// Range counterpart of [`scalar_uses_only`].
-pub(crate) fn range_uses_only(r: &crate::ast::RangeExpr, local: &mut Vec<String>) -> bool {
-    use crate::ast::{RangeExpr, Target};
-    match r {
-        RangeExpr::Rel(_) => true,
-        RangeExpr::Selected { base, args, .. } => {
-            range_uses_only(base, local) && args.iter().all(|a| scalar_uses_only(a, local))
-        }
-        RangeExpr::Constructed {
-            base,
-            args,
-            scalar_args,
-            ..
-        } => {
-            range_uses_only(base, local)
-                && args.iter().all(|a| range_uses_only(a, local))
-                && scalar_args.iter().all(|s| scalar_uses_only(s, local))
-        }
-        RangeExpr::SetFormer(sf) => sf.branches.iter().all(|b| {
-            let mark = local.len();
-            for (v, range) in &b.bindings {
-                if !range_uses_only(range, local) {
-                    local.truncate(mark);
-                    return false;
-                }
-                local.push(v.clone());
-            }
-            let ok = formula_uses_only(&b.predicate, local)
-                && match &b.target {
-                    Target::Var(v) => local.iter().any(|l| l == v),
-                    Target::Tuple(exprs) => exprs.iter().all(|e| scalar_uses_only(e, local)),
-                };
-            local.truncate(mark);
-            ok
-        }),
-    }
 }
 
 /// The System-R `1/distinct` selectivity of an equality on a column

@@ -39,9 +39,13 @@
 //!   [`plan_event::Explanation`] report used by `EXPLAIN`.
 //! * [`positivity`] — §3.3's positivity constraint, implemented exactly
 //!   as defined (parity of enclosing `NOT`s and `ALL`-range positions).
-//! * [`rewrite`] — the one-sorted/De Morgan normalisation used in the
-//!   paper's monotonicity lemma, §4's range unnesting of quantifiers,
-//!   and the substitutions both are built from.
+//! * [`rewrite`] — the two structural traversals of the calculus: one
+//!   read-only walk ([`rewrite::walk`]), whose instances are the name
+//!   analyses and the free-variable test, and one copying fold
+//!   ([`rewrite::Fold`]), whose instances are §3.2's formal → actual
+//!   substitutions and the tuple-variable renamings. On them sit the
+//!   one-sorted/De Morgan normalisation used in the paper's
+//!   monotonicity lemma and §4's range unnesting of quantifiers.
 //! * [`typeck`] — static checking of attribute references, comparability,
 //!   and union compatibility across set-former branches.
 

@@ -20,7 +20,7 @@
 
 use dc_value::FxHashSet;
 
-use crate::ast::{Formula, Name, RangeExpr, Target};
+use crate::ast::{Formula, Name, RangeExpr};
 
 /// What counts as a tracked occurrence.
 #[derive(Debug, Clone)]
@@ -161,9 +161,6 @@ impl Walker<'_> {
                         self.range(range);
                     }
                     self.formula(&b.predicate);
-                    if let Target::Tuple(_) = &b.target {
-                        // Scalar targets contain no relation references.
-                    }
                 }
             }
         }

@@ -1,26 +1,46 @@
-//! Formula normalisation and substitution utilities.
+//! Normalisation, substitution and name analyses over the calculus.
 //!
-//! * [`to_nnf`] implements the rewrite from the paper's monotonicity
-//!   lemma (§3.3): push negations inward via generalised De Morgan and
-//!   quantifier duality, eliminating double negations. After NNF, a
-//!   positive expression contains no tracked occurrence under `NOT` —
-//!   which makes monotonicity syntactically evident.
-//! * [`substitute_rel`] / [`substitute_params_formula`] perform the
-//!   formal → actual substitutions of §3.2 ("replacing all formal
-//!   parameters by their actual values" when building the gⱼ
-//!   functions); [`substitute_param_exprs_formula`] is the
-//!   expression-level variant that turns a selector application into
-//!   the equivalent set-former.
-//! * [`unnest_quantifier`] is §4's range nesting run backwards — N2/N3
-//!   with Case 2's target substitution — over the tuple-variable
-//!   substitutions [`rename_var`] and [`substitute_attr_refs`] (with
-//!   [`target_map`]), which `dc-optimizer`'s predicate push-down uses
-//!   too.
-//! * [`relation_names`] / [`collect_constructed`] are the name analyses
-//!   that drive constructor-application instantiation and the
-//!   quant-graph partitioning of §4.
+//! Every structural traversal of the calculus is an instance of one of
+//! two:
+//!
+//! * [`walk`] — the read-only walk. It visits each range, formula and
+//!   scalar in pre-order, and each use of a tuple variable
+//!   ([`Node::Var`]), telling the visitor which tuple variables are
+//!   bound where the node sits. Its scopes are the evaluator's: a
+//!   quantifier's range lies outside the quantified variable, and every
+//!   binding range of a set-former branch lies outside all of the
+//!   branch's variables. The name analyses are walks —
+//!   [`relation_names`], [`selector_names`], [`param_names`] and
+//!   [`collect_constructed`] drive constructor-application
+//!   instantiation, the solver's reach and the quant-graph partitioning
+//!   of §4, and [`bound_vars`] guards substitutions against capture —
+//!   and so is [`mentions_free`], the free-variable test behind the
+//!   evaluator's range cache ([`crate::eval::is_binding_free`]) and the
+//!   planner's probe keys.
+//! * [`Fold`] — the copying fold. [`Foldable::fold_with`] rebuilds a
+//!   tree bottom-up and hands each rebuilt node, with the variables
+//!   bound around it, to the fold's hooks, which may replace it. §3.2's
+//!   formal → actual substitutions ("replacing all formal parameters by
+//!   their actual values" when building the gⱼ functions) are folds:
+//!   [`substitute_rel`], [`substitute_params`], and
+//!   [`substitute_param_exprs`], which turns a selector application into
+//!   the equivalent set-former. So are the tuple-variable substitutions
+//!   [`rename_var`] and [`substitute_attr_refs`] (with [`target_map`]),
+//!   which `dc-optimizer`'s predicate push-down uses too.
+//!
+//! [`unnest_quantifier`] is §4's range nesting run backwards — N2/N3
+//! with Case 2's target substitution — built from those folds.
+//!
+//! Walks that follow the semantics rather than the structure keep their
+//! own recursion: the type checker, the evaluator, positivity's parity
+//! walk, and [`to_nnf`], the rewrite from the paper's monotonicity lemma
+//! (§3.3), which pushes negations inward via generalised De Morgan and
+//! quantifier duality, eliminating double negations. After NNF, a
+//! positive expression contains no tracked occurrence under `NOT` —
+//! which makes monotonicity syntactically evident.
 
 use std::convert::Infallible;
+use std::ops::ControlFlow;
 
 use dc_value::{FxHashMap, FxHashSet, Value};
 
@@ -62,335 +82,306 @@ fn negate_nnf(f: Formula) -> Formula {
     }
 }
 
-/// Substitute relation names with range expressions throughout a range
-/// expression. Used to instantiate constructor bodies: the formal base
-/// name (`Rel`) and formal relation parameters (`Ontop`) are mapped to
-/// their actuals.
-pub fn substitute_rel(range: &RangeExpr, map: &FxHashMap<Name, RangeExpr>) -> RangeExpr {
-    match range {
-        RangeExpr::Rel(n) => map.get(n).cloned().unwrap_or_else(|| range.clone()),
-        RangeExpr::Selected {
-            base,
-            selector,
-            args,
-        } => RangeExpr::Selected {
-            base: Box::new(substitute_rel(base, map)),
-            selector: selector.clone(),
-            args: args.clone(),
-        },
-        RangeExpr::Constructed {
-            base,
-            constructor,
-            args,
-            scalar_args,
-        } => RangeExpr::Constructed {
-            base: Box::new(substitute_rel(base, map)),
-            constructor: constructor.clone(),
-            args: args.iter().map(|a| substitute_rel(a, map)).collect(),
-            scalar_args: scalar_args.clone(),
-        },
-        RangeExpr::SetFormer(sf) => RangeExpr::SetFormer(SetFormer {
-            branches: sf
-                .branches
-                .iter()
-                .map(|b| Branch {
-                    target: b.target.clone(),
-                    bindings: b
-                        .bindings
-                        .iter()
-                        .map(|(v, r)| (v.clone(), substitute_rel(r, map)))
-                        .collect(),
-                    predicate: substitute_rel_formula(&b.predicate, map),
+/// A node of the calculus as [`walk`] visits it.
+#[derive(Debug, Clone, Copy)]
+pub enum Node<'a> {
+    /// A relation-valued expression.
+    Range(&'a RangeExpr),
+    /// A truth-valued expression.
+    Formula(&'a Formula),
+    /// A value-valued expression.
+    Scalar(&'a ScalarExpr),
+    /// A use of a tuple variable: the `v` of `v.attr`, of `v IN S`, or
+    /// of a branch yielding `v`'s tuple.
+    Var(&'a Var),
+}
+
+impl<'a> From<&'a RangeExpr> for Node<'a> {
+    fn from(r: &'a RangeExpr) -> Node<'a> {
+        Node::Range(r)
+    }
+}
+
+impl<'a> From<&'a Formula> for Node<'a> {
+    fn from(f: &'a Formula) -> Node<'a> {
+        Node::Formula(f)
+    }
+}
+
+impl<'a> From<&'a ScalarExpr> for Node<'a> {
+    fn from(e: &'a ScalarExpr) -> Node<'a> {
+        Node::Scalar(e)
+    }
+}
+
+/// The read-only walk: visit `node` and everything under it in
+/// pre-order, each with the tuple variables bound where it sits
+/// (innermost last), until `visit` breaks off. Children come left to
+/// right, a branch's binding ranges before its target and predicate. A
+/// quantifier's range, and every binding range of a branch, sit outside
+/// the variables they bind: that is where the evaluator evaluates them.
+pub fn walk<'a>(
+    node: impl Into<Node<'a>>,
+    visit: impl FnMut(Node<'a>, &[&'a str]) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    Walk {
+        visit,
+        bound: Vec::new(),
+    }
+    .node(node.into())
+}
+
+struct Walk<'a, F> {
+    visit: F,
+    bound: Vec<&'a str>,
+}
+
+impl<'a, F: FnMut(Node<'a>, &[&'a str]) -> ControlFlow<()>> Walk<'a, F> {
+    fn node(&mut self, node: Node<'a>) -> ControlFlow<()> {
+        (self.visit)(node, &self.bound)?;
+        match node {
+            Node::Range(RangeExpr::Rel(_))
+            | Node::Formula(Formula::True | Formula::False)
+            | Node::Scalar(ScalarExpr::Const(_) | ScalarExpr::Param(_))
+            | Node::Var(_) => ControlFlow::Continue(()),
+            Node::Range(RangeExpr::Selected { base, args, .. }) => {
+                self.node(Node::Range(base))?;
+                self.scalars(args)
+            }
+            Node::Range(RangeExpr::Constructed {
+                base,
+                args,
+                scalar_args,
+                ..
+            }) => {
+                self.node(Node::Range(base))?;
+                args.iter().try_for_each(|a| self.node(Node::Range(a)))?;
+                self.scalars(scalar_args)
+            }
+            Node::Range(RangeExpr::SetFormer(sf)) => sf.branches.iter().try_for_each(|b| {
+                b.bindings
+                    .iter()
+                    .try_for_each(|(_, r)| self.node(Node::Range(r)))?;
+                self.scoped(b.bindings.iter().map(|(v, _)| v), |w| {
+                    match &b.target {
+                        Target::Var(v) => w.node(Node::Var(v))?,
+                        Target::Tuple(exprs) => w.scalars(exprs)?,
+                    }
+                    w.node(Node::Formula(&b.predicate))
                 })
-                .collect(),
-        }),
-    }
-}
-
-/// Substitute relation names inside a formula.
-pub fn substitute_rel_formula(f: &Formula, map: &FxHashMap<Name, RangeExpr>) -> Formula {
-    match f {
-        Formula::True | Formula::False | Formula::Cmp(..) => f.clone(),
-        Formula::And(a, b) => Formula::And(
-            Box::new(substitute_rel_formula(a, map)),
-            Box::new(substitute_rel_formula(b, map)),
-        ),
-        Formula::Or(a, b) => Formula::Or(
-            Box::new(substitute_rel_formula(a, map)),
-            Box::new(substitute_rel_formula(b, map)),
-        ),
-        Formula::Not(inner) => Formula::Not(Box::new(substitute_rel_formula(inner, map))),
-        Formula::Some(v, r, body) => Formula::Some(
-            v.clone(),
-            substitute_rel(r, map),
-            Box::new(substitute_rel_formula(body, map)),
-        ),
-        Formula::All(v, r, body) => Formula::All(
-            v.clone(),
-            substitute_rel(r, map),
-            Box::new(substitute_rel_formula(body, map)),
-        ),
-        Formula::Member(v, r) => Formula::Member(v.clone(), substitute_rel(r, map)),
-        Formula::TupleIn(exprs, r) => Formula::TupleIn(exprs.clone(), substitute_rel(r, map)),
-    }
-}
-
-/// Substitute scalar parameters with arbitrary scalar *expressions*
-/// inside a scalar expression. The expression-level generalisation of
-/// [`substitute_params_scalar`]: where that function fills `Param`
-/// holes with constants (§3.2's partial evaluation), this one fills
-/// them with actual-argument expressions — used to rewrite a selector
-/// application `base[s(args)]` into the equivalent filter
-/// `{EACH el IN base: pred[params := args]}`, which
-/// [`unnest_quantifier`] then turns into a quantifier over `base`.
-///
-/// The caller owns capture avoidance: substituted expressions must not
-/// mention variables bound inside the formula they are substituted
-/// into.
-pub fn substitute_param_exprs_scalar(
-    e: &ScalarExpr,
-    map: &FxHashMap<Name, ScalarExpr>,
-) -> ScalarExpr {
-    match e {
-        ScalarExpr::Param(p) => match map.get(p) {
-            Some(actual) => actual.clone(),
-            None => e.clone(),
-        },
-        ScalarExpr::Arith(l, op, r) => ScalarExpr::Arith(
-            Box::new(substitute_param_exprs_scalar(l, map)),
-            *op,
-            Box::new(substitute_param_exprs_scalar(r, map)),
-        ),
-        _ => e.clone(),
-    }
-}
-
-/// Substitute scalar parameters with scalar expressions throughout a
-/// formula — see [`substitute_param_exprs_scalar`].
-pub fn substitute_param_exprs_formula(f: &Formula, map: &FxHashMap<Name, ScalarExpr>) -> Formula {
-    match f {
-        Formula::True | Formula::False => f.clone(),
-        Formula::Cmp(l, op, r) => Formula::Cmp(
-            substitute_param_exprs_scalar(l, map),
-            *op,
-            substitute_param_exprs_scalar(r, map),
-        ),
-        Formula::And(a, b) => Formula::And(
-            Box::new(substitute_param_exprs_formula(a, map)),
-            Box::new(substitute_param_exprs_formula(b, map)),
-        ),
-        Formula::Or(a, b) => Formula::Or(
-            Box::new(substitute_param_exprs_formula(a, map)),
-            Box::new(substitute_param_exprs_formula(b, map)),
-        ),
-        Formula::Not(inner) => Formula::Not(Box::new(substitute_param_exprs_formula(inner, map))),
-        Formula::Some(v, r, body) => Formula::Some(
-            v.clone(),
-            substitute_param_exprs_range(r, map),
-            Box::new(substitute_param_exprs_formula(body, map)),
-        ),
-        Formula::All(v, r, body) => Formula::All(
-            v.clone(),
-            substitute_param_exprs_range(r, map),
-            Box::new(substitute_param_exprs_formula(body, map)),
-        ),
-        Formula::Member(v, r) => Formula::Member(v.clone(), substitute_param_exprs_range(r, map)),
-        Formula::TupleIn(exprs, r) => Formula::TupleIn(
-            exprs
-                .iter()
-                .map(|e| substitute_param_exprs_scalar(e, map))
-                .collect(),
-            substitute_param_exprs_range(r, map),
-        ),
-    }
-}
-
-/// Substitute scalar parameters with scalar expressions throughout a
-/// range expression — see [`substitute_param_exprs_scalar`].
-pub fn substitute_param_exprs_range(r: &RangeExpr, map: &FxHashMap<Name, ScalarExpr>) -> RangeExpr {
-    match r {
-        RangeExpr::Rel(_) => r.clone(),
-        RangeExpr::Selected {
-            base,
-            selector,
-            args,
-        } => RangeExpr::Selected {
-            base: Box::new(substitute_param_exprs_range(base, map)),
-            selector: selector.clone(),
-            args: args
-                .iter()
-                .map(|a| substitute_param_exprs_scalar(a, map))
-                .collect(),
-        },
-        RangeExpr::Constructed {
-            base,
-            constructor,
-            args,
-            scalar_args,
-        } => RangeExpr::Constructed {
-            base: Box::new(substitute_param_exprs_range(base, map)),
-            constructor: constructor.clone(),
-            args: args
-                .iter()
-                .map(|a| substitute_param_exprs_range(a, map))
-                .collect(),
-            scalar_args: scalar_args
-                .iter()
-                .map(|s| substitute_param_exprs_scalar(s, map))
-                .collect(),
-        },
-        RangeExpr::SetFormer(sf) => {
-            RangeExpr::SetFormer(substitute_param_exprs_set_former(sf, map))
+            }),
+            Node::Formula(Formula::Cmp(l, _, r)) => {
+                self.node(Node::Scalar(l))?;
+                self.node(Node::Scalar(r))
+            }
+            Node::Formula(Formula::And(a, b) | Formula::Or(a, b)) => {
+                self.node(Node::Formula(a))?;
+                self.node(Node::Formula(b))
+            }
+            Node::Formula(Formula::Not(inner)) => self.node(Node::Formula(inner)),
+            Node::Formula(Formula::Some(v, r, body) | Formula::All(v, r, body)) => {
+                self.node(Node::Range(r))?;
+                self.scoped([v], |w| w.node(Node::Formula(body)))
+            }
+            Node::Formula(Formula::Member(v, r)) => {
+                self.node(Node::Var(v))?;
+                self.node(Node::Range(r))
+            }
+            Node::Formula(Formula::TupleIn(exprs, r)) => {
+                self.scalars(exprs)?;
+                self.node(Node::Range(r))
+            }
+            Node::Scalar(ScalarExpr::Attr(v, _)) => self.node(Node::Var(v)),
+            Node::Scalar(ScalarExpr::Arith(l, _, r)) => {
+                self.node(Node::Scalar(l))?;
+                self.node(Node::Scalar(r))
+            }
         }
     }
+
+    fn scalars(&mut self, exprs: &'a [ScalarExpr]) -> ControlFlow<()> {
+        exprs.iter().try_for_each(|e| self.node(Node::Scalar(e)))
+    }
+
+    /// Walk `inner` with `vars` bound.
+    fn scoped(
+        &mut self,
+        vars: impl IntoIterator<Item = &'a Var>,
+        inner: impl FnOnce(&mut Self) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let mark = self.bound.len();
+        self.bound.extend(vars.into_iter().map(String::as_str));
+        let flow = inner(self);
+        self.bound.truncate(mark);
+        flow
+    }
 }
 
-fn substitute_param_exprs_set_former(
-    sf: &SetFormer,
-    map: &FxHashMap<Name, ScalarExpr>,
-) -> SetFormer {
-    SetFormer {
-        branches: sf
+/// What `pick` yields at each node under `node`, in walk order.
+fn collect<'a, T, I: IntoIterator<Item = T>, C: Default + Extend<T>>(
+    node: impl Into<Node<'a>>,
+    mut pick: impl FnMut(Node<'a>) -> I,
+) -> C {
+    let mut out = C::default();
+    let _ = walk(node, |n, _| {
+        out.extend(pick(n));
+        ControlFlow::Continue(())
+    });
+    out
+}
+
+/// Every relation name referenced anywhere in a range or formula.
+pub fn relation_names<'a>(node: impl Into<Node<'a>>) -> FxHashSet<Name> {
+    collect(node, |n| match n {
+        Node::Range(RangeExpr::Rel(name)) => Some(name.clone()),
+        _ => None,
+    })
+}
+
+/// Every selector name applied anywhere in a range or formula.
+/// Together with [`relation_names`] this drives the solver's walk of
+/// what a solve reads: a selector *body* may resolve relation names of
+/// its own, so callers expand the collected selectors' predicates
+/// transitively.
+pub fn selector_names<'a>(node: impl Into<Node<'a>>) -> FxHashSet<Name> {
+    collect(node, |n| match n {
+        Node::Range(RangeExpr::Selected { selector, .. }) => Some(selector.clone()),
+        _ => None,
+    })
+}
+
+/// Every scalar-parameter name (`ScalarExpr::Param` leaf) referenced
+/// anywhere in a range or formula — comparison operands, selector
+/// arguments, constructor scalar arguments, set-former targets, and
+/// tuple-membership expressions, through arithmetic.
+pub fn param_names<'a>(node: impl Into<Node<'a>>) -> FxHashSet<Name> {
+    collect(node, |n| match n {
+        Node::Scalar(ScalarExpr::Param(p)) => Some(p.clone()),
+        _ => None,
+    })
+}
+
+/// Every constructor application (`Constructed` node) in a range or
+/// formula, in pre-order.
+pub fn collect_constructed<'a>(node: impl Into<Node<'a>>) -> Vec<RangeExpr> {
+    collect(node, |n| match n {
+        Node::Range(r) if matches!(r, RangeExpr::Constructed { .. }) => Some(r.clone()),
+        _ => None,
+    })
+}
+
+/// Every tuple variable *bound* anywhere inside a range or formula:
+/// quantifier variables and set-former binding variables. Used for
+/// capture checks before [`substitute_param_exprs`]: an actual-argument
+/// expression mentioning one of these names must not be substituted in.
+pub fn bound_vars<'a>(node: impl Into<Node<'a>>) -> FxHashSet<Name> {
+    collect(node, |n| match n {
+        Node::Formula(Formula::Some(v, ..) | Formula::All(v, ..)) => vec![v.clone()],
+        Node::Range(RangeExpr::SetFormer(sf)) => sf
             .branches
             .iter()
-            .map(|b| Branch {
-                target: match &b.target {
-                    Target::Var(v) => Target::Var(v.clone()),
-                    Target::Tuple(exprs) => Target::Tuple(
-                        exprs
-                            .iter()
-                            .map(|e| substitute_param_exprs_scalar(e, map))
-                            .collect(),
-                    ),
-                },
-                bindings: b
-                    .bindings
-                    .iter()
-                    .map(|(v, range)| (v.clone(), substitute_param_exprs_range(range, map)))
-                    .collect(),
-                predicate: substitute_param_exprs_formula(&b.predicate, map),
-            })
+            .flat_map(|b| &b.bindings)
+            .map(|(v, _)| v.clone())
             .collect(),
+        _ => Vec::new(),
+    })
+}
+
+/// Does `node` use a tuple variable that it does not bind itself and
+/// that `pick` accepts?
+pub fn mentions_free<'a>(node: impl Into<Node<'a>>, mut pick: impl FnMut(&str) -> bool) -> bool {
+    walk(node, |n, bound| match n {
+        Node::Var(v) if !bound.contains(&v.as_str()) && pick(v) => ControlFlow::Break(()),
+        _ => ControlFlow::Continue(()),
+    })
+    .is_break()
+}
+
+/// The hooks of the copying fold ([`Foldable::fold_with`]). Each gets a
+/// node rebuilt from its folded children, with the tuple variables bound
+/// where it sits (innermost last, scoped as [`walk`] scopes), and
+/// returns what takes its place; a replacement is not folded again. The
+/// defaults keep every node.
+pub trait Fold {
+    /// What a hook fails with.
+    type Error;
+
+    /// Replace a rebuilt scalar.
+    fn scalar(&mut self, e: ScalarExpr, _bound: &[&str]) -> Result<ScalarExpr, Self::Error> {
+        Ok(e)
+    }
+
+    /// Replace a rebuilt range.
+    fn range(&mut self, r: RangeExpr, _bound: &[&str]) -> Result<RangeExpr, Self::Error> {
+        Ok(r)
+    }
+
+    /// Replace a rebuilt formula.
+    fn formula(&mut self, f: Formula, _bound: &[&str]) -> Result<Formula, Self::Error> {
+        Ok(f)
     }
 }
 
-/// Collect every variable *bound* anywhere inside a formula: quantifier
-/// variables and set-former binding variables. Used for capture checks
-/// before [`substitute_param_exprs_formula`]: an actual-argument
-/// expression mentioning one of these names must not be substituted in.
-pub fn bound_vars_formula(f: &Formula, out: &mut FxHashSet<Name>) {
-    match f {
-        Formula::True | Formula::False | Formula::Cmp(..) => {}
-        Formula::And(a, b) | Formula::Or(a, b) => {
-            bound_vars_formula(a, out);
-            bound_vars_formula(b, out);
-        }
-        Formula::Not(inner) => bound_vars_formula(inner, out),
-        Formula::Some(v, r, body) | Formula::All(v, r, body) => {
-            out.insert(v.clone());
-            bound_vars_range(r, out);
-            bound_vars_formula(body, out);
-        }
-        Formula::Member(_, r) | Formula::TupleIn(_, r) => bound_vars_range(r, out),
+/// A tree the copying fold rebuilds: a scalar, range, formula or
+/// set-former.
+pub trait Foldable: Sized {
+    /// `self` rebuilt bottom-up through `fold`'s hooks.
+    fn fold_with<F: Fold>(&self, fold: &mut F) -> Result<Self, F::Error>;
+}
+
+impl Foldable for ScalarExpr {
+    fn fold_with<F: Fold>(&self, fold: &mut F) -> Result<Self, F::Error> {
+        Folder::new(fold).scalar(self)
     }
 }
 
-/// Collect every variable bound anywhere inside a range expression —
-/// see [`bound_vars_formula`].
-pub fn bound_vars_range(r: &RangeExpr, out: &mut FxHashSet<Name>) {
-    match r {
-        RangeExpr::Rel(_) => {}
-        RangeExpr::Selected { base, .. } => bound_vars_range(base, out),
-        RangeExpr::Constructed { base, args, .. } => {
-            bound_vars_range(base, out);
-            for a in args {
-                bound_vars_range(a, out);
-            }
-        }
-        RangeExpr::SetFormer(sf) => {
-            for b in &sf.branches {
-                for (v, range) in &b.bindings {
-                    out.insert(v.clone());
-                    bound_vars_range(range, out);
-                }
-                bound_vars_formula(&b.predicate, out);
-            }
-        }
+impl Foldable for RangeExpr {
+    fn fold_with<F: Fold>(&self, fold: &mut F) -> Result<Self, F::Error> {
+        Folder::new(fold).range(self)
     }
 }
 
-/// Does the expression mention any of the given variable names?
-pub(crate) fn scalar_mentions_any(e: &ScalarExpr, names: &FxHashSet<Name>) -> bool {
-    match e {
-        ScalarExpr::Const(_) | ScalarExpr::Param(_) => false,
-        ScalarExpr::Attr(v, _) => names.contains(v),
-        ScalarExpr::Arith(l, _, r) => {
-            scalar_mentions_any(l, names) || scalar_mentions_any(r, names)
-        }
+impl Foldable for Formula {
+    fn fold_with<F: Fold>(&self, fold: &mut F) -> Result<Self, F::Error> {
+        Folder::new(fold).formula(self)
     }
 }
 
-/// Rewrites the free occurrences of one tuple variable: each `var.attr`
-/// through `attr`, each whole-tuple membership `var IN S` through
-/// `whole` (handed the rewritten `S`). A quantifier or set-former
-/// branch that binds `var` again shadows it. Ranges are rewritten too:
-/// they are evaluated where `var` is visible — a branch's binding
-/// ranges before the branch's own variables are bound.
-struct VarSubst<'a, E> {
-    var: &'a str,
-    attr: &'a dyn Fn(&str) -> Result<ScalarExpr, E>,
-    whole: &'a dyn Fn(RangeExpr) -> Result<Formula, E>,
+impl Foldable for SetFormer {
+    fn fold_with<F: Fold>(&self, fold: &mut F) -> Result<Self, F::Error> {
+        Folder::new(fold).set_former(self)
+    }
 }
 
-impl<E> VarSubst<'_, E> {
-    fn scalar(&self, e: &ScalarExpr) -> Result<ScalarExpr, E> {
-        Ok(match e {
-            ScalarExpr::Attr(v, a) if v == self.var => (self.attr)(a)?,
+struct Folder<'f, 'a, F> {
+    fold: &'f mut F,
+    bound: Vec<&'a str>,
+}
+
+impl<'f, 'a, F: Fold> Folder<'f, 'a, F> {
+    fn new(fold: &'f mut F) -> Self {
+        Folder {
+            fold,
+            bound: Vec::new(),
+        }
+    }
+
+    fn scalar(&mut self, e: &'a ScalarExpr) -> Result<ScalarExpr, F::Error> {
+        let e = match e {
             ScalarExpr::Arith(l, op, r) => {
                 ScalarExpr::Arith(Box::new(self.scalar(l)?), *op, Box::new(self.scalar(r)?))
             }
-            other => other.clone(),
-        })
+            leaf => leaf.clone(),
+        };
+        self.fold.scalar(e, &self.bound)
     }
 
-    fn scalars(&self, es: &[ScalarExpr]) -> Result<Vec<ScalarExpr>, E> {
-        es.iter().map(|e| self.scalar(e)).collect()
+    fn scalars(&mut self, exprs: &'a [ScalarExpr]) -> Result<Vec<ScalarExpr>, F::Error> {
+        exprs.iter().map(|e| self.scalar(e)).collect()
     }
 
-    fn formula(&self, f: &Formula) -> Result<Formula, E> {
-        Ok(match f {
-            Formula::True | Formula::False => f.clone(),
-            Formula::Cmp(l, op, r) => Formula::Cmp(self.scalar(l)?, *op, self.scalar(r)?),
-            Formula::And(a, b) => {
-                Formula::And(Box::new(self.formula(a)?), Box::new(self.formula(b)?))
-            }
-            Formula::Or(a, b) => {
-                Formula::Or(Box::new(self.formula(a)?), Box::new(self.formula(b)?))
-            }
-            Formula::Not(inner) => Formula::Not(Box::new(self.formula(inner)?)),
-            Formula::Some(v, r, body) => {
-                Formula::Some(v.clone(), self.range(r)?, Box::new(self.scoped(v, body)?))
-            }
-            Formula::All(v, r, body) => {
-                Formula::All(v.clone(), self.range(r)?, Box::new(self.scoped(v, body)?))
-            }
-            Formula::Member(v, r) if v == self.var => (self.whole)(self.range(r)?)?,
-            Formula::Member(v, r) => Formula::Member(v.clone(), self.range(r)?),
-            Formula::TupleIn(es, r) => Formula::TupleIn(self.scalars(es)?, self.range(r)?),
-        })
-    }
-
-    /// A quantifier body under a binding of `v`.
-    fn scoped(&self, v: &str, body: &Formula) -> Result<Formula, E> {
-        if v == self.var {
-            Ok(body.clone())
-        } else {
-            self.formula(body)
-        }
-    }
-
-    fn range(&self, r: &RangeExpr) -> Result<RangeExpr, E> {
-        Ok(match r {
+    fn range(&mut self, r: &'a RangeExpr) -> Result<RangeExpr, F::Error> {
+        let r = match r {
             RangeExpr::Rel(_) => r.clone(),
             RangeExpr::Selected {
                 base,
@@ -415,73 +406,182 @@ impl<E> VarSubst<'_, E> {
                     .collect::<Result<_, _>>()?,
                 scalar_args: self.scalars(scalar_args)?,
             },
-            RangeExpr::SetFormer(sf) => RangeExpr::SetFormer(SetFormer {
-                branches: sf
-                    .branches
-                    .iter()
-                    .map(|b| self.branch(b))
-                    .collect::<Result<_, _>>()?,
-            }),
+            RangeExpr::SetFormer(sf) => RangeExpr::SetFormer(self.set_former(sf)?),
+        };
+        self.fold.range(r, &self.bound)
+    }
+
+    fn set_former(&mut self, sf: &'a SetFormer) -> Result<SetFormer, F::Error> {
+        let branches = sf.branches.iter().map(|b| {
+            let bindings = b
+                .bindings
+                .iter()
+                .map(|(v, r)| Ok((v.clone(), self.range(r)?)))
+                .collect::<Result<_, _>>()?;
+            self.scoped(b.bindings.iter().map(|(v, _)| v), |s| {
+                let target = match &b.target {
+                    Target::Var(v) => Target::Var(v.clone()),
+                    Target::Tuple(exprs) => Target::Tuple(s.scalars(exprs)?),
+                };
+                Ok(Branch {
+                    target,
+                    bindings,
+                    predicate: s.formula(&b.predicate)?,
+                })
+            })
+        });
+        Ok(SetFormer {
+            branches: branches.collect::<Result<_, _>>()?,
         })
     }
 
-    fn branch(&self, b: &Branch) -> Result<Branch, E> {
-        let bindings = b
-            .bindings
-            .iter()
-            .map(|(v, r)| Ok((v.clone(), self.range(r)?)))
-            .collect::<Result<_, _>>()?;
-        if b.bindings.iter().any(|(v, _)| v == self.var) {
-            return Ok(Branch {
-                target: b.target.clone(),
-                bindings,
-                predicate: b.predicate.clone(),
-            });
-        }
-        Ok(Branch {
-            target: match &b.target {
-                Target::Var(v) => Target::Var(v.clone()),
-                Target::Tuple(es) => Target::Tuple(self.scalars(es)?),
-            },
-            bindings,
-            predicate: self.formula(&b.predicate)?,
-        })
+    fn formula(&mut self, f: &'a Formula) -> Result<Formula, F::Error> {
+        let f = match f {
+            Formula::True | Formula::False => f.clone(),
+            Formula::Cmp(l, op, r) => Formula::Cmp(self.scalar(l)?, *op, self.scalar(r)?),
+            Formula::And(a, b) => {
+                Formula::And(Box::new(self.formula(a)?), Box::new(self.formula(b)?))
+            }
+            Formula::Or(a, b) => {
+                Formula::Or(Box::new(self.formula(a)?), Box::new(self.formula(b)?))
+            }
+            Formula::Not(inner) => Formula::Not(Box::new(self.formula(inner)?)),
+            Formula::Some(v, r, body) => Formula::Some(
+                v.clone(),
+                self.range(r)?,
+                Box::new(self.scoped([v], |s| s.formula(body))?),
+            ),
+            Formula::All(v, r, body) => Formula::All(
+                v.clone(),
+                self.range(r)?,
+                Box::new(self.scoped([v], |s| s.formula(body))?),
+            ),
+            Formula::Member(v, r) => Formula::Member(v.clone(), self.range(r)?),
+            Formula::TupleIn(exprs, r) => Formula::TupleIn(self.scalars(exprs)?, self.range(r)?),
+        };
+        self.fold.formula(f, &self.bound)
+    }
+
+    /// Fold `inner` with `vars` bound.
+    fn scoped<T>(
+        &mut self,
+        vars: impl IntoIterator<Item = &'a Var>,
+        inner: impl FnOnce(&mut Self) -> Result<T, F::Error>,
+    ) -> Result<T, F::Error> {
+        let mark = self.bound.len();
+        self.bound.extend(vars.into_iter().map(String::as_str));
+        let out = inner(self);
+        self.bound.truncate(mark);
+        out
     }
 }
 
-/// Run `walk` with the substitution renaming tuple variable `from` to
-/// `to`.
-fn renamed<T>(
-    from: &str,
-    to: &str,
-    walk: impl FnOnce(&VarSubst<'_, Infallible>) -> Result<T, Infallible>,
-) -> T {
+/// Substitute relation names with range expressions. Used to
+/// instantiate constructor bodies: the formal base name (`Rel`) and
+/// formal relation parameters (`Ontop`) are mapped to their actuals.
+pub fn substitute_rel<T: Foldable>(t: &T, map: &FxHashMap<Name, RangeExpr>) -> T {
+    struct Rels<'m>(&'m FxHashMap<Name, RangeExpr>);
+    impl Fold for Rels<'_> {
+        type Error = Infallible;
+        fn range(&mut self, r: RangeExpr, _: &[&str]) -> Result<RangeExpr, Infallible> {
+            Ok(match &r {
+                RangeExpr::Rel(n) => self.0.get(n).cloned(),
+                _ => None,
+            }
+            .unwrap_or(r))
+        }
+    }
+    let Ok(t) = t.fold_with(&mut Rels(map));
+    t
+}
+
+/// Substitute scalar parameters with scalar *expressions*. Where
+/// [`substitute_params`] fills `Param` holes with constants (§3.2's
+/// partial evaluation), this fills them with actual-argument
+/// expressions — used to rewrite a selector application
+/// `base[s(args)]` into the equivalent filter
+/// `{EACH el IN base: pred[params := args]}`, which
+/// [`unnest_quantifier`] then turns into a quantifier over `base`.
+///
+/// The caller owns capture avoidance: substituted expressions must not
+/// mention variables bound inside the tree they are substituted into
+/// ([`bound_vars`]).
+pub fn substitute_param_exprs<T: Foldable>(t: &T, map: &FxHashMap<Name, ScalarExpr>) -> T {
+    struct Params<'m>(&'m FxHashMap<Name, ScalarExpr>);
+    impl Fold for Params<'_> {
+        type Error = Infallible;
+        fn scalar(&mut self, e: ScalarExpr, _: &[&str]) -> Result<ScalarExpr, Infallible> {
+            Ok(match &e {
+                ScalarExpr::Param(p) => self.0.get(p).cloned(),
+                _ => None,
+            }
+            .unwrap_or(e))
+        }
+    }
+    let Ok(t) = t.fold_with(&mut Params(map));
+    t
+}
+
+/// Substitute scalar parameters with constants — §3.2's partial
+/// evaluation of a constructor body for one application; the
+/// constant-valued case of [`substitute_param_exprs`].
+pub fn substitute_params<T: Foldable>(t: &T, map: &FxHashMap<Name, Value>) -> T {
+    let exprs = map
+        .iter()
+        .map(|(k, v)| (k.clone(), ScalarExpr::Const(*v)))
+        .collect();
+    substitute_param_exprs(t, &exprs)
+}
+
+/// Rewrites the free uses of one tuple variable: each `var.attr`
+/// through `attr`, each whole-tuple membership `var IN S` through
+/// `whole` (handed the rewritten `S`). A quantifier or set-former
+/// branch that binds `var` again shadows it; ranges are rewritten where
+/// `var` is visible — a branch's binding ranges before the branch binds
+/// anything.
+struct VarSubst<'a, E> {
+    var: &'a str,
+    attr: &'a dyn Fn(&str) -> Result<ScalarExpr, E>,
+    whole: &'a dyn Fn(RangeExpr) -> Result<Formula, E>,
+}
+
+impl<E> VarSubst<'_, E> {
+    /// Is `v`, used where `bound` is bound, the substituted variable?
+    fn is_free_var(&self, v: &str, bound: &[&str]) -> bool {
+        v == self.var && !bound.contains(&v)
+    }
+}
+
+impl<E> Fold for VarSubst<'_, E> {
+    type Error = E;
+
+    fn scalar(&mut self, e: ScalarExpr, bound: &[&str]) -> Result<ScalarExpr, E> {
+        match e {
+            ScalarExpr::Attr(v, a) if self.is_free_var(&v, bound) => (self.attr)(&a),
+            e => Ok(e),
+        }
+    }
+
+    fn formula(&mut self, f: Formula, bound: &[&str]) -> Result<Formula, E> {
+        match f {
+            Formula::Member(v, s) if self.is_free_var(&v, bound) => (self.whole)(s),
+            f => Ok(f),
+        }
+    }
+}
+
+/// Rename every free use of tuple variable `from` into `to` (used when
+/// merging branch scopes), respecting shadowing and reaching nested
+/// ranges.
+pub fn rename_var<T: Foldable>(t: &T, from: &str, to: &str) -> T {
     let attr = |a: &str| Ok(ScalarExpr::Attr(to.to_string(), a.to_string()));
     let whole = |s| Ok(Formula::Member(to.to_string(), s));
-    let Ok(t) = walk(&VarSubst {
+    let Ok(t) = t.fold_with(&mut VarSubst::<Infallible> {
         var: from,
         attr: &attr,
         whole: &whole,
     });
     t
-}
-
-/// Rename every free reference to tuple variable `from` into `to`
-/// (used when merging branch scopes), respecting shadowing and reaching
-/// nested ranges.
-pub fn rename_var(f: &Formula, from: &str, to: &str) -> Formula {
-    renamed(from, to, |s| s.formula(f))
-}
-
-/// Does `f` mention tuple variable `var` free?
-fn mentions_var(f: &Formula, var: &str) -> bool {
-    VarSubst {
-        var,
-        attr: &|_| Err(()),
-        whole: &|_| Err(()),
-    }
-    .formula(f)
-    .is_err()
 }
 
 /// Case 2's attribute map of a branch target whose result attributes
@@ -535,12 +635,11 @@ pub fn substitute_attr_refs(
             Target::Tuple(exprs) => Formula::TupleIn(exprs.clone(), s),
         })
     };
-    VarSubst {
+    f.fold_with(&mut VarSubst {
         var,
         attr: &attr,
         whole: &whole,
-    }
-    .formula(f)
+    })
 }
 
 /// The attribute names a `<e1, …, ek>` target gives its result: a field
@@ -566,15 +665,21 @@ pub fn target_names(exprs: &[ScalarExpr]) -> Vec<String> {
         .collect()
 }
 
-/// Split the top-level conjunction of a formula, left to right.
-fn conjuncts(f: Formula, out: &mut Vec<Formula>) {
-    match f {
-        Formula::And(a, b) => {
-            conjuncts(*a, out);
-            conjuncts(*b, out);
+/// The top-level conjuncts of a formula, left to right.
+pub(crate) fn conjuncts(f: &Formula) -> Vec<&Formula> {
+    let mut out = Vec::new();
+    let mut stack = vec![f];
+    while let Some(g) = stack.pop() {
+        match g {
+            Formula::And(a, b) => {
+                // Right child first, so popping yields left-to-right.
+                stack.push(b);
+                stack.push(a);
+            }
+            other => out.push(other),
         }
-        other => out.push(other),
     }
+    out
 }
 
 /// `a AND b`, dropping a `TRUE` side (and nothing else: a conjunct that
@@ -628,14 +733,16 @@ pub fn unnest_quantifier(
             let exprs: Vec<ScalarExpr> = exprs
                 .iter()
                 .map(|e| {
-                    renames.iter().fold(e.clone(), |e, (from, to)| {
-                        renamed(from, to, |s| s.scalar(&e))
-                    })
+                    renames
+                        .iter()
+                        .fold(e.clone(), |e, (from, to)| rename_var(&e, from, to))
                 })
                 .collect();
-            let mut rebound = FxHashSet::default();
-            bound_vars_formula(body, &mut rebound);
-            if exprs.iter().any(|e| scalar_mentions_any(e, &rebound)) {
+            let rebound = bound_vars(body);
+            if exprs
+                .iter()
+                .any(|e| mentions_free(e, |v| rebound.contains(v)))
+            {
                 return None;
             }
             let names = target_names(&exprs);
@@ -650,14 +757,12 @@ pub fn unnest_quantifier(
             rename_var(&p, from, to)
         });
     let mut levels = vec![Vec::new(); renames.len()];
-    let mut all = Vec::new();
-    conjuncts(predicate, &mut all);
-    for c in all {
+    for c in conjuncts(&predicate) {
         let level = (0..renames.len())
             .rev()
-            .find(|&i| mentions_var(&c, &renames[i].1))
+            .find(|&i| mentions_free(c, |v| v == renames[i].1))
             .unwrap_or(0);
-        levels[level].push(c);
+        levels[level].push(c.clone());
     }
     let mut nested = body;
     for (i, guard) in levels.into_iter().enumerate().rev() {
@@ -676,313 +781,145 @@ pub fn unnest_quantifier(
     Some(nested)
 }
 
-/// Lift a value map into an expression map (`Param` holes filled with
-/// `Const` leaves), so the value-substitution entry points below can
-/// delegate to the expression-level walkers instead of duplicating the
-/// traversal.
-fn const_exprs(map: &FxHashMap<Name, Value>) -> FxHashMap<Name, ScalarExpr> {
-    map.iter()
-        .map(|(k, v)| (k.clone(), ScalarExpr::Const(*v)))
-        .collect()
-}
-
-/// Substitute scalar parameters with constants inside a scalar
-/// expression (partial evaluation of `Param` holes) — the
-/// constant-valued special case of [`substitute_param_exprs_scalar`].
-pub fn substitute_params_scalar(e: &ScalarExpr, map: &FxHashMap<Name, Value>) -> ScalarExpr {
-    substitute_param_exprs_scalar(e, &const_exprs(map))
-}
-
-/// Substitute scalar parameters throughout a formula — the
-/// constant-valued special case of [`substitute_param_exprs_formula`].
-pub fn substitute_params_formula(f: &Formula, map: &FxHashMap<Name, Value>) -> Formula {
-    substitute_param_exprs_formula(f, &const_exprs(map))
-}
-
-/// Substitute scalar parameters throughout a range expression (selector
-/// arguments may mention parameters of an enclosing definition) — the
-/// constant-valued special case of [`substitute_param_exprs_range`].
-pub fn substitute_params_range(r: &RangeExpr, map: &FxHashMap<Name, Value>) -> RangeExpr {
-    substitute_param_exprs_range(r, &const_exprs(map))
-}
-
-/// Substitute scalar parameters throughout a set-former — §3.2's
-/// partial evaluation of a constructor body for one application.
-pub fn substitute_params_set_former(sf: &SetFormer, map: &FxHashMap<Name, Value>) -> SetFormer {
-    substitute_param_exprs_set_former(sf, &const_exprs(map))
-}
-
-/// Collect every relation name referenced anywhere in a range
-/// expression.
-pub fn relation_names(range: &RangeExpr) -> FxHashSet<Name> {
-    let mut out = FxHashSet::default();
-    collect_names_range(range, &mut out);
-    out
-}
-
-/// Collect every relation name referenced anywhere in a formula.
-pub fn relation_names_formula(f: &Formula) -> FxHashSet<Name> {
-    let mut out = FxHashSet::default();
-    collect_names_formula(f, &mut out);
-    out
-}
-
-fn collect_names_range(r: &RangeExpr, out: &mut FxHashSet<Name>) {
-    match r {
-        RangeExpr::Rel(n) => {
-            out.insert(n.clone());
-        }
-        RangeExpr::Selected { base, .. } => collect_names_range(base, out),
-        RangeExpr::Constructed { base, args, .. } => {
-            collect_names_range(base, out);
-            for a in args {
-                collect_names_range(a, out);
-            }
-        }
-        RangeExpr::SetFormer(sf) => {
-            for b in &sf.branches {
-                for (_, range) in &b.bindings {
-                    collect_names_range(range, out);
-                }
-                collect_names_formula(&b.predicate, out);
-            }
-        }
-    }
-}
-
-fn collect_names_formula(f: &Formula, out: &mut FxHashSet<Name>) {
-    match f {
-        Formula::True | Formula::False | Formula::Cmp(..) => {}
-        Formula::And(a, b) | Formula::Or(a, b) => {
-            collect_names_formula(a, out);
-            collect_names_formula(b, out);
-        }
-        Formula::Not(inner) => collect_names_formula(inner, out),
-        Formula::Some(_, r, body) | Formula::All(_, r, body) => {
-            collect_names_range(r, out);
-            collect_names_formula(body, out);
-        }
-        Formula::Member(_, r) | Formula::TupleIn(_, r) => collect_names_range(r, out),
-    }
-}
-
-/// Collect every selector name applied anywhere in a range expression.
-/// Together with [`relation_names`] this drives the solver's walk of
-/// what a solve reads: a selector *body* may resolve relation names of
-/// its own, so callers expand the collected selectors' predicates
-/// transitively.
-pub fn selector_names(range: &RangeExpr) -> FxHashSet<Name> {
-    let mut out = FxHashSet::default();
-    collect_selectors_range(range, &mut out);
-    out
-}
-
-/// Collect every selector name applied anywhere in a formula — see
-/// [`selector_names`].
-pub fn selector_names_formula(f: &Formula) -> FxHashSet<Name> {
-    let mut out = FxHashSet::default();
-    collect_selectors_formula(f, &mut out);
-    out
-}
-
-fn collect_selectors_range(r: &RangeExpr, out: &mut FxHashSet<Name>) {
-    match r {
-        RangeExpr::Rel(_) => {}
-        RangeExpr::Selected { base, selector, .. } => {
-            out.insert(selector.clone());
-            collect_selectors_range(base, out);
-        }
-        RangeExpr::Constructed { base, args, .. } => {
-            collect_selectors_range(base, out);
-            for a in args {
-                collect_selectors_range(a, out);
-            }
-        }
-        RangeExpr::SetFormer(sf) => {
-            for b in &sf.branches {
-                for (_, range) in &b.bindings {
-                    collect_selectors_range(range, out);
-                }
-                collect_selectors_formula(&b.predicate, out);
-            }
-        }
-    }
-}
-
-fn collect_selectors_formula(f: &Formula, out: &mut FxHashSet<Name>) {
-    match f {
-        Formula::True | Formula::False | Formula::Cmp(..) => {}
-        Formula::And(a, b) | Formula::Or(a, b) => {
-            collect_selectors_formula(a, out);
-            collect_selectors_formula(b, out);
-        }
-        Formula::Not(inner) => collect_selectors_formula(inner, out),
-        Formula::Some(_, r, body) | Formula::All(_, r, body) => {
-            collect_selectors_range(r, out);
-            collect_selectors_formula(body, out);
-        }
-        Formula::Member(_, r) | Formula::TupleIn(_, r) => collect_selectors_range(r, out),
-    }
-}
-
-/// Collect every scalar-parameter name (`ScalarExpr::Param` leaf)
-/// referenced anywhere in a range expression — comparison operands,
-/// selector arguments, constructor scalar arguments, set-former
-/// targets, and tuple-membership expressions, through arithmetic.
-/// Drives the solver's snapshot-universe capture: every parameter a
-/// frozen evaluation could resolve is pre-fetched from the base
-/// catalog.
-pub fn param_names(range: &RangeExpr) -> FxHashSet<Name> {
-    let mut out = FxHashSet::default();
-    collect_params_range(range, &mut out);
-    out
-}
-
-/// Collect every scalar-parameter name referenced anywhere in a
-/// formula — see [`param_names`].
-pub fn param_names_formula(f: &Formula) -> FxHashSet<Name> {
-    let mut out = FxHashSet::default();
-    collect_params_formula(f, &mut out);
-    out
-}
-
-pub(crate) fn collect_params_scalar(e: &ScalarExpr, out: &mut FxHashSet<Name>) {
-    match e {
-        ScalarExpr::Const(_) | ScalarExpr::Attr(..) => {}
-        ScalarExpr::Param(n) => {
-            out.insert(n.clone());
-        }
-        ScalarExpr::Arith(a, _, b) => {
-            collect_params_scalar(a, out);
-            collect_params_scalar(b, out);
-        }
-    }
-}
-
-fn collect_params_range(r: &RangeExpr, out: &mut FxHashSet<Name>) {
-    match r {
-        RangeExpr::Rel(_) => {}
-        RangeExpr::Selected { base, args, .. } => {
-            collect_params_range(base, out);
-            for a in args {
-                collect_params_scalar(a, out);
-            }
-        }
-        RangeExpr::Constructed {
-            base,
-            args,
-            scalar_args,
-            ..
-        } => {
-            collect_params_range(base, out);
-            for a in args {
-                collect_params_range(a, out);
-            }
-            for s in scalar_args {
-                collect_params_scalar(s, out);
-            }
-        }
-        RangeExpr::SetFormer(sf) => {
-            for b in &sf.branches {
-                if let Target::Tuple(exprs) = &b.target {
-                    for e in exprs {
-                        collect_params_scalar(e, out);
-                    }
-                }
-                for (_, range) in &b.bindings {
-                    collect_params_range(range, out);
-                }
-                collect_params_formula(&b.predicate, out);
-            }
-        }
-    }
-}
-
-fn collect_params_formula(f: &Formula, out: &mut FxHashSet<Name>) {
-    match f {
-        Formula::True | Formula::False => {}
-        Formula::Cmp(a, _, b) => {
-            collect_params_scalar(a, out);
-            collect_params_scalar(b, out);
-        }
-        Formula::And(a, b) | Formula::Or(a, b) => {
-            collect_params_formula(a, out);
-            collect_params_formula(b, out);
-        }
-        Formula::Not(inner) => collect_params_formula(inner, out),
-        Formula::Some(_, r, body) | Formula::All(_, r, body) => {
-            collect_params_range(r, out);
-            collect_params_formula(body, out);
-        }
-        Formula::Member(_, r) => collect_params_range(r, out),
-        Formula::TupleIn(exprs, r) => {
-            for e in exprs {
-                collect_params_scalar(e, out);
-            }
-            collect_params_range(r, out);
-        }
-    }
-}
-
-/// Collect every constructor application (`Constructed` node) in a range
-/// expression, in pre-order.
-pub fn collect_constructed(range: &RangeExpr) -> Vec<RangeExpr> {
-    let mut out = Vec::new();
-    collect_constructed_range(range, &mut out);
-    out
-}
-
-/// Collect every constructor application in a formula (quantifier and
-/// membership ranges), in pre-order — see [`collect_constructed`].
-pub fn collect_constructed_formula(f: &Formula) -> Vec<RangeExpr> {
-    let mut out = Vec::new();
-    collect_constructed_in_formula(f, &mut out);
-    out
-}
-
-fn collect_constructed_range(r: &RangeExpr, out: &mut Vec<RangeExpr>) {
-    match r {
-        RangeExpr::Rel(_) => {}
-        RangeExpr::Selected { base, .. } => collect_constructed_range(base, out),
-        RangeExpr::Constructed { base, args, .. } => {
-            out.push(r.clone());
-            collect_constructed_range(base, out);
-            for a in args {
-                collect_constructed_range(a, out);
-            }
-        }
-        RangeExpr::SetFormer(sf) => {
-            for b in &sf.branches {
-                for (_, range) in &b.bindings {
-                    collect_constructed_range(range, out);
-                }
-                collect_constructed_in_formula(&b.predicate, out);
-            }
-        }
-    }
-}
-
-fn collect_constructed_in_formula(f: &Formula, out: &mut Vec<RangeExpr>) {
-    match f {
-        Formula::True | Formula::False | Formula::Cmp(..) => {}
-        Formula::And(a, b) | Formula::Or(a, b) => {
-            collect_constructed_in_formula(a, out);
-            collect_constructed_in_formula(b, out);
-        }
-        Formula::Not(inner) => collect_constructed_in_formula(inner, out),
-        Formula::Some(_, r, body) | Formula::All(_, r, body) => {
-            collect_constructed_range(r, out);
-            collect_constructed_in_formula(body, out);
-        }
-        Formula::Member(_, r) | Formula::TupleIn(_, r) => collect_constructed_range(r, out),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::CmpOp;
     use crate::builder::*;
+
+    /// Every node variant in one range, with each relation name and
+    /// parameter leaf built through `r` and `p`:
+    ///
+    /// ```text
+    /// {<r.a, Pt> OF EACH r IN R[s1(Ps)], EACH s IN S{c1(T{c2(U)}; Pc)}:
+    ///    NOT (r.a = s.b)
+    ///    OR SOME x IN V[s2(r.a)] (ALL y IN W (y IN X{c3()} AND <x.c, Pi> IN Y))}
+    /// ```
+    fn fixture(r: &dyn Fn(&str) -> RangeExpr, p: &dyn Fn(&str) -> ScalarExpr) -> RangeExpr {
+        set_former(vec![Branch::projecting(
+            vec![attr("r", "a"), p("Pt")],
+            vec![
+                ("r".into(), r("R").select("s1", vec![p("Ps")])),
+                (
+                    "s".into(),
+                    r("S").construct_with(
+                        "c1",
+                        vec![r("T").construct("c2", vec![r("U")])],
+                        vec![p("Pc")],
+                    ),
+                ),
+            ],
+            fixture_predicate(r, p),
+        )])
+    }
+
+    fn fixture_predicate(r: &dyn Fn(&str) -> RangeExpr, p: &dyn Fn(&str) -> ScalarExpr) -> Formula {
+        not(eq(attr("r", "a"), attr("s", "b"))).or(some(
+            "x",
+            r("V").select("s2", vec![attr("r", "a")]),
+            all(
+                "y",
+                r("W"),
+                member("y", r("X").construct("c3", vec![]))
+                    .and(tuple_in(vec![attr("x", "c"), p("Pi")], r("Y"))),
+            ),
+        ))
+    }
+
+    fn relation(n: &str) -> RangeExpr {
+        rel(n)
+    }
+
+    fn parameter(n: &str) -> ScalarExpr {
+        param(n)
+    }
+
+    fn names(ns: &[&str]) -> FxHashSet<Name> {
+        ns.iter().map(|n| n.to_string()).collect()
+    }
+
+    #[test]
+    fn fixture_collectors_are_exact() {
+        let range = fixture(&relation, &parameter);
+        let pred = fixture_predicate(&relation, &parameter);
+        assert_eq!(
+            relation_names(&range),
+            names(&["R", "S", "T", "U", "V", "W", "X", "Y"])
+        );
+        assert_eq!(relation_names(&pred), names(&["V", "W", "X", "Y"]));
+        assert_eq!(selector_names(&range), names(&["s1", "s2"]));
+        assert_eq!(selector_names(&pred), names(&["s2"]));
+        assert_eq!(param_names(&range), names(&["Pt", "Ps", "Pc", "Pi"]));
+        assert_eq!(param_names(&pred), names(&["Pi"]));
+        let c2 = rel("T").construct("c2", vec![rel("U")]);
+        let c3 = rel("X").construct("c3", vec![]);
+        assert_eq!(
+            collect_constructed(&range),
+            vec![
+                rel("S").construct_with("c1", vec![c2.clone()], vec![param("Pc")]),
+                c2,
+                c3.clone(),
+            ]
+        );
+        assert_eq!(collect_constructed(&pred), vec![c3]);
+        assert_eq!(bound_vars(&range), names(&["r", "s", "x", "y"]));
+        assert_eq!(bound_vars(&pred), names(&["x", "y"]));
+    }
+
+    #[test]
+    fn fixture_substitutions_are_exact() {
+        let mut rels = FxHashMap::default();
+        rels.insert("T".to_string(), rel("T2"));
+        rels.insert(
+            "W".to_string(),
+            set_former(vec![Branch::each("w", rel("W2"), tru())]),
+        );
+        let renamed = |n: &str| rels.get(n).cloned().unwrap_or_else(|| rel(n));
+        assert_eq!(
+            substitute_rel(&fixture(&relation, &parameter), &rels),
+            fixture(&renamed, &parameter)
+        );
+        assert_eq!(
+            substitute_rel(&fixture_predicate(&relation, &parameter), &rels),
+            fixture_predicate(&renamed, &parameter)
+        );
+        let mut exprs = FxHashMap::default();
+        exprs.insert("Pt".to_string(), attr("o", "t"));
+        exprs.insert("Pc".to_string(), add(param("Pi"), cnst(1i64)));
+        exprs.insert("Pi".to_string(), cnst("i"));
+        let filled = |n: &str| exprs.get(n).cloned().unwrap_or_else(|| param(n));
+        assert_eq!(
+            substitute_param_exprs(&fixture(&relation, &parameter), &exprs),
+            fixture(&relation, &filled)
+        );
+        assert_eq!(
+            substitute_param_exprs(&fixture_predicate(&relation, &parameter), &exprs),
+            fixture_predicate(&relation, &filled)
+        );
+        let mut values = FxHashMap::default();
+        values.insert("Ps".to_string(), Value::Int(7));
+        values.insert("Pi".to_string(), Value::str("i"));
+        let fixed = |n: &str| {
+            values
+                .get(n)
+                .map_or_else(|| param(n), |v| ScalarExpr::Const(*v))
+        };
+        let RangeExpr::SetFormer(sf) = fixture(&relation, &parameter) else {
+            unreachable!("the fixture is a set-former")
+        };
+        assert_eq!(
+            RangeExpr::SetFormer(substitute_params(&sf, &values)),
+            fixture(&relation, &fixed)
+        );
+        assert_eq!(
+            substitute_params(&fixture(&relation, &parameter), &values),
+            fixture(&relation, &fixed)
+        );
+        assert_eq!(
+            substitute_params(&fixture_predicate(&relation, &parameter), &values),
+            fixture_predicate(&relation, &fixed)
+        );
+    }
 
     #[test]
     fn param_names_cover_every_scalar_position() {
@@ -1089,11 +1026,11 @@ mod tests {
         let mut map = FxHashMap::default();
         map.insert("Obj".to_string(), dc_value::Value::str("table"));
         let f = eq(attr("r", "front"), param("Obj"));
-        let out = substitute_params_formula(&f, &map);
+        let out = substitute_params(&f, &map);
         assert_eq!(out, eq(attr("r", "front"), cnst("table")));
         // Unknown params survive untouched.
         let g = eq(param("Other"), cnst(1i64));
-        assert_eq!(substitute_params_formula(&g, &map), g);
+        assert_eq!(substitute_params(&g, &map), g);
     }
 
     #[test]
@@ -1105,7 +1042,7 @@ mod tests {
             vec![("r".into(), rel("N"))],
             lt(attr("r", "n"), param("K")),
         )]);
-        let out = substitute_params_range(&r, &map);
+        let out = substitute_params(&r, &map);
         let shown = out.to_string();
         assert!(shown.contains('5'));
         assert!(!shown.contains('K'));
@@ -1118,7 +1055,7 @@ mod tests {
         // Selector predicate `t.base = B` becomes the correlated filter
         // `t.base = r.front`.
         let f = eq(attr("t", "base"), param("B"));
-        let out = substitute_param_exprs_formula(&f, &map);
+        let out = substitute_param_exprs(&f, &map);
         assert_eq!(out, eq(attr("t", "base"), attr("r", "front")));
         // Nested ranges (selector args, set-former predicates) are
         // reached too; unknown params survive untouched.
@@ -1127,7 +1064,7 @@ mod tests {
             rel("R").select("s", vec![param("B"), param("Other")]),
             lt(param("B"), cnst(3i64)),
         );
-        let out = substitute_param_exprs_formula(&g, &map);
+        let out = substitute_param_exprs(&g, &map);
         let shown = out.to_string();
         assert!(shown.contains("r.front"));
         assert!(shown.contains("Other"));
@@ -1141,8 +1078,7 @@ mod tests {
             set_former(vec![Branch::each("y", rel("R"), tru())]),
             all("z", rel("S"), tru()),
         );
-        let mut out = FxHashSet::default();
-        bound_vars_formula(&f, &mut out);
+        let out = bound_vars(&f);
         for v in ["x", "y", "z"] {
             assert!(out.contains(v), "{v}");
         }

@@ -20,6 +20,7 @@ use dc_value::{Domain, Schema};
 use crate::ast::{Branch, Formula, Name, RangeExpr, ScalarExpr, SelectorDef, Target, Var};
 use crate::error::EvalError;
 use crate::eval::value_domain;
+use crate::rewrite;
 
 /// Signature of a constructor visible to the type checker.
 #[derive(Debug, Clone)]
@@ -224,11 +225,15 @@ fn check_branch(
     cat: &dyn SchemaCatalog,
     scope: &mut Scope,
 ) -> Result<Schema, EvalError> {
+    // Every binding range is evaluated in the enclosing scope, before the
+    // branch binds any of its variables.
+    let schemas = branch
+        .bindings
+        .iter()
+        .map(|(_, range)| check_range_scoped(range, cat, scope))
+        .collect::<Result<Vec<_>, _>>()?;
     let mark = scope.len();
-    for (v, range) in &branch.bindings {
-        let schema = check_range_scoped(range, cat, scope)?;
-        scope.push((v.clone(), schema));
-    }
+    scope.extend(branch.bindings.iter().map(|(v, _)| v.clone()).zip(schemas));
     let result = (|| {
         check_formula_scoped(&branch.predicate, cat, scope)?;
         match &branch.target {
@@ -240,13 +245,8 @@ fn check_branch(
                 .ok_or_else(|| EvalError::UnboundVariable(v.clone())),
             Target::Tuple(exprs) => {
                 let mut attrs = Vec::with_capacity(exprs.len());
-                for (i, e) in exprs.iter().enumerate() {
+                for (e, name) in exprs.iter().zip(rewrite::target_names(exprs)) {
                     let d = check_scalar(e, cat, scope)?;
-                    let name = match e {
-                        ScalarExpr::Attr(_, a) => a.clone(),
-                        ScalarExpr::Param(p) => p.clone(),
-                        _ => format!("f{i}"),
-                    };
                     attrs.push(dc_value::Attribute::new(name, d.base()));
                 }
                 Ok(Schema::new(attrs))
@@ -539,6 +539,56 @@ mod tests {
             check_range(&bad, &catalog()),
             Err(EvalError::UnboundVariable(_))
         ));
+    }
+
+    #[test]
+    fn binding_ranges_are_checked_in_the_enclosing_scope() {
+        // `b`'s range is evaluated before the branch binds `a`.
+        let dependent = set_former(vec![Branch {
+            target: Target::Var("a".into()),
+            bindings: vec![
+                ("a".into(), rel("Infront")),
+                (
+                    "b".into(),
+                    rel("Infront").select("hidden_by", vec![attr("a", "front")]),
+                ),
+            ],
+            predicate: tru(),
+        }]);
+        assert!(matches!(
+            check_range(&dependent, &catalog()),
+            Err(EvalError::UnboundVariable(v)) if v == "a"
+        ));
+        // Under an outer `a`, the range's `a` is that one.
+        let outer = set_former(vec![Branch::each(
+            "a",
+            rel("Infront"),
+            some("z", dependent, tru()),
+        )]);
+        assert!(check_range(&outer, &catalog()).is_ok());
+    }
+
+    #[test]
+    fn repeated_target_names_are_the_evaluators() {
+        // `<f.front, b.front>` yields `(front, front_)`, as it evaluates.
+        let pairs = set_former(vec![Branch::projecting(
+            vec![attr("f", "front"), attr("b", "front")],
+            vec![("f".into(), rel("Infront")), ("b".into(), rel("Infront"))],
+            tru(),
+        )]);
+        let schema = check_range(&pairs, &catalog()).unwrap();
+        let names: Vec<&str> = schema
+            .attributes()
+            .iter()
+            .map(|a| a.name.as_str())
+            .collect();
+        assert_eq!(names, ["front", "front_"]);
+        let query = set_former(vec![Branch::each(
+            "x",
+            pairs,
+            eq(attr("x", "front_"), cnst("vase")),
+        )]);
+        assert!(check_range(&query, &catalog()).is_ok());
     }
 
     #[test]

@@ -370,7 +370,7 @@ impl State {
         self.index.insert(app.key.clone(), i);
         self.equations.push(Equation {
             key: app.key,
-            body: Arc::new(rewrite::substitute_params_set_former(&ctor.body, &params)),
+            body: Arc::new(rewrite::substitute_params(&ctor.body, &params)),
             overrides: Arc::new(overrides),
             result: ctor.result.clone(),
             classes: Vec::new(),
@@ -926,7 +926,7 @@ impl<'s> Solver<'s> {
         let mut classes = Vec::with_capacity(body.branches.len());
         for branch in &body.branches {
             // Applications in the predicate force fallback.
-            let predicate_apps = rewrite::collect_constructed_formula(&branch.predicate);
+            let predicate_apps = rewrite::collect_constructed(&branch.predicate);
             let mut linear = predicate_apps.is_empty();
             let mut links = Vec::new();
             for (pos, (_, range)) in branch.bindings.iter().enumerate() {
@@ -1061,7 +1061,7 @@ impl<'s> Solver<'s> {
                 }
                 for (b, branch) in eq.body.branches.iter().enumerate() {
                     let mut reach = Reach::new(self.source);
-                    reach.formula(&branch.predicate);
+                    reach.add(&branch.predicate);
                     let mut deleted = Vec::new();
                     for (p, (_, range)) in branch.bindings.iter().enumerate() {
                         match range {
@@ -1083,9 +1083,9 @@ impl<'s> Solver<'s> {
                                 std::iter::once(&**base)
                                     .chain(args)
                                     .filter(|a| !matches!(a, RangeExpr::Rel(_)))
-                                    .for_each(|a| reach.range(a));
+                                    .for_each(|a| reach.add(a));
                             }
-                            other => reach.range(other),
+                            other => reach.add(other),
                         }
                     }
                     if reach.hits(|n| local.contains_key(n) || deltas.iter().any(|(t, _)| t == n)) {

@@ -47,10 +47,11 @@
 //! atomic-abort invariant).
 
 use std::cell::RefCell;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
-use dc_calculus::ast::{Formula, Name, RangeExpr, SelectorDef};
-use dc_calculus::rewrite;
+use dc_calculus::ast::{Name, RangeExpr, ScalarExpr, SelectorDef};
+use dc_calculus::rewrite::{self, Node};
 use dc_calculus::{AccessCache, Catalog, EvalError};
 use dc_relation::Relation;
 use dc_value::{FxHashMap, FxHashSet, Value};
@@ -90,39 +91,40 @@ impl<'s> Reach<'s> {
         }
     }
 
-    pub(super) fn range(&mut self, r: &RangeExpr) {
-        self.relations.extend(rewrite::relation_names(r));
-        self.params.extend(rewrite::param_names(r));
-        self.chase(rewrite::selector_names(r), rewrite::collect_constructed(r));
-    }
-
-    pub(super) fn formula(&mut self, f: &Formula) {
-        self.relations.extend(rewrite::relation_names_formula(f));
-        self.params.extend(rewrite::param_names_formula(f));
-        self.chase(
-            rewrite::selector_names_formula(f),
-            rewrite::collect_constructed_formula(f),
-        );
-    }
-
-    fn chase(&mut self, selectors: FxHashSet<Name>, apps: Vec<RangeExpr>) {
+    /// Add what a range or formula reads, in one walk: its relations and
+    /// parameters, and its selectors and constructor applications,
+    /// chased into their definitions.
+    pub(super) fn add<'a>(&mut self, node: impl Into<Node<'a>>) {
+        let (mut selectors, mut ctors) = (Vec::new(), Vec::new());
+        let _ = rewrite::walk(node, |n, _| {
+            match n {
+                Node::Range(RangeExpr::Rel(name)) => {
+                    self.relations.insert(name.clone());
+                }
+                Node::Range(RangeExpr::Selected { selector, .. }) => selectors.push(selector),
+                Node::Range(RangeExpr::Constructed { constructor, .. }) => ctors.push(constructor),
+                Node::Scalar(ScalarExpr::Param(p)) => {
+                    self.params.insert(p.clone());
+                }
+                _ => {}
+            }
+            ControlFlow::Continue(())
+        });
         for name in selectors {
-            if self.selectors.contains_key(&name) {
+            if self.selectors.contains_key(name) {
                 continue;
             }
-            match self.source.base_catalog().selector(&name) {
+            match self.source.base_catalog().selector(name) {
                 Ok(def) => {
                     let predicate = def.predicate.clone();
-                    self.selectors.insert(name, def.clone());
-                    self.formula(&predicate);
+                    self.selectors.insert(name.clone(), def.clone());
+                    self.add(&predicate);
                 }
                 Err(_) => self.complete = false,
             }
         }
-        for app in apps {
-            if let RangeExpr::Constructed { constructor, .. } = app {
-                self.constructor(&constructor);
-            }
+        for name in ctors {
+            self.constructor(name);
         }
     }
 
@@ -134,7 +136,7 @@ impl<'s> Reach<'s> {
             Ok(def) => {
                 let body = RangeExpr::SetFormer(def.body.clone());
                 self.ctors.insert(name.to_string(), def);
-                self.range(&body);
+                self.add(&body);
             }
             Err(_) => self.complete = false,
         }

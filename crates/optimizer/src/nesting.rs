@@ -68,7 +68,7 @@ pub fn inline_applications(db: &Database, range: &RangeExpr) -> Result<RangeExpr
                     _ => return Ok(range.clone()), // leave dynamic applications alone
                 }
             }
-            let pred = rewrite::substitute_params_formula(&def.predicate, &pmap);
+            let pred = rewrite::substitute_params(&def.predicate, &pmap);
             RangeExpr::SetFormer(SetFormer {
                 branches: vec![Branch::each(def.element_var.clone(), base, pred)],
             })
@@ -107,7 +107,7 @@ pub fn inline_applications(db: &Database, range: &RangeExpr) -> Result<RangeExpr
                     _ => return Ok(range.clone()),
                 }
             }
-            let body = rewrite::substitute_params_range(&body_range, &pmap);
+            let body = rewrite::substitute_params(&body_range, &pmap);
             rewrite::substitute_rel(&body, &rel_map)
         }
         RangeExpr::SetFormer(sf) => {
