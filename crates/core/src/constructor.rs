@@ -100,9 +100,10 @@ impl Constructor {
 }
 
 /// Schema catalog overlay installing the constructor's formal
-/// parameters — base relation, relation parameters, scalar parameters,
-/// and the constructor's own signature (self-recursion) — over the
-/// database catalog.
+/// parameters — base relation, relation parameters, scalar parameters —
+/// over the database catalog. Signatures, the constructor's own
+/// included, resolve through the catalog: `Database` registers a
+/// group's signatures before it validates any body.
 struct FormalScope<'a> {
     base: &'a dyn SchemaCatalog,
     ctor: &'a Constructor,
@@ -124,17 +125,6 @@ impl SchemaCatalog for FormalScope<'_> {
     }
 
     fn constructor_sig(&self, name: &str) -> Result<&ConstructorSig, EvalError> {
-        // Self-recursion resolves even while the constructor is being
-        // registered; other names resolve via the catalog (mutual
-        // recursion requires the peers to be declared — see
-        // `Database::define_constructors` for simultaneous groups).
-        if name == self.ctor.name {
-            // Leak-free: store the signature lazily per validation call
-            // is awkward behind &self; instead reconstruct through the
-            // catalog if present, else use a thread-local slot.
-            // Simpler: the Database registers signatures before
-            // validation, so this path is only a fallback.
-        }
         self.base.constructor_sig(name)
     }
 

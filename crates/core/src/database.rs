@@ -7,7 +7,6 @@
 //! definitions with registration-time type checking, constructor
 //! definitions with the §3.3 positivity check, and guarded assignment.
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 use dc_calculus::ast::{Name, SelectorDef};
@@ -16,30 +15,22 @@ use dc_calculus::{AccessCache, Catalog, EvalError, Evaluator, Explanation, Range
 use dc_governor::Budget;
 use dc_relation::Relation;
 use dc_trace::metrics::{Gauge, MetricsRegistry};
-use dc_value::{FxHashMap, FxHashSet, Schema, Sym, Tuple, Value};
+use dc_value::{FxHashMap, Schema, Sym, Tuple, Value};
 
+use crate::catalog::{self, Defs, SolvedMemo};
 use crate::constructor::Constructor;
 use crate::error::CoreError;
-use crate::fixpoint::{self, AppKey, ConstructorSource, FixpointConfig, Strategy};
+use crate::fixpoint::{ConstructorSource, FixpointConfig, Strategy};
 use crate::selector::Selector;
 
 /// An in-memory deductive database: base relations + rules
 /// (constructors) + constraints (selectors).
 pub struct Database {
     relations: FxHashMap<Name, Relation>,
-    selectors: FxHashMap<Name, Selector>,
-    constructors: FxHashMap<Name, Constructor>,
-    signatures: FxHashMap<Name, ConstructorSig>,
-    /// Constructors registered through the unchecked API (§3.3's
-    /// non-positive definitions); the solver runs every system that can
-    /// reach one naive, since differential evaluation assumes
-    /// monotonicity.
-    unchecked: FxHashSet<Name>,
-    config: FixpointConfig,
-    /// Memo of solved applications. A body may read relations by name
-    /// that its [`AppKey`] does not cover, so the memo is dropped
+    defs: Defs,
+    /// Memo of solved applications over the current relations, dropped
     /// whenever any relation changes (and when the strategy does).
-    solved: RefCell<FxHashMap<AppKey, Relation>>,
+    solved: SolvedMemo,
     /// Indexes over the base relations, served to every evaluator through
     /// [`Catalog::access`]. Keyed by storage identity, so a changed
     /// relation simply misses; [`Database::mutate`] forgets the id it
@@ -61,18 +52,17 @@ impl Database {
     /// An empty database with the default (semi-naive) configuration.
     pub fn new() -> Database {
         let metrics = Arc::new(MetricsRegistry::new());
-        let config = FixpointConfig {
-            metrics: Some(metrics.clone()),
-            ..FixpointConfig::default()
+        let defs = Defs {
+            config: FixpointConfig {
+                metrics: Some(metrics.clone()),
+                ..FixpointConfig::default()
+            },
+            ..Defs::default()
         };
         Database {
             relations: FxHashMap::default(),
-            selectors: FxHashMap::default(),
-            constructors: FxHashMap::default(),
-            signatures: FxHashMap::default(),
-            unchecked: FxHashSet::default(),
-            config,
-            solved: RefCell::new(FxHashMap::default()),
+            defs,
+            solved: SolvedMemo::default(),
             access: AccessCache::new(Some(metrics.clone())),
             metrics,
         }
@@ -85,8 +75,7 @@ impl Database {
     /// [`Database::define_constructor_unchecked`], and semi-naive
     /// otherwise. Drops the solved memo (benchmarks compare the two).
     pub fn set_strategy(&mut self, strategy: Strategy) {
-        self.config.strategy = strategy;
-        self.solved.borrow_mut().clear();
+        self.config_mut().strategy = strategy;
     }
 
     /// Enable or disable index-nested-loop join execution (on by
@@ -94,7 +83,7 @@ impl Database {
     /// end to end — the pre-optimization baseline, kept for
     /// differential tests and benchmark comparisons.
     pub fn set_use_indexes(&mut self, on: bool) {
-        self.config.use_indexes = on;
+        self.defs.config.use_indexes = on;
     }
 
     /// Set the worker-thread count (round task dispatch inside a
@@ -105,7 +94,7 @@ impl Database {
     /// [`FixpointConfig::threads`]). Results are identical for every
     /// setting; only wall-clock time changes.
     pub fn set_threads(&mut self, threads: usize) {
-        self.config.threads = threads;
+        self.defs.config.threads = threads;
     }
 
     /// Attach (or, with `None`, remove) a resource budget governing
@@ -117,26 +106,26 @@ impl Database {
     /// [`dc_governor::SolveError`] carries the only trace of the
     /// aborted work.
     pub fn set_budget(&mut self, budget: Option<Budget>) {
-        self.config.budget = budget;
+        self.defs.config.budget = budget;
     }
 
     /// Current fixpoint configuration.
     pub fn config(&self) -> &FixpointConfig {
-        &self.config
+        &self.defs.config
     }
 
     /// Mutable fixpoint configuration (drops the solved memo: the
     /// caller may change the strategy through it).
     pub fn config_mut(&mut self) -> &mut FixpointConfig {
-        self.solved.borrow_mut().clear();
-        &mut self.config
+        self.solved.clear();
+        &mut self.defs.config
     }
 
     /// Drop the memo of solved constructor applications *and* every
     /// cached access structure. Mutations drop what they must by
     /// themselves; benchmarks call this to measure cold evaluations.
     pub fn clear_solved_cache(&self) {
-        self.solved.borrow_mut().clear();
+        self.solved.clear();
         self.access.retain(&[]);
     }
 
@@ -161,7 +150,7 @@ impl Database {
         let out = f(r);
         if r.storage_id() != old {
             self.access.forget(old);
-            self.solved.borrow_mut().clear();
+            self.solved.clear();
         }
         record_interned(&self.metrics);
         out
@@ -235,22 +224,9 @@ impl Database {
         args: &[Value],
         source: &Relation,
     ) -> Result<(), CoreError> {
-        let sel = self
-            .selectors
-            .get(selector)
-            .ok_or_else(|| CoreError::Unknown {
-                kind: "selector",
-                name: selector.to_string(),
-            })?
-            .clone();
+        let sel = self.selector_ref(selector)?.clone();
         // Guard against a missing target before evaluating.
-        if !self.relations.contains_key(rel) {
-            return Err(CoreError::Unknown {
-                kind: "relation",
-                name: rel.to_string(),
-            });
-        }
-        let mut staged = Relation::new(self.relations[rel].schema().clone());
+        let mut staged = Relation::new(self.relation_ref(rel)?.schema().clone());
         sel.guard_assign(&mut staged, source, args, self)?;
         self.mutate(rel, |r| {
             *r = staged;
@@ -275,23 +251,26 @@ impl Database {
         def: SelectorDef,
         for_schema: Schema,
     ) -> Result<(), CoreError> {
-        if self.selectors.contains_key(&def.name) {
+        if self.defs.selectors.contains_key(&def.name) {
             return Err(CoreError::Duplicate {
                 kind: "selector",
                 name: def.name,
             });
         }
         let sel = Selector::new(def, for_schema, self)?;
-        self.selectors.insert(sel.name().to_string(), sel);
+        self.defs.selectors.insert(sel.name().to_string(), sel);
         Ok(())
     }
 
     /// Look up a selector.
     pub fn selector_ref(&self, name: &str) -> Result<&Selector, CoreError> {
-        self.selectors.get(name).ok_or_else(|| CoreError::Unknown {
-            kind: "selector",
-            name: name.to_string(),
-        })
+        self.defs
+            .selectors
+            .get(name)
+            .ok_or_else(|| CoreError::Unknown {
+                kind: "selector",
+                name: name.to_string(),
+            })
     }
 
     // ------------------------------------------------------------------
@@ -321,7 +300,7 @@ impl Database {
     pub fn define_constructor_unchecked(&mut self, c: Constructor) -> Result<(), CoreError> {
         let name = c.name.clone();
         self.define_constructor_group(vec![c], true)?;
-        self.unchecked.insert(name);
+        self.defs.unchecked.insert(name);
         Ok(())
     }
 
@@ -331,7 +310,7 @@ impl Database {
         skip_positivity: bool,
     ) -> Result<(), CoreError> {
         for c in &cs {
-            if self.constructors.contains_key(&c.name) {
+            if self.defs.constructors.contains_key(&c.name) {
                 return Err(CoreError::Duplicate {
                     kind: "constructor",
                     name: c.name.clone(),
@@ -340,27 +319,27 @@ impl Database {
         }
         // Register all signatures first (mutual recursion), then
         // validate; roll back on failure.
-        let names: Vec<Name> = cs.iter().map(|c| c.name.clone()).collect();
         for c in &cs {
-            self.signatures.insert(c.name.clone(), c.signature());
+            self.defs.signatures.insert(c.name.clone(), c.signature());
         }
         for c in &cs {
             if let Err(e) = c.validate(self, skip_positivity) {
-                for n in &names {
-                    self.signatures.remove(n);
+                for c in &cs {
+                    self.defs.signatures.remove(&c.name);
                 }
                 return Err(e);
             }
         }
         for c in cs {
-            self.constructors.insert(c.name.clone(), c);
+            self.defs.constructors.insert(c.name.clone(), c);
         }
         Ok(())
     }
 
     /// Look up a constructor definition.
     pub fn constructor_ref(&self, name: &str) -> Result<&Constructor, CoreError> {
-        self.constructors
+        self.defs
+            .constructors
             .get(name)
             .ok_or_else(|| CoreError::Unknown {
                 kind: "constructor",
@@ -370,7 +349,7 @@ impl Database {
 
     /// Names of all constructors, sorted.
     pub fn constructor_names(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.constructors.keys().map(String::as_str).collect();
+        let mut v: Vec<&str> = self.defs.constructors.keys().map(String::as_str).collect();
         v.sort_unstable();
         v
     }
@@ -392,66 +371,37 @@ impl Database {
     }
 
     /// An evaluator over this database honouring the index and
-    /// parallel-execution configuration.
+    /// parallel-execution configuration. A configured budget is armed
+    /// for this evaluation; constructor applications it dispatches arm
+    /// their own per-solve meter, so a solve's deadline is never
+    /// pre-aged by query time spent before it.
     pub fn evaluator(&self) -> Evaluator<'_> {
-        let mut ev = Evaluator::new(self).with_metrics(self.metrics.clone());
-        if let Some(budget) = &self.config.budget {
-            // Top-level query governance: arm the configured budget for
-            // this evaluation. (Constructor applications dispatched
-            // through `apply_constructor` arm their own per-solve
-            // meter, so a solve's deadline is never pre-aged by query
-            // time spent before it.)
-            ev = ev.with_meter(budget.meter());
-        }
-        if self.config.use_indexes {
-            ev.with_threads(dc_exec::thread_count(self.config.threads))
-                .with_parallel_threshold(self.config.parallel_threshold)
-        } else {
-            ev.force_nested_loop()
-        }
+        let config = &self.defs.config;
+        config.evaluator(self, config.budget.as_ref().map(Budget::meter), true)
     }
 
     /// Type-check and evaluate a query, returning the planner's typed
     /// decision trace rendered as an `EXPLAIN` tree instead of the
-    /// result relation: the chosen access path per branch (probe vs.
-    /// scan, with the estimates behind the ordering), quantifier-plan
-    /// demotions, and correlated ranges left on the reference scan,
-    /// each with its reason.
+    /// result relation (see [`catalog::explain`]).
     pub fn explain(&self, query: &RangeExpr) -> Result<Explanation, CoreError> {
-        typeck::check_range(query, self)?;
-        let mut ev = self.evaluator();
-        let rel = ev.eval(query)?;
-        let events = ev.take_plan_events();
-        Ok(Explanation::new(
-            &query.to_string(),
-            Some(rel.len()),
-            events,
-        ))
+        Ok(catalog::explain(self, self.evaluator(), query)?)
     }
 
     /// The database's metrics registry — counters for solves, rounds,
-    /// delta tuples, and planner decisions, recorded across every query
-    /// and solve since creation. Snapshot with
+    /// delta tuples, solved-memo and index-cache traffic, and planner
+    /// decisions, recorded across every query and solve since creation.
+    /// Snapshot with
     /// [`dc_trace::metrics::MetricsRegistry::snapshot`].
     pub fn metrics(&self) -> Arc<MetricsRegistry> {
         self.metrics.clone()
     }
 
-    /// Decompose the database into its definition and data parts,
-    /// dropping the solved memo and the access cache. This is the
-    /// snapshot-publication hook the serving layer (`dc-server`) uses
-    /// to take over a fully defined database: the parts are plain
-    /// `Send + Sync` values from which the server builds its first
-    /// immutable snapshot, which starts a cache of its own.
-    pub fn into_parts(self) -> DatabaseParts {
-        DatabaseParts {
-            relations: self.relations,
-            selectors: self.selectors,
-            constructors: self.constructors,
-            signatures: self.signatures,
-            unchecked: self.unchecked,
-            config: self.config,
-        }
+    /// Hand the definitions and the relations over, dropping the solved
+    /// memo and the access cache: the hook through which the serving
+    /// layer (`dc-server`) takes over a fully defined database and
+    /// publishes its first snapshot, which starts caches of its own.
+    pub fn into_parts(self) -> (Defs, FxHashMap<Name, Relation>) {
+        (self.defs, self.relations)
     }
 }
 
@@ -464,39 +414,17 @@ pub fn record_interned(metrics: &MetricsRegistry) {
     metrics.set_gauge(Gauge::InternedBytes, bytes as u64);
 }
 
-/// The definition + data parts of a [`Database`], with the per-database
-/// caches stripped (see [`Database::into_parts`]). All fields are plain
-/// owned values: the serving layer moves them behind `Arc`s of its own.
-pub struct DatabaseParts {
-    /// Base relation variables and their current values.
-    pub relations: FxHashMap<Name, Relation>,
-    /// Registered selectors.
-    pub selectors: FxHashMap<Name, Selector>,
-    /// Registered constructors.
-    pub constructors: FxHashMap<Name, Constructor>,
-    /// Constructor signatures (for static checking).
-    pub signatures: FxHashMap<Name, ConstructorSig>,
-    /// Constructors registered through the unchecked API; systems that
-    /// reach one are solved naive.
-    pub unchecked: FxHashSet<Name>,
-    /// The fixpoint configuration the database was running with.
-    pub config: FixpointConfig,
-}
-
 impl ConstructorSource for Database {
     fn base_catalog(&self) -> &dyn Catalog {
         self
     }
 
     fn constructor_def(&self, name: &str) -> Result<Constructor, EvalError> {
-        self.constructors
-            .get(name)
-            .cloned()
-            .ok_or_else(|| EvalError::UnknownConstructor(name.to_string()))
+        self.defs.constructor(name).cloned()
     }
 
     fn is_unchecked(&self, name: &str) -> bool {
-        self.unchecked.contains(name)
+        self.defs.is_unchecked(name)
     }
 }
 
@@ -509,16 +437,17 @@ impl Catalog for Database {
     }
 
     fn selector(&self, name: &str) -> Result<&SelectorDef, EvalError> {
-        self.selectors
-            .get(name)
-            .map(|s| s.def())
-            .ok_or_else(|| EvalError::UnknownSelector(name.to_string()))
+        self.defs.selector(name)
     }
 
     fn access(&self) -> Option<&AccessCache> {
         Some(&self.access)
     }
 
+    /// The solve never mutates `self.relations` and builds its access
+    /// structures in a cache of its own; with the memo's success-only
+    /// insert, every abort (panics included — the solver catches them)
+    /// leaves the database at its pre-solve state.
     fn apply_constructor(
         &self,
         base: Relation,
@@ -526,39 +455,22 @@ impl Catalog for Database {
         args: Vec<Relation>,
         scalar_args: Vec<Value>,
     ) -> Result<Relation, EvalError> {
-        let key = AppKey::new(name, &base, &args, &scalar_args);
-        if let Some(hit) = self.solved.borrow().get(&key) {
-            return Ok(hit.clone());
-        }
-        // The solve never mutates `self.relations` and builds its access
-        // structures in a cache of its own; with the success-only memo
-        // insert below, every abort (panics included — the solver
-        // catches them) leaves the database at its pre-solve state.
-        let value = fixpoint::solve(self, name, base, args, scalar_args, &self.config)?;
-        self.solved.borrow_mut().insert(key, value.clone());
-        Ok(value)
+        self.solved
+            .apply(self, name, base, args, scalar_args, &self.defs.config)
     }
 }
 
 impl SchemaCatalog for Database {
     fn relation_schema(&self, name: &str) -> Result<Schema, EvalError> {
-        self.relations
-            .get(name)
-            .map(|r| r.schema().clone())
-            .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))
+        Ok(Catalog::relation(self, name)?.schema().clone())
     }
 
     fn selector_def(&self, name: &str) -> Result<&SelectorDef, EvalError> {
-        self.selectors
-            .get(name)
-            .map(|s| s.def())
-            .ok_or_else(|| EvalError::UnknownSelector(name.to_string()))
+        self.defs.selector(name)
     }
 
     fn constructor_sig(&self, name: &str) -> Result<&ConstructorSig, EvalError> {
-        self.signatures
-            .get(name)
-            .ok_or_else(|| EvalError::UnknownConstructor(name.to_string()))
+        self.defs.constructor_sig(name)
     }
 }
 
@@ -717,13 +629,13 @@ mod tests {
         let mut db = scene_db();
         let q = rel("Infront").construct("ahead", vec![]);
         let a = db.eval(&q).unwrap();
-        assert_eq!(db.solved.borrow().len(), 1);
+        assert_eq!(db.solved.len(), 1);
         // Cached: same result.
         let b = db.eval(&q).unwrap();
         assert_eq!(a, b);
         // Mutation invalidates; new tuple extends the closure.
         db.insert("Infront", tuple!["wall", "window"]).unwrap();
-        assert!(db.solved.borrow().is_empty());
+        assert!(db.solved.is_empty());
         let c = db.eval(&q).unwrap();
         assert!(c.len() > b.len());
         assert!(c.contains(&tuple!["vase", "window"]));

@@ -400,59 +400,80 @@ impl State {
     }
 }
 
-/// The execution knobs every solver-spawned evaluator shares: index
-/// usage, the (already resolved) parallel-dispatch configuration, and
-/// the solve's armed budget meter.
+impl FixpointConfig {
+    /// The one evaluator builder, for queries and solves alike: an
+    /// evaluator over `catalog` that counts into
+    /// [`FixpointConfig::metrics`], is governed by `meter` if one is
+    /// given, and honours [`FixpointConfig::use_indexes`]. A `pooled`
+    /// evaluator shards the scans of one-shot query branches over
+    /// [`FixpointConfig::threads`] workers. Solver evaluators are never
+    /// pooled: inside a solve the only parallelism is the round's task
+    /// dispatch, and sharding a task's scan as well measured slower at
+    /// every worker count (see ARCHITECTURE, "Parallel execution").
+    pub fn evaluator<'e>(
+        &self,
+        catalog: &'e dyn Catalog,
+        meter: Option<Meter>,
+        pooled: bool,
+    ) -> Evaluator<'e> {
+        let mut ev = Evaluator::new(catalog);
+        if let Some(m) = &self.metrics {
+            ev = ev.with_metrics(m.clone());
+        }
+        if let Some(meter) = meter {
+            ev = ev.with_meter(meter);
+        }
+        if !self.use_indexes {
+            ev.force_nested_loop()
+        } else if pooled {
+            ev.with_threads(dc_exec::thread_count(self.threads))
+                .with_parallel_threshold(self.parallel_threshold)
+        } else {
+            ev
+        }
+    }
+}
+
+/// What every solver-spawned evaluator shares: the solve's
+/// configuration, its resolved worker count, and its armed budget.
 #[derive(Debug, Clone)]
 struct ExecKnobs {
-    /// See [`FixpointConfig::use_indexes`].
-    use_indexes: bool,
+    /// The solve's configuration.
+    cfg: FixpointConfig,
     /// Resolved worker count (`dc_exec::thread_count` applied to
     /// [`FixpointConfig::threads`] once per solve).
     threads: usize,
-    /// See [`FixpointConfig::parallel_threshold`].
-    parallel_threshold: usize,
     /// The armed budget gauge: one per solve, shared (clones share
     /// counters) by the solver loop and every branch evaluator, on
     /// whichever thread it runs. Always armed — an unlimited meter
     /// never trips but keeps the scheduler counters the solve records.
     budget: Meter,
-    /// See [`FixpointConfig::metrics`] — handed to every evaluator so
-    /// planner decisions are counted no matter which thread plans.
-    metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl ExecKnobs {
     fn of(cfg: &FixpointConfig) -> ExecKnobs {
         ExecKnobs {
-            use_indexes: cfg.use_indexes,
+            cfg: cfg.clone(),
             threads: dc_exec::thread_count(cfg.threads),
-            parallel_threshold: cfg.parallel_threshold,
             budget: cfg.budget.clone().unwrap_or_default().meter(),
-            metrics: cfg.metrics.clone(),
         }
     }
 
-    /// An evaluator honouring the solver's execution configuration.
-    /// Always single-worker: inside a solve the only parallelism is the
-    /// round's task dispatch — sharding a task's scan as well measured
-    /// slower at every worker count (see ARCHITECTURE, "Parallel
-    /// execution").
+    /// A single-worker evaluator under the solve's configuration.
     fn evaluator<'e>(&self, catalog: &'e dyn Catalog) -> Evaluator<'e> {
-        let mut ev = Evaluator::new(catalog).with_meter(self.budget.clone());
-        if let Some(m) = &self.metrics {
-            ev = ev.with_metrics(m.clone());
-        }
-        if self.use_indexes {
-            ev
-        } else {
-            ev.force_nested_loop()
-        }
+        self.cfg
+            .evaluator(catalog, Some(self.budget.clone()), false)
     }
 }
 
-/// Solve the system rooted at `constructor(base, args, scalar_args)`;
-/// returns the application value. Run statistics go to
+/// Solve the system rooted at `constructor(base, args, scalar_args)`
+/// cold and capture the converged system's materialised state
+/// (per-equation values and the access structures maintained over
+/// them), so a later [`solve_warm`] can re-enter the semi-naive rounds
+/// instead of starting over. `names` names the catalog relations the
+/// actuals came from (base, then relation arguments) — the provenance
+/// warm starts use to route base deltas to formals; without it the
+/// system cannot be maintained warm. Run statistics go to
 /// [`FixpointConfig::metrics`].
 pub fn solve(
     source: &dyn ConstructorSource,
@@ -460,45 +481,23 @@ pub fn solve(
     base: Relation,
     args: Vec<Relation>,
     scalar_args: Vec<Value>,
+    names: Option<(&str, &[&str])>,
     cfg: &FixpointConfig,
-) -> Result<Relation, EvalError> {
+) -> Result<SolvedSystem, EvalError> {
     isolate(|| {
         let root = Application::new(constructor, base, args, scalar_args);
-        Ok(Solver::new(source, root, None, None, cfg)?.run()?.value)
-    })
-}
-
-/// [`solve`], additionally capturing the converged system's
-/// materialised state (per-equation values and the access structures
-/// maintained over them) so a later [`solve_warm`] can re-enter the
-/// semi-naive rounds instead of starting over. `base_name`/`arg_names` name the
-/// catalog relations the actuals came from — the provenance warm
-/// starts use to route base deltas to formals.
-#[allow(clippy::too_many_arguments)]
-pub fn solve_tracked(
-    source: &dyn ConstructorSource,
-    constructor: &str,
-    base: Relation,
-    args: Vec<Relation>,
-    scalar_args: Vec<Value>,
-    base_name: &str,
-    arg_names: &[&str],
-    cfg: &FixpointConfig,
-) -> Result<(Relation, SolvedSystem), EvalError> {
-    isolate(|| {
-        let root = Application::new(constructor, base, args, scalar_args);
-        let names = root_slots(base_name, arg_names);
-        let run = Solver::new(source, root, Some(names), None, cfg)?.run()?;
-        Ok((run.value, run.system))
+        let names = names.map(root_slots);
+        Ok(Solver::new(source, root, names, None, cfg)?.run()?.system)
     })
 }
 
 /// Re-solve `constructor(base, args, scalar_args)` warm: seed every
-/// equation from `prev` (the system captured by a previous
-/// [`solve_tracked`]/[`solve_warm`] over the *same* system shape) and
+/// equation from `prev` (the system captured by a previous [`solve`]
+/// with `names`, or [`solve_warm`], over the *same* system shape) and
 /// maintain it by `deltas` — per named base relation, the tuples
 /// inserted and deleted since `prev` was captured. The actuals
-/// (`base`/`args`) must be the *new* relation values.
+/// (`base`/`args`) must be the *new* relation values, `names` the
+/// catalog relations they came from.
 ///
 /// Insertions re-enter the semi-naive rounds from the inserted tuples.
 /// Deletions run delete-and-rederive (DRed) over the same rounds:
@@ -530,7 +529,7 @@ pub fn solve_tracked(
 /// system shape, an equation with untracked provenance or a fallback
 /// branch, and any touched relation reachable through a predicate,
 /// selector body or computed constructor actual. A refusal is not an
-/// error; the caller re-solves cold via [`solve_tracked`].
+/// error; the caller re-solves cold via [`solve`].
 #[allow(clippy::too_many_arguments)]
 pub fn solve_warm(
     source: &dyn ConstructorSource,
@@ -538,22 +537,20 @@ pub fn solve_warm(
     base: Relation,
     args: Vec<Relation>,
     scalar_args: Vec<Value>,
-    base_name: &str,
-    arg_names: &[&str],
+    names: (&str, &[&str]),
     prev: SolvedSystem,
     deltas: &[(Name, BaseDelta)],
     cfg: &FixpointConfig,
 ) -> Result<WarmOutcome, EvalError> {
     isolate(|| {
         let root = Application::new(constructor, base, args, scalar_args);
-        let names = root_slots(base_name, arg_names);
         let SolvedSystem { equations, access } = prev;
-        let solver = Solver::new(source, root, Some(names), Some(access), cfg)?;
+        let solver = Solver::new(source, root, Some(root_slots(names)), Some(access), cfg)?;
         Ok(match solver.warm_start(equations, deltas) {
             Ok(plan) => {
                 let run = solver.maintain(plan)?;
                 WarmOutcome::Solved {
-                    value: run.value,
+                    value: run.system.value().clone(),
                     added: run.added,
                     removed: run.removed,
                     system: run.system,
@@ -577,7 +574,7 @@ fn isolate<T>(solve: impl FnOnce() -> Result<T, EvalError>) -> Result<T, EvalErr
 }
 
 /// Root provenance slots from caller-supplied names.
-fn root_slots(base_name: &str, arg_names: &[&str]) -> Vec<Option<Name>> {
+fn root_slots((base_name, arg_names): (&str, &[&str])) -> Vec<Option<Name>> {
     std::iter::once(base_name)
         .chain(arg_names.iter().copied())
         .map(|n| Some(n.to_string()))
@@ -596,7 +593,7 @@ struct SolvedEquation {
 }
 
 /// The materialised state of a converged equation system, returned by
-/// [`solve_tracked`] and consumed (and re-produced) by [`solve_warm`].
+/// [`solve`] and consumed (and re-produced) by [`solve_warm`].
 /// Opaque: callers hold it between solves; only the root value is
 /// readable.
 pub struct SolvedSystem {
@@ -740,7 +737,7 @@ pub enum WarmOutcome {
         system: SolvedSystem,
     },
     /// The warm start could not be proven sound: the caller must fall
-    /// back to a cold [`solve_tracked`].
+    /// back to a cold [`solve`].
     Refused {
         /// Which check refused.
         reason: Refusal,
@@ -749,7 +746,6 @@ pub enum WarmOutcome {
 
 /// What a converged run produced.
 struct Converged {
-    value: Relation,
     /// Root tuples added relative to the warm seed (empty for a cold
     /// run).
     added: Relation,
@@ -809,7 +805,6 @@ struct Solver<'s> {
     access: Arc<AccessCache>,
     /// The strategy decision, made once per solve in [`Solver::new`].
     naive: bool,
-    max_iterations: usize,
     /// Open for the whole solve; rounds, phases, and branch tasks nest
     /// under it (branch tasks via an explicit parent when dispatched).
     span: dc_trace::Span,
@@ -850,7 +845,6 @@ impl<'s> Solver<'s> {
             knobs: ExecKnobs::of(cfg),
             access,
             naive,
-            max_iterations: cfg.max_iterations,
             span,
             t0,
         };
@@ -1236,13 +1230,13 @@ impl<'s> Solver<'s> {
         loop {
             tally.rounds += 1;
             let rounds = tally.rounds;
-            if rounds > self.max_iterations {
+            if rounds > knobs.cfg.max_iterations {
                 // Round-allowance exhaustion is a divergence verdict, with
                 // enough diagnostics to distinguish a genuinely divergent
                 // system (growing delta) from a slow convergent one.
                 let note = format!(
                     "max_iterations ({}) exhausted without convergence",
-                    self.max_iterations
+                    knobs.cfg.max_iterations
                 );
                 return Err(EvalError::Solve(SolveError::Diverged {
                     diag: self.diag(rounds - 1, vec![note]),
@@ -1291,7 +1285,7 @@ impl<'s> Solver<'s> {
             // choice).
             let eligible = tasks
                 .iter()
-                .filter(|t| t.weight >= self.knobs.parallel_threshold)
+                .filter(|t| t.weight >= self.knobs.cfg.parallel_threshold)
                 .count();
             let dispatch = self.knobs.threads > 1 && tasks.len() >= 2 && eligible >= 2;
             let eval_span = phase_span("evaluate");
@@ -1407,7 +1401,7 @@ impl<'s> Solver<'s> {
         } = self;
         let st = state.into_inner();
         let equations = st.equations.len();
-        if let Some(m) = &knobs.metrics {
+        if let Some(m) = &knobs.cfg.metrics {
             m.inc(Counter::SolveRuns);
             m.add(Counter::SolveRounds, tally.rounds as u64);
             m.add(Counter::SolveEquations, equations as u64);
@@ -1455,7 +1449,6 @@ impl<'s> Solver<'s> {
             })
             .collect::<Vec<_>>();
         Ok(Converged {
-            value: equations[0].value.clone(),
             added,
             removed,
             system: SolvedSystem {
@@ -1970,6 +1963,18 @@ mod tests {
         }
     }
 
+    /// The root value of an untracked cold [`solve`].
+    fn solve_value(
+        source: &dyn ConstructorSource,
+        constructor: &str,
+        base: Relation,
+        args: Vec<Relation>,
+        scalar_args: Vec<Value>,
+        cfg: &FixpointConfig,
+    ) -> Result<Relation, EvalError> {
+        solve(source, constructor, base, args, scalar_args, None, cfg).map(|s| s.value().clone())
+    }
+
     /// Solve under `cfg(strategy)` into a fresh registry: the value and
     /// what the solve recorded.
     fn solve_counted(
@@ -1984,7 +1989,7 @@ mod tests {
             metrics: Some(metrics.clone()),
             ..cfg(strategy)
         };
-        let out = solve(src, name, base, args, vec![], &cfg).unwrap();
+        let out = solve_value(src, name, base, args, vec![], &cfg).unwrap();
         (out, metrics.snapshot())
     }
 
@@ -2009,7 +2014,7 @@ mod tests {
             catalog: MapCatalog::new(),
             ctors: vec![ahead()],
         };
-        let out = solve(
+        let out = solve_value(
             &src,
             "ahead",
             chain(2),
@@ -2071,7 +2076,8 @@ mod tests {
             ctors: vec![ahead()],
         };
         for strategy in [Strategy::Naive, Strategy::SemiNaive] {
-            let out = solve(&src, "ahead", edges.clone(), vec![], vec![], &cfg(strategy)).unwrap();
+            let out =
+                solve_value(&src, "ahead", edges.clone(), vec![], vec![], &cfg(strategy)).unwrap();
             // Complete closure of a 5-cycle: 25 pairs.
             assert_eq!(out.len(), 25, "{strategy:?}");
         }
@@ -2106,7 +2112,8 @@ mod tests {
             catalog: MapCatalog::new(),
             ctors: vec![strange],
         };
-        let out = solve(&src, "strange", base, vec![], vec![], &cfg(Strategy::Naive)).unwrap();
+        let out =
+            solve_value(&src, "strange", base, vec![], vec![], &cfg(Strategy::Naive)).unwrap();
         let nums: Vec<u64> = out
             .sorted_tuples()
             .iter()
@@ -2140,7 +2147,7 @@ mod tests {
             catalog: MapCatalog::new(),
             ctors: vec![nonsense],
         };
-        let err = solve(
+        let err = solve_value(
             &src,
             "nonsense",
             base,
@@ -2207,7 +2214,7 @@ mod tests {
             metrics: Some(metrics.clone()),
             ..FixpointConfig::default()
         };
-        let out = solve(&src, "wrap_strange", base, vec![], vec![], &cfg).unwrap();
+        let out = solve_value(&src, "wrap_strange", base, vec![], vec![], &cfg).unwrap();
         let nums: Vec<u64> = out
             .sorted_tuples()
             .iter()
@@ -2223,7 +2230,7 @@ mod tests {
             ctors: vec![wrapper("wrap_nonsense", &nonsense), nonsense],
         };
         let base = Relation::from_tuples(infrontrel(), vec![tuple!["a", "b"]]).unwrap();
-        let err = solve(&src, "wrap_nonsense", base, vec![], vec![], &cfg).unwrap_err();
+        let err = solve_value(&src, "wrap_nonsense", base, vec![], vec![], &cfg).unwrap_err();
         assert!(matches!(err, EvalError::NonConvergent { .. }), "{err}");
     }
 
@@ -2383,7 +2390,7 @@ mod tests {
             catalog: MapCatalog::new(),
             ctors: vec![below],
         };
-        let out = solve(
+        let out = solve_value(
             &src,
             "below",
             base.clone(),
@@ -2394,7 +2401,7 @@ mod tests {
         .unwrap();
         assert_eq!(out.len(), 4);
         // Different scalar args are different applications.
-        let out7 = solve(
+        let out7 = solve_value(
             &src,
             "below",
             base,
@@ -2428,7 +2435,7 @@ mod tests {
             catalog: MapCatalog::new(),
             ctors: vec![below],
         };
-        let err = solve(
+        let err = solve_value(
             &src,
             "below",
             base,
@@ -2447,7 +2454,7 @@ mod tests {
             ctors: vec![ahead()],
         };
         // `ahead` takes no relation args.
-        let err = solve(
+        let err = solve_value(
             &src,
             "ahead",
             chain(2),
@@ -2465,7 +2472,7 @@ mod tests {
             catalog: MapCatalog::new(),
             ctors: vec![],
         };
-        let err = solve(
+        let err = solve_value(
             &src,
             "ghost",
             chain(1),
@@ -2555,17 +2562,17 @@ mod tests {
             ctors: vec![ahead()],
         };
         let cfg = cfg(Strategy::SemiNaive);
-        let (v0, sys) = solve_tracked(
+        let sys = solve(
             &src,
             "ahead",
             chain(12),
             vec![],
             vec![],
-            "Infront",
-            &[],
+            Some(("Infront", &[])),
             &cfg,
         )
         .unwrap();
+        let v0 = sys.value().clone();
         assert_eq!(v0.len(), 12 * 13 / 2);
 
         // Extend the chain by one edge at the tail.
@@ -2578,8 +2585,7 @@ mod tests {
             base.clone(),
             vec![],
             vec![],
-            "Infront",
-            &[],
+            ("Infront", &[]),
             sys,
             &deltas,
             &cfg,
@@ -2594,7 +2600,7 @@ mod tests {
         else {
             panic!("warm start unexpectedly refused");
         };
-        let cold = solve(&src, "ahead", base, vec![], vec![], &cfg).unwrap();
+        let cold = solve_value(&src, "ahead", base, vec![], vec![], &cfg).unwrap();
         assert_eq!(value, cold);
         // The exact output delta: every (oi, o13).
         assert_eq!(added.len(), 13);
@@ -2614,17 +2620,17 @@ mod tests {
         };
         let cfg = cfg(Strategy::SemiNaive);
         let mut base = chain(4);
-        let (mut val, mut sys) = solve_tracked(
+        let mut sys = solve(
             &src,
             "ahead",
             base.clone(),
             vec![],
             vec![],
-            "Infront",
-            &[],
+            Some(("Infront", &[])),
             &cfg,
         )
         .unwrap();
+        let mut val = sys.value().clone();
         // Grow the chain one edge per "commit", warm each time.
         for k in 5..12 {
             let e = edge(&format!("o{}", k - 1), &format!("o{k}"));
@@ -2636,8 +2642,7 @@ mod tests {
                 base.clone(),
                 vec![],
                 vec![],
-                "Infront",
-                &[],
+                ("Infront", &[]),
                 sys,
                 &grew("Infront", e),
                 &cfg,
@@ -2656,7 +2661,7 @@ mod tests {
             val = value;
             sys = system;
         }
-        let cold = solve(&src, "ahead", base, vec![], vec![], &cfg).unwrap();
+        let cold = solve_value(&src, "ahead", base, vec![], vec![], &cfg).unwrap();
         assert_eq!(val, cold);
         assert_eq!(val.len(), 11 * 12 / 2);
     }
@@ -2668,14 +2673,13 @@ mod tests {
             ctors: vec![ahead()],
         };
         let semi = cfg(Strategy::SemiNaive);
-        let (_, sys) = solve_tracked(
+        let sys = solve(
             &src,
             "ahead",
             chain(3),
             vec![],
             vec![],
-            "Infront",
-            &[],
+            Some(("Infront", &[])),
             &semi,
         )
         .unwrap();
@@ -2685,8 +2689,7 @@ mod tests {
             chain(4),
             vec![],
             vec![],
-            "Infront",
-            &[],
+            ("Infront", &[]),
             sys,
             &grew("Infront", edge("o3", "o4")),
             &cfg(Strategy::Naive),
@@ -2725,18 +2728,16 @@ mod tests {
         };
         let cfg = cfg(Strategy::SemiNaive);
         let sys = || {
-            solve_tracked(
+            solve(
                 &src,
                 "ahead_ok",
                 chain(3),
                 vec![],
                 vec![],
-                "Infront",
-                &[],
+                Some(("Infront", &[])),
                 &cfg,
             )
             .unwrap()
-            .1
         };
         // Touching only the base is warm-safe (the predicate reads
         // `Blocked`, which is untouched).
@@ -2748,8 +2749,7 @@ mod tests {
             base.clone(),
             vec![],
             vec![],
-            "Infront",
-            &[],
+            ("Infront", &[]),
             sys(),
             &grew("Infront", edge("o3", "o4")),
             &cfg,
@@ -2763,8 +2763,7 @@ mod tests {
             base,
             vec![],
             vec![],
-            "Infront",
-            &[],
+            ("Infront", &[]),
             sys(),
             &grew("Blocked", edge("o0", "o1")),
             &cfg,
@@ -2783,8 +2782,7 @@ mod tests {
             chain(3),
             vec![],
             vec![],
-            "Infront",
-            &[],
+            ("Infront", &[]),
             sys(),
             &change("Blocked", Relation::new(infrontrel()), blocked),
             &cfg,
@@ -2815,8 +2813,7 @@ mod tests {
             new.clone(),
             vec![],
             vec![],
-            "Infront",
-            &[],
+            ("Infront", &[]),
             sys,
             deltas,
             &cfg,
@@ -2831,7 +2828,7 @@ mod tests {
         else {
             panic!("warm start unexpectedly refused");
         };
-        let cold = solve(src, "ahead", new.clone(), vec![], vec![], &cfg).unwrap();
+        let cold = solve_value(src, "ahead", new.clone(), vec![], vec![], &cfg).unwrap();
         assert_eq!(value.sorted_tuples(), cold.sorted_tuples());
         assert_eq!(system.value(), &value);
         let (want_added, want_removed) = algebra::delta(&value, &old).unwrap();
@@ -2849,18 +2846,16 @@ mod tests {
 
     fn tracked(src: &TestSource, base: &Relation) -> SolvedSystem {
         let cfg = cfg(Strategy::SemiNaive);
-        solve_tracked(
+        solve(
             src,
             "ahead",
             base.clone(),
             vec![],
             vec![],
-            "Infront",
-            &[],
+            Some(("Infront", &[])),
             &cfg,
         )
         .unwrap()
-        .1
     }
 
     #[test]

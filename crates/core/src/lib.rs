@@ -20,6 +20,9 @@
 //! * [`database`] — the catalog façade tying everything together and
 //!   implementing `dc_calculus::Catalog`, so that queries mixing base,
 //!   selected, and constructed relations evaluate transparently.
+//! * [`catalog`] — what `Database` and the serving layer share: the
+//!   definitions ([`Defs`]), the per-state memo of solved applications
+//!   ([`SolvedMemo`]) and the `EXPLAIN` body.
 
 // Solver aborts must be structured errors, never panics — a stray
 // `unwrap` on an abort path would turn a governed trip into a process
@@ -27,6 +30,7 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod catalog;
 pub mod constructor;
 pub mod database;
 pub mod error;
@@ -35,8 +39,9 @@ pub mod options;
 pub mod paper;
 pub mod selector;
 
+pub use catalog::{explain, Defs, SolvedMemo};
 pub use constructor::Constructor;
-pub use database::{record_interned, Database, DatabaseParts};
+pub use database::{record_interned, Database};
 pub use error::CoreError;
 pub use fixpoint::{BaseDelta, Refusal, SolvedSystem, Strategy, WarmOutcome};
 pub use selector::Selector;

@@ -304,28 +304,114 @@ mod tests {
     }
 
     #[test]
-    fn warm_solved_memo_survives_unrelated_commits() {
-        let mut db = scene_db();
-        db.create_relation("Other", infrontrel()).unwrap();
-        let server = Server::new(db);
+    fn sessions_of_one_epoch_share_its_solved_memo() {
+        let server = Server::new(scene_db());
         let q = rel("Infront").construct("ahead", vec![]);
-        let a = server.begin().query(&q).unwrap();
-        // A commit on Other leaves Infront's content — and therefore
-        // the content-addressed solve key — unchanged: the carried-over
-        // memo serves the hit, which the registry makes visible (a
-        // memo hit records no fixpoint run).
-        server
-            .commit(&WriteBatch::new().insert("Other", tuple!["u", "v"]))
-            .unwrap();
         let before = server.metrics().snapshot();
-        let b = server.begin().query(&q).unwrap();
-        assert_eq!(a, b);
+        let (a, b) = (server.begin(), server.begin());
+        assert_eq!(a.query(&q).unwrap(), b.query(&q).unwrap());
         let d = server.metrics().snapshot().since(&before);
         assert_eq!(
             (d.solve_runs, d.warm_solved_hits),
-            (0, 1),
-            "expected a warm-memo hit, not a fresh solve"
+            (1, 1),
+            "the second session must hit the first one's solve"
         );
+    }
+
+    /// `gated` reads `Gate` by name, through a quantifier: an input the
+    /// application's key does not cover.
+    fn gated_db() -> Database {
+        let mut db = Database::new();
+        db.create_relation("Infront", infrontrel()).unwrap();
+        db.create_relation("Gate", infrontrel()).unwrap();
+        db.insert_all(
+            "Infront",
+            vec![tuple!["vase", "table"], tuple!["table", "chair"]],
+        )
+        .unwrap();
+        db.define_constructor(Constructor {
+            name: "gated".into(),
+            base_param: ("Rel".into(), infrontrel()),
+            rel_params: vec![],
+            scalar_params: vec![],
+            result: infrontrel(),
+            body: SetFormer {
+                branches: vec![Branch::each(
+                    "r",
+                    rel("Rel"),
+                    some("g", rel("Gate"), eq(attr("g", "front"), attr("r", "front"))),
+                )],
+            },
+        })
+        .unwrap();
+        db
+    }
+
+    fn gated() -> dc_calculus::RangeExpr {
+        rel("Infront").construct("gated", vec![])
+    }
+
+    fn open_gate() -> WriteBatch {
+        WriteBatch::new().insert("Gate", tuple!["vase", "x"])
+    }
+
+    #[test]
+    fn a_session_sees_a_commit_to_a_relation_a_body_reads_by_name() {
+        let server = Server::new(gated_db());
+        assert!(server.begin().query(&gated()).unwrap().is_empty());
+        server.commit(&open_gate()).unwrap();
+        assert_eq!(server.begin().query(&gated()).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn a_subscribed_prepared_solve_queries_the_refreshed_answer() {
+        let server = Server::new(gated_db());
+        let prepared = server
+            .prepare_solve("Infront", "gated", &[], vec![])
+            .unwrap();
+        let sub = server.subscribe(&prepared).unwrap();
+        assert!(sub.recv().unwrap().unwrap().added.is_empty());
+        server.commit(&open_gate()).unwrap();
+        assert_eq!(sub.recv().unwrap().unwrap().added.len(), 1);
+        assert_eq!(server.begin().query(&prepared).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn a_query_subscription_sees_a_commit_to_a_relation_a_body_reads_by_name() {
+        let server = Server::new(gated_db());
+        let sub = server
+            .subscribe(&server.prepare(&gated()).unwrap())
+            .unwrap();
+        assert!(sub.recv().unwrap().unwrap().added.is_empty());
+        server.commit(&open_gate()).unwrap();
+        let update = sub.recv().unwrap().unwrap();
+        assert_eq!((update.added.len(), update.removed.len()), (1, 0));
+    }
+
+    /// The control: a `Database` drops its memo on every change.
+    #[test]
+    fn a_database_sees_a_change_to_a_relation_a_body_reads_by_name() {
+        let mut db = gated_db();
+        assert!(db.eval(&gated()).unwrap().is_empty());
+        db.insert("Gate", tuple!["vase", "x"]).unwrap();
+        assert_eq!(db.eval(&gated()).unwrap().len(), 1);
+    }
+
+    /// A stream that never repeats a state leaves the published memo
+    /// holding one epoch's solves, not one per epoch.
+    #[test]
+    fn the_published_memo_holds_one_epochs_solves() {
+        let server = Server::new(scene_db());
+        let q = rel("Infront").construct("ahead", vec![]);
+        for i in 0..200 {
+            let edge = tuple![format!("a{i}"), format!("b{i}")];
+            server
+                .commit(&WriteBatch::new().insert("Infront", edge))
+                .unwrap();
+            assert_eq!(server.begin().query(&q).unwrap().len(), 6 + i + 1);
+            let memo = server.current_snapshot().solved().len();
+            assert!(memo <= 1, "epoch {}: {memo} memo entries", i + 1);
+        }
     }
 
     #[test]

@@ -22,34 +22,13 @@
 
 use std::sync::Arc;
 
-use dc_calculus::ast::{Formula, Name, ScalarExpr, SetFormer};
+use dc_calculus::ast::{Name, ScalarExpr};
 use dc_calculus::joinplan::{self, ReadProfile};
 use dc_calculus::{rewrite, typeck, Explanation, PlanEvent, RangeExpr};
 use dc_value::{FxHashMap, Schema, Value};
 
 use crate::error::ServerError;
 use crate::session::Session;
-use crate::snapshot::Defs;
-
-/// Bridge the snapshot's frozen definitions into the calculus-level
-/// [`DefLookup`](dc_calculus::joinplan::DefLookup) so read-profile
-/// analysis can chase selector predicates and constructor bodies.
-pub(crate) struct DefsLookup<'a>(pub(crate) &'a Defs);
-
-impl dc_calculus::joinplan::DefLookup for DefsLookup<'_> {
-    fn selector_body(&self, name: &str) -> Option<&Formula> {
-        self.0.selectors.get(name).map(|s| &s.def().predicate)
-    }
-
-    fn constructor_parts(&self, name: &str) -> Option<(&SetFormer, Vec<Name>)> {
-        self.0.constructors.get(name).map(|c| {
-            let formals: Vec<Name> = std::iter::once(c.base_param.0.clone())
-                .chain(c.rel_params.iter().map(|(n, _)| n.clone()))
-                .collect();
-            (&c.body, formals)
-        })
-    }
-}
 
 /// What a prepared handle executes.
 pub(crate) enum PreparedKind {
@@ -148,16 +127,8 @@ fn explain_solve(
     args: &[Name],
     scalar_args: &[Value],
 ) -> Result<Explanation, ServerError> {
-    let snap = session.snapshot().clone();
-    let ctor = snap
-        .defs()
-        .constructors
-        .get(constructor)
-        .cloned()
-        .ok_or_else(|| ServerError::Unknown {
-            kind: "constructor",
-            name: constructor.clone(),
-        })?;
+    let snap = session.snapshot();
+    let ctor = snap.defs().constructor(constructor)?;
     // Formal parameter names → the actual catalog relations of this
     // prepared application.
     let mut map: FxHashMap<Name, RangeExpr> = FxHashMap::default();

@@ -1,7 +1,6 @@
 //! The server: one swappable snapshot, many sessions, one writer.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
@@ -18,7 +17,7 @@ use dc_value::{FxHashMap, FxHashSet, Tuple, Value};
 
 use crate::batch::{WriteBatch, WriteOp};
 use crate::error::ServerError;
-use crate::prepare::{DefsLookup, Prepared, PreparedKind, PreparedQuery};
+use crate::prepare::{Prepared, PreparedKind, PreparedQuery};
 use crate::session::Session;
 use crate::snapshot::Snapshot;
 use crate::subscribe::{Subscription, SubscriptionUpdate};
@@ -78,8 +77,6 @@ pub struct Server {
     subs: Mutex<Vec<SubEntry>>,
     shutdown: CancelToken,
     session_budget: Budget,
-    commits: AtomicU64,
-    conflicts: AtomicU64,
     /// The serving layer's metrics registry: commit/conflict counters,
     /// refresh outcomes, warm-map hit rates, and latency histograms.
     /// Threaded through every snapshot's `FixpointConfig` so session
@@ -93,12 +90,12 @@ impl Server {
     /// frozen from here on; data evolves through [`Server::commit`].
     pub fn new(db: Database) -> Server {
         let metrics = Arc::new(MetricsRegistry::new());
-        let mut parts = db.into_parts();
+        let (mut defs, relations) = db.into_parts();
         // The server owns its registry: every session evaluator and
         // solver spawned off a snapshot records here, not into the
         // handed-over database's.
-        parts.config.metrics = Some(metrics.clone());
-        let snapshot = Snapshot::initial(parts);
+        defs.config.metrics = Some(metrics.clone());
+        let snapshot = Snapshot::initial(Arc::new(defs), relations);
         Server {
             current: RwLock::new(Arc::new(snapshot)),
             writer: Mutex::new(WriterState {
@@ -107,8 +104,6 @@ impl Server {
             subs: Mutex::new(Vec::new()),
             shutdown: CancelToken::new(),
             session_budget: Budget::unlimited(),
-            commits: AtomicU64::new(0),
-            conflicts: AtomicU64::new(0),
             metrics,
         }
     }
@@ -133,12 +128,12 @@ impl Server {
 
     /// Begin a read session pinned to the current snapshot.
     pub fn begin(&self) -> Session {
-        let snap = self
-            .current
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
         self.metrics.inc(Counter::Sessions);
+        self.session(self.current_snapshot())
+    }
+
+    /// A session on `snap` under the server's budget and shutdown token.
+    fn session(&self, snap: Arc<Snapshot>) -> Session {
         Session::new(snap, &self.session_budget, &self.shutdown)
     }
 
@@ -149,16 +144,7 @@ impl Server {
     /// definitions never change under a running server) and by
     /// [`Server::subscribe`].
     pub fn prepare(&self, query: &RangeExpr) -> Result<PreparedQuery, ServerError> {
-        let snap = self.current_snapshot();
-        let session = Session::new(snap.clone(), &self.session_budget, &self.shutdown);
-        typeck::check_range(query, &session)?;
-        let profile = joinplan::base_relations(query, &DefsLookup(snap.defs()));
-        Ok(PreparedQuery {
-            inner: Arc::new(Prepared {
-                kind: PreparedKind::Query { ast: query.clone() },
-                profile,
-            }),
-        })
+        self.compile(query, PreparedKind::Query { ast: query.clone() })
     }
 
     /// Compile the constructor application
@@ -173,7 +159,6 @@ impl Server {
         args: &[&str],
         scalar_args: Vec<Value>,
     ) -> Result<PreparedQuery, ServerError> {
-        let snap = self.current_snapshot();
         // Type-check through the equivalent applied-constructor
         // expression (this also validates every name).
         let ast = RangeExpr::rel(base).construct_with(
@@ -181,20 +166,23 @@ impl Server {
             args.iter().map(|n| RangeExpr::rel(*n)).collect(),
             scalar_args.iter().cloned().map(ScalarExpr::Const).collect(),
         );
-        let session = Session::new(snap.clone(), &self.session_budget, &self.shutdown);
-        typeck::check_range(&ast, &session)?;
-        let profile = joinplan::base_relations(&ast, &DefsLookup(snap.defs()));
-        Ok(PreparedQuery {
-            inner: Arc::new(Prepared {
-                kind: PreparedKind::Solve {
-                    base: base.to_string(),
-                    constructor: constructor.to_string(),
-                    args: args.iter().map(|n| n.to_string()).collect(),
-                    scalar_args,
-                },
-                profile,
-            }),
-        })
+        let kind = PreparedKind::Solve {
+            base: base.to_string(),
+            constructor: constructor.to_string(),
+            args: args.iter().map(|n| n.to_string()).collect(),
+            scalar_args,
+        };
+        self.compile(&ast, kind)
+    }
+
+    /// Type-check `ast` against the current snapshot and analyse its
+    /// read profile: the compile step behind both prepare entry points.
+    fn compile(&self, ast: &RangeExpr, kind: PreparedKind) -> Result<PreparedQuery, ServerError> {
+        let snap = self.current_snapshot();
+        typeck::check_range(ast, &self.session(snap.clone()))?;
+        let profile = joinplan::base_relations(ast, snap.defs());
+        let inner = Arc::new(Prepared { kind, profile });
+        Ok(PreparedQuery { inner })
     }
 
     /// Register `query` as a standing query.
@@ -223,21 +211,8 @@ impl Server {
             return Err(ServerError::ShuttingDown);
         }
         let snap = self.current_snapshot();
-        let session = Session::new(snap.clone(), &self.session_budget, &self.shutdown);
         let prepared = query.inner.clone();
-        let (result, system) = match &prepared.kind {
-            PreparedKind::Solve {
-                base,
-                constructor,
-                args,
-                scalar_args,
-            } => {
-                let (value, system) =
-                    session.solve_tracked(base, constructor, args, scalar_args.clone())?;
-                (value, Some(system))
-            }
-            PreparedKind::Query { .. } => (session.run_prepared(&prepared)?, None),
-        };
+        let (result, system) = self.session(snap.clone()).run_tracked(&prepared)?;
         let (tx, rx) = mpsc::channel();
         let initial = SubscriptionUpdate {
             epoch: snap.epoch(),
@@ -357,7 +332,6 @@ impl Server {
             for name in s.read_set() {
                 if let Some(&committed) = writer.last_modified.get(&name) {
                     if committed > s.epoch() {
-                        self.conflicts.fetch_add(1, Ordering::Relaxed);
                         self.metrics.inc(Counter::Conflicts);
                         return Err(ServerError::Conflict {
                             relation: name,
@@ -403,7 +377,6 @@ impl Server {
         for name in &touched {
             writer.last_modified.insert(name.clone(), epoch);
         }
-        self.commits.fetch_add(1, Ordering::Relaxed);
         self.metrics.inc(Counter::Commits);
         self.metrics.set_gauge(Gauge::PublishedEpoch, epoch);
         dc_core::record_interned(&self.metrics);
@@ -514,8 +487,8 @@ impl Server {
         // snapshot. Panic-isolated — a panicking refresh (a solve, or a
         // query-kind subscription's evaluation) must not unwind into the
         // commit path.
-        let shared: &SubEntry = entry;
-        let cold = catch_unwind(AssertUnwindSafe(|| self.cold_refresh(shared, snap)));
+        let session = self.session(snap.clone());
+        let cold = catch_unwind(AssertUnwindSafe(|| session.run_tracked(&entry.prepared)));
         let (value, system) = cold.unwrap_or_else(|payload| {
             Err(EvalError::Solve(SolveError::from_panic(&*payload)).into())
         })?;
@@ -611,8 +584,7 @@ impl Server {
                     deltas.push((n.clone(), BaseDelta { inserted, deleted }));
                 }
             }
-            let session = Session::new(snap.clone(), &self.session_budget, &self.shutdown);
-            session.solve_warm(
+            self.session(snap.clone()).solve_warm(
                 base,
                 constructor,
                 args,
@@ -643,28 +615,6 @@ impl Server {
         }
     }
 
-    /// From-scratch re-evaluation of a standing query on `snap`.
-    fn cold_refresh(
-        &self,
-        entry: &SubEntry,
-        snap: &Arc<Snapshot>,
-    ) -> Result<(Relation, Option<SolvedSystem>), ServerError> {
-        let session = Session::new(snap.clone(), &self.session_budget, &self.shutdown);
-        match &entry.prepared.kind {
-            PreparedKind::Solve {
-                base,
-                constructor,
-                args,
-                scalar_args,
-            } => {
-                let (value, system) =
-                    session.solve_tracked(base, constructor, args, scalar_args.clone())?;
-                Ok((value, Some(system)))
-            }
-            PreparedKind::Query { .. } => Ok((session.run_prepared(&entry.prepared)?, None)),
-        }
-    }
-
     /// Request shutdown: every in-flight session's budget trips with
     /// `Cancelled` at its next tick (their tokens are children of the
     /// shutdown token), and new commits are rejected with
@@ -689,11 +639,11 @@ impl Server {
 
     /// Successful commits so far.
     pub fn commit_count(&self) -> u64 {
-        self.commits.load(Ordering::Relaxed)
+        self.metrics.get(Counter::Commits)
     }
 
     /// Commits rejected by the conflict rule so far.
     pub fn conflict_count(&self) -> u64 {
-        self.conflicts.load(Ordering::Relaxed)
+        self.metrics.get(Counter::Conflicts)
     }
 }

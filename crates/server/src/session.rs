@@ -10,12 +10,12 @@ use dc_calculus::{AccessCache, Catalog, EvalError, Evaluator, Explanation, Range
 use dc_core::fixpoint::{
     self, AppKey, BaseDelta, ConstructorSource, FixpointConfig, SolvedSystem, WarmOutcome,
 };
-use dc_core::Constructor;
+use dc_core::{Constructor, Defs};
 use dc_governor::{Budget, CancelToken};
 use dc_relation::Relation;
-use dc_trace::metrics::{Counter, Histogram, MetricsRegistry};
+use dc_trace::metrics::{Counter, Histogram};
 use dc_trace::SpanKind;
-use dc_value::{FxHashMap, FxHashSet, Schema, Tuple, Value};
+use dc_value::{FxHashSet, Schema, Tuple, Value};
 
 use crate::error::ServerError;
 use crate::prepare::{Prepared, PreparedKind, PreparedQuery};
@@ -45,7 +45,6 @@ pub struct Session {
     budget: Budget,
     cancel: CancelToken,
     read_set: RefCell<FxHashSet<Name>>,
-    solved: RefCell<FxHashMap<AppKey, Relation>>,
 }
 
 impl Session {
@@ -62,7 +61,6 @@ impl Session {
             budget,
             cancel,
             read_set: RefCell::new(FxHashSet::default()),
-            solved: RefCell::new(FxHashMap::default()),
         }
     }
 
@@ -86,6 +84,12 @@ impl Session {
     /// Read a relation's pinned value (recorded in the read set).
     pub fn read(&self, name: &str) -> Result<Relation, ServerError> {
         Ok(Catalog::relation(self, name)?)
+    }
+
+    /// Membership probe against the pinned snapshot (recorded in the
+    /// read set).
+    pub fn contains(&self, rel: &str, tuple: &Tuple) -> Result<bool, ServerError> {
+        Ok(self.read(rel)?.contains(tuple))
     }
 
     /// The pinned content digest of a relation — O(1): snapshot
@@ -114,7 +118,7 @@ impl Session {
         let mut span = dc_trace::span(SpanKind::SessionQuery);
         span.field("epoch", self.epoch());
         let out = query.run(self);
-        if let Some(m) = self.registry() {
+        if let Some(m) = &self.defs().config.metrics {
             m.inc(Counter::Queries);
             m.observe_us(Histogram::QueryLatencyUs, t0.elapsed().as_micros() as u64);
         }
@@ -125,33 +129,15 @@ impl Session {
     }
 
     /// Evaluate `query` against the pinned snapshot and return the
-    /// planner's typed decision trace rendered as an `EXPLAIN` tree:
-    /// the chosen access path per branch with the estimates behind
-    /// it, quantifier-plan demotions, and correlated ranges left on the
-    /// reference scan.
+    /// planner's typed decision trace rendered as an `EXPLAIN` tree (see
+    /// [`dc_core::explain`]).
     pub fn explain(&self, query: &RangeExpr) -> Result<Explanation, ServerError> {
-        typeck::check_range(query, self)?;
-        let mut ev = self.evaluator();
-        let rel = ev.eval(query)?;
-        let events = ev.take_plan_events();
-        Ok(Explanation::new(
-            &query.to_string(),
-            Some(rel.len()),
-            events,
-        ))
+        Ok(dc_core::explain(self, self.evaluator(), query)?)
     }
 
-    /// The serving layer's metrics registry, reached through the frozen
-    /// snapshot config (always present under a `Server`).
-    fn registry(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.snap.defs().config.metrics.as_ref()
-    }
-
-    /// Bump one counter on the serving registry (no-op without one).
-    fn count(&self, c: Counter) {
-        if let Some(m) = self.registry() {
-            m.inc(c);
-        }
+    /// The frozen definitions the pinned snapshot shares.
+    fn defs(&self) -> &Defs {
+        self.snap.defs()
     }
 
     /// Solve `base{constructor(args…)}` against the pinned snapshot: a
@@ -163,11 +149,7 @@ impl Session {
         args: &[&str],
         scalar_args: Vec<Value>,
     ) -> Result<Relation, ServerError> {
-        let b = self.read(base)?;
-        let a: Vec<Relation> = args
-            .iter()
-            .map(|n| self.read(n))
-            .collect::<Result<_, _>>()?;
+        let (b, a) = self.actuals(base, args)?;
         Ok(Catalog::apply_constructor(
             self,
             b,
@@ -175,6 +157,21 @@ impl Session {
             a,
             scalar_args,
         )?)
+    }
+
+    /// The pinned values of an application's named actuals (recorded in
+    /// the read set).
+    fn actuals(
+        &self,
+        base: &str,
+        args: &[impl AsRef<str>],
+    ) -> Result<(Relation, Vec<Relation>), ServerError> {
+        let b = self.read(base)?;
+        let a = args
+            .iter()
+            .map(|n| self.read(n.as_ref()))
+            .collect::<Result<_, _>>()?;
+        Ok((b, a))
     }
 
     /// Execute a compiled handle: the one entry point both
@@ -202,41 +199,34 @@ impl Session {
     fn fixpoint_cfg(&self) -> FixpointConfig {
         FixpointConfig {
             budget: Some(self.budget.clone()),
-            ..self.snap.defs().config.clone()
+            ..self.defs().config.clone()
         }
     }
 
-    /// Cold solve that additionally captures the converged system's
-    /// materialised state, seeding future warm refreshes. Standing
-    /// queries use this for their initial evaluation and their cold
-    /// fallback.
-    pub(crate) fn solve_tracked(
+    /// A standing query's from-scratch evaluation. A solve-kind handle
+    /// also captures the converged system, seeding future warm
+    /// refreshes, and donates its value to the snapshot's memo.
+    pub(crate) fn run_tracked(
         &self,
-        base: &str,
-        constructor: &str,
-        args: &[Name],
-        scalar_args: Vec<Value>,
-    ) -> Result<(Relation, SolvedSystem), ServerError> {
-        let b = self.read(base)?;
-        let a: Vec<Relation> = args
-            .iter()
-            .map(|n| self.read(n))
-            .collect::<Result<_, _>>()?;
-        let key = AppKey::new(constructor, &b, &a, &scalar_args);
-        let arg_refs: Vec<&str> = args.iter().map(Name::as_str).collect();
-        let (value, system) = fixpoint::solve_tracked(
-            self,
-            constructor,
-            b,
-            a,
-            scalar_args,
+        prepared: &Prepared,
+    ) -> Result<(Relation, Option<SolvedSystem>), ServerError> {
+        let PreparedKind::Solve {
             base,
-            &arg_refs,
-            &self.fixpoint_cfg(),
-        )?;
-        self.snap.warm().donate_solved(key.clone(), value.clone());
-        self.solved.borrow_mut().insert(key, value.clone());
-        Ok((value, system))
+            constructor,
+            args,
+            scalar_args,
+        } = &prepared.kind
+        else {
+            return Ok((self.run_prepared(prepared)?, None));
+        };
+        let (b, a) = self.actuals(base, args)?;
+        let key = AppKey::new(constructor, &b, &a, scalar_args);
+        let arg_refs: Vec<&str> = args.iter().map(Name::as_str).collect();
+        let names = Some((base.as_str(), arg_refs.as_slice()));
+        let (scalars, cfg) = (scalar_args.clone(), self.fixpoint_cfg());
+        let system = fixpoint::solve(self, constructor, b, a, scalars, names, &cfg)?;
+        let value = self.snap.solved().insert(key, system.value().clone());
+        Ok((value, Some(system)))
     }
 
     /// Warm re-solve from a previously captured system plus the net
@@ -250,11 +240,7 @@ impl Session {
         prev: SolvedSystem,
         deltas: &[(Name, BaseDelta)],
     ) -> Result<WarmOutcome, ServerError> {
-        let b = self.read(base)?;
-        let a: Vec<Relation> = args
-            .iter()
-            .map(|n| self.read(n))
-            .collect::<Result<_, _>>()?;
+        let (b, a) = self.actuals(base, args)?;
         let key = AppKey::new(constructor, &b, &a, &scalar_args);
         let arg_refs: Vec<&str> = args.iter().map(Name::as_str).collect();
         let outcome = fixpoint::solve_warm(
@@ -263,14 +249,13 @@ impl Session {
             b,
             a,
             scalar_args,
-            base,
-            &arg_refs,
+            (base, &arg_refs),
             prev,
             deltas,
             &self.fixpoint_cfg(),
         )?;
         if let WarmOutcome::Solved { value, .. } = &outcome {
-            self.snap.warm().donate_solved(key, value.clone());
+            self.snap.solved().insert(key, value.clone());
         }
         Ok(outcome)
     }
@@ -279,18 +264,9 @@ impl Session {
     /// and parallel-execution configuration, metered by the session
     /// budget.
     fn evaluator(&self) -> Evaluator<'_> {
-        let config = &self.snap.defs().config;
-        let mut ev = Evaluator::new(self);
-        ev = ev.with_meter(self.budget.meter());
-        if let Some(m) = &config.metrics {
-            ev = ev.with_metrics(m.clone());
-        }
-        if config.use_indexes {
-            ev.with_threads(dc_exec::thread_count(config.threads))
-                .with_parallel_threshold(config.parallel_threshold)
-        } else {
-            ev.force_nested_loop()
-        }
+        self.defs()
+            .config
+            .evaluator(self, Some(self.budget.meter()), true)
     }
 }
 
@@ -329,16 +305,11 @@ impl ConstructorSource for Session {
     }
 
     fn constructor_def(&self, name: &str) -> Result<Constructor, EvalError> {
-        self.snap
-            .defs()
-            .constructors
-            .get(name)
-            .cloned()
-            .ok_or_else(|| EvalError::UnknownConstructor(name.to_string()))
+        self.defs().constructor(name).cloned()
     }
 
     fn is_unchecked(&self, name: &str) -> bool {
-        self.snap.defs().unchecked.contains(name)
+        self.defs().is_unchecked(name)
     }
 }
 
@@ -361,14 +332,13 @@ impl Catalog for Session {
     }
 
     fn selector(&self, name: &str) -> Result<&SelectorDef, EvalError> {
-        self.snap
-            .defs()
-            .selectors
-            .get(name)
-            .map(|s| s.def())
-            .ok_or_else(|| EvalError::UnknownSelector(name.to_string()))
+        self.defs().selector(name)
     }
 
+    /// Through the snapshot's memo, shared with every session of the
+    /// epoch. The snapshot is immutable and the memo is written on
+    /// success only: a failed solve (panics included — the solver
+    /// catches them) leaves both as they were.
     fn apply_constructor(
         &self,
         base: Relation,
@@ -376,26 +346,10 @@ impl Catalog for Session {
         args: Vec<Relation>,
         scalar_args: Vec<Value>,
     ) -> Result<Relation, EvalError> {
-        // The key is content-addressed (relation digests + scalar
-        // args), so hits from the warm memo — including entries carried
-        // over from earlier epochs — can never serve stale data.
-        let key = AppKey::new(name, &base, &args, &scalar_args);
-        if let Some(hit) = self.solved.borrow().get(&key) {
-            return Ok(hit.clone());
-        }
-        if let Some(hit) = self.snap.warm().solved(&key) {
-            self.count(Counter::WarmSolvedHits);
-            self.solved.borrow_mut().insert(key, hit.clone());
-            return Ok(hit);
-        }
-        self.count(Counter::WarmSolvedMisses);
-        // The snapshot is immutable and the session caches are written
-        // on success only: a failed solve (panics included — the solver
-        // catches them) leaves the session as it was.
-        let value = fixpoint::solve(self, name, base, args, scalar_args, &self.fixpoint_cfg())?;
-        self.snap.warm().donate_solved(key.clone(), value.clone());
-        self.solved.borrow_mut().insert(key, value.clone());
-        Ok(value)
+        let cfg = self.fixpoint_cfg();
+        self.snap
+            .solved()
+            .apply(self, name, base, args, scalar_args, &cfg)
     }
 }
 
@@ -408,30 +362,10 @@ impl SchemaCatalog for Session {
     }
 
     fn selector_def(&self, name: &str) -> Result<&SelectorDef, EvalError> {
-        self.snap
-            .defs()
-            .selectors
-            .get(name)
-            .map(|s| s.def())
-            .ok_or_else(|| EvalError::UnknownSelector(name.to_string()))
+        self.defs().selector(name)
     }
 
     fn constructor_sig(&self, name: &str) -> Result<&ConstructorSig, EvalError> {
-        self.snap
-            .defs()
-            .signatures
-            .get(name)
-            .ok_or_else(|| EvalError::UnknownConstructor(name.to_string()))
-    }
-}
-
-/// A session member check used by tests: does the pinned snapshot
-/// contain `tuple` in `rel`? Avoids cloning a handle for membership
-/// probes.
-impl Session {
-    /// Membership probe against the pinned snapshot (recorded in the
-    /// read set).
-    pub fn contains(&self, rel: &str, tuple: &Tuple) -> Result<bool, ServerError> {
-        Ok(self.read(rel)?.contains(tuple))
+        self.defs().constructor_sig(name)
     }
 }

@@ -9,57 +9,13 @@
 //! memoised content digest, so sessions read digests — and build
 //! content-addressed solve keys — at O(1).
 
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::Arc;
 
 use dc_calculus::ast::Name;
-use dc_calculus::typeck::ConstructorSig;
 use dc_calculus::AccessCache;
-use dc_core::database::DatabaseParts;
-use dc_core::fixpoint::{AppKey, FixpointConfig};
-use dc_core::{Constructor, Selector};
+use dc_core::{Defs, SolvedMemo};
 use dc_relation::Relation;
 use dc_value::{FxHashMap, FxHashSet};
-
-/// The immutable definition part of the catalog: selectors,
-/// constructors, signatures, and the fixpoint configuration. DDL is
-/// frozen when the server takes over the database, so one `Arc<Defs>`
-/// is shared by every snapshot of the server's lifetime.
-pub(crate) struct Defs {
-    pub(crate) selectors: FxHashMap<Name, Selector>,
-    pub(crate) constructors: FxHashMap<Name, Constructor>,
-    pub(crate) signatures: FxHashMap<Name, ConstructorSig>,
-    pub(crate) unchecked: FxHashSet<Name>,
-    pub(crate) config: FixpointConfig,
-}
-
-/// The cross-session memo of solved constructor applications. Its
-/// keys are content-addressed ([`AppKey`]: relation digests plus scalar
-/// arguments), so it is handed from each snapshot to its successor
-/// whole. The lock is held only for the map probe/insert and tolerates
-/// poisoning: a panicking session (fault injection is part of the test
-/// battery) must not wedge its siblings.
-#[derive(Default)]
-pub(crate) struct Warm {
-    solved: RwLock<FxHashMap<AppKey, Relation>>,
-}
-
-impl Warm {
-    pub(crate) fn solved(&self, key: &AppKey) -> Option<Relation> {
-        self.solved
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
-            .cloned()
-    }
-
-    pub(crate) fn donate_solved(&self, key: AppKey, value: Relation) {
-        self.solved
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(key)
-            .or_insert(value);
-    }
-}
 
 /// One published, immutable state of the catalog.
 ///
@@ -72,25 +28,24 @@ pub struct Snapshot {
     epoch: u64,
     relations: FxHashMap<Name, Relation>,
     catalog_digest: u128,
+    /// Frozen when the server took the database over: one `Arc` is
+    /// shared by every snapshot of the server's lifetime.
     defs: Arc<Defs>,
     /// Indexes over this snapshot's relations, shared by every session pinning it: what
     /// one session builds, its siblings hit.
     access: AccessCache,
-    warm: Warm,
+    /// Applications solved against this snapshot, shared by every
+    /// session pinning it and by the subscription refreshes of its
+    /// commit. A successor starts empty: a body may read relations its
+    /// application's key does not cover.
+    solved: SolvedMemo,
 }
 
 impl Snapshot {
     /// Epoch 0: the server's takeover of a fully defined database.
-    pub(crate) fn initial(parts: DatabaseParts) -> Snapshot {
-        let defs = Arc::new(Defs {
-            selectors: parts.selectors,
-            constructors: parts.constructors,
-            signatures: parts.signatures,
-            unchecked: parts.unchecked,
-            config: parts.config,
-        });
+    pub(crate) fn initial(defs: Arc<Defs>, relations: FxHashMap<Name, Relation>) -> Snapshot {
         let access = AccessCache::new(defs.config.metrics.clone());
-        Snapshot::build(0, parts.relations, defs, access, Warm::default())
+        Snapshot::build(0, relations, defs, access)
     }
 
     /// The successor snapshot after a commit: `relations` is the
@@ -99,7 +54,7 @@ impl Snapshot {
     /// cached about the old values of relations the batch changed —
     /// every entry over an unchanged relation is still keyed by the
     /// storage the successor reads, so it carries; nothing else needs
-    /// proving. The solved memo is handed off whole.
+    /// proving. Its solved memo starts empty.
     pub(crate) fn next(
         &self,
         relations: FxHashMap<Name, Relation>,
@@ -113,16 +68,7 @@ impl Snapshot {
                 }
             }
         }
-        let warm = Warm {
-            solved: RwLock::new(
-                self.warm
-                    .solved
-                    .read()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone(),
-            ),
-        };
-        Snapshot::build(self.epoch + 1, relations, self.defs.clone(), access, warm)
+        Snapshot::build(self.epoch + 1, relations, self.defs.clone(), access)
     }
 
     fn build(
@@ -130,7 +76,6 @@ impl Snapshot {
         relations: FxHashMap<Name, Relation>,
         defs: Arc<Defs>,
         access: AccessCache,
-        warm: Warm,
     ) -> Snapshot {
         // Publication forces each relation's digest memo exactly once
         // (O(1) for relations the batch didn't touch — their storage,
@@ -139,22 +84,18 @@ impl Snapshot {
         // an order-independent catalog digest.
         let relations: FxHashMap<Name, Relation> = relations
             .into_iter()
-            .map(|(name, r)| {
-                let handle = r.snapshot_handle();
-                (name, handle)
-            })
+            .map(|(name, r)| (name, r.snapshot_handle()))
             .collect();
-        let mut catalog_digest = 0u128;
-        for (name, r) in &relations {
-            catalog_digest = catalog_digest.wrapping_add(combine(name, r.digest()));
-        }
+        let catalog_digest = relations.iter().fold(0u128, |sum, (name, r)| {
+            sum.wrapping_add(combine(name, r.digest()))
+        });
         Snapshot {
             epoch,
             relations,
             catalog_digest,
             defs,
             access,
-            warm,
+            solved: SolvedMemo::default(),
         }
     }
 
@@ -187,7 +128,7 @@ impl Snapshot {
         &self.relations
     }
 
-    pub(crate) fn defs(&self) -> &Arc<Defs> {
+    pub(crate) fn defs(&self) -> &Defs {
         &self.defs
     }
 
@@ -195,8 +136,8 @@ impl Snapshot {
         &self.access
     }
 
-    pub(crate) fn warm(&self) -> &Warm {
-        &self.warm
+    pub(crate) fn solved(&self) -> &SolvedMemo {
+        &self.solved
     }
 }
 
