@@ -41,11 +41,9 @@
 //! keys) back to the residual, so planning never has to be
 //! conservative about evaluation-time concerns.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use dc_value::Schema;
 
-use crate::ast::{Branch, CmpOp, Formula, Name, RangeExpr, ScalarExpr, SetFormer, Var};
+use crate::ast::{Branch, CmpOp, Formula, ScalarExpr, Var};
 use crate::rewrite::{self, conjuncts};
 
 /// The non-probed side of an equality atom.
@@ -567,195 +565,6 @@ pub fn plan_branch(
     (BranchPlan { steps }, asked)
 }
 
-/// Definition lookup for [`base_relations`]: resolves the *bodies*
-/// hidden behind names in a range expression — selector predicates and
-/// constructor bodies — so the read-set analysis can chase references
-/// transitively. Returning `None` for a name marks the profile
-/// [`ReadProfile::unresolved`] (the caller must then assume the query
-/// reads everything).
-pub trait DefLookup {
-    /// The predicate body of a named selector, if known.
-    fn selector_body(&self, name: &str) -> Option<&Formula>;
-    /// The set-former body and formal relation parameters
-    /// (base first, then relation args) of a named constructor, if
-    /// known.
-    fn constructor_parts(&self, name: &str) -> Option<(&SetFormer, Vec<Name>)>;
-}
-
-/// Read-set / dependency profile of a query: which base (catalog)
-/// relations its result depends on. Constructor formals are followed to
-/// the actuals they are bound to; selector bodies and predicates count
-/// as reads like binding ranges do.
-///
-/// Serving layers use the profile as an O(1) filter: a commit touching
-/// relations disjoint from [`ReadProfile::reads`] cannot change the
-/// result at all. Whether a commit that does touch them can be
-/// maintained incrementally is the fixpoint's warm re-entry's call, not
-/// the profile's.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ReadProfile {
-    /// Every base relation the query may read.
-    pub reads: BTreeSet<Name>,
-    /// True when a selector or constructor definition could not be
-    /// resolved: the profile is then a lower bound and the caller must
-    /// treat the query as reading everything.
-    pub unresolved: bool,
-}
-
-impl ReadProfile {
-    /// True when a commit touching exactly `touched` cannot affect the
-    /// query result. Unresolved profiles never qualify.
-    pub fn disjoint_from<'a, I: IntoIterator<Item = &'a Name>>(&self, touched: I) -> bool {
-        !self.unresolved && touched.into_iter().all(|t| !self.reads.contains(t))
-    }
-}
-
-struct ProfileWalk<'a> {
-    defs: &'a dyn DefLookup,
-    profile: ReadProfile,
-    /// Constructor names on the current expansion path (cycle guard:
-    /// recursive constructors reference themselves).
-    ctor_stack: Vec<Name>,
-    /// Selector names already expanded (their bodies are
-    /// context-independent, so once is enough).
-    selectors_done: BTreeSet<Name>,
-}
-
-/// Compute the [`ReadProfile`] of a query expression, resolving
-/// selector and constructor definitions through `defs`.
-///
-/// Constructor formals are tracked by *provenance*: an application
-/// `R{tc(S)}` maps the constructor's formals to `R` and `S`, so a read
-/// of a formal inside the body is a read of the actual relation. A
-/// formal bound to a computed range reads what that range reads, which
-/// is recorded at the application site.
-pub fn base_relations(range: &RangeExpr, defs: &dyn DefLookup) -> ReadProfile {
-    let mut walk = ProfileWalk {
-        defs,
-        profile: ReadProfile::default(),
-        ctor_stack: Vec::new(),
-        selectors_done: BTreeSet::new(),
-    };
-    walk.range(range, &BTreeMap::new());
-    walk.profile
-}
-
-impl ProfileWalk<'_> {
-    /// Walk a range expression. `prov` maps enclosing constructor
-    /// formals to base-catalog names (`None` provenance = the formal
-    /// was bound to a computed range, already accounted for at the
-    /// application site).
-    fn range(&mut self, r: &RangeExpr, prov: &BTreeMap<Name, Option<Name>>) {
-        match r {
-            RangeExpr::Rel(n) => match prov.get(n) {
-                Some(Some(actual)) => {
-                    self.profile.reads.insert(actual.clone());
-                }
-                Some(None) => {}
-                None => {
-                    self.profile.reads.insert(n.clone());
-                }
-            },
-            RangeExpr::Selected { base, selector, .. } => {
-                self.range(base, prov);
-                self.selector(selector);
-            }
-            RangeExpr::Constructed {
-                base,
-                constructor,
-                args,
-                ..
-            } => self.application(base, constructor, args, prov),
-            RangeExpr::SetFormer(sf) => self.set_former(sf, prov),
-        }
-    }
-
-    fn set_former(&mut self, sf: &SetFormer, prov: &BTreeMap<Name, Option<Name>>) {
-        for b in &sf.branches {
-            for (_, range) in &b.bindings {
-                self.range(range, prov);
-            }
-            self.formula(&b.predicate, prov);
-        }
-    }
-
-    /// A constructor application `base{c(args…)}`: plain-`Rel`
-    /// base/args forward provenance into the body; computed base/args
-    /// are walked here and pass `None` provenance.
-    fn application(
-        &mut self,
-        base: &RangeExpr,
-        constructor: &Name,
-        args: &[RangeExpr],
-        prov: &BTreeMap<Name, Option<Name>>,
-    ) {
-        let mut actuals: Vec<Option<Name>> = Vec::with_capacity(args.len() + 1);
-        for actual in std::iter::once(base).chain(args.iter()) {
-            match actual {
-                RangeExpr::Rel(n) => match prov.get(n) {
-                    Some(slot) => actuals.push(slot.clone()),
-                    None => {
-                        self.profile.reads.insert(n.clone());
-                        actuals.push(Some(n.clone()));
-                    }
-                },
-                computed => {
-                    self.range(computed, prov);
-                    actuals.push(None);
-                }
-            }
-        }
-        if self.ctor_stack.contains(constructor) {
-            return; // recursive self-reference: already on the path
-        }
-        let Some((body, formals)) = self.defs.constructor_parts(constructor) else {
-            self.profile.unresolved = true;
-            return;
-        };
-        let body = body.clone();
-        if formals.len() != actuals.len() {
-            // Arity mismatch is a type error elsewhere; profile
-            // conservatively.
-            self.profile.unresolved = true;
-            return;
-        }
-        let child: BTreeMap<Name, Option<Name>> = formals.into_iter().zip(actuals).collect();
-        self.ctor_stack.push(constructor.clone());
-        self.set_former(&body, &child);
-        self.ctor_stack.pop();
-    }
-
-    fn selector(&mut self, name: &Name) {
-        if !self.selectors_done.insert(name.clone()) {
-            return;
-        }
-        let Some(body) = self.defs.selector_body(name) else {
-            self.profile.unresolved = true;
-            return;
-        };
-        let body = body.clone();
-        // Selector bodies see only the base catalog — no formal
-        // provenance.
-        self.formula(&body, &BTreeMap::new());
-    }
-
-    fn formula(&mut self, f: &Formula, prov: &BTreeMap<Name, Option<Name>>) {
-        match f {
-            Formula::True | Formula::False | Formula::Cmp(..) => {}
-            Formula::And(a, b) | Formula::Or(a, b) => {
-                self.formula(a, prov);
-                self.formula(b, prov);
-            }
-            Formula::Not(inner) => self.formula(inner, prov),
-            Formula::Some(_, r, body) | Formula::All(_, r, body) => {
-                self.range(r, prov);
-                self.formula(body, prov);
-            }
-            Formula::Member(_, r) | Formula::TupleIn(_, r) => self.range(r, prov),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1218,105 +1027,5 @@ mod tests {
             }
         }
         assert!(binding_keyed_pairs > 100, "{binding_keyed_pairs}");
-    }
-
-    /// Definition store for read-profile tests: the `ahead` transitive
-    /// closure constructor over formal `Rel`, plus a selector whose
-    /// body quantifies over `Hidden`.
-    struct TestDefs;
-
-    impl DefLookup for TestDefs {
-        fn selector_body(&self, name: &str) -> Option<&Formula> {
-            use std::sync::OnceLock;
-            static BODY: OnceLock<Formula> = OnceLock::new();
-            (name == "shadowed").then(|| {
-                BODY.get_or_init(|| {
-                    some(
-                        "h",
-                        rel("Hidden"),
-                        eq(attr("h", "front"), attr("r", "front")),
-                    )
-                })
-            })
-        }
-
-        fn constructor_parts(&self, name: &str) -> Option<(&SetFormer, Vec<Name>)> {
-            use std::sync::OnceLock;
-            static BODY: OnceLock<SetFormer> = OnceLock::new();
-            (name == "ahead").then(|| {
-                let body = BODY.get_or_init(|| SetFormer {
-                    branches: vec![
-                        Branch::each("r", rel("Rel"), tru()),
-                        Branch::projecting(
-                            vec![attr("f", "front"), attr("b", "back")],
-                            vec![
-                                ("f".into(), rel("Rel")),
-                                ("b".into(), rel("Rel").construct("ahead", vec![])),
-                            ],
-                            eq(attr("f", "back"), attr("b", "front")),
-                        ),
-                    ],
-                });
-                (body, vec!["Rel".into()])
-            })
-        }
-    }
-
-    fn names(set: &BTreeSet<Name>) -> Vec<&str> {
-        set.iter().map(|n| n.as_str()).collect()
-    }
-
-    #[test]
-    fn profile_collects_binding_and_predicate_reads() {
-        let q = RangeExpr::SetFormer(SetFormer {
-            branches: vec![Branch::projecting(
-                vec![attr("f", "front"), attr("b", "back")],
-                vec![("f".into(), rel("Infront")), ("b".into(), rel("Ontop"))],
-                eq(attr("f", "back"), attr("b", "front")).and(not(member("f", rel("Blocked")))),
-            )],
-        });
-        let p = base_relations(&q, &TestDefs);
-        assert_eq!(names(&p.reads), ["Blocked", "Infront", "Ontop"]);
-        assert!(!p.unresolved);
-        assert!(p.disjoint_from(&["Other".into()]));
-        assert!(!p.disjoint_from(&["Blocked".into()]));
-    }
-
-    #[test]
-    fn profile_constructor_application_tracks_provenance() {
-        // Infront{ahead()} — the body's formal `Rel` resolves to the
-        // actual `Infront`; the recursive self-application is
-        // cycle-guarded.
-        let q = rel("Infront").construct("ahead", vec![]);
-        let p = base_relations(&q, &TestDefs);
-        assert_eq!(names(&p.reads), ["Infront"]);
-        assert!(!p.unresolved);
-    }
-
-    #[test]
-    fn profile_selector_bodies_are_chased() {
-        let q = rel("Infront").select("shadowed", vec![]);
-        let p = base_relations(&q, &TestDefs);
-        assert_eq!(names(&p.reads), ["Hidden", "Infront"]);
-    }
-
-    #[test]
-    fn profile_unknown_definitions_mark_unresolved() {
-        let q = rel("Infront").select("mystery", vec![]);
-        let p = base_relations(&q, &TestDefs);
-        assert!(p.unresolved);
-        // Unresolved profiles never qualify for filtering.
-        assert!(!p.disjoint_from(&["Unrelated".into()]));
-    }
-
-    #[test]
-    fn profile_computed_constructor_base_is_read() {
-        // The application's base is itself a set former over `Seed`.
-        let computed = RangeExpr::SetFormer(SetFormer {
-            branches: vec![Branch::each("s", rel("Seed"), tru())],
-        });
-        let q = computed.construct("ahead", vec![]);
-        let p = base_relations(&q, &TestDefs);
-        assert_eq!(names(&p.reads), ["Seed"]);
     }
 }

@@ -1,16 +1,15 @@
 //! The catalog core `Database` and the serving layer share: one
-//! definitions type, one memo of solved applications, one `EXPLAIN`
-//! body.
+//! definitions type, one memo of solved applications, one test for a
+//! named application, one `EXPLAIN` body.
 
 use std::sync::{PoisonError, RwLock};
 
-use dc_calculus::ast::{Formula, Name, SelectorDef, SetFormer};
-use dc_calculus::joinplan::DefLookup;
+use dc_calculus::ast::{Name, ScalarExpr, SelectorDef};
 use dc_calculus::typeck::{self, ConstructorSig, SchemaCatalog};
-use dc_calculus::{EvalError, Evaluator, Explanation, RangeExpr};
+use dc_calculus::{joinplan, rewrite, EvalError, Evaluator, Explanation, PlanEvent, RangeExpr};
 use dc_relation::Relation;
 use dc_trace::metrics::Counter;
-use dc_value::{FxHashMap, FxHashSet, Value};
+use dc_value::{FxHashMap, FxHashSet, Schema, Value};
 
 use crate::constructor::Constructor;
 use crate::fixpoint::{self, AppKey, ConstructorSource, FixpointConfig};
@@ -60,21 +59,6 @@ impl Defs {
     /// Was `name` admitted without the §3.3 positivity check?
     pub fn is_unchecked(&self, name: &str) -> bool {
         self.unchecked.contains(name)
-    }
-}
-
-impl DefLookup for Defs {
-    fn selector_body(&self, name: &str) -> Option<&Formula> {
-        self.selector(name).ok().map(|s| &s.predicate)
-    }
-
-    fn constructor_parts(&self, name: &str) -> Option<(&SetFormer, Vec<Name>)> {
-        let c = self.constructor(name).ok()?;
-        let formals = std::iter::once(&c.base_param)
-            .chain(&c.rel_params)
-            .map(|(n, _)| n.clone())
-            .collect();
-        Some((&c.body, formals))
     }
 }
 
@@ -157,22 +141,141 @@ impl SolvedMemo {
     }
 }
 
-/// Type-check `query` against `schemas` and evaluate it with `ev`,
-/// returning the planner's typed decision trace rendered as an
-/// `EXPLAIN` tree instead of the result relation: the chosen access
-/// path per branch (probe vs. scan, with the estimates behind the
-/// ordering), quantifier-plan demotions, and correlated ranges left on
-/// the reference scan, each with its reason.
-pub fn explain(
-    schemas: &dyn SchemaCatalog,
+/// A *named application* `Rel{c(R1, …; k1, …)}`: a constructor applied
+/// to catalog relations by name, with constant scalar arguments. The
+/// names are the provenance a warm re-solve routes base deltas by, and
+/// the definition is a plan `EXPLAIN` previews without running the
+/// fixpoint. This test alone decides both.
+#[derive(Debug)]
+pub struct NamedApplication<'a> {
+    /// The base relation's catalog name.
+    pub base: &'a str,
+    /// The constructor's name.
+    pub constructor: &'a str,
+    /// The relation arguments' catalog names.
+    pub args: Vec<&'a str>,
+    /// The scalar arguments.
+    pub scalar_args: Vec<Value>,
+}
+
+impl<'a> NamedApplication<'a> {
+    /// `query` as a named application, if it is one. At the top of a
+    /// query every relation name is a catalog name.
+    pub fn of(query: &'a RangeExpr) -> Option<NamedApplication<'a>> {
+        let RangeExpr::Constructed {
+            base,
+            constructor,
+            args,
+            scalar_args,
+        } = query
+        else {
+            return None;
+        };
+        let name = |r: &'a RangeExpr| match r {
+            RangeExpr::Rel(n) => Some(n.as_str()),
+            _ => None,
+        };
+        let constant = |e: &ScalarExpr| match e {
+            ScalarExpr::Const(v) => Some(*v),
+            _ => None,
+        };
+        Some(NamedApplication {
+            base: name(base)?,
+            constructor,
+            args: args.iter().map(name).collect::<Option<_>>()?,
+            scalar_args: scalar_args.iter().map(constant).collect::<Option<_>>()?,
+        })
+    }
+
+    /// The application as a range expression.
+    pub fn expr(&self) -> RangeExpr {
+        RangeExpr::rel(self.base).construct_with(
+            self.constructor,
+            self.args.iter().map(|n| RangeExpr::rel(*n)).collect(),
+            self.scalar_args
+                .iter()
+                .map(|v| ScalarExpr::Const(*v))
+                .collect(),
+        )
+    }
+}
+
+/// Type-check `query` against `cat` and return the planner's typed
+/// decision trace rendered as an `EXPLAIN` tree: the chosen access path
+/// per branch (probe vs. scan, with the estimates behind the ordering),
+/// quantifier-plan demotions, and correlated ranges left on the
+/// reference scan, each with its reason.
+///
+/// A [`NamedApplication`] is previewed without running its fixpoint or
+/// building an index: every branch of the constructor body, with the
+/// application's actuals substituted for the formals, is planned
+/// against the current cardinalities and the distinct counts of the
+/// indexes `cat` already caches. A range that is not a catalog relation
+/// (a recursive application, a nested set-former) plans with its
+/// checked schema and nothing known. Any other query is evaluated with
+/// `ev`: the trace is what evaluation did, plus the result cardinality.
+pub fn explain<C: ConstructorSource + SchemaCatalog>(
+    cat: &C,
     mut ev: Evaluator<'_>,
     query: &RangeExpr,
 ) -> Result<Explanation, EvalError> {
-    typeck::check_range(query, schemas)?;
-    let rel = ev.eval(query)?;
-    Ok(Explanation::new(
-        &query.to_string(),
-        Some(rel.len()),
-        ev.take_plan_events(),
-    ))
+    typeck::check_range(query, cat)?;
+    let (rows, events) = match NamedApplication::of(query) {
+        Some(app) => (None, preview(cat, &app)?),
+        None => (Some(ev.eval(query)?.len()), ev.take_plan_events()),
+    };
+    Ok(Explanation::new(&query.to_string(), rows, events))
+}
+
+/// One access path per branch with bindings of `app`'s body, planned
+/// over the catalog `cat` as it stands.
+fn preview<C: ConstructorSource + SchemaCatalog>(
+    cat: &C,
+    app: &NamedApplication<'_>,
+) -> Result<Vec<PlanEvent>, EvalError> {
+    let ctor = cat.constructor_def(app.constructor)?;
+    // The body as registration instantiates it (§3.2: "replacing all
+    // formal parameters by their actual values").
+    let params: FxHashMap<Name, Value> = ctor
+        .scalar_params
+        .iter()
+        .map(|(p, _)| p.clone())
+        .zip(app.scalar_args.iter().copied())
+        .collect();
+    let actuals = std::iter::once(app.base).chain(app.args.iter().copied());
+    let rels: FxHashMap<Name, RangeExpr> = std::iter::once(&ctor.base_param)
+        .chain(&ctor.rel_params)
+        .map(|(formal, _)| formal.clone())
+        .zip(actuals.map(RangeExpr::rel))
+        .collect();
+    let body = rewrite::substitute_rel(&rewrite::substitute_params(&ctor.body, &params), &rels);
+    let base = cat.base_catalog();
+    let mut events = Vec::new();
+    for branch in body.branches.iter().filter(|b| !b.bindings.is_empty()) {
+        let (mut schemas, mut cards, mut named) = (Vec::new(), Vec::new(), Vec::new());
+        for (_, range) in &branch.bindings {
+            let rel = match range {
+                RangeExpr::Rel(name) => Some(base.relation(name)?),
+                _ => None,
+            };
+            schemas.push(match &rel {
+                Some(rel) => rel.schema().clone(),
+                None => typeck::check_range(range, cat)?,
+            });
+            cards.push(rel.as_ref().map_or(0, Relation::len));
+            named.push(rel);
+        }
+        let schemas: Vec<&Schema> = schemas.iter().collect();
+        // Only the counts of indexes already cached: a column without
+        // one is unknown.
+        let cached = |p: usize, column: usize| {
+            let rel = named[p].as_ref()?;
+            Some(base.access()?.cached(rel, &[column])?.distinct_keys())
+        };
+        let (plan, _) = joinplan::plan_branch(branch, &schemas, &cards, cached);
+        events.push(PlanEvent::access_path_for(
+            branch, &plan, None, &schemas, &cards, cached,
+        ));
+    }
+    Ok(events)
 }

@@ -380,9 +380,10 @@ impl Database {
         config.evaluator(self, config.budget.as_ref().map(Budget::meter), true)
     }
 
-    /// Type-check and evaluate a query, returning the planner's typed
-    /// decision trace rendered as an `EXPLAIN` tree instead of the
-    /// result relation (see [`catalog::explain`]).
+    /// The planner's typed decision trace for `query`, rendered as an
+    /// `EXPLAIN` tree: a static plan preview for a named application,
+    /// the trace of its evaluation for any other query (see
+    /// [`catalog::explain`]).
     pub fn explain(&self, query: &RangeExpr) -> Result<Explanation, CoreError> {
         Ok(catalog::explain(self, self.evaluator(), query)?)
     }

@@ -90,7 +90,8 @@ use crate::constructor::Constructor;
 
 mod snapshot;
 
-use snapshot::{EvalSnapshot, Reach, SnapshotCatalog, Universe};
+pub use snapshot::Reach;
+use snapshot::{EvalSnapshot, SnapshotCatalog, Universe};
 
 /// Fixpoint evaluation strategy — see the [module docs](self) for how
 /// the solver picks one.

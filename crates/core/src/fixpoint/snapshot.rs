@@ -47,6 +47,7 @@
 //! atomic-abort invariant).
 
 use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -62,13 +63,16 @@ use crate::constructor::Constructor;
 /// The one reachability walker: every name a range or formula can
 /// reach, chasing selector predicates and constructor bodies through
 /// the source. The solver walks the root constructor once per solve —
-/// its reach decides the strategy and becomes the [`Universe`] — and a
-/// warm start walks each branch for the touched relations it reads.
-/// Constructor-body formals are collected as if they were catalog
-/// names: over-capture is harmless (the evaluation overlay shadows
-/// them), and a false positive on a warm check only costs a sound
-/// refusal.
-pub(super) struct Reach<'s> {
+/// its reach decides the strategy and becomes the solve's universe — a
+/// warm start walks each branch for the touched relations it reads,
+/// and the serving layer walks a prepared query for its read set.
+///
+/// Inside a constructor body the body's own relation formals shadow
+/// catalog relations of the same names, so they are not collected
+/// there: the actuals are collected where the application is written.
+/// A selector body chased from inside a constructor body is a scope of
+/// its own and reads the catalog.
+pub struct Reach<'s> {
     source: &'s dyn ConstructorSource,
     relations: FxHashSet<Name>,
     params: FxHashSet<Name>,
@@ -80,7 +84,8 @@ pub(super) struct Reach<'s> {
 }
 
 impl<'s> Reach<'s> {
-    pub(super) fn new(source: &'s dyn ConstructorSource) -> Reach<'s> {
+    /// An empty reach resolving definitions through `source`.
+    pub fn new(source: &'s dyn ConstructorSource) -> Reach<'s> {
         Reach {
             source,
             relations: FxHashSet::default(),
@@ -94,11 +99,17 @@ impl<'s> Reach<'s> {
     /// Add what a range or formula reads, in one walk: its relations and
     /// parameters, and its selectors and constructor applications,
     /// chased into their definitions.
-    pub(super) fn add<'a>(&mut self, node: impl Into<Node<'a>>) {
+    pub fn add<'a>(&mut self, node: impl Into<Node<'a>>) {
+        self.scope(node, &[]);
+    }
+
+    /// [`Reach::add`] for a node in which the relation names `formals`
+    /// are bound by an enclosing constructor body.
+    fn scope<'a>(&mut self, node: impl Into<Node<'a>>, formals: &[Name]) {
         let (mut selectors, mut ctors) = (Vec::new(), Vec::new());
         let _ = rewrite::walk(node, |n, _| {
             match n {
-                Node::Range(RangeExpr::Rel(name)) => {
+                Node::Range(RangeExpr::Rel(name)) if !formals.contains(name) => {
                     self.relations.insert(name.clone());
                 }
                 Node::Range(RangeExpr::Selected { selector, .. }) => selectors.push(selector),
@@ -135,11 +146,22 @@ impl<'s> Reach<'s> {
         match self.source.constructor_def(name) {
             Ok(def) => {
                 let body = RangeExpr::SetFormer(def.body.clone());
+                let formals: Vec<Name> = std::iter::once(&def.base_param)
+                    .chain(&def.rel_params)
+                    .map(|(formal, _)| formal.clone())
+                    .collect();
                 self.ctors.insert(name.to_string(), def);
-                self.add(&body);
+                self.scope(&body, &formals);
             }
             Err(_) => self.complete = false,
         }
+    }
+
+    /// The catalog relations the reach reads, sorted; `None` when a
+    /// definition was unresolvable, so that anything may be read.
+    pub fn reads(&self) -> Option<BTreeSet<Name>> {
+        self.complete
+            .then(|| self.relations.iter().cloned().collect())
     }
 
     /// Can the reach read a relation `touched` accepts — a delta-mapped
@@ -316,5 +338,133 @@ impl Catalog for SnapshotCatalog {
 
     fn access(&self) -> Option<&AccessCache> {
         Some(&self.snap.access)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use dc_calculus::ast::{Branch, SetFormer};
+    use dc_calculus::builder::*;
+    use dc_value::{Domain, Schema};
+
+    use super::*;
+    use crate::Database;
+
+    fn infrontrel() -> Schema {
+        Schema::of(&[("front", Domain::Str), ("back", Domain::Str)])
+    }
+
+    /// A constructor over `infrontrel` whose base formal is `formal` and
+    /// whose one branch ranges over `range`.
+    fn each_of(name: &str, formal: &str, range: RangeExpr) -> Constructor {
+        Constructor {
+            name: name.into(),
+            base_param: (formal.into(), infrontrel()),
+            rel_params: vec![],
+            scalar_params: vec![],
+            result: infrontrel(),
+            body: SetFormer {
+                branches: vec![Branch::each("r", range, tru())],
+            },
+        }
+    }
+
+    /// `Infront`, `Ontop`, `Blocked`, `Hidden`, `Seed`; the `ahead`
+    /// closure over formal `Rel`; the selector `shadowed`, whose body
+    /// quantifies over `Hidden`; `behind`, whose formal is named like
+    /// the catalog's `Ontop`; and `hiding`, whose formal is named like
+    /// `Hidden` and which applies `shadowed` to it.
+    fn db() -> Database {
+        let mut db = Database::new();
+        for name in ["Infront", "Ontop", "Blocked", "Hidden", "Seed"] {
+            db.create_relation(name, infrontrel()).unwrap();
+        }
+        db.define_selector(
+            SelectorDef {
+                name: "shadowed".into(),
+                element_var: "r".into(),
+                params: vec![],
+                predicate: some(
+                    "h",
+                    rel("Hidden"),
+                    eq(attr("h", "front"), attr("r", "front")),
+                ),
+            },
+            infrontrel(),
+        )
+        .unwrap();
+        let mut ahead = each_of("ahead", "Rel", rel("Rel"));
+        ahead.body.branches.push(Branch::projecting(
+            vec![attr("f", "front"), attr("b", "back")],
+            vec![
+                ("f".into(), rel("Rel")),
+                ("b".into(), rel("Rel").construct("ahead", vec![])),
+            ],
+            eq(attr("f", "back"), attr("b", "front")),
+        ));
+        db.define_constructor(ahead).unwrap();
+        db.define_constructor(each_of("behind", "Ontop", rel("Ontop")))
+            .unwrap();
+        let hidden = rel("Hidden").select("shadowed", vec![]);
+        db.define_constructor(each_of("hiding", "Hidden", hidden))
+            .unwrap();
+        db
+    }
+
+    fn reads(query: &RangeExpr) -> Option<Vec<Name>> {
+        let db = db();
+        let mut reach = Reach::new(&db);
+        reach.add(query);
+        Some(reach.reads()?.into_iter().collect())
+    }
+
+    #[test]
+    fn binding_ranges_and_predicates_are_read() {
+        let q = set_former(vec![Branch::projecting(
+            vec![attr("f", "front"), attr("b", "back")],
+            vec![("f".into(), rel("Infront")), ("b".into(), rel("Ontop"))],
+            eq(attr("f", "back"), attr("b", "front")).and(not(member("f", rel("Blocked")))),
+        )]);
+        assert_eq!(reads(&q).unwrap(), ["Blocked", "Infront", "Ontop"]);
+    }
+
+    #[test]
+    fn an_application_reads_its_actuals_not_the_formals() {
+        // The body's `Rel` is the formal; the recursive self-application
+        // is chased once.
+        let q = rel("Infront").construct("ahead", vec![]);
+        assert_eq!(reads(&q).unwrap(), ["Infront"]);
+    }
+
+    #[test]
+    fn selector_bodies_are_chased() {
+        let q = rel("Infront").select("shadowed", vec![]);
+        assert_eq!(reads(&q).unwrap(), ["Hidden", "Infront"]);
+    }
+
+    #[test]
+    fn an_unknown_definition_leaves_the_reads_unresolved() {
+        assert_eq!(reads(&rel("Infront").select("mystery", vec![])), None);
+        assert_eq!(reads(&rel("Infront").construct("mystery", vec![])), None);
+    }
+
+    #[test]
+    fn a_computed_base_is_read() {
+        let seed = set_former(vec![Branch::each("s", rel("Seed"), tru())]);
+        assert_eq!(reads(&seed.construct("ahead", vec![])).unwrap(), ["Seed"]);
+    }
+
+    #[test]
+    fn a_formal_named_like_a_catalog_relation_is_not_read() {
+        let q = rel("Infront").construct("behind", vec![]);
+        assert_eq!(reads(&q).unwrap(), ["Infront"]);
+    }
+
+    #[test]
+    fn a_selector_body_chased_from_a_constructor_body_reads_the_catalog() {
+        // Inside `hiding`, `Hidden` is the formal; inside `shadowed`, the
+        // selector it applies, `Hidden` is the catalog relation.
+        let q = rel("Infront").construct("hiding", vec![]);
+        assert_eq!(reads(&q).unwrap(), ["Hidden", "Infront"]);
     }
 }

@@ -22,7 +22,8 @@
 //!   selected, and constructed relations evaluate transparently.
 //! * [`catalog`] — what `Database` and the serving layer share: the
 //!   definitions ([`Defs`]), the per-state memo of solved applications
-//!   ([`SolvedMemo`]) and the `EXPLAIN` body.
+//!   ([`SolvedMemo`]), the named-application test
+//!   ([`NamedApplication`]) and the `EXPLAIN` body.
 
 // Solver aborts must be structured errors, never panics — a stray
 // `unwrap` on an abort path would turn a governed trip into a process
@@ -39,7 +40,7 @@ pub mod options;
 pub mod paper;
 pub mod selector;
 
-pub use catalog::{explain, Defs, SolvedMemo};
+pub use catalog::{explain, Defs, NamedApplication, SolvedMemo};
 pub use constructor::Constructor;
 pub use database::{record_interned, Database};
 pub use error::CoreError;

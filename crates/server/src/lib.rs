@@ -28,13 +28,16 @@
 //! validation, completing the begin-snapshot / read / batched-write /
 //! commit-or-conflict transaction API.
 //!
-//! [`Server::prepare`] / [`Server::prepare_solve`] compile a query once
-//! into a reusable [`PreparedQuery`] (type-checked, read-profile
-//! analysed), accepted by [`Session::query`] on any session and by
-//! [`Server::subscribe`] — the **standing query** entry point: one
-//! epoch-stamped output delta per commit, maintained incrementally
-//! (warm semi-naive re-entry) when sound and by cold re-solve
-//! otherwise. See [`subscribe`] for the delivery contract.
+//! [`Server::prepare`] compiles a query once into a reusable
+//! [`PreparedQuery`]: the type-checked expression and its read set
+//! ([`Server::prepare_solve`] is the same call on an application given
+//! by names). A handle is accepted by [`Session::query`] on any session
+//! and by [`Server::subscribe`] — the **standing query** entry point:
+//! one epoch-stamped output delta per commit. A named application
+//! ([`dc_core::NamedApplication`]) is maintained incrementally from its
+//! fixpoint system (warm semi-naive re-entry, delete-and-rederive) when
+//! the solver proves it sound; every other query, and every refusal, is
+//! re-evaluated cold. See [`subscribe`] for the delivery contract.
 //!
 //! [`Relation::snapshot_handle`]: dc_relation::Relation::snapshot_handle
 
@@ -412,6 +415,58 @@ mod tests {
             let memo = server.current_snapshot().solved().len();
             assert!(memo <= 1, "epoch {}: {memo} memo entries", i + 1);
         }
+    }
+
+    /// `from(K)`: the objects behind `K`, passing the scalar parameter
+    /// on to its recursive application — the shape of every seeded
+    /// constructor.
+    fn from_db() -> Database {
+        let mut db = scene_db();
+        db.define_constructor(Constructor {
+            name: "from".into(),
+            base_param: ("Rel".into(), infrontrel()),
+            rel_params: vec![],
+            scalar_params: vec![("K".into(), Domain::Str)],
+            result: aheadrel(),
+            body: SetFormer {
+                branches: vec![
+                    Branch::projecting(
+                        vec![attr("r", "front"), attr("r", "back")],
+                        vec![("r".into(), rel("Rel"))],
+                        eq(attr("r", "front"), param("K")),
+                    ),
+                    Branch::projecting(
+                        vec![attr("f", "head"), attr("b", "back")],
+                        vec![
+                            (
+                                "f".into(),
+                                rel("Rel").construct_with("from", vec![], vec![param("K")]),
+                            ),
+                            ("b".into(), rel("Rel")),
+                        ],
+                        eq(attr("f", "tail"), attr("b", "front")),
+                    ),
+                ],
+            },
+        })
+        .unwrap();
+        db
+    }
+
+    #[test]
+    fn explain_previews_a_constructor_that_passes_a_scalar_parameter_on() {
+        let from_vase = rel("Infront").construct_with("from", vec![], vec![cnst("vase")]);
+        let db_text = from_db().explain(&from_vase).unwrap().text().to_string();
+        let server = Server::new(from_db());
+        let s = server.begin();
+        let prepared = server
+            .prepare_solve("Infront", "from", &[], vec![dc_value::Value::str("vase")])
+            .unwrap();
+        let preview = prepared.explain(&s).unwrap();
+        assert_eq!(preview.access_paths().count(), 2, "{}", preview.text());
+        assert!(!preview.text().contains("rows:"), "{}", preview.text());
+        assert_eq!(preview.text(), db_text);
+        assert_eq!(s.query(&prepared).unwrap().len(), 3);
     }
 
     #[test]

@@ -4,10 +4,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
-use dc_calculus::ast::{Name, ScalarExpr};
-use dc_calculus::{joinplan, typeck, EvalError, RangeExpr};
-use dc_core::fixpoint::{BaseDelta, Refusal, SolvedSystem, WarmOutcome};
-use dc_core::Database;
+use dc_calculus::ast::Name;
+use dc_calculus::{typeck, EvalError, RangeExpr};
+use dc_core::fixpoint::{BaseDelta, Reach, Refusal, SolvedSystem, WarmOutcome};
+use dc_core::{Database, NamedApplication};
 use dc_governor::fail::{self, Site};
 use dc_governor::{Budget, CancelToken, SolveError};
 use dc_relation::{algebra, Relation};
@@ -17,7 +17,7 @@ use dc_value::{FxHashMap, FxHashSet, Tuple, Value};
 
 use crate::batch::{WriteBatch, WriteOp};
 use crate::error::ServerError;
-use crate::prepare::{Prepared, PreparedKind, PreparedQuery};
+use crate::prepare::{Prepared, PreparedQuery};
 use crate::session::Session;
 use crate::snapshot::Snapshot;
 use crate::subscribe::{Subscription, SubscriptionUpdate};
@@ -36,9 +36,9 @@ struct SubEntry {
     tx: mpsc::Sender<Result<SubscriptionUpdate, ServerError>>,
     /// The query's result at the last delivered epoch.
     result: Relation,
-    /// The converged fixpoint system behind `result` (solve-kind
-    /// queries only): per-equation values and the indexes over them the
-    /// warm path re-enters semi-naive rounds from.
+    /// The converged fixpoint system behind `result` (named
+    /// applications only): per-equation values and the indexes over
+    /// them the warm path re-enters semi-naive rounds from.
     system: Option<SolvedSystem>,
 }
 
@@ -139,19 +139,25 @@ impl Server {
 
     /// Compile a range expression into a reusable [`PreparedQuery`]:
     /// type-checked once against the frozen catalog definitions, with
-    /// its read profile analysed for standing-query maintenance.
-    /// Accepted by [`Session::query`] on any session (and any epoch —
-    /// definitions never change under a running server) and by
+    /// the read set standing queries filter commits by. Accepted by
+    /// [`Session::query`] on any session (and any epoch — definitions
+    /// never change under a running server) and by
     /// [`Server::subscribe`].
     pub fn prepare(&self, query: &RangeExpr) -> Result<PreparedQuery, ServerError> {
-        self.compile(query, PreparedKind::Query { ast: query.clone() })
+        let session = self.session(self.current_snapshot());
+        typeck::check_range(query, &session)?;
+        let mut reach = Reach::new(&session);
+        reach.add(query);
+        let inner = Arc::new(Prepared {
+            ast: query.clone(),
+            reads: reach.reads(),
+        });
+        Ok(PreparedQuery { inner })
     }
 
-    /// Compile the constructor application
-    /// `base{constructor(args…; scalar_args…)}` over *named* catalog
-    /// relations into a [`PreparedQuery`]. This is the shape standing
-    /// queries can maintain incrementally: the names give the fixpoint
-    /// warm start its base-delta provenance.
+    /// [`Server::prepare`] of the constructor application
+    /// `base{constructor(args…; scalar_args…)}` over named catalog
+    /// relations.
     pub fn prepare_solve(
         &self,
         base: &str,
@@ -159,30 +165,13 @@ impl Server {
         args: &[&str],
         scalar_args: Vec<Value>,
     ) -> Result<PreparedQuery, ServerError> {
-        // Type-check through the equivalent applied-constructor
-        // expression (this also validates every name).
-        let ast = RangeExpr::rel(base).construct_with(
+        let app = NamedApplication {
+            base,
             constructor,
-            args.iter().map(|n| RangeExpr::rel(*n)).collect(),
-            scalar_args.iter().cloned().map(ScalarExpr::Const).collect(),
-        );
-        let kind = PreparedKind::Solve {
-            base: base.to_string(),
-            constructor: constructor.to_string(),
-            args: args.iter().map(|n| n.to_string()).collect(),
+            args: args.to_vec(),
             scalar_args,
         };
-        self.compile(&ast, kind)
-    }
-
-    /// Type-check `ast` against the current snapshot and analyse its
-    /// read profile: the compile step behind both prepare entry points.
-    fn compile(&self, ast: &RangeExpr, kind: PreparedKind) -> Result<PreparedQuery, ServerError> {
-        let snap = self.current_snapshot();
-        typeck::check_range(ast, &self.session(snap.clone()))?;
-        let profile = joinplan::base_relations(ast, snap.defs());
-        let inner = Arc::new(Prepared { kind, profile });
-        Ok(PreparedQuery { inner })
+        self.prepare(&app.expr())
     }
 
     /// Register `query` as a standing query.
@@ -192,7 +181,7 @@ impl Server {
     /// current epoch), then exactly one update per subsequent
     /// successful commit, in commit order with no epoch gaps — commits
     /// disjoint from the query's read set deliver an empty update in
-    /// O(1). Updates for solve-kind queries are maintained
+    /// O(1). Updates for a named application are maintained
     /// incrementally from the previous materialised system — inserted
     /// tuples by a semi-naive warm start, deleted ones by
     /// delete-and-rederive — whenever the solver can prove that sound;
@@ -212,7 +201,7 @@ impl Server {
         }
         let snap = self.current_snapshot();
         let prepared = query.inner.clone();
-        let (result, system) = self.session(snap.clone()).run_tracked(&prepared)?;
+        let (result, system) = self.session(snap.clone()).run_tracked(&prepared.ast)?;
         let (tx, rx) = mpsc::channel();
         let initial = SubscriptionUpdate {
             epoch: snap.epoch(),
@@ -424,7 +413,8 @@ impl Server {
             // O(1) filter: the commit touched nothing the query reads,
             // so the result is unchanged. The empty update keeps the
             // subscriber's epoch sequence gap-free.
-            if entry.prepared.profile.disjoint_from(touched.iter()) {
+            let reads = entry.prepared.reads.as_ref();
+            if reads.is_some_and(|reads| touched.iter().all(|t| !reads.contains(t))) {
                 let update = SubscriptionUpdate {
                     epoch,
                     added: Relation::new(entry.result.schema().clone()),
@@ -484,11 +474,13 @@ impl Server {
             Err(refusal) => refusal,
         };
         // Cold fallback: from-scratch evaluation on the published
-        // snapshot. Panic-isolated — a panicking refresh (a solve, or a
-        // query-kind subscription's evaluation) must not unwind into the
-        // commit path.
+        // snapshot. Panic-isolated — a panicking refresh (a solve, or
+        // any other query's evaluation) must not unwind into the commit
+        // path.
         let session = self.session(snap.clone());
-        let cold = catch_unwind(AssertUnwindSafe(|| session.run_tracked(&entry.prepared)));
+        let cold = catch_unwind(AssertUnwindSafe(|| {
+            session.run_tracked(&entry.prepared.ast)
+        }));
         let (value, system) = cold.unwrap_or_else(|payload| {
             Err(EvalError::Solve(SolveError::from_panic(&*payload)).into())
         })?;
@@ -508,8 +500,9 @@ impl Server {
     /// to every relation it touched, from `prev` to `snap`, handed to
     /// the solver's warm re-entry — the only soundness gate. `Err`
     /// means "fall back to the cold path", with the solver's refusal
-    /// when it refused; `None` when the query is not solve-kind, or
-    /// the warm solve failed or an injected `view_refresh` fault fired.
+    /// when it refused; `None` when the query is not a named
+    /// application, or the warm solve failed or an injected
+    /// `view_refresh` fault fired.
     fn try_warm(
         &self,
         entry: &mut SubEntry,
@@ -518,15 +511,7 @@ impl Server {
         batch: &WriteBatch,
         epoch: u64,
     ) -> Result<SubscriptionUpdate, Option<Refusal>> {
-        let PreparedKind::Solve {
-            base,
-            constructor,
-            args,
-            scalar_args,
-        } = &entry.prepared.kind
-        else {
-            return Err(None);
-        };
+        let app = NamedApplication::of(&entry.prepared.ast).ok_or(None)?;
         // The warm solve takes the system over (its values and indexes
         // are maintained in place); whatever becomes of the attempt, the
         // entry gets a system back — the warm one, or the cold path's.
@@ -584,14 +569,8 @@ impl Server {
                     deltas.push((n.clone(), BaseDelta { inserted, deleted }));
                 }
             }
-            self.session(snap.clone()).solve_warm(
-                base,
-                constructor,
-                args,
-                scalar_args.clone(),
-                prev_system,
-                &deltas,
-            )
+            self.session(snap.clone())
+                .solve_warm(&app, prev_system, &deltas)
         }));
         match attempt {
             Ok(Ok(WarmOutcome::Solved {

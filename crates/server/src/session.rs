@@ -10,7 +10,7 @@ use dc_calculus::{AccessCache, Catalog, EvalError, Evaluator, Explanation, Range
 use dc_core::fixpoint::{
     self, AppKey, BaseDelta, ConstructorSource, FixpointConfig, SolvedSystem, WarmOutcome,
 };
-use dc_core::{Constructor, Defs};
+use dc_core::{Constructor, Defs, NamedApplication};
 use dc_governor::{Budget, CancelToken};
 use dc_relation::Relation;
 use dc_trace::metrics::{Counter, Histogram};
@@ -18,7 +18,7 @@ use dc_trace::SpanKind;
 use dc_value::{FxHashSet, Schema, Tuple, Value};
 
 use crate::error::ServerError;
-use crate::prepare::{Prepared, PreparedKind, PreparedQuery};
+use crate::prepare::PreparedQuery;
 use crate::snapshot::Snapshot;
 
 /// A read session pinned to one snapshot.
@@ -128,9 +128,10 @@ impl Session {
         out
     }
 
-    /// Evaluate `query` against the pinned snapshot and return the
-    /// planner's typed decision trace rendered as an `EXPLAIN` tree (see
-    /// [`dc_core::explain`]).
+    /// The planner's typed decision trace for `query` against the pinned
+    /// snapshot, rendered as an `EXPLAIN` tree: a static plan preview
+    /// for a named application, the trace of its evaluation for any
+    /// other query (see [`dc_core::explain`]).
     pub fn explain(&self, query: &RangeExpr) -> Result<Explanation, ServerError> {
         Ok(dc_core::explain(self, self.evaluator(), query)?)
     }
@@ -140,8 +141,8 @@ impl Session {
         self.snap.defs()
     }
 
-    /// Solve `base{constructor(args…)}` against the pinned snapshot: a
-    /// convenience wrapper over the same fixpoint path queries take.
+    /// Solve `base{constructor(args…; scalar_args…)}` against the pinned
+    /// snapshot: [`Session::query`] of that application.
     pub fn solve(
         &self,
         base: &str,
@@ -149,49 +150,28 @@ impl Session {
         args: &[&str],
         scalar_args: Vec<Value>,
     ) -> Result<Relation, ServerError> {
-        let (b, a) = self.actuals(base, args)?;
-        Ok(Catalog::apply_constructor(
-            self,
-            b,
+        let app = NamedApplication {
+            base,
             constructor,
-            a,
+            args: args.to_vec(),
             scalar_args,
-        )?)
+        };
+        self.query(&app.expr())
     }
 
     /// The pinned values of an application's named actuals (recorded in
     /// the read set).
     fn actuals(
         &self,
-        base: &str,
-        args: &[impl AsRef<str>],
+        app: &NamedApplication<'_>,
     ) -> Result<(Relation, Vec<Relation>), ServerError> {
-        let b = self.read(base)?;
-        let a = args
+        let b = self.read(app.base)?;
+        let a = app
+            .args
             .iter()
-            .map(|n| self.read(n.as_ref()))
+            .map(|n| self.read(n))
             .collect::<Result<_, _>>()?;
         Ok((b, a))
-    }
-
-    /// Execute a compiled handle: the one entry point both
-    /// [`Session::query`] (via [`Queryable`]) and the standing-query
-    /// refresh path funnel through.
-    pub(crate) fn run_prepared(&self, prepared: &Prepared) -> Result<Relation, ServerError> {
-        match &prepared.kind {
-            // Checked at prepare time against the same frozen
-            // definitions every snapshot shares; evaluate directly.
-            PreparedKind::Query { ast } => Ok(self.evaluator().eval(ast)?),
-            PreparedKind::Solve {
-                base,
-                constructor,
-                args,
-                scalar_args,
-            } => {
-                let arg_refs: Vec<&str> = args.iter().map(Name::as_str).collect();
-                self.solve(base, constructor, &arg_refs, scalar_args.clone())
-            }
-        }
     }
 
     /// The fixpoint configuration a solve in this session runs under:
@@ -203,53 +183,43 @@ impl Session {
         }
     }
 
-    /// A standing query's from-scratch evaluation. A solve-kind handle
+    /// A standing query's from-scratch evaluation. A named application
     /// also captures the converged system, seeding future warm
     /// refreshes, and donates its value to the snapshot's memo.
     pub(crate) fn run_tracked(
         &self,
-        prepared: &Prepared,
+        query: &RangeExpr,
     ) -> Result<(Relation, Option<SolvedSystem>), ServerError> {
-        let PreparedKind::Solve {
-            base,
-            constructor,
-            args,
-            scalar_args,
-        } = &prepared.kind
-        else {
-            return Ok((self.run_prepared(prepared)?, None));
+        let Some(app) = NamedApplication::of(query) else {
+            return Ok((self.evaluator().eval(query)?, None));
         };
-        let (b, a) = self.actuals(base, args)?;
-        let key = AppKey::new(constructor, &b, &a, scalar_args);
-        let arg_refs: Vec<&str> = args.iter().map(Name::as_str).collect();
-        let names = Some((base.as_str(), arg_refs.as_slice()));
-        let (scalars, cfg) = (scalar_args.clone(), self.fixpoint_cfg());
-        let system = fixpoint::solve(self, constructor, b, a, scalars, names, &cfg)?;
+        let (b, a) = self.actuals(&app)?;
+        let key = AppKey::new(app.constructor, &b, &a, &app.scalar_args);
+        let names = Some((app.base, app.args.as_slice()));
+        let cfg = self.fixpoint_cfg();
+        let system = fixpoint::solve(self, app.constructor, b, a, app.scalar_args, names, &cfg)?;
         let value = self.snap.solved().insert(key, system.value().clone());
         Ok((value, Some(system)))
     }
 
-    /// Warm re-solve from a previously captured system plus the net
-    /// base deltas since.
+    /// Warm re-solve of `app` from a previously captured system plus
+    /// the net base deltas since.
     pub(crate) fn solve_warm(
         &self,
-        base: &str,
-        constructor: &str,
-        args: &[Name],
-        scalar_args: Vec<Value>,
+        app: &NamedApplication<'_>,
         prev: SolvedSystem,
         deltas: &[(Name, BaseDelta)],
     ) -> Result<WarmOutcome, ServerError> {
-        let (b, a) = self.actuals(base, args)?;
-        let key = AppKey::new(constructor, &b, &a, &scalar_args);
-        let arg_refs: Vec<&str> = args.iter().map(Name::as_str).collect();
+        let (b, a) = self.actuals(app)?;
+        let scalar_args = app.scalar_args.clone();
+        let key = AppKey::new(app.constructor, &b, &a, &scalar_args);
         let outcome = fixpoint::solve_warm(
             self,
-            constructor,
+            app.constructor,
             b,
             a,
             scalar_args,
-            (base, &arg_refs),
+            (app.base, &app.args),
             prev,
             deltas,
             &self.fixpoint_cfg(),
@@ -294,8 +264,10 @@ impl Queryable for RangeExpr {
 }
 
 impl Queryable for PreparedQuery {
+    /// Checked at prepare time against the same frozen definitions
+    /// every snapshot shares; evaluated directly.
     fn run(&self, session: &Session) -> Result<Relation, ServerError> {
-        session.run_prepared(&self.inner)
+        Ok(session.evaluator().eval(&self.inner.ast)?)
     }
 }
 

@@ -13,18 +13,18 @@
 //! from-scratch evaluation at every epoch.
 //!
 //! Maintenance runs on the writer thread, after publication: a commit
-//! touching nothing the query reads costs O(1) (an empty update keeps
-//! the epoch sequence gap-free); a solve-kind query re-enters the
-//! semi-naive fixpoint warm from the previous materialised system —
-//! inserted tuples seed semi-naive rounds, deleted ones run
-//! delete-and-rederive, and `removed` is then exactly the tuples that
-//! lost their last derivation. Whatever the solver refuses (a system it
-//! runs naive, a touched relation in a non-monotone position, …) or a
-//! failed/faulted warm attempt falls back to a cold re-solve plus a
-//! two-way diff. A
-//! maintenance failure never affects the commit itself (the snapshot is
-//! already published); it terminates only the subscription, with a
-//! final `Err` update.
+//! touching nothing in the query's read set costs O(1) (an empty update
+//! keeps the epoch sequence gap-free); a named application
+//! ([`dc_core::NamedApplication`]) re-enters the semi-naive fixpoint
+//! warm from the previous materialised system — inserted tuples seed
+//! semi-naive rounds, deleted ones run delete-and-rederive, and
+//! `removed` is then exactly the tuples that lost their last
+//! derivation. Any other query, whatever the solver refuses (a system
+//! it runs naive, a touched relation in a non-monotone position, …) and
+//! a failed or faulted warm attempt are re-evaluated cold and diffed
+//! two ways. A maintenance failure never affects the commit itself (the
+//! snapshot is already published); it terminates only the
+//! subscription, with a final `Err` update.
 
 use std::sync::mpsc;
 

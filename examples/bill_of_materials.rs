@@ -72,9 +72,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let rewritten = dc_optimizer::rewrite_query(&mut db, &explosion_of("root"))?;
     println!("{} rewrites to {rewritten}", explosion_of("root"));
+    // A named application: `EXPLAIN` previews the seeded constructor's
+    // plan without solving it.
     let explanation = db.explain(&rewritten)?;
-    let bound_work = db.metrics().snapshot();
+    assert!(explanation.access_paths().count() >= 1, "{explanation}");
     let root_parts = db.eval(&rewritten)?;
+    let bound_work = db.metrics().snapshot();
     println!(
         "parts under `root`: {} ({} delta tuples vs {} for the full closure)",
         root_parts.len(),

@@ -21,7 +21,8 @@
 //!   subscriber state stays consistent for subsequent epochs.
 //! * **Prepared handles**: one `PreparedQuery` serves `Session::query`
 //!   across sessions and epochs, `Session::solve`, and `subscribe`,
-//!   all agreeing with each other.
+//!   all agreeing with each other; `prepare` of an application and
+//!   `prepare_solve` of the same names give the same handle.
 //!
 //! Every test that commits holds a `FailpointsGuard` (possibly arming
 //! nothing): the guard overrides any env-armed registry, so the suite
@@ -243,17 +244,23 @@ fn disjoint_commits_deliver_empty_updates_without_reevaluation() {
 }
 
 // ---------------------------------------------------------------------
-// (d) Query-kind subscriptions: always cold on touched commits, still
-//     delta-exact
+// (d) Queries that are not named applications: always cold on touched
+//     commits, still delta-exact
 // ---------------------------------------------------------------------
 
 #[test]
-fn query_kind_subscription_is_cold_but_delta_exact() {
+fn a_query_over_an_application_is_cold_but_delta_exact() {
+    use dc_calculus::ast::Branch;
+    use dc_calculus::builder::{set_former, tru};
+
     let _guard = FailpointsGuard::arm("");
     let server = Server::new(graph_db());
     let oracle = Server::new(graph_db());
-    let ast = dc_bench::ahead_query();
+    // `{EACH a IN Infront{ahead}: TRUE}` reads the closure but is not
+    // itself an application: no materialised system to maintain.
+    let ast = set_former(vec![Branch::each("a", dc_bench::ahead_query(), tru())]);
     let prepared = server.prepare(&ast).unwrap();
+    assert_eq!(prepared.reads(), vec!["Infront"]);
     let sub = server.subscribe(&prepared).unwrap();
     let initial = next_update(&sub, 0);
     let mut materialised = initial.added.clone();
@@ -265,7 +272,7 @@ fn query_kind_subscription_is_cold_but_delta_exact() {
         let touched = !batch.ops().iter().all(|(n, _)| n != "Infront");
         assert_eq!(
             up.warm, !touched,
-            "query-kind refresh has no materialised system: touched commits re-evaluate cold"
+            "no materialised system: touched commits re-evaluate cold"
         );
         materialised = apply_update(&materialised, &up);
         let expect = oracle.begin().query(&ast).unwrap();
@@ -373,6 +380,37 @@ fn one_prepared_handle_serves_queries_solves_and_subscriptions() {
     assert!(server
         .prepare_solve("Infront", "nope", &[], vec![])
         .is_err());
+}
+
+/// `prepare(&Infront{ahead})` and `prepare_solve("Infront", "ahead", …)`
+/// are one handle: the same read set, the same `EXPLAIN`, and the same
+/// updates, warm on every commit of the mixed script.
+#[test]
+fn both_prepare_paths_give_the_same_handle() {
+    let _guard = FailpointsGuard::arm("");
+    let server = Server::new(graph_db());
+    let by_expr = server.prepare(&dc_bench::ahead_query()).unwrap();
+    let by_names = server
+        .prepare_solve("Infront", "ahead", &[], vec![])
+        .unwrap();
+    assert_eq!(by_expr.reads(), by_names.reads());
+    let s = server.begin();
+    let explain = |p: &dc_server::PreparedQuery| p.explain(&s).unwrap().text().to_string();
+    assert_eq!(explain(&by_expr), explain(&by_names));
+
+    let subs = [
+        server.subscribe(&by_expr).unwrap(),
+        server.subscribe(&by_names).unwrap(),
+    ];
+    let [a, b] = subs.each_ref().map(|sub| next_update(sub, 0));
+    assert_eq!(a.added, b.added);
+    for (i, batch) in mixed_script().into_iter().enumerate() {
+        let epoch = server.commit(&batch).unwrap();
+        let [a, b] = subs.each_ref().map(|sub| next_update(sub, epoch));
+        assert!(a.warm && b.warm, "commit {i}: both handles refresh warm");
+        assert_eq!(a.added, b.added, "commit {i}");
+        assert_eq!(a.removed, b.removed, "commit {i}");
+    }
 }
 
 #[test]

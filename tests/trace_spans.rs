@@ -12,9 +12,10 @@
 //!   correlated range left on the reference scan surface as structured
 //!   [`PlanEvent`]s with their reasons, not just rendered strings;
 //!   chosen access paths carry the System-R numbers that ranked them.
-//! * **`EXPLAIN`**: `Database::explain` and `PreparedQuery::explain`
-//!   render the plan tree (header, cardinality, events) for both
-//!   executed queries and the static solve preview.
+//! * **`EXPLAIN`**: `Database::explain`, `Session::explain` and
+//!   `PreparedQuery::explain` render one plan tree (header, cardinality,
+//!   events): the trace of an executed query, or the static preview of
+//!   a named application.
 //! * **Warm/cold refresh observability**: the subscription-refresh
 //!   spans and the registry's refresh counters agree with the
 //!   warm/cold/skipped routing the standing-query battery proves.
@@ -346,11 +347,14 @@ fn correlated_range_left_on_the_scan_is_a_typed_event() {
     );
 }
 
-/// `PreparedQuery::explain` renders the executed trace for query-kind
-/// handles and a static per-branch plan preview for solve-kind handles
-/// (no fixpoint run, planned against the pinned snapshot's stats).
+/// `PreparedQuery::explain` renders a static per-branch plan preview for
+/// a named application (no fixpoint run, planned against the pinned
+/// snapshot's stats) and the executed trace for any other query.
 #[test]
 fn prepared_query_explain_covers_both_kinds() {
+    // A fresh database caches no index, and neither does the server's
+    // first snapshot: `Database::explain` renders the same preview.
+    let fresh = graph_db(1).explain(&rel("Infront").construct("ahead", vec![]));
     let server = Server::new(graph_db(1));
     let session = server.begin();
 
@@ -369,6 +373,7 @@ fn prepared_query_explain_covers_both_kinds() {
         "every non-empty constructor branch is planned: {}",
         preview.text()
     );
+    assert_eq!(fresh.unwrap().text(), preview.text());
 
     let q = set_former(vec![Branch::each(
         "r",
@@ -383,7 +388,7 @@ fn prepared_query_explain_covers_both_kinds() {
     let executed = query.explain(&session).unwrap();
     assert!(
         executed.text().contains("rows:"),
-        "query-kind explain is evaluated: {}",
+        "a query that is not an application is evaluated: {}",
         executed.text()
     );
     // The session's explain agrees with the prepared handle's.
