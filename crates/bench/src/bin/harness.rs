@@ -59,9 +59,8 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     e1();
     let e1b_rows = e1b();
-    let e1c_rows = e1c(cores);
     let e1d_rows = e1d(cores);
-    write_bench_e1(&e1b_rows, &e1c_rows, &e1d_rows);
+    write_bench_e1(&e1b_rows, &e1d_rows);
     e2();
     let e2b_rows = e2b();
     let e2c_rows = e2c();
@@ -81,7 +80,7 @@ fn main() {
 /// nested-loop evaluator, semi-naive strategy on both sides — the
 /// scan→probe speedup this engine's join planner is responsible for.
 /// Asserts the ≥5× bound on the 1k-node tree (an access-path class,
-/// not a constant: measured 60–110×). The measured rows join the E1c
+/// not a constant: measured 60–110×). The measured rows join the E1d
 /// rows in `BENCH_e1.json` (see [`write_bench_e1`]).
 fn e1b() -> Vec<String> {
     println!("E1b index-nested-loop joins vs reference nested loops (semi-naive)");
@@ -143,94 +142,14 @@ fn e1b() -> Vec<String> {
     rows
 }
 
-/// E1c: scan-sharded two-hop joins — the same index-nested-loop plan
-/// with its scan side sharded across `min(cores, 4)` pool workers vs
-/// pinned to one worker. Both sides run the index path with warm
-/// database-level index cache (one untimed warm-up
-/// evaluation), so the measured interval is exactly the scan-shard ×
-/// probe × filter work the worker pool divides (the sides alternate
-/// and each reports the fastest of its seven evaluations); results are
-/// asserted identical. The ratio is recorded, not asserted: it measures
-/// the host as much as the engine (the measured `cores` and the
-/// `threads` actually used ride along in each row so a table from a
-/// small machine is interpretable).
-fn e1c(cores: usize) -> Vec<String> {
-    let threads = cores.min(4);
-    const RUNS: usize = 7;
-    println!(
-        "E1c scan-sharded two-hop joins: {threads} workers vs sequential \
-         ({cores} core(s), fastest of {RUNS})"
-    );
-    println!("  workload            edges  matches  seq(ms)   par(ms)  speedup");
-    let mut rows_out = Vec::new();
-    for (label, nodes, degree) in [
-        ("two-hop n=2k d=8", 2000usize, 8.0),
-        ("two-hop n=4k d=8", 4000, 8.0),
-        ("two-hop n=8k d=8", 8000, 8.0),
-    ] {
-        let edges = dc_workload::weighted_random_graph(nodes, degree, 64, 11);
-        let q = two_hop_query(19);
-        let mut db_seq = weighted_db(&edges);
-        db_seq.set_threads(1);
-        let seq_rel = db_seq.eval(&q).unwrap();
-        let mut db_par = weighted_db(&edges);
-        db_par.set_threads(threads);
-        assert_eq!(
-            db_par.eval(&q).unwrap(),
-            seq_rel,
-            "parallel execution must agree with sequential on {label}"
-        );
-        // Both sides are warm now. A two-thread measurement on a small
-        // shared machine is at the mercy of whatever else the cores
-        // are doing: alternate the sides so a disturbance hits both,
-        // and keep each side's fastest (least disturbed) run.
-        let (mut seq_ms, mut par_ms) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..RUNS {
-            let (rel, ms) = time(|| db_seq.eval(&q).unwrap());
-            assert_eq!(rel, seq_rel);
-            seq_ms = seq_ms.min(ms);
-            let (rel, ms) = time(|| db_par.eval(&q).unwrap());
-            assert_eq!(rel, seq_rel);
-            par_ms = par_ms.min(ms);
-        }
-        let speedup = seq_ms / par_ms;
-        println!(
-            "  {label:<18} {:>6} {:>8} {seq_ms:>8.2} {par_ms:>9.2} {speedup:>7.2}x",
-            edges.len(),
-            seq_rel.len(),
-        );
-        rows_out.push(row_with_metrics(
-            format!(
-                concat!(
-                    "  {{\"workload\": \"{}\", \"edges\": {}, \"matches\": {}, ",
-                    "\"threads\": {}, \"cores\": {}, \"runs\": {}, ",
-                    "\"seq_ms\": {:.3}, \"par_ms\": {:.3}, \"speedup\": {:.2}}}"
-                ),
-                label,
-                edges.len(),
-                seq_rel.len(),
-                threads,
-                cores,
-                RUNS,
-                seq_ms,
-                par_ms,
-                speedup
-            ),
-            &db_par.metrics().snapshot(),
-        ));
-    }
-    println!();
-    rows_out
-}
-
 /// E1d: cross-equation parallel fixpoint rounds — multi-equation
 /// systems solved with the round scheduler batch-dispatching branch
 /// tasks of *different equations* to a 4-worker pool vs pinned to one
-/// worker — task dispatch is the whole difference: a task never shards
-/// its own scan. The 4-constructor ring instantiates four simultaneously
-/// solved equations whose Linear branches carry equal-sized deltas
-/// every round (a balanced 4-task round); the mutual `ahead`/`above`
-/// system is the paper's §3.1 workload. Cold solves on both sides
+/// worker — task dispatch is the whole difference. The 4-constructor
+/// ring instantiates four simultaneously solved equations whose Linear
+/// branches carry equal-sized deltas every round (a balanced 4-task
+/// round); the mutual `ahead`/`above` system is the paper's §3.1
+/// workload. Cold solves on both sides
 /// (the solved-constructor cache is cleared between warm-up and
 /// measurement); results are asserted identical, and the scheduler
 /// counters are asserted to prove the dispatched path ran. The ratio is
@@ -343,12 +262,11 @@ fn e1d(cores: usize) -> Vec<String> {
     rows_out
 }
 
-/// Emit `BENCH_e1.json`: the E1b scan→probe rows, the E1c
-/// parallel-vs-sequential rows, then the E1d cross-equation fixpoint
-/// rows, one flat array — a reproduction table, not a gate.
-fn write_bench_e1(e1b_rows: &[String], e1c_rows: &[String], e1d_rows: &[String]) {
+/// Emit `BENCH_e1.json`: the E1b scan→probe rows, then the E1d
+/// cross-equation fixpoint rows, one flat array — a reproduction table,
+/// not a gate.
+fn write_bench_e1(e1b_rows: &[String], e1d_rows: &[String]) {
     let mut all: Vec<String> = e1b_rows.to_vec();
-    all.extend(e1c_rows.iter().cloned());
     all.extend(e1d_rows.iter().cloned());
     let json = format!("[\n{}\n]\n", all.join(",\n"));
     if let Err(e) = std::fs::write("BENCH_e1.json", &json) {

@@ -142,24 +142,6 @@ impl From<InjectedFault> for EvalError {
     }
 }
 
-/// A scheduler-level task failure ([`dc_exec::run_tasks`]) as the
-/// evaluation error it stands for. Callers that degrade worker panics
-/// to a sequential retry match `WorkerPanic` out first; what reaches
-/// this conversion is a failure the retry did not absorb.
-impl From<dc_exec::ExecError> for EvalError {
-    fn from(e: dc_exec::ExecError) -> Self {
-        match e {
-            dc_exec::ExecError::WorkerPanic { message } => {
-                EvalError::Solve(SolveError::WorkerPanic {
-                    message,
-                    diag: dc_governor::SolveDiag::default(),
-                })
-            }
-            dc_exec::ExecError::FaultInjected(f) => EvalError::from(f),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -68,22 +68,6 @@
 //!   values and errors are unchanged). The reference nested loops
 //!   (`loop_branch` → `emit_if_selected`) serve only
 //!   `force_nested_loop`.
-//! * **Scan sharding** — parallel execution runs the one operator loop,
-//!   not a second implementation. When the evaluator has more than one
-//!   worker ([`Evaluator::with_threads`]), a compiled plan's first step
-//!   scans at least [`PARALLEL_SCAN_THRESHOLD`] tuples, and the branch
-//!   is *pure* (no quantifier or membership test, hence no range,
-//!   constructor application, or catalog read below the bindings; every
-//!   parameter resolves), the scan side is hash-split
-//!   ([`Relation::hash_shards`]) into one task per worker on the shared
-//!   pool ([`dc_exec::run_tasks`]). Each task runs the plan from depth
-//!   1 on a worker-local, catalog-less evaluator against the *same*
-//!   read-only indexes; outputs merge in shard order, so the relation
-//!   is identical for every thread count and errors are the operator
-//!   loop's own. Impure branches stay on the calling thread, which
-//!   keeps catalogs — and their interior mutability — off the workers.
-//!   Solver-spawned evaluators are never given workers: inside a solve
-//!   the round's task dispatch is the only parallelism.
 
 use std::ops::ControlFlow;
 use std::rc::Rc;
@@ -100,21 +84,11 @@ use dc_trace::SpanKind;
 
 use crate::access::AccessCache;
 use crate::ast::{ArithOp, Branch, CmpOp, Formula, RangeExpr, ScalarExpr, SetFormer, Target, Var};
-use crate::env::{Catalog, MapCatalog};
+use crate::env::Catalog;
 use crate::error::EvalError;
 use crate::joinplan::{self, Access, BranchPlan, DistinctCount, EqAtom, KeySource, QuantMode};
 use crate::plan_event::{PlanEvent, QuantDemotionReason};
 use crate::rewrite::{self, Node};
-
-/// Minimum scan-side cardinality before a branch's scan is sharded
-/// across the worker pool. Below it the whole branch evaluates in tens
-/// of microseconds and the fixed parallel overhead — one partitioning
-/// pass, `threads` thread spawns, and a shard-order merge — costs more
-/// than it saves; above it per-shard probe work dominates and scales
-/// with the worker count. Overridable per evaluator
-/// ([`Evaluator::with_parallel_threshold`]) so differential tests can
-/// force the sharded path on small inputs.
-pub const PARALLEL_SCAN_THRESHOLD: usize = 2048;
 
 /// A bound tuple variable: name, current tuple, and the schema used to
 /// resolve `var.attr` references.
@@ -167,19 +141,12 @@ pub struct Evaluator<'a> {
     probe_scratch: Vec<Vec<Value>>,
     /// Disable the index-nested-loop path (reference semantics).
     nested_loop_only: bool,
-    /// Worker count for scan sharding; `1` is the exact sequential path
-    /// (the purity check never runs).
-    threads: usize,
-    /// Scan-side cardinality floor for scan sharding — see
-    /// [`PARALLEL_SCAN_THRESHOLD`].
-    parallel_threshold: usize,
     /// The armed budget governing this evaluation, if any: ticked at
-    /// the executor leaves (shard workers share it), with emitted
-    /// tuples counted against its ceiling.
+    /// the executor leaves, with emitted tuples counted against its
+    /// ceiling.
     budget: Option<Meter>,
-    /// Typed planner trace: each distinct demotion, refusal, or
-    /// degradation once, plus one access-path event per planned branch
-    /// site.
+    /// Typed planner trace: each distinct demotion or refusal once,
+    /// plus one access-path event per planned branch site.
     plan_events: Vec<PlanEvent>,
     /// Branch fingerprints whose access path was already recorded, so
     /// per-combination re-plans (nested set-formers) report once.
@@ -201,8 +168,6 @@ impl<'a> Evaluator<'a> {
             unnested_vars: 0,
             probe_scratch: Vec::new(),
             nested_loop_only: false,
-            threads: 1,
-            parallel_threshold: PARALLEL_SCAN_THRESHOLD,
             budget: None,
             plan_events: Vec::new(),
             access_sites: Vec::new(),
@@ -218,37 +183,14 @@ impl<'a> Evaluator<'a> {
         self
     }
 
-    /// Shard the scan side of eligible set-former branches across
-    /// `threads` workers (resolve a configuration knob through
-    /// [`dc_exec::thread_count`] first, which also bounds it).
-    /// `threads <= 1` keeps the exact sequential path. Results are
-    /// identical for every worker count — see the module docs.
-    pub fn with_threads(mut self, threads: usize) -> Evaluator<'a> {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Override the scan-side cardinality floor for scan sharding
-    /// (default [`PARALLEL_SCAN_THRESHOLD`]). Differential tests lower
-    /// it to force the sharded path on small inputs.
-    pub fn with_parallel_threshold(mut self, threshold: usize) -> Evaluator<'a> {
-        self.parallel_threshold = threshold;
-        self
-    }
-
     /// Govern this evaluation with an armed budget [`Meter`]: the
     /// executor leaves tick it (observing deadlines, cancellation, and
-    /// the tuple ceiling), shard workers share it, and trips surface as
-    /// [`EvalError::Solve`]. Clones share one gauge, so a solver hands
-    /// the *same* meter to every branch evaluator of one solve.
+    /// the tuple ceiling), and trips surface as [`EvalError::Solve`].
+    /// Clones share one gauge, so a solver hands the *same* meter to
+    /// every branch evaluator of one solve.
     pub fn with_meter(mut self, meter: Meter) -> Evaluator<'a> {
         self.budget = Some(meter);
         self
-    }
-
-    /// The meter installed by [`Evaluator::with_meter`], if any.
-    pub fn meter(&self) -> Option<&Meter> {
-        self.budget.as_ref()
     }
 
     /// Count planner decisions (probe/scan plans, quantifier probes and
@@ -262,9 +204,8 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The typed planner trace, in first-occurrence order: each
-    /// distinct demotion, refusal, or degradation once
-    /// ([`PlanEvent::is_demotion`]), plus one [`PlanEvent::AccessPath`]
-    /// per planned branch site.
+    /// distinct demotion or refusal once ([`PlanEvent::is_demotion`]),
+    /// plus one [`PlanEvent::AccessPath`] per planned branch site.
     pub fn plan_events(&self) -> &[PlanEvent] {
         &self.plan_events
     }
@@ -535,7 +476,7 @@ impl<'a> Evaluator<'a> {
                 let compiled = self.compile_plan(branch, &plan, ranges, bindings)?;
                 self.note_access_path(branch, &plan, &compiled, &asked, &schemas, &cards);
                 if !compiled.realised.is_empty() {
-                    return self.run_plan(branch, &compiled, ranges, bindings, out);
+                    return self.exec_plan(branch, &compiled, ranges, 0, bindings, out);
                 }
             }
         }
@@ -661,153 +602,6 @@ impl<'a> Evaluator<'a> {
             realised,
             leaf,
         })
-    }
-
-    /// Execute a compiled plan into `out`: scan-sharded across the
-    /// worker pool when [`Evaluator::shard_frame`] allows it, on this
-    /// thread otherwise. Shard outputs merge **in shard order**, and
-    /// only once every shard has succeeded.
-    fn run_plan(
-        &mut self,
-        branch: &Branch,
-        plan: &CompiledPlan<'_>,
-        ranges: &[Relation],
-        bindings: &mut Vec<Binding>,
-        out: &mut Relation,
-    ) -> Result<(), EvalError> {
-        let Some(frame) = self.shard_frame(branch, plan, ranges) else {
-            return self.exec_plan(branch, plan, ranges, 0, bindings, out);
-        };
-        match self.exec_sharded(branch, plan, ranges, bindings, frame, out.schema()) {
-            Ok(parts) => {
-                let mut parts = parts?.into_iter();
-                // The merge is serial work: into an empty `out` (the
-                // usual case) the first shard's output moves in whole.
-                if out.is_empty() {
-                    if let Some(first) = parts.next() {
-                        *out = first;
-                    }
-                }
-                for part in parts {
-                    dc_relation::algebra::union_into(out, &part)?;
-                }
-                Ok(())
-            }
-            // Graceful degradation: a panicking worker must never
-            // change the answer or kill the process. Retry the branch
-            // once on this thread — nothing was merged into `out`, so
-            // the retry starts clean. A second failure there is a real
-            // error and propagates.
-            Err(dc_exec::ExecError::WorkerPanic { message }) => {
-                self.plan_event(PlanEvent::ParallelDegraded { message });
-                self.exec_plan(branch, plan, ranges, 0, bindings, out)?;
-                if let Some(m) = &self.budget {
-                    m.note_degraded();
-                }
-                Ok(())
-            }
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Decide whether a compiled branch runs sharded, and if so resolve
-    /// its parameters: `Some(frame)` holds every parameter the branch
-    /// mentions, resolved once — exactly their per-branch-constant
-    /// meaning on the sequential path. Sharding needs
-    ///
-    /// * more than one worker, and a first step that scans at least
-    ///   `parallel_threshold` tuples (probes amortise per scan tuple,
-    ///   so the scan side is what parallelism divides) — checked
-    ///   first, so a single-worker evaluator never walks the predicate;
-    /// * a *pure* predicate ([`is_pure`]) whose parameters, and the
-    ///   target's, all resolve. Workers then need no catalog at all,
-    ///   which keeps catalogs and their interior mutability on this
-    ///   thread. An unresolvable parameter keeps the branch here, where
-    ///   short-circuiting decides whether it is ever an error.
-    fn shard_frame(
-        &self,
-        branch: &Branch,
-        plan: &CompiledPlan<'_>,
-        ranges: &[Relation],
-    ) -> Option<FxHashMap<String, Value>> {
-        let first = plan.steps.first()?;
-        if self.threads <= 1
-            || !matches!(first.access, CompiledAccess::Scan)
-            // Fewer than two tuples cannot make two shards.
-            || ranges[first.position].len() < self.parallel_threshold.max(2)
-            || !is_pure(&branch.predicate)
-        {
-            return None;
-        }
-        let mut names = rewrite::param_names(&branch.predicate);
-        if let Target::Tuple(exprs) = &branch.target {
-            for e in exprs {
-                names.extend(rewrite::param_names(e));
-            }
-        }
-        names
-            .into_iter()
-            .map(|n| {
-                let v = self.resolve_param(&n).ok()?;
-                Some((n, v))
-            })
-            .collect()
-    }
-
-    /// Run a compiled branch with its scan side hash-split into one
-    /// task per worker on the shared pool ([`dc_exec::run_tasks`]),
-    /// returning the shard outputs in shard order. Each task evaluates
-    /// its shard through the ordinary operator loop
-    /// ([`Evaluator::exec_plan`] from depth 1) on a worker-local
-    /// evaluator: over an empty catalog, which answers every lookup
-    /// with an error ([`Evaluator::shard_frame`] established that
-    /// nothing will ask); with the enclosing bindings cloned, so
-    /// compiled slot numbers line up; with `frame` as its one parameter
-    /// frame; and with this evaluation's meter shared in. The shard
-    /// assignment depends only on tuple content, so the merged relation
-    /// is the same for every worker count, and the first failure *in
-    /// shard order* is the one reported: the outer `Err` is the pool's
-    /// verdict on a task (panic, injected `worker_start` fault), the
-    /// inner one an evaluation error.
-    fn exec_sharded(
-        &self,
-        branch: &Branch,
-        plan: &CompiledPlan<'_>,
-        ranges: &[Relation],
-        bindings: &[Binding],
-        frame: FxHashMap<String, Value>,
-        schema: &Schema,
-    ) -> Result<Result<Vec<Relation>, EvalError>, dc_exec::ExecError> {
-        let scan = &ranges[plan.steps[0].position];
-        let (var, _) = &branch.bindings[plan.steps[0].position];
-        let shards = scan.hash_shards(self.threads.min(scan.len()));
-        let meter = self.budget.clone();
-        dc_exec::run_tasks(&shards, self.threads, |_, shard| {
-            let nothing = MapCatalog::new();
-            let mut ev = Evaluator::new(&nothing);
-            ev.param_frames.push(frame.clone());
-            ev.budget = meter.clone();
-            let mut local = bindings.to_vec();
-            let slot = local.len();
-            let mut out = Relation::new(schema.clone());
-            for t in shard {
-                // One binding slot for the whole shard, as in
-                // `exec_plan`'s own scan arm (deeper steps truncate
-                // back to just past it).
-                match local.get_mut(slot) {
-                    Some(b) => b.tuple = t.clone(),
-                    None => local.push(Binding {
-                        var: var.clone(),
-                        tuple: t.clone(),
-                        schema: scan.schema().clone(),
-                    }),
-                }
-                ev.exec_plan(branch, plan, ranges, 1, &mut local, &mut out)?;
-            }
-            Ok(out)
-        })
-        .into_iter()
-        .collect()
     }
 
     /// Do access structures over the value of `range` amortise? A named
@@ -1626,8 +1420,7 @@ enum SitePlan {
 
 /// A branch lowered for the operator loop: the steps, the probe atoms
 /// they realised (which decide their conjuncts, so the leaf skips them),
-/// and the leaf itself. Built once per branch evaluation and shared,
-/// read-only, by every scan shard.
+/// and the leaf itself. Built once per branch evaluation.
 struct CompiledPlan<'b> {
     steps: Vec<CompiledStep>,
     realised: Vec<&'b EqAtom>,
@@ -1786,20 +1579,6 @@ enum CompiledKey {
     Fixed(Value),
     /// Read from the binding at stack slot `slot`, field `attr_pos`.
     FromBinding { slot: usize, attr_pos: usize },
-}
-
-/// Is the formula evaluable from bound tuples and parameters alone —
-/// comparisons, boolean connectives, and (inside scalars) arithmetic?
-/// Quantifiers and membership tests evaluate ranges, which is where
-/// catalog reads, constructor applications, and planner caches live.
-fn is_pure(f: &Formula) -> bool {
-    rewrite::walk(f, |n, _| match n {
-        Node::Formula(
-            Formula::Some(..) | Formula::All(..) | Formula::Member(..) | Formula::TupleIn(..),
-        ) => ControlFlow::Break(()),
-        _ => ControlFlow::Continue(()),
-    })
-    .is_continue()
 }
 
 /// Fingerprint of a planned branch site, used to record its access
@@ -2459,7 +2238,7 @@ mod tests {
         )])
     }
 
-    /// No demotion, refusal, or degradation in the planner trace.
+    /// No demotion or refusal in the planner trace.
     fn no_demotions(ev: &Evaluator<'_>) -> bool {
         !ev.plan_events().iter().any(PlanEvent::is_demotion)
     }
@@ -2858,246 +2637,6 @@ mod tests {
         let reference = Evaluator::new(&cat).force_nested_loop().eval(&q).unwrap();
         assert_eq!(after, reference);
         assert!(after.is_empty(), "nothing is on top of anything any more");
-    }
-
-    /// Evaluate `e` with `threads` workers and the given sharding
-    /// threshold. Also reports whether the evaluation took the worker
-    /// pool: re-run under an armed `worker_start=error`, a sharded
-    /// branch (and nothing else) fails with that injected fault. Every
-    /// test of this module that configures workers goes through here,
-    /// so the guard also keeps the armed run from leaking into a
-    /// concurrently running one.
-    fn sharded(
-        cat: &MapCatalog,
-        e: &RangeExpr,
-        threads: usize,
-        threshold: usize,
-    ) -> (Result<Relation, EvalError>, bool) {
-        let run = || {
-            Evaluator::new(cat)
-                .with_threads(threads)
-                .with_parallel_threshold(threshold)
-                .eval(e)
-        };
-        let took_pool = {
-            let _armed = dc_governor::FailpointsGuard::arm("worker_start=error");
-            matches!(run(), Err(EvalError::FaultInjected { .. }))
-        };
-        let _disarmed = dc_governor::FailpointsGuard::arm("");
-        (run(), took_pool)
-    }
-
-    fn join_on(extra: Formula) -> RangeExpr {
-        set_former(vec![Branch::projecting(
-            vec![attr("f", "front"), attr("b", "back")],
-            vec![("f".into(), rel("Infront")), ("b".into(), rel("Infront"))],
-            eq(attr("f", "back"), attr("b", "front")).and(extra),
-        )])
-    }
-
-    #[test]
-    fn parallel_branch_agrees_with_sequential() {
-        // A third binding with no equality atom: the plan keeps a full
-        // scan step *below* the sharded one.
-        let inner_scan = set_former(vec![Branch::projecting(
-            vec![attr("f", "front"), attr("b", "back"), attr("z", "back")],
-            vec![
-                ("f".into(), rel("Infront")),
-                ("b".into(), rel("Infront")),
-                ("z".into(), rel("Infront")),
-            ],
-            eq(attr("f", "back"), attr("b", "front"))
-                .and(ne(attr("z", "front"), attr("f", "front"))),
-        )]);
-        let cat = catalog();
-        let mut planner = Evaluator::new(&cat);
-        planner.eval(&inner_scan).unwrap();
-        assert!(planner.plan_events().iter().any(|ev| matches!(
-            ev,
-            PlanEvent::AccessPath { steps, .. }
-                if !steps[0].is_probe() && steps[1..].iter().any(|s| !s.is_probe())
-        )));
-        let empty = MapCatalog::new().with_relation("Infront", infront(&[]));
-        // (catalog, expression, result size, takes the pool)
-        let cases = [
-            (catalog(), ahead2_expr(), 5, true),
-            (catalog(), inner_scan, 4, true),
-            (empty, ahead2_expr(), 0, false),
-        ];
-        for (cat, e, len, pool) in &cases {
-            let sequential = Evaluator::new(cat).eval(e).unwrap();
-            let reference = Evaluator::new(cat).force_nested_loop().eval(e).unwrap();
-            assert_eq!(sequential, reference, "{e}");
-            assert_eq!(sequential.len(), *len, "{e}");
-            for threads in [2usize, 4, 7] {
-                let (parallel, took_pool) = sharded(cat, e, threads, 1);
-                assert_eq!(parallel.unwrap(), sequential, "{e} threads={threads}");
-                assert_eq!(took_pool, *pool, "{e} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_path_preserves_reference_errors() {
-        // Workers run the reference operator loop, so whatever it
-        // raises they raise. (expression, takes the pool, the error
-        // names a tuple — so its class, not its witness, is what every
-        // worker count must agree on)
-        let cat = catalog();
-        let cases = [
-            // A cross-type comparison the probe keys do not reject.
-            (join_on(eq(attr("f", "front"), cnst(1i64))), true, true),
-            // An unknown attribute: no part of the purity check.
-            (join_on(eq(attr("f", "nope"), cnst("x"))), true, false),
-            // An unresolvable parameter keeps the branch sequential.
-            (join_on(ne(attr("f", "front"), param("Nope"))), false, false),
-        ];
-        for (e, pool, witnessed) in &cases {
-            let reference = sharded(&cat, e, 1, 1).0.unwrap_err();
-            for threads in [2usize, 4, 7] {
-                let (got, took_pool) = sharded(&cat, e, threads, 1);
-                let got = got.unwrap_err();
-                if *witnessed {
-                    assert_eq!(
-                        std::mem::discriminant(&got),
-                        std::mem::discriminant(&reference),
-                        "{e} threads={threads}: {got}"
-                    );
-                } else {
-                    assert_eq!(got, reference, "{e} threads={threads}");
-                }
-                assert_eq!(took_pool, *pool, "{e} threads={threads}");
-            }
-        }
-        assert!(matches!(
-            sharded(&cat, &cases[0].0, 1, 1).0,
-            Err(EvalError::CrossTypeComparison { .. })
-        ));
-        assert!(matches!(
-            sharded(&cat, &cases[2].0, 1, 1).0,
-            Err(EvalError::UnknownParam(_))
-        ));
-
-        // Key violation: the first branch fixes a result schema keyed
-        // on `a`; the second derives two `b`s for `k2`. Which witness
-        // is reported may differ across worker counts (in-shard insert
-        // or shard-order merge), but never between two runs at one
-        // count — the lowest failing shard decides.
-        let keyed = Schema::with_key(
-            vec![
-                Attribute::new("a", Domain::Str),
-                Attribute::new("b", Domain::Int),
-            ],
-            &["a"],
-        )
-        .unwrap();
-        let pairs = |ts: &[(&str, i64)]| {
-            Relation::from_tuples(
-                Schema::of(&[("a", Domain::Str), ("b", Domain::Int)]),
-                ts.iter().map(|(a, b)| tuple![*a, *b]),
-            )
-            .unwrap()
-        };
-        let cat = MapCatalog::new()
-            .with_relation(
-                "A",
-                Relation::from_tuples(keyed, vec![tuple!["k1", 1i64]]).unwrap(),
-            )
-            .with_relation(
-                "B",
-                pairs(&[("k2", 1), ("k2", 2), ("k3", 1), ("k4", 1), ("k5", 1)]),
-            )
-            .with_relation("C", pairs(&[("k2", 0), ("k3", 0), ("k4", 0), ("k5", 0)]));
-        let e = set_former(vec![
-            Branch::each("x", rel("A"), tru()),
-            Branch {
-                target: Target::Var("y".into()),
-                bindings: vec![("y".into(), rel("B")), ("z".into(), rel("C"))],
-                predicate: eq(attr("y", "a"), attr("z", "a")),
-            },
-        ]);
-        for threads in [1usize, 2, 4, 7] {
-            let (first, took_pool) = sharded(&cat, &e, threads, 1);
-            assert!(
-                matches!(first, Err(EvalError::Relation(_))),
-                "threads={threads}: {first:?}"
-            );
-            assert_eq!(sharded(&cat, &e, threads, 1).0, first, "threads={threads}");
-            assert_eq!(took_pool, threads > 1);
-        }
-    }
-
-    #[test]
-    fn parallel_dispatch_respects_threshold_and_thread_count() {
-        // Below the threshold (or with one worker) nothing is sharded;
-        // results agree regardless — this is the documented
-        // "threads = 1 is the exact sequential path" contract.
-        let cat = catalog();
-        let (a, a_pool) = sharded(&cat, &ahead2_expr(), 1, 1);
-        let (b, b_pool) = sharded(&cat, &ahead2_expr(), 4, usize::MAX);
-        assert_eq!(a.unwrap(), b.unwrap());
-        assert!(!a_pool && !b_pool);
-    }
-
-    #[test]
-    fn parallel_path_resolves_outer_variables_and_quantified_branches_fall_back() {
-        let cat = catalog().with_param("Skip", Value::str("table"));
-        let under_quantifier = |inner: RangeExpr| {
-            set_former(vec![Branch::each(
-                "r",
-                rel("Infront"),
-                some("x", inner, tru()),
-            )])
-        };
-        // (expression, takes the pool)
-        let cases = [
-            // The outer branch has a quantifier (impure) and the inner
-            // one starts with a fixed-key probe: nothing to shard.
-            (
-                under_quantifier(set_former(vec![Branch::each(
-                    "y",
-                    rel("Infront"),
-                    eq(attr("y", "front"), attr("r", "back")),
-                )])),
-                false,
-            ),
-            // The inner join — a membership range, evaluated per outer
-            // tuple — is pure and scans first; its residual reads the
-            // *outer* `r`, so each worker needs the enclosing bindings
-            // under its own — at the slots the plan compiled.
-            (
-                set_former(vec![Branch::each(
-                    "r",
-                    rel("Infront"),
-                    not(member(
-                        "r",
-                        join_on(ne(attr("f", "front"), attr("r", "back"))),
-                    )),
-                )]),
-                true,
-            ),
-            // A catalog parameter, resolved once into the workers'
-            // frame.
-            (join_on(ne(attr("f", "front"), param("Skip"))), true),
-            // Impure conjuncts — membership, a nested quantifier — keep a
-            // probe plan on this thread even above the threshold.
-            (join_on(member("f", rel("Infront"))), false),
-            (
-                join_on(some(
-                    "z",
-                    rel("Infront"),
-                    eq(attr("z", "front"), attr("f", "front")),
-                )),
-                false,
-            ),
-        ];
-        for (e, pool) in &cases {
-            let reference = Evaluator::new(&cat).force_nested_loop().eval(e).unwrap();
-            assert!(!reference.is_empty(), "{e}");
-            let (parallel, took_pool) = sharded(&cat, e, 4, 1);
-            assert_eq!(parallel.unwrap(), reference, "{e}");
-            assert_eq!(took_pool, *pool, "{e}");
-        }
     }
 
     /// The residual of the one access path an evaluation of `e` records.

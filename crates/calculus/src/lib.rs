@@ -71,5 +71,5 @@ pub use access::AccessCache;
 pub use ast::{Branch, CmpOp, Formula, RangeExpr, ScalarExpr, SelectorDef, SetFormer, Target};
 pub use env::Catalog;
 pub use error::EvalError;
-pub use eval::{Evaluator, PARALLEL_SCAN_THRESHOLD};
+pub use eval::Evaluator;
 pub use plan_event::{AccessStep, Explanation, PlanEvent, QuantDemotionReason};

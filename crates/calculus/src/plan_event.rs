@@ -3,8 +3,8 @@
 //! Each entry of the evaluator's planner trace is a [`PlanEvent`]
 //! value carrying the decision and the numbers behind it — the chosen
 //! access path per planned branch, quantifier-probe demotions (a
-//! correlated range left on the reference scan among them), and
-//! parallel-dispatch degradations — rendered for people by `Display`.
+//! correlated range left on the reference scan among them) — rendered
+//! for people by `Display`.
 //! Typed events are what `EXPLAIN` renders, what tests assert on, what
 //! a governed abort's diagnostics carry, and what flows into `dc-trace`
 //! spans.
@@ -84,12 +84,6 @@ pub enum PlanEvent {
         range: String,
         /// Rendered key expression (for `KeyUnresolvable`).
         key: String,
-    },
-    /// A parallel branch dispatch degraded to the sequential path
-    /// after a worker panic.
-    ParallelDegraded {
-        /// The worker's panic message.
-        message: String,
     },
 }
 
@@ -236,11 +230,6 @@ impl fmt::Display for PlanEvent {
                      reference scan ({range})"
                 ),
             },
-            PlanEvent::ParallelDegraded { message } => write!(
-                f,
-                "parallel dispatch: worker panicked ({message}) — \
-                 branch degraded to the sequential path"
-            ),
         }
     }
 }

@@ -10,7 +10,7 @@
 //!   quantifier's range lies outside the quantified variable, and every
 //!   binding range of a set-former branch lies outside all of the
 //!   branch's variables. The name analyses are walks —
-//!   [`relation_names`], [`selector_names`], [`param_names`] and
+//!   [`relation_names`], [`selector_names`] and
 //!   [`collect_constructed`] drive constructor-application
 //!   instantiation, the solver's reach and the quant-graph partitioning
 //!   of §4, and [`bound_vars`] guards substitutions against capture —
@@ -246,17 +246,6 @@ pub fn relation_names<'a>(node: impl Into<Node<'a>>) -> FxHashSet<Name> {
 pub fn selector_names<'a>(node: impl Into<Node<'a>>) -> FxHashSet<Name> {
     collect(node, |n| match n {
         Node::Range(RangeExpr::Selected { selector, .. }) => Some(selector.clone()),
-        _ => None,
-    })
-}
-
-/// Every scalar-parameter name (`ScalarExpr::Param` leaf) referenced
-/// anywhere in a range or formula — comparison operands, selector
-/// arguments, constructor scalar arguments, set-former targets, and
-/// tuple-membership expressions, through arithmetic.
-pub fn param_names<'a>(node: impl Into<Node<'a>>) -> FxHashSet<Name> {
-    collect(node, |n| match n {
-        Node::Scalar(ScalarExpr::Param(p)) => Some(p.clone()),
         _ => None,
     })
 }
@@ -849,8 +838,6 @@ mod tests {
         assert_eq!(relation_names(&pred), names(&["V", "W", "X", "Y"]));
         assert_eq!(selector_names(&range), names(&["s1", "s2"]));
         assert_eq!(selector_names(&pred), names(&["s2"]));
-        assert_eq!(param_names(&range), names(&["Pt", "Ps", "Pc", "Pi"]));
-        assert_eq!(param_names(&pred), names(&["Pi"]));
         let c2 = rel("T").construct("c2", vec![rel("U")]);
         let c3 = rel("X").construct("c3", vec![]);
         assert_eq!(
@@ -919,32 +906,6 @@ mod tests {
             substitute_params(&fixture_predicate(&relation, &parameter), &values),
             fixture_predicate(&relation, &fixed)
         );
-    }
-
-    #[test]
-    fn param_names_cover_every_scalar_position() {
-        // Params hide in: a comparison operand (through arithmetic), a
-        // selector argument, a quantifier body, a tuple target, and a
-        // TupleIn expression list.
-        let range = set_former(vec![Branch::projecting(
-            vec![add(attr("r", "a"), param("p_target"))],
-            vec![
-                ("r".into(), rel("R").select("vis", vec![param("p_selarg")])),
-                ("s".into(), rel("S")),
-            ],
-            eq(attr("r", "a"), add(cnst(1i64), param("p_cmp")))
-                .and(some(
-                    "x",
-                    rel("T"),
-                    tuple_in(vec![param("p_tuplein")], rel("U")),
-                ))
-                .and(not(eq(attr("s", "b"), param("p_neg")))),
-        )]);
-        let names = param_names(&range);
-        for expected in ["p_target", "p_selarg", "p_cmp", "p_tuplein", "p_neg"] {
-            assert!(names.contains(expected), "missing {expected}: {names:?}");
-        }
-        assert_eq!(names.len(), 5);
     }
 
     #[test]

@@ -86,8 +86,7 @@ impl Database {
         self.defs.config.use_indexes = on;
     }
 
-    /// Set the worker-thread count (round task dispatch inside a
-    /// solve, scan sharding of one-shot query branches outside one):
+    /// Set the worker-thread count for a solve's round task dispatch:
     /// `0` (the default) resolves through `DC_THREADS` /
     /// available parallelism, `1` pins the exact sequential path, any
     /// other value is used as given (see
@@ -370,14 +369,14 @@ impl Database {
         Ok(self.evaluator().eval(query)?)
     }
 
-    /// An evaluator over this database honouring the index and
-    /// parallel-execution configuration. A configured budget is armed
+    /// An evaluator over this database honouring the index
+    /// configuration. A configured budget is armed
     /// for this evaluation; constructor applications it dispatches arm
     /// their own per-solve meter, so a solve's deadline is never
     /// pre-aged by query time spent before it.
     pub fn evaluator(&self) -> Evaluator<'_> {
         let config = &self.defs.config;
-        config.evaluator(self, config.budget.as_ref().map(Budget::meter), true)
+        config.evaluator(self, config.budget.as_ref().map(Budget::meter))
     }
 
     /// The planner's typed decision trace for `query`, rendered as an

@@ -57,8 +57,8 @@
 //! handing the tasks to [`dc_exec::run_tasks`] — cross-branch *and*
 //! cross-equation parallelism, impure branches included (quantifier
 //! probes included: they only need the frozen snapshot).
-//! This is the solve's only parallelism: a task never shards its own
-//! scan. Each task returns its value plus the
+//! This is the engine's only parallelism. Each task returns its value
+//! plus the
 //! constructor applications it met for the first time; the solver
 //! replays those single-threaded at the commit site, so registration
 //! and delta commits stay serialized and `threads = N` commits
@@ -92,6 +92,15 @@ mod snapshot;
 
 pub use snapshot::Reach;
 use snapshot::{EvalSnapshot, SnapshotCatalog, Universe};
+
+/// Minimum weight of a round task — the tuples of the overridden
+/// (delta or doomed) ranges it scans — for the task to count toward
+/// parallel dispatch ([`FixpointConfig::parallel_threshold`]'s
+/// default): a round goes to the worker pool only when at least two of
+/// its tasks clear it. Below it a task evaluates in tens of
+/// microseconds and the fixed cost of dispatch — thread spawns and the
+/// hand-back to the solver thread — outweighs what it saves.
+pub const PARALLEL_SCAN_THRESHOLD: usize = 2048;
 
 /// Fixpoint evaluation strategy — see the [module docs](self) for how
 /// the solver picks one.
@@ -127,15 +136,12 @@ pub struct FixpointConfig {
     /// Results are identical for every setting: a round's branch tasks
     /// run on workers against a frozen snapshot, while registration
     /// and delta commits (with the index maintenance they carry) stay
-    /// on the solver thread. Outside a solve, the same
-    /// knob sizes the scan shards of a one-shot query branch.
+    /// on the solver thread.
     pub threads: usize,
-    /// Scan-side cardinality floor for parallel work (default
-    /// [`dc_calculus::PARALLEL_SCAN_THRESHOLD`]): a round is dispatched
-    /// to workers when at least two of its tasks clear it, and a
-    /// one-shot query branch is sharded when its scan side does.
-    /// Differential tests lower it to force the parallel paths on small
-    /// inputs.
+    /// Task-weight floor for round dispatch (default
+    /// [`PARALLEL_SCAN_THRESHOLD`]): a round is dispatched to workers
+    /// when at least two of its tasks clear it. Differential tests lower
+    /// it to force dispatch on small inputs.
     pub parallel_threshold: usize,
     /// Resource envelope for each solve, if any. The budget is *armed*
     /// (clock captured) at the start of every solve, so a 10 ms
@@ -158,7 +164,7 @@ impl Default for FixpointConfig {
             max_iterations: 100_000,
             use_indexes: true,
             threads: 0,
-            parallel_threshold: dc_calculus::PARALLEL_SCAN_THRESHOLD,
+            parallel_threshold: PARALLEL_SCAN_THRESHOLD,
             budget: None,
             metrics: None,
         }
@@ -405,18 +411,8 @@ impl FixpointConfig {
     /// The one evaluator builder, for queries and solves alike: an
     /// evaluator over `catalog` that counts into
     /// [`FixpointConfig::metrics`], is governed by `meter` if one is
-    /// given, and honours [`FixpointConfig::use_indexes`]. A `pooled`
-    /// evaluator shards the scans of one-shot query branches over
-    /// [`FixpointConfig::threads`] workers. Solver evaluators are never
-    /// pooled: inside a solve the only parallelism is the round's task
-    /// dispatch, and sharding a task's scan as well measured slower at
-    /// every worker count (see ARCHITECTURE, "Parallel execution").
-    pub fn evaluator<'e>(
-        &self,
-        catalog: &'e dyn Catalog,
-        meter: Option<Meter>,
-        pooled: bool,
-    ) -> Evaluator<'e> {
+    /// given, and honours [`FixpointConfig::use_indexes`].
+    pub fn evaluator<'e>(&self, catalog: &'e dyn Catalog, meter: Option<Meter>) -> Evaluator<'e> {
         let mut ev = Evaluator::new(catalog);
         if let Some(m) = &self.metrics {
             ev = ev.with_metrics(m.clone());
@@ -424,13 +420,10 @@ impl FixpointConfig {
         if let Some(meter) = meter {
             ev = ev.with_meter(meter);
         }
-        if !self.use_indexes {
-            ev.force_nested_loop()
-        } else if pooled {
-            ev.with_threads(dc_exec::thread_count(self.threads))
-                .with_parallel_threshold(self.parallel_threshold)
-        } else {
+        if self.use_indexes {
             ev
+        } else {
+            ev.force_nested_loop()
         }
     }
 }
@@ -460,10 +453,9 @@ impl ExecKnobs {
         }
     }
 
-    /// A single-worker evaluator under the solve's configuration.
+    /// An evaluator under the solve's configuration and budget.
     fn evaluator<'e>(&self, catalog: &'e dyn Catalog) -> Evaluator<'e> {
-        self.cfg
-            .evaluator(catalog, Some(self.budget.clone()), false)
+        self.cfg.evaluator(catalog, Some(self.budget.clone()))
     }
 }
 
@@ -1291,7 +1283,7 @@ impl<'s> Solver<'s> {
             let dispatch = self.knobs.threads > 1 && tasks.len() >= 2 && eligible >= 2;
             let eval_span = phase_span("evaluate");
             let eval_parent = eval_span.id();
-            let results = if dispatch {
+            let workers = if dispatch {
                 meter.add_parallel_branches(tasks.len() as u64);
                 let mut eqs: Vec<usize> = tasks.iter().map(|t| t.eq).collect();
                 eqs.sort_unstable();
@@ -1299,13 +1291,14 @@ impl<'s> Solver<'s> {
                 if eqs.len() >= 2 {
                     meter.add_parallel_equations(eqs.len() as u64);
                 }
-                dc_exec::run_tasks(&tasks, knobs.threads, |_, t| {
-                    run_task(&snap, knobs, t, Some(eval_parent))
-                })
+                knobs.threads
             } else {
                 meter.add_sequential_branches(tasks.len() as u64);
-                dc_exec::run_tasks(&tasks, 1, |_, t| run_task(&snap, knobs, t, None))
+                1
             };
+            let parent = dispatch.then_some(eval_parent);
+            let results =
+                dc_exec::run_tasks(&tasks, workers, |_, t| run_task(&snap, knobs, t, parent));
             drop(eval_span);
             // ---- Replay + stage (solver thread, task order — the
             // sequential evaluation order). Replay each task's
@@ -1322,7 +1315,7 @@ impl<'s> Solver<'s> {
                         }
                         retry
                     }
-                    Err(other) => Err(other.into()),
+                    Err(dc_exec::ExecError::FaultInjected(f)) => Err(f.into()),
                 };
                 let value = &round_current[task.eq];
                 outcome

@@ -1,15 +1,13 @@
 //! The engine's one worker pool: [`run_tasks`] and the knob that sizes
 //! it, [`thread_count`].
 //!
-//! Every parallel path in the engine is "a slice of independent tasks
+//! The engine's one parallel path is "a slice of independent tasks
 //! over shared immutable state, results back in task order": the
 //! fixpoint solver's round tasks (branch evaluations reading a frozen
-//! catalog snapshot) and the evaluator's scan shards (one set-former
-//! branch whose scan side is split with
-//! `dc_relation::Relation::hash_shards`, each shard run through the
-//! ordinary operator loop). This crate knows nothing about what a task
-//! does — it owns the scoped threads, the per-task panic isolation, and
-//! the `worker_start` failpoint, so those exist in exactly one place.
+//! catalog snapshot). One-shot queries never reach the pool. This
+//! crate knows nothing about what a task does — it owns the scoped
+//! threads, the per-task panic isolation, and the `worker_start`
+//! failpoint, so those exist in exactly one place.
 //! See the [`run_tasks`] docs for the dispatch modes and the
 //! determinism contract.
 

@@ -1,17 +1,15 @@
 //! The task scheduler: opaque tasks on a scoped worker pool.
 //!
 //! A caller hands over a slice of tasks (the solver: branch evaluations
-//! of one semi-naive round; the evaluator: hash shards of one branch's
-//! scan side) plus a closure that runs one task, and gets back one
+//! of one semi-naive round) plus a closure that runs one task, and gets back one
 //! result per task **in task order** — so the caller's merge and error
 //! choice stay deterministic for every worker count.
 //!
 //! The scheduler knows nothing about what a task does. The contract
 //! that makes this safe is the caller's: a task must only read shared
-//! immutable state (the solver's frozen catalog snapshot, a branch's
-//! compiled plan and read-only indexes) and fold its side effects into
-//! its own return value (the effect log the solver replays
-//! single-threaded at the commit site, a shard-local output relation).
+//! immutable state (the solver's frozen catalog snapshot) and fold its
+//! side effects into its own return value (the effect log the solver
+//! replays single-threaded at the commit site).
 //!
 //! # Dispatch modes
 //!

@@ -31,9 +31,9 @@ use std::sync::{Mutex, MutexGuard, Once, PoisonError};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Site {
     /// A task starting on a pool worker (`worker_start`) — checked in
-    /// exactly one place, `dc_exec::run_tasks`' worker mode, whether
-    /// the task is a solver round task or a scan shard of a query
-    /// branch. Inline (single-worker) runs never consult it.
+    /// exactly one place, `dc_exec::run_tasks`' worker mode, which only
+    /// solver round tasks reach. Inline (single-worker) runs never
+    /// consult it.
     WorkerStart = 0,
     /// A semi-naive/naive round about to commit its deltas
     /// (`delta_commit`).

@@ -15,8 +15,8 @@ use dc_relation::Relation;
 ///
 /// `HashIndex` is `Send + Sync` (asserted at compile time below): all
 /// of its storage bottoms out in immutable `Arc`-backed tuples of
-/// `Copy` values. The evaluator's scan sharding relies on this to hand
-/// one `Arc<HashIndex>` to every pool worker and probe it concurrently —
+/// `Copy` values. A solve's round tasks rely on this to share one
+/// `Arc<HashIndex>` across pool workers and probe it concurrently —
 /// probes are `&self` and never mutate, so no synchronisation beyond
 /// the `Arc` is needed. Mutation (`add`, `remove`) requires `&mut self` and is
 /// therefore confined to the single-threaded maintenance sites (the
@@ -109,9 +109,9 @@ impl HashIndex {
     }
 }
 
-// Compile-time audit of the cross-thread sharing contract: scan
-// sharding shares read-only indexes (and the relations next to them)
-// across worker threads. A field change that
+// Compile-time audit of the cross-thread sharing contract: round tasks
+// share read-only indexes (and the relations next to them) across
+// worker threads. A field change that
 // introduced interior mutability or a non-`Send` payload would fail
 // this assertion instead of surfacing as a data race. Keys and buckets
 // hash and compare `Value`s as words: a `Value` that grew past 16 bytes

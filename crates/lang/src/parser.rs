@@ -7,12 +7,21 @@ use crate::error::LangError;
 use crate::lexer::{tokenize, Kw, Tok, Token};
 use crate::stmt::{Stmt, TypeExpr};
 
+/// How deep the parser recurses before it refuses the input with a
+/// [`LangError::Parse`]: each nested relation expression, `NOT`, and
+/// scalar factor (a parenthesis, a unary minus) is one level. Every
+/// later stage — lowering, type checking, rewriting, evaluation — walks
+/// the tree it builds recursively, so the bound keeps a script that
+/// parses runnable on an ordinary thread stack.
+pub const MAX_NESTING: usize = 64;
+
 /// Parse a whole script.
 pub fn parse_script(src: &str) -> Result<Vec<Stmt>, LangError> {
     let tokens = tokenize(src)?;
     let mut p = Parser {
         tokens,
         pos: 0,
+        depth: 0,
         src,
     };
     let mut out = Vec::new();
@@ -28,6 +37,7 @@ pub fn parse_expr(src: &str) -> Result<RangeExpr, LangError> {
     let mut p = Parser {
         tokens,
         pos: 0,
+        depth: 0,
         src,
     };
     let e = p.range_expr()?;
@@ -38,6 +48,8 @@ pub fn parse_expr(src: &str) -> Result<RangeExpr, LangError> {
 struct Parser<'s> {
     tokens: Vec<Token>,
     pos: usize,
+    /// Guarded rules on the stack — see [`MAX_NESTING`].
+    depth: usize,
     #[allow(dead_code)]
     src: &'s str,
 }
@@ -71,6 +83,19 @@ impl Parser<'_> {
             col: t.col,
             msg: msg.into(),
         })
+    }
+
+    /// Run `rule` one nesting level deeper, refusing past
+    /// [`MAX_NESTING`]. Every recursive cycle of the grammar passes
+    /// through a guarded rule: `range_expr`, `not_formula`, or `factor`.
+    fn nested<T>(&mut self, rule: fn(&mut Self) -> Result<T, LangError>) -> Result<T, LangError> {
+        if self.depth == MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        let out = rule(self);
+        self.depth -= 1;
+        out
     }
 
     fn expect(&mut self, t: Tok) -> Result<(), LangError> {
@@ -387,10 +412,14 @@ impl Parser<'_> {
     // Expressions
     // --------------------------------------------------------------
 
+    pub(crate) fn range_expr(&mut self) -> Result<RangeExpr, LangError> {
+        self.nested(Self::unguarded_range)
+    }
+
     /// range := primary suffix*
     /// suffix := `[` name `(` scalar-args `)` `]`
     ///         | `{` name `(` range-args [`;` scalar-args] `)` `}`
-    pub(crate) fn range_expr(&mut self) -> Result<RangeExpr, LangError> {
+    fn unguarded_range(&mut self) -> Result<RangeExpr, LangError> {
         let mut e = self.range_primary()?;
         loop {
             match self.peek() {
@@ -579,12 +608,14 @@ impl Parser<'_> {
     }
 
     fn not_formula(&mut self) -> Result<Formula, LangError> {
-        if self.at(Tok::Kw(Kw::Not)) {
-            self.bump();
-            let inner = self.not_formula()?;
-            return Ok(Formula::Not(Box::new(inner)));
-        }
-        self.atom_formula()
+        self.nested(|p| {
+            if p.at(Tok::Kw(Kw::Not)) {
+                p.bump();
+                let inner = p.not_formula()?;
+                return Ok(Formula::Not(Box::new(inner)));
+            }
+            p.atom_formula()
+        })
     }
 
     fn atom_formula(&mut self) -> Result<Formula, LangError> {
@@ -725,6 +756,10 @@ impl Parser<'_> {
     }
 
     fn factor(&mut self) -> Result<ScalarExpr, LangError> {
+        self.nested(Self::unguarded_factor)
+    }
+
+    fn unguarded_factor(&mut self) -> Result<ScalarExpr, LangError> {
         match self.peek().clone() {
             Tok::Int(n) => {
                 self.bump();
@@ -1000,6 +1035,67 @@ mod tests {
         let err = parse_script("CONSTRUCTOR c FOR R: t (): u;\nBEGIN EACH r IN R: TRUE END wrong;")
             .unwrap_err();
         assert!(err.to_string().contains("does not match"));
+    }
+
+    /// Three ways to nest without bound: `NOT`s, parentheses around a
+    /// formula, and set formers ranging over set formers.
+    fn nested(shape: usize, depth: usize) -> String {
+        match shape {
+            0 => format!("{{EACH r IN R: {}TRUE}}", "NOT ".repeat(depth)),
+            1 => format!(
+                "{{EACH r IN R: {}TRUE{}}}",
+                "(".repeat(depth),
+                ")".repeat(depth)
+            ),
+            _ => format!(
+                "{}R{}",
+                "{EACH r IN ".repeat(depth),
+                ": TRUE}".repeat(depth)
+            ),
+        }
+    }
+
+    #[test]
+    fn input_nested_past_the_bound_is_an_error_not_a_crash() {
+        for shape in 0..3 {
+            let err = parse_expr(&nested(shape, 100_000)).unwrap_err();
+            assert!(
+                err.to_string().contains("nesting deeper than"),
+                "shape {shape}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_deepest_accepted_input_runs_end_to_end() {
+        for shape in 0..3 {
+            // Acceptance is monotone in the depth: binary-search the
+            // deepest input the parser takes.
+            let (mut ok, mut refused) = (0, MAX_NESTING + 1);
+            while refused - ok > 1 {
+                let mid = (ok + refused) / 2;
+                if parse_expr(&nested(shape, mid)).is_ok() {
+                    ok = mid;
+                } else {
+                    refused = mid;
+                }
+            }
+            assert!(ok >= MAX_NESTING / 2, "shape {shape}: only {ok} levels");
+            let mut db = dc_core::Database::new();
+            let script = format!(
+                "TYPE t = STRING;\n\
+                 TYPE rel = RELATION ... OF RECORD a: t END;\n\
+                 VAR R: rel;\n\
+                 INSERT R <\"x\">;\n\
+                 QUERY {};",
+                nested(shape, ok)
+            );
+            let out = crate::run_script(&mut db, &script).unwrap();
+            // An even number of NOTs, like any parenthesised or nested
+            // TRUE, keeps the one tuple.
+            let expected = usize::from(shape != 0 || ok % 2 == 0);
+            assert_eq!(out[0].relation.len(), expected, "shape {shape} at {ok}");
+        }
     }
 
     #[test]

@@ -258,36 +258,6 @@ impl Relation {
         Arc::ptr_eq(&a.tuples, &b.tuples)
     }
 
-    /// Hash-partition the tuple set into `n` shard views for scan
-    /// sharding (the evaluator runs one pool task per shard): each
-    /// tuple lands in exactly one shard, chosen by a seeded hash of the
-    /// whole tuple so skewed join keys cannot starve shards. The views
-    /// hold `Tuple` handles — `Arc` bumps into this relation's storage,
-    /// never tuple copies — so splitting is O(n) pointer work.
-    ///
-    /// The assignment of tuples to shards is deterministic within one
-    /// process (it depends only on tuple content and `n`; a string
-    /// hashes as its interner id, which depends on interning order),
-    /// which is half of scan sharding's determinism argument: equal
-    /// relations always produce equal shard *sets*, and a merge that
-    /// unions shard outputs in shard order therefore reproduces the
-    /// sequential result exactly.
-    pub fn hash_shards(&self, n: usize) -> Vec<Vec<Tuple>> {
-        let n = n.max(1);
-        let mut shards: Vec<Vec<Tuple>> = Vec::with_capacity(n);
-        let per = self.len() / n + 1;
-        shards.resize_with(n, || Vec::with_capacity(per));
-        for t in self.tuples.set.iter() {
-            let mut h = FxHasher::default();
-            // Seed so the shard hash is not the bucket hash of the
-            // set's own table (which would empty most shards).
-            h.write_u64(0xa076_1d64_78bd_642f);
-            t.hash(&mut h);
-            shards[(h.finish() % n as u64) as usize].push(t.clone());
-        }
-        shards
-    }
-
     /// A 128-bit, order-independent content digest of the tuple set,
     /// **memoised per storage**: the first call pays one O(n) pass (two
     /// independent 64-bit tuple hashes combined commutatively), every
@@ -680,40 +650,6 @@ mod tests {
         // (content-addressed, not history-addressed).
         a.remove(&tuple!["b", "c"]);
         assert_eq!(a.digest(), before);
-    }
-
-    #[test]
-    fn hash_shards_partition_exactly_and_deterministically() {
-        let r = Relation::from_tuples(
-            infrontrel(),
-            (0..200).map(|i| tuple![format!("a{i}"), format!("b{i}")]),
-        )
-        .unwrap();
-        for n in [1usize, 3, 8] {
-            let shards = r.hash_shards(n);
-            assert_eq!(shards.len(), n);
-            let total: usize = shards.iter().map(Vec::len).sum();
-            assert_eq!(total, r.len(), "every tuple lands in exactly one shard");
-            let mut seen = FxHashSet::default();
-            for s in &shards {
-                for t in s {
-                    assert!(r.contains(t));
-                    assert!(seen.insert(t.clone()), "no tuple in two shards");
-                }
-            }
-        }
-        // Deterministic: same content (different storage) ⇒ same shards.
-        let r2 = Relation::from_tuples(infrontrel(), r.sorted_tuples()).unwrap();
-        let (a, b) = (r.hash_shards(4), r2.hash_shards(4));
-        for (sa, sb) in a.iter().zip(&b) {
-            let mut sa = sa.clone();
-            let mut sb = sb.clone();
-            sa.sort();
-            sb.sort();
-            assert_eq!(sa, sb);
-        }
-        // n = 0 is clamped to one shard.
-        assert_eq!(r.hash_shards(0).len(), 1);
     }
 
     #[test]

@@ -231,12 +231,11 @@ impl Session {
     }
 
     /// An evaluator over the pinned snapshot honouring the frozen index
-    /// and parallel-execution configuration, metered by the session
-    /// budget.
+    /// configuration, metered by the session budget.
     fn evaluator(&self) -> Evaluator<'_> {
         self.defs()
             .config
-            .evaluator(self, Some(self.budget.meter()), true)
+            .evaluator(self, Some(self.budget.meter()))
     }
 }
 

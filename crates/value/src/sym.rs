@@ -22,8 +22,8 @@
 //!   publish it as the `interned_strings` / `interned_bytes` gauges.
 //!
 //! Because ids depend on interning order, anything that hashes values
-//! (`Relation::digest`, `Relation::hash_shards`, hash-table iteration
-//! order) is a content identity *within one process* only.
+//! (`Relation::digest`, hash-table iteration order) is a content
+//! identity *within one process* only.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;

@@ -12,7 +12,7 @@
 
 use dc_bench::{counted, parallelised, snapshot};
 use dc_calculus::builder::*;
-use dc_calculus::{Branch, EvalError, PlanEvent};
+use dc_calculus::{Branch, EvalError};
 use dc_core::{CoreError, Database};
 use dc_governor::{FailpointsGuard, SolveError};
 
@@ -28,9 +28,8 @@ fn ring_db(n: usize, threads: usize) -> Database {
     parallelised(dc_bench::ring_db(&dc_workload::chain(n)), threads)
 }
 
-/// The E1c weighted graph for one-shot (solve-free) queries: a pure
-/// probe-plan branch (parallelised) shards its scan across the pool —
-/// the evaluator's use of `worker_start`.
+/// A weighted graph for one-shot (solve-free) queries, parallelised:
+/// even so, a one-shot query never reaches the worker pool.
 fn graph_db(threads: usize) -> Database {
     let edges = dc_workload::weighted_random_graph(120, 3.0, 40, 1);
     parallelised(dc_bench::weighted_db(&edges), threads)
@@ -38,8 +37,8 @@ fn graph_db(threads: usize) -> Database {
 
 /// `worker_start=error`: the injected fault propagates out of the
 /// worker pool as a structured error (no degradation — only panics
-/// degrade), and the abort is atomic — for a solver round task and for
-/// a sharded one-shot query alike.
+/// degrade), and the abort is atomic. Only solver round tasks reach
+/// the pool: a one-shot query runs on the calling thread.
 #[test]
 fn worker_start_error_aborts_cleanly() {
     let _g = FailpointsGuard::arm("worker_start=error");
@@ -56,19 +55,14 @@ fn worker_start_error_aborts_cleanly() {
     assert!(is_worker_start(&err), "{err}");
     assert_eq!(snapshot(&db), before);
 
-    let db = graph_db(4);
-    let before = snapshot(&db);
-    let err = db.eval(&dc_bench::two_hop_query(7)).unwrap_err();
-    assert!(is_worker_start(&err), "{err}");
-    assert_eq!(snapshot(&db), before);
-
-    // Sequential execution never dispatches workers, so the armed site
-    // is simply never reached.
+    // A sequential solve never dispatches workers, and a one-shot query
+    // never does at any thread count, so the armed site is never
+    // reached.
     assert_eq!(
         ring_db(24, 1).eval(&dc_bench::ring_query()).unwrap().len(),
         closure_len(24)
     );
-    assert!(!graph_db(1)
+    assert!(!graph_db(4)
         .eval(&dc_bench::two_hop_query(7))
         .unwrap()
         .is_empty());
@@ -76,11 +70,8 @@ fn worker_start_error_aborts_cleanly() {
 
 /// `worker_start=panic`: the acceptance scenario for graceful
 /// degradation. A panicking solver task is caught at the task boundary
-/// and retried inline; a panicking shard of a one-shot query sends the
-/// whole branch back to the calling thread. Either way the final
-/// relation equals the `threads = 1` reference, with the degradation
-/// visible in the registry (and, for the query, in the meter and the
-/// plan trace).
+/// and retried inline; the final relation equals the `threads = 1`
+/// reference, with the degradation visible in the registry.
 #[test]
 fn worker_panic_degrades_to_sequential_reference() {
     let _g = FailpointsGuard::arm("worker_start=panic");
@@ -95,22 +86,6 @@ fn assert_worker_panics_degrade() {
     assert_eq!(out.sorted_tuples(), reference.sorted_tuples());
     assert_eq!(out.len(), closure_len(24));
     assert!(d.degraded_branches >= 1, "{d:?}");
-
-    let q = dc_bench::two_hop_query(7);
-    let reference = graph_db(1).eval(&q).unwrap();
-    let mut db = graph_db(4);
-    db.set_budget(Some(dc_governor::Budget::unlimited()));
-    let mut ev = db.evaluator();
-    assert_eq!(ev.eval(&q).unwrap(), reference);
-    let meter = ev.meter().unwrap();
-    assert_eq!(meter.degraded(), 1);
-    assert!(
-        ev.plan_events()
-            .iter()
-            .any(|e| matches!(e, PlanEvent::ParallelDegraded { .. })),
-        "{:?}",
-        ev.plan_events()
-    );
 }
 
 /// `delta_commit=error`: a round's commit aborts before any equation

@@ -273,18 +273,17 @@ fn fixpoint_stats_carry_governance_counters() {
     assert_eq!(d.degraded_branches, 0, "{d:?}");
 }
 
-/// The E1c weighted graph, parallelised: its two-hop join is a pure
-/// probe plan, so outside a solve the scan side shards across the pool.
-fn sharding_graph_db(threads: usize) -> Database {
+/// A weighted graph for one-shot two-hop joins, parallelised (which a
+/// one-shot query, run on the calling thread, ignores).
+fn graph_db(threads: usize) -> Database {
     let edges = dc_workload::weighted_random_graph(120, 3.0, 40, 1);
     dc_bench::parallelised(dc_bench::weighted_db(&edges), threads)
 }
 
-/// Budgets govern parallel execution too: a solve's round tasks and the
-/// scan shards of a one-shot query tick the same meter as the
-/// sequential path, so a tuple ceiling trips under any thread count —
-/// for the shards, from inside the workers — and the abort stays
-/// atomic.
+/// Budgets govern parallel execution too: a solve's round tasks tick
+/// the same meter as the sequential path, so a tuple ceiling trips
+/// under any thread count — from inside the workers — and the abort
+/// stays atomic. A one-shot join trips it under every setting.
 #[test]
 fn budgets_govern_parallel_workers() {
     for threads in [1usize, 4] {
@@ -300,9 +299,9 @@ fn budgets_govern_parallel_workers() {
         assert_eq!(snapshot(&db), before, "threads={threads}");
     }
     let q = dc_bench::two_hop_query(7);
-    assert!(sharding_graph_db(1).eval(&q).unwrap().len() > 10);
+    assert!(graph_db(1).eval(&q).unwrap().len() > 10);
     for threads in [1usize, 2, 4, 7] {
-        let mut db = sharding_graph_db(threads);
+        let mut db = graph_db(threads);
         db.set_budget(Some(Budget::unlimited().with_max_tuples(10)));
         let se = unwrap_solve_error(db.eval(&q).unwrap_err());
         assert!(
@@ -314,8 +313,8 @@ fn budgets_govern_parallel_workers() {
 
 /// A budget on the database governs top-level query evaluation as well
 /// as solves: a pre-cancelled token trips a plain (constructor-free)
-/// set-former scan, and — observed from inside the shard workers — a
-/// sharded join, as does an already-expired deadline.
+/// set-former scan and a two-hop join, as does an already-expired
+/// deadline.
 #[test]
 fn budget_governs_plain_queries() {
     let token = CancelToken::new();
@@ -329,7 +328,7 @@ fn budget_governs_plain_queries() {
         SolveError::Cancelled { .. }
     ));
 
-    let mut db = sharding_graph_db(4);
+    let mut db = graph_db(4);
     db.set_budget(Some(Budget::unlimited().with_cancel(token)));
     let err = db.eval(&dc_bench::two_hop_query(7)).unwrap_err();
     assert!(matches!(

@@ -4,9 +4,10 @@
 //! reading a frozen catalog snapshot and logging effects for replay.
 //! `threads = N` must produce exactly the relations `threads = 1`
 //! produces — across the mutual `ahead`/`above` system, a random
-//! multi-equation constructor ring, and an impure (quantifier-probing)
-//! branch workload — including when worker panics are injected and
-//! when the solve is cancelled mid-flight.
+//! multi-equation constructor ring, an impure (quantifier-probing)
+//! branch workload, semi-naive closures whose deltas grow mid-solve,
+//! and the naive strategy — including when worker panics are injected
+//! and when the solve is cancelled mid-flight.
 //!
 //! The dispatch threshold is lowered to 1 everywhere so even small
 //! generated inputs take the batched parallel path, and the registry's
@@ -16,7 +17,7 @@
 use dc_bench::{counted, parallelised, snapshot, unwrap_solve_error};
 use dc_calculus::ast::{Branch, RangeExpr, SetFormer};
 use dc_calculus::builder::*;
-use dc_core::{paper, Constructor, Database};
+use dc_core::{paper, Constructor, Database, Strategy};
 use dc_governor::{Budget, CancelToken, FailpointsGuard, SolveError};
 
 /// The E4 mutual-recursion database: `Infront`/`Ontop` base facts from
@@ -197,9 +198,8 @@ fn impure_quantifier_branches_run_on_workers() {
 /// task is retried inline on the solver thread, the retry is counted
 /// as a degradation (a failed retry would abort the solve), and the
 /// final relations equal the sequential reference exactly. The site
-/// fires once per dispatched task and nowhere else in a solve (tasks do
-/// not shard their own scans), so the degraded count is exactly the
-/// dispatched-task count.
+/// fires once per dispatched task and nowhere else, so the degraded
+/// count is exactly the dispatched-task count.
 #[test]
 fn worker_panic_degrades_to_sequential_reference() {
     let _g = FailpointsGuard::arm("worker_start=panic");
@@ -285,4 +285,70 @@ fn mid_solve_cancellation_under_dispatch_is_atomic() {
     db.set_budget(None);
     let after = db.eval(&above_query()).unwrap();
     assert_eq!(after.sorted_tuples(), reference.sorted_tuples());
+}
+
+/// The semi-naive fixpoint: every round's Linear branch binds the
+/// previous round's delta as its scan/probe side while the delta grows
+/// mid-solve; whatever the rounds dispatch to workers, the closure of a
+/// random graph (and of a deep tree) must be identical for every
+/// worker count, and must equal the reference evaluator's.
+#[test]
+fn fixpoint_rounds_with_growing_deltas_match_across_thread_counts() {
+    let workloads = [
+        ("tree d=7", dc_workload::complete_binary_tree(7)),
+        ("random n=60", dc_workload::random_graph(60, 1.6, 9)),
+        ("chain n=48", dc_workload::chain(48)),
+    ];
+    for (label, base) in workloads {
+        let q = dc_bench::ahead_query();
+        let seq_db = parallelised(dc_bench::ahead_db(&base, Strategy::SemiNaive), 1);
+        let (sequential, seq) = counted(&seq_db.metrics(), || seq_db.eval(&q).unwrap());
+        let rounds = seq.solve_rounds;
+        assert!(
+            rounds > 3,
+            "{label}: want mid-solve delta growth, got {rounds} rounds"
+        );
+        for threads in [2usize, 4] {
+            let par_db = parallelised(dc_bench::ahead_db(&base, Strategy::SemiNaive), threads);
+            let (parallel, par) = counted(&par_db.metrics(), || par_db.eval(&q).unwrap());
+            assert_eq!(
+                parallel.sorted_tuples(),
+                sequential.sorted_tuples(),
+                "{label} threads={threads}"
+            );
+            assert_eq!(
+                par.solve_rounds, rounds,
+                "{label}: same round count on every thread count"
+            );
+        }
+        let mut reference_db = dc_bench::ahead_db(&base, Strategy::SemiNaive);
+        reference_db.set_use_indexes(false);
+        assert_eq!(reference_db.eval(&q).unwrap(), sequential, "{label}");
+    }
+}
+
+/// The naive strategy under parallel execution — and its new
+/// no-change short-circuit: a cyclic closure converges with trailing
+/// rounds that reproduce the accumulated value exactly (the rounds the
+/// digest/length check now skips wholesale), and the result still
+/// matches semi-naive and the reference path.
+#[test]
+fn naive_strategy_parallel_and_no_change_rounds_agree() {
+    let mut base = dc_workload::cycle(12);
+    for t in dc_workload::chain(12).iter() {
+        base.insert(t.clone()).unwrap();
+    }
+    let q = dc_bench::ahead_query();
+    let naive_par = parallelised(dc_bench::ahead_db(&base, Strategy::Naive), 4);
+    let (naive_out, d) = counted(&naive_par.metrics(), || naive_par.eval(&q).unwrap());
+    // The naive convergence test needs one full no-change round (plus
+    // the paper's trailing comparison), all short-circuited now.
+    assert!(d.solve_rounds > 2, "{d:?}");
+    let semi = parallelised(dc_bench::ahead_db(&base, Strategy::SemiNaive), 1)
+        .eval(&q)
+        .unwrap();
+    assert_eq!(naive_out, semi);
+    let mut reference_db = dc_bench::ahead_db(&base, Strategy::Naive);
+    reference_db.set_use_indexes(false);
+    assert_eq!(reference_db.eval(&q).unwrap(), naive_out);
 }
