@@ -8,8 +8,7 @@
 //!
 //! Run with: `cargo run --bin figures`
 
-use dc_core::paper;
-use dc_optimizer::QuantGraph;
+use dc_core::paper::{self, QuantGraph};
 
 fn main() {
     // Figures 1 and 2 are conceptual diagrams; we render them from the

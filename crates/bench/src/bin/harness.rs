@@ -16,9 +16,8 @@ use std::time::{Duration, Instant};
 use dc_bench::*;
 use dc_calculus::builder::{cnst, rel};
 use dc_core::options::{ahead_step, program_iteration, recursive_function, transitive_closure};
-use dc_core::{paper, Database, Strategy};
-use dc_optimizer::partition::partition_by_names;
-use dc_optimizer::QuantGraph;
+use dc_core::paper::{self, partition_by_names, QuantGraph};
+use dc_core::{Database, Strategy};
 use dc_prolog::sld::{self, SldConfig};
 use dc_prolog::tabled;
 use dc_relation::Relation;
@@ -86,13 +85,9 @@ fn e1b() -> Vec<String> {
     println!("E1b index-nested-loop joins vs reference nested loops (semi-naive)");
     println!("  workload              nodes  edges  closure  indexed(ms)  nested(ms)  speedup");
     let workloads: Vec<(&str, usize, Relation)> = vec![
-        (
-            "binary tree d=10",
-            1023,
-            dc_workload::complete_binary_tree(10),
-        ),
-        ("chain n=128", 129, dc_workload::chain(128)),
-        ("ladder k=24", 50, dc_workload::diamond_ladder(24)),
+        ("binary tree d=10", 1023, workload::complete_binary_tree(10)),
+        ("chain n=128", 129, workload::chain(128)),
+        ("ladder k=24", 50, workload::diamond_ladder(24)),
     ];
     let mut rows = Vec::new();
     for (label, nodes, base) in workloads {
@@ -161,20 +156,20 @@ fn e1d(cores: usize) -> Vec<String> {
     println!("  workload                eqs  tuples  seq(ms)  par4(ms)  speedup");
     enum Sys {
         Ring(Relation),
-        Mutual(dc_workload::Scene),
+        Mutual(workload::Scene),
     }
     let workloads = [
         (
             "ring×4 tree d=12",
-            Sys::Ring(dc_workload::complete_binary_tree(12)),
+            Sys::Ring(workload::complete_binary_tree(12)),
         ),
         (
             "ring×4 tree d=13",
-            Sys::Ring(dc_workload::complete_binary_tree(13)),
+            Sys::Ring(workload::complete_binary_tree(13)),
         ),
         (
             "mutual scene 32×128",
-            Sys::Mutual(dc_workload::scene(32, 128, 1, 7)),
+            Sys::Mutual(workload::scene(32, 128, 1, 7)),
         ),
     ];
     let mut rows_out = Vec::new();
@@ -280,12 +275,12 @@ fn e1() {
     println!("E1  set-oriented fixpoint vs proof-oriented PROLOG (claim C1)");
     println!("  workload            naive(ms)  semi(ms)  sld(ms)  tabled(ms)  tuples");
     for (label, base) in [
-        ("chain n=32", dc_workload::chain(32)),
-        ("chain n=64", dc_workload::chain(64)),
-        ("chain n=128", dc_workload::chain(128)),
-        ("ladder k=6", dc_workload::diamond_ladder(6)),
-        ("ladder k=8", dc_workload::diamond_ladder(8)),
-        ("ladder k=10", dc_workload::diamond_ladder(10)),
+        ("chain n=32", workload::chain(32)),
+        ("chain n=64", workload::chain(64)),
+        ("chain n=128", workload::chain(128)),
+        ("ladder k=6", workload::diamond_ladder(6)),
+        ("ladder k=8", workload::diamond_ladder(8)),
+        ("ladder k=10", workload::diamond_ladder(10)),
     ] {
         let q = ahead_query();
         let (n_len, n_ms, _) = eval_ms(&ahead_db(&base, Strategy::Naive), &q);
@@ -305,7 +300,7 @@ fn e1() {
 /// E2: §4's propagation of a bound argument into a recursive
 /// constructor. Both sides are calculus under `Database::eval`: the
 /// query as written (full closure, then the filter) and its rewrite
-/// into the seeded constructor (`dc_optimizer::capture`). The work
+/// into the seeded constructor (`Database::rewrite`). The work
 /// columns are the engine's own counters — tuples carried in
 /// semi-naive deltas and fixpoint rounds — so the pay-off is asserted
 /// on work done, not on a timing: the seeded solve stays within a small
@@ -319,7 +314,7 @@ fn e2() {
     for k in [4usize, 16, 64] {
         let mut db = ahead_db(&many_chains(k, DEPTH), Strategy::SemiNaive);
         let q = bound_query(ahead_query(), "head", cnst("c0_0"));
-        let seeded = dc_optimizer::rewrite_query(&mut db, &q).expect("ahead is TC-shaped");
+        let seeded = db.rewrite(&q).expect("ahead is TC-shaped");
         let measure = |q: &dc_calculus::RangeExpr| {
             let ((out, ms), d) = counted(&db.metrics(), || time(|| db.eval(q).unwrap()));
             (out, ms, d.delta_tuples, d.solve_rounds)
@@ -363,7 +358,7 @@ fn e2b() -> Vec<String> {
     let scenes = [(20usize, 20usize), (40, 40), (60, 60)];
     let largest = scenes.len() - 1;
     for (i, (rows, depth)) in scenes.into_iter().enumerate() {
-        let scene = dc_workload::scene(rows, depth, 2, 11);
+        let scene = workload::scene(rows, depth, 2, 11);
         let vis_q = visibility_query();
         let front_q = front_row_query();
         let db = scene_db(&scene);
@@ -437,7 +432,7 @@ fn e2c() -> Vec<String> {
     let scenes = [(20usize, 20usize), (40, 40), (60, 60)];
     let largest = scenes.len() - 1;
     for (i, (rows, depth)) in scenes.into_iter().enumerate() {
-        let scene = dc_workload::scene(rows, depth, 2, 11);
+        let scene = workload::scene(rows, depth, 2, 11);
         let sel_q = stacked_back_query();
         let imp_q = unburdened_front_query();
         let db = scene_db(&scene);
@@ -526,7 +521,7 @@ fn e2d() -> Vec<String> {
     for (i, (label, tasks, workers, tools, per_task, per_worker, requests)) in
         instances.into_iter().enumerate()
     {
-        let s = dc_workload::staffing(tasks, workers, tools, per_task, per_worker, requests, 11);
+        let s = workload::staffing(tasks, workers, tools, per_task, per_worker, requests, 11);
         let some_q = servable_request_query();
         let all_q = avoids_w0_request_query();
         let db = staffing_db(&s);
@@ -605,7 +600,7 @@ fn e3() {
     println!("E3  convergence: rounds vs depth; ahead_n limit (claim C3)");
     println!("  chain depth  naive-rounds  semi-rounds  closure");
     for depth in [8usize, 32, 128] {
-        let base = dc_workload::chain(depth);
+        let base = workload::chain(depth);
         let q = ahead_query();
         let (len, _, naive) = eval_ms(&ahead_db(&base, Strategy::Naive), &q);
         let (_, _, semi) = eval_ms(&ahead_db(&base, Strategy::SemiNaive), &q);
@@ -618,7 +613,7 @@ fn e3() {
         println!("  {depth:>11} {naive_rounds:>13} {semi_rounds:>12} {len:>8}");
     }
     // ahead_n limit check.
-    let base = dc_workload::chain(40);
+    let base = workload::chain(40);
     let limit = dc_core::options::iterate_n(
         base.schema().clone(),
         |cur| ahead_step(&base, cur, 0, 1),
@@ -654,7 +649,7 @@ fn e3b(cores: usize) -> Vec<String> {
     let mut rows_out = Vec::new();
     let mut base_qps = 0.0_f64;
     for readers in [1usize, 2, 4, 8] {
-        let mut db = scene_db(&dc_workload::scene(24, 24, 2, 11));
+        let mut db = scene_db(&workload::scene(24, 24, 2, 11));
         db.set_threads(1);
         let server = Server::new(db);
         let q = visibility_query();
@@ -866,7 +861,7 @@ fn e4() {
     println!("E4  mutual recursion ahead/above (claim C4)");
     println!("  scene (rows×depth)  eqs  rounds  above-tuples  ms");
     for (rows, depth) in [(2usize, 8usize), (4, 16), (8, 24)] {
-        let scene = dc_workload::scene(rows, depth, 3, 7);
+        let scene = workload::scene(rows, depth, 3, 7);
         let mut db = Database::new();
         db.create_relation("Infront", paper::infrontrel()).unwrap();
         db.create_relation("Ontop", paper::ontoprel()).unwrap();
@@ -891,7 +886,7 @@ fn e4() {
 
 fn e5() {
     println!("E5  fixpoint options ablation (claim C7), chain n=96");
-    let base = dc_workload::chain(96);
+    let base = workload::chain(96);
     let expected = 96 * 97 / 2;
     let (it, it_ms) = time(|| {
         program_iteration(base.schema().clone(), |cur| ahead_step(&base, cur, 0, 1))
@@ -948,8 +943,8 @@ fn e7() {
     println!("E7  PROLOG equivalence (claim C5, §3.4 lemma)");
     println!("  workload       constructor  sld      tabled   answers equal?");
     for (label, base) in [
-        ("chain n=24", dc_workload::chain(24)),
-        ("ladder k=6", dc_workload::diamond_ladder(6)),
+        ("chain n=24", workload::chain(24)),
+        ("ladder k=6", workload::diamond_ladder(6)),
     ] {
         let db = ahead_db(&base, Strategy::SemiNaive);
         let q = ahead_query();

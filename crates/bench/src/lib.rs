@@ -1,8 +1,11 @@
 //! Shared fixtures for the `harness` binary (one section per
 //! experiment, E1–E7) and the root test suites, so both run exactly
-//! the same configurations: workload databases and queries, the
-//! registry-delta helper [`counted`], and the atomic-abort fixtures
-//! [`snapshot`] and [`unwrap_solve_error`].
+//! the same configurations: the seeded generators ([`workload`]),
+//! workload databases and queries, the registry-delta helper
+//! [`counted`], and the atomic-abort fixtures [`snapshot`] and
+//! [`unwrap_solve_error`].
+
+pub mod workload;
 
 use dc_calculus::ast::SelectorDef;
 use dc_calculus::EvalError;
@@ -17,7 +20,7 @@ use dc_value::{tuple, Domain, Value};
 /// `k` disjoint chains of `depth` edges each: the E2 workload (the
 /// selected cone is one chain; the full closure covers all of them).
 pub fn many_chains(k: usize, depth: usize) -> Relation {
-    let mut rel = Relation::new(dc_workload::graphs::edge_schema());
+    let mut rel = Relation::new(workload::graphs::edge_schema());
     for c in 0..k {
         for i in 0..depth {
             rel.insert(tuple![format!("c{c}_{i}"), format!("c{c}_{}", i + 1)])
@@ -162,7 +165,7 @@ pub fn ring_query() -> dc_calculus::RangeExpr {
 /// Same-generation Horn program over parent facts from a complete
 /// binary tree — the second E7 workload.
 pub fn same_generation_program(depth: usize) -> Program {
-    let tree = dc_workload::complete_binary_tree(depth);
+    let tree = workload::complete_binary_tree(depth);
     let mut p = Program::new();
     p.add_relation("parent", &tree);
     use dc_prolog::atom;
@@ -192,7 +195,7 @@ pub fn same_generation_program(depth: usize) -> Program {
 /// (`Objects`, `Infront`, `Ontop`) — the quantifier-probe workloads
 /// (E2b, E2c). Registers the `on_base(B)` selector over `Ontop` used by
 /// the correlated-selector workload.
-pub fn scene_db(scene: &dc_workload::Scene) -> Database {
+pub fn scene_db(scene: &workload::Scene) -> Database {
     use dc_calculus::builder::*;
     let mut db = Database::new();
     for (name, rel) in [
@@ -330,7 +333,7 @@ pub fn unburdened_front_query() -> dc_calculus::RangeExpr {
 
 /// A database holding a staffing instance under `Assign` / `Skill` /
 /// `Requests` — the multi-binding correlated-join workload (E2d).
-pub fn staffing_db(s: &dc_workload::Staffing) -> Database {
+pub fn staffing_db(s: &workload::Staffing) -> Database {
     let mut db = Database::new();
     for (name, rel) in [
         ("Assign", &s.assign),
@@ -415,11 +418,11 @@ pub fn avoids_w0_request_query() -> dc_calculus::RangeExpr {
 pub fn small_domains() -> Vec<(Database, Vec<dc_calculus::RangeExpr>)> {
     vec![
         (
-            weighted_db(&dc_workload::weighted_random_graph(10, 2.0, 6, 3)),
+            weighted_db(&workload::weighted_random_graph(10, 2.0, 6, 3)),
             vec![two_hop_query(3)],
         ),
         (
-            scene_db(&dc_workload::scene(3, 4, 2, 7)),
+            scene_db(&workload::scene(3, 4, 2, 7)),
             vec![
                 visibility_query(),
                 front_row_query(),
@@ -428,7 +431,7 @@ pub fn small_domains() -> Vec<(Database, Vec<dc_calculus::RangeExpr>)> {
             ],
         ),
         (
-            staffing_db(&dc_workload::staffing(4, 5, 4, 2, 2, 6, 11)),
+            staffing_db(&workload::staffing(4, 5, 4, 2, 2, 6, 11)),
             vec![servable_request_query(), avoids_w0_request_query()],
         ),
     ]
@@ -526,7 +529,7 @@ mod tests {
 
     #[test]
     fn ahead_db_round_trip() {
-        let base = dc_workload::chain(6);
+        let base = workload::chain(6);
         for strategy in [Strategy::Naive, Strategy::SemiNaive] {
             let db = ahead_db(&base, strategy);
             let out = db.eval(&ahead_query()).unwrap();
@@ -536,7 +539,7 @@ mod tests {
 
     #[test]
     fn ahead_program_matches_engine() {
-        let base = dc_workload::chain(5);
+        let base = workload::chain(5);
         let db = ahead_db(&base, Strategy::SemiNaive);
         let engine = db.eval(&ahead_query()).unwrap();
         let p = ahead_program(&base);
@@ -546,7 +549,7 @@ mod tests {
 
     #[test]
     fn visibility_queries_agree_with_reference() {
-        let scene = dc_workload::scene(6, 8, 2, 3);
+        let scene = workload::scene(6, 8, 2, 3);
         let db = scene_db(&scene);
         let mut db_scan = scene_db(&scene);
         db_scan.set_use_indexes(false);
@@ -560,7 +563,7 @@ mod tests {
 
     #[test]
     fn correlated_selector_queries_agree_with_reference() {
-        let scene = dc_workload::scene(6, 8, 2, 3);
+        let scene = workload::scene(6, 8, 2, 3);
         let db = scene_db(&scene);
         let mut db_scan = scene_db(&scene);
         db_scan.set_use_indexes(false);
@@ -576,7 +579,7 @@ mod tests {
 
     #[test]
     fn staffing_queries_agree_with_reference() {
-        let s = dc_workload::staffing(20, 10, 8, 2, 3, 25, 11);
+        let s = workload::staffing(20, 10, 8, 2, 3, 25, 11);
         let db = staffing_db(&s);
         let mut db_scan = staffing_db(&s);
         db_scan.set_use_indexes(false);

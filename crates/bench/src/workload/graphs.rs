@@ -5,7 +5,7 @@
 //! so they plug directly into the `ahead` constructor and the Horn
 //! clause `infront/2`.
 
-use crate::rng::SplitMix64;
+use super::rng::SplitMix64;
 use dc_relation::Relation;
 use dc_value::{tuple, Domain, Schema};
 

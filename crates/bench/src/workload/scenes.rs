@@ -1,6 +1,6 @@
 //! CAD-flavoured scenes and bill-of-materials workloads.
 
-use crate::rng::SplitMix64;
+use super::rng::SplitMix64;
 
 use dc_relation::Relation;
 use dc_value::{tuple, Domain, Schema};

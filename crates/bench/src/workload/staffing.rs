@@ -22,7 +22,7 @@
 //! s.worker AND s.tool = r.tool))`, it probes `Assign` per request and
 //! `Skill` per assigned worker: O(|Requests| × matches).
 
-use crate::rng::SplitMix64;
+use super::rng::SplitMix64;
 
 use dc_relation::Relation;
 use dc_value::{tuple, Domain, Schema};

@@ -5,7 +5,7 @@
 //! * **Reference nested loops** ([`Evaluator::force_nested_loop`]) — the
 //!   executable *definition* of expression meaning: every set-former
 //!   branch enumerates the cross product of its ranges and filters by
-//!   the predicate. The optimizer's rewrites (`dc-optimizer`) and the
+//!   the predicate. The §4 rewrites (`dc_core::compile`) and the
 //!   index path below are differentially tested against it.
 //! * **Index-nested-loop joins** (the default) — branches whose
 //!   predicates carry conjunctive equality atoms are executed through
@@ -959,11 +959,9 @@ impl<'a> Evaluator<'a> {
 
     /// View a correlated range as one set-former branch, the shape
     /// [`rewrite::unnest_quantifier`] takes: a single-branch set-former
-    /// with one or more bindings, or a selector application
-    /// `base[s(args)]` rewritten to `{EACH e IN base: pred_s[params :=
-    /// args]}` (the arity check and capture guard keep the rewrite
-    /// faithful; the per-combination domain checks are returned for the
-    /// evaluator to replay).
+    /// with one or more bindings, or a selector application as
+    /// [`rewrite::selected_branch`] rewrites it (with the
+    /// per-combination domain checks for the evaluator to replay).
     fn as_correlated_branch(
         &self,
         range: &RangeExpr,
@@ -982,32 +980,7 @@ impl<'a> Evaluator<'a> {
                 args,
             } => {
                 let def = self.catalog.selector(selector).ok()?;
-                if def.params.len() != args.len() {
-                    // Arity mismatch: the scan raises the reference error.
-                    return None;
-                }
-                // Capture guard: an argument mentioning the element
-                // variable or any variable bound inside the predicate
-                // would be captured by the substitution.
-                let mut bound = rewrite::bound_vars(&def.predicate);
-                bound.insert(def.element_var.clone());
-                if args
-                    .iter()
-                    .any(|a| rewrite::mentions_free(a, |v| bound.contains(v)))
-                {
-                    return None;
-                }
-                let mut map = FxHashMap::default();
-                let mut arg_checks = Vec::with_capacity(args.len());
-                for ((pname, pdom), arg) in def.params.iter().zip(args) {
-                    map.insert(pname.clone(), arg.clone());
-                    arg_checks.push((arg.clone(), pdom.clone()));
-                }
-                let pred = rewrite::substitute_param_exprs(&def.predicate, &map);
-                Some((
-                    Branch::each(def.element_var.clone(), (**base).clone(), pred),
-                    arg_checks,
-                ))
+                rewrite::selected_branch(def, base, args)
             }
             _ => None,
         }

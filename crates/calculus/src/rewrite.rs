@@ -24,9 +24,10 @@
 //!   their actual values" when building the gⱼ functions) are folds:
 //!   [`substitute_rel`], [`substitute_params`], and
 //!   [`substitute_param_exprs`], which turns a selector application into
-//!   the equivalent set-former. So are the tuple-variable substitutions
-//!   [`rename_var`] and [`substitute_attr_refs`] (with [`target_map`]),
-//!   which `dc-optimizer`'s predicate push-down uses too.
+//!   the equivalent set-former ([`selected_branch`]). So are the
+//!   tuple-variable substitutions [`rename_var`] and
+//!   [`substitute_attr_refs`] (with [`target_map`]), which
+//!   `dc_core::compile`'s predicate push-down uses too.
 //!
 //! [`unnest_quantifier`] is §4's range nesting run backwards — N2/N3
 //! with Case 2's target substitution — built from those folds.
@@ -42,9 +43,11 @@
 use std::convert::Infallible;
 use std::ops::ControlFlow;
 
-use dc_value::{FxHashMap, FxHashSet, Value};
+use dc_value::{Domain, FxHashMap, FxHashSet, Value};
 
-use crate::ast::{Branch, Formula, Name, RangeExpr, ScalarExpr, SetFormer, Target, Var};
+use crate::ast::{
+    Branch, Formula, Name, RangeExpr, ScalarExpr, SelectorDef, SetFormer, Target, Var,
+};
 use crate::error::EvalError;
 
 /// Push negations inward (negation normal form).
@@ -511,6 +514,40 @@ pub fn substitute_param_exprs<T: Foldable>(t: &T, map: &FxHashMap<Name, ScalarEx
     t
 }
 
+/// The selector application `base[s(args)]`, with `def` the definition
+/// of `s`, as the one branch `{EACH e IN base: pred[params := args]}`,
+/// plus the parameter domain of each non-constant argument, for the
+/// caller to check per binding. `None` where the branch would not be
+/// faithful: the arity differs, a constant argument is outside its
+/// parameter's domain (the application raises instead), or an argument
+/// mentions the element variable or a variable bound inside the
+/// predicate (the substitution would capture it).
+pub fn selected_branch(
+    def: &SelectorDef,
+    base: &RangeExpr,
+    args: &[ScalarExpr],
+) -> Option<(Branch, Vec<(ScalarExpr, Domain)>)> {
+    if def.params.len() != args.len() {
+        return None;
+    }
+    let mut bound = bound_vars(&def.predicate);
+    bound.insert(def.element_var.clone());
+    let mut map = FxHashMap::default();
+    let mut checks = Vec::new();
+    for ((param, domain), arg) in def.params.iter().zip(args) {
+        match arg {
+            ScalarExpr::Const(v) if domain.check(v).is_err() => return None,
+            ScalarExpr::Const(_) => {}
+            _ if mentions_free(arg, |v| bound.contains(v)) => return None,
+            _ => checks.push((arg.clone(), domain.clone())),
+        }
+        map.insert(param.clone(), arg.clone());
+    }
+    let predicate = substitute_param_exprs(&def.predicate, &map);
+    let branch = Branch::each(def.element_var.clone(), base.clone(), predicate);
+    Some((branch, checks))
+}
+
 /// Substitute scalar parameters with constants — §3.2's partial
 /// evaluation of a constructor body for one application; the
 /// constant-valued case of [`substitute_param_exprs`].
@@ -655,7 +692,7 @@ pub fn target_names(exprs: &[ScalarExpr]) -> Vec<String> {
 }
 
 /// The top-level conjuncts of a formula, left to right.
-pub(crate) fn conjuncts(f: &Formula) -> Vec<&Formula> {
+pub fn conjuncts(f: &Formula) -> Vec<&Formula> {
     let mut out = Vec::new();
     let mut stack = vec![f];
     while let Some(g) = stack.pop() {

@@ -6,13 +6,13 @@ use std::sync::{PoisonError, RwLock};
 
 use dc_calculus::ast::{Name, ScalarExpr, SelectorDef};
 use dc_calculus::typeck::{self, ConstructorSig, SchemaCatalog};
-use dc_calculus::{joinplan, rewrite, EvalError, Evaluator, Explanation, PlanEvent, RangeExpr};
+use dc_calculus::{joinplan, Catalog, EvalError, Evaluator, Explanation, PlanEvent, RangeExpr};
 use dc_relation::Relation;
 use dc_trace::metrics::Counter;
 use dc_value::{FxHashMap, FxHashSet, Schema, Value};
 
 use crate::constructor::Constructor;
-use crate::fixpoint::{self, AppKey, ConstructorSource, FixpointConfig};
+use crate::fixpoint::{self, AppKey, FixpointConfig};
 use crate::selector::Selector;
 
 /// The definitions every catalog state is evaluated under: selectors,
@@ -77,13 +77,16 @@ pub struct SolvedMemo {
 }
 
 impl SolvedMemo {
-    /// The value of `name(base, args; scalar_args)` over `source`: the
-    /// memoised one, or a fresh solve under `cfg`, memoised on success
-    /// (a failed solve, panics included, leaves the memo as it was).
-    /// Hits and misses are counted into `cfg.metrics`.
+    /// The value of `name(base, args; scalar_args)` under `defs` over
+    /// the catalog `cat`: the memoised one, or a fresh solve under
+    /// `cfg`, memoised on success (a failed solve, panics included,
+    /// leaves the memo as it was). Hits and misses are counted into
+    /// `cfg.metrics`.
+    #[allow(clippy::too_many_arguments)]
     pub fn apply(
         &self,
-        source: &dyn ConstructorSource,
+        defs: &Defs,
+        cat: &dyn Catalog,
         name: &str,
         base: Relation,
         args: Vec<Relation>,
@@ -102,7 +105,7 @@ impl SolvedMemo {
         if let Some(hit) = hit {
             return Ok(hit);
         }
-        let system = fixpoint::solve(source, name, base, args, scalar_args, None, cfg)?;
+        let system = fixpoint::solve(defs, cat, name, base, args, scalar_args, None, cfg)?;
         Ok(self.insert(key, system.value().clone()))
     }
 
@@ -207,21 +210,24 @@ impl<'a> NamedApplication<'a> {
 /// reference scan, each with its reason.
 ///
 /// A [`NamedApplication`] is previewed without running its fixpoint or
-/// building an index: every branch of the constructor body, with the
-/// application's actuals substituted for the formals, is planned
-/// against the current cardinalities and the distinct counts of the
-/// indexes `cat` already caches. A range that is not a catalog relation
+/// building an index: every branch of the constructor body in `defs`,
+/// instantiated with the application's actuals, is planned against the
+/// current cardinalities and the distinct counts of the indexes `cat`
+/// already caches. An application that cannot be instantiated (a
+/// scalar argument outside its parameter's domain) raises the error its
+/// evaluation would. A range that is not a catalog relation
 /// (a recursive application, a nested set-former) plans with its
 /// checked schema and nothing known. Any other query is evaluated with
 /// `ev`: the trace is what evaluation did, plus the result cardinality.
-pub fn explain<C: ConstructorSource + SchemaCatalog>(
+pub fn explain<C: Catalog + SchemaCatalog>(
+    defs: &Defs,
     cat: &C,
     mut ev: Evaluator<'_>,
     query: &RangeExpr,
 ) -> Result<Explanation, EvalError> {
     typeck::check_range(query, cat)?;
     let (rows, events) = match NamedApplication::of(query) {
-        Some(app) => (None, preview(cat, &app)?),
+        Some(app) => (None, preview(defs, cat, &app)?),
         None => (Some(ev.eval(query)?.len()), ev.take_plan_events()),
     };
     Ok(Explanation::new(&query.to_string(), rows, events))
@@ -229,33 +235,23 @@ pub fn explain<C: ConstructorSource + SchemaCatalog>(
 
 /// One access path per branch with bindings of `app`'s body, planned
 /// over the catalog `cat` as it stands.
-fn preview<C: ConstructorSource + SchemaCatalog>(
+fn preview<C: Catalog + SchemaCatalog>(
+    defs: &Defs,
     cat: &C,
     app: &NamedApplication<'_>,
 ) -> Result<Vec<PlanEvent>, EvalError> {
-    let ctor = cat.constructor_def(app.constructor)?;
-    // The body as registration instantiates it (§3.2: "replacing all
-    // formal parameters by their actual values").
-    let params: FxHashMap<Name, Value> = ctor
-        .scalar_params
-        .iter()
-        .map(|(p, _)| p.clone())
-        .zip(app.scalar_args.iter().copied())
-        .collect();
-    let actuals = std::iter::once(app.base).chain(app.args.iter().copied());
-    let rels: FxHashMap<Name, RangeExpr> = std::iter::once(&ctor.base_param)
-        .chain(&ctor.rel_params)
-        .map(|(formal, _)| formal.clone())
-        .zip(actuals.map(RangeExpr::rel))
-        .collect();
-    let body = rewrite::substitute_rel(&rewrite::substitute_params(&ctor.body, &params), &rels);
-    let base = cat.base_catalog();
+    let args = app.args.iter().map(|n| RangeExpr::rel(*n)).collect();
+    let body = defs.constructor(app.constructor)?.instantiate(
+        RangeExpr::rel(app.base),
+        args,
+        &app.scalar_args,
+    )?;
     let mut events = Vec::new();
     for branch in body.branches.iter().filter(|b| !b.bindings.is_empty()) {
         let (mut schemas, mut cards, mut named) = (Vec::new(), Vec::new(), Vec::new());
         for (_, range) in &branch.bindings {
             let rel = match range {
-                RangeExpr::Rel(name) => Some(base.relation(name)?),
+                RangeExpr::Rel(name) => Some(cat.relation(name)?),
                 _ => None,
             };
             schemas.push(match &rel {
@@ -270,7 +266,7 @@ fn preview<C: ConstructorSource + SchemaCatalog>(
         // one is unknown.
         let cached = |p: usize, column: usize| {
             let rel = named[p].as_ref()?;
-            Some(base.access()?.cached(rel, &[column])?.distinct_keys())
+            Some(cat.access()?.cached(rel, &[column])?.distinct_keys())
         };
         let (plan, _) = joinplan::plan_branch(branch, &schemas, &cards, cached);
         events.push(PlanEvent::access_path_for(

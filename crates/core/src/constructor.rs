@@ -18,9 +18,10 @@
 
 use dc_calculus::ast::{Name, SetFormer};
 use dc_calculus::positivity::{self, Tracked};
+use dc_calculus::rewrite;
 use dc_calculus::typeck::{check_range, ConstructorSig, SchemaCatalog};
 use dc_calculus::{EvalError, RangeExpr};
-use dc_value::{Domain, Schema};
+use dc_value::{Domain, FxHashMap, Schema, Value};
 
 use crate::error::CoreError;
 
@@ -53,6 +54,73 @@ impl Constructor {
             scalar_params: self.scalar_params.clone(),
             result: self.result.clone(),
         }
+    }
+
+    /// Check an application's actuals — `args` relation arguments and
+    /// the values `scalar_args` — in the one order every instantiation
+    /// checks them: relation arity, scalar arity, scalar domains.
+    pub(crate) fn check_actuals(
+        &self,
+        args: usize,
+        scalar_args: &[Value],
+    ) -> Result<(), EvalError> {
+        for (expected, actual) in [
+            (self.rel_params.len(), args),
+            (self.scalar_params.len(), scalar_args.len()),
+        ] {
+            if expected != actual {
+                return Err(EvalError::ArityMismatch {
+                    name: self.name.clone(),
+                    expected,
+                    actual,
+                });
+            }
+        }
+        for ((_, domain), v) in self.scalar_params.iter().zip(scalar_args) {
+            domain.check(v)?;
+        }
+        Ok(())
+    }
+
+    /// The relation formals: the base, then the relation parameters.
+    pub(crate) fn rel_formals(&self) -> impl Iterator<Item = &Name> + Clone {
+        std::iter::once(&self.base_param)
+            .chain(&self.rel_params)
+            .map(|(formal, _)| formal)
+    }
+
+    /// The body with the scalar parameters replaced by `scalar_args`
+    /// (§3.2: "replacing all formal parameters by their actual values");
+    /// the relation formals stay.
+    pub(crate) fn bind_scalars(&self, scalar_args: &[Value]) -> SetFormer {
+        let params: FxHashMap<Name, Value> = self
+            .scalar_params
+            .iter()
+            .map(|(p, _)| p.clone())
+            .zip(scalar_args.iter().copied())
+            .collect();
+        rewrite::substitute_params(&self.body, &params)
+    }
+
+    /// The body of the application `base{self(args; scalar_args)}`,
+    /// every formal replaced by its actual, or the error
+    /// [`Constructor::check_actuals`] raises for them.
+    pub(crate) fn instantiate(
+        &self,
+        base: RangeExpr,
+        args: Vec<RangeExpr>,
+        scalar_args: &[Value],
+    ) -> Result<SetFormer, EvalError> {
+        self.check_actuals(args.len(), scalar_args)?;
+        let rels: FxHashMap<Name, RangeExpr> = self
+            .rel_formals()
+            .cloned()
+            .zip(std::iter::once(base).chain(args))
+            .collect();
+        Ok(rewrite::substitute_rel(
+            &self.bind_scalars(scalar_args),
+            &rels,
+        ))
     }
 
     /// Validate the definition against a schema catalog:

@@ -18,16 +18,17 @@ use dc_trace::metrics::{Gauge, MetricsRegistry};
 use dc_value::{FxHashMap, Schema, Sym, Tuple, Value};
 
 use crate::catalog::{self, Defs, SolvedMemo};
+use crate::compile;
 use crate::constructor::Constructor;
 use crate::error::CoreError;
-use crate::fixpoint::{ConstructorSource, FixpointConfig, Strategy};
+use crate::fixpoint::{FixpointConfig, Strategy};
 use crate::selector::Selector;
 
 /// An in-memory deductive database: base relations + rules
 /// (constructors) + constraints (selectors).
 pub struct Database {
     relations: FxHashMap<Name, Relation>,
-    defs: Defs,
+    pub(crate) defs: Defs,
     /// Memo of solved applications over the current relations, dropped
     /// whenever any relation changes (and when the strategy does).
     solved: SolvedMemo,
@@ -363,8 +364,8 @@ impl Database {
         Ok(self.evaluator().eval(query)?)
     }
 
-    /// Evaluate without static checking (used by the optimizer's
-    /// differential tests, where the expression is machine-generated).
+    /// Evaluate without static checking (used by the §4 rewrites' unit
+    /// tests, where the expression is machine-generated).
     pub fn eval_unchecked(&self, query: &RangeExpr) -> Result<Relation, CoreError> {
         Ok(self.evaluator().eval(query)?)
     }
@@ -384,7 +385,26 @@ impl Database {
     /// the trace of its evaluation for any other query (see
     /// [`catalog::explain`]).
     pub fn explain(&self, query: &RangeExpr) -> Result<Explanation, CoreError> {
-        Ok(catalog::explain(self, self.evaluator(), query)?)
+        Ok(catalog::explain(&self.defs, self, self.evaluator(), query)?)
+    }
+
+    /// §4's query compilation ([`compile`]): the bound-argument capture
+    /// rule ([`compile::bind_first_attribute`]), defining the seeded
+    /// constructor it names unless an earlier call did, then range
+    /// nesting ([`compile::nest`]). The result is equivalent to `query`
+    /// and is what to hand to [`Database::eval`] /
+    /// [`Database::explain`].
+    pub fn rewrite(&mut self, query: &RangeExpr) -> Result<RangeExpr, CoreError> {
+        let query = match compile::bind_first_attribute(&self.defs, query) {
+            Some((seeded, range)) => {
+                if !self.defs.constructors.contains_key(&seeded.name) {
+                    self.define_constructor(seeded)?;
+                }
+                range
+            }
+            None => query.clone(),
+        };
+        Ok(compile::nest(&self.defs, self, &query)?)
     }
 
     /// The database's metrics registry — counters for solves, rounds,
@@ -414,20 +434,6 @@ pub fn record_interned(metrics: &MetricsRegistry) {
     metrics.set_gauge(Gauge::InternedBytes, bytes as u64);
 }
 
-impl ConstructorSource for Database {
-    fn base_catalog(&self) -> &dyn Catalog {
-        self
-    }
-
-    fn constructor_def(&self, name: &str) -> Result<Constructor, EvalError> {
-        self.defs.constructor(name).cloned()
-    }
-
-    fn is_unchecked(&self, name: &str) -> bool {
-        self.defs.is_unchecked(name)
-    }
-}
-
 impl Catalog for Database {
     fn relation(&self, name: &str) -> Result<Relation, EvalError> {
         self.relations
@@ -455,8 +461,15 @@ impl Catalog for Database {
         args: Vec<Relation>,
         scalar_args: Vec<Value>,
     ) -> Result<Relation, EvalError> {
-        self.solved
-            .apply(self, name, base, args, scalar_args, &self.defs.config)
+        self.solved.apply(
+            &self.defs,
+            self,
+            name,
+            base,
+            args,
+            scalar_args,
+            &self.defs.config,
+        )
     }
 }
 

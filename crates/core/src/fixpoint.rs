@@ -32,7 +32,7 @@
 //!   other positions (e.g. under quantifiers) are re-evaluated whole —
 //!   the differential rewrite is applied only where it is sound.
 //! * **Naive** when any reachable constructor was admitted without the
-//!   §3.3 positivity check ([`ConstructorSource::is_unchecked`]) — delta
+//!   §3.3 positivity check ([`Defs::is_unchecked`]) — delta
 //!   evaluation needs monotone rules — or when
 //!   [`FixpointConfig::strategy`] asks for it as the reference: every
 //!   branch is re-evaluated whole each round and the union *replaces*
@@ -53,19 +53,18 @@
 //! equation bodies of round `k+1` read only round-`k` state. The solver
 //! exploits that by preparing each round's branch evaluations as
 //! self-contained tasks, freezing an immutable catalog snapshot (the
-//! private `snapshot` submodule), and
-//! handing the tasks to [`dc_exec::run_tasks`] — cross-branch *and*
+//! private `snapshot` submodule), and handing the tasks to the worker
+//! pool (the private `pool` submodule) — cross-branch *and*
 //! cross-equation parallelism, impure branches included (quantifier
-//! probes included: they only need the frozen snapshot).
-//! This is the engine's only parallelism. Each task returns its value
-//! plus the
+//! probes included: they only need the frozen snapshot). This is the
+//! engine's only parallelism. Each task returns its value plus the
 //! constructor applications it met for the first time; the solver
 //! replays those single-threaded at the commit site, so registration
 //! and delta commits stay serialized and `threads = N` commits
 //! relations identical to `threads = 1`. Indexes live in the solve's
-//! one [`AccessCache`], keyed
-//! by storage identity: tasks fill it directly from any thread, and
-//! the commit site [`AccessCache::advance`]s each grown equation value.
+//! one [`AccessCache`], keyed by storage identity: tasks fill it
+//! directly from any thread, and the commit site
+//! [`AccessCache::advance`]s each grown equation value.
 //!
 //! A panic anywhere inside a solve is caught at the solver's entry and
 //! returned as a structured [`SolveError::WorkerPanic`].
@@ -86,10 +85,12 @@ use dc_trace::metrics::{Counter, Histogram, MetricsRegistry};
 use dc_trace::SpanKind;
 use dc_value::{FxHashMap, Tuple, Value};
 
-use crate::constructor::Constructor;
+use crate::catalog::Defs;
 
+mod pool;
 mod snapshot;
 
+use pool::ExecError;
 pub use snapshot::Reach;
 use snapshot::{EvalSnapshot, SnapshotCatalog, Universe};
 
@@ -128,10 +129,9 @@ pub struct FixpointConfig {
     /// the pre-optimization baseline, kept selectable for differential
     /// tests and benchmark comparisons.
     pub use_indexes: bool,
-    /// Worker threads, resolved once per solve through
-    /// [`dc_exec::thread_count`]: `0` (the default) means "auto" — the
-    /// `DC_THREADS` environment variable if set, otherwise the
-    /// machine's available parallelism; `1` is the exact sequential
+    /// Worker threads, resolved once per solve: `0` (the default) means
+    /// "auto" — the `DC_THREADS` environment variable if set, otherwise
+    /// the machine's available parallelism; `1` is the exact sequential
     /// path; any other value is used as given (up to the pool's cap).
     /// Results are identical for every setting: a round's branch tasks
     /// run on workers against a frozen snapshot, while registration
@@ -169,17 +169,6 @@ impl Default for FixpointConfig {
             metrics: None,
         }
     }
-}
-
-/// Where the solver finds constructor definitions and base data.
-pub trait ConstructorSource {
-    /// The catalog resolving base relations and selectors.
-    fn base_catalog(&self) -> &dyn Catalog;
-    /// Look up a constructor definition.
-    fn constructor_def(&self, name: &str) -> Result<Constructor, EvalError>;
-    /// Was `name` admitted without the §3.3 positivity check? A solve
-    /// that can reach any such constructor runs naive.
-    fn is_unchecked(&self, name: &str) -> bool;
 }
 
 /// Content identity of one relation argument of an application:
@@ -346,16 +335,7 @@ impl State {
     ) -> Result<usize, EvalError> {
         let universe = self.universe.clone();
         let ctor = universe.definition(&app)?;
-        // Substitute scalar parameters into the body (§3.2: "replacing
-        // all formal parameters by their actual values").
-        let params: FxHashMap<Name, Value> = ctor
-            .scalar_params
-            .iter()
-            .map(|(p, _)| p.clone())
-            .zip(app.scalar_args)
-            .collect();
-        let formals =
-            std::iter::once(&ctor.base_param.0).chain(ctor.rel_params.iter().map(|(p, _)| p));
+        let formals = ctor.rel_formals();
         // Provenance is all-or-nothing: one computed actual poisons the
         // equation (a base delta could flow in through a path the
         // per-formal map cannot name).
@@ -377,7 +357,7 @@ impl State {
         self.index.insert(app.key.clone(), i);
         self.equations.push(Equation {
             key: app.key,
-            body: Arc::new(rewrite::substitute_params(&ctor.body, &params)),
+            body: Arc::new(ctor.bind_scalars(&app.scalar_args)),
             overrides: Arc::new(overrides),
             result: ctor.result.clone(),
             classes: Vec::new(),
@@ -434,8 +414,8 @@ impl FixpointConfig {
 struct ExecKnobs {
     /// The solve's configuration.
     cfg: FixpointConfig,
-    /// Resolved worker count (`dc_exec::thread_count` applied to
-    /// [`FixpointConfig::threads`] once per solve).
+    /// Resolved worker count ([`FixpointConfig::threads`] resolved once
+    /// per solve).
     threads: usize,
     /// The armed budget gauge: one per solve, shared (clones share
     /// counters) by the solver loop and every branch evaluator, on
@@ -448,7 +428,7 @@ impl ExecKnobs {
     fn of(cfg: &FixpointConfig) -> ExecKnobs {
         ExecKnobs {
             cfg: cfg.clone(),
-            threads: dc_exec::thread_count(cfg.threads),
+            threads: pool::thread_count(cfg.threads),
             budget: cfg.budget.clone().unwrap_or_default().meter(),
         }
     }
@@ -460,7 +440,9 @@ impl ExecKnobs {
 }
 
 /// Solve the system rooted at `constructor(base, args, scalar_args)`
-/// cold and capture the converged system's materialised state
+/// cold — definitions from `defs`; relations, selectors and scalar
+/// parameters from `cat` — and capture the converged system's
+/// materialised state
 /// (per-equation values and the access structures maintained over
 /// them), so a later [`solve_warm`] can re-enter the semi-naive rounds
 /// instead of starting over. `names` names the catalog relations the
@@ -468,8 +450,10 @@ impl ExecKnobs {
 /// warm starts use to route base deltas to formals; without it the
 /// system cannot be maintained warm. Run statistics go to
 /// [`FixpointConfig::metrics`].
+#[allow(clippy::too_many_arguments)]
 pub fn solve(
-    source: &dyn ConstructorSource,
+    defs: &Defs,
+    cat: &dyn Catalog,
     constructor: &str,
     base: Relation,
     args: Vec<Relation>,
@@ -480,7 +464,9 @@ pub fn solve(
     isolate(|| {
         let root = Application::new(constructor, base, args, scalar_args);
         let names = names.map(root_slots);
-        Ok(Solver::new(source, root, names, None, cfg)?.run()?.system)
+        Ok(Solver::new(defs, cat, root, names, None, cfg)?
+            .run()?
+            .system)
     })
 }
 
@@ -525,7 +511,8 @@ pub fn solve(
 /// error; the caller re-solves cold via [`solve`].
 #[allow(clippy::too_many_arguments)]
 pub fn solve_warm(
-    source: &dyn ConstructorSource,
+    defs: &Defs,
+    cat: &dyn Catalog,
     constructor: &str,
     base: Relation,
     args: Vec<Relation>,
@@ -538,7 +525,8 @@ pub fn solve_warm(
     isolate(|| {
         let root = Application::new(constructor, base, args, scalar_args);
         let SolvedSystem { equations, access } = prev;
-        let solver = Solver::new(source, root, Some(root_slots(names)), Some(access), cfg)?;
+        let slots = Some(root_slots(names));
+        let solver = Solver::new(defs, cat, root, slots, Some(access), cfg)?;
         Ok(match solver.warm_start(equations, deltas) {
             Ok(plan) => {
                 let run = solver.maintain(plan)?;
@@ -559,8 +547,9 @@ pub fn solve_warm(
 /// panic, a bug in a body — becomes a structured
 /// [`SolveError::WorkerPanic`] instead of unwinding into the caller.
 /// `AssertUnwindSafe` is sound because a solve never changes what its
-/// source resolves: everything it builds is solver-private and unwinds
-/// with it, so every abort leaves the caller at its pre-solve state.
+/// definitions and catalog resolve: everything it builds is
+/// solver-private and unwinds with it, so every abort leaves the
+/// caller at its pre-solve state.
 fn isolate<T>(solve: impl FnOnce() -> Result<T, EvalError>) -> Result<T, EvalError> {
     catch_unwind(AssertUnwindSafe(solve))
         .unwrap_or_else(|payload| Err(EvalError::Solve(SolveError::from_panic(&*payload))))
@@ -788,9 +777,10 @@ struct WarmPlan {
 /// against while the solver thread instantiates it — formal names
 /// resolve through per-equation overrides, constructor applications to
 /// the *current iterate* (registering new equations on first sight:
-/// dynamic instantiation of the §3.2 system).
+/// dynamic instantiation of the §3.2 system). Definitions are looked up
+/// once, into the universe; the base catalog resolves the rest.
 struct Solver<'s> {
-    source: &'s dyn ConstructorSource,
+    catalog: &'s dyn Catalog,
     state: RefCell<State>,
     knobs: ExecKnobs,
     /// `State::access`, held outside the `RefCell` so it can be lent
@@ -810,7 +800,8 @@ impl<'s> Solver<'s> {
     /// instantiate the system from the root (equation 0). `warm` is the
     /// previous system's cache, which the solve takes over.
     fn new(
-        source: &'s dyn ConstructorSource,
+        defs: &Defs,
+        catalog: &'s dyn Catalog,
         root: Application,
         root_names: Option<Vec<Option<Name>>>,
         warm: Option<Arc<AccessCache>>,
@@ -818,14 +809,14 @@ impl<'s> Solver<'s> {
     ) -> Result<Solver<'s>, EvalError> {
         let t0 = Instant::now();
         let span = dc_trace::span(SpanKind::Solve).name_with(|| root.key.constructor().to_string());
-        let mut reach = Reach::new(source);
+        let mut reach = Reach::new(defs);
         reach.constructor(root.key.constructor());
         let naive = cfg.strategy == Strategy::Naive || reach.any_unchecked();
         // A warm start seeds the equation values from `prev`, storage
         // and all, so its entries are this solve's from the first round.
         let access = warm.unwrap_or_else(|| Arc::new(AccessCache::new(cfg.metrics.clone())));
         let solver = Solver {
-            source,
+            catalog,
             state: RefCell::new(State {
                 equations: Vec::new(),
                 index: FxHashMap::default(),
@@ -833,7 +824,7 @@ impl<'s> Solver<'s> {
                 delta: Vec::new(),
                 doomed: Vec::new(),
                 access: access.clone(),
-                universe: Arc::new(reach.into_universe()),
+                universe: Arc::new(reach.into_universe(catalog)),
             }),
             knobs: ExecKnobs::of(cfg),
             access,
@@ -1047,7 +1038,7 @@ impl<'s> Solver<'s> {
                     }
                 }
                 for (b, branch) in eq.body.branches.iter().enumerate() {
-                    let mut reach = Reach::new(self.source);
+                    let mut reach = Reach::new(&st.universe.defs);
                     reach.add(&branch.predicate);
                     let mut deleted = Vec::new();
                     for (p, (_, range)) in branch.bindings.iter().enumerate() {
@@ -1298,7 +1289,7 @@ impl<'s> Solver<'s> {
             };
             let parent = dispatch.then_some(eval_parent);
             let results =
-                dc_exec::run_tasks(&tasks, workers, |_, t| run_task(&snap, knobs, t, parent));
+                pool::run_tasks(&tasks, workers, |_, t| run_task(&snap, knobs, t, parent));
             drop(eval_span);
             // ---- Replay + stage (solver thread, task order — the
             // sequential evaluation order). Replay each task's
@@ -1308,14 +1299,14 @@ impl<'s> Solver<'s> {
             for (task, result) in tasks.iter().zip(results) {
                 let outcome = match result {
                     Ok(outcome) => outcome,
-                    Err(dc_exec::ExecError::WorkerPanic { .. }) => {
+                    Err(ExecError::WorkerPanic) => {
                         let retry = run_task(&snap, &self.knobs, task, None);
                         if retry.is_ok() {
                             meter.note_degraded();
                         }
                         retry
                     }
-                    Err(dc_exec::ExecError::FaultInjected(f)) => Err(f.into()),
+                    Err(ExecError::FaultInjected(f)) => Err(f.into()),
                 };
                 let value = &round_current[task.eq];
                 outcome
@@ -1566,11 +1557,11 @@ impl<'s> Solver<'s> {
 
 impl Catalog for Solver<'_> {
     fn relation(&self, name: &str) -> Result<Relation, EvalError> {
-        self.source.base_catalog().relation(name)
+        self.catalog.relation(name)
     }
 
     fn selector(&self, name: &str) -> Result<&dc_calculus::ast::SelectorDef, EvalError> {
-        self.source.base_catalog().selector(name)
+        self.catalog.selector(name)
     }
 
     fn apply_constructor(
@@ -1585,7 +1576,7 @@ impl Catalog for Solver<'_> {
     }
 
     fn scalar_param(&self, name: &str) -> Result<Value, EvalError> {
-        self.source.base_catalog().scalar_param(name)
+        self.catalog.scalar_param(name)
     }
 
     fn access(&self) -> Option<&AccessCache> {
@@ -1876,6 +1867,7 @@ fn run_task(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constructor::Constructor;
     use dc_calculus::ast::Branch;
     use dc_calculus::builder::*;
     use dc_calculus::env::MapCatalog;
@@ -1923,30 +1915,18 @@ mod tests {
         }
     }
 
-    struct TestSource {
-        catalog: MapCatalog,
-        ctors: Vec<Constructor>,
-    }
-
-    impl ConstructorSource for TestSource {
-        fn base_catalog(&self) -> &dyn Catalog {
-            &self.catalog
+    /// Definitions of `ctors`, each unchecked exactly when its body
+    /// fails the §3.3 check.
+    fn defs(ctors: Vec<Constructor>) -> Defs {
+        let mut defs = Defs::default();
+        for c in ctors {
+            let body = RangeExpr::SetFormer(c.body.clone());
+            if !positivity::check_range(&body, &Tracked::AllConstructed).is_empty() {
+                defs.unchecked.insert(c.name.clone());
+            }
+            defs.constructors.insert(c.name.clone(), c);
         }
-        fn constructor_def(&self, name: &str) -> Result<Constructor, EvalError> {
-            self.ctors
-                .iter()
-                .find(|c| c.name == name)
-                .cloned()
-                .ok_or_else(|| EvalError::UnknownConstructor(name.to_string()))
-        }
-        /// Unchecked exactly when the body fails the §3.3 check.
-        fn is_unchecked(&self, name: &str) -> bool {
-            self.ctors.iter().any(|c| {
-                let body = RangeExpr::SetFormer(c.body.clone());
-                c.name == name
-                    && !positivity::check_range(&body, &Tracked::AllConstructed).is_empty()
-            })
-        }
+        defs
     }
 
     fn cfg(strategy: Strategy) -> FixpointConfig {
@@ -1959,20 +1939,22 @@ mod tests {
 
     /// The root value of an untracked cold [`solve`].
     fn solve_value(
-        source: &dyn ConstructorSource,
+        defs: &Defs,
         constructor: &str,
         base: Relation,
         args: Vec<Relation>,
         scalar_args: Vec<Value>,
         cfg: &FixpointConfig,
     ) -> Result<Relation, EvalError> {
-        solve(source, constructor, base, args, scalar_args, None, cfg).map(|s| s.value().clone())
+        let cat = MapCatalog::new();
+        solve(defs, &cat, constructor, base, args, scalar_args, None, cfg)
+            .map(|s| s.value().clone())
     }
 
     /// Solve under `cfg(strategy)` into a fresh registry: the value and
     /// what the solve recorded.
     fn solve_counted(
-        src: &TestSource,
+        src: &Defs,
         name: &str,
         base: Relation,
         args: Vec<Relation>,
@@ -1989,10 +1971,7 @@ mod tests {
 
     #[test]
     fn transitive_closure_naive_and_seminaive_agree() {
-        let src = TestSource {
-            catalog: MapCatalog::new(),
-            ctors: vec![ahead()],
-        };
+        let src = defs(vec![ahead()]);
         for strategy in [Strategy::Naive, Strategy::SemiNaive] {
             let (out, m) = solve_counted(&src, "ahead", chain(5), vec![], strategy);
             // closure of a 5-edge chain: 5+4+3+2+1 = 15 pairs
@@ -2004,10 +1983,7 @@ mod tests {
 
     #[test]
     fn result_schema_attribute_names_conformed() {
-        let src = TestSource {
-            catalog: MapCatalog::new(),
-            ctors: vec![ahead()],
-        };
+        let src = defs(vec![ahead()]);
         let out = solve_value(
             &src,
             "ahead",
@@ -2028,10 +2004,7 @@ mod tests {
 
     #[test]
     fn empty_base_converges_immediately() {
-        let src = TestSource {
-            catalog: MapCatalog::new(),
-            ctors: vec![ahead()],
-        };
+        let src = defs(vec![ahead()]);
         let (out, m) = solve_counted(
             &src,
             "ahead",
@@ -2045,10 +2018,7 @@ mod tests {
 
     #[test]
     fn iteration_counts_scale_with_longest_path() {
-        let src = TestSource {
-            catalog: MapCatalog::new(),
-            ctors: vec![ahead()],
-        };
+        let src = defs(vec![ahead()]);
         let (_, s8) = solve_counted(&src, "ahead", chain(8), vec![], Strategy::Naive);
         let (_, s16) = solve_counted(&src, "ahead", chain(16), vec![], Strategy::Naive);
         assert!(s16.solve_rounds > s8.solve_rounds);
@@ -2065,10 +2035,7 @@ mod tests {
     fn cyclic_graph_terminates() {
         let mut edges = chain(4);
         edges.insert(tuple!["o4", "o0"]).unwrap(); // close the cycle
-        let src = TestSource {
-            catalog: MapCatalog::new(),
-            ctors: vec![ahead()],
-        };
+        let src = defs(vec![ahead()]);
         for strategy in [Strategy::Naive, Strategy::SemiNaive] {
             let out =
                 solve_value(&src, "ahead", edges.clone(), vec![], vec![], &cfg(strategy)).unwrap();
@@ -2102,10 +2069,7 @@ mod tests {
             },
         };
         let base = Relation::from_tuples(cardrel, (0u64..=6).map(|i| tuple![i])).unwrap();
-        let src = TestSource {
-            catalog: MapCatalog::new(),
-            ctors: vec![strange],
-        };
+        let src = defs(vec![strange]);
         let out =
             solve_value(&src, "strange", base, vec![], vec![], &cfg(Strategy::Naive)).unwrap();
         let nums: Vec<u64> = out
@@ -2137,10 +2101,7 @@ mod tests {
             },
         };
         let base = Relation::from_tuples(anyrel, vec![tuple![1i64], tuple![2i64]]).unwrap();
-        let src = TestSource {
-            catalog: MapCatalog::new(),
-            ctors: vec![nonsense],
-        };
+        let src = defs(vec![nonsense]);
         let err = solve_value(
             &src,
             "nonsense",
@@ -2151,25 +2112,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, EvalError::NonConvergent { .. }));
-    }
-
-    /// A source that counts its definition lookups.
-    struct Counting {
-        inner: TestSource,
-        lookups: std::cell::Cell<usize>,
-    }
-
-    impl ConstructorSource for Counting {
-        fn base_catalog(&self) -> &dyn Catalog {
-            &self.inner.catalog
-        }
-        fn constructor_def(&self, name: &str) -> Result<Constructor, EvalError> {
-            self.lookups.set(self.lookups.get() + 1);
-            self.inner.constructor_def(name)
-        }
-        fn is_unchecked(&self, name: &str) -> bool {
-            self.inner.is_unchecked(name)
-        }
     }
 
     /// `EACH r IN Rel{inner()}: TRUE` — positive, whatever `inner` is.
@@ -2189,18 +2131,11 @@ mod tests {
 
     /// The solver picks the strategy from everything the root reaches,
     /// once per solve: positive wrappers over §3.3's unchecked
-    /// constructors run naive under the default configuration, and the
-    /// definitions are walked once however many rounds the solve takes.
+    /// constructors run naive under the default configuration.
     #[test]
     fn reachable_unchecked_constructor_makes_the_solve_naive() {
         let strange = crate::paper::strange();
-        let src = Counting {
-            inner: TestSource {
-                catalog: MapCatalog::new(),
-                ctors: vec![wrapper("wrap_strange", &strange), strange],
-            },
-            lookups: Default::default(),
-        };
+        let src = defs(vec![wrapper("wrap_strange", &strange), strange]);
         let cards = (0u64..=6).map(|i| tuple![i]);
         let base = Relation::from_tuples(crate::paper::cardrel(), cards).unwrap();
         let metrics = Arc::new(MetricsRegistry::new());
@@ -2216,13 +2151,9 @@ mod tests {
             .collect();
         assert_eq!(nums, vec![0, 2, 4, 6]);
         assert!(metrics.snapshot().solve_rounds > 2);
-        assert_eq!(src.lookups.get(), 2, "one lookup per reachable definition");
 
         let nonsense = crate::paper::nonsense();
-        let src = TestSource {
-            catalog: MapCatalog::new(),
-            ctors: vec![wrapper("wrap_nonsense", &nonsense), nonsense],
-        };
+        let src = defs(vec![wrapper("wrap_nonsense", &nonsense), nonsense]);
         let base = Relation::from_tuples(infrontrel(), vec![tuple!["a", "b"]]).unwrap();
         let err = solve_value(&src, "wrap_nonsense", base, vec![], vec![], &cfg).unwrap_err();
         assert!(matches!(err, EvalError::NonConvergent { .. }), "{err}");
@@ -2315,10 +2246,7 @@ mod tests {
         .unwrap();
         let ontop = Relation::from_tuples(ontoprel, vec![tuple!["vase", "table"]]).unwrap();
 
-        let src = TestSource {
-            catalog: MapCatalog::new(),
-            ctors: vec![ahead_m, above_m],
-        };
+        let src = defs(vec![ahead_m, above_m]);
         for strategy in [Strategy::Naive, Strategy::SemiNaive] {
             // Ontop{above(Infront)}: the vase (on the table, which is in
             // front of the chair) is above/ahead of the chair — the
@@ -2380,10 +2308,7 @@ mod tests {
             },
         };
         let base = Relation::from_tuples(numrel, (0..10).map(|i| tuple![i as i64])).unwrap();
-        let src = TestSource {
-            catalog: MapCatalog::new(),
-            ctors: vec![below],
-        };
+        let src = defs(vec![below]);
         let out = solve_value(
             &src,
             "below",
@@ -2425,10 +2350,7 @@ mod tests {
             },
         };
         let base = Relation::new(numrel);
-        let src = TestSource {
-            catalog: MapCatalog::new(),
-            ctors: vec![below],
-        };
+        let src = defs(vec![below]);
         let err = solve_value(
             &src,
             "below",
@@ -2443,10 +2365,7 @@ mod tests {
 
     #[test]
     fn arity_mismatches_rejected() {
-        let src = TestSource {
-            catalog: MapCatalog::new(),
-            ctors: vec![ahead()],
-        };
+        let src = defs(vec![ahead()]);
         // `ahead` takes no relation args.
         let err = solve_value(
             &src,
@@ -2462,10 +2381,7 @@ mod tests {
 
     #[test]
     fn unknown_constructor_errors() {
-        let src = TestSource {
-            catalog: MapCatalog::new(),
-            ctors: vec![],
-        };
+        let src = defs(vec![]);
         let err = solve_value(
             &src,
             "ghost",
@@ -2480,10 +2396,7 @@ mod tests {
 
     #[test]
     fn semi_naive_fewer_or_equal_iterations_than_naive() {
-        let src = TestSource {
-            catalog: MapCatalog::new(),
-            ctors: vec![ahead()],
-        };
+        let src = defs(vec![ahead()]);
         let (out_n, s_n) = solve_counted(&src, "ahead", chain(12), vec![], Strategy::Naive);
         let (out_s, s_s) = solve_counted(&src, "ahead", chain(12), vec![], Strategy::SemiNaive);
         assert_eq!(out_n, out_s);
@@ -2493,12 +2406,10 @@ mod tests {
     /// Branch classes as seeding leaves them on `ctor` applied to a
     /// two-edge chain.
     fn seeded_classes(ctor: Constructor) -> Vec<BranchClass> {
-        let src = TestSource {
-            catalog: MapCatalog::new(),
-            ctors: vec![ctor.clone()],
-        };
+        let src = defs(vec![ctor.clone()]);
         let root = Application::new(&ctor.name, chain(2), vec![], vec![]);
-        let solver = Solver::new(&src, root, None, None, &cfg(Strategy::SemiNaive)).unwrap();
+        let cat = MapCatalog::new();
+        let solver = Solver::new(&src, &cat, root, None, None, &cfg(Strategy::SemiNaive)).unwrap();
         let classes = solver.state.borrow().equations[0].classes.clone();
         classes
     }
@@ -2551,13 +2462,11 @@ mod tests {
 
     #[test]
     fn warm_start_matches_cold_resolve() {
-        let src = TestSource {
-            catalog: MapCatalog::new(),
-            ctors: vec![ahead()],
-        };
+        let src = defs(vec![ahead()]);
         let cfg = cfg(Strategy::SemiNaive);
         let sys = solve(
             &src,
+            &MapCatalog::new(),
             "ahead",
             chain(12),
             vec![],
@@ -2575,6 +2484,7 @@ mod tests {
         let deltas = grew("Infront", edge("o12", "o13"));
         let outcome = solve_warm(
             &src,
+            &MapCatalog::new(),
             "ahead",
             base.clone(),
             vec![],
@@ -2608,14 +2518,12 @@ mod tests {
 
     #[test]
     fn warm_start_chains_across_commits() {
-        let src = TestSource {
-            catalog: MapCatalog::new(),
-            ctors: vec![ahead()],
-        };
+        let src = defs(vec![ahead()]);
         let cfg = cfg(Strategy::SemiNaive);
         let mut base = chain(4);
         let mut sys = solve(
             &src,
+            &MapCatalog::new(),
             "ahead",
             base.clone(),
             vec![],
@@ -2632,6 +2540,7 @@ mod tests {
                 .unwrap();
             let outcome = solve_warm(
                 &src,
+                &MapCatalog::new(),
                 "ahead",
                 base.clone(),
                 vec![],
@@ -2662,13 +2571,11 @@ mod tests {
 
     #[test]
     fn warm_start_refuses_naive_strategy_and_shape_changes() {
-        let src = TestSource {
-            catalog: MapCatalog::new(),
-            ctors: vec![ahead()],
-        };
+        let src = defs(vec![ahead()]);
         let semi = cfg(Strategy::SemiNaive);
         let sys = solve(
             &src,
+            &MapCatalog::new(),
             "ahead",
             chain(3),
             vec![],
@@ -2679,6 +2586,7 @@ mod tests {
         .unwrap();
         let outcome = solve_warm(
             &src,
+            &MapCatalog::new(),
             "ahead",
             chain(4),
             vec![],
@@ -2716,14 +2624,13 @@ mod tests {
             },
         };
         let blocked = Relation::new(infrontrel());
-        let src = TestSource {
-            catalog: MapCatalog::new().with_relation("Blocked", blocked),
-            ctors: vec![filtered],
-        };
+        let src = defs(vec![filtered]);
+        let cat = MapCatalog::new().with_relation("Blocked", blocked);
         let cfg = cfg(Strategy::SemiNaive);
         let sys = || {
             solve(
                 &src,
+                &cat,
                 "ahead_ok",
                 chain(3),
                 vec![],
@@ -2739,6 +2646,7 @@ mod tests {
         base.insert(tuple!["o3", "o4"]).unwrap();
         let ok = solve_warm(
             &src,
+            &cat,
             "ahead_ok",
             base.clone(),
             vec![],
@@ -2753,6 +2661,7 @@ mod tests {
         // Touching `Blocked` is not.
         let refused = solve_warm(
             &src,
+            &cat,
             "ahead_ok",
             base,
             vec![],
@@ -2772,6 +2681,7 @@ mod tests {
         blocked.insert(tuple!["o0", "o1"]).unwrap();
         let refused = solve_warm(
             &src,
+            &cat,
             "ahead_ok",
             chain(3),
             vec![],
@@ -2794,7 +2704,7 @@ mod tests {
     /// against a cold solve of `new`, and return (added, removed,
     /// system).
     fn warm_ahead(
-        src: &TestSource,
+        src: &Defs,
         new: &Relation,
         sys: SolvedSystem,
         deltas: &[(Name, BaseDelta)],
@@ -2803,6 +2713,7 @@ mod tests {
         let old = sys.value().clone();
         let outcome = solve_warm(
             src,
+            &MapCatalog::new(),
             "ahead",
             new.clone(),
             vec![],
@@ -2831,17 +2742,15 @@ mod tests {
         (added, removed, system)
     }
 
-    fn ahead_source() -> TestSource {
-        TestSource {
-            catalog: MapCatalog::new(),
-            ctors: vec![ahead()],
-        }
+    fn ahead_source() -> Defs {
+        defs(vec![ahead()])
     }
 
-    fn tracked(src: &TestSource, base: &Relation) -> SolvedSystem {
+    fn tracked(src: &Defs, base: &Relation) -> SolvedSystem {
         let cfg = cfg(Strategy::SemiNaive);
         solve(
             src,
+            &MapCatalog::new(),
             "ahead",
             base.clone(),
             vec![],

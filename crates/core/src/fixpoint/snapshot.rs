@@ -3,10 +3,10 @@
 //! reachability walk that decides what the frozen view contains.
 //!
 //! The solver's round scheduler hands every branch evaluation of a
-//! round to [`dc_exec::run_tasks`], which may run them on worker
-//! threads. A worker cannot touch the solver's `RefCell` state or the
-//! caller's base catalog (`&dyn Catalog` is not `Sync`). So evaluation
-//! is split in two:
+//! round to the worker pool, which may run them on worker threads. A
+//! worker cannot touch the solver's `RefCell` state or the caller's
+//! base catalog (`&dyn Catalog` is not `Sync`). So evaluation is split
+//! in two:
 //!
 //! * **Frozen reads.** [`EvalSnapshot`] is an immutable, `Arc`-shared
 //!   view of everything a branch evaluation can resolve, captured
@@ -57,41 +57,43 @@ use dc_calculus::{AccessCache, Catalog, EvalError};
 use dc_relation::Relation;
 use dc_value::{FxHashMap, FxHashSet, Value};
 
-use super::{AppKey, Application, ConstructorSource};
+use super::{AppKey, Application};
+use crate::catalog::Defs;
 use crate::constructor::Constructor;
 
 /// The one reachability walker: every name a range or formula can
 /// reach, chasing selector predicates and constructor bodies through
-/// the source. The solver walks the root constructor once per solve —
-/// its reach decides the strategy and becomes the solve's universe — a
-/// warm start walks each branch for the touched relations it reads,
-/// and the serving layer walks a prepared query for its read set.
+/// the definitions. The solver walks the root constructor once per
+/// solve — its reach decides the strategy and becomes the solve's
+/// universe — a warm start walks each branch (through the universe)
+/// for the touched relations it reads, and the serving layer walks a
+/// prepared query for its read set.
 ///
 /// Inside a constructor body the body's own relation formals shadow
 /// catalog relations of the same names, so they are not collected
 /// there: the actuals are collected where the application is written.
 /// A selector body chased from inside a constructor body is a scope of
 /// its own and reads the catalog.
-pub struct Reach<'s> {
-    source: &'s dyn ConstructorSource,
+pub struct Reach<'d> {
+    defs: &'d Defs,
     relations: FxHashSet<Name>,
     params: FxHashSet<Name>,
-    selectors: FxHashMap<Name, SelectorDef>,
-    ctors: FxHashMap<Name, Constructor>,
+    /// The selectors and constructors reached, with the unchecked
+    /// marks of the latter.
+    reached: Defs,
     /// False when a selector or constructor definition was
     /// unresolvable: the reach is then a lower bound.
     complete: bool,
 }
 
-impl<'s> Reach<'s> {
-    /// An empty reach resolving definitions through `source`.
-    pub fn new(source: &'s dyn ConstructorSource) -> Reach<'s> {
+impl<'d> Reach<'d> {
+    /// An empty reach resolving definitions through `defs`.
+    pub fn new(defs: &'d Defs) -> Reach<'d> {
         Reach {
-            source,
+            defs,
             relations: FxHashSet::default(),
             params: FxHashSet::default(),
-            selectors: FxHashMap::default(),
-            ctors: FxHashMap::default(),
+            reached: Defs::default(),
             complete: true,
         }
     }
@@ -122,16 +124,15 @@ impl<'s> Reach<'s> {
             ControlFlow::Continue(())
         });
         for name in selectors {
-            if self.selectors.contains_key(name) {
+            if self.reached.selectors.contains_key(name) {
                 continue;
             }
-            match self.source.base_catalog().selector(name) {
-                Ok(def) => {
-                    let predicate = def.predicate.clone();
-                    self.selectors.insert(name.clone(), def.clone());
-                    self.add(&predicate);
+            match self.defs.selectors.get(name) {
+                Some(sel) => {
+                    self.reached.selectors.insert(name.clone(), sel.clone());
+                    self.add(&sel.def().predicate);
                 }
-                Err(_) => self.complete = false,
+                None => self.complete = false,
             }
         }
         for name in ctors {
@@ -140,20 +141,21 @@ impl<'s> Reach<'s> {
     }
 
     pub(super) fn constructor(&mut self, name: &str) {
-        if self.ctors.contains_key(name) {
+        if self.reached.constructors.contains_key(name) {
             return;
         }
-        match self.source.constructor_def(name) {
-            Ok(def) => {
-                let body = RangeExpr::SetFormer(def.body.clone());
-                let formals: Vec<Name> = std::iter::once(&def.base_param)
-                    .chain(&def.rel_params)
-                    .map(|(formal, _)| formal.clone())
-                    .collect();
-                self.ctors.insert(name.to_string(), def);
-                self.scope(&body, &formals);
+        match self.defs.constructors.get(name) {
+            Some(def) => {
+                if self.defs.is_unchecked(name) {
+                    self.reached.unchecked.insert(name.to_string());
+                }
+                self.reached
+                    .constructors
+                    .insert(name.to_string(), def.clone());
+                let formals: Vec<Name> = def.rel_formals().cloned().collect();
+                self.scope(&RangeExpr::SetFormer(def.body.clone()), &formals);
             }
-            Err(_) => self.complete = false,
+            None => self.complete = false,
         }
     }
 
@@ -174,14 +176,13 @@ impl<'s> Reach<'s> {
     /// Does the reach include a constructor admitted without the §3.3
     /// positivity check?
     pub(super) fn any_unchecked(&self) -> bool {
-        self.ctors.keys().any(|c| self.source.is_unchecked(c))
+        !self.reached.unchecked.is_empty()
     }
 
-    /// Resolve everything reached against the base catalog. Names that
-    /// fail to resolve are simply absent, so frozen evaluation raises
-    /// the same `Unknown*` error the solver catalog would.
-    pub(super) fn into_universe(self) -> Universe {
-        let cat = self.source.base_catalog();
+    /// Resolve everything reached against the base catalog `cat`. Names
+    /// that fail to resolve are simply absent, so frozen evaluation
+    /// raises the same `Unknown*` error the solver catalog would.
+    pub(super) fn into_universe(self, cat: &dyn Catalog) -> Universe {
         Universe {
             relations: self
                 .relations
@@ -193,24 +194,22 @@ impl<'s> Reach<'s> {
                 .into_iter()
                 .filter_map(|n| Some((n.clone(), cat.scalar_param(&n).ok()?)))
                 .collect(),
-            selectors: self.selectors,
-            ctors: self.ctors,
+            defs: self.reached,
         }
     }
 }
 
 /// Everything a solve can resolve by name, fixed before its first
 /// registration: the reachable slice of the base catalog, and the
-/// constructor definitions every equation is instantiated from.
+/// definitions every equation is instantiated from.
 pub(super) struct Universe {
     /// Base-relation values (immutable for the duration of a solve).
     pub relations: FxHashMap<Name, Relation>,
-    /// Selector definitions, closed transitively over their predicates.
-    pub selectors: FxHashMap<Name, SelectorDef>,
     /// Scalar parameters resolvable from the base catalog.
     pub params: FxHashMap<Name, Value>,
-    /// Constructor definitions, closed transitively over their bodies.
-    pub ctors: FxHashMap<Name, Constructor>,
+    /// Selector and constructor definitions, closed transitively over
+    /// their predicates and bodies.
+    pub defs: Defs,
 }
 
 impl Universe {
@@ -220,26 +219,8 @@ impl Universe {
     /// count: unknown constructor, relation arity, scalar arity, scalar
     /// domains.
     pub(super) fn definition(&self, app: &Application) -> Result<&Constructor, EvalError> {
-        let name = app.key.constructor();
-        let ctor = self
-            .ctors
-            .get(name)
-            .ok_or_else(|| EvalError::UnknownConstructor(name.to_string()))?;
-        for (expected, actual) in [
-            (ctor.rel_params.len(), app.args.len()),
-            (ctor.scalar_params.len(), app.scalar_args.len()),
-        ] {
-            if expected != actual {
-                return Err(EvalError::ArityMismatch {
-                    name: ctor.name.clone(),
-                    expected,
-                    actual,
-                });
-            }
-        }
-        for ((_, domain), v) in ctor.scalar_params.iter().zip(&app.scalar_args) {
-            domain.check(v)?;
-        }
+        let ctor = self.defs.constructor(app.key.constructor())?;
+        ctor.check_actuals(app.args.len(), &app.scalar_args)?;
         Ok(ctor)
     }
 }
@@ -299,11 +280,7 @@ impl Catalog for SnapshotCatalog {
     }
 
     fn selector(&self, name: &str) -> Result<&SelectorDef, EvalError> {
-        self.snap
-            .universe
-            .selectors
-            .get(name)
-            .ok_or_else(|| EvalError::UnknownSelector(name.to_string()))
+        self.snap.universe.defs.selector(name)
     }
 
     fn scalar_param(&self, name: &str) -> Result<Value, EvalError> {
@@ -413,7 +390,7 @@ mod tests {
 
     fn reads(query: &RangeExpr) -> Option<Vec<Name>> {
         let db = db();
-        let mut reach = Reach::new(&db);
+        let mut reach = Reach::new(&db.defs);
         reach.add(query);
         Some(reach.reads()?.into_iter().collect())
     }

@@ -24,6 +24,11 @@
 //!   definitions ([`Defs`]), the per-state memo of solved applications
 //!   ([`SolvedMemo`]), the named-application test
 //!   ([`NamedApplication`]) and the `EXPLAIN` body.
+//! * [`compile`] — §4's query compilation as calculus-to-calculus
+//!   rewrites (range nesting, the bound-argument capture rule), applied
+//!   by [`Database::rewrite`].
+//! * [`paper`] — the paper's definitions, and its §4 analyses of them
+//!   (quant graphs, partitioning).
 
 // Solver aborts must be structured errors, never panics — a stray
 // `unwrap` on an abort path would turn a governed trip into a process
@@ -32,6 +37,7 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod catalog;
+pub mod compile;
 pub mod constructor;
 pub mod database;
 pub mod error;

@@ -1,5 +1,8 @@
 //! The paper's canonical definitions, ready to register: schemas,
-//! selectors, and constructors exactly as printed in §2.3 and §3.1.
+//! selectors, and constructors exactly as printed in §2.3 and §3.1 —
+//! and its §4 analyses of constructor definitions: the augmented quant
+//! graph of Fig. 3 ([`QuantGraph`]) and the type-check-level
+//! partitioning ([`partition_by_names`]).
 //!
 //! Examples, integration tests, and the benchmark harness all build on
 //! these, so the artefacts under test are literally the paper's.
@@ -9,6 +12,12 @@ use dc_calculus::builder::*;
 use dc_value::{Domain, Schema};
 
 use crate::constructor::Constructor;
+
+mod partition;
+mod quantgraph;
+
+pub use partition::partition_by_names;
+pub use quantgraph::{Edge, EdgeKind, Node, NodeKind, QuantGraph};
 
 /// `TYPE infrontrel = RELATION ... OF RECORD front, back: parttype END`
 pub fn infrontrel() -> Schema {

@@ -14,8 +14,9 @@
 
 use dc_calculus::rewrite;
 use dc_calculus::RangeExpr;
-use dc_core::Constructor;
 use dc_value::FxHashMap;
+
+use crate::constructor::Constructor;
 
 /// Union-find over constructor indices.
 struct Dsu {
@@ -60,10 +61,9 @@ pub fn partition_by_names(ctors: &[Constructor]) -> Vec<Vec<String>> {
     for (i, c) in ctors.iter().enumerate() {
         let body = RangeExpr::SetFormer(c.body.clone());
         let mut names = rewrite::relation_names(&body);
-        // The formal base and parameters are local names, not shared.
-        names.remove(&c.base_param.0);
-        for (p, _) in &c.rel_params {
-            names.remove(p);
+        // The relation formals are local names, not shared.
+        for formal in c.rel_formals() {
+            names.remove(formal);
         }
         for n in names {
             if let Some(&j) = index.get(n.as_str()) {

@@ -13,10 +13,12 @@
 //!
 //! [`QuantGraph::render_ascii`] regenerates the paper's Figure 3.
 
-use dc_calculus::ast::{Branch, Formula, RangeExpr, ScalarExpr};
+use dc_calculus::ast::{Branch, Formula, RangeExpr, ScalarExpr, Target};
+use dc_calculus::rewrite;
 use dc_calculus::CmpOp;
-use dc_core::Constructor;
 use dc_value::FxHashMap;
+
+use crate::constructor::Constructor;
 
 /// Node kinds of the augmented quant graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -145,12 +147,12 @@ impl QuantGraph {
         }
         // Attribute relationships: head → ranges used in the target.
         match &branch.target {
-            dc_calculus::ast::Target::Var(v) => {
+            Target::Var(v) => {
                 if let Some(&n) = var_nodes.get(v) {
                     self.add_edge(head, n, "copy", EdgeKind::AttrFlow);
                 }
             }
-            dc_calculus::ast::Target::Tuple(exprs) => {
+            Target::Tuple(exprs) => {
                 for (i, e) in exprs.iter().enumerate() {
                     if let ScalarExpr::Attr(v, a) = e {
                         if let Some(&n) = var_nodes.get(v) {
@@ -171,8 +173,16 @@ impl QuantGraph {
                 }
             }
         }
-        // Join arcs from equality terms.
-        collect_joins(&branch.predicate, &var_nodes, self);
+        // Join arcs from the equality terms between two bound variables.
+        for term in rewrite::conjuncts(&branch.predicate) {
+            if let Formula::Cmp(ScalarExpr::Attr(lv, la), CmpOp::Eq, ScalarExpr::Attr(rv, ra)) =
+                term
+            {
+                if let (Some(&from), Some(&to)) = (var_nodes.get(lv), var_nodes.get(rv)) {
+                    self.add_edge(from, to, format!("{lv}.{la} = {rv}.{ra}"), EdgeKind::Join);
+                }
+            }
+        }
     }
 
     /// Build the interconnectivity graph of a *system* of constructors:
@@ -189,7 +199,7 @@ impl QuantGraph {
         }
         for c in ctors {
             let body = RangeExpr::SetFormer(c.body.clone());
-            for app in dc_calculus::rewrite::collect_constructed(&body) {
+            for app in rewrite::collect_constructed(&body) {
                 if let RangeExpr::Constructed { constructor, .. } = app {
                     if let (Some(&from), Some(&to)) = (heads.get(&c.name), heads.get(&constructor))
                     {
@@ -210,8 +220,7 @@ impl QuantGraph {
     /// order. Components of size > 1, or single nodes with a self-loop,
     /// are the recursive cycles of §4 step 3.
     pub fn sccs(&self) -> Vec<Vec<usize>> {
-        struct T<'g> {
-            g: &'g QuantGraph,
+        struct T {
             index: Vec<Option<usize>>,
             low: Vec<usize>,
             on_stack: Vec<bool>,
@@ -220,7 +229,7 @@ impl QuantGraph {
             out: Vec<Vec<usize>>,
             adj: Vec<Vec<usize>>,
         }
-        impl T<'_> {
+        impl T {
             fn strongconnect(&mut self, v: usize) {
                 let index = self.next;
                 self.index[v] = Some(index);
@@ -261,7 +270,6 @@ impl QuantGraph {
             adj[e.from].push(e.to);
         }
         let mut t = T {
-            g: self,
             index: vec![None; n],
             low: vec![0; n],
             on_stack: vec![false; n],
@@ -275,26 +283,17 @@ impl QuantGraph {
                 t.strongconnect(v);
             }
         }
-        let _ = t.g;
         t.out
     }
 
     /// Is the component containing `node` cyclic (recursive)?
     pub fn is_recursive(&self, node: usize) -> bool {
-        for comp in self.sccs() {
-            if comp.contains(&node) {
-                if comp.len() > 1 {
-                    return true;
-                }
-                // Self-loop?
-                return self.edges.iter().any(|e| e.from == node && e.to == node)
-                    || self
-                        .edges
-                        .iter()
-                        .any(|e| comp.contains(&e.from) && comp.contains(&e.to) && e.from != e.to);
-            }
-        }
-        false
+        self.sccs()
+            .into_iter()
+            .find(|comp| comp.contains(&node))
+            .is_some_and(|comp| {
+                comp.len() > 1 || self.edges.iter().any(|e| e.from == node && e.to == node)
+            })
     }
 
     /// Render in the style of the paper's Figure 3: the constructor
@@ -374,22 +373,6 @@ impl QuantGraph {
             NodeKind::Head { constructor } => format!("head:{constructor}"),
             NodeKind::Quant { var, .. } => format!("quant:{var}"),
         }
-    }
-}
-
-/// Extract join arcs from equality terms between two bound variables.
-fn collect_joins(f: &Formula, var_nodes: &FxHashMap<String, usize>, g: &mut QuantGraph) {
-    match f {
-        Formula::And(a, b) => {
-            collect_joins(a, var_nodes, g);
-            collect_joins(b, var_nodes, g);
-        }
-        Formula::Cmp(ScalarExpr::Attr(lv, la), CmpOp::Eq, ScalarExpr::Attr(rv, ra)) => {
-            if let (Some(&from), Some(&to)) = (var_nodes.get(lv), var_nodes.get(rv)) {
-                g.add_edge(from, to, format!("{lv}.{la} = {rv}.{ra}"), EdgeKind::Join);
-            }
-        }
-        _ => {}
     }
 }
 

@@ -176,7 +176,7 @@ struct MeterInner {
 /// An armed [`Budget`]: the shared gauge one solve polls.
 ///
 /// Clones share state (an `Arc` bump), so the solver, its per-branch
-/// evaluators, and every task on the worker pool (`dc_exec::run_tasks`)
+/// evaluators, and every round task on the solver's worker pool
 /// observe one set of limits and feed one set of counters. `Meter` is
 /// `Send + Sync`.
 #[derive(Debug, Clone)]

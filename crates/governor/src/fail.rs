@@ -31,9 +31,9 @@ use std::sync::{Mutex, MutexGuard, Once, PoisonError};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Site {
     /// A task starting on a pool worker (`worker_start`) — checked in
-    /// exactly one place, `dc_exec::run_tasks`' worker mode, which only
-    /// solver round tasks reach. Inline (single-worker) runs never
-    /// consult it.
+    /// exactly one place, the worker mode of the fixpoint solver's round
+    /// dispatch (`dc-core`). Inline (single-worker) runs never consult
+    /// it.
     WorkerStart = 0,
     /// A semi-naive/naive round about to commit its deltas
     /// (`delta_commit`).

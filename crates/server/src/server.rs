@@ -146,7 +146,7 @@ impl Server {
     pub fn prepare(&self, query: &RangeExpr) -> Result<PreparedQuery, ServerError> {
         let session = self.session(self.current_snapshot());
         typeck::check_range(query, &session)?;
-        let mut reach = Reach::new(&session);
+        let mut reach = Reach::new(session.snapshot().defs());
         reach.add(query);
         let inner = Arc::new(Prepared {
             ast: query.clone(),

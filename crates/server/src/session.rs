@@ -7,10 +7,8 @@ use std::time::Instant;
 use dc_calculus::ast::{Name, SelectorDef};
 use dc_calculus::typeck::{self, ConstructorSig, SchemaCatalog};
 use dc_calculus::{AccessCache, Catalog, EvalError, Evaluator, Explanation, RangeExpr};
-use dc_core::fixpoint::{
-    self, AppKey, BaseDelta, ConstructorSource, FixpointConfig, SolvedSystem, WarmOutcome,
-};
-use dc_core::{Constructor, Defs, NamedApplication};
+use dc_core::fixpoint::{self, AppKey, BaseDelta, FixpointConfig, SolvedSystem, WarmOutcome};
+use dc_core::{Defs, NamedApplication};
 use dc_governor::{Budget, CancelToken};
 use dc_relation::Relation;
 use dc_trace::metrics::{Counter, Histogram};
@@ -133,7 +131,12 @@ impl Session {
     /// for a named application, the trace of its evaluation for any
     /// other query (see [`dc_core::explain`]).
     pub fn explain(&self, query: &RangeExpr) -> Result<Explanation, ServerError> {
-        Ok(dc_core::explain(self, self.evaluator(), query)?)
+        Ok(dc_core::explain(
+            self.defs(),
+            self,
+            self.evaluator(),
+            query,
+        )?)
     }
 
     /// The frozen definitions the pinned snapshot shares.
@@ -197,7 +200,8 @@ impl Session {
         let key = AppKey::new(app.constructor, &b, &a, &app.scalar_args);
         let names = Some((app.base, app.args.as_slice()));
         let cfg = self.fixpoint_cfg();
-        let system = fixpoint::solve(self, app.constructor, b, a, app.scalar_args, names, &cfg)?;
+        let (defs, args) = (self.defs(), app.scalar_args);
+        let system = fixpoint::solve(defs, self, app.constructor, b, a, args, names, &cfg)?;
         let value = self.snap.solved().insert(key, system.value().clone());
         Ok((value, Some(system)))
     }
@@ -214,6 +218,7 @@ impl Session {
         let scalar_args = app.scalar_args.clone();
         let key = AppKey::new(app.constructor, &b, &a, &scalar_args);
         let outcome = fixpoint::solve_warm(
+            self.defs(),
             self,
             app.constructor,
             b,
@@ -270,20 +275,6 @@ impl Queryable for PreparedQuery {
     }
 }
 
-impl ConstructorSource for Session {
-    fn base_catalog(&self) -> &dyn Catalog {
-        self
-    }
-
-    fn constructor_def(&self, name: &str) -> Result<Constructor, EvalError> {
-        self.defs().constructor(name).cloned()
-    }
-
-    fn is_unchecked(&self, name: &str) -> bool {
-        self.defs().is_unchecked(name)
-    }
-}
-
 impl Catalog for Session {
     fn relation(&self, name: &str) -> Result<Relation, EvalError> {
         let r = self
@@ -320,7 +311,7 @@ impl Catalog for Session {
         let cfg = self.fixpoint_cfg();
         self.snap
             .solved()
-            .apply(self, name, base, args, scalar_args, &cfg)
+            .apply(self.defs(), self, name, base, args, scalar_args, &cfg)
     }
 }
 

@@ -19,7 +19,7 @@ use dc_calculus::builder::{attr, cnst, eq, rel, set_former, tru};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A seeded DAG of assemblies and components.
-    let bom = dc_workload::bill_of_materials(5, 3, 2026);
+    let bom = dc_bench::workload::bill_of_materials(5, 3, 2026);
     println!("bill of materials: {} containment edges", bom.len());
 
     let mut db = Database::new();
@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             eq(attr("p", "assembly"), cnst(assembly)),
         )])
     };
-    let rewritten = dc_optimizer::rewrite_query(&mut db, &explosion_of("root"))?;
+    let rewritten = db.rewrite(&explosion_of("root"))?;
     println!("{} rewrites to {rewritten}", explosion_of("root"));
     // A named application: `EXPLAIN` previews the seeded constructor's
     // plan without solving it.
@@ -96,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .into_iter()
         .enumerate()
     {
-        let q = dc_optimizer::rewrite_query(&mut db, &explosion_of(seed))?;
+        let q = db.rewrite(&explosion_of(seed))?;
         let before = db.metrics().snapshot().solve_runs;
         let answer = db.eval(&q)?;
         let solves = db.metrics().snapshot().solve_runs - before;

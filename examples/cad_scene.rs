@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Relation variables (§2.3): a keyed object registry plus the two
     // spatial fact relations.
-    db.create_relation("Objects", dc_workload::scenes::objects_schema())?;
+    db.create_relation("Objects", dc_bench::workload::scenes::objects_schema())?;
     db.create_relation("Infront", paper::infrontrel())?;
     db.create_relation("Ontop", paper::ontoprel())?;
 
@@ -96,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The augmented quant graph of `ahead` — the paper's Figure 3 —
     // and the recursion diagnosis from its cycle structure (§4).
-    let g = dc_optimizer::QuantGraph::augmented(&paper::ahead());
+    let g = paper::QuantGraph::augmented(&paper::ahead());
     println!("\nAugmented quant graph (Fig. 3):\n{}", g.render_ascii());
     println!("recursive: {}", g.is_recursive(0));
 

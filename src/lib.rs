@@ -18,16 +18,13 @@
 
 pub use dc_calculus as calculus;
 pub use dc_core as core;
-pub use dc_exec as exec;
 pub use dc_governor as governor;
 pub use dc_index as index;
 pub use dc_lang as lang;
-pub use dc_optimizer as optimizer;
 pub use dc_prolog as prolog;
 pub use dc_relation as relation;
 pub use dc_trace as trace;
 pub use dc_value as value;
-pub use dc_workload as workload;
 
 /// Commonly used items, re-exported for examples and tests.
 pub mod prelude {

@@ -7,13 +7,13 @@
 //! recursive application, so the unnested range's underlying value
 //! changes as deltas commit mid-solve.
 
+use dc_bench::workload::rng::SplitMix64;
 use dc_calculus::ast::{Branch, SelectorDef};
 use dc_calculus::builder::*;
 use dc_calculus::joinplan::{self, QuantMode};
 use dc_calculus::{Formula, RangeExpr};
 use dc_core::{paper, Constructor, Database, Strategy};
 use dc_value::{tuple, Domain, Schema};
-use dc_workload::rng::SplitMix64;
 
 /// A random correlated filter over `Ontop`, correlated on an attribute
 /// of the outer edge variable `r`, with an optional local residual. The
@@ -88,7 +88,7 @@ fn randomized_correlated_quantifiers_agree_with_reference() {
     for (seed, rows, depth, stack_every) in
         [(3u64, 4usize, 6usize, 2usize), (17, 6, 5, 3), (41, 8, 8, 2)]
     {
-        let scene = dc_workload::scene(rows, depth, stack_every, seed);
+        let scene = dc_bench::workload::scene(rows, depth, stack_every, seed);
         let db = dc_bench::scene_db(&scene);
         let mut db_scan = dc_bench::scene_db(&scene);
         db_scan.set_use_indexes(false);
@@ -108,7 +108,7 @@ fn randomized_correlated_quantifiers_agree_with_reference() {
 fn correlated_selector_applications_agree_with_reference() {
     // The Selected form of the same correlation: Ontop[on_base(r.X)].
     for (seed, rows, depth) in [(5u64, 5usize, 6usize), (29, 7, 7)] {
-        let scene = dc_workload::scene(rows, depth, 2, seed);
+        let scene = dc_bench::workload::scene(rows, depth, 2, seed);
         let db = dc_bench::scene_db(&scene);
         let mut db_scan = dc_bench::scene_db(&scene);
         db_scan.set_use_indexes(false);
@@ -190,7 +190,7 @@ fn all_implication_probe_path_differential() {
     assert_eq!(plan.atoms[0].attr, "base");
 
     for seed in [2u64, 13, 31] {
-        let scene = dc_workload::scene(5, 7, 2, seed);
+        let scene = dc_bench::workload::scene(5, 7, 2, seed);
         let db = dc_bench::scene_db(&scene);
         let mut db_scan = dc_bench::scene_db(&scene);
         db_scan.set_use_indexes(false);
@@ -252,7 +252,7 @@ fn correlated_fallback_constructor() -> Constructor {
 #[test]
 fn fixpoint_with_correlated_quantifier_mid_solve_deltas() {
     for depth in [4usize, 7] {
-        let base = dc_workload::chain(depth);
+        let base = dc_bench::workload::chain(depth);
         let mut results = Vec::new();
         for use_indexes in [true, false] {
             for strategy in [Strategy::Naive, Strategy::SemiNaive] {
@@ -293,7 +293,7 @@ fn fixpoint_with_correlated_quantifier_mid_solve_deltas() {
 /// still answers, and both paths agree.
 #[test]
 fn selector_rewrite_capture_guard() {
-    let scene = dc_workload::scene(3, 4, 2, 9);
+    let scene = dc_bench::workload::scene(3, 4, 2, 9);
     let mut db = dc_bench::scene_db(&scene);
     // Element variable is named `r`, colliding with the outer edge
     // variable referenced by the argument.
@@ -341,7 +341,7 @@ fn selector_rewrite_capture_guard() {
 /// with the reference — the fallback is a scan, never a wrong answer.
 #[test]
 fn refused_decorrelations_fall_back_soundly() {
-    let scene = dc_workload::scene(4, 5, 2, 21);
+    let scene = dc_bench::workload::scene(4, 5, 2, 21);
     let db = dc_bench::scene_db(&scene);
     let mut db_scan = dc_bench::scene_db(&scene);
     db_scan.set_use_indexes(false);
@@ -403,7 +403,7 @@ fn refused_decorrelations_fall_back_soundly() {
 /// coverage in [`randomized_multi_binding_join_views_agree`].
 #[test]
 fn multi_binding_join_views_decorrelate_soundly() {
-    let scene = dc_workload::scene(5, 6, 2, 13);
+    let scene = dc_bench::workload::scene(5, 6, 2, 13);
     let db = dc_bench::scene_db(&scene);
     let mut db_scan = dc_bench::scene_db(&scene);
     db_scan.set_use_indexes(false);
@@ -454,7 +454,7 @@ fn multi_binding_join_views_decorrelate_soundly() {
 fn randomized_multi_binding_join_views_agree() {
     let mut rng = SplitMix64::new(0xBEEF);
     for (seed, tasks, workers, tools) in [(7u64, 15usize, 8usize, 6usize), (23, 25, 12, 9)] {
-        let s = dc_workload::staffing(tasks, workers, tools, 2, 2, 20, seed);
+        let s = dc_bench::workload::staffing(tasks, workers, tools, 2, 2, 20, seed);
         let db = dc_bench::staffing_db(&s);
         let mut db_scan = dc_bench::staffing_db(&s);
         db_scan.set_use_indexes(false);
@@ -550,7 +550,7 @@ fn correlated_join_fallback_constructor() -> Constructor {
 #[test]
 fn fixpoint_with_correlated_join_view_mid_solve_deltas() {
     for depth in [4usize, 7] {
-        let base = dc_workload::chain(depth);
+        let base = dc_bench::workload::chain(depth);
         let mut results = Vec::new();
         for use_indexes in [true, false] {
             for strategy in [Strategy::Naive, Strategy::SemiNaive] {

@@ -99,7 +99,7 @@ fn keyed_result_type_conflict_detected() {
 /// order must never leak into answers.
 #[test]
 fn results_deterministic_across_runs() {
-    let base = dc_workload::random_graph(30, 2.0, 5);
+    let base = dc_bench::workload::random_graph(30, 2.0, 5);
     let mut previous: Option<Vec<Tuple>> = None;
     for _ in 0..3 {
         let mut db = Database::new();

@@ -25,13 +25,13 @@ fn closure_len(n: usize) -> usize {
 /// round batch-dispatches to the pool — the solver's use of
 /// `worker_start`.
 fn ring_db(n: usize, threads: usize) -> Database {
-    parallelised(dc_bench::ring_db(&dc_workload::chain(n)), threads)
+    parallelised(dc_bench::ring_db(&dc_bench::workload::chain(n)), threads)
 }
 
 /// A weighted graph for one-shot (solve-free) queries, parallelised:
 /// even so, a one-shot query never reaches the worker pool.
 fn graph_db(threads: usize) -> Database {
-    let edges = dc_workload::weighted_random_graph(120, 3.0, 40, 1);
+    let edges = dc_bench::workload::weighted_random_graph(120, 3.0, 40, 1);
     parallelised(dc_bench::weighted_db(&edges), threads)
 }
 
@@ -193,7 +193,7 @@ fn correlated_query() -> dc_calculus::RangeExpr {
 }
 
 fn scene_database() -> Database {
-    dc_bench::scene_db(&dc_workload::scene(12, 12, 2, 7))
+    dc_bench::scene_db(&dc_bench::workload::scene(12, 12, 2, 7))
 }
 
 /// `index_build=error` inside an unnested quantifier aborts cleanly

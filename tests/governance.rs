@@ -15,7 +15,7 @@ use dc_value::{Domain, Schema};
 /// The E1 chain workload: `ahead` transitive closure over a chain of
 /// `n` edges (closure size n·(n+1)/2).
 fn chain_db(n: usize) -> Database {
-    dc_bench::ahead_db(&dc_workload::chain(n), Strategy::SemiNaive)
+    dc_bench::ahead_db(&dc_bench::workload::chain(n), Strategy::SemiNaive)
 }
 
 /// An aborted solve records nothing into the registry: the solve
@@ -276,7 +276,7 @@ fn fixpoint_stats_carry_governance_counters() {
 /// A weighted graph for one-shot two-hop joins, parallelised (which a
 /// one-shot query, run on the calling thread, ignores).
 fn graph_db(threads: usize) -> Database {
-    let edges = dc_workload::weighted_random_graph(120, 3.0, 40, 1);
+    let edges = dc_bench::workload::weighted_random_graph(120, 3.0, 40, 1);
     dc_bench::parallelised(dc_bench::weighted_db(&edges), threads)
 }
 
@@ -288,7 +288,8 @@ fn graph_db(threads: usize) -> Database {
 fn budgets_govern_parallel_workers() {
     for threads in [1usize, 4] {
         // Four equations: every round dispatches four tasks.
-        let mut db = dc_bench::parallelised(dc_bench::ring_db(&dc_workload::chain(24)), threads);
+        let mut db =
+            dc_bench::parallelised(dc_bench::ring_db(&dc_bench::workload::chain(24)), threads);
         db.set_budget(Some(Budget::unlimited().with_max_tuples(50)));
         let before = snapshot(&db);
         let se = unwrap_solve_error(db.eval(&dc_bench::ring_query()).unwrap_err());

@@ -222,7 +222,7 @@ fn script_then_rewritten_query() {
     ] {
         let q = dc_lang::parser::parse_expr(text).unwrap();
         let reference = db.evaluator().force_nested_loop().eval(&q).unwrap();
-        let rewritten = dc_optimizer::rewrite_query(&mut db, &q).unwrap();
+        let rewritten = db.rewrite(&q).unwrap();
         assert_eq!(
             db.eval(&rewritten).unwrap(),
             reference,

@@ -7,14 +7,14 @@ use dc_bench::bound_query as bound;
 use dc_calculus::ast::Branch;
 use dc_calculus::builder::*;
 use dc_calculus::RangeExpr;
-use dc_core::{paper, Database};
-use dc_optimizer::{capture, nesting};
+use dc_core::paper::{self, partition_by_names, QuantGraph};
+use dc_core::Database;
 use dc_value::{tuple, Domain, Schema};
 
 fn scene_db() -> Database {
     let mut db = Database::new();
     db.create_relation("Infront", paper::infrontrel()).unwrap();
-    let base = dc_workload::random_graph(12, 1.6, 99);
+    let base = dc_bench::workload::random_graph(12, 1.6, 99);
     for t in base.iter() {
         db.insert("Infront", t.clone()).unwrap();
     }
@@ -50,7 +50,7 @@ fn mutual_db() -> Database {
 /// nested-loop reference. Returns the rewritten query.
 fn assert_rewrite_agrees(db: &mut Database, q: &RangeExpr) -> RangeExpr {
     let reference = db.evaluator().force_nested_loop().eval(q).unwrap();
-    let rewritten = dc_optimizer::rewrite_query(db, q).unwrap();
+    let rewritten = db.rewrite(q).unwrap();
     assert_eq!(
         db.eval(&rewritten).unwrap(),
         reference,
@@ -132,11 +132,12 @@ fn query_battery_rewrites() {
         );
     }
 
-    // Refusals: the capture rule hands the query back untouched (and
-    // whatever range nesting then does with it still agrees).
+    // Refusals: the capture rule does not fire — the rewrite applies no
+    // seeded constructor — and whatever range nesting then does with
+    // the query still agrees.
     let refused = |db: &mut Database, q: RangeExpr| {
-        assert_eq!(capture::rewrite_query(db, &q).unwrap(), q);
-        assert_rewrite_agrees(db, &q);
+        let rewritten = assert_rewrite_agrees(db, &q);
+        assert!(!rewritten.to_string().contains("$seeded"), "{rewritten}");
     };
     // Bound on the tail: the seeded closure runs the other way.
     refused(&mut db, bound(ahead(), "tail", cnst("n0")));
@@ -177,9 +178,6 @@ fn rewrites_on_numeric_relations() {
 /// the registered paper constructors.
 #[test]
 fn three_level_pipeline() {
-    use dc_optimizer::partition::partition_by_names;
-    use dc_optimizer::QuantGraph;
-
     // Level 1: partitioning.
     let ctors = vec![paper::ahead(), paper::ahead2()];
     let parts = partition_by_names(&ctors);
@@ -198,24 +196,25 @@ fn three_level_pipeline() {
     // Level 3: the recursive one is left to the engine's fixpoint (a
     // query binding its first attribute gets the seeded variant), the
     // non-recursive one fully decompiles (inlines) to base relations.
-    let db = scene_db();
+    let mut db = scene_db();
     let closure = rel("Infront").construct("ahead", vec![]);
-    assert_eq!(
-        nesting::inline_applications(&db, &closure).unwrap(),
-        closure
-    );
-    let (seeded, _) =
-        capture::bind_first_attribute(&db, &bound(closure, "head", cnst("n0"))).unwrap();
-    assert!(QuantGraph::augmented(&seeded).is_recursive(0));
-    let inlined =
-        nesting::inline_applications(&db, &rel("Infront").construct("ahead2", vec![])).unwrap();
+    assert_eq!(db.rewrite(&closure).unwrap(), closure);
+    let bound = db.rewrite(&bound(closure, "head", cnst("n0"))).unwrap();
+    let RangeExpr::Constructed { constructor, .. } = &bound else {
+        panic!("expected a seeded application, got {bound}");
+    };
+    let seeded = db.constructor_ref(constructor).unwrap();
+    assert!(QuantGraph::augmented(seeded).is_recursive(0));
+    let inlined = db
+        .rewrite(&rel("Infront").construct("ahead2", vec![]))
+        .unwrap();
     assert!(matches!(inlined, RangeExpr::SetFormer(_)));
 }
 
 /// Quant-graph rendering contains every element of the paper's Fig. 3.
 #[test]
 fn fig3_elements() {
-    let g = dc_optimizer::QuantGraph::augmented(&paper::ahead());
+    let g = QuantGraph::augmented(&paper::ahead());
     let ascii = g.render_ascii();
     for needle in [
         "CONSTRUCTOR ahead",
@@ -252,7 +251,7 @@ fn pushdown_prunes_work() {
         rel("Infront").construct("ahead2", vec![]),
         eq(attr("r", "front"), cnst("c0_0")),
     )]);
-    let rewritten = nesting::rewrite_query(&db, &q).unwrap();
+    let rewritten = db.rewrite(&q).unwrap();
     // The rewrite must have eliminated the constructor application.
     assert!(
         dc_calculus::rewrite::collect_constructed(&rewritten).is_empty(),
@@ -262,4 +261,60 @@ fn pushdown_prunes_work() {
         db.eval(&q).unwrap().sorted_tuples(),
         db.eval(&rewritten).unwrap().sorted_tuples()
     );
+}
+
+/// Inlining keeps the parameter domain check: an application whose
+/// constant argument is outside its parameter's domain raises the
+/// engine's `RangeViolation`, and so does its rewrite — for a selector
+/// (N1's selected arm) and for a constructor (its constructed arm).
+#[test]
+fn inlining_keeps_the_parameter_domain_check() {
+    let mut db = Database::new();
+    db.create_relation("R", Schema::of(&[("n", Domain::Card)]))
+        .unwrap();
+    db.insert_all("R", (1u64..=5).map(|i| tuple![i])).unwrap();
+    let bounded = Domain::CardRange(1, 10);
+    db.define_selector(
+        dc_calculus::ast::SelectorDef {
+            name: "at_least".into(),
+            element_var: "r".into(),
+            params: vec![("N".into(), bounded.clone())],
+            predicate: ge(attr("r", "n"), param("N")),
+        },
+        Schema::of(&[("n", Domain::Card)]),
+    )
+    .unwrap();
+    db.define_constructor(dc_core::Constructor {
+        name: "from".into(),
+        base_param: ("Rel".into(), Schema::of(&[("n", Domain::Card)])),
+        rel_params: vec![],
+        scalar_params: vec![("K".into(), bounded)],
+        result: Schema::of(&[("n", Domain::Card)]),
+        body: dc_calculus::ast::SetFormer {
+            branches: vec![Branch::each(
+                "r",
+                rel("Rel"),
+                ge(attr("r", "n"), param("K")),
+            )],
+        },
+    })
+    .unwrap();
+    let zero = || cnst(0u64);
+    for range in [
+        rel("R").select("at_least", vec![zero()]),
+        rel("R").construct_with("from", vec![], vec![zero()]),
+    ] {
+        let q = set_former(vec![Branch::each("x", range, tru())]);
+        let violation = |r: Result<_, dc_core::CoreError>| {
+            matches!(
+                r,
+                Err(dc_core::CoreError::Eval(dc_calculus::EvalError::Type(
+                    dc_value::TypeError::RangeViolation { .. }
+                )))
+            )
+        };
+        assert!(violation(db.eval(&q)), "{q}");
+        let rewritten = db.rewrite(&q).unwrap();
+        assert!(violation(db.eval(&rewritten)), "{q} rewrote to {rewritten}");
+    }
 }

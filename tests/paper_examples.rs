@@ -121,7 +121,7 @@ fn section_3_1_mutual_recursion_scene() {
 #[test]
 fn section_3_2_strategies_agree_on_random_graphs() {
     for seed in 0..5u64 {
-        let base = dc_workload::random_graph(24, 2.0, seed);
+        let base = dc_bench::workload::random_graph(24, 2.0, seed);
         let mut results = Vec::new();
         for strategy in [dc_core::Strategy::Naive, dc_core::Strategy::SemiNaive] {
             let mut db = Database::new();
@@ -231,9 +231,9 @@ fn section_3_4_prolog_equivalence() {
     use dc_prolog::{tabled, Atom, Term};
 
     for base in [
-        dc_workload::chain(10),
-        dc_workload::diamond_ladder(4),
-        dc_workload::complete_binary_tree(4),
+        dc_bench::workload::chain(10),
+        dc_bench::workload::diamond_ladder(4),
+        dc_bench::workload::complete_binary_tree(4),
     ] {
         let mut db = Database::new();
         db.create_relation("Infront", base.schema().clone())

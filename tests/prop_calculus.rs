@@ -93,7 +93,7 @@ fn formula_strategy(scope: Vec<String>, depth: u32) -> BoxedStrategy<Formula> {
 fn edges_strategy() -> impl Strategy<Value = Relation> {
     prop::collection::vec((0u8..4, 0u8..4), 0..8).prop_map(|pairs| {
         Relation::from_tuples(
-            dc_workload::graphs::edge_schema(),
+            dc_bench::workload::graphs::edge_schema(),
             pairs
                 .into_iter()
                 .map(|(a, b)| tuple![format!("n{a}"), format!("n{b}")]),
@@ -313,7 +313,7 @@ fn chain_catalog() -> MapCatalog {
     MapCatalog::new().with_relation(
         "Infront",
         Relation::from_tuples(
-            dc_workload::graphs::edge_schema(),
+            dc_bench::workload::graphs::edge_schema(),
             [("a", "b"), ("b", "c"), ("c", "d"), ("d", "b")].map(|(f, b)| tuple![f, b]),
         )
         .unwrap(),
@@ -385,7 +385,7 @@ fn join_leaf_cross_type_residual_error() {
     let cat = MapCatalog::new().with_relation(
         "Infront",
         Relation::from_tuples(
-            dc_workload::graphs::edge_schema(),
+            dc_bench::workload::graphs::edge_schema(),
             vec![tuple!["a", "b"], tuple!["b", "c"]],
         )
         .unwrap(),
@@ -427,7 +427,7 @@ fn string_order_ignores_interning_order() {
     let cat = MapCatalog::new().with_relation(
         "Infront",
         Relation::from_tuples(
-            dc_workload::graphs::edge_schema(),
+            dc_bench::workload::graphs::edge_schema(),
             pairs.iter().map(|&(f, b)| tuple![f, b]),
         )
         .unwrap(),

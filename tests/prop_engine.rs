@@ -20,7 +20,7 @@ use dc_value::{tuple, Value};
 fn edges_strategy() -> impl Strategy<Value = Relation> {
     prop::collection::vec((0u8..10, 0u8..10), 0..30).prop_map(|pairs| {
         Relation::from_tuples(
-            dc_workload::graphs::edge_schema(),
+            dc_bench::workload::graphs::edge_schema(),
             pairs
                 .into_iter()
                 .map(|(a, b)| tuple![format!("n{a}"), format!("n{b}")]),
@@ -56,7 +56,7 @@ fn bound(range: RangeExpr, attr_name: &str, seed: u8) -> RangeExpr {
 /// the nested-loop reference.
 fn rewrite_agrees(db: &mut Database, q: &RangeExpr) {
     let reference = db.evaluator().force_nested_loop().eval(q).unwrap();
-    let rewritten = dc_optimizer::rewrite_query(db, q).unwrap();
+    let rewritten = db.rewrite(q).unwrap();
     prop_assert_eq!(
         db.eval(&rewritten).unwrap(),
         reference,
@@ -259,7 +259,7 @@ proptest! {
 #[test]
 fn e3_round_counts_do_not_regress() {
     for depth in [8usize, 32, 64] {
-        let base = dc_workload::chain(depth);
+        let base = dc_bench::workload::chain(depth);
         let q = rel("Infront").construct("ahead", vec![]);
 
         let mut indexed = Database::new();

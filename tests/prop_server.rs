@@ -26,7 +26,7 @@ const RELS: [&str; 2] = ["E1", "E2"];
 fn base_db() -> Database {
     let mut db = Database::new();
     for name in RELS {
-        db.create_relation(name, dc_workload::graphs::edge_schema())
+        db.create_relation(name, dc_bench::workload::graphs::edge_schema())
             .unwrap();
     }
     for i in 0..4u8 {

@@ -60,7 +60,7 @@ fn quantifier_probes_agree_with_reference_on_randomized_scenes() {
         (23, 8, 6, 2),
         (99, 4, 9, 4),
     ] {
-        let scene = dc_workload::scene(rows, depth, stack_every, seed);
+        let scene = dc_bench::workload::scene(rows, depth, stack_every, seed);
         let db = dc_bench::scene_db(&scene);
         let mut db_scan = dc_bench::scene_db(&scene);
         db_scan.set_use_indexes(false);
@@ -77,7 +77,7 @@ fn quantifier_probes_agree_with_reference_on_randomized_scenes() {
 
 #[test]
 fn catalog_resolution_and_memo_hits_share_storage() {
-    let base = dc_workload::chain(12);
+    let base = dc_bench::workload::chain(12);
     let db = dc_bench::ahead_db(&base, dc_core::Strategy::SemiNaive);
 
     // Catalog resolution: the handle served to evaluators shares the

@@ -67,12 +67,12 @@ fn graph_script(n: usize) -> Vec<WriteBatch> {
 
 /// Scene workload: the CAD scene with the visibility query.
 fn scene_server() -> Server {
-    Server::new(dc_bench::scene_db(&dc_workload::scene(4, 4, 2, 7)))
+    Server::new(dc_bench::scene_db(&dc_bench::workload::scene(4, 4, 2, 7)))
 }
 
 /// Staffing workload and its servable-requests query.
 fn staffing_server() -> Server {
-    Server::new(dc_bench::staffing_db(&dc_workload::staffing(
+    Server::new(dc_bench::staffing_db(&dc_bench::workload::staffing(
         12, 8, 6, 2, 2, 10, 11,
     )))
 }

@@ -23,7 +23,7 @@ use dc_governor::{Budget, CancelToken, FailpointsGuard, SolveError};
 /// The E4 mutual-recursion database: `Infront`/`Ontop` base facts from
 /// a generated scene, with the §3.1 mutually recursive `ahead`/`above`
 /// constructors registered.
-fn mutual_db(scene: &dc_workload::Scene) -> Database {
+fn mutual_db(scene: &dc_bench::workload::Scene) -> Database {
     let mut db = Database::new();
     db.create_relation("Infront", paper::infrontrel()).unwrap();
     db.create_relation("Ontop", paper::ontoprel()).unwrap();
@@ -90,7 +90,7 @@ fn witnessed() -> Constructor {
 #[test]
 fn mutual_fixpoint_threads_match_sequential() {
     for seed in [3u64, 7, 19] {
-        let scene = dc_workload::scene(6, 12, 3, seed);
+        let scene = dc_bench::workload::scene(6, 12, 3, seed);
         for q in [above_query(), ahead_query()] {
             let seq_db = parallelised(mutual_db(&scene), 1);
             let (sequential, seq) = counted(&seq_db.metrics(), || seq_db.eval(&q).unwrap());
@@ -118,7 +118,7 @@ fn mutual_fixpoint_threads_match_sequential() {
 #[test]
 fn random_ring_system_threads_match_sequential() {
     for seed in [1u64, 13, 31] {
-        let edges = dc_workload::random_graph(40, 2.0, seed);
+        let edges = dc_bench::workload::random_graph(40, 2.0, seed);
         let build = |threads: usize| parallelised(dc_bench::ring_db(&edges), threads);
         let q = dc_bench::ring_query();
         let seq_db = build(1);
@@ -142,7 +142,7 @@ fn random_ring_system_threads_match_sequential() {
 /// as inline and nothing as dispatched.
 #[test]
 fn scheduler_counters_report_dispatch() {
-    let scene = dc_workload::scene(6, 12, 3, 5);
+    let scene = dc_bench::workload::scene(6, 12, 3, 5);
 
     let par_db = parallelised(mutual_db(&scene), 4);
     let (parallel, par) = counted(&par_db.metrics(), || par_db.eval(&above_query()).unwrap());
@@ -174,7 +174,7 @@ fn impure_quantifier_branches_run_on_workers() {
     let build = |threads: usize| {
         let mut db = Database::new();
         db.create_relation("Edges", paper::infrontrel()).unwrap();
-        for t in dc_workload::chain(n).iter() {
+        for t in dc_bench::workload::chain(n).iter() {
             db.insert("Edges", t.clone()).unwrap();
         }
         db.define_constructor(witnessed()).unwrap();
@@ -203,7 +203,7 @@ fn impure_quantifier_branches_run_on_workers() {
 #[test]
 fn worker_panic_degrades_to_sequential_reference() {
     let _g = FailpointsGuard::arm("worker_start=panic");
-    let scene = dc_workload::scene(4, 10, 3, 5);
+    let scene = dc_bench::workload::scene(4, 10, 3, 5);
 
     // threads=1 never dispatches workers, so the armed site is not hit.
     let sequential = parallelised(mutual_db(&scene), 1)
@@ -224,7 +224,7 @@ fn worker_panic_degrades_to_sequential_reference() {
 #[test]
 fn pre_cancelled_parallel_solve_aborts_atomically() {
     let _g = FailpointsGuard::arm("");
-    let scene = dc_workload::scene(6, 12, 3, 5);
+    let scene = dc_bench::workload::scene(6, 12, 3, 5);
     let reference = parallelised(mutual_db(&scene), 1)
         .eval(&above_query())
         .unwrap();
@@ -254,7 +254,7 @@ fn pre_cancelled_parallel_solve_aborts_atomically() {
 #[test]
 fn mid_solve_cancellation_under_dispatch_is_atomic() {
     let _g = FailpointsGuard::arm("");
-    let scene = dc_workload::scene(8, 48, 3, 11);
+    let scene = dc_bench::workload::scene(8, 48, 3, 11);
     let reference = parallelised(mutual_db(&scene), 1)
         .eval(&above_query())
         .unwrap();
@@ -295,9 +295,9 @@ fn mid_solve_cancellation_under_dispatch_is_atomic() {
 #[test]
 fn fixpoint_rounds_with_growing_deltas_match_across_thread_counts() {
     let workloads = [
-        ("tree d=7", dc_workload::complete_binary_tree(7)),
-        ("random n=60", dc_workload::random_graph(60, 1.6, 9)),
-        ("chain n=48", dc_workload::chain(48)),
+        ("tree d=7", dc_bench::workload::complete_binary_tree(7)),
+        ("random n=60", dc_bench::workload::random_graph(60, 1.6, 9)),
+        ("chain n=48", dc_bench::workload::chain(48)),
     ];
     for (label, base) in workloads {
         let q = dc_bench::ahead_query();
@@ -334,8 +334,8 @@ fn fixpoint_rounds_with_growing_deltas_match_across_thread_counts() {
 /// matches semi-naive and the reference path.
 #[test]
 fn naive_strategy_parallel_and_no_change_rounds_agree() {
-    let mut base = dc_workload::cycle(12);
-    for t in dc_workload::chain(12).iter() {
+    let mut base = dc_bench::workload::cycle(12);
+    for t in dc_bench::workload::chain(12).iter() {
         base.insert(t.clone()).unwrap();
     }
     let q = dc_bench::ahead_query();

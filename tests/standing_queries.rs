@@ -45,7 +45,7 @@ use dc_value::tuple;
 
 fn graph_db() -> Database {
     let mut db = dc_bench::ahead_db(&dc_bench::many_chains(4, 4), Strategy::SemiNaive);
-    db.create_relation("Unrelated", dc_workload::graphs::edge_schema())
+    db.create_relation("Unrelated", dc_bench::workload::graphs::edge_schema())
         .unwrap();
     db.insert("Unrelated", tuple!["seed", "edge"]).unwrap();
     db

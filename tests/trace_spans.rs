@@ -39,7 +39,7 @@ use dc_value::tuple;
 /// relation the closure never reads (for the disjoint-skip refresh).
 fn graph_db(threads: usize) -> Database {
     let mut db = dc_bench::ahead_db(&dc_bench::many_chains(2, 4), Strategy::SemiNaive);
-    db.create_relation("Unrelated", dc_workload::graphs::edge_schema())
+    db.create_relation("Unrelated", dc_bench::workload::graphs::edge_schema())
         .unwrap();
     db.set_threads(threads);
     db
@@ -47,7 +47,7 @@ fn graph_db(threads: usize) -> Database {
 
 /// CAD-scene database (Objects / Infront / Ontop) for planner tests.
 fn scene_db() -> Database {
-    dc_bench::scene_db(&dc_workload::scene(4, 6, 2, 11))
+    dc_bench::scene_db(&dc_bench::workload::scene(4, 6, 2, 11))
 }
 
 fn str_field<'r>(rec: &'r dc_trace::TraceRecord, key: &str) -> Option<&'r str> {

@@ -18,13 +18,13 @@
 //! panics: each test re-arms exactly the environment's spec and then
 //! expects every refresh cold, with the same per-epoch exactness.
 
+use dc_bench::workload::rng::SplitMix64;
 use dc_core::{Database, Strategy};
 use dc_governor::FailpointsGuard;
 use dc_relation::{algebra, Relation};
 use dc_server::{Server, Subscription, WriteBatch};
 use dc_trace::metrics::Counter;
 use dc_value::{tuple, Tuple};
-use dc_workload::rng::SplitMix64;
 
 /// Three chains of six edges; chain 0 closed into a cycle, chain 1's
 /// tail looping back to its middle, and chain 2 feeding chain 1.
