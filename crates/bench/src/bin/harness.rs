@@ -298,34 +298,35 @@ fn e1() {
 }
 
 /// E2: §4's propagation of a bound argument into a recursive
-/// constructor. Both sides are calculus under `Database::eval`: the
-/// query as written (full closure, then the filter) and its rewrite
-/// into the seeded constructor (`Database::rewrite`). The work
+/// constructor. Both sides are the same calculus query: as written
+/// through `Database::evaluator` (full closure, then the filter), and
+/// served through `Database::eval`, which rewrites it where it enters
+/// into the seeded constructor defined beside `ahead`. The work
 /// columns are the engine's own counters — tuples carried in
 /// semi-naive deltas and fixpoint rounds — so the pay-off is asserted
-/// on work done, not on a timing: the seeded solve stays within a small
+/// on work done, not on a timing: the served solve stays within a small
 /// multiple of the cone while the full solve derives every chain.
 fn e2() {
     const DEPTH: usize = 32;
     println!("E2  constraint propagation into constructors (claim C2)");
     println!(
-        "  k chains × {DEPTH}      full+filter(ms)  seeded(ms)  cone  delta_tuples full/seeded  solve_rounds full/seeded"
+        "  k chains × {DEPTH}      full+filter(ms)  served(ms)  cone  delta_tuples full/served  solve_rounds full/served"
     );
     for k in [4usize, 16, 64] {
-        let mut db = ahead_db(&many_chains(k, DEPTH), Strategy::SemiNaive);
+        let db = ahead_db(&many_chains(k, DEPTH), Strategy::SemiNaive);
         let q = bound_query(ahead_query(), "head", cnst("c0_0"));
-        let seeded = db.rewrite(&q).expect("ahead is TC-shaped");
-        let measure = |q: &dc_calculus::RangeExpr| {
-            let ((out, ms), d) = counted(&db.metrics(), || time(|| db.eval(q).unwrap()));
+        let measure = |eval: &dyn Fn() -> Relation| {
+            let ((out, ms), d) = counted(&db.metrics(), || time(eval));
             (out, ms, d.delta_tuples, d.solve_rounds)
         };
-        let (full_rel, full_ms, full_delta, full_rounds) = measure(&q);
-        let (seeded_rel, seeded_ms, seeded_delta, seeded_rounds) = measure(&seeded);
-        assert_eq!(seeded_rel, full_rel, "propagation is sound");
-        assert_eq!(seeded_rel.len(), DEPTH, "the cone is one chain");
+        let (full, full_ms, full_delta, full_rounds) =
+            measure(&|| db.evaluator().eval(&q).unwrap());
+        let (served, served_ms, served_delta, served_rounds) = measure(&|| db.eval(&q).unwrap());
+        assert_eq!(served, full, "propagation is sound");
+        assert_eq!(served.len(), DEPTH, "the cone is one chain");
         assert!(
-            seeded_delta <= 4 * DEPTH as u64,
-            "seeded solve carried {seeded_delta} delta tuples for a cone of {DEPTH}"
+            served_delta <= 4 * DEPTH as u64,
+            "served solve carried {served_delta} delta tuples for a cone of {DEPTH}"
         );
         if k == 64 {
             assert!(
@@ -334,10 +335,10 @@ fn e2() {
             );
         }
         println!(
-            "  k={k:<16} {full_ms:>15.2} {seeded_ms:>11.3} {:>5} {:>24} {:>26}",
-            seeded_rel.len(),
-            format!("{full_delta}/{seeded_delta}"),
-            format!("{full_rounds}/{seeded_rounds}"),
+            "  k={k:<16} {full_ms:>15.2} {served_ms:>11.3} {:>5} {:>24} {:>26}",
+            served.len(),
+            format!("{full_delta}/{served_delta}"),
+            format!("{full_rounds}/{served_rounds}"),
         );
     }
     println!();

@@ -203,8 +203,9 @@ impl<'a> NamedApplication<'a> {
     }
 }
 
-/// Type-check `query` against `cat` and return the planner's typed
-/// decision trace rendered as an `EXPLAIN` tree: the chosen access path
+/// The planner's typed decision trace for `query`, which its entry
+/// point has type-checked and rewritten ([`crate::compile::rewrite`]),
+/// rendered as an `EXPLAIN` tree: the chosen access path
 /// per branch (probe vs. scan, with the estimates behind the ordering),
 /// quantifier-plan demotions, and correlated ranges left on the
 /// reference scan, each with its reason.
@@ -225,7 +226,6 @@ pub fn explain<C: Catalog + SchemaCatalog>(
     mut ev: Evaluator<'_>,
     query: &RangeExpr,
 ) -> Result<Explanation, EvalError> {
-    typeck::check_range(query, cat)?;
     let (rows, events) = match NamedApplication::of(query) {
         Some(app) => (None, preview(defs, cat, &app)?),
         None => (Some(ev.eval(query)?.len()), ev.take_plan_events()),

@@ -1,8 +1,8 @@
 //! §4's query-compilation level as **calculus-to-calculus rewrites**.
-//! Nothing here executes a query: every result is calculus that
-//! `Database::eval` evaluates and `Database::explain` renders, and
-//! [`Database::rewrite`](crate::Database::rewrite) applies both rewrites
-//! in order.
+//! Nothing here executes a query: every result is calculus the engine
+//! evaluates. [`rewrite()`] runs once where a query enters
+//! (`Database::eval`/`explain`, `Server::prepare`, `Session::query`/
+//! `explain`), except under the reference configuration.
 //!
 //! The paper organises constructor optimization as a **three-level
 //! strategy**:
@@ -69,9 +69,10 @@
 //! END
 //! ```
 //!
-//! The engine's ordinary semi-naive solve of it does work proportional
-//! to the *cone* of the constant, not to the whole closure (experiment
-//! E2) — the magic-set idea.
+//! `Database` defines it beside each constructor [`is_tc`] accepts; its
+//! `Seed` takes the first attribute's base type. The engine's ordinary
+//! semi-naive solve of it does work proportional to the *cone* of the
+//! constant, not to the whole closure (experiment E2) — the magic-set idea.
 
 use dc_calculus::ast::{Branch, CmpOp, Formula, RangeExpr, ScalarExpr, SetFormer, Target};
 use dc_calculus::positivity::{self, Tracked};
@@ -80,7 +81,7 @@ use dc_calculus::typeck::{self, SchemaCatalog};
 use dc_calculus::EvalError;
 use dc_value::{Schema, Value};
 
-use crate::catalog::Defs;
+use crate::catalog::{Defs, NamedApplication};
 use crate::constructor::Constructor;
 
 /// N1 as a fold: each selector application and each *non-recursive*
@@ -303,7 +304,7 @@ pub fn seeded(ctor: &Constructor) -> Option<Constructor> {
         name,
         base_param: ctor.base_param.clone(),
         rel_params: vec![],
-        scalar_params: vec![(SEED.into(), base.domain(0).clone())],
+        scalar_params: vec![(SEED.into(), base.domain(0).base())],
         result: ctor.result.clone(),
         body: SetFormer {
             branches: vec![
@@ -326,12 +327,10 @@ pub fn seeded(ctor: &Constructor) -> Option<Constructor> {
 }
 
 /// §4 propagation of a bound argument. For a query of the form
-/// `{EACH a IN Base{c()}: a.<first result attribute> = k}` with `c`
-/// TC-shaped and `k` a constant, returns the [`seeded`] constructor and
-/// the equivalent range `Base{c$seeded(; k)}`; `None` for any other
-/// query (the constant on another attribute, a non-constant
-/// comparand, an unrecognised constructor).
-pub fn bind_first_attribute(defs: &Defs, query: &RangeExpr) -> Option<(Constructor, RangeExpr)> {
+/// `{EACH a IN Base{c()}: a.<first result attribute> = k}` with `k` a
+/// constant and `c`'s [`seeded`] variant defined, the equivalent range
+/// `Base{c$seeded(; k)}`; `None` for any other query.
+pub fn bind_first_attribute(defs: &Defs, query: &RangeExpr) -> Option<RangeExpr> {
     let RangeExpr::SetFormer(SetFormer { branches }) = query else {
         return None;
     };
@@ -355,23 +354,37 @@ pub fn bind_first_attribute(defs: &Defs, query: &RangeExpr) -> Option<(Construct
     else {
         return None;
     };
-    if target != var || !args.is_empty() || !scalar_args.is_empty() {
-        return None;
-    }
     let ((ScalarExpr::Attr(v, a), k @ ScalarExpr::Const(_))
     | (k @ ScalarExpr::Const(_), ScalarExpr::Attr(v, a))) = (l, r)
     else {
         return None;
     };
-    let ctor = defs.constructor(constructor).ok()?;
-    if v != var || ctor.result.position(a).ok()? != 0 {
-        return None;
+    let name = format!("{constructor}$seeded");
+    let first = defs.constructor(&name).ok()?.result.position(a).ok()? == 0;
+    let seed = vec![k.clone()];
+    (first && target == var && v == var && args.is_empty() && scalar_args.is_empty())
+        .then(|| (**base).clone().construct_with(name, vec![], seed))
+}
+
+/// §4's query compilation, the one step every entry point runs: type-check
+/// `query`, then [`bind_first_attribute`] and [`nest`], except that a
+/// [`NamedApplication`] (what subscriptions maintain warm and `EXPLAIN`
+/// previews) is not nested. Equivalent to `query`; `query` itself under
+/// the reference configuration (`defs.config.use_indexes` off).
+pub fn rewrite(
+    defs: &Defs,
+    schemas: &dyn SchemaCatalog,
+    query: &RangeExpr,
+) -> Result<RangeExpr, EvalError> {
+    typeck::check_range(query, schemas)?;
+    if !defs.config.use_indexes {
+        return Ok(query.clone());
     }
-    let seeded = seeded(ctor)?;
-    let range = (**base)
-        .clone()
-        .construct_with(seeded.name.clone(), vec![], vec![k.clone()]);
-    Some((seeded, range))
+    let query = bind_first_attribute(defs, query).unwrap_or_else(|| query.clone());
+    if NamedApplication::of(&query).is_some() {
+        return Ok(query);
+    }
+    nest(defs, schemas, &query)
 }
 
 #[cfg(test)]
@@ -412,8 +425,8 @@ mod tests {
             other => panic!("expected set former, got {other}"),
         }
         // Semantics preserved.
-        let a = db.eval(&q).unwrap();
-        let b = db.eval_unchecked(&inlined).unwrap();
+        let a = db.evaluator().eval(&q).unwrap();
+        let b = db.evaluator().eval(&inlined).unwrap();
         assert_eq!(a, b);
     }
 
@@ -423,8 +436,8 @@ mod tests {
         let q = rel("Infront").construct("ahead2", vec![]);
         let inlined = inline_applications(&db.defs, &q).unwrap();
         assert!(matches!(inlined, RangeExpr::SetFormer(_)));
-        let a = db.eval(&q).unwrap();
-        let b = db.eval_unchecked(&inlined).unwrap();
+        let a = db.evaluator().eval(&q).unwrap();
+        let b = db.evaluator().eval(&inlined).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.len(), 5);
     }
@@ -460,8 +473,8 @@ mod tests {
             other => panic!("expected set former, got {other}"),
         }
         // Semantics preserved.
-        let a = db.eval(&q).unwrap();
-        let b = db.eval_unchecked(&rewritten).unwrap();
+        let a = db.evaluator().eval(&q).unwrap();
+        let b = db.evaluator().eval(&rewritten).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.len(), 2); // (vase,table), (vase,chair)
     }
@@ -540,43 +553,76 @@ mod tests {
 
     #[test]
     fn bound_query_becomes_a_seeded_application() {
-        let mut db = chain_db(10);
+        let db = chain_db(10);
+        // Defining `ahead` defined its seeded variant.
+        assert_eq!(db.constructor_names(), vec!["ahead", "ahead$seeded"]);
         let q = bound_query("head", cnst("o7"));
-        let rewritten = db.rewrite(&q).unwrap();
+        let rewritten = rewrite(&db.defs, &db, &q).unwrap();
         assert_eq!(
             rewritten,
             rel("Infront").construct_with("ahead$seeded", vec![], vec![cnst("o7")])
         );
-        // The seeded constructor passed positivity and type checking,
-        // and the engine's answer is the filtered closure.
-        assert_eq!(db.eval(&rewritten).unwrap(), db.eval(&q).unwrap());
-        assert_eq!(db.eval(&rewritten).unwrap().len(), 3);
-        // Defining is idempotent: a second seed reuses the definition.
+        // The engine's answer is the filtered closure.
+        let as_written = db.evaluator().eval(&q).unwrap();
+        assert_eq!(db.evaluator().eval(&rewritten).unwrap(), as_written);
+        assert_eq!(as_written.len(), 3);
+        // Either way round.
         let flipped = set_former(vec![Branch::each(
             "a",
             rel("Infront").construct("ahead", vec![]),
             eq(cnst("o2"), attr("a", "head")),
         )]);
-        let again = db.rewrite(&flipped).unwrap();
-        assert_eq!(db.eval(&again).unwrap().len(), 8);
-        assert_eq!(db.constructor_names(), vec!["ahead", "ahead$seeded"]);
+        let again = rewrite(&db.defs, &db, &flipped).unwrap();
+        assert_eq!(db.evaluator().eval(&again).unwrap().len(), 8);
     }
 
     #[test]
     fn other_queries_come_back_unchanged() {
-        let mut db = chain_db(4);
+        let db = chain_db(4);
         for q in [
             // Bound on the tail: the seeded closure runs the other way.
             bound_query("tail", cnst("o3")),
             // Not a constant.
             bound_query("head", attr("a", "tail")),
-            bound_query("head", param("K")),
             // No constructor application at all.
             rel("Infront"),
+            // Already a named application.
+            rel("Infront").construct("ahead", vec![]),
         ] {
             assert!(bind_first_attribute(&db.defs, &q).is_none(), "{q}");
-            assert_eq!(db.rewrite(&q).unwrap(), q);
+            assert_eq!(rewrite(&db.defs, &db, &q).unwrap(), q);
         }
-        assert_eq!(db.constructor_names(), vec!["ahead"]);
+    }
+
+    /// The seeded variant is added without validation, so every
+    /// TC-shaped fixture's variant must pass the check it skips.
+    #[test]
+    fn every_seeded_variant_validates() {
+        use crate::paper::{above, ahead_mutual, nonsense, strange};
+        use dc_value::Domain;
+        let ranged = |a: &str, b: &str| {
+            Schema::of(&[(a, Domain::IntRange(1, 10)), (b, Domain::IntRange(1, 10))])
+        };
+        let ranged_ahead = Constructor {
+            base_param: ("Rel".into(), ranged("front", "back")),
+            result: ranged("head", "tail"),
+            ..ahead()
+        };
+        let mut db = Database::new();
+        let fixtures = [
+            ahead(),
+            ranged_ahead,
+            ahead2(),
+            ahead_mutual(),
+            above(),
+            strange(),
+            nonsense(),
+        ];
+        let variants: Vec<Constructor> = fixtures.iter().filter_map(seeded).collect();
+        assert_eq!(variants.len(), 2, "only the two `ahead`s are TC-shaped");
+        for v in variants {
+            db.defs.signatures.insert(v.name.clone(), v.signature());
+            v.validate(&db, false).unwrap();
+        }
     }
 }

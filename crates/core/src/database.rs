@@ -10,12 +10,12 @@
 use std::sync::Arc;
 
 use dc_calculus::ast::{Name, SelectorDef};
-use dc_calculus::typeck::{self, ConstructorSig, SchemaCatalog};
+use dc_calculus::typeck::{ConstructorSig, SchemaCatalog};
 use dc_calculus::{AccessCache, Catalog, EvalError, Evaluator, Explanation, RangeExpr};
 use dc_governor::Budget;
 use dc_relation::Relation;
 use dc_trace::metrics::{Gauge, MetricsRegistry};
-use dc_value::{FxHashMap, Schema, Sym, Tuple, Value};
+use dc_value::{FxHashMap, FxHashSet, Schema, Sym, Tuple, Value};
 
 use crate::catalog::{self, Defs, SolvedMemo};
 use crate::compile;
@@ -80,9 +80,9 @@ impl Database {
     }
 
     /// Enable or disable index-nested-loop join execution (on by
-    /// default). Disabling forces the reference nested-loop evaluator
-    /// end to end — the pre-optimization baseline, kept for
-    /// differential tests and benchmark comparisons.
+    /// default). Disabling selects the reference configuration — the
+    /// nested-loop evaluator end to end, queries evaluated as written —
+    /// kept for differential tests and benchmark comparisons.
     pub fn set_use_indexes(&mut self, on: bool) {
         self.defs.config.use_indexes = on;
     }
@@ -304,13 +304,18 @@ impl Database {
         Ok(())
     }
 
+    /// Register `cs`, and beside each member [`compile::is_tc`] accepts
+    /// its [`compile::seeded`] variant, unvalidated: it is built from a
+    /// member that passes.
     fn define_constructor_group(
         &mut self,
         cs: Vec<Constructor>,
         skip_positivity: bool,
     ) -> Result<(), CoreError> {
-        for c in &cs {
-            if self.defs.constructors.contains_key(&c.name) {
+        let variants: Vec<Constructor> = cs.iter().filter_map(compile::seeded).collect();
+        let mut names = FxHashSet::default();
+        for c in cs.iter().chain(&variants) {
+            if self.defs.constructors.contains_key(&c.name) || !names.insert(&c.name) {
                 return Err(CoreError::Duplicate {
                     kind: "constructor",
                     name: c.name.clone(),
@@ -319,18 +324,18 @@ impl Database {
         }
         // Register all signatures first (mutual recursion), then
         // validate; roll back on failure.
-        for c in &cs {
+        for c in cs.iter().chain(&variants) {
             self.defs.signatures.insert(c.name.clone(), c.signature());
         }
         for c in &cs {
             if let Err(e) = c.validate(self, skip_positivity) {
-                for c in &cs {
+                for c in cs.iter().chain(&variants) {
                     self.defs.signatures.remove(&c.name);
                 }
                 return Err(e);
             }
         }
-        for c in cs {
+        for c in cs.into_iter().chain(variants) {
             self.defs.constructors.insert(c.name.clone(), c);
         }
         Ok(())
@@ -358,21 +363,16 @@ impl Database {
     // Queries
     // ------------------------------------------------------------------
 
-    /// Type-check and evaluate a query expression.
+    /// Type-check, rewrite ([`compile::rewrite`]; not under the
+    /// reference configuration) and evaluate a query expression.
     pub fn eval(&self, query: &RangeExpr) -> Result<Relation, CoreError> {
-        typeck::check_range(query, self)?;
-        Ok(self.evaluator().eval(query)?)
-    }
-
-    /// Evaluate without static checking (used by the §4 rewrites' unit
-    /// tests, where the expression is machine-generated).
-    pub fn eval_unchecked(&self, query: &RangeExpr) -> Result<Relation, CoreError> {
-        Ok(self.evaluator().eval(query)?)
+        let query = compile::rewrite(&self.defs, self, query)?;
+        Ok(self.evaluator().eval(&query)?)
     }
 
     /// An evaluator over this database honouring the index
-    /// configuration. A configured budget is armed
-    /// for this evaluation; constructor applications it dispatches arm
+    /// configuration; it evaluates a query as written. A configured
+    /// budget is armed for this evaluation; constructor applications it dispatches arm
     /// their own per-solve meter, so a solve's deadline is never
     /// pre-aged by query time spent before it.
     pub fn evaluator(&self) -> Evaluator<'_> {
@@ -380,31 +380,18 @@ impl Database {
         config.evaluator(self, config.budget.as_ref().map(Budget::meter))
     }
 
-    /// The planner's typed decision trace for `query`, rendered as an
-    /// `EXPLAIN` tree: a static plan preview for a named application,
-    /// the trace of its evaluation for any other query (see
-    /// [`catalog::explain`]).
+    /// The planner's typed decision trace for `query`, rewritten as by
+    /// [`Database::eval`], rendered as an `EXPLAIN` tree: a static plan
+    /// preview for a named application, the trace of its evaluation for
+    /// any other query (see [`catalog::explain`]).
     pub fn explain(&self, query: &RangeExpr) -> Result<Explanation, CoreError> {
-        Ok(catalog::explain(&self.defs, self, self.evaluator(), query)?)
-    }
-
-    /// §4's query compilation ([`compile`]): the bound-argument capture
-    /// rule ([`compile::bind_first_attribute`]), defining the seeded
-    /// constructor it names unless an earlier call did, then range
-    /// nesting ([`compile::nest`]). The result is equivalent to `query`
-    /// and is what to hand to [`Database::eval`] /
-    /// [`Database::explain`].
-    pub fn rewrite(&mut self, query: &RangeExpr) -> Result<RangeExpr, CoreError> {
-        let query = match compile::bind_first_attribute(&self.defs, query) {
-            Some((seeded, range)) => {
-                if !self.defs.constructors.contains_key(&seeded.name) {
-                    self.define_constructor(seeded)?;
-                }
-                range
-            }
-            None => query.clone(),
-        };
-        Ok(compile::nest(&self.defs, self, &query)?)
+        let query = compile::rewrite(&self.defs, self, query)?;
+        Ok(catalog::explain(
+            &self.defs,
+            self,
+            self.evaluator(),
+            &query,
+        )?)
     }
 
     /// The database's metrics registry — counters for solves, rounds,
@@ -710,6 +697,17 @@ mod tests {
             db.define_constructor(ahead_ctor()),
             Err(CoreError::Duplicate { .. })
         ));
+        // Within one group too: the seeded variant is built from each
+        // member, so a later namesake must not replace an earlier one.
+        let mut db = Database::new();
+        db.create_relation("Infront", infrontrel()).unwrap();
+        let mut copy_only = ahead_ctor();
+        copy_only.body.branches.truncate(1);
+        assert!(matches!(
+            db.define_constructors(vec![ahead_ctor(), copy_only]),
+            Err(CoreError::Duplicate { .. })
+        ));
+        assert!(db.constructor_names().is_empty());
     }
 
     #[test]

@@ -125,9 +125,9 @@ pub struct FixpointConfig {
     /// Hard bound on rounds, for non-convergent (unchecked) systems.
     pub max_iterations: usize,
     /// Execute equation bodies with index-nested-loop joins (default).
-    /// `false` forces the reference nested-loop evaluator everywhere —
-    /// the pre-optimization baseline, kept selectable for differential
-    /// tests and benchmark comparisons.
+    /// `false` is the reference configuration: nested-loop evaluation
+    /// everywhere and queries as written ([`crate::compile::rewrite`]),
+    /// kept selectable for differential tests and benchmark comparisons.
     pub use_indexes: bool,
     /// Worker threads, resolved once per solve: `0` (the default) means
     /// "auto" — the `DC_THREADS` environment variable if set, otherwise

@@ -26,7 +26,7 @@
 //!   ([`NamedApplication`]) and the `EXPLAIN` body.
 //! * [`compile`] — §4's query compilation as calculus-to-calculus
 //!   rewrites (range nesting, the bound-argument capture rule), applied
-//!   by [`Database::rewrite`].
+//!   once where a query enters ([`compile::rewrite`]).
 //! * [`paper`] — the paper's definitions, and its §4 analyses of them
 //!   (quant graphs, partitioning).
 

@@ -372,6 +372,10 @@ mod tests {
         let prepared = server
             .prepare_solve("Infront", "gated", &[], vec![])
             .unwrap();
+        // Prepared as the application it names: the rewrite at prepare
+        // does not inline a named application, so it is previewed.
+        let preview = prepared.explain(&server.begin()).unwrap();
+        assert!(preview.text().starts_with("EXPLAIN Infront{gated()}\n└─"));
         let sub = server.subscribe(&prepared).unwrap();
         assert!(sub.recv().unwrap().unwrap().added.is_empty());
         server.commit(&open_gate()).unwrap();

@@ -1,10 +1,11 @@
 //! Prepared queries: a checked expression and its read set.
 //!
-//! [`Server::prepare`](crate::Server::prepare) type-checks a query once
-//! against the frozen catalog definitions and computes its **read
-//! set**: the catalog relations the result can depend on, found by the
-//! solver's own reachability walk ([`dc_core::fixpoint::Reach`]), which
-//! chases selector predicates and constructor bodies.
+//! [`Server::prepare`](crate::Server::prepare) type-checks and rewrites
+//! a query once ([`dc_core::compile::rewrite`]) against the frozen
+//! definitions and computes its **read set**: the catalog relations the
+//! result can depend on, found by the solver's own reachability walk
+//! ([`dc_core::fixpoint::Reach`]), which chases selector predicates and
+//! constructor bodies.
 //! [`Server::prepare_solve`](crate::Server::prepare_solve) is the same
 //! call on the application it names. The resulting [`PreparedQuery`] is
 //! a cheap, clonable, `Send + Sync` handle:
@@ -37,7 +38,7 @@ use crate::session::Session;
 
 /// The shared, immutable compiled form behind [`PreparedQuery`].
 pub(crate) struct Prepared {
-    /// The type-checked expression.
+    /// The type-checked, rewritten expression.
     pub(crate) ast: RangeExpr,
     /// The catalog relations the expression can read; `None` when a
     /// definition could not be resolved, so that it may read anything.
@@ -82,7 +83,7 @@ impl PreparedQuery {
     /// This handle's `EXPLAIN` tree against `session`'s pinned snapshot:
     /// [`Session::explain`] of the prepared expression.
     pub fn explain(&self, session: &Session) -> Result<Explanation, ServerError> {
-        session.explain(&self.inner.ast)
+        session.explain(self)
     }
 }
 

@@ -5,9 +5,9 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 use dc_calculus::ast::Name;
-use dc_calculus::{typeck, EvalError, RangeExpr};
+use dc_calculus::{EvalError, RangeExpr};
 use dc_core::fixpoint::{BaseDelta, Reach, Refusal, SolvedSystem, WarmOutcome};
-use dc_core::{Database, NamedApplication};
+use dc_core::{compile, Database, NamedApplication};
 use dc_governor::fail::{self, Site};
 use dc_governor::{Budget, CancelToken, SolveError};
 use dc_relation::{algebra, Relation};
@@ -138,20 +138,19 @@ impl Server {
     }
 
     /// Compile a range expression into a reusable [`PreparedQuery`]:
-    /// type-checked once against the frozen catalog definitions, with
-    /// the read set standing queries filter commits by. Accepted by
+    /// type-checked and rewritten once ([`dc_core::compile::rewrite`])
+    /// against the frozen catalog definitions, with the read set
+    /// standing queries filter commits by. Accepted by
     /// [`Session::query`] on any session (and any epoch — definitions
-    /// never change under a running server) and by
-    /// [`Server::subscribe`].
+    /// never change under a running server) and by [`Server::subscribe`].
     pub fn prepare(&self, query: &RangeExpr) -> Result<PreparedQuery, ServerError> {
         let session = self.session(self.current_snapshot());
-        typeck::check_range(query, &session)?;
-        let mut reach = Reach::new(session.snapshot().defs());
-        reach.add(query);
-        let inner = Arc::new(Prepared {
-            ast: query.clone(),
-            reads: reach.reads(),
-        });
+        let defs = session.snapshot().defs();
+        let ast = compile::rewrite(defs, &session, query)?;
+        let mut reach = Reach::new(defs);
+        reach.add(&ast);
+        let reads = reach.reads();
+        let inner = Arc::new(Prepared { ast, reads });
         Ok(PreparedQuery { inner })
     }
 

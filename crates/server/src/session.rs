@@ -1,14 +1,15 @@
 //! Snapshot-isolated read sessions.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
 use dc_calculus::ast::{Name, SelectorDef};
-use dc_calculus::typeck::{self, ConstructorSig, SchemaCatalog};
+use dc_calculus::typeck::{ConstructorSig, SchemaCatalog};
 use dc_calculus::{AccessCache, Catalog, EvalError, Evaluator, Explanation, RangeExpr};
 use dc_core::fixpoint::{self, AppKey, BaseDelta, FixpointConfig, SolvedSystem, WarmOutcome};
-use dc_core::{Defs, NamedApplication};
+use dc_core::{compile, Defs, NamedApplication};
 use dc_governor::{Budget, CancelToken};
 use dc_relation::Relation;
 use dc_trace::metrics::{Counter, Histogram};
@@ -105,17 +106,18 @@ impl Session {
 
     /// Evaluate a query against the pinned snapshot.
     ///
-    /// Accepts either a raw [`RangeExpr`] (type-checked here, each
-    /// call) or a [`PreparedQuery`] from
-    /// [`Server::prepare`](crate::Server::prepare) /
-    /// [`Server::prepare_solve`](crate::Server::prepare_solve), whose
-    /// checking was paid once at prepare time and which is reusable
-    /// across sessions and epochs.
+    /// Accepts either a raw [`RangeExpr`] (type-checked and rewritten
+    /// by [`dc_core::compile::rewrite`] here, each call) or a
+    /// [`PreparedQuery`] from [`Server::prepare`](crate::Server::prepare) /
+    /// [`Server::prepare_solve`](crate::Server::prepare_solve), compiled
+    /// once at prepare time and reusable across sessions and epochs.
     pub fn query<Q: Queryable + ?Sized>(&self, query: &Q) -> Result<Relation, ServerError> {
         let t0 = Instant::now();
         let mut span = dc_trace::span(SpanKind::SessionQuery);
         span.field("epoch", self.epoch());
-        let out = query.run(self);
+        let out = query
+            .compiled(self)
+            .and_then(|q| Ok(self.evaluator().eval(&q)?));
         if let Some(m) = &self.defs().config.metrics {
             m.inc(Counter::Queries);
             m.observe_us(Histogram::QueryLatencyUs, t0.elapsed().as_micros() as u64);
@@ -126,17 +128,14 @@ impl Session {
         out
     }
 
-    /// The planner's typed decision trace for `query` against the pinned
-    /// snapshot, rendered as an `EXPLAIN` tree: a static plan preview
-    /// for a named application, the trace of its evaluation for any
-    /// other query (see [`dc_core::explain`]).
-    pub fn explain(&self, query: &RangeExpr) -> Result<Explanation, ServerError> {
-        Ok(dc_core::explain(
-            self.defs(),
-            self,
-            self.evaluator(),
-            query,
-        )?)
+    /// The planner's typed decision trace for `query`, compiled as by
+    /// [`Session::query`], against the pinned snapshot, rendered as an
+    /// `EXPLAIN` tree: a static plan preview for a named application,
+    /// the trace of its evaluation for any other query (see
+    /// [`dc_core::explain`]).
+    pub fn explain<Q: Queryable + ?Sized>(&self, query: &Q) -> Result<Explanation, ServerError> {
+        let q = query.compiled(self)?;
+        Ok(dc_core::explain(self.defs(), self, self.evaluator(), &q)?)
     }
 
     /// The frozen definitions the pinned snapshot shares.
@@ -250,28 +249,28 @@ mod sealed {
     impl Sealed for crate::prepare::PreparedQuery {}
 }
 
-/// The query forms [`Session::query`] accepts: a raw [`RangeExpr`]
-/// (checked per call) or a compiled [`PreparedQuery`] (checked once at
-/// prepare time). Sealed — the set of forms is the serving layer's to
-/// define.
+/// The query forms [`Session::query`] and [`Session::explain`] accept:
+/// a raw [`RangeExpr`] (compiled per call) or a [`PreparedQuery`]
+/// (compiled once at prepare time). Sealed — the set of forms is the
+/// serving layer's to define.
 pub trait Queryable: sealed::Sealed {
-    /// Execute against `session`'s pinned snapshot.
+    /// The type-checked, rewritten expression to run against
+    /// `session`'s pinned snapshot.
     #[doc(hidden)]
-    fn run(&self, session: &Session) -> Result<Relation, ServerError>;
+    fn compiled(&self, session: &Session) -> Result<Cow<'_, RangeExpr>, ServerError>;
 }
 
 impl Queryable for RangeExpr {
-    fn run(&self, session: &Session) -> Result<Relation, ServerError> {
-        typeck::check_range(self, session)?;
-        Ok(session.evaluator().eval(self)?)
+    fn compiled(&self, session: &Session) -> Result<Cow<'_, RangeExpr>, ServerError> {
+        Ok(Cow::Owned(compile::rewrite(session.defs(), session, self)?))
     }
 }
 
 impl Queryable for PreparedQuery {
-    /// Checked at prepare time against the same frozen definitions
-    /// every snapshot shares; evaluated directly.
-    fn run(&self, session: &Session) -> Result<Relation, ServerError> {
-        Ok(session.evaluator().eval(&self.inner.ast)?)
+    /// Compiled at prepare time against the same frozen definitions
+    /// every snapshot shares.
+    fn compiled(&self, _: &Session) -> Result<Cow<'_, RangeExpr>, ServerError> {
+        Ok(Cow::Borrowed(&self.inner.ast))
     }
 }
 

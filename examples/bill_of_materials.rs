@@ -3,9 +3,10 @@
 //! through the one engine:
 //!
 //! 1. the full transitive containment by the general fixpoint (§3.2),
-//! 2. a *bound* query ("which parts go into assembly X?") after the §4
-//!    rewrite that propagates the constant into the constructor — the
-//!    engine then solves only the cone under X.
+//! 2. a *bound* query ("which parts go into assembly X?"), which
+//!    `Database::eval` rewrites by §4 — the constant is propagated into
+//!    the constructor's seeded variant, defined beside it — so the
+//!    engine solves only the cone under X.
 //!
 //! Repeated lookups then show what §4 calls access paths: the rewritten
 //! query with its constant is the logical one, the engine's solved memo
@@ -60,9 +61,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         full_work.delta_tuples
     );
 
-    // 2. Bound query: the parts explosion of `root`. The rewrite turns
-    //    the selection over the closure into an application of the
-    //    seeded constructor, which the same engine evaluates.
+    // 2. Bound query: the parts explosion of `root`. `Database::eval`
+    //    turns the selection over the closure into an application of
+    //    the seeded constructor, which the same engine evaluates.
     let explosion_of = |assembly: &str| {
         set_former(vec![Branch::each(
             "p",
@@ -70,13 +71,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             eq(attr("p", "assembly"), cnst(assembly)),
         )])
     };
-    let rewritten = db.rewrite(&explosion_of("root"))?;
-    println!("{} rewrites to {rewritten}", explosion_of("root"));
-    // A named application: `EXPLAIN` previews the seeded constructor's
-    // plan without solving it.
-    let explanation = db.explain(&rewritten)?;
+    // `EXPLAIN` shows the rewritten query, a named application: it
+    // previews the seeded constructor's plan without solving it.
+    let explanation = db.explain(&explosion_of("root"))?;
     assert!(explanation.access_paths().count() >= 1, "{explanation}");
-    let root_parts = db.eval(&rewritten)?;
+    let root_parts = db.eval(&explosion_of("root"))?;
     let bound_work = db.metrics().snapshot();
     println!(
         "parts under `root`: {} ({} delta tuples vs {} for the full closure)",
@@ -85,8 +84,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         full_work.delta_tuples
     );
     println!("{explanation}");
-    // Cross-check against filtering the full closure.
-    assert_eq!(root_parts, db.eval(&explosion_of("root"))?);
+    // Cross-check against filtering the full closure: the query as
+    // written, through the evaluator.
+    assert_eq!(root_parts, db.evaluator().eval(&explosion_of("root"))?);
     assert!(bound_work.delta_tuples - full_work.delta_tuples < full_work.delta_tuples);
 
     // Repeated lookups: a new seed is one more solve, the same seed
@@ -96,9 +96,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .into_iter()
         .enumerate()
     {
-        let q = db.rewrite(&explosion_of(seed))?;
         let before = db.metrics().snapshot().solve_runs;
-        let answer = db.eval(&q)?;
+        let answer = db.eval(&explosion_of(seed))?;
         let solves = db.metrics().snapshot().solve_runs - before;
         println!(
             "  lookup {i} ({seed}): {} components [{}]",

@@ -436,8 +436,8 @@ fn multi_binding_join_views_decorrelate_soundly() {
                 all("t", view.clone(), body.clone())
             };
             let q = set_former(vec![Branch::each("r", rel("Infront"), pred)]);
-            let probed = db.eval_unchecked(&q);
-            let scanned = db_scan.eval_unchecked(&q);
+            let probed = db.evaluator().eval(&q);
+            let scanned = db_scan.evaluator().eval(&q);
             match (probed, scanned) {
                 (Ok(p), Ok(s)) => assert_eq!(p, s, "{q}"),
                 (p, s) => panic!("divergent outcomes on {q}: {p:?} vs {s:?}"),

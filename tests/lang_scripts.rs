@@ -194,9 +194,9 @@ fn syntax_odds_and_ends() {
 }
 
 /// Queries against scripts interoperate with the Rust API: a query
-/// over a script-defined constructor goes through the §4 rewrites and
-/// the rewritten query, under `Database::eval`, agrees with the
-/// original under the nested-loop reference.
+/// over a script-defined constructor — through `Database::eval` and
+/// through a script's `QUERY` — is rewritten by §4 where it enters, and
+/// agrees with the query as written under the nested-loop reference.
 #[test]
 fn script_then_rewritten_query() {
     let mut db = Database::new();
@@ -216,19 +216,23 @@ fn script_then_rewritten_query() {
         "#,
     )
     .unwrap();
-    for (text, expected) in [
-        ("Infront{ahead()}", 3),
-        (r#"{EACH a IN Infront{ahead()}: a.head = "x"}"#, 2),
+    // The script's definition defined the seeded variant.
+    assert!(db.constructor_ref("ahead$seeded").is_ok());
+    for (text, expected, seeded) in [
+        ("Infront{ahead()}", 3, false),
+        (r#"{EACH a IN Infront{ahead()}: a.head = "x"}"#, 2, true),
     ] {
         let q = dc_lang::parser::parse_expr(text).unwrap();
         let reference = db.evaluator().force_nested_loop().eval(&q).unwrap();
-        let rewritten = db.rewrite(&q).unwrap();
-        assert_eq!(
-            db.eval(&rewritten).unwrap(),
-            reference,
-            "{text} → {rewritten}"
-        );
+        assert_eq!(db.eval(&q).unwrap(), reference, "{text}");
+        let scripted = run_script(&mut db, &format!("QUERY {text};")).unwrap();
+        assert_eq!(scripted[0].relation, reference, "{text}");
         assert_eq!(reference.len(), expected);
+        let explained = db.explain(&q).unwrap();
+        assert_eq!(
+            explained.text().contains("ahead$seeded"),
+            seeded,
+            "{explained}"
+        );
     }
-    assert!(db.constructor_ref("ahead$seeded").is_ok());
 }

@@ -52,18 +52,11 @@ fn bound(range: RangeExpr, attr_name: &str, seed: u8) -> RangeExpr {
     dc_bench::bound_query(range, attr_name, cnst(format!("n{seed}")))
 }
 
-/// The §4-rewritten query under `Database::eval` ≡ the original under
-/// the nested-loop reference.
-fn rewrite_agrees(db: &mut Database, q: &RangeExpr) {
+/// `Database::eval`, which rewrites the query by §4 where it enters, ≡
+/// the query as written under the nested-loop reference.
+fn rewrite_agrees(db: &Database, q: &RangeExpr) {
     let reference = db.evaluator().force_nested_loop().eval(q).unwrap();
-    let rewritten = db.rewrite(q).unwrap();
-    prop_assert_eq!(
-        db.eval(&rewritten).unwrap(),
-        reference,
-        "{} → {}",
-        q,
-        rewritten
-    );
+    prop_assert_eq!(db.eval(q).unwrap(), reference, "{}", q);
 }
 
 proptest! {
@@ -95,9 +88,9 @@ proptest! {
     fn rewritten_query_agrees(base in edges_strategy(), seed in 0u8..10) {
         let mut db = ahead_db(&base, FixpointStrategy::SemiNaive);
         db.define_constructor(paper::ahead2()).unwrap();
-        rewrite_agrees(&mut db, &rel("Infront").construct("ahead", vec![]));
+        rewrite_agrees(&db, &rel("Infront").construct("ahead", vec![]));
         let ahead2 = rel("Infront").construct("ahead2", vec![]);
-        rewrite_agrees(&mut db, &bound(ahead2, "front", seed));
+        rewrite_agrees(&db, &bound(ahead2, "front", seed));
     }
 
     /// The translated Horn program (tabled, which terminates on
@@ -130,11 +123,11 @@ proptest! {
     /// answer) — and a bound tail is left to the full closure.
     #[test]
     fn pushdown_sound(base in edges_strategy()) {
-        let mut db = ahead_db(&base, FixpointStrategy::SemiNaive);
+        let db = ahead_db(&base, FixpointStrategy::SemiNaive);
         let ahead = || rel("Infront").construct("ahead", vec![]);
         for seed in 0u8..10 {
-            rewrite_agrees(&mut db, &bound(ahead(), "head", seed));
-            rewrite_agrees(&mut db, &bound(ahead(), "tail", seed));
+            rewrite_agrees(&db, &bound(ahead(), "head", seed));
+            rewrite_agrees(&db, &bound(ahead(), "tail", seed));
         }
     }
 

@@ -280,6 +280,45 @@ fn a_query_over_an_application_is_cold_but_delta_exact() {
     }
 }
 
+/// A bound query over the closure is rewritten at prepare into the
+/// seeded application: served, it solves only the cone of its constant,
+/// and its subscription is maintained warm like any named application.
+#[test]
+fn a_bound_query_is_served_on_its_cone_and_refreshed_warm() {
+    const DEPTH: usize = 32;
+    let _guard = FailpointsGuard::arm("");
+    let db = dc_bench::ahead_db(&dc_bench::many_chains(64, DEPTH), Strategy::SemiNaive);
+    let server = Server::new(db);
+    let q = dc_bench::bound_query(
+        dc_bench::ahead_query(),
+        "head",
+        dc_calculus::builder::cnst("c0_0"),
+    );
+    let prepared = server.prepare(&q).unwrap();
+    assert_eq!(prepared.reads(), vec!["Infront"]);
+    let (cone, work) = dc_bench::counted(&server.metrics(), || {
+        server.begin().query(&prepared).unwrap()
+    });
+    assert_eq!(cone.len(), DEPTH);
+    assert!(
+        work.delta_tuples <= 4 * DEPTH as u64,
+        "served query carried {} delta tuples for a cone of {DEPTH}",
+        work.delta_tuples
+    );
+
+    let sub = server.subscribe(&prepared).unwrap();
+    assert_eq!(next_update(&sub, 0).added, cone);
+    let (epoch, work) = dc_bench::counted(&server.metrics(), || {
+        let batch = WriteBatch::new().insert("Infront", tuple![format!("c0_{DEPTH}"), "w"]);
+        server.commit(&batch).unwrap()
+    });
+    let up = next_update(&sub, epoch);
+    assert!(up.warm, "a seeded application refreshes warm");
+    assert_eq!(work.refresh_warm, 1);
+    assert_eq!(up.added.sorted_tuples(), vec![tuple!["c0_0", "w"]]);
+    assert!(up.removed.is_empty());
+}
+
 // ---------------------------------------------------------------------
 // (e) Fault injection on the warm path
 // ---------------------------------------------------------------------
