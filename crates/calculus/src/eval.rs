@@ -156,6 +156,18 @@ pub struct Evaluator<'a> {
     metrics: Option<std::sync::Arc<MetricsRegistry>>,
 }
 
+/// The planner trace still held when an evaluator drops becomes `plan`
+/// trace events, under the span open on the dropping thread: a one-shot
+/// evaluation's events. A solver round takes its tasks' events first,
+/// and reports each decision once per solve.
+impl Drop for Evaluator<'_> {
+    fn drop(&mut self) {
+        for ev in &self.plan_events {
+            dc_trace::event(SpanKind::Plan, || (ev.to_string(), Vec::new()));
+        }
+    }
+}
+
 impl<'a> Evaluator<'a> {
     /// Create an evaluator over a catalog.
     pub fn new(catalog: &'a dyn Catalog) -> Evaluator<'a> {
@@ -210,17 +222,16 @@ impl<'a> Evaluator<'a> {
         &self.plan_events
     }
 
-    /// Drain the typed planner trace — see [`Evaluator::plan_events`].
+    /// Drain the typed planner trace — see [`Evaluator::plan_events`] —
+    /// so the evaluator does not emit it when it drops.
     pub fn take_plan_events(&mut self) -> Vec<PlanEvent> {
         self.access_sites.clear();
         std::mem::take(&mut self.plan_events)
     }
 
-    /// Record a demotion/refusal event — once per distinct value — and
-    /// emit it as a `plan` trace event when a trace sink is armed.
+    /// Record a demotion/refusal event — once per distinct value.
     fn plan_event(&mut self, ev: PlanEvent) {
         if !self.plan_events.contains(&ev) {
-            dc_trace::event(SpanKind::Plan, || (ev.to_string(), Vec::new()));
             self.plan_events.push(ev);
         }
     }
@@ -268,16 +279,15 @@ impl<'a> Evaluator<'a> {
                 .and_then(|c| c.distinct)
                 .or_else(|| compiled.steps.iter().find_map(held))
         };
-        let ev = PlanEvent::access_path_for(
+        let cards: Vec<Option<usize>> = cards.iter().copied().map(Some).collect();
+        self.plan_events.push(PlanEvent::access_path_for(
             branch,
             plan,
             Some(&compiled.realised),
             schemas,
-            cards,
+            &cards,
             known,
-        );
-        dc_trace::event(SpanKind::Plan, || (ev.to_string(), Vec::new()));
-        self.plan_events.push(ev);
+        ));
     }
 
     /// Evaluate a closed range expression (a query).

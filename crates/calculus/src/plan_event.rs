@@ -26,13 +26,15 @@ pub struct AccessStep {
     pub var: String,
     /// Attributes probed through a hash index; empty means a scan.
     pub probe_attrs: Vec<String>,
-    /// Range cardinality.
-    pub cardinality: usize,
+    /// Range cardinality; `None` when the planner does not know it (a
+    /// static preview's range that is not a catalog relation).
+    pub cardinality: Option<usize>,
     /// Product of the probed columns' `1/distinct` selectivities (1.0
     /// for a scan, and for a column whose count is not at hand).
     pub selectivity: f64,
-    /// `cardinality × selectivity` — the ordering key.
-    pub estimate: f64,
+    /// `cardinality × selectivity` — the ordering key; `None` with the
+    /// cardinality.
+    pub estimate: Option<f64>,
 }
 
 impl AccessStep {
@@ -69,8 +71,9 @@ pub enum PlanEvent {
         /// every top-level conjunct no realised probe key decides,
         /// rendered in source order and joined by `AND` — or `TRUE`.
         residual: String,
-        /// System-R estimate of rows the whole branch emits.
-        estimated_rows: f64,
+        /// System-R estimate of rows the whole branch emits; `None` when
+        /// a range's cardinality is unknown.
+        estimated_rows: Option<f64>,
     },
     /// A quantifier-probe atom, or a whole correlated quantifier, fell
     /// back to the residual scan.
@@ -101,7 +104,8 @@ impl PlanEvent {
     /// (the evaluator passes its compiled plan's, so a demoted key shows
     /// up in the residual); `None` takes every planned probe atom as
     /// realised — the static preview's view, which compiles nothing.
-    /// `cards` are the ranges' cardinalities; `known` answers a
+    /// `cards` are the ranges' cardinalities (`None`: unknown, and so is
+    /// every estimate built on it); `known` answers a
     /// (position, column) distinct count only from counts the plan
     /// already holds — the ones the planner asked for, the indexes of
     /// its probe steps — so rendering never builds an index.
@@ -110,7 +114,7 @@ impl PlanEvent {
         plan: &BranchPlan,
         realised: Option<&[&EqAtom]>,
         schemas: &[&Schema],
-        cards: &[usize],
+        cards: &[Option<usize>],
         known: impl Fn(usize, usize) -> Option<usize>,
     ) -> PlanEvent {
         let planned: Vec<&EqAtom>;
@@ -158,14 +162,19 @@ impl PlanEvent {
                     probe_attrs: probed.iter().map(|a| a.attr.clone()).collect(),
                     cardinality: cards[p],
                     selectivity,
-                    estimate: cards[p] as f64 * selectivity,
+                    estimate: cards[p].map(|card| card as f64 * selectivity),
                 }
             })
             .collect();
+        let estimated_rows = cards
+            .iter()
+            .copied()
+            .collect::<Option<Vec<usize>>>()
+            .map(|cards| joinplan::estimate_branch_rows(branch, schemas, &cards, known));
         PlanEvent::AccessPath {
             steps,
             residual,
-            estimated_rows: joinplan::estimate_branch_rows(branch, schemas, cards, known),
+            estimated_rows,
         }
     }
 }
@@ -178,29 +187,28 @@ impl fmt::Display for PlanEvent {
                 residual,
                 estimated_rows,
             } => {
+                // An unknown number renders as `?`, never as a guess.
+                let num = |n: Option<f64>| n.map_or("?".to_string(), |n| format!("{n:.0}"));
                 write!(f, "access path:")?;
                 for step in steps {
+                    let card = num(step.cardinality.map(|c| c as f64));
+                    let est = num(step.estimate);
                     if step.is_probe() {
                         write!(
                             f,
-                            " probe {} on [{}] (card={}, sel={:.3}, est={:.0});",
+                            " probe {} on [{}] (card={card}, sel={:.3}, est={est});",
                             step.var,
                             step.probe_attrs.join(", "),
-                            step.cardinality,
                             step.selectivity,
-                            step.estimate
                         )?;
                     } else {
-                        write!(
-                            f,
-                            " scan {} (card={}, est={:.0});",
-                            step.var, step.cardinality, step.estimate
-                        )?;
+                        write!(f, " scan {} (card={card}, est={est});", step.var)?;
                     }
                 }
                 write!(
                     f,
-                    " residual {residual}; branch est={estimated_rows:.0} rows"
+                    " residual {residual}; branch est={} rows",
+                    num(*estimated_rows)
                 )
             }
             PlanEvent::QuantDemotion {
@@ -332,17 +340,17 @@ mod tests {
                 position: 0,
                 var: "f".to_string(),
                 probe_attrs: vec![],
-                cardinality: 100,
+                cardinality: Some(100),
                 selectivity: 1.0,
-                estimate: 100.0,
+                estimate: Some(100.0),
             },
             AccessStep {
                 position: 1,
                 var: "b".to_string(),
                 probe_attrs: vec!["front".to_string()],
-                cardinality: 100,
+                cardinality: Some(100),
                 selectivity: 0.02,
-                estimate: 2.0,
+                estimate: Some(2.0),
             },
         ];
         let ex = Explanation::new(
@@ -351,7 +359,7 @@ mod tests {
             vec![PlanEvent::AccessPath {
                 steps,
                 residual: "TRUE".to_string(),
-                estimated_rows: 200.0,
+                estimated_rows: Some(200.0),
             }],
         );
         assert!(ex.text().contains("EXPLAIN q"));

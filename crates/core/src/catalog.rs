@@ -218,8 +218,10 @@ impl<'a> NamedApplication<'a> {
 /// scalar argument outside its parameter's domain) raises the error its
 /// evaluation would. A range that is not a catalog relation
 /// (a recursive application, a nested set-former) plans with its
-/// checked schema and nothing known. Any other query is evaluated with
-/// `ev`: the trace is what evaluation did, plus the result cardinality.
+/// checked schema and nothing known: its cardinality, and every
+/// estimate built on it, renders as `?`. Any other query is evaluated
+/// with `ev`: the trace is what evaluation did, plus the result
+/// cardinality.
 pub fn explain<C: Catalog + SchemaCatalog>(
     defs: &Defs,
     cat: &C,
@@ -228,7 +230,8 @@ pub fn explain<C: Catalog + SchemaCatalog>(
 ) -> Result<Explanation, EvalError> {
     let (rows, events) = match NamedApplication::of(query) {
         Some(app) => (None, preview(defs, cat, &app)?),
-        None => (Some(ev.eval(query)?.len()), ev.take_plan_events()),
+        // Copied, not taken: `ev` emits its trace as any evaluation does.
+        None => (Some(ev.eval(query)?.len()), ev.plan_events().to_vec()),
     };
     Ok(Explanation::new(&query.to_string(), rows, events))
 }
@@ -258,17 +261,18 @@ fn preview<C: Catalog + SchemaCatalog>(
                 Some(rel) => rel.schema().clone(),
                 None => typeck::check_range(range, cat)?,
             });
-            cards.push(rel.as_ref().map_or(0, Relation::len));
+            cards.push(rel.as_ref().map(Relation::len));
             named.push(rel);
         }
         let schemas: Vec<&Schema> = schemas.iter().collect();
+        let planned: Vec<usize> = cards.iter().map(|c| c.unwrap_or(0)).collect();
         // Only the counts of indexes already cached: a column without
         // one is unknown.
         let cached = |p: usize, column: usize| {
             let rel = named[p].as_ref()?;
             Some(cat.access()?.cached(rel, &[column])?.distinct_keys())
         };
-        let (plan, _) = joinplan::plan_branch(branch, &schemas, &cards, cached);
+        let (plan, _) = joinplan::plan_branch(branch, &schemas, &planned, cached);
         events.push(PlanEvent::access_path_for(
             branch, &plan, None, &schemas, &cards, cached,
         ));

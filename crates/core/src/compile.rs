@@ -178,15 +178,12 @@ pub fn push_predicate(
     Some(SetFormer { branches })
 }
 
-/// Range nesting of `query`: [`inline_applications`], then, for a
-/// single-binding query `{EACH var IN range: pred}`, [`push_predicate`]
-/// into the inlined range, whose result attribute names come from its
-/// schema in `schemas`. Returns an equivalent query.
-pub fn nest(
-    defs: &Defs,
-    schemas: &dyn SchemaCatalog,
-    query: &RangeExpr,
-) -> Result<RangeExpr, EvalError> {
+/// Range nesting of `query`, whose type-checked result schema is
+/// `schema`: [`inline_applications`], then, for a single-binding query
+/// `{EACH var IN range: pred}`, [`push_predicate`] into the inlined
+/// range. Such a query's result schema is its range's, so `schema`
+/// names the range's attributes. Returns an equivalent query.
+pub fn nest(defs: &Defs, schema: &Schema, query: &RangeExpr) -> Result<RangeExpr, EvalError> {
     let RangeExpr::SetFormer(SetFormer { branches }) = query else {
         return inline_applications(defs, query);
     };
@@ -200,7 +197,6 @@ pub fn nest(
     let [(var, range)] = b.bindings.as_slice() else {
         return inline_applications(defs, query);
     };
-    let schema = typeck::check_range(range, schemas)?;
     let names: Vec<String> = schema.attributes().iter().map(|a| a.name.clone()).collect();
     let inlined = inline_applications(defs, range)?;
     if let RangeExpr::SetFormer(inner) = &inlined {
@@ -376,7 +372,7 @@ pub fn rewrite(
     schemas: &dyn SchemaCatalog,
     query: &RangeExpr,
 ) -> Result<RangeExpr, EvalError> {
-    typeck::check_range(query, schemas)?;
+    let schema = typeck::check_range(query, schemas)?;
     if !defs.config.use_indexes {
         return Ok(query.clone());
     }
@@ -384,7 +380,7 @@ pub fn rewrite(
     if NamedApplication::of(&query).is_some() {
         return Ok(query);
     }
-    nest(defs, schemas, &query)
+    nest(defs, &schema, &query)
 }
 
 #[cfg(test)]
@@ -460,7 +456,8 @@ mod tests {
             rel("Infront").construct("ahead2", vec![]),
             eq(attr("r", "front"), cnst("vase")),
         )]);
-        let rewritten = nest(&db.defs, &db, &q).unwrap();
+        let schema = typeck::check_range(&q, &db).unwrap();
+        let rewritten = nest(&db.defs, &schema, &q).unwrap();
         // The rewrite distributed the predicate over both branches
         // (Case 3) substituting target expressions (Case 2).
         match &rewritten {

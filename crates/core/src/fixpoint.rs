@@ -66,6 +66,12 @@
 //! directly from any thread, and the commit site
 //! [`AccessCache::advance`]s each grown equation value.
 //!
+//! A round is one `round` trace record, its stages fields of it
+//! (`prep_us` with the freeze, `evaluate_us`, `commit_us` with the
+//! replay), its branch tasks nested under it. The replay emits a task's
+//! access path when its branch is first planned and when the path's
+//! steps change, and each distinct demotion once per solve.
+//!
 //! A panic anywhere inside a solve is caught at the solver's entry and
 //! returned as a structured [`SolveError::WorkerPanic`].
 
@@ -77,7 +83,7 @@ use std::time::Instant;
 use dc_calculus::ast::{Branch, CmpOp, Formula, Name, RangeExpr, ScalarExpr, SetFormer, Target};
 use dc_calculus::env::Overlay;
 use dc_calculus::rewrite;
-use dc_calculus::{AccessCache, Catalog, EvalError, Evaluator};
+use dc_calculus::{AccessCache, Catalog, EvalError, Evaluator, PlanEvent};
 use dc_governor::fail::{self, Site};
 use dc_governor::{Budget, Meter, SolveDiag, SolveError};
 use dc_relation::{algebra, Relation};
@@ -420,7 +426,7 @@ struct ExecKnobs {
     /// The armed budget gauge: one per solve, shared (clones share
     /// counters) by the solver loop and every branch evaluator, on
     /// whichever thread it runs. Always armed — an unlimited meter
-    /// never trips but keeps the scheduler counters the solve records.
+    /// never trips but counts the tuples a solve's diagnostics report.
     budget: Meter,
 }
 
@@ -751,13 +757,67 @@ enum Rule {
     Collect,
 }
 
-/// Per-solve totals that outlive one call of [`Solver::rounds`].
+/// Per-solve totals that outlive one call of [`Solver::rounds`]. Kept
+/// on the solver thread; [`Solver::finish`] writes the counts to the
+/// metrics registry.
 #[derive(Default)]
 struct Tally {
     rounds: usize,
     delta_tuples: u64,
+    /// Round tasks dispatched to the worker pool.
+    parallel_branches: u64,
+    /// Round tasks evaluated inline on the solver thread.
+    sequential_branches: u64,
+    /// Distinct equations whose tasks shared a dispatched round.
+    parallel_equations: u64,
+    /// Dispatched tasks that panicked and completed on the inline retry.
+    degraded: u64,
     /// The root's accumulated additions — `Some` for warm runs only.
     added: Option<Relation>,
+    /// What the solve has reported to the trace.
+    plans: PlanLog,
+}
+
+/// An access path's steps: each position with the attributes it probes.
+type Steps = Vec<(usize, Vec<String>)>;
+
+/// The planner decisions a solve has emitted as `plan` trace events.
+#[derive(Default)]
+struct PlanLog {
+    /// The steps (position, probed attributes) of the access path last
+    /// emitted, per (equation, branch, ordinal of the path among the
+    /// branch's paths in its round).
+    paths: FxHashMap<(usize, usize, usize), Steps>,
+    demotions: Vec<PlanEvent>,
+    /// Paths replayed so far this round, per (equation, branch).
+    nth: FxHashMap<(usize, usize), usize>,
+}
+
+impl PlanLog {
+    /// Emit the events of `task`'s evaluator that are new to the solve:
+    /// an access path whose steps differ from the last one emitted in
+    /// its place, a demotion not emitted before.
+    fn report(&mut self, task: &BranchTask, events: Vec<PlanEvent>) {
+        for ev in events {
+            let new = match &ev {
+                PlanEvent::AccessPath { steps, .. } => {
+                    let nth = self.nth.entry((task.eq, task.branch)).or_default();
+                    *nth += 1;
+                    let steps = steps.iter().map(|s| (s.position, s.probe_attrs.clone()));
+                    let last = self.paths.entry((task.eq, task.branch, *nth)).or_default();
+                    std::mem::replace(last, steps.collect()) != *last // old != new
+                }
+                _ if self.demotions.contains(&ev) => false,
+                _ => {
+                    self.demotions.push(ev.clone());
+                    true
+                }
+            };
+            if new {
+                dc_trace::event(SpanKind::Plan, || (ev.to_string(), Vec::new()));
+            }
+        }
+    }
 }
 
 /// Binding positions of one branch, each with the tuples bound there.
@@ -788,8 +848,9 @@ struct Solver<'s> {
     access: Arc<AccessCache>,
     /// The strategy decision, made once per solve in [`Solver::new`].
     naive: bool,
-    /// Open for the whole solve; rounds, phases, and branch tasks nest
-    /// under it (branch tasks via an explicit parent when dispatched).
+    /// Open for the whole solve; its rounds nest under it, and each
+    /// round's branch tasks and `plan` events under the round (branch
+    /// tasks via an explicit parent when dispatched).
     span: dc_trace::Span,
     t0: Instant,
 }
@@ -1096,7 +1157,7 @@ impl<'s> Solver<'s> {
     /// half of [`solve_warm`], in its three DRed phases (over-delete,
     /// remove, re-derive) when the plan deletes anything, and as the
     /// plain insert round otherwise.
-    fn maintain(self, plan: WarmPlan) -> Result<Converged, EvalError> {
+    fn maintain(mut self, plan: WarmPlan) -> Result<Converged, EvalError> {
         let mut tally = Tally {
             added: Some(Relation::new(
                 self.state.borrow().equations[0].result.clone(),
@@ -1131,7 +1192,11 @@ impl<'s> Solver<'s> {
                 seeds
             };
             self.rounds(Some(seeds), Rule::Collect, &mut tally)?;
+            let removing = self.span.recording().then(Instant::now);
             self.remove_doomed();
+            if let Some(t) = removing {
+                self.span.field("remove_us", t.elapsed().as_micros() as u64);
+            }
         }
         // Re-derive: the head-restricted round over every branch of an
         // equation that lost tuples, in one round with the inserted
@@ -1164,7 +1229,6 @@ impl<'s> Solver<'s> {
     /// indexes cached over the value shrink with it, in
     /// [`AccessCache::advance`] — O(|D|), nothing is rebuilt.
     fn remove_doomed(&self) {
-        let _remove_span = phase_span("remove");
         let mut st = self.state.borrow_mut();
         for i in 0..st.equations.len() {
             if st.doomed[i].is_empty() {
@@ -1208,7 +1272,6 @@ impl<'s> Solver<'s> {
         tally: &mut Tally,
     ) -> Result<(), EvalError> {
         let knobs = &self.knobs;
-        let meter = knobs.budget.clone();
         let mut prev: Option<Vec<Relation>> = None;
         let mut prev2: Option<Vec<Relation>> = None;
         loop {
@@ -1226,6 +1289,7 @@ impl<'s> Solver<'s> {
                     diag: self.diag(rounds - 1, vec![note]),
                 }));
             }
+            // The round's one trace record: its stages are laps.
             let mut round_span = dc_trace::span(SpanKind::Round);
             round_span.field("round", rounds);
             // ---- Prep (solver thread): everything that reads solver
@@ -1233,7 +1297,6 @@ impl<'s> Solver<'s> {
             // stages its round result under its declared schema: the new
             // tuples (semi-naive), the whole new value (naive), or the
             // newly over-deleted tuples.
-            let prep_span = phase_span("prep");
             let n = self.state.borrow().equations.len();
             let tasks = first.take().unwrap_or_else(|| {
                 let mut tasks = Vec::new();
@@ -1255,12 +1318,10 @@ impl<'s> Solver<'s> {
                 };
                 (st.current.clone(), doomed, fresh)
             };
-            drop(prep_span);
             // ---- Freeze. Everything a branch task reads, at one round.
-            let snap = {
-                let _freeze_span = phase_span("freeze");
-                self.state.borrow().freeze()
-            };
+            let snap = self.state.borrow().freeze();
+            round_span.field("tasks", tasks.len());
+            round_span.lap("prep_us");
             // ---- Dispatch. Batch the round's tasks onto workers when the
             // parallelism can pay — at least two tasks whose scan side
             // clears the parallel threshold — otherwise run them inline in
@@ -1272,49 +1333,54 @@ impl<'s> Solver<'s> {
                 .filter(|t| t.weight >= self.knobs.cfg.parallel_threshold)
                 .count();
             let dispatch = self.knobs.threads > 1 && tasks.len() >= 2 && eligible >= 2;
-            let eval_span = phase_span("evaluate");
-            let eval_parent = eval_span.id();
             let workers = if dispatch {
-                meter.add_parallel_branches(tasks.len() as u64);
+                tally.parallel_branches += tasks.len() as u64;
                 let mut eqs: Vec<usize> = tasks.iter().map(|t| t.eq).collect();
                 eqs.sort_unstable();
                 eqs.dedup();
                 if eqs.len() >= 2 {
-                    meter.add_parallel_equations(eqs.len() as u64);
+                    tally.parallel_equations += eqs.len() as u64;
                 }
                 knobs.threads
             } else {
-                meter.add_sequential_branches(tasks.len() as u64);
+                tally.sequential_branches += tasks.len() as u64;
                 1
             };
-            let parent = dispatch.then_some(eval_parent);
-            let results =
-                pool::run_tasks(&tasks, workers, |_, t| run_task(&snap, knobs, t, parent));
-            drop(eval_span);
+            let round = round_span.id();
+            let results = pool::run_tasks(&tasks, workers, |_, t| run_task(&snap, knobs, t, round));
+            round_span.field("workers", workers);
+            round_span.lap("evaluate_us");
             // ---- Replay + stage (solver thread, task order — the
             // sequential evaluation order). Replay each task's
-            // registrations, then absorb its value; a worker panic
-            // degrades that one task to an inline sequential retry.
-            let commit_span = phase_span("replay+commit");
+            // registrations and report its planner decisions, then
+            // absorb its value; a worker panic degrades that one task to
+            // an inline sequential retry.
+            let tracing = round_span.recording();
+            tally.plans.nth.clear();
             for (task, result) in tasks.iter().zip(results) {
                 let outcome = match result {
                     Ok(outcome) => outcome,
                     Err(ExecError::WorkerPanic) => {
-                        let retry = run_task(&snap, &self.knobs, task, None);
+                        let retry = run_task(&snap, &self.knobs, task, round);
                         if retry.is_ok() {
-                            meter.note_degraded();
+                            tally.degraded += 1;
                         }
                         retry
                     }
                     Err(ExecError::FaultInjected(f)) => Err(f.into()),
                 };
                 let value = &round_current[task.eq];
+                let plans = &mut tally.plans;
                 outcome
                     .and_then(
                         |TaskOutcome {
                              value: part,
                              effects,
+                             events,
                          }| {
+                            if tracing {
+                                plans.report(task, events);
+                            }
                             for app in effects {
                                 self.enter(app, None)?;
                             }
@@ -1344,7 +1410,7 @@ impl<'s> Solver<'s> {
             // caller-visible relation untouched).
             fail::check(Site::DeltaCommit)?;
             let changed = self.commit(fresh, rule, tally)?;
-            drop(commit_span);
+            round_span.lap("commit_us");
             let grew = self.state.borrow().equations.len() > n;
             if !changed && !grew {
                 return Ok(());
@@ -1352,7 +1418,7 @@ impl<'s> Solver<'s> {
             // Round boundary: unconditional deadline/cancellation reads plus
             // the budget's round ceiling. Checked only when another round is
             // coming — a solve that just converged is a result, not a trip.
-            meter.check_round(rounds as u64).map_err(|trip| {
+            knobs.budget.check_round(rounds as u64).map_err(|trip| {
                 let mut se = SolveError::from_trip(trip);
                 let notes = std::mem::take(&mut se.diag_mut().notes);
                 *se.diag_mut() = self.diag(rounds, notes);
@@ -1376,7 +1442,6 @@ impl<'s> Solver<'s> {
 
     /// Record the solve's metrics and capture the converged system.
     fn finish(self, tally: Tally) -> Result<Converged, EvalError> {
-        let meter = self.knobs.budget.clone();
         let Solver {
             state,
             knobs,
@@ -1391,10 +1456,10 @@ impl<'s> Solver<'s> {
             m.add(Counter::SolveRounds, tally.rounds as u64);
             m.add(Counter::SolveEquations, equations as u64);
             m.add(Counter::DeltaTuples, tally.delta_tuples);
-            m.add(Counter::ParallelBranches, meter.parallel_branches());
-            m.add(Counter::SequentialBranches, meter.sequential_branches());
-            m.add(Counter::ParallelEquations, meter.parallel_equations());
-            m.add(Counter::DegradedBranches, meter.degraded());
+            m.add(Counter::ParallelBranches, tally.parallel_branches);
+            m.add(Counter::SequentialBranches, tally.sequential_branches);
+            m.add(Counter::ParallelEquations, tally.parallel_equations);
+            m.add(Counter::DegradedBranches, tally.degraded);
             m.observe_us(Histogram::SolveLatencyUs, t0.elapsed().as_micros() as u64);
             crate::record_interned(m);
         }
@@ -1584,12 +1649,6 @@ impl Catalog for Solver<'_> {
     }
 }
 
-/// A `Phase` span for one of the round's four stages ("prep",
-/// "freeze", "evaluate", "replay+commit").
-fn phase_span(name: &'static str) -> dc_trace::Span {
-    dc_trace::span(SpanKind::Phase).name_with(|| name.to_string())
-}
-
 /// Internal marker name for delta injection; not expressible in DBPL
 /// source, so it cannot clash with user names.
 const DELTA_MARKER: &str = "\u{394}delta";
@@ -1647,10 +1706,12 @@ struct BranchTask {
 }
 
 /// What a branch task returns: the computed value plus what the solver
-/// must replay — the applications the snapshot catalog saw first.
+/// must replay — the applications the snapshot catalog saw first, and
+/// the evaluator's planner decisions, for [`PlanLog::report`].
 struct TaskOutcome {
     value: Relation,
     effects: Vec<Application>,
+    events: Vec<PlanEvent>,
 }
 
 /// Stage the tuples of `part` that `keep` accepts into `fresh` (under
@@ -1818,16 +1879,11 @@ fn run_task(
     snap: &Arc<EvalSnapshot>,
     knobs: &ExecKnobs,
     task: &BranchTask,
-    parent: Option<dc_trace::SpanId>,
+    round: dc_trace::SpanId,
 ) -> Result<TaskOutcome, EvalError> {
-    // Dispatched tasks run on worker threads where the solver's span
-    // stack is invisible, so the dispatch site passes the evaluate
-    // phase's id explicitly; inline runs (and panic retries) parent
-    // off this thread's stack.
-    let mut task_span = match parent {
-        Some(p) => dc_trace::span_under(p, SpanKind::BranchTask),
-        None => dc_trace::span(SpanKind::BranchTask),
-    };
+    // Under the round explicitly: a worker thread's span stack does not
+    // hold the solver's spans.
+    let mut task_span = dc_trace::span_under(round, SpanKind::BranchTask);
     if task_span.recording() {
         task_span.field("eq", task.eq);
         task_span.field("branch", task.branch);
@@ -1856,11 +1912,13 @@ fn run_task(
             }
             e
         })?;
+    let events = ev.take_plan_events();
     drop(ev);
     drop(overlay);
     Ok(TaskOutcome {
         value,
         effects: cat.into_effects(),
+        events,
     })
 }
 

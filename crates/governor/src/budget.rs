@@ -72,9 +72,7 @@ impl CancelToken {
 
 /// A declarative resource envelope for one solve (or one top-level
 /// query evaluation). All limits are optional; [`Budget::unlimited`]
-/// (the `Default`) never trips but still counts, which is how a
-/// solve's scheduler counters reach the metrics registry even on
-/// unbounded solves.
+/// (the `Default`) never trips.
 #[derive(Debug, Clone, Default)]
 pub struct Budget {
     deadline: Option<Duration>,
@@ -126,14 +124,6 @@ impl Budget {
         self
     }
 
-    /// Does this budget carry no limit at all?
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none()
-            && self.max_tuples.is_none()
-            && self.max_rounds.is_none()
-            && self.cancel.is_none()
-    }
-
     /// Arm the budget: capture the clock and return the shared gauge
     /// the execution stack polls.
     pub fn meter(&self) -> Meter {
@@ -148,10 +138,6 @@ impl Budget {
                 cancel: self.cancel.clone(),
                 checks: AtomicU64::new(0),
                 tuples: AtomicU64::new(0),
-                degraded: AtomicU64::new(0),
-                parallel_branches: AtomicU64::new(0),
-                sequential_branches: AtomicU64::new(0),
-                parallel_equations: AtomicU64::new(0),
             }),
         }
     }
@@ -167,29 +153,21 @@ struct MeterInner {
     cancel: Option<CancelToken>,
     checks: AtomicU64,
     tuples: AtomicU64,
-    degraded: AtomicU64,
-    parallel_branches: AtomicU64,
-    sequential_branches: AtomicU64,
-    parallel_equations: AtomicU64,
 }
 
 /// An armed [`Budget`]: the shared gauge one solve polls.
 ///
 /// Clones share state (an `Arc` bump), so the solver, its per-branch
 /// evaluators, and every round task on the solver's worker pool
-/// observe one set of limits and feed one set of counters. `Meter` is
-/// `Send + Sync`.
+/// observe one set of limits and feed one tuple count. `Meter` does
+/// governance only: what a solve did is counted by the solver into the
+/// metrics registry. `Meter` is `Send + Sync`.
 #[derive(Debug, Clone)]
 pub struct Meter {
     inner: Arc<MeterInner>,
 }
 
 impl Meter {
-    /// An armed meter with no limits — counts ticks, never trips.
-    pub fn unlimited() -> Meter {
-        Budget::unlimited().meter()
-    }
-
     /// The cheap per-combination check for hot loops: one relaxed
     /// counter increment, one cancellation load, and — every
     /// [`DEADLINE_STRIDE`]th call — one wall-clock read.
@@ -246,56 +224,9 @@ impl Meter {
         Ok(())
     }
 
-    /// Note that a parallel branch degraded to the sequential reference
-    /// path and completed there.
-    pub fn note_degraded(&self) {
-        self.inner.degraded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record `n` branch tasks dispatched to scheduler worker threads.
-    pub fn add_parallel_branches(&self, n: u64) {
-        self.inner.parallel_branches.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record `n` branch tasks evaluated inline on the solver thread.
-    pub fn add_sequential_branches(&self, n: u64) {
-        self.inner
-            .sequential_branches
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record `n` distinct equations whose tasks ran concurrently
-    /// within one scheduled round batch.
-    pub fn add_parallel_equations(&self, n: u64) {
-        self.inner
-            .parallel_equations
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Tuples recorded via [`Meter::add_tuples`] so far.
     pub fn tuples(&self) -> u64 {
         self.inner.tuples.load(Ordering::Relaxed)
-    }
-
-    /// Branches that completed on the sequential path after a parallel
-    /// failure.
-    pub fn degraded(&self) -> u64 {
-        self.inner.degraded.load(Ordering::Relaxed)
-    }
-
-    /// Branch tasks dispatched to scheduler worker threads.
-    pub fn parallel_branches(&self) -> u64 {
-        self.inner.parallel_branches.load(Ordering::Relaxed)
-    }
-
-    /// Branch tasks evaluated inline on the solver thread.
-    pub fn sequential_branches(&self) -> u64 {
-        self.inner.sequential_branches.load(Ordering::Relaxed)
-    }
-
-    /// Distinct equations that ran concurrently in scheduled batches.
-    pub fn parallel_equations(&self) -> u64 {
-        self.inner.parallel_equations.load(Ordering::Relaxed)
     }
 }
 
@@ -363,7 +294,7 @@ mod tests {
 
     #[test]
     fn unlimited_never_trips_but_counts() {
-        let m = Meter::unlimited();
+        let m = Budget::unlimited().meter();
         for _ in 0..1000 {
             m.tick().unwrap();
         }
@@ -462,26 +393,11 @@ mod tests {
 
     #[test]
     fn clones_share_counters() {
-        let m = Meter::unlimited();
+        let m = Budget::unlimited().meter();
         let m2 = m.clone();
         m.add_tuples(5).unwrap();
         m2.add_tuples(7).unwrap();
         assert_eq!(m.tuples(), 12);
-        m2.note_degraded();
-        assert_eq!(m.degraded(), 1);
-    }
-
-    #[test]
-    fn parallelism_counters_accumulate_across_clones() {
-        let m = Meter::unlimited();
-        let m2 = m.clone();
-        m.add_parallel_branches(3);
-        m2.add_parallel_branches(2);
-        m.add_sequential_branches(4);
-        m2.add_parallel_equations(2);
-        assert_eq!(m.parallel_branches(), 5);
-        assert_eq!(m2.sequential_branches(), 4);
-        assert_eq!(m.parallel_equations(), 2);
     }
 
     #[test]
@@ -490,7 +406,5 @@ mod tests {
         let m1 = b.meter();
         let m2 = b.meter();
         assert!(m1.tick().is_ok() && m2.tick().is_ok());
-        assert!(!b.is_unlimited());
-        assert!(Budget::unlimited().is_unlimited());
     }
 }

@@ -286,10 +286,11 @@ mod tests {
         {
             let root = span(SpanKind::Solve).name_with(|| "closure".to_string());
             let root_id = root.id();
-            assert!(root_id.is_some());
+            assert_ne!(root_id, crate::SpanId::NONE);
             {
                 let mut round = span(SpanKind::Round);
                 round.field("round", 1u64);
+                round.lap("prep_us");
                 event(SpanKind::Plan, || {
                     (
                         "probe chosen".to_string(),
@@ -320,6 +321,10 @@ mod tests {
             .expect("round span");
         assert_eq!(round.parent, solve.id);
         assert_eq!(round.field("round"), Some(&crate::FieldValue::U64(1)));
+        assert!(
+            matches!(round.field("prep_us"), Some(crate::FieldValue::U64(us)) if *us <= round.end_us - round.start_us),
+            "a lap is a stage of its span"
+        );
         let task = records
             .iter()
             .find(|r| r.kind == SpanKind::BranchTask)
@@ -361,7 +366,7 @@ mod tests {
         let rec = TraceRecord {
             id: 3,
             parent: 0,
-            kind: crate::SpanKind::Info,
+            kind: crate::SpanKind::Warning,
             name: "say \"hi\"\n".to_string(),
             start_us: 5,
             end_us: 5,
@@ -372,7 +377,7 @@ mod tests {
         render_line(&mut out, &rec);
         assert_eq!(
             out,
-            "{\"id\":3,\"parent\":0,\"kind\":\"info\",\"name\":\"say \\\"hi\\\"\\n\",\"start_us\":5,\"end_us\":5,\"event\":true,\"note\":\"a\\\\b\"}\n"
+            "{\"id\":3,\"parent\":0,\"kind\":\"warning\",\"name\":\"say \\\"hi\\\"\\n\",\"start_us\":5,\"end_us\":5,\"event\":true,\"note\":\"a\\\\b\"}\n"
         );
     }
 }

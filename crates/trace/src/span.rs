@@ -44,11 +44,6 @@ pub struct SpanId(pub u64);
 impl SpanId {
     /// The absent span: used as the parent of root spans.
     pub const NONE: SpanId = SpanId(0);
-
-    /// True unless this is [`SpanId::NONE`].
-    pub fn is_some(self) -> bool {
-        self.0 != 0
-    }
 }
 
 /// The closed taxonomy of spans and events the engine emits. A closed
@@ -58,12 +53,12 @@ impl SpanId {
 pub enum SpanKind {
     /// One fixpoint solve of a constructor (dc-core).
     Solve,
-    /// One semi-naive/naive round within a solve.
+    /// One semi-naive/naive round within a solve — the one record per
+    /// round: its stages are fields (`prep_us`, `evaluate_us`,
+    /// `commit_us`), not spans of their own.
     Round,
-    /// One phase of a round: Prep, Freeze, Evaluate, Replay+Commit.
-    Phase,
     /// One branch task evaluated against the frozen snapshot, possibly
-    /// on a worker thread.
+    /// on a worker thread; parented under its round.
     BranchTask,
     /// One server commit: validate, apply, publish, refresh (dc-server).
     ServerCommit,
@@ -72,14 +67,12 @@ pub enum SpanKind {
     /// Refresh of one standing-query subscription after a publish.
     SubscriptionRefresh,
     /// Point event: a typed planner decision (access path, demotion,
-    /// refusal) rendered from a `PlanEvent`.
+    /// refusal) rendered from a `PlanEvent` — per one-shot evaluation,
+    /// or per solve when the decision is new to it.
     Plan,
     /// Point event: a warn-once diagnostic routed from `envcfg` or
     /// other engine warning sites.
     Warning,
-    /// Point event: anything informational that is not a planner
-    /// decision or warning.
-    Info,
 }
 
 impl SpanKind {
@@ -88,14 +81,12 @@ impl SpanKind {
         match self {
             SpanKind::Solve => "solve",
             SpanKind::Round => "round",
-            SpanKind::Phase => "phase",
             SpanKind::BranchTask => "branch_task",
             SpanKind::ServerCommit => "server_commit",
             SpanKind::SessionQuery => "session_query",
             SpanKind::SubscriptionRefresh => "subscription_refresh",
             SpanKind::Plan => "plan",
             SpanKind::Warning => "warning",
-            SpanKind::Info => "info",
         }
     }
 }
@@ -172,11 +163,6 @@ impl TraceRecord {
     /// Convenience: the value of a field by key, if present.
     pub fn field(&self, key: &str) -> Option<&FieldValue> {
         self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
-    }
-
-    /// Span duration in microseconds (0 for events).
-    pub fn duration_us(&self) -> u64 {
-        self.end_us.saturating_sub(self.start_us)
     }
 }
 
@@ -324,6 +310,8 @@ struct OpenSpan {
     kind: SpanKind,
     name: String,
     start_us: u64,
+    /// Where the last [`Span::lap`] ended (`start_us` before the first).
+    lap_us: u64,
     fields: Vec<(&'static str, FieldValue)>,
 }
 
@@ -337,13 +325,15 @@ pub struct Span {
 fn open_span(parent: u64, kind: SpanKind) -> Span {
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
     TLS.with(|tls| tls.borrow_mut().stack.push(id));
+    let start_us = now_us();
     Span {
         open: Some(Box::new(OpenSpan {
             id,
             parent,
             kind,
             name: String::new(),
-            start_us: now_us(),
+            start_us,
+            lap_us: start_us,
             fields: Vec::new(),
         })),
     }
@@ -397,15 +387,16 @@ impl Span {
         }
     }
 
-    /// Attach a string field built lazily only when recording.
-    pub fn field_with(&mut self, key: &'static str, f: impl FnOnce() -> String) {
+    /// Attach the microseconds since the span opened or since its last
+    /// lap, whichever is later, as field `key` — one stage of the span's
+    /// work. Reads the clock only when recording.
+    pub fn lap(&mut self, key: &'static str) {
         if let Some(open) = self.open.as_mut() {
-            open.fields.push((key, FieldValue::Str(f())));
+            let now = now_us();
+            open.fields.push((key, FieldValue::U64(now - open.lap_us)));
+            open.lap_us = now;
         }
     }
-
-    /// Explicit close; equivalent to dropping the guard.
-    pub fn finish(self) {}
 }
 
 impl Drop for Span {

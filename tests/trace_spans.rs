@@ -61,8 +61,7 @@ fn str_field<'r>(rec: &'r dc_trace::TraceRecord, key: &str) -> Option<&'r str> {
 /// tree: commit → refresh → solve → rounds → branch tasks. Exercised
 /// at one and four solver threads — the four-thread run proves the
 /// cross-thread `span_under` parenting (branch tasks recorded on pool
-/// workers still reach the evaluate phase of the round that dispatched
-/// them).
+/// workers still reach the round that dispatched them).
 #[test]
 fn commit_with_subscription_yields_one_correlated_tree() {
     for threads in [1usize, 4] {
@@ -125,6 +124,62 @@ fn commit_with_subscription_yields_one_correlated_tree() {
         drop(sub);
         server.shutdown();
     }
+}
+
+/// A solve writes one trace record per round: its tree holds no record
+/// but the solve, its rounds, their branch tasks and plan events; every
+/// round carries its stage fields; and an access path is emitted when
+/// its branch is first planned and when its steps change, not once per
+/// round (a 40-edge chain takes 41 rounds).
+#[test]
+fn a_solve_writes_one_record_per_round() {
+    let guard = Collector::install();
+    let db = dc_bench::ahead_db(&dc_bench::workload::graphs::chain(40), Strategy::SemiNaive);
+    let closure = db.eval(&rel("Infront").construct("ahead", vec![])).unwrap();
+    assert_eq!(closure.len(), 40 * 41 / 2);
+    dc_trace::flush();
+
+    // Concurrent tests may trace too: select this solve by its size.
+    let solve = guard
+        .of_kind(SpanKind::Solve)
+        .into_iter()
+        .find(|r| r.field("tuples") == Some(&FieldValue::U64(820)))
+        .expect("the closure's solve span");
+    let tree = guard.subtree(solve.id);
+    let stray: Vec<_> = tree
+        .iter()
+        .filter(|r| {
+            !matches!(
+                r.kind,
+                SpanKind::Solve | SpanKind::Round | SpanKind::BranchTask | SpanKind::Plan
+            )
+        })
+        .map(|r| r.kind.label())
+        .collect();
+    assert_eq!(stray, Vec::<&str>::new(), "no phase or other records");
+    let rounds: Vec<_> = tree.iter().filter(|r| r.kind == SpanKind::Round).collect();
+    assert!(rounds.len() > 40, "{} rounds", rounds.len());
+    for round in &rounds {
+        for key in [
+            "round",
+            "tasks",
+            "workers",
+            "prep_us",
+            "evaluate_us",
+            "commit_us",
+        ] {
+            assert!(
+                matches!(round.field(key), Some(FieldValue::U64(_))),
+                "round record without `{key}`: {round:?}"
+            );
+        }
+    }
+    let paths: Vec<_> = tree
+        .iter()
+        .filter(|r| r.kind == SpanKind::Plan && r.name.starts_with("access path:"))
+        .map(|r| r.name.as_str())
+        .collect();
+    assert!(paths.len() <= 3, "{paths:#?}");
 }
 
 /// Warm, cold, and skipped refreshes are visible both as span fields
@@ -270,7 +325,7 @@ fn database_explain_renders_access_path() {
         steps.iter().any(|s| !s.is_probe()),
         "expected one scan step: {steps:?}"
     );
-    assert!(*estimated_rows >= 0.0);
+    assert!(estimated_rows.is_some_and(|rows| rows >= 0.0));
     // Cross-check: the registry saw the probe-plan decision.
     assert!(db.metrics().get(Counter::ProbePlans) >= 1);
 }
