@@ -139,6 +139,12 @@ pub struct Evaluator<'a> {
     unnested_vars: usize,
     /// Per-plan-depth probe-key buffers, reused across probes.
     probe_scratch: Vec<Vec<Value>>,
+    /// The compiled leaf's target-field buffer, reused across emitted
+    /// tuples: each tuple is then one allocation, its `Arc`.
+    leaf_scratch: Vec<Value>,
+    /// Tuples the executor leaves emitted: a solve's work count when no
+    /// budget meter is armed to count them.
+    emitted: u64,
     /// Disable the index-nested-loop path (reference semantics).
     nested_loop_only: bool,
     /// The armed budget governing this evaluation, if any: ticked at
@@ -179,6 +185,8 @@ impl<'a> Evaluator<'a> {
             sites: Vec::new(),
             unnested_vars: 0,
             probe_scratch: Vec::new(),
+            leaf_scratch: Vec::new(),
+            emitted: 0,
             nested_loop_only: false,
             budget: None,
             plan_events: Vec::new(),
@@ -213,6 +221,12 @@ impl<'a> Evaluator<'a> {
     pub fn with_metrics(mut self, metrics: std::sync::Arc<MetricsRegistry>) -> Evaluator<'a> {
         self.metrics = Some(metrics);
         self
+    }
+
+    /// Tuples the executor leaves have emitted so far (duplicates
+    /// included) — what a budget meter would count against its ceiling.
+    pub fn emitted(&self) -> u64 {
+        self.emitted
     }
 
     /// The typed planner trace, in first-occurrence order: each
@@ -1109,14 +1123,18 @@ impl<'a> Evaluator<'a> {
         let tuple = match &leaf.target {
             LeafTarget::Whole(slot) => bindings[*slot].tuple.clone(),
             LeafTarget::Tuple(exprs) => {
-                let mut fields = Vec::with_capacity(exprs.len());
+                let mut fields = std::mem::take(&mut self.leaf_scratch);
+                fields.clear();
                 for e in exprs {
                     fields.push(self.leaf_scalar(e, bindings)?);
                 }
-                Tuple::new(fields)
+                let tuple = Tuple::from_slice(&fields);
+                self.leaf_scratch = fields;
+                tuple
             }
         };
         out.insert(tuple)?;
+        self.emitted += 1;
         if let Some(m) = &self.budget {
             m.add_tuples(1).map_err(SolveError::from_trip)?;
         }
@@ -1194,6 +1212,7 @@ impl<'a> Evaluator<'a> {
                 }
             };
             out.insert(tuple)?;
+            self.emitted += 1;
             if let Some(m) = &self.budget {
                 m.add_tuples(1).map_err(SolveError::from_trip)?;
             }

@@ -86,10 +86,10 @@ use dc_calculus::rewrite;
 use dc_calculus::{AccessCache, Catalog, EvalError, Evaluator, PlanEvent};
 use dc_governor::fail::{self, Site};
 use dc_governor::{Budget, Meter, SolveDiag, SolveError};
-use dc_relation::{algebra, Relation};
+use dc_relation::{algebra, Relation, RelationError};
 use dc_trace::metrics::{Counter, Histogram, MetricsRegistry};
 use dc_trace::SpanKind;
-use dc_value::{FxHashMap, Tuple, Value};
+use dc_value::{FxHashMap, Value};
 
 use crate::catalog::Defs;
 
@@ -415,7 +415,8 @@ impl FixpointConfig {
 }
 
 /// What every solver-spawned evaluator shares: the solve's
-/// configuration, its resolved worker count, and its armed budget.
+/// configuration, its resolved worker count, and its armed budget, if
+/// it has one.
 #[derive(Debug, Clone)]
 struct ExecKnobs {
     /// The solve's configuration.
@@ -423,11 +424,12 @@ struct ExecKnobs {
     /// Resolved worker count ([`FixpointConfig::threads`] resolved once
     /// per solve).
     threads: usize,
-    /// The armed budget gauge: one per solve, shared (clones share
-    /// counters) by the solver loop and every branch evaluator, on
-    /// whichever thread it runs. Always armed — an unlimited meter
-    /// never trips but counts the tuples a solve's diagnostics report.
-    budget: Meter,
+    /// The armed budget gauge of a budgeted solve: one per solve,
+    /// shared (clones share counters) by the solver loop and every
+    /// branch evaluator, on whichever thread it runs. An unbudgeted
+    /// solve arms none: its evaluators count their emitted tuples
+    /// themselves and the solver sums them into [`Tally::emitted`].
+    budget: Option<Meter>,
 }
 
 impl ExecKnobs {
@@ -435,13 +437,13 @@ impl ExecKnobs {
         ExecKnobs {
             cfg: cfg.clone(),
             threads: pool::thread_count(cfg.threads),
-            budget: cfg.budget.clone().unwrap_or_default().meter(),
+            budget: cfg.budget.as_ref().map(Budget::meter),
         }
     }
 
     /// An evaluator under the solve's configuration and budget.
     fn evaluator<'e>(&self, catalog: &'e dyn Catalog) -> Evaluator<'e> {
-        self.cfg.evaluator(catalog, Some(self.budget.clone()))
+        self.cfg.evaluator(catalog, self.budget.clone())
     }
 }
 
@@ -743,17 +745,19 @@ struct Converged {
     system: SolvedSystem,
 }
 
-/// How a round's commit applies the staged results.
+/// How a round's commit turns an equation's staged task output into
+/// its delta — for Grow and Collect in one retain pass over the staged
+/// relation, whose survivors are the delta.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Rule {
-    /// Semi-naive: the staged tuples not yet in the value are the
-    /// round's delta and grow the value in place.
+    /// Semi-naive: keep the staged tuples the value's insert accepts —
+    /// that one insert is both the membership test and the growth.
     Grow,
     /// Naive: the staged value replaces the old one.
     Replace,
-    /// Over-delete: the staged tuples that are in the (unchanged) value
-    /// and not yet collected are the round's delta and join the
-    /// equation's over-deleted set.
+    /// Over-delete: keep the staged tuples that are in the (unchanged)
+    /// value and that the equation's over-deleted set `D` accepts, by
+    /// the same one insert.
     Collect,
 }
 
@@ -764,6 +768,9 @@ enum Rule {
 struct Tally {
     rounds: usize,
     delta_tuples: u64,
+    /// Tuples the round tasks' evaluators emitted — what
+    /// [`SolveDiag::tuples`] reports when no budget meter counts them.
+    emitted: u64,
     /// Round tasks dispatched to the worker pool.
     parallel_branches: u64,
     /// Round tasks evaluated inline on the solver thread.
@@ -1202,9 +1209,10 @@ impl<'s> Solver<'s> {
         // equation that lost tuples, in one round with the inserted
         // tuples' tasks (the full *new* values at the other positions
         // plus one delta position per task cover every new combination;
-        // overlap deduplicates at absorb). Branches with no touched
-        // binding are skipped: their static contributions are in the
-        // seed, and recursive deltas are empty until round one commits.
+        // overlap deduplicates where the tasks' outputs are staged).
+        // Branches with no touched binding are skipped: their static
+        // contributions are in the seed, and recursive deltas are empty
+        // until round one commits.
         // Distinct marker namespaces (`Δdelta` + `b`/`x` + position)
         // keep warm tasks clear of the round loop's recursive-delta
         // markers.
@@ -1286,7 +1294,7 @@ impl<'s> Solver<'s> {
                     knobs.cfg.max_iterations
                 );
                 return Err(EvalError::Solve(SolveError::Diverged {
-                    diag: self.diag(rounds - 1, vec![note]),
+                    diag: self.diag(rounds - 1, vec![note], tally),
                 }));
             }
             // The round's one trace record: its stages are laps.
@@ -1294,9 +1302,8 @@ impl<'s> Solver<'s> {
             round_span.field("round", rounds);
             // ---- Prep (solver thread): everything that reads solver
             // state happens here, before the freeze. Each equation
-            // stages its round result under its declared schema: the new
-            // tuples (semi-naive), the whole new value (naive), or the
-            // newly over-deleted tuples.
+            // stages its tasks' output under its declared schema; the
+            // commit turns it into the round's delta in place.
             let n = self.state.borrow().equations.len();
             let tasks = first.take().unwrap_or_else(|| {
                 let mut tasks = Vec::new();
@@ -1305,19 +1312,13 @@ impl<'s> Solver<'s> {
                 }
                 tasks
             });
-            let (round_current, round_doomed, mut fresh) = {
-                let st = self.state.borrow();
-                let fresh: Vec<Relation> = st
-                    .equations
-                    .iter()
-                    .map(|e| Relation::new(e.result.clone()))
-                    .collect();
-                let doomed = match rule {
-                    Rule::Collect => st.doomed.clone(),
-                    Rule::Grow | Rule::Replace => Vec::new(),
-                };
-                (st.current.clone(), doomed, fresh)
-            };
+            let mut staged: Vec<Relation> = self
+                .state
+                .borrow()
+                .equations
+                .iter()
+                .map(|e| Relation::new(e.result.clone()))
+                .collect();
             // ---- Freeze. Everything a branch task reads, at one round.
             let snap = self.state.borrow().freeze();
             round_span.field("tasks", tasks.len());
@@ -1353,7 +1354,7 @@ impl<'s> Solver<'s> {
             // ---- Replay + stage (solver thread, task order — the
             // sequential evaluation order). Replay each task's
             // registrations and report its planner decisions, then
-            // absorb its value; a worker panic degrades that one task to
+            // stage its value; a worker panic degrades that one task to
             // an inline sequential retry.
             let tracing = round_span.recording();
             tally.plans.nth.clear();
@@ -1369,47 +1370,31 @@ impl<'s> Solver<'s> {
                     }
                     Err(ExecError::FaultInjected(f)) => Err(f.into()),
                 };
-                let value = &round_current[task.eq];
-                let plans = &mut tally.plans;
-                outcome
-                    .and_then(
-                        |TaskOutcome {
-                             value: part,
-                             effects,
-                             events,
-                         }| {
-                            if tracing {
-                                plans.report(task, events);
-                            }
-                            for app in effects {
-                                self.enter(app, None)?;
-                            }
-                            absorb(&mut fresh[task.eq], &part, |t| match rule {
-                                Rule::Grow => !value.contains(t),
-                                Rule::Replace => true,
-                                Rule::Collect => {
-                                    value.contains(t) && !round_doomed[task.eq].contains(t)
-                                }
-                            })
-                        },
-                    )
-                    .map_err(|e| self.enrich(e, task.eq, rounds - 1))?;
+                let into = &mut staged[task.eq];
+                let replayed = outcome.and_then(|o| {
+                    tally.emitted += o.emitted;
+                    if tracing {
+                        tally.plans.report(task, o.events);
+                    }
+                    for app in o.effects {
+                        self.enter(app, None)?;
+                    }
+                    stage(into, o.value)
+                });
+                replayed.map_err(|e| self.enrich(e, task.eq, rounds - 1, tally))?;
             }
             // Release every handle into the frozen round state before the
-            // commit: relations are copy-on-write, so the in-place
-            // `union_into` below mutates each tuple store directly only
-            // while its `Arc` is unshared — a surviving snapshot, task
-            // override, or round clone would force a full store copy every
-            // round.
+            // commit: relations are copy-on-write, so the commit's
+            // inserts mutate each value's tuple store directly only
+            // while its `Arc` is unshared — a surviving snapshot or task
+            // override would force a full store copy every round.
             drop(tasks);
-            drop(round_current);
-            drop(round_doomed);
             drop(snap);
             // Commit (with the `delta_commit` fault-injection site guarding
             // the atomic-abort property: an abort here must leave every
             // caller-visible relation untouched).
             fail::check(Site::DeltaCommit)?;
-            let changed = self.commit(fresh, rule, tally)?;
+            let changed = self.commit(staged, rule, tally)?;
             round_span.lap("commit_us");
             let grew = self.state.borrow().equations.len() > n;
             if !changed && !grew {
@@ -1418,13 +1403,15 @@ impl<'s> Solver<'s> {
             // Round boundary: unconditional deadline/cancellation reads plus
             // the budget's round ceiling. Checked only when another round is
             // coming — a solve that just converged is a result, not a trip.
-            knobs.budget.check_round(rounds as u64).map_err(|trip| {
-                let mut se = SolveError::from_trip(trip);
-                let notes = std::mem::take(&mut se.diag_mut().notes);
-                *se.diag_mut() = self.diag(rounds, notes);
-                se.diag_mut().site = format!("round boundary after round {rounds}");
-                EvalError::Solve(se)
-            })?;
+            if let Some(meter) = &knobs.budget {
+                meter.check_round(rounds as u64).map_err(|trip| {
+                    let mut se = SolveError::from_trip(trip);
+                    let notes = std::mem::take(&mut se.diag_mut().notes);
+                    *se.diag_mut() = self.diag(rounds, notes, tally);
+                    se.diag_mut().site = format!("round boundary after round {rounds}");
+                    EvalError::Solve(se)
+                })?;
+            }
             // Oscillation detection for non-monotone systems (the paper's
             // `nonsense`): state equals the state two rounds ago but not the
             // previous one ⇒ period-2 cycle, no limit exists. Semi-naive
@@ -1509,30 +1496,34 @@ impl<'s> Solver<'s> {
     }
 
     /// Commit one round's staged results, every equation at once (the
-    /// Jacobi update), by `rule`. Grow: `fresh[i]` is exactly the new
-    /// tuples, absorbed into the accumulated value in place — the
-    /// indexes cached over it follow through `advance`,
-    /// O(|delta|), no rebuild, no re-diff. Replace: `fresh[i]` is the
-    /// whole new value and replaces the old one — non-monotone
-    /// (unchecked) systems can shrink as well as grow. Collect:
-    /// `fresh[i]` is exactly the newly over-deleted tuples; they join
-    /// the equation's `D` and the value stays. Returns whether anything
-    /// moved.
+    /// Jacobi update), by `rule`; `staged[i]` becomes equation `i`'s
+    /// delta in place. Grow: one retain pass inserts each staged tuple
+    /// into the accumulated value and keeps those it accepted — exactly
+    /// the new tuples; the indexes cached over the value follow through
+    /// `advance`, O(|delta|), no rebuild, no re-diff. Replace:
+    /// `staged[i]` is the whole new value and replaces the old one —
+    /// non-monotone (unchecked) systems can shrink as well as grow.
+    /// Collect: the same pass keeps the staged tuples the value holds
+    /// and the equation's `D` accepts, so exactly the newly
+    /// over-deleted ones join `D`; the value stays. Returns whether
+    /// anything moved.
     fn commit(
         &self,
-        fresh: Vec<Relation>,
+        staged: Vec<Relation>,
         rule: Rule,
         tally: &mut Tally,
     ) -> Result<bool, EvalError> {
         let mut st = self.state.borrow_mut();
+        let st = &mut *st;
         let mut changed = false;
-        for (i, new) in fresh.into_iter().enumerate() {
+        for (i, mut new) in staged.into_iter().enumerate() {
             let delta = match rule {
                 Rule::Grow => {
+                    let old = st.current[i].storage_id();
+                    let value = &mut st.current[i];
+                    new.try_retain(|t| value.insert_unchecked(t.clone()))?;
                     if !new.is_empty() {
                         changed = true;
-                        let old = st.current[i].storage_id();
-                        algebra::union_into(&mut st.current[i], &new)?;
                         let none = Relation::new(new.schema().clone());
                         st.access.advance(old, &st.current[i], &new, &none);
                     }
@@ -1545,10 +1536,15 @@ impl<'s> Solver<'s> {
                     new
                 }
                 Rule::Collect => {
-                    if !new.is_empty() {
-                        changed = true;
-                        algebra::union_into(&mut st.doomed[i], &new)?;
-                    }
+                    let (value, doomed) = (&st.current[i], &mut st.doomed[i]);
+                    new.try_retain(|t| {
+                        if value.contains(t) {
+                            doomed.insert_unchecked(t.clone())
+                        } else {
+                            Ok(false)
+                        }
+                    })?;
+                    changed |= !new.is_empty();
                     new
                 }
                 Rule::Replace
@@ -1579,14 +1575,23 @@ impl<'s> Solver<'s> {
     /// Snapshot the solve's progress for a [`SolveDiag`]: rounds
     /// completed, tuples materialised so far, and the total size of the
     /// last committed deltas.
-    fn diag(&self, rounds: usize, notes: Vec<String>) -> SolveDiag {
+    fn diag(&self, rounds: usize, notes: Vec<String>, tally: &Tally) -> SolveDiag {
         SolveDiag {
             rounds: rounds as u64,
-            tuples: self.knobs.budget.tuples(),
+            tuples: self.tuples(tally),
             last_delta: self.last_delta(),
             site: String::new(),
             notes,
         }
+    }
+
+    /// Tuples materialised so far: the budget meter's count, or without
+    /// one the sum of the tasks' own counts.
+    fn tuples(&self, tally: &Tally) -> u64 {
+        self.knobs
+            .budget
+            .as_ref()
+            .map_or(tally.emitted, Meter::tuples)
     }
 
     fn last_delta(&self) -> u64 {
@@ -1599,13 +1604,13 @@ impl<'s> Solver<'s> {
     /// constructor name), rounds completed, tuples materialised, and
     /// the last committed delta size. Other errors pass through
     /// untouched.
-    fn enrich(&self, e: EvalError, eq: usize, completed_rounds: usize) -> EvalError {
+    fn enrich(&self, e: EvalError, eq: usize, completed_rounds: usize, tally: &Tally) -> EvalError {
         let EvalError::Solve(mut se) = e else {
             return e;
         };
         let d = se.diag_mut();
         d.rounds = completed_rounds as u64;
-        d.tuples = self.knobs.budget.tuples();
+        d.tuples = self.tuples(tally);
         d.last_delta = self.last_delta();
         let here = format!(
             "equation {eq} (`{}`)",
@@ -1706,35 +1711,36 @@ struct BranchTask {
 }
 
 /// What a branch task returns: the computed value plus what the solver
-/// must replay — the applications the snapshot catalog saw first, and
-/// the evaluator's planner decisions, for [`PlanLog::report`].
+/// must replay — the applications the snapshot catalog saw first, the
+/// evaluator's planner decisions, for [`PlanLog::report`], and the
+/// tuples it emitted, for [`Tally::emitted`].
 struct TaskOutcome {
     value: Relation,
     effects: Vec<Application>,
     events: Vec<PlanEvent>,
+    emitted: u64,
 }
 
-/// Stage the tuples of `part` that `keep` accepts into `fresh` (under
-/// its declared schema) — by the round's commit rule: those not yet in
-/// the accumulated value, every one, or those in the value and not yet
-/// over-deleted. Union compatibility and the key constraint within the
-/// staged relation are enforced here; key conflicts between a delta and
-/// the accumulated value surface when the commit unions the delta in.
-fn absorb(
-    fresh: &mut Relation,
-    part: &Relation,
-    keep: impl Fn(&Tuple) -> bool,
-) -> Result<(), EvalError> {
-    if !fresh.schema().union_compatible(part.schema()) {
-        return Err(EvalError::Type(dc_value::TypeError::SchemaMismatch {
-            context: "constructor body value does not match declared result type".into(),
-        }));
-    }
-    for t in part.iter() {
-        if keep(t) {
-            fresh.insert_unchecked(t.clone())?;
+/// Stage a task's output `part` into its equation's `staged` relation,
+/// under the declared schema, with no copy: `part` is relabelled and the
+/// smaller of the two unioned into the larger, so an equation's first
+/// task moves its value in. Union compatibility and the key constraint
+/// within the staged relation are enforced here (a keyed result schema
+/// is filled by insertion); key conflicts between a delta and the
+/// accumulated value surface when the commit inserts the delta.
+fn stage(staged: &mut Relation, part: Relation) -> Result<(), EvalError> {
+    let mut part = part.relabel(staged.schema()).map_err(|e| match e {
+        RelationError::Incompatible { .. } => {
+            EvalError::Type(dc_value::TypeError::SchemaMismatch {
+                context: "constructor body value does not match declared result type".into(),
+            })
         }
+        e => e.into(),
+    })?;
+    if part.len() > staged.len() {
+        std::mem::swap(staged, &mut part);
     }
+    algebra::union_into(staged, &part)?;
     Ok(())
 }
 
@@ -1913,12 +1919,14 @@ fn run_task(
             e
         })?;
     let events = ev.take_plan_events();
+    let emitted = ev.emitted();
     drop(ev);
     drop(overlay);
     Ok(TaskOutcome {
         value,
         effects: cat.into_effects(),
         events,
+        emitted,
     })
 }
 
@@ -2459,6 +2467,49 @@ mod tests {
         let (out_s, s_s) = solve_counted(&src, "ahead", chain(12), vec![], Strategy::SemiNaive);
         assert_eq!(out_n, out_s);
         assert!(s_s.solve_rounds <= s_n.solve_rounds + 1);
+    }
+
+    /// `ahead` with both join positions recursive: its join branch runs
+    /// as two delta tasks a round (delta × value and value × delta),
+    /// and both derive every delta × delta combination.
+    fn ahead_squared() -> Constructor {
+        let closure = || rel("Rel").construct("ahead2", vec![]);
+        Constructor {
+            name: "ahead2".into(),
+            base_param: ("Rel".into(), infrontrel()),
+            rel_params: vec![],
+            scalar_params: vec![],
+            result: aheadrel(),
+            body: SetFormer {
+                branches: vec![
+                    Branch::each("r", rel("Rel"), tru()),
+                    Branch::projecting(
+                        vec![attr("f", "head"), attr("b", "tail")],
+                        vec![("f".into(), closure()), ("b".into(), closure())],
+                        eq(attr("f", "tail"), attr("b", "head")),
+                    ),
+                ],
+            },
+        }
+    }
+
+    #[test]
+    fn overlapping_tasks_of_one_equation_commit_each_tuple_once() {
+        assert_eq!(
+            seeded_classes(ahead_squared()),
+            vec![
+                BranchClass::Static,
+                BranchClass::Linear(vec![(0, 0), (1, 0)])
+            ]
+        );
+        let src = defs(vec![ahead_squared()]);
+        let (naive, _) = solve_counted(&src, "ahead2", chain(9), vec![], Strategy::Naive);
+        let (semi, m) = solve_counted(&src, "ahead2", chain(9), vec![], Strategy::SemiNaive);
+        assert_eq!(semi, naive);
+        assert_eq!(semi.len(), 45, "closure of a 9-edge chain");
+        // Round 2's two tasks both derive all 8 two-edge paths: each is
+        // staged once and enters the value once.
+        assert_eq!(m.delta_tuples, semi.len() as u64);
     }
 
     /// Branch classes as seeding leaves them on `ctor` applied to a

@@ -39,7 +39,7 @@
 //!
 //! Logs are replayed in task order (equation-ascending, then branch
 //! order within an equation — the sequential evaluation order), and a
-//! task's log is replayed before its value is absorbed. Replay is
+//! task's log is replayed before its value is staged. Replay is
 //! idempotent by [`AppKey`], so two tasks discovering the same
 //! application converge to one registration, deterministically.
 //! Everything replayed lives in solver-private state: an abort

@@ -26,6 +26,9 @@ pub struct HashIndex {
     positions: Vec<usize>,
     buckets: FxHashMap<Tuple, Vec<Tuple>>,
     len: usize,
+    /// Reused key buffer: [`HashIndex::add`] finds an existing bucket by
+    /// a borrowed key slice, allocating a key `Tuple` only for a new one.
+    scratch: Vec<Value>,
 }
 
 impl HashIndex {
@@ -35,6 +38,7 @@ impl HashIndex {
             positions,
             buckets: FxHashMap::default(),
             len: 0,
+            scratch: Vec::new(),
         }
     }
 
@@ -70,8 +74,16 @@ impl HashIndex {
 
     /// Add one tuple (no dedup — the caller owns set semantics).
     pub fn add(&mut self, tuple: Tuple) {
-        let key = tuple.project(&self.positions);
-        self.buckets.entry(key).or_default().push(tuple);
+        self.scratch.clear();
+        self.scratch
+            .extend(self.positions.iter().map(|&i| *tuple.get(i)));
+        match self.buckets.get_mut(self.scratch.as_slice()) {
+            Some(bucket) => bucket.push(tuple),
+            None => {
+                self.buckets
+                    .insert(Tuple::from_slice(&self.scratch), vec![tuple]);
+            }
+        }
         self.len += 1;
     }
 
@@ -163,6 +175,18 @@ mod tests {
         idx.add(tuple!["x", "b"]);
         assert_eq!(idx.probe_slice(&["b".into()]).len(), 2);
         assert_eq!(idx.len(), 2);
+    }
+
+    #[test]
+    fn add_shares_a_bucket_per_key() {
+        let mut idx = HashIndex::new(vec![0, 1]);
+        idx.add(tuple!["a", "b", 1i64]);
+        idx.add(tuple!["a", "b", 2i64]);
+        idx.add(tuple!["a", "c", 3i64]);
+        assert_eq!((idx.len(), idx.distinct_keys()), (3, 2));
+        assert_eq!(idx.probe_slice(&["a".into(), "b".into()]).len(), 2);
+        let keys: Vec<&Tuple> = idx.iter().map(|(k, _)| k).collect();
+        assert!(keys.contains(&&tuple!["a", "c"]));
     }
 
     #[test]

@@ -232,6 +232,59 @@ impl Relation {
         Ok(())
     }
 
+    /// This relation under `schema`, which must be union-compatible.
+    /// Without a proper key in `schema` the storage is kept and only the
+    /// label changes — no tuple is copied or rehashed. A keyed `schema`
+    /// is filled by insertion, so its key constraint is checked.
+    pub fn relabel(self, schema: &Schema) -> Result<Relation, RelationError> {
+        if !self.schema.union_compatible(schema) {
+            return Err(RelationError::Incompatible {
+                context: "relabel".into(),
+            });
+        }
+        if schema.has_proper_key() {
+            let mut keyed = Relation::new(schema.clone());
+            for t in self.iter() {
+                keyed.insert_unchecked(t.clone())?;
+            }
+            return Ok(keyed);
+        }
+        Ok(Relation {
+            schema: schema.clone(),
+            tuples: self.tuples,
+            key_map: None,
+        })
+    }
+
+    /// Keep exactly the tuples `keep` accepts, in one pass. The first
+    /// error stops the filter: it is returned, and the relation then
+    /// holds an unspecified subset of its tuples. Shared storage is
+    /// copied first (copy-on-write); the digest and storage id are
+    /// cleared only when a tuple was dropped.
+    pub fn try_retain<E>(
+        &mut self,
+        mut keep: impl FnMut(&Tuple) -> Result<bool, E>,
+    ) -> Result<(), E> {
+        let before = self.len();
+        let mut failed = None;
+        let store = Arc::make_mut(&mut self.tuples);
+        store.set.retain(|t| {
+            failed.is_none()
+                && keep(t).unwrap_or_else(|e| {
+                    failed = Some(e);
+                    false
+                })
+        });
+        if store.set.len() != before {
+            store.forget();
+            if let Some(map) = &mut self.key_map {
+                let set = &store.set;
+                Arc::make_mut(map).retain(|_, t| set.contains(t));
+            }
+        }
+        failed.map_or(Ok(()), Err)
+    }
+
     /// Iterate over the tuples (unspecified order).
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> + '_ {
         self.tuples.set.iter()
@@ -691,6 +744,81 @@ mod tests {
         ));
         assert!(!r.insert_unchecked(tuple!["bolt", 5i64]).unwrap());
         assert_eq!(r.len(), 1);
+    }
+
+    #[test]
+    fn relabel_keeps_storage_without_a_key() {
+        let r = Relation::from_tuples(infrontrel(), vec![tuple!["a", "b"]]).unwrap();
+        let ahead = Schema::of(&[("head", Domain::Str), ("tail", Domain::Str)]);
+        let shared = r.clone();
+        let relabelled = r.relabel(&ahead).unwrap();
+        assert_eq!(relabelled.schema(), &ahead);
+        assert!(Relation::shares_storage(&relabelled, &shared));
+        let ints = Schema::of(&[("n", Domain::Int)]);
+        assert!(matches!(
+            shared.relabel(&ints),
+            Err(RelationError::Incompatible { .. })
+        ));
+    }
+
+    #[test]
+    fn relabel_into_a_keyed_schema_checks_the_key() {
+        let r = Relation::from_tuples(
+            Schema::of(&[("a", Domain::Str), ("b", Domain::Int)]),
+            vec![tuple!["bolt", 1i64], tuple!["nut", 2i64]],
+        )
+        .unwrap();
+        let keyed_rel = r.clone().relabel(&keyed()).unwrap();
+        assert!(!Relation::shares_storage(&keyed_rel, &r));
+        assert_eq!(
+            keyed_rel.get_by_key(&tuple!["nut"]),
+            Some(&tuple!["nut", 2i64])
+        );
+        let mut clash = r;
+        clash.insert(tuple!["bolt", 9i64]).unwrap();
+        assert!(matches!(
+            clash.relabel(&keyed()),
+            Err(RelationError::KeyViolation { .. })
+        ));
+    }
+
+    #[test]
+    fn try_retain_filters_and_keeps_the_key_map_in_step() {
+        let mut r = Relation::from_tuples(
+            keyed(),
+            vec![
+                tuple!["bolt", 1i64],
+                tuple!["nut", 2i64],
+                tuple!["pin", 3i64],
+            ],
+        )
+        .unwrap();
+        let shared = r.clone();
+        r.try_retain(|t| Ok::<_, ()>(t.get(1) != &dc_value::Value::from(2i64)))
+            .unwrap();
+        assert_eq!(r.len(), 2);
+        assert_eq!(shared.len(), 3, "shared storage is copied, not filtered");
+        assert_eq!(r.get_by_key(&tuple!["nut"]), None);
+        r.insert(tuple!["nut", 7i64]).unwrap();
+        // The first error stops the pass and is returned.
+        let mut seen = 0;
+        let err = r.try_retain(|_| {
+            seen += 1;
+            Err::<bool, _>("stop")
+        });
+        assert_eq!((err, seen), (Err("stop"), 1));
+    }
+
+    #[test]
+    fn try_retain_keeping_everything_keeps_the_memos() {
+        let mut r = Relation::from_tuples(infrontrel(), vec![tuple!["a", "b"]]).unwrap();
+        let (id, digest) = (r.storage_id(), r.digest());
+        r.try_retain(|_| Ok::<_, ()>(true)).unwrap();
+        assert_eq!((r.storage_id(), r.cached_digest()), (id, Some(digest)));
+        r.try_retain(|_| Ok::<_, ()>(false)).unwrap();
+        assert!(r.is_empty());
+        assert_eq!(r.cached_digest(), None);
+        assert_ne!(r.storage_id(), id);
     }
 
     #[test]

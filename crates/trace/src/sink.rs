@@ -1,6 +1,7 @@
 //! Trace sinks: the JSON-lines exporter and the in-memory collector
 //! used by tests.
 
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -53,18 +54,26 @@ fn escape_json(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
 }
 
+// Numbers are formatted straight into the line buffer (`fmt::Write`
+// on a `String` cannot fail), never through a `String` of their own.
 fn render_value(out: &mut String, value: &FieldValue) {
     match value {
-        FieldValue::U64(v) => out.push_str(&v.to_string()),
-        FieldValue::I64(v) => out.push_str(&v.to_string()),
-        FieldValue::F64(v) if v.is_finite() => out.push_str(&format!("{v}")),
+        FieldValue::U64(v) => {
+            let _ = write!(out, "{v}");
+        }
+        FieldValue::I64(v) => {
+            let _ = write!(out, "{v}");
+        }
+        FieldValue::F64(v) if v.is_finite() => {
+            let _ = write!(out, "{v}");
+        }
         FieldValue::F64(_) => out.push_str("null"),
         FieldValue::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
         FieldValue::Str(v) => {
@@ -76,18 +85,19 @@ fn render_value(out: &mut String, value: &FieldValue) {
 }
 
 fn render_line(out: &mut String, rec: &TraceRecord) {
-    out.push_str("{\"id\":");
-    out.push_str(&rec.id.to_string());
-    out.push_str(",\"parent\":");
-    out.push_str(&rec.parent.to_string());
-    out.push_str(",\"kind\":\"");
-    out.push_str(rec.kind.label());
-    out.push_str("\",\"name\":\"");
+    let _ = write!(
+        out,
+        "{{\"id\":{},\"parent\":{},\"kind\":\"{}\",\"name\":\"",
+        rec.id,
+        rec.parent,
+        rec.kind.label()
+    );
     escape_json(out, &rec.name);
-    out.push_str("\",\"start_us\":");
-    out.push_str(&rec.start_us.to_string());
-    out.push_str(",\"end_us\":");
-    out.push_str(&rec.end_us.to_string());
+    let _ = write!(
+        out,
+        "\",\"start_us\":{},\"end_us\":{}",
+        rec.start_us, rec.end_us
+    );
     if rec.is_event {
         out.push_str(",\"event\":true");
     }
@@ -371,13 +381,21 @@ mod tests {
             start_us: 5,
             end_us: 5,
             is_event: true,
-            fields: vec![("note", FieldValue::Str("a\\b".to_string()))],
+            fields: vec![
+                ("note", FieldValue::Str("a\\b\u{1}".to_string())),
+                ("tuples", FieldValue::U64(u64::MAX)),
+                ("shift", FieldValue::I64(-42)),
+                ("ratio", FieldValue::F64(0.25)),
+                ("whole", FieldValue::F64(3.0)),
+                ("nan", FieldValue::F64(f64::NAN)),
+                ("ok", FieldValue::Bool(true)),
+            ],
         };
         let mut out = String::new();
         render_line(&mut out, &rec);
         assert_eq!(
             out,
-            "{\"id\":3,\"parent\":0,\"kind\":\"warning\",\"name\":\"say \\\"hi\\\"\\n\",\"start_us\":5,\"end_us\":5,\"event\":true,\"note\":\"a\\\\b\"}\n"
+            "{\"id\":3,\"parent\":0,\"kind\":\"warning\",\"name\":\"say \\\"hi\\\"\\n\",\"start_us\":5,\"end_us\":5,\"event\":true,\"note\":\"a\\\\b\\u0001\",\"tuples\":18446744073709551615,\"shift\":-42,\"ratio\":0.25,\"whole\":3,\"nan\":null,\"ok\":true}\n"
         );
     }
 }

@@ -47,14 +47,20 @@ impl Tuple {
         &self.fields
     }
 
-    /// Project onto the given positions, producing a new tuple.
+    /// A tuple holding a copy of `fields`: one allocation, for callers
+    /// that assemble fields in a reused buffer.
+    pub fn from_slice(fields: &[Value]) -> Tuple {
+        Tuple {
+            fields: Arc::from(fields),
+        }
+    }
+
+    /// Project onto the given positions, producing a new tuple (one
+    /// allocation: the field slice is collected straight into its `Arc`).
     pub fn project(&self, positions: &[usize]) -> Tuple {
-        Tuple::new(
-            positions
-                .iter()
-                .map(|&i| self.fields[i])
-                .collect::<Vec<_>>(),
-        )
+        Tuple {
+            fields: positions.iter().map(|&i| self.fields[i]).collect(),
+        }
     }
 
     /// Concatenate two tuples (used by join targets).
@@ -133,6 +139,13 @@ mod tests {
         let t = tuple![1i64, 2i64, 3i64];
         let p = t.project(&[2, 0]);
         assert_eq!(p, tuple![3i64, 1i64]);
+    }
+
+    #[test]
+    fn from_slice_copies_fields() {
+        let t = tuple![1i64, "x"];
+        assert_eq!(Tuple::from_slice(t.fields()), t);
+        assert_eq!(Tuple::from_slice(&[]), Tuple::empty());
     }
 
     #[test]

@@ -83,16 +83,41 @@ fn keyed_result_type_conflict_detected() {
     .unwrap();
     let mut ctor = paper::ahead();
     ctor.result = keyed;
-    let mut db = Database::new();
-    db.create_relation("Infront", paper::infrontrel()).unwrap();
-    // A chain derives (a,b) and (a,c): two tuples sharing the key `a`.
-    db.insert_all("Infront", vec![tuple!["a", "b"], tuple!["b", "c"]])
-        .unwrap();
-    db.define_constructor(ctor).unwrap();
-    let err = db
-        .eval(&rel("Infront").construct("ahead", vec![]))
-        .unwrap_err();
-    assert!(err.to_string().contains("key violation"), "{err}");
+    // Each relation's name, size and content digest.
+    let digest = |db: &Database| {
+        let mut names = db.relation_names();
+        names.sort_unstable();
+        names
+            .into_iter()
+            .map(|n| {
+                let r = db.relation_ref(n).unwrap();
+                (n.to_string(), r.len(), r.digest())
+            })
+            .collect::<Vec<_>>()
+    };
+    // A chain derives (a,b) in round 1 and (a,c) in round 2: the
+    // conflict is between a delta and the accumulated value. Then a
+    // base holding (a,b) and (a,c) stages both in round 1: the conflict
+    // is inside one round's delta.
+    for base in [
+        vec![tuple!["a", "b"], tuple!["b", "c"]],
+        vec![tuple!["a", "b"], tuple!["a", "c"]],
+    ] {
+        let mut db = Database::new();
+        db.create_relation("Infront", paper::infrontrel()).unwrap();
+        db.insert_all("Infront", base).unwrap();
+        db.define_constructor(ctor.clone()).unwrap();
+        let before = digest(&db);
+        let err = db
+            .eval(&rel("Infront").construct("ahead", vec![]))
+            .unwrap_err();
+        assert!(err.to_string().contains("key violation"), "{err}");
+        assert_eq!(
+            digest(&db),
+            before,
+            "an aborted solve leaves the database as it was"
+        );
+    }
 }
 
 /// Deterministic results across evaluation orders: hash iteration
