@@ -57,9 +57,7 @@ fn main() {
     println!("===================================================\n");
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     e1();
-    let e1b_rows = e1b();
-    let e1d_rows = e1d(cores);
-    write_bench_e1(&e1b_rows, &e1d_rows);
+    write_bench_e1(&e1b());
     e2();
     let e2b_rows = e2b();
     let e2c_rows = e2c();
@@ -79,8 +77,8 @@ fn main() {
 /// nested-loop evaluator, semi-naive strategy on both sides — the
 /// scan→probe speedup this engine's join planner is responsible for.
 /// Asserts the ≥5× bound on the 1k-node tree (an access-path class,
-/// not a constant: measured 60–110×). The measured rows join the E1d
-/// rows in `BENCH_e1.json` (see [`write_bench_e1`]).
+/// not a constant: measured 60–110×). The measured rows go to
+/// `BENCH_e1.json` (see [`write_bench_e1`]).
 fn e1b() -> Vec<String> {
     println!("E1b index-nested-loop joins vs reference nested loops (semi-naive)");
     println!("  workload              nodes  edges  closure  indexed(ms)  nested(ms)  speedup");
@@ -137,137 +135,14 @@ fn e1b() -> Vec<String> {
     rows
 }
 
-/// E1d: cross-equation parallel fixpoint rounds — multi-equation
-/// systems solved with the round scheduler batch-dispatching branch
-/// tasks of *different equations* to a 4-worker pool vs pinned to one
-/// worker — task dispatch is the whole difference. The 4-constructor
-/// ring instantiates four simultaneously solved equations whose Linear
-/// branches carry equal-sized deltas every round (a balanced 4-task
-/// round); the mutual `ahead`/`above` system is the paper's §3.1
-/// workload. Cold solves on both sides
-/// (the solved-constructor cache is cleared between warm-up and
-/// measurement); results are asserted identical, and the scheduler
-/// counters are asserted to prove the dispatched path ran. The ratio is
-/// recorded, not asserted.
-fn e1d(cores: usize) -> Vec<String> {
-    println!(
-        "E1d cross-equation parallel fixpoint rounds: 4 workers vs sequential ({cores} core(s))"
-    );
-    println!("  workload                eqs  tuples  seq(ms)  par4(ms)  speedup");
-    enum Sys {
-        Ring(Relation),
-        Mutual(workload::Scene),
-    }
-    let workloads = [
-        (
-            "ring×4 tree d=12",
-            Sys::Ring(workload::complete_binary_tree(12)),
-        ),
-        (
-            "ring×4 tree d=13",
-            Sys::Ring(workload::complete_binary_tree(13)),
-        ),
-        (
-            "mutual scene 32×128",
-            Sys::Mutual(workload::scene(32, 128, 1, 7)),
-        ),
-    ];
-    let mut rows_out = Vec::new();
-    for (label, sys) in workloads {
-        let build = |threads: usize| {
-            let mut db = match &sys {
-                Sys::Ring(base) => ring_db(base),
-                Sys::Mutual(scene) => {
-                    let mut db = Database::new();
-                    db.create_relation("Infront", paper::infrontrel()).unwrap();
-                    db.create_relation("Ontop", paper::ontoprel()).unwrap();
-                    for t in scene.infront.iter() {
-                        db.insert("Infront", t.clone()).unwrap();
-                    }
-                    for t in scene.ontop.iter() {
-                        db.insert("Ontop", t.clone()).unwrap();
-                    }
-                    db.define_constructors(vec![paper::ahead_mutual(), paper::above()])
-                        .unwrap();
-                    db
-                }
-            };
-            db.set_threads(threads);
-            db
-        };
-        let q = match &sys {
-            Sys::Ring(_) => ring_query(),
-            Sys::Mutual(_) => rel("Ontop").construct("above", vec![rel("Infront")]),
-        };
-        let db_seq = build(1);
-        let warm = db_seq.eval(&q).unwrap();
-        db_seq.clear_solved_cache();
-        let (seq_rel, seq_ms) = time(|| db_seq.eval(&q).unwrap());
-        let db_par = build(4);
-        let par_warm = db_par.eval(&q).unwrap();
-        db_par.clear_solved_cache();
-        let ((par_rel, par_ms), par) =
-            counted(&db_par.metrics(), || time(|| db_par.eval(&q).unwrap()));
-        assert_eq!(
-            seq_rel, par_rel,
-            "parallel fixpoint rounds must agree with sequential on {label}"
-        );
-        assert_eq!(warm, seq_rel);
-        assert_eq!(par_warm, par_rel);
-        // The dispatched path must actually have run: branch tasks
-        // batched to workers, spanning more than one equation.
-        assert!(
-            par.parallel_branches > 0,
-            "E1d {label}: no branch tasks were dispatched ({par:?})"
-        );
-        assert!(
-            par.parallel_equations >= 2,
-            "E1d {label}: rounds never dispatched across equations ({par:?})"
-        );
-        let speedup = seq_ms / par_ms;
-        println!(
-            "  {label:<22} {:>4} {:>7} {seq_ms:>8.2} {par_ms:>9.2} {speedup:>7.2}x",
-            par.solve_equations,
-            seq_rel.len(),
-        );
-        rows_out.push(row_with_metrics(
-            format!(
-                concat!(
-                    "  {{\"workload\": \"E1d {}\", \"equations\": {}, \"tuples\": {}, ",
-                    "\"threads\": 4, \"cores\": {}, ",
-                    "\"parallel_branches\": {}, \"sequential_branches\": {}, ",
-                    "\"parallel_equations\": {}, ",
-                    "\"seq_ms\": {:.3}, \"par_ms\": {:.3}, \"speedup\": {:.2}}}"
-                ),
-                label,
-                par.solve_equations,
-                seq_rel.len(),
-                cores,
-                par.parallel_branches,
-                par.sequential_branches,
-                par.parallel_equations,
-                seq_ms,
-                par_ms,
-                speedup
-            ),
-            &db_par.metrics().snapshot(),
-        ));
-    }
-    println!();
-    rows_out
-}
-
-/// Emit `BENCH_e1.json`: the E1b scan→probe rows, then the E1d
-/// cross-equation fixpoint rows, one flat array — a reproduction table,
-/// not a gate.
-fn write_bench_e1(e1b_rows: &[String], e1d_rows: &[String]) {
-    let mut all: Vec<String> = e1b_rows.to_vec();
-    all.extend(e1d_rows.iter().cloned());
-    let json = format!("[\n{}\n]\n", all.join(",\n"));
+/// Emit `BENCH_e1.json`: the E1b scan→probe rows, one flat array — a
+/// reproduction table, not a gate.
+fn write_bench_e1(e1b_rows: &[String]) {
+    let json = format!("[\n{}\n]\n", e1b_rows.join(",\n"));
     if let Err(e) = std::fs::write("BENCH_e1.json", &json) {
         eprintln!("  (could not write BENCH_e1.json: {e})");
     } else {
-        println!("  join + parallel rows written to BENCH_e1.json\n");
+        println!("  join rows written to BENCH_e1.json\n");
     }
 }
 
@@ -638,9 +513,9 @@ fn e3() {
 /// evaluates the visibility query, while one writer thread keeps
 /// publishing insert/delete commits the whole time — so the measured
 /// interval includes epoch churn, warm-cache handoff, and index
-/// rebuilds for the touched relation. The database itself is pinned to
-/// one solver thread so the scaling measured is *reader-session*
-/// concurrency, not intra-query parallelism. QPS is total queries over
+/// rebuilds for the touched relation. A solve runs on its caller's
+/// thread, so the scaling measured is *reader-session* concurrency.
+/// QPS is total queries over
 /// wall time; p99 is the per-query latency tail. The rows go to
 /// `BENCH_e3.json`; the reader-scaling ratio is recorded, not asserted.
 fn e3b(cores: usize) -> Vec<String> {
@@ -650,8 +525,7 @@ fn e3b(cores: usize) -> Vec<String> {
     let mut rows_out = Vec::new();
     let mut base_qps = 0.0_f64;
     for readers in [1usize, 2, 4, 8] {
-        let mut db = scene_db(&workload::scene(24, 24, 2, 11));
-        db.set_threads(1);
+        let db = scene_db(&workload::scene(24, 24, 2, 11));
         let server = Server::new(db);
         let q = visibility_query();
         // One untimed query warms the epoch-0 shared caches, so every

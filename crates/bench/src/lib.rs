@@ -137,19 +137,10 @@ pub fn constructor_ring(m: usize) -> Vec<Constructor> {
         .collect()
 }
 
-/// `db` with `threads` workers and the parallel threshold lowered to 1,
-/// so that even small generated inputs dispatch their round tasks — how
-/// the differential suites force the parallel path.
-pub fn parallelised(mut db: Database, threads: usize) -> Database {
-    db.set_threads(threads);
-    db.config_mut().parallel_threshold = 1;
-    db
-}
-
 /// A database holding `base` under `Edges` with the 4-constructor ring
 /// defined: four simultaneously solved equations whose Linear branches
-/// all carry a delta every round — a balanced four-task round for the
-/// scheduler. [`ring_query`] solves it.
+/// all carry a delta every round — four tasks a round, one per
+/// equation. [`ring_query`] solves it.
 pub fn ring_db(base: &Relation) -> Database {
     let mut db = weighted_db(base);
     db.define_constructors(constructor_ring(4))

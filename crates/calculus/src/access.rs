@@ -39,11 +39,11 @@
 //!
 //! # Sharing
 //!
-//! The cache is `Send + Sync`; workers of a parallel round insert
-//! straight into the solve's cache. Content is a function of the key
-//! (a relation's storage at one content, plus positions), so when two
-//! threads build the same entry the first insert
-//! wins and every reader sees the same `Arc` from then on. Locks are
+//! The cache is `Send + Sync`: the reader sessions of a server snapshot
+//! share one. Content is a function of the key (a relation's storage at
+//! one content, plus positions), so when two threads build the same
+//! entry the first insert wins and every reader sees the same `Arc`
+//! from then on. Locks are
 //! held for map probes and inserts only, never across a build, and
 //! every acquisition tolerates poisoning: a panicking evaluation (fault
 //! injection is part of the test battery) must not wedge its siblings.
@@ -197,8 +197,8 @@ impl Clone for AccessCache {
     }
 }
 
-// The cache crosses thread boundaries by design (round workers, reader
-// sessions); assert the contract at compile time.
+// The cache crosses thread boundaries by design (reader sessions);
+// assert the contract at compile time.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<AccessCache>();

@@ -39,7 +39,7 @@ pub struct Database {
     access: AccessCache,
     /// The metrics registry every solve and query evaluation records
     /// into; also threaded through `config.metrics` so solver-spawned
-    /// evaluators (on any thread) count planner decisions here.
+    /// evaluators count planner decisions here.
     metrics: Arc<MetricsRegistry>,
 }
 
@@ -85,16 +85,6 @@ impl Database {
     /// kept for differential tests and benchmark comparisons.
     pub fn set_use_indexes(&mut self, on: bool) {
         self.defs.config.use_indexes = on;
-    }
-
-    /// Set the worker-thread count for a solve's round task dispatch:
-    /// `0` (the default) resolves through `DC_THREADS` /
-    /// available parallelism, `1` pins the exact sequential path, any
-    /// other value is used as given (see
-    /// [`FixpointConfig::threads`]). Results are identical for every
-    /// setting; only wall-clock time changes.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.defs.config.threads = threads;
     }
 
     /// Attach (or, with `None`, remove) a resource budget governing
@@ -665,7 +655,6 @@ mod tests {
         assert!(!db.insert("Infront", tuple!["vase", "table"]).unwrap());
         assert!(db.insert("Infront", tuple!["vase"]).is_err());
         assert!(db.insert("Nowhere", tuple!["a", "b"]).is_err());
-        db.set_threads(1);
         db.set_budget(None);
         db.set_use_indexes(true);
         assert_eq!(db.eval(&closure_q).unwrap(), closure);

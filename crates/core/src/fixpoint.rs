@@ -47,30 +47,29 @@
 //! reports [`EvalError::NonConvergent`]; genuinely convergent
 //! non-monotone systems (the paper's `strange`) simply converge.
 //!
-//! # Snapshot rounds
+//! # Rounds
 //!
-//! The Jacobi update makes every round embarrassingly parallel: all
-//! equation bodies of round `k+1` read only round-`k` state. The solver
-//! exploits that by preparing each round's branch evaluations as
-//! self-contained tasks, freezing an immutable catalog snapshot (the
-//! private `snapshot` submodule), and handing the tasks to the worker
-//! pool (the private `pool` submodule) — cross-branch *and*
-//! cross-equation parallelism, impure branches included (quantifier
-//! probes included: they only need the frozen snapshot). This is the
-//! engine's only parallelism. Each task returns its value plus the
-//! constructor applications it met for the first time; the solver
-//! replays those single-threaded at the commit site, so registration
-//! and delta commits stay serialized and `threads = N` commits
-//! relations identical to `threads = 1`. Indexes live in the solve's
-//! one [`AccessCache`], keyed by storage identity: tasks fill it
-//! directly from any thread, and the commit site
-//! [`AccessCache::advance`]s each grown equation value.
+//! A solve runs on the thread that calls it, one round after another,
+//! and each round in three stages — the fields `prep_us`,
+//! `evaluate_us` and `commit_us` of its one `round` trace record:
 //!
-//! A round is one `round` trace record, its stages fields of it
-//! (`prep_us` with the freeze, `evaluate_us`, `commit_us` with the
-//! replay), its branch tasks nested under it. The replay emits a task's
-//! access path when its branch is first planned and when the path's
-//! steps change, and each distinct demotion once per solve.
+//! * **Prep** reads solver state and builds the round's branch tasks:
+//!   one branch each, its formals and its delta or value markers bound
+//!   in the task's own overrides.
+//! * **Evaluate** runs the tasks in task order (equation-ascending,
+//!   then branch order), each through an overlay over the solver's own
+//!   catalog, and stages each output under its equation. Base names
+//!   resolve in the solve's universe, applications to the current
+//!   iterate; an application met for the first time registers there
+//!   and then, through the one instantiation path, and reads ∅ until its
+//!   equation's first commit. Each task's `branch_task` span nests
+//!   under the round; the round emits a task's access path when its
+//!   branch is first planned and when the path's steps change, and each
+//!   distinct demotion once per solve.
+//! * **Commit** applies every equation's staged output at once, the
+//!   Jacobi update: `current` moves only here. Indexes live in the
+//!   solve's one [`AccessCache`], keyed by storage identity, and the
+//!   commit [`AccessCache::advance`]s each grown equation value.
 //!
 //! A panic anywhere inside a solve is caught at the solver's entry and
 //! returned as a structured [`SolveError::WorkerPanic`].
@@ -80,7 +79,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
-use dc_calculus::ast::{Branch, CmpOp, Formula, Name, RangeExpr, ScalarExpr, SetFormer, Target};
+use dc_calculus::ast::{
+    Branch, CmpOp, Formula, Name, RangeExpr, ScalarExpr, SelectorDef, SetFormer, Target,
+};
 use dc_calculus::env::Overlay;
 use dc_calculus::rewrite;
 use dc_calculus::{AccessCache, Catalog, EvalError, Evaluator, PlanEvent};
@@ -93,21 +94,10 @@ use dc_value::{FxHashMap, Value};
 
 use crate::catalog::Defs;
 
-mod pool;
-mod snapshot;
+mod reach;
 
-use pool::ExecError;
-pub use snapshot::Reach;
-use snapshot::{EvalSnapshot, SnapshotCatalog, Universe};
-
-/// Minimum weight of a round task — the tuples of the overridden
-/// (delta or doomed) ranges it scans — for the task to count toward
-/// parallel dispatch ([`FixpointConfig::parallel_threshold`]'s
-/// default): a round goes to the worker pool only when at least two of
-/// its tasks clear it. Below it a task evaluates in tens of
-/// microseconds and the fixed cost of dispatch — thread spawns and the
-/// hand-back to the solver thread — outweighs what it saves.
-pub const PARALLEL_SCAN_THRESHOLD: usize = 2048;
+pub use reach::Reach;
+use reach::Universe;
 
 /// Fixpoint evaluation strategy — see the [module docs](self) for how
 /// the solver picks one.
@@ -135,20 +125,6 @@ pub struct FixpointConfig {
     /// everywhere and queries as written ([`crate::compile::rewrite`]),
     /// kept selectable for differential tests and benchmark comparisons.
     pub use_indexes: bool,
-    /// Worker threads, resolved once per solve: `0` (the default) means
-    /// "auto" — the `DC_THREADS` environment variable if set, otherwise
-    /// the machine's available parallelism; `1` is the exact sequential
-    /// path; any other value is used as given (up to the pool's cap).
-    /// Results are identical for every setting: a round's branch tasks
-    /// run on workers against a frozen snapshot, while registration
-    /// and delta commits (with the index maintenance they carry) stay
-    /// on the solver thread.
-    pub threads: usize,
-    /// Task-weight floor for round dispatch (default
-    /// [`PARALLEL_SCAN_THRESHOLD`]): a round is dispatched to workers
-    /// when at least two of its tasks clear it. Differential tests lower
-    /// it to force dispatch on small inputs.
-    pub parallel_threshold: usize,
     /// Resource envelope for each solve, if any. The budget is *armed*
     /// (clock captured) at the start of every solve, so a 10 ms
     /// deadline means 10 ms per solve, not 10 ms since configuration.
@@ -156,10 +132,10 @@ pub struct FixpointConfig {
     /// [`dc_governor::SolveError`]; `None` means unlimited.
     pub budget: Option<Budget>,
     /// Metrics registry solve-level counters (rounds, equations, delta
-    /// tuples, branch dispatch decisions, planner decisions) are
-    /// recorded into, if the owner threads one through — the one place
-    /// a solve's numbers are read. `Database` and the serving layer
-    /// each install their own; `None` keeps the solver metric-free.
+    /// tuples, planner decisions) are recorded into, if the owner
+    /// threads one through — the one place a solve's numbers are read.
+    /// `Database` and the serving layer each install their own; `None`
+    /// keeps the solver metric-free.
     pub metrics: Option<Arc<MetricsRegistry>>,
 }
 
@@ -169,8 +145,6 @@ impl Default for FixpointConfig {
             strategy: Strategy::SemiNaive,
             max_iterations: 100_000,
             use_indexes: true,
-            threads: 0,
-            parallel_threshold: PARALLEL_SCAN_THRESHOLD,
             budget: None,
             metrics: None,
         }
@@ -239,7 +213,7 @@ impl AppKey {
 
 /// One constructor application by actual values: its identity and what
 /// an equation is instantiated over. The root, every application a body
-/// names, and every first sighting a round task logs all enter the
+/// names, and every application a round task meets first all enter the
 /// system as one of these.
 struct Application {
     key: AppKey,
@@ -303,9 +277,8 @@ struct Equation {
     /// forwarded through an enclosing equation's own provenance).
     /// `None` means at least one actual was a computed range: warm
     /// starts cannot tell whether a base delta flows into it, so they
-    /// refuse the whole system. Registrations reached dynamically
-    /// (value-dependent applications, effect replay) carry no
-    /// provenance.
+    /// refuse the whole system. Value-dependent applications, which
+    /// register while a round evaluates, carry no provenance.
     provenance: Option<FxHashMap<Name, Name>>,
 }
 
@@ -318,17 +291,6 @@ struct State {
     /// Per equation, the tuples a warm deletion's over-delete phase
     /// collected (`D`); empty outside that phase's solves.
     doomed: Vec<Relation>,
-    /// The solve's access cache: every index any branch evaluation of
-    /// this solve builds,
-    /// keyed by the storage of the relation it describes — base
-    /// relations and actuals (stable for the whole solve), equation
-    /// values (advanced at commit), deltas (forgotten at commit).
-    access: Arc<AccessCache>,
-    /// The base-catalog slice and constructor definitions the solve can
-    /// reach, resolved once before the first registration and frozen
-    /// into every round snapshot (`Arc`-shared: a freeze is a pointer
-    /// bump).
-    universe: Arc<Universe>,
 }
 
 impl State {
@@ -336,11 +298,15 @@ impl State {
     /// return its index. Its body is seeded separately.
     fn register(
         &mut self,
+        universe: &Universe,
         app: Application,
         slots: Option<Vec<Option<Name>>>,
     ) -> Result<usize, EvalError> {
-        let universe = self.universe.clone();
-        let ctor = universe.definition(&app)?;
+        // Checked in one order, so a malformed application raises the
+        // same error class wherever it is met: unknown constructor,
+        // relation arity, scalar arity, scalar domains.
+        let ctor = universe.defs.constructor(app.key.constructor())?;
+        ctor.check_actuals(app.args.len(), &app.scalar_args)?;
         let formals = ctor.rel_formals();
         // Provenance is all-or-nothing: one computed actual poisons the
         // equation (a base delta could flow in through a path the
@@ -372,25 +338,6 @@ impl State {
         });
         Ok(i)
     }
-
-    /// Freeze the immutable view one round's branch tasks evaluate
-    /// against. Cheap by construction: relations are COW handles, and
-    /// the universe and the access cache are one `Arc` bump each.
-    fn freeze(&self) -> Arc<EvalSnapshot> {
-        Arc::new(EvalSnapshot {
-            universe: self.universe.clone(),
-            index: self.index.clone(),
-            current: self.current.clone(),
-            access: self.access.clone(),
-        })
-    }
-
-    /// Replace equation `i`'s per-round delta; the outgoing one is
-    /// never read again, so whatever was cached about it goes too.
-    fn set_delta(&mut self, i: usize, delta: Relation) {
-        self.access.forget(self.delta[i].storage_id());
-        self.delta[i] = delta;
-    }
 }
 
 impl FixpointConfig {
@@ -411,39 +358,6 @@ impl FixpointConfig {
         } else {
             ev.force_nested_loop()
         }
-    }
-}
-
-/// What every solver-spawned evaluator shares: the solve's
-/// configuration, its resolved worker count, and its armed budget, if
-/// it has one.
-#[derive(Debug, Clone)]
-struct ExecKnobs {
-    /// The solve's configuration.
-    cfg: FixpointConfig,
-    /// Resolved worker count ([`FixpointConfig::threads`] resolved once
-    /// per solve).
-    threads: usize,
-    /// The armed budget gauge of a budgeted solve: one per solve,
-    /// shared (clones share counters) by the solver loop and every
-    /// branch evaluator, on whichever thread it runs. An unbudgeted
-    /// solve arms none: its evaluators count their emitted tuples
-    /// themselves and the solver sums them into [`Tally::emitted`].
-    budget: Option<Meter>,
-}
-
-impl ExecKnobs {
-    fn of(cfg: &FixpointConfig) -> ExecKnobs {
-        ExecKnobs {
-            cfg: cfg.clone(),
-            threads: pool::thread_count(cfg.threads),
-            budget: cfg.budget.as_ref().map(Budget::meter),
-        }
-    }
-
-    /// An evaluator under the solve's configuration and budget.
-    fn evaluator<'e>(&self, catalog: &'e dyn Catalog) -> Evaluator<'e> {
-        self.cfg.evaluator(catalog, self.budget.clone())
     }
 }
 
@@ -761,9 +675,8 @@ enum Rule {
     Collect,
 }
 
-/// Per-solve totals that outlive one call of [`Solver::rounds`]. Kept
-/// on the solver thread; [`Solver::finish`] writes the counts to the
-/// metrics registry.
+/// Per-solve totals that outlive one call of [`Solver::rounds`];
+/// [`Solver::finish`] writes the counts to the metrics registry.
 #[derive(Default)]
 struct Tally {
     rounds: usize,
@@ -771,14 +684,6 @@ struct Tally {
     /// Tuples the round tasks' evaluators emitted — what
     /// [`SolveDiag::tuples`] reports when no budget meter counts them.
     emitted: u64,
-    /// Round tasks dispatched to the worker pool.
-    parallel_branches: u64,
-    /// Round tasks evaluated inline on the solver thread.
-    sequential_branches: u64,
-    /// Distinct equations whose tasks shared a dispatched round.
-    parallel_equations: u64,
-    /// Dispatched tasks that panicked and completed on the inline retry.
-    degraded: u64,
     /// The root's accumulated additions — `Some` for warm runs only.
     added: Option<Relation>,
     /// What the solve has reported to the trace.
@@ -796,22 +701,23 @@ struct PlanLog {
     /// branch's paths in its round).
     paths: FxHashMap<(usize, usize, usize), Steps>,
     demotions: Vec<PlanEvent>,
-    /// Paths replayed so far this round, per (equation, branch).
+    /// Paths reported so far this round, per (equation, branch).
     nth: FxHashMap<(usize, usize), usize>,
 }
 
 impl PlanLog {
-    /// Emit the events of `task`'s evaluator that are new to the solve:
-    /// an access path whose steps differ from the last one emitted in
-    /// its place, a demotion not emitted before.
-    fn report(&mut self, task: &BranchTask, events: Vec<PlanEvent>) {
+    /// Emit the events of the evaluator of branch `branch` of equation
+    /// `eq` that are new to the solve: an access path whose steps differ
+    /// from the last one emitted in its place, a demotion not emitted
+    /// before.
+    fn report(&mut self, (eq, branch): (usize, usize), events: Vec<PlanEvent>) {
         for ev in events {
             let new = match &ev {
                 PlanEvent::AccessPath { steps, .. } => {
-                    let nth = self.nth.entry((task.eq, task.branch)).or_default();
+                    let nth = self.nth.entry((eq, branch)).or_default();
                     *nth += 1;
                     let steps = steps.iter().map(|s| (s.position, s.probe_attrs.clone()));
-                    let last = self.paths.entry((task.eq, task.branch, *nth)).or_default();
+                    let last = self.paths.entry((eq, branch, *nth)).or_default();
                     std::mem::replace(last, steps.collect()) != *last // old != new
                 }
                 _ if self.demotions.contains(&ev) => false,
@@ -841,40 +747,50 @@ struct WarmPlan {
 }
 
 /// One solve: the equation system plus the catalog its bodies evaluate
-/// against while the solver thread instantiates it — formal names
-/// resolve through per-equation overrides, constructor applications to
-/// the *current iterate* (registering new equations on first sight:
-/// dynamic instantiation of the §3.2 system). Definitions are looked up
-/// once, into the universe; the base catalog resolves the rest.
-struct Solver<'s> {
-    catalog: &'s dyn Catalog,
+/// against — formal names resolve through per-equation overrides, base
+/// names in the universe, constructor applications to the *current
+/// iterate* (registering new equations on first sight: dynamic
+/// instantiation of the §3.2 system).
+struct Solver {
+    /// The base-catalog slice and the definitions the solve can reach,
+    /// resolved once before the first registration.
+    universe: Universe,
     state: RefCell<State>,
-    knobs: ExecKnobs,
-    /// `State::access`, held outside the `RefCell` so it can be lent
-    /// to evaluators.
+    /// The solve's configuration.
+    cfg: FixpointConfig,
+    /// The armed budget gauge of a budgeted solve: one per solve,
+    /// shared (clones share counters) by the round loop and every
+    /// evaluator. An unbudgeted solve arms none: its evaluators count
+    /// their emitted tuples themselves and the solver sums them into
+    /// [`Tally::emitted`].
+    budget: Option<Meter>,
+    /// The solve's access cache: every index any evaluation of this
+    /// solve builds, keyed by the storage of the relation it describes
+    /// — base relations and actuals (stable for the whole solve),
+    /// equation values (advanced at commit), deltas (forgotten at
+    /// commit).
     access: Arc<AccessCache>,
     /// The strategy decision, made once per solve in [`Solver::new`].
     naive: bool,
     /// Open for the whole solve; its rounds nest under it, and each
-    /// round's branch tasks and `plan` events under the round (branch
-    /// tasks via an explicit parent when dispatched).
+    /// round's branch tasks and `plan` events under the round.
     span: dc_trace::Span,
     t0: Instant,
 }
 
-impl<'s> Solver<'s> {
+impl Solver {
     /// Walk everything the root can reach, once: decide the strategy,
-    /// resolve the universe every round snapshot shares, then
-    /// instantiate the system from the root (equation 0). `warm` is the
-    /// previous system's cache, which the solve takes over.
+    /// resolve the solve's universe, then instantiate the system from
+    /// the root (equation 0). `warm` is the previous system's cache,
+    /// which the solve takes over.
     fn new(
         defs: &Defs,
-        catalog: &'s dyn Catalog,
+        catalog: &dyn Catalog,
         root: Application,
         root_names: Option<Vec<Option<Name>>>,
         warm: Option<Arc<AccessCache>>,
         cfg: &FixpointConfig,
-    ) -> Result<Solver<'s>, EvalError> {
+    ) -> Result<Solver, EvalError> {
         let t0 = Instant::now();
         let span = dc_trace::span(SpanKind::Solve).name_with(|| root.key.constructor().to_string());
         let mut reach = Reach::new(defs);
@@ -884,17 +800,16 @@ impl<'s> Solver<'s> {
         // and all, so its entries are this solve's from the first round.
         let access = warm.unwrap_or_else(|| Arc::new(AccessCache::new(cfg.metrics.clone())));
         let solver = Solver {
-            catalog,
+            universe: reach.into_universe(catalog),
             state: RefCell::new(State {
                 equations: Vec::new(),
                 index: FxHashMap::default(),
                 current: Vec::new(),
                 delta: Vec::new(),
                 doomed: Vec::new(),
-                access: access.clone(),
-                universe: Arc::new(reach.into_universe(catalog)),
             }),
-            knobs: ExecKnobs::of(cfg),
+            cfg: cfg.clone(),
+            budget: cfg.budget.as_ref().map(Budget::meter),
             access,
             naive,
             span,
@@ -914,16 +829,20 @@ impl<'s> Solver<'s> {
         if let Some(&i) = self.state.borrow().index.get(&app.key) {
             return Ok(i);
         }
-        let i = self.state.borrow_mut().register(app, slots)?;
+        let i = self
+            .state
+            .borrow_mut()
+            .register(&self.universe, app, slots)?;
         self.seed(i)?;
         Ok(i)
     }
 
     /// Evaluate the actuals of `app`, an application in equation
     /// `parent`'s body, under `parent`'s overlay, and enter it with
-    /// their provenance. `None` when the actuals themselves apply
-    /// constructors: the key is value-dependent, so the application
-    /// registers dynamically during evaluation instead.
+    /// their provenance. `None` when the key is value-dependent — the
+    /// actuals themselves apply constructors, or the application reads a
+    /// tuple variable bound around it — so the application registers on
+    /// first sight while its round evaluates instead.
     fn instantiate(&self, parent: usize, app: &RangeExpr) -> Result<Option<usize>, EvalError> {
         let RangeExpr::Constructed {
             base,
@@ -935,7 +854,9 @@ impl<'s> Solver<'s> {
             return Ok(None);
         };
         let actuals = || std::iter::once(&**base).chain(args);
-        if actuals().any(|r| !rewrite::collect_constructed(r).is_empty()) {
+        if actuals().any(|r| !rewrite::collect_constructed(r).is_empty())
+            || rewrite::mentions_free(app, |_| true)
+        {
             return Ok(None);
         }
         let (overrides, provenance) = {
@@ -944,7 +865,7 @@ impl<'s> Solver<'s> {
             (eq.overrides.clone(), eq.provenance.clone())
         };
         let overlay = Overlay::new(self, (*overrides).clone());
-        let mut ev = self.knobs.evaluator(&overlay);
+        let mut ev = self.evaluator(&overlay);
         let mut bindings = Vec::new();
         let base_val = ev.eval_range(base, &mut bindings)?;
         let arg_vals = args
@@ -1016,7 +937,6 @@ impl<'s> Solver<'s> {
     fn prepare(&self, i: usize, tasks: &mut Vec<BranchTask>) {
         let st = self.state.borrow();
         let eq = &st.equations[i];
-        let weight: usize = eq.overrides.iter().map(|(_, r)| r.len()).sum();
         for (b, branch) in eq.body.branches.iter().enumerate() {
             match &eq.classes[b] {
                 BranchClass::Static if eq.initialized && !self.naive => {}
@@ -1042,7 +962,6 @@ impl<'s> Solver<'s> {
                         branches: vec![branch.clone()],
                     },
                     overrides: (*eq.overrides).clone(),
-                    weight,
                 }),
             }
         }
@@ -1106,7 +1025,7 @@ impl<'s> Solver<'s> {
                     }
                 }
                 for (b, branch) in eq.body.branches.iter().enumerate() {
-                    let mut reach = Reach::new(&st.universe.defs);
+                    let mut reach = Reach::new(&self.universe.defs);
                     reach.add(&branch.predicate);
                     let mut deleted = Vec::new();
                     for (p, (_, range)) in branch.bindings.iter().enumerate() {
@@ -1221,7 +1140,10 @@ impl<'s> Solver<'s> {
             let mut tasks = Vec::new();
             for (i, eq) in st.equations.iter().enumerate() {
                 if !st.doomed[i].is_empty() {
-                    tasks.extend((0..eq.body.branches.len()).map(|b| rederive_task(&st, i, b)));
+                    let universe = &self.universe;
+                    tasks.extend(
+                        (0..eq.body.branches.len()).map(|b| rederive_task(&st, universe, i, b)),
+                    );
                 }
             }
             tasks.extend(plan.inserts.into_iter().map(|(i, b, p, d)| {
@@ -1245,15 +1167,12 @@ impl<'s> Solver<'s> {
             let empty = Relation::new(st.doomed[i].schema().clone());
             let old = st.current[i].storage_id();
             let State {
-                current,
-                doomed,
-                access,
-                ..
+                current, doomed, ..
             } = &mut *st;
             for t in doomed[i].iter() {
                 current[i].remove(t);
             }
-            access.advance(old, &current[i], &empty, &doomed[i]);
+            self.access.advance(old, &current[i], &empty, &doomed[i]);
         }
     }
 
@@ -1279,19 +1198,18 @@ impl<'s> Solver<'s> {
         rule: Rule,
         tally: &mut Tally,
     ) -> Result<(), EvalError> {
-        let knobs = &self.knobs;
         let mut prev: Option<Vec<Relation>> = None;
         let mut prev2: Option<Vec<Relation>> = None;
         loop {
             tally.rounds += 1;
             let rounds = tally.rounds;
-            if rounds > knobs.cfg.max_iterations {
+            if rounds > self.cfg.max_iterations {
                 // Round-allowance exhaustion is a divergence verdict, with
                 // enough diagnostics to distinguish a genuinely divergent
                 // system (growing delta) from a slow convergent one.
                 let note = format!(
                     "max_iterations ({}) exhausted without convergence",
-                    knobs.cfg.max_iterations
+                    self.cfg.max_iterations
                 );
                 return Err(EvalError::Solve(SolveError::Diverged {
                     diag: self.diag(rounds - 1, vec![note], tally),
@@ -1300,10 +1218,9 @@ impl<'s> Solver<'s> {
             // The round's one trace record: its stages are laps.
             let mut round_span = dc_trace::span(SpanKind::Round);
             round_span.field("round", rounds);
-            // ---- Prep (solver thread): everything that reads solver
-            // state happens here, before the freeze. Each equation
-            // stages its tasks' output under its declared schema; the
-            // commit turns it into the round's delta in place.
+            // ---- Prep: build the round's tasks from solver state. Each
+            // equation stages its tasks' output under its declared
+            // schema; the commit turns it into the round's delta in place.
             let n = self.state.borrow().equations.len();
             let tasks = first.take().unwrap_or_else(|| {
                 let mut tasks = Vec::new();
@@ -1319,77 +1236,22 @@ impl<'s> Solver<'s> {
                 .iter()
                 .map(|e| Relation::new(e.result.clone()))
                 .collect();
-            // ---- Freeze. Everything a branch task reads, at one round.
-            let snap = self.state.borrow().freeze();
             round_span.field("tasks", tasks.len());
             round_span.lap("prep_us");
-            // ---- Dispatch. Batch the round's tasks onto workers when the
-            // parallelism can pay — at least two tasks whose scan side
-            // clears the parallel threshold — otherwise run them inline in
-            // the same task order (Jacobi staging makes the task order
-            // semantically irrelevant; keeping it fixes the error-witness
-            // choice).
-            let eligible = tasks
-                .iter()
-                .filter(|t| t.weight >= self.knobs.cfg.parallel_threshold)
-                .count();
-            let dispatch = self.knobs.threads > 1 && tasks.len() >= 2 && eligible >= 2;
-            let workers = if dispatch {
-                tally.parallel_branches += tasks.len() as u64;
-                let mut eqs: Vec<usize> = tasks.iter().map(|t| t.eq).collect();
-                eqs.sort_unstable();
-                eqs.dedup();
-                if eqs.len() >= 2 {
-                    tally.parallel_equations += eqs.len() as u64;
-                }
-                knobs.threads
-            } else {
-                tally.sequential_branches += tasks.len() as u64;
-                1
-            };
-            let round = round_span.id();
-            let results = pool::run_tasks(&tasks, workers, |_, t| run_task(&snap, knobs, t, round));
-            round_span.field("workers", workers);
-            round_span.lap("evaluate_us");
-            // ---- Replay + stage (solver thread, task order — the
-            // sequential evaluation order). Replay each task's
-            // registrations and report its planner decisions, then
-            // stage its value; a worker panic degrades that one task to
-            // an inline sequential retry.
-            let tracing = round_span.recording();
+            // ---- Evaluate, in task order: the order fixes which error a
+            // failing round reports. Each task is consumed as it runs, so
+            // its handles on equation values are gone by the commit:
+            // relations are copy-on-write, and the commit's inserts
+            // mutate a value's tuple store in place only while its `Arc`
+            // is unshared.
             tally.plans.nth.clear();
-            for (task, result) in tasks.iter().zip(results) {
-                let outcome = match result {
-                    Ok(outcome) => outcome,
-                    Err(ExecError::WorkerPanic) => {
-                        let retry = run_task(&snap, &self.knobs, task, round);
-                        if retry.is_ok() {
-                            tally.degraded += 1;
-                        }
-                        retry
-                    }
-                    Err(ExecError::FaultInjected(f)) => Err(f.into()),
-                };
-                let into = &mut staged[task.eq];
-                let replayed = outcome.and_then(|o| {
-                    tally.emitted += o.emitted;
-                    if tracing {
-                        tally.plans.report(task, o.events);
-                    }
-                    for app in o.effects {
-                        self.enter(app, None)?;
-                    }
-                    stage(into, o.value)
-                });
-                replayed.map_err(|e| self.enrich(e, task.eq, rounds - 1, tally))?;
+            for task in tasks {
+                let eq = task.eq;
+                self.run_task(task, tally)
+                    .and_then(|value| stage(&mut staged[eq], value))
+                    .map_err(|e| self.enrich(e, eq, rounds - 1, tally))?;
             }
-            // Release every handle into the frozen round state before the
-            // commit: relations are copy-on-write, so the commit's
-            // inserts mutate each value's tuple store directly only
-            // while its `Arc` is unshared — a surviving snapshot or task
-            // override would force a full store copy every round.
-            drop(tasks);
-            drop(snap);
+            round_span.lap("evaluate_us");
             // Commit (with the `delta_commit` fault-injection site guarding
             // the atomic-abort property: an abort here must leave every
             // caller-visible relation untouched).
@@ -1403,7 +1265,7 @@ impl<'s> Solver<'s> {
             // Round boundary: unconditional deadline/cancellation reads plus
             // the budget's round ceiling. Checked only when another round is
             // coming — a solve that just converged is a result, not a trip.
-            if let Some(meter) = &knobs.budget {
+            if let Some(meter) = &self.budget {
                 meter.check_round(rounds as u64).map_err(|trip| {
                     let mut se = SolveError::from_trip(trip);
                     let notes = std::mem::take(&mut se.diag_mut().notes);
@@ -1431,22 +1293,19 @@ impl<'s> Solver<'s> {
     fn finish(self, tally: Tally) -> Result<Converged, EvalError> {
         let Solver {
             state,
-            knobs,
+            cfg,
+            access,
             mut span,
             t0,
             ..
         } = self;
         let st = state.into_inner();
         let equations = st.equations.len();
-        if let Some(m) = &knobs.cfg.metrics {
+        if let Some(m) = &cfg.metrics {
             m.inc(Counter::SolveRuns);
             m.add(Counter::SolveRounds, tally.rounds as u64);
             m.add(Counter::SolveEquations, equations as u64);
             m.add(Counter::DeltaTuples, tally.delta_tuples);
-            m.add(Counter::ParallelBranches, tally.parallel_branches);
-            m.add(Counter::SequentialBranches, tally.sequential_branches);
-            m.add(Counter::ParallelEquations, tally.parallel_equations);
-            m.add(Counter::DegradedBranches, tally.degraded);
             m.observe_us(Histogram::SolveLatencyUs, t0.elapsed().as_micros() as u64);
             crate::record_interned(m);
         }
@@ -1459,7 +1318,7 @@ impl<'s> Solver<'s> {
             );
         }
         let value_ids: Vec<u64> = st.current.iter().map(Relation::storage_id).collect();
-        st.access.retain(&value_ids);
+        access.retain(&value_ids);
         // The root's net delta against the warm seed `old`: the run
         // restored part of the over-deleted `D` and added the rest, and
         // `old = final − added ∪ D` with `D` disjoint from what stayed.
@@ -1488,10 +1347,7 @@ impl<'s> Solver<'s> {
         Ok(Converged {
             added,
             removed,
-            system: SolvedSystem {
-                equations,
-                access: st.access,
-            },
+            system: SolvedSystem { equations, access },
         })
     }
 
@@ -1525,7 +1381,7 @@ impl<'s> Solver<'s> {
                     if !new.is_empty() {
                         changed = true;
                         let none = Relation::new(new.schema().clone());
-                        st.access.advance(old, &st.current[i], &new, &none);
+                        self.access.advance(old, &st.current[i], &new, &none);
                     }
                     // Root additions accumulate across rounds: warm
                     // callers receive the exact output delta relative to
@@ -1567,7 +1423,10 @@ impl<'s> Solver<'s> {
                 }
             };
             tally.delta_tuples += delta.len() as u64;
-            st.set_delta(i, delta);
+            // The outgoing delta is never read again, so whatever was
+            // cached about it goes too.
+            self.access.forget(st.delta[i].storage_id());
+            st.delta[i] = delta;
         }
         Ok(changed)
     }
@@ -1588,10 +1447,7 @@ impl<'s> Solver<'s> {
     /// Tuples materialised so far: the budget meter's count, or without
     /// one the sum of the tasks' own counts.
     fn tuples(&self, tally: &Tally) -> u64 {
-        self.knobs
-            .budget
-            .as_ref()
-            .map_or(tally.emitted, Meter::tuples)
+        self.budget.as_ref().map_or(tally.emitted, Meter::tuples)
     }
 
     fn last_delta(&self) -> u64 {
@@ -1623,17 +1479,69 @@ impl<'s> Solver<'s> {
         };
         EvalError::Solve(se)
     }
+
+    /// An evaluator over `catalog` under the solve's configuration and
+    /// budget.
+    fn evaluator<'e>(&self, catalog: &'e dyn Catalog) -> Evaluator<'e> {
+        self.cfg.evaluator(catalog, self.budget.clone())
+    }
+
+    /// Evaluate one prepared task through an overlay over the solver's
+    /// own catalog: its value, with the tuples it emitted counted into
+    /// `tally` and, when tracing, its planner decisions reported.
+    fn run_task(&self, task: BranchTask, tally: &mut Tally) -> Result<Relation, EvalError> {
+        let mut task_span = dc_trace::span(SpanKind::BranchTask);
+        if task_span.recording() {
+            task_span.field("eq", task.eq);
+            task_span.field("branch", task.branch);
+        }
+        let overlay = Overlay::new(self, task.overrides);
+        let mut ev = self.evaluator(&overlay);
+        // A governed abort names the branch and carries the evaluator's
+        // demotions and degradations out with it, rendered — aborts are
+        // atomic, so this is the only trace the solve leaves.
+        let value = ev.eval(&RangeExpr::SetFormer(task.body)).map_err(|mut e| {
+            if let EvalError::Solve(se) = &mut e {
+                let d = se.diag_mut();
+                if d.site.is_empty() {
+                    d.site = format!("branch {}", task.branch);
+                }
+                d.notes.extend(
+                    ev.plan_events()
+                        .iter()
+                        .filter(|e| e.is_demotion())
+                        .map(ToString::to_string),
+                );
+            }
+            e
+        })?;
+        tally.emitted += ev.emitted();
+        let events = ev.take_plan_events();
+        let tracing = task_span.recording();
+        // The planner decisions are events of the round, not the task.
+        drop(task_span);
+        if tracing {
+            tally.plans.report((task.eq, task.branch), events);
+        }
+        Ok(value)
+    }
 }
 
-impl Catalog for Solver<'_> {
+impl Catalog for Solver {
     fn relation(&self, name: &str) -> Result<Relation, EvalError> {
-        self.catalog.relation(name)
+        self.universe
+            .relations
+            .get(name)
+            .cloned()
+            .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))
     }
 
-    fn selector(&self, name: &str) -> Result<&dc_calculus::ast::SelectorDef, EvalError> {
-        self.catalog.selector(name)
+    fn selector(&self, name: &str) -> Result<&SelectorDef, EvalError> {
+        self.universe.defs.selector(name)
     }
 
+    /// A known application reads the current iterate; a first sighting
+    /// registers its equation, which reads ∅ until its first commit.
     fn apply_constructor(
         &self,
         base: Relation,
@@ -1646,7 +1554,11 @@ impl Catalog for Solver<'_> {
     }
 
     fn scalar_param(&self, name: &str) -> Result<Value, EvalError> {
-        self.catalog.scalar_param(name)
+        self.universe
+            .params
+            .get(name)
+            .cloned()
+            .ok_or_else(|| EvalError::UnknownParam(name.to_string()))
     }
 
     fn access(&self) -> Option<&AccessCache> {
@@ -1694,8 +1606,8 @@ fn provenance_slot(
     Some(n.clone())
 }
 
-/// One unit of round work: a single branch evaluation, fully prepared
-/// on the solver thread so a worker only reads the frozen snapshot.
+/// One unit of round work: a single branch evaluation, prepared before
+/// the round evaluates anything.
 struct BranchTask {
     /// Owning equation index.
     eq: usize,
@@ -1705,20 +1617,6 @@ struct BranchTask {
     body: SetFormer,
     /// Formal- and marker-name overrides for the evaluation overlay.
     overrides: Vec<(Name, Relation)>,
-    /// Scan-side cardinality estimate (delta size for differential
-    /// tasks, override sizes otherwise), for the dispatch decision.
-    weight: usize,
-}
-
-/// What a branch task returns: the computed value plus what the solver
-/// must replay — the applications the snapshot catalog saw first, the
-/// evaluator's planner decisions, for [`PlanLog::report`], and the
-/// tuples it emitted, for [`Tally::emitted`].
-struct TaskOutcome {
-    value: Relation,
-    effects: Vec<Application>,
-    events: Vec<PlanEvent>,
-    emitted: u64,
 }
 
 /// Stage a task's output `part` into its equation's `staged` relation,
@@ -1754,8 +1652,6 @@ fn stage(staged: &mut Relation, part: Relation) -> Result<(), EvalError> {
 /// written (the overlay resolves them to their full values).
 fn delta_task(st: &State, eq: usize, b: usize, bound: Vec<(usize, Name, Relation)>) -> BranchTask {
     let (mut branch, mut overrides) = current_bound(st, eq, b, &bound);
-    // The delta side is the branch's scan side.
-    let weight = bound.iter().map(|(_, _, r)| r.len()).sum();
     for (pos, marker, rel) in bound {
         branch.bindings[pos].1 = RangeExpr::Rel(marker.clone());
         overrides.push((marker, rel));
@@ -1767,7 +1663,6 @@ fn delta_task(st: &State, eq: usize, b: usize, bound: Vec<(usize, Name, Relation
             branches: vec![branch],
         },
         overrides,
-        weight,
     }
 }
 
@@ -1801,7 +1696,7 @@ fn current_bound(
 /// proportional to `|D|`, not a full evaluation filtered afterwards. A
 /// whole-tuple target over a range whose schema is not known here is
 /// restricted by membership instead.
-fn rederive_task(st: &State, eq: usize, b: usize) -> BranchTask {
+fn rederive_task(st: &State, universe: &Universe, eq: usize, b: usize) -> BranchTask {
     let (mut branch, mut overrides) = current_bound(st, eq, b, &[]);
     let equation = &st.equations[eq];
     let doomed = st.doomed[eq].clone();
@@ -1811,7 +1706,7 @@ fn rederive_task(st: &State, eq: usize, b: usize) -> BranchTask {
             .bindings
             .iter()
             .find(|(w, _)| w == v)
-            .and_then(|(_, range)| range_schema(st, &overrides, range))
+            .and_then(|(_, range)| range_schema(universe, &overrides, range))
             .map(|schema| {
                 schema
                     .attributes()
@@ -1843,7 +1738,6 @@ fn rederive_task(st: &State, eq: usize, b: usize) -> BranchTask {
         },
     };
     branch.predicate = restriction.and(branch.predicate);
-    let weight = doomed.len();
     overrides.push((DOOMED_MARKER.to_string(), doomed));
     BranchTask {
         eq,
@@ -1852,7 +1746,6 @@ fn rederive_task(st: &State, eq: usize, b: usize) -> BranchTask {
             branches: vec![branch],
         },
         overrides,
-        weight,
     }
 }
 
@@ -1860,7 +1753,7 @@ fn rederive_task(st: &State, eq: usize, b: usize) -> BranchTask {
 /// task's overlay will resolve it: overrides (formals and markers)
 /// first, then the solve's universe.
 fn range_schema(
-    st: &State,
+    universe: &Universe,
     overrides: &[(Name, Relation)],
     range: &RangeExpr,
 ) -> Option<dc_value::Schema> {
@@ -1870,64 +1763,11 @@ fn range_schema(
             .rev()
             .find(|(m, _)| m == n)
             .map(|(_, r)| r)
-            .or_else(|| st.universe.relations.get(n))
+            .or_else(|| universe.relations.get(n))
             .map(|r| r.schema().clone()),
-        RangeExpr::Selected { base, .. } => range_schema(st, overrides, base),
+        RangeExpr::Selected { base, .. } => range_schema(universe, overrides, base),
         RangeExpr::Constructed { .. } | RangeExpr::SetFormer(_) => None,
     }
-}
-
-/// Evaluate one prepared task against the frozen snapshot. Runs on a
-/// worker thread when the round batch-dispatches, inline on the solver
-/// thread otherwise — identical code either way, which is what keeps
-/// `threads = N` relation-identical to `threads = 1`.
-fn run_task(
-    snap: &Arc<EvalSnapshot>,
-    knobs: &ExecKnobs,
-    task: &BranchTask,
-    round: dc_trace::SpanId,
-) -> Result<TaskOutcome, EvalError> {
-    // Under the round explicitly: a worker thread's span stack does not
-    // hold the solver's spans.
-    let mut task_span = dc_trace::span_under(round, SpanKind::BranchTask);
-    if task_span.recording() {
-        task_span.field("eq", task.eq);
-        task_span.field("branch", task.branch);
-        task_span.field("weight", task.weight);
-    }
-    let cat = SnapshotCatalog::new(snap.clone());
-    let overlay = Overlay::new(&cat, task.overrides.clone());
-    let mut ev = knobs.evaluator(&overlay);
-    // A governed abort names the branch and carries the evaluator's
-    // demotions and degradations out with it, rendered —
-    // aborts are atomic, so this is the only trace the solve leaves.
-    let value = ev
-        .eval(&RangeExpr::SetFormer(task.body.clone()))
-        .map_err(|mut e| {
-            if let EvalError::Solve(se) = &mut e {
-                let d = se.diag_mut();
-                if d.site.is_empty() {
-                    d.site = format!("branch {}", task.branch);
-                }
-                d.notes.extend(
-                    ev.plan_events()
-                        .iter()
-                        .filter(|e| e.is_demotion())
-                        .map(ToString::to_string),
-                );
-            }
-            e
-        })?;
-    let events = ev.take_plan_events();
-    let emitted = ev.emitted();
-    drop(ev);
-    drop(overlay);
-    Ok(TaskOutcome {
-        value,
-        effects: cat.into_effects(),
-        events,
-        emitted,
-    })
 }
 
 #[cfg(test)]

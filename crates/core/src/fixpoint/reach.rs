@@ -1,65 +1,18 @@
-//! Snapshot evaluation: the frozen catalog view branch tasks read, the
-//! registration log they return for single-threaded replay, and the one
-//! reachability walk that decides what the frozen view contains.
-//!
-//! The solver's round scheduler hands every branch evaluation of a
-//! round to the worker pool, which may run them on worker threads. A
-//! worker cannot touch the solver's `RefCell` state or the caller's
-//! base catalog (`&dyn Catalog` is not `Sync`). So evaluation is split
-//! in two:
-//!
-//! * **Frozen reads.** [`EvalSnapshot`] is an immutable, `Arc`-shared
-//!   view of everything a branch evaluation can resolve, captured
-//!   between two commits: the equation values (`current`), the
-//!   registered-application index, and the [`Universe`] — the slice of
-//!   the base catalog (relations, selector definitions, scalar
-//!   parameters) and the constructor definitions the solve can reach,
-//!   resolved once per solve by [`Reach`] before the first
-//!   registration. Snapshot construction is cheap: relations are
-//!   copy-on-write handles, so a freeze is O(equations) pointer bumps.
-//! * **Logged registrations.** [`SnapshotCatalog`] implements
-//!   [`Catalog`] over a snapshot. Reads resolve from the frozen view; a
-//!   first-sighting constructor application — the one thing the mutable
-//!   solver catalog would have *recorded in solver state* — is instead
-//!   appended to a per-task log of [`Application`]s. The solver replays
-//!   the logs single-threaded at the commit site, in task order, through
-//!   the same instantiation path as every other registration, so
-//!   registration and commits stay serialized exactly as on the
-//!   sequential path.
-//!
-//! Two side effects are *not* logged, because both commute. Meter
-//! ticks: the [`dc_governor::Meter`] is `Arc`-shared and workers tick
-//! it directly — which is what lets a deadline or tuple ceiling trip
-//! *during* a parallel round rather than at replay. And cache fills:
-//! the snapshot carries the solve's [`AccessCache`], whose entries are
-//! a function of their storage-identity key, so workers insert straight
-//! into it and whichever thread builds an entry first serves the rest.
-//!
-//! # Replay ordering guarantees
-//!
-//! Logs are replayed in task order (equation-ascending, then branch
-//! order within an equation — the sequential evaluation order), and a
-//! task's log is replayed before its value is staged. Replay is
-//! idempotent by [`AppKey`], so two tasks discovering the same
-//! application converge to one registration, deterministically.
-//! Everything replayed lives in solver-private state: an abort
-//! mid-replay leaves the caller-visible database untouched (the
-//! atomic-abort invariant).
+//! The one reachability walk, and the universe a solve resolves names
+//! in: every base relation, scalar parameter, selector and constructor
+//! definition the root can reach, looked up once before the first
+//! registration.
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
-use std::sync::Arc;
 
-use dc_calculus::ast::{Name, RangeExpr, ScalarExpr, SelectorDef};
+use dc_calculus::ast::{Name, RangeExpr, ScalarExpr};
 use dc_calculus::rewrite::{self, Node};
-use dc_calculus::{AccessCache, Catalog, EvalError};
+use dc_calculus::Catalog;
 use dc_relation::Relation;
 use dc_value::{FxHashMap, FxHashSet, Value};
 
-use super::{AppKey, Application};
 use crate::catalog::Defs;
-use crate::constructor::Constructor;
 
 /// The one reachability walker: every name a range or formula can
 /// reach, chasing selector predicates and constructor bodies through
@@ -180,8 +133,8 @@ impl<'d> Reach<'d> {
     }
 
     /// Resolve everything reached against the base catalog `cat`. Names
-    /// that fail to resolve are simply absent, so frozen evaluation
-    /// raises the same `Unknown*` error the solver catalog would.
+    /// that fail to resolve are simply absent, so evaluation raises the
+    /// same `Unknown*` error the base catalog would.
     pub(super) fn into_universe(self, cat: &dyn Catalog) -> Universe {
         Universe {
             relations: self
@@ -212,119 +165,14 @@ pub(super) struct Universe {
     pub defs: Defs,
 }
 
-impl Universe {
-    /// The definition `app` instantiates, after the checks every
-    /// registration path makes, in one order — so a malformed
-    /// application raises the identical error class under every thread
-    /// count: unknown constructor, relation arity, scalar arity, scalar
-    /// domains.
-    pub(super) fn definition(&self, app: &Application) -> Result<&Constructor, EvalError> {
-        let ctor = self.defs.constructor(app.key.constructor())?;
-        ctor.check_actuals(app.args.len(), &app.scalar_args)?;
-        Ok(ctor)
-    }
-}
-
-/// The immutable view one round's branch tasks evaluate against. See
-/// the [module docs](self) for what is frozen and why the freeze is
-/// cheap.
-pub(super) struct EvalSnapshot {
-    /// The solve's resolved names.
-    pub universe: Arc<Universe>,
-    /// Registered applications → equation index.
-    pub index: FxHashMap<AppKey, usize>,
-    /// Per-equation accumulated values (COW handles).
-    pub current: Vec<Relation>,
-    /// The solve's access cache (shared, not frozen: tasks fill it).
-    pub access: Arc<AccessCache>,
-}
-
-// Snapshots cross thread boundaries by design; assert the contract at
-// compile time so a field change cannot silently break it.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<EvalSnapshot>();
-    assert_send_sync::<Application>();
-};
-
-/// The per-task [`Catalog`]: frozen reads, logged registrations.
-/// Constructed on the worker from the `Arc`-shared snapshot; consumed
-/// with [`SnapshotCatalog::into_effects`] after evaluation.
-pub(super) struct SnapshotCatalog {
-    snap: Arc<EvalSnapshot>,
-    effects: RefCell<Vec<Application>>,
-}
-
-impl SnapshotCatalog {
-    pub(super) fn new(snap: Arc<EvalSnapshot>) -> SnapshotCatalog {
-        SnapshotCatalog {
-            snap,
-            effects: RefCell::new(Vec::new()),
-        }
-    }
-
-    /// The ordered registration log, for single-threaded replay.
-    pub(super) fn into_effects(self) -> Vec<Application> {
-        self.effects.into_inner()
-    }
-}
-
-impl Catalog for SnapshotCatalog {
-    fn relation(&self, name: &str) -> Result<Relation, EvalError> {
-        self.snap
-            .universe
-            .relations
-            .get(name)
-            .cloned()
-            .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))
-    }
-
-    fn selector(&self, name: &str) -> Result<&SelectorDef, EvalError> {
-        self.snap.universe.defs.selector(name)
-    }
-
-    fn scalar_param(&self, name: &str) -> Result<Value, EvalError> {
-        self.snap
-            .universe
-            .params
-            .get(name)
-            .cloned()
-            .ok_or_else(|| EvalError::UnknownParam(name.to_string()))
-    }
-
-    /// Known applications resolve to the frozen current iterate; first
-    /// sightings are validated against the frozen definition, logged
-    /// for replay-time registration, and valued at `∅ : result` —
-    /// exactly the value the sequential path would return for an
-    /// equation registered mid-round.
-    fn apply_constructor(
-        &self,
-        base: Relation,
-        name: &str,
-        args: Vec<Relation>,
-        scalar_args: Vec<Value>,
-    ) -> Result<Relation, EvalError> {
-        let app = Application::new(name, base, args, scalar_args);
-        if let Some(&i) = self.snap.index.get(&app.key) {
-            return Ok(self.snap.current[i].clone());
-        }
-        let value = Relation::new(self.snap.universe.definition(&app)?.result.clone());
-        self.effects.borrow_mut().push(app);
-        Ok(value)
-    }
-
-    fn access(&self) -> Option<&AccessCache> {
-        Some(&self.snap.access)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use dc_calculus::ast::{Branch, SetFormer};
+    use dc_calculus::ast::{Branch, SelectorDef, SetFormer};
     use dc_calculus::builder::*;
     use dc_value::{Domain, Schema};
 
     use super::*;
+    use crate::constructor::Constructor;
     use crate::Database;
 
     fn infrontrel() -> Schema {

@@ -3,10 +3,8 @@
 //! A [`Budget`] is *declarative*: it says what a solve may spend, not
 //! when the clock started. Arming it with [`Budget::meter`] captures
 //! `Instant::now()` and yields a [`Meter`] — a cheap, `Arc`-shared
-//! gauge that every layer of one solve (evaluator branch loops on
-//! whichever pool worker they run, semi-naive round commits) polls at
-//! its natural tick points. The
-//! split matters: a budget stored in a long-lived configuration is
+//! gauge that every layer of one solve (evaluator branch loops, round
+//! commits) polls at its natural tick points. The split matters: a budget stored in a long-lived configuration is
 //! re-armed per solve, so a 10 ms deadline means 10 ms *per solve*, not
 //! 10 ms since the configuration was built.
 
@@ -157,9 +155,9 @@ struct MeterInner {
 
 /// An armed [`Budget`]: the shared gauge one solve polls.
 ///
-/// Clones share state (an `Arc` bump), so the solver, its per-branch
-/// evaluators, and every round task on the solver's worker pool
-/// observe one set of limits and feed one tuple count. `Meter` does
+/// Clones share state (an `Arc` bump), so the solver and every
+/// evaluator it spawns observe one set of limits and feed one tuple
+/// count. `Meter` does
 /// governance only: what a solve did is counted by the solver into the
 /// metrics registry. `Meter` is `Send + Sync`.
 #[derive(Debug, Clone)]

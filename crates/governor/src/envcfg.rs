@@ -1,29 +1,13 @@
 //! Strict environment-knob parsing with warn-once fallback.
 //!
-//! The engine's env knobs (`DC_THREADS`, `DC_FAILPOINTS`) used to treat
-//! invalid values as absent — a typo like `DC_THREADS=four` silently
-//! ran on the hardware default. The policy is now: parse strictly, warn
-//! **once** per variable to stderr, fall back to the documented default
-//! (`DC_THREADS` → available parallelism, `DC_FAILPOINTS` → nothing
-//! armed). Warning once matters because the knobs are consulted on hot
-//! paths (every default-configured solve resolves its thread count):
-//! a misconfigured variable must not turn stderr into a firehose.
+//! The engine's env knobs (`DC_FAILPOINTS`, and `DC_TRACE` in
+//! `dc-trace`) are parsed strictly: an invalid value warns **once** per
+//! variable and falls back to the documented default (`DC_FAILPOINTS` →
+//! nothing armed) — never silently ignored. Warning once matters
+//! because a knob may be consulted on hot paths: a misconfigured
+//! variable must not turn stderr into a firehose.
 
 use std::sync::Mutex;
-
-/// Parse a strictly positive integer knob value. Rejects empty input,
-/// non-digits, and zero; accepts surrounding whitespace.
-pub fn parse_positive(v: &str) -> Result<usize, String> {
-    let t = v.trim();
-    if t.is_empty() {
-        return Err("empty value".to_string());
-    }
-    match t.parse::<usize>() {
-        Ok(0) => Err("must be at least 1".to_string()),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!("`{t}` is not a positive integer")),
-    }
-}
 
 static WARNED: Mutex<Vec<String>> = Mutex::new(Vec::new());
 
@@ -62,17 +46,6 @@ pub fn has_warned(key: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn positive_parser_is_strict() {
-        assert_eq!(parse_positive("4"), Ok(4));
-        assert_eq!(parse_positive("  8  "), Ok(8));
-        assert!(parse_positive("").is_err());
-        assert!(parse_positive("0").is_err());
-        assert!(parse_positive("four").is_err());
-        assert!(parse_positive("-2").is_err());
-        assert!(parse_positive("4.5").is_err());
-    }
 
     #[test]
     fn warns_exactly_once_per_key() {

@@ -9,11 +9,12 @@
 //! * `error` — `check` returns an [`InjectedFault`], exercising the
 //!   site's ordinary error channel (clean abort, atomic rollback).
 //! * `panic` — `check` panics, exercising the panic-isolation
-//!   boundaries (`catch_unwind` per pool task, the solve boundary).
+//!   boundaries (the solve boundary, the server's commit and refresh
+//!   paths).
 //!
 //! Arming happens two ways: the `DC_FAILPOINTS` environment variable
 //! (`site=action` pairs, comma-separated — e.g.
-//! `DC_FAILPOINTS=worker_start=panic,delta_commit=error`), parsed once
+//! `DC_FAILPOINTS=index_build=panic,delta_commit=error`), parsed once
 //! strictly (invalid specs warn to stderr and arm nothing); or the
 //! test-only [`FailpointsGuard`], which also serialises failpoint tests
 //! against each other since the registry is process-global.
@@ -30,41 +31,35 @@ use std::sync::{Mutex, MutexGuard, Once, PoisonError};
 /// The instrumented sites, in the order a solve meets them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Site {
-    /// A task starting on a pool worker (`worker_start`) — checked in
-    /// exactly one place, the worker mode of the fixpoint solver's round
-    /// dispatch (`dc-core`). Inline (single-worker) runs never consult
-    /// it.
-    WorkerStart = 0,
     /// A semi-naive/naive round about to commit its deltas
     /// (`delta_commit`).
-    DeltaCommit = 1,
+    DeltaCommit = 0,
     /// A hash index about to be built for a probe (`index_build`):
     /// the access cache's build on a miss, or the evaluator's
     /// throwaway build over a binding-dependent range. Cache hits
     /// never consult it.
-    IndexBuild = 2,
+    IndexBuild = 1,
     /// The serving layer about to swap in a freshly built snapshot
     /// (`snapshot_publish`). Fires after the overlay is applied but
     /// before the epoch becomes visible, so an injected fault must
     /// leave readers on the old epoch with the chain unbroken.
-    SnapshotPublish = 3,
+    SnapshotPublish = 2,
     /// Entry of the serving layer's commit path (`session_commit`).
     /// Fires before any batch op is applied.
-    SessionCommit = 4,
+    SessionCommit = 3,
     /// A standing-query refresh about to run its warm (incremental)
     /// maintenance (`view_refresh`). Fires after the commit's snapshot
     /// is published, so an injected fault must leave the commit
     /// successful and force the subscription onto its cold re-solve
     /// path without corrupting subscriber state.
-    ViewRefresh = 5,
+    ViewRefresh = 4,
 }
 
 /// Number of sites (the registry is a fixed-size table).
-const SITE_COUNT: usize = 6;
+const SITE_COUNT: usize = 5;
 
 /// All sites, for iteration in tests and parsers.
 pub const SITES: [Site; SITE_COUNT] = [
-    Site::WorkerStart,
     Site::DeltaCommit,
     Site::IndexBuild,
     Site::SnapshotPublish,
@@ -76,7 +71,6 @@ impl Site {
     /// The spec name used in `DC_FAILPOINTS`.
     pub fn name(self) -> &'static str {
         match self {
-            Site::WorkerStart => "worker_start",
             Site::DeltaCommit => "delta_commit",
             Site::IndexBuild => "index_build",
             Site::SnapshotPublish => "snapshot_publish",
@@ -271,7 +265,7 @@ mod tests {
     #[test]
     fn error_action_injects_only_at_its_site() {
         let _g = FailpointsGuard::arm("delta_commit=error");
-        assert_eq!(check(Site::WorkerStart), Ok(()));
+        assert_eq!(check(Site::IndexBuild), Ok(()));
         assert_eq!(
             check(Site::DeltaCommit),
             Err(InjectedFault {
@@ -290,22 +284,22 @@ mod tests {
     #[test]
     fn guard_restores_previous_arming() {
         {
-            let _g = FailpointsGuard::arm("worker_start=error");
-            assert!(check(Site::WorkerStart).is_err());
+            let _g = FailpointsGuard::arm("index_build=error");
+            assert!(check(Site::IndexBuild).is_err());
         }
         // The guard restored whatever arming preceded it; re-arm
         // nothing and observe a clean table.
         let _g = FailpointsGuard::arm("");
-        assert_eq!(check(Site::WorkerStart), Ok(()));
+        assert_eq!(check(Site::IndexBuild), Ok(()));
     }
 
     #[test]
     fn parser_is_strict() {
         assert!(parse_failpoints("").unwrap().is_empty());
         assert_eq!(
-            parse_failpoints(" worker_start=panic , index_build=error ").unwrap(),
+            parse_failpoints(" delta_commit=panic , index_build=error ").unwrap(),
             vec![
-                (Site::WorkerStart, FailAction::Panic),
+                (Site::DeltaCommit, FailAction::Panic),
                 (Site::IndexBuild, FailAction::Error)
             ]
         );
@@ -316,9 +310,9 @@ mod tests {
                 (Site::SessionCommit, FailAction::Error)
             ]
         );
-        assert!(parse_failpoints("worker_start").is_err());
+        assert!(parse_failpoints("delta_commit").is_err());
         assert!(parse_failpoints("nope=panic").is_err());
         assert!(parse_failpoints("delta_commit=explode").is_err());
-        assert!(parse_failpoints("worker_start=panic,bogus").is_err());
+        assert!(parse_failpoints("delta_commit=panic,bogus").is_err());
     }
 }

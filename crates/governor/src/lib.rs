@@ -1,7 +1,7 @@
 //! Resource governance and fault tolerance for the engine.
 //!
 //! A recursive-query engine with no guardrails is one diverging
-//! recursion (or one accidental cross-product, or one worker panic)
+//! recursion (or one accidental cross-product, or one panic)
 //! away from taking the whole process with it. This crate is the
 //! engine's governor: a small, dependency-free layer the execution
 //! stack threads through its natural tick points.
@@ -25,10 +25,9 @@
 //!   (`DC_FAILPOINTS=site=action,...`) with deterministic failpoints at
 //!   the stack's abort sites, so every abort and degradation path is
 //!   testable without timing games.
-//! * [`envcfg`] — strict environment-knob parsing (`DC_THREADS`,
-//!   `DC_FAILPOINTS`) that warns once to stderr on invalid input and
-//!   falls back to a documented default instead of silently ignoring
-//!   the variable.
+//! * [`envcfg`] — strict environment-knob parsing (`DC_FAILPOINTS`)
+//!   that warns once to stderr on invalid input and falls back to a
+//!   documented default instead of silently ignoring the variable.
 //!
 //! The crate is `std`-only and depends on nothing, so every layer of
 //! the workspace (executor, evaluator, solver, benches) can share one

@@ -83,8 +83,8 @@ pub enum SolveError {
         /// one.
         diag: SolveDiag,
     },
-    /// A worker (or the solve itself) panicked; the panic was caught at
-    /// an isolation boundary and converted into this error.
+    /// The solve panicked; the panic was caught at the solve's
+    /// isolation boundary and converted into this error.
     WorkerPanic {
         /// The panic payload, rendered.
         message: String,
@@ -126,8 +126,8 @@ impl SolveError {
 
     /// A panic caught at an isolation boundary, as a `WorkerPanic`
     /// with empty diagnostics — the one decoding of a panic payload
-    /// every boundary (solver entry, pool tasks, the serving layer's
-    /// commit and refresh) shares.
+    /// every boundary (solver entry, the serving layer's commit and
+    /// refresh) shares.
     pub fn from_panic(payload: &(dyn std::any::Any + Send)) -> SolveError {
         SolveError::WorkerPanic {
             message: panic_message(payload),
@@ -182,7 +182,7 @@ impl fmt::Display for SolveError {
                 write!(f, "fixpoint diverged: no convergence {diag}")
             }
             SolveError::WorkerPanic { message, diag } => {
-                write!(f, "worker panicked: {message}, {diag}")
+                write!(f, "solve panicked: {message}, {diag}")
             }
         }
     }

@@ -15,12 +15,12 @@ use dc_relation::Relation;
 ///
 /// `HashIndex` is `Send + Sync` (asserted at compile time below): all
 /// of its storage bottoms out in immutable `Arc`-backed tuples of
-/// `Copy` values. A solve's round tasks rely on this to share one
-/// `Arc<HashIndex>` across pool workers and probe it concurrently —
-/// probes are `&self` and never mutate, so no synchronisation beyond
-/// the `Arc` is needed. Mutation (`add`, `remove`) requires `&mut self` and is
-/// therefore confined to the single-threaded maintenance sites (the
-/// fixpoint commit), never to a shared probe-side handle.
+/// `Copy` values. The reader sessions of a server snapshot rely on this
+/// to share one `Arc<HashIndex>` and probe it concurrently — probes are
+/// `&self` and never mutate, so no synchronisation beyond the `Arc` is
+/// needed. Mutation (`add`, `remove`) requires `&mut self` and is
+/// therefore confined to the maintenance sites (the fixpoint commit),
+/// never to a shared probe-side handle.
 #[derive(Debug, Clone)]
 pub struct HashIndex {
     positions: Vec<usize>,
@@ -121,13 +121,13 @@ impl HashIndex {
     }
 }
 
-// Compile-time audit of the cross-thread sharing contract: round tasks
-// share read-only indexes (and the relations next to them) across
-// worker threads. A field change that
-// introduced interior mutability or a non-`Send` payload would fail
-// this assertion instead of surfacing as a data race. Keys and buckets
-// hash and compare `Value`s as words: a `Value` that grew past 16 bytes
-// (a boxed payload, a wider id) fails here too.
+// Compile-time audit of the cross-thread sharing contract: reader
+// sessions share read-only indexes (and the relations next to them)
+// across threads. A field change that introduced interior mutability
+// or a non-`Send` payload would fail this assertion instead of
+// surfacing as a data race. Keys and buckets hash and compare `Value`s
+// as words: a `Value` that grew past 16 bytes (a boxed payload, a wider
+// id) fails here too.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<HashIndex>();

@@ -30,10 +30,9 @@ pub mod relation;
 pub use error::RelationError;
 pub use relation::Relation;
 
-// Relations are frozen into `Arc`-shared evaluation snapshots and
-// handed to worker threads (dc-core's snapshot rounds); assert the
-// thread-safety contract at compile time so a field change cannot
-// silently break it.
+// Relations are shared across threads — a server snapshot's reader
+// sessions and its writer; assert the thread-safety contract at
+// compile time so a field change cannot silently break it.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Relation>();

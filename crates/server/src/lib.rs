@@ -13,9 +13,9 @@
 //!   relation's digest memo once and shares it with every pinned
 //!   handle ([`Relation::snapshot_handle`]), so sessions read digests
 //!   and build content-addressed solve keys at O(1).
-//! * **Snapshot-evaluated solves**: a session's fixpoint runs reuse the
-//!   solver's frozen-snapshot rounds unchanged — the catalog a session
-//!   exposes simply never changes underneath them.
+//! * **Snapshot-evaluated solves**: a session's fixpoint runs use the
+//!   solver unchanged — the catalog a session exposes simply never
+//!   changes underneath them.
 //!
 //! # Shape
 //!

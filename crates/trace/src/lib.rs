@@ -1,21 +1,19 @@
 //! Observability substrate: correlated spans, structured events, and a
 //! typed metrics registry.
 //!
-//! Every layer of the engine — planner, snapshot-parallel solver, MVCC
+//! Every layer of the engine — planner, fixpoint solver, MVCC
 //! server, standing queries — reports through this one crate, so a
 //! single request (a server commit, a session query) yields a single
 //! correlated tree of timed spans instead of scattered counters and
 //! stderr lines.
 //!
-//! * **Spans & events** ([`span`], [`span_under`], [`event`]): a
-//!   lock-cheap, thread-safe tracer. Span ids come from one atomic
-//!   counter; parenting is implicit through a per-thread span stack
-//!   (and explicit via [`span_under`] when a task hops threads, e.g.
-//!   the solver's batch-dispatched branch tasks). Finished records
-//!   buffer per thread and drain to the installed [`Sink`] when the
-//!   thread's stack empties, when the buffer fills, at [`flush`], and
-//!   at thread exit — so the shared sink is touched per *batch*, never
-//!   per record.
+//! * **Spans & events** ([`span`], [`event`]): a lock-cheap,
+//!   thread-safe tracer. Span ids come from one atomic counter;
+//!   parenting is implicit through a per-thread span stack. Finished
+//!   records buffer per thread and drain to the installed [`Sink`] when
+//!   the thread's stack empties, when the buffer fills, at [`flush`],
+//!   and at thread exit — so the shared sink is touched per *batch*,
+//!   never per record.
 //! * **Disabled-path cost**: when tracing is off — the default — every
 //!   entry point reduces to one relaxed atomic load and an immediate
 //!   return. No span names are formatted, no fields are built, nothing
@@ -53,6 +51,6 @@ mod span;
 
 pub use sink::{Collector, CollectorGuard, JsonLinesSink, Sink};
 pub use span::{
-    enabled, event, flush, install, span, span_under, warn, warnings_emitted, FieldValue, Span,
-    SpanId, SpanKind, TraceRecord,
+    enabled, event, flush, install, span, warn, warnings_emitted, FieldValue, Span, SpanKind,
+    TraceRecord,
 };

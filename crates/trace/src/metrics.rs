@@ -103,15 +103,6 @@ counters! {
     QuantProbes => quant_probes,
     /// Quantifier ranges demoted to scans (see plan events for why).
     QuantScans => quant_scans,
-    /// Branches evaluated by parallel workers.
-    ParallelBranches => parallel_branches,
-    /// Branches evaluated inline on the solver thread.
-    SequentialBranches => sequential_branches,
-    /// Equations whose branches ran on workers beside another
-    /// equation's in the same round, summed per dispatched round.
-    ParallelEquations => parallel_equations,
-    /// Branches degraded to the sequential path after a worker panic.
-    DegradedBranches => degraded_branches,
     /// Warm-map hits: solved constructor results.
     WarmSolvedHits => warm_solved_hits,
     /// Warm-map misses: solved constructor results.

@@ -16,7 +16,7 @@ const STATE_DISABLED: u8 = 1;
 const STATE_ENABLED: u8 = 2;
 
 /// Monotonically increasing span/event id allocator. Id 0 is reserved
-/// to mean "no span" ([`SpanId::NONE`]).
+/// to mean "no span": the parent of a root span.
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// The installed sink. Guarded by a mutex only on install/flush paths;
@@ -35,17 +35,6 @@ fn now_us() -> u64 {
     epoch().elapsed().as_micros() as u64
 }
 
-/// Identifier of a live or finished span. `Copy`, 8 bytes — cheap to
-/// carry across threads (e.g. stored in a solver branch task so the
-/// worker can parent its span under the dispatching round).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SpanId(pub u64);
-
-impl SpanId {
-    /// The absent span: used as the parent of root spans.
-    pub const NONE: SpanId = SpanId(0);
-}
-
 /// The closed taxonomy of spans and events the engine emits. A closed
 /// enum (rather than free-form names) keeps the disabled path free of
 /// string handling and lets tests select records precisely.
@@ -57,8 +46,8 @@ pub enum SpanKind {
     /// round: its stages are fields (`prep_us`, `evaluate_us`,
     /// `commit_us`), not spans of their own.
     Round,
-    /// One branch task evaluated against the frozen snapshot, possibly
-    /// on a worker thread; parented under its round.
+    /// One branch task of a round, evaluated on the solver's thread;
+    /// parented under its round.
     BranchTask,
     /// One server commit: validate, apply, publish, refresh (dc-server).
     ServerCommit,
@@ -322,9 +311,19 @@ pub struct Span {
     open: Option<Box<OpenSpan>>,
 }
 
-fn open_span(parent: u64, kind: SpanKind) -> Span {
+/// Open a span parented under the innermost span currently open on
+/// this thread (or a root span if none). Inert when tracing is off.
+pub fn span(kind: SpanKind) -> Span {
+    if !enabled() {
+        return Span { open: None };
+    }
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-    TLS.with(|tls| tls.borrow_mut().stack.push(id));
+    let parent = TLS.with(|tls| {
+        let stack = &mut tls.borrow_mut().stack;
+        let parent = stack.last().copied().unwrap_or(0);
+        stack.push(id);
+        parent
+    });
     let start_us = now_us();
     Span {
         open: Some(Box::new(OpenSpan {
@@ -339,37 +338,12 @@ fn open_span(parent: u64, kind: SpanKind) -> Span {
     }
 }
 
-/// Open a span parented under the innermost span currently open on
-/// this thread (or a root span if none). Inert when tracing is off.
-pub fn span(kind: SpanKind) -> Span {
-    if !enabled() {
-        return Span { open: None };
-    }
-    let parent = TLS.with(|tls| tls.borrow().stack.last().copied().unwrap_or(0));
-    open_span(parent, kind)
-}
-
-/// Open a span under an explicit parent — the cross-thread form used
-/// when a task was created on one thread and runs on another.
-pub fn span_under(parent: SpanId, kind: SpanKind) -> Span {
-    if !enabled() {
-        return Span { open: None };
-    }
-    open_span(parent.0, kind)
-}
-
 impl Span {
     /// Whether this span is actually recording; use to guard expensive
     /// name/field construction at call sites.
     #[inline]
     pub fn recording(&self) -> bool {
         self.open.is_some()
-    }
-
-    /// This span's id ([`SpanId::NONE`] when not recording), for
-    /// parenting work that hops threads.
-    pub fn id(&self) -> SpanId {
-        self.open.as_ref().map_or(SpanId::NONE, |o| SpanId(o.id))
     }
 
     /// Set the span name, building it lazily only when recording.

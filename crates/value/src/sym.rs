@@ -12,8 +12,8 @@
 //! * **Order is the strings' order**, never the ids' — interning order
 //!   is not lexical order. Equal ids short-circuit to `Equal`.
 //! * **Reads take no lock.** [`Sym::as_str`] — the path of `Ord`,
-//!   `Display` and string `<` predicates, run by reader sessions and
-//!   pool workers alike — reads a segmented table whose segments double
+//!   `Display` and string `<` predicates, run by concurrent reader
+//!   sessions — reads a segmented table whose segments double
 //!   in size and are each published once: two loads. Only interning a
 //!   *new* string takes the map's mutex.
 //! * **Memory is bounded by the distinct strings the process has ever

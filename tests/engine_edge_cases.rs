@@ -1,9 +1,14 @@
 //! Edge cases of the constructor engine: empty inputs, nested
-//! applications, keyed result types, and deep composition.
+//! applications, keyed result types, and deep composition — and
+//! differentials of multi-equation, impure, growing-delta and naive
+//! systems, and of cancelled solves, against the reference
+//! configuration.
 
 use data_constructors::prelude::*;
+use dc_bench::{counted, snapshot, unwrap_solve_error};
 use dc_calculus::builder::*;
-use dc_core::paper;
+use dc_core::{paper, Strategy};
+use dc_governor::{Budget, CancelToken, SolveError};
 
 #[test]
 fn empty_base_everywhere() {
@@ -211,4 +216,226 @@ fn scalar_args_distinguish_applications() {
         .unwrap();
     assert_eq!(four.len(), 4);
     assert_eq!(seven.len(), 7);
+}
+
+// Single-thread differentials: each system below agrees with the
+// reference configuration — nested-loop evaluation, queries as written
+// (`set_use_indexes(false)`) — and with the naive strategy where it
+// applies.
+
+/// `db` in the reference configuration under `strategy`.
+fn reference(mut db: Database, strategy: Strategy) -> Database {
+    db.set_use_indexes(false);
+    db.set_strategy(strategy);
+    db
+}
+
+/// `Infront`/`Ontop` from a generated scene, with §3.1's mutually
+/// recursive `ahead`/`above` defined.
+fn mutual_db(scene: &dc_bench::workload::Scene) -> Database {
+    let mut db = Database::new();
+    db.create_relation("Infront", paper::infrontrel()).unwrap();
+    db.create_relation("Ontop", paper::ontoprel()).unwrap();
+    db.insert_all("Infront", scene.infront.iter().cloned())
+        .unwrap();
+    db.insert_all("Ontop", scene.ontop.iter().cloned()).unwrap();
+    db.define_constructors(vec![paper::ahead_mutual(), paper::above()])
+        .unwrap();
+    db
+}
+
+fn above_query() -> RangeExpr {
+    rel("Ontop").construct("above", vec![rel("Infront")])
+}
+
+/// The mutual `ahead`/`above` system, both equations solved jointly:
+/// the same relations and the same Jacobi rounds as the reference, and
+/// the same relations as the naive strategy.
+#[test]
+fn mutual_system_matches_the_reference() {
+    for seed in [3u64, 7, 19] {
+        let scene = dc_bench::workload::scene(6, 12, 3, seed);
+        let ahead = rel("Infront").construct("ahead", vec![rel("Ontop")]);
+        for q in [above_query(), ahead] {
+            let db = mutual_db(&scene);
+            let (out, d) = counted(&db.metrics(), || db.eval(&q).unwrap());
+            assert_eq!(d.solve_equations, 2, "seed={seed}");
+            let nested = reference(mutual_db(&scene), Strategy::SemiNaive);
+            let (expected, r) = counted(&nested.metrics(), || nested.eval(&q).unwrap());
+            assert_eq!(out.sorted_tuples(), expected.sorted_tuples(), "seed={seed}");
+            assert_eq!(d.solve_rounds, r.solve_rounds, "seed={seed}");
+            let naive = reference(mutual_db(&scene), Strategy::Naive);
+            assert_eq!(naive.eval(&q).unwrap(), out, "seed={seed}");
+        }
+    }
+}
+
+/// The 4-constructor ring over seeded random graphs: four
+/// simultaneously solved equations whose Linear branches all carry
+/// work each round.
+#[test]
+fn random_ring_system_matches_the_reference() {
+    for seed in [1u64, 13, 31] {
+        let edges = dc_bench::workload::random_graph(40, 2.0, seed);
+        let q = dc_bench::ring_query();
+        let db = dc_bench::ring_db(&edges);
+        let (out, d) = counted(&db.metrics(), || db.eval(&q).unwrap());
+        assert_eq!(d.solve_equations, 4);
+        for strategy in [Strategy::SemiNaive, Strategy::Naive] {
+            let nested = reference(dc_bench::ring_db(&edges), strategy);
+            assert_eq!(nested.eval(&q).unwrap(), out, "seed={seed} {strategy:?}");
+        }
+    }
+}
+
+/// Transitive closure with a third, *impure* branch: a quantifier over
+/// the recursive application in the predicate. The branch classifier
+/// can only call it `Fallback`, so every round re-evaluates it whole.
+/// Its yield is a subset of the base relation, so the fixpoint is the
+/// plain closure.
+#[test]
+fn witnessed_quantifier_constructor_matches_the_reference() {
+    let witnessed = Constructor {
+        name: "witnessed".into(),
+        base_param: ("Rel".into(), paper::infrontrel()),
+        rel_params: vec![],
+        scalar_params: vec![],
+        result: paper::infrontrel(),
+        body: SetFormer {
+            branches: vec![
+                Branch::each("r", rel("Rel"), tru()),
+                Branch::projecting(
+                    vec![attr("f", "front"), attr("b", "back")],
+                    vec![
+                        ("f".into(), rel("Rel")),
+                        ("b".into(), rel("Rel").construct("witnessed", vec![])),
+                    ],
+                    eq(attr("f", "back"), attr("b", "front")),
+                ),
+                Branch::each(
+                    "r",
+                    rel("Rel"),
+                    some(
+                        "t",
+                        rel("Rel").construct("witnessed", vec![]),
+                        eq(attr("t", "front"), attr("r", "back")),
+                    ),
+                ),
+            ],
+        },
+    };
+    let n = 32usize;
+    let build = || {
+        let mut db = Database::new();
+        db.create_relation("Edges", paper::infrontrel()).unwrap();
+        db.insert_all("Edges", dc_bench::workload::chain(n).iter().cloned())
+            .unwrap();
+        db.define_constructor(witnessed.clone()).unwrap();
+        db
+    };
+    let q = rel("Edges").construct("witnessed", vec![]);
+    let out = build().eval(&q).unwrap();
+    assert_eq!(out.len(), n * (n + 1) / 2, "plain chain closure");
+    for strategy in [Strategy::SemiNaive, Strategy::Naive] {
+        assert_eq!(reference(build(), strategy).eval(&q).unwrap(), out);
+    }
+}
+
+/// Semi-naive closures whose deltas grow mid-solve: every round's
+/// Linear branch binds the previous round's delta as its scan side. The
+/// closure and its round count match the reference's.
+#[test]
+fn closures_with_growing_deltas_match_the_reference() {
+    let workloads = [
+        ("tree d=7", dc_bench::workload::complete_binary_tree(7)),
+        ("random n=60", dc_bench::workload::random_graph(60, 1.6, 9)),
+        ("chain n=48", dc_bench::workload::chain(48)),
+    ];
+    for (label, base) in workloads {
+        let q = dc_bench::ahead_query();
+        let db = dc_bench::ahead_db(&base, Strategy::SemiNaive);
+        let (out, d) = counted(&db.metrics(), || db.eval(&q).unwrap());
+        assert!(d.solve_rounds > 3, "{label}: {} rounds", d.solve_rounds);
+        let nested = reference(
+            dc_bench::ahead_db(&base, Strategy::SemiNaive),
+            Strategy::SemiNaive,
+        );
+        let (expected, r) = counted(&nested.metrics(), || nested.eval(&q).unwrap());
+        assert_eq!(expected, out, "{label}");
+        assert_eq!(r.solve_rounds, d.solve_rounds, "{label}");
+    }
+}
+
+/// The naive strategy's no-change rounds: a cyclic closure converges
+/// with trailing rounds that reproduce the accumulated value exactly
+/// (skipped by the commit's length and digest check), and the result
+/// matches semi-naive and the reference.
+#[test]
+fn naive_no_change_rounds_match_the_reference() {
+    let mut base = dc_bench::workload::cycle(12);
+    for t in dc_bench::workload::chain(12).iter() {
+        base.insert(t.clone()).unwrap();
+    }
+    let q = dc_bench::ahead_query();
+    let naive = dc_bench::ahead_db(&base, Strategy::Naive);
+    let (out, d) = counted(&naive.metrics(), || naive.eval(&q).unwrap());
+    assert!(d.solve_rounds > 2, "{d:?}");
+    let semi = dc_bench::ahead_db(&base, Strategy::SemiNaive);
+    assert_eq!(semi.eval(&q).unwrap(), out);
+    let nested = reference(dc_bench::ahead_db(&base, Strategy::Naive), Strategy::Naive);
+    assert_eq!(nested.eval(&q).unwrap(), out);
+}
+
+/// A pre-cancelled token aborts the mutual solve before any commit: a
+/// structured `Cancelled` error, base relations untouched, and the
+/// database fully usable once the budget is lifted.
+#[test]
+fn pre_cancelled_mutual_solve_aborts_atomically() {
+    let scene = dc_bench::workload::scene(6, 12, 3, 5);
+    let expected = reference(mutual_db(&scene), Strategy::SemiNaive)
+        .eval(&above_query())
+        .unwrap();
+    let token = CancelToken::new();
+    token.cancel();
+    let mut db = mutual_db(&scene);
+    db.set_budget(Some(Budget::unlimited().with_cancel(token)));
+    let before = snapshot(&db);
+    let err = db.eval(&above_query()).unwrap_err();
+    assert!(matches!(
+        unwrap_solve_error(err),
+        SolveError::Cancelled { .. }
+    ));
+    assert_eq!(snapshot(&db), before, "aborted solve must be atomic");
+    db.set_budget(None);
+    assert_eq!(db.eval(&above_query()).unwrap(), expected);
+}
+
+/// Cancellation landing mid-solve from another thread aborts the
+/// mutual solve with `Cancelled`, and the database re-solves to the
+/// reference afterwards. (If the solve wins the race it simply
+/// succeeds, and must equal the reference.)
+#[test]
+fn mid_solve_cancellation_of_a_mutual_solve_is_atomic() {
+    let scene = dc_bench::workload::scene(8, 48, 3, 11);
+    let expected = reference(mutual_db(&scene), Strategy::SemiNaive)
+        .eval(&above_query())
+        .unwrap();
+    let token = CancelToken::new();
+    let mut db = mutual_db(&scene);
+    db.set_budget(Some(Budget::unlimited().with_cancel(token.clone())));
+    let canceller = std::thread::spawn(move || {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        token.cancel();
+    });
+    let result = db.eval(&above_query());
+    canceller.join().unwrap();
+    match result {
+        Err(err) => assert!(matches!(
+            unwrap_solve_error(err),
+            SolveError::Cancelled { .. }
+        )),
+        Ok(r) => assert_eq!(r, expected),
+    }
+    db.set_budget(None);
+    assert_eq!(db.eval(&above_query()).unwrap(), expected);
 }

@@ -2,7 +2,7 @@
 //! syntax, covering every statement form and the paper's §3.3 corner
 //! cases.
 
-use dc_core::Database;
+use dc_core::{Database, Strategy};
 use dc_lang::run_script;
 use dc_value::tuple;
 
@@ -108,6 +108,50 @@ fn scalar_parameterised_constructor_script() {
         matches!(&err, dc_lang::LangError::UnknownType(n) if n == "nosuchtype"),
         "{err}"
     );
+}
+
+/// A constructor body whose predicate applies a constructor with a
+/// scalar argument read from a tuple variable: the application's
+/// identity depends on the tuple, so its equation registers on first
+/// sight while the round evaluates. The constructor agrees with the
+/// same predicate as a top-level query under both strategies and under
+/// the nested-loop reference.
+#[test]
+fn value_dependent_application_in_a_constructor_body() {
+    let definitions = r#"
+        TYPE numrel = RELATION ... OF RECORD n: INTEGER END;
+        VAR N: numrel;
+        CONSTRUCTOR below FOR Rel: numrel (K: INTEGER): numrel;
+        BEGIN EACH r IN Rel: r.n < K END below;
+        CONSTRUCTOR has_smaller FOR Rel: numrel (): numrel;
+        BEGIN EACH r IN Rel: SOME s IN Rel{below(; r.n)} (TRUE) END has_smaller;
+    "#;
+    let queries = "QUERY N{has_smaller()}; QUERY {EACH r IN N: SOME s IN N{below(; r.n)} (TRUE)};";
+    for (numbers, expected) in [(vec![1, 4, 7], 2), ((0..10).collect(), 9)] {
+        let inserts: String = numbers
+            .iter()
+            .map(|n| format!("INSERT N <{n}>; "))
+            .collect();
+        for (strategy, use_indexes) in [
+            (Strategy::SemiNaive, true),
+            (Strategy::Naive, true),
+            (Strategy::SemiNaive, false),
+        ] {
+            let mut db = Database::new();
+            db.set_strategy(strategy);
+            db.set_use_indexes(use_indexes);
+            let script = format!("{definitions} {inserts} {queries}");
+            let results = run_script(&mut db, &script)
+                .unwrap_or_else(|e| panic!("{strategy:?}, indexes {use_indexes}: {e}"));
+            let (constructed, top_level) = (&results[0].relation, &results[1].relation);
+            assert_eq!(constructed.sorted_tuples(), top_level.sorted_tuples());
+            assert_eq!(
+                constructed.len(),
+                expected,
+                "{strategy:?}, indexes {use_indexes}"
+            );
+        }
+    }
 }
 
 /// The full three-dimensional scene: types, two fact relations, the

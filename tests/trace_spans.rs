@@ -7,7 +7,7 @@
 //!   query yields a single correlated span tree — `server_commit` →
 //!   `subscription_refresh` → solve rounds → branch tasks — captured by
 //!   the in-memory [`Collector`], well-formed (no dangling parents, no
-//!   time-interval escapes), under both one solver thread and four.
+//!   time-interval escapes), every branch task under its round.
 //! * **Typed planner traces**: a known probe demotion and a known
 //!   correlated range left on the reference scan surface as structured
 //!   [`PlanEvent`]s with their reasons, not just rendered strings;
@@ -32,16 +32,15 @@ use dc_calculus::{PlanEvent, QuantDemotionReason};
 use dc_core::{Database, Strategy};
 use dc_server::{Server, WriteBatch};
 use dc_trace::metrics::Counter;
-use dc_trace::{Collector, FieldValue, SpanKind};
+use dc_trace::{Collector, FieldValue, SpanKind, TraceRecord};
 use dc_value::tuple;
 
 /// Chain-closure database under the `ahead` constructor, plus one
 /// relation the closure never reads (for the disjoint-skip refresh).
-fn graph_db(threads: usize) -> Database {
+fn graph_db() -> Database {
     let mut db = dc_bench::ahead_db(&dc_bench::many_chains(2, 4), Strategy::SemiNaive);
     db.create_relation("Unrelated", dc_bench::workload::graphs::edge_schema())
         .unwrap();
-    db.set_threads(threads);
     db
 }
 
@@ -50,7 +49,19 @@ fn scene_db() -> Database {
     dc_bench::scene_db(&dc_bench::workload::scene(4, 6, 2, 11))
 }
 
-fn str_field<'r>(rec: &'r dc_trace::TraceRecord, key: &str) -> Option<&'r str> {
+/// Every branch task in `tree` is a child of a round in `tree`.
+fn assert_tasks_under_rounds(tree: &[TraceRecord]) {
+    let rounds: Vec<u64> = tree
+        .iter()
+        .filter(|r| r.kind == SpanKind::Round)
+        .map(|r| r.id)
+        .collect();
+    for task in tree.iter().filter(|r| r.kind == SpanKind::BranchTask) {
+        assert!(rounds.contains(&task.parent), "{task:?}");
+    }
+}
+
+fn str_field<'r>(rec: &'r TraceRecord, key: &str) -> Option<&'r str> {
     match rec.field(key) {
         Some(FieldValue::Str(s)) => Some(s.as_str()),
         _ => None,
@@ -58,72 +69,68 @@ fn str_field<'r>(rec: &'r dc_trace::TraceRecord, key: &str) -> Option<&'r str> {
 }
 
 /// One commit with a live subscription produces a single correlated
-/// tree: commit → refresh → solve → rounds → branch tasks. Exercised
-/// at one and four solver threads — the four-thread run proves the
-/// cross-thread `span_under` parenting (branch tasks recorded on pool
-/// workers still reach the round that dispatched them).
+/// tree: commit → refresh → solve → rounds → branch tasks.
 #[test]
 fn commit_with_subscription_yields_one_correlated_tree() {
-    for threads in [1usize, 4] {
-        let guard = Collector::install();
-        let server = Server::new(graph_db(threads));
-        let prepared = server
-            .prepare_solve("Infront", "ahead", &[], vec![])
-            .unwrap();
-        let sub = server.subscribe(&prepared).unwrap();
-        sub.recv()
-            .expect("subscription alive")
-            .expect("initial eval");
+    let guard = Collector::install();
+    let server = Server::new(graph_db());
+    let prepared = server
+        .prepare_solve("Infront", "ahead", &[], vec![])
+        .unwrap();
+    let sub = server.subscribe(&prepared).unwrap();
+    sub.recv()
+        .expect("subscription alive")
+        .expect("initial eval");
 
-        let epoch = server
-            .commit(&WriteBatch::new().insert("Infront", tuple!["c0_4", "x0"]))
-            .unwrap();
-        let up = sub.recv().expect("subscription alive").expect("refresh");
-        assert_eq!(up.epoch, epoch);
-        dc_trace::flush();
+    let epoch = server
+        .commit(&WriteBatch::new().insert("Infront", tuple!["c0_4", "x0"]))
+        .unwrap();
+    let up = sub.recv().expect("subscription alive").expect("refresh");
+    assert_eq!(up.epoch, epoch);
+    dc_trace::flush();
 
-        let records = guard.records();
-        let commits: Vec<_> = records
-            .iter()
-            .filter(|r| r.kind == SpanKind::ServerCommit)
-            .collect();
-        assert_eq!(commits.len(), 1, "one commit, one commit span");
-        let commit = commits[0];
-        assert_eq!(
-            commit.field("epoch"),
-            Some(&FieldValue::U64(epoch)),
-            "commit span carries the published epoch"
-        );
+    let records = guard.records();
+    let commits: Vec<_> = records
+        .iter()
+        .filter(|r| r.kind == SpanKind::ServerCommit)
+        .collect();
+    assert_eq!(commits.len(), 1, "one commit, one commit span");
+    let commit = commits[0];
+    assert_eq!(
+        commit.field("epoch"),
+        Some(&FieldValue::U64(epoch)),
+        "commit span carries the published epoch"
+    );
 
-        let tree = guard.subtree(commit.id);
-        let kind_count = |k: SpanKind| tree.iter().filter(|r| r.kind == k).count();
-        assert_eq!(
-            kind_count(SpanKind::SubscriptionRefresh),
-            1,
-            "the refresh nests under the commit ({threads} threads)"
-        );
-        assert!(
-            kind_count(SpanKind::Solve) >= 1,
-            "the refresh solve nests under the commit ({threads} threads)"
-        );
-        assert!(
-            kind_count(SpanKind::Round) >= 1,
-            "solve rounds nest under the commit ({threads} threads)"
-        );
-        assert!(
-            kind_count(SpanKind::BranchTask) >= 1,
-            "branch tasks nest under the commit ({threads} threads)"
-        );
-        // Structural soundness of everything captured — including the
-        // subscribe-time initial evaluation outside the commit tree.
-        assert_eq!(
-            guard.well_formedness_violations(),
-            Vec::<String>::new(),
-            "span tree is well-formed ({threads} threads)"
-        );
-        drop(sub);
-        server.shutdown();
-    }
+    let tree = guard.subtree(commit.id);
+    let kind_count = |k: SpanKind| tree.iter().filter(|r| r.kind == k).count();
+    assert_eq!(
+        kind_count(SpanKind::SubscriptionRefresh),
+        1,
+        "the refresh nests under the commit"
+    );
+    assert!(
+        kind_count(SpanKind::Solve) >= 1,
+        "the refresh solve nests under the commit"
+    );
+    assert!(
+        kind_count(SpanKind::Round) >= 1,
+        "solve rounds nest under the commit"
+    );
+    assert!(
+        kind_count(SpanKind::BranchTask) >= 1,
+        "branch tasks nest under the commit"
+    );
+    assert_tasks_under_rounds(&tree);
+    // Structural soundness of everything captured — including the
+    // subscribe-time initial evaluation outside the commit tree.
+    assert_eq!(
+        guard.well_formedness_violations(),
+        Vec::<String>::new(),
+        "span tree is well-formed"
+    );
+    drop(sub);
+    server.shutdown();
 }
 
 /// A solve writes one trace record per round: its tree holds no record
@@ -157,17 +164,11 @@ fn a_solve_writes_one_record_per_round() {
         .map(|r| r.kind.label())
         .collect();
     assert_eq!(stray, Vec::<&str>::new(), "no phase or other records");
+    assert_tasks_under_rounds(&tree);
     let rounds: Vec<_> = tree.iter().filter(|r| r.kind == SpanKind::Round).collect();
     assert!(rounds.len() > 40, "{} rounds", rounds.len());
     for round in &rounds {
-        for key in [
-            "round",
-            "tasks",
-            "workers",
-            "prep_us",
-            "evaluate_us",
-            "commit_us",
-        ] {
+        for key in ["round", "tasks", "prep_us", "evaluate_us", "commit_us"] {
             assert!(
                 matches!(round.field(key), Some(FieldValue::U64(_))),
                 "round record without `{key}`: {round:?}"
@@ -182,6 +183,41 @@ fn a_solve_writes_one_record_per_round() {
     assert!(paths.len() <= 3, "{paths:#?}");
 }
 
+/// A solve whose equations register while a round evaluates — a
+/// predicate applying a constructor to a scalar read from a tuple
+/// variable — still writes a well-formed tree, every branch task under
+/// its round.
+#[test]
+fn mid_round_registration_keeps_the_span_tree_well_formed() {
+    let guard = Collector::install();
+    let mut db = Database::new();
+    let results = dc_lang::run_script(
+        &mut db,
+        r#"
+        TYPE numrel = RELATION ... OF RECORD n: INTEGER END;
+        VAR N: numrel;
+        CONSTRUCTOR below FOR Rel: numrel (K: INTEGER): numrel;
+        BEGIN EACH r IN Rel: r.n < K END below;
+        CONSTRUCTOR has_smaller FOR Rel: numrel (): numrel;
+        BEGIN EACH r IN Rel: SOME s IN Rel{below(; r.n)} (TRUE) END has_smaller;
+        INSERT N <1>; INSERT N <4>; INSERT N <7>;
+        QUERY N{has_smaller()};
+        "#,
+    )
+    .unwrap();
+    assert_eq!(results[0].relation.len(), 2);
+    dc_trace::flush();
+
+    let solve = guard
+        .of_kind(SpanKind::Solve)
+        .into_iter()
+        .find(|r| r.name == "has_smaller")
+        .expect("the solve span");
+    assert_eq!(solve.field("equations"), Some(&FieldValue::U64(4)));
+    assert_tasks_under_rounds(&guard.subtree(solve.id));
+    assert_eq!(guard.well_formedness_violations(), Vec::<String>::new());
+}
+
 /// Warm, cold, and skipped refreshes are visible both as span fields
 /// and as registry counters.
 #[test]
@@ -190,7 +226,7 @@ fn refresh_outcomes_are_observable() {
     // The closure over `Infront`, plus §3.3's unchecked `strange` under
     // the checked `wrap_strange` over `Card`: a system the solver runs
     // naive, so its refreshes stay cold.
-    let mut db = graph_db(1);
+    let mut db = graph_db();
     db.create_relation("Card", dc_core::paper::cardrel())
         .unwrap();
     db.insert_all("Card", (0u64..=6).map(|i| tuple![i]))
@@ -409,8 +445,8 @@ fn correlated_range_left_on_the_scan_is_a_typed_event() {
 fn prepared_query_explain_covers_both_kinds() {
     // A fresh database caches no index, and neither does the server's
     // first snapshot: `Database::explain` renders the same preview.
-    let fresh = graph_db(1).explain(&rel("Infront").construct("ahead", vec![]));
-    let server = Server::new(graph_db(1));
+    let fresh = graph_db().explain(&rel("Infront").construct("ahead", vec![]));
+    let server = Server::new(graph_db());
     let session = server.begin();
 
     let solve = server
@@ -463,7 +499,7 @@ fn solve_preview_and_live_explain_agree_on_the_residual() {
             })
             .collect()
     };
-    let db = graph_db(1);
+    let db = graph_db();
     let live = db
         .explain(&set_former(vec![Branch::projecting(
             vec![attr("f", "front"), attr("b", "back")],
