@@ -46,10 +46,16 @@ fn row_with_metrics(row: String, snap: &MetricsSnapshot) -> String {
 /// size, its wall time, and what it recorded into `db`'s registry.
 fn eval_ms(db: &Database, q: &dc_calculus::RangeExpr) -> (usize, f64, MetricsSnapshot) {
     db.clear_solved_cache();
-    // `Database::evaluator` honours `set_use_indexes`, so scan-side
-    // measurements run the reference path at the query level too.
     let ((out, ms), counts) = counted(&db.metrics(), || time(|| db.evaluator().eval(q).unwrap()));
     (out.len(), ms, counts)
+}
+
+/// The oracle's answer to `q` over `db` (`dc_bench::oracle`, the query
+/// as written): its size, its wall time, and the rounds its solves took
+/// — the reference side of every agreement check.
+fn oracle_ms(db: &Database, q: &dc_calculus::RangeExpr) -> (usize, f64, u64) {
+    let ((out, rounds), ms) = time(|| oracle::eval_counting(db, q));
+    (out.unwrap().len(), ms, rounds)
 }
 
 fn main() {
@@ -73,15 +79,15 @@ fn main() {
     println!("\nAll experiment assertions passed.");
 }
 
-/// E1b: the index-nested-loop join path against the reference
-/// nested-loop evaluator, semi-naive strategy on both sides — the
-/// scan→probe speedup this engine's join planner is responsible for.
-/// Asserts the ≥5× bound on the 1k-node tree (an access-path class,
-/// not a constant: measured 60–110×). The measured rows go to
+/// E1b: the semi-naive, index-nested-loop engine against the oracle's
+/// naive nested loops, which must agree on the closure and its round
+/// count — the gap this engine's join planner and differential rounds
+/// are responsible for. Asserts the ≥5× bound on the 1k-node tree (an
+/// access-path class, not a constant). The measured rows go to
 /// `BENCH_e1.json` (see [`write_bench_e1`]).
 fn e1b() -> Vec<String> {
-    println!("E1b index-nested-loop joins vs reference nested loops (semi-naive)");
-    println!("  workload              nodes  edges  closure  indexed(ms)  nested(ms)  speedup");
+    println!("E1b semi-naive index-nested-loop joins vs the oracle's naive nested loops");
+    println!("  workload              nodes  edges  closure  indexed(ms)  oracle(ms)  speedup");
     let workloads: Vec<(&str, usize, Relation)> = vec![
         ("binary tree d=10", 1023, workload::complete_binary_tree(10)),
         ("chain n=128", 129, workload::chain(128)),
@@ -92,17 +98,15 @@ fn e1b() -> Vec<String> {
         let q = ahead_query();
         let db_idx = ahead_db(&base, Strategy::SemiNaive);
         let (idx_len, idx_ms, idx) = eval_ms(&db_idx, &q);
-        let mut db_scan = ahead_db(&base, Strategy::SemiNaive);
-        db_scan.set_use_indexes(false);
-        let (scan_len, scan_ms, scan) = eval_ms(&db_scan, &q);
+        let (oracle_len, oracle_ms, rounds) = oracle_ms(&db_idx, &q);
         assert_eq!(
-            idx_len, scan_len,
-            "index path must agree with reference on {label}"
+            idx_len, oracle_len,
+            "engine must agree with the oracle on {label}"
         );
-        assert_eq!(idx.solve_rounds, scan.solve_rounds, "{label}");
-        let speedup = scan_ms / idx_ms;
+        assert_eq!(idx.solve_rounds, rounds, "{label}");
+        let speedup = oracle_ms / idx_ms;
         println!(
-            "  {label:<20} {nodes:>6} {:>6} {idx_len:>8} {idx_ms:>12.2} {scan_ms:>11.2} {speedup:>7.1}x",
+            "  {label:<20} {nodes:>6} {:>6} {idx_len:>8} {idx_ms:>12.2} {oracle_ms:>11.2} {speedup:>7.1}x",
             base.len()
         );
         rows.push(row_with_metrics(
@@ -110,7 +114,7 @@ fn e1b() -> Vec<String> {
                 concat!(
                     "  {{\"workload\": \"{}\", \"nodes\": {}, \"edges\": {}, \"closure\": {}, ",
                     "\"rounds\": {}, \"index_builds\": {}, ",
-                    "\"semi_indexed_ms\": {:.3}, \"semi_nested_loop_ms\": {:.3}, \"speedup\": {:.2}}}"
+                    "\"semi_indexed_ms\": {:.3}, \"oracle_ms\": {:.3}, \"speedup\": {:.2}}}"
                 ),
                 label,
                 nodes,
@@ -119,7 +123,7 @@ fn e1b() -> Vec<String> {
                 idx.solve_rounds,
                 idx.warm_index_misses,
                 idx_ms,
-                scan_ms,
+                oracle_ms,
                 speedup
             ),
             &db_idx.metrics().snapshot(),
@@ -135,7 +139,7 @@ fn e1b() -> Vec<String> {
     rows
 }
 
-/// Emit `BENCH_e1.json`: the E1b scan→probe rows, one flat array — a
+/// Emit `BENCH_e1.json`: the E1b engine-against-oracle rows, one flat array — a
 /// reproduction table, not a gate.
 fn write_bench_e1(e1b_rows: &[String]) {
     let json = format!("[\n{}\n]\n", e1b_rows.join(",\n"));
@@ -219,16 +223,16 @@ fn e2() {
     println!();
 }
 
-/// E2b: index-aware quantifier probes vs reference quantifier scans —
+/// E2b: index-aware quantifier probes vs the oracle's quantifier scans —
 /// the selector-style predicates of §2.3 (`SOME t IN Ontop: t.base =
 /// r.front`) decided through hash-bucket existence probes instead of
 /// per-combination range scans. Asserts the ≥3× bound on the largest
 /// scene; the measured rows become the `"e2b"` section of
 /// `BENCH_e2.json` (see [`write_bench_e2`]).
 fn e2b() -> Vec<String> {
-    println!("E2b index-aware quantifier probes vs reference scans (visibility selector)");
+    println!("E2b index-aware quantifier probes vs the oracle's scans (visibility selector)");
     println!(
-        "  scene        objects  infront  ontop  visible  front-row  probe(ms)  scan(ms)  speedup"
+        "  scene        objects  infront  ontop  visible  front-row  probe(ms)  oracle(ms)  speedup"
     );
     let mut rows_out = Vec::new();
     let scenes = [(20usize, 20usize), (40, 40), (60, 60)];
@@ -240,24 +244,22 @@ fn e2b() -> Vec<String> {
         let db = scene_db(&scene);
         let (vis_len, vis_ms, _) = eval_ms(&db, &vis_q);
         let (front_len, front_ms, _) = eval_ms(&db, &front_q);
-        let mut db_scan = scene_db(&scene);
-        db_scan.set_use_indexes(false);
-        let (vis_scan_len, vis_scan_ms, _) = eval_ms(&db_scan, &vis_q);
-        let (front_scan_len, front_scan_ms, _) = eval_ms(&db_scan, &front_q);
+        let (vis_oracle_len, vis_oracle_ms, _) = oracle_ms(&db, &vis_q);
+        let (front_oracle_len, front_oracle_ms, _) = oracle_ms(&db, &front_q);
         assert_eq!(
-            vis_len, vis_scan_len,
-            "quantifier probes must agree with reference scans ({rows}x{depth})"
+            vis_len, vis_oracle_len,
+            "quantifier probes must agree with the oracle ({rows}x{depth})"
         );
         assert_eq!(
-            front_len, front_scan_len,
-            "negated-quantifier probes must agree with reference scans ({rows}x{depth})"
+            front_len, front_oracle_len,
+            "negated-quantifier probes must agree with the oracle ({rows}x{depth})"
         );
         let probe_ms = vis_ms + front_ms;
-        let scan_ms = vis_scan_ms + front_scan_ms;
-        let speedup = scan_ms / probe_ms;
+        let oracle_ms = vis_oracle_ms + front_oracle_ms;
+        let speedup = oracle_ms / probe_ms;
         let label = format!("{rows}x{depth}");
         println!(
-            "  {label:<12} {:>7} {:>8} {:>6} {vis_len:>8} {front_len:>10} {probe_ms:>10.2} {scan_ms:>9.2} {speedup:>7.1}x",
+            "  {label:<12} {:>7} {:>8} {:>6} {vis_len:>8} {front_len:>10} {probe_ms:>10.2} {oracle_ms:>11.2} {speedup:>7.1}x",
             scene.objects.len(),
             scene.infront.len(),
             scene.ontop.len(),
@@ -267,7 +269,7 @@ fn e2b() -> Vec<String> {
                 concat!(
                     "  {{\"workload\": \"scene {}\", \"objects\": {}, \"infront\": {}, ",
                     "\"ontop\": {}, \"visible\": {}, \"front_row\": {}, ",
-                    "\"probe_ms\": {:.3}, \"scan_ms\": {:.3}, \"speedup\": {:.2}}}"
+                    "\"probe_ms\": {:.3}, \"oracle_ms\": {:.3}, \"speedup\": {:.2}}}"
                 ),
                 label,
                 scene.objects.len(),
@@ -276,7 +278,7 @@ fn e2b() -> Vec<String> {
                 vis_len,
                 front_len,
                 probe_ms,
-                scan_ms,
+                oracle_ms,
                 speedup
             ),
             &db.metrics().snapshot(),
@@ -292,7 +294,7 @@ fn e2b() -> Vec<String> {
     rows_out
 }
 
-/// E2c: unnested correlated-quantifier probes vs reference
+/// E2c: unnested correlated-quantifier probes vs the oracle's
 /// per-combination range evaluation — the correlated selector
 /// application `Ontop[on_base(r.back)]` (unnested into a quantifier
 /// over `Ontop` probed on `base` per edge) and the implication-shaped
@@ -300,9 +302,9 @@ fn e2b() -> Vec<String> {
 /// Asserts the ≥3× bound on the largest scene; the measured rows become
 /// the `"e2c"` section of `BENCH_e2.json`.
 fn e2c() -> Vec<String> {
-    println!("E2c unnested correlated-quantifier probes vs reference scans");
+    println!("E2c unnested correlated-quantifier probes vs the oracle's scans");
     println!(
-        "  scene        infront  ontop  stacked-back  bare-front  probe(ms)  scan(ms)  speedup"
+        "  scene        infront  ontop  stacked-back  bare-front  probe(ms)  oracle(ms)  speedup"
     );
     let mut rows_out = Vec::new();
     let scenes = [(20usize, 20usize), (40, 40), (60, 60)];
@@ -314,24 +316,22 @@ fn e2c() -> Vec<String> {
         let db = scene_db(&scene);
         let (sel_len, sel_ms, _) = eval_ms(&db, &sel_q);
         let (imp_len, imp_ms, _) = eval_ms(&db, &imp_q);
-        let mut db_scan = scene_db(&scene);
-        db_scan.set_use_indexes(false);
-        let (sel_scan_len, sel_scan_ms, _) = eval_ms(&db_scan, &sel_q);
-        let (imp_scan_len, imp_scan_ms, _) = eval_ms(&db_scan, &imp_q);
+        let (sel_oracle_len, sel_oracle_ms, _) = oracle_ms(&db, &sel_q);
+        let (imp_oracle_len, imp_oracle_ms, _) = oracle_ms(&db, &imp_q);
         assert_eq!(
-            sel_len, sel_scan_len,
-            "unnested probes must agree with reference scans ({rows}x{depth})"
+            sel_len, sel_oracle_len,
+            "unnested probes must agree with the oracle ({rows}x{depth})"
         );
         assert_eq!(
-            imp_len, imp_scan_len,
-            "implication-body probes must agree with reference scans ({rows}x{depth})"
+            imp_len, imp_oracle_len,
+            "implication-body probes must agree with the oracle ({rows}x{depth})"
         );
         let probe_ms = sel_ms + imp_ms;
-        let scan_ms = sel_scan_ms + imp_scan_ms;
-        let speedup = scan_ms / probe_ms;
+        let oracle_ms = sel_oracle_ms + imp_oracle_ms;
+        let speedup = oracle_ms / probe_ms;
         let label = format!("{rows}x{depth}");
         println!(
-            "  {label:<12} {:>7} {:>6} {sel_len:>13} {imp_len:>11} {probe_ms:>10.2} {scan_ms:>9.2} {speedup:>7.1}x",
+            "  {label:<12} {:>7} {:>6} {sel_len:>13} {imp_len:>11} {probe_ms:>10.2} {oracle_ms:>11.2} {speedup:>7.1}x",
             scene.infront.len(),
             scene.ontop.len(),
         );
@@ -340,7 +340,7 @@ fn e2c() -> Vec<String> {
                 concat!(
                     "  {{\"workload\": \"scene {}\", \"infront\": {}, \"ontop\": {}, ",
                     "\"stacked_back\": {}, \"bare_front\": {}, ",
-                    "\"probe_ms\": {:.3}, \"scan_ms\": {:.3}, \"speedup\": {:.2}}}"
+                    "\"probe_ms\": {:.3}, \"oracle_ms\": {:.3}, \"speedup\": {:.2}}}"
                 ),
                 label,
                 scene.infront.len(),
@@ -348,7 +348,7 @@ fn e2c() -> Vec<String> {
                 sel_len,
                 imp_len,
                 probe_ms,
-                scan_ms,
+                oracle_ms,
                 speedup
             ),
             &db.metrics().snapshot(),
@@ -364,19 +364,19 @@ fn e2c() -> Vec<String> {
     rows_out
 }
 
-/// E2d: multi-binding correlated-join unnesting vs reference
+/// E2d: multi-binding correlated-join unnesting vs the oracle's
 /// per-combination join evaluation — the quantified range is a **join
 /// view** over two bindings correlated on both (`a.task = r.task AND
-/// s.tool = r.tool`), so the reference path pays the full
+/// s.tool = r.tool`), so the oracle pays the full
 /// `Assign × Skill` product per request while the unnested path probes
 /// `Assign` on `task` per request and `Skill` on `(worker, tool)` per
 /// assigned worker. Asserts the ≥3× bound on the largest
 /// instance; the measured rows become the `"e2d"` section of
 /// `BENCH_e2.json`.
 fn e2d() -> Vec<String> {
-    println!("E2d multi-binding correlated-join unnesting vs reference scans");
+    println!("E2d multi-binding correlated-join unnesting vs the oracle's scans");
     println!(
-        "  instance     assign  skill  requests  servable  avoids-w0  probe(ms)  scan(ms)  speedup"
+        "  instance     assign  skill  requests  servable  avoids-w0  probe(ms)  oracle(ms)  speedup"
     );
     let mut rows_out = Vec::new();
     // (tasks, workers, tools, per_task, per_worker, requests)
@@ -403,23 +403,21 @@ fn e2d() -> Vec<String> {
         let db = staffing_db(&s);
         let (some_len, some_ms, _) = eval_ms(&db, &some_q);
         let (all_len, all_ms, _) = eval_ms(&db, &all_q);
-        let mut db_scan = staffing_db(&s);
-        db_scan.set_use_indexes(false);
-        let (some_scan_len, some_scan_ms, _) = eval_ms(&db_scan, &some_q);
-        let (all_scan_len, all_scan_ms, _) = eval_ms(&db_scan, &all_q);
+        let (some_oracle_len, some_oracle_ms, _) = oracle_ms(&db, &some_q);
+        let (all_oracle_len, all_oracle_ms, _) = oracle_ms(&db, &all_q);
         assert_eq!(
-            some_len, some_scan_len,
-            "chained probes must agree with reference scans ({label})"
+            some_len, some_oracle_len,
+            "chained probes must agree with the oracle ({label})"
         );
         assert_eq!(
-            all_len, all_scan_len,
-            "universal chained probes must agree with reference scans ({label})"
+            all_len, all_oracle_len,
+            "universal chained probes must agree with the oracle ({label})"
         );
         let probe_ms = some_ms + all_ms;
-        let scan_ms = some_scan_ms + all_scan_ms;
-        let speedup = scan_ms / probe_ms;
+        let oracle_ms = some_oracle_ms + all_oracle_ms;
+        let speedup = oracle_ms / probe_ms;
         println!(
-            "  {label:<12} {:>6} {:>6} {:>9} {some_len:>9} {all_len:>10} {probe_ms:>10.2} {scan_ms:>9.2} {speedup:>7.1}x",
+            "  {label:<12} {:>6} {:>6} {:>9} {some_len:>9} {all_len:>10} {probe_ms:>10.2} {oracle_ms:>11.2} {speedup:>7.1}x",
             s.assign.len(),
             s.skill.len(),
             s.requests.len(),
@@ -429,7 +427,7 @@ fn e2d() -> Vec<String> {
                 concat!(
                     "  {{\"workload\": \"{}\", \"assign\": {}, \"skill\": {}, ",
                     "\"requests\": {}, \"servable\": {}, \"avoids_w0\": {}, ",
-                    "\"probe_ms\": {:.3}, \"scan_ms\": {:.3}, \"speedup\": {:.2}}}"
+                    "\"probe_ms\": {:.3}, \"oracle_ms\": {:.3}, \"speedup\": {:.2}}}"
                 ),
                 label,
                 s.assign.len(),
@@ -438,7 +436,7 @@ fn e2d() -> Vec<String> {
                 some_len,
                 all_len,
                 probe_ms,
-                scan_ms,
+                oracle_ms,
                 speedup
             ),
             &db.metrics().snapshot(),

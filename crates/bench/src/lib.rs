@@ -1,10 +1,11 @@
-//! Shared fixtures for the `harness` binary (one section per
-//! experiment, E1–E7) and the root test suites, so both run exactly
-//! the same configurations: the seeded generators ([`workload`]),
-//! workload databases and queries, the registry-delta helper
-//! [`counted`], and the atomic-abort fixtures [`snapshot`] and
-//! [`unwrap_solve_error`].
+//! Shared fixtures for the `harness` binary (E1–E7) and the root test
+//! suites, so both run exactly the same configurations: the reference
+//! interpreter every differential compares against ([`oracle`]), the
+//! seeded generators ([`workload`]), workload databases and queries,
+//! the registry-delta helper [`counted`], and the atomic-abort fixtures
+//! [`snapshot`] and [`unwrap_solve_error`].
 
+pub mod oracle;
 pub mod workload;
 
 use dc_calculus::ast::SelectorDef;
@@ -402,10 +403,9 @@ pub fn avoids_w0_request_query() -> dc_calculus::RangeExpr {
 }
 
 /// Small graph, scene, and staffing databases, each with the
-/// non-recursive harness queries over it — the domains of the
-/// write-interleaving properties in `tests/prop_engine.rs` and
-/// `tests/prop_server.rs` (indexed answer against the nested-loop
-/// reference after every write).
+/// non-recursive harness queries over it: the write-interleaving
+/// domains of `tests/prop_engine.rs` and `tests/prop_server.rs`, whose
+/// answers are checked against the oracle after every write.
 pub fn small_domains() -> Vec<(Database, Vec<dc_calculus::RangeExpr>)> {
     vec![
         (
@@ -542,13 +542,8 @@ mod tests {
     fn visibility_queries_agree_with_reference() {
         let scene = workload::scene(6, 8, 2, 3);
         let db = scene_db(&scene);
-        let mut db_scan = scene_db(&scene);
-        db_scan.set_use_indexes(false);
         for q in [visibility_query(), front_row_query()] {
-            let probed = db.eval(&q).unwrap();
-            let scanned = db_scan.eval(&q).unwrap();
-            assert_eq!(probed, scanned);
-            assert!(!probed.is_empty());
+            assert!(!oracle::assert_agrees(&db, &q).unwrap().is_empty());
         }
     }
 
@@ -556,12 +551,8 @@ mod tests {
     fn correlated_selector_queries_agree_with_reference() {
         let scene = workload::scene(6, 8, 2, 3);
         let db = scene_db(&scene);
-        let mut db_scan = scene_db(&scene);
-        db_scan.set_use_indexes(false);
         for q in [stacked_back_query(), unburdened_front_query()] {
-            let probed = db.eval(&q).unwrap();
-            let scanned = db_scan.eval(&q).unwrap();
-            assert_eq!(probed, scanned, "{q}");
+            let probed = oracle::assert_agrees(&db, &q).unwrap();
             // Both queries discriminate: neither empty nor everything.
             assert!(!probed.is_empty(), "{q}");
             assert!(probed.len() < scene.infront.len(), "{q}");
@@ -572,12 +563,8 @@ mod tests {
     fn staffing_queries_agree_with_reference() {
         let s = workload::staffing(20, 10, 8, 2, 3, 25, 11);
         let db = staffing_db(&s);
-        let mut db_scan = staffing_db(&s);
-        db_scan.set_use_indexes(false);
         for q in [servable_request_query(), avoids_w0_request_query()] {
-            let probed = db.eval(&q).unwrap();
-            let scanned = db_scan.eval(&q).unwrap();
-            assert_eq!(probed, scanned, "{q}");
+            let probed = oracle::assert_agrees(&db, &q).unwrap();
             // Both queries discriminate: neither empty nor everything.
             assert!(!probed.is_empty(), "{q}");
             assert!(probed.len() < s.requests.len(), "{q}");

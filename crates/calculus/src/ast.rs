@@ -387,11 +387,10 @@ impl fmt::Display for RangeExpr {
                     }
                     write!(f, "{a}")?;
                 }
+                // `(rel, …; scalar, …)`: the `;` opens the scalars even
+                // without relation arguments, as the parser reads them.
                 for (i, s) in scalar_args.iter().enumerate() {
-                    if i > 0 || !args.is_empty() {
-                        write!(f, "; ")?;
-                    }
-                    write!(f, "{s}")?;
+                    write!(f, "{}{s}", if i == 0 { "; " } else { ", " })?;
                 }
                 write!(f, ")}}")
             }

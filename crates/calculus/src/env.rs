@@ -2,7 +2,7 @@
 //!
 //! Evaluation is parameterised over a [`Catalog`], which supplies
 //! relation values, selector definitions, and — crucially — the meaning
-//! of constructor applications. The reference evaluator knows nothing
+//! of constructor applications. The evaluator knows nothing
 //! about fixpoints: when it meets `base{c(args)}` it evaluates `base`
 //! and `args` to relations and delegates to
 //! [`Catalog::apply_constructor`]. `dc-core` implements that hook with
@@ -59,6 +59,14 @@ pub trait Catalog {
     /// `None` (the default): the evaluator uses a private cache for its
     /// own lifetime.
     fn access(&self) -> Option<&AccessCache> {
+        None
+    }
+
+    /// The catalog a selector's predicate reads, where this one binds a
+    /// constructor body's formals over it: a selector sees the catalog's
+    /// relations, never the formals of a body it is applied in. `None`
+    /// (the default): this catalog binds no formals.
+    fn selector_scope(&self) -> Option<&dyn Catalog> {
         None
     }
 }
@@ -206,6 +214,10 @@ impl Catalog for Overlay<'_> {
 
     fn access(&self) -> Option<&AccessCache> {
         self.base.access()
+    }
+
+    fn selector_scope(&self) -> Option<&dyn Catalog> {
+        Some(self.base.selector_scope().unwrap_or(self.base))
     }
 }
 

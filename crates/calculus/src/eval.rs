@@ -1,14 +1,13 @@
 //! The evaluator for the calculus.
 //!
-//! Two execution paths coexist:
+//! Its meaning is the one `dc_bench::oracle` writes down independently:
+//! every set-former branch denotes the combinations of its ranges that
+//! satisfy its predicate, and every quantifier a scan of its range. The
+//! evaluator reaches the same relations and the same errors by cheaper
+//! routes, and the differential suites hold it to the oracle:
 //!
-//! * **Reference nested loops** ([`Evaluator::force_nested_loop`]) — the
-//!   executable *definition* of expression meaning: every set-former
-//!   branch enumerates the cross product of its ranges and filters by
-//!   the predicate. The §4 rewrites (`dc_core::compile`) and the
-//!   index path below are differentially tested against it.
-//! * **Index-nested-loop joins** (the default) — branches whose
-//!   predicates carry conjunctive equality atoms are executed through
+//! * **Index-nested-loop joins** — branches whose predicates carry
+//!   conjunctive equality atoms are executed through
 //!   [`crate::joinplan`] plans: one range is scanned, the others are
 //!   probed through [`dc_index::HashIndex`]es keyed on the equality
 //!   columns, so work is proportional to *matching* combinations rather
@@ -17,16 +16,15 @@
 //!   order, minus those a realised probe key already decided (a key is
 //!   realised only when it resolved and matches the probed column's
 //!   base type, so its conjunct holds on every probe hit and can never
-//!   raise). Both paths therefore produce identical relations and
-//!   identical errors on every combination they both evaluate.
-//!   The one deliberate divergence, shared with every
-//!   predicate-pushdown engine: a runtime error (division by zero,
-//!   cross-type comparison) hiding in a conjunct of a combination that
-//!   an equality key already rejects is never raised on the index
-//!   path, because the rejected combination is skipped outright.
-//!   Equality atoms themselves never mask their own errors — keys that
-//!   cannot be realised safely (type-mismatched, unresolvable) are
-//!   demoted back to the residual.
+//!   raise). The answer therefore has the relation and the error of
+//!   every combination the cross product evaluates, with one deliberate
+//!   divergence, shared with every predicate-pushdown engine: a runtime
+//!   error (division by zero, cross-type comparison) hiding in a
+//!   conjunct of a combination that an equality key already rejects is
+//!   never raised here, because the rejected combination is skipped
+//!   outright. Equality atoms themselves never mask their own errors —
+//!   keys that cannot be realised safely (type-mismatched,
+//!   unresolvable) are demoted back to the residual.
 //! * **Quantifier probes** — quantified subformulas
 //!   (`SOME x IN R: x.a = r.b AND …`, and the `ALL` dual) whose bodies
 //!   carry top-level equality atoms on the quantified variable are
@@ -38,36 +36,31 @@
 //!   which makes implication-shaped bodies `NOT p OR q` probe-able) and
 //!   through the bucket-covers-range check otherwise. A quantifier over
 //!   a *correlated* range — a single-branch set-former or a selector
-//!   application that mentions the enclosing scope, which the
-//!   reference path re-evaluates per outer combination — is first
-//!   unnested by §4's N2/N3 ([`rewrite::unnest_quantifier`]) into
-//!   quantifiers over the range's own binding ranges, which those same
-//!   probes decide; a multi-binding *join view* becomes a chain of
-//!   probes, each level keyed by the conjuncts its variable completes.
-//!   Each quantifier site is planned once per evaluator; demoted probe
-//!   keys and correlated ranges left on the reference scan are
-//!   recorded in the planner trace ([`Evaluator::plan_events`]). The
-//!   divergence policy above extends unchanged: an error hiding in the
-//!   body of a tuple the equality key already rejects is never raised,
-//!   because that tuple is skipped outright — and likewise a
-//!   value-dependent runtime error in a range predicate, or in a later
-//!   binding range, on a tuple the quantifier never needs. Any other
-//!   error of an unnested evaluation sends the site to the reference
-//!   scan, which decides it; governed aborts and injected faults
-//!   propagate. [`Evaluator::force_nested_loop`] disables quantifier
-//!   probes and unnesting too.
-//! * **One operator loop** — every branch outside
-//!   [`Evaluator::force_nested_loop`] runs `exec_plan`: its probe plan
-//!   when some key is realised, the declaration-order all-scan plan
-//!   otherwise. Its leaf is compiled once per branch evaluation: the
-//!   residual conjuncts and the target read branch-variable attributes
-//!   as `(binding slot, column)` pairs, while outer-variable
+//!   application that mentions the enclosing scope, which a scan
+//!   re-evaluates per outer combination — is first unnested by §4's
+//!   N2/N3 ([`rewrite::unnest_quantifier`]) into quantifiers over the
+//!   range's own binding ranges, which those same probes decide; a
+//!   multi-binding *join view* becomes a chain of probes, each level
+//!   keyed by the conjuncts its variable completes. Each quantifier
+//!   site is planned once per evaluator; demoted probe keys and
+//!   correlated ranges left on the scan are recorded in the planner
+//!   trace ([`Evaluator::plan_events`]). The divergence policy above
+//!   extends unchanged: an error hiding in the body of a tuple the
+//!   equality key already rejects is never raised, because that tuple
+//!   is skipped outright — and likewise a value-dependent runtime error
+//!   in a range predicate, or in a later binding range, on a tuple the
+//!   quantifier never needs. Any other error of an unnested evaluation
+//!   sends the site to the scan, which decides it; governed aborts and
+//!   injected faults propagate.
+//! * **One operator loop** — every branch runs `exec_plan`: its probe
+//!   plan when some key is realised, the declaration-order all-scan
+//!   plan otherwise. Its leaf is compiled once per branch evaluation:
+//!   the residual conjuncts and the target read branch-variable
+//!   attributes as `(binding slot, column)` pairs, while outer-variable
 //!   attributes, parameters, unknown attributes, quantifiers, and
 //!   membership tests go through [`Evaluator::eval_scalar`] /
-//!   [`Evaluator::eval_formula`] as on the reference path (so their
-//!   values and errors are unchanged). The reference nested loops
-//!   (`loop_branch` → `emit_if_selected`) serve only
-//!   `force_nested_loop`.
+//!   [`Evaluator::eval_formula`] (so their values and errors are those
+//!   of the query as written).
 
 use std::ops::ControlFlow;
 use std::rc::Rc;
@@ -112,7 +105,7 @@ pub fn value_domain(v: &Value) -> Domain {
     }
 }
 
-/// The nested-loop reference evaluator.
+/// The planned evaluator of the calculus (see the [module docs](self)).
 ///
 /// An `Evaluator` caches binding-free range values (e.g. a base relation
 /// referenced inside a quantifier) for the duration of its lifetime;
@@ -145,8 +138,6 @@ pub struct Evaluator<'a> {
     /// Tuples the executor leaves emitted: a solve's work count when no
     /// budget meter is armed to count them.
     emitted: u64,
-    /// Disable the index-nested-loop path (reference semantics).
-    nested_loop_only: bool,
     /// The armed budget governing this evaluation, if any: ticked at
     /// the executor leaves, with emitted tuples counted against its
     /// ceiling.
@@ -187,20 +178,11 @@ impl<'a> Evaluator<'a> {
             probe_scratch: Vec::new(),
             leaf_scratch: Vec::new(),
             emitted: 0,
-            nested_loop_only: false,
             budget: None,
             plan_events: Vec::new(),
             access_sites: Vec::new(),
             metrics: None,
         }
-    }
-
-    /// Force the reference nested-loop path for every branch (no join
-    /// planning, no index probes, no quantifier unnesting). Used by
-    /// differential tests and as the measured pre-optimization baseline.
-    pub fn force_nested_loop(mut self) -> Evaluator<'a> {
-        self.nested_loop_only = true;
-        self
     }
 
     /// Govern this evaluation with an armed budget [`Meter`]: the
@@ -394,7 +376,10 @@ impl<'a> Evaluator<'a> {
         }
         self.param_frames.push(frame);
         // The selector body is evaluated in its own scope: only the
-        // element variable is visible (plus catalog relations).
+        // element variable is visible, plus catalog relations — not the
+        // formals of a constructor body it is applied in.
+        let body_scope = self.catalog;
+        self.catalog = body_scope.selector_scope().unwrap_or(body_scope);
         let mut inner: Vec<Binding> = Vec::with_capacity(1);
         let mut out = Relation::new(base.schema().clone());
         let result: Result<(), EvalError> = (|| {
@@ -413,6 +398,7 @@ impl<'a> Evaluator<'a> {
             Ok(())
         })();
         self.param_frames.pop();
+        self.catalog = body_scope;
         result?;
         Ok(out)
     }
@@ -464,8 +450,7 @@ impl<'a> Evaluator<'a> {
     /// Evaluate one branch: an index-nested-loop plan when the predicate
     /// offers equality atoms some probe realises, the declaration-order
     /// scan plan otherwise — both through the one operator loop
-    /// ([`Evaluator::exec_plan`]) and its compiled leaf. The reference
-    /// nested loops run only under [`Evaluator::force_nested_loop`].
+    /// ([`Evaluator::exec_plan`]) and its compiled leaf.
     fn eval_branch(
         &mut self,
         branch: &Branch,
@@ -473,12 +458,9 @@ impl<'a> Evaluator<'a> {
         bindings: &mut Vec<Binding>,
         out: &mut Relation,
     ) -> Result<(), EvalError> {
-        // Zero combinations — both paths would emit nothing.
+        // Zero combinations: nothing to emit.
         if ranges.iter().any(Relation::is_empty) && !branch.bindings.is_empty() {
             return Ok(());
-        }
-        if self.nested_loop_only {
-            return self.loop_branch(branch, ranges, 0, bindings, out);
         }
         if !branch.bindings.is_empty() {
             // Cheap AST walk first: atom-free branches go straight to
@@ -680,37 +662,34 @@ impl<'a> Evaluator<'a> {
         Ok(self.obtain_index(range, rel, &[column])?.distinct_keys())
     }
 
-    /// Decide `SOME`/`ALL var IN range: body`. Outside
-    /// [`Evaluator::force_nested_loop`] the site's plan
+    /// Decide `SOME`/`ALL var IN range: body`. The site's plan
     /// ([`Evaluator::plan_site`]) goes first — the unnested form of a
     /// correlated range, or an index probe over the range's value — and
-    /// whatever it leaves undecided goes to the reference scan.
+    /// whatever it leaves undecided goes to the scan.
     fn eval_quantifier(
         &mut self,
         q: Quantifier<'_>,
         bindings: &mut Vec<Binding>,
     ) -> Result<bool, EvalError> {
-        if !self.nested_loop_only {
-            let site = self.quant_site(q);
-            match &*self.sites[site].plan.clone() {
-                SitePlan::Unnested {
-                    formula,
-                    args,
-                    ranges,
-                } => {
-                    if let Some(decided) = self.eval_unnested(formula, args, ranges, bindings)? {
-                        return Ok(decided);
-                    }
+        let site = self.quant_site(q);
+        match &*self.sites[site].plan.clone() {
+            SitePlan::Unnested {
+                formula,
+                args,
+                ranges,
+            } => {
+                if let Some(decided) = self.eval_unnested(formula, args, ranges, bindings)? {
+                    return Ok(decided);
                 }
-                SitePlan::Range { probe: Some(probe) } => {
-                    let rel = self.eval_range(q.range, bindings)?;
-                    if let Some(decided) = self.quant_probe(site, probe, q, &rel, bindings)? {
-                        return Ok(decided);
-                    }
-                    return self.decide_over(q, rel.schema(), rel.iter(), bindings);
-                }
-                SitePlan::Range { probe: None } => {}
             }
+            SitePlan::Range { probe: Some(probe) } => {
+                let rel = self.eval_range(q.range, bindings)?;
+                if let Some(decided) = self.quant_probe(site, probe, q, &rel, bindings)? {
+                    return Ok(decided);
+                }
+                return self.decide_over(q, rel.schema(), rel.iter(), bindings);
+            }
+            SitePlan::Range { probe: None } => {}
         }
         let rel = self.eval_range(q.range, bindings)?;
         self.decide_over(q, rel.schema(), rel.iter(), bindings)
@@ -740,13 +719,13 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Plan one quantifier site. A *correlated* range — one that
-    /// mentions the enclosing scope, so the reference path re-evaluates
+    /// mentions the enclosing scope, so a scan re-evaluates
     /// it per outer combination — is unnested when it is a single-branch
     /// set-former or a selector application
     /// ([`Evaluator::as_correlated_branch`], then
     /// [`rewrite::unnest_quantifier`] over fresh `Δ`-prefixed variables,
     /// which the lexer cannot produce); any other correlated range stays
-    /// on the reference scan and says so. Every other range gets its
+    /// on the scan and says so. Every other range gets its
     /// index-probe plan ([`joinplan::plan_quant_probe`]).
     fn plan_site(&mut self, q: Quantifier<'_>) -> SitePlan {
         if is_binding_free(q.range) {
@@ -793,13 +772,13 @@ impl<'a> Evaluator<'a> {
         SitePlan::Range { probe: None }
     }
 
-    /// Decide an unnested site. First replay what the reference path
+    /// Decide an unnested site. First replay what the query as written
     /// checks and the unnested formula may skip: each selector argument
     /// against its parameter domain, and the evaluation of each later
-    /// binding-free binding range. `None` leaves the site to the
-    /// reference scan — after a failed check, or an error of the
-    /// unnested evaluation, which the scan then raises (or not) exactly
-    /// as the reference does. Governed aborts and injected faults are
+    /// binding-free binding range. `None` leaves the site to the scan —
+    /// after a failed check, or an error of the unnested evaluation,
+    /// which the scan then raises (or not) exactly as the query as
+    /// written does. Governed aborts and injected faults are
     /// not evaluation outcomes the scan could reproduce: they propagate.
     fn eval_unnested(
         &mut self,
@@ -833,7 +812,7 @@ impl<'a> Evaluator<'a> {
 
     /// Try to decide a quantifier through an index existence probe
     /// instead of a scan. `Ok(None)` means "not probe-able — fall back
-    /// to the reference scan"; `Ok(Some(b))` is the decided truth value.
+    /// to the scan"; `Ok(Some(b))` is the decided truth value.
     ///
     /// The probe follows the site's [`joinplan::plan_quant_probe`] plan:
     ///
@@ -852,7 +831,7 @@ impl<'a> Evaluator<'a> {
     /// Demotion rules mirror [`Evaluator::compile_plan`]: keys that are
     /// unresolvable or whose base type differs from the probed column
     /// drop out (leaving a planner trace event), and if none survive the
-    /// scan fallback reproduces reference semantics (including error
+    /// scan fallback reproduces as-written semantics (including error
     /// semantics) exactly. Probes are only attempted where the index
     /// amortises ([`Evaluator::amortises`]); a throwaway index per
     /// evaluation would cost the same pass as the scan it replaces. The
@@ -944,7 +923,7 @@ impl<'a> Evaluator<'a> {
     /// The body over `tuples`, with the quantified variable bound to
     /// each in turn (reusing one binding slot): a body witness decides
     /// `SOME`, a body falsifier decides `ALL`, exhaustion decides the
-    /// dual. The reference scan, and the residual pass of every probe.
+    /// dual. The scan, and the residual pass of every probe.
     fn decide_over<'t>(
         &mut self,
         q: Quantifier<'_>,
@@ -985,7 +964,9 @@ impl<'a> Evaluator<'a> {
     /// [`rewrite::unnest_quantifier`] takes: a single-branch set-former
     /// with one or more bindings, or a selector application as
     /// [`rewrite::selected_branch`] rewrites it (with the
-    /// per-combination domain checks for the evaluator to replay).
+    /// per-combination domain checks for the evaluator to replay) —
+    /// except inside a constructor body, where the inlined predicate
+    /// would read the body's formals instead of the catalog.
     fn as_correlated_branch(
         &self,
         range: &RangeExpr,
@@ -1002,7 +983,7 @@ impl<'a> Evaluator<'a> {
                 base,
                 selector,
                 args,
-            } => {
+            } if self.catalog.selector_scope().is_none() => {
                 let def = self.catalog.selector(selector).ok()?;
                 rewrite::selected_branch(def, base, args)
             }
@@ -1104,7 +1085,7 @@ impl<'a> Evaluator<'a> {
 
     /// The operator loop's leaf: tick the budget, re-check the residual
     /// conjuncts in source order (short-circuiting on the first false),
-    /// then emit the target tuple — schema-checked, as on the reference
+    /// then emit the target tuple — schema-checked, as a branch's
     /// path.
     fn emit_compiled(
         &mut self,
@@ -1184,67 +1165,6 @@ impl<'a> Evaluator<'a> {
             }
             LeafScalar::Interpreted(e) => self.eval_scalar(e, bindings)?,
         })
-    }
-
-    /// Leaf of the reference nested loops: check the full predicate,
-    /// then emit the target tuple.
-    fn emit_if_selected(
-        &mut self,
-        branch: &Branch,
-        bindings: &mut Vec<Binding>,
-        out: &mut Relation,
-    ) -> Result<(), EvalError> {
-        // The budget tick point of both sequential executors: one
-        // relaxed increment per combination, the wall clock only every
-        // `DEADLINE_STRIDE`th call.
-        if let Some(m) = &self.budget {
-            m.tick().map_err(SolveError::from_trip)?;
-        }
-        if self.eval_formula(&branch.predicate, bindings)? {
-            let tuple = match &branch.target {
-                Target::Var(v) => lookup(bindings, v)?.tuple.clone(),
-                Target::Tuple(exprs) => {
-                    let mut fields = Vec::with_capacity(exprs.len());
-                    for e in exprs {
-                        fields.push(self.eval_scalar(e, bindings)?);
-                    }
-                    Tuple::new(fields)
-                }
-            };
-            out.insert(tuple)?;
-            self.emitted += 1;
-            if let Some(m) = &self.budget {
-                m.add_tuples(1).map_err(SolveError::from_trip)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn loop_branch(
-        &mut self,
-        branch: &Branch,
-        ranges: &[Relation],
-        depth: usize,
-        bindings: &mut Vec<Binding>,
-        out: &mut Relation,
-    ) -> Result<(), EvalError> {
-        if depth == branch.bindings.len() {
-            return self.emit_if_selected(branch, bindings, out);
-        }
-        let (var, _) = &branch.bindings[depth];
-        let rel = &ranges[depth];
-        let schema = rel.schema().clone();
-        for t in rel.iter() {
-            bindings.push(Binding {
-                var: var.clone(),
-                tuple: t.clone(),
-                schema: schema.clone(),
-            });
-            let r = self.loop_branch(branch, ranges, depth + 1, bindings, out);
-            bindings.pop();
-            r?;
-        }
-        Ok(())
     }
 
     /// Synthesise the output schema of a branch.
@@ -1408,7 +1328,7 @@ enum SitePlan {
     /// A correlated range unnested by [`rewrite::unnest_quantifier`]:
     /// the nested quantifiers that decide the site, the selector
     /// arguments with their parameter domains, and the later
-    /// binding-free binding ranges — the reference path's checks the
+    /// binding-free binding ranges — the as-written checks the
     /// formula may skip, replayed per outer combination.
     Unnested {
         formula: Formula,
@@ -1464,7 +1384,7 @@ enum LeafScalar<'b> {
     Arith(Box<LeafScalar<'b>>, ArithOp, Box<LeafScalar<'b>>),
     /// Outer-variable attributes, parameters, and attributes missing
     /// from the range's schema: the interpreter resolves them per row,
-    /// and raises exactly the reference path's errors.
+    /// and raises exactly the as-written errors.
     Interpreted(&'b ScalarExpr),
 }
 
@@ -1526,7 +1446,7 @@ impl LeafSlots<'_> {
     }
 }
 
-/// `lv op rv`, or the reference path's error for a cross-type pair.
+/// `lv op rv`, or the as-written error for a cross-type pair.
 fn compare(lv: &Value, op: CmpOp, rv: &Value) -> Result<bool, EvalError> {
     let ord = lv
         .try_cmp(rv)
@@ -1931,9 +1851,7 @@ mod tests {
         assert!(!is_binding_free(&inner));
         let e = set_former(vec![Branch::each("a", rel("T"), some("z", inner, tru()))]);
         let planned = Evaluator::new(&cat).eval(&e).unwrap();
-        let reference = Evaluator::new(&cat).force_nested_loop().eval(&e).unwrap();
         assert_eq!(planned.sorted_tuples(), vec![tuple![2i64]]);
-        assert_eq!(reference.sorted_tuples(), vec![tuple![2i64]]);
     }
 
     #[test]
@@ -1981,42 +1899,9 @@ mod tests {
     }
 
     #[test]
-    fn index_path_agrees_with_nested_loop_reference() {
-        // The join branch of §2.3 runs through the index-nested-loop
-        // executor; the reference evaluator is the semantics oracle.
-        let cat = catalog();
-        let planned = Evaluator::new(&cat).eval(&ahead2_expr()).unwrap();
-        let reference = Evaluator::new(&cat)
-            .force_nested_loop()
-            .eval(&ahead2_expr())
-            .unwrap();
-        assert_eq!(planned, reference);
-        assert_eq!(planned.len(), 5);
-    }
-
-    #[test]
-    fn outer_variable_key_probes_correlated_branch() {
-        // The inner set former's equality key references the outer
-        // variable `r` — compiled as a Fixed key per outer binding. (A
-        // membership test evaluates its range; a quantifier would
-        // unnest it.)
-        let cat = catalog();
-        let inner = set_former(vec![Branch::projecting(
-            vec![attr("r", "front"), attr("y", "front")],
-            vec![("y".into(), rel("Infront"))],
-            eq(attr("y", "front"), attr("r", "back")),
-        )]);
-        let e = set_former(vec![Branch::each("r", rel("Infront"), member("r", inner))]);
-        let planned = Evaluator::new(&cat).eval(&e).unwrap();
-        let reference = Evaluator::new(&cat).force_nested_loop().eval(&e).unwrap();
-        assert_eq!(planned, reference);
-        assert_eq!(planned.len(), 2);
-    }
-
-    #[test]
     fn cross_type_key_demoted_to_residual_error() {
         // `r.front = 1` would probe a STRING column with an INTEGER key;
-        // the compiler must demote the atom so the reference error
+        // the compiler must demote the atom so the as-written error
         // semantics (CrossTypeComparison) survive.
         let cat = catalog();
         let mut ev = Evaluator::new(&cat);
@@ -2034,7 +1919,7 @@ mod tests {
     #[test]
     fn unknown_param_key_demoted_not_planned_away() {
         // An unresolvable parameter key falls back to the residual,
-        // which raises the same UnknownParam the reference path does.
+        // which raises the same UnknownParam the query as written does.
         let cat = catalog();
         let mut ev = Evaluator::new(&cat);
         let e = set_former(vec![Branch::projecting(
@@ -2043,28 +1928,6 @@ mod tests {
             eq(attr("f", "back"), attr("b", "front")).and(eq(attr("b", "back"), param("Ghost"))),
         )]);
         assert!(matches!(ev.eval(&e), Err(EvalError::UnknownParam(_))));
-    }
-
-    #[test]
-    fn three_way_join_chains_probes() {
-        // EACH a, b, c IN Infront: a.back = b.front AND b.back = c.front
-        // — two probe steps chained off one scan.
-        let cat = catalog();
-        let e = set_former(vec![Branch::projecting(
-            vec![attr("a", "front"), attr("c", "back")],
-            vec![
-                ("a".into(), rel("Infront")),
-                ("b".into(), rel("Infront")),
-                ("c".into(), rel("Infront")),
-            ],
-            eq(attr("a", "back"), attr("b", "front"))
-                .and(eq(attr("b", "back"), attr("c", "front"))),
-        )]);
-        let planned = Evaluator::new(&cat).eval(&e).unwrap();
-        let reference = Evaluator::new(&cat).force_nested_loop().eval(&e).unwrap();
-        assert_eq!(planned, reference);
-        // The only 3-edge chain is vase→table→chair→wall ⇒ <vase, wall>.
-        assert_eq!(planned.sorted_tuples(), vec![tuple!["vase", "wall"]]);
     }
 
     #[test]
@@ -2095,89 +1958,9 @@ mod tests {
     }
 
     #[test]
-    fn some_probe_agrees_with_reference() {
-        // EACH r IN Infront: SOME o IN Objects (o.part = r.back) —
-        // the selector-style predicate the quantifier probe targets.
-        let e = set_former(vec![Branch::each(
-            "r",
-            rel("Infront"),
-            some(
-                "o",
-                rel("Objects"),
-                eq(attr("o", "part"), attr("r", "back")),
-            ),
-        )]);
-        let cat = objects_catalog();
-        let planned = Evaluator::new(&cat).eval(&e).unwrap();
-        let reference = Evaluator::new(&cat).force_nested_loop().eval(&e).unwrap();
-        assert_eq!(planned, reference);
-        // ("chair","wall") drops: "wall" is not an object.
-        assert_eq!(planned.len(), 2);
-    }
-
-    #[test]
-    fn some_probe_with_residual_conjunct() {
-        // The probe narrows to the bucket; the residual (`o.kind`)
-        // still filters within it.
-        let e = set_former(vec![Branch::each(
-            "r",
-            rel("Infront"),
-            some(
-                "o",
-                rel("Objects"),
-                eq(attr("o", "part"), attr("r", "back"))
-                    .and(eq(attr("o", "kind"), cnst("furniture"))),
-            ),
-        )]);
-        let cat = objects_catalog();
-        let planned = Evaluator::new(&cat).eval(&e).unwrap();
-        let reference = Evaluator::new(&cat).force_nested_loop().eval(&e).unwrap();
-        assert_eq!(planned, reference);
-        assert_eq!(planned.len(), 2); // backs "table" and "chair"
-    }
-
-    #[test]
-    fn all_probe_agrees_with_reference() {
-        // ALL o IN Objects (o.part = r.front): only satisfiable when
-        // the bucket covers the whole range — never here (3 objects).
-        let e = set_former(vec![Branch::each(
-            "r",
-            rel("Infront"),
-            all(
-                "o",
-                rel("Objects"),
-                eq(attr("o", "part"), attr("r", "front")),
-            ),
-        )]);
-        let cat = objects_catalog();
-        let planned = Evaluator::new(&cat).eval(&e).unwrap();
-        let reference = Evaluator::new(&cat).force_nested_loop().eval(&e).unwrap();
-        assert_eq!(planned, reference);
-        assert!(planned.is_empty());
-
-        // Single-object registry: the bucket can cover the range.
-        let one = Relation::from_tuples(
-            Schema::of(&[("part", Domain::Str), ("kind", Domain::Str)]),
-            vec![tuple!["vase", "decor"]],
-        )
-        .unwrap();
-        let cat1 = catalog().with_relation("Objects", one);
-        let planned1 = Evaluator::new(&cat1).eval(&e).unwrap();
-        let reference1 = Evaluator::new(&cat1).force_nested_loop().eval(&e).unwrap();
-        assert_eq!(planned1, reference1);
-        assert_eq!(planned1.sorted_tuples(), vec![tuple!["vase", "table"]]);
-
-        // Empty registry: ALL is vacuously true on both paths.
-        let empty = Relation::new(Schema::of(&[("part", Domain::Str), ("kind", Domain::Str)]));
-        let cat0 = catalog().with_relation("Objects", empty);
-        let planned0 = Evaluator::new(&cat0).eval(&e).unwrap();
-        assert_eq!(planned0.len(), 3);
-    }
-
-    #[test]
     fn quant_probe_demotes_cross_type_key() {
         // `o.part = 1` probes a STRING column with an INTEGER key: the
-        // atom is demoted and the scan raises the reference error.
+        // atom is demoted and the scan raises the as-written error.
         let e = set_former(vec![Branch::each(
             "r",
             rel("Infront"),
@@ -2188,26 +1971,6 @@ mod tests {
             Evaluator::new(&cat).eval(&e),
             Err(EvalError::CrossTypeComparison { .. })
         ));
-    }
-
-    #[test]
-    fn negated_some_probe_agrees() {
-        // Hidden objects: EACH r IN Infront: NOT SOME o IN Objects
-        // (o.part = r.back) — negation wraps the probed quantifier.
-        let e = set_former(vec![Branch::each(
-            "r",
-            rel("Infront"),
-            not(some(
-                "o",
-                rel("Objects"),
-                eq(attr("o", "part"), attr("r", "back")),
-            )),
-        )]);
-        let cat = objects_catalog();
-        let planned = Evaluator::new(&cat).eval(&e).unwrap();
-        let reference = Evaluator::new(&cat).force_nested_loop().eval(&e).unwrap();
-        assert_eq!(planned, reference);
-        assert_eq!(planned.sorted_tuples(), vec![tuple!["chair", "wall"]]);
     }
 
     fn scene_catalog() -> MapCatalog {
@@ -2226,7 +1989,7 @@ mod tests {
     /// The correlated-selector shape of §2.3:
     /// `EACH r IN Infront: SOME t IN {EACH o IN Ontop: o.base = r.front
     ///  AND o.top # "dust"} (TRUE)` — the range depends on `r`, so the
-    /// reference path re-evaluates it per combination.
+    /// scan re-evaluates it per combination.
     fn correlated_some() -> RangeExpr {
         let inner = set_former(vec![Branch::each(
             "o",
@@ -2246,39 +2009,15 @@ mod tests {
     }
 
     #[test]
-    fn unnested_some_agrees_with_reference() {
+    fn unnested_some_plans_without_demotion() {
         let cat = scene_catalog();
         let e = correlated_some();
         let mut ev = Evaluator::new(&cat);
         let planned = ev.eval(&e).unwrap();
-        let reference = Evaluator::new(&cat).force_nested_loop().eval(&e).unwrap();
-        assert_eq!(planned, reference);
         // Only "table" carries a non-dust item ⇒ the ("table","chair")
         // edge survives... "vase" carries nothing, "chair" only dust.
         assert_eq!(planned.sorted_tuples(), vec![tuple!["table", "chair"]]);
         assert!(no_demotions(&ev), "{:?}", ev.plan_events());
-    }
-
-    #[test]
-    fn unnested_all_agrees_with_reference() {
-        // ALL over a correlated range: every item on r.front is a cup.
-        let cat = scene_catalog();
-        let inner = set_former(vec![Branch::each(
-            "o",
-            rel("Ontop"),
-            eq(attr("o", "base"), attr("r", "front")),
-        )]);
-        let e = set_former(vec![Branch::each(
-            "r",
-            rel("Infront"),
-            all("t", inner, eq(attr("t", "top"), cnst("cup"))),
-        )]);
-        let planned = Evaluator::new(&cat).eval(&e).unwrap();
-        let reference = Evaluator::new(&cat).force_nested_loop().eval(&e).unwrap();
-        assert_eq!(planned, reference);
-        // vase carries nothing (vacuously true); table carries a book
-        // (not a cup) and chair carries dust — both falsified.
-        assert_eq!(planned.sorted_tuples(), vec![tuple!["vase", "table"]]);
     }
 
     #[test]
@@ -2303,34 +2042,8 @@ mod tests {
         )]);
         let mut ev = Evaluator::new(&cat);
         let planned = ev.eval(&e).unwrap();
-        let reference = Evaluator::new(&cat).force_nested_loop().eval(&e).unwrap();
-        assert_eq!(planned, reference);
         assert_eq!(planned.len(), 2); // table and chair carry items
         assert!(no_demotions(&ev), "{:?}", ev.plan_events());
-    }
-
-    #[test]
-    fn all_implication_body_probed_on_named_range() {
-        // ALL t IN Ontop (NOT (t.base = r.front) OR t.top = "cup"):
-        // implication-shaped body; the falsifier (t.base = r.front AND
-        // t.top # "cup") localises counterexamples in the base bucket.
-        let cat = scene_catalog();
-        let e = set_former(vec![Branch::each(
-            "r",
-            rel("Infront"),
-            all(
-                "t",
-                rel("Ontop"),
-                not(eq(attr("t", "base"), attr("r", "front")))
-                    .or(eq(attr("t", "top"), cnst("cup"))),
-            ),
-        )]);
-        let planned = Evaluator::new(&cat).eval(&e).unwrap();
-        let reference = Evaluator::new(&cat).force_nested_loop().eval(&e).unwrap();
-        assert_eq!(planned, reference);
-        // vase: nothing on it (vacuous); table: carries a book ⇒ out;
-        // chair: carries dust ⇒ out.
-        assert_eq!(planned.sorted_tuples(), vec![tuple!["vase", "table"]]);
     }
 
     #[test]
@@ -2351,16 +2064,14 @@ mod tests {
             some("t", view, eq(attr("t", "top"), attr("r", "front"))),
         )]);
         let mut ev = Evaluator::new(&cat);
-        // The body genuinely references the missing field, so *both*
-        // paths raise the same reference error — the probe demotes to
+        // The body genuinely references the missing field, so the
+        // evaluation raises the as-written error — the probe demotes to
         // the scan (which raises it) instead of probing a bogus column.
         let planned = ev.eval(&e);
         assert!(
             matches!(planned, Err(EvalError::Type(_))),
             "got {planned:?}"
         );
-        let reference = Evaluator::new(&cat).force_nested_loop().eval(&e);
-        assert!(matches!(reference, Err(EvalError::Type(_))));
         let events = ev.take_plan_events();
         assert!(
             events.iter().any(|ev| matches!(
@@ -2374,42 +2085,6 @@ mod tests {
             "expected a demotion event, got {events:?}"
         );
         assert!(ev.plan_events().is_empty(), "take drains the trace");
-    }
-
-    #[test]
-    fn unnested_error_returns_the_reference_error() {
-        // Unnested, `y`'s conjuncts move out in front of `z`'s: the
-        // probe on `N.k` finds the tuple with `d = 0` and the division
-        // raises. The reference builds the range first and meets the
-        // cross-type `z.tag = 1` on its first combination — and that is
-        // the error the evaluation must return.
-        let nums = Relation::from_tuples(
-            Schema::of(&[("k", Domain::Int), ("d", Domain::Int)]),
-            vec![tuple![1i64, 0i64]],
-        )
-        .unwrap();
-        let tags =
-            Relation::from_tuples(Schema::of(&[("tag", Domain::Str)]), vec![tuple!["x"]]).unwrap();
-        let keys =
-            Relation::from_tuples(Schema::of(&[("k", Domain::Int)]), vec![tuple![1i64]]).unwrap();
-        let cat = MapCatalog::new()
-            .with_relation("N", nums)
-            .with_relation("Z", tags)
-            .with_relation("R", keys);
-        let view = set_former(vec![Branch::projecting(
-            vec![attr("y", "d")],
-            vec![("y".into(), rel("N")), ("z".into(), rel("Z"))],
-            eq(attr("z", "tag"), cnst(1i64))
-                .and(eq(attr("y", "k"), attr("r", "k")))
-                .and(gt(div(cnst(10i64), attr("y", "d")), cnst(0i64))),
-        )]);
-        let e = set_former(vec![Branch::each("r", rel("R"), some("x", view, tru()))]);
-        let reference = Evaluator::new(&cat).force_nested_loop().eval(&e);
-        assert!(
-            matches!(reference, Err(EvalError::CrossTypeComparison { .. })),
-            "{reference:?}"
-        );
-        assert_eq!(Evaluator::new(&cat).eval(&e), reference);
     }
 
     /// A four-relation catalog for multi-binding correlated views:
@@ -2474,8 +2149,6 @@ mod tests {
         let metrics = Arc::new(MetricsRegistry::new());
         let mut ev = Evaluator::new(&cat).with_metrics(metrics.clone());
         let planned = ev.eval(&e).unwrap();
-        let reference = Evaluator::new(&cat).force_nested_loop().eval(&e).unwrap();
-        assert_eq!(planned, reference);
         // t1+hammer (w1), t1+saw (w2), t2+saw is not requested,
         // t2+hammer has no qualified worker, t3+hammer (w3).
         assert_eq!(planned.len(), 3);
@@ -2483,25 +2156,6 @@ mod tests {
         assert!(no_demotions(&ev), "{:?}", ev.plan_events());
         // `Assign` probed on `task`, then `Skill` on (`worker`, `tool`).
         assert_eq!(metrics.snapshot().quant_probes, 2);
-    }
-
-    #[test]
-    fn multi_binding_all_quantifier_unnested() {
-        // ALL x IN <join view> (x.worker # "w2"): requests every
-        // qualified assigned worker of which avoids w2 — vacuously true
-        // where the view is empty.
-        let cat = staffing_catalog();
-        let e = set_former(vec![Branch::each(
-            "r",
-            rel("Requests"),
-            all("x", qualified_view(), ne(attr("x", "worker"), cnst("w2"))),
-        )]);
-        let planned = Evaluator::new(&cat).eval(&e).unwrap();
-        let reference = Evaluator::new(&cat).force_nested_loop().eval(&e).unwrap();
-        assert_eq!(planned, reference);
-        // Only t1+saw resolves to w2.
-        assert_eq!(planned.len(), 3);
-        assert!(!planned.contains(&tuple!["t1", "saw"]));
     }
 
     #[test]
@@ -2533,41 +2187,9 @@ mod tests {
             )]);
             let mut ev = Evaluator::new(&cat);
             let planned = ev.eval(&e).unwrap();
-            let reference = Evaluator::new(&cat).force_nested_loop().eval(&e).unwrap();
-            assert_eq!(planned, reference, "{e}");
             assert_eq!(planned.len(), expected, "{e}");
             assert!(no_demotions(&ev), "{:?}", ev.plan_events());
         }
-    }
-
-    #[test]
-    fn multi_binding_cross_type_joint_key_falls_back_per_combination() {
-        // One joint-key component is INTEGER-valued on the outer side
-        // while the correlation column is STRING: the probe demotes to
-        // the scan, whose comparison raises, and the reference scan of
-        // the original quantifier raises the same error.
-        let nums = Relation::from_tuples(
-            Schema::of(&[("task", Domain::Str), ("n", Domain::Int)]),
-            vec![tuple!["t1", 1i64]],
-        )
-        .unwrap();
-        let cat = staffing_catalog().with_relation("Nums", nums);
-        let view = set_former(vec![Branch::projecting(
-            vec![attr("a", "worker")],
-            vec![("a".into(), rel("Assign")), ("s".into(), rel("Skill"))],
-            eq(attr("a", "worker"), attr("s", "worker")).and(eq(attr("a", "task"), attr("r", "n"))),
-        )]);
-        let e = set_former(vec![Branch::each("r", rel("Nums"), some("x", view, tru()))]);
-        let planned = Evaluator::new(&cat).eval(&e);
-        let reference = Evaluator::new(&cat).force_nested_loop().eval(&e);
-        assert!(
-            matches!(planned, Err(EvalError::CrossTypeComparison { .. })),
-            "got {planned:?}"
-        );
-        assert!(matches!(
-            reference,
-            Err(EvalError::CrossTypeComparison { .. })
-        ));
     }
 
     /// A catalog wrapping [`MapCatalog`] with an [`AccessCache`] — the
@@ -2609,11 +2231,7 @@ mod tests {
         // in the site's memo and never touch the cache.
         let cat = CachingCatalog::over(scene_catalog());
         let e = correlated_some();
-        let planned = Evaluator::new(&cat).eval(&e).unwrap();
-        assert_eq!(
-            planned,
-            Evaluator::new(&cat).force_nested_loop().eval(&e).unwrap()
-        );
+        assert_eq!(Evaluator::new(&cat).eval(&e).unwrap().len(), 1);
         let m = cat.metrics.snapshot();
         assert_eq!((m.warm_index_misses, m.warm_index_hits), (1, 0));
         // A second evaluator has its own memo: one cache hit.
@@ -2636,8 +2254,6 @@ mod tests {
         cat.inner
             .insert_relation("Ontop", Relation::new(ontop.schema().clone()));
         let after = Evaluator::new(&cat).eval(&q).unwrap();
-        let reference = Evaluator::new(&cat).force_nested_loop().eval(&q).unwrap();
-        assert_eq!(after, reference);
         assert!(after.is_empty(), "nothing is on top of anything any more");
     }
 
@@ -2679,11 +2295,7 @@ mod tests {
                 .and(ne(attr("x", "front"), attr("y", "back"))),
         )]);
         let (out, residual) = residual_of(&e);
-        let reference = Evaluator::new(&catalog())
-            .force_nested_loop()
-            .eval(&e)
-            .unwrap();
-        assert_eq!(out.unwrap(), reference);
+        assert_eq!(out.unwrap().len(), 2);
         assert_eq!(residual, "x.front # y.back");
     }
 

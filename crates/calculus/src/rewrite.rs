@@ -10,7 +10,7 @@
 //!   quantifier's range lies outside the quantified variable, and every
 //!   binding range of a set-former branch lies outside all of the
 //!   branch's variables. The name analyses are walks —
-//!   [`relation_names`], [`selector_names`] and
+//!   [`relation_names`] and
 //!   [`collect_constructed`] drive constructor-application
 //!   instantiation, the solver's reach and the quant-graph partitioning
 //!   of §4, and [`bound_vars`] guards substitutions against capture —
@@ -237,18 +237,6 @@ fn collect<'a, T, I: IntoIterator<Item = T>, C: Default + Extend<T>>(
 pub fn relation_names<'a>(node: impl Into<Node<'a>>) -> FxHashSet<Name> {
     collect(node, |n| match n {
         Node::Range(RangeExpr::Rel(name)) => Some(name.clone()),
-        _ => None,
-    })
-}
-
-/// Every selector name applied anywhere in a range or formula.
-/// Together with [`relation_names`] this drives the solver's walk of
-/// what a solve reads: a selector *body* may resolve relation names of
-/// its own, so callers expand the collected selectors' predicates
-/// transitively.
-pub fn selector_names<'a>(node: impl Into<Node<'a>>) -> FxHashSet<Name> {
-    collect(node, |n| match n {
-        Node::Range(RangeExpr::Selected { selector, .. }) => Some(selector.clone()),
         _ => None,
     })
 }
@@ -669,9 +657,10 @@ pub fn substitute_attr_refs(
 }
 
 /// The attribute names a `<e1, …, ek>` target gives its result: a field
-/// reference keeps its attribute's name, a parameter its own, anything
-/// else is `f<position>`; a repeated name gets `_` appended until it is
-/// unique.
+/// reference keeps its attribute's name, anything else is
+/// `f<position>` — a parameter too, since instantiating a body
+/// replaces it by its value (§3.2), which must not rename the field; a
+/// repeated name gets `_` appended until it is unique.
 pub fn target_names(exprs: &[ScalarExpr]) -> Vec<String> {
     let mut used = FxHashSet::default();
     exprs
@@ -680,8 +669,9 @@ pub fn target_names(exprs: &[ScalarExpr]) -> Vec<String> {
         .map(|(i, e)| {
             let mut name = match e {
                 ScalarExpr::Attr(_, a) => a.clone(),
-                ScalarExpr::Param(p) => p.clone(),
-                ScalarExpr::Const(_) | ScalarExpr::Arith(..) => format!("f{i}"),
+                ScalarExpr::Param(_) | ScalarExpr::Const(_) | ScalarExpr::Arith(..) => {
+                    format!("f{i}")
+                }
             };
             while !used.insert(name.clone()) {
                 name.push('_');
@@ -873,8 +863,6 @@ mod tests {
             names(&["R", "S", "T", "U", "V", "W", "X", "Y"])
         );
         assert_eq!(relation_names(&pred), names(&["V", "W", "X", "Y"]));
-        assert_eq!(selector_names(&range), names(&["s1", "s2"]));
-        assert_eq!(selector_names(&pred), names(&["s2"]));
         let c2 = rel("T").construct("c2", vec![rel("U")]);
         let c3 = rel("X").construct("c3", vec![]);
         assert_eq!(
@@ -1149,7 +1137,7 @@ mod tests {
         ];
         assert_eq!(
             target_names(&exprs),
-            vec!["front", "front_", "f2", "K", "f4"]
+            vec!["front", "front_", "f2", "f3", "f4"]
         );
     }
 

@@ -365,17 +365,13 @@ pub fn bind_first_attribute(defs: &Defs, query: &RangeExpr) -> Option<RangeExpr>
 /// §4's query compilation, the one step every entry point runs: type-check
 /// `query`, then [`bind_first_attribute`] and [`nest`], except that a
 /// [`NamedApplication`] (what subscriptions maintain warm and `EXPLAIN`
-/// previews) is not nested. Equivalent to `query`; `query` itself under
-/// the reference configuration (`defs.config.use_indexes` off).
+/// previews) is not nested. Equivalent to `query`.
 pub fn rewrite(
     defs: &Defs,
     schemas: &dyn SchemaCatalog,
     query: &RangeExpr,
 ) -> Result<RangeExpr, EvalError> {
     let schema = typeck::check_range(query, schemas)?;
-    if !defs.config.use_indexes {
-        return Ok(query.clone());
-    }
     let query = bind_first_attribute(defs, query).unwrap_or_else(|| query.clone());
     if NamedApplication::of(&query).is_some() {
         return Ok(query);

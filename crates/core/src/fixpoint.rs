@@ -120,11 +120,6 @@ pub struct FixpointConfig {
     pub strategy: Strategy,
     /// Hard bound on rounds, for non-convergent (unchecked) systems.
     pub max_iterations: usize,
-    /// Execute equation bodies with index-nested-loop joins (default).
-    /// `false` is the reference configuration: nested-loop evaluation
-    /// everywhere and queries as written ([`crate::compile::rewrite`]),
-    /// kept selectable for differential tests and benchmark comparisons.
-    pub use_indexes: bool,
     /// Resource envelope for each solve, if any. The budget is *armed*
     /// (clock captured) at the start of every solve, so a 10 ms
     /// deadline means 10 ms per solve, not 10 ms since configuration.
@@ -144,7 +139,6 @@ impl Default for FixpointConfig {
         FixpointConfig {
             strategy: Strategy::SemiNaive,
             max_iterations: 100_000,
-            use_indexes: true,
             budget: None,
             metrics: None,
         }
@@ -344,7 +338,7 @@ impl FixpointConfig {
     /// The one evaluator builder, for queries and solves alike: an
     /// evaluator over `catalog` that counts into
     /// [`FixpointConfig::metrics`], is governed by `meter` if one is
-    /// given, and honours [`FixpointConfig::use_indexes`].
+    /// given.
     pub fn evaluator<'e>(&self, catalog: &'e dyn Catalog, meter: Option<Meter>) -> Evaluator<'e> {
         let mut ev = Evaluator::new(catalog);
         if let Some(m) = &self.metrics {
@@ -353,11 +347,7 @@ impl FixpointConfig {
         if let Some(meter) = meter {
             ev = ev.with_meter(meter);
         }
-        if self.use_indexes {
-            ev
-        } else {
-            ev.force_nested_loop()
-        }
+        ev
     }
 }
 

@@ -1,7 +1,7 @@
 //! Randomized differential suite for **correlated** quantified ranges:
 //! the unnested path (§4's N2/N3 run backwards, then decided by the
-//! quantifier probes) against the reference per-combination scan
-//! (`force_nested_loop` / `set_use_indexes(false)`) over generated CAD
+//! quantifier probes) against the oracle's per-combination scan
+//! (`dc_bench::oracle`, which evaluates each query as written) over generated CAD
 //! scenes and staffing instances, plus the fixpoint interaction — a
 //! constructor whose body quantifies over a correlated view of the
 //! recursive application, so the unnested range's underlying value
@@ -90,16 +90,9 @@ fn randomized_correlated_quantifiers_agree_with_reference() {
     {
         let scene = dc_bench::workload::scene(rows, depth, stack_every, seed);
         let db = dc_bench::scene_db(&scene);
-        let mut db_scan = dc_bench::scene_db(&scene);
-        db_scan.set_use_indexes(false);
         for _ in 0..24 {
             let q = random_correlated_query(&mut rng);
-            let probed = db.eval(&q).unwrap();
-            let scanned = db_scan.eval(&q).unwrap();
-            assert_eq!(
-                probed, scanned,
-                "unnested/scan divergence on scene seed={seed} for {q}"
-            );
+            dc_bench::oracle::assert_agrees(&db, &q).unwrap();
         }
     }
 }
@@ -110,8 +103,6 @@ fn correlated_selector_applications_agree_with_reference() {
     for (seed, rows, depth) in [(5u64, 5usize, 6usize), (29, 7, 7)] {
         let scene = dc_bench::workload::scene(rows, depth, 2, seed);
         let db = dc_bench::scene_db(&scene);
-        let mut db_scan = dc_bench::scene_db(&scene);
-        db_scan.set_use_indexes(false);
         for outer_attr in ["front", "back"] {
             for existential in [true, false] {
                 let range = rel("Ontop").select("on_base", vec![attr("r", outer_attr)]);
@@ -122,18 +113,15 @@ fn correlated_selector_applications_agree_with_reference() {
                     all("t", range, body)
                 };
                 let q = set_former(vec![Branch::each("r", rel("Infront"), pred)]);
-                let probed = db.eval(&q).unwrap();
-                let scanned = db_scan.eval(&q).unwrap();
-                assert_eq!(probed, scanned, "seed={seed} {q}");
+                dc_bench::oracle::assert_agrees(&db, &q).unwrap();
             }
         }
     }
     // A CARDINAL RANGE parameter: the argument 5 is out of range, which
-    // the reference raises when it applies the selector — and so must
-    // the unnested path, whose formula never applies it.
-    let levels = |use_indexes: bool| {
+    // the oracle raises when it applies the selector — and so must the
+    // unnested path, whose formula never applies it.
+    let levels = || {
         let mut db = Database::new();
-        db.set_use_indexes(use_indexes);
         let schema = Schema::of(&[("item", Domain::Str), ("level", Domain::Card)]);
         db.create_relation("Levels", schema.clone()).unwrap();
         db.insert_all("Levels", vec![tuple!["a", 1u64], tuple!["b", 2u64]])
@@ -153,11 +141,9 @@ fn correlated_selector_applications_agree_with_reference() {
         db
     };
     for probes in [vec![1u64, 3], vec![2, 5]] {
-        let mut db = levels(true);
-        let mut db_scan = levels(false);
+        let mut db = levels();
         for n in &probes {
             db.insert("Probes", tuple![*n]).unwrap();
-            db_scan.insert("Probes", tuple![*n]).unwrap();
         }
         for existential in [true, false] {
             let range = rel("Levels").select("at_level", vec![attr("p", "n")]);
@@ -168,16 +154,15 @@ fn correlated_selector_applications_agree_with_reference() {
                 all("t", range, body)
             };
             let q = set_former(vec![Branch::each("p", rel("Probes"), pred)]);
-            let scanned = db_scan.eval(&q);
-            assert_eq!(db.eval(&q), scanned, "{probes:?} {q}");
-            assert_eq!(scanned.is_err(), probes.contains(&5), "{scanned:?}");
+            let out = dc_bench::oracle::assert_agrees(&db, &q);
+            assert_eq!(out.is_err(), probes.contains(&5), "{out:?}");
         }
     }
 }
 
 /// Acceptance: implication-shaped `ALL` bodies (`NOT p OR q`) take the
 /// probe path — statically (the planner yields a falsifier-mode probe
-/// plan) and dynamically (the probed result matches the reference scan
+/// plan) and dynamically (the probed result matches the oracle
 /// on randomized scenes).
 #[test]
 fn all_implication_probe_path_differential() {
@@ -192,12 +177,7 @@ fn all_implication_probe_path_differential() {
     for seed in [2u64, 13, 31] {
         let scene = dc_bench::workload::scene(5, 7, 2, seed);
         let db = dc_bench::scene_db(&scene);
-        let mut db_scan = dc_bench::scene_db(&scene);
-        db_scan.set_use_indexes(false);
-        let q = dc_bench::unburdened_front_query();
-        let probed = db.eval(&q).unwrap();
-        let scanned = db_scan.eval(&q).unwrap();
-        assert_eq!(probed, scanned, "seed={seed}");
+        dc_bench::oracle::assert_agrees(&db, &dc_bench::unburdened_front_query()).unwrap();
     }
 }
 
@@ -253,44 +233,32 @@ fn correlated_fallback_constructor() -> Constructor {
 fn fixpoint_with_correlated_quantifier_mid_solve_deltas() {
     for depth in [4usize, 7] {
         let base = dc_bench::workload::chain(depth);
-        let mut results = Vec::new();
-        for use_indexes in [true, false] {
-            for strategy in [Strategy::Naive, Strategy::SemiNaive] {
-                let mut db = Database::new();
-                db.set_strategy(strategy);
-                db.set_use_indexes(use_indexes);
-                db.create_relation("Infront", base.schema().clone())
-                    .unwrap();
-                for t in base.iter() {
-                    db.insert("Infront", t.clone()).unwrap();
-                }
-                db.define_constructor(correlated_fallback_constructor())
-                    .unwrap();
-                let q = rel("Infront").construct("reach", vec![]);
-                let out = db.eval(&q).unwrap();
-                results.push((use_indexes, strategy, out));
+        let q = rel("Infront").construct("reach", vec![]);
+        for strategy in [Strategy::Naive, Strategy::SemiNaive] {
+            let mut db = Database::new();
+            db.set_strategy(strategy);
+            db.create_relation("Infront", base.schema().clone())
+                .unwrap();
+            for t in base.iter() {
+                db.insert("Infront", t.clone()).unwrap();
             }
+            db.define_constructor(correlated_fallback_constructor())
+                .unwrap();
+            let out = dc_bench::oracle::assert_agrees(&db, &q).unwrap();
+            // The marked tuples only exist because round two saw the delta
+            // committed in round one: an edge is marked iff its back is some
+            // edge's head. On a chain of n edges that is every edge but the
+            // last — n base edges + (n-1) marked tuples.
+            assert_eq!(out.len(), depth + depth - 1, "depth={depth}");
+            assert!(out.contains(&dc_value::tuple!["o0", "marked"]));
+            assert!(!out.contains(&dc_value::tuple![format!("o{}", depth - 1), "marked"]));
         }
-        let (_, _, reference) = &results[results.len() - 1];
-        for (use_indexes, strategy, out) in &results {
-            assert_eq!(
-                out, reference,
-                "depth={depth} use_indexes={use_indexes} strategy={strategy:?}"
-            );
-        }
-        // The marked tuples only exist because round two saw the delta
-        // committed in round one: an edge is marked iff its back is some
-        // edge's head. On a chain of n edges that is every edge but the
-        // last — n base edges + (n-1) marked tuples.
-        assert_eq!(reference.len(), depth + depth - 1, "depth={depth}");
-        assert!(reference.contains(&dc_value::tuple!["o0", "marked"]));
-        assert!(!reference.contains(&dc_value::tuple![format!("o{}", depth - 1), "marked"]));
     }
 }
 
 /// A selector whose element variable would capture the actual argument
-/// is *not* rewritten (the capture guard refuses) — the reference scan
-/// still answers, and both paths agree.
+/// is *not* rewritten (the capture guard refuses) — the evaluator's scan
+/// still answers, and it agrees with the oracle.
 #[test]
 fn selector_rewrite_capture_guard() {
     let scene = dc_bench::workload::scene(3, 4, 2, 9);
@@ -316,35 +284,18 @@ fn selector_rewrite_capture_guard() {
             tru(),
         ),
     )]);
-    let probed = db.eval(&q).unwrap();
-    let mut db_scan = dc_bench::scene_db(&scene);
-    db_scan
-        .define_selector(
-            SelectorDef {
-                name: "on_base_r".into(),
-                element_var: "r".into(),
-                params: vec![("B".into(), Domain::Str)],
-                predicate: eq(attr("r", "base"), param("B")),
-            },
-            scene.ontop.schema().clone(),
-        )
-        .unwrap();
-    db_scan.set_use_indexes(false);
-    let scanned = db_scan.eval(&q).unwrap();
-    assert_eq!(probed, scanned);
+    dc_bench::oracle::assert_agrees(&db, &q).unwrap();
 }
 
 /// Shapes the unnesting takes in its stride (correlation through an
 /// inequality, a disjunction mixing outer and local references, an
 /// outer column in a two-binding view's target) and the one it refuses
-/// (a union of branches, left on the reference scan) must all agree
-/// with the reference — the fallback is a scan, never a wrong answer.
+/// (a union of branches, left on the evaluator's scan) must all agree
+/// with the oracle — the fallback is a scan, never a wrong answer.
 #[test]
 fn refused_decorrelations_fall_back_soundly() {
     let scene = dc_bench::workload::scene(4, 5, 2, 21);
     let db = dc_bench::scene_db(&scene);
-    let mut db_scan = dc_bench::scene_db(&scene);
-    db_scan.set_use_indexes(false);
     let refusals: Vec<Formula> = vec![
         // Correlated through an inequality.
         some(
@@ -391,9 +342,7 @@ fn refused_decorrelations_fall_back_soundly() {
     ];
     for pred in refusals {
         let q = set_former(vec![Branch::each("r", rel("Infront"), pred)]);
-        let probed = db.eval(&q).unwrap();
-        let scanned = db_scan.eval(&q).unwrap();
-        assert_eq!(probed, scanned, "{q}");
+        dc_bench::oracle::assert_agrees(&db, &q).unwrap();
     }
 }
 
@@ -405,8 +354,6 @@ fn refused_decorrelations_fall_back_soundly() {
 fn multi_binding_join_views_decorrelate_soundly() {
     let scene = dc_bench::workload::scene(5, 6, 2, 13);
     let db = dc_bench::scene_db(&scene);
-    let mut db_scan = dc_bench::scene_db(&scene);
-    db_scan.set_use_indexes(false);
     // Items on r.front whose name is a registered part, joined across
     // Ontop ⋈ Objects.
     let joined_view = set_former(vec![Branch::projecting(
@@ -436,28 +383,21 @@ fn multi_binding_join_views_decorrelate_soundly() {
                 all("t", view.clone(), body.clone())
             };
             let q = set_former(vec![Branch::each("r", rel("Infront"), pred)]);
-            let probed = db.evaluator().eval(&q);
-            let scanned = db_scan.evaluator().eval(&q);
-            match (probed, scanned) {
-                (Ok(p), Ok(s)) => assert_eq!(p, s, "{q}"),
-                (p, s) => panic!("divergent outcomes on {q}: {p:?} vs {s:?}"),
-            }
+            dc_bench::oracle::assert_agrees(&db, &q).unwrap();
         }
     }
 }
 
 /// Randomized multi-binding correlated-quantifier differentials over
 /// staffing instances: correlation on one or both bindings, varying
-/// local residuals, SOME/ALL, negation wrapping — unnested vs
-/// `set_use_indexes(false)`.
+/// local residuals, SOME/ALL, negation wrapping — unnested vs the
+/// oracle.
 #[test]
 fn randomized_multi_binding_join_views_agree() {
     let mut rng = SplitMix64::new(0xBEEF);
     for (seed, tasks, workers, tools) in [(7u64, 15usize, 8usize, 6usize), (23, 25, 12, 9)] {
         let s = dc_bench::workload::staffing(tasks, workers, tools, 2, 2, 20, seed);
         let db = dc_bench::staffing_db(&s);
-        let mut db_scan = dc_bench::staffing_db(&s);
-        db_scan.set_use_indexes(false);
         for _ in 0..10 {
             // Local join atom always present; correlation on one or both
             // bindings.
@@ -495,12 +435,7 @@ fn randomized_multi_binding_join_views_agree() {
             };
             let pred = if rng.below(2) == 0 { not(pred) } else { pred };
             let q = set_former(vec![Branch::each("r", rel("Requests"), pred)]);
-            let probed = db.eval(&q).unwrap();
-            let scanned = db_scan.eval(&q).unwrap();
-            assert_eq!(
-                probed, scanned,
-                "multi-binding unnesting diverged on staffing seed={seed} for {q}"
-            );
+            dc_bench::oracle::assert_agrees(&db, &q).unwrap();
         }
     }
 }
@@ -551,37 +486,25 @@ fn correlated_join_fallback_constructor() -> Constructor {
 fn fixpoint_with_correlated_join_view_mid_solve_deltas() {
     for depth in [4usize, 7] {
         let base = dc_bench::workload::chain(depth);
-        let mut results = Vec::new();
-        for use_indexes in [true, false] {
-            for strategy in [Strategy::Naive, Strategy::SemiNaive] {
-                let mut db = Database::new();
-                db.set_strategy(strategy);
-                db.set_use_indexes(use_indexes);
-                db.create_relation("Infront", base.schema().clone())
-                    .unwrap();
-                for t in base.iter() {
-                    db.insert("Infront", t.clone()).unwrap();
-                }
-                db.define_constructor(correlated_join_fallback_constructor())
-                    .unwrap();
-                let q = rel("Infront").construct("reach", vec![]);
-                let out = db.eval(&q).unwrap();
-                results.push((use_indexes, strategy, out));
+        let q = rel("Infront").construct("reach", vec![]);
+        for strategy in [Strategy::Naive, Strategy::SemiNaive] {
+            let mut db = Database::new();
+            db.set_strategy(strategy);
+            db.create_relation("Infront", base.schema().clone())
+                .unwrap();
+            for t in base.iter() {
+                db.insert("Infront", t.clone()).unwrap();
             }
+            db.define_constructor(correlated_join_fallback_constructor())
+                .unwrap();
+            let out = dc_bench::oracle::assert_agrees(&db, &q).unwrap();
+            // An edge is marked iff some (y, z) pair in the iterate joins
+            // on head = r.back — i.e. iff its back is some tuple's head,
+            // which round one's committed delta makes true for every edge
+            // but the last: n base edges + (n-1) marked tuples.
+            assert_eq!(out.len(), depth + depth - 1, "depth={depth}");
+            assert!(out.contains(&dc_value::tuple!["o0", "marked"]));
+            assert!(!out.contains(&dc_value::tuple![format!("o{}", depth - 1), "marked"]));
         }
-        let (_, _, reference) = &results[results.len() - 1];
-        for (use_indexes, strategy, out) in &results {
-            assert_eq!(
-                out, reference,
-                "depth={depth} use_indexes={use_indexes} strategy={strategy:?}"
-            );
-        }
-        // An edge is marked iff some (y, z) pair in the iterate joins
-        // on head = r.back — i.e. iff its back is some tuple's head,
-        // which round one's committed delta makes true for every edge
-        // but the last: n base edges + (n-1) marked tuples.
-        assert_eq!(reference.len(), depth + depth - 1, "depth={depth}");
-        assert!(reference.contains(&dc_value::tuple!["o0", "marked"]));
-        assert!(!reference.contains(&dc_value::tuple![format!("o{}", depth - 1), "marked"]));
     }
 }

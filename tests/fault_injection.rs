@@ -143,11 +143,7 @@ fn unnested_quantifier_fault_aborts_cleanly() {
     assert_eq!(snapshot(&db), before);
     drop(_g);
 
-    // Disarmed, the unnested path produces the reference answer.
+    // Disarmed, the unnested path produces the oracle's answer.
     let _clean = FailpointsGuard::arm("");
-    let unnested = db.eval(&correlated_query()).unwrap();
-    let mut reference_db = scene_database();
-    reference_db.set_use_indexes(false);
-    let reference = reference_db.eval(&correlated_query()).unwrap();
-    assert_eq!(unnested.sorted_tuples(), reference.sorted_tuples());
+    dc_bench::oracle::assert_agrees(&db, &correlated_query()).unwrap();
 }

@@ -1,6 +1,6 @@
 //! Differential tests: every §4 rewrite — range nesting and the
 //! seeded capture — yields a query the engine answers exactly as the
-//! nested-loop reference answers the original, across a battery of
+//! oracle (`dc_bench::oracle`) answers the original, across a battery of
 //! query shapes. `Database::eval` rewrites where the query enters;
 //! `Database::evaluator` runs it as written; `Database::explain` shows
 //! the rewritten form.
@@ -57,13 +57,12 @@ fn served(db: &Database, q: &RangeExpr) -> String {
 }
 
 /// `q` under `Database::eval`, which rewrites it, ≡ `q` as written
-/// under the nested-loop reference. Returns the rewritten form.
+/// under the oracle. Returns the rewritten form.
 fn assert_rewrite_agrees(db: &Database, q: &RangeExpr) -> String {
-    let reference = db.evaluator().force_nested_loop().eval(q).unwrap();
     let rewritten = served(db, q);
     assert_eq!(
         db.eval(q).unwrap(),
-        reference,
+        dc_bench::oracle::eval(db, q).unwrap(),
         "query {q} rewrote to {rewritten}"
     );
     rewritten

@@ -1,6 +1,7 @@
 //! Property tests over the calculus: the NNF rewrite preserves
-//! semantics (the mechanised §3.3 monotonicity-lemma rewrite), and the
-//! DBPL surface syntax round-trips through the parser.
+//! semantics (the mechanised §3.3 monotonicity-lemma rewrite), the
+//! planned evaluator agrees with the oracle (`dc_bench::oracle`), and
+//! the DBPL surface syntax round-trips through the parser.
 
 use proptest::prelude::*;
 
@@ -8,9 +9,9 @@ use dc_calculus::ast::{Branch, CmpOp, Formula, RangeExpr, ScalarExpr, Target};
 use dc_calculus::builder::*;
 use dc_calculus::env::MapCatalog;
 use dc_calculus::rewrite::to_nnf;
-use dc_calculus::Evaluator;
+use dc_calculus::{EvalError, Evaluator};
 use dc_relation::Relation;
-use dc_value::{tuple, Domain, Schema};
+use dc_value::{tuple, Domain, Schema, Tuple};
 
 /// Formulas over one free variable `r` (edge schema) plus quantified
 /// variables over `Infront`, generated with correct scoping.
@@ -102,14 +103,14 @@ fn edges_strategy() -> impl Strategy<Value = Relation> {
     })
 }
 
-fn eval_query(base: &Relation, f: &Formula) -> Result<Relation, dc_calculus::EvalError> {
+/// `{EACH r IN Infront: f}` over `base`, planned — and as the oracle
+/// answers it.
+fn eval_query(base: &Relation, f: &Formula) -> Result<Relation, EvalError> {
     let cat = MapCatalog::new().with_relation("Infront", base.clone());
-    let mut ev = Evaluator::new(&cat);
-    ev.eval(&set_former(vec![Branch::each(
-        "r",
-        rel("Infront"),
-        f.clone(),
-    )]))
+    planned_matches_reference(
+        &cat,
+        &set_former(vec![Branch::each("r", rel("Infront"), f.clone())]),
+    )
 }
 
 proptest! {
@@ -171,8 +172,7 @@ proptest! {
     }
 
     /// The index path — join probes *and* quantifier existence probes —
-    /// agrees with the reference nested-loop evaluator on randomized
-    /// formulas. Generated formulas are error-free (every comparison is
+    /// agrees with the oracle's nested loops on randomized formulas. Generated formulas are error-free (every comparison is
     /// STRING vs STRING), so the two paths must produce identical
     /// relations; quantified subformulas with equality atoms exercise
     /// the probe/residual machinery, the rest exercises the fallback.
@@ -183,18 +183,13 @@ proptest! {
     ) {
         let cat = MapCatalog::new().with_relation("Infront", base.clone());
         let query = set_former(vec![Branch::each("r", rel("Infront"), f)]);
-        let planned = Evaluator::new(&cat).eval(&query).expect("error-free formula");
-        let reference = Evaluator::new(&cat)
-            .force_nested_loop()
-            .eval(&query)
-            .expect("error-free formula");
-        prop_assert_eq!(planned, reference);
+        planned_matches_reference(&cat, &query).expect("error-free formula");
     }
 
     /// Two-binding join branches: the probe decides `x.back = y.front`,
     /// the compiled leaf re-checks the generated conjunct `f` through
     /// (slot, column) reads and the interpreter, and must agree with the
-    /// reference nested loops.
+    /// oracle, errors included.
     #[test]
     fn join_leaf_agrees_with_nested_loop(
         base in edges_strategy(),
@@ -206,8 +201,7 @@ proptest! {
             vec![("x".into(), rel("Infront")), ("y".into(), rel("Infront"))],
             eq(attr("x", "back"), attr("y", "front")).and(f),
         )]);
-        let reference = Evaluator::new(&cat).force_nested_loop().eval(&query);
-        prop_assert_eq!(&Evaluator::new(&cat).eval(&query), &reference);
+        let _ = planned_matches_reference(&cat, &query);
     }
 
     /// Parser round-trip: the display form of a generated query parses
@@ -293,6 +287,9 @@ fn application_roundtrip() {
         rel("Infront")
             .select("s", vec![cnst(1i64), cnst("x")])
             .construct("c", vec![rel("A"), rel("B")]),
+        // Scalar arguments follow a `;`, relation arguments or not.
+        rel("N").construct_with("below", vec![], vec![cnst(5i64)]),
+        rel("N").construct_with("between", vec![rel("M")], vec![cnst(1i64), param("K")]),
     ];
     for e in exprs {
         let again = dc_lang::parser::parse_expr(&e.to_string()).unwrap();
@@ -300,13 +297,16 @@ fn application_roundtrip() {
     }
 }
 
-/// Evaluate `query` over `cat` on the planned path and on the reference
-/// nested loops, and require the same outcome — relation or error.
-fn planned_matches_reference(cat: &MapCatalog, query: &RangeExpr) -> Relation {
+/// Evaluate `query` over `cat` on the planned path and by the oracle,
+/// and require the same outcome — relation or error.
+fn planned_matches_reference(cat: &MapCatalog, query: &RangeExpr) -> Result<Relation, EvalError> {
     let planned = Evaluator::new(cat).eval(query);
-    let reference = Evaluator::new(cat).force_nested_loop().eval(query);
-    assert_eq!(planned, reference, "{query}");
-    planned.unwrap_or_else(|e| panic!("{query}: {e}"))
+    assert_eq!(
+        planned,
+        dc_bench::oracle::eval_in(cat, &[], query).0,
+        "{query}"
+    );
+    planned
 }
 
 fn chain_catalog() -> MapCatalog {
@@ -334,7 +334,7 @@ fn join_leaf_arithmetic_target() {
         vec![("x".into(), rel("N")), ("y".into(), rel("N"))],
         eq(attr("x", "b"), attr("y", "a")),
     )]);
-    assert!(!planned_matches_reference(&cat, &query).is_empty());
+    assert!(!planned_matches_reference(&cat, &query).unwrap().is_empty());
 }
 
 /// A `Target::Var` target: the leaf emits the bound tuple whole.
@@ -346,7 +346,9 @@ fn join_leaf_var_target() {
         predicate: eq(attr("x", "back"), attr("y", "front"))
             .and(ne(attr("x", "front"), attr("y", "back"))),
     }]);
-    assert!(!planned_matches_reference(&chain_catalog(), &query).is_empty());
+    assert!(!planned_matches_reference(&chain_catalog(), &query)
+        .unwrap()
+        .is_empty());
 }
 
 /// An outer variable's attribute in a correlated nested set-former's
@@ -363,7 +365,9 @@ fn join_leaf_outer_attribute_in_target() {
         rel("Infront"),
         some("z", inner, ne(attr("z", "back"), attr("r", "front"))),
     )]);
-    assert!(!planned_matches_reference(&chain_catalog(), &query).is_empty());
+    assert!(!planned_matches_reference(&chain_catalog(), &query)
+        .unwrap()
+        .is_empty());
 }
 
 /// Duplicate binding names plan no probe: the all-scan plan's leaf must
@@ -375,7 +379,12 @@ fn join_leaf_duplicate_binding_names() {
         vec![("x".into(), rel("Infront")), ("x".into(), rel("Infront"))],
         ne(attr("x", "front"), cnst("a")),
     )]);
-    assert_eq!(planned_matches_reference(&chain_catalog(), &query).len(), 3);
+    assert_eq!(
+        planned_matches_reference(&chain_catalog(), &query)
+            .unwrap()
+            .len(),
+        3
+    );
 }
 
 /// A cross-type residual conjunct raises the same error on both paths
@@ -395,17 +404,10 @@ fn join_leaf_cross_type_residual_error() {
         vec![("x".into(), rel("Infront")), ("y".into(), rel("Infront"))],
         eq(attr("x", "back"), attr("y", "front")).and(ne(attr("x", "front"), cnst(1i64))),
     )]);
-    let planned = Evaluator::new(&cat).eval(&query);
+    let planned = planned_matches_reference(&cat, &query);
     assert!(
-        matches!(
-            planned,
-            Err(dc_calculus::EvalError::CrossTypeComparison { .. })
-        ),
+        matches!(planned, Err(EvalError::CrossTypeComparison { .. })),
         "{planned:?}"
-    );
-    assert_eq!(
-        planned,
-        Evaluator::new(&cat).force_nested_loop().eval(&query)
     );
 }
 
@@ -437,7 +439,7 @@ fn string_order_ignores_interning_order() {
         vec![("x".into(), rel("Infront")), ("y".into(), rel("Infront"))],
         eq(attr("x", "back"), attr("y", "front")).and(lt(attr("x", "front"), attr("y", "back"))),
     )]);
-    let got = planned_matches_reference(&cat, &query);
+    let got = planned_matches_reference(&cat, &query).unwrap();
 
     let mut expected: Vec<(&str, &str)> = pairs
         .iter()
@@ -457,4 +459,156 @@ fn string_order_ignores_interning_order() {
         .map(|t| (t.get(0).as_str().unwrap(), t.get(1).as_str().unwrap()))
         .collect();
     assert_eq!(sorted, expected);
+}
+
+/// A relation of STRING pairs.
+fn pairs(attrs: [&str; 2], rows: &[(&str, &str)]) -> Relation {
+    let schema = Schema::of(&[(attrs[0], Domain::Str), (attrs[1], Domain::Str)]);
+    Relation::from_tuples(schema, rows.iter().map(|&(a, b)| tuple![a, b])).unwrap()
+}
+
+/// An INTEGER relation with attributes `attrs`.
+fn ints(attrs: &[&str], rows: &[&[i64]]) -> Relation {
+    let schema: Vec<(&str, Domain)> = attrs.iter().map(|a| (*a, Domain::Int)).collect();
+    let rows = rows
+        .iter()
+        .map(|r| Tuple::new(r.iter().map(|&v| v.into()).collect::<Vec<_>>()));
+    Relation::from_tuples(Schema::of(&schema), rows).unwrap()
+}
+
+/// `SELECTOR name(param: domain) FOR Rel; BEGIN EACH e IN Rel: e.attr = param END`.
+fn selector(name: &str, e: &str, attr_name: &str, domain: Domain) -> dc_calculus::ast::SelectorDef {
+    dc_calculus::ast::SelectorDef {
+        name: name.into(),
+        element_var: e.into(),
+        params: vec![("P".into(), domain)],
+        predicate: eq(attr(e, attr_name), param("P")),
+    }
+}
+
+/// A case's expected answer: its sorted tuples, or the kind of its error.
+type Answer = Result<Vec<Tuple>, &'static str>;
+
+/// Planner shapes — probed joins, quantifier probes, unnested correlated
+/// ranges and join views, demoted keys — each answering as the oracle
+/// does, and as expected: a sorted answer, or the error's kind.
+#[test]
+fn planned_cases_match_the_oracle() {
+    let infront = [("vase", "table"), ("table", "chair"), ("chair", "wall")];
+    let objects = [
+        ("vase", "decor"),
+        ("table", "furniture"),
+        ("chair", "furniture"),
+    ];
+    let ontop = [("cup", "table"), ("book", "table"), ("dust", "chair")];
+    let scene = |objects: &[(&str, &str)]| {
+        MapCatalog::new()
+            .with_relation("Infront", pairs(["front", "back"], &infront))
+            .with_relation("Objects", pairs(["part", "kind"], objects))
+            .with_relation("Ontop", pairs(["top", "base"], &ontop))
+            .with_selector(selector("on_base", "o", "base", Domain::Str))
+    };
+    let (full, one, none) = (scene(&objects), scene(&objects[..1]), scene(&[]));
+    let assign = [("t1", "w1"), ("t1", "w2"), ("t2", "w2"), ("t3", "w3")];
+    let requests = [
+        ("t1", "hammer"),
+        ("t1", "saw"),
+        ("t2", "hammer"),
+        ("t3", "hammer"),
+    ];
+    let nums = Schema::of(&[("task", Domain::Str), ("n", Domain::Int)]);
+    let staffing = MapCatalog::new()
+        .with_relation("Assign", pairs(["task", "worker"], &assign))
+        .with_relation(
+            "Skill",
+            pairs(
+                ["worker", "tool"],
+                &[("w1", "hammer"), ("w2", "saw"), ("w3", "hammer")],
+            ),
+        )
+        .with_relation("Requests", pairs(["task", "tool"], &requests))
+        .with_relation(
+            "Nums",
+            Relation::from_tuples(nums, [tuple!["t1", 1i64]]).unwrap(),
+        );
+    let scoped = MapCatalog::new()
+        .with_relation("T", ints(&["k"], &[&[1], &[2]]))
+        .with_relation("R", ints(&["k"], &[&[10]]))
+        .with_relation("S", ints(&["k"], &[&[2]]))
+        .with_selector(selector("sel", "s", "k", Domain::Int));
+    let tags = Relation::from_tuples(Schema::of(&[("tag", Domain::Str)]), [tuple!["x"]]).unwrap();
+    let dividing = MapCatalog::new()
+        .with_relation("N", ints(&["k", "d"], &[&[1, 0]]))
+        .with_relation("Z", tags)
+        .with_relation("K", ints(&["k"], &[&[1]]));
+    let view = "{<a.worker> OF EACH a IN Assign, EACH s IN Skill: a.worker = s.worker AND a.task = r.task AND s.tool = r.tool}";
+    let pair = |a: &str, b: &str| Ok(vec![tuple![a, b]]);
+    let pairs_of = |ps: &[(&str, &str)]| Ok(ps.iter().map(|&(a, b)| tuple![a, b]).collect());
+    let cases: Vec<(&MapCatalog, String, Answer)> = vec![
+        // §2.3's ahead-2, the join probed; two probe steps off one scan.
+        (&full, "{EACH r IN Infront: TRUE, <f.front, b.back> OF EACH f IN Infront, EACH b IN Infront: f.back = b.front}".into(),
+            pairs_of(&[("chair", "wall"), ("table", "chair"), ("table", "wall"), ("vase", "chair"), ("vase", "table")])),
+        (&full, "{<a.front, c.back> OF EACH a IN Infront, EACH b IN Infront, EACH c IN Infront: a.back = b.front AND b.back = c.front}".into(),
+            pair("vase", "wall")),
+        // An inner equality key on the outer variable, under membership.
+        (&full, "{EACH r IN Infront: r IN {<r.front, y.front> OF EACH y IN Infront: y.front = r.back}}".into(),
+            pairs_of(&[("table", "chair"), ("vase", "table")])),
+        // A binding range reads the enclosing `a`, not the branch's own.
+        (&scoped, "{EACH a IN T: SOME z IN {<a.k> OF EACH a IN R, EACH b IN S[sel(a.k)]: TRUE} (TRUE)}".into(),
+            Ok(vec![tuple![2i64]])),
+        // Quantifier probes: SOME, SOME with a residual, NOT SOME, ALL
+        // over three, one and no objects.
+        (&full, "{EACH r IN Infront: SOME o IN Objects (o.part = r.back)}".into(),
+            pairs_of(&[("table", "chair"), ("vase", "table")])),
+        (&full, "{EACH r IN Infront: SOME o IN Objects (o.part = r.back AND o.kind = \"furniture\")}".into(),
+            pairs_of(&[("table", "chair"), ("vase", "table")])),
+        (&full, "{EACH r IN Infront: NOT (SOME o IN Objects (o.part = r.back))}".into(), pair("chair", "wall")),
+        (&full, "{EACH r IN Infront: ALL o IN Objects (o.part = r.front)}".into(), Ok(vec![])),
+        (&one, "{EACH r IN Infront: ALL o IN Objects (o.part = r.front)}".into(), pair("vase", "table")),
+        (&none, "{EACH r IN Infront: ALL o IN Objects (o.part = r.front)}".into(), pairs_of(&infront)),
+        // Correlated ranges, unnested: SOME, ALL, a selector application;
+        // an implication-shaped ALL body, probed through its falsifier.
+        (&full, "{EACH r IN Infront: SOME t IN {EACH o IN Ontop: o.base = r.front AND o.top # \"dust\"} (TRUE)}".into(),
+            pair("table", "chair")),
+        (&full, "{EACH r IN Infront: ALL t IN {EACH o IN Ontop: o.base = r.front} (t.top = \"cup\")}".into(),
+            pair("vase", "table")),
+        (&full, "{EACH r IN Infront: SOME t IN Ontop[on_base(r.front)] (TRUE)}".into(),
+            pairs_of(&[("chair", "wall"), ("table", "chair")])),
+        (&full, "{EACH r IN Infront: ALL t IN Ontop (NOT (t.base = r.front) OR t.top = \"cup\")}".into(),
+            pair("vase", "table")),
+        // A body reading a field the range projected away: both raise.
+        (&full, "{EACH r IN Infront: SOME t IN {<o.base> OF EACH o IN Ontop: TRUE} (t.top = r.front)}".into(),
+            Err("type")),
+        // Unnesting moves `y`'s conjuncts ahead of `z`'s; the error is the
+        // as-written one, the cross-type `z.tag = 1`.
+        (&dividing, "{EACH r IN K: SOME x IN {<y.d> OF EACH y IN N, EACH z IN Z: z.tag = 1 AND y.k = r.k AND 10 DIV y.d > 0} (TRUE)}".into(),
+            Err("cross-type")),
+        // Multi-binding join views: chained probes, ALL, no join key, an
+        // outer column in the target, a cross-type joint key.
+        (&staffing, format!("{{EACH r IN Requests: SOME x IN {view} (TRUE)}}"),
+            pairs_of(&[("t1", "hammer"), ("t1", "saw"), ("t3", "hammer")])),
+        (&staffing, format!("{{EACH r IN Requests: ALL x IN {view} (x.worker # \"w2\")}}"),
+            pairs_of(&[("t1", "hammer"), ("t2", "hammer"), ("t3", "hammer")])),
+        (&staffing, "{EACH r IN Requests: SOME x IN {<a.worker> OF EACH a IN Assign, EACH s IN Skill: a.task = r.task AND s.tool = r.tool} (x.worker # \"w1\")}".into(),
+            pairs_of(&requests)),
+        (&staffing, "{EACH r IN Requests: SOME x IN {<a.worker, r.tool> OF EACH a IN Assign: a.task = r.task} (x.tool = \"saw\")}".into(),
+            pair("t1", "saw")),
+        (&staffing, "{EACH r IN Nums: SOME x IN {<a.worker> OF EACH a IN Assign, EACH s IN Skill: a.worker = s.worker AND a.task = r.n} (TRUE)}".into(),
+            Err("cross-type")),
+    ];
+    for (cat, text, expected) in cases {
+        let q = dc_lang::parser::parse_expr(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+        let got = planned_matches_reference(cat, &q)
+            .map(|r| r.sorted_tuples())
+            .map_err(|e| match e {
+                EvalError::CrossTypeComparison { .. } => "cross-type",
+                EvalError::Type(_) => "type",
+                _ => panic!("{q}: {e}"),
+            });
+        let expected = expected.map(|mut ts| {
+            ts.sort();
+            ts
+        });
+        assert_eq!(got, expected, "{q}");
+    }
 }

@@ -53,10 +53,9 @@ fn bound(range: RangeExpr, attr_name: &str, seed: u8) -> RangeExpr {
 }
 
 /// `Database::eval`, which rewrites the query by §4 where it enters, ≡
-/// the query as written under the nested-loop reference.
+/// the query as written under the oracle.
 fn rewrite_agrees(db: &Database, q: &RangeExpr) {
-    let reference = db.evaluator().force_nested_loop().eval(q).unwrap();
-    prop_assert_eq!(db.eval(q).unwrap(), reference, "{}", q);
+    dc_bench::oracle::assert_agrees(db, q).unwrap();
 }
 
 proptest! {
@@ -169,46 +168,25 @@ proptest! {
     }
 
     /// The index-accelerated executor is a pure optimization: naive,
-    /// semi-naive, and the pre-change nested-loop baseline all compute
-    /// the same relation, and indexing never changes the round count.
+    /// semi-naive and the oracle compute the same relation, and the
+    /// semi-naive solve takes one round per step of the longest
+    /// shortest path it derives, plus the round that finds nothing new.
     #[test]
     fn index_acceleration_is_transparent(base in edges_strategy()) {
         let naive = engine_closure(&base, FixpointStrategy::Naive);
-        let semi_db = {
-            let mut db = Database::new();
-            db.create_relation("Infront", base.schema().clone()).unwrap();
-            for t in base.iter() {
-                db.insert("Infront", t.clone()).unwrap();
-            }
-            db.define_constructor(paper::ahead()).unwrap();
-            db
-        };
-        let (semi_indexed, indexed_counts) = counted(&semi_db.metrics(), || {
-            semi_db.eval(&rel("Infront").construct("ahead", vec![])).unwrap()
-        });
-        let mut scan_db = {
-            let mut db = Database::new();
-            db.create_relation("Infront", base.schema().clone()).unwrap();
-            for t in base.iter() {
-                db.insert("Infront", t.clone()).unwrap();
-            }
-            db.define_constructor(paper::ahead()).unwrap();
-            db
-        };
-        scan_db.set_use_indexes(false);
-        let (semi_scan, scan_counts) = counted(&scan_db.metrics(), || {
-            scan_db.eval(&rel("Infront").construct("ahead", vec![])).unwrap()
-        });
-        prop_assert_eq!(&naive, &semi_indexed);
-        prop_assert_eq!(&semi_indexed, &semi_scan);
-        prop_assert_eq!(indexed_counts.solve_rounds, scan_counts.solve_rounds);
+        let db = ahead_db(&base, FixpointStrategy::SemiNaive);
+        let q = rel("Infront").construct("ahead", vec![]);
+        let (semi, counts) = counted(&db.metrics(), || db.eval(&q).unwrap());
+        prop_assert_eq!(&naive, &semi);
+        prop_assert_eq!(&semi, &dc_bench::oracle::eval(&db, &q).unwrap());
+        prop_assert_eq!(counts.solve_rounds, longest_shortest_path(&base) + 1);
     }
 
     /// No stale access structure is ever served: under random
     /// interleavings of inserts, deletes, and replaces (no-ops of each
     /// included) with queries over graph, scene, and staffing data, the
-    /// indexed answer equals the nested-loop reference after every
-    /// write. Each write is (relation pick, op, tuple pick).
+    /// indexed answer equals the oracle's after every write. Each write
+    /// is (relation pick, op, tuple pick).
     #[test]
     fn indexed_answers_track_every_write(
         writes in prop::collection::vec((0usize..8, 0u8..3, 0usize..64), 1..10),
@@ -237,8 +215,7 @@ proptest! {
                     }
                 }
                 for q in &queries {
-                    let reference = db.evaluator().force_nested_loop().eval(q).unwrap();
-                    prop_assert_eq!(db.eval(q).unwrap(), reference, "{} after {:?}", q, (name, op));
+                    dc_bench::oracle::assert_agrees(&db, q).unwrap();
                 }
             }
         }
@@ -246,51 +223,54 @@ proptest! {
 }
 
 /// The e3 convergence workload (chains of increasing depth): the
-/// index-accelerated semi-naive engine must keep the exact round
-/// counts of the reference implementation — ≈ longest path, and never
-/// worse than the pre-change evaluator.
+/// index-accelerated semi-naive engine agrees with the oracle and keeps
+/// the round count of §3.2's loop, ≈ the longest path.
 #[test]
 fn e3_round_counts_do_not_regress() {
     for depth in [8usize, 32, 64] {
         let base = dc_bench::workload::chain(depth);
         let q = rel("Infront").construct("ahead", vec![]);
-
-        let mut indexed = Database::new();
-        indexed
-            .create_relation("Infront", base.schema().clone())
-            .unwrap();
-        for t in base.iter() {
-            indexed.insert("Infront", t.clone()).unwrap();
-        }
-        indexed.define_constructor(paper::ahead()).unwrap();
-        let (out_indexed, counts_indexed) =
-            counted(&indexed.metrics(), || indexed.eval(&q).unwrap());
-
-        let mut scan = Database::new();
-        scan.create_relation("Infront", base.schema().clone())
-            .unwrap();
-        for t in base.iter() {
-            scan.insert("Infront", t.clone()).unwrap();
-        }
-        scan.define_constructor(paper::ahead()).unwrap();
-        scan.set_use_indexes(false);
-        let (out_scan, counts_scan) = counted(&scan.metrics(), || scan.eval(&q).unwrap());
-
-        assert_eq!(out_indexed, out_scan, "depth {depth}");
+        let db = ahead_db(&base, FixpointStrategy::SemiNaive);
+        let (out, counts) = counted(&db.metrics(), || db.eval(&q).unwrap());
         assert_eq!(
-            counts_indexed.solve_rounds, counts_scan.solve_rounds,
-            "indexing must not change convergence, depth {depth}"
+            out,
+            dc_bench::oracle::eval(&db, &q).unwrap(),
+            "depth {depth}"
         );
         // The right-linear rule closes a depth-n chain in ~n rounds.
-        let rounds = counts_indexed.solve_rounds as usize;
+        let rounds = counts.solve_rounds as usize;
         assert!(
             rounds >= depth && rounds <= depth + 2,
             "depth {depth}: {rounds} rounds"
         );
         // The solver's incremental indexes actually engaged.
         assert!(
-            counts_indexed.warm_index_misses > 0,
-            "expected index builds on the TC workload: {counts_indexed:?}"
+            counts.warm_index_misses > 0,
+            "expected index builds on the TC workload: {counts:?}"
         );
     }
+}
+
+/// The most edges a shortest path of `edges` takes, cycles back to
+/// their start included: breadth-first from every node.
+fn longest_shortest_path(edges: &Relation) -> u64 {
+    let mut longest = 0;
+    for start in edges.iter().map(|t| *t.get(0)) {
+        let (mut seen, mut frontier, mut depth) = (Vec::new(), vec![start], 0);
+        loop {
+            frontier = edges
+                .iter()
+                .filter(|t| frontier.contains(t.get(0)))
+                .map(|t| *t.get(1))
+                .collect();
+            frontier.retain(|v| !seen.contains(v));
+            if frontier.is_empty() {
+                break;
+            }
+            seen.extend(frontier.iter().copied());
+            depth += 1;
+        }
+        longest = longest.max(depth);
+    }
+    longest
 }

@@ -62,15 +62,8 @@ fn quantifier_probes_agree_with_reference_on_randomized_scenes() {
     ] {
         let scene = dc_bench::workload::scene(rows, depth, stack_every, seed);
         let db = dc_bench::scene_db(&scene);
-        let mut db_scan = dc_bench::scene_db(&scene);
-        db_scan.set_use_indexes(false);
         for q in scene_queries() {
-            let probed = db.eval(&q).unwrap();
-            let scanned = db_scan.eval(&q).unwrap();
-            assert_eq!(
-                probed, scanned,
-                "probe/scan divergence on scene seed={seed} rows={rows} depth={depth} for {q}"
-            );
+            dc_bench::oracle::assert_agrees(&db, &q).unwrap();
         }
     }
 }
