@@ -226,7 +226,7 @@ pub fn scene_db(scene: &workload::Scene) -> Database {
 ///
 /// Both quantified subformulas carry equality atoms on the quantified
 /// variable, so the index path decides each through a hash-bucket
-/// existence probe; the reference path scans `Ontop` per conjunct per
+/// existence probe; the oracle scans `Ontop` per conjunct per
 /// `Infront` tuple — the paper's selector-style predicate shape (§2.3)
 /// at O(|Infront| × |Ontop|).
 pub fn visibility_query() -> dc_calculus::RangeExpr {
@@ -275,7 +275,7 @@ pub fn front_row_query() -> dc_calculus::RangeExpr {
 ///
 /// — edges whose *back* object carries a stacked item. The quantified
 /// range is a selector application whose actual argument references the
-/// outer variable `r`, so the reference path re-applies the selector
+/// outer variable `r`, so the oracle re-applies the selector
 /// (one full `Ontop` pass) per `Infront` tuple: O(|Infront| × |Ontop|).
 /// The unnested path decides each edge by `SOME o IN Ontop (o.base =
 /// r.back)`, a probe of one `base` index built once:
@@ -368,7 +368,7 @@ fn qualified_worker_view() -> dc_calculus::RangeExpr {
 /// EACH r IN Requests: SOME x IN <qualified_worker_view> (TRUE)
 /// ```
 ///
-/// The reference path evaluates the inner join per request —
+/// The oracle evaluates the inner join per request —
 /// O(|Requests| × |Assign| × |Skill|); the unnested path probes
 /// `Assign` on `task` per request and `Skill` on `(worker, tool)` per
 /// assigned worker — O(|Requests| × matches).

@@ -16,7 +16,7 @@
 //!               AND s.tool = r.tool } (TRUE) -- correlation on s
 //! ```
 //!
-//! The reference path re-evaluates the inner join per request:
+//! The oracle re-evaluates the inner join per request:
 //! O(|Requests| × |Assign| × |Skill|). Unnested into
 //! `SOME a IN Assign (a.task = r.task AND SOME s IN Skill (a.worker =
 //! s.worker AND s.tool = r.tool))`, it probes `Assign` per request and

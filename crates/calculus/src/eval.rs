@@ -25,26 +25,23 @@
 //!   outright. Equality atoms themselves never mask their own errors —
 //!   keys that cannot be realised safely (type-mismatched,
 //!   unresolvable) are demoted back to the residual.
-//! * **Quantifier probes** — quantified subformulas
-//!   (`SOME x IN R: x.a = r.b AND …`, and the `ALL` dual) whose bodies
-//!   carry top-level equality atoms on the quantified variable are
-//!   decided through a [`dc_index::HashIndex`] existence probe instead
-//!   of a range scan: only bucket matches get the (full) body
-//!   re-check, so selector-style predicates cost O(matches) per outer
-//!   combination rather than O(|R|). `ALL` bodies are probed through
-//!   their **falsifier** where possible (the NNF of the negated body,
-//!   which makes implication-shaped bodies `NOT p OR q` probe-able) and
-//!   through the bucket-covers-range check otherwise. A quantifier over
-//!   a *correlated* range — a single-branch set-former or a selector
-//!   application that mentions the enclosing scope, which a scan
+//! * **Quantifier sites** — by §4's N2/N3 a quantifier scans a
+//!   one-binding set-former, and each binding-free site is planned once
+//!   as that branch (`SiteBranch`): its keys are the branch's equality
+//!   atoms, realised per outer combination by a branch step's rule, and
+//!   a probe hit re-checks only the branch's residual — so
+//!   selector-style predicates cost O(matches) per outer combination
+//!   rather than O(|R|), and a site reports its access path once, as a
+//!   branch does. A quantifier over a *correlated* range — a
+//!   single-branch set-former or a selector application that mentions
+//!   the enclosing scope, which a scan
 //!   re-evaluates per outer combination — is first unnested by §4's
 //!   N2/N3 ([`rewrite::unnest_quantifier`]) into quantifiers over the
 //!   range's own binding ranges, which those same probes decide; a
 //!   multi-binding *join view* becomes a chain of probes, each level
-//!   keyed by the conjuncts its variable completes. Each quantifier
-//!   site is planned once per evaluator; demoted probe keys and
-//!   correlated ranges left on the scan are recorded in the planner
-//!   trace ([`Evaluator::plan_events`]). The divergence policy above
+//!   keyed by the conjuncts its variable completes. A correlated range
+//!   left on the scan is recorded in the planner trace
+//!   ([`Evaluator::plan_events`]). The divergence policy above
 //!   extends unchanged: an error hiding in the body of a tuple the
 //!   equality key already rejects is never raised, because that tuple
 //!   is skipped outright — and likewise a value-dependent runtime error
@@ -79,8 +76,8 @@ use crate::access::AccessCache;
 use crate::ast::{ArithOp, Branch, CmpOp, Formula, RangeExpr, ScalarExpr, SetFormer, Target, Var};
 use crate::env::Catalog;
 use crate::error::EvalError;
-use crate::joinplan::{self, Access, BranchPlan, DistinctCount, EqAtom, KeySource, QuantMode};
-use crate::plan_event::{PlanEvent, QuantDemotionReason};
+use crate::joinplan::{self, Access, BranchPlan, EqAtom, KeySource};
+use crate::plan_event::PlanEvent;
 use crate::rewrite::{self, Node};
 
 /// A bound tuple variable: name, current tuple, and the schema used to
@@ -142,8 +139,8 @@ pub struct Evaluator<'a> {
     /// the executor leaves, with emitted tuples counted against its
     /// ceiling.
     budget: Option<Meter>,
-    /// Typed planner trace: each distinct demotion or refusal once,
-    /// plus one access-path event per planned branch site.
+    /// Typed planner trace: one access-path event per planned branch
+    /// and quantifier site, each distinct `NotUnnested` once.
     plan_events: Vec<PlanEvent>,
     /// Branch fingerprints whose access path was already recorded, so
     /// per-combination re-plans (nested set-formers) report once.
@@ -195,8 +192,8 @@ impl<'a> Evaluator<'a> {
         self
     }
 
-    /// Count planner decisions (probe/scan plans, quantifier probes and
-    /// scans) into `metrics`. The owner —
+    /// Count planner decisions (the probe or scan plan of each branch
+    /// and quantifier site) into `metrics`. The owner —
     /// database, solver task, session — threads its registry through
     /// so the counts land in one place regardless of which evaluator
     /// did the planning.
@@ -211,9 +208,9 @@ impl<'a> Evaluator<'a> {
         self.emitted
     }
 
-    /// The typed planner trace, in first-occurrence order: each
-    /// distinct demotion or refusal once ([`PlanEvent::is_demotion`]),
-    /// plus one [`PlanEvent::AccessPath`] per planned branch site.
+    /// The typed planner trace, in first-occurrence order: one
+    /// [`PlanEvent::AccessPath`] per planned branch and quantifier site,
+    /// and each distinct [`PlanEvent::NotUnnested`] once.
     pub fn plan_events(&self) -> &[PlanEvent] {
         &self.plan_events
     }
@@ -222,31 +219,32 @@ impl<'a> Evaluator<'a> {
     /// so the evaluator does not emit it when it drops.
     pub fn take_plan_events(&mut self) -> Vec<PlanEvent> {
         self.access_sites.clear();
+        self.sites.iter_mut().for_each(|site| site.reported = false);
         std::mem::take(&mut self.plan_events)
     }
 
-    /// Record a demotion/refusal event — once per distinct value.
+    /// Record an event — once per distinct value.
     fn plan_event(&mut self, ev: PlanEvent) {
         if !self.plan_events.contains(&ev) {
             self.plan_events.push(ev);
         }
     }
 
-    /// Record the access path chosen for one planned branch — once per
-    /// distinct branch site, so per-combination re-plans (set-formers
-    /// nested under quantifiers) pay a fingerprint lookup, not an
-    /// event build. The compiled plan's realised atoms put demoted keys
-    /// in the event's residual; its numbers come from the counts the
-    /// planner `asked` for and the distinct keys of the compiled
-    /// single-column probe indexes — nothing is built to render them.
+    /// Record the access path chosen for one planned branch (a
+    /// set-former's or a quantifier site's) once per distinct branch, so
+    /// per-combination re-plans pay a fingerprint lookup, not an event
+    /// build. The `realised` atoms put demoted keys in the residual and
+    /// make it a probe plan or a scan plan; `known` answers distinct
+    /// counts only from what the plan holds — nothing is built to
+    /// render them.
     fn note_access_path(
         &mut self,
         branch: &Branch,
         plan: &BranchPlan,
-        compiled: &CompiledPlan<'_>,
-        asked: &[DistinctCount],
+        realised: &[&EqAtom],
         schemas: &[&Schema],
         cards: &[usize],
+        known: impl Fn(usize, usize) -> Option<usize>,
     ) {
         let site = branch_fingerprint(branch);
         if self.access_sites.contains(&site) {
@@ -254,32 +252,17 @@ impl<'a> Evaluator<'a> {
         }
         self.access_sites.push(site);
         if let Some(m) = &self.metrics {
-            m.inc(if plan.has_probe() {
-                Counter::ProbePlans
-            } else {
+            m.inc(if realised.is_empty() {
                 Counter::ScanPlans
+            } else {
+                Counter::ProbePlans
             });
         }
-        let known = |position: usize, column: usize| {
-            let held = |step: &CompiledStep| match &step.access {
-                CompiledAccess::Probe { index, .. }
-                    if step.position == position && index.positions() == [column] =>
-                {
-                    Some(index.distinct_keys())
-                }
-                _ => None,
-            };
-            asked
-                .iter()
-                .find(|c| (c.position, c.column) == (position, column))
-                .and_then(|c| c.distinct)
-                .or_else(|| compiled.steps.iter().find_map(held))
-        };
         let cards: Vec<Option<usize>> = cards.iter().copied().map(Some).collect();
         self.plan_events.push(PlanEvent::access_path_for(
             branch,
             plan,
-            Some(&compiled.realised),
+            Some(realised),
             schemas,
             &cards,
             known,
@@ -480,7 +463,22 @@ impl<'a> Evaluator<'a> {
                     return Err(e);
                 }
                 let compiled = self.compile_plan(branch, &plan, ranges, bindings)?;
-                self.note_access_path(branch, &plan, &compiled, &asked, &schemas, &cards);
+                let known = |position: usize, column: usize| {
+                    let held = |step: &CompiledStep| match &step.access {
+                        CompiledAccess::Probe { index, .. }
+                            if step.position == position && index.positions() == [column] =>
+                        {
+                            Some(index.distinct_keys())
+                        }
+                        _ => None,
+                    };
+                    asked
+                        .iter()
+                        .find(|c| (c.position, c.column) == (position, column))
+                        .and_then(|c| c.distinct)
+                        .or_else(|| compiled.steps.iter().find_map(held))
+                };
+                self.note_access_path(branch, &plan, &compiled.realised, &schemas, &cards, known);
                 if !compiled.realised.is_empty() {
                     return self.exec_plan(branch, &compiled, ranges, 0, bindings, out);
                 }
@@ -492,15 +490,15 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Lower a logical plan to executable steps and leaf: resolve
-    /// attribute positions, evaluate free key sources to values, bind
-    /// probe indexes. Atoms that cannot be realised safely — unknown
-    /// attributes, unresolvable parameters/outer variables, or keys
-    /// whose base type differs from the probed column (where hash
-    /// equality and `=` semantics diverge) — are demoted back to the
-    /// residual predicate. The leaf re-checks exactly the conjuncts no
-    /// realised key decides ([`joinplan::residual_conjuncts`]) and
-    /// reads branch-variable attributes, there and in the target, at
-    /// their `(binding slot, column)`. The only error channel is index
+    /// attribute positions, realise keys (free ones by
+    /// [`Evaluator::realise_free_key`]), bind probe indexes. An atom that
+    /// cannot be realised safely — an unknown attribute, an unresolvable
+    /// key, a key whose base type differs from the probed column's — is
+    /// demoted back to the residual predicate. The leaf re-checks
+    /// exactly the conjuncts no realised key decides
+    /// ([`joinplan::residual_conjuncts`]) and reads branch-variable
+    /// attributes, there and in the target, at their
+    /// `(binding slot, column)`. The only error channel is index
     /// acquisition (a governed abort or an injected fault).
     fn compile_plan<'b>(
         &mut self,
@@ -522,38 +520,38 @@ impl<'a> Evaluator<'a> {
                     let mut positions = Vec::with_capacity(atoms.len());
                     let mut keys = Vec::with_capacity(atoms.len());
                     for atom in atoms {
-                        let Ok(probed_pos) = schema.position(&atom.attr) else {
-                            continue;
-                        };
-                        let probed_base = schema.domain(probed_pos).base();
-                        match &atom.source {
+                        let (probed_pos, key) = match &atom.source {
                             KeySource::Free(expr) => {
-                                let Ok(v) = self.eval_scalar(expr, bindings) else {
+                                let Some((probed_pos, v)) =
+                                    self.realise_free_key(schema, &atom.attr, expr, bindings)
+                                else {
                                     continue;
                                 };
-                                if value_domain(&v) != probed_base {
-                                    continue;
-                                }
-                                positions.push(probed_pos);
-                                keys.push(CompiledKey::Fixed(v));
-                                realised.push(atom);
+                                (probed_pos, CompiledKey::Fixed(v))
                             }
                             KeySource::Binding { position, attr } => {
+                                let Ok(probed_pos) = schema.position(&atom.attr) else {
+                                    continue;
+                                };
                                 let source_schema = ranges[*position].schema();
                                 let Ok(source_pos) = source_schema.position(attr) else {
                                     continue;
                                 };
-                                if source_schema.domain(source_pos).base() != probed_base {
+                                if source_schema.domain(source_pos).base()
+                                    != schema.domain(probed_pos).base()
+                                {
                                     continue;
                                 }
-                                positions.push(probed_pos);
-                                keys.push(CompiledKey::FromBinding {
+                                let key = CompiledKey::FromBinding {
                                     slot: slot_of[*position],
                                     attr_pos: source_pos,
-                                });
-                                realised.push(atom);
+                                };
+                                (probed_pos, key)
                             }
-                        }
+                        };
+                        positions.push(probed_pos);
+                        keys.push(key);
+                        realised.push(atom);
                     }
                     if keys.is_empty() {
                         CompiledAccess::Scan
@@ -610,6 +608,24 @@ impl<'a> Evaluator<'a> {
         })
     }
 
+    /// Realise a free probe key (a constant, parameter or outer
+    /// attribute) on column `attr` of `schema` — the rule for branch
+    /// steps and quantifier sites alike: `None` unless the attribute is
+    /// in the schema, the key evaluates, and its base type is the
+    /// column's (else hash equality and `=` part). A realised key's
+    /// conjunct holds on every hit and cannot raise.
+    fn realise_free_key(
+        &mut self,
+        schema: &Schema,
+        attr: &str,
+        key: &ScalarExpr,
+        bindings: &[Binding],
+    ) -> Option<(usize, Value)> {
+        let column = schema.position(attr).ok()?;
+        let v = self.eval_scalar(key, bindings).ok()?;
+        (value_domain(&v) == schema.domain(column).base()).then_some((column, v))
+    }
+
     /// Do access structures over the value of `range` amortise? A named
     /// relation's do (the catalog hands out the same storage every
     /// time), and so do those of a binding-free range outside any
@@ -664,7 +680,7 @@ impl<'a> Evaluator<'a> {
 
     /// Decide `SOME`/`ALL var IN range: body`. The site's plan
     /// ([`Evaluator::plan_site`]) goes first — the unnested form of a
-    /// correlated range, or an index probe over the range's value — and
+    /// correlated range, or the probe of its one-binding branch — and
     /// whatever it leaves undecided goes to the scan.
     fn eval_quantifier(
         &mut self,
@@ -672,27 +688,33 @@ impl<'a> Evaluator<'a> {
         bindings: &mut Vec<Binding>,
     ) -> Result<bool, EvalError> {
         let site = self.quant_site(q);
-        match &*self.sites[site].plan.clone() {
-            SitePlan::Unnested {
-                formula,
-                args,
-                ranges,
-            } => {
-                if let Some(decided) = self.eval_unnested(formula, args, ranges, bindings)? {
-                    return Ok(decided);
-                }
+        let plan = self.sites[site].plan.clone();
+        if let SitePlan::Unnested {
+            formula,
+            args,
+            ranges,
+        } = &*plan
+        {
+            if let Some(decided) = self.eval_unnested(formula, args, ranges, bindings)? {
+                return Ok(decided);
             }
-            SitePlan::Range { probe: Some(probe) } => {
-                let rel = self.eval_range(q.range, bindings)?;
-                if let Some(decided) = self.quant_probe(site, probe, q, &rel, bindings)? {
-                    return Ok(decided);
-                }
-                return self.decide_over(q, rel.schema(), rel.iter(), bindings);
-            }
-            SitePlan::Range { probe: None } => {}
         }
         let rel = self.eval_range(q.range, bindings)?;
-        self.decide_over(q, rel.schema(), rel.iter(), bindings)
+        if let SitePlan::Branch(probe) = &*plan {
+            if let Some(decided) = self.quant_probe(site, probe, q, &rel, bindings)? {
+                return Ok(decided);
+            }
+        }
+        // The scan: a witness decides `SOME`, a falsifier `ALL`.
+        let found = self.any_over(
+            q.var,
+            rel.schema(),
+            rel.iter(),
+            q.body,
+            q.existential,
+            bindings,
+        )?;
+        Ok(found == q.existential)
     }
 
     /// The memo entry of a quantifier site, planned on first sight.
@@ -712,7 +734,8 @@ impl<'a> Evaluator<'a> {
                 body: q.body.clone(),
                 plan,
                 index: None,
-                demoted: Vec::new(),
+                keys: Default::default(),
+                reported: false,
             });
             self.sites.len() - 1
         })
@@ -725,19 +748,11 @@ impl<'a> Evaluator<'a> {
     /// ([`Evaluator::as_correlated_branch`], then
     /// [`rewrite::unnest_quantifier`] over fresh `Δ`-prefixed variables,
     /// which the lexer cannot produce); any other correlated range stays
-    /// on the scan and says so. Every other range gets its
-    /// index-probe plan ([`joinplan::plan_quant_probe`]).
+    /// on the scan and says so. Every other range is planned as its
+    /// one-binding branch ([`SiteBranch::plan`]).
     fn plan_site(&mut self, q: Quantifier<'_>) -> SitePlan {
         if is_binding_free(q.range) {
-            let probe = joinplan::plan_quant_probe(q.var, q.body, q.existential);
-            if let Some(m) = &self.metrics {
-                m.inc(if probe.is_some() {
-                    Counter::QuantProbes
-                } else {
-                    Counter::QuantScans
-                });
-            }
-            return SitePlan::Range { probe };
+            return SiteBranch::plan(q).map_or(SitePlan::Scan, SitePlan::Branch);
         }
         if let Some((branch, args)) = self.as_correlated_branch(q.range) {
             let count = &mut self.unnested_vars;
@@ -763,13 +778,10 @@ impl<'a> Evaluator<'a> {
                 };
             }
         }
-        self.plan_event(PlanEvent::QuantDemotion {
-            attr: String::new(),
-            reason: QuantDemotionReason::NotUnnested,
+        self.plan_event(PlanEvent::NotUnnested {
             range: q.range.to_string(),
-            key: String::new(),
         });
-        SitePlan::Range { probe: None }
+        SitePlan::Scan
     }
 
     /// Decide an unnested site. First replay what the query as written
@@ -810,125 +822,104 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Try to decide a quantifier through an index existence probe
-    /// instead of a scan. `Ok(None)` means "not probe-able — fall back
-    /// to the scan"; `Ok(Some(b))` is the decided truth value.
-    ///
-    /// The probe follows the site's [`joinplan::plan_quant_probe`] plan:
-    ///
-    /// * [`QuantMode::Witness`] (`SOME`) — every body witness satisfies
-    ///   the atoms, so the residual pass touches bucket matches instead
-    ///   of the whole range.
-    /// * [`QuantMode::Falsifier`] (`ALL`, implication-shaped bodies) —
-    ///   the atoms come from the NNF of the body's negation, so every
-    ///   potential counterexample lies inside the bucket; tuples outside
-    ///   it satisfy the body by construction and are never visited.
-    /// * [`QuantMode::Covering`] (`ALL`, conjunctive bodies) — any tuple
-    ///   *outside* the bucket falsifies an equality conjunct and with it
-    ///   the body, so the quantifier holds only if the bucket covers the
-    ///   whole range — checked by cardinality before the residual pass.
-    ///
-    /// Demotion rules mirror [`Evaluator::compile_plan`]: keys that are
-    /// unresolvable or whose base type differs from the probed column
-    /// drop out (leaving a planner trace event), and if none survive the
-    /// scan fallback reproduces as-written semantics (including error
-    /// semantics) exactly. Probes are only attempted where the index
-    /// amortises ([`Evaluator::amortises`]); a throwaway index per
-    /// evaluation would cost the same pass as the scan it replaces. The
-    /// site keeps the index it probed, with the storage id of the
-    /// relation it describes, so later outer combinations reuse it
-    /// without touching the access cache.
+    /// Decide a site through its one-binding branch: realise its keys,
+    /// reuse its index (kept with the storage id of the relation it
+    /// describes, so no access-cache lookup), probe, and check each hit
+    /// against the residual — the whole predicate if a key demoted.
+    /// `Ok(None)` — no key realised, or an index that would not
+    /// amortise ([`Evaluator::amortises`]) — leaves the site to the scan.
+    /// The first non-empty range records the site's access path.
     fn quant_probe(
         &mut self,
         site: usize,
-        plan: &joinplan::QuantPlan,
+        probe: &SiteBranch,
         q: Quantifier<'_>,
         rel: &Relation,
         bindings: &mut Vec<Binding>,
     ) -> Result<Option<bool>, EvalError> {
-        if rel.is_empty() || !self.amortises(q.range) {
+        if rel.is_empty() {
             return Ok(None);
         }
         let schema = rel.schema();
-        let mut positions = Vec::with_capacity(plan.atoms.len());
-        let mut key = Vec::with_capacity(plan.atoms.len());
-        for (i, atom) in plan.atoms.iter().enumerate() {
-            let reason = match schema.position(&atom.attr) {
-                // E.g. the range is a selector/set-former view that no
-                // longer carries the referenced field.
-                Err(_) => QuantDemotionReason::AttrNotInSchema,
-                Ok(pos) => match self.eval_scalar(&atom.key, bindings) {
-                    Err(_) => QuantDemotionReason::KeyUnresolvable,
-                    Ok(v) if value_domain(&v) != schema.domain(pos).base() => {
-                        QuantDemotionReason::KeyTypeMismatch
-                    }
-                    Ok(v) => {
-                        positions.push(pos);
-                        key.push(v);
-                        continue;
-                    }
-                },
+        let report = !self.sites[site].reported;
+        let mut realised = Vec::new();
+        let (mut columns, mut values) = std::mem::take(&mut self.sites[site].keys);
+        columns.clear();
+        values.clear();
+        let atoms = if self.amortises(q.range) {
+            &probe.atoms[..]
+        } else {
+            &[]
+        };
+        for atom in atoms {
+            let KeySource::Free(key) = &atom.source else {
+                continue;
             };
-            self.note_demotion(site, i, atom, q.range, reason);
-        }
-        if positions.is_empty() {
-            return Ok(None);
+            if let Some((column, v)) = self.realise_free_key(schema, &atom.attr, key, bindings) {
+                columns.push(column);
+                values.push(v);
+                if report {
+                    realised.push(atom);
+                }
+            }
         }
         let id = rel.storage_id();
-        let index = match self.sites[site].index.take() {
-            Some((built_over, index)) if built_over == id && index.positions() == positions => {
-                index
-            }
-            _ => self.obtain_index(q.range, rel, &positions)?,
-        };
-        let hits = index.probe_slice(&key);
-        let decided = if plan.mode == QuantMode::Covering && hits.len() != rel.len() {
-            Ok(false)
+        let index = if columns.is_empty() {
+            None
         } else {
-            self.decide_over(q, schema, hits, bindings)
+            Some(match self.sites[site].index.take() {
+                Some((over, index)) if over == id && index.positions() == columns => index,
+                _ => self.obtain_index(q.range, rel, &columns)?,
+            })
         };
-        self.sites[site].index = Some((id, index));
-        decided.map(Some)
-    }
-
-    /// Record a demoted probe key once per site, atom and reason —
-    /// checked before anything is rendered, since the demotion may
-    /// repeat for every outer combination.
-    fn note_demotion(
-        &mut self,
-        site: usize,
-        atom_at: usize,
-        atom: &joinplan::QuantAtom,
-        range: &RangeExpr,
-        reason: QuantDemotionReason,
-    ) {
-        let demoted = &mut self.sites[site].demoted;
-        if demoted.contains(&(atom_at, reason)) {
-            return;
+        if report {
+            self.sites[site].reported = true;
+            let (schemas, cards) = ([schema], [rel.len()]);
+            let (plan, _) = joinplan::plan_branch(&probe.branch, &schemas, &cards, |_, _| None);
+            let known = |_, column| {
+                let index = index.as_deref().filter(|i| i.positions() == [column]);
+                index.map(HashIndex::distinct_keys)
+            };
+            self.note_access_path(&probe.branch, &plan, &realised, &schemas, &cards, known);
         }
-        demoted.push((atom_at, reason));
-        let (range, key) = match reason {
-            QuantDemotionReason::AttrNotInSchema => (range.to_string(), String::new()),
-            QuantDemotionReason::KeyUnresolvable => (String::new(), atom.key.to_string()),
-            _ => (String::new(), String::new()),
+        let Some(index) = index else {
+            self.sites[site].keys = (columns, values);
+            return Ok(None);
         };
-        self.plan_event(PlanEvent::QuantDemotion {
-            attr: atom.attr.clone(),
-            reason,
-            range,
-            key,
-        });
+        let hits = index.probe_slice(&values);
+        let check = if columns.len() == probe.atoms.len() {
+            &probe.residual
+        } else {
+            &probe.branch.predicate
+        };
+        // `found`: a witness, a counterexample in the falsifier's bucket,
+        // or — covering — a hit failing the check or a tuple outside.
+        let found = match probe.mode {
+            QuantMode::Covering if hits.len() != rel.len() => Ok(true),
+            mode => self.any_over(
+                q.var,
+                schema,
+                hits,
+                check,
+                mode != QuantMode::Covering,
+                bindings,
+            ),
+        };
+        self.sites[site].keys = (columns, values);
+        self.sites[site].index = Some((id, index));
+        Ok(Some(found? == (probe.mode == QuantMode::Witness)))
     }
 
-    /// The body over `tuples`, with the quantified variable bound to
-    /// each in turn (reusing one binding slot): a body witness decides
-    /// `SOME`, a body falsifier decides `ALL`, exhaustion decides the
-    /// dual. The scan, and the residual pass of every probe.
-    fn decide_over<'t>(
+    /// Is there a tuple among `tuples`, bound to `var` in turn (reusing
+    /// one binding slot), on which `check` comes out `holds`? The scan
+    /// of a quantifier, and the residual pass of every probe.
+    fn any_over<'t>(
         &mut self,
-        q: Quantifier<'_>,
+        var: &Var,
         schema: &Schema,
         tuples: impl IntoIterator<Item = &'t Tuple>,
+        check: &Formula,
+        holds: bool,
         bindings: &mut Vec<Binding>,
     ) -> Result<bool, EvalError> {
         let slot = bindings.len();
@@ -938,26 +929,22 @@ impl<'a> Evaluator<'a> {
                 bindings[slot].tuple = t.clone();
             } else {
                 bindings.push(Binding {
-                    var: q.var.clone(),
+                    var: var.clone(),
                     tuple: t.clone(),
                     schema: schema.clone(),
                 });
                 pushed = true;
             }
-            match self.eval_formula(q.body, bindings) {
-                Err(e) => {
+            match self.eval_formula(check, bindings) {
+                Ok(b) if b != holds => {}
+                found => {
                     bindings.truncate(slot);
-                    return Err(e);
+                    return found.map(|_| true);
                 }
-                Ok(b) if b == q.existential => {
-                    bindings.truncate(slot);
-                    return Ok(q.existential);
-                }
-                Ok(_) => {}
             }
         }
         bindings.truncate(slot);
-        Ok(!q.existential)
+        Ok(false)
     }
 
     /// View a correlated range as one set-former branch, the shape
@@ -1319,9 +1306,10 @@ struct QuantSite {
     /// relation it describes: while the range's value keeps that id, a
     /// probe needs neither the access cache's lock nor its counters.
     index: Option<(u64, Arc<HashIndex>)>,
-    /// Demotions already reported: (position in the probe plan's atoms,
-    /// reason).
-    demoted: Vec<(usize, QuantDemotionReason)>,
+    /// The last probe's key columns and values, buffers the next reuses.
+    keys: (Vec<usize>, Vec<Value>),
+    /// Whether the site's access path is in the planner trace.
+    reported: bool,
 }
 
 enum SitePlan {
@@ -1335,9 +1323,70 @@ enum SitePlan {
         args: Vec<(ScalarExpr, Domain)>,
         ranges: Vec<RangeExpr>,
     },
-    /// The range is evaluated and, where its value amortises an index,
-    /// probed through `probe`; otherwise scanned.
-    Range { probe: Option<joinplan::QuantPlan> },
+    /// A binding-free range with equality keys, decided through its
+    /// one-binding branch.
+    Branch(SiteBranch),
+    /// The range is evaluated and scanned.
+    Scan,
+}
+
+/// Which one-binding branch a site probes, and so what a hit means.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum QuantMode {
+    /// `SOME`, branch `nnf(body)`: a hit passing the check is a witness.
+    Witness,
+    /// `ALL`, branch `nnf(NOT body)`: a hit passing the check is a
+    /// counterexample, and a tuple outside the bucket is none.
+    Falsifier,
+    /// `ALL`, branch `nnf(body)`: a tuple outside the bucket, or a hit
+    /// failing the check, is a counterexample.
+    Covering,
+}
+
+/// A binding-free quantifier site as the one-binding branch §4's N2/N3
+/// scan: `{EACH var IN range: …}`, its equality atoms (the probe keys)
+/// and the conjunction of its residual conjuncts
+/// ([`joinplan::residual_conjuncts`]), in source order.
+struct SiteBranch {
+    mode: QuantMode,
+    branch: Branch,
+    atoms: Vec<EqAtom>,
+    residual: Formula,
+}
+
+impl SiteBranch {
+    /// Plan `SOME var IN range (body)` as `{EACH var IN range:
+    /// nnf(body)}`, and `ALL` as its falsifier `{EACH var IN range:
+    /// nnf(NOT body)}` — or, when that has no equality atom, as the
+    /// body's own branch under the covering check. `None` when the
+    /// branch has no equality atom: the site scans.
+    fn plan(q: Quantifier<'_>) -> Option<SiteBranch> {
+        let planned = |predicate: Formula| {
+            let branch = Branch::each(q.var.clone(), q.range.clone(), rewrite::to_nnf(predicate));
+            let atoms = joinplan::extract_eq_atoms(&branch);
+            (!atoms.is_empty()).then_some((branch, atoms))
+        };
+        let (mode, (branch, atoms)) = if q.existential {
+            (QuantMode::Witness, planned(q.body.clone())?)
+        } else if let Some(falsifier) = planned(q.body.clone().negate()) {
+            (QuantMode::Falsifier, falsifier)
+        } else {
+            (QuantMode::Covering, planned(q.body.clone())?)
+        };
+        let all: Vec<&EqAtom> = atoms.iter().collect();
+        // Not `Formula::and`, whose `FALSE` absorbs a conjunct's error.
+        let residual = joinplan::residual_conjuncts(&branch, &all)
+            .into_iter()
+            .cloned()
+            .reduce(|a, b| Formula::And(Box::new(a), Box::new(b)))
+            .unwrap_or(Formula::True);
+        Some(SiteBranch {
+            mode,
+            branch,
+            atoms,
+            residual,
+        })
+    }
 }
 
 /// A branch lowered for the operator loop: the steps, the probe atoms
@@ -1957,22 +2006,6 @@ mod tests {
         catalog().with_relation("Objects", objects)
     }
 
-    #[test]
-    fn quant_probe_demotes_cross_type_key() {
-        // `o.part = 1` probes a STRING column with an INTEGER key: the
-        // atom is demoted and the scan raises the as-written error.
-        let e = set_former(vec![Branch::each(
-            "r",
-            rel("Infront"),
-            some("o", rel("Objects"), eq(attr("o", "part"), cnst(1i64))),
-        )]);
-        let cat = objects_catalog();
-        assert!(matches!(
-            Evaluator::new(&cat).eval(&e),
-            Err(EvalError::CrossTypeComparison { .. })
-        ));
-    }
-
     fn scene_catalog() -> MapCatalog {
         let ontop = Relation::from_tuples(
             Schema::of(&[("top", Domain::Str), ("base", Domain::Str)]),
@@ -2003,9 +2036,11 @@ mod tests {
         )])
     }
 
-    /// No demotion or refusal in the planner trace.
+    /// No correlated range left unnested in the planner trace.
     fn no_demotions(ev: &Evaluator<'_>) -> bool {
-        !ev.plan_events().iter().any(PlanEvent::is_demotion)
+        !ev.plan_events()
+            .iter()
+            .any(|e| matches!(e, PlanEvent::NotUnnested { .. }))
     }
 
     #[test]
@@ -2046,12 +2081,153 @@ mod tests {
         assert!(no_demotions(&ev), "{:?}", ev.plan_events());
     }
 
+    /// A one-step access path: the step's variable, its probed
+    /// attributes (none for a scan) and the residual.
+    type SitePath = (String, Vec<String>, String);
+
+    /// The access paths an evaluation of `EACH r IN Infront: f` over the
+    /// objects-and-scene catalog records, with the answer.
+    fn site_paths(f: Formula) -> (Result<Relation, EvalError>, Vec<SitePath>) {
+        let ontop = scene_catalog().relation("Ontop").unwrap();
+        let nums =
+            Relation::from_tuples(Schema::of(&[("n", Domain::Int)]), [tuple![2i64]]).unwrap();
+        let cat = objects_catalog()
+            .with_relation("Ontop", ontop)
+            .with_relation("N", nums);
+        let mut ev = Evaluator::new(&cat);
+        let out = ev.eval(&set_former(vec![Branch::each("r", rel("Infront"), f)]));
+        let paths = ev
+            .plan_events()
+            .iter()
+            .filter_map(|ev| match ev {
+                PlanEvent::AccessPath {
+                    steps, residual, ..
+                } => {
+                    assert_eq!(steps.len(), 1, "a site is a one-binding branch");
+                    Some((
+                        steps[0].var.clone(),
+                        steps[0].probe_attrs.clone(),
+                        residual.clone(),
+                    ))
+                }
+                _ => None,
+            })
+            .collect();
+        (out, paths)
+    }
+
+    #[test]
+    fn quantifier_sites_explain_their_access_paths() {
+        let path = |var: &str, attrs: &[&str], residual: &str| {
+            vec![(
+                var.to_string(),
+                attrs.iter().map(ToString::to_string).collect::<Vec<_>>(),
+                residual.to_string(),
+            )]
+        };
+        let (o_part, o_kind) = (attr("o", "part"), attr("o", "kind"));
+        let cases = [
+            // Two keys, one a constant: nothing left to re-check.
+            (
+                some(
+                    "o",
+                    rel("Objects"),
+                    eq(o_part.clone(), attr("r", "back")).and(eq(cnst("decor"), o_kind.clone())),
+                ),
+                path("o", &["part", "kind"], "TRUE"),
+            ),
+            // A key recovered from under `NOT` by NNF.
+            (
+                some(
+                    "o",
+                    rel("Objects"),
+                    not(ne(o_part.clone(), attr("r", "front"))),
+                ),
+                path("o", &["part"], "TRUE"),
+            ),
+            // De Morgan: NOT (a # x OR b # y) is a = x AND b = y.
+            (
+                some(
+                    "o",
+                    rel("Objects"),
+                    not(ne(o_part.clone(), attr("r", "front"))
+                        .or(ne(o_kind.clone(), cnst("decor")))),
+                ),
+                path("o", &["part", "kind"], "TRUE"),
+            ),
+            // ALL over an implication: its falsifier collects the keys of
+            // both negated sides.
+            (
+                all(
+                    "o",
+                    rel("Ontop"),
+                    not(eq(attr("o", "base"), attr("r", "front")))
+                        .or(not(eq(attr("o", "top"), attr("r", "back")))),
+                ),
+                path("o", &["base", "top"], "TRUE"),
+            ),
+            // …and re-checks the negated consequent on each hit.
+            (
+                all(
+                    "o",
+                    rel("Ontop"),
+                    not(eq(attr("o", "base"), attr("r", "front")))
+                        .or(eq(attr("o", "top"), cnst("cup"))),
+                ),
+                path("o", &["base"], "o.top # \"cup\""),
+            ),
+            // A falsifier without a key (`o.part # r.front`): the body's
+            // own key, under the covering check.
+            (
+                all("o", rel("Objects"), eq(o_part.clone(), attr("r", "front"))),
+                path("o", &["part"], "TRUE"),
+            ),
+            // Arithmetic over the outer variable is a key; over the
+            // quantified one, or `<`, it is not: no access path at all.
+            (
+                some(
+                    "o",
+                    rel("N"),
+                    eq(attr("o", "n"), add(cnst(1i64), cnst(1i64))),
+                ),
+                path("o", &["n"], "TRUE"),
+            ),
+            (
+                some(
+                    "o",
+                    rel("N"),
+                    eq(add(attr("o", "n"), cnst(1i64)), cnst(2i64)),
+                ),
+                vec![],
+            ),
+            (
+                some("o", rel("Objects"), lt(o_part.clone(), attr("r", "front"))),
+                vec![],
+            ),
+        ];
+        for (f, expected) in cases {
+            let (out, paths) = site_paths(f.clone());
+            assert!(out.is_ok(), "{f}: {out:?}");
+            assert_eq!(paths, expected, "{f}");
+        }
+    }
+
+    #[test]
+    fn a_cross_type_site_key_scans_with_its_conjunct_in_the_residual() {
+        // `o.part = 1` probes a STRING column with an INTEGER key: the
+        // key demotes, the site scans, and the scan raises the
+        // as-written error.
+        let (out, paths) = site_paths(some("o", rel("Objects"), eq(attr("o", "part"), cnst(1i64))));
+        assert!(matches!(out, Err(EvalError::CrossTypeComparison { .. })));
+        assert_eq!(paths, [("o".to_string(), vec![], "o.part = 1".to_string())]);
+    }
+
     #[test]
     fn quant_probe_demotion_is_a_plan_event() {
         // The quantified range is a set-former view projecting `top`
-        // away (the nested-selector shape); the body atom references
-        // the missing field, so the probe must demote to the residual
-        // scan — with a planner event, not silently.
+        // away (the nested-selector shape); the body's key is on the
+        // missing field, so the site scans — and its access path says
+        // so, with the conjunct in its residual.
         let cat = scene_catalog();
         let view = set_former(vec![Branch::projecting(
             vec![attr("o", "base")],
@@ -2076,13 +2252,10 @@ mod tests {
         assert!(
             events.iter().any(|ev| matches!(
                 ev,
-                PlanEvent::QuantDemotion {
-                    attr,
-                    reason: QuantDemotionReason::AttrNotInSchema,
-                    ..
-                } if attr == "top"
+                PlanEvent::AccessPath { steps, residual, .. }
+                    if !steps[0].is_probe() && residual == "t.top = r.front"
             )),
-            "expected a demotion event, got {events:?}"
+            "expected the site's scan step, got {events:?}"
         );
         assert!(ev.plan_events().is_empty(), "take drains the trace");
     }
@@ -2155,7 +2328,7 @@ mod tests {
         assert!(!planned.contains(&tuple!["t2", "hammer"]));
         assert!(no_demotions(&ev), "{:?}", ev.plan_events());
         // `Assign` probed on `task`, then `Skill` on (`worker`, `tool`).
-        assert_eq!(metrics.snapshot().quant_probes, 2);
+        assert_eq!(metrics.snapshot().probe_plans, 2);
     }
 
     #[test]

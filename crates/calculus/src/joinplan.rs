@@ -8,8 +8,8 @@
 //! <f.front, b.back> OF EACH f, b IN Infront: f.back = b.front
 //! ```
 //!
-//! as a *join*, not as a filtered cross product. The reference
-//! evaluator's nested loops enumerate `|Infront|²` combinations; this
+//! as a *join*, not as a filtered cross product. Nested loops over
+//! the ranges enumerate `|Infront|²` combinations; this
 //! module recovers the join structure statically so the evaluator can
 //! run an **index-nested-loop join** instead: scan one range, and for
 //! every other range probe a [`dc_index::HashIndex`] keyed on the
@@ -22,7 +22,10 @@
 //!   branch-bound variable and `rhs` is a constant, a parameter, an
 //!   outer (enclosing-scope) attribute, or another branch variable's
 //!   attribute. Atoms under `OR` / `NOT` / quantifiers are *not*
-//!   extracted — they stay in the residual predicate.
+//!   extracted — they stay in the residual predicate. A quantifier
+//!   site is planned the same way, as the one-binding branch §4's
+//!   N2/N3 scan (`SOME x IN R (p)` scans `{EACH x IN R: p}`), so its
+//!   probe keys are this function's atoms too.
 //! * [`plan_branch`] orders the branch's binding positions greedily by
 //!   estimated cost, using range cardinalities and the System-R
 //!   `1/distinct` equality selectivity: at each step it picks the
@@ -101,15 +104,8 @@ pub struct BranchPlan {
 }
 
 impl BranchPlan {
-    /// Does the plan use at least one index probe? (A probe-free plan
-    /// in declaration order is exactly the reference nested loop.)
-    pub fn has_probe(&self) -> bool {
-        self.steps
-            .iter()
-            .any(|s| matches!(s.access, Access::Probe(_)))
-    }
-
-    /// The trivial plan: scan every position in declaration order.
+    /// The trivial plan: scan every position in declaration order — the
+    /// nested loop over the ranges as written.
     pub fn all_scans(n: usize) -> BranchPlan {
         BranchPlan {
             steps: (0..n)
@@ -233,151 +229,6 @@ pub(crate) fn residual_conjuncts<'b>(branch: &'b Branch, realised: &[&EqAtom]) -
         .collect()
 }
 
-/// One usable equality atom of a quantified subformula
-/// (`SOME x IN R: … x.attr = key …` or the `ALL` dual): the probed
-/// attribute on the quantified range, and the key expression, which is
-/// free of the quantified variable and therefore evaluable in the
-/// *enclosing* scope before the range is enumerated.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuantAtom {
-    /// The probed attribute name on the quantified range.
-    pub attr: String,
-    /// The key-producing expression (may reference outer variables,
-    /// parameters, and constants — anything but the quantified
-    /// variable).
-    pub key: ScalarExpr,
-}
-
-/// Extract the equality atoms of a quantifier body usable as existence
-/// probe keys — the quantifier counterpart of [`extract_eq_atoms`].
-///
-/// The body is first normalised to **negation normal form**
-/// ([`rewrite::to_nnf`]), so nested negations contribute atoms too:
-/// `NOT (o.part # r.front)` normalises to `o.part = r.front` and is
-/// extracted. After NNF, only top-level conjuncts of the form
-/// `var.attr = key` (or mirrored) qualify, where `key` avoids `var`
-/// entirely. Atoms under `OR` / nested quantifiers stay in the
-/// residual: the evaluator re-checks the *full* body on every probed
-/// tuple, so the atoms only have to be sound as a filter, never
-/// complete.
-///
-/// For `SOME` the probe result is scanned for a body witness; for
-/// `ALL` see [`plan_quant_probe`], which derives atoms from the body's
-/// *falsifier* where possible and falls back to the bucket-covers-range
-/// check otherwise.
-///
-/// ```
-/// use dc_calculus::builder::*;
-/// use dc_calculus::joinplan::extract_quant_atoms;
-/// use dc_calculus::ScalarExpr;
-///
-/// // SOME o IN Objects: o.part = r.front AND NOT (o.kind # "vase")
-/// let body = eq(attr("o", "part"), attr("r", "front"))
-///     .and(not(ne(attr("o", "kind"), cnst("vase"))));
-/// let atoms = extract_quant_atoms(&"o".to_string(), &body);
-/// assert_eq!(atoms.len(), 2);
-/// assert_eq!(atoms[0].attr, "part");
-/// // The key side is evaluable in the enclosing scope.
-/// assert!(matches!(&atoms[0].key, ScalarExpr::Attr(v, a) if v == "r" && a == "front"));
-/// assert_eq!(atoms[1].attr, "kind"); // recovered from under the NOT
-/// ```
-pub fn extract_quant_atoms(var: &Var, body: &Formula) -> Vec<QuantAtom> {
-    extract_quant_atoms_nnf(var, &rewrite::to_nnf(body.clone()))
-}
-
-/// Atom extraction over a body already in negation normal form.
-fn extract_quant_atoms_nnf(var: &Var, nnf_body: &Formula) -> Vec<QuantAtom> {
-    let mut atoms = Vec::new();
-    for c in conjuncts(nnf_body) {
-        let Formula::Cmp(l, CmpOp::Eq, r) = c else {
-            continue;
-        };
-        let as_var_attr = |e: &ScalarExpr| match e {
-            ScalarExpr::Attr(v, a) if v == var => Some(a.clone()),
-            _ => None,
-        };
-        let mentions_var = |e: &ScalarExpr| rewrite::mentions_free(e, |v| v == var);
-        match (as_var_attr(l), as_var_attr(r)) {
-            (Some(attr), None) if !mentions_var(r) => atoms.push(QuantAtom {
-                attr,
-                key: r.clone(),
-            }),
-            (None, Some(attr)) if !mentions_var(l) => atoms.push(QuantAtom {
-                attr,
-                key: l.clone(),
-            }),
-            _ => {}
-        }
-    }
-    atoms
-}
-
-/// How the atoms of a [`QuantPlan`] decide the quantifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuantMode {
-    /// `SOME`: every witness of the body satisfies the atoms, so every
-    /// witness lies inside the probed bucket — scan the bucket for one.
-    Witness,
-    /// `ALL`: the atoms come from the body's *falsifier* (the NNF of
-    /// `NOT body`), so every tuple that falsifies the body lies inside
-    /// the probed bucket — scan the bucket for a falsifier; tuples
-    /// outside it satisfy the body by construction. This is how
-    /// implication-shaped bodies (`NOT p OR q`, falsifier `p AND NOT q`)
-    /// become probe-able.
-    Falsifier,
-    /// `ALL`: the atoms come from the body itself, so any tuple
-    /// *outside* the bucket falsifies an equality conjunct and with it
-    /// the body — the quantifier can only hold if the bucket covers the
-    /// whole range (checked by cardinality before the residual pass).
-    Covering,
-}
-
-/// An index-probe plan for one quantified subformula: the extracted
-/// equality atoms plus the [`QuantMode`] describing what membership in
-/// the probed bucket means.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuantPlan {
-    /// How bucket membership decides the quantifier.
-    pub mode: QuantMode,
-    /// The usable equality atoms (probed attribute + enclosing-scope
-    /// key expression).
-    pub atoms: Vec<QuantAtom>,
-}
-
-/// Plan an index existence probe for a quantified subformula, or `None`
-/// when the body offers no usable equality atoms.
-///
-/// For `SOME`, atoms are extracted from the NNF of the body
-/// ([`QuantMode::Witness`]). For `ALL`, atoms are preferentially
-/// extracted from the NNF of the body's **negation** — the falsifier —
-/// which covers implication-shaped bodies (`NOT p OR q` has falsifier
-/// `p AND NOT q`, so `p`'s equality atoms localise every potential
-/// counterexample, [`QuantMode::Falsifier`]); when the falsifier offers
-/// no atoms, atoms from the body itself are used with the
-/// bucket-covers-range check ([`QuantMode::Covering`]).
-pub fn plan_quant_probe(var: &Var, body: &Formula, existential: bool) -> Option<QuantPlan> {
-    if existential {
-        let atoms = extract_quant_atoms(var, body);
-        return (!atoms.is_empty()).then_some(QuantPlan {
-            mode: QuantMode::Witness,
-            atoms,
-        });
-    }
-    let falsifier = rewrite::to_nnf(body.clone().negate());
-    let atoms = extract_quant_atoms_nnf(var, &falsifier);
-    if !atoms.is_empty() {
-        return Some(QuantPlan {
-            mode: QuantMode::Falsifier,
-            atoms,
-        });
-    }
-    let atoms = extract_quant_atoms(var, body);
-    (!atoms.is_empty()).then_some(QuantPlan {
-        mode: QuantMode::Covering,
-        atoms,
-    })
-}
-
 /// The System-R `1/distinct` selectivity of an equality on a column
 /// with `distinct` values; 1.0 — no information — for a count nobody
 /// knows or an empty column.
@@ -447,7 +298,7 @@ pub fn estimate_branch_rows(
 /// earlier steps) costs `cardinality × Π 1/distinct(attr)` and an
 /// unsupported position costs its full cardinality. Ties break toward
 /// declaration order, so plans are deterministic and the no-atom case
-/// degenerates to the reference scan order.
+/// degenerates to declaration order, all scans.
 ///
 /// `cards` are the ranges' cardinalities. Distinct counts are *asked
 /// for*, through `count(position, column)`, only where a decision reads
@@ -836,91 +687,6 @@ mod tests {
     }
 
     #[test]
-    fn quant_atoms_extracted_from_conjunction() {
-        // SOME o IN Objects: o.part = r.front AND o.kind = "vase"
-        let body =
-            eq(attr("o", "part"), attr("r", "front")).and(eq(cnst("vase"), attr("o", "kind")));
-        let atoms = extract_quant_atoms(&"o".to_string(), &body);
-        assert_eq!(atoms.len(), 2);
-        assert_eq!(atoms[0].attr, "part");
-        assert!(matches!(&atoms[0].key, ScalarExpr::Attr(v, a) if v == "r" && a == "front"));
-        assert_eq!(atoms[1].attr, "kind");
-        assert!(matches!(&atoms[1].key, ScalarExpr::Const(_)));
-    }
-
-    #[test]
-    fn quant_atoms_skip_var_on_both_sides_and_non_conjuncts() {
-        // o.a = o.b is not probe-able; disjunctive/negated/quantified
-        // equalities stay residual.
-        let body = eq(attr("o", "a"), attr("o", "b"))
-            .and(eq(attr("o", "a"), cnst("x")).or(eq(attr("o", "b"), cnst("y"))))
-            .and(not(eq(attr("o", "a"), cnst("z"))))
-            .and(some("i", rel("R"), eq(attr("i", "k"), attr("o", "a"))))
-            .and(lt(attr("o", "a"), cnst("w")));
-        assert!(extract_quant_atoms(&"o".to_string(), &body).is_empty());
-        // Arithmetic over the quantified variable is not a key either.
-        let arith = eq(add(attr("o", "n"), cnst(1i64)), attr("r", "n"));
-        assert!(extract_quant_atoms(&"o".to_string(), &arith).is_empty());
-        // …but arithmetic over outer variables is.
-        let outer = eq(attr("o", "n"), add(attr("r", "n"), cnst(1i64)));
-        assert_eq!(extract_quant_atoms(&"o".to_string(), &outer).len(), 1);
-    }
-
-    #[test]
-    fn quant_atoms_recovered_through_nnf() {
-        // NOT (o.part # r.front) normalises to o.part = r.front.
-        let body = not(ne(attr("o", "part"), attr("r", "front")));
-        let atoms = extract_quant_atoms(&"o".to_string(), &body);
-        assert_eq!(atoms.len(), 1);
-        assert_eq!(atoms[0].attr, "part");
-        // De Morgan: NOT (o.a # "x" OR o.b # "y") ⇒ o.a = "x" AND o.b = "y".
-        let body = not(ne(attr("o", "a"), cnst("x")).or(ne(attr("o", "b"), cnst("y"))));
-        let atoms = extract_quant_atoms(&"o".to_string(), &body);
-        assert_eq!(atoms.len(), 2);
-        assert_eq!(atoms[0].attr, "a");
-        assert_eq!(atoms[1].attr, "b");
-    }
-
-    #[test]
-    fn quant_plan_modes() {
-        let var = "o".to_string();
-        // SOME: witness atoms from the body.
-        let body = eq(attr("o", "part"), attr("r", "front"));
-        let plan = plan_quant_probe(&var, &body, true).unwrap();
-        assert_eq!(plan.mode, QuantMode::Witness);
-        assert_eq!(plan.atoms.len(), 1);
-        // ALL over an implication NOT p OR q: falsifier p AND NOT q
-        // yields p's equality atoms (NOT q contributes none here).
-        let imp = not(eq(attr("o", "base"), attr("r", "front"))).or(lt(attr("o", "n"), cnst(3i64)));
-        let plan = plan_quant_probe(&var, &imp, false).unwrap();
-        assert_eq!(plan.mode, QuantMode::Falsifier);
-        assert_eq!(plan.atoms.len(), 1);
-        assert_eq!(plan.atoms[0].attr, "base");
-        // ALL over a bare equality: no falsifier atoms (the falsifier is
-        // an inequality), covering check instead.
-        let conj = eq(attr("o", "part"), attr("r", "front"));
-        let plan = plan_quant_probe(&var, &conj, false).unwrap();
-        assert_eq!(plan.mode, QuantMode::Covering);
-        // ALL with nothing extractable on either side.
-        assert!(plan_quant_probe(&var, &lt(attr("o", "n"), cnst(3i64)), false).is_none());
-    }
-
-    #[test]
-    fn all_implication_falsifier_collects_both_sides() {
-        // ALL o (NOT (o.base = r.front) OR NOT (o.top = r.back)):
-        // falsifier = o.base = r.front AND o.top = r.back — a
-        // two-column probe key localising every counterexample.
-        let var = "o".to_string();
-        let imp = not(eq(attr("o", "base"), attr("r", "front")))
-            .or(not(eq(attr("o", "top"), attr("r", "back"))));
-        let plan = plan_quant_probe(&var, &imp, false).unwrap();
-        assert_eq!(plan.mode, QuantMode::Falsifier);
-        assert_eq!(plan.atoms.len(), 2, "{:?}", plan.atoms);
-        assert_eq!(plan.atoms[0].attr, "base");
-        assert_eq!(plan.atoms[1].attr, "top");
-    }
-
-    #[test]
     fn estimate_branch_rows_reflects_join_atoms() {
         let schema = edge_schema();
         let cards = [100, 60];
@@ -972,7 +738,6 @@ mod tests {
             &[stats(9, &[3, 3]), stats(1, &[1, 1])],
         );
         assert_eq!(plan, BranchPlan::all_scans(2));
-        assert!(!plan.has_probe());
     }
 
     #[test]

@@ -21,21 +21,21 @@
 //!   resolves relation names, scalar parameters, selectors, and
 //!   constructor applications (implemented by `dc-core`'s database).
 //! * [`eval`] — the evaluator: index-nested-loop execution of set-former
-//!   branches and index existence probes for quantifiers (both via
-//!   [`joinplan`]) — quantifiers over *correlated* ranges included,
+//!   branches and index existence probes for quantifiers, each
+//!   quantifier planned as the one-binding branch §4's N2/N3 scan (both
+//!   via [`joinplan`]) — quantifiers over *correlated* ranges included,
 //!   once [`rewrite::unnest_quantifier`] has turned them into
-//!   quantifiers over the ranges' own bindings — with the original
-//!   nested-loop semantics kept as the reference path every plan must
-//!   agree with. Chosen, demoted, and refused access paths leave a
-//!   planner trace ([`eval::Evaluator::plan_events`]).
+//!   quantifiers over the ranges' own bindings — reaching the relations
+//!   and errors of the query as written. Chosen access paths and
+//!   correlated ranges left unnested leave a planner trace
+//!   ([`eval::Evaluator::plan_events`]).
 //! * [`joinplan`] — the predicate-analysis passes: conjunctive
-//!   equality-atom extraction and scan/probe ordering for branches
-//!   ([`joinplan::plan_branch`]) and NNF-aware quantifier probe
-//!   planning ([`joinplan::plan_quant_probe`] — `SOME` witnesses, `ALL`
-//!   falsifiers for implication-shaped bodies, covering checks).
+//!   equality-atom extraction ([`joinplan::extract_eq_atoms`]), the
+//!   residual a realised key leaves, and scan/probe ordering for
+//!   branches ([`joinplan::plan_branch`]).
 //! * [`plan_event`] — the typed planner trace: [`plan_event::PlanEvent`]
-//!   values (chosen access paths with their ordering rationale,
-//!   demotion and refusal reasons), plus the rendered
+//!   values (chosen access paths with their ordering rationale, with a
+//!   demoted key in the residual; correlated ranges left unnested), plus the rendered
 //!   [`plan_event::Explanation`] report used by `EXPLAIN`.
 //! * [`positivity`] — §3.3's positivity constraint, implemented exactly
 //!   as defined (parity of enclosing `NOT`s and `ALL`-range positions).
@@ -72,4 +72,4 @@ pub use ast::{Branch, CmpOp, Formula, RangeExpr, ScalarExpr, SelectorDef, SetFor
 pub use env::Catalog;
 pub use error::EvalError;
 pub use eval::Evaluator;
-pub use plan_event::{AccessStep, Explanation, PlanEvent, QuantDemotionReason};
+pub use plan_event::{AccessStep, Explanation, PlanEvent};

@@ -2,9 +2,9 @@
 //!
 //! Each entry of the evaluator's planner trace is a [`PlanEvent`]
 //! value carrying the decision and the numbers behind it — the chosen
-//! access path per planned branch, quantifier-probe demotions (a
-//! correlated range left on the reference scan among them) — rendered
-//! for people by `Display`.
+//! access path per planned branch or quantifier site, and each
+//! correlated quantifier range left to be scanned per outer combination
+//! — rendered for people by `Display`.
 //! Typed events are what `EXPLAIN` renders, what tests assert on, what
 //! a governed abort's diagnostics carry, and what flows into `dc-trace`
 //! spans.
@@ -44,26 +44,12 @@ impl AccessStep {
     }
 }
 
-/// Why a quantifier was left (in part) to the reference scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuantDemotionReason {
-    /// The probed attribute is not in the range's schema.
-    AttrNotInSchema,
-    /// The key expression cannot be resolved in the enclosing scope.
-    KeyUnresolvable,
-    /// The key's base type differs from the probed column's.
-    KeyTypeMismatch,
-    /// The range is correlated but neither a single-branch set-former
-    /// nor a selector application that unnests: it is re-evaluated per
-    /// outer combination.
-    NotUnnested,
-}
-
 /// A structured planner decision, in first-occurrence order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanEvent {
-    /// The access path chosen for one planned branch (only recorded
-    /// when the branch had equality atoms to plan with).
+    /// The access path chosen for one planned branch — a set-former's,
+    /// or the one-binding branch a quantifier site scans — recorded
+    /// only when the branch had equality atoms to plan with.
     AccessPath {
         /// Steps in execution order with their ordering rationale.
         steps: Vec<AccessStep>,
@@ -75,34 +61,23 @@ pub enum PlanEvent {
         /// a range's cardinality is unknown.
         estimated_rows: Option<f64>,
     },
-    /// A quantifier-probe atom, or a whole correlated quantifier, fell
-    /// back to the residual scan.
-    QuantDemotion {
-        /// The probed attribute (empty for `NotUnnested`).
-        attr: String,
-        /// Why it was demoted.
-        reason: QuantDemotionReason,
-        /// Rendered range syntax (for `AttrNotInSchema` and
-        /// `NotUnnested`).
+    /// A correlated quantifier range that is neither a single-branch
+    /// set-former nor a selector application that unnests: it is
+    /// evaluated and scanned per outer combination.
+    NotUnnested {
+        /// Rendered range syntax.
         range: String,
-        /// Rendered key expression (for `KeyUnresolvable`).
-        key: String,
     },
 }
 
 impl PlanEvent {
-    /// True for events that record a fallback from a planned access
-    /// path: everything except [`PlanEvent::AccessPath`].
-    pub fn is_demotion(&self) -> bool {
-        !matches!(self, PlanEvent::AccessPath { .. })
-    }
-
     /// Build the access-path event for one planned branch from the
     /// planner's output — shared by the evaluator's live trace and the
     /// serving layer's static `EXPLAIN` preview of a prepared solve.
     /// `realised` lists the probe atoms the executor actually keyed on
     /// (the evaluator passes its compiled plan's, so a demoted key shows
-    /// up in the residual); `None` takes every planned probe atom as
+    /// up in the residual and a step none of whose keys realised renders
+    /// as the scan it runs); `None` takes every planned probe atom as
     /// realised — the static preview's view, which compiles nothing.
     /// `cards` are the ranges' cardinalities (`None`: unknown, and so is
     /// every estimate built on it); `known` answers a
@@ -147,9 +122,9 @@ impl PlanEvent {
             .iter()
             .map(|step| {
                 let p = step.position;
-                let probed: &[EqAtom] = match &step.access {
-                    Access::Scan => &[],
-                    Access::Probe(atoms) => atoms,
+                let probed: Vec<&EqAtom> = match &step.access {
+                    Access::Scan => Vec::new(),
+                    Access::Probe(atoms) => atoms.iter().filter(|a| realised.contains(a)).collect(),
                 };
                 let selectivity: f64 = probed
                     .iter()
@@ -211,33 +186,11 @@ impl fmt::Display for PlanEvent {
                     num(*estimated_rows)
                 )
             }
-            PlanEvent::QuantDemotion {
-                attr,
-                reason,
-                range,
-                key,
-            } => match reason {
-                QuantDemotionReason::AttrNotInSchema => write!(
-                    f,
-                    "quantifier probe: atom on `{attr}` demoted to residual — \
-                     attribute not in range schema ({range})"
-                ),
-                QuantDemotionReason::KeyUnresolvable => write!(
-                    f,
-                    "quantifier probe: atom on `{attr}` demoted to residual — \
-                     key expression `{key}` unresolvable in enclosing scope"
-                ),
-                QuantDemotionReason::KeyTypeMismatch => write!(
-                    f,
-                    "quantifier probe: atom on `{attr}` demoted to residual — \
-                     key type does not match probed column"
-                ),
-                QuantDemotionReason::NotUnnested => write!(
-                    f,
-                    "quantifier probe: correlated range not unnested — \
-                     reference scan ({range})"
-                ),
-            },
+            PlanEvent::NotUnnested { range } => write!(
+                f,
+                "quantifier: correlated range not unnested — scanned per outer \
+                 combination ({range})"
+            ),
         }
     }
 }
@@ -260,7 +213,7 @@ impl Explanation {
             text.push_str(&format!("├─ rows: {rows}\n"));
         }
         if events.is_empty() {
-            text.push_str("└─ no planner decisions recorded (reference scan only)\n");
+            text.push_str("└─ no planner decisions recorded (no equality keys to plan with)\n");
         } else {
             for (i, ev) in events.iter().enumerate() {
                 let branch = if i + 1 == events.len() {
@@ -290,11 +243,6 @@ impl Explanation {
             .iter()
             .filter(|e| matches!(e, PlanEvent::AccessPath { .. }))
     }
-
-    /// Demotion/refusal events only.
-    pub fn demotions(&self) -> impl Iterator<Item = &PlanEvent> {
-        self.events.iter().filter(|e| e.is_demotion())
-    }
 }
 
 impl fmt::Display for Explanation {
@@ -308,28 +256,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn demotion_renderings_name_the_reason() {
-        let ev = PlanEvent::QuantDemotion {
-            attr: String::new(),
-            reason: QuantDemotionReason::NotUnnested,
+    fn not_unnested_renders_its_range() {
+        let ev = PlanEvent::NotUnnested {
             range: "{EACH x IN R: TRUE, EACH y IN S: TRUE}".to_string(),
-            key: String::new(),
         };
         assert_eq!(
             ev.to_string(),
-            "quantifier probe: correlated range not unnested — reference scan \
-             ({EACH x IN R: TRUE, EACH y IN S: TRUE})"
-        );
-        let ev = PlanEvent::QuantDemotion {
-            attr: "dept".to_string(),
-            reason: QuantDemotionReason::KeyTypeMismatch,
-            range: String::new(),
-            key: String::new(),
-        };
-        assert_eq!(
-            ev.to_string(),
-            "quantifier probe: atom on `dept` demoted to residual — key type \
-             does not match probed column"
+            "quantifier: correlated range not unnested — scanned per outer \
+             combination ({EACH x IN R: TRUE, EACH y IN S: TRUE})"
         );
     }
 
@@ -366,6 +300,5 @@ mod tests {
         assert!(ex.text().contains("rows: 42"));
         assert!(ex.text().contains("probe b on [front]"));
         assert_eq!(ex.access_paths().count(), 1);
-        assert_eq!(ex.demotions().count(), 0);
     }
 }

@@ -629,7 +629,7 @@ pub fn target_map(target: &Target, result_names: &[String]) -> Option<FxHashMap<
 /// list"), and whole-tuple membership `var IN R` by the target's:
 /// `<t> IN R`, or `v IN R` for a target yielding the tuple of its
 /// variable `v`. An attribute the target does not produce is the
-/// reference path's `UnknownAttribute`.
+/// `UnknownAttribute` the query as written raises.
 pub fn substitute_attr_refs(
     f: &Formula,
     var: &str,

@@ -206,9 +206,9 @@ impl<'a> NamedApplication<'a> {
 /// The planner's typed decision trace for `query`, which its entry
 /// point has type-checked and rewritten ([`crate::compile::rewrite`]),
 /// rendered as an `EXPLAIN` tree: the chosen access path
-/// per branch (probe vs. scan, with the estimates behind the ordering),
-/// quantifier-plan demotions, and correlated ranges left on the
-/// reference scan, each with its reason.
+/// per branch and quantifier site (probe vs. scan, with the estimates
+/// behind the ordering, and the residual each re-checks), and the
+/// correlated ranges left to be scanned per outer combination.
 ///
 /// A [`NamedApplication`] is previewed without running its fixpoint or
 /// building an index: every branch of the constructor body in `defs`,

@@ -65,7 +65,7 @@
 //!   equation's first commit. Each task's `branch_task` span nests
 //!   under the round; the round emits a task's access path when its
 //!   branch is first planned and when the path's steps change, and each
-//!   distinct demotion once per solve.
+//!   distinct correlated range left unnested once per solve.
 //! * **Commit** applies every equation's staged output at once, the
 //!   Jacobi update: `current` moves only here. Indexes live in the
 //!   solve's one [`AccessCache`], keyed by storage identity, and the
@@ -690,7 +690,7 @@ struct PlanLog {
     /// emitted, per (equation, branch, ordinal of the path among the
     /// branch's paths in its round).
     paths: FxHashMap<(usize, usize, usize), Steps>,
-    demotions: Vec<PlanEvent>,
+    not_unnested: Vec<PlanEvent>,
     /// Paths reported so far this round, per (equation, branch).
     nth: FxHashMap<(usize, usize), usize>,
 }
@@ -698,8 +698,8 @@ struct PlanLog {
 impl PlanLog {
     /// Emit the events of the evaluator of branch `branch` of equation
     /// `eq` that are new to the solve: an access path whose steps differ
-    /// from the last one emitted in its place, a demotion not emitted
-    /// before.
+    /// from the last one emitted in its place, a `NotUnnested` not
+    /// emitted before.
     fn report(&mut self, (eq, branch): (usize, usize), events: Vec<PlanEvent>) {
         for ev in events {
             let new = match &ev {
@@ -710,9 +710,9 @@ impl PlanLog {
                     let last = self.paths.entry((eq, branch, *nth)).or_default();
                     std::mem::replace(last, steps.collect()) != *last // old != new
                 }
-                _ if self.demotions.contains(&ev) => false,
+                _ if self.not_unnested.contains(&ev) => false,
                 _ => {
-                    self.demotions.push(ev.clone());
+                    self.not_unnested.push(ev.clone());
                     true
                 }
             };
@@ -1488,7 +1488,7 @@ impl Solver {
         let overlay = Overlay::new(self, task.overrides);
         let mut ev = self.evaluator(&overlay);
         // A governed abort names the branch and carries the evaluator's
-        // demotions and degradations out with it, rendered — aborts are
+        // correlated ranges left unnested out with it, rendered — aborts are
         // atomic, so this is the only trace the solve leaves.
         let value = ev.eval(&RangeExpr::SetFormer(task.body)).map_err(|mut e| {
             if let EvalError::Solve(se) = &mut e {
@@ -1499,7 +1499,7 @@ impl Solver {
                 d.notes.extend(
                     ev.plan_events()
                         .iter()
-                        .filter(|e| e.is_demotion())
+                        .filter(|e| matches!(e, PlanEvent::NotUnnested { .. }))
                         .map(ToString::to_string),
                 );
             }

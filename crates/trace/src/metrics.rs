@@ -95,14 +95,13 @@ counters! {
     SolveEquations => solve_equations,
     /// Tuples carried in semi-naive deltas across all rounds.
     DeltaTuples => delta_tuples,
-    /// Branch plans that chose at least one index probe.
+    /// Planned branches — set-formers' and quantifier sites' — whose
+    /// access path realised at least one index probe key (counted once
+    /// per site and evaluator, when its access path is recorded).
     ProbePlans => probe_plans,
-    /// Branch plans that fell back to scans only.
+    /// Planned branches whose keys all demoted: they scan, and the
+    /// access path's residual says which conjuncts they re-check.
     ScanPlans => scan_plans,
-    /// Quantifier ranges planned as index probes.
-    QuantProbes => quant_probes,
-    /// Quantifier ranges demoted to scans (see plan events for why).
-    QuantScans => quant_scans,
     /// Warm-map hits: solved constructor results.
     WarmSolvedHits => warm_solved_hits,
     /// Warm-map misses: solved constructor results.

@@ -124,8 +124,8 @@ fn scene_database() -> Database {
 
 /// `index_build=error` inside an unnested quantifier aborts cleanly
 /// through the ordinary error channel: an injected fault is not an
-/// evaluation error the reference scan could reproduce, so the unnested
-/// site does not fall back to it — a governed abort must not be
+/// evaluation error the site's scan of its range could reproduce, so the
+/// unnested site does not fall back to it — a governed abort must not be
 /// silently papered over.
 #[test]
 fn unnested_quantifier_fault_aborts_cleanly() {

@@ -413,7 +413,7 @@ fn join_leaf_cross_type_residual_error() {
 
 /// String `<` and `sorted_tuples` follow the strings' order, never the
 /// interner's: over labels interned in *reverse* lexical order, a join
-/// with a STRING `<` residual agrees with the reference nested loops
+/// with a STRING `<` residual agrees with the oracle
 /// and with the same join computed on plain `str`s.
 #[test]
 fn string_order_ignores_interning_order() {
@@ -489,9 +489,10 @@ fn selector(name: &str, e: &str, attr_name: &str, domain: Domain) -> dc_calculus
 /// A case's expected answer: its sorted tuples, or the kind of its error.
 type Answer = Result<Vec<Tuple>, &'static str>;
 
-/// Planner shapes — probed joins, quantifier probes, unnested correlated
-/// ranges and join views, demoted keys — each answering as the oracle
-/// does, and as expected: a sorted answer, or the error's kind.
+/// Planner shapes — probed joins, quantifier sites of every mode,
+/// unnested correlated ranges and join views, demoted keys — each
+/// answering as the oracle does, and as expected: a sorted answer, or
+/// the error's kind.
 #[test]
 fn planned_cases_match_the_oracle() {
     let infront = [("vase", "table"), ("table", "chair"), ("chair", "wall")];
@@ -509,6 +510,15 @@ fn planned_cases_match_the_oracle() {
             .with_selector(selector("on_base", "o", "base", Domain::Str))
     };
     let (full, one, none) = (scene(&objects), scene(&objects[..1]), scene(&[]));
+    let stacked = |ontop: &[(&str, &str)]| {
+        MapCatalog::new()
+            .with_relation("Infront", pairs(["front", "back"], &infront))
+            .with_relation("Ontop", pairs(["top", "base"], ontop))
+    };
+    let (clean, dusty) = (
+        stacked(&[("cup", "table"), ("book", "table")]),
+        stacked(&[("cup", "table"), ("dust", "table")]),
+    );
     let assign = [("t1", "w1"), ("t1", "w2"), ("t2", "w2"), ("t3", "w3")];
     let requests = [
         ("t1", "hammer"),
@@ -566,6 +576,37 @@ fn planned_cases_match_the_oracle() {
         (&full, "{EACH r IN Infront: ALL o IN Objects (o.part = r.front)}".into(), Ok(vec![])),
         (&one, "{EACH r IN Infront: ALL o IN Objects (o.part = r.front)}".into(), pair("vase", "table")),
         (&none, "{EACH r IN Infront: ALL o IN Objects (o.part = r.front)}".into(), pairs_of(&infront)),
+        // Sites of every shape. SOME: a realised key with a residual; a
+        // cross-type key and an unknown parameter, which demote and raise
+        // as written — the parameter also beside a realised key, on the
+        // hits the probe yields.
+        (&full, "{EACH r IN Infront: SOME t IN Ontop (t.base = r.front AND t.top # \"dust\")}".into(),
+            pair("table", "chair")),
+        (&full, "{EACH r IN Infront: SOME o IN Objects (o.part = 1)}".into(), Err("cross-type")),
+        (&full, "{EACH r IN Infront: SOME o IN Objects (o.part = Ghost)}".into(), Err("unknown-param")),
+        (&full, "{EACH r IN Infront: SOME o IN Objects (o.kind = \"decor\" AND o.part = Ghost)}".into(),
+            Err("unknown-param")),
+        // Over a view: a key it keeps is probed, one it projects away
+        // (here from an ALL's falsifier) demotes and raises.
+        (&full, "{EACH r IN Infront: SOME t IN {<o.base> OF EACH o IN Ontop: TRUE} (t.base = r.front)}".into(),
+            pairs_of(&[("chair", "wall"), ("table", "chair")])),
+        (&full, "{EACH r IN Infront: ALL t IN {<o.base> OF EACH o IN Ontop: TRUE} (NOT (t.top = r.front))}".into(),
+            Err("type")),
+        // ALL over an implication whose consequent raises on a bucket
+        // tuple: the falsifier's residual raises it.
+        (&full, "{EACH r IN Infront: ALL t IN Ontop (NOT (t.base = r.front) OR t.top > 1)}".into(),
+            Err("cross-type")),
+        // ALL in covering mode with a residual: the bucket covers the
+        // range and the residual holds, covers and fails, or misses.
+        (&clean, "{EACH r IN Infront: ALL t IN Ontop (t.base = r.front AND t.top # \"dust\")}".into(),
+            pair("table", "chair")),
+        (&dusty, "{EACH r IN Infront: ALL t IN Ontop (t.base = r.front AND t.top # \"dust\")}".into(),
+            Ok(vec![])),
+        (&full, "{EACH r IN Infront: ALL t IN Ontop (t.base = r.front AND t.top # \"dust\")}".into(),
+            Ok(vec![])),
+        // A NOT-wrapped SOME with a residual.
+        (&full, "{EACH r IN Infront: NOT (SOME t IN Ontop (t.base = r.front AND t.top = \"dust\"))}".into(),
+            pairs_of(&[("table", "chair"), ("vase", "table")])),
         // Correlated ranges, unnested: SOME, ALL, a selector application;
         // an implication-shaped ALL body, probed through its falsifier.
         (&full, "{EACH r IN Infront: SOME t IN {EACH o IN Ontop: o.base = r.front AND o.top # \"dust\"} (TRUE)}".into(),
@@ -603,6 +644,7 @@ fn planned_cases_match_the_oracle() {
             .map_err(|e| match e {
                 EvalError::CrossTypeComparison { .. } => "cross-type",
                 EvalError::Type(_) => "type",
+                EvalError::UnknownParam(_) => "unknown-param",
                 _ => panic!("{q}: {e}"),
             });
         let expected = expected.map(|mut ts| {

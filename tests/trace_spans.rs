@@ -8,10 +8,11 @@
 //!   `subscription_refresh` → solve rounds → branch tasks — captured by
 //!   the in-memory [`Collector`], well-formed (no dangling parents, no
 //!   time-interval escapes), every branch task under its round.
-//! * **Typed planner traces**: a known probe demotion and a known
-//!   correlated range left on the reference scan surface as structured
-//!   [`PlanEvent`]s with their reasons, not just rendered strings;
-//!   chosen access paths carry the System-R numbers that ranked them.
+//! * **Typed planner traces**: a quantifier site whose key demotes
+//!   shows its scan step with the conjunct in the residual, and a
+//!   correlated range left to be scanned per outer combination surfaces
+//!   as a structured [`PlanEvent`], not just a rendered string; chosen
+//!   access paths carry the System-R numbers that ranked them.
 //! * **`EXPLAIN`**: `Database::explain`, `Session::explain` and
 //!   `PreparedQuery::explain` render one plan tree (header, cardinality,
 //!   events): the trace of an executed query, or the static preview of
@@ -28,7 +29,7 @@
 
 use dc_calculus::ast::Branch;
 use dc_calculus::builder::*;
-use dc_calculus::{PlanEvent, QuantDemotionReason};
+use dc_calculus::PlanEvent;
 use dc_core::{Database, Strategy};
 use dc_server::{Server, WriteBatch};
 use dc_trace::metrics::Counter;
@@ -366,9 +367,41 @@ fn database_explain_renders_access_path() {
     assert!(db.metrics().get(Counter::ProbePlans) >= 1);
 }
 
+/// `EXPLAIN` of the serving workload's quantifier queries lists each
+/// quantifier site's access path: the visibility query probes `Ontop`
+/// on `base` for both of its sites, and none of the four reads as a plan
+/// with no decisions.
+#[test]
+fn explain_lists_each_quantifier_sites_access_path() {
+    let db = scene_db();
+    let visibility = db.explain(&dc_bench::visibility_query()).unwrap();
+    for step in ["probe t on [base]", "probe b on [base]"] {
+        assert!(visibility.text().contains(step), "{visibility}");
+    }
+    for q in [
+        dc_bench::visibility_query(),
+        dc_bench::front_row_query(),
+        dc_bench::stacked_back_query(),
+        dc_bench::unburdened_front_query(),
+    ] {
+        let expl = db.explain(&q).unwrap();
+        assert!(expl.access_paths().count() >= 1, "{expl}");
+        assert!(
+            expl.access_paths()
+                .all(|p| matches!(p, PlanEvent::AccessPath { steps, .. } if steps[0].is_probe())),
+            "{expl}"
+        );
+        assert!(
+            !expl.text().contains("no planner decisions recorded"),
+            "{expl}"
+        );
+    }
+}
+
 /// A known probe demotion surfaces as a typed event: the quantified
 /// range is a view projecting `top` away while the body probes it —
-/// the planner demotes to the residual scan and records why.
+/// the site scans, and its access path keeps the conjunct in the
+/// residual.
 #[test]
 fn probe_demotion_is_a_typed_event() {
     let db = scene_db();
@@ -383,7 +416,7 @@ fn probe_demotion_is_a_typed_event() {
         some("t", view, eq(attr("t", "top"), attr("r", "front"))),
     )]);
     // The body genuinely references the projected-away field, so
-    // evaluation errors on both paths; the demotion event is recorded
+    // evaluation errors on both paths; the access path is recorded
     // before the scan raises.
     let mut ev = db.evaluator();
     assert!(ev.eval(&q).is_err());
@@ -391,13 +424,10 @@ fn probe_demotion_is_a_typed_event() {
     assert!(
         events.iter().any(|e| matches!(
             e,
-            PlanEvent::QuantDemotion {
-                attr,
-                reason: QuantDemotionReason::AttrNotInSchema,
-                ..
-            } if attr == "top"
+            PlanEvent::AccessPath { steps, residual, .. }
+                if steps.len() == 1 && !steps[0].is_probe() && residual == "t.top = r.front"
         )),
-        "expected a typed AttrNotInSchema demotion, got {events:?}"
+        "expected the site's scan step with its conjunct in the residual, got {events:?}"
     );
 }
 
@@ -419,16 +449,9 @@ fn correlated_range_left_on_the_scan_is_a_typed_event() {
     )]);
     let expl = db.explain(&q).unwrap();
     let refusals = expl
-        .demotions()
-        .filter(|e| {
-            matches!(
-                e,
-                PlanEvent::QuantDemotion {
-                    reason: QuantDemotionReason::NotUnnested,
-                    ..
-                }
-            )
-        })
+        .events()
+        .iter()
+        .filter(|e| matches!(e, PlanEvent::NotUnnested { .. }))
         .count();
     assert_eq!(refusals, 1, "{}", expl.text());
     assert!(
