@@ -168,59 +168,6 @@ impl Catalog for MapCatalog {
     }
 }
 
-/// A catalog layered over another, overriding some relation names.
-/// Used to bind formal relation parameters (`FOR Rel: …(Ontop: …)`)
-/// without copying the base catalog. Everything but relation lookup —
-/// the base's [`AccessCache`] included — is forwarded: cache entries
-/// are keyed by the storage of the relation actually read, so an
-/// override can never be served an entry of the name it shadows.
-pub struct Overlay<'a> {
-    base: &'a dyn Catalog,
-    overrides: Vec<(String, Relation)>,
-}
-
-impl<'a> Overlay<'a> {
-    /// Layer `overrides` over `base`.
-    pub fn new(base: &'a dyn Catalog, overrides: Vec<(String, Relation)>) -> Overlay<'a> {
-        Overlay { base, overrides }
-    }
-}
-
-impl Catalog for Overlay<'_> {
-    fn relation(&self, name: &str) -> Result<Relation, EvalError> {
-        if let Some((_, r)) = self.overrides.iter().find(|(n, _)| n == name) {
-            return Ok(r.clone());
-        }
-        self.base.relation(name)
-    }
-
-    fn selector(&self, name: &str) -> Result<&SelectorDef, EvalError> {
-        self.base.selector(name)
-    }
-
-    fn apply_constructor(
-        &self,
-        base: Relation,
-        name: &str,
-        args: Vec<Relation>,
-        scalar_args: Vec<Value>,
-    ) -> Result<Relation, EvalError> {
-        self.base.apply_constructor(base, name, args, scalar_args)
-    }
-
-    fn scalar_param(&self, name: &str) -> Result<Value, EvalError> {
-        self.base.scalar_param(name)
-    }
-
-    fn access(&self) -> Option<&AccessCache> {
-        self.base.access()
-    }
-
-    fn selector_scope(&self) -> Option<&dyn Catalog> {
-        Some(self.base.selector_scope().unwrap_or(self.base))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,19 +202,6 @@ mod tests {
         let empty = Relation::new(Schema::of(&[("x", Domain::Int)]));
         cat.insert_relation("R", empty);
         assert!(cat.relation("R").unwrap().is_empty());
-    }
-
-    #[test]
-    fn overlay_shadows_base() {
-        let cat = MapCatalog::new().with_relation("R", rel());
-        let empty = Relation::new(Schema::of(&[("x", Domain::Int)]));
-        let ov = Overlay::new(&cat, vec![("R".into(), empty)]);
-        assert!(ov.relation("R").unwrap().is_empty());
-        // Non-overridden names fall through.
-        assert!(matches!(
-            ov.relation("S"),
-            Err(EvalError::UnknownRelation(_))
-        ));
     }
 
     #[test]

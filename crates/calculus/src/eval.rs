@@ -51,14 +51,20 @@
 //!   injected faults propagate.
 //! * **One operator loop** — every branch runs `exec_plan`: its probe
 //!   plan when some key is realised, the declaration-order all-scan
-//!   plan otherwise. Its leaf is compiled once per branch evaluation:
-//!   the residual conjuncts and the target read branch-variable
-//!   attributes as `(binding slot, column)` pairs, while outer-variable
-//!   attributes, parameters, unknown attributes, quantifiers, and
-//!   membership tests go through [`Evaluator::eval_scalar`] /
-//!   [`Evaluator::eval_formula`] (so their values and errors are those
-//!   of the query as written).
+//!   plan otherwise. Its leaf reads branch-variable attributes, in the
+//!   residual and the target, as `(binding slot, column)` pairs, while
+//!   outer-variable attributes, parameters, unknown attributes,
+//!   quantifiers, and membership tests go through
+//!   [`Evaluator::eval_scalar`] / [`Evaluator::eval_formula`] (so their
+//!   values and errors are those of the query as written).
+//! * **Prepared branches** — a solve evaluates each task shape of a
+//!   branch once a round with one evaluator. A [`PreparedBranch`] keeps
+//!   what its syntax decides — atoms, output schema, and the leaf,
+//!   lowered again only when the order or the realised keys change — so
+//!   a round reruns the order, the keys, the indexes and the loop alone
+//!   ([`Evaluator::eval_prepared`]).
 
+use std::cell::{Cell, OnceCell, RefCell};
 use std::ops::ControlFlow;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -70,7 +76,7 @@ use dc_relation::Relation;
 use dc_value::{Attribute, Domain, FxHashMap, Schema, Tuple, Value};
 
 use dc_trace::metrics::{Counter, MetricsRegistry};
-use dc_trace::SpanKind;
+use dc_trace::{Span, SpanKind};
 
 use crate::access::AccessCache;
 use crate::ast::{ArithOp, Branch, CmpOp, Formula, RangeExpr, ScalarExpr, SetFormer, Target, Var};
@@ -104,10 +110,13 @@ pub fn value_domain(v: &Value) -> Domain {
 
 /// The planned evaluator of the calculus (see the [module docs](self)).
 ///
-/// An `Evaluator` caches binding-free range values (e.g. a base relation
-/// referenced inside a quantifier) for the duration of its lifetime;
-/// create a fresh evaluator whenever the underlying relations may have
-/// changed (the fixpoint engine creates one per iteration).
+/// An `Evaluator` keeps two kinds of state. What it derived from syntax
+/// alone — each quantifier site's plan — lasts as long as it does. What
+/// it read from values — binding-free range values (e.g. a base
+/// relation referenced inside a quantifier), realised site keys, index
+/// handles — lasts until [`Evaluator::forget_values`]. A one-shot query
+/// gets a fresh evaluator; a solve keeps one for all its round tasks
+/// and forgets the values between tasks, whose relations change.
 pub struct Evaluator<'a> {
     catalog: &'a dyn Catalog,
     /// Stack of selector-application parameter frames.
@@ -142,8 +151,11 @@ pub struct Evaluator<'a> {
     /// Typed planner trace: one access-path event per planned branch
     /// and quantifier site, each distinct `NotUnnested` once.
     plan_events: Vec<PlanEvent>,
-    /// Branch fingerprints whose access path was already recorded, so
-    /// per-combination re-plans (nested set-formers) report once.
+    /// Whether access paths are rendered into `plan_events` at all.
+    explaining: bool,
+    /// Fingerprints of the unprepared branches already planned, so
+    /// per-combination re-plans (nested set-formers) count and report
+    /// once.
     access_sites: Vec<u64>,
     /// Metrics registry to count planner decisions into, if the owner
     /// (database, solver, session) threads one through.
@@ -177,8 +189,31 @@ impl<'a> Evaluator<'a> {
             emitted: 0,
             budget: None,
             plan_events: Vec::new(),
+            explaining: true,
             access_sites: Vec::new(),
             metrics: None,
+        }
+    }
+
+    /// Render access paths into the planner trace (the default), or —
+    /// for an evaluation whose trace nobody reads — record only the
+    /// correlated ranges left unnested.
+    pub fn explaining(mut self, on: bool) -> Evaluator<'a> {
+        self.explaining = on;
+        self
+    }
+
+    /// Drop everything read from values: cached range values, the
+    /// indexes built over them, each quantifier site's last keys and
+    /// index. What was derived from syntax stays. A solve calls this
+    /// between round tasks, whose relations differ.
+    pub fn forget_values(&mut self) {
+        if !self.range_cache.is_empty() {
+            self.range_cache.clear();
+            self.private.retain(&[]);
+        }
+        for site in &mut self.sites {
+            site.index = None;
         }
     }
 
@@ -209,17 +244,17 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The typed planner trace, in first-occurrence order: one
-    /// [`PlanEvent::AccessPath`] per planned branch and quantifier site,
-    /// and each distinct [`PlanEvent::NotUnnested`] once.
+    /// [`PlanEvent::AccessPath`] per planned branch and quantifier site
+    /// (a prepared branch's again whenever its path changes), and each
+    /// distinct [`PlanEvent::NotUnnested`] once.
     pub fn plan_events(&self) -> &[PlanEvent] {
         &self.plan_events
     }
 
     /// Drain the typed planner trace — see [`Evaluator::plan_events`] —
-    /// so the evaluator does not emit it when it drops.
+    /// so the evaluator does not emit it when it drops. What it drained
+    /// is not recorded again.
     pub fn take_plan_events(&mut self) -> Vec<PlanEvent> {
-        self.access_sites.clear();
-        self.sites.iter_mut().for_each(|site| site.reported = false);
         std::mem::take(&mut self.plan_events)
     }
 
@@ -230,13 +265,22 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Record the access path chosen for one planned branch (a
-    /// set-former's or a quantifier site's) once per distinct branch, so
-    /// per-combination re-plans pay a fingerprint lookup, not an event
-    /// build. The `realised` atoms put demoted keys in the residual and
-    /// make it a probe plan or a scan plan; `known` answers distinct
-    /// counts only from what the plan holds — nothing is built to
-    /// render them.
+    /// Count one planned branch (a set-former's or a quantifier site's)
+    /// into `probe_plans`, or into `scan_plans` when no key realised.
+    fn count_plan(&self, probes: bool) {
+        if let Some(m) = &self.metrics {
+            m.inc(if probes {
+                Counter::ProbePlans
+            } else {
+                Counter::ScanPlans
+            });
+        }
+    }
+
+    /// Record the access path chosen for one planned branch. The
+    /// `realised` atoms put demoted keys in the residual and make it a
+    /// probe plan or a scan plan; `known` answers distinct counts only
+    /// from what the plan holds — nothing is built to render them.
     fn note_access_path(
         &mut self,
         branch: &Branch,
@@ -246,18 +290,6 @@ impl<'a> Evaluator<'a> {
         cards: &[usize],
         known: impl Fn(usize, usize) -> Option<usize>,
     ) {
-        let site = branch_fingerprint(branch);
-        if self.access_sites.contains(&site) {
-            return;
-        }
-        self.access_sites.push(site);
-        if let Some(m) = &self.metrics {
-            m.inc(if realised.is_empty() {
-                Counter::ScanPlans
-            } else {
-                Counter::ProbePlans
-            });
-        }
         let cards: Vec<Option<usize>> = cards.iter().copied().map(Some).collect();
         self.plan_events.push(PlanEvent::access_path_for(
             branch,
@@ -398,16 +430,19 @@ impl<'a> Evaluator<'a> {
         for branch in &sf.branches {
             // Ranges are evaluated in the enclosing scope, once per
             // branch (not per combination).
-            let mut ranges = Vec::with_capacity(branch.bindings.len());
-            for (_, r) in &branch.bindings {
-                ranges.push(self.eval_range(r, bindings)?);
-            }
+            let ranges = self.eval_ranges(branch, bindings)?;
             let schema = self.branch_schema(branch, &ranges, bindings)?;
+            let atoms = joinplan::extract_eq_atoms(branch);
+            let planned = Planned {
+                branch,
+                atoms: &atoms,
+                prepared: None,
+            };
             match &mut result {
                 // The first branch's output *is* the result so far.
                 None => {
                     let mut out = Relation::new(schema);
-                    self.eval_branch(branch, &ranges, bindings, &mut out)?;
+                    self.eval_branch(planned, &ranges, bindings, &mut out, None)?;
                     result = Some(out);
                 }
                 // Later branches emit under the result's schema into a
@@ -420,7 +455,7 @@ impl<'a> Evaluator<'a> {
                         }));
                     }
                     let mut scratch = Relation::new(rel.schema().clone());
-                    self.eval_branch(branch, &ranges, bindings, &mut scratch)?;
+                    self.eval_branch(planned, &ranges, bindings, &mut scratch, None)?;
                     dc_relation::algebra::union_into(rel, &scratch)?;
                 }
             }
@@ -430,39 +465,123 @@ impl<'a> Evaluator<'a> {
         result.ok_or_else(|| EvalError::Other("set former produced no result relation".into()))
     }
 
+    /// Evaluate a branch's binding ranges in the enclosing scope, a
+    /// named one straight from the catalog (a branch reads it once; a
+    /// quantifier's range, read per outer combination, is cached).
+    fn eval_ranges(
+        &mut self,
+        branch: &Branch,
+        bindings: &mut Vec<Binding>,
+    ) -> Result<Vec<Relation>, EvalError> {
+        let mut ranges = Vec::with_capacity(branch.bindings.len());
+        for (_, r) in &branch.bindings {
+            ranges.push(match r {
+                RangeExpr::Rel(name) => self.catalog.relation(name)?,
+                r => self.eval_range(r, bindings)?,
+            });
+        }
+        Ok(ranges)
+    }
+
+    /// Evaluate a prepared branch as the closed query `{branch}` (a
+    /// solver's round task). Only what depends on the relations its
+    /// names resolve to reruns: the order, the keys, the indexes and the
+    /// operator loop, timed into `span` as `plan_us` and `run_us`.
+    pub fn eval_prepared(
+        &mut self,
+        prepared: &PreparedBranch,
+        span: &mut Span,
+    ) -> Result<Relation, EvalError> {
+        let branch = &*prepared.branch;
+        let mut bindings = Vec::new();
+        let ranges = self.eval_ranges(branch, &mut bindings)?;
+        let schema = match prepared.schema.get() {
+            Some(schema) => schema.clone(),
+            None => {
+                let schema = self.branch_schema(branch, &ranges, &bindings)?;
+                prepared.schema.get_or_init(|| schema).clone()
+            }
+        };
+        let mut out = Relation::new(schema);
+        let planned = Planned {
+            branch,
+            atoms: &prepared.atoms,
+            prepared: Some(prepared),
+        };
+        self.eval_branch(planned, &ranges, &mut bindings, &mut out, Some(span))?;
+        Ok(out)
+    }
+
     /// Evaluate one branch: an index-nested-loop plan when the predicate
     /// offers equality atoms some probe realises, the declaration-order
     /// scan plan otherwise — both through the one operator loop
-    /// ([`Evaluator::exec_plan`]) and its compiled leaf.
+    /// ([`Evaluator::exec_plan`]) and its compiled leaf. A plan with
+    /// atoms counts the first time its branch is planned, and records
+    /// its access path then (and a prepared branch's whenever its leaf
+    /// is lowered anew: the path changed), while explaining.
     fn eval_branch(
         &mut self,
-        branch: &Branch,
+        planned: Planned<'_>,
         ranges: &[Relation],
         bindings: &mut Vec<Binding>,
         out: &mut Relation,
+        mut span: Option<&mut Span>,
     ) -> Result<(), EvalError> {
+        let Planned { branch, atoms, .. } = planned;
+        let mut lap = |key: &'static str| span.as_mut().map_or((), |s| s.lap(key));
         // Zero combinations: nothing to emit.
         if ranges.iter().any(Relation::is_empty) && !branch.bindings.is_empty() {
+            lap("plan_us");
+            lap("run_us");
             return Ok(());
         }
-        if !branch.bindings.is_empty() {
-            // Cheap AST walk first: atom-free branches go straight to
-            // the scan plan.
-            if !joinplan::extract_eq_atoms(branch).is_empty() {
-                let schemas: Vec<&Schema> = ranges.iter().map(Relation::schema).collect();
-                let cards: Vec<usize> = ranges.iter().map(Relation::len).collect();
-                // The planner asks for a distinct count only where a
-                // decision reads it; the answer is a bucket count.
-                let mut failed = None;
-                let (plan, asked) = joinplan::plan_branch(branch, &schemas, &cards, |p, column| {
-                    self.distinct_count(&branch.bindings[p].1, &ranges[p], column)
-                        .map_err(|e| failed.get_or_insert(e))
-                        .ok()
-                });
-                if let Some(e) = failed {
-                    return Err(e);
+        let schemas: Vec<&Schema> = ranges.iter().map(Relation::schema).collect();
+        let cards: Vec<usize> = ranges.iter().map(Relation::len).collect();
+        // The planner asks for a distinct count only where a decision
+        // reads it; the answer is a bucket count. Atom-free: all scans.
+        let mut failed = None;
+        let (plan, asked) = joinplan::plan_branch(branch, atoms, &schemas, &cards, |p, column| {
+            self.distinct_count(&branch.bindings[p].1, &ranges[p], column)
+                .map_err(|e| failed.get_or_insert(e))
+                .ok()
+        });
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        let mut probed = None;
+        if !atoms.is_empty() {
+            let probes = self.compile_steps(branch, &plan, ranges, bindings)?;
+            let first = match planned.prepared {
+                Some(prepared) => !prepared.counted.replace(true),
+                None => {
+                    let site = branch_fingerprint(branch);
+                    !self.access_sites.contains(&site) && {
+                        self.access_sites.push(site);
+                        true
+                    }
                 }
-                let compiled = self.compile_plan(branch, &plan, ranges, bindings)?;
+            };
+            if first {
+                self.count_plan(!probes.realised.is_empty());
+            }
+            probed = Some((probes, first));
+        }
+        let all_scans = BranchPlan::all_scans(cards.len());
+        let scans;
+        let compiled = match &probed {
+            Some((probes, _)) if !probes.realised.is_empty() => probes,
+            _ => {
+                scans = self.compile_steps(branch, &all_scans, ranges, bindings)?;
+                &scans
+            }
+        };
+        let lower = || lower_leaf(branch, &compiled.slot_of, ranges, &compiled.realised);
+        let (leaf, lowered) = match planned.prepared {
+            Some(prepared) => prepared.leaf(&compiled.slot_of, &compiled.realised, lower)?,
+            None => (Rc::new(lower()?), true),
+        };
+        if let Some((probes, first)) = probed.as_ref().filter(|_| self.explaining) {
+            if planned.prepared.map_or(*first, |_| lowered) {
                 let known = |position: usize, column: usize| {
                     let held = |step: &CompiledStep| match &step.access {
                         CompiledAccess::Probe { index, .. }
@@ -476,37 +595,32 @@ impl<'a> Evaluator<'a> {
                         .iter()
                         .find(|c| (c.position, c.column) == (position, column))
                         .and_then(|c| c.distinct)
-                        .or_else(|| compiled.steps.iter().find_map(held))
+                        .or_else(|| probes.steps.iter().find_map(held))
                 };
-                self.note_access_path(branch, &plan, &compiled.realised, &schemas, &cards, known);
-                if !compiled.realised.is_empty() {
-                    return self.exec_plan(branch, &compiled, ranges, 0, bindings, out);
-                }
+                self.note_access_path(branch, &plan, &probes.realised, &schemas, &cards, known);
             }
         }
-        let scans = BranchPlan::all_scans(branch.bindings.len());
-        let compiled = self.compile_plan(branch, &scans, ranges, bindings)?;
-        self.exec_plan(branch, &compiled, ranges, 0, bindings, out)
+        lap("plan_us");
+        self.exec_plan(branch, (&compiled.steps, &leaf), ranges, 0, bindings, out)?;
+        lap("run_us");
+        Ok(())
     }
 
-    /// Lower a logical plan to executable steps and leaf: resolve
-    /// attribute positions, realise keys (free ones by
-    /// [`Evaluator::realise_free_key`]), bind probe indexes. An atom that
-    /// cannot be realised safely — an unknown attribute, an unresolvable
-    /// key, a key whose base type differs from the probed column's — is
-    /// demoted back to the residual predicate. The leaf re-checks
-    /// exactly the conjuncts no realised key decides
-    /// ([`joinplan::residual_conjuncts`]) and reads branch-variable
-    /// attributes, there and in the target, at their
-    /// `(binding slot, column)`. The only error channel is index
-    /// acquisition (a governed abort or an injected fault).
-    fn compile_plan<'b>(
+    /// Lower a logical plan's steps: resolve attribute positions, realise
+    /// keys (free ones by [`Evaluator::realise_free_key`]), bind probe
+    /// indexes. An atom that cannot be realised safely — an unknown
+    /// attribute, an unresolvable key, a key whose base type differs
+    /// from the probed column's — is demoted back to the residual
+    /// predicate, which the leaf ([`lower_leaf`]) re-checks. The only
+    /// error channel is index acquisition (a governed abort or an
+    /// injected fault).
+    fn compile_steps<'b>(
         &mut self,
-        branch: &'b Branch,
+        branch: &Branch,
         plan: &'b BranchPlan,
         ranges: &[Relation],
         bindings: &[Binding],
-    ) -> Result<CompiledPlan<'b>, EvalError> {
+    ) -> Result<CompiledSteps<'b>, EvalError> {
         let base_slot = bindings.len();
         let mut slot_of = vec![usize::MAX; branch.bindings.len()];
         let mut steps = Vec::with_capacity(plan.steps.len());
@@ -579,32 +693,10 @@ impl<'a> Evaluator<'a> {
                 access,
             });
         }
-        let slots = LeafSlots {
-            branch,
-            slot_of: &slot_of,
-            ranges,
-        };
-        let target = match &branch.target {
-            Target::Var(v) => LeafTarget::Whole(
-                slots
-                    .slot(v)
-                    .ok_or_else(|| EvalError::UnboundVariable(v.clone()))?,
-            ),
-            Target::Tuple(exprs) => {
-                LeafTarget::Tuple(exprs.iter().map(|e| slots.scalar(e)).collect())
-            }
-        };
-        let leaf = CompiledLeaf {
-            residual: joinplan::residual_conjuncts(branch, &realised)
-                .into_iter()
-                .map(|c| slots.formula(c))
-                .collect(),
-            target,
-        };
-        Ok(CompiledPlan {
+        Ok(CompiledSteps {
             steps,
             realised,
-            leaf,
+            slot_of,
         })
     }
 
@@ -735,7 +827,7 @@ impl<'a> Evaluator<'a> {
                 plan,
                 index: None,
                 keys: Default::default(),
-                reported: false,
+                counted: false,
             });
             self.sites.len() - 1
         })
@@ -828,7 +920,8 @@ impl<'a> Evaluator<'a> {
     /// against the residual — the whole predicate if a key demoted.
     /// `Ok(None)` — no key realised, or an index that would not
     /// amortise ([`Evaluator::amortises`]) — leaves the site to the scan.
-    /// The first non-empty range records the site's access path.
+    /// The first non-empty range counts the site's plan and, while
+    /// explaining, records its access path.
     fn quant_probe(
         &mut self,
         site: usize,
@@ -841,7 +934,8 @@ impl<'a> Evaluator<'a> {
             return Ok(None);
         }
         let schema = rel.schema();
-        let report = !self.sites[site].reported;
+        let count = !self.sites[site].counted;
+        let report = count && self.explaining;
         let mut realised = Vec::new();
         let (mut columns, mut values) = std::mem::take(&mut self.sites[site].keys);
         columns.clear();
@@ -872,10 +966,14 @@ impl<'a> Evaluator<'a> {
                 _ => self.obtain_index(q.range, rel, &columns)?,
             })
         };
+        if count {
+            self.sites[site].counted = true;
+            self.count_plan(!columns.is_empty());
+        }
         if report {
-            self.sites[site].reported = true;
             let (schemas, cards) = ([schema], [rel.len()]);
-            let (plan, _) = joinplan::plan_branch(&probe.branch, &schemas, &cards, |_, _| None);
+            let (plan, _) =
+                joinplan::plan_branch(&probe.branch, &probe.atoms, &schemas, &cards, |_, _| None);
             let known = |_, column| {
                 let index = index.as_deref().filter(|i| i.positions() == [column]);
                 index.map(HashIndex::distinct_keys)
@@ -986,16 +1084,17 @@ impl<'a> Evaluator<'a> {
     fn exec_plan(
         &mut self,
         branch: &Branch,
-        plan: &CompiledPlan<'_>,
+        plan: (&[CompiledStep], &CompiledLeaf),
         ranges: &[Relation],
         depth: usize,
         bindings: &mut Vec<Binding>,
         out: &mut Relation,
     ) -> Result<(), EvalError> {
-        if depth == plan.steps.len() {
-            return self.emit_compiled(&plan.leaf, bindings, out);
+        let (steps, leaf) = plan;
+        if depth == steps.len() {
+            return self.emit_compiled(leaf, bindings, out);
         }
-        let step = &plan.steps[depth];
+        let step = &steps[depth];
         let (var, _) = &branch.bindings[step.position];
         let rel = &ranges[step.position];
         let slot = bindings.len();
@@ -1072,11 +1171,12 @@ impl<'a> Evaluator<'a> {
 
     /// The operator loop's leaf: tick the budget, re-check the residual
     /// conjuncts in source order (short-circuiting on the first false),
-    /// then emit the target tuple — schema-checked, as a branch's
-    /// path.
+    /// then emit the target tuple — schema-checked only where the leaf
+    /// says: a whole bound tuple, a column read and a constant are in
+    /// the domain the output schema took from them.
     fn emit_compiled(
         &mut self,
-        leaf: &CompiledLeaf<'_>,
+        leaf: &CompiledLeaf,
         bindings: &mut Vec<Binding>,
         out: &mut Relation,
     ) -> Result<(), EvalError> {
@@ -1101,7 +1201,11 @@ impl<'a> Evaluator<'a> {
                 tuple
             }
         };
-        out.insert(tuple)?;
+        if leaf.checked {
+            out.insert(tuple)?;
+        } else {
+            out.insert_unchecked(tuple)?;
+        }
         self.emitted += 1;
         if let Some(m) = &self.budget {
             m.add_tuples(1).map_err(SolveError::from_trip)?;
@@ -1114,7 +1218,7 @@ impl<'a> Evaluator<'a> {
     /// [`Evaluator::eval_formula`].
     fn leaf_formula(
         &mut self,
-        f: &LeafFormula<'_>,
+        f: &LeafFormula,
         bindings: &mut Vec<Binding>,
     ) -> Result<bool, EvalError> {
         match f {
@@ -1137,11 +1241,7 @@ impl<'a> Evaluator<'a> {
     /// Evaluate a compiled scalar: a slot-resolved field is read
     /// straight from its bound tuple, everything else computed as
     /// [`Evaluator::eval_scalar`] would.
-    fn leaf_scalar(
-        &mut self,
-        e: &LeafScalar<'_>,
-        bindings: &[Binding],
-    ) -> Result<Value, EvalError> {
+    fn leaf_scalar(&mut self, e: &LeafScalar, bindings: &[Binding]) -> Result<Value, EvalError> {
         Ok(match e {
             LeafScalar::Field { slot, col } => *bindings[*slot].tuple.get(*col),
             LeafScalar::Const(v) => *v,
@@ -1308,8 +1408,9 @@ struct QuantSite {
     index: Option<(u64, Arc<HashIndex>)>,
     /// The last probe's key columns and values, buffers the next reuses.
     keys: (Vec<usize>, Vec<Value>),
-    /// Whether the site's access path is in the planner trace.
-    reported: bool,
+    /// Whether the site's plan is counted (and, while explaining, its
+    /// access path recorded).
+    counted: bool,
 }
 
 enum SitePlan {
@@ -1389,52 +1490,153 @@ impl SiteBranch {
     }
 }
 
-/// A branch lowered for the operator loop: the steps, the probe atoms
-/// they realised (which decide their conjuncts, so the leaf skips them),
-/// and the leaf itself. Built once per branch evaluation.
-struct CompiledPlan<'b> {
+/// A branch prepared for repeated evaluation as a closed query (a
+/// solver's task shape): its equality atoms, and — from its first
+/// evaluation — its output schema, its last lowered leaf (with the
+/// slots and realised atoms it was lowered for) and whether its plan is
+/// counted. All of it is keyed by syntax: the relations may change.
+pub struct PreparedBranch {
+    branch: Arc<Branch>,
+    atoms: Vec<EqAtom>,
+    schema: OnceCell<Schema>,
+    leaf: RefCell<Option<Lowered>>,
+    counted: Cell<bool>,
+}
+
+/// A lowered leaf, with the slots and realised atoms it was lowered for.
+type Lowered = (Vec<usize>, Vec<EqAtom>, Rc<CompiledLeaf>);
+
+impl PreparedBranch {
+    /// Prepare `branch`: extract its equality atoms once.
+    pub fn new(branch: Branch) -> PreparedBranch {
+        PreparedBranch {
+            atoms: joinplan::extract_eq_atoms(&branch),
+            branch: Arc::new(branch),
+            schema: OnceCell::new(),
+            leaf: RefCell::new(None),
+            counted: Cell::new(false),
+        }
+    }
+
+    /// The leaf for these slots and realised atoms — the last one, or a
+    /// new one from `lower` — and whether it is new.
+    fn leaf(
+        &self,
+        slot_of: &[usize],
+        realised: &[&EqAtom],
+        lower: impl FnOnce() -> Result<CompiledLeaf, EvalError>,
+    ) -> Result<(Rc<CompiledLeaf>, bool), EvalError> {
+        let mut memo = self.leaf.borrow_mut();
+        if let Some((slots, atoms, leaf)) = &*memo {
+            if slots == slot_of && atoms.iter().eq(realised.iter().copied()) {
+                return Ok((leaf.clone(), false));
+            }
+        }
+        let leaf = Rc::new(lower()?);
+        let atoms = realised.iter().map(|a| (*a).clone()).collect();
+        *memo = Some((slot_of.to_vec(), atoms, leaf.clone()));
+        Ok((leaf, true))
+    }
+}
+
+/// A branch to plan, its equality atoms, and its prepared form if any.
+#[derive(Clone, Copy)]
+struct Planned<'p> {
+    branch: &'p Branch,
+    atoms: &'p [EqAtom],
+    prepared: Option<&'p PreparedBranch>,
+}
+
+/// A plan's steps lowered for the operator loop, the probe atoms they
+/// realised (which decide their conjuncts, so the leaf skips them), and
+/// the stack slot each binding position is bound at.
+struct CompiledSteps<'b> {
     steps: Vec<CompiledStep>,
     realised: Vec<&'b EqAtom>,
-    leaf: CompiledLeaf<'b>,
+    slot_of: Vec<usize>,
 }
 
 /// What the operator loop does per surviving combination: re-check the
-/// residual conjuncts, then build the target.
-struct CompiledLeaf<'b> {
-    residual: Vec<LeafFormula<'b>>,
-    target: LeafTarget<'b>,
+/// residual conjuncts, then build the target — schema-checked when a
+/// field is computed (arithmetic or interpreted), or when the branch
+/// binds a name twice (the schema takes the first binding's range, the
+/// value the innermost's).
+struct CompiledLeaf {
+    residual: Vec<LeafFormula>,
+    target: LeafTarget,
+    checked: bool,
 }
 
-enum LeafTarget<'b> {
+enum LeafTarget {
     /// `Target::Var`: the tuple bound at this slot, whole.
     Whole(usize),
-    Tuple(Vec<LeafScalar<'b>>),
+    Tuple(Vec<LeafScalar>),
 }
 
 /// A residual formula with its comparison operands resolved. Connectives
 /// over comparisons compile; everything else — `TRUE`/`FALSE`,
 /// quantifiers, membership tests — is evaluated by the interpreter.
-enum LeafFormula<'b> {
-    Cmp(LeafScalar<'b>, CmpOp, LeafScalar<'b>),
-    And(Box<LeafFormula<'b>>, Box<LeafFormula<'b>>),
-    Or(Box<LeafFormula<'b>>, Box<LeafFormula<'b>>),
-    Not(Box<LeafFormula<'b>>),
-    Interpreted(&'b Formula),
+enum LeafFormula {
+    Cmp(LeafScalar, CmpOp, LeafScalar),
+    And(Box<LeafFormula>, Box<LeafFormula>),
+    Or(Box<LeafFormula>, Box<LeafFormula>),
+    Not(Box<LeafFormula>),
+    Interpreted(Formula),
 }
 
 /// A residual or target scalar with branch-variable attributes resolved.
-enum LeafScalar<'b> {
+enum LeafScalar {
     /// Column `col` of the tuple bound at stack slot `slot`.
     Field {
         slot: usize,
         col: usize,
     },
     Const(Value),
-    Arith(Box<LeafScalar<'b>>, ArithOp, Box<LeafScalar<'b>>),
+    Arith(Box<LeafScalar>, ArithOp, Box<LeafScalar>),
     /// Outer-variable attributes, parameters, and attributes missing
     /// from the range's schema: the interpreter resolves them per row,
     /// and raises exactly the as-written errors.
-    Interpreted(&'b ScalarExpr),
+    Interpreted(ScalarExpr),
+}
+
+/// Lower a branch's leaf for a plan that binds position `p` at stack
+/// slot `slot_of[p]` and realised the `realised` atoms: the residual
+/// they leave, and the target.
+fn lower_leaf(
+    branch: &Branch,
+    slot_of: &[usize],
+    ranges: &[Relation],
+    realised: &[&EqAtom],
+) -> Result<CompiledLeaf, EvalError> {
+    let slots = LeafSlots {
+        branch,
+        slot_of,
+        ranges,
+    };
+    let target = match &branch.target {
+        Target::Var(v) => LeafTarget::Whole(
+            slots
+                .slot(v)
+                .ok_or_else(|| EvalError::UnboundVariable(v.clone()))?,
+        ),
+        Target::Tuple(exprs) => LeafTarget::Tuple(exprs.iter().map(|e| slots.scalar(e)).collect()),
+    };
+    let computed = match &target {
+        LeafTarget::Tuple(fields) => fields
+            .iter()
+            .any(|f| matches!(f, LeafScalar::Arith(..) | LeafScalar::Interpreted(_))),
+        LeafTarget::Whole(_) => false,
+    };
+    let vars: Vec<&Var> = branch.bindings.iter().map(|(v, _)| v).collect();
+    let rebinds = (1..vars.len()).any(|i| vars[..i].contains(&vars[i]));
+    Ok(CompiledLeaf {
+        residual: joinplan::residual_conjuncts(branch, realised)
+            .into_iter()
+            .map(|c| slots.formula(c))
+            .collect(),
+        target,
+        checked: computed || rebinds,
+    })
 }
 
 /// Where a compiled plan binds each branch variable — the table leaf
@@ -1460,7 +1662,7 @@ impl LeafSlots<'_> {
             .max_by_key(|&p| self.slot_of[p])
     }
 
-    fn scalar<'b>(&self, e: &'b ScalarExpr) -> LeafScalar<'b> {
+    fn scalar(&self, e: &ScalarExpr) -> LeafScalar {
         match e {
             ScalarExpr::Const(v) => LeafScalar::Const(*v),
             ScalarExpr::Attr(var, attr) => {
@@ -1471,16 +1673,16 @@ impl LeafSlots<'_> {
                         col,
                     })
                 });
-                field.unwrap_or(LeafScalar::Interpreted(e))
+                field.unwrap_or_else(|| LeafScalar::Interpreted(e.clone()))
             }
             ScalarExpr::Arith(l, op, r) => {
                 LeafScalar::Arith(Box::new(self.scalar(l)), *op, Box::new(self.scalar(r)))
             }
-            ScalarExpr::Param(_) => LeafScalar::Interpreted(e),
+            ScalarExpr::Param(_) => LeafScalar::Interpreted(e.clone()),
         }
     }
 
-    fn formula<'b>(&self, f: &'b Formula) -> LeafFormula<'b> {
+    fn formula(&self, f: &Formula) -> LeafFormula {
         match f {
             Formula::Cmp(l, op, r) => LeafFormula::Cmp(self.scalar(l), *op, self.scalar(r)),
             Formula::And(a, b) => {
@@ -1490,7 +1692,7 @@ impl LeafSlots<'_> {
                 LeafFormula::Or(Box::new(self.formula(a)), Box::new(self.formula(b)))
             }
             Formula::Not(inner) => LeafFormula::Not(Box::new(self.formula(inner))),
-            _ => LeafFormula::Interpreted(f),
+            _ => LeafFormula::Interpreted(f.clone()),
         }
     }
 }

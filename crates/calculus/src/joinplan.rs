@@ -300,7 +300,8 @@ pub fn estimate_branch_rows(
 /// declaration order, so plans are deterministic and the no-atom case
 /// degenerates to declaration order, all scans.
 ///
-/// `cards` are the ranges' cardinalities. Distinct counts are *asked
+/// `atoms` are the branch's [`extract_eq_atoms`], extracted once by the
+/// caller. `cards` are the ranges' cardinalities. Distinct counts are *asked
 /// for*, through `count(position, column)`, only where a decision reads
 /// them: for the usable atoms of each candidate of a step that compares
 /// two or more candidates — once per (position, column). The last step
@@ -312,7 +313,7 @@ pub fn estimate_branch_rows(
 /// ```
 /// use dc_calculus::ast::Branch;
 /// use dc_calculus::builder::*;
-/// use dc_calculus::joinplan::{plan_branch, Access};
+/// use dc_calculus::joinplan::{extract_eq_atoms, plan_branch, Access};
 /// use dc_value::{Domain, Schema};
 ///
 /// // The paper's §2.3 join: <f.front, b.back> OF EACH f, b IN Infront:
@@ -323,7 +324,9 @@ pub fn estimate_branch_rows(
 ///     eq(attr("f", "back"), attr("b", "front")),
 /// );
 /// let schema = Schema::of(&[("front", Domain::Str), ("back", Domain::Str)]);
-/// let (plan, asked) = plan_branch(&branch, &[&schema, &schema], &[100, 100], |_, _| Some(50));
+/// let atoms = extract_eq_atoms(&branch);
+/// let (plan, asked) =
+///     plan_branch(&branch, &atoms, &[&schema, &schema], &[100, 100], |_, _| Some(50));
 /// // One range is scanned, the other probed through a hash index on
 /// // the equality column — an index-nested-loop join, not a cross
 /// // product — and no decision needed a distinct count.
@@ -333,6 +336,7 @@ pub fn estimate_branch_rows(
 /// ```
 pub fn plan_branch(
     branch: &Branch,
+    atoms: &[EqAtom],
     schemas: &[&Schema],
     cards: &[usize],
     mut count: impl FnMut(usize, usize) -> Option<usize>,
@@ -341,7 +345,6 @@ pub fn plan_branch(
     debug_assert_eq!(schemas.len(), n);
     debug_assert_eq!(cards.len(), n);
     let mut asked: Vec<DistinctCount> = Vec::new();
-    let atoms = extract_eq_atoms(branch);
     if atoms.is_empty() {
         return (BranchPlan::all_scans(n), asked);
     }
@@ -364,45 +367,34 @@ pub fn plan_branch(
     let mut steps = Vec::with_capacity(n);
     for remaining in (1..=n).rev() {
         let compared = remaining > 1;
-        let mut best: Option<(f64, usize, Vec<EqAtom>)> = None;
+        let mut best: Option<(f64, usize, bool)> = None;
         for p in (0..n).filter(|&p| !bound[p]) {
-            let usable: Vec<EqAtom> = atoms
-                .iter()
-                .filter(|a| {
-                    a.position == p
-                        && match &a.source {
-                            KeySource::Free(_) => true,
-                            KeySource::Binding { position, .. } => bound[*position],
-                        }
-                })
-                .cloned()
-                .collect();
             let mut est = cards[p] as f64;
-            if compared {
-                for a in &usable {
-                    if let Ok(column) = schemas[p].position(&a.attr) {
-                        est *= eq_selectivity(distinct(p, column));
-                    }
+            let mut probes = false;
+            for a in usable(atoms, p, &bound) {
+                probes = true;
+                if let (true, Ok(column)) = (compared, schemas[p].position(&a.attr)) {
+                    est *= eq_selectivity(distinct(p, column));
                 }
             }
             // Prefer probes over scans at equal estimates.
-            let better = match &best {
+            let better = match best {
                 None => true,
-                Some((best_est, _, best_atoms)) => {
-                    est < *best_est
-                        || (est == *best_est && best_atoms.is_empty() && !usable.is_empty())
+                Some((best_est, _, best_probes)) => {
+                    est < best_est || (est == best_est && !best_probes && probes)
                 }
             };
             if better {
-                best = Some((est, p, usable));
+                best = Some((est, p, probes));
             }
         }
         // `remaining` counts the unbound positions, so the inner loop
         // always proposes a candidate.
-        let Some((_, p, usable)) = best else {
+        let Some((_, p, _)) = best else {
             debug_assert!(false, "an unbound position always exists");
             break;
         };
+        let usable: Vec<EqAtom> = usable(atoms, p, &bound).cloned().collect();
         bound[p] = true;
         steps.push(PlanStep {
             position: p,
@@ -414,6 +406,22 @@ pub fn plan_branch(
         });
     }
     (BranchPlan { steps }, asked)
+}
+
+/// The atoms probing position `p` whose keys are available once the
+/// `bound` positions are: free ones, and those read from a bound one.
+fn usable<'a>(
+    atoms: &'a [EqAtom],
+    p: usize,
+    bound: &'a [bool],
+) -> impl Iterator<Item = &'a EqAtom> {
+    atoms.iter().filter(move |a| {
+        a.position == p
+            && match &a.source {
+                KeySource::Free(_) => true,
+                KeySource::Binding { position, .. } => bound[*position],
+            }
+    })
 }
 
 #[cfg(test)]
@@ -512,7 +520,8 @@ mod tests {
     ) -> (BranchPlan, Vec<DistinctCount>) {
         let cards: Vec<usize> = stats.iter().map(|s| s.cardinality).collect();
         let mut calls = 0;
-        let (plan, asked) = plan_branch(branch, schemas, &cards, |p, c| {
+        let atoms = extract_eq_atoms(branch);
+        let (plan, asked) = plan_branch(branch, &atoms, schemas, &cards, |p, c| {
             calls += 1;
             stats[p].distinct.get(c).copied()
         });

@@ -22,7 +22,8 @@ use crate::joinplan::{self, Access, BranchPlan, EqAtom};
 pub struct AccessStep {
     /// Binding position (declaration order) this step enumerates.
     pub position: usize,
-    /// The bound variable at that position.
+    /// The bound variable at that position, as the query names it (an
+    /// unnested quantifier's internal variable by the one it replaced).
     pub var: String,
     /// Attributes probed through a hash index; empty means a scan.
     pub probe_attrs: Vec<String>,
@@ -108,7 +109,7 @@ impl PlanEvent {
             }
         };
         let residual = joinplan::residual_conjuncts(branch, realised);
-        let residual = if residual.is_empty() {
+        let mut residual = if residual.is_empty() {
             "TRUE".to_string()
         } else {
             residual
@@ -117,6 +118,11 @@ impl PlanEvent {
                 .collect::<Vec<_>>()
                 .join(" AND ")
         };
+        for (var, _) in &branch.bindings {
+            if as_written(var) != var {
+                residual = residual.replace(&format!("{var}."), &format!("{}.", as_written(var)));
+            }
+        }
         let steps = plan
             .steps
             .iter()
@@ -133,7 +139,7 @@ impl PlanEvent {
                     .product();
                 AccessStep {
                     position: p,
-                    var: branch.bindings[p].0.clone(),
+                    var: as_written(&branch.bindings[p].0).to_string(),
                     probe_attrs: probed.iter().map(|a| a.attr.clone()).collect(),
                     cardinality: cards[p],
                     selectivity,
@@ -152,6 +158,19 @@ impl PlanEvent {
             estimated_rows,
         }
     }
+}
+
+/// The variable the query names: a quantifier the unnesting rewrite
+/// introduced binds `Δ{n}_v` (`Δ` can be no identifier's first
+/// character), and `v` is what the user wrote.
+fn as_written(mut var: &str) -> &str {
+    while let Some((n, v)) = var.strip_prefix('Δ').and_then(|v| v.split_once('_')) {
+        if n.is_empty() || !n.bytes().all(|b| b.is_ascii_digit()) {
+            break;
+        }
+        var = v;
+    }
+    var
 }
 
 impl fmt::Display for PlanEvent {

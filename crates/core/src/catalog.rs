@@ -272,7 +272,8 @@ fn preview<C: Catalog + SchemaCatalog>(
             let rel = named[p].as_ref()?;
             Some(cat.access()?.cached(rel, &[column])?.distinct_keys())
         };
-        let (plan, _) = joinplan::plan_branch(branch, &schemas, &planned, cached);
+        let atoms = joinplan::extract_eq_atoms(branch);
+        let (plan, _) = joinplan::plan_branch(branch, &atoms, &schemas, &planned, cached);
         events.push(PlanEvent::access_path_for(
             branch, &plan, None, &schemas, &cards, cached,
         ));

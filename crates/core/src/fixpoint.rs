@@ -54,11 +54,14 @@
 //! `evaluate_us` and `commit_us` of its one `round` trace record:
 //!
 //! * **Prep** reads solver state and builds the round's branch tasks:
-//!   one branch each, its formals and its delta or value markers bound
-//!   in the task's own overrides.
+//!   one prepared task shape each — built when its equation is seeded
+//!   (a warm phase's on first use): the branch with its delta or value
+//!   markers, its equality atoms, its schema and leaf — and the
+//!   relations bound under its markers this round.
 //! * **Evaluate** runs the tasks in task order (equation-ascending,
-//!   then branch order), each through an overlay over the solver's own
-//!   catalog, and stages each output under its equation. Base names
+//!   then branch order) with the round loop's one evaluator, each task's
+//!   formals and markers bound over the solver's own catalog while it
+//!   runs, and stages each output under its equation. Base names
 //!   resolve in the solve's universe, applications to the current
 //!   iterate; an application met for the first time registers there
 //!   and then, through the one instantiation path, and reads ∅ until its
@@ -76,13 +79,14 @@
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
 use dc_calculus::ast::{
-    Branch, CmpOp, Formula, Name, RangeExpr, ScalarExpr, SelectorDef, SetFormer, Target,
+    CmpOp, Formula, Name, RangeExpr, ScalarExpr, SelectorDef, SetFormer, Target,
 };
-use dc_calculus::env::Overlay;
+use dc_calculus::eval::PreparedBranch;
 use dc_calculus::rewrite;
 use dc_calculus::{AccessCache, Catalog, EvalError, Evaluator, PlanEvent};
 use dc_governor::fail::{self, Site};
@@ -252,18 +256,21 @@ struct Equation {
     /// The application identity (diagnostics: trip sites name the
     /// offending equation by constructor).
     key: AppKey,
-    /// Body with the constructor's scalar parameters substituted.
-    /// Shared behind an `Arc` so per-round evaluation clones a pointer,
-    /// not the AST.
+    /// Body with the constructor's scalar parameters substituted, its
+    /// branches the source of the task shapes. Shared behind an `Arc`
+    /// so seeding reads it without holding the state.
     body: Arc<SetFormer>,
-    /// Formal-name → actual-value overlay entries (base + rel params).
-    /// `Arc`-shared for the same reason; the relations inside are COW,
-    /// so even materialising overlay vectors from this is cheap.
+    /// Formal name → actual value (base + rel params), bound while the
+    /// equation's tasks run. `Arc`-shared so a task binds a pointer.
     overrides: Arc<Vec<(Name, Relation)>>,
     /// Declared result schema (values are conformed to it).
     result: dc_value::Schema,
     /// Per-branch semi-naive classification, filled when seeded.
     classes: Vec<BranchClass>,
+    /// The prepared task shapes of each branch, by (branch, shape):
+    /// those the rounds run built when seeded, the warm phases' on
+    /// first use.
+    shapes: FxHashMap<(usize, Shape), Rc<Prepared>>,
     /// Has the Static-branch contribution been computed yet?
     initialized: bool,
     /// Formal name → base-catalog relation name, when *every* formal of
@@ -327,6 +334,7 @@ impl State {
             overrides: Arc::new(overrides),
             result: ctor.result.clone(),
             classes: Vec::new(),
+            shapes: FxHashMap::default(),
             initialized: false,
             provenance,
         });
@@ -676,49 +684,24 @@ struct Tally {
     emitted: u64,
     /// The root's accumulated additions — `Some` for warm runs only.
     added: Option<Relation>,
-    /// What the solve has reported to the trace.
-    plans: PlanLog,
-}
-
-/// An access path's steps: each position with the attributes it probes.
-type Steps = Vec<(usize, Vec<String>)>;
-
-/// The planner decisions a solve has emitted as `plan` trace events.
-#[derive(Default)]
-struct PlanLog {
-    /// The steps (position, probed attributes) of the access path last
-    /// emitted, per (equation, branch, ordinal of the path among the
-    /// branch's paths in its round).
-    paths: FxHashMap<(usize, usize, usize), Steps>,
+    /// The correlated ranges left unnested the solve has reported.
     not_unnested: Vec<PlanEvent>,
-    /// Paths reported so far this round, per (equation, branch).
-    nth: FxHashMap<(usize, usize), usize>,
 }
 
-impl PlanLog {
-    /// Emit the events of the evaluator of branch `branch` of equation
-    /// `eq` that are new to the solve: an access path whose steps differ
-    /// from the last one emitted in its place, a `NotUnnested` not
-    /// emitted before.
-    fn report(&mut self, (eq, branch): (usize, usize), events: Vec<PlanEvent>) {
+impl Tally {
+    /// Emit a task's planner decisions as `plan` trace events: every
+    /// access path (its evaluator records a path when its branch is
+    /// first planned and when the path changes), and each correlated
+    /// range left unnested once per solve.
+    fn report(&mut self, events: Vec<PlanEvent>) {
         for ev in events {
-            let new = match &ev {
-                PlanEvent::AccessPath { steps, .. } => {
-                    let nth = self.nth.entry((eq, branch)).or_default();
-                    *nth += 1;
-                    let steps = steps.iter().map(|s| (s.position, s.probe_attrs.clone()));
-                    let last = self.paths.entry((eq, branch, *nth)).or_default();
-                    std::mem::replace(last, steps.collect()) != *last // old != new
+            if let PlanEvent::NotUnnested { .. } = ev {
+                if self.not_unnested.contains(&ev) {
+                    continue;
                 }
-                _ if self.not_unnested.contains(&ev) => false,
-                _ => {
-                    self.not_unnested.push(ev.clone());
-                    true
-                }
-            };
-            if new {
-                dc_trace::event(SpanKind::Plan, || (ev.to_string(), Vec::new()));
+                self.not_unnested.push(ev.clone());
             }
+            dc_trace::event(SpanKind::Plan, || (ev.to_string(), Vec::new()));
         }
     }
 }
@@ -828,7 +811,7 @@ impl Solver {
     }
 
     /// Evaluate the actuals of `app`, an application in equation
-    /// `parent`'s body, under `parent`'s overlay, and enter it with
+    /// `parent`'s body, under `parent`'s formals, and enter it with
     /// their provenance. `None` when the key is value-dependent — the
     /// actuals themselves apply constructors, or the application reads a
     /// tuple variable bound around it — so the application registers on
@@ -854,8 +837,14 @@ impl Solver {
             let eq = &st.equations[parent];
             (eq.overrides.clone(), eq.provenance.clone())
         };
-        let overlay = Overlay::new(self, (*overrides).clone());
-        let mut ev = self.evaluator(&overlay);
+        let scope = BodyScope {
+            solver: self,
+            running: RefCell::new(Some(Running {
+                formals: overrides.clone(),
+                task: None,
+            })),
+        };
+        let mut ev = self.evaluator(&scope);
         let mut bindings = Vec::new();
         let base_val = ev.eval_range(base, &mut bindings)?;
         let arg_vals = args
@@ -876,8 +865,10 @@ impl Solver {
     /// Instantiate every application in equation `i`'s body whose
     /// actuals are application-free — the up-front instantiation of the
     /// §3.2 system, recursive through [`Solver::enter`] (idempotent by
-    /// key, so mutual recursion terminates) — and classify each branch
-    /// on the way.
+    /// key, so mutual recursion terminates) — classify each branch on
+    /// the way, and prepare the task shapes the rounds run: a
+    /// semi-naive `Linear` branch one per recursive position, every
+    /// other branch whole.
     fn seed(&self, i: usize) -> Result<(), EvalError> {
         let body = self.state.borrow().equations[i].body.clone();
         let mut classes = Vec::with_capacity(body.branches.len());
@@ -915,8 +906,35 @@ impl Solver {
                 (true, false) => BranchClass::Linear(links),
             });
         }
-        self.state.borrow_mut().equations[i].classes = classes;
+        self.state.borrow_mut().equations[i].classes = classes.clone();
+        for (b, class) in classes.into_iter().enumerate() {
+            match class {
+                BranchClass::Linear(links) if !self.naive => {
+                    for (pos, _) in links {
+                        self.shape(i, b, Shape::Delta(pos));
+                    }
+                }
+                _ => {
+                    self.shape(i, b, Shape::Whole);
+                }
+            }
+        }
         Ok(())
+    }
+
+    /// The prepared `shape` of branch `b` of equation `eq`, built on
+    /// first use — when seeded for the rounds, the warm phases' later.
+    fn shape(&self, eq: usize, b: usize, shape: Shape) -> Rc<Prepared> {
+        let key = (b, shape);
+        let known = self.state.borrow().equations[eq].shapes.get(&key).cloned();
+        known.unwrap_or_else(|| {
+            let st = self.state.borrow();
+            let prepared = Rc::new(build_shape(&st, &self.universe, eq, b, &key.1));
+            drop(st);
+            let mut st = self.state.borrow_mut();
+            st.equations[eq].shapes.insert(key, prepared.clone());
+            prepared
+        })
     }
 
     /// Append equation `i`'s tasks for the coming round, in branch
@@ -927,8 +945,9 @@ impl Solver {
     fn prepare(&self, i: usize, tasks: &mut Vec<BranchTask>) {
         let st = self.state.borrow();
         let eq = &st.equations[i];
-        for (b, branch) in eq.body.branches.iter().enumerate() {
-            match &eq.classes[b] {
+        for (b, class) in eq.classes.iter().enumerate() {
+            let task = |shape, bound| eq.shapes[&(b, shape)].task(&st, i, b, bound);
+            match class {
                 BranchClass::Static if eq.initialized && !self.naive => {}
                 // An equation's first differential round reads the
                 // peers' *full* current values — equations registered
@@ -941,18 +960,10 @@ impl Solver {
                         } else {
                             &st.current[peer]
                         };
-                        let marker = format!("{DELTA_MARKER}{pos}");
-                        tasks.push(delta_task(&st, i, b, vec![(pos, marker, scan.clone())]));
+                        tasks.push(task(Shape::Delta(pos), vec![scan.clone()]));
                     }
                 }
-                _ => tasks.push(BranchTask {
-                    eq: i,
-                    branch: b,
-                    body: SetFormer {
-                        branches: vec![branch.clone()],
-                    },
-                    overrides: (*eq.overrides).clone(),
-                }),
+                _ => tasks.push(task(Shape::Whole, Vec::new())),
             }
         }
         drop(st);
@@ -1091,22 +1102,19 @@ impl Solver {
             // derivation through a deleted tuple is met in the first
             // round; later rounds chase the collected tuples through
             // the recursive positions.
-            let seeds = {
-                let st = self.state.borrow();
-                let mut seeds = Vec::new();
-                for (i, b, positions) in &plan.deletes {
-                    for subset in 1..(1usize << positions.len()) {
-                        let bound = positions
-                            .iter()
-                            .enumerate()
-                            .filter(|(k, _)| subset >> k & 1 == 1)
-                            .map(|(_, (p, d))| (*p, format!("{DELTA_MARKER}x{p}"), d.clone()))
-                            .collect();
-                        seeds.push(delta_task(&st, *i, *b, bound));
-                    }
+            let mut seeds = Vec::new();
+            for (i, b, positions) in &plan.deletes {
+                for subset in 1..(1usize << positions.len()) {
+                    let (at, bound): (Vec<usize>, Vec<Relation>) = positions
+                        .iter()
+                        .enumerate()
+                        .filter(|(k, _)| subset >> k & 1 == 1)
+                        .map(|(_, (p, d))| (*p, d.clone()))
+                        .unzip();
+                    let prepared = self.shape(*i, *b, Shape::Deleted(at));
+                    seeds.push(prepared.task(&self.state.borrow(), *i, *b, bound));
                 }
-                seeds
-            };
+            }
             self.rounds(Some(seeds), Rule::Collect, &mut tally)?;
             let removing = self.span.recording().then(Instant::now);
             self.remove_doomed();
@@ -1125,22 +1133,23 @@ impl Solver {
         // Distinct marker namespaces (`Δdelta` + `b`/`x` + position)
         // keep warm tasks clear of the round loop's recursive-delta
         // markers.
-        let first = {
+        let mut first = Vec::new();
+        let losing: Vec<(usize, usize)> = {
             let st = self.state.borrow();
-            let mut tasks = Vec::new();
-            for (i, eq) in st.equations.iter().enumerate() {
-                if !st.doomed[i].is_empty() {
-                    let universe = &self.universe;
-                    tasks.extend(
-                        (0..eq.body.branches.len()).map(|b| rederive_task(&st, universe, i, b)),
-                    );
-                }
-            }
-            tasks.extend(plan.inserts.into_iter().map(|(i, b, p, d)| {
-                delta_task(&st, i, b, vec![(p, format!("{DELTA_MARKER}b{p}"), d)])
-            }));
-            tasks
+            (0..st.equations.len())
+                .filter(|&i| !st.doomed[i].is_empty())
+                .flat_map(|i| (0..st.equations[i].body.branches.len()).map(move |b| (i, b)))
+                .collect()
         };
+        for (i, b) in losing {
+            let prepared = self.shape(i, b, Shape::Rederive);
+            let st = self.state.borrow();
+            first.push(prepared.task(&st, i, b, vec![st.doomed[i].clone()]));
+        }
+        for (i, b, p, d) in plan.inserts {
+            let prepared = self.shape(i, b, Shape::Inserted(p));
+            first.push(prepared.task(&self.state.borrow(), i, b, vec![d]));
+        }
         self.rounds(Some(first), Rule::Grow, &mut tally)?;
         self.finish(tally)
     }
@@ -1190,6 +1199,13 @@ impl Solver {
     ) -> Result<(), EvalError> {
         let mut prev: Option<Vec<Relation>> = None;
         let mut prev2: Option<Vec<Relation>> = None;
+        // One evaluator for every task: what it derives from syntax (the
+        // quantifier sites' plans) serves each round.
+        let scope = BodyScope {
+            solver: self,
+            running: RefCell::new(None),
+        };
+        let mut ev = self.evaluator(&scope).explaining(self.span.recording());
         loop {
             tally.rounds += 1;
             let rounds = tally.rounds;
@@ -1234,10 +1250,9 @@ impl Solver {
             // relations are copy-on-write, and the commit's inserts
             // mutate a value's tuple store in place only while its `Arc`
             // is unshared.
-            tally.plans.nth.clear();
             for task in tasks {
                 let eq = task.eq;
-                self.run_task(task, tally)
+                self.run_task(&scope, &mut ev, task, tally)
                     .and_then(|value| stage(&mut staged[eq], value))
                     .map_err(|e| self.enrich(e, eq, rounds - 1, tally))?;
             }
@@ -1296,6 +1311,7 @@ impl Solver {
             m.add(Counter::SolveRounds, tally.rounds as u64);
             m.add(Counter::SolveEquations, equations as u64);
             m.add(Counter::DeltaTuples, tally.delta_tuples);
+            m.add(Counter::EmittedTuples, tally.emitted);
             m.observe_us(Histogram::SolveLatencyUs, t0.elapsed().as_micros() as u64);
             crate::record_interned(m);
         }
@@ -1476,25 +1492,47 @@ impl Solver {
         self.cfg.evaluator(catalog, self.budget.clone())
     }
 
-    /// Evaluate one prepared task through an overlay over the solver's
-    /// own catalog: its value, with the tuples it emitted counted into
-    /// `tally` and, when tracing, its planner decisions reported.
-    fn run_task(&self, task: BranchTask, tally: &mut Tally) -> Result<Relation, EvalError> {
+    /// Evaluate one task with the round's evaluator, its formals and
+    /// markers bound in `scope` while it runs: its value, with the
+    /// tuples it emitted counted into `tally` and, when tracing, its
+    /// planner decisions reported. Nothing read from its relations
+    /// outlives it — the commit's inserts then find the equation values
+    /// unshared.
+    fn run_task(
+        &self,
+        scope: &BodyScope<'_>,
+        ev: &mut Evaluator<'_>,
+        task: BranchTask,
+        tally: &mut Tally,
+    ) -> Result<Relation, EvalError> {
         let mut task_span = dc_trace::span(SpanKind::BranchTask);
         if task_span.recording() {
             task_span.field("eq", task.eq);
             task_span.field("branch", task.branch);
         }
-        let overlay = Overlay::new(self, task.overrides);
-        let mut ev = self.evaluator(&overlay);
+        let BranchTask {
+            eq,
+            branch,
+            prepared,
+            bound,
+        } = task;
+        *scope.running.borrow_mut() = Some(Running {
+            formals: self.state.borrow().equations[eq].overrides.clone(),
+            task: Some((prepared.clone(), bound)),
+        });
+        let emitted = ev.emitted();
+        let value = ev.eval_prepared(&prepared.branch, &mut task_span);
+        *scope.running.borrow_mut() = None;
+        ev.forget_values();
+        tally.emitted += ev.emitted() - emitted;
         // A governed abort names the branch and carries the evaluator's
         // correlated ranges left unnested out with it, rendered — aborts are
         // atomic, so this is the only trace the solve leaves.
-        let value = ev.eval(&RangeExpr::SetFormer(task.body)).map_err(|mut e| {
+        let value = value.map_err(|mut e| {
             if let EvalError::Solve(se) = &mut e {
                 let d = se.diag_mut();
                 if d.site.is_empty() {
-                    d.site = format!("branch {}", task.branch);
+                    d.site = format!("branch {branch}");
                 }
                 d.notes.extend(
                     ev.plan_events()
@@ -1505,15 +1543,72 @@ impl Solver {
             }
             e
         })?;
-        tally.emitted += ev.emitted();
-        let events = ev.take_plan_events();
-        let tracing = task_span.recording();
-        // The planner decisions are events of the round, not the task.
-        drop(task_span);
-        if tracing {
-            tally.plans.report((task.eq, task.branch), events);
+        if task_span.recording() {
+            let events = ev.take_plan_events();
+            // The planner decisions are events of the round, not the task.
+            drop(task_span);
+            tally.report(events);
         }
         Ok(value)
+    }
+}
+
+/// The catalog an equation's body evaluates against: the solver's, with
+/// the equation's formals — and a running task's relations under its
+/// shape's markers — bound over it. A selector body reads the solver's
+/// (its `selector_scope`), never the formals.
+struct BodyScope<'s> {
+    solver: &'s Solver,
+    running: RefCell<Option<Running>>,
+}
+
+struct Running {
+    formals: Arc<Vec<(Name, Relation)>>,
+    task: Option<(Rc<Prepared>, Vec<Relation>)>,
+}
+
+impl Catalog for BodyScope<'_> {
+    fn relation(&self, name: &str) -> Result<Relation, EvalError> {
+        if let Some(running) = &*self.running.borrow() {
+            let mut bound = running
+                .task
+                .iter()
+                .flat_map(|(p, rels)| p.markers.iter().zip(rels));
+            let mut formals = running.formals.iter().map(|(n, r)| (n, r));
+            if let Some((_, rel)) = bound
+                .find(|(m, _)| *m == name)
+                .or_else(|| formals.find(|(n, _)| *n == name))
+            {
+                return Ok(rel.clone());
+            }
+        }
+        self.solver.relation(name)
+    }
+
+    fn selector(&self, name: &str) -> Result<&SelectorDef, EvalError> {
+        self.solver.selector(name)
+    }
+
+    fn apply_constructor(
+        &self,
+        base: Relation,
+        name: &str,
+        args: Vec<Relation>,
+        scalar_args: Vec<Value>,
+    ) -> Result<Relation, EvalError> {
+        self.solver.apply_constructor(base, name, args, scalar_args)
+    }
+
+    fn scalar_param(&self, name: &str) -> Result<Value, EvalError> {
+        self.solver.scalar_param(name)
+    }
+
+    fn access(&self) -> Option<&AccessCache> {
+        self.solver.access()
+    }
+
+    fn selector_scope(&self) -> Option<&dyn Catalog> {
+        Some(self.solver)
     }
 }
 
@@ -1596,6 +1691,48 @@ fn provenance_slot(
     Some(n.clone())
 }
 
+/// A task shape: which binding positions a round task binds to
+/// relations of its own — a recursive position to its peer's delta, a
+/// warm insert's or over-delete's to base tuples — or the re-derive
+/// round's restriction to `D`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Shape {
+    Whole,
+    Delta(usize),
+    Inserted(usize),
+    Deleted(Vec<usize>),
+    Rederive,
+}
+
+/// One task shape of one branch, prepared once per solve: the branch
+/// with its marker-bound positions, the markers in the order a task
+/// binds their relations (the shape's own, then one per peer), and the
+/// peer equations whose current values the latter read.
+struct Prepared {
+    branch: PreparedBranch,
+    markers: Vec<Name>,
+    peers: Vec<usize>,
+}
+
+impl Prepared {
+    /// A task of this shape over branch `branch` of equation `eq`.
+    fn task(
+        self: &Rc<Self>,
+        st: &State,
+        eq: usize,
+        branch: usize,
+        mut bound: Vec<Relation>,
+    ) -> BranchTask {
+        bound.extend(self.peers.iter().map(|&peer| st.current[peer].clone()));
+        BranchTask {
+            eq,
+            branch,
+            prepared: self.clone(),
+            bound,
+        }
+    }
+}
+
 /// One unit of round work: a single branch evaluation, prepared before
 /// the round evaluates anything.
 struct BranchTask {
@@ -1603,10 +1740,10 @@ struct BranchTask {
     eq: usize,
     /// Branch index within the body.
     branch: usize,
-    /// The (possibly marker-rewritten) branch to evaluate.
-    body: SetFormer,
-    /// Formal- and marker-name overrides for the evaluation overlay.
-    overrides: Vec<(Name, Relation)>,
+    /// The task's shape.
+    prepared: Rc<Prepared>,
+    /// The relations bound this round, one per marker.
+    bound: Vec<Relation>,
 }
 
 /// Stage a task's output `part` into its equation's `staged` relation,
@@ -1632,131 +1769,95 @@ fn stage(staged: &mut Relation, part: Relation) -> Result<(), EvalError> {
     Ok(())
 }
 
-/// Prepare one differential task over branch `b` of equation `eq`:
-/// each of `bound` — a binding position, an internal marker name and
-/// the relation to scan under it — replaces its position's range, and
-/// every other recursive position is bound to its peer's accumulated
-/// current value, also as a named (marker) relation, so the executor
-/// finds the maintained indexes in the solve's cache
-/// under the value's storage id. Other binding positions stay as
-/// written (the overlay resolves them to their full values).
-fn delta_task(st: &State, eq: usize, b: usize, bound: Vec<(usize, Name, Relation)>) -> BranchTask {
-    let (mut branch, mut overrides) = current_bound(st, eq, b, &bound);
-    for (pos, marker, rel) in bound {
-        branch.bindings[pos].1 = RangeExpr::Rel(marker.clone());
-        overrides.push((marker, rel));
-    }
-    BranchTask {
-        eq,
-        branch: b,
-        body: SetFormer {
-            branches: vec![branch],
-        },
-        overrides,
-    }
-}
-
-/// Branch `b` of equation `eq` with every recursive position not in
-/// `skip` bound to its peer's current value under a marker name, and
-/// the overrides that binding needs.
-fn current_bound(
-    st: &State,
-    eq: usize,
-    b: usize,
-    skip: &[(usize, Name, Relation)],
-) -> (Branch, Vec<(Name, Relation)>) {
+/// Prepare `shape` of branch `b` of equation `eq`. A bound position
+/// reads its marker (`Δdelta` + `b` for inserts, `x` for deletes, plus
+/// the position); every other recursive position of a non-whole shape
+/// reads its peer's accumulated value under a `Δcur` marker, so the
+/// executor probes the indexes the solve's cache maintains over it
+/// instead of rescanning. The re-derive shape also binds `D` under a
+/// marker as one more binding and equates each target field with its
+/// attribute, so the planner scans `D` and probes the branch's ranges
+/// by the head — work proportional to `|D|`, not a full evaluation
+/// filtered afterwards. A whole-tuple target over a range whose schema
+/// is not known here is restricted by membership instead.
+fn build_shape(st: &State, universe: &Universe, eq: usize, b: usize, shape: &Shape) -> Prepared {
     let equation = &st.equations[eq];
     let mut branch = equation.body.branches[b].clone();
-    let mut overrides = (*equation.overrides).clone();
-    if let BranchClass::Linear(links) = &equation.classes[b] {
-        for &(pos, peer) in links.iter().filter(|(p, _)| skip.iter().all(|s| s.0 != *p)) {
-            let marker = format!("{CURRENT_MARKER}{pos}");
-            branch.bindings[pos].1 = RangeExpr::Rel(marker.clone());
-            overrides.push((marker, st.current[peer].clone()));
+    let (mut markers, mut peers) = (Vec::new(), Vec::new());
+    let (tag, bound) = match shape {
+        Shape::Whole | Shape::Rederive => ("", &[][..]),
+        Shape::Delta(p) => ("", std::slice::from_ref(p)),
+        Shape::Inserted(p) => ("b", std::slice::from_ref(p)),
+        Shape::Deleted(ps) => ("x", &ps[..]),
+    };
+    for &p in bound {
+        markers.push(format!("{DELTA_MARKER}{tag}{p}"));
+        branch.bindings[p].1 = RangeExpr::Rel(format!("{DELTA_MARKER}{tag}{p}"));
+    }
+    if let (false, BranchClass::Linear(links)) = (*shape == Shape::Whole, &equation.classes[b]) {
+        for &(pos, peer) in links.iter().filter(|(p, _)| !bound.contains(p)) {
+            markers.push(format!("{CURRENT_MARKER}{pos}"));
+            branch.bindings[pos].1 = RangeExpr::Rel(format!("{CURRENT_MARKER}{pos}"));
+            peers.push(peer);
         }
     }
-    (branch, overrides)
-}
-
-/// The re-derive task over branch `b` of equation `eq`: the branch over
-/// the current values, restricted to heads in the equation's
-/// over-deleted set `D`. `D` is bound under a marker as one more binding
-/// and each target field is equated with its attribute, so the planner
-/// scans `D` and probes the branch's ranges by the head — work
-/// proportional to `|D|`, not a full evaluation filtered afterwards. A
-/// whole-tuple target over a range whose schema is not known here is
-/// restricted by membership instead.
-fn rederive_task(st: &State, universe: &Universe, eq: usize, b: usize) -> BranchTask {
-    let (mut branch, mut overrides) = current_bound(st, eq, b, &[]);
-    let equation = &st.equations[eq];
-    let doomed = st.doomed[eq].clone();
-    let heads: Option<Vec<ScalarExpr>> = match &branch.target {
-        Target::Tuple(exprs) => Some(exprs.clone()),
-        Target::Var(v) => branch
-            .bindings
-            .iter()
-            .find(|(w, _)| w == v)
-            .and_then(|(_, range)| range_schema(universe, &overrides, range))
-            .map(|schema| {
-                schema
-                    .attributes()
-                    .iter()
-                    .map(|a| ScalarExpr::Attr(v.clone(), a.name.clone()))
-                    .collect()
-            }),
-    };
-    let restriction = match heads {
-        Some(heads) => {
-            branch
-                .bindings
-                .push((DOOMED_VAR.to_string(), RangeExpr::rel(DOOMED_MARKER)));
-            heads
-                .into_iter()
-                .zip(equation.result.attributes())
-                .map(|(head, a)| {
-                    Formula::Cmp(
-                        head,
-                        CmpOp::Eq,
-                        ScalarExpr::Attr(DOOMED_VAR.to_string(), a.name.clone()),
-                    )
+    if *shape == Shape::Rederive {
+        let heads: Option<Vec<ScalarExpr>> = match &branch.target {
+            Target::Tuple(exprs) => Some(exprs.clone()),
+            // A plain or selected named range's schema, resolved as the
+            // task's catalog will: markers, formals, then the universe.
+            Target::Var(v) => {
+                let mut range = branch.bindings.iter().find(|(w, _)| w == v).map(|b| &b.1);
+                while let Some(RangeExpr::Selected { base, .. }) = range {
+                    range = Some(base);
+                }
+                let rel = match range {
+                    Some(RangeExpr::Rel(n)) => match markers.iter().position(|m| m == n) {
+                        Some(k) => Some(&st.current[peers[k]]),
+                        None => (equation.overrides.iter().find(|(m, _)| m == n))
+                            .map(|(_, r)| r)
+                            .or_else(|| universe.relations.get(n)),
+                    },
+                    _ => None,
+                };
+                let attrs = rel.map(|rel| rel.schema().attributes().iter());
+                attrs.map(|a| {
+                    a.map(|a| ScalarExpr::Attr(v.clone(), a.name.clone()))
+                        .collect()
                 })
-                .fold(Formula::True, Formula::and)
-        }
-        None => match &branch.target {
-            Target::Var(v) => Formula::Member(v.clone(), RangeExpr::rel(DOOMED_MARKER)),
-            Target::Tuple(exprs) => Formula::TupleIn(exprs.clone(), RangeExpr::rel(DOOMED_MARKER)),
-        },
-    };
-    branch.predicate = restriction.and(branch.predicate);
-    overrides.push((DOOMED_MARKER.to_string(), doomed));
-    BranchTask {
-        eq,
-        branch: b,
-        body: SetFormer {
-            branches: vec![branch],
-        },
-        overrides,
+            }
+        };
+        let restriction = match heads {
+            Some(heads) => {
+                branch
+                    .bindings
+                    .push((DOOMED_VAR.to_string(), RangeExpr::rel(DOOMED_MARKER)));
+                heads
+                    .into_iter()
+                    .zip(equation.result.attributes())
+                    .map(|(head, a)| {
+                        Formula::Cmp(
+                            head,
+                            CmpOp::Eq,
+                            ScalarExpr::Attr(DOOMED_VAR.to_string(), a.name.clone()),
+                        )
+                    })
+                    .fold(Formula::True, Formula::and)
+            }
+            None => match &branch.target {
+                Target::Var(v) => Formula::Member(v.clone(), RangeExpr::rel(DOOMED_MARKER)),
+                Target::Tuple(exprs) => {
+                    Formula::TupleIn(exprs.clone(), RangeExpr::rel(DOOMED_MARKER))
+                }
+            },
+        };
+        branch.predicate = restriction.and(branch.predicate);
+        markers.insert(0, DOOMED_MARKER.to_string());
     }
-}
-
-/// The schema of a plain or selected named range, resolved the way the
-/// task's overlay will resolve it: overrides (formals and markers)
-/// first, then the solve's universe.
-fn range_schema(
-    universe: &Universe,
-    overrides: &[(Name, Relation)],
-    range: &RangeExpr,
-) -> Option<dc_value::Schema> {
-    match range {
-        RangeExpr::Rel(n) => overrides
-            .iter()
-            .rev()
-            .find(|(m, _)| m == n)
-            .map(|(_, r)| r)
-            .or_else(|| universe.relations.get(n))
-            .map(|r| r.schema().clone()),
-        RangeExpr::Selected { base, .. } => range_schema(universe, overrides, base),
-        RangeExpr::Constructed { .. } | RangeExpr::SetFormer(_) => None,
+    Prepared {
+        branch: PreparedBranch::new(branch),
+        markers,
+        peers,
     }
 }
 

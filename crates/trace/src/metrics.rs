@@ -95,12 +95,19 @@ counters! {
     SolveEquations => solve_equations,
     /// Tuples carried in semi-naive deltas across all rounds.
     DeltaTuples => delta_tuples,
+    /// Tuples the round tasks emitted, duplicates included, summed over
+    /// completed solves: at least `delta_tuples`, and the work a budget
+    /// meter counts against its ceiling.
+    EmittedTuples => emitted_tuples,
     /// Planned branches — set-formers' and quantifier sites' — whose
-    /// access path realised at least one index probe key (counted once
-    /// per site and evaluator, when its access path is recorded).
+    /// first plan realised at least one index probe key. A solve counts
+    /// each prepared task shape once, and each quantifier site once per
+    /// round loop; a one-shot query each branch and site once per
+    /// evaluator.
     ProbePlans => probe_plans,
-    /// Planned branches whose keys all demoted: they scan, and the
-    /// access path's residual says which conjuncts they re-check.
+    /// Planned branches whose first plan realised no key (none, or all
+    /// demoted): they scan, and the access path's residual says which
+    /// conjuncts they re-check. Counted as `probe_plans` is.
     ScanPlans => scan_plans,
     /// Warm-map hits: solved constructor results.
     WarmSolvedHits => warm_solved_hits,

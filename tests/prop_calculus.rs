@@ -547,10 +547,12 @@ fn planned_cases_match_the_oracle() {
         .with_relation("S", ints(&["k"], &[&[2]]))
         .with_selector(selector("sel", "s", "k", Domain::Int));
     let tags = Relation::from_tuples(Schema::of(&[("tag", Domain::Str)]), [tuple!["x"]]).unwrap();
+    let words = Relation::from_tuples(Schema::of(&[("k", Domain::Str)]), [tuple!["one"]]).unwrap();
     let dividing = MapCatalog::new()
         .with_relation("N", ints(&["k", "d"], &[&[1, 0]]))
         .with_relation("Z", tags)
-        .with_relation("K", ints(&["k"], &[&[1]]));
+        .with_relation("K", ints(&["k"], &[&[1]]))
+        .with_relation("W", words);
     let view = "{<a.worker> OF EACH a IN Assign, EACH s IN Skill: a.worker = s.worker AND a.task = r.task AND s.tool = r.tool}";
     let pair = |a: &str, b: &str| Ok(vec![tuple![a, b]]);
     let pairs_of = |ps: &[(&str, &str)]| Ok(ps.iter().map(|&(a, b)| tuple![a, b]).collect());
@@ -636,6 +638,10 @@ fn planned_cases_match_the_oracle() {
             pair("t1", "saw")),
         (&staffing, "{EACH r IN Nums: SOME x IN {<a.worker> OF EACH a IN Assign, EACH s IN Skill: a.worker = s.worker AND a.task = r.n} (TRUE)}".into(),
             Err("cross-type")),
+        // A name bound twice: the output schema takes `x.k` from the
+        // first range, the emitted field from the innermost, so the
+        // leaf's schema check raises (a string in an INTEGER column).
+        (&dividing, "{<x.k> OF EACH x IN K, EACH x IN W: TRUE}".into(), Err("domain")),
     ];
     for (cat, text, expected) in cases {
         let q = dc_lang::parser::parse_expr(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
@@ -645,6 +651,7 @@ fn planned_cases_match_the_oracle() {
                 EvalError::CrossTypeComparison { .. } => "cross-type",
                 EvalError::Type(_) => "type",
                 EvalError::UnknownParam(_) => "unknown-param",
+                EvalError::Relation(_) => "domain",
                 _ => panic!("{q}: {e}"),
             });
         let expected = expected.map(|mut ts| {

@@ -50,7 +50,9 @@ fn scene_db() -> Database {
     dc_bench::scene_db(&dc_bench::workload::scene(4, 6, 2, 11))
 }
 
-/// Every branch task in `tree` is a child of a round in `tree`.
+/// Every branch task in `tree` is a child of a round in `tree`, and
+/// carries its two laps: `plan_us` (order, keys, indexes) and `run_us`
+/// (the operator loop).
 fn assert_tasks_under_rounds(tree: &[TraceRecord]) {
     let rounds: Vec<u64> = tree
         .iter()
@@ -59,6 +61,12 @@ fn assert_tasks_under_rounds(tree: &[TraceRecord]) {
         .collect();
     for task in tree.iter().filter(|r| r.kind == SpanKind::BranchTask) {
         assert!(rounds.contains(&task.parent), "{task:?}");
+        for key in ["plan_us", "run_us"] {
+            assert!(
+                matches!(task.field(key), Some(FieldValue::U64(_))),
+                "branch task without `{key}`: {task:?}"
+            );
+        }
     }
 }
 
@@ -182,6 +190,27 @@ fn a_solve_writes_one_record_per_round() {
         .map(|r| r.name.as_str())
         .collect();
     assert!(paths.len() <= 3, "{paths:#?}");
+}
+
+/// A solve compiles each task shape once, not once per round: the cold
+/// closure of a 192-edge chain runs 193 rounds, yet counts at most one
+/// plan per shape (the `ahead` body's base branch whole, its recursive
+/// branch over the delta) — and its tasks emit at least the tuples its
+/// deltas carry.
+#[test]
+fn a_solve_plans_each_task_shape_once() {
+    let db = dc_bench::ahead_db(&dc_bench::workload::graphs::chain(192), Strategy::SemiNaive);
+    let q = rel("Infront").construct("ahead", vec![]);
+    let (closure, grown) = dc_bench::counted(&db.metrics(), || db.eval(&q).unwrap());
+    assert_eq!(closure.len(), 192 * 193 / 2);
+    assert_eq!(grown.solve_rounds, 193);
+    let shapes = 2;
+    assert!(
+        (1..=shapes).contains(&(grown.probe_plans + grown.scan_plans)),
+        "{grown:?}"
+    );
+    assert!(grown.emitted_tuples >= grown.delta_tuples, "{grown:?}");
+    assert_eq!(grown.delta_tuples, closure.len() as u64);
 }
 
 /// A solve whose equations register while a round evaluates — a
@@ -378,6 +407,11 @@ fn explain_lists_each_quantifier_sites_access_path() {
     for step in ["probe t on [base]", "probe b on [base]"] {
         assert!(visibility.text().contains(step), "{visibility}");
     }
+    // An unnested site goes by the variable the query names, not the
+    // rewrite's internal `Δ1_o`.
+    let stacked = db.explain(&dc_bench::stacked_back_query()).unwrap();
+    assert!(stacked.text().contains("probe o on [base]"), "{stacked}");
+    assert!(!stacked.text().contains('Δ'), "{stacked}");
     for q in [
         dc_bench::visibility_query(),
         dc_bench::front_row_query(),
