@@ -57,12 +57,15 @@
 //!   quantifiers, and membership tests go through
 //!   [`Evaluator::eval_scalar`] / [`Evaluator::eval_formula`] (so their
 //!   values and errors are those of the query as written).
-//! * **Prepared branches** — a solve evaluates each task shape of a
-//!   branch once a round with one evaluator. A [`PreparedBranch`] keeps
-//!   what its syntax decides — atoms, output schema, and the leaf,
-//!   lowered again only when the order or the realised keys change — so
-//!   a round reruns the order, the keys, the indexes and the loop alone
-//!   ([`Evaluator::eval_prepared`]).
+//! * **Prepared branches** — a [`PreparedBranch`] keeps what a branch's
+//!   syntax decides — its atoms, and the leaf, lowered again only when
+//!   the order, the realised keys or the range schemas change — so a
+//!   repeated evaluation reruns the order, the keys, the indexes and the
+//!   loop alone. A solve prepares each task shape of a branch once and
+//!   evaluates it each round with one evaluator
+//!   ([`Evaluator::eval_prepared`]); an evaluator prepares each
+//!   set-former branch it meets, so a nested set-former evaluated per
+//!   outer combination plans its leaf once.
 
 use std::cell::{Cell, OnceCell, RefCell};
 use std::ops::ControlFlow;
@@ -111,7 +114,8 @@ pub fn value_domain(v: &Value) -> Domain {
 /// The planned evaluator of the calculus (see the [module docs](self)).
 ///
 /// An `Evaluator` keeps two kinds of state. What it derived from syntax
-/// alone — each quantifier site's plan — lasts as long as it does. What
+/// alone — each quantifier site's plan, each set-former branch's
+/// [`PreparedBranch`] — lasts as long as it does. What
 /// it read from values — binding-free range values (e.g. a base
 /// relation referenced inside a quantifier), realised site keys, index
 /// handles — lasts until [`Evaluator::forget_values`]. A one-shot query
@@ -153,10 +157,11 @@ pub struct Evaluator<'a> {
     plan_events: Vec<PlanEvent>,
     /// Whether access paths are rendered into `plan_events` at all.
     explaining: bool,
-    /// Fingerprints of the unprepared branches already planned, so
-    /// per-combination re-plans (nested set-formers) count and report
-    /// once.
-    access_sites: Vec<u64>,
+    /// Each set-former branch evaluated so far, prepared on first sight
+    /// ([`PreparedBranch`]): a nested set-former evaluated per outer
+    /// combination reuses its atoms and leaf, and counts and reports
+    /// once. A linear scan, as for `sites`.
+    branches: Vec<Rc<PreparedBranch>>,
     /// Metrics registry to count planner decisions into, if the owner
     /// (database, solver, session) threads one through.
     metrics: Option<std::sync::Arc<MetricsRegistry>>,
@@ -190,7 +195,7 @@ impl<'a> Evaluator<'a> {
             budget: None,
             plan_events: Vec::new(),
             explaining: true,
-            access_sites: Vec::new(),
+            branches: Vec::new(),
             metrics: None,
         }
     }
@@ -245,7 +250,7 @@ impl<'a> Evaluator<'a> {
 
     /// The typed planner trace, in first-occurrence order: one
     /// [`PlanEvent::AccessPath`] per planned branch and quantifier site
-    /// (a prepared branch's again whenever its path changes), and each
+    /// (a branch's again whenever its path changes), and each
     /// distinct [`PlanEvent::NotUnnested`] once.
     pub fn plan_events(&self) -> &[PlanEvent] {
         &self.plan_events
@@ -430,32 +435,32 @@ impl<'a> Evaluator<'a> {
         for branch in &sf.branches {
             // Ranges are evaluated in the enclosing scope, once per
             // branch (not per combination).
-            let ranges = self.eval_ranges(branch, bindings)?;
+            let ranges = (branch.bindings.iter())
+                .map(|(_, r)| self.eval_range(r, bindings))
+                .collect::<Result<Vec<_>, _>>()?;
             let schema = self.branch_schema(branch, &ranges, bindings)?;
-            let atoms = joinplan::extract_eq_atoms(branch);
-            let planned = Planned {
-                branch,
-                atoms: &atoms,
-                prepared: None,
-            };
+            let prepared = self.prepared(branch);
             match &mut result {
                 // The first branch's output *is* the result so far.
                 None => {
                     let mut out = Relation::new(schema);
-                    self.eval_branch(planned, &ranges, bindings, &mut out, None)?;
+                    self.eval_branch(&prepared, &ranges, bindings, &mut out, false, None)?;
                     result = Some(out);
                 }
                 // Later branches emit under the result's schema into a
                 // relation of their own, so key conflicts with earlier
-                // branches surface at the union, as on every path.
+                // branches surface at the union, as on every path — and,
+                // where that schema is not the branch's own, so do the
+                // domain checks its columns may narrow.
                 Some(rel) => {
                     if !rel.schema().union_compatible(&schema) {
                         return Err(EvalError::Type(dc_value::TypeError::SchemaMismatch {
                             context: "set-former branches are not union-compatible".into(),
                         }));
                     }
+                    let foreign = *rel.schema() != schema;
                     let mut scratch = Relation::new(rel.schema().clone());
-                    self.eval_branch(planned, &ranges, bindings, &mut scratch, None)?;
+                    self.eval_branch(&prepared, &ranges, bindings, &mut scratch, foreign, None)?;
                     dc_relation::algebra::union_into(rel, &scratch)?;
                 }
             }
@@ -465,28 +470,22 @@ impl<'a> Evaluator<'a> {
         result.ok_or_else(|| EvalError::Other("set former produced no result relation".into()))
     }
 
-    /// Evaluate a branch's binding ranges in the enclosing scope, a
-    /// named one straight from the catalog (a branch reads it once; a
-    /// quantifier's range, read per outer combination, is cached).
-    fn eval_ranges(
-        &mut self,
-        branch: &Branch,
-        bindings: &mut Vec<Binding>,
-    ) -> Result<Vec<Relation>, EvalError> {
-        let mut ranges = Vec::with_capacity(branch.bindings.len());
-        for (_, r) in &branch.bindings {
-            ranges.push(match r {
-                RangeExpr::Rel(name) => self.catalog.relation(name)?,
-                r => self.eval_range(r, bindings)?,
-            });
-        }
-        Ok(ranges)
+    /// The prepared form of a set-former branch, made on first sight.
+    fn prepared(&mut self, branch: &Branch) -> Rc<PreparedBranch> {
+        let known = self.branches.iter().find(|p| *p.branch == *branch);
+        known.cloned().unwrap_or_else(|| {
+            let prepared = Rc::new(PreparedBranch::new(branch.clone()));
+            self.branches.push(prepared.clone());
+            prepared
+        })
     }
 
     /// Evaluate a prepared branch as the closed query `{branch}` (a
     /// solver's round task). Only what depends on the relations its
     /// names resolve to reruns: the order, the keys, the indexes and the
-    /// operator loop, timed into `span` as `plan_us` and `run_us`.
+    /// operator loop, timed into `span` as `plan_us` and `run_us`. A
+    /// named range is read straight from the catalog: the task's values
+    /// are forgotten after it anyway.
     pub fn eval_prepared(
         &mut self,
         prepared: &PreparedBranch,
@@ -494,7 +493,12 @@ impl<'a> Evaluator<'a> {
     ) -> Result<Relation, EvalError> {
         let branch = &*prepared.branch;
         let mut bindings = Vec::new();
-        let ranges = self.eval_ranges(branch, &mut bindings)?;
+        let ranges = (branch.bindings.iter())
+            .map(|(_, r)| match r {
+                RangeExpr::Rel(name) => self.catalog.relation(name),
+                r => self.eval_range(r, &mut bindings),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let schema = match prepared.schema.get() {
             Some(schema) => schema.clone(),
             None => {
@@ -503,31 +507,36 @@ impl<'a> Evaluator<'a> {
             }
         };
         let mut out = Relation::new(schema);
-        let planned = Planned {
-            branch,
-            atoms: &prepared.atoms,
-            prepared: Some(prepared),
-        };
-        self.eval_branch(planned, &ranges, &mut bindings, &mut out, Some(span))?;
+        self.eval_branch(
+            prepared,
+            &ranges,
+            &mut bindings,
+            &mut out,
+            false,
+            Some(span),
+        )?;
         Ok(out)
     }
 
-    /// Evaluate one branch: an index-nested-loop plan when the predicate
-    /// offers equality atoms some probe realises, the declaration-order
-    /// scan plan otherwise — both through the one operator loop
+    /// Evaluate one branch into `out` — under the branch's own schema,
+    /// or a `foreign` one whose domains every emitted tuple is checked
+    /// against: an index-nested-loop plan when the predicate offers
+    /// equality atoms some probe realises, the declaration-order scan
+    /// plan otherwise — both through the one operator loop
     /// ([`Evaluator::exec_plan`]) and its compiled leaf. A plan with
-    /// atoms counts the first time its branch is planned, and records
-    /// its access path then (and a prepared branch's whenever its leaf
-    /// is lowered anew: the path changed), while explaining.
+    /// atoms counts the first time its branch is planned, and, while
+    /// explaining, records its access path whenever its leaf is lowered
+    /// anew: the first time, and when the path changed.
     fn eval_branch(
         &mut self,
-        planned: Planned<'_>,
+        prepared: &PreparedBranch,
         ranges: &[Relation],
         bindings: &mut Vec<Binding>,
         out: &mut Relation,
+        foreign: bool,
         mut span: Option<&mut Span>,
     ) -> Result<(), EvalError> {
-        let Planned { branch, atoms, .. } = planned;
+        let (branch, atoms) = (&*prepared.branch, &prepared.atoms);
         let mut lap = |key: &'static str| span.as_mut().map_or((), |s| s.lap(key));
         // Zero combinations: nothing to emit.
         if ranges.iter().any(Relation::is_empty) && !branch.bindings.is_empty() {
@@ -551,57 +560,45 @@ impl<'a> Evaluator<'a> {
         let mut probed = None;
         if !atoms.is_empty() {
             let probes = self.compile_steps(branch, &plan, ranges, bindings)?;
-            let first = match planned.prepared {
-                Some(prepared) => !prepared.counted.replace(true),
-                None => {
-                    let site = branch_fingerprint(branch);
-                    !self.access_sites.contains(&site) && {
-                        self.access_sites.push(site);
-                        true
-                    }
-                }
-            };
-            if first {
+            if !prepared.counted.replace(true) {
                 self.count_plan(!probes.realised.is_empty());
             }
-            probed = Some((probes, first));
+            probed = Some(probes);
         }
         let all_scans = BranchPlan::all_scans(cards.len());
         let scans;
         let compiled = match &probed {
-            Some((probes, _)) if !probes.realised.is_empty() => probes,
+            Some(probes) if !probes.realised.is_empty() => probes,
             _ => {
                 scans = self.compile_steps(branch, &all_scans, ranges, bindings)?;
                 &scans
             }
         };
-        let lower = || lower_leaf(branch, &compiled.slot_of, ranges, &compiled.realised);
-        let (leaf, lowered) = match planned.prepared {
-            Some(prepared) => prepared.leaf(&compiled.slot_of, &compiled.realised, lower)?,
-            None => (Rc::new(lower()?), true),
-        };
-        if let Some((probes, first)) = probed.as_ref().filter(|_| self.explaining) {
-            if planned.prepared.map_or(*first, |_| lowered) {
-                let known = |position: usize, column: usize| {
-                    let held = |step: &CompiledStep| match &step.access {
-                        CompiledAccess::Probe { index, .. }
-                            if step.position == position && index.positions() == [column] =>
-                        {
-                            Some(index.distinct_keys())
-                        }
-                        _ => None,
-                    };
-                    asked
-                        .iter()
-                        .find(|c| (c.position, c.column) == (position, column))
-                        .and_then(|c| c.distinct)
-                        .or_else(|| probes.steps.iter().find_map(held))
+        let (leaf, lowered) =
+            prepared.leaf(&compiled.slot_of, &compiled.realised, &schemas, || {
+                lower_leaf(branch, &compiled.slot_of, ranges, &compiled.realised)
+            })?;
+        if let Some(probes) = probed.as_ref().filter(|_| self.explaining && lowered) {
+            let known = |position: usize, column: usize| {
+                let held = |step: &CompiledStep| match &step.access {
+                    CompiledAccess::Probe { index, .. }
+                        if step.position == position && index.positions() == [column] =>
+                    {
+                        Some(index.distinct_keys())
+                    }
+                    _ => None,
                 };
-                self.note_access_path(branch, &plan, &probes.realised, &schemas, &cards, known);
-            }
+                asked
+                    .iter()
+                    .find(|c| (c.position, c.column) == (position, column))
+                    .and_then(|c| c.distinct)
+                    .or_else(|| probes.steps.iter().find_map(held))
+            };
+            self.note_access_path(branch, &plan, &probes.realised, &schemas, &cards, known);
         }
         lap("plan_us");
-        self.exec_plan(branch, (&compiled.steps, &leaf), ranges, 0, bindings, out)?;
+        let plan = (&compiled.steps[..], &*leaf, leaf.checked || foreign);
+        self.exec_plan(branch, plan, ranges, 0, bindings, out)?;
         lap("run_us");
         Ok(())
     }
@@ -827,7 +824,6 @@ impl<'a> Evaluator<'a> {
                 plan,
                 index: None,
                 keys: Default::default(),
-                counted: false,
             });
             self.sites.len() - 1
         })
@@ -934,14 +930,14 @@ impl<'a> Evaluator<'a> {
             return Ok(None);
         }
         let schema = rel.schema();
-        let count = !self.sites[site].counted;
+        let count = !probe.prepared.counted.get();
         let report = count && self.explaining;
         let mut realised = Vec::new();
         let (mut columns, mut values) = std::mem::take(&mut self.sites[site].keys);
         columns.clear();
         values.clear();
         let atoms = if self.amortises(q.range) {
-            &probe.atoms[..]
+            &probe.prepared.atoms[..]
         } else {
             &[]
         };
@@ -967,28 +963,28 @@ impl<'a> Evaluator<'a> {
             })
         };
         if count {
-            self.sites[site].counted = true;
+            probe.prepared.counted.set(true);
             self.count_plan(!columns.is_empty());
         }
         if report {
             let (schemas, cards) = ([schema], [rel.len()]);
-            let (plan, _) =
-                joinplan::plan_branch(&probe.branch, &probe.atoms, &schemas, &cards, |_, _| None);
+            let (branch, atoms) = (&*probe.prepared.branch, &probe.prepared.atoms);
+            let (plan, _) = joinplan::plan_branch(branch, atoms, &schemas, &cards, |_, _| None);
             let known = |_, column| {
                 let index = index.as_deref().filter(|i| i.positions() == [column]);
                 index.map(HashIndex::distinct_keys)
             };
-            self.note_access_path(&probe.branch, &plan, &realised, &schemas, &cards, known);
+            self.note_access_path(branch, &plan, &realised, &schemas, &cards, known);
         }
         let Some(index) = index else {
             self.sites[site].keys = (columns, values);
             return Ok(None);
         };
         let hits = index.probe_slice(&values);
-        let check = if columns.len() == probe.atoms.len() {
+        let check = if columns.len() == probe.prepared.atoms.len() {
             &probe.residual
         } else {
-            &probe.branch.predicate
+            &probe.prepared.branch.predicate
         };
         // `found`: a witness, a counterexample in the falsifier's bucket,
         // or — covering — a hit failing the check or a tuple outside.
@@ -1084,15 +1080,15 @@ impl<'a> Evaluator<'a> {
     fn exec_plan(
         &mut self,
         branch: &Branch,
-        plan: (&[CompiledStep], &CompiledLeaf),
+        plan: (&[CompiledStep], &CompiledLeaf, bool),
         ranges: &[Relation],
         depth: usize,
         bindings: &mut Vec<Binding>,
         out: &mut Relation,
     ) -> Result<(), EvalError> {
-        let (steps, leaf) = plan;
+        let (steps, leaf, checked) = plan;
         if depth == steps.len() {
-            return self.emit_compiled(leaf, bindings, out);
+            return self.emit_compiled(leaf, checked, bindings, out);
         }
         let step = &steps[depth];
         let (var, _) = &branch.bindings[step.position];
@@ -1171,12 +1167,13 @@ impl<'a> Evaluator<'a> {
 
     /// The operator loop's leaf: tick the budget, re-check the residual
     /// conjuncts in source order (short-circuiting on the first false),
-    /// then emit the target tuple — schema-checked only where the leaf
-    /// says: a whole bound tuple, a column read and a constant are in
-    /// the domain the output schema took from them.
+    /// then emit the target tuple — schema-checked only when `checked`:
+    /// under the branch's own schema, a whole bound tuple, a column read
+    /// and a constant are in the domain the schema took from them.
     fn emit_compiled(
         &mut self,
         leaf: &CompiledLeaf,
+        checked: bool,
         bindings: &mut Vec<Binding>,
         out: &mut Relation,
     ) -> Result<(), EvalError> {
@@ -1201,7 +1198,7 @@ impl<'a> Evaluator<'a> {
                 tuple
             }
         };
-        if leaf.checked {
+        if checked {
             out.insert(tuple)?;
         } else {
             out.insert_unchecked(tuple)?;
@@ -1408,9 +1405,6 @@ struct QuantSite {
     index: Option<(u64, Arc<HashIndex>)>,
     /// The last probe's key columns and values, buffers the next reuses.
     keys: (Vec<usize>, Vec<Value>),
-    /// Whether the site's plan is counted (and, while explaining, its
-    /// access path recorded).
-    counted: bool,
 }
 
 enum SitePlan {
@@ -1445,13 +1439,12 @@ enum QuantMode {
 }
 
 /// A binding-free quantifier site as the one-binding branch §4's N2/N3
-/// scan: `{EACH var IN range: …}`, its equality atoms (the probe keys)
-/// and the conjunction of its residual conjuncts
+/// scan, `{EACH var IN range: …}`, prepared — its equality atoms are the
+/// probe keys — with the conjunction of its residual conjuncts
 /// ([`joinplan::residual_conjuncts`]), in source order.
 struct SiteBranch {
     mode: QuantMode,
-    branch: Branch,
-    atoms: Vec<EqAtom>,
+    prepared: PreparedBranch,
     residual: Formula,
 }
 
@@ -1464,37 +1457,37 @@ impl SiteBranch {
     fn plan(q: Quantifier<'_>) -> Option<SiteBranch> {
         let planned = |predicate: Formula| {
             let branch = Branch::each(q.var.clone(), q.range.clone(), rewrite::to_nnf(predicate));
-            let atoms = joinplan::extract_eq_atoms(&branch);
-            (!atoms.is_empty()).then_some((branch, atoms))
+            Some(PreparedBranch::new(branch)).filter(|p| !p.atoms.is_empty())
         };
-        let (mode, (branch, atoms)) = if q.existential {
+        let (mode, prepared) = if q.existential {
             (QuantMode::Witness, planned(q.body.clone())?)
         } else if let Some(falsifier) = planned(q.body.clone().negate()) {
             (QuantMode::Falsifier, falsifier)
         } else {
             (QuantMode::Covering, planned(q.body.clone())?)
         };
-        let all: Vec<&EqAtom> = atoms.iter().collect();
+        let all: Vec<&EqAtom> = prepared.atoms.iter().collect();
         // Not `Formula::and`, whose `FALSE` absorbs a conjunct's error.
-        let residual = joinplan::residual_conjuncts(&branch, &all)
+        let residual = joinplan::residual_conjuncts(&prepared.branch, &all)
             .into_iter()
             .cloned()
             .reduce(|a, b| Formula::And(Box::new(a), Box::new(b)))
             .unwrap_or(Formula::True);
         Some(SiteBranch {
             mode,
-            branch,
-            atoms,
+            prepared,
             residual,
         })
     }
 }
 
-/// A branch prepared for repeated evaluation as a closed query (a
-/// solver's task shape): its equality atoms, and — from its first
-/// evaluation — its output schema, its last lowered leaf (with the
-/// slots and realised atoms it was lowered for) and whether its plan is
-/// counted. All of it is keyed by syntax: the relations may change.
+/// A branch prepared for repeated evaluation — a solver's task shape, a
+/// set-former branch or quantifier site an evaluator met before: its
+/// equality atoms, and from its first evaluation its last lowered leaf
+/// (with the slots, realised atoms and range schemas it was lowered
+/// for), whether its plan is counted, and — as a solver's closed query
+/// — its output schema. All of it is keyed by syntax: the relations may
+/// change.
 pub struct PreparedBranch {
     branch: Arc<Branch>,
     atoms: Vec<EqAtom>,
@@ -1503,8 +1496,9 @@ pub struct PreparedBranch {
     counted: Cell<bool>,
 }
 
-/// A lowered leaf, with the slots and realised atoms it was lowered for.
-type Lowered = (Vec<usize>, Vec<EqAtom>, Rc<CompiledLeaf>);
+/// A lowered leaf, with the slots, realised atoms and range schemas it
+/// was lowered for.
+type Lowered = (Vec<usize>, Vec<EqAtom>, Vec<Schema>, Rc<CompiledLeaf>);
 
 impl PreparedBranch {
     /// Prepare `branch`: extract its equality atoms once.
@@ -1518,33 +1512,30 @@ impl PreparedBranch {
         }
     }
 
-    /// The leaf for these slots and realised atoms — the last one, or a
-    /// new one from `lower` — and whether it is new.
+    /// The leaf for these slots, realised atoms and range schemas — the
+    /// last one, or a new one from `lower` — and whether it is new.
     fn leaf(
         &self,
         slot_of: &[usize],
         realised: &[&EqAtom],
+        schemas: &[&Schema],
         lower: impl FnOnce() -> Result<CompiledLeaf, EvalError>,
     ) -> Result<(Rc<CompiledLeaf>, bool), EvalError> {
         let mut memo = self.leaf.borrow_mut();
-        if let Some((slots, atoms, leaf)) = &*memo {
-            if slots == slot_of && atoms.iter().eq(realised.iter().copied()) {
+        if let Some((slots, atoms, over, leaf)) = &*memo {
+            if slots == slot_of
+                && atoms.iter().eq(realised.iter().copied())
+                && over.iter().eq(schemas.iter().copied())
+            {
                 return Ok((leaf.clone(), false));
             }
         }
         let leaf = Rc::new(lower()?);
         let atoms = realised.iter().map(|a| (*a).clone()).collect();
-        *memo = Some((slot_of.to_vec(), atoms, leaf.clone()));
+        let over = schemas.iter().map(|s| (*s).clone()).collect();
+        *memo = Some((slot_of.to_vec(), atoms, over, leaf.clone()));
         Ok((leaf, true))
     }
-}
-
-/// A branch to plan, its equality atoms, and its prepared form if any.
-#[derive(Clone, Copy)]
-struct Planned<'p> {
-    branch: &'p Branch,
-    atoms: &'p [EqAtom],
-    prepared: Option<&'p PreparedBranch>,
 }
 
 /// A plan's steps lowered for the operator loop, the probe atoms they
@@ -1752,15 +1743,6 @@ enum CompiledKey {
     Fixed(Value),
     /// Read from the binding at stack slot `slot`, field `attr_pos`.
     FromBinding { slot: usize, attr_pos: usize },
-}
-
-/// Fingerprint of a planned branch site, used to record its access
-/// path once even when the branch re-plans per outer combination.
-fn branch_fingerprint(branch: &Branch) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = dc_value::FxHasher::default();
-    branch.hash(&mut h);
-    h.finish()
 }
 
 /// Find the innermost binding of `var`.

@@ -10,11 +10,13 @@
 //! spans.
 
 use std::fmt;
+use std::ops::ControlFlow;
 
 use dc_value::Schema;
 
 use crate::ast::Branch;
 use crate::joinplan::{self, Access, BranchPlan, EqAtom};
+use crate::rewrite::{self, Node};
 
 /// One step of a chosen branch access path, with the System-R numbers
 /// that rank it: `estimate = cardinality × selectivity`.
@@ -108,21 +110,21 @@ impl PlanEvent {
                 &planned
             }
         };
+        let written = written_names(branch);
         let residual = joinplan::residual_conjuncts(branch, realised);
-        let mut residual = if residual.is_empty() {
+        let residual = if residual.is_empty() {
             "TRUE".to_string()
         } else {
             residual
-                .iter()
-                .map(ToString::to_string)
+                .into_iter()
+                .map(|c| {
+                    let c =
+                        (written.iter()).fold(c.clone(), |c, (d, v)| rewrite::rename_var(&c, d, v));
+                    c.to_string()
+                })
                 .collect::<Vec<_>>()
                 .join(" AND ")
         };
-        for (var, _) in &branch.bindings {
-            if as_written(var) != var {
-                residual = residual.replace(&format!("{var}."), &format!("{}.", as_written(var)));
-            }
-        }
         let steps = plan
             .steps
             .iter()
@@ -139,7 +141,10 @@ impl PlanEvent {
                     .product();
                 AccessStep {
                     position: p,
-                    var: as_written(&branch.bindings[p].0).to_string(),
+                    var: (written.iter())
+                        .find(|(made, _)| *made == branch.bindings[p].0)
+                        .map_or(&branch.bindings[p].0[..], |(_, v)| v)
+                        .to_string(),
                     probe_attrs: probed.iter().map(|a| a.attr.clone()).collect(),
                     cardinality: cards[p],
                     selectivity,
@@ -158,6 +163,31 @@ impl PlanEvent {
             estimated_rows,
         }
     }
+}
+
+/// The variables of `branch` EXPLAIN shows by the name the query wrote,
+/// paired with that name: a quantifier the unnesting rewrite introduced
+/// binds `Δ{n}_v`, shown as `v` — unless the branch also names `v`, or
+/// another such variable also stands for it, so the two would read
+/// alike.
+fn written_names(branch: &Branch) -> Vec<(&str, &str)> {
+    let mut names: Vec<&str> = branch.bindings.iter().map(|(v, _)| v.as_str()).collect();
+    let _ = rewrite::walk(&branch.predicate, |node, bound| {
+        names.extend(bound);
+        if let Node::Var(v) = node {
+            names.push(v);
+        }
+        ControlFlow::Continue(())
+    });
+    names.sort_unstable();
+    names.dedup();
+    (names.iter())
+        .filter_map(|&made| {
+            let v = as_written(made);
+            let clash = |&n: &&str| n != made && (n == v || as_written(n) == v);
+            (v != made && !names.iter().any(clash)).then_some((made, v))
+        })
+        .collect()
 }
 
 /// The variable the query names: a quantifier the unnesting rewrite

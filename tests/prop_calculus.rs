@@ -548,11 +548,15 @@ fn planned_cases_match_the_oracle() {
         .with_selector(selector("sel", "s", "k", Domain::Int));
     let tags = Relation::from_tuples(Schema::of(&[("tag", Domain::Str)]), [tuple!["x"]]).unwrap();
     let words = Relation::from_tuples(Schema::of(&[("k", Domain::Str)]), [tuple!["one"]]).unwrap();
+    let small = Relation::from_tuples(Schema::of(&[("k", Domain::IntRange(0, 9))]), [tuple![1i64]])
+        .unwrap();
     let dividing = MapCatalog::new()
         .with_relation("N", ints(&["k", "d"], &[&[1, 0]]))
         .with_relation("Z", tags)
         .with_relation("K", ints(&["k"], &[&[1]]))
-        .with_relation("W", words);
+        .with_relation("W", words)
+        .with_relation("Small", small)
+        .with_relation("Big", ints(&["k"], &[&[100]]));
     let view = "{<a.worker> OF EACH a IN Assign, EACH s IN Skill: a.worker = s.worker AND a.task = r.task AND s.tool = r.tool}";
     let pair = |a: &str, b: &str| Ok(vec![tuple![a, b]]);
     let pairs_of = |ps: &[(&str, &str)]| Ok(ps.iter().map(|&(a, b)| tuple![a, b]).collect());
@@ -642,6 +646,9 @@ fn planned_cases_match_the_oracle() {
         // first range, the emitted field from the innermost, so the
         // leaf's schema check raises (a string in an INTEGER column).
         (&dividing, "{<x.k> OF EACH x IN K, EACH x IN W: TRUE}".into(), Err("domain")),
+        // A later branch emits under the first one's schema, whose
+        // RANGE 0..9 column its 100 leaves: the union raises.
+        (&dividing, "{EACH x IN Small: TRUE, EACH y IN Big: TRUE}".into(), Err("domain")),
     ];
     for (cat, text, expected) in cases {
         let q = dc_lang::parser::parse_expr(&text).unwrap_or_else(|e| panic!("{text}: {e}"));

@@ -412,6 +412,26 @@ fn explain_lists_each_quantifier_sites_access_path() {
     let stacked = db.explain(&dc_bench::stacked_back_query()).unwrap();
     assert!(stacked.text().contains("probe o on [base]"), "{stacked}");
     assert!(!stacked.text().contains('Δ'), "{stacked}");
+    // Where the site's predicate also names an `o` of its own, the site
+    // keeps its internal name, so the residual's two `o`s stay apart.
+    let shadowed = set_former(vec![Branch::each(
+        "r",
+        rel("Infront"),
+        some(
+            "t",
+            rel("Ontop").select("on_base", vec![attr("r", "back")]),
+            some("o", rel("Objects"), eq(attr("o", "part"), attr("t", "top"))),
+        ),
+    )]);
+    let shadowed = db.explain(&shadowed).unwrap();
+    assert!(
+        shadowed.text().contains("probe Δ1_o on [base]"),
+        "{shadowed}"
+    );
+    assert!(
+        shadowed.text().contains("(o.part = Δ1_o.top)"),
+        "{shadowed}"
+    );
     for q in [
         dc_bench::visibility_query(),
         dc_bench::front_row_query(),
