@@ -318,17 +318,33 @@ impl<'a> Evaluator<'a> {
         range: &RangeExpr,
         bindings: &mut Vec<Binding>,
     ) -> Result<Relation, EvalError> {
+        Ok(self.eval_held(range, bindings)?.0)
+    }
+
+    /// Evaluate `range` under `bindings`, with where the indexes over
+    /// its value are kept ([`IndexHome`]), decided here, where the value
+    /// is produced.
+    fn eval_held(
+        &mut self,
+        range: &RangeExpr,
+        bindings: &mut Vec<Binding>,
+    ) -> Result<(Relation, IndexHome), EvalError> {
         let cacheable = self.param_frames.is_empty() && is_binding_free(range);
+        let home = match range {
+            RangeExpr::Rel(_) => IndexHome::Catalog,
+            _ if cacheable => IndexHome::Private,
+            _ => IndexHome::Nowhere,
+        };
         if cacheable {
             if let Some(hit) = self.range_cache.get(range) {
-                return Ok(hit.clone());
+                return Ok((hit.clone(), home));
             }
         }
         let out = self.eval_range_uncached(range, bindings)?;
         if cacheable {
             self.range_cache.insert(range.clone(), out.clone());
         }
-        Ok(out)
+        Ok((out, home))
     }
 
     fn eval_range_uncached(
@@ -436,32 +452,31 @@ impl<'a> Evaluator<'a> {
             // Ranges are evaluated in the enclosing scope, once per
             // branch (not per combination).
             let ranges = (branch.bindings.iter())
-                .map(|(_, r)| self.eval_range(r, bindings))
-                .collect::<Result<Vec<_>, _>>()?;
-            let schema = self.branch_schema(branch, &ranges, bindings)?;
+                .map(|(_, r)| self.eval_held(r, bindings))
+                .collect::<Result<Ranges, _>>()?;
+            let schema = self.branch_schema(branch, &ranges.rels, bindings)?;
             let prepared = self.prepared(branch);
             match &mut result {
                 // The first branch's output *is* the result so far.
                 None => {
                     let mut out = Relation::new(schema);
-                    self.eval_branch(&prepared, &ranges, bindings, &mut out, false, None)?;
+                    self.eval_branch(&prepared, &ranges, bindings, &mut out, None)?;
                     result = Some(out);
                 }
-                // Later branches emit under the result's schema into a
-                // relation of their own, so key conflicts with earlier
-                // branches surface at the union, as on every path — and,
-                // where that schema is not the branch's own, so do the
-                // domain checks its columns may narrow.
+                // Later branches emit under their own schema into a
+                // relation of their own, relabelled under the result's —
+                // which checks the domains its columns narrow — so key
+                // conflicts with earlier branches surface at the union,
+                // as on every path.
                 Some(rel) => {
                     if !rel.schema().union_compatible(&schema) {
                         return Err(EvalError::Type(dc_value::TypeError::SchemaMismatch {
                             context: "set-former branches are not union-compatible".into(),
                         }));
                     }
-                    let foreign = *rel.schema() != schema;
-                    let mut scratch = Relation::new(rel.schema().clone());
-                    self.eval_branch(&prepared, &ranges, bindings, &mut scratch, foreign, None)?;
-                    dc_relation::algebra::union_into(rel, &scratch)?;
+                    let mut scratch = Relation::new(schema);
+                    self.eval_branch(&prepared, &ranges, bindings, &mut scratch, None)?;
+                    dc_relation::algebra::union_into(rel, &scratch.relabel(rel.schema())?)?;
                 }
             }
         }
@@ -481,46 +496,43 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Evaluate a prepared branch as the closed query `{branch}` (a
-    /// solver's round task). Only what depends on the relations its
-    /// names resolve to reruns: the order, the keys, the indexes and the
+    /// solver's round task), with the relations `supplied` by binding
+    /// position in place of those positions' ranges. Only what depends
+    /// on the relations reruns: the order, the keys, the indexes and the
     /// operator loop, timed into `span` as `plan_us` and `run_us`. A
-    /// named range is read straight from the catalog: the task's values
-    /// are forgotten after it anyway.
+    /// supplied relation keeps its indexes in the catalog owner's cache,
+    /// as a named range does; a named range is read straight from the
+    /// catalog: the task's values are forgotten after it anyway.
     pub fn eval_prepared(
         &mut self,
         prepared: &PreparedBranch,
+        supplied: &[(usize, Relation)],
         span: &mut Span,
     ) -> Result<Relation, EvalError> {
         let branch = &*prepared.branch;
         let mut bindings = Vec::new();
-        let ranges = (branch.bindings.iter())
-            .map(|(_, r)| match r {
-                RangeExpr::Rel(name) => self.catalog.relation(name),
-                r => self.eval_range(r, &mut bindings),
+        let supplied = |p: usize| supplied.iter().find(|(q, _)| *q == p).map(|(_, rel)| rel);
+        let ranges = (branch.bindings.iter().enumerate())
+            .map(|(p, (_, r))| match (supplied(p), r) {
+                (Some(rel), _) => Ok((rel.clone(), IndexHome::Catalog)),
+                (None, RangeExpr::Rel(n)) => Ok((self.catalog.relation(n)?, IndexHome::Catalog)),
+                (None, r) => self.eval_held(r, &mut bindings),
             })
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<Ranges, _>>()?;
         let schema = match prepared.schema.get() {
             Some(schema) => schema.clone(),
             None => {
-                let schema = self.branch_schema(branch, &ranges, &bindings)?;
+                let schema = self.branch_schema(branch, &ranges.rels, &bindings)?;
                 prepared.schema.get_or_init(|| schema).clone()
             }
         };
         let mut out = Relation::new(schema);
-        self.eval_branch(
-            prepared,
-            &ranges,
-            &mut bindings,
-            &mut out,
-            false,
-            Some(span),
-        )?;
+        self.eval_branch(prepared, &ranges, &mut bindings, &mut out, Some(span))?;
         Ok(out)
     }
 
-    /// Evaluate one branch into `out` — under the branch's own schema,
-    /// or a `foreign` one whose domains every emitted tuple is checked
-    /// against: an index-nested-loop plan when the predicate offers
+    /// Evaluate one branch into `out`, under the branch's own schema: an
+    /// index-nested-loop plan when the predicate offers
     /// equality atoms some probe realises, the declaration-order scan
     /// plan otherwise — both through the one operator loop
     /// ([`Evaluator::exec_plan`]) and its compiled leaf. A plan with
@@ -530,13 +542,13 @@ impl<'a> Evaluator<'a> {
     fn eval_branch(
         &mut self,
         prepared: &PreparedBranch,
-        ranges: &[Relation],
+        held: &Ranges,
         bindings: &mut Vec<Binding>,
         out: &mut Relation,
-        foreign: bool,
         mut span: Option<&mut Span>,
     ) -> Result<(), EvalError> {
         let (branch, atoms) = (&*prepared.branch, &prepared.atoms);
+        let ranges = &held.rels[..];
         let mut lap = |key: &'static str| span.as_mut().map_or((), |s| s.lap(key));
         // Zero combinations: nothing to emit.
         if ranges.iter().any(Relation::is_empty) && !branch.bindings.is_empty() {
@@ -550,7 +562,7 @@ impl<'a> Evaluator<'a> {
         // reads it; the answer is a bucket count. Atom-free: all scans.
         let mut failed = None;
         let (plan, asked) = joinplan::plan_branch(branch, atoms, &schemas, &cards, |p, column| {
-            self.distinct_count(&branch.bindings[p].1, &ranges[p], column)
+            self.distinct_count(held.homes[p], &ranges[p], column)
                 .map_err(|e| failed.get_or_insert(e))
                 .ok()
         });
@@ -559,7 +571,7 @@ impl<'a> Evaluator<'a> {
         }
         let mut probed = None;
         if !atoms.is_empty() {
-            let probes = self.compile_steps(branch, &plan, ranges, bindings)?;
+            let probes = self.compile_steps(branch, &plan, held, bindings)?;
             if !prepared.counted.replace(true) {
                 self.count_plan(!probes.realised.is_empty());
             }
@@ -570,7 +582,7 @@ impl<'a> Evaluator<'a> {
         let compiled = match &probed {
             Some(probes) if !probes.realised.is_empty() => probes,
             _ => {
-                scans = self.compile_steps(branch, &all_scans, ranges, bindings)?;
+                scans = self.compile_steps(branch, &all_scans, held, bindings)?;
                 &scans
             }
         };
@@ -597,7 +609,7 @@ impl<'a> Evaluator<'a> {
             self.note_access_path(branch, &plan, &probes.realised, &schemas, &cards, known);
         }
         lap("plan_us");
-        let plan = (&compiled.steps[..], &*leaf, leaf.checked || foreign);
+        let plan = (&compiled.steps[..], &*leaf, leaf.checked);
         self.exec_plan(branch, plan, ranges, 0, bindings, out)?;
         lap("run_us");
         Ok(())
@@ -615,9 +627,10 @@ impl<'a> Evaluator<'a> {
         &mut self,
         branch: &Branch,
         plan: &'b BranchPlan,
-        ranges: &[Relation],
+        held: &Ranges,
         bindings: &[Binding],
     ) -> Result<CompiledSteps<'b>, EvalError> {
+        let ranges = &held.rels[..];
         let base_slot = bindings.len();
         let mut slot_of = vec![usize::MAX; branch.bindings.len()];
         let mut steps = Vec::with_capacity(plan.steps.len());
@@ -677,7 +690,7 @@ impl<'a> Evaluator<'a> {
                         }
                     } else {
                         let index = self.obtain_index(
-                            &branch.bindings[step.position].1,
+                            held.homes[step.position],
                             &ranges[step.position],
                             &positions,
                         )?;
@@ -715,56 +728,40 @@ impl<'a> Evaluator<'a> {
         (value_domain(&v) == schema.domain(column).base()).then_some((column, v))
     }
 
-    /// Do access structures over the value of `range` amortise? A named
-    /// relation's do (the catalog hands out the same storage every
-    /// time), and so do those of a binding-free range outside any
-    /// parameter frame (its value sits in `range_cache`). Anything else
-    /// is a fresh value per outer combination.
-    fn amortises(&self, range: &RangeExpr) -> bool {
-        matches!(range, RangeExpr::Rel(_))
-            || (self.param_frames.is_empty() && is_binding_free(range))
-    }
-
-    /// The cache that holds access structures for the value of `range`:
-    /// the catalog owner's for a named relation (it outlives this
-    /// evaluator), the private one for a value computed here.
-    fn access_for(&self, range: &RangeExpr) -> &AccessCache {
-        match (range, self.catalog.access()) {
-            (RangeExpr::Rel(_), Some(shared)) => shared,
-            _ => &self.private,
-        }
-    }
-
-    /// Find or build a hash index over `rel` (the value of `range`) on
-    /// `positions`: through the [`AccessCache`] where it amortises, a
-    /// throwaway otherwise (still one O(|rel|) pass — the same cost as
-    /// the single scan it replaces). Fallible only through the
-    /// `index_build` failpoint; the build itself cannot fail.
+    /// Find or build a hash index over `rel` on `positions`: through
+    /// the cache at `home` where its indexes are kept, a throwaway
+    /// otherwise (still one O(|rel|) pass — the same cost as the single
+    /// scan it replaces). Fallible only through the `index_build`
+    /// failpoint; the build itself cannot fail.
     fn obtain_index(
         &self,
-        range: &RangeExpr,
+        home: IndexHome,
         rel: &Relation,
         positions: &[usize],
     ) -> Result<Arc<HashIndex>, EvalError> {
-        if self.amortises(range) {
-            return Ok(self.access_for(range).index(rel, positions)?);
-        }
-        fail::check(Site::IndexBuild)?;
-        Ok(Arc::new(HashIndex::build(rel, positions.to_vec())))
+        let cache = match home {
+            IndexHome::Catalog => self.catalog.access().unwrap_or(&self.private),
+            IndexHome::Private => &self.private,
+            IndexHome::Nowhere => {
+                fail::check(Site::IndexBuild)?;
+                return Ok(Arc::new(HashIndex::build(rel, positions.to_vec())));
+            }
+        };
+        Ok(cache.index(rel, positions)?)
     }
 
-    /// The distinct-value count of `column` in `rel` (the value of
-    /// `range`): the bucket count of its single-column index, obtained
-    /// as [`Evaluator::obtain_index`] obtains any. Where the index
-    /// amortises, a plan that then probes the column reuses it, and a
-    /// maintained value's count is read, not recounted.
+    /// The distinct-value count of `column` in `rel`: the bucket count
+    /// of its single-column index, obtained as
+    /// [`Evaluator::obtain_index`] obtains any. Where the index is kept,
+    /// a plan that then probes the column reuses it, and a maintained
+    /// value's count is read, not recounted.
     fn distinct_count(
         &self,
-        range: &RangeExpr,
+        home: IndexHome,
         rel: &Relation,
         column: usize,
     ) -> Result<usize, EvalError> {
-        Ok(self.obtain_index(range, rel, &[column])?.distinct_keys())
+        Ok(self.obtain_index(home, rel, &[column])?.distinct_keys())
     }
 
     /// Decide `SOME`/`ALL var IN range: body`. The site's plan
@@ -788,9 +785,9 @@ impl<'a> Evaluator<'a> {
                 return Ok(decided);
             }
         }
-        let rel = self.eval_range(q.range, bindings)?;
+        let (rel, home) = self.eval_held(q.range, bindings)?;
         if let SitePlan::Branch(probe) = &*plan {
-            if let Some(decided) = self.quant_probe(site, probe, q, &rel, bindings)? {
+            if let Some(decided) = self.quant_probe(site, probe, q, (&rel, home), bindings)? {
                 return Ok(decided);
             }
         }
@@ -914,8 +911,8 @@ impl<'a> Evaluator<'a> {
     /// reuse its index (kept with the storage id of the relation it
     /// describes, so no access-cache lookup), probe, and check each hit
     /// against the residual — the whole predicate if a key demoted.
-    /// `Ok(None)` — no key realised, or an index that would not
-    /// amortise ([`Evaluator::amortises`]) — leaves the site to the scan.
+    /// `Ok(None)` — no key realised, or a range whose indexes are kept
+    /// nowhere ([`IndexHome::Nowhere`]) — leaves the site to the scan.
     /// The first non-empty range counts the site's plan and, while
     /// explaining, records its access path.
     fn quant_probe(
@@ -923,7 +920,7 @@ impl<'a> Evaluator<'a> {
         site: usize,
         probe: &SiteBranch,
         q: Quantifier<'_>,
-        rel: &Relation,
+        (rel, home): (&Relation, IndexHome),
         bindings: &mut Vec<Binding>,
     ) -> Result<Option<bool>, EvalError> {
         if rel.is_empty() {
@@ -936,7 +933,7 @@ impl<'a> Evaluator<'a> {
         let (mut columns, mut values) = std::mem::take(&mut self.sites[site].keys);
         columns.clear();
         values.clear();
-        let atoms = if self.amortises(q.range) {
+        let atoms = if home != IndexHome::Nowhere {
             &probe.prepared.atoms[..]
         } else {
             &[]
@@ -959,7 +956,7 @@ impl<'a> Evaluator<'a> {
         } else {
             Some(match self.sites[site].index.take() {
                 Some((over, index)) if over == id && index.positions() == columns => index,
-                _ => self.obtain_index(q.range, rel, &columns)?,
+                _ => self.obtain_index(home, rel, &columns)?,
             })
         };
         if count {
@@ -1535,6 +1532,37 @@ impl PreparedBranch {
         let over = schemas.iter().map(|s| (*s).clone()).collect();
         *memo = Some((slot_of.to_vec(), atoms, over, leaf.clone()));
         Ok((leaf, true))
+    }
+}
+
+/// Where the indexes over a range's value are kept, so that they are
+/// built once per storage wherever the storage is met again.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum IndexHome {
+    /// The catalog owner's cache, which outlives the evaluator (the
+    /// private one when the catalog offers none): a named relation (the
+    /// catalog hands out the same storage every time), or a relation
+    /// supplied to a prepared branch.
+    Catalog,
+    /// The evaluator's private cache: a binding-free range outside any
+    /// parameter frame, whose value sits in `range_cache`.
+    Private,
+    /// Nowhere: any other range, a fresh value per outer combination,
+    /// probed through a throwaway index if at all.
+    Nowhere,
+}
+
+/// A branch's range values, in binding order, with where the indexes
+/// over each are kept.
+struct Ranges {
+    rels: Vec<Relation>,
+    homes: Vec<IndexHome>,
+}
+
+impl FromIterator<(Relation, IndexHome)> for Ranges {
+    fn from_iter<I: IntoIterator<Item = (Relation, IndexHome)>>(iter: I) -> Ranges {
+        let (rels, homes) = iter.into_iter().unzip();
+        Ranges { rels, homes }
     }
 }
 

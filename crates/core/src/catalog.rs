@@ -105,7 +105,7 @@ impl SolvedMemo {
         if let Some(hit) = hit {
             return Ok(hit);
         }
-        let system = fixpoint::solve(defs, cat, name, base, args, scalar_args, None, cfg)?;
+        let system = fixpoint::solve(defs, cat, name, base, args, scalar_args, cfg)?;
         Ok(self.insert(key, system.value().clone()))
     }
 
@@ -145,10 +145,10 @@ impl SolvedMemo {
 }
 
 /// A *named application* `Rel{c(R1, …; k1, …)}`: a constructor applied
-/// to catalog relations by name, with constant scalar arguments. The
-/// names are the provenance a warm re-solve routes base deltas by, and
-/// the definition is a plan `EXPLAIN` previews without running the
-/// fixpoint. This test alone decides both.
+/// to catalog relations by name, with constant scalar arguments — the
+/// standing query a server maintains warm, and the definition whose
+/// plan `EXPLAIN` previews without running the fixpoint. This test
+/// alone decides both.
 #[derive(Debug)]
 pub struct NamedApplication<'a> {
     /// The base relation's catalog name.

@@ -74,7 +74,7 @@ pub enum SolveError {
         diag: SolveDiag,
     },
     /// The fixpoint failed to converge within its round allowance
-    /// (`FixpointConfig::max_iterations` or a budget round ceiling).
+    /// (the solver's fixed round ceiling or a budget round ceiling).
     Diverged {
         /// What the solve was doing; `diag.rounds` is the allowance
         /// that was exhausted and `diag.last_delta` the last round's

@@ -233,14 +233,29 @@ impl Relation {
     }
 
     /// This relation under `schema`, which must be union-compatible.
-    /// Without a proper key in `schema` the storage is kept and only the
-    /// label changes — no tuple is copied or rehashed. A keyed `schema`
-    /// is filled by insertion, so its key constraint is checked.
+    /// Where a column of `schema` narrows this relation's domain (a
+    /// range the source column's values may leave), every tuple is
+    /// checked against it, as an insert would; other columns need no
+    /// check. Without a proper key in `schema` the storage is kept and
+    /// only the label changes — no tuple is copied or rehashed. A keyed
+    /// `schema` is filled by insertion, so its key constraint is
+    /// checked.
     pub fn relabel(self, schema: &Schema) -> Result<Relation, RelationError> {
         if !self.schema.union_compatible(schema) {
             return Err(RelationError::Incompatible {
                 context: "relabel".into(),
             });
+        }
+        let narrowed: Vec<usize> = (0..schema.arity())
+            .filter(|&c| *schema.domain(c) != schema.domain(c).base())
+            .filter(|&c| schema.domain(c) != self.schema.domain(c))
+            .collect();
+        if !narrowed.is_empty() {
+            for t in self.iter() {
+                for &c in &narrowed {
+                    schema.domain(c).check(t.get(c))?;
+                }
+            }
         }
         if schema.has_proper_key() {
             let mut keyed = Relation::new(schema.clone());
@@ -438,7 +453,7 @@ impl fmt::Display for Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dc_value::{tuple, Attribute, Domain};
+    use dc_value::{tuple, Attribute, Domain, TypeError};
 
     fn infrontrel() -> Schema {
         Schema::of(&[("front", Domain::Str), ("back", Domain::Str)])
@@ -759,6 +774,20 @@ mod tests {
             shared.relabel(&ints),
             Err(RelationError::Incompatible { .. })
         ));
+    }
+
+    #[test]
+    fn relabel_checks_the_columns_a_range_narrows() {
+        let ints = Schema::of(&[("a", Domain::Int), ("b", Domain::Int)]);
+        let r = Relation::from_tuples(ints, vec![tuple![1i64, 101i64]]).unwrap();
+        let small = Schema::of(&[("a", Domain::Int), ("b", Domain::IntRange(0, 9))]);
+        assert!(matches!(
+            r.clone().relabel(&small),
+            Err(RelationError::Type(TypeError::RangeViolation { .. }))
+        ));
+        let first_small = Schema::of(&[("a", Domain::IntRange(0, 9)), ("b", Domain::Int)]);
+        let relabelled = r.clone().relabel(&first_small).unwrap();
+        assert!(Relation::shares_storage(&relabelled, &r));
     }
 
     #[test]

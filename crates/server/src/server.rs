@@ -564,9 +564,19 @@ impl Server {
                         (inserted, deleted)
                     }
                 };
-                if !inserted.is_empty() || !deleted.is_empty() {
-                    deltas.push((n.clone(), BaseDelta { inserted, deleted }));
-                }
+                // Kept when the ops cancel out too: the relation is new
+                // storage all the same, which the solver matches by
+                // identity.
+                let (before, after) = (old.storage_id(), new.storage_id());
+                deltas.push((
+                    n.clone(),
+                    BaseDelta {
+                        before,
+                        after,
+                        inserted,
+                        deleted,
+                    },
+                ));
             }
             self.session(snap.clone())
                 .solve_warm(&app, prev_system, &deltas)

@@ -197,10 +197,9 @@ impl Session {
         };
         let (b, a) = self.actuals(&app)?;
         let key = AppKey::new(app.constructor, &b, &a, &app.scalar_args);
-        let names = Some((app.base, app.args.as_slice()));
         let cfg = self.fixpoint_cfg();
         let (defs, args) = (self.defs(), app.scalar_args);
-        let system = fixpoint::solve(defs, self, app.constructor, b, a, args, names, &cfg)?;
+        let system = fixpoint::solve(defs, self, app.constructor, b, a, args, &cfg)?;
         let value = self.snap.solved().insert(key, system.value().clone());
         Ok((value, Some(system)))
     }
@@ -223,7 +222,6 @@ impl Session {
             b,
             a,
             scalar_args,
-            (app.base, &app.args),
             prev,
             deltas,
             &self.fixpoint_cfg(),
@@ -281,7 +279,9 @@ impl Catalog for Session {
             .relation(name)
             .cloned()
             .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?;
-        self.read_set.borrow_mut().insert(name.to_string());
+        if !self.read_set.borrow().contains(name) {
+            self.read_set.borrow_mut().insert(name.to_string());
+        }
         Ok(r)
     }
 

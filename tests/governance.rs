@@ -178,11 +178,11 @@ fn round_ceiling_is_a_divergence_verdict() {
 
 /// A genuinely non-convergent (but positive, hence monotone) system:
 /// `count_up` seeds from the base relation and forever inserts n+1 for
-/// every n it has derived. Exhausting `max_iterations` must surface as
-/// a structured `Diverged` with round/tuple/delta diagnostics — not a
-/// panic, not an unbounded loop.
+/// every n it has derived. Exhausting a budget's round ceiling must
+/// surface as a structured `Diverged` with round/tuple/delta
+/// diagnostics — not a panic, not an unbounded loop.
 #[test]
-fn max_iterations_exhaustion_reports_diverged_with_diagnostics() {
+fn a_divergent_system_exhausts_its_round_ceiling_with_diagnostics() {
     let numrel = Schema::of(&[("n", Domain::Card)]);
     let count_up = Constructor {
         name: "count_up".into(),
@@ -205,7 +205,7 @@ fn max_iterations_exhaustion_reports_diverged_with_diagnostics() {
     db.create_relation("Nums", numrel).unwrap();
     db.insert("Nums", dc_value::tuple![0u64]).unwrap();
     db.define_constructor(count_up).unwrap();
-    db.config_mut().max_iterations = 8;
+    db.set_budget(Some(Budget::unlimited().with_max_rounds(8)));
     let before = snapshot(&db);
 
     let err = db
@@ -219,7 +219,7 @@ fn max_iterations_exhaustion_reports_diverged_with_diagnostics() {
             // a non-empty last delta is the divergence signature.
             assert!(diag.last_delta >= 1, "{diag:?}");
             assert!(
-                diag.notes.iter().any(|n| n.contains("max_iterations")),
+                diag.notes.iter().any(|n| n.contains("round ceiling")),
                 "{:?}",
                 diag.notes
             );

@@ -294,3 +294,33 @@ fn script_then_rewritten_query() {
         );
     }
 }
+
+/// A constructor's value is checked against the domains of its declared
+/// result type, as an insert into a relation of that type is: a body
+/// whose values leave a `RANGE` column raises the insert's range
+/// violation, through the engine and the oracle alike.
+#[test]
+fn a_constructor_value_outside_its_declared_range_is_rejected() {
+    let mut db = Database::new();
+    run_script(
+        &mut db,
+        r#"
+        TYPE t = RANGE 0..9;
+        TYPE small = RELATION ... OF RECORD n: t END;
+        TYPE ints = RELATION ... OF RECORD n: INTEGER END;
+        VAR N: ints;
+        VAR S: small;
+        CONSTRUCTOR bump FOR Rel: ints (): small;
+        BEGIN <r.n + 100> OF EACH r IN Rel: TRUE END bump;
+        INSERT N <1>;
+        "#,
+    )
+    .unwrap();
+    let inserted = run_script(&mut db, "INSERT S <101>;").unwrap_err();
+    let queried = run_script(&mut db, "QUERY N{bump()};").unwrap_err();
+    assert!(inserted.to_string().contains("range"), "{inserted}");
+    assert_eq!(queried.to_string(), inserted.to_string());
+    let q = dc_lang::parser::parse_expr("N{bump()}").unwrap();
+    let oracle = dc_bench::oracle::eval(&db, &q).unwrap_err();
+    assert_eq!(oracle.to_string(), inserted.to_string());
+}

@@ -243,6 +243,34 @@ fn disjoint_commits_deliver_empty_updates_without_reevaluation() {
     assert_eq!(server.subscription_count(), 0);
 }
 
+/// A commit whose ops on the subscribed relation cancel out leaves its
+/// content as it was but its storage new: the refresh reaches the new
+/// storage from the one the system read through the commit's empty
+/// delta, so it stays warm and delivers an empty update — and the next
+/// commit refreshes warm from the system it re-captured.
+#[test]
+fn a_commit_whose_ops_cancel_out_refreshes_warm_with_an_empty_update() {
+    let _guard = FailpointsGuard::arm("");
+    let server = Server::new(graph_db());
+    let prepared = server
+        .prepare_solve("Infront", "ahead", &[], vec![])
+        .unwrap();
+    let sub = server.subscribe(&prepared).unwrap();
+    let initial = next_update(&sub, 0);
+    let cancelled = WriteBatch::new()
+        .insert("Infront", tuple!["c0_4", "x"])
+        .delete("Infront", tuple!["c0_4", "x"]);
+    let up = next_update(&sub, server.commit(&cancelled).unwrap());
+    assert!(up.warm, "a net-empty commit must refresh warm");
+    assert!(up.added.is_empty() && up.removed.is_empty());
+    let grown = WriteBatch::new().insert("Infront", tuple!["c0_4", "x"]);
+    let up = next_update(&sub, server.commit(&grown).unwrap());
+    assert!(up.warm);
+    assert_eq!(up.added.len(), 5, "every node of chain 0 now reaches x");
+    let now = server.begin().query(&prepared).unwrap();
+    assert_eq!(now, algebra::union(&initial.added, &up.added).unwrap());
+}
+
 // ---------------------------------------------------------------------
 // (d) Queries that are not named applications: always cold on touched
 //     commits, still delta-exact
