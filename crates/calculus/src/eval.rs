@@ -51,7 +51,9 @@
 //!   injected faults propagate.
 //! * **One operator loop** — every branch runs `exec_plan`: its probe
 //!   plan when some key is realised, the declaration-order all-scan
-//!   plan otherwise. Its leaf reads branch-variable attributes, in the
+//!   plan otherwise. Each step binds one fixed slot for the whole run,
+//!   overwriting only its tuple, so a combination allocates nothing but
+//!   what it emits. Its leaf reads branch-variable attributes, in the
 //!   residual and the target, as `(binding slot, column)` pairs, while
 //!   outer-variable attributes, parameters, unknown attributes,
 //!   quantifiers, and membership tests go through
@@ -416,18 +418,12 @@ impl<'a> Evaluator<'a> {
         // formals of a constructor body it is applied in.
         let body_scope = self.catalog;
         self.catalog = body_scope.selector_scope().unwrap_or(body_scope);
-        let mut inner: Vec<Binding> = Vec::with_capacity(1);
+        let mut inner = Vec::with_capacity(1);
         let mut out = Relation::new(base.schema().clone());
         let result: Result<(), EvalError> = (|| {
             for t in base.iter() {
-                inner.push(Binding {
-                    var: def.element_var.clone(),
-                    tuple: t.clone(),
-                    schema: base.schema().clone(),
-                });
-                let keep = self.eval_formula(&def.predicate, &mut inner);
-                inner.pop();
-                if keep? {
+                bind(&mut inner, 0, &def.element_var, base.schema(), t);
+                if self.eval_formula(&def.predicate, &mut inner)? {
                     out.insert_unchecked(t.clone())?;
                 }
             }
@@ -610,7 +606,10 @@ impl<'a> Evaluator<'a> {
         }
         lap("plan_us");
         let plan = (&compiled.steps[..], &*leaf, leaf.checked);
-        self.exec_plan(branch, plan, ranges, 0, bindings, out)?;
+        let base = bindings.len();
+        let run = self.exec_plan(branch, plan, ranges, base, bindings, out);
+        bindings.truncate(base);
+        run?;
         lap("run_us");
         Ok(())
     }
@@ -910,9 +909,10 @@ impl<'a> Evaluator<'a> {
     /// Decide a site through its one-binding branch: realise its keys,
     /// reuse its index (kept with the storage id of the relation it
     /// describes, so no access-cache lookup), probe, and check each hit
-    /// against the residual — the whole predicate if a key demoted.
-    /// `Ok(None)` — no key realised, or a range whose indexes are kept
-    /// nowhere ([`IndexHome::Nowhere`]) — leaves the site to the scan.
+    /// against the residual — the whole predicate if a key demoted; a
+    /// `TRUE` residual binds nothing, the bucket decides. `Ok(None)` —
+    /// no key realised, or a range whose indexes are kept nowhere
+    /// ([`IndexHome::Nowhere`]) — leaves the site to the scan.
     /// The first non-empty range counts the site's plan and, while
     /// explaining, records its access path.
     fn quant_probe(
@@ -987,6 +987,8 @@ impl<'a> Evaluator<'a> {
         // or — covering — a hit failing the check or a tuple outside.
         let found = match probe.mode {
             QuantMode::Covering if hits.len() != rel.len() => Ok(true),
+            // A `TRUE` check holds on every hit: the bucket decides.
+            mode if *check == Formula::True => Ok(mode != QuantMode::Covering && !hits.is_empty()),
             mode => self.any_over(
                 q.var,
                 schema,
@@ -1014,18 +1016,8 @@ impl<'a> Evaluator<'a> {
         bindings: &mut Vec<Binding>,
     ) -> Result<bool, EvalError> {
         let slot = bindings.len();
-        let mut pushed = false;
         for t in tuples {
-            if pushed {
-                bindings[slot].tuple = t.clone();
-            } else {
-                bindings.push(Binding {
-                    var: var.clone(),
-                    tuple: t.clone(),
-                    schema: schema.clone(),
-                });
-                pushed = true;
-            }
+            bind(bindings, slot, var, schema, t);
             match self.eval_formula(check, bindings) {
                 Ok(b) if b != holds => {}
                 found => {
@@ -1071,56 +1063,52 @@ impl<'a> Evaluator<'a> {
 
     /// Run the compiled steps depth-first, then the compiled leaf
     /// ([`Evaluator::emit_compiled`]) on every combination they yield.
-    /// Each step reuses one binding slot across its whole iteration (one
-    /// `Var`/`Schema` clone per step instead of per combination); probes
-    /// touch only bucket matches.
+    /// Step `d` of a run from binding slot `base` binds the fixed slot
+    /// `base + d`, the numbering [`Evaluator::compile_steps`] resolved
+    /// keys and leaf fields by: the slot is pushed the first time its
+    /// step yields a tuple, only its tuple is overwritten after that,
+    /// and the caller truncates the slots once, when the run ends or
+    /// fails. Probes touch only bucket matches.
     fn exec_plan(
         &mut self,
         branch: &Branch,
         plan: (&[CompiledStep], &CompiledLeaf, bool),
         ranges: &[Relation],
-        depth: usize,
+        slot: usize,
         bindings: &mut Vec<Binding>,
         out: &mut Relation,
     ) -> Result<(), EvalError> {
         let (steps, leaf, checked) = plan;
-        if depth == steps.len() {
+        let Some((step, rest)) = steps.split_first() else {
             return self.emit_compiled(leaf, checked, bindings, out);
-        }
-        let step = &steps[depth];
+        };
         let (var, _) = &branch.bindings[step.position];
         let rel = &ranges[step.position];
-        let slot = bindings.len();
+        let mut each = |this: &mut Self, bindings: &mut Vec<Binding>, t: &Tuple| {
+            bind(bindings, slot, var, rel.schema(), t);
+            this.exec_plan(
+                branch,
+                (rest, leaf, checked),
+                ranges,
+                slot + 1,
+                bindings,
+                out,
+            )
+        };
         match &step.access {
             CompiledAccess::Scan => {
-                let mut pushed = false;
                 for t in rel.iter() {
-                    if pushed {
-                        bindings[slot].tuple = t.clone();
-                    } else {
-                        bindings.push(Binding {
-                            var: var.clone(),
-                            tuple: t.clone(),
-                            schema: rel.schema().clone(),
-                        });
-                        pushed = true;
-                    }
-                    let r = self.exec_plan(branch, plan, ranges, depth + 1, bindings, out);
-                    if r.is_err() {
-                        bindings.truncate(slot);
-                        return r;
-                    }
+                    each(self, bindings, t)?;
                 }
-                bindings.truncate(slot);
             }
             CompiledAccess::Probe { keys, .. } | CompiledAccess::Member { keys } => {
-                // Reuse one key buffer per plan depth across all of
+                // Reuse one key buffer per binding slot across all of
                 // this step's invocations — no allocation per probe
                 // (value clones are `Arc` bumps / plain copies).
-                if self.probe_scratch.len() <= depth {
-                    self.probe_scratch.resize_with(depth + 1, Vec::new);
+                if self.probe_scratch.len() <= slot {
+                    self.probe_scratch.resize_with(slot + 1, Vec::new);
                 }
-                let mut key_vals = std::mem::take(&mut self.probe_scratch[depth]);
+                let mut key_vals = std::mem::take(&mut self.probe_scratch[slot]);
                 key_vals.clear();
                 for k in keys {
                     key_vals.push(match k {
@@ -1137,26 +1125,10 @@ impl<'a> Evaluator<'a> {
                         .get(key_vals.as_slice())
                         .map_or(&[][..], std::slice::from_ref),
                 };
-                self.probe_scratch[depth] = key_vals;
-                let mut pushed = false;
+                self.probe_scratch[slot] = key_vals;
                 for t in hits {
-                    if pushed {
-                        bindings[slot].tuple = t.clone();
-                    } else {
-                        bindings.push(Binding {
-                            var: var.clone(),
-                            tuple: t.clone(),
-                            schema: rel.schema().clone(),
-                        });
-                        pushed = true;
-                    }
-                    let r = self.exec_plan(branch, plan, ranges, depth + 1, bindings, out);
-                    if r.is_err() {
-                        bindings.truncate(slot);
-                        return r;
-                    }
+                    each(self, bindings, t)?;
                 }
-                bindings.truncate(slot);
             }
         }
         Ok(())
@@ -1771,6 +1743,19 @@ enum CompiledKey {
     Fixed(Value),
     /// Read from the binding at stack slot `slot`, field `attr_pos`.
     FromBinding { slot: usize, attr_pos: usize },
+}
+
+/// Bind `t` to `var` at stack slot `slot`: overwrite the tuple of the
+/// binding already there, or push the slot's binding on its first use.
+fn bind(bindings: &mut Vec<Binding>, slot: usize, var: &Var, schema: &Schema, t: &Tuple) {
+    match bindings.get_mut(slot) {
+        Some(bound) => bound.tuple = t.clone(),
+        None => bindings.push(Binding {
+            var: var.clone(),
+            tuple: t.clone(),
+            schema: schema.clone(),
+        }),
+    }
 }
 
 /// Find the innermost binding of `var`.

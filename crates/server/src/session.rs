@@ -111,13 +111,16 @@ impl Session {
     /// [`PreparedQuery`] from [`Server::prepare`](crate::Server::prepare) /
     /// [`Server::prepare_solve`](crate::Server::prepare_solve), compiled
     /// once at prepare time and reusable across sessions and epochs.
+    /// A traced query's `session_query` record carries two laps:
+    /// `plan_us` (compiling the query) and `run_us` (evaluating it).
     pub fn query<Q: Queryable + ?Sized>(&self, query: &Q) -> Result<Relation, ServerError> {
         let t0 = Instant::now();
         let mut span = dc_trace::span(SpanKind::SessionQuery);
         span.field("epoch", self.epoch());
-        let out = query
-            .compiled(self)
-            .and_then(|q| Ok(self.evaluator().eval(&q)?));
+        let compiled = query.compiled(self);
+        span.lap("plan_us");
+        let out = compiled.and_then(|q| Ok(self.evaluator().eval(&q)?));
+        span.lap("run_us");
         if let Some(m) = &self.defs().config.metrics {
             m.inc(Counter::Queries);
             m.observe_us(Histogram::QueryLatencyUs, t0.elapsed().as_micros() as u64);

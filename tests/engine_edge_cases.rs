@@ -1,8 +1,8 @@
 //! Edge cases of the constructor engine: empty inputs, nested
 //! applications, keyed result types, and deep composition — and
 //! differentials of multi-equation, impure, growing-delta and naive
-//! systems, and of cancelled solves, against the oracle
-//! (`dc_bench::oracle`).
+//! systems, of cancelled solves, and of the operator loop's binding
+//! slots, against the oracle (`dc_bench::oracle`).
 
 use data_constructors::prelude::*;
 use dc_bench::{counted, snapshot, unwrap_solve_error};
@@ -513,4 +513,173 @@ fn mid_solve_cancellation_of_a_mutual_solve_is_atomic() {
     }
     db.set_budget(None);
     assert_eq!(db.eval(&above_query()).unwrap(), expected);
+}
+
+// The operator loop's binding slots: step `d` of a branch binds the
+// fixed slot `base + d` for a whole run, overwriting only its tuple. Each
+// case below agrees with the oracle.
+
+/// A two-column integer relation: name, column names, rows.
+type IntRel<'n> = (&'n str, [&'n str; 2], Vec<(i64, i64)>);
+
+fn int_db(rels: &[IntRel<'_>]) -> Database {
+    let mut db = Database::new();
+    for (name, [x, y], rows) in rels {
+        let schema = Schema::of(&[(x, Domain::Int), (y, Domain::Int)]);
+        db.create_relation(*name, schema).unwrap();
+        db.insert_all(name, rows.iter().map(|&(a, b)| tuple![a, b]))
+            .unwrap();
+    }
+    db
+}
+
+/// `A(k, y)` meets `B(y, z)` only for `y < 2`, so the middle probe's
+/// bucket is empty for half of `A`; `C(z, v)` and `Q(k, n)` as below.
+fn slot_db() -> Database {
+    int_db(&[
+        ("A", ["k", "y"], (0..16).map(|k| (k, k % 4)).collect()),
+        ("B", ["y", "z"], vec![(0, 0), (0, 1), (1, 10), (1, 11)]),
+        ("C", ["z", "v"], vec![(0, 3), (1, 7), (10, 12), (11, 5)]),
+        (
+            "Q",
+            ["k", "n"],
+            (0..16).step_by(3).map(|k| (k, 0)).collect(),
+        ),
+        ("O", ["k", "w"], (0..16).map(|k| (k, k % 9)).collect()),
+    ])
+}
+
+/// `<a.k, c.v> OF EACH a IN A, EACH b IN B, EACH c IN C: a.y = b.y AND
+/// b.z = c.z AND <extra> AND SOME q IN Q (q.k = a.k)`.
+fn three_bindings(extra: Formula) -> Branch {
+    Branch::projecting(
+        vec![attr("a", "k"), attr("c", "v")],
+        vec![
+            ("a".into(), rel("A")),
+            ("b".into(), rel("B")),
+            ("c".into(), rel("C")),
+        ],
+        eq(attr("a", "y"), attr("b", "y"))
+            .and(eq(attr("b", "z"), attr("c", "z")))
+            .and(extra)
+            .and(some("q", rel("Q"), eq(attr("q", "k"), attr("a", "k")))),
+    )
+}
+
+/// A three-binding branch whose middle probe finds empty buckets, with a
+/// nested quantifier at the leaf reading `a` by name — closed, and as a
+/// correlated range evaluated per outer tuple (a two-branch set-former
+/// is not unnested), where its residual reads the outer `o` by name and
+/// its slots start above `o`'s.
+#[test]
+fn a_three_binding_branch_with_empty_middle_buckets_matches_the_oracle() {
+    let db = slot_db();
+    let closed = set_former(vec![three_bindings(tru())]);
+    let out = dc_bench::oracle::assert_agrees(&db, &closed).unwrap();
+    assert_eq!(out.len(), 6, "{out}");
+
+    let correlated = set_former(vec![
+        three_bindings(ge(attr("c", "v"), attr("o", "w"))),
+        Branch::projecting(
+            vec![attr("a", "k"), attr("a", "y")],
+            vec![("a".into(), rel("A"))],
+            eq(attr("a", "k"), attr("o", "w")).and(eq(attr("a", "y"), cnst(3i64))),
+        ),
+    ]);
+    let q = set_former(vec![Branch::each(
+        "o",
+        rel("O"),
+        some("x", correlated, eq(attr("x", "k"), attr("o", "k"))),
+    )]);
+    let out = dc_bench::oracle::assert_agrees(&db, &q).unwrap();
+    assert!(!out.is_empty() && out.len() < 16, "{out}");
+    let explained = db.explain(&q).unwrap();
+    assert!(
+        explained.text().contains("correlated range not unnested"),
+        "{}",
+        explained.text()
+    );
+}
+
+/// `SOME`, `NOT SOME` and `ALL` sites whose every key is realised, so
+/// the check left is `TRUE` and the bucket decides — over empty and
+/// non-empty buckets, with one and two keys, in each probe mode
+/// (witness, falsifier, covering), and over an empty range.
+#[test]
+fn quantifier_sites_with_a_true_check_match_the_oracle() {
+    let db = int_db(&[
+        ("R", ["a", "b"], (0..10).map(|a| (a, a % 5)).collect()),
+        ("S", ["b", "c"], vec![(0, 0), (0, 5), (1, 6), (2, 2)]),
+        ("U", ["b", "c"], vec![(1, 0), (1, 1)]),
+        ("E", ["b", "c"], vec![]),
+    ]);
+    let site = |body: Formula| set_former(vec![Branch::each("r", rel("R"), body)]);
+    let cases = [
+        (
+            site(some("s", rel("S"), eq(attr("s", "b"), attr("r", "b")))),
+            6,
+        ),
+        (
+            site(not(some("s", rel("S"), eq(attr("s", "b"), attr("r", "b"))))),
+            4,
+        ),
+        (
+            site(all("s", rel("S"), ne(attr("s", "b"), attr("r", "b")))),
+            4,
+        ),
+        (
+            site(some(
+                "s",
+                rel("S"),
+                eq(attr("s", "b"), attr("r", "b")).and(eq(attr("s", "c"), attr("r", "a"))),
+            )),
+            4,
+        ),
+        (
+            site(all("s", rel("U"), eq(attr("s", "b"), attr("r", "b")))),
+            2,
+        ),
+        (
+            site(all("s", rel("S"), eq(attr("s", "b"), attr("r", "b")))),
+            0,
+        ),
+        (
+            site(some("s", rel("E"), eq(attr("s", "b"), attr("r", "b")))),
+            0,
+        ),
+        (
+            site(all("s", rel("E"), eq(attr("s", "b"), attr("r", "b")))),
+            10,
+        ),
+    ];
+    for (q, rows) in cases {
+        let out = dc_bench::oracle::assert_agrees(&db, &q).unwrap();
+        assert_eq!(out.len(), rows, "{q}: {out}");
+    }
+}
+
+/// A tuple budget that trips in the middle of a three-binding loop
+/// leaves the session answering its next query as the oracle does.
+#[test]
+fn a_budget_trip_mid_loop_leaves_the_session_answering() {
+    let db = slot_db();
+    let closed = set_former(vec![three_bindings(tru())]);
+    let narrow = set_former(vec![three_bindings(lt(attr("a", "k"), cnst(8i64)))]);
+    let expected = dc_bench::oracle::eval(&db, &narrow).unwrap();
+    assert_eq!(expected.len(), 2);
+    let server =
+        dc_server::Server::new(db).with_session_budget(Budget::unlimited().with_max_tuples(4));
+    let session = server.begin();
+    let err = session.query(&closed).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            dc_server::ServerError::Eval(dc_calculus::EvalError::Solve(
+                SolveError::TupleBudgetExceeded { limit: 4, .. }
+            ))
+        ),
+        "{err}"
+    );
+    assert_eq!(session.query(&narrow).unwrap(), expected);
+    server.shutdown();
 }

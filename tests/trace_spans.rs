@@ -20,6 +20,8 @@
 //! * **Warm/cold refresh observability**: the subscription-refresh
 //!   spans and the registry's refresh counters agree with the
 //!   warm/cold/skipped routing the standing-query battery proves.
+//! * **Session query laps**: a traced `Session::query` record carries
+//!   `plan_us` (compiling) and `run_us` (evaluating).
 //! * **Warn-once capture**: `envcfg::warn_once` lands in the trace
 //!   sink as a `warning` event and in every metrics snapshot.
 //!
@@ -561,6 +563,47 @@ fn prepared_query_explain_covers_both_kinds() {
     );
     // The session's explain agrees with the prepared handle's.
     assert_eq!(session.explain(&q).unwrap().text(), executed.text());
+}
+
+/// A traced session query, raw or prepared, records its two laps:
+/// `plan_us` (compiling the query) and `run_us` (evaluating it).
+#[test]
+fn a_session_query_records_plan_and_run_laps() {
+    let guard = Collector::install();
+    let server = Server::new(graph_db());
+    let q = set_former(vec![Branch::each(
+        "r",
+        rel("Infront"),
+        some(
+            "t",
+            rel("Infront"),
+            eq(attr("t", "front"), attr("r", "back")),
+        ),
+    )]);
+    let prepared = server.prepare(&q).unwrap();
+    let session = server.begin();
+    let raw = session.query(&q).unwrap();
+    assert_eq!(session.query(&prepared).unwrap(), raw);
+    dc_trace::flush();
+
+    let records = guard.records();
+    let queries: Vec<_> = records
+        .iter()
+        .filter(|r| r.kind == SpanKind::SessionQuery)
+        .collect();
+    assert_eq!(queries.len(), 2, "one record per query");
+    for query in queries {
+        assert_eq!(
+            query.field("rows"),
+            Some(&FieldValue::U64(raw.len() as u64))
+        );
+        let lap = |key| match query.field(key) {
+            Some(FieldValue::U64(us)) => *us,
+            _ => panic!("session query without `{key}`: {query:?}"),
+        };
+        assert!(lap("plan_us") + lap("run_us") <= query.end_us - query.start_us);
+    }
+    server.shutdown();
 }
 
 /// The static preview of the `ahead` solve and the live `EXPLAIN` of its
